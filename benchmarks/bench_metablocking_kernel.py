@@ -1,26 +1,22 @@
-"""Old-vs-new meta-blocking kernel benchmark (perf trajectory entry #1).
+"""Meta-blocking kernel benchmark: backends, engine overhead, block stores.
 
 Times the hot paths of the meta-blocking kernel, across graph sizes:
 
-* **legacy vs CSR python kernel** — the pre-CSR path materialises each
-  neighbour's *full* neighbourhood again per edge to read its degree
-  (O(Σ deg²) dict-of-tuples traversals) and emits every edge twice; the
-  kernel path materialises each node's neighbourhood exactly once into
-  reusable scratch buffers, reads degrees from the cached degree vector and
-  emits each edge from its lower endpoint only.  Likewise WNP / CNP voting:
-  full edge scan per node vs the incident-edge adjacency index.
 * **python vs numpy kernel backend** (``numpy_entries``) — the interpreted
   CSR kernel against the vectorised
-  :class:`~repro.metablocking.backends.NumpyKernel` on the same three paths:
+  :class:`~repro.metablocking.backends.NumpyKernel` on three paths:
   neighbourhood weighing (kernel sweep → weight table), WNP and CNP
   retention.  Output equality is asserted *bit-for-bit* — identical dicts,
   identical floats — before any timing is recorded; the guard enforces the
   ≥3× combined-speedup floor at the largest committed size.
+* **engine vs sequential** (``e2e_entries``) — the overhead ratio of the full
+  ``ParallelMetaBlocker`` over ``MetaBlocker`` on the same blocks.
+* **block stores** (``blockstore_entries``) — driver-relayed shuffle bytes of
+  the WNP vote job under the driver vs the shared-memory store.
 
-Both comparisons must produce identical results; the benchmark asserts it,
-then writes ``BENCH_metablocking.json`` next to the repo root as the
-committed baseline that ``scripts/bench_guard.py`` checks regressions
-against.
+Every comparison asserts identical results first, then the run writes its
+sections of ``BENCH_metablocking.json`` next to the repo root — the committed
+baseline that ``scripts/bench_guard.py`` checks regressions against.
 
 Run directly::
 
@@ -44,18 +40,17 @@ from repro.metablocking.graph import EdgeInfo
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import (
-    CompactBlockIndex,
     ParallelMetaBlocker,
-    _CardinalityNodeVotes,
     _sum_votes,
     _WeightedNodeVotes,
     edge_id_incidence,
-    incident_edge_index,
 )
-from repro.metablocking.pruning import default_cnp_k
+from repro.metablocking.pruning import PruningStrategy, default_cnp_k
 from repro.metablocking.weights import WeightingScheme, compute_edge_weight
+from repro.options import EngineOptions
 
 DEFAULT_SIZES = (100, 200, 400)
+PYTHON = EngineOptions.resolve(kernel_backend="python")
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_metablocking.json"
 
 
@@ -64,62 +59,6 @@ def prepare_blocks(num_entities: int):
     raw = TokenBlocking().block(dataset.profiles)
     blocks = BlockFiltering().filter(BlockPurging().purge(raw, len(dataset.profiles)))
     return dataset, blocks
-
-
-# --------------------------------------------------------------------- legacy
-def legacy_edge_weights(index: CompactBlockIndex) -> dict[tuple[int, int], float]:
-    """The pre-CSR weighing loop: re-materialises each neighbour per edge."""
-    scheme = WeightingScheme.CBS
-    weights: dict[tuple[int, int], float] = {}
-    for node in sorted(index.profile_blocks):
-        neighbourhood = index.neighbourhood(node)
-        blocks_node = len(index.blocks_of(node))
-        degree_node = len(neighbourhood)
-        for other, info in neighbourhood.items():
-            weight = compute_edge_weight(
-                scheme,
-                info,
-                blocks_a=blocks_node,
-                blocks_b=len(index.blocks_of(other)),
-                total_blocks=index.num_blocks,
-                degree_a=degree_node,
-                degree_b=len(index.neighbourhood(other)),
-                total_edges=0,
-            )
-            pair = (node, other) if node <= other else (other, node)
-            # Every edge arrives twice (once per endpoint); first write wins,
-            # like the old reduceByKey(lambda a, _b: a).
-            weights.setdefault(pair, weight)
-    return weights
-
-
-def legacy_wnp(
-    weights: dict[tuple[int, int], float], nodes: list[int]
-) -> dict[tuple[int, int], float]:
-    """The pre-adjacency WNP voting loop: full edge scan per node."""
-    votes: dict[tuple[int, int], int] = {}
-    for node in nodes:
-        incident = [(pair, w) for pair, w in weights.items() if node in pair]
-        if not incident:
-            continue
-        threshold = sum(w for _p, w in incident) / len(incident)
-        for pair, w in incident:
-            if w >= threshold:
-                votes[pair] = votes.get(pair, 0) + 1
-    return {pair: weights[pair] for pair, count in votes.items() if count >= 1}
-
-
-def legacy_cnp(
-    weights: dict[tuple[int, int], float], nodes: list[int], k: int
-) -> dict[tuple[int, int], float]:
-    """The pre-adjacency CNP voting loop: full edge scan per node."""
-    votes: dict[tuple[int, int], int] = {}
-    for node in nodes:
-        incident = [(pair, w) for pair, w in weights.items() if node in pair]
-        ranked = sorted(incident, key=lambda item: (-item[1], item[0]))
-        for pair, _w in ranked[:k]:
-            votes[pair] = votes.get(pair, 0) + 1
-    return {pair: weights[pair] for pair, count in votes.items() if count >= 1}
 
 
 # --------------------------------------------------------------------- kernel
@@ -163,7 +102,7 @@ def kernel_wnp(
     weights: dict[tuple[int, int], float], nodes: list[int]
 ) -> dict[tuple[int, int], float]:
     """WNP voting over the incident-edge adjacency index (built once)."""
-    incidence = incident_edge_index(weights)
+    incidence = PruningStrategy._node_incidence(weights)
     votes: dict[tuple[int, int], int] = {}
     for node in nodes:
         incident = incidence.get(node)
@@ -180,7 +119,7 @@ def kernel_cnp(
     weights: dict[tuple[int, int], float], nodes: list[int], k: int
 ) -> dict[tuple[int, int], float]:
     """CNP voting over the incident-edge adjacency index (built once)."""
-    incidence = incident_edge_index(weights)
+    incidence = PruningStrategy._node_incidence(weights)
     votes: dict[tuple[int, int], int] = {}
     for node in nodes:
         incident = incidence.get(node)
@@ -206,183 +145,6 @@ def _timed(func, *args, repeats: int = 3):
         result = func(*args)
         best = min(best, time.perf_counter() - start)
     return result, best
-
-
-def run_benchmark(sizes=DEFAULT_SIZES) -> list[dict]:
-    entries = []
-    for num_entities in sizes:
-        dataset, blocks = prepare_blocks(num_entities)
-        legacy_index = CompactBlockIndex.from_blocks(blocks)
-        # Pin the python backend: these entries measure the interpreted CSR
-        # kernel against the legacy dict path; the numpy backend has its own
-        # comparison pass (run_numpy_benchmark).
-        csr_index = CSRBlockIndex.from_blocks(blocks, backend="python")
-        csr_index.degree_vector()
-
-        legacy_weights, legacy_neigh_s = _timed(legacy_edge_weights, legacy_index)
-        kernel_weights, kernel_neigh_s = _timed(kernel_edge_weights, csr_index)
-        assert kernel_weights == legacy_weights, "edge weights diverged"
-
-        nodes = sorted(legacy_index.profile_blocks)
-        k = default_cnp_k(sum(csr_index.node_block_count), csr_index.num_nodes)
-
-        legacy_wnp_result, legacy_wnp_s = _timed(legacy_wnp, kernel_weights, nodes)
-        kernel_wnp_result, kernel_wnp_s = _timed(kernel_wnp, kernel_weights, nodes)
-        assert kernel_wnp_result == legacy_wnp_result, "WNP output diverged"
-
-        legacy_cnp_result, legacy_cnp_s = _timed(legacy_cnp, kernel_weights, nodes, k)
-        kernel_cnp_result, kernel_cnp_s = _timed(kernel_cnp, kernel_weights, nodes, k)
-        assert kernel_cnp_result == legacy_cnp_result, "CNP output diverged"
-
-        entry = {
-            "num_entities": num_entities,
-            "profiles": len(dataset.profiles),
-            "nodes": csr_index.num_nodes,
-            "edges": csr_index.num_edges(),
-            "neighbourhood": _ratio_entry(legacy_neigh_s, kernel_neigh_s),
-            "wnp": _ratio_entry(legacy_wnp_s, kernel_wnp_s),
-            "cnp": _ratio_entry(legacy_cnp_s, kernel_cnp_s),
-        }
-        entries.append(entry)
-        print(
-            f"[{num_entities:>4} entities] edges={entry['edges']:>7} | "
-            f"neighbourhood {legacy_neigh_s:.3f}s -> {kernel_neigh_s:.3f}s "
-            f"({entry['neighbourhood']['speedup']:.1f}x) | "
-            f"wnp {legacy_wnp_s:.3f}s -> {kernel_wnp_s:.3f}s "
-            f"({entry['wnp']['speedup']:.1f}x) | "
-            f"cnp {legacy_cnp_s:.3f}s -> {kernel_cnp_s:.3f}s "
-            f"({entry['cnp']['speedup']:.1f}x)"
-        )
-    return entries
-
-
-def _ratio_entry(legacy_s: float, kernel_s: float) -> dict:
-    return {
-        "legacy_s": round(legacy_s, 6),
-        "kernel_s": round(kernel_s, 6),
-        "speedup": round(legacy_s / kernel_s, 2) if kernel_s > 0 else float("inf"),
-    }
-
-
-# ------------------------------------------------------- vote wire format
-# The pre-edge-id vote tasks, kept here as the reference point of the shuffle
-# wire-format benchmark: each vote crossed the shuffle as a full
-# ((a, b), (weight, count)) tuple instead of a compact (edge id, count) pair.
-
-
-class _LegacyTupleWnpVotes:
-    __slots__ = ("incidence_broadcast",)
-
-    def __init__(self, incidence_broadcast) -> None:
-        self.incidence_broadcast = incidence_broadcast
-
-    def __call__(self, node):
-        incident = self.incidence_broadcast.value.get(node)
-        if not incident:
-            return []
-        threshold = sum(w for _p, w in incident) / len(incident)
-        return [(pair, (w, 1)) for pair, w in incident if w >= threshold]
-
-
-class _LegacyTupleCnpVotes:
-    __slots__ = ("incidence_broadcast", "k")
-
-    def __init__(self, incidence_broadcast, k) -> None:
-        self.incidence_broadcast = incidence_broadcast
-        self.k = k
-
-    def __call__(self, node):
-        incident = self.incidence_broadcast.value.get(node)
-        if not incident:
-            return []
-        ranked = sorted(incident, key=lambda item: (-item[1], item[0]))
-        return [(pair, (w, 1)) for pair, w in ranked[: self.k]]
-
-
-def _legacy_merge_votes(a, b):
-    return (a[0], a[1] + b[1])
-
-
-def _vote_shuffle_volume(node_ids, vote_task, reducer, name):
-    """Run one vote job on a fresh serial context; return its shuffle volume.
-
-    The measured quantity is the vote-stage map output — the records and
-    pickled bytes that cross the shuffle (and, under a process executor, the
-    IPC boundary).  It is deterministic: no timing involved.
-    """
-    context = EngineContext(4, executor="serial")
-    rdd = context.parallelize(node_ids).flatMap(vote_task, name=name)
-    rdd.reduceByKey(reducer).collectAsMap()
-    map_rows = [
-        row
-        for row in context.scheduler.stage_table()
-        if str(row["description"]).startswith(f"{name}.reduceByKey.shuffle.map")
-    ]
-    assert map_rows, "vote map stage missing from the stage table"
-    return (
-        sum(row["shuffle_write"] for row in map_rows),
-        sum(row["shuffle_write_bytes"] for row in map_rows),
-    )
-
-
-def run_shuffle_benchmark(sizes=DEFAULT_SIZES) -> list[dict]:
-    """Vote-stage shuffle volume: legacy tuple format vs compact edge ids.
-
-    Both formats run the same WNP / CNP vote jobs over the same weights and
-    broadcast incidence; only the wire records differ.  Writes the
-    ``shuffle_entries`` baseline section guarded by ``scripts/bench_guard.py``.
-    """
-    entries = []
-    for num_entities in sizes:
-        _dataset, blocks = prepare_blocks(num_entities)
-        csr_index = CSRBlockIndex.from_blocks(blocks, backend="python")
-        weights = kernel_edge_weights(csr_index)
-        node_ids = list(csr_index.node_ids)
-        k = default_cnp_k(sum(csr_index.node_block_count), csr_index.num_nodes)
-
-        # One throwaway context per job keeps the stage tables separable;
-        # broadcasts are re-created because they are context-owned.
-        legacy_context = EngineContext(4, executor="serial")
-        legacy_incidence = legacy_context.broadcast(incident_edge_index(weights))
-        compact_context = EngineContext(4, executor="serial")
-        _edge_list, incidence = edge_id_incidence(weights)
-        compact_incidence = compact_context.broadcast(incidence)
-
-        entry = {"num_entities": num_entities, "edges": len(weights)}
-        for job, legacy_task, compact_task in (
-            (
-                "wnp",
-                _LegacyTupleWnpVotes(legacy_incidence),
-                _WeightedNodeVotes(compact_incidence),
-            ),
-            (
-                "cnp",
-                _LegacyTupleCnpVotes(legacy_incidence, k),
-                _CardinalityNodeVotes(compact_incidence, k),
-            ),
-        ):
-            tuple_records, tuple_bytes = _vote_shuffle_volume(
-                node_ids, legacy_task, _legacy_merge_votes, f"legacy.{job}.votes"
-            )
-            edge_records, edge_bytes = _vote_shuffle_volume(
-                node_ids, compact_task, _sum_votes, f"{job}.votes"
-            )
-            entry[job] = {
-                "tuple_records": tuple_records,
-                "tuple_bytes": tuple_bytes,
-                "edge_id_records": edge_records,
-                "edge_id_bytes": edge_bytes,
-                "bytes_reduction": round(1.0 - edge_bytes / tuple_bytes, 4),
-            }
-        entries.append(entry)
-        print(
-            f"[{num_entities:>4} entities] vote shuffle | "
-            f"wnp {entry['wnp']['tuple_bytes']:>9}B -> {entry['wnp']['edge_id_bytes']:>8}B "
-            f"(-{entry['wnp']['bytes_reduction']:.0%}) | "
-            f"cnp {entry['cnp']['tuple_bytes']:>9}B -> {entry['cnp']['edge_id_bytes']:>8}B "
-            f"(-{entry['cnp']['bytes_reduction']:.0%})"
-        )
-    return entries
 
 
 # ------------------------------------------------------- block store pass
@@ -424,7 +186,7 @@ def _vote_blockstore_volume(node_ids, weights, store, workers):
 def run_blockstore_benchmark(sizes=DEFAULT_SIZES, workers=2) -> list[dict]:
     """Driver-relayed shuffle bytes: driver block store vs shared memory.
 
-    Runs the same WNP vote job (the ``shuffle_entries`` scenario) under a
+    Runs the same WNP vote job under a
     ``process:N`` executor twice — once relaying every bucket payload through
     the driver, once publishing buckets as named shared-memory segments with
     the driver brokering only block refs.  The vote maps must be identical;
@@ -436,7 +198,7 @@ def run_blockstore_benchmark(sizes=DEFAULT_SIZES, workers=2) -> list[dict]:
     entries = []
     for num_entities in sizes:
         _dataset, blocks = prepare_blocks(num_entities)
-        csr_index = CSRBlockIndex.from_blocks(blocks, backend="python")
+        csr_index = CSRBlockIndex.from_blocks(blocks, PYTHON)
         weights = kernel_edge_weights(csr_index)
         node_ids = list(csr_index.node_ids)
 
@@ -513,8 +275,10 @@ def run_numpy_benchmark(sizes=DEFAULT_SIZES) -> list[dict]:
     entries = []
     for num_entities in sizes:
         _dataset, blocks = prepare_blocks(num_entities)
-        python_index = CSRBlockIndex.from_blocks(blocks, backend="python")
-        numpy_index = CSRBlockIndex.from_blocks(blocks, backend="numpy")
+        python_index = CSRBlockIndex.from_blocks(blocks, PYTHON)
+        numpy_index = CSRBlockIndex.from_blocks(
+            blocks, EngineOptions.resolve(kernel_backend="numpy")
+        )
 
         python_weights, python_neigh_s = _timed(kernel_edge_weights, python_index)
         table, numpy_neigh_s = _timed(_numpy_weight_table, numpy_index)
@@ -622,16 +386,8 @@ def main(argv=None) -> int:
         "--dry-run", action="store_true", help="run without writing the baseline file"
     )
     parser.add_argument(
-        "--skip-kernel", action="store_true",
-        help="keep the committed kernel entries; only refresh the e2e section",
-    )
-    parser.add_argument(
         "--skip-e2e", action="store_true",
-        help="keep the committed e2e entries; only refresh the kernel section",
-    )
-    parser.add_argument(
-        "--skip-shuffle", action="store_true",
-        help="keep the committed shuffle entries; skip the wire-format section",
+        help="keep the committed e2e entries; skip the engine-overhead section",
     )
     parser.add_argument(
         "--skip-numpy", action="store_true",
@@ -643,28 +399,12 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    any_skip = (
-        args.skip_kernel
-        or args.skip_e2e
-        or args.skip_shuffle
-        or args.skip_numpy
-        or args.skip_blockstore
-    )
-    existing = {}
-    if any_skip and args.output.exists():
-        existing = json.loads(args.output.read_text())
-    entries = (
-        existing.get("entries", []) if args.skip_kernel else run_benchmark(args.sizes)
-    )
+    # Start from the committed file: other benchmarks own sections of it too.
+    existing = json.loads(args.output.read_text()) if args.output.exists() else {}
     e2e_entries = (
         existing.get("e2e_entries", [])
         if args.skip_e2e
         else run_e2e_benchmark(args.sizes)
-    )
-    shuffle_entries = (
-        existing.get("shuffle_entries", [])
-        if args.skip_shuffle
-        else run_shuffle_benchmark(args.sizes)
     )
     numpy_entries = (
         existing.get("numpy_entries", [])
@@ -677,14 +417,13 @@ def main(argv=None) -> int:
         else run_blockstore_benchmark(args.sizes)
     )
     if not args.dry_run:
-        payload = {
-            "benchmark": "metablocking_kernel",
-            "entries": entries,
-            "e2e_entries": e2e_entries,
-            "shuffle_entries": shuffle_entries,
-            "numpy_entries": numpy_entries,
-            "blockstore_entries": blockstore_entries,
-        }
+        payload = dict(
+            existing,
+            benchmark="metablocking_kernel",
+            e2e_entries=e2e_entries,
+            numpy_entries=numpy_entries,
+            blockstore_entries=blockstore_entries,
+        )
         args.output.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"baseline written to {args.output}")
     return 0

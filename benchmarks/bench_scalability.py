@@ -38,6 +38,7 @@ from repro.engine.context import EngineContext
 from repro.engine.executors import MultiprocessingExecutor
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
+from repro.options import EngineOptions
 
 
 def _prepared_blocks(dataset):
@@ -221,7 +222,9 @@ def scale_run(num_entities: int, buffer_backend: str) -> dict:
     blocks = _prepared_blocks(dataset)
     build_s = time.perf_counter() - start
 
-    meta_blocker = MetaBlocker("cbs", "wnp", buffer_backend=buffer_backend)
+    meta_blocker = MetaBlocker(
+        "cbs", "wnp", options=EngineOptions.resolve(buffer_backend=buffer_backend)
+    )
     digest = hashlib.sha256()
     retained = 0
     mb_start = time.perf_counter()

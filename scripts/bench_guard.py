@@ -1,23 +1,14 @@
 """Perf-regression guard for the meta-blocking kernel and the engine path.
 
-Nine guards, all built on ratios that are largely machine-independent; most
+Seven guards, all built on ratios that are largely machine-independent; most
 compare against the committed ``BENCH_metablocking.json`` baseline, the
 pipeline guard measures both sides fresh:
 
-* **kernel** — re-runs ``benchmarks/bench_metablocking_kernel.py`` at its
-  smallest size and checks the kernel *speedups* (legacy time / kernel
-  time).  Fails when any tracked path (neighbourhood weighing, WNP, CNP)
-  retains less than ``1 - tolerance`` of the baseline speedup.
 * **end-to-end** — times the full ``ParallelMetaBlocker`` against the
   sequential ``MetaBlocker`` on the same blocks and checks the *overhead
   ratio* (engine wall-clock / sequential wall-clock).  Fails when the
   engine plumbing became more than ``1 + tolerance`` times as expensive
   relative to the algorithmic work as the committed baseline.
-* **shuffle wire format** — re-measures the WNP/CNP vote-stage shuffle
-  volume (records and pickled bytes) of the compact edge-id format against
-  the legacy ``((a, b), (weight, count))`` tuple format.  Deterministic (no
-  timing): fails when the byte reduction drops below the hard 40 percent
-  floor or regresses below ``1 - tolerance`` of the committed reduction.
 * **block store relay** — re-runs the WNP vote job under ``process:N`` with
   the shared-memory block store and checks that the bytes relayed through
   the driver (block refs only) stay at or below 5 percent of the committed
@@ -52,7 +43,7 @@ pipeline guard measures both sides fresh:
 Usage::
 
     PYTHONPATH=src python scripts/bench_guard.py
-    PYTHONPATH=src python scripts/bench_guard.py --tolerance 0.2 --e2e-tolerance 0.5
+    PYTHONPATH=src python scripts/bench_guard.py --numpy-tolerance 0.2 --e2e-tolerance 0.5
 
 Also wired as an opt-in pytest marker::
 
@@ -68,31 +59,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_metablocking.json"
-TRACKED_PATHS = ("neighbourhood", "wnp", "cnp")
-
-
-def check_against_baseline(tolerance: float = 0.2, baseline_path: Path = BASELINE_PATH) -> list[str]:
-    """Run the guard; return a list of failure messages (empty = pass)."""
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-    from bench_metablocking_kernel import run_benchmark
-
-    baseline = json.loads(baseline_path.read_text())
-    baseline_entry = baseline["entries"][0]
-    guard_size = baseline_entry["num_entities"]
-
-    current_entry = run_benchmark(sizes=[guard_size])[0]
-
-    failures: list[str] = []
-    for path in TRACKED_PATHS:
-        expected = baseline_entry[path]["speedup"]
-        measured = current_entry[path]["speedup"]
-        floor = expected * (1.0 - tolerance)
-        if measured < floor:
-            failures.append(
-                f"{path}: kernel speedup regressed to {measured:.1f}x "
-                f"(baseline {expected:.1f}x, floor {floor:.1f}x)"
-            )
-    return failures
 
 
 def check_e2e_against_baseline(
@@ -100,8 +66,9 @@ def check_e2e_against_baseline(
 ) -> list[str]:
     """Guard the end-to-end engine overhead; return failure messages.
 
-    The e2e tolerance defaults looser than the kernel one because whole-job
-    wall-clocks carry more scheduler noise than best-of-N micro timings.
+    The e2e tolerance defaults looser than the numpy-backend one because
+    whole-job wall-clocks carry more scheduler noise than best-of-N micro
+    timings.
     """
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     from bench_metablocking_kernel import run_e2e_benchmark
@@ -217,63 +184,8 @@ def check_pipeline_against_facade(
     return []
 
 
-SHUFFLE_FLOOR = 0.40  # acceptance floor: ≥40% fewer vote-stage shuffle bytes
-SHUFFLE_JOBS = ("wnp", "cnp")
-
-
-def check_shuffle_against_baseline(
-    tolerance: float = 0.1, baseline_path: Path = BASELINE_PATH
-) -> list[str]:
-    """Guard the vote-stage shuffle wire format; return failure messages.
-
-    The measured quantity is deterministic (pickled bytes of the vote
-    records, no wall-clock), so the tolerance only absorbs dataset-shape
-    drift when the synthetic generator changes, and a tight default is safe.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-    from bench_metablocking_kernel import run_shuffle_benchmark
-
-    baseline = json.loads(baseline_path.read_text())
-    shuffle_entries = baseline.get("shuffle_entries")
-    if not shuffle_entries:
-        return [
-            "no shuffle baseline committed — regenerate with "
-            "`python benchmarks/bench_metablocking_kernel.py`"
-        ]
-    failures: list[str] = []
-    # The acceptance criterion lives on the *largest* committed scenario.
-    largest = max(shuffle_entries, key=lambda entry: entry["num_entities"])
-    for job in SHUFFLE_JOBS:
-        committed = largest[job]["bytes_reduction"]
-        if committed < SHUFFLE_FLOOR:
-            failures.append(
-                f"shuffle/{job}: committed byte reduction {committed:.1%} on the "
-                f"largest scenario is below the {SHUFFLE_FLOOR:.0%} floor"
-            )
-    # Re-measure at the smallest size (fast, still deterministic).
-    baseline_entry = shuffle_entries[0]
-    guard_size = baseline_entry["num_entities"]
-    current_entry = run_shuffle_benchmark(sizes=[guard_size])[0]
-    for job in SHUFFLE_JOBS:
-        expected = baseline_entry[job]["bytes_reduction"]
-        measured = current_entry[job]["bytes_reduction"]
-        floor = max(SHUFFLE_FLOOR, expected * (1.0 - tolerance))
-        if measured < floor:
-            failures.append(
-                f"shuffle/{job}: vote-stage byte reduction regressed to "
-                f"{measured:.1%} (baseline {expected:.1%}, floor {floor:.1%})"
-            )
-        if current_entry[job]["edge_id_records"] > baseline_entry[job]["edge_id_records"]:
-            failures.append(
-                f"shuffle/{job}: shuffled records grew to "
-                f"{current_entry[job]['edge_id_records']} "
-                f"(baseline {baseline_entry[job]['edge_id_records']})"
-            )
-    return failures
-
-
 BLOCKSTORE_RELAY_CEILING = 0.05  # acceptance: driver-relayed bytes ≤ 5% of the
-# committed shuffle_entries (PR 6) wire volume for the same vote scenario
+# committed driver-store relay volume for the same vote scenario
 
 
 def check_blockstore_against_baseline(
@@ -281,11 +193,10 @@ def check_blockstore_against_baseline(
 ) -> list[str]:
     """Guard the peer-to-peer shuffle block store; return failure messages.
 
-    Re-runs the WNP vote job (the ``shuffle_entries`` scenario) under
-    ``process:N`` with the shared-memory block store and fails when the
-    bytes relayed through the driver exceed ``BLOCKSTORE_RELAY_CEILING``
-    times the committed driver-relay wire volume — the ``edge_id_bytes`` of
-    the matching ``shuffle_entries`` entry.  Deterministic (pickled ref and
+    Re-runs the WNP vote job under ``process:N`` with the shared-memory
+    block store and fails when the bytes relayed through the driver exceed
+    ``BLOCKSTORE_RELAY_CEILING`` times the committed driver-store relay
+    volume of the same scenario.  Deterministic (pickled ref and
     payload bytes, no wall-clock), so no timing tolerance is needed; the
     benchmark itself asserts the vote maps are identical across stores
     before any volume is reported.
@@ -314,22 +225,7 @@ def check_blockstore_against_baseline(
             f"the largest scenario is below the "
             f"{1.0 - BLOCKSTORE_RELAY_CEILING:.0%} floor"
         )
-    # Anchor the ceiling to the PR 6 shuffle_entries wire volume when the
-    # matching scenario is committed (the driver store relays exactly the
-    # vote payload, so the two baselines must agree byte-for-byte).
     reference = largest["driver"]["relay_bytes"]
-    for wire_entry in baseline.get("shuffle_entries", []):
-        if wire_entry["num_entities"] == largest["num_entities"]:
-            committed_wire = wire_entry["wnp"]["edge_id_bytes"]
-            if committed_wire != reference:
-                failures.append(
-                    f"blockstore: committed driver relay {reference}B disagrees "
-                    f"with the shuffle_entries wire volume {committed_wire}B "
-                    f"for {largest['num_entities']} entities — regenerate both"
-                )
-            reference = committed_wire
-            break
-
     current = run_blockstore_benchmark(
         sizes=[largest["num_entities"]], workers=largest.get("workers", 2)
     )[0]
@@ -559,22 +455,10 @@ def check_service_wal_against_baseline(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        help="allowed fractional kernel-speedup regression (default 0.2 = 20%%)",
-    )
-    parser.add_argument(
         "--e2e-tolerance",
         type=float,
         default=0.5,
         help="allowed fractional e2e overhead increase (default 0.5 = 50%%)",
-    )
-    parser.add_argument(
-        "--shuffle-tolerance",
-        type=float,
-        default=0.1,
-        help="allowed fractional shuffle byte-reduction regression (default 0.1 = 10%%)",
     )
     parser.add_argument(
         "--numpy-tolerance",
@@ -605,9 +489,7 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", type=Path, default=BASELINE_PATH)
     args = parser.parse_args(argv)
 
-    failures = check_against_baseline(args.tolerance, args.baseline)
-    failures += check_e2e_against_baseline(args.e2e_tolerance, args.baseline)
-    failures += check_shuffle_against_baseline(args.shuffle_tolerance, args.baseline)
+    failures = check_e2e_against_baseline(args.e2e_tolerance, args.baseline)
     failures += check_blockstore_against_baseline(args.baseline)
     failures += check_numpy_against_baseline(args.numpy_tolerance, args.baseline)
     failures += check_pipeline_against_facade(args.pipeline_ceiling)
@@ -619,9 +501,8 @@ def main(argv=None) -> int:
             print(f"BENCH GUARD FAIL — {failure}", file=sys.stderr)
         return 1
     print(
-        "bench guard ok: kernel speedups, e2e engine overhead, vote-stage "
-        "shuffle wire format, block-store relay volume, numpy backend "
-        "speedups, pipeline-runner overhead, out-of-core scale, "
+        "bench guard ok: e2e engine overhead, block-store relay volume, numpy "
+        "backend speedups, pipeline-runner overhead, out-of-core scale, "
         "service ingest/query and WAL durability baselines within tolerance"
     )
     return 0

@@ -58,6 +58,7 @@ from repro.evaluation.report import format_table
 from repro.exceptions import PipelineValidationError, SparkERError
 from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.looseschema.entropy import EntropyExtractor
+from repro.options import add_cli_arguments, explicit_from_args
 from repro.pipeline import Pipeline, PipelineResult, stage_catalog
 
 class _TrackExplicit(argparse.Action):
@@ -156,39 +157,6 @@ def _config_from_args(args: argparse.Namespace) -> SparkERConfig:
     return config
 
 
-def _executor_spec(args: argparse.Namespace) -> str | None:
-    """Build the engine executor spec from --executor / --workers.
-
-    ``--workers`` without ``--executor`` implies the process executor — a
-    worker count for the serial executor would otherwise be silently ignored.
-    """
-    executor = args.executor
-    if executor is None and args.workers is not None:
-        executor = "process"
-    if not executor:
-        return None
-    if args.workers is not None:
-        return f"{executor}:{args.workers}"
-    return executor
-
-
-def _fault_policy_spec(args: argparse.Namespace) -> str | None:
-    """Build the engine fault-policy spec from --task-retries / --task-timeout.
-
-    Only meaningful with the process executor (the serial executor has no
-    worker pool to recover); the spec rides in the engine section either way
-    so provenance round-trips.
-    """
-    parts = []
-    if getattr(args, "task_retries", None) is not None:
-        if args.task_retries < 0:
-            raise SparkERError("--task-retries must be >= 0")
-        parts.append(f"retries={args.task_retries}")
-    if getattr(args, "task_timeout", None) is not None:
-        parts.append(f"timeout={args.task_timeout:g}")
-    return ",".join(parts) or None
-
-
 def _dataset_section(args: argparse.Namespace) -> dict[str, object]:
     """The dataset provenance recorded by --output-config (spec round-trip)."""
     if args.synthetic:
@@ -222,60 +190,23 @@ def _apply_spec_dataset(args: argparse.Namespace, spec: dict[str, object]) -> No
 
 
 def _build_run_spec(args: argparse.Namespace) -> dict[str, object]:
-    """The stage-graph spec of this invocation: --spec file or canonical."""
+    """The stage-graph spec of this invocation: --spec file or canonical.
+
+    Engine-option flags are not folded in here: they reach
+    ``Pipeline.from_spec`` as overrides and are resolved there, once.
+    """
+    # --executor / --workers imply the engine; the other option flags do not
+    # (the sequential path selects a kernel and a buffer backend too).
+    use_engine = args.engine or bool(args.executor) or args.workers is not None
     if args.spec:
         spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         if not isinstance(spec, dict):
             raise SparkERError(f"spec file {args.spec} must hold a JSON object")
         _apply_spec_dataset(args, spec)
-        # CLI engine flags override the spec's engine section.
-        if args.engine or args.executor or args.workers is not None:
-            engine_section = dict(spec.get("engine") or {})
-            engine_section["enabled"] = True
-            executor = _executor_spec(args)
-            if executor is not None:
-                engine_section["executor"] = executor
-            spec["engine"] = engine_section
-        if args.kernel_backend is not None:
-            # The kernel backend rides in the engine section but does not
-            # imply the engine: the sequential path selects a kernel too.
-            engine_section = dict(spec.get("engine") or {})
-            engine_section["kernel_backend"] = args.kernel_backend
-            spec["engine"] = engine_section
-        if args.buffer_backend is not None:
-            # Same treatment for the CSR buffer backend: the sequential
-            # meta-blocker honours it without an engine.
-            engine_section = dict(spec.get("engine") or {})
-            engine_section["buffer_backend"] = args.buffer_backend
-            spec["engine"] = engine_section
-        if args.tmp_dir is not None:
-            engine_section = dict(spec.get("engine") or {})
-            engine_section["tmp_dir"] = args.tmp_dir
-            spec["engine"] = engine_section
-        fault_policy = _fault_policy_spec(args)
-        if fault_policy is not None:
-            engine_section = dict(spec.get("engine") or {})
-            engine_section["fault_policy"] = fault_policy
-            spec["engine"] = engine_section
-        if args.block_store is not None:
-            # Like the fault policy, the block store rides in the engine
-            # section; it only takes effect when the engine is enabled.
-            engine_section = dict(spec.get("engine") or {})
-            engine_section["block_store"] = args.block_store
-            spec["engine"] = engine_section
+        if use_engine:
+            spec["engine"] = dict(spec.get("engine") or {}, enabled=True)
         return spec
-    config = _config_from_args(args)
-    use_engine = args.engine or bool(args.executor) or args.workers is not None
-    return SparkER.canonical_spec(
-        config,
-        use_engine=use_engine,
-        executor=_executor_spec(args),
-        kernel_backend=args.kernel_backend,
-        buffer_backend=args.buffer_backend,
-        tmp_dir=args.tmp_dir,
-        fault_policy=_fault_policy_spec(args),
-        block_store=args.block_store,
-    )
+    return SparkER.canonical_spec(_config_from_args(args), use_engine=use_engine)
 
 
 def _print_result(dataset: DatasetPair | None, result: PipelineResult) -> None:
@@ -309,7 +240,7 @@ def _command_run(args: argparse.Namespace) -> int:
     # Remove the dataset section before handing the spec to the pipeline —
     # it is CLI provenance, not a stage-graph concern.
     spec = {key: value for key, value in spec.items() if key != "dataset"}
-    pipeline = Pipeline.from_spec(spec)
+    pipeline = Pipeline.from_spec(spec, overrides=explicit_from_args(args))
     ground_truth = dataset.ground_truth if len(dataset.ground_truth) else None
     try:
         result = pipeline.run(
@@ -514,44 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="matcher similarity threshold")
     run.add_argument("--engine", action="store_true",
                      help="run the distributed code paths on the mini engine")
-    run.add_argument("--executor", choices=["serial", "process"], default=None,
-                     help="engine executor for narrow stages (implies --engine); "
-                          "'process' runs shippable stages on a process pool")
-    run.add_argument("--workers", type=int, default=None,
-                     help="process-pool worker count (implies --executor process; "
-                          "default: CPU count)")
-    run.add_argument("--kernel-backend", choices=["auto", "python", "numpy"],
-                     default=None, dest="kernel_backend",
-                     help="meta-blocking kernel backend: 'numpy' vectorises the "
-                          "CSR kernel (bit-for-bit identical output), 'python' "
-                          "forces the interpreted kernel, 'auto' (default) picks "
-                          "numpy when importable")
-    run.add_argument("--buffer-backend", choices=["ram", "memmap"],
-                     default=None, dest="buffer_backend",
-                     help="where the meta-blocking CSR index buffers live: "
-                          "'ram' (default) keeps them in process memory, "
-                          "'memmap' backs them with a file under --tmp-dir so "
-                          "the OS can page the index out of core "
-                          "(bit-for-bit identical output; requires numpy)")
-    run.add_argument("--tmp-dir", default=None, dest="tmp_dir",
-                     help="root directory for engine temp artifacts (memmap "
-                          "index buffers, shuffle spill files); default: "
-                          "REPRO_TMPDIR or the system temp dir")
-    run.add_argument("--task-retries", type=int, default=None, dest="task_retries",
-                     help="extra attempts per task before the fault policy is "
-                          "exhausted (process executor only; default 0 = fail "
-                          "fast, like REPRO_FAULT_POLICY unset)")
-    run.add_argument("--block-store", choices=["driver", "shared-memory", "spill"],
-                     default=None, dest="block_store",
-                     help="how shuffle payloads travel between engine tasks: "
-                          "'driver' relays them through the driver (default), "
-                          "'shared-memory' publishes them as named shared-memory "
-                          "segments exchanged peer-to-peer (spills per block when "
-                          "shm is unavailable), 'spill' uses pickle files")
-    run.add_argument("--task-timeout", type=float, default=None, dest="task_timeout",
-                     help="per-task timeout in seconds; a hung worker is killed, "
-                          "the pool rebuilt and the task retried (process "
-                          "executor only)")
+    add_cli_arguments(run)  # one flag set per engine option (repro.options)
     run.add_argument("--spec", default=None,
                      help="run a declarative stage-graph spec (JSON file) instead of "
                           "the canonical SparkER wiring")

@@ -26,6 +26,7 @@ from repro.evaluation.report import PipelineReport
 from repro.looseschema.attribute_partitioning import AttributePartitioning
 from repro.matching.matcher import Matcher, MatchingRule
 from repro.matching.similarity_graph import SimilarityGraph
+from repro.options import EngineOptions
 from repro.pipeline import Pipeline, PipelineResult
 from repro.utils.timers import StageTimings
 
@@ -104,23 +105,15 @@ class SparkER:
         ``config.parallelism`` partitions and the distributed code paths are
         used for blocking, meta-blocking and clustering.
     executor:
-        Executor spec forwarded to the :class:`EngineContext` (``"serial"``,
+        Shorthand for the ``executor`` engine option (``"serial"``,
         ``"process"``, ``"process:4"`` or an
         :class:`~repro.engine.executors.Executor` instance); only meaningful
-        with ``use_engine=True``.  ``None`` consults the
-        ``REPRO_ENGINE_EXECUTOR`` environment variable.
-    fault_policy:
-        Task recovery contract for the process executor (a
-        :class:`~repro.engine.faults.FaultPolicy`, spec string or dict, e.g.
-        ``"retries=2,timeout=30"``); ``None`` consults
-        ``REPRO_FAULT_POLICY``.  Only meaningful with an executor spec
-        string — pass the policy to the executor's constructor when
-        supplying an instance.
-    block_store:
-        How shuffle block payloads travel between map and reduce tasks (a
-        :class:`~repro.engine.shuffle.BlockStore` instance or a spec string:
-        ``"driver"``, ``"shared-memory"``, ``"spill"``); ``None`` consults
-        ``REPRO_BLOCK_STORE``.  Only meaningful with ``use_engine=True``.
+        with ``use_engine=True``.
+    options:
+        Resolved :class:`~repro.options.EngineOptions` — build them with
+        ``EngineOptions.resolve(kernel_backend=..., block_store=..., ...)``.
+        Anything not given resolves from the ``REPRO_*`` environment and the
+        defaults, once, here.
     partitioning:
         Optional user-supplied attribute partitioning (supervised mode).
     rules / labeled_pairs / matcher:
@@ -133,11 +126,7 @@ class SparkER:
         *,
         use_engine: bool = False,
         executor: object | None = None,
-        kernel_backend: str | None = None,
-        buffer_backend: str | None = None,
-        tmp_dir: str | None = None,
-        fault_policy: object | None = None,
-        block_store: object | None = None,
+        options: EngineOptions | None = None,
         partitioning: AttributePartitioning | None = None,
         rules: Sequence[MatchingRule] | None = None,
         labeled_pairs: Sequence[tuple[int, int, bool]] | None = None,
@@ -145,45 +134,14 @@ class SparkER:
     ) -> None:
         self.config = config or SparkERConfig.unsupervised_default()
         self.config.validate()
+        self.options = EngineOptions.resolve(base=options, executor=executor)
         self.engine = (
             EngineContext(
-                default_parallelism=self.config.parallelism,
-                executor=executor,  # type: ignore[arg-type]
-                fault_policy=fault_policy,
-                block_store=block_store,  # type: ignore[arg-type]
-                tmp_dir=tmp_dir,
+                default_parallelism=self.config.parallelism, options=self.options
             )
             if use_engine
             else None
         )
-        # Remember the executor *spec* for provenance: resolved specs must
-        # reproduce an engine-backed run as engine-backed.
-        if isinstance(executor, str):
-            self._executor_spec: str | None = executor
-        elif self.engine is not None:
-            self._executor_spec = self.engine.executor.name
-        else:
-            self._executor_spec = None
-        # Same provenance treatment for the fault policy: a resolved spec
-        # must rebuild the same recovery behaviour.
-        if isinstance(fault_policy, (str, dict)):
-            self._fault_policy_spec: "str | dict | None" = fault_policy
-        elif fault_policy is not None:
-            spec_of = getattr(fault_policy, "spec", None)
-            self._fault_policy_spec = spec_of() if callable(spec_of) else None
-        else:
-            self._fault_policy_spec = None
-        # And for the block store: a resolved spec of a peer-to-peer shuffle
-        # run must rebuild the same block exchange.
-        if isinstance(block_store, str):
-            self._block_store_spec: str | None = block_store
-        elif self.engine is not None and block_store is not None:
-            self._block_store_spec = self.engine.block_store.spec()
-        else:
-            self._block_store_spec = None
-        self.kernel_backend = kernel_backend
-        self.buffer_backend = buffer_backend
-        self.tmp_dir = tmp_dir
         self.partitioning = partitioning
         self.rules = rules
         self.labeled_pairs = labeled_pairs
@@ -197,17 +155,15 @@ class SparkER:
         *,
         use_engine: bool = False,
         executor: str | None = None,
-        kernel_backend: str | None = None,
-        buffer_backend: str | None = None,
-        tmp_dir: str | None = None,
-        fault_policy: "str | dict | None" = None,
-        block_store: str | None = None,
+        options: EngineOptions | None = None,
     ) -> dict[str, object]:
         """The declarative stage-graph spec equivalent to this facade.
 
         ``Pipeline.from_spec(SparkER.canonical_spec(config))`` reproduces
         ``SparkER(config).run(...)`` bit for bit.  The spec is plain data
         (JSON-serialisable), so it can be persisted, diffed and edited.
+        ``options`` are recorded in its engine section; without them the
+        section leaves every engine option to whoever loads the spec.
         """
         config = config or SparkERConfig.unsupervised_default()
         config.validate()
@@ -290,18 +246,11 @@ class SparkER:
         engine_section: dict[str, object] = {
             "enabled": use_engine,
             "parallelism": config.parallelism,
-            "executor": executor,
         }
-        if kernel_backend is not None:
-            engine_section["kernel_backend"] = kernel_backend
-        if buffer_backend is not None:
-            engine_section["buffer_backend"] = buffer_backend
-        if tmp_dir is not None:
-            engine_section["tmp_dir"] = tmp_dir
-        if fault_policy is not None:
-            engine_section["fault_policy"] = fault_policy
-        if block_store is not None:
-            engine_section["block_store"] = block_store
+        if options is not None:
+            engine_section.update(options.as_spec())
+        if executor is not None:
+            engine_section["executor"] = executor
         return {
             "name": "sparker",
             "engine": engine_section,
@@ -311,14 +260,7 @@ class SparkER:
     def build_pipeline(self) -> Pipeline:
         """The canonical pipeline, wired to this facade's engine context."""
         spec = self.canonical_spec(
-            self.config,
-            use_engine=self.engine is not None,
-            executor=self._executor_spec,
-            kernel_backend=self.kernel_backend,
-            buffer_backend=self.buffer_backend,
-            tmp_dir=self.tmp_dir,
-            fault_policy=self._fault_policy_spec,
-            block_store=self._block_store_spec,
+            self.config, use_engine=self.engine is not None, options=self.options
         )
         return Pipeline.from_spec(spec, engine=self.engine)
 

@@ -40,14 +40,11 @@ from repro.engine.executors import (
     Executor,
     MultiprocessingExecutor,
     SerialExecutor,
-    resolve_executor,
 )
 from repro.engine.faults import (
     FaultInjected,
     FaultInjector,
     FaultPolicy,
-    resolve_fault_injector,
-    resolve_fault_policy,
 )
 from repro.engine.partitioner import HashPartitioner, RangePartitioner
 from repro.engine.shuffle import (
@@ -55,7 +52,6 @@ from repro.engine.shuffle import (
     DriverBlockStore,
     SharedMemoryBlockStore,
     SpillFileBlockStore,
-    resolve_block_store,
 )
 from repro.engine.metrics import TaskMetrics, StageMetrics, JobMetrics
 from repro.engine.graphx import connected_components, pregel_connected_components
@@ -68,19 +64,15 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "MultiprocessingExecutor",
-    "resolve_executor",
     "FaultInjected",
     "FaultInjector",
     "FaultPolicy",
-    "resolve_fault_injector",
-    "resolve_fault_policy",
     "HashPartitioner",
     "RangePartitioner",
     "BlockStore",
     "DriverBlockStore",
     "SharedMemoryBlockStore",
     "SpillFileBlockStore",
-    "resolve_block_store",
     "TaskMetrics",
     "StageMetrics",
     "JobMetrics",

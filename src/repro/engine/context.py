@@ -12,11 +12,12 @@ from typing import Any, Callable, TypeVar
 
 from repro.engine.accumulators import Accumulator, new_accumulator
 from repro.engine.broadcast import Broadcast, new_broadcast
-from repro.engine.executors import Executor, StageResult, resolve_executor
+from repro.engine.executors import Executor, StageResult, make_executor
 from repro.engine.rdd import RDD, ParallelCollectionRDD
 from repro.engine.scheduler import Scheduler
-from repro.engine.shuffle import BlockStore, resolve_block_store
+from repro.engine.shuffle import BlockStore, make_block_store
 from repro.exceptions import EngineError
+from repro.options import EngineOptions
 
 T = TypeVar("T")
 
@@ -31,36 +32,23 @@ class EngineContext:
         the default for shuffle outputs.
     app_name:
         Label used in logs and metric reports.
-    executor:
-        Where narrow stages run: an :class:`~repro.engine.executors.Executor`
-        instance, a spec string (``"serial"``, ``"process"``, ``"process:4"``)
-        or ``None`` to consult the ``REPRO_ENGINE_EXECUTOR`` environment
-        variable (default: serial).  A context created from a spec string
-        owns its executor and closes it in :meth:`stop`; a caller-supplied
-        instance is shared and left open.
-    fault_policy:
-        Task recovery contract for the multiprocessing executor (a
-        :class:`~repro.engine.faults.FaultPolicy`, spec string or dict;
-        ``None`` consults ``REPRO_FAULT_POLICY``).  Only meaningful when the
-        executor is built from a spec string here — pass the policy to the
-        executor's constructor when supplying an instance.
-    fault_injector:
-        Deterministic test-only fault injection (spec string or
-        :class:`~repro.engine.faults.FaultInjector`; ``None`` consults
-        ``REPRO_FAULT_INJECT``).
-    block_store:
-        How shuffle block payloads travel from map to reduce tasks: a
-        :class:`~repro.engine.shuffle.BlockStore` instance, a spec string
-        (``"driver"``, ``"shared-memory"``, ``"spill"``) or ``None`` to
-        consult the ``REPRO_BLOCK_STORE`` environment variable (default:
-        driver relay).  Like the executor, a store built from a spec string
-        is owned by the context and closed in :meth:`stop`; a
-        caller-supplied instance is shared and left open.
-    tmp_dir:
-        Root directory for every on-disk run artifact this context creates —
-        spill block directories and memmap index buffers alike (``None``
-        consults ``REPRO_TMPDIR`` then the platform default; see
-        :mod:`repro.engine.tmpfiles`).
+    executor / fault_policy / fault_injector / block_store / tmp_dir:
+        Explicit values of the engine options this context acts on (see the
+        table in :mod:`repro.options`): spec strings, or — the seam tests
+        substitute fakes through — :class:`~repro.engine.executors.Executor`,
+        :class:`~repro.engine.faults.FaultPolicy`,
+        :class:`~repro.engine.faults.FaultInjector` and
+        :class:`~repro.engine.shuffle.BlockStore` instances.  An executor or
+        store built here from a spec is owned by the context and closed in
+        :meth:`stop`; a caller-supplied instance is shared and left open.
+        The fault policy/injector configure the executor built here — pass
+        them to the executor's constructor when supplying an instance.
+    options:
+        The :class:`~repro.options.EngineOptions` an entry point resolved;
+        the explicit values above override it.  Without it, everything not
+        given explicitly resolves from the environment and defaults.  The
+        result is kept as :attr:`options` — what the meta-blocking jobs on
+        this context build their CSR index under.
     """
 
     def __init__(
@@ -72,19 +60,33 @@ class EngineContext:
         fault_injector: Any = None,
         block_store: "BlockStore | str | None" = None,
         tmp_dir: "str | None" = None,
+        *,
+        options: "EngineOptions | None" = None,
     ) -> None:
         if default_parallelism <= 0:
             raise EngineError("default_parallelism must be positive")
+        if isinstance(executor, Executor) and not (
+            fault_policy is None and fault_injector is None
+        ):
+            raise EngineError(
+                "cannot combine an Executor instance with fault_policy/"
+                "fault_injector; pass them to the executor's constructor"
+            )
         self.default_parallelism = default_parallelism
         self.app_name = app_name
-        self.tmp_dir = tmp_dir
-        self.scheduler = Scheduler()
-        self._owns_executor = not isinstance(executor, Executor)
-        self.executor = resolve_executor(
-            executor, fault_policy=fault_policy, fault_injector=fault_injector
+        self.options = options = EngineOptions.resolve(
+            base=options,
+            executor=executor,
+            fault_policy=fault_policy,
+            fault_inject=fault_injector,
+            block_store=block_store,
+            tmp_dir=tmp_dir,
         )
-        self._owns_block_store = not isinstance(block_store, BlockStore)
-        self.block_store = resolve_block_store(block_store, tmp_dir=tmp_dir)
+        self.scheduler = Scheduler()
+        self._owns_executor = not isinstance(options.executor, Executor)
+        self.executor = make_executor(options)
+        self._owns_block_store = not isinstance(options.block_store, BlockStore)
+        self.block_store = make_block_store(options)
         self._broadcasts: dict[int, Broadcast[Any]] = {}
         self._accumulators: dict[int, Accumulator[Any]] = {}
 

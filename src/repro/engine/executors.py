@@ -26,10 +26,9 @@ captured task-side and replayed on the driver objects in partition order, so
 the merged driver state is identical to a serial run (same float accumulation
 order, same counts).
 
-Executor selection: pass an :class:`Executor` instance or a spec string to
-``EngineContext(executor=...)``, or set the ``REPRO_ENGINE_EXECUTOR``
-environment variable.  Spec strings: ``"serial"``, ``"process"``,
-``"process:4"`` (4 workers).
+Executor selection is the ``executor`` engine option (:mod:`repro.options`):
+``"serial"``, ``"process"``, ``"process:4"`` (4 workers), or an
+:class:`Executor` instance handed to ``EngineContext(executor=...)``.
 
 Fault tolerance: the multiprocessing executor owns a
 :class:`~repro.engine.faults.FaultPolicy` that governs an *attempt loop*
@@ -70,18 +69,14 @@ from repro.engine.faults import (
     FaultInjector,
     FaultPolicy,
     _FaultProbe,
-    resolve_fault_injector,
-    resolve_fault_policy,
 )
 from repro.exceptions import EngineError
+from repro.options import EngineOptions, resolve_option
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource as _resource
 except ImportError:  # pragma: no cover - non-POSIX platform
     _resource = None  # type: ignore[assignment]
-
-ENV_VAR = "REPRO_ENGINE_EXECUTOR"
-
 
 def _max_rss_bytes() -> int:
     """Peak resident set size of *this* process, in bytes (0 when unknown).
@@ -163,6 +158,10 @@ class Executor:
     """Runs the fused function chain of a narrow stage over its partitions."""
 
     name = "executor"
+
+    def spec(self) -> str:
+        """The executor spec string that rebuilds an equivalent executor."""
+        return self.name
 
     def run_stage(
         self,
@@ -332,15 +331,11 @@ class MultiprocessingExecutor(Executor):
         stage serially in the driver and labels it
         ``process[...]→serial-fallback`` in the stage metrics; ``"raise"``
         raises :class:`~repro.exceptions.EngineError` immediately.
-    fault_policy:
-        Recovery contract for shipped tasks — a
-        :class:`~repro.engine.faults.FaultPolicy`, a spec string/dict, or
-        ``None`` to consult ``REPRO_FAULT_POLICY`` (default: no retries,
-        identical to the historical fail-fast behaviour).
-    fault_injector:
-        Deterministic test-only chaos harness — a
-        :class:`~repro.engine.faults.FaultInjector`, a spec string, or
-        ``None`` to consult ``REPRO_FAULT_INJECT`` (default: no injection).
+    fault_policy / fault_injector:
+        Recovery contract for shipped tasks and the deterministic test-only
+        chaos harness: instances, spec strings, or ``None`` to resolve the
+        ``fault_policy`` / ``fault_inject`` engine options
+        (:mod:`repro.options`) from the environment and defaults.
 
     The pool is created lazily on the first shipped stage (with the ``fork``
     start method where available, so already-registered broadcasts are
@@ -369,14 +364,17 @@ class MultiprocessingExecutor(Executor):
             raise EngineError("max_workers must be positive")
         self.max_workers = max_workers or os.cpu_count() or 1
         self.on_unpicklable = on_unpicklable
-        self.fault_policy = resolve_fault_policy(fault_policy)
-        self.fault_injector = resolve_fault_injector(fault_injector)
+        self.fault_policy = resolve_option("fault_policy", fault_policy)
+        self.fault_injector = resolve_option("fault_inject", fault_injector)
         self._pool: ProcessPoolExecutor | None = None
         self._closed = False
 
     @property
     def label(self) -> str:
         return f"{self.name}[{self.max_workers}]"
+
+    def spec(self) -> str:
+        return f"{self.name}:{self.max_workers}"
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -595,58 +593,22 @@ class MultiprocessingExecutor(Executor):
         )
 
 
-def resolve_executor(
-    spec: "Executor | str | None" = None,
-    *,
-    fault_policy: "FaultPolicy | str | dict | None" = None,
-    fault_injector: "FaultInjector | str | None" = None,
-) -> Executor:
-    """Turn an executor spec into an :class:`Executor` instance.
+def make_executor(options: EngineOptions) -> Executor:
+    """Build the executor the resolved ``options`` name.
 
-    ``None`` consults the ``REPRO_ENGINE_EXECUTOR`` environment variable and
-    defaults to the serial executor.  Strings: ``"serial"``; ``"process"`` /
-    ``"multiprocessing"``, optionally with a worker count (``"process:4"``).
-
-    ``fault_policy`` / ``fault_injector`` configure the multiprocessing
-    executor built from a spec string (serial execution has no pool to
-    recover, so they are ignored for ``"serial"``); combining them with an
-    already-built :class:`Executor` instance is an error — configure the
-    instance itself.
+    ``options.executor`` is a canonical spec (``"serial"``, ``"process"``,
+    ``"process:<N>"``) or a caller-built :class:`Executor`, returned as is.
+    The fault policy and injector configure only the process pool: serial
+    execution has no pool to recover.
     """
-    if spec is None:
-        spec = os.environ.get(ENV_VAR, "").strip() or "serial"
+    spec = options.executor
     if isinstance(spec, Executor):
-        if fault_policy is not None or fault_injector is not None:
-            raise EngineError(
-                "cannot combine an Executor instance with fault_policy/"
-                "fault_injector; pass them to the executor's constructor"
-            )
         return spec
-    if not isinstance(spec, str):
-        raise EngineError(f"executor spec must be an Executor or a string, got {spec!r}")
-    name, _, argument = spec.partition(":")
-    name = name.strip().lower()
-    if name in ("serial", "sync", "driver"):
-        if argument.strip():
-            raise EngineError(
-                f"the serial executor takes no worker count (got {spec!r}); "
-                f"use 'process:<N>' for a worker pool"
-            )
+    kind, _, workers = spec.partition(":")
+    if kind == "serial":
         return SerialExecutor()
-    if name in ("process", "processes", "multiprocessing", "mp"):
-        workers: int | None = None
-        if argument.strip():
-            try:
-                workers = int(argument)
-            except ValueError as error:
-                raise EngineError(
-                    f"invalid worker count in executor spec {spec!r}"
-                ) from error
-        return MultiprocessingExecutor(
-            max_workers=workers,
-            fault_policy=fault_policy,
-            fault_injector=fault_injector,
-        )
-    raise EngineError(
-        f"unknown executor {spec!r}; expected 'serial', 'process' or 'process:<N>'"
+    return MultiprocessingExecutor(
+        max_workers=int(workers) if workers else None,
+        fault_policy=options.fault_policy,
+        fault_injector=options.fault_inject,
     )

@@ -65,14 +65,10 @@ worker survives, or by the sweep once it is dead — and the executor sweeps
 once more on :meth:`~repro.engine.executors.MultiprocessingExecutor.close`,
 when all workers have been reaped.
 
-Configuration: pass a :class:`FaultPolicy` (or its spec string/dict) to
-``MultiprocessingExecutor(fault_policy=...)`` /
-``EngineContext(fault_policy=...)``, set the ``REPRO_FAULT_POLICY``
-environment variable, use the pipeline-spec key ``engine.fault_policy`` or
-the CLI flags ``--task-retries`` / ``--task-timeout``.  Spec string:
+Configuration: the ``fault_policy`` and ``fault_inject`` engine options
+(:mod:`repro.options` lists every way to set them).  Policy spec string:
 ``"retries=2,timeout=30,backoff=0.5,backoff_max=10,seed=7,on_exhausted=serial-fallback"``.
-Injection specs come from ``REPRO_FAULT_INJECT`` or
-``MultiprocessingExecutor(fault_injector=...)``; clause grammar:
+Injection clause grammar:
 ``mode[~seconds]@stage[:task][#attempt]`` joined by ``;`` — e.g.
 ``"crash@metablocking.weights:0#1;hang~5@shuffle.reduce:*#*"``.
 """
@@ -87,8 +83,6 @@ from typing import Any, Mapping
 from repro.exceptions import EngineError
 from repro.utils.hashing import stable_hash
 
-POLICY_ENV_VAR = "REPRO_FAULT_POLICY"
-INJECT_ENV_VAR = "REPRO_FAULT_INJECT"
 SERVICE_INJECT_ENV_VAR = "REPRO_SERVICE_FAULT"
 
 _ON_EXHAUSTED = ("raise", "serial-fallback")
@@ -224,27 +218,6 @@ class FaultPolicy:
         return cls(**kwargs)
 
 
-def resolve_fault_policy(
-    spec: "FaultPolicy | str | Mapping[str, Any] | None" = None,
-) -> FaultPolicy:
-    """Turn a fault-policy spec into a :class:`FaultPolicy`.
-
-    ``None`` consults the ``REPRO_FAULT_POLICY`` environment variable and
-    defaults to the no-retry policy (identical to historical behaviour).
-    """
-    if spec is None:
-        spec = os.environ.get(POLICY_ENV_VAR, "").strip() or None
-        if spec is None:
-            return FaultPolicy()
-    if isinstance(spec, FaultPolicy):
-        return spec
-    if isinstance(spec, (str, Mapping)):
-        return FaultPolicy.parse(spec)
-    raise EngineError(
-        f"fault policy must be a FaultPolicy, spec string or mapping, got {spec!r}"
-    )
-
-
 # ------------------------------------------------------------------- injector
 @dataclass(frozen=True)
 class FaultClause:
@@ -360,27 +333,6 @@ def _parse_coordinate(
             f"{what} must be >= {minimum} in fault clause {raw!r} (in spec {spec!r})"
         )
     return value
-
-
-def resolve_fault_injector(
-    spec: "FaultInjector | str | None" = None,
-) -> FaultInjector | None:
-    """Turn an injection spec into a :class:`FaultInjector` (or ``None``).
-
-    ``None`` consults ``REPRO_FAULT_INJECT``; an empty/unset variable means
-    no injection — the production default.
-    """
-    if spec is None:
-        spec = os.environ.get(INJECT_ENV_VAR, "").strip() or None
-        if spec is None:
-            return None
-    if isinstance(spec, FaultInjector):
-        return spec
-    if isinstance(spec, str):
-        return FaultInjector.parse(spec)
-    raise EngineError(
-        f"fault injector must be a FaultInjector or a spec string, got {spec!r}"
-    )
 
 
 class _FaultProbe:

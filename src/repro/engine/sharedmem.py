@@ -51,6 +51,8 @@ from __future__ import annotations
 import itertools
 import os
 
+from repro.engine.tmpfiles import pid_alive
+
 SEGMENT_FAMILY = "repro"
 
 _segment_ids = itertools.count()
@@ -342,15 +344,8 @@ def sweep_orphaned_segments() -> list[str]:
         if pid == own_pid:
             if entry in _live_owned:
                 continue
-        else:
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                pass  # owner is dead: the segment is an orphan
-            except PermissionError:  # pragma: no cover - alive, other user
-                continue
-            else:
-                continue  # owner still alive: not ours to sweep
+        elif pid_alive(pid):
+            continue  # owner still alive: not ours to sweep
         try:
             os.unlink(os.path.join(shm_dir, entry))
         except FileNotFoundError:  # pragma: no cover - released mid-sweep

@@ -87,11 +87,10 @@ from repro.engine import sharedmem as _segments
 from repro.engine import tmpfiles as _tmpfiles
 from repro.engine.partitioner import Partitioner
 from repro.exceptions import EngineError
+from repro.options import EngineOptions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.engine.context import EngineContext
-
-ENV_VAR = "REPRO_BLOCK_STORE"
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -285,9 +284,9 @@ class SpillFileBlockStore(BlockStore):
     The directory is chosen by the driver at construction time and rides in
     the pickled store, so every worker writes into the same run directory.
     It is a managed pid-stamped artifact under the unified temp root
-    (``tmp_dir`` argument, ``REPRO_TMPDIR``, or the platform default — see
-    :mod:`repro.engine.tmpfiles`), so a crashed driver's directory is
-    reclaimed by the same orphan sweep that covers memmap index buffers.
+    (the ``tmp_dir`` engine option — see :mod:`repro.engine.tmpfiles`), so a
+    crashed driver's directory is reclaimed by the same orphan sweep that
+    covers memmap index buffers.
     Blocks are deleted as the shuffle releases them; ``close`` removes the
     whole directory, catching anything stranded by a crashed attempt.
     """
@@ -383,36 +382,21 @@ class SharedMemoryBlockStore(BlockStore):
         )
 
 
-def resolve_block_store(
-    spec: "BlockStore | str | None" = None, tmp_dir: "str | None" = None
-) -> BlockStore:
-    """Turn a block-store spec into a :class:`BlockStore` instance.
+def make_block_store(options: EngineOptions) -> BlockStore:
+    """Build the block store the resolved ``options`` name.
 
-    ``None`` consults the ``REPRO_BLOCK_STORE`` environment variable and
-    defaults to the driver store.  Strings: ``"driver"`` (inline relay),
-    ``"shared-memory"`` (aliases ``"shm"``, ``"sharedmem"``), ``"spill"``
-    (aliases ``"file"``, ``"spill-file"``).  ``tmp_dir`` roots any spill
-    directory the resolved store creates (a prebuilt store keeps its own).
+    ``options.block_store`` is a canonical name (``"driver"``,
+    ``"shared-memory"``, ``"spill"``) or a caller-built :class:`BlockStore`,
+    returned as is; ``options.tmp_dir`` roots any spill directory created.
     """
-    if spec is None:
-        spec = os.environ.get(ENV_VAR, "").strip() or "driver"
+    spec = options.block_store
     if isinstance(spec, BlockStore):
         return spec
-    if not isinstance(spec, str):
-        raise EngineError(
-            f"block store spec must be a BlockStore or a string, got {spec!r}"
-        )
-    name = spec.strip().lower()
-    if name in ("driver", "inline"):
+    if spec == "driver":
         return DriverBlockStore()
-    if name in ("shared-memory", "shared_memory", "sharedmem", "shm"):
-        return SharedMemoryBlockStore(tmp_dir=tmp_dir)
-    if name in ("spill", "file", "spill-file"):
-        return SpillFileBlockStore(tmp_dir=tmp_dir)
-    raise EngineError(
-        f"unknown block store {spec!r}; expected 'driver', 'shared-memory' "
-        f"or 'spill'"
-    )
+    if spec == "shared-memory":
+        return SharedMemoryBlockStore(tmp_dir=options.tmp_dir)
+    return SpillFileBlockStore(tmp_dir=options.tmp_dir)
 
 
 # ---------------------------------------------------------------- map & reduce

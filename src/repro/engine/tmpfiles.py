@@ -7,9 +7,9 @@ the CSR index (:meth:`repro.metablocking.index.CSRBlockIndex` backs its
 offset/entry vectors with one file-backed buffer).  Both families route
 through this module so that
 
-* every artifact lives under **one root** — ``EngineContext(tmp_dir=...)``,
-  the ``REPRO_TMPDIR`` environment variable, or the platform default — never
-  scattered across whatever tmpdir each call site happened to pick;
+* every artifact lives under **one root** — the ``tmp_dir`` engine option
+  (:mod:`repro.options`) — never scattered across whatever tmpdir each call
+  site happened to pick;
 * every artifact name carries its **creator pid**
   (``repro-<kind>-<pid>-<seq>``), mirroring the shared-memory segment naming
   of :mod:`repro.engine.sharedmem`, so a single crash sweep
@@ -28,9 +28,8 @@ from __future__ import annotations
 import itertools
 import os
 import shutil
-import tempfile
 
-ENV_VAR = "REPRO_TMPDIR"
+from repro.options import resolve_option
 
 _artifact_ids = itertools.count()
 
@@ -40,18 +39,10 @@ _artifact_ids = itertools.count()
 _live_owned: set[str] = set()
 
 
-def resolve_tmp_dir(spec: "str | os.PathLike | None" = None) -> str:
-    """Resolve the artifact root: explicit spec, ``REPRO_TMPDIR``, default."""
-    if spec:
-        return os.fspath(spec)
-    env = os.environ.get(ENV_VAR, "").strip()
-    return env or tempfile.gettempdir()
-
-
 def _new_artifact_path(kind: str, tmp_dir: "str | os.PathLike | None") -> str:
     if not kind.isalnum():
         raise ValueError(f"artifact kind must be alphanumeric, got {kind!r}")
-    root = resolve_tmp_dir(tmp_dir)
+    root = resolve_option("tmp_dir", tmp_dir)
     os.makedirs(root, exist_ok=True)
     name = f"repro-{kind}-{os.getpid()}-{next(_artifact_ids)}"
     return os.path.join(root, name)
@@ -102,7 +93,10 @@ def discard_artifact(path: str) -> None:
         pass
 
 
-def _pid_alive(pid: int) -> bool:
+def pid_alive(pid: int) -> bool:
+    """The one liveness probe of both orphan sweeps (files here, segments in
+    :mod:`repro.engine.sharedmem`); any doubt counts as alive — never sweep
+    what might still be in use."""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -144,7 +138,7 @@ def sweep_orphaned_artifacts(
     (the service's startup recovery sweeps only ``waltmp`` under its WAL
     directory).  Returns the removed paths.
     """
-    root = resolve_tmp_dir(tmp_dir)
+    root = resolve_option("tmp_dir", tmp_dir)
     try:
         entries = os.listdir(root)
     except OSError:
@@ -160,7 +154,7 @@ def sweep_orphaned_artifacts(
         path = os.path.join(root, entry)
         if path in _live_owned:
             continue
-        if pid == os.getpid() or _pid_alive(pid):
+        if pid == os.getpid() or pid_alive(pid):
             continue
         discard_artifact(path)
         removed.append(path)

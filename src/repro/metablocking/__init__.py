@@ -4,10 +4,9 @@ from repro.metablocking.backends import (
     NumpyKernel,
     PythonKernel,
     numpy_available,
-    resolve_backend_name,
 )
 from repro.metablocking.graph import BlockingGraph, EdgeInfo, build_blocking_graph
-from repro.metablocking.index import CSRBlockIndex, NeighbourhoodKernel
+from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.weights import WeightingScheme, compute_edge_weight
 from repro.metablocking.pruning import (
     PruningStrategy,
@@ -26,11 +25,9 @@ __all__ = [
     "EdgeInfo",
     "build_blocking_graph",
     "CSRBlockIndex",
-    "NeighbourhoodKernel",
     "PythonKernel",
     "NumpyKernel",
     "numpy_available",
-    "resolve_backend_name",
     "WeightingScheme",
     "compute_edge_weight",
     "PruningStrategy",

@@ -13,9 +13,9 @@ edge weights from those buffers:
   with gather / ``np.bincount`` / ufunc expressions.  Lazily imported and
   only selectable when numpy is importable.
 
-Backend selection (:func:`resolve_backend_name`): an explicit spec wins,
-then the ``REPRO_KERNEL_BACKEND`` environment variable, then ``auto`` —
-numpy when importable, python otherwise.
+Backend selection is the ``kernel_backend`` engine option
+(:mod:`repro.options`): ``auto`` picks numpy when importable, python
+otherwise.
 
 **Bit-for-bit parity is the contract.**  Both kernels produce the same
 neighbour order (node-major, first-touch), the same integer counts and the
@@ -44,15 +44,11 @@ The equivalence test grid asserts this parity for every weighting × pruning
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.exceptions import MetaBlockingError
-
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-BACKEND_CHOICES = ("auto", "python", "numpy")
 
 _numpy_checked = False
 _numpy_module: Any = None
@@ -77,81 +73,11 @@ def numpy_available() -> bool:
     return numpy_or_none() is not None
 
 
-def resolve_backend_name(spec: "str | None" = None) -> str:
-    """Resolve a backend spec to ``"python"`` or ``"numpy"``.
-
-    ``None``/empty consults ``REPRO_KERNEL_BACKEND`` and defaults to
-    ``auto``; ``auto`` picks numpy when importable.  Requesting ``numpy``
-    outright without numpy installed is an error — silently falling back
-    would hide a mis-provisioned worker fleet.
-    """
-    if spec is None or spec == "":
-        spec = os.environ.get(ENV_VAR, "").strip() or "auto"
-    if not isinstance(spec, str):
-        raise MetaBlockingError(
-            f"kernel backend spec must be a string, got {spec!r}"
-        )
-    name = spec.strip().lower()
-    if name == "auto":
-        return "numpy" if numpy_available() else "python"
-    if name == "python":
-        return "python"
-    if name == "numpy":
-        if not numpy_available():
-            raise MetaBlockingError(
-                "kernel backend 'numpy' requested but numpy is not importable; "
-                "install numpy or select --kernel-backend python/auto"
-            )
-        return "numpy"
-    valid = ", ".join(BACKEND_CHOICES)
-    raise MetaBlockingError(
-        f"unknown kernel backend {spec!r}; valid backends: {valid}"
-    )
-
-
 def make_kernel(index) -> "PythonKernel | NumpyKernel":
     """Build the scratch kernel matching ``index.backend``."""
     if index.backend == "numpy":
         return NumpyKernel(index)
     return PythonKernel(index)
-
-
-# ------------------------------------------------------------ buffer backends
-BUFFER_ENV_VAR = "REPRO_BUFFER_BACKEND"
-BUFFER_CHOICES = ("ram", "memmap")
-
-
-def resolve_buffer_backend(spec: "str | None" = None) -> str:
-    """Resolve a CSR buffer-backend spec to ``"ram"`` or ``"memmap"``.
-
-    ``None``/empty consults ``REPRO_BUFFER_BACKEND`` and defaults to
-    ``ram``.  ``memmap`` backs the index's offset/entry vectors with a
-    file-backed :class:`numpy.memmap` buffer (see
-    :meth:`~repro.metablocking.index.CSRBlockIndex.from_blocks`), so it
-    requires numpy — requesting it without numpy is an error, mirroring the
-    explicit-``numpy`` kernel rule: silent fallback would hide that the run
-    is *not* out-of-core.
-    """
-    if spec is None or spec == "":
-        spec = os.environ.get(BUFFER_ENV_VAR, "").strip() or "ram"
-    if not isinstance(spec, str):
-        raise MetaBlockingError(
-            f"buffer backend spec must be a string, got {spec!r}"
-        )
-    name = spec.strip().lower()
-    if name == "ram":
-        return "ram"
-    if name == "memmap":
-        if not numpy_available():
-            raise MetaBlockingError(
-                "buffer backend 'memmap' requested but numpy is not "
-                "importable; install numpy or select --buffer-backend ram"
-            )
-        return "memmap"
-    valid = ", ".join(BUFFER_CHOICES)
-    raise MetaBlockingError(
-        f"unknown buffer backend {spec!r}; valid backends: {valid}"
-    )
 
 
 # --------------------------------------------------------------- weight plans
@@ -473,7 +399,7 @@ class NumpyKernel:
 
     def __init__(self, index) -> None:
         np = numpy_or_none()
-        if np is None:  # pragma: no cover - guarded by resolve_backend_name
+        if np is None:  # pragma: no cover - guarded by the kernel_backend option
             raise MetaBlockingError("NumpyKernel requires numpy")
         self._np = np
         self._index = index

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from repro.blocking.block import BlockCollection
 from repro.data.ground_truth import canonical_pair
 from repro.metablocking.index import CSRBlockIndex
+from repro.options import EngineOptions
 
 
 @dataclass
@@ -103,9 +104,7 @@ class BlockingGraph:
 
 
 def build_blocking_graph(
-    blocks: BlockCollection,
-    backend: "str | None" = None,
-    buffer_backend: "str | None" = None,
+    blocks: BlockCollection, options: EngineOptions | None = None
 ) -> BlockingGraph:
     """Materialise the blocking graph of ``blocks``.
 
@@ -117,9 +116,7 @@ def build_blocking_graph(
     accumulated in ascending block order — both backends fix the same
     accumulation order, so the graph is bit-for-bit identical either way.
     """
-    index = CSRBlockIndex.from_blocks(
-        blocks, backend=backend, buffer_backend=buffer_backend
-    )
+    index = CSRBlockIndex.from_blocks(blocks, options)
     try:
         return blocking_graph_from_index(
             index, clean_clean=blocks.clean_clean, num_blocks=len(blocks)

@@ -23,9 +23,8 @@ Neighbourhood materialisation is delegated to a pluggable **kernel backend**
 (:mod:`repro.metablocking.backends`): the interpreted
 :class:`~repro.metablocking.backends.PythonKernel` (always available) or the
 vectorised :class:`~repro.metablocking.backends.NumpyKernel`, selected per
-index via ``CSRBlockIndex(backend=...)`` / ``from_blocks(..., backend=...)``,
-the ``REPRO_KERNEL_BACKEND`` environment variable, or ``auto`` (numpy when
-importable).  Both kernels share one emission order (node-major first-touch)
+index by the ``kernel_backend`` engine option (:mod:`repro.options`).  Both
+kernels share one emission order (node-major first-touch)
 and one accumulation order, which is what keeps every driving path —
 sequential graph builder, parallel weigher, progressive streams — bit-for-bit
 equivalent across backends and executors.
@@ -36,8 +35,7 @@ pickle then carries only the segment name and layout, so a process pool maps
 the index once per machine instead of deserialising a copy per worker.
 
 Orthogonally to the *kernel* backend, a **buffer backend** decides where the
-numeric vectors live (:func:`~repro.metablocking.backends.resolve_buffer_backend`):
-``ram`` keeps the stdlib :mod:`array` buffers (the historical behaviour) while
+numeric vectors live (the ``buffer_backend`` engine option): ``ram`` keeps the stdlib :mod:`array` buffers (the historical behaviour) while
 ``memmap`` rewrites them into one file-backed :class:`numpy.memmap` buffer
 under the managed temp root (:mod:`repro.engine.tmpfiles`), so the OS can page
 the index in and out and peak RSS no longer has to hold it.  Both kernels read
@@ -54,9 +52,7 @@ from bisect import bisect_left
 
 from repro.blocking.block import BlockCollection
 from repro.metablocking import backends as _backends
-from repro.metablocking.backends import (
-    PythonKernel as NeighbourhoodKernel,  # noqa: F401  (back-compat re-export)
-)
+from repro.options import EngineOptions
 
 # Buffers that travel through the shared-memory segment, with their typecode.
 _SHARED_FIELDS = (
@@ -76,9 +72,10 @@ class CSRBlockIndex:
     """Array-backed block index shared by the sequential and parallel paths.
 
     Build with :meth:`from_blocks`; the constructor only wires pre-built
-    arrays together.  ``backend`` selects the neighbourhood kernel
-    (``"auto"`` / ``"python"`` / ``"numpy"``; ``None`` consults
-    ``REPRO_KERNEL_BACKEND`` then falls back to ``auto``).
+    arrays together.  This is the leaf that acts on the ``kernel_backend`` /
+    ``buffer_backend`` / ``tmp_dir`` engine options: ``options`` are the
+    resolved :class:`~repro.options.EngineOptions` handed down from the entry
+    point (``None`` resolves environment and defaults here).
     """
 
     __slots__ = (
@@ -108,11 +105,8 @@ class CSRBlockIndex:
         "__weakref__",
     )
 
-    def __init__(
-        self,
-        backend: "str | None" = None,
-        buffer_backend: "str | None" = None,
-    ) -> None:
+    def __init__(self, options: "EngineOptions | None" = None) -> None:
+        options = options or EngineOptions.resolve()
         self.node_ids: list[int] = []
         self.node_block_offsets = array("q", [0])
         self.node_block_entries = array("q")
@@ -127,8 +121,8 @@ class CSRBlockIndex:
         self.block_entropy = array("d")
         self.total_blocks = 0
         self.clean_clean = False
-        self._backend = _backends.resolve_backend_name(backend)
-        self._buffer_backend = _backends.resolve_buffer_backend(buffer_backend)
+        self._backend = options.kernel_backend
+        self._buffer_backend = options.buffer_backend
         self._node_of: dict[int, int] | None = {}
         self._kernel = None
         self._degrees: array | None = None
@@ -142,11 +136,7 @@ class CSRBlockIndex:
     # ------------------------------------------------------------------ build
     @classmethod
     def from_blocks(
-        cls,
-        blocks: BlockCollection,
-        backend: "str | None" = None,
-        buffer_backend: "str | None" = None,
-        tmp_dir: "str | None" = None,
+        cls, blocks: BlockCollection, options: "EngineOptions | None" = None
     ) -> "CSRBlockIndex":
         """Build the index from a block collection (one pass over the blocks).
 
@@ -154,14 +144,10 @@ class CSRBlockIndex:
         sequential graph builder; ``total_blocks`` still counts them because
         ECBS normalises by the raw collection size.
 
-        ``buffer_backend`` selects where the numeric vectors end up
-        (``"ram"`` / ``"memmap"``; ``None`` consults
-        ``REPRO_BUFFER_BACKEND`` then defaults to ram).  Under ``memmap``
-        the built vectors are rewritten into one pid-stamped file under the
-        managed temp root (``tmp_dir`` → ``REPRO_TMPDIR`` → platform
-        default) and the attributes become zero-copy :class:`numpy.memmap`
-        views — same values, same emission order, bit-for-bit identical
-        retained edges.
+        Under ``options.buffer_backend == "memmap"`` the built vectors are
+        rewritten into one pid-stamped file under ``options.tmp_dir`` and
+        the attributes become zero-copy :class:`numpy.memmap` views — same
+        values, same emission order, bit-for-bit identical retained edges.
         """
         valid: list[tuple[list[int], list[int], int, float, bool]] = []
         for block in blocks:
@@ -181,9 +167,7 @@ class CSRBlockIndex:
             valid,
             clean_clean=blocks.clean_clean,
             total_blocks=len(blocks),
-            backend=backend,
-            buffer_backend=buffer_backend,
-            tmp_dir=tmp_dir,
+            options=options,
         )
 
     @classmethod
@@ -193,9 +177,7 @@ class CSRBlockIndex:
         *,
         clean_clean: bool,
         total_blocks: int,
-        backend: "str | None" = None,
-        buffer_backend: "str | None" = None,
-        tmp_dir: "str | None" = None,
+        options: "EngineOptions | None" = None,
     ) -> "CSRBlockIndex":
         """Build the index from pre-validated ``(members0, members1,
         cardinality, entropy, clean)`` tuples — the single array builder.
@@ -209,9 +191,10 @@ class CSRBlockIndex:
         from-scratch build by design.  On any build error the partially
         constructed index is :meth:`close`\\ d (no leaked memmap buffer).
         """
-        index = cls(backend=backend, buffer_backend=buffer_backend)
+        options = options or EngineOptions.resolve()
+        index = cls(options)
         try:
-            return cls._populate(index, valid, clean_clean, total_blocks, tmp_dir)
+            return cls._populate(index, valid, clean_clean, total_blocks, options.tmp_dir)
         except BaseException:
             index.close()
             raise
@@ -266,7 +249,7 @@ class CSRBlockIndex:
             index._materialise_memmap(tmp_dir)
         return index
 
-    def _materialise_memmap(self, tmp_dir: "str | None" = None) -> None:
+    def _materialise_memmap(self, tmp_dir: str) -> None:
         """Rewrite the numeric vectors into one file-backed memmap buffer.
 
         All nine :data:`_SHARED_FIELDS` vectors (8-byte items, so layout is
@@ -625,7 +608,8 @@ class IncrementalBlockIndex:
     otherwise compaction happens lazily on :meth:`materialise` (the query
     path).  Pickling drops the built CSR — a restored instance rebuilds it
     with one compaction, which the snapshot/restore story of the service
-    relies on.
+    relies on.  ``options`` are the engine options each compaction builds
+    its CSR under.
     """
 
     __slots__ = (
@@ -635,9 +619,7 @@ class IncrementalBlockIndex:
         "compact_every",
         "appended_profiles",
         "compactions",
-        "_backend",
-        "_buffer_backend",
-        "_tmp_dir",
+        "options",
         "_tokens",
         "_profile_ids",
         "_last_profile_id",
@@ -654,9 +636,7 @@ class IncrementalBlockIndex:
         min_token_length: int = 1,
         remove_stopwords: bool = False,
         compact_every: "int | None" = None,
-        backend: "str | None" = None,
-        buffer_backend: "str | None" = None,
-        tmp_dir: "str | None" = None,
+        options: "EngineOptions | None" = None,
     ) -> None:
         if compact_every is not None and compact_every < 1:
             from repro.exceptions import DataError
@@ -668,9 +648,7 @@ class IncrementalBlockIndex:
         self.compact_every = compact_every
         self.appended_profiles = 0
         self.compactions = 0
-        self._backend = backend
-        self._buffer_backend = buffer_backend
-        self._tmp_dir = tmp_dir
+        self.options = options or EngineOptions.resolve()
         self._tokens: dict[str, _TokenState] = {}
         self._profile_ids: list[int] = []
         self._last_profile_id = -1
@@ -774,9 +752,7 @@ class IncrementalBlockIndex:
             valid,
             clean_clean=self.clean_clean,
             total_blocks=len(valid),
-            backend=self._backend,
-            buffer_backend=self._buffer_backend,
-            tmp_dir=self._tmp_dir,
+            options=self.options,
         )
         if self._csr is not None:
             self._csr.close()
@@ -834,16 +810,23 @@ class IncrementalBlockIndex:
 
     # --------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:
-        """Ship the overlay, never the CSR (one compaction rebuilds it)."""
+        """Ship the overlay, never the CSR (one compaction rebuilds it) nor
+        the options: which kernel and temp root to compact under belongs to
+        the process that compacts, so a restored index resolves them afresh
+        (or its owning collection assigns its own)."""
         state = {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot not in ("_csr", "__weakref__")
+            if slot not in ("_csr", "options", "__weakref__")
         }
         state["_stale"] = True
         return state
 
     def __setstate__(self, state: dict) -> None:
         self._csr = None
+        self.options = EngineOptions.resolve()
         for slot, value in state.items():
-            setattr(self, slot, value)
+            # Snapshots written before EngineOptions pickled the three knob
+            # specs; they are re-resolved now, like every restored index.
+            if slot not in ("_backend", "_buffer_backend", "_tmp_dir"):
+                setattr(self, slot, value)

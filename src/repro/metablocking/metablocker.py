@@ -24,6 +24,7 @@ from repro.metablocking.graph import BlockingGraph, blocking_graph_from_index
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.pruning import PruningStrategy, make_pruning_strategy
 from repro.metablocking.weights import WeightingScheme, weight_all_edges
+from repro.options import EngineOptions
 
 
 @dataclass
@@ -63,15 +64,9 @@ class MetaBlocker:
         When True the edge weights are multiplied by the mean entropy of the
         generating blocks before pruning (BLAST).  Has no effect if every
         block carries the default entropy of 1.0.
-    kernel_backend:
-        Kernel backend spec (``"auto"`` / ``"python"`` / ``"numpy"``;
-        ``None`` consults ``REPRO_KERNEL_BACKEND``).
-    buffer_backend:
-        Where the CSR index buffers live (``"ram"`` / ``"memmap"``; ``None``
-        consults ``REPRO_BUFFER_BACKEND``).  ``memmap`` backs them with a
-        file under ``tmp_dir`` so the OS can page the index.
-    tmp_dir:
-        Root for the memmap buffer file (``None`` consults ``REPRO_TMPDIR``).
+    options:
+        Resolved :class:`~repro.options.EngineOptions`, handed to the CSR
+        index untouched (``None``: the index resolves environment/defaults).
     """
 
     def __init__(
@@ -80,28 +75,16 @@ class MetaBlocker:
         pruning: str | PruningStrategy = "wep",
         *,
         use_entropy: bool = False,
-        kernel_backend: str | None = None,
-        buffer_backend: str | None = None,
-        tmp_dir: str | None = None,
+        options: EngineOptions | None = None,
     ) -> None:
         self.weighting = WeightingScheme.parse(weighting)
         self.pruning = make_pruning_strategy(pruning)
         self.use_entropy = use_entropy
-        self.kernel_backend = kernel_backend
-        self.buffer_backend = buffer_backend
-        self.tmp_dir = tmp_dir
-
-    def _build_index(self, blocks: BlockCollection) -> CSRBlockIndex:
-        return CSRBlockIndex.from_blocks(
-            blocks,
-            backend=self.kernel_backend,
-            buffer_backend=self.buffer_backend,
-            tmp_dir=self.tmp_dir,
-        )
+        self.options = options
 
     def run(self, blocks: BlockCollection) -> MetaBlockingResult:
         """Run meta-blocking over ``blocks`` and return the candidate pairs."""
-        index = self._build_index(blocks)
+        index = CSRBlockIndex.from_blocks(blocks, self.options)
         try:
             if index.backend == "numpy":
                 result = self._run_vectorised(index)
@@ -131,7 +114,7 @@ class MetaBlocker:
         interpreted backend fall back to a full :meth:`run` and chunk its
         dict — correct, but not out-of-core.
         """
-        index = self._build_index(blocks)
+        index = CSRBlockIndex.from_blocks(blocks, self.options)
         try:
             if index.backend == "numpy" and _backends.supports_strategy(self.pruning):
                 if index.num_nodes == 0:

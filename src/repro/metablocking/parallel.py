@@ -40,16 +40,13 @@ across the full weighting × pruning × entropy grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.blocking.block import BlockCollection
 from repro.engine.context import EngineContext
 from repro.engine.executors import MultiprocessingExecutor
 from repro.exceptions import MetaBlockingError
 from repro.metablocking import backends as _backends
-from repro.metablocking.graph import EdgeInfo
 from repro.metablocking.index import CSRBlockIndex
-from repro.metablocking.metablocker import MetaBlockingResult
+from repro.metablocking.metablocker import MetaBlocker, MetaBlockingResult
 from repro.metablocking.pruning import (
     CardinalityEdgePruning,
     CardinalityNodePruning,
@@ -61,104 +58,7 @@ from repro.metablocking.pruning import (
     make_pruning_strategy,
 )
 from repro.metablocking.weights import WeightingScheme
-
-
-@dataclass
-class CompactBlockIndex:
-    """The dict-of-tuples view of a block collection (legacy index).
-
-    Superseded by :class:`~repro.metablocking.index.CSRBlockIndex` on the hot
-    path; kept because its per-call materialisation is the reference point of
-    ``benchmarks/bench_metablocking_kernel.py`` and a convenient introspection
-    structure.
-
-    ``profile_blocks`` maps each profile id to the ids of the blocks that
-    contain it; ``block_members`` maps each block id to its two member-id
-    tuples (source 0, source 1); ``block_cardinality`` and ``block_entropy``
-    carry the per-block comparison count and entropy; ``profile_source``
-    records each profile's source side once, so neighbourhood materialisation
-    never scans a member tuple for the profile.
-    """
-
-    profile_blocks: dict[int, list[int]] = field(default_factory=dict)
-    block_members: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = field(
-        default_factory=dict
-    )
-    block_cardinality: dict[int, int] = field(default_factory=dict)
-    block_entropy: dict[int, float] = field(default_factory=dict)
-    profile_source: dict[int, int] = field(default_factory=dict)
-    clean_clean: bool = False
-
-    @classmethod
-    def from_blocks(cls, blocks: BlockCollection) -> "CompactBlockIndex":
-        """Build the index from a block collection."""
-        index = cls(clean_clean=blocks.clean_clean)
-        for block_id, block in enumerate(blocks):
-            cardinality = block.num_comparisons()
-            if cardinality == 0:
-                continue
-            index.block_members[block_id] = (
-                tuple(sorted(block.profiles_source0)),
-                tuple(sorted(block.profiles_source1)),
-            )
-            index.block_cardinality[block_id] = cardinality
-            index.block_entropy[block_id] = block.entropy
-            for profile_id in block.profiles_source0:
-                index.profile_source[profile_id] = 0
-            for profile_id in block.profiles_source1:
-                index.profile_source.setdefault(profile_id, 1)
-            for profile_id in block.all_profiles():
-                index.profile_blocks.setdefault(profile_id, []).append(block_id)
-        return index
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.block_members)
-
-    def blocks_of(self, profile_id: int) -> list[int]:
-        """Block ids containing ``profile_id``."""
-        return self.profile_blocks.get(profile_id, [])
-
-    def neighbourhood(self, profile_id: int) -> dict[int, EdgeInfo]:
-        """Materialise the blocking-graph neighbourhood of one node.
-
-        For clean-clean collections only cross-source neighbours are produced;
-        for dirty collections every co-occurring profile is a neighbour.
-        """
-        source0_here = self.profile_source.get(profile_id, 0) == 0
-        neighbours: dict[int, EdgeInfo] = {}
-        for block_id in self.blocks_of(profile_id):
-            members0, members1 = self.block_members[block_id]
-            cardinality = self.block_cardinality[block_id]
-            entropy = self.block_entropy[block_id]
-            if self.clean_clean:
-                others = members1 if source0_here else members0
-            else:
-                others = tuple(m for m in members0 + members1 if m != profile_id)
-            for other in others:
-                if other == profile_id:
-                    continue
-                info = neighbours.get(other)
-                if info is None:
-                    info = EdgeInfo()
-                    neighbours[other] = info
-                info.common_blocks += 1
-                info.arcs += 1.0 / cardinality
-                info.entropy_sum += entropy
-        return neighbours
-
-
-def incident_edge_index(
-    weights: dict[tuple[int, int], float]
-) -> dict[int, list[tuple[tuple[int, int], float]]]:
-    """Group the weighted edges by incident node — built once per job.
-
-    Delegates to the sequential pruning strategies' incidence builder so both
-    paths share one definition of the per-node list order (the order the WNP
-    float sums depend on); the parallel node-pruning tasks then look their
-    node up in O(degree) instead of scanning every edge.
-    """
-    return PruningStrategy._node_incidence(weights)
+from repro.options import EngineOptions
 
 
 def edge_id_incidence(
@@ -323,10 +223,9 @@ class ParallelMetaBlocker:
         The engine context the jobs run on.
     weighting / pruning / use_entropy:
         Same meaning as for :class:`~repro.metablocking.metablocker.MetaBlocker`.
-    kernel_backend / buffer_backend:
-        Kernel backend and CSR buffer backend specs, also as for
-        :class:`~repro.metablocking.metablocker.MetaBlocker`; the memmap
-        buffer file lands under the context's ``tmp_dir``.
+    options:
+        Resolved :class:`~repro.options.EngineOptions` for the CSR index;
+        defaults to the ones the context was built with.
     """
 
     def __init__(
@@ -336,25 +235,18 @@ class ParallelMetaBlocker:
         pruning: str | PruningStrategy = "wnp",
         *,
         use_entropy: bool = False,
-        kernel_backend: str | None = None,
-        buffer_backend: str | None = None,
+        options: EngineOptions | None = None,
     ) -> None:
         self.context = context
         self.weighting = WeightingScheme.parse(weighting)
         self.pruning = make_pruning_strategy(pruning)
         self.use_entropy = use_entropy
-        self.kernel_backend = kernel_backend
-        self.buffer_backend = buffer_backend
+        self.options = options or context.options
 
     # ------------------------------------------------------------------ public
     def run(self, blocks: BlockCollection) -> MetaBlockingResult:
         """Run the parallel meta-blocking over ``blocks``."""
-        index = CSRBlockIndex.from_blocks(
-            blocks,
-            backend=self.kernel_backend,
-            buffer_backend=self.buffer_backend,
-            tmp_dir=getattr(self.context, "tmp_dir", None),
-        )
+        index = CSRBlockIndex.from_blocks(blocks, self.options)
         if index.num_nodes == 0:
             index.close()
             return MetaBlockingResult()
@@ -538,9 +430,7 @@ def make_meta_blocker(
     weighting: "str | WeightingScheme" = WeightingScheme.CBS,
     pruning: "str | PruningStrategy" = "wep",
     use_entropy: bool = False,
-    kernel_backend: "str | None" = None,
-    buffer_backend: "str | None" = None,
-    tmp_dir: "str | None" = None,
+    options: "EngineOptions | None" = None,
 ) -> "ParallelMetaBlocker | MetaBlocker":
     """Build the meta-blocker matching the execution substrate.
 
@@ -548,26 +438,10 @@ def make_meta_blocker(
     given, the sequential reference :class:`~repro.metablocking.metablocker.
     MetaBlocker` otherwise — the two are bit-for-bit equivalent, on either
     kernel backend.  Shared by the legacy :class:`repro.core.blocker.Blocker`
-    and the pipeline stage adapter.  ``tmp_dir`` roots the memmap buffer
-    files of the sequential path; the parallel path takes the engine
-    context's ``tmp_dir``.
+    and the pipeline stage adapter.
     """
-    from repro.metablocking.metablocker import MetaBlocker
-
     if engine is not None:
         return ParallelMetaBlocker(
-            engine,
-            weighting=weighting,
-            pruning=pruning,
-            use_entropy=use_entropy,
-            kernel_backend=kernel_backend,
-            buffer_backend=buffer_backend,
+            engine, weighting, pruning, use_entropy=use_entropy, options=options
         )
-    return MetaBlocker(
-        weighting=weighting,
-        pruning=pruning,
-        use_entropy=use_entropy,
-        kernel_backend=kernel_backend,
-        buffer_backend=buffer_backend,
-        tmp_dir=tmp_dir,
-    )
+    return MetaBlocker(weighting, pruning, use_entropy=use_entropy, options=options)

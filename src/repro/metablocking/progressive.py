@@ -16,8 +16,8 @@ the meta-blocking graph of this package:
 
 Both run on the CSR index's kernel backend directly (the interpreted
 :class:`~repro.metablocking.backends.PythonKernel` or the vectorised
-:class:`~repro.metablocking.backends.NumpyKernel`, selected via
-``kernel_backend=``) — one sweep materialising each node's neighbourhood
+:class:`~repro.metablocking.backends.NumpyKernel`, selected by the engine
+``options``) — one sweep materialising each node's neighbourhood
 exactly once, every edge weighted from its lower endpoint — instead of
 materialising a full :class:`~repro.metablocking.graph.BlockingGraph` and
 re-deriving node statistics from it.  Every kernel fixes the same
@@ -42,6 +42,7 @@ from collections.abc import Iterator
 from repro.blocking.block import BlockCollection
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.weights import WeightingScheme
+from repro.options import EngineOptions
 
 _Edge = tuple[tuple[int, int], float]
 
@@ -72,18 +73,19 @@ class ProgressiveSortedComparisons:
     ----------
     weighting:
         Edge weighting scheme used to rank the comparisons.
+    options:
+        Resolved :class:`~repro.options.EngineOptions` for the CSR index
+        :meth:`stream` builds (``None``: the index resolves them).
     """
 
     def __init__(
         self,
         weighting: str | WeightingScheme = WeightingScheme.CBS,
         *,
-        kernel_backend: str | None = None,
-        buffer_backend: str | None = None,
+        options: EngineOptions | None = None,
     ) -> None:
         self.weighting = WeightingScheme.parse(weighting)
-        self.kernel_backend = kernel_backend
-        self.buffer_backend = buffer_backend
+        self.options = options
 
     def rank(self, blocks: BlockCollection) -> list[tuple[int, int]]:
         """Return every distinct comparison, best first."""
@@ -96,9 +98,7 @@ class ProgressiveSortedComparisons:
         runs are merged through a heap, so pulling the best *k* comparisons
         costs O(k log n) pops after the weighting sweep — no global sort.
         """
-        index = CSRBlockIndex.from_blocks(
-            blocks, backend=self.kernel_backend, buffer_backend=self.buffer_backend
-        )
+        index = CSRBlockIndex.from_blocks(blocks, self.options)
         try:
             iterator = self.stream_index(index)
         finally:
@@ -134,12 +134,10 @@ class ProgressiveNodeScheduling:
         self,
         weighting: str | WeightingScheme = WeightingScheme.CBS,
         *,
-        kernel_backend: str | None = None,
-        buffer_backend: str | None = None,
+        options: EngineOptions | None = None,
     ) -> None:
         self.weighting = WeightingScheme.parse(weighting)
-        self.kernel_backend = kernel_backend
-        self.buffer_backend = buffer_backend
+        self.options = options
 
     def rank(self, blocks: BlockCollection) -> list[tuple[int, int]]:
         """Return every distinct comparison following the node schedule."""
@@ -147,9 +145,7 @@ class ProgressiveNodeScheduling:
 
     def stream(self, blocks: BlockCollection) -> Iterator[tuple[int, int]]:
         """Iterate the scheduled comparisons lazily, one node at a time."""
-        index = CSRBlockIndex.from_blocks(
-            blocks, backend=self.kernel_backend, buffer_backend=self.buffer_backend
-        )
+        index = CSRBlockIndex.from_blocks(blocks, self.options)
         try:
             iterator = self.stream_index(index)
         finally:

@@ -27,7 +27,13 @@ from repro.data.dataset import ProfileCollection
 from repro.data.ground_truth import GroundTruth
 from repro.engine.context import EngineContext
 from repro.evaluation.report import PipelineReport
-from repro.exceptions import PipelineError, PipelineValidationError
+from repro.exceptions import (
+    EngineError,
+    MetaBlockingError,
+    PipelineError,
+    PipelineValidationError,
+)
+from repro.options import EngineOptions, check_engine_section
 from repro.pipeline.artifacts import PROFILES, ArtifactStore
 from repro.pipeline.checkpoint import PipelineCheckpoint
 from repro.pipeline.registry import make_stage
@@ -62,19 +68,6 @@ _SPEC_ENTRY_KEYS = {"stage", "label", "params", "inputs", "outputs"}
 # "dataset" is CLI provenance (which inputs to load), tolerated so resolved
 # specs written by `run --output-config` feed straight back into from_spec.
 _SPEC_TOP_KEYS = {"name", "engine", "seeds", "stages", "dataset"}
-
-
-def _executed_kernel_backend(executions: "list[StageExecution]") -> str | None:
-    """The backend a meta-blocking stage of this run actually resolved to.
-
-    ``None`` when no stage recorded one — a pipeline without meta-blocking
-    must not claim a kernel backend in its summary.
-    """
-    for execution in executions:
-        backend = (getattr(execution, "detail", None) or {}).get("kernel_backend")
-        if backend is not None:
-            return str(backend)
-    return None
 
 
 def _engine_snapshot(engine: EngineContext | None) -> dict[str, int]:
@@ -116,13 +109,8 @@ class PipelineContext:
     extras: dict[str, Any] = field(default_factory=dict)
     report: PipelineReport = field(default_factory=PipelineReport)
     max_comparisons: int = 0
-    # The engine section's kernel backend spec (auto/python/numpy or None);
-    # the meta-blocking stages resolve it per run.
-    kernel_backend: str | None = None
-    # The engine section's buffer backend spec (ram/memmap or None) and the
-    # temp-file root for memmap index buffers; resolved per stage run.
-    buffer_backend: str | None = None
-    tmp_dir: str | None = None
+    # The run's resolved engine options; stages hand them to what they build.
+    options: EngineOptions | None = None
     _stage_details: dict[str, dict[str, object]] = field(default_factory=dict)
 
     def record(self, stage: str, metrics: dict[str, object]) -> None:
@@ -224,6 +212,9 @@ class Pipeline:
     seeds:
         Extra artifacts the caller promises to provide at :meth:`run` time,
         as a key → kind mapping; ``profiles`` is always seeded.
+    options:
+        The run's resolved :class:`~repro.options.EngineOptions`; defaults to
+        the engine's own, else to the environment and defaults.
     """
 
     def __init__(
@@ -233,10 +224,7 @@ class Pipeline:
         engine: EngineContext | None = None,
         name: str = "pipeline",
         seeds: Mapping[str, str] | None = None,
-        engine_spec: Mapping[str, object] | None = None,
-        kernel_backend: str | None = None,
-        buffer_backend: str | None = None,
-        tmp_dir: str | None = None,
+        options: EngineOptions | None = None,
     ) -> None:
         self.stages = list(stages)
         if not self.stages:
@@ -247,10 +235,9 @@ class Pipeline:
         if seeds:
             self.seeds.update(seeds)
         self._owns_engine = False
-        self._engine_spec = dict(engine_spec) if engine_spec else None
-        self.kernel_backend = kernel_backend
-        self.buffer_backend = buffer_backend
-        self.tmp_dir = tmp_dir
+        self.options = options or (
+            engine.options if engine is not None else EngineOptions.resolve()
+        )
         self.validate()
 
     # ------------------------------------------------------------- composition
@@ -294,6 +281,7 @@ class Pipeline:
         spec: Mapping[str, object],
         *,
         engine: "EngineContext | object" = _UNSET,
+        overrides: Mapping[str, object] | None = None,
     ) -> "Pipeline":
         """Build a pipeline from a plain dict/JSON spec.
 
@@ -314,8 +302,12 @@ class Pipeline:
               ]
             }
 
-        ``engine=`` overrides the spec's engine section with a caller-managed
-        context (pass ``None`` to force driver-side execution).
+        Besides ``enabled`` / ``parallelism`` the engine section holds the
+        engine options (:mod:`repro.options`); they are resolved here, once —
+        ``overrides`` (explicit values, e.g. CLI flags) win over the section,
+        the section over the ``REPRO_*`` environment — and an unknown key is
+        rejected.  ``engine=`` overrides the spec's engine section with a
+        caller-managed context (pass ``None`` to force driver-side execution).
         """
         if not isinstance(spec, Mapping):
             raise PipelineValidationError("a pipeline spec must be a mapping")
@@ -354,55 +346,28 @@ class Pipeline:
             stages.append(stage)
 
         engine_section = dict(spec.get("engine") or {})
-        fault_policy = engine_section.get("fault_policy")
-        if fault_policy is not None and not isinstance(fault_policy, (str, Mapping)):
-            raise PipelineValidationError(
-                f"engine.fault_policy must be a string or mapping, got {fault_policy!r}"
-            )
-        block_store = engine_section.get("block_store")
-        if block_store is not None and not isinstance(block_store, str):
-            raise PipelineValidationError(
-                f"engine.block_store must be a string, got {block_store!r}"
-            )
-        tmp_dir = engine_section.get("tmp_dir")
-        if tmp_dir is not None and not isinstance(tmp_dir, str):
-            raise PipelineValidationError(
-                f"engine.tmp_dir must be a string, got {tmp_dir!r}"
-            )
+        check_engine_section(engine_section)
+        try:
+            options = EngineOptions.resolve(engine_section, **(overrides or {}))
+        except (EngineError, MetaBlockingError) as error:
+            raise PipelineValidationError(f"invalid engine option {error}") from error
         owns_engine = False
         if engine is not _UNSET:
             engine_context = engine  # caller-managed (possibly None)
         elif engine_section.get("enabled"):
             engine_context = EngineContext(
                 default_parallelism=int(engine_section.get("parallelism", 4)),
-                executor=engine_section.get("executor"),
-                fault_policy=fault_policy,
-                block_store=block_store,
-                tmp_dir=tmp_dir,
+                options=options,
             )
             owns_engine = True
         else:
             engine_context = None
-
-        kernel_backend = engine_section.get("kernel_backend")
-        if kernel_backend is not None and not isinstance(kernel_backend, str):
-            raise PipelineValidationError(
-                f"engine.kernel_backend must be a string, got {kernel_backend!r}"
-            )
-        buffer_backend = engine_section.get("buffer_backend")
-        if buffer_backend is not None and not isinstance(buffer_backend, str):
-            raise PipelineValidationError(
-                f"engine.buffer_backend must be a string, got {buffer_backend!r}"
-            )
         pipeline = cls(
             stages,
             engine=engine_context,  # type: ignore[arg-type]
             name=str(spec.get("name", "pipeline")),
             seeds=dict(spec.get("seeds") or {}),
-            engine_spec=engine_section or None,
-            kernel_backend=kernel_backend,
-            buffer_backend=buffer_backend,
-            tmp_dir=tmp_dir,
+            options=options,
         )
         pipeline._owns_engine = owns_engine
         return pipeline
@@ -411,22 +376,14 @@ class Pipeline:
         """The provenance spec: every stage with its resolved parameters.
 
         Round-trips: ``Pipeline.from_spec(p.resolved_spec())`` builds an
-        equivalent pipeline.
+        equivalent pipeline.  The engine section records the options the
+        run resolved to — what actually ran, wherever each value came from —
+        so the spec replays identically under a different environment.
         """
-        engine_section: dict[str, object]
-        if self._engine_spec is not None:
-            engine_section = dict(self._engine_spec)
-        else:
-            engine_section = {"enabled": self.engine is not None}
-            if self.engine is not None:
-                engine_section["parallelism"] = self.engine.default_parallelism
-                engine_section["executor"] = self.engine.executor.name
-            if self.kernel_backend is not None:
-                engine_section["kernel_backend"] = self.kernel_backend
-            if self.buffer_backend is not None:
-                engine_section["buffer_backend"] = self.buffer_backend
-            if self.tmp_dir is not None:
-                engine_section["tmp_dir"] = self.tmp_dir
+        engine_section: dict[str, object] = {"enabled": self.engine is not None}
+        if self.engine is not None:
+            engine_section["parallelism"] = self.engine.default_parallelism
+        engine_section.update(self.options.as_spec())
         spec: dict[str, object] = {
             "name": self.name,
             "engine": engine_section,
@@ -572,9 +529,7 @@ class Pipeline:
             extras=extras_dict,
             report=report,
             max_comparisons=profiles.max_comparisons(),
-            kernel_backend=self.kernel_backend,
-            buffer_backend=self.buffer_backend,
-            tmp_dir=self.tmp_dir,
+            options=self.options,
         )
 
         stopped = False
@@ -642,7 +597,13 @@ class Pipeline:
             spec=self.resolved_spec(),
             completed=[execution.label for execution in executions],
             partial=stopped,
-            kernel_backend=_executed_kernel_backend(executions),
+            # A pipeline without a kernel-driven stage claims no backend.
+            kernel_backend=self.options.kernel_backend
+            if any(
+                "kernel_backend" in (getattr(execution, "detail", None) or {})
+                for execution in executions
+            )
+            else None,
         )
 
     def _checkpoint_state(self, **parts: Any) -> dict[str, Any]:

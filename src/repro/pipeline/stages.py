@@ -31,7 +31,6 @@ from repro.looseschema.attribute_partitioning import (
 )
 from repro.looseschema.entropy import EntropyExtractor
 from repro.looseschema.lsh import AttributeLSH
-from repro.metablocking.backends import resolve_backend_name, resolve_buffer_backend
 from repro.metablocking.parallel import make_meta_blocker
 from repro.metablocking.progressive import (
     ProgressiveNodeScheduling,
@@ -56,6 +55,15 @@ def _record_block_stage(context: "PipelineContext", label: str, blocks: Any) -> 
         block_stage_metrics(
             blocks, context.ground_truth, max_comparisons=context.max_comparisons
         ),
+    )
+
+
+def _annotate_backends(context: "PipelineContext", label: str) -> None:
+    """Show the backends a CSR-index stage ran on in the executions table."""
+    context.annotate(
+        label,
+        kernel_backend=context.options.kernel_backend,
+        buffer_backend=context.options.buffer_backend,
     )
 
 
@@ -221,16 +229,10 @@ class MetaBlockingStage(Stage):
             weighting=self.weighting,
             pruning=self.pruning,
             use_entropy=self.use_entropy,
-            kernel_backend=context.kernel_backend,
-            buffer_backend=context.buffer_backend,
-            tmp_dir=context.tmp_dir,
+            options=context.options,
         )
         result = meta_blocker.run(blocks)
-        context.annotate(
-            self.label,
-            kernel_backend=resolve_backend_name(context.kernel_backend),
-            buffer_backend=resolve_buffer_backend(context.buffer_backend),
-        )
+        _annotate_backends(context, self.label)
         metrics: dict[str, object] = dict(result.as_dict())
         if context.ground_truth is not None:
             metrics.update(
@@ -294,23 +296,13 @@ class ProgressiveMetaBlockingStage(Stage):
         self.budget = budget
 
     def run(self, context: "PipelineContext", *, blocks):
-        if self.strategy == "global":
-            progressive = ProgressiveSortedComparisons(
-                weighting=self.weighting,
-                kernel_backend=context.kernel_backend,
-                buffer_backend=context.buffer_backend,
-            )
-        else:
-            progressive = ProgressiveNodeScheduling(
-                weighting=self.weighting,
-                kernel_backend=context.kernel_backend,
-                buffer_backend=context.buffer_backend,
-            )
-        context.annotate(
-            self.label,
-            kernel_backend=resolve_backend_name(context.kernel_backend),
-            buffer_backend=resolve_buffer_backend(context.buffer_backend),
+        strategy = (
+            ProgressiveSortedComparisons
+            if self.strategy == "global"
+            else ProgressiveNodeScheduling
         )
+        progressive = strategy(weighting=self.weighting, options=context.options)
+        _annotate_backends(context, self.label)
         stream = progressive.stream(blocks)
         if self.budget is not None:
             stream = islice(stream, self.budget)

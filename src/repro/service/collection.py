@@ -29,6 +29,7 @@ from repro.metablocking.progressive import (
     ProgressiveNodeScheduling,
     ProgressiveSortedComparisons,
 )
+from repro.options import EngineOptions
 from repro.service.delta import DeltaMetaBlocker
 from repro.service.wal import FSYNC_POLICIES, DegradedError, WriteAheadLog
 
@@ -115,14 +116,15 @@ class ServiceCollection:
 
     def __init__(self, config: CollectionConfig) -> None:
         self.config = config
+        # The config doubles as the spec mapping: its kernel_backend /
+        # buffer_backend / tmp_dir keys are the engine-section keys.
+        self.options = EngineOptions.resolve(config.as_dict())
         self.index = IncrementalBlockIndex(
             clean_clean=config.clean_clean,
             min_token_length=config.min_token_length,
             remove_stopwords=config.remove_stopwords,
             compact_every=config.compact_every,
-            backend=config.kernel_backend,
-            buffer_backend=config.buffer_backend,
-            tmp_dir=config.tmp_dir,
+            options=self.options,
         )
         self.delta = DeltaMetaBlocker(
             config.weighting, config.pruning, use_entropy=config.use_entropy
@@ -262,11 +264,7 @@ class ServiceCollection:
             strategy = ProgressiveNodeScheduling
         else:
             strategy = ProgressiveSortedComparisons
-        return strategy(
-            self.config.weighting,
-            kernel_backend=self.config.kernel_backend,
-            buffer_backend=self.config.buffer_backend,
-        )
+        return strategy(self.config.weighting, options=self.options)
 
     def _ensure_prefix(self, length: int) -> list[tuple[int, int]]:
         """Grow the cached progressive prefix to ``length`` comparisons.
@@ -349,6 +347,7 @@ class ServiceCollection:
         collection = cls(config)
         collection.index.close()
         collection.index = state["index"]
+        collection.index.options = collection.options
         collection.delta = state["delta"]
         collection._pending_touched = set(state.get("pending_touched", ()))
         collection.ingests = int(state.get("ingests", 0))

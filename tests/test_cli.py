@@ -129,7 +129,7 @@ class TestRunCommand:
 
     def test_workers_alone_implies_process_executor(self, capsys):
         """--workers without --executor must not be silently ignored."""
-        from repro.cli import _executor_spec
+        from repro.options import executor_from_args as _executor_spec
 
         args = build_parser().parse_args(
             ["run", "--synthetic", "abt-buy", "--workers", "2"]

@@ -23,7 +23,6 @@ from repro.engine import sharedmem
 from repro.engine.context import EngineContext
 from repro.engine.executors import MultiprocessingExecutor
 from repro.engine.shuffle import (
-    ENV_VAR,
     BlockStore,
     DriverBlockStore,
     FileBlock,
@@ -33,9 +32,10 @@ from repro.engine.shuffle import (
     ShuffleMapTask,
     SpillFileBlockStore,
     chunk_bytes,
-    resolve_block_store,
+    make_block_store,
 )
 from repro.exceptions import EngineError, PipelineValidationError
+from repro.options import EngineOptions
 from repro.pipeline import Pipeline
 
 BUCKET = [(f"key-{i}", list(range(i % 7))) for i in range(50)]
@@ -55,44 +55,31 @@ def _no_shm_leak():
 
 
 # =========================================================================
-# Spec resolution
+# Store construction (name resolution itself: tests/test_options.py)
 # =========================================================================
-class TestResolveBlockStore:
-    def test_default_is_driver(self):
-        assert isinstance(resolve_block_store(None), DriverBlockStore)
-        assert isinstance(resolve_block_store("driver"), DriverBlockStore)
+class TestMakeBlockStore:
+    @pytest.mark.parametrize(
+        "name, kind",
+        [
+            ("driver", DriverBlockStore),
+            ("shared-memory", SharedMemoryBlockStore),
+            ("spill", SpillFileBlockStore),
+        ],
+    )
+    def test_builds_the_named_store(self, name, kind):
+        store = make_block_store(EngineOptions.resolve(block_store=name))
+        assert isinstance(store, kind)
+        store.close()
 
     def test_env_var_is_consulted(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "spill")
-        store = resolve_block_store(None)
-        assert isinstance(store, SpillFileBlockStore)
-        store.close()
-
-    @pytest.mark.parametrize(
-        "alias", ["shared-memory", "shared_memory", "sharedmem", "shm", "SHM"]
-    )
-    def test_shared_memory_aliases(self, alias):
-        store = resolve_block_store(alias)
-        assert isinstance(store, SharedMemoryBlockStore)
-        store.close()
-
-    @pytest.mark.parametrize("alias", ["spill", "file", "spill-file"])
-    def test_spill_aliases(self, alias):
-        store = resolve_block_store(alias)
+        monkeypatch.setenv("REPRO_BLOCK_STORE", "spill")
+        store = make_block_store(EngineOptions.resolve())
         assert isinstance(store, SpillFileBlockStore)
         store.close()
 
     def test_instance_passes_through(self):
         store = DriverBlockStore()
-        assert resolve_block_store(store) is store
-
-    def test_unknown_spec_raises(self):
-        with pytest.raises(EngineError, match="unknown block store"):
-            resolve_block_store("carrier-pigeon")
-
-    def test_non_string_spec_raises(self):
-        with pytest.raises(EngineError, match="block store spec"):
-            resolve_block_store(7)
+        assert make_block_store(EngineOptions.resolve(block_store=store)) is store
 
     def test_negative_spill_threshold_raises(self):
         with pytest.raises(EngineError, match="spill_over_bytes"):
@@ -349,7 +336,7 @@ class TestContextLifecycle:
         store.close()
 
     def test_context_env_var_selects_store(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "shared-memory")
+        monkeypatch.setenv("REPRO_BLOCK_STORE", "shared-memory")
         context = EngineContext(4)
         try:
             assert isinstance(context.block_store, SharedMemoryBlockStore)
@@ -376,8 +363,7 @@ class TestBlockStorePlumbing:
         spec = SparkER.canonical_spec(
             SparkERConfig.unsupervised_default(),
             use_engine=True,
-            executor="serial",
-            block_store="shared-memory",
+            options=EngineOptions.resolve(executor="serial", block_store="shared-memory"),
         )
         assert spec["engine"]["block_store"] == "shared-memory"
         pipeline = Pipeline.from_spec(spec)
@@ -404,11 +390,11 @@ class TestBlockStorePlumbing:
     def test_sparker_facade_resolves_block_store(self):
         sparker = SparkER(
             SparkERConfig.unsupervised_default(), use_engine=True,
-            block_store="spill",
+            options=EngineOptions.resolve(block_store="spill"),
         )
         try:
             assert isinstance(sparker.engine.block_store, SpillFileBlockStore)
-            assert sparker._block_store_spec == "spill"
+            assert sparker.build_pipeline().resolved_spec()["engine"]["block_store"] == "spill"
         finally:
             sparker.engine.stop()
 

@@ -15,12 +15,7 @@ import os
 import pytest
 
 from repro.engine.context import EngineContext
-from repro.engine.executors import (
-    ENV_VAR,
-    MultiprocessingExecutor,
-    SerialExecutor,
-    resolve_executor,
-)
+from repro.engine.executors import MultiprocessingExecutor, SerialExecutor
 from repro.exceptions import EngineError
 
 
@@ -76,34 +71,16 @@ def fallback_executor():
     executor.close()
 
 
-class TestResolveExecutor:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert isinstance(resolve_executor(None), SerialExecutor)
+class TestExecutorConstruction:
+    """Spec-string resolution itself is covered by tests/test_options.py."""
 
-    def test_spec_strings(self):
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
-        executor = resolve_executor("process:3")
-        assert isinstance(executor, MultiprocessingExecutor)
-        assert executor.max_workers == 3
+    def test_env_var_selects_the_context_executor(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_EXECUTOR", "process:5")
+        with EngineContext(2) as context:
+            assert isinstance(context.executor, MultiprocessingExecutor)
+            assert context.executor.max_workers == 5
 
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "process:5")
-        executor = resolve_executor(None)
-        assert isinstance(executor, MultiprocessingExecutor)
-        assert executor.max_workers == 5
-
-    def test_instance_passthrough(self):
-        executor = SerialExecutor()
-        assert resolve_executor(executor) is executor
-
-    def test_invalid_specs(self):
-        with pytest.raises(EngineError):
-            resolve_executor("cluster")
-        with pytest.raises(EngineError):
-            resolve_executor("process:many")
-        with pytest.raises(EngineError, match="no worker count"):
-            resolve_executor("serial:4")
+    def test_invalid_constructor_arguments(self):
         with pytest.raises(EngineError):
             MultiprocessingExecutor(max_workers=0)
         with pytest.raises(EngineError):

@@ -27,12 +27,10 @@ from repro.engine.context import EngineContext
 from repro.engine.executors import (
     MultiprocessingExecutor,
     SerialExecutor,
-    resolve_executor,
+    make_executor,
 )
 from repro.engine.faults import (
     CRASH_EXIT_CODE,
-    INJECT_ENV_VAR,
-    POLICY_ENV_VAR,
     SERVICE_INJECT_ENV_VAR,
     FaultClause,
     FaultInjected,
@@ -40,8 +38,6 @@ from repro.engine.faults import (
     FaultPolicy,
     ServicePointInjector,
     _FaultProbe,
-    resolve_fault_injector,
-    resolve_fault_policy,
     reset_service_faults,
     service_fault,
 )
@@ -54,6 +50,7 @@ from repro.exceptions import (
 from repro.metablocking.backends import numpy_available
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
+from repro.options import EngineOptions
 from repro.pipeline import Pipeline
 from repro.pipeline.checkpoint import PipelineCheckpoint
 
@@ -180,20 +177,6 @@ class TestFaultPolicy:
         with pytest.raises(EngineError, match="on_exhausted"):
             FaultPolicy(on_exhausted="retry-forever")
 
-    def test_resolve_default_and_env(self, monkeypatch):
-        monkeypatch.delenv(POLICY_ENV_VAR, raising=False)
-        assert resolve_fault_policy(None) == FaultPolicy()
-        monkeypatch.setenv(POLICY_ENV_VAR, "retries=2,on_exhausted=serial-fallback")
-        policy = resolve_fault_policy(None)
-        assert policy.max_attempts == 3
-        assert policy.on_exhausted == "serial-fallback"
-
-    def test_resolve_passthrough_and_type_error(self):
-        policy = _fast_policy()
-        assert resolve_fault_policy(policy) is policy
-        with pytest.raises(EngineError):
-            resolve_fault_policy(42)
-
 
 class TestBackoffDeterminism:
     def test_no_delay_before_first_retry_or_with_zero_base(self):
@@ -272,16 +255,6 @@ class TestFaultInjector:
         with pytest.raises(EngineError):
             FaultInjector.parse(spec)
 
-    def test_resolve_default_env_and_passthrough(self, monkeypatch):
-        monkeypatch.delenv(INJECT_ENV_VAR, raising=False)
-        assert resolve_fault_injector(None) is None
-        monkeypatch.setenv(INJECT_ENV_VAR, "crash@stage:0#1")
-        injector = resolve_fault_injector(None)
-        assert isinstance(injector, FaultInjector)
-        assert resolve_fault_injector(injector) is injector
-        with pytest.raises(EngineError):
-            resolve_fault_injector(42)
-
     def test_probe_passes_rows_through_on_task_mismatch(self):
         clause = FaultClause(mode="raise", stage="s", task=0, attempt=1)
         probe = _FaultProbe((clause,), "s", 1)
@@ -305,20 +278,24 @@ class TestFaultInjector:
 # =========================================================================
 class TestExecutorConfiguration:
     def test_spec_string_with_policy(self):
-        executor = resolve_executor("process:2", fault_policy="retries=1")
+        executor = make_executor(
+            EngineOptions.resolve(executor="process:2", fault_policy="retries=1")
+        )
         assert isinstance(executor, MultiprocessingExecutor)
         assert executor.fault_policy.max_attempts == 2
         assert "fault_policy=" in repr(executor)
 
     def test_serial_spec_ignores_fault_kwargs(self):
-        executor = resolve_executor("serial", fault_policy="retries=1")
+        executor = make_executor(
+            EngineOptions.resolve(executor="serial", fault_policy="retries=1")
+        )
         assert isinstance(executor, SerialExecutor)
 
     def test_instance_plus_policy_is_an_error(self):
         with pytest.raises(EngineError, match="constructor"):
-            resolve_executor(SerialExecutor(), fault_policy="retries=1")
+            EngineContext(2, executor=SerialExecutor(), fault_policy="retries=1")
         with pytest.raises(EngineError, match="constructor"):
-            resolve_executor(SerialExecutor(), fault_injector="crash@s:0#1")
+            EngineContext(2, executor=SerialExecutor(), fault_injector="crash@s:0#1")
 
     def test_context_forwards_policy_to_spec_built_executor(self):
         with EngineContext(
@@ -327,7 +304,7 @@ class TestExecutorConfiguration:
             assert context.executor.fault_policy.max_attempts == 3
 
     def test_executor_reads_policy_env(self, monkeypatch):
-        monkeypatch.setenv(POLICY_ENV_VAR, "retries=4")
+        monkeypatch.setenv("REPRO_FAULT_POLICY", "retries=4")
         executor = MultiprocessingExecutor(max_workers=1)
         assert executor.fault_policy.max_attempts == 5
 
@@ -611,9 +588,10 @@ def _chaos_executor() -> MultiprocessingExecutor:
 
 
 def _assert_chaos_equivalence(blocks, weighting, pruning, kernel_backend):
-    sequential = MetaBlocker(
-        weighting, _make_pruning(pruning), kernel_backend=kernel_backend
-    ).run(blocks)
+    options = EngineOptions.resolve(kernel_backend=kernel_backend)
+    sequential = MetaBlocker(weighting, _make_pruning(pruning), options=options).run(
+        blocks
+    )
     executor = _chaos_executor()
     try:
         context = EngineContext(4, executor=executor)
@@ -621,7 +599,7 @@ def _assert_chaos_equivalence(blocks, weighting, pruning, kernel_backend):
             context,
             weighting,
             _make_pruning(pruning),
-            kernel_backend=kernel_backend,
+            options=options,
         ).run(blocks)
         # The chaos must have actually happened — and been recovered.
         assert context.scheduler.total_recovered >= 1
@@ -938,7 +916,8 @@ class TestFaultPolicyPlumbing:
         assert args.task_timeout == 30.0
 
     def test_cli_builds_policy_spec(self):
-        from repro.cli import _fault_policy_spec, build_parser
+        from repro.cli import build_parser
+        from repro.options import fault_policy_from_args as _fault_policy_spec
 
         parser = build_parser()
         args = parser.parse_args(
@@ -958,10 +937,11 @@ class TestFaultPolicyPlumbing:
         spec = SparkER.canonical_spec(
             SparkERConfig.unsupervised_default(),
             use_engine=True,
-            executor="process:2",
-            fault_policy="retries=2,timeout=30",
+            options=EngineOptions.resolve(
+                executor="process:2", fault_policy="retries=2,timeout=30"
+            ),
         )
-        assert spec["engine"]["fault_policy"] == "retries=2,timeout=30"
+        assert spec["engine"]["fault_policy"].startswith("retries=2,timeout=30")
         pipeline = Pipeline.from_spec(spec)
         try:
             assert pipeline.engine.executor.fault_policy.max_attempts == 3
@@ -981,7 +961,7 @@ class TestFaultPolicyPlumbing:
         """End-to-end: one injected worker crash, recovered, exit code 0."""
         from repro.cli import main
 
-        monkeypatch.setenv(INJECT_ENV_VAR, "crash@metablocking.weights:0#1")
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash@metablocking.weights:0#1")
         exit_code = main(
             ["run", "--synthetic", "abt-buy", "--entities", "40",
              "--executor", "process", "--workers", "2", "--task-retries", "2"]

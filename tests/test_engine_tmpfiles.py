@@ -1,4 +1,5 @@
-"""Managed temp artifacts: root resolution, pid-stamped naming, crash sweep."""
+"""Managed temp artifacts: pid-stamped naming, crash sweep (root resolution:
+tests/test_options.py)."""
 
 from __future__ import annotations
 
@@ -9,26 +10,6 @@ import sys
 import pytest
 
 from repro.engine import tmpfiles
-
-
-class TestResolveTmpDir:
-    def test_explicit_spec_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(tmpfiles.ENV_VAR, "/somewhere/else")
-        assert tmpfiles.resolve_tmp_dir(str(tmp_path)) == str(tmp_path)
-
-    def test_env_var_beats_platform_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(tmpfiles.ENV_VAR, str(tmp_path))
-        assert tmpfiles.resolve_tmp_dir() == str(tmp_path)
-        assert tmpfiles.resolve_tmp_dir(None) == str(tmp_path)
-
-    def test_blank_env_var_falls_through(self, monkeypatch):
-        import tempfile
-
-        monkeypatch.setenv(tmpfiles.ENV_VAR, "   ")
-        assert tmpfiles.resolve_tmp_dir() == tempfile.gettempdir()
-
-    def test_path_like_spec(self, tmp_path):
-        assert tmpfiles.resolve_tmp_dir(tmp_path) == str(tmp_path)
 
 
 class TestArtifactCreation:

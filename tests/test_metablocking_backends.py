@@ -1,10 +1,10 @@
-"""Unit tests of the kernel backend layer (selection rules + fast paths).
+"""Unit tests of the kernel backend layer (the vectorised fast paths).
 
 The cross-backend *output* equivalence lives in the grid of
-``test_metablocking_equivalence.py``; this module pins the selection
-contract (explicit spec > ``REPRO_KERNEL_BACKEND`` > auto), the failure
-modes, and the vectorised pruning helpers against their scalar references
-on adversarial weight maps (duplicate weights, zeros, tie-heavy).
+``test_metablocking_equivalence.py`` and the backend selection contract in
+``test_options.py``; this module pins the vectorised pruning helpers against
+their scalar references on adversarial weight maps (duplicate weights,
+zeros, tie-heavy).
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ import random
 
 import pytest
 
-from repro.exceptions import MetaBlockingError
 from repro.metablocking import backends
-from repro.metablocking.backends import numpy_available, resolve_backend_name
+from repro.metablocking.backends import numpy_available
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.pruning import (
     CardinalityEdgePruning,
@@ -24,45 +23,11 @@ from repro.metablocking.pruning import (
     WeightedEdgePruning,
     WeightedNodePruning,
 )
+from repro.options import EngineOptions
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend requires numpy"
 )
-
-
-class TestBackendResolution:
-    def test_explicit_python_always_wins(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "numpy")
-        assert resolve_backend_name("python") == "python"
-
-    def test_auto_prefers_numpy_when_available(self):
-        expected = "numpy" if numpy_available() else "python"
-        assert resolve_backend_name("auto") == expected
-        assert resolve_backend_name(None) in ("python", "numpy")
-
-    def test_env_var_is_consulted_when_no_spec_given(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "python")
-        assert resolve_backend_name(None) == "python"
-        assert resolve_backend_name("") == "python"
-
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(MetaBlockingError, match="unknown kernel backend"):
-            resolve_backend_name("fortran")
-        with pytest.raises(MetaBlockingError, match="must be a string"):
-            resolve_backend_name(7)  # type: ignore[arg-type]
-
-    def test_numpy_request_fails_loudly_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(backends, "_numpy_checked", True)
-        monkeypatch.setattr(backends, "_numpy_module", None)
-        with pytest.raises(MetaBlockingError, match="not importable"):
-            resolve_backend_name("numpy")
-        # auto degrades silently to the interpreted kernel instead.
-        assert resolve_backend_name("auto") == "python"
-
-    def test_index_resolves_and_exposes_its_backend(self):
-        assert CSRBlockIndex(backend="python").backend == "python"
-        resolved = CSRBlockIndex().backend
-        assert resolved == ("numpy" if numpy_available() else "python")
 
 
 def _random_weights(seed: int, num_nodes: int = 60, num_edges: int = 400):
@@ -162,7 +127,7 @@ class TestVectorisedPruningFastPaths:
 
         weights = _random_weights(5)
         table = _table_from(weights)
-        index = CSRBlockIndex(backend="python")
+        index = CSRBlockIndex(EngineOptions.resolve(kernel_backend="python"))
         assert not backends.supports_strategy(Custom())
         assert backends.prune_edge_weights(Custom(), table, index) is None
 
@@ -182,10 +147,10 @@ class TestVectorisedPruningFastPaths:
         for i in range(12):
             blocks.add(Block(key=f"b{i}", profiles_source0=set(range(i, i + 4))))
         python_run = MetaBlocker(
-            "cbs", InfThresholds(), kernel_backend="python"
+            "cbs", InfThresholds(), options=EngineOptions.resolve(kernel_backend="python")
         ).run(blocks)
         numpy_run = MetaBlocker(
-            "cbs", InfThresholds(), kernel_backend="numpy"
+            "cbs", InfThresholds(), options=EngineOptions.resolve(kernel_backend="numpy")
         ).run(blocks)
         assert python_run.retained_edges == numpy_run.retained_edges == {}
 

@@ -33,9 +33,12 @@ from repro.metablocking.progressive import (
     ProgressiveSortedComparisons,
 )
 from repro.metablocking.pruning import CardinalityNodePruning
+from repro.options import EngineOptions
 
 WEIGHTINGS = ["cbs", "js", "arcs", "ecbs", "ejs"]
 PRUNINGS = ["wep", "cep", "wnp", "rwnp", "cnp", "rcnp"]
+
+opts = EngineOptions.resolve
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend requires numpy"
@@ -209,11 +212,11 @@ class TestBackendGridEquivalence:
     def test_sequential_clean_clean(self, clean_blocks, weighting, pruning, use_entropy):
         reference = MetaBlocker(
             weighting, _make_pruning(pruning), use_entropy=use_entropy,
-            kernel_backend="python",
+            options=opts(kernel_backend="python"),
         ).run(clean_blocks)
         vectorised = MetaBlocker(
             weighting, _make_pruning(pruning), use_entropy=use_entropy,
-            kernel_backend="numpy",
+            options=opts(kernel_backend="numpy"),
         ).run(clean_blocks)
         assert vectorised.retained_edges == reference.retained_edges
         assert vectorised.candidate_pairs == reference.candidate_pairs
@@ -226,11 +229,11 @@ class TestBackendGridEquivalence:
     def test_sequential_dirty(self, dirty_blocks, weighting, pruning, use_entropy):
         reference = MetaBlocker(
             weighting, _make_pruning(pruning), use_entropy=use_entropy,
-            kernel_backend="python",
+            options=opts(kernel_backend="python"),
         ).run(dirty_blocks)
         vectorised = MetaBlocker(
             weighting, _make_pruning(pruning), use_entropy=use_entropy,
-            kernel_backend="numpy",
+            options=opts(kernel_backend="numpy"),
         ).run(dirty_blocks)
         assert vectorised.retained_edges == reference.retained_edges
 
@@ -241,14 +244,14 @@ class TestBackendGridEquivalence:
     ):
         reference = MetaBlocker(
             weighting, _make_pruning(pruning), use_entropy=True,
-            kernel_backend="python",
+            options=opts(kernel_backend="python"),
         ).run(clean_blocks)
         parallel = ParallelMetaBlocker(
             EngineContext(4),
             weighting,
             _make_pruning(pruning),
             use_entropy=True,
-            kernel_backend="numpy",
+            options=opts(kernel_backend="numpy"),
         ).run(clean_blocks)
         assert parallel.retained_edges == reference.retained_edges
 
@@ -260,11 +263,11 @@ class TestBackendGridEquivalence:
         # The reverse pin: an explicit python backend must stay available
         # (and equivalent) even when numpy is importable.
         reference = MetaBlocker(
-            weighting, _make_pruning(pruning), kernel_backend="python"
+            weighting, _make_pruning(pruning), options=opts(kernel_backend="python")
         ).run(clean_blocks)
         parallel = ParallelMetaBlocker(
             EngineContext(4), weighting, _make_pruning(pruning),
-            kernel_backend="python",
+            options=opts(kernel_backend="python"),
         ).run(clean_blocks)
         assert parallel.retained_edges == reference.retained_edges
 
@@ -276,13 +279,13 @@ class TestBackendGridEquivalence:
         # Process workers attach the shared-memory index; the retained
         # edges must still equal the interpreted single-process reference.
         reference = MetaBlocker(
-            weighting, _make_pruning(pruning), kernel_backend="python"
+            weighting, _make_pruning(pruning), options=opts(kernel_backend="python")
         ).run(dirty_blocks)
         parallel = ParallelMetaBlocker(
             EngineContext(4, executor=process_executor),
             weighting,
             _make_pruning(pruning),
-            kernel_backend="numpy",
+            options=opts(kernel_backend="numpy"),
         ).run(dirty_blocks)
         assert parallel.retained_edges == reference.retained_edges
 
@@ -294,8 +297,12 @@ class TestBackendGridEquivalence:
             if strategy == "global"
             else ProgressiveNodeScheduling
         )
-        python_ranking = cls(weighting, kernel_backend="python").rank(clean_blocks)
-        numpy_ranking = cls(weighting, kernel_backend="numpy").rank(clean_blocks)
+        python_ranking = cls(weighting, options=opts(kernel_backend="python")).rank(
+            clean_blocks
+        )
+        numpy_ranking = cls(weighting, options=opts(kernel_backend="numpy")).rank(
+            clean_blocks
+        )
         assert numpy_ranking == python_ranking
 
 
@@ -317,11 +324,11 @@ class TestBufferBackendGridEquivalence:
     def test_sequential_clean_clean(self, clean_blocks, kernel, weighting, pruning):
         reference = MetaBlocker(
             weighting, _make_pruning(pruning), use_entropy=True,
-            kernel_backend=kernel, buffer_backend="ram",
+            options=opts(kernel_backend=kernel, buffer_backend="ram"),
         ).run(clean_blocks)
         memmap = MetaBlocker(
             weighting, _make_pruning(pruning), use_entropy=True,
-            kernel_backend=kernel, buffer_backend="memmap",
+            options=opts(kernel_backend=kernel, buffer_backend="memmap"),
         ).run(clean_blocks)
         assert memmap.retained_edges == reference.retained_edges
         assert memmap.candidate_pairs == reference.candidate_pairs
@@ -334,11 +341,11 @@ class TestBufferBackendGridEquivalence:
     def test_sequential_dirty(self, dirty_blocks, kernel, weighting, pruning):
         reference = MetaBlocker(
             weighting, _make_pruning(pruning),
-            kernel_backend=kernel, buffer_backend="ram",
+            options=opts(kernel_backend=kernel, buffer_backend="ram"),
         ).run(dirty_blocks)
         memmap = MetaBlocker(
             weighting, _make_pruning(pruning),
-            kernel_backend=kernel, buffer_backend="memmap",
+            options=opts(kernel_backend=kernel, buffer_backend="memmap"),
         ).run(dirty_blocks)
         assert memmap.retained_edges == reference.retained_edges
 
@@ -353,7 +360,7 @@ class TestBufferBackendGridEquivalence:
             weighting,
             _make_pruning(pruning),
             use_entropy=True,
-            buffer_backend="memmap",
+            options=opts(buffer_backend="memmap"),
         ).run(clean_blocks)
         assert memmap.retained_edges == reference.retained_edges
         assert memmap.candidate_pairs == reference.candidate_pairs
@@ -369,7 +376,7 @@ class TestBufferBackendGridEquivalence:
             EngineContext(4, executor=process_executor),
             weighting,
             _make_pruning(pruning),
-            buffer_backend="memmap",
+            options=opts(buffer_backend="memmap"),
         ).run(dirty_blocks)
         assert parallel.retained_edges == reference.retained_edges
 
@@ -383,7 +390,7 @@ class TestBufferBackendGridEquivalence:
         streamed = [
             edge
             for chunk in MetaBlocker(
-                "ejs", "wnp", use_entropy=True, buffer_backend="memmap"
+                "ejs", "wnp", use_entropy=True, options=opts(buffer_backend="memmap")
             ).stream_retained(clean_blocks, chunk_edges=chunk_edges)
             for edge in chunk
         ]
@@ -394,7 +401,7 @@ class TestBufferBackendGridEquivalence:
 
         blocks = _random_clean_collection(seed=404)
         MetaBlocker(
-            "cbs", "wnp", buffer_backend="memmap", tmp_dir=str(tmp_path)
+            "cbs", "wnp", options=opts(buffer_backend="memmap", tmp_dir=str(tmp_path))
         ).run(blocks)
         assert tmpfiles.live_artifacts("csrbuf") == []
         assert list(tmp_path.iterdir()) == []

@@ -29,6 +29,7 @@ from repro.metablocking.index import (
 )
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.progressive import ProgressiveSortedComparisons
+from repro.options import EngineOptions
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend requires numpy"
@@ -59,13 +60,11 @@ def _random_profiles(count: int, *, clean_clean: bool, seed: int, start_id: int 
     return profiles
 
 
-def _batch_index(profiles, *, clean_clean, backend, buffer_backend, tmp_dir=None):
+def _batch_index(profiles, *, clean_clean, options):
     union = ProfileCollection(profiles)
     blocks = TokenBlocking().block(union)
     assert blocks.clean_clean == clean_clean or not profiles
-    return CSRBlockIndex.from_blocks(
-        blocks, backend=backend, buffer_backend=buffer_backend, tmp_dir=tmp_dir
-    )
+    return CSRBlockIndex.from_blocks(blocks, options)
 
 
 def _assert_bit_identical(built: CSRBlockIndex, reference: CSRBlockIndex):
@@ -86,23 +85,15 @@ class TestCompactionParity:
     ):
         """Multi-batch append + compact ≡ one from-scratch build (bit-for-bit)."""
         profiles = _random_profiles(90, clean_clean=clean_clean, seed=7)
-        incremental = IncrementalBlockIndex(
-            clean_clean=clean_clean,
-            backend=kernel,
-            buffer_backend=buffer_backend,
-            tmp_dir=str(tmp_path),
+        options = EngineOptions.resolve(
+            kernel_backend=kernel, buffer_backend=buffer_backend, tmp_dir=str(tmp_path)
         )
+        incremental = IncrementalBlockIndex(clean_clean=clean_clean, options=options)
         try:
             for start in range(0, len(profiles), 25):
                 incremental.append_profiles(profiles[start : start + 25])
             built = incremental.materialise()
-            reference = _batch_index(
-                profiles,
-                clean_clean=clean_clean,
-                backend=kernel,
-                buffer_backend=buffer_backend,
-                tmp_dir=str(tmp_path),
-            )
+            reference = _batch_index(profiles, clean_clean=clean_clean, options=options)
             try:
                 _assert_bit_identical(built, reference)
             finally:
@@ -115,19 +106,13 @@ class TestCompactionParity:
     ):
         """Compacting after every batch equals compacting once at the end."""
         profiles = _random_profiles(60, clean_clean=clean_clean, seed=11)
+        options = EngineOptions.resolve(
+            kernel_backend=kernel, buffer_backend=buffer_backend, tmp_dir=str(tmp_path)
+        )
         eager = IncrementalBlockIndex(
-            clean_clean=clean_clean,
-            compact_every=10,
-            backend=kernel,
-            buffer_backend=buffer_backend,
-            tmp_dir=str(tmp_path),
+            clean_clean=clean_clean, compact_every=10, options=options
         )
-        lazy = IncrementalBlockIndex(
-            clean_clean=clean_clean,
-            backend=kernel,
-            buffer_backend=buffer_backend,
-            tmp_dir=str(tmp_path),
-        )
+        lazy = IncrementalBlockIndex(clean_clean=clean_clean, options=options)
         try:
             for start in range(0, len(profiles), 15):
                 batch = profiles[start : start + 15]
@@ -145,7 +130,8 @@ class TestCompactionParity:
 def test_append_then_query_equals_batch_query_on_union(kernel):
     """Meta-blocking and progressive streams agree with the batch union run."""
     profiles = _random_profiles(80, clean_clean=False, seed=23)
-    incremental = IncrementalBlockIndex(backend=kernel)
+    options = EngineOptions.resolve(kernel_backend=kernel)
+    incremental = IncrementalBlockIndex(options=options)
     try:
         incremental.append_profiles(profiles[:50])
         incremental.materialise()  # query between appends, then grow
@@ -154,17 +140,17 @@ def test_append_then_query_equals_batch_query_on_union(kernel):
 
         union = ProfileCollection(profiles)
         blocks = TokenBlocking().block(union)
-        batch = MetaBlocker("js", "wnp", kernel_backend=kernel).run(blocks)
+        batch = MetaBlocker("js", "wnp", options=options).run(blocks)
 
         from repro.metablocking.graph import blocking_graph_from_index
 
         graph = blocking_graph_from_index(
             index, clean_clean=False, num_blocks=index.total_blocks
         )
-        served = MetaBlocker("js", "wnp", kernel_backend=kernel).run_on_graph(graph)
+        served = MetaBlocker("js", "wnp", options=options).run_on_graph(graph)
         assert served.retained_edges == batch.retained_edges
 
-        progressive = ProgressiveSortedComparisons("cbs", kernel_backend=kernel)
+        progressive = ProgressiveSortedComparisons("cbs", options=options)
         assert list(progressive.stream_index(index)) == list(
             progressive.stream(blocks)
         )
@@ -261,7 +247,7 @@ class TestCloseHardening:
         from repro.engine import tmpfiles
 
         incremental = IncrementalBlockIndex(
-            buffer_backend="memmap", tmp_dir=str(tmp_path)
+            options=EngineOptions.resolve(buffer_backend="memmap", tmp_dir=str(tmp_path))
         )
         profile = EntityProfile(0, "a")
         profile.add("name", "alpha bravo")

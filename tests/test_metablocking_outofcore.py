@@ -42,6 +42,9 @@ from repro.metablocking.index import _SHARED_FIELDS, CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
 from repro.metablocking.pruning import WeightedNodePruning
+from repro.options import EngineOptions
+
+opts = EngineOptions.resolve
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="memmap buffer backend requires numpy"
@@ -127,7 +130,7 @@ class TestStreamedEmission:
     def test_iter_retained_chunks_rejects_nonpositive_chunk(self, blocks):
         from repro.metablocking import backends
 
-        index = CSRBlockIndex.from_blocks(blocks, backend="numpy")
+        index = CSRBlockIndex.from_blocks(blocks, opts(kernel_backend="numpy"))
         plan = index.weight_plan("cbs", False)
         table = index.kernel().weight_arrays(plan)
         positions = backends.retained_positions(
@@ -142,7 +145,7 @@ class TestStreamedEmission:
 class TestMemmapLifecycle:
     def test_buffer_file_lives_under_tmp_dir_until_close(self, blocks, tmp_path):
         index = CSRBlockIndex.from_blocks(
-            blocks, buffer_backend="memmap", tmp_dir=str(tmp_path)
+            blocks, opts(buffer_backend="memmap", tmp_dir=str(tmp_path))
         )
         path = index.memmap_path
         assert path is not None
@@ -157,7 +160,7 @@ class TestMemmapLifecycle:
 
     def test_gc_finalizer_removes_file(self, blocks, tmp_path):
         index = CSRBlockIndex.from_blocks(
-            blocks, buffer_backend="memmap", tmp_dir=str(tmp_path)
+            blocks, opts(buffer_backend="memmap", tmp_dir=str(tmp_path))
         )
         path = index.memmap_path
         assert os.path.exists(path)
@@ -166,15 +169,15 @@ class TestMemmapLifecycle:
         assert not os.path.exists(path)
 
     def test_ram_backend_has_no_file(self, blocks):
-        index = CSRBlockIndex.from_blocks(blocks, buffer_backend="ram")
+        index = CSRBlockIndex.from_blocks(blocks, opts(buffer_backend="ram"))
         assert index.buffer_backend == "ram"
         assert index.memmap_path is None
         index.close()  # must be a safe no-op
 
     def test_memmap_vectors_equal_ram_vectors(self, blocks, tmp_path):
-        ram = CSRBlockIndex.from_blocks(blocks, buffer_backend="ram")
+        ram = CSRBlockIndex.from_blocks(blocks, opts(buffer_backend="ram"))
         memmap = CSRBlockIndex.from_blocks(
-            blocks, buffer_backend="memmap", tmp_dir=str(tmp_path)
+            blocks, opts(buffer_backend="memmap", tmp_dir=str(tmp_path))
         )
         try:
             assert memmap.node_ids == ram.node_ids
@@ -185,7 +188,7 @@ class TestMemmapLifecycle:
 
     def test_pickle_round_trip_restores_private_ram_copy(self, blocks, tmp_path):
         index = CSRBlockIndex.from_blocks(
-            blocks, buffer_backend="memmap", tmp_dir=str(tmp_path)
+            blocks, opts(buffer_backend="memmap", tmp_dir=str(tmp_path))
         )
         try:
             clone = pickle.loads(pickle.dumps(index))
@@ -205,7 +208,8 @@ class TestMemmapLifecycle:
         from repro.metablocking import sharedmem
 
         index = CSRBlockIndex.from_blocks(
-            blocks, backend="numpy", buffer_backend="memmap", tmp_dir=str(tmp_path)
+            blocks,
+            opts(kernel_backend="numpy", buffer_backend="memmap", tmp_dir=str(tmp_path)),
         )
         reference = MetaBlocker("cbs", "wnp").run(blocks).retained_edges
         try:
@@ -229,13 +233,15 @@ class TestMemmapLifecycle:
             "import os, random, sys\n"
             "from repro.blocking.block import Block, BlockCollection\n"
             "from repro.metablocking.index import CSRBlockIndex\n"
+            "from repro.options import EngineOptions\n"
             "rng = random.Random(3)\n"
             "blocks = BlockCollection(clean_clean=False)\n"
             "for i in range(40):\n"
             "    blocks.add(Block(key=str(i),\n"
             "        profiles_source0={rng.randrange(30) for _ in range(3)}))\n"
             "index = CSRBlockIndex.from_blocks(\n"
-            "    blocks, buffer_backend='memmap', tmp_dir=sys.argv[1])\n"
+            "    blocks, EngineOptions.resolve(\n"
+            "        buffer_backend='memmap', tmp_dir=sys.argv[1]))\n"
             "print(index.memmap_path, flush=True)\n"
             "os._exit(0)\n"
         )
@@ -251,11 +257,92 @@ class TestMemmapLifecycle:
 
     def test_run_with_memmap_leaves_no_artifacts(self, blocks, tmp_path):
         result = MetaBlocker(
-            "ecbs", "cep", buffer_backend="memmap", tmp_dir=str(tmp_path)
+            "ecbs", "cep", options=opts(buffer_backend="memmap", tmp_dir=str(tmp_path))
         ).run(blocks)
         assert result.num_candidates > 0
         assert tmpfiles.live_artifacts("csrbuf") == []
         assert list(tmp_path.iterdir()) == []
+
+
+@needs_numpy
+class TestTmpRootReachesEveryIndexBuilder:
+    """An explicit temp root is honoured by every path that builds a CSR index.
+
+    Before options were handed down as one value, the progressive stage, the
+    service's cold sweep and ``build_blocking_graph`` dropped ``tmp_dir`` on
+    the way to the index, so a memmap buffer landed in the platform temp dir
+    instead of the requested root.
+    """
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The ``csrbuf`` artifacts alive whenever a kernel is handed out."""
+        seen: list[str] = []
+        kernel = CSRBlockIndex.kernel
+
+        def spying_kernel(index):
+            seen.extend(tmpfiles.live_artifacts("csrbuf"))
+            return kernel(index)
+
+        monkeypatch.setattr(CSRBlockIndex, "kernel", spying_kernel)
+        return seen
+
+    @staticmethod
+    def _assert_under_root_and_gone(seen, root):
+        assert seen, "no memmap buffer was alive during the run"
+        assert {os.path.dirname(path) for path in seen} == {str(root)}
+        assert tmpfiles.live_artifacts("csrbuf") == []
+        assert list(root.iterdir()) == []
+
+    @pytest.mark.parametrize("strategy", ["global", "node"])
+    def test_progressive_stage(self, strategy, seen, tmp_path):
+        from repro.pipeline import Pipeline
+
+        dataset = generate_abt_buy_like(SyntheticConfig(num_entities=30, seed=3))
+        pipeline = Pipeline.from_spec(
+            {
+                "engine": {"buffer_backend": "memmap", "tmp_dir": str(tmp_path)},
+                "stages": [
+                    "token_blocking",
+                    {"stage": "progressive_meta_blocking",
+                     "params": {"strategy": strategy, "budget": 50}},
+                ],
+            }
+        )
+        result = pipeline.run(dataset.profiles)
+        assert len(result.candidate_pairs) == 50
+        self._assert_under_root_and_gone(seen, tmp_path)
+
+    @pytest.mark.parametrize("progressive", ["sorted", "node"])
+    def test_service_collection_cold_sweep(self, progressive, seen, tmp_path):
+        from repro.service.collection import CollectionConfig, ServiceCollection
+
+        collection = ServiceCollection(
+            CollectionConfig(
+                name="tenant", buffer_backend="memmap", tmp_dir=str(tmp_path),
+                progressive=progressive,
+            )
+        )
+        try:
+            collection.ingest(
+                {"profiles": [
+                    {"attributes": {"name": f"alpha bravo {i % 3}"}} for i in range(12)
+                ]}
+            )
+            assert collection.matches(0, 5)["scheduled"] == 5
+            assert collection.candidates(0)["candidates"]
+        finally:
+            collection.close()
+        self._assert_under_root_and_gone(seen, tmp_path)
+
+    def test_build_blocking_graph(self, blocks, seen, tmp_path):
+        from repro.metablocking.graph import build_blocking_graph
+
+        graph = build_blocking_graph(
+            blocks, opts(buffer_backend="memmap", tmp_dir=str(tmp_path))
+        )
+        assert graph.num_edges > 0
+        self._assert_under_root_and_gone(seen, tmp_path)
 
 
 class TestLazyGenerators:

@@ -12,41 +12,12 @@ from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.engine.context import EngineContext
 from repro.metablocking.metablocker import MetaBlocker
-from repro.metablocking.parallel import CompactBlockIndex, ParallelMetaBlocker
+from repro.metablocking.parallel import ParallelMetaBlocker
 
 
 def _prepared_blocks(dataset):
     raw = TokenBlocking().block(dataset.profiles)
     return BlockFiltering().filter(BlockPurging().purge(raw, len(dataset.profiles)))
-
-
-class TestCompactBlockIndex:
-    def test_profile_blocks_and_members(self, abt_buy_small):
-        blocks = _prepared_blocks(abt_buy_small)
-        index = CompactBlockIndex.from_blocks(blocks)
-        assert index.num_blocks == len([b for b in blocks if b.num_comparisons() > 0])
-        assert index.clean_clean
-        some_profile = next(iter(index.profile_blocks))
-        assert len(index.blocks_of(some_profile)) >= 1
-
-    def test_neighbourhood_matches_graph(self, abt_buy_small):
-        from repro.metablocking.graph import build_blocking_graph
-
-        blocks = _prepared_blocks(abt_buy_small)
-        index = CompactBlockIndex.from_blocks(blocks)
-        graph = build_blocking_graph(blocks)
-        node = next(iter(graph.blocks_per_profile))
-        expected = graph.neighbors(node)
-        actual = index.neighbourhood(node)
-        assert set(actual) == set(expected)
-        for other, info in actual.items():
-            assert info.common_blocks == expected[other].common_blocks
-
-    def test_dirty_neighbourhood_excludes_self(self, dirty_persons_small):
-        blocks = _prepared_blocks(dirty_persons_small)
-        index = CompactBlockIndex.from_blocks(blocks)
-        node = next(iter(index.profile_blocks))
-        assert node not in index.neighbourhood(node)
 
 
 class TestParallelSequentialEquivalence:

@@ -40,6 +40,10 @@ from repro.metablocking.parallel import (
     _WeightedNodeVotes,
 )
 from repro.metablocking.weights import WeightingScheme
+from repro.options import EngineOptions
+
+
+opts = EngineOptions.resolve
 
 
 def _roundtrip(obj):
@@ -265,14 +269,14 @@ class TestCSRIndexPickling:
             assert copied == original
 
     def test_backend_choice_survives_the_roundtrip(self):
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="python")
+        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="python"))
         assert _roundtrip(index).backend == "python"
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy backend requires numpy")
 class TestNumpyIndexPickling:
     def test_numpy_backend_roundtrip_matches_python_results(self):
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="numpy")
+        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="numpy"))
         index.degree_vector()
         clone = _roundtrip(index)
         assert clone.backend == "numpy"
@@ -283,8 +287,8 @@ class TestNumpyIndexPickling:
     def test_shared_memory_roundtrip_is_zero_copy_and_identical(self):
         import numpy as np
 
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="numpy")
-        reference = CSRBlockIndex.from_blocks(_small_blocks(), backend="python")
+        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="numpy"))
+        reference = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="python"))
         index.export_shared()
         try:
             payload = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
@@ -306,7 +310,7 @@ class TestNumpyIndexPickling:
     def test_release_unlinks_the_segment(self):
         from repro.metablocking.sharedmem import live_segments
 
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="numpy")
+        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="numpy"))
         handle = index.export_shared()
         assert handle.name in live_segments()
         index.release_shared()
@@ -322,7 +326,7 @@ class TestNumpyIndexPickling:
 
         from repro.metablocking.sharedmem import live_segments
 
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="numpy")
+        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="numpy"))
         name = index.export_shared().name
         assert name in live_segments()
         del index
@@ -333,7 +337,7 @@ class TestNumpyIndexPickling:
         from repro.metablocking.sharedmem import live_segments
 
         context = EngineContext(2)
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="numpy")
+        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="numpy"))
         index.export_shared()
         context.broadcast(index)
         assert live_segments()
@@ -363,10 +367,12 @@ class TestNumpyIndexPickling:
         dataset = generate_abt_buy_like(SyntheticConfig(num_entities=40, seed=7))
         raw = TokenBlocking().block(dataset.profiles)
         blocks = BlockFiltering().filter(BlockPurging().purge(raw, len(dataset.profiles)))
-        reference = MetaBlocker("cbs", "wnp", kernel_backend="python").run(blocks)
+        reference = MetaBlocker(
+            "cbs", "wnp", options=opts(kernel_backend="python")
+        ).run(blocks)
         with EngineContext(4, executor="process:2") as context:
             result = ParallelMetaBlocker(
-                context, "cbs", "wnp", kernel_backend="numpy"
+                context, "cbs", "wnp", options=opts(kernel_backend="numpy")
             ).run(blocks)
             # Run-scoped lifecycle: the segment is already unlinked when the
             # run returns, not merely at context shutdown.
@@ -390,13 +396,15 @@ class TestMetaBlockingTaskFunctions:
     @pytest.mark.skipif(not numpy_available(), reason="numpy backend requires numpy")
     def test_partition_edge_weigher_roundtrip_matches_per_node_emission(self):
         context = EngineContext(2)
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="numpy")
+        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="numpy"))
         index.degree_vector()
         broadcast = context.broadcast(index)
         weigher = _roundtrip(
             _PartitionEdgeWeigher(broadcast, WeightingScheme.EJS, True)
         )
-        python_index = CSRBlockIndex.from_blocks(_small_blocks(), backend="python")
+        python_index = CSRBlockIndex.from_blocks(
+            _small_blocks(), opts(kernel_backend="python")
+        )
         python_broadcast = context.broadcast(python_index)
         per_node = _EdgeWeigher(python_broadcast, WeightingScheme.EJS, True)
         expected = [record for pid in index.node_ids for record in per_node(pid)]

@@ -18,9 +18,12 @@ from repro.data.dataset import ProfileCollection
 from repro.metablocking.backends import numpy_available
 from repro.metablocking.index import IncrementalBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
+from repro.options import EngineOptions
 from repro.service.delta import DeltaMetaBlocker
 
 from tests.test_metablocking_incremental import _random_profiles
+
+opts = EngineOptions.resolve
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend requires numpy"
@@ -38,7 +41,7 @@ GLOBAL_GRID = [("ecbs", "wnp"), ("ejs", "cnp"), ("cbs", "wep"), ("js", "cep")]
 def _batch_retained(profiles, weighting, pruning, *, clean_clean, kernel):
     blocks = TokenBlocking().block(ProfileCollection(profiles))
     assert blocks.clean_clean == clean_clean
-    return MetaBlocker(weighting, pruning, kernel_backend=kernel).run(
+    return MetaBlocker(weighting, pruning, options=opts(kernel_backend=kernel)).run(
         blocks
     ).retained_edges
 
@@ -52,7 +55,9 @@ def _run_append_sequence(weighting, pruning, *, clean_clean, kernel, seed=19):
     """
     profiles = _random_profiles(75, clean_clean=clean_clean, seed=seed)
     batches = [profiles[:30], profiles[30:55], profiles[55:]]
-    incremental = IncrementalBlockIndex(clean_clean=clean_clean, backend=kernel)
+    incremental = IncrementalBlockIndex(
+        clean_clean=clean_clean, options=opts(kernel_backend=kernel)
+    )
     delta = DeltaMetaBlocker(weighting, pruning)
     try:
         ingested = []
