@@ -10,6 +10,7 @@ following Papadakis et al.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.blocking.block import Block, BlockCollection
@@ -36,35 +37,48 @@ class BlockFiltering:
 
     def filter(self, blocks: BlockCollection) -> BlockCollection:
         """Return a new collection where oversized memberships are dropped."""
-        # Order blocks by comparison cardinality (ascending = "smallest first").
-        order = sorted(
-            range(len(blocks)), key=lambda i: (blocks[i].num_comparisons(), blocks[i].size)
+        # Once per block: its cardinality, and a count for each profile in it
+        # (a profile listed on both sides of a block is in that block once).
+        cardinality, block_counts = [], Counter()
+        for block in blocks:
+            source0, source1 = block.profiles_source0, block.profiles_source1
+            cardinality.append((block.num_comparisons(), len(source0) + len(source1)))
+            block_counts.update(source0)
+            block_counts.update(source1 - source0)
+        # How many blocks each profile may stay in.
+        ratio = self.ratio
+        quota = {
+            profile_id: max(1, math.ceil(ratio * count))
+            for profile_id, count in block_counts.items()
+        }
+
+        def take(profile_ids: set[int]) -> set[int]:
+            staying = set()
+            for profile_id in profile_ids:
+                left = quota[profile_id]
+                if left:
+                    quota[profile_id] = left - 1
+                    staying.add(profile_id)
+            return staying
+
+        # Visit blocks smallest first (comparison cardinality, then size, then
+        # position): a profile stays in the blocks that reach it while its
+        # quota lasts, i.e. in its smallest ones.
+        kept: list[Block | None] = [None] * len(blocks)
+        for index in sorted(range(len(blocks)), key=cardinality.__getitem__):
+            block = blocks[index]
+            source0, source1 = block.profiles_source0, block.profiles_source1
+            keep0 = take(source0)
+            if source0.isdisjoint(source1):
+                keep1 = take(source1)
+            else:  # a profile listed on both sides stays on both or on neither
+                keep1 = take(source1 - source0) | (source1 & keep0)
+            clean_clean = block.is_clean_clean
+            if (keep0 and keep1) if clean_clean else len(keep0) > 1:
+                kept[index] = Block(block.key, keep0, keep1, block.entropy, clean_clean)
+        return BlockCollection(
+            (block for block in kept if block is not None), clean_clean=blocks.clean_clean
         )
-        rank = {block_index: position for position, block_index in enumerate(order)}
-
-        # For each profile, rank the blocks it appears in by size and keep the
-        # smallest ceil(ratio * count).
-        profile_blocks = blocks.profile_index()
-        keep: dict[int, set[int]] = {}
-        for profile_id, block_indices in profile_blocks.items():
-            limit = max(1, math.ceil(self.ratio * len(block_indices)))
-            ranked = sorted(block_indices, key=lambda i: rank[i])
-            keep[profile_id] = set(ranked[:limit])
-
-        filtered = BlockCollection(clean_clean=blocks.clean_clean)
-        for block_index, block in enumerate(blocks):
-            new_block = Block(
-                key=block.key, entropy=block.entropy, clean_clean=block.is_clean_clean
-            )
-            for profile_id in block.profiles_source0:
-                if block_index in keep.get(profile_id, ()):
-                    new_block.profiles_source0.add(profile_id)
-            for profile_id in block.profiles_source1:
-                if block_index in keep.get(profile_id, ()):
-                    new_block.profiles_source1.add(profile_id)
-            if new_block.is_valid():
-                filtered.add(new_block)
-        return filtered
 
     def __call__(self, blocks: BlockCollection) -> BlockCollection:
         return self.filter(blocks)

@@ -12,11 +12,12 @@ meta-blocking later uses to re-weight edges.
 
 from __future__ import annotations
 
-from repro.blocking.base import Blocker
-from repro.blocking.block import Block, BlockCollection
+from repro.blocking.base import Blocker, block_by_keys
+from repro.blocking.block import BlockCollection
 from repro.data.dataset import ProfileCollection
 from repro.engine.context import EngineContext
 from repro.looseschema.attribute_partitioning import AttributePartitioning
+from repro.utils.tokenize import tokenize
 
 
 class LooseSchemaTokenBlocking(Blocker):
@@ -51,91 +52,41 @@ class LooseSchemaTokenBlocking(Blocker):
         self.remove_stopwords = remove_stopwords
         self.engine = engine
 
-    # ------------------------------------------------------------------ public
     def block(self, profiles: ProfileCollection) -> BlockCollection:
-        """Build one block per ``token_clusterId`` key."""
-        if self.engine is not None:
-            return self._block_distributed(profiles)
-        return self._block_local(profiles)
+        """Build one block per ``token_clusterId`` key.
 
-    def key_for(self, token: str, attribute: str) -> str:
-        """Return the loose-schema blocking key of ``token`` in ``attribute``."""
-        cluster_id = self.partitioning.cluster_of(attribute)
-        return f"{token}_{cluster_id}"
-
-    # ----------------------------------------------------------------- helpers
-    def _entropy_of_key(self, key: str) -> float:
-        cluster_id = int(key.rsplit("_", 1)[1])
-        return self.cluster_entropies.get(cluster_id, 1.0)
-
-    def _build_collection(
-        self,
-        grouped: dict[str, list[tuple[int, int]]],
-        clean_clean: bool,
-    ) -> BlockCollection:
-        collection = BlockCollection(clean_clean=clean_clean)
-        for key in sorted(grouped):
-            block = Block(
-                key=key, entropy=self._entropy_of_key(key), clean_clean=clean_clean
-            )
-            for profile_id, source_id in grouped[key]:
-                if clean_clean and source_id == 1:
-                    block.profiles_source1.add(profile_id)
-                else:
-                    block.profiles_source0.add(profile_id)
-            if block.is_valid():
-                collection.add(block)
-        return collection
-
-    def _keyed_tokens(self, profiles: ProfileCollection) -> list[tuple[str, tuple[int, int]]]:
-        pairs: list[tuple[str, tuple[int, int]]] = []
-        for profile in profiles:
-            seen: set[str] = set()
-            for attribute, token in profile.attribute_tokens(
-                min_length=self.min_token_length,
-                remove_stopwords=self.remove_stopwords,
-            ):
-                key = self.key_for(token, attribute)
-                if key in seen:
-                    continue
-                seen.add(key)
-                pairs.append((key, (profile.profile_id, profile.source_id)))
-        return pairs
-
-    def _block_local(self, profiles: ProfileCollection) -> BlockCollection:
-        grouped: dict[str, list[tuple[int, int]]] = {}
-        for key, member in self._keyed_tokens(profiles):
-            grouped.setdefault(key, []).append(member)
-        return self._build_collection(grouped, profiles.is_clean_clean)
-
-    def _block_distributed(self, profiles: ProfileCollection) -> BlockCollection:
-        """Loose-schema blocking as a flatMap + groupByKey job on the engine.
-
-        The attribute → cluster mapping is shipped to tasks as a broadcast
-        variable, exactly as SparkER broadcasts the loose-schema information.
+        An attribute's cluster is resolved by ``(source_id, attribute)``, the
+        way the entropy extractor resolves it, on the driver and on the engine
+        (where the mapping is shipped to tasks as a broadcast variable, exactly
+        as SparkER broadcasts the loose-schema information).
         """
-        assert self.engine is not None
-        mapping_broadcast = self.engine.broadcast(self.partitioning.attribute_to_cluster())
+        mapping = self.partitioning.cluster_by_attribute()
+        shipped = self.engine.broadcast(mapping) if self.engine is not None else None
         blob_id = self.partitioning.blob_cluster_id
         min_length = self.min_token_length
         remove_stopwords = self.remove_stopwords
+        entropies = self.cluster_entropies
 
-        def keyed(profile) -> list[tuple[str, tuple[int, int]]]:
-            mapping = mapping_broadcast.value
-            seen: set[str] = set()
-            result = []
-            for attribute, token in profile.attribute_tokens(
-                min_length=min_length, remove_stopwords=remove_stopwords
-            ):
-                cluster_id = mapping.get(attribute, blob_id)
-                key = f"{token}_{cluster_id}"
-                if key in seen:
-                    continue
-                seen.add(key)
-                result.append((key, (profile.profile_id, profile.source_id)))
-            return result
+        def keys_of(profile) -> set[tuple[str, int]]:
+            cluster_of = mapping if shipped is None else shipped.value
+            source_id = profile.source_id
+            keys = set()
+            for attribute, value in profile.items():
+                cluster_id = cluster_of.get((source_id, attribute), blob_id)
+                for token in tokenize(
+                    value, min_length=min_length, remove_stopwords=remove_stopwords
+                ):
+                    keys.add((token, cluster_id))
+            return keys
 
-        profile_rdd = self.engine.parallelize(list(profiles))
-        grouped_rdd = profile_rdd.flatMap(keyed, name="loose_schema.tokens").groupByKey()
-        grouped = {key: members for key, members in grouped_rdd.collect()}
-        return self._build_collection(grouped, profiles.is_clean_clean)
+        return block_by_keys(
+            profiles,
+            keys_of,
+            lambda key: (f"{key[0]}_{key[1]}", entropies.get(key[1], 1.0)),
+            engine=self.engine,
+            stage_name="loose_schema.tokens",
+        )
+
+    def key_for(self, token: str, attribute: str, source_id: int | None = None) -> str:
+        """Return the loose-schema blocking key of ``token`` in ``attribute``."""
+        return f"{token}_{self.partitioning.cluster_of(attribute, source_id)}"

@@ -11,8 +11,8 @@ the structure SparkER runs on Spark.
 
 from __future__ import annotations
 
-from repro.blocking.base import Blocker
-from repro.blocking.block import Block, BlockCollection
+from repro.blocking.base import Blocker, block_by_keys
+from repro.blocking.block import BlockCollection
 from repro.data.dataset import ProfileCollection
 from repro.engine.context import EngineContext
 
@@ -42,65 +42,14 @@ class TokenBlocking(Blocker):
         self.remove_stopwords = remove_stopwords
         self.engine = engine
 
-    # ------------------------------------------------------------------ public
     def block(self, profiles: ProfileCollection) -> BlockCollection:
         """Build one block per token that appears in at least one profile."""
-        if self.engine is not None:
-            return self._block_distributed(profiles)
-        return self._block_local(profiles)
-
-    # ----------------------------------------------------------------- helpers
-    def _profile_tokens(self, profiles: ProfileCollection) -> list[tuple[str, int, int]]:
-        """Return (token, profile_id, source_id) triples for all profiles."""
-        triples: list[tuple[str, int, int]] = []
-        for profile in profiles:
-            for token in profile.tokens(
-                min_length=self.min_token_length,
-                remove_stopwords=self.remove_stopwords,
-            ):
-                triples.append((token, profile.profile_id, profile.source_id))
-        return triples
-
-    def _build_collection(
-        self,
-        grouped: dict[str, list[tuple[int, int]]],
-        clean_clean: bool,
-    ) -> BlockCollection:
-        collection = BlockCollection(clean_clean=clean_clean)
-        for key in sorted(grouped):
-            members = grouped[key]
-            block = Block(key=key, clean_clean=clean_clean)
-            for profile_id, source_id in members:
-                if clean_clean and source_id == 1:
-                    block.profiles_source1.add(profile_id)
-                else:
-                    block.profiles_source0.add(profile_id)
-            if block.is_valid():
-                collection.add(block)
-        return collection
-
-    def _block_local(self, profiles: ProfileCollection) -> BlockCollection:
-        grouped: dict[str, list[tuple[int, int]]] = {}
-        for token, profile_id, source_id in self._profile_tokens(profiles):
-            grouped.setdefault(token, []).append((profile_id, source_id))
-        return self._build_collection(grouped, profiles.is_clean_clean)
-
-    def _block_distributed(self, profiles: ProfileCollection) -> BlockCollection:
-        """Token blocking as a flatMap + groupByKey job on the mini engine."""
-        assert self.engine is not None
         min_length = self.min_token_length
         remove_stopwords = self.remove_stopwords
-
-        profile_rdd = self.engine.parallelize(list(profiles))
-        token_pairs = profile_rdd.flatMap(
-            lambda p: [
-                (token, (p.profile_id, p.source_id))
-                for token in p.tokens(
-                    min_length=min_length, remove_stopwords=remove_stopwords
-                )
-            ],
-            name="token_blocking.tokens",
+        return block_by_keys(
+            profiles,
+            lambda p: p.tokens(min_length=min_length, remove_stopwords=remove_stopwords),
+            lambda token: (token, 1.0),
+            engine=self.engine,
+            stage_name="token_blocking.tokens",
         )
-        grouped_rdd = token_pairs.groupByKey()
-        grouped = {key: members for key, members in grouped_rdd.collect()}
-        return self._build_collection(grouped, profiles.is_clean_clean)

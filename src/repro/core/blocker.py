@@ -28,6 +28,7 @@ from repro.looseschema.attribute_partitioning import (
     loose_schema_metrics,
 )
 from repro.looseschema.entropy import EntropyExtractor
+from repro.looseschema.lsh import build_attribute_profiles
 from repro.metablocking.metablocker import MetaBlockingResult
 from repro.metablocking.parallel import make_meta_blocker
 from repro.utils.timers import StageTimings
@@ -151,17 +152,22 @@ class Blocker:
             )
 
         with report.timings.time("attribute_partitioning"):
+            attribute_profiles = build_attribute_profiles(profiles)
             if self.user_partitioning is not None:
                 partitioning = self.user_partitioning
             else:
                 partitioner = AttributePartitioner(
                     threshold=self.config.attribute_threshold
                 )
-                partitioning = partitioner.partition(profiles)
+                partitioning = partitioner.partition_from_attribute_profiles(
+                    attribute_profiles
+                )
         report.partitioning = partitioning
 
         with report.timings.time("entropy_extraction"):
-            entropies = EntropyExtractor().extract(profiles, partitioning)
+            entropies = EntropyExtractor().extract_from_attribute_profiles(
+                attribute_profiles, partitioning
+            )
         report.cluster_entropies = entropies
         report.pipeline_report.add(
             "loose_schema", loose_schema_metrics(partitioning, entropies)

@@ -78,9 +78,9 @@ class EntityProfile:
     def tokens(self, *, min_length: int = 1, remove_stopwords: bool = False) -> set[str]:
         """Return the schema-agnostic bag of tokens of this profile (as a set)."""
         result: set[str] = set()
-        for _attribute, value in self.items():
+        for kv in self.attributes:
             result.update(
-                tokenize(value, min_length=min_length, remove_stopwords=remove_stopwords)
+                tokenize(kv.value, min_length=min_length, remove_stopwords=remove_stopwords)
             )
         return result
 

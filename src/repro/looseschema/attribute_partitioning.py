@@ -53,13 +53,18 @@ class AttributePartitioning:
                     return cluster_id
         return self.blob_cluster_id
 
-    def attribute_to_cluster(self) -> dict[str, int]:
-        """Flatten to attribute-name → cluster-id (last cluster wins on clashes)."""
-        mapping: dict[str, int] = {}
-        for cluster_id, members in self.clusters.items():
-            for _source, attribute in members:
-                mapping[attribute] = cluster_id
-        return mapping
+    def cluster_by_attribute(self) -> dict[tuple[int, str], int]:
+        """Map ``(source_id, attribute)`` to its cluster id.
+
+        The one resolution the entropy extractor and the loose-schema blocker
+        (driver and engine paths) share; a pair that is not a key belongs to
+        the blob cluster.
+        """
+        return {
+            member: cluster_id
+            for cluster_id, members in self.clusters.items()
+            for member in members
+        }
 
     def non_blob_clusters(self) -> dict[int, set[tuple[int, str]]]:
         """Clusters other than the blob."""

@@ -11,12 +11,12 @@ cluster, so equalities found in high-entropy clusters count more.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable
+from operator import itemgetter
 
 from repro.data.dataset import ProfileCollection
 from repro.looseschema.attribute_partitioning import AttributePartitioning
-from repro.utils.tokenize import tokenize
+from repro.looseschema.lsh import AttributeProfile, build_attribute_profiles
 
 
 def shannon_entropy(counts: Iterable[int]) -> float:
@@ -52,28 +52,34 @@ class EntropyExtractor:
         partitioning: AttributePartitioning,
     ) -> dict[int, float]:
         """Return cluster id → entropy for every cluster of ``partitioning``."""
-        token_counts: dict[int, Counter] = {
-            cluster_id: Counter() for cluster_id in partitioning.clusters
-        }
-        attribute_cluster = {
-            (source, attribute): cluster_id
-            for cluster_id, members in partitioning.clusters.items()
-            for source, attribute in members
-        }
+        return self.extract_from_attribute_profiles(
+            build_attribute_profiles(profiles), partitioning
+        )
 
-        for profile in profiles:
-            for attribute, value in profile.items():
-                cluster_id = attribute_cluster.get(
-                    (profile.source_id, attribute), partitioning.blob_cluster_id
-                )
-                if cluster_id not in token_counts:
-                    token_counts[cluster_id] = Counter()
-                token_counts[cluster_id].update(tokenize(value))
+    def extract_from_attribute_profiles(
+        self,
+        attribute_profiles: dict[tuple[int, str], AttributeProfile],
+        partitioning: AttributePartitioning,
+    ) -> dict[int, float]:
+        """Same as :meth:`extract` but summing prebuilt attribute token counts."""
+        arrivals: dict[int, list] = {cluster_id: [] for cluster_id in partitioning.clusters}
+        cluster_of = partitioning.cluster_by_attribute()
+        for key, attribute_profile in attribute_profiles.items():
+            cluster_id = cluster_of.get(key, partitioning.blob_cluster_id)
+            arrivals.setdefault(cluster_id, []).extend(
+                zip(attribute_profile.first_seen, attribute_profile.value_counts.items())
+            )
 
-        entropies = {
-            cluster_id: shannon_entropy(counter.values())
-            for cluster_id, counter in token_counts.items()
-        }
+        entropies = {}
+        for cluster_id, entries in arrivals.items():
+            # The entropy is a float sum, so the order of its terms is part of
+            # the result (and an ulp moves pruning decisions downstream): sum
+            # in the order the cluster's tokens arrive in the collection.
+            entries.sort(key=itemgetter(0))
+            token_counts: dict[str, int] = {}
+            for _sequence, (token, count) in entries:
+                token_counts[token] = token_counts.get(token, 0) + count
+            entropies[cluster_id] = shannon_entropy(token_counts.values())
 
         if self.normalize:
             maximum = max(entropies.values(), default=0.0)

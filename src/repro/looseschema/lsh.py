@@ -11,6 +11,7 @@ with banding, exactly as described.
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -24,36 +25,57 @@ from repro.utils.tokenize import tokenize
 
 @dataclass
 class AttributeProfile:
-    """The token set collected for one (source, attribute) pair."""
+    """The token counts collected for one (source, attribute) pair.
+
+    ``value_counts`` maps each token to its number of occurrences over the
+    attribute's values: its keys are the token set LSH compares, its counts
+    are what the entropy extractor sums per cluster, so one tokenising pass
+    over the collection serves both.  ``first_seen`` holds, for each token in
+    ``value_counts`` order, the sequence number of the value that introduced
+    it, which lets the extractor merge attributes in collection order.
+    """
 
     source_id: int
     attribute: str
-    tokens: set[str] = field(default_factory=set)
     value_counts: dict[str, int] = field(default_factory=dict)
+    first_seen: list[int] = field(default_factory=list)
 
     @property
     def qualified_name(self) -> tuple[int, str]:
         """The (source_id, attribute) key used throughout the loose-schema code."""
         return (self.source_id, self.attribute)
 
-    def add_value(self, value: str) -> None:
-        """Record one attribute value: update the token set and value counts."""
+    @property
+    def tokens(self) -> KeysView[str]:
+        """The distinct tokens of the attribute (a set-like view)."""
+        return self.value_counts.keys()
+
+    def add_value(self, value: str, sequence: int = 0) -> None:
+        """Record one attribute value, the ``sequence``-th of the collection."""
+        counts = self.value_counts
         for token in tokenize(value):
-            self.tokens.add(token)
-            self.value_counts[token] = self.value_counts.get(token, 0) + 1
+            if token in counts:
+                counts[token] += 1
+            else:
+                counts[token] = 1
+                self.first_seen.append(sequence)
 
 
 def build_attribute_profiles(profiles: ProfileCollection) -> dict[tuple[int, str], AttributeProfile]:
-    """Collect the token sets of every (source, attribute) pair of a collection."""
+    """Collect the token counts of every (source, attribute) pair of a collection."""
     attribute_profiles: dict[tuple[int, str], AttributeProfile] = {}
+    sequence = 0
     for profile in profiles:
+        source_id = profile.source_id
         for attribute, value in profile.items():
-            key = (profile.source_id, attribute)
-            if key not in attribute_profiles:
-                attribute_profiles[key] = AttributeProfile(
-                    source_id=profile.source_id, attribute=attribute
+            key = (source_id, attribute)
+            attribute_profile = attribute_profiles.get(key)
+            if attribute_profile is None:
+                attribute_profile = attribute_profiles[key] = AttributeProfile(
+                    source_id=source_id, attribute=attribute
                 )
-            attribute_profiles[key].add_value(value)
+            attribute_profile.add_value(value, sequence)
+            sequence += 1
     return attribute_profiles
 
 

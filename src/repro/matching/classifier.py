@@ -98,11 +98,11 @@ class LogisticRegressionMatcher(Matcher):
         logit = float(features @ self._weights + self._bias)
         return 1.0 / (1.0 + np.exp(-logit))
 
-    def score(self, left: EntityProfile, right: EntityProfile) -> float:
-        return self.predict_proba(left, right)
-
-    def is_match(self, left: EntityProfile, right: EntityProfile) -> bool:
-        return self.predict_proba(left, right) >= self.decision_threshold
+    def evaluate(
+        self, left: EntityProfile, right: EntityProfile, prepared: dict
+    ) -> tuple[bool, float]:
+        probability = self.predict_proba(left, right)
+        return probability >= self.decision_threshold, probability
 
 
 class NaiveBayesMatcher(Matcher):
@@ -173,8 +173,8 @@ class NaiveBayesMatcher(Matcher):
         non_match_term = np.exp(log_non_match - maximum)
         return float(match_term / (match_term + non_match_term))
 
-    def score(self, left: EntityProfile, right: EntityProfile) -> float:
-        return self.predict_proba(left, right)
-
-    def is_match(self, left: EntityProfile, right: EntityProfile) -> bool:
-        return self.predict_proba(left, right) >= self.decision_threshold
+    def evaluate(
+        self, left: EntityProfile, right: EntityProfile, prepared: dict
+    ) -> tuple[bool, float]:
+        probability = self.predict_proba(left, right)
+        return probability >= self.decision_threshold, probability

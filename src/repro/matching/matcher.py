@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
 from repro.exceptions import MatchingError
-from repro.matching.similarity import get_similarity_function
+from repro.matching.similarity import Similarity, get_similarity_function
 from repro.matching.similarity_graph import SimilarityGraph
 
 
@@ -23,12 +23,24 @@ class Matcher(ABC):
     """A matcher scores candidate pairs and keeps those deemed matches."""
 
     @abstractmethod
+    def evaluate(
+        self, left: EntityProfile, right: EntityProfile, prepared: dict
+    ) -> tuple[bool, float]:
+        """Return ``(is a match, score in [0, 1])`` of one pair, computed once.
+
+        ``prepared`` is the memo of the calling :meth:`match` (empty for a
+        single :meth:`score` / :meth:`is_match`): a matcher that derives an
+        operand from a profile's text keeps it there, so every profile is
+        normalised once per call, never per pair.  It does not outlive the call.
+        """
+
     def score(self, left: EntityProfile, right: EntityProfile) -> float:
         """Similarity score of one pair in [0, 1]."""
+        return self.evaluate(left, right, {})[1]
 
-    @abstractmethod
     def is_match(self, left: EntityProfile, right: EntityProfile) -> bool:
         """Decide whether a pair is a match."""
+        return self.evaluate(left, right, {})[0]
 
     def match(
         self,
@@ -37,10 +49,11 @@ class Matcher(ABC):
     ) -> SimilarityGraph:
         """Score every candidate pair and return the graph of matches."""
         graph = SimilarityGraph()
+        prepared: dict = {}
         for a, b in candidate_pairs:
-            left, right = profiles[a], profiles[b]
-            if self.is_match(left, right):
-                graph.add(a, b, self.score(left, right))
+            matched, score = self.evaluate(profiles[a], profiles[b], prepared)
+            if matched:
+                graph.add(a, b, score)
         return graph
 
     def __call__(
@@ -49,6 +62,18 @@ class Matcher(ABC):
         candidate_pairs: Sequence[tuple[int, int]],
     ) -> SimilarityGraph:
         return self.match(profiles, candidate_pairs)
+
+
+def _prepared_operand(
+    similarity: Similarity, profile: EntityProfile, attribute: str | None, prepared: dict
+):
+    """``similarity.prepare`` of the profile's whole text (``attribute=None``)
+    or of one attribute's value, computed once per ``prepared`` memo."""
+    key = (similarity, attribute, profile.profile_id)
+    if key not in prepared:
+        text = profile.text() if attribute is None else profile.value_of(attribute)
+        prepared[key] = similarity.prepare(text)
+    return prepared[key]
 
 
 class ThresholdMatcher(Matcher):
@@ -70,11 +95,14 @@ class ThresholdMatcher(Matcher):
         self.similarity = get_similarity_function(similarity)
         self.threshold = threshold
 
-    def score(self, left: EntityProfile, right: EntityProfile) -> float:
-        return self.similarity(left.text(), right.text())
-
-    def is_match(self, left: EntityProfile, right: EntityProfile) -> bool:
-        return self.score(left, right) >= self.threshold
+    def evaluate(
+        self, left: EntityProfile, right: EntityProfile, prepared: dict
+    ) -> tuple[bool, float]:
+        score = self.similarity.compare(
+            _prepared_operand(self.similarity, left, None, prepared),
+            _prepared_operand(self.similarity, right, None, prepared),
+        )
+        return score >= self.threshold, score
 
 
 @dataclass
@@ -91,18 +119,16 @@ class MatchingRule:
     attribute_left: str | None = None
     attribute_right: str | None = None
 
-    def evaluate(self, left: EntityProfile, right: EntityProfile) -> tuple[bool, float]:
-        """Return (satisfied, score) for one pair."""
+    def evaluate(
+        self, left: EntityProfile, right: EntityProfile, prepared: dict | None = None
+    ) -> tuple[bool, float]:
+        """Return (satisfied, score) for one pair (``prepared``: see :class:`Matcher`)."""
+        prepared = {} if prepared is None else prepared
         function = get_similarity_function(self.similarity)
-        text_left = (
-            left.text() if self.attribute_left is None else left.value_of(self.attribute_left)
+        score = function.compare(
+            _prepared_operand(function, left, self.attribute_left, prepared),
+            _prepared_operand(function, right, self.attribute_right, prepared),
         )
-        text_right = (
-            right.text()
-            if self.attribute_right is None
-            else right.value_of(self.attribute_right)
-        )
-        score = function(text_left, text_right)
         return score >= self.threshold, score
 
 
@@ -118,9 +144,9 @@ class RuleBasedMatcher(Matcher):
             raise MatchingError("RuleBasedMatcher needs at least one rule")
         self.rules = list(rules)
 
-    def score(self, left: EntityProfile, right: EntityProfile) -> float:
-        scores = [rule.evaluate(left, right)[1] for rule in self.rules]
-        return sum(scores) / len(scores)
-
-    def is_match(self, left: EntityProfile, right: EntityProfile) -> bool:
-        return all(rule.evaluate(left, right)[0] for rule in self.rules)
+    def evaluate(
+        self, left: EntityProfile, right: EntityProfile, prepared: dict
+    ) -> tuple[bool, float]:
+        results = [rule.evaluate(left, right, prepared) for rule in self.rules]
+        scores = [score for _satisfied, score in results]
+        return all(satisfied for satisfied, _score in results), sum(scores) / len(scores)

@@ -12,67 +12,61 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 
 from repro.exceptions import MatchingError
-from repro.utils.tokenize import character_ngrams, token_set
+from repro.utils.tokenize import character_ngrams, token_set, tokenize
 from repro.utils.text import normalize_text
+
+
+class Similarity:
+    """One measure, split so that text is normalised once per string.
+
+    ``prepare(text)`` derives the operand the measure works on (a token set,
+    a token counter, the normalised string, a number) and ``compare(fa, fb)``
+    scores two prepared operands.  Calling the object on two raw strings is
+    ``compare(prepare(a), prepare(b))``; a matcher that scores many pairs
+    prepares each profile once and only compares per pair.
+    """
+
+    def __init__(self, prepare: Callable, compare: Callable[..., float], doc: str) -> None:
+        self.prepare = prepare
+        self.compare = compare
+        self.__doc__ = doc
+
+    def __call__(self, a: str, b: str, *options, **named_options) -> float:
+        return self.compare(self.prepare(a), self.prepare(b), *options, **named_options)
+
 
 # --------------------------------------------------------------------------
 # token-set measures
 # --------------------------------------------------------------------------
-def jaccard_similarity(a: str, b: str) -> float:
-    """Jaccard similarity of the token sets of two strings."""
-    tokens_a, tokens_b = token_set(a), token_set(b)
-    if not tokens_a and not tokens_b:
-        return 0.0
-    union = tokens_a | tokens_b
-    return len(tokens_a & tokens_b) / len(union) if union else 0.0
+def _jaccard(items_a: set, items_b: set) -> float:
+    union = len(items_a | items_b)
+    return len(items_a & items_b) / union if union else 0.0
 
 
-def dice_similarity(a: str, b: str) -> float:
-    """Sørensen–Dice coefficient of the token sets of two strings."""
-    tokens_a, tokens_b = token_set(a), token_set(b)
+def _dice(tokens_a: set, tokens_b: set) -> float:
     total = len(tokens_a) + len(tokens_b)
     if total == 0:
         return 0.0
     return 2 * len(tokens_a & tokens_b) / total
 
 
-def overlap_coefficient(a: str, b: str) -> float:
-    """Overlap coefficient (intersection / smaller set size)."""
-    tokens_a, tokens_b = token_set(a), token_set(b)
+def _overlap(tokens_a: set, tokens_b: set) -> float:
     smaller = min(len(tokens_a), len(tokens_b))
     if smaller == 0:
         return 0.0
     return len(tokens_a & tokens_b) / smaller
 
 
-def cosine_similarity_tokens(a: str, b: str) -> float:
-    """Cosine similarity of the token frequency vectors of two strings."""
-    counts_a = Counter(normalize_text(a).split())
-    counts_b = Counter(normalize_text(b).split())
-    counts_a.pop("", None)
-    counts_b.pop("", None)
-    if not counts_a or not counts_b:
-        return 0.0
-    dot = sum(counts_a[t] * counts_b.get(t, 0) for t in counts_a)
-    norm_a = math.sqrt(sum(c * c for c in counts_a.values()))
-    norm_b = math.sqrt(sum(c * c for c in counts_b.values()))
-    if norm_a == 0 or norm_b == 0:
-        return 0.0
-    return dot / (norm_a * norm_b)
+def _token_counts(text: str) -> Counter:
+    return Counter(tokenize(text))
 
 
-def tfidf_cosine_similarity(
-    a: str, b: str, document_frequencies: dict[str, int] | None = None, num_documents: int = 1
+def _tfidf_cosine(
+    counts_a: Counter,
+    counts_b: Counter,
+    document_frequencies: dict[str, int] | None = None,
+    num_documents: int = 1,
 ) -> float:
-    """TF-IDF weighted cosine similarity.
-
-    When no corpus statistics are supplied every token gets IDF 1 and the
-    measure degenerates to plain cosine similarity.
-    """
-    counts_a = Counter(normalize_text(a).split())
-    counts_b = Counter(normalize_text(b).split())
-    counts_a.pop("", None)
-    counts_b.pop("", None)
     if not counts_a or not counts_b:
         return 0.0
 
@@ -90,6 +84,38 @@ def tfidf_cosine_similarity(
     if norm_a == 0 or norm_b == 0:
         return 0.0
     return dot / (norm_a * norm_b)
+
+
+def _cosine(counts_a: Counter, counts_b: Counter) -> float:
+    if not counts_a or not counts_b:
+        return 0.0
+    dot = sum(counts_a[t] * counts_b.get(t, 0) for t in counts_a)
+    norm_a = math.sqrt(sum(c * c for c in counts_a.values()))
+    norm_b = math.sqrt(sum(c * c for c in counts_b.values()))
+    return dot / (norm_a * norm_b)
+
+
+jaccard_similarity = Similarity(
+    token_set, _jaccard, "Jaccard similarity of the token sets of two strings."
+)
+dice_similarity = Similarity(
+    token_set, _dice, "Sørensen–Dice coefficient of the token sets of two strings."
+)
+overlap_coefficient = Similarity(
+    token_set, _overlap, "Overlap coefficient (intersection / smaller set size)."
+)
+cosine_similarity_tokens = Similarity(
+    _token_counts, _cosine, "Cosine similarity of the token frequency vectors of two strings."
+)
+tfidf_cosine_similarity = Similarity(
+    _token_counts,
+    _tfidf_cosine,
+    """TF-IDF weighted cosine similarity of ``(a, b, document_frequencies, num_documents)``.
+
+    When no corpus statistics are supplied every token gets IDF 1 and the
+    measure degenerates to plain cosine similarity.
+    """,
+)
 
 
 # --------------------------------------------------------------------------
@@ -113,18 +139,14 @@ def edit_distance(a: str, b: str) -> int:
     return previous[-1]
 
 
-def levenshtein_similarity(a: str, b: str) -> float:
-    """Edit distance normalised to a similarity in [0, 1]."""
-    a_norm, b_norm = normalize_text(a), normalize_text(b)
-    longest = max(len(a_norm), len(b_norm))
+def _levenshtein(a: str, b: str) -> float:
+    longest = max(len(a), len(b))
     if longest == 0:
         return 0.0
-    return 1.0 - edit_distance(a_norm, b_norm) / longest
+    return 1.0 - edit_distance(a, b) / longest
 
 
-def jaro_similarity(a: str, b: str) -> float:
-    """Jaro similarity of two strings."""
-    a, b = normalize_text(a), normalize_text(b)
+def _jaro(a: str, b: str) -> float:
     if not a or not b:
         return 0.0
     if a == b:
@@ -161,40 +183,48 @@ def jaro_similarity(a: str, b: str) -> float:
     ) / 3.0
 
 
-def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float:
-    """Jaro–Winkler similarity (prefix bonus up to 4 characters)."""
-    jaro = jaro_similarity(a, b)
-    a_norm, b_norm = normalize_text(a), normalize_text(b)
+def _jaro_winkler(a: str, b: str, prefix_weight: float = 0.1) -> float:
+    jaro = _jaro(a, b)
     prefix = 0
-    for char_a, char_b in zip(a_norm, b_norm):
+    for char_a, char_b in zip(a, b):
         if char_a != char_b or prefix == 4:
             break
         prefix += 1
     return jaro + prefix * prefix_weight * (1.0 - jaro)
 
 
+def _qgrams(text: str, q: int = 3) -> set[str]:
+    return set(character_ngrams(text, q, pad=True))
+
+
 def qgram_similarity(a: str, b: str, q: int = 3) -> float:
     """Jaccard similarity of the character q-gram sets of two strings."""
-    grams_a = set(character_ngrams(a, q, pad=True))
-    grams_b = set(character_ngrams(b, q, pad=True))
-    union = grams_a | grams_b
-    if not union:
-        return 0.0
-    return len(grams_a & grams_b) / len(union)
+    return _jaccard(_qgrams(a, q), _qgrams(b, q))
+
+
+levenshtein_similarity = Similarity(
+    normalize_text, _levenshtein, "Edit distance normalised to a similarity in [0, 1]."
+)
+jaro_similarity = Similarity(normalize_text, _jaro, "Jaro similarity of two strings.")
+jaro_winkler_similarity = Similarity(
+    normalize_text,
+    _jaro_winkler,
+    "Jaro–Winkler similarity of ``(a, b, prefix_weight=0.1)`` (prefix bonus up to 4 characters).",
+)
 
 
 # --------------------------------------------------------------------------
 # numeric measure
 # --------------------------------------------------------------------------
-def numeric_similarity(a: str, b: str) -> float:
-    """Similarity of two numeric strings: ``1 - |x-y| / max(|x|, |y|)``.
-
-    Non-numeric inputs yield 0.
-    """
+def _number(text: object) -> float | None:
     try:
-        x = float(str(a).replace(",", "").strip())
-        y = float(str(b).replace(",", "").strip())
+        return float(str(text).replace(",", "").strip())
     except (TypeError, ValueError):
+        return None
+
+
+def _numeric(x: float | None, y: float | None) -> float:
+    if x is None or y is None:
         return 0.0
     denominator = max(abs(x), abs(y))
     if denominator == 0:
@@ -202,10 +232,20 @@ def numeric_similarity(a: str, b: str) -> float:
     return max(0.0, 1.0 - abs(x - y) / denominator)
 
 
+numeric_similarity = Similarity(
+    _number,
+    _numeric,
+    """Similarity of two numeric strings: ``1 - |x-y| / max(|x|, |y|)``.
+
+    Non-numeric inputs yield 0.
+    """,
+)
+
+
 # --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
-SIMILARITY_FUNCTIONS: dict[str, Callable[[str, str], float]] = {
+SIMILARITY_FUNCTIONS: dict[str, Similarity] = {
     "jaccard": jaccard_similarity,
     "dice": dice_similarity,
     "overlap": overlap_coefficient,
@@ -214,12 +254,14 @@ SIMILARITY_FUNCTIONS: dict[str, Callable[[str, str], float]] = {
     "levenshtein": levenshtein_similarity,
     "jaro": jaro_similarity,
     "jaro_winkler": jaro_winkler_similarity,
-    "qgram": qgram_similarity,
+    "qgram": Similarity(
+        _qgrams, _jaccard, "Jaccard similarity of the character 3-gram sets of two strings."
+    ),
     "numeric": numeric_similarity,
 }
 
 
-def get_similarity_function(name: str) -> Callable[[str, str], float]:
+def get_similarity_function(name: str) -> Similarity:
     """Look up a similarity function by name (raises MatchingError if unknown)."""
     try:
         return SIMILARITY_FUNCTIONS[name.lower()]

@@ -30,7 +30,7 @@ from repro.looseschema.attribute_partitioning import (
     loose_schema_metrics,
 )
 from repro.looseschema.entropy import EntropyExtractor
-from repro.looseschema.lsh import AttributeLSH
+from repro.looseschema.lsh import AttributeLSH, build_attribute_profiles
 from repro.metablocking.parallel import make_meta_blocker
 from repro.metablocking.progressive import (
     ProgressiveNodeScheduling,
@@ -100,6 +100,9 @@ class LooseSchemaStage(Stage):
         self.lsh_seed = lsh_seed
 
     def run(self, context: "PipelineContext", *, profiles, partitioning=None):
+        # One tokenising pass: the partitioner reads the attribute profiles'
+        # token sets, the entropy extractor their token counts.
+        attribute_profiles = build_attribute_profiles(profiles)
         if partitioning is None:
             partitioner = AttributePartitioner(
                 threshold=self.threshold,
@@ -107,8 +110,10 @@ class LooseSchemaStage(Stage):
                     num_perm=self.num_perm, num_bands=self.num_bands, seed=self.lsh_seed
                 ),
             )
-            partitioning = partitioner.partition(profiles)
-        entropies = EntropyExtractor().extract(profiles, partitioning)
+            partitioning = partitioner.partition_from_attribute_profiles(attribute_profiles)
+        entropies = EntropyExtractor().extract_from_attribute_profiles(
+            attribute_profiles, partitioning
+        )
         context.record(self.label, loose_schema_metrics(partitioning, entropies))
         return {"partitioning": partitioning, "cluster_entropies": entropies}
 

@@ -24,7 +24,7 @@ STOPWORDS: frozenset[str] = frozenset(
 )
 
 _PUNCTUATION_RE = re.compile(r"[^\w\s]", re.UNICODE)
-_WHITESPACE_RE = re.compile(r"\s+")
+_WORD_RE = re.compile(r"\w+", re.UNICODE)
 
 
 def strip_accents(text: str) -> str:
@@ -38,17 +38,29 @@ def strip_punctuation(text: str) -> str:
     return _PUNCTUATION_RE.sub(" ", text)
 
 
-def normalize_text(text: str) -> str:
+def split_words(text: object) -> list[str]:
+    """Return the words of ``text``, in order, in one regex scan.
+
+    A word is a maximal run of word characters (regex ``\\w``) of the
+    accent-stripped, lower-cased text.  This is the pipeline's one definition
+    of "token" and the only place text is normalised: :func:`normalize_text`
+    joins these words, :func:`repro.utils.tokenize.tokenize` filters them.
+    """
+    if text is None:
+        return []
+    text = str(text)
+    if not text.isascii():  # ASCII has nothing to decompose: skip the per-character pass
+        text = strip_accents(text)
+    return _WORD_RE.findall(text.lower())
+
+
+def normalize_text(text: object) -> str:
     """Normalise ``text`` for blocking and similarity computation.
 
     The normalisation lower-cases, removes accents, replaces punctuation with
     spaces and collapses runs of whitespace.  It is idempotent.
     """
-    if not text:
-        return ""
-    lowered = strip_accents(str(text)).lower()
-    cleaned = strip_punctuation(lowered)
-    return _WHITESPACE_RE.sub(" ", cleaned).strip()
+    return " ".join(split_words(text))
 
 
 def is_numeric_token(token: str) -> bool:

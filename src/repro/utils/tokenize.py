@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from repro.utils.text import STOPWORDS, normalize_text
+from repro.utils.text import STOPWORDS, normalize_text, split_words
 
 
 def tokenize(
@@ -29,18 +29,12 @@ def tokenize(
     remove_stopwords:
         When True, tokens in :data:`repro.utils.text.STOPWORDS` are dropped.
     """
-    normalized = normalize_text(text)
-    if not normalized:
-        return []
-    tokens = normalized.split(" ")
-    result = []
-    for token in tokens:
-        if len(token) < min_length:
-            continue
-        if remove_stopwords and token in STOPWORDS:
-            continue
-        result.append(token)
-    return result
+    tokens = split_words(text)
+    if min_length > 1:
+        tokens = [token for token in tokens if len(token) >= min_length]
+    if remove_stopwords:
+        tokens = [token for token in tokens if token not in STOPWORDS]
+    return tokens
 
 
 def token_set(text: str, **kwargs) -> set[str]:

@@ -1,7 +1,11 @@
 """End-to-end tests of the SparkER pipeline (Figure 3)."""
 
+import sys
+
 from repro.core.config import SparkERConfig
 from repro.core.sparker import SparkER
+from repro.data.synthetic import SyntheticConfig, generate_abt_buy_like
+from repro.utils.text import split_words
 
 
 class TestSparkERUnsupervised:
@@ -77,3 +81,32 @@ class TestSparkERDirty:
         assert result.summary()["clusters"] > 0
         clusterer_metrics = result.report.get("clusterer").metrics
         assert clusterer_metrics["recall"] > 0.3
+
+
+class TestTextIsNormalisedOncePerStage:
+    """A count guard, not a timing guard: deterministic, so it runs in tier-1."""
+
+    def test_normalisations_per_run(self, monkeypatch):
+        # Every normalisation (normalize_text, tokenize) goes through
+        # repro.utils.text.split_words; count the strings it sees under every
+        # name the package imported it by.
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return split_words(text)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and getattr(module, "split_words", None) is split_words:
+                monkeypatch.setattr(module, "split_words", counted)
+
+        dataset = generate_abt_buy_like(SyntheticConfig(num_entities=200, seed=21))
+        profiles = dataset.profiles
+        result = SparkER().run(profiles)
+
+        values = sum(len(profile) for profile in profiles)
+        in_pairs = {profile_id for pair in result.candidate_pairs for profile_id in pair}
+        assert len(result.candidate_pairs) > len(in_pairs) > 0
+        # One pass for the loose schema, one for blocking, one whole-profile
+        # text per profile the matcher meets -- never one per pair or match.
+        assert values < len(calls) <= 2 * values + len(in_pairs)

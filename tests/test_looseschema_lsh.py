@@ -1,6 +1,13 @@
 """Tests of the attribute LSH of the loose-schema generator."""
 
+import pytest
+
 from repro.looseschema.lsh import AttributeLSH, build_attribute_profiles
+from repro.metablocking.backends import numpy_available
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="MinHash attribute LSH requires numpy"
+)
 
 
 class TestBuildAttributeProfiles:
@@ -22,6 +29,7 @@ class TestBuildAttributeProfiles:
         assert counts.get("simonini", 0) >= 1
 
 
+@needs_numpy
 class TestAttributeLSH:
     def test_similar_attributes_are_candidates(self, abt_buy_small):
         attribute_profiles = build_attribute_profiles(abt_buy_small.profiles)

@@ -7,8 +7,14 @@ from repro.looseschema.attribute_partitioning import (
     AttributePartitioner,
     AttributePartitioning,
 )
+from repro.metablocking.backends import numpy_available
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="MinHash attribute LSH requires numpy"
+)
 
 
+@needs_numpy
 class TestAttributePartitioner:
     def test_threshold_one_gives_blob_only(self, abt_buy_small):
         # Figure 6(a): threshold at the maximum → schema-agnostic behaviour,
@@ -81,10 +87,11 @@ class TestAttributePartitioning:
     def test_cluster_of_with_source(self):
         assert self._partitioning().cluster_of("name", source_id=0) == 1
 
-    def test_attribute_to_cluster_mapping(self):
-        mapping = self._partitioning().attribute_to_cluster()
-        assert mapping["name"] == 1
-        assert mapping["price"] == 0
+    def test_cluster_by_attribute_mapping(self):
+        mapping = self._partitioning().cluster_by_attribute()
+        assert mapping[(0, "name")] == mapping[(1, "title")] == 1
+        assert mapping[(0, "price")] == 0
+        assert (1, "name") not in mapping  # resolved per source, never by name alone
 
     def test_num_clusters(self):
         assert self._partitioning().num_clusters() == 3

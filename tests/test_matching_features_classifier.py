@@ -1,7 +1,8 @@
 """Tests of pair features and the supervised matchers."""
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")  # pair features and classifiers are numpy code
 
 from repro.exceptions import MatchingError
 from repro.looseschema.attribute_partitioning import AttributePartitioner

@@ -1,11 +1,13 @@
 """Tests of threshold / rule-based matchers and the similarity graph."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
 from repro.exceptions import MatchingError
 from repro.matching.matcher import MatchingRule, RuleBasedMatcher, ThresholdMatcher
+from repro.matching.similarity import SIMILARITY_FUNCTIONS
 from repro.matching.similarity_graph import SimilarityEdge, SimilarityGraph
 
 
@@ -126,3 +128,84 @@ class TestRuleBasedMatcher:
         )
         score = matcher.score(profiles[0], profiles[1])
         assert 0.0 <= score <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# prepared-operand matching == the string-level similarity functions
+# ---------------------------------------------------------------------------
+_values = st.lists(
+    st.sampled_from(["Sony", "sony", "TV", "tv,", "40\"", "Café", "12.5", "1,000", "x-1", "led"]),
+    min_size=0,
+    max_size=5,
+).map(" ".join)
+
+
+@st.composite
+def _collections(draw):
+    profiles = []
+    for profile_id in range(draw(st.integers(min_value=2, max_value=6))):
+        profile = EntityProfile(profile_id=profile_id, source_id=profile_id % 2)
+        profile.add("name", draw(_values))
+        profile.add("price", draw(_values))
+        profiles.append(profile)
+    collection = ProfileCollection(profiles)
+    pairs = [(a, b) for a in range(len(profiles)) for b in range(a + 1, len(profiles))]
+    return collection, pairs
+
+
+class TestMatchersEqualStringLevelSimilarities:
+    @settings(max_examples=60, deadline=None)
+    @given(_collections(), st.sampled_from(sorted(SIMILARITY_FUNCTIONS)), st.sampled_from([0.0, 0.3, 1.0]))
+    def test_threshold_matcher(self, task, name, threshold):
+        profiles, pairs = task
+        function = SIMILARITY_FUNCTIONS[name]
+        expected = {}
+        for a, b in pairs:
+            score = function(profiles[a].text(), profiles[b].text())
+            if score >= threshold:
+                expected[(a, b)] = score
+        matcher = ThresholdMatcher(name, threshold)
+        graph = matcher.match(profiles, pairs)
+        assert {edge.pair: edge.score for edge in graph} == expected
+        for a, b in pairs:  # the single-pair API agrees with the batch
+            assert matcher.score(profiles[a], profiles[b]) == function(
+                profiles[a].text(), profiles[b].text()
+            )
+            assert matcher.is_match(profiles[a], profiles[b]) == ((a, b) in expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_collections(), st.sampled_from(sorted(SIMILARITY_FUNCTIONS)))
+    def test_rule_based_matcher(self, task, name):
+        profiles, pairs = task
+        rules = [
+            MatchingRule(name, 0.3, "name", "name"),
+            MatchingRule("jaccard", 0.2),  # whole-profile text
+            MatchingRule(name, 0.1, "name", "price"),  # one attribute, two operands
+        ]
+        expected = {}
+        for a, b in pairs:
+            left, right = profiles[a], profiles[b]
+            scores = [
+                SIMILARITY_FUNCTIONS[name](left.value_of("name"), right.value_of("name")),
+                SIMILARITY_FUNCTIONS["jaccard"](left.text(), right.text()),
+                SIMILARITY_FUNCTIONS[name](left.value_of("name"), right.value_of("price")),
+            ]
+            if scores[0] >= 0.3 and scores[1] >= 0.2 and scores[2] >= 0.1:
+                expected[(a, b)] = sum(scores) / 3
+        graph = RuleBasedMatcher(rules).match(profiles, pairs)
+        assert {edge.pair: edge.score for edge in graph} == expected
+
+
+class TestPreparedOperands:
+    def test_each_profile_is_prepared_once_per_match_call(self, monkeypatch):
+        profiles = _profiles()
+        matcher = ThresholdMatcher("jaccard", 0.0)
+        prepared = []
+        monkeypatch.setattr(
+            matcher.similarity, "prepare", lambda text: prepared.append(text) or set(text.split())
+        )
+        matcher.match(profiles, [(0, 1), (0, 2), (1, 2), (0, 1)])
+        assert sorted(prepared) == sorted(profile.text() for profile in profiles)
+        # The memo belongs to the call: a second call prepares again.
+        matcher.match(profiles, [(0, 1)])
+        assert len(prepared) == 5
