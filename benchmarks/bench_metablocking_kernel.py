@@ -1,18 +1,18 @@
-"""Meta-blocking kernel benchmark: backends, engine overhead, block stores.
+"""Meta-blocking kernel benchmark: kernel backends and engine overhead.
 
 Times the hot paths of the meta-blocking kernel, across graph sizes:
 
 * **python vs numpy kernel backend** (``numpy_entries``) — the interpreted
   CSR kernel against the vectorised
   :class:`~repro.metablocking.backends.NumpyKernel` on three paths:
-  neighbourhood weighing (kernel sweep → weight table), WNP and CNP
-  retention.  Output equality is asserted *bit-for-bit* — identical dicts,
+  neighbourhood weighing (kernel sweep → every edge weight: a dict for the
+  interpreted kernel, dense arrays for the vectorised one), and WNP and CNP
+  retention (the scalar ``prune`` against ``retained_positions`` plus the
+  retained dict).  Output equality is asserted *bit-for-bit* — identical dicts,
   identical floats — before any timing is recorded; the guard enforces the
   ≥3× combined-speedup floor at the largest committed size.
 * **engine vs sequential** (``e2e_entries``) — the overhead ratio of the full
   ``ParallelMetaBlocker`` over ``MetaBlocker`` on the same blocks.
-* **block stores** (``blockstore_entries``) — driver-relayed shuffle bytes of
-  the WNP vote job under the driver vs the shared-memory store.
 
 Every comparison asserts identical results first, then the run writes its
 sections of ``BENCH_metablocking.json`` next to the repo root — the committed
@@ -39,13 +39,13 @@ from repro.engine.context import EngineContext
 from repro.metablocking.graph import EdgeInfo
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
-from repro.metablocking.parallel import (
-    ParallelMetaBlocker,
-    _sum_votes,
-    _WeightedNodeVotes,
-    edge_id_incidence,
+from repro.metablocking.parallel import ParallelMetaBlocker
+from repro.metablocking.pruning import (
+    CardinalityNodePruning,
+    IndexStats,
+    WeightedNodePruning,
+    default_cnp_k,
 )
-from repro.metablocking.pruning import PruningStrategy, default_cnp_k
 from repro.metablocking.weights import WeightingScheme, compute_edge_weight
 from repro.options import EngineOptions
 
@@ -98,39 +98,6 @@ def kernel_edge_weights(index: CSRBlockIndex) -> dict[tuple[int, int], float]:
     return weights
 
 
-def kernel_wnp(
-    weights: dict[tuple[int, int], float], nodes: list[int]
-) -> dict[tuple[int, int], float]:
-    """WNP voting over the incident-edge adjacency index (built once)."""
-    incidence = PruningStrategy._node_incidence(weights)
-    votes: dict[tuple[int, int], int] = {}
-    for node in nodes:
-        incident = incidence.get(node)
-        if not incident:
-            continue
-        threshold = sum(w for _p, w in incident) / len(incident)
-        for pair, w in incident:
-            if w >= threshold:
-                votes[pair] = votes.get(pair, 0) + 1
-    return {pair: weights[pair] for pair, count in votes.items() if count >= 1}
-
-
-def kernel_cnp(
-    weights: dict[tuple[int, int], float], nodes: list[int], k: int
-) -> dict[tuple[int, int], float]:
-    """CNP voting over the incident-edge adjacency index (built once)."""
-    incidence = PruningStrategy._node_incidence(weights)
-    votes: dict[tuple[int, int], int] = {}
-    for node in nodes:
-        incident = incidence.get(node)
-        if not incident:
-            continue
-        ranked = sorted(incident, key=lambda item: (-item[1], item[0]))
-        for pair, _w in ranked[:k]:
-            votes[pair] = votes.get(pair, 0) + 1
-    return {pair: weights[pair] for pair, count in votes.items() if count >= 1}
-
-
 # ------------------------------------------------------------------ harness
 def _timed(func, *args, repeats: int = 3):
     """Run ``func`` ``repeats`` times; keep the result and the *best* time.
@@ -147,117 +114,27 @@ def _timed(func, *args, repeats: int = 3):
     return result, best
 
 
-# ------------------------------------------------------- block store pass
-def _vote_blockstore_volume(node_ids, weights, store, workers):
-    """Run the WNP vote job under ``process:N`` with the given block store.
-
-    Returns the collected vote map plus the map-stage shuffle volumes split
-    by route: ``payload_bytes`` (total pickled bucket payload — identical
-    across stores), ``relay_bytes`` (what crossed the driver) and
-    ``peer_bytes`` (what moved worker-to-worker through segments / spill
-    files).  Deterministic: no timing involved.
-    """
-    context = EngineContext(4, executor=f"process:{workers}", block_store=store)
-    try:
-        _edge_list, incidence = edge_id_incidence(weights)
-        task = _WeightedNodeVotes(context.broadcast(incidence))
-        votes = (
-            context.parallelize(node_ids)
-            .flatMap(task, name="wnp.votes")
-            .reduceByKey(_sum_votes)
-            .collectAsMap()
-        )
-        map_rows = [
-            row
-            for row in context.scheduler.stage_table()
-            if str(row["description"]).startswith("wnp.votes.reduceByKey.shuffle.map")
-        ]
-        assert map_rows, "vote map stage missing from the stage table"
-        volumes = {
-            "payload_bytes": sum(row["shuffle_write_bytes"] for row in map_rows),
-            "relay_bytes": sum(row["shuffle_relay_bytes"] for row in map_rows),
-            "peer_bytes": sum(row["shuffle_peer_bytes"] for row in map_rows),
-        }
-        return votes, volumes
-    finally:
-        context.stop()
-
-
-def run_blockstore_benchmark(sizes=DEFAULT_SIZES, workers=2) -> list[dict]:
-    """Driver-relayed shuffle bytes: driver block store vs shared memory.
-
-    Runs the same WNP vote job under a
-    ``process:N`` executor twice — once relaying every bucket payload through
-    the driver, once publishing buckets as named shared-memory segments with
-    the driver brokering only block refs.  The vote maps must be identical;
-    the guarded quantity is ``relay_reduction`` — the fraction of
-    driver-crossed bytes eliminated by the peer-to-peer store.  Writes the
-    ``blockstore_entries`` baseline section checked by
-    ``scripts/bench_guard.py``.
-    """
-    entries = []
-    for num_entities in sizes:
-        _dataset, blocks = prepare_blocks(num_entities)
-        csr_index = CSRBlockIndex.from_blocks(blocks, PYTHON)
-        weights = kernel_edge_weights(csr_index)
-        node_ids = list(csr_index.node_ids)
-
-        driver_votes, driver_volumes = _vote_blockstore_volume(
-            node_ids, weights, "driver", workers
-        )
-        shm_votes, shm_volumes = _vote_blockstore_volume(
-            node_ids, weights, "shared-memory", workers
-        )
-        assert shm_votes == driver_votes, "block stores diverged on the vote map"
-        assert shm_volumes["payload_bytes"] == driver_volumes["payload_bytes"], (
-            "bucket payload bytes diverged between block stores"
-        )
-
-        entry = {
-            "num_entities": num_entities,
-            "edges": len(weights),
-            "workers": workers,
-            "driver": driver_volumes,
-            "shared_memory": shm_volumes,
-            "relay_reduction": round(
-                1.0 - shm_volumes["relay_bytes"] / driver_volumes["relay_bytes"], 4
-            ),
-        }
-        entries.append(entry)
-        print(
-            f"[{num_entities:>4} entities] wnp vote relay under process:{workers} | "
-            f"driver {driver_volumes['relay_bytes']:>9}B -> "
-            f"shared-memory {shm_volumes['relay_bytes']:>6}B "
-            f"(-{entry['relay_reduction']:.1%})"
-        )
-    return entries
-
-
 # ------------------------------------------------------- numpy backend pass
-def _numpy_weight_table(index):
-    """One full numpy weighting job: fresh kernel sweep → weight table.
+def _numpy_weight_arrays(index):
+    """One full numpy weighting job: fresh kernel sweep → dense edge arrays.
 
-    The cached kernel (and its whole-graph sweep) is dropped first so every
-    repeat measures the complete job, not a cache hit.
+    What ``MetaBlocker.run`` does before pruning (no pair → weight dict is
+    built).  The cached kernel (and its whole-graph sweep) is dropped first
+    so every repeat measures the complete job, not a cache hit.
     """
     from repro.metablocking.weights import WeightingScheme
 
     index._kernel = None
     plan = index.weight_plan(WeightingScheme.CBS, False)
-    return index.kernel().weight_table(plan)
+    return index.kernel().weight_arrays(plan)
 
 
-def _numpy_wnp(table):
-    from repro.metablocking.backends import wnp_retain
-
-    return wnp_retain(table, 1)
-
-
-def _numpy_cnp(table, k):
-    from repro.metablocking.backends import cnp_retain
+def _numpy_prune(strategy, table, index):
+    """``retained_positions`` → retained dict, the vectorised pruning tail."""
+    from repro.metablocking.backends import prune_edge_weights
 
     table._canonical_rank = None  # measure the full job, not the rank cache
-    return cnp_retain(table, k, 1)
+    return prune_edge_weights(strategy, table, index)
 
 
 def run_numpy_benchmark(sizes=DEFAULT_SIZES) -> list[dict]:
@@ -281,23 +158,23 @@ def run_numpy_benchmark(sizes=DEFAULT_SIZES) -> list[dict]:
         )
 
         python_weights, python_neigh_s = _timed(kernel_edge_weights, python_index)
-        table, numpy_neigh_s = _timed(_numpy_weight_table, numpy_index)
-        assert table.mapping == python_weights, "backend edge weights diverged"
-        assert list(table.mapping) == list(python_weights), (
-            "backend edge emission order diverged"
+        table, numpy_neigh_s = _timed(_numpy_weight_arrays, numpy_index)
+        assert list(table.to_mapping().items()) == list(python_weights.items()), (
+            "backend edge weights or emission order diverged"
         )
 
-        nodes = list(python_index.node_ids)
-        k = default_cnp_k(
-            sum(python_index.node_block_count), python_index.num_nodes
+        stats = IndexStats(python_index)
+        wnp = WeightedNodePruning()
+        cnp = CardinalityNodePruning(
+            k=default_cnp_k(sum(python_index.node_block_count), python_index.num_nodes)
         )
 
-        python_wnp, python_wnp_s = _timed(kernel_wnp, python_weights, nodes)
-        numpy_wnp, numpy_wnp_s = _timed(_numpy_wnp, table)
+        python_wnp, python_wnp_s = _timed(wnp.prune, stats, python_weights)
+        numpy_wnp, numpy_wnp_s = _timed(_numpy_prune, wnp, table, numpy_index)
         assert numpy_wnp == python_wnp, "backend WNP output diverged"
 
-        python_cnp, python_cnp_s = _timed(kernel_cnp, python_weights, nodes, k)
-        numpy_cnp, numpy_cnp_s = _timed(_numpy_cnp, table, k)
+        python_cnp, python_cnp_s = _timed(cnp.prune, stats, python_weights)
+        numpy_cnp, numpy_cnp_s = _timed(_numpy_prune, cnp, table, numpy_index)
         assert numpy_cnp == python_cnp, "backend CNP output diverged"
 
         python_total = python_neigh_s + python_wnp_s + python_cnp_s
@@ -393,10 +270,6 @@ def main(argv=None) -> int:
         "--skip-numpy", action="store_true",
         help="keep the committed numpy-backend entries; skip that comparison",
     )
-    parser.add_argument(
-        "--skip-blockstore", action="store_true",
-        help="keep the committed block-store entries; skip the relay comparison",
-    )
     args = parser.parse_args(argv)
 
     # Start from the committed file: other benchmarks own sections of it too.
@@ -411,18 +284,12 @@ def main(argv=None) -> int:
         if args.skip_numpy
         else run_numpy_benchmark(args.sizes)
     )
-    blockstore_entries = (
-        existing.get("blockstore_entries", [])
-        if args.skip_blockstore
-        else run_blockstore_benchmark(args.sizes)
-    )
     if not args.dry_run:
         payload = dict(
             existing,
             benchmark="metablocking_kernel",
             e2e_entries=e2e_entries,
             numpy_entries=numpy_entries,
-            blockstore_entries=blockstore_entries,
         )
         args.output.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"baseline written to {args.output}")

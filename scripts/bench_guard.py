@@ -1,6 +1,6 @@
 """Perf-regression guard for the meta-blocking kernel and the engine path.
 
-Seven guards, all built on ratios that are largely machine-independent; most
+Six guards, all built on ratios that are largely machine-independent; most
 compare against the committed ``BENCH_metablocking.json`` baseline, the
 pipeline guard measures both sides fresh:
 
@@ -9,11 +9,6 @@ pipeline guard measures both sides fresh:
   ratio* (engine wall-clock / sequential wall-clock).  Fails when the
   engine plumbing became more than ``1 + tolerance`` times as expensive
   relative to the algorithmic work as the committed baseline.
-* **block store relay** — re-runs the WNP vote job under ``process:N`` with
-  the shared-memory block store and checks that the bytes relayed through
-  the driver (block refs only) stay at or below 5 percent of the committed
-  driver-relay wire volume for the same scenario.  Deterministic: fails the
-  moment shuffle payloads start crossing the driver again.
 * **numpy kernel backend** — re-runs the python-vs-numpy backend comparison
   at the *largest* committed size and fails when the combined
   neighbourhood + WNP + CNP speedup of the vectorised kernel drops below
@@ -182,68 +177,6 @@ def check_pipeline_against_facade(
             f"on {entry['num_entities']} entities (ceiling {ceiling:.2f}x)"
         ]
     return []
-
-
-BLOCKSTORE_RELAY_CEILING = 0.05  # acceptance: driver-relayed bytes ≤ 5% of the
-# committed driver-store relay volume for the same vote scenario
-
-
-def check_blockstore_against_baseline(
-    baseline_path: Path = BASELINE_PATH,
-) -> list[str]:
-    """Guard the peer-to-peer shuffle block store; return failure messages.
-
-    Re-runs the WNP vote job under ``process:N`` with the shared-memory
-    block store and fails when the bytes relayed through the driver exceed
-    ``BLOCKSTORE_RELAY_CEILING`` times the committed driver-store relay
-    volume of the same scenario.  Deterministic (pickled ref and
-    payload bytes, no wall-clock), so no timing tolerance is needed; the
-    benchmark itself asserts the vote maps are identical across stores
-    before any volume is reported.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-    from bench_metablocking_kernel import run_blockstore_benchmark
-
-    baseline = json.loads(baseline_path.read_text())
-    blockstore_entries = baseline.get("blockstore_entries")
-    if not blockstore_entries:
-        return [
-            "no block-store baseline committed — regenerate with "
-            "`python benchmarks/bench_metablocking_kernel.py`"
-        ]
-    failures: list[str] = []
-    # The acceptance criterion lives on the *largest* committed scenario:
-    # the driver-relay volume grows with the graph while the ref volume
-    # stays a near-constant handful of block descriptors, so the largest
-    # size is where the ≤5% contract is meaningful (at tiny sizes the fixed
-    # ref cost can approach the payload itself).
-    largest = max(blockstore_entries, key=lambda entry: entry["num_entities"])
-    committed_reduction = largest["relay_reduction"]
-    if committed_reduction < 1.0 - BLOCKSTORE_RELAY_CEILING:
-        failures.append(
-            f"blockstore: committed relay reduction {committed_reduction:.1%} on "
-            f"the largest scenario is below the "
-            f"{1.0 - BLOCKSTORE_RELAY_CEILING:.0%} floor"
-        )
-    reference = largest["driver"]["relay_bytes"]
-    current = run_blockstore_benchmark(
-        sizes=[largest["num_entities"]], workers=largest.get("workers", 2)
-    )[0]
-    measured_relay = current["shared_memory"]["relay_bytes"]
-    ceiling_bytes = BLOCKSTORE_RELAY_CEILING * reference
-    if measured_relay > ceiling_bytes:
-        failures.append(
-            f"blockstore: shared-memory store relayed {measured_relay}B through "
-            f"the driver under process:{current['workers']} — above the "
-            f"{BLOCKSTORE_RELAY_CEILING:.0%} ceiling ({ceiling_bytes:.0f}B) of "
-            f"the committed {reference}B driver-relay baseline"
-        )
-    if current["driver"]["relay_bytes"] != current["driver"]["payload_bytes"]:
-        failures.append(
-            "blockstore: driver store relay bytes no longer equal the bucket "
-            "payload bytes — the relay accounting changed"
-        )
-    return failures
 
 
 SCALE_OVERHEAD_CEILING = 1.5  # memmap meta-blocking ≤ 1.5× the ram wall-clock
@@ -490,7 +423,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     failures = check_e2e_against_baseline(args.e2e_tolerance, args.baseline)
-    failures += check_blockstore_against_baseline(args.baseline)
     failures += check_numpy_against_baseline(args.numpy_tolerance, args.baseline)
     failures += check_pipeline_against_facade(args.pipeline_ceiling)
     failures += check_scale_against_baseline(args.scale_tolerance, args.baseline)
@@ -501,9 +433,9 @@ def main(argv=None) -> int:
             print(f"BENCH GUARD FAIL — {failure}", file=sys.stderr)
         return 1
     print(
-        "bench guard ok: e2e engine overhead, block-store relay volume, numpy "
-        "backend speedups, pipeline-runner overhead, out-of-core scale, "
-        "service ingest/query and WAL durability baselines within tolerance"
+        "bench guard ok: e2e engine overhead, numpy backend speedups, "
+        "pipeline-runner overhead, out-of-core scale, service ingest/query "
+        "and WAL durability baselines within tolerance"
     )
     return 0
 

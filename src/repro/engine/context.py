@@ -88,6 +88,7 @@ class EngineContext:
         self._owns_block_store = not isinstance(options.block_store, BlockStore)
         self.block_store = make_block_store(options)
         self._broadcasts: dict[int, Broadcast[Any]] = {}
+        self._broadcasts_created = 0
         self._accumulators: dict[int, Accumulator[Any]] = {}
 
     # ------------------------------------------------------------------ RDDs
@@ -113,7 +114,18 @@ class EngineContext:
         """Create a broadcast variable holding ``value``."""
         broadcast = new_broadcast(value)
         self._broadcasts[broadcast.id] = broadcast
+        self._broadcasts_created += 1
         return broadcast
+
+    def unbroadcast(self, broadcast: Broadcast[Any]) -> None:
+        """Destroy a job-scoped broadcast and drop this context's reference.
+
+        A long-lived context would otherwise pin every value it ever
+        broadcast until :meth:`stop`.  Releasing OS-level state the value
+        holds (a shared-memory segment) stays with whoever created it.
+        """
+        self._broadcasts.pop(broadcast.id, None)
+        broadcast.destroy()
 
     def accumulator(
         self, initial: T, combine: Callable[[T, T], T] | None = None
@@ -160,7 +172,7 @@ class EngineContext:
             "shuffle_relay_bytes": self.scheduler.total_shuffle_relay_bytes,
             "shuffle_peer_bytes": self.scheduler.total_shuffle_peer_bytes,
             "max_rss_bytes": self.scheduler.max_rss_bytes,
-            "broadcasts": len(self._broadcasts),
+            "broadcasts": self._broadcasts_created,
             "accumulators": len(self._accumulators),
         }
 

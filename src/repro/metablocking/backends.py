@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 from repro.exceptions import MetaBlockingError
@@ -238,8 +239,8 @@ class PythonKernel:
     def weighted_edges(self, node: int, plan: WeightPlan) -> list[tuple[int, float]]:
         """``[(other_dense, weight)]`` for the upper edges of ``node``.
 
-        The historical per-edge loop of the parallel edge weigher, shared by
-        every consumer so there is exactly one scalar reference path.
+        The one scalar per-edge loop, shared by every consumer, so there is
+        exactly one reference path.
         """
         from repro.metablocking.graph import EdgeInfo
         from repro.metablocking.weights import WeightingScheme, compute_edge_weight
@@ -275,6 +276,36 @@ class PythonKernel:
                 weight *= info.mean_entropy
             results.append((other, weight))
         return results
+
+    def range_weights(self, lo: int, hi: int, plan: WeightPlan) -> tuple:
+        """The weighted upper edges of the dense nodes ``[lo, hi)`` as arrays.
+
+        ``(a, b, w)`` — two ``array('q')`` of dense endpoints and an
+        ``array('d')`` of weights, node-major first-touch order: the same
+        records :meth:`weighted_edges` emits node by node, without a python
+        tuple per edge on the wire.
+        """
+        a, b, w = array("q"), array("q"), array("d")
+        for node in range(lo, hi):
+            for other, weight in self.weighted_edges(node, plan):
+                a.append(node)
+                b.append(other)
+                w.append(weight)
+        return a, b, w
+
+    def sweep_costs(self) -> list[int]:
+        """Per dense node, the summed size of the blocks it sits in."""
+        index = self._index
+        offsets = index.block_offsets
+        entries = index.node_block_entries
+        bounds = index.node_block_offsets
+        return [
+            sum(
+                offsets[(entry >> 1) + 1] - offsets[entry >> 1]
+                for entry in entries[bounds[node] : bounds[node + 1]]
+            )
+            for node in range(index.num_nodes)
+        ]
 
     def weighted_edges_by_node(self, plan: WeightPlan) -> list[list[tuple]]:
         """Per dense node, its weighted upper edges as ``((a, b), w)`` pairs."""
@@ -697,22 +728,6 @@ class NumpyKernel:
         )
         return pairs, weights
 
-    def partition_weighted_edges(self, profile_ids, plan: WeightPlan):
-        """All ``((a, b), weight)`` records of one node partition, in order.
-
-        One vectorised sweep over the partition's nodes — the worker-side
-        fast path of the parallel edge weighing job.  The record stream is
-        identical (content and order) to per-node emission.
-        """
-        np = self._np
-        if not profile_ids:
-            return []
-        dense = np.searchsorted(self.node_ids, np.asarray(profile_ids, dtype=np.int64))
-        sweep = self._plan_sweep(plan, dense)
-        keep = sweep.others > sweep.owners
-        pairs, weights = self._pair_records(sweep, keep, plan)
-        return list(zip(pairs, weights.tolist()))
-
     def weighted_neighbourhoods(self, nodes, plan: WeightPlan) -> list[list[tuple[int, float]]]:
         """Per requested dense node, ``[(other_dense, weight)]`` over *all*
         its neighbours (both directions), in first-touch order.
@@ -738,41 +753,46 @@ class NumpyKernel:
             per_node.append(list(zip(others[start:end], weight_list[start:end])))
         return per_node
 
+    def _upper_edges(self, sweep: _Sweep, plan: WeightPlan) -> tuple:
+        """``(a, b, w)`` of ``sweep``'s edges, each from its lower endpoint."""
+        keep = sweep.others > sweep.owners
+        return sweep.owners[keep], sweep.others[keep], self._edge_weights(sweep, keep, plan)
+
+    def range_weights(self, lo: int, hi: int, plan: WeightPlan) -> tuple:
+        """The weighted upper edges of the dense nodes ``[lo, hi)`` as arrays.
+
+        One partial sweep; ``(a, b, w)`` are aligned ndarrays over dense node
+        ids in node-major first-touch order, so the concatenation over
+        consecutive ranges is exactly :meth:`weight_arrays`.
+        """
+        return self._upper_edges(self._plan_sweep(plan, self._np.arange(lo, hi)), plan)
+
+    def sweep_costs(self) -> list[int]:
+        """Per dense node, the summed size of the blocks it sits in.
+
+        What a partial sweep over the node gathers before grouping — read
+        off the offset arrays, no neighbourhood is materialised.
+        """
+        np = self._np
+        sizes = np.diff(self.block_offsets)
+        running = np.concatenate(([0], np.cumsum(sizes[self.node_block_entries >> 1])))
+        return np.diff(running[self.node_block_offsets]).tolist()
+
     def weight_arrays(self, plan: WeightPlan) -> "EdgeWeights":
         """Every edge weight of the graph as aligned dense arrays — no dict.
 
-        The dict-free variant of :meth:`weight_table`: ``mapping`` is
-        ``None`` and ``node_ids`` carries the dense→profile-id vector, so
-        pair tuples can be materialised lazily per chunk.  This is the
-        streaming entry point — the O(E) footprint is three numeric arrays
-        (~16 bytes/edge) instead of a dict of tuples (~200 bytes/edge).
+        ``node_ids`` carries the dense→profile-id vector, so pair tuples are
+        materialised lazily, per retained chunk.  The O(E) footprint is three
+        numeric arrays (~24 bytes/edge) instead of a dict of tuples
+        (~200 bytes/edge).
         """
-        sweep = self._plan_sweep(plan)
-        keep = sweep.others > sweep.owners
-        weights = self._edge_weights(sweep, keep, plan)
-        return EdgeWeights(
-            mapping=None,
-            a=sweep.owners[keep],
-            b=sweep.others[keep],
-            w=weights,
-            num_nodes=self._index.num_nodes,
-            node_ids=self.node_ids,
-        )
+        a, b, w = self._upper_edges(self._plan_sweep(plan), plan)
+        return EdgeWeights(a, b, w, self._index.num_nodes, self.node_ids)
 
     def weight_table(self, plan: WeightPlan) -> "EdgeWeights":
-        """Every edge weight of the graph, as aligned arrays plus the dict."""
+        """:meth:`weight_arrays` plus the full ``(a, b) → weight`` dict."""
         table = self.weight_arrays(plan)
-        # The pair tuples are built lazily inside the zip-of-zips: one pass
-        # feeds the dict directly, no intermediate pair list.
-        table.mapping = dict(
-            zip(
-                zip(
-                    self.node_ids[table.a].tolist(),
-                    self.node_ids[table.b].tolist(),
-                ),
-                table.w.tolist(),
-            )
-        )
+        table.mapping = table.to_mapping()
         return table
 
     def degrees(self) -> array:
@@ -790,49 +810,44 @@ class NumpyKernel:
 # ------------------------------------------------------- vectorised pruning
 @dataclass
 class EdgeWeights:
-    """An edge-weight mapping plus the aligned dense arrays it was built from.
+    """Every edge of the blocking graph as aligned dense arrays.
 
-    ``mapping`` is the plain ``(a, b) → weight`` dict every existing consumer
-    understands (node-major first-touch insertion order); ``a`` / ``b`` / ``w``
-    are aligned ndarrays over *dense* node ids so the pruning fast paths skip
-    the dict → array conversion entirely.
-
-    A *streaming* table (built by :meth:`NumpyKernel.weight_arrays`) has
-    ``mapping=None`` and carries the dense→profile-id ``node_ids`` vector
-    instead; consumers materialise python pair tuples chunk by chunk via
-    :func:`iter_retained_chunks`, never all at once.
+    ``a`` / ``b`` / ``w`` are the dense endpoints and the weight of each edge
+    in emission (node-major first-touch) order — ndarrays under the numpy
+    kernel, stdlib arrays under the python kernel — and ``node_ids`` maps
+    dense ids back to profile ids.  Pair tuples are only materialised for
+    what a consumer asks for: the retained edges, chunk by chunk
+    (:func:`iter_retained_chunks`), or the whole graph (:meth:`to_mapping`).
+    ``mapping`` caches the latter for :meth:`NumpyKernel.weight_table`.
     """
 
-    mapping: "dict | None"
     a: Any
     b: Any
     w: Any
     num_nodes: int
     node_ids: Any = None
-    _pairs: "list | None" = field(default=None, repr=False)
+    mapping: "dict | None" = None
     _canonical_rank: Any = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        return len(self.mapping) if self.mapping is not None else len(self.a)
+        return len(self.a)
 
-    @property
-    def pairs(self) -> list:
-        """The pair tuples aligned with ``w`` (the mapping's key order)."""
-        if self._pairs is None:
-            if self.mapping is not None:
-                self._pairs = list(self.mapping)
-            else:
-                self._pairs = list(
-                    zip(self.node_ids[self.a].tolist(), self.node_ids[self.b].tolist())
-                )
-        return self._pairs
+    def to_mapping(self) -> dict:
+        """The full ``(a, b) → weight`` dict, in emission order."""
+        ids = self.node_ids
+        if isinstance(ids, list):  # python kernel: stdlib arrays, plain id list
+            pairs = zip(map(ids.__getitem__, self.a), map(ids.__getitem__, self.b))
+            return dict(zip(pairs, self.w))
+        return dict(
+            zip(zip(ids[self.a].tolist(), ids[self.b].tolist()), self.w.tolist())
+        )
 
     def canonical_rank(self):
         """Position of each edge in canonical (sorted-pair) order.
 
         Ordering by ``(-weight, rank)`` therefore equals the scalar paths'
-        ``(-weight, pair)`` tie-break exactly.  Cached: CEP, CNP and the
-        vote-stage edge ids all consume it.
+        ``(-weight, pair)`` tie-break exactly.  Cached: CEP and CNP both
+        consume it.
         """
         if self._canonical_rank is None:
             np = numpy_or_none()
@@ -841,13 +856,6 @@ class EdgeWeights:
             rank[order] = np.arange(len(self.a), dtype=np.int64)
             self._canonical_rank = rank
         return self._canonical_rank
-
-
-def _retain_by_mask(table: EdgeWeights, keep) -> dict:
-    """The retained-edge dict for a boolean edge mask (insertion order kept)."""
-    from itertools import compress
-
-    return dict(compress(table.mapping.items(), keep.tolist()))
 
 
 def _sequential_sum(np, values):
@@ -872,24 +880,6 @@ def _wep_mask(np, table: EdgeWeights):
 def _cep_order(np, table: EdgeWeights, k: int):
     """CEP's retained edge positions, in ranked ``(-weight, pair)`` order."""
     return np.lexsort((table.canonical_rank(), -table.w))[:k]
-
-
-def wep_retain(table: EdgeWeights) -> dict:
-    """WEP: keep edges at or above the global mean edge weight."""
-    np = numpy_or_none()
-    if not len(table):
-        return {}
-    return _retain_by_mask(table, _wep_mask(np, table))
-
-
-def cep_retain(table: EdgeWeights, k: int) -> dict:
-    """CEP: keep the globally top-``k`` edges, ranked ``(-weight, pair)``."""
-    np = numpy_or_none()
-    if not len(table):
-        return {}
-    order = _cep_order(np, table, k).tolist()
-    pairs, weights = table.pairs, table.w.tolist()
-    return {pairs[i]: weights[i] for i in order}
 
 
 def _interleaved_incidence(np, table: EdgeWeights):
@@ -940,22 +930,6 @@ def _cnp_mask(np, table: EdgeWeights, k: int, required: int):
     return votes >= required
 
 
-def wnp_retain(table: EdgeWeights, required: int) -> dict:
-    """WNP: per-node mean threshold; ``required`` endpoint votes retain."""
-    np = numpy_or_none()
-    if not len(table):
-        return {}
-    return _retain_by_mask(table, _wnp_mask(np, table, required))
-
-
-def cnp_retain(table: EdgeWeights, k: int, required: int) -> dict:
-    """CNP: every node keeps its top-``k`` incident edges (sort, not heaps)."""
-    np = numpy_or_none()
-    if not len(table):
-        return {}
-    return _retain_by_mask(table, _cnp_mask(np, table, k, required))
-
-
 def supports_strategy(strategy) -> bool:
     """True when the vectorised dispatch covers ``strategy`` exactly.
 
@@ -982,41 +956,6 @@ def supports_strategy(strategy) -> bool:
     )
 
 
-def prune_edge_weights(strategy, table: EdgeWeights, index) -> "dict | None":
-    """Vectorised pruning dispatch for the built-in strategies.
-
-    Returns the retained-edge dict, or ``None`` when ``strategy`` is a custom
-    subclass the fast paths do not recognise (the caller falls back to the
-    scalar ``prune``).  Default ``k`` derivations delegate to the shared
-    :func:`~repro.metablocking.pruning.default_cep_k` /
-    :func:`~repro.metablocking.pruning.default_cnp_k` formulas.
-    """
-    from repro.metablocking.pruning import (  # import-cycle guard
-        CardinalityEdgePruning,
-        CardinalityNodePruning,
-        WeightedEdgePruning,
-        WeightedNodePruning,
-        default_cep_k,
-        default_cnp_k,
-    )
-
-    if not supports_strategy(strategy):
-        return None
-    if type(strategy) is WeightedEdgePruning:
-        return wep_retain(table)
-    if type(strategy) is CardinalityEdgePruning:
-        k = strategy.k
-        if k is None:
-            k = default_cep_k(int(sum(index.node_block_count)))
-        return cep_retain(table, k)
-    if isinstance(strategy, CardinalityNodePruning):
-        k = strategy.k
-        if k is None:
-            k = default_cnp_k(int(sum(index.node_block_count)), index.num_nodes)
-        return cnp_retain(table, k, 2 if strategy.reciprocal else 1)
-    return wnp_retain(table, 2 if strategy.reciprocal else 1)
-
-
 # ----------------------------------------------------------- streamed pruning
 DEFAULT_CHUNK_EDGES = 65536
 
@@ -1024,14 +963,14 @@ DEFAULT_CHUNK_EDGES = 65536
 def retained_positions(strategy, table: EdgeWeights, index):
     """Retained edge positions of ``table``, in retention order, or ``None``.
 
-    The streaming counterpart of :func:`prune_edge_weights`: instead of a
-    retained-edge dict it returns the *positions* (indices into
-    ``table.a/b/w``) of the retained edges, in the exact order the dict
-    variant inserts them — emission (node-major first-touch) order for
-    WEP/WNP/CNP, ranked ``(-weight, pair)`` order for CEP.  Returns ``None``
-    for custom strategy subclasses, exactly like the dict dispatch; both
-    dispatches share one retention definition (the mask/order helpers), so
-    chunked emission is bit-for-bit the dict's ``items()`` stream.
+    The one vectorised retention definition: the *positions* (indices into
+    ``table.a/b/w``) of the retained edges, in the order the scalar
+    strategies insert them into their result dict — emission (node-major
+    first-touch) order for WEP/WNP/CNP, ranked ``(-weight, pair)`` order for
+    CEP.  Returns ``None`` for custom strategy subclasses (the caller falls
+    back to the scalar ``prune``).  Default ``k`` derivations delegate to the
+    shared :func:`~repro.metablocking.pruning.default_cep_k` /
+    :func:`~repro.metablocking.pruning.default_cnp_k` formulas.
     """
     from repro.metablocking.pruning import (  # import-cycle guard
         CardinalityEdgePruning,
@@ -1068,9 +1007,9 @@ def iter_retained_chunks(
 
     ``positions`` is a :func:`retained_positions` result; each yielded chunk
     materialises at most ``chunk_edges`` python records (profile-id pair
-    tuples and float weights — identical objects to the retained dict's
-    ``items()``), so the peak python-object footprint of a consumer that
-    processes chunks as they arrive is O(chunk), not O(retained).
+    tuples and float weights), so the peak python-object footprint of a
+    consumer that processes chunks as they arrive is O(chunk), not
+    O(retained).
     """
     if chunk_edges <= 0:
         raise MetaBlockingError("chunk_edges must be positive")
@@ -1086,3 +1025,30 @@ def iter_retained_chunks(
                 table.w[chunk].tolist(),
             )
         )
+
+
+def retained_dict(table: EdgeWeights, positions) -> dict:
+    """The retained-edge dict of a :func:`retained_positions` result."""
+    return dict(chain.from_iterable(iter_retained_chunks(table, positions)))
+
+
+def prune_edge_weights(strategy, table: EdgeWeights, index) -> "dict | None":
+    """:func:`retained_positions` materialised as the retained-edge dict.
+
+    ``None`` for custom strategy subclasses, like the positions dispatch.
+    """
+    positions = retained_positions(strategy, table, index)
+    return None if positions is None else retained_dict(table, positions)
+
+
+def iter_dict_chunks(retained: dict, chunk_edges: int = DEFAULT_CHUNK_EDGES):
+    """Slice an already-built retained dict into ``items()`` chunks.
+
+    The streaming fallback of the scalar pruning paths (python kernel,
+    custom strategies): correct, but the dict is O(retained) by then.
+    """
+    if chunk_edges <= 0:
+        raise MetaBlockingError("chunk_edges must be positive")
+    items = list(retained.items())
+    for start in range(0, len(items), chunk_edges):
+        yield items[start : start + chunk_edges]

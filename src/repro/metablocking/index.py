@@ -26,7 +26,7 @@ vectorised :class:`~repro.metablocking.backends.NumpyKernel`, selected per
 index by the ``kernel_backend`` engine option (:mod:`repro.options`).  Both
 kernels share one emission order (node-major first-touch)
 and one accumulation order, which is what keeps every driving path —
-sequential graph builder, parallel weigher, progressive streams — bit-for-bit
+sequential graph builder, parallel range tasks, progressive streams — bit-for-bit
 equivalent across backends and executors.
 
 Under the numpy backend the index can additionally export its buffers into a
@@ -298,8 +298,8 @@ class CSRBlockIndex:
         The index is the broadcast payload of the parallel meta-blocking;
         each worker process builds its own scratch kernel on first use, so
         the kernel (and its buffers / cached sweeps and weight plans) stays
-        out of the pickle.  The cached degree vector and the per-block stat
-        vectors *do* ship, so workers never redo the one-pass sweeps.
+        out of the pickle.  The per-block stat vectors and — when cached —
+        the degree vector *do* ship, so workers never redo a full sweep.
 
         When the buffers were exported to shared memory the state carries
         only the segment name and field layout — the worker attaches and
@@ -365,7 +365,7 @@ class CSRBlockIndex:
         for field, _typecode in _SHARED_FIELDS:
             setattr(self, field, views[field])
         self.node_ids = views["node_ids"]
-        self._degrees = views["degrees"]
+        self._degrees = views.get("degrees")
         self._node_of = None  # rebuilt lazily; node_ids is the source of truth
         self.total_blocks = state["total_blocks"]
         self.clean_clean = state["clean_clean"]
@@ -379,8 +379,10 @@ class CSRBlockIndex:
 
         After export, pickling this index ships only the segment reference;
         process-pool workers attach instead of deserialising.  Requires the
-        numpy backend (the worker-side views are ndarrays) and includes the
-        degree vector, so it is resolved here if not already cached.
+        numpy backend (the worker-side views are ndarrays).  The degree
+        vector rides along when it is already cached — a job whose weight
+        plan reads degrees (EJS) resolves it before exporting, everything
+        else never pays for the sweep.
 
         Idempotent; returns the :class:`SharedIndexBuffers` handle.  The
         segment is unlinked by :meth:`release_shared` (wired to
@@ -399,13 +401,13 @@ class CSRBlockIndex:
 
         from repro.metablocking.sharedmem import SharedIndexBuffers
 
-        self.degree_vector()  # ships with the segment — workers never resweep
         fields: dict = {
             field: (getattr(self, field), typecode)
             for field, typecode in _SHARED_FIELDS
         }
         fields["node_ids"] = (np.asarray(self.node_ids, dtype=np.int64), "q")
-        fields["degrees"] = (self._degrees, "q")
+        if self._degrees is not None:
+            fields["degrees"] = (self._degrees, "q")
         self._shared = SharedIndexBuffers.export(fields)
         return self._shared
 
@@ -477,9 +479,9 @@ class CSRBlockIndex:
     def kernel(self):
         """The (cached) scratch kernel of the selected backend.
 
-        The mini engine runs every task in one process, so the single cached
-        kernel is shared by all partitions; tasks materialise neighbourhoods
-        strictly one at a time.
+        One per index instance, i.e. per process: the serial executor's
+        tasks share the driver's, every pool worker builds its own, and tasks
+        within a process run strictly one at a time.
         """
         if self._kernel is None:
             self._kernel = _backends.make_kernel(self)

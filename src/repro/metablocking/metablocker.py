@@ -6,11 +6,12 @@ ParallelMetaBlocker` produces exactly the same output using the broadcast-join
 structure SparkER runs on Spark.
 
 Both run on the pluggable kernel backend of the CSR index
-(:mod:`repro.metablocking.backends`).  Under the numpy backend the sequential
-path skips the dict-of-:class:`EdgeInfo` graph entirely: one vectorised kernel
-sweep produces the edge-weight table and the WEP/WNP/CEP/CNP retention runs as
-array expressions — with the same floats, the same tie-breaks and therefore
-the same retained edges as the interpreted path, to the last bit.
+(:mod:`repro.metablocking.backends`).  Under the numpy backend neither builds
+the dict-of-:class:`EdgeInfo` graph nor a full pair → weight dict: the kernel
+emits three dense edge arrays, the WEP/WNP/CEP/CNP retention runs over them as
+array expressions, and only the retained edges become python tuples — with
+the same floats, the same tie-breaks and therefore the same retained edges as
+the interpreted path, to the last bit.
 """
 
 from __future__ import annotations
@@ -86,10 +87,16 @@ class MetaBlocker:
         """Run meta-blocking over ``blocks`` and return the candidate pairs."""
         index = CSRBlockIndex.from_blocks(blocks, self.options)
         try:
-            if index.backend == "numpy":
-                result = self._run_vectorised(index)
-                if result is not None:
-                    return result
+            vectorised = self._retain_vectorised(index)
+            if vectorised is not None:
+                table, positions = vectorised
+                retained = _backends.retained_dict(table, positions)
+                return MetaBlockingResult(
+                    candidate_pairs=set(retained),
+                    retained_edges=retained,
+                    graph_edges=len(table),
+                    graph_nodes=index.num_nodes,
+                )
             graph = blocking_graph_from_index(
                 index, clean_clean=blocks.clean_clean, num_blocks=len(blocks)
             )
@@ -111,55 +118,38 @@ class MetaBlocker:
         the O(E) residual is three dense numeric arrays (and, under the
         ``memmap`` buffer backend, the index pages from disk), so the peak
         python-object footprint is O(chunk).  Custom strategies and the
-        interpreted backend fall back to a full :meth:`run` and chunk its
+        interpreted backend fall back to the graph path and chunk its
         dict — correct, but not out-of-core.
         """
         index = CSRBlockIndex.from_blocks(blocks, self.options)
         try:
-            if index.backend == "numpy" and _backends.supports_strategy(self.pruning):
-                if index.num_nodes == 0:
-                    return
-                plan = index.weight_plan(self.weighting, self.use_entropy)
-                table = index.kernel().weight_arrays(plan)
-                positions = _backends.retained_positions(self.pruning, table, index)
-                if positions is not None:
-                    yield from _backends.iter_retained_chunks(
-                        table, positions, chunk_edges
-                    )
-                    return
+            vectorised = self._retain_vectorised(index)
+            if vectorised is not None:
+                yield from _backends.iter_retained_chunks(*vectorised, chunk_edges)
+                return
             graph = blocking_graph_from_index(
                 index, clean_clean=blocks.clean_clean, num_blocks=len(blocks)
             )
-            retained = self.run_on_graph(graph).retained_edges
-            items = list(retained.items())
-            for start in range(0, len(items), chunk_edges):
-                yield items[start : start + chunk_edges]
+            yield from _backends.iter_dict_chunks(
+                self.run_on_graph(graph).retained_edges, chunk_edges
+            )
         finally:
             index.close()
 
-    def _run_vectorised(self, index: CSRBlockIndex) -> "MetaBlockingResult | None":
-        """The numpy fast path: kernel weight table + array pruning.
+    def _retain_vectorised(self, index: CSRBlockIndex) -> "tuple | None":
+        """The numpy fast path: ``(edge table, retained positions)``.
 
-        Returns ``None`` for custom pruning strategies the vectorised
-        dispatch does not recognise — decided *before* the weight table is
-        built, so the fallback never pays for a discarded sweep; the caller
-        then runs the graph path (same output either way).
+        One kernel sweep into three dense arrays, array pruning over them;
+        the only pair tuples ever built are the retained ones.  Returns
+        ``None`` on the python kernel and for custom pruning strategies the
+        vectorised dispatch does not recognise — decided *before* the sweep,
+        so the graph-path fallback never pays for a discarded one.
         """
-        if index.num_nodes == 0:
-            return MetaBlockingResult()
-        if not _backends.supports_strategy(self.pruning):
+        if index.backend != "numpy" or not _backends.supports_strategy(self.pruning):
             return None
         plan = index.weight_plan(self.weighting, self.use_entropy)
-        table = index.kernel().weight_table(plan)
-        retained = _backends.prune_edge_weights(self.pruning, table, index)
-        if retained is None:
-            return None
-        return MetaBlockingResult(
-            candidate_pairs=set(retained),
-            retained_edges=retained,
-            graph_edges=index.num_edges(),
-            graph_nodes=index.num_nodes,
-        )
+        table = index.kernel().weight_arrays(plan)
+        return table, _backends.retained_positions(self.pruning, table, index)
 
     def run_on_graph(self, graph: BlockingGraph) -> MetaBlockingResult:
         """Run weighting + (entropy) + pruning over a prebuilt blocking graph."""

@@ -1,107 +1,95 @@
-"""Broadcast-join parallel meta-blocking on the mini engine.
+"""Broadcast-join parallel meta-blocking on the mini engine — one stage.
 
 The paper (Section 2.1) describes the parallel meta-blocking as *inspired by
-the broadcast join*: the nodes of the blocking graph are partitioned, and the
-information needed to materialise the neighbourhood of each node (a compact
-block index) is broadcast to every partition; each task then materialises one
-node neighbourhood at a time, computes the edge weights and applies the
-pruning function locally.
+the broadcast join*: the nodes of the blocking graph are partitioned, the
+compact block index is broadcast, and each task materialises the
+neighbourhoods of its own nodes and weighs their edges.  This module keeps
+that shape and moves every edge as an *array element*, never as a python
+object, until the retained set is known:
 
-This module reproduces that structure on the CSR-backed
-:class:`~repro.metablocking.index.CSRBlockIndex`:
+1. **Driver.**  Build the :class:`~repro.metablocking.index.CSRBlockIndex`,
+   export its buffers to one shared-memory segment (numpy kernel on a
+   process pool; otherwise the index pickles) and broadcast it — the job's
+   only broadcast.  Split the dense node ids ``[0, n)`` into
+   ``default_parallelism`` contiguous ranges balanced by *sweep cost* — per
+   node, the summed size of the blocks it sits in, read off the offset
+   arrays without materialising a neighbourhood (:func:`balanced_ranges`).
+2. **One executor stage, ``metablocking.weights``.**  A task receives one
+   ``(lo, hi)`` range, runs one partial kernel sweep over it against the
+   broadcast index and returns ``(a, b, w)``: dense endpoints and weight of
+   every edge whose *lower* endpoint is in the range — ndarrays under the
+   numpy kernel, ``array('q')`` / ``array('d')`` under the python kernel.
+   Each edge is emitted exactly once, so there is nothing to deduplicate
+   and nothing to shuffle.
+3. **Driver.**  Concatenate the task results in range order into one
+   :class:`~repro.metablocking.backends.EdgeWeights` table and prune it with
+   the retention tail the sequential
+   :class:`~repro.metablocking.metablocker.MetaBlocker` uses
+   (:func:`~repro.metablocking.backends.retained_positions`, or the scalar
+   ``strategy.prune`` on the python kernel / for custom strategies).
 
-1. The CSR index — offset arrays, per-block cardinality/entropy vectors and a
-   precomputed degree vector — is built once and shipped via
-   :meth:`repro.engine.context.EngineContext.broadcast`.
-2. The profile ids are parallelised into an RDD and processed partition by
-   partition; every task materialises the neighbourhoods of its nodes through
-   the index's scratch-buffer kernel, **exactly once per job**.  Each edge is
-   emitted from its lower endpoint only, so no dedup shuffle is needed, and
-   degree lookups (EJS) read the broadcast degree vector instead of
-   re-materialising the neighbour's neighbourhood per edge.
-3. For the node-centric strategies (WNP / CNP) a per-node incident-edge
-   adjacency index is built once from the weighted edges and broadcast;
-   per-node pruning decisions are combined through a ``reduceByKey`` so that
-   OR / AND (reciprocal) semantics match the sequential
-   :class:`~repro.metablocking.metablocker.MetaBlocker` exactly.  The vote
-   stage ships a *compact wire format*: each task emits ``(edge id, 1)``
-   votes — dense integers assigned in canonical pair order — instead of full
-   ``((a, b), (weight, count))`` tuples, and the driver rebuilds the retained
-   pairs and their weights from the already-collected weight map.  Only tiny
-   int pairs cross the shuffle (and, under the process executor, the IPC
-   boundary); map-side combine in the workers merges the two endpoint votes
-   of an edge before they are ever serialised.
+**Range order is emission order.**  The kernels emit edges node-major (dense
+ids ascending), first-touch within a node, each from its lower endpoint.  A
+contiguous range covers consecutive nodes, so concatenating the ranges in
+order reproduces the sequential full sweep's edge stream exactly — whatever
+the number of ranges.  Every order-sensitive float (WEP's global mean, WNP's
+per-node means) is then computed by the *same* code over the *same* array,
+so retained edges, weights and the result dict's order are bit-for-bit the
+sequential ones by construction.
 
-The sequential meta-blocker's graph builder runs on the *same* kernel, with
-the same per-edge accumulation order, so the output (retained edges and their
-float weights) is equal bit-for-bit; the test-suite asserts this equivalence
-across the full weighting × pruning × entropy grid.
+**Pruning stays on the driver.**  It is a handful of array expressions, an
+order of magnitude cheaper than the weighing; WEP and CEP need the global
+view anyway; and distributing the node-centric votes would re-create a
+shuffle whose per-edge records cost more than the votes they carry.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from itertools import accumulate
+
 from repro.blocking.block import BlockCollection
 from repro.engine.context import EngineContext
 from repro.engine.executors import MultiprocessingExecutor
-from repro.exceptions import MetaBlockingError
 from repro.metablocking import backends as _backends
+from repro.metablocking.backends import EdgeWeights
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker, MetaBlockingResult
-from repro.metablocking.pruning import (
-    CardinalityEdgePruning,
-    CardinalityNodePruning,
-    PruningStrategy,
-    WeightedEdgePruning,
-    WeightedNodePruning,
-    default_cep_k,
-    default_cnp_k,
-    make_pruning_strategy,
-)
+from repro.metablocking.pruning import IndexStats, PruningStrategy, make_pruning_strategy
 from repro.metablocking.weights import WeightingScheme
 from repro.options import EngineOptions
 
 
-def edge_id_incidence(
-    weights: dict[tuple[int, int], float]
-) -> tuple[list[tuple[int, int]], dict[int, list[tuple[int, float]]]]:
-    """Compact per-node incidence for the vote-stage wire format.
+def balanced_ranges(costs, parts: int) -> list[tuple[int, int]]:
+    """Split ``[0, len(costs))`` into contiguous ranges of near-equal cost.
 
-    Returns ``(edge_list, incidence)``: ``edge_list`` assigns every edge a
-    dense integer id in *canonical pair order* (sorted pairs), so ordering by
-    ``(-weight, edge_id)`` equals the sequential tie-break by
-    ``(-weight, pair)``; ``incidence`` maps each node to its incident
-    ``(edge id, weight)`` entries **in weight-map insertion order** — the
-    exact order :meth:`PruningStrategy._node_incidence` produces, which the
-    WNP per-node float sums depend on bit-for-bit.
+    ``costs`` are non-negative integers.  Returns at most ``parts`` non-empty
+    ``(lo, hi)`` ranges that are disjoint, ascending and cover every index;
+    the ``k``-th cut is the first index whose cost prefix reaches ``k/parts``
+    of the total, so no range outweighs the ideal share by more than the
+    heaviest single element.  Zero-cost stretches never get a range of their
+    own (an all-zero vector yields one range).
     """
-    edge_list = sorted(weights)
-    edge_ids = {pair: edge_id for edge_id, pair in enumerate(edge_list)}
-    incidence: dict[int, list[tuple[int, float]]] = {}
-    for pair, weight in weights.items():
-        entry = (edge_ids[pair], weight)
-        a, b = pair
-        incidence.setdefault(a, []).append(entry)
-        incidence.setdefault(b, []).append(entry)
-    return edge_list, incidence
+    n = len(costs)
+    if n == 0:
+        return []
+    prefix = [0, *accumulate(costs)]
+    total = prefix[-1]
+    cuts = {0, n}
+    for k in range(1, parts):
+        cuts.add(bisect_left(prefix, -(-k * total // parts)))
+    bounds = sorted(cuts)
+    return list(zip(bounds, bounds[1:]))
 
 
-# ------------------------------------------------------------ task functions
-# The per-element functions of the broadcast-join jobs are module-level
-# callable classes with bound arguments (not closures), so the fused stage
-# chains pickle and the jobs run unchanged on the multiprocessing executor.
+class _RangeWeigher:
+    """``(lo, hi)`` → the ``(a, b, w)`` edge arrays of that dense node range.
 
-
-class _EdgeWeigher:
-    """node → ``[((a, b), weight)]`` for the edges at the node's lower endpoint.
-
-    Each task materialises the node's neighbourhood once through the
-    broadcast kernel and emits only the edges whose *lower* endpoint is the
-    node, so every edge is produced exactly once with no dedup shuffle.  EJS
-    reads both endpoints' degrees and the global edge count from the
-    broadcast degree vector — no per-neighbour re-materialisation.  The
-    per-edge loop itself lives on the kernel
-    (:meth:`~repro.metablocking.backends.PythonKernel.weighted_edges`), so
-    there is exactly one scalar reference path for every driver.
+    The task function of the ``metablocking.weights`` stage: a module-level
+    callable with bound arguments (not a closure), so the stage pickles and
+    runs unchanged on the multiprocessing executor.  The weight plan is
+    cached on the index, i.e. resolved once per worker process.
     """
 
     __slots__ = ("broadcast", "scheme", "use_entropy")
@@ -111,107 +99,24 @@ class _EdgeWeigher:
         self.scheme = scheme
         self.use_entropy = use_entropy
 
-    def __call__(self, profile_id: int) -> list[tuple[tuple[int, int], float]]:
-        index: CSRBlockIndex = self.broadcast.value
-        node = index.node_of[profile_id]
-        # The plan resolves degrees (EJS) on a private sweep before the shared
-        # kernel materialises this node's neighbourhood; it is cached on the
-        # index, so the resolution happens once per process, not per node.
-        plan = index.weight_plan(self.scheme, self.use_entropy)
-        node_ids = index.node_ids
-        return [
-            ((profile_id, node_ids[other]), weight)
-            for other, weight in index.kernel().weighted_edges(node, plan)
-        ]
-
-
-class _PartitionEdgeWeigher:
-    """partition of nodes → the same ``((a, b), weight)`` records, batched.
-
-    The numpy-backend counterpart of :class:`_EdgeWeigher`: one vectorised
-    kernel sweep per partition instead of one interpreted loop per node.  The
-    emitted record stream — content *and* order — is identical, so the
-    collected weight map (and every float sum derived from its insertion
-    order) is bit-for-bit the same.
-    """
-
-    __slots__ = ("broadcast", "scheme", "use_entropy")
-
-    def __init__(self, broadcast, scheme: WeightingScheme, use_entropy: bool) -> None:
-        self.broadcast = broadcast
-        self.scheme = scheme
-        self.use_entropy = use_entropy
-
-    def __call__(self, profile_ids) -> list[tuple[tuple[int, int], float]]:
+    def __call__(self, bounds: tuple[int, int]) -> tuple:
         index: CSRBlockIndex = self.broadcast.value
         plan = index.weight_plan(self.scheme, self.use_entropy)
-        return index.kernel().partition_weighted_edges(list(profile_ids), plan)
+        return index.kernel().range_weights(*bounds, plan)
 
 
-class _NodeDegree:
-    """profile id → blocking-graph degree, read from the broadcast vector."""
-
-    __slots__ = ("broadcast",)
-
-    def __init__(self, broadcast) -> None:
-        self.broadcast = broadcast
-
-    def __call__(self, profile_id: int) -> int:
-        index: CSRBlockIndex = self.broadcast.value
-        # int() guards the shared-memory case where the vector is an ndarray:
-        # task outputs must stay plain python scalars on the wire.
-        return int(index.degree_vector()[index.node_of[profile_id]])
-
-
-class _WeightedNodeVotes:
-    """WNP vote task: retain a node's incident edges above its local mean.
-
-    Emits compact ``(edge id, 1)`` votes — the slim wire format of the vote
-    shuffle.  The threshold float sum runs over the incidence list in
-    weight-map insertion order, matching the sequential WNP bit-for-bit.
-    """
-
-    __slots__ = ("incidence_broadcast",)
-
-    def __init__(self, incidence_broadcast) -> None:
-        self.incidence_broadcast = incidence_broadcast
-
-    def __call__(self, node: int) -> list[tuple[int, int]]:
-        incident = self.incidence_broadcast.value.get(node)
-        if not incident:
-            return []
-        threshold = sum(w for _e, w in incident) / len(incident)
-        return [(edge_id, 1) for edge_id, w in incident if w >= threshold]
-
-
-class _CardinalityNodeVotes:
-    """CNP vote task: retain a node's top-``k`` incident edges.
-
-    Edge ids are canonical-pair-ordered, so the ``(-weight, edge_id)`` rank
-    key reproduces the sequential ``(-weight, pair)`` tie-break exactly.
-    """
-
-    __slots__ = ("incidence_broadcast", "k")
-
-    def __init__(self, incidence_broadcast, k: int) -> None:
-        self.incidence_broadcast = incidence_broadcast
-        self.k = k
-
-    def __call__(self, node: int) -> list[tuple[int, int]]:
-        incident = self.incidence_broadcast.value.get(node)
-        if not incident:
-            return []
-        ranked = sorted(incident, key=_rank_key)
-        return [(edge_id, 1) for edge_id, _w in ranked[: self.k]]
-
-
-def _rank_key(item: tuple[int, float]) -> tuple[float, int]:
-    return (-item[1], item[0])
-
-
-def _sum_votes(a: int, b: int) -> int:
-    """Combine the endpoint vote counts of one edge."""
-    return a + b
+def _edge_table(index: CSRBlockIndex, parts: list[tuple]) -> EdgeWeights:
+    """The task results, concatenated in range order, as one edge table."""
+    if index.backend == "numpy":
+        np = _backends.numpy_or_none()
+        a, b, w = (np.concatenate(column) for column in zip(*parts))
+        return EdgeWeights(a, b, w, index.num_nodes, index.kernel().node_ids)
+    a, b, w = array("q"), array("q"), array("d")
+    for part_a, part_b, part_w in parts:
+        a.extend(part_a)
+        b.extend(part_b)
+        w.extend(part_w)
+    return EdgeWeights(a, b, w, index.num_nodes, index.node_ids)
 
 
 class ParallelMetaBlocker:
@@ -220,7 +125,7 @@ class ParallelMetaBlocker:
     Parameters
     ----------
     context:
-        The engine context the jobs run on.
+        The engine context the job runs on.
     weighting / pruning / use_entropy:
         Same meaning as for :class:`~repro.metablocking.metablocker.MetaBlocker`.
     options:
@@ -246,52 +151,14 @@ class ParallelMetaBlocker:
     # ------------------------------------------------------------------ public
     def run(self, blocks: BlockCollection) -> MetaBlockingResult:
         """Run the parallel meta-blocking over ``blocks``."""
-        index = CSRBlockIndex.from_blocks(blocks, self.options)
-        if index.num_nodes == 0:
-            index.close()
-            return MetaBlockingResult()
-        # Materialise the degree vector driver-side so the broadcast ships the
-        # index with degrees precomputed (one kernel sweep, reused everywhere).
-        index.degree_vector()
-        if index.backend == "numpy" and isinstance(
-            self.context.executor, MultiprocessingExecutor
-        ):
-            # Ship the ndarray buffers through one shared-memory segment: the
-            # broadcast pickle then carries only the segment reference, and
-            # every pool worker maps the index instead of deserialising a
-            # copy.  The broadcast (and its segment) is run-scoped, so the
-            # segment is unlinked when this run finishes — with
-            # EngineContext.stop() and index garbage collection as backstops
-            # for aborted runs.
-            index.export_shared()
-        broadcast = self.context.broadcast(index)
-        node_ids = list(index.node_ids)
-
-        node_rdd = self.context.parallelize(node_ids)
-
-        try:
-            if isinstance(self.pruning, WeightedEdgePruning):
-                retained = self._run_weighted_edge(node_rdd, broadcast)
-            elif isinstance(self.pruning, CardinalityEdgePruning):
-                retained = self._run_cardinality_edge(node_rdd, broadcast)
-            elif isinstance(self.pruning, CardinalityNodePruning):
-                retained = self._run_node_cardinality(node_rdd, broadcast, self.pruning)
-            elif isinstance(self.pruning, WeightedNodePruning):
-                retained = self._run_node_weighted(node_rdd, broadcast, self.pruning)
-            else:
-                raise MetaBlockingError(
-                    f"unsupported pruning strategy for the parallel meta-blocker: "
-                    f"{type(self.pruning).__name__}"
-                )
-
-            num_edges = self._count_edges(node_rdd, broadcast)
-        finally:
-            index.close()
+        table, positions, retained = self._job(blocks)
+        if positions is not None:
+            retained = _backends.retained_dict(table, positions)
         return MetaBlockingResult(
             candidate_pairs=set(retained),
             retained_edges=retained,
-            graph_edges=num_edges,
-            graph_nodes=len(node_ids),
+            graph_edges=len(table),
+            graph_nodes=table.num_nodes,
         )
 
     def stream_retained(
@@ -302,126 +169,67 @@ class ParallelMetaBlocker:
         """Yield the retained edges in bounded chunks of ``((a, b), weight)``.
 
         The concatenation of the chunks equals ``run(blocks).retained_edges
-        .items()`` exactly.  The broadcast-join design collects the full
-        weight map on the driver (that O(E) dict is inherent to the
-        structure, as in SparkER's driver-side collect), so this wrapper
-        bounds the *consumer's* footprint, not the driver's — use the
-        sequential :meth:`MetaBlocker.stream_retained` numpy path for a
-        genuinely O(chunk) pipeline.
+        .items()`` — and :meth:`MetaBlocker.stream_retained` — exactly.  On
+        the numpy kernel with a stock strategy the driver holds the edges as
+        three dense arrays plus the retained positions and materialises one
+        chunk of python tuples at a time; the python kernel and custom
+        strategies prune a full weight dict and slice the result.
         """
-        retained = self.run(blocks).retained_edges
-        items = list(retained.items())
-        for start in range(0, len(items), chunk_edges):
-            yield items[start : start + chunk_edges]
+        table, positions, retained = self._job(blocks)
+        if positions is None:
+            yield from _backends.iter_dict_chunks(retained, chunk_edges)
+        else:
+            yield from _backends.iter_retained_chunks(table, positions, chunk_edges)
 
     def __call__(self, blocks: BlockCollection) -> MetaBlockingResult:
         return self.run(blocks)
 
     # -------------------------------------------------------------- internals
-    def _edge_weigher(self, broadcast) -> _EdgeWeigher:
-        """The picklable node → edge-weights task function of this job."""
-        return _EdgeWeigher(broadcast, self.weighting, self.use_entropy)
+    def _job(self, blocks: BlockCollection) -> "tuple[EdgeWeights, object, dict | None]":
+        """Weigh on the executor, prune on the driver.
 
-    def _all_edge_weights(self, node_rdd, broadcast) -> dict[tuple[int, int], float]:
-        """Distributed computation of every edge weight (one emission per edge).
-
-        The collected dict preserves the node-major, first-touch edge order —
-        the same insertion order the sequential graph builder produces — so
-        every downstream float sum (WEP's global mean, WNP's per-node means)
-        is bit-for-bit identical to the sequential path.
-
-        Under the numpy backend the per-node task is replaced by a
-        per-partition task (one vectorised sweep per partition); the record
-        stream, and with it the collected map, is identical.
+        Returns ``(table, positions, retained)``: the edge table plus either
+        the retained positions into it (numpy kernel, stock strategy) or —
+        ``positions`` is ``None`` — the retained dict of the scalar
+        ``prune``.  The index, its shared segment and the broadcast are
+        run-scoped: all released here, also when a task raises.
         """
-        # Peek at the private value: a driver-side .value read would inflate
-        # the broadcast access metrics without being a real task-side read.
-        if broadcast._value.backend == "numpy":
-            weigh = _PartitionEdgeWeigher(broadcast, self.weighting, self.use_entropy)
-            return node_rdd.mapPartitions(weigh, name="metablocking.weights").collectAsMap()
-        weigh = self._edge_weigher(broadcast)
-        return node_rdd.flatMap(weigh, name="metablocking.weights").collectAsMap()
-
-    def _count_edges(self, node_rdd, broadcast) -> int:
-        total = node_rdd.map(_NodeDegree(broadcast), name="metablocking.degree").sum()
-        return total // 2
-
-    # --- strategy-specific drivers ------------------------------------------
-    def _run_weighted_edge(self, node_rdd, broadcast) -> dict[tuple[int, int], float]:
-        weights = self._all_edge_weights(node_rdd, broadcast)
-        if not weights:
-            return {}
-        threshold = sum(weights.values()) / len(weights)
-        return {pair: w for pair, w in weights.items() if w >= threshold}
-
-    def _run_cardinality_edge(self, node_rdd, broadcast) -> dict[tuple[int, int], float]:
-        weights = self._all_edge_weights(node_rdd, broadcast)
-        if not weights:
-            return {}
-        pruning: CardinalityEdgePruning = self.pruning  # type: ignore[assignment]
-        k = pruning.k
-        if k is None:
-            index: CSRBlockIndex = broadcast.value
-            k = default_cep_k(int(sum(index.node_block_count)))
-        ranked = sorted(weights.items(), key=lambda item: (-item[1], item[0]))
-        return dict(ranked[:k])
-
-    def _retained_from_votes(
-        self,
-        votes: dict[int, int],
-        edge_list: list[tuple[int, int]],
-        weights: dict[tuple[int, int], float],
-        required: int,
-    ) -> dict[tuple[int, int], float]:
-        """Rebuild the retained edges from compact vote counts, driver-side.
-
-        The shuffle only carried edge ids; pairs and their exact float
-        weights come back from ``edge_list`` and the collected weight map.
-        """
-        retained: dict[tuple[int, int], float] = {}
-        for edge_id, count in votes.items():
-            if count >= required:
-                pair = edge_list[edge_id]
-                retained[pair] = weights[pair]
-        return retained
-
-    def _run_node_weighted(
-        self, node_rdd, broadcast, pruning: WeightedNodePruning
-    ) -> dict[tuple[int, int], float]:
-        weights = self._all_edge_weights(node_rdd, broadcast)
-        if not weights:
-            return {}
-        edge_list, incidence = edge_id_incidence(weights)
-        incidence_broadcast = self.context.broadcast(incidence)
-        votes = (
-            node_rdd.flatMap(_WeightedNodeVotes(incidence_broadcast), name="wnp.votes")
-            .reduceByKey(_sum_votes)
-            .collectAsMap()
-        )
-        required = 2 if pruning.reciprocal else 1
-        return self._retained_from_votes(votes, edge_list, weights, required)
-
-    def _run_node_cardinality(
-        self, node_rdd, broadcast, pruning: CardinalityNodePruning
-    ) -> dict[tuple[int, int], float]:
-        weights = self._all_edge_weights(node_rdd, broadcast)
-        if not weights:
-            return {}
-        index: CSRBlockIndex = broadcast.value
-        k = pruning.k
-        if k is None:
-            k = default_cnp_k(int(sum(index.node_block_count)), index.num_nodes)
-        edge_list, incidence = edge_id_incidence(weights)
-        incidence_broadcast = self.context.broadcast(incidence)
-        votes = (
-            node_rdd.flatMap(
-                _CardinalityNodeVotes(incidence_broadcast, k), name="cnp.votes"
+        index = CSRBlockIndex.from_blocks(blocks, self.options)
+        broadcast = None
+        try:
+            if index.num_nodes == 0:
+                return EdgeWeights(array("q"), array("q"), array("d"), 0), None, {}
+            # Resolved before the index ships: what the plan reads beyond the
+            # CSR buffers (EJS's degree vector and edge count) travels with
+            # the index instead of being re-swept per worker.
+            index.weight_plan(self.weighting, self.use_entropy)
+            vectorised = index.backend == "numpy"
+            if vectorised and isinstance(self.context.executor, MultiprocessingExecutor):
+                # The broadcast pickle then carries only a segment reference:
+                # pool workers map the index instead of deserialising copies.
+                index.export_shared()
+            broadcast = self.context.broadcast(index)
+            ranges = balanced_ranges(
+                index.kernel().sweep_costs(), self.context.default_parallelism
             )
-            .reduceByKey(_sum_votes)
-            .collectAsMap()
-        )
-        required = 2 if pruning.reciprocal else 1
-        return self._retained_from_votes(votes, edge_list, weights, required)
+            parts = (
+                self.context.parallelize(ranges, len(ranges))
+                .map(
+                    _RangeWeigher(broadcast, self.weighting, self.use_entropy),
+                    name="metablocking.weights",
+                )
+                .collect()
+            )
+            table = _edge_table(index, parts)
+            if vectorised:
+                positions = _backends.retained_positions(self.pruning, table, index)
+                if positions is not None:
+                    return table, positions, None
+            return table, None, self.pruning.prune(IndexStats(index), table.to_mapping())
+        finally:
+            if broadcast is not None:
+                self.context.unbroadcast(broadcast)
+            index.close()
 
 
 def make_meta_blocker(

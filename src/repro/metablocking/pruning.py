@@ -27,6 +27,7 @@ from collections import defaultdict
 
 from repro.exceptions import MetaBlockingError
 from repro.metablocking.graph import BlockingGraph
+from repro.metablocking.index import CSRBlockIndex
 
 
 def default_cep_k(total_assignments: int) -> int:
@@ -42,6 +43,27 @@ def default_cep_k(total_assignments: int) -> int:
 def default_cnp_k(total_assignments: int, num_profiles: int) -> int:
     """CNP's default per-node k: blocks-per-profile minus one (same sharing)."""
     return max(1, math.floor(total_assignments / max(1, num_profiles)) - 1)
+
+
+class IndexStats:
+    """Just enough of a :class:`BlockingGraph` for the pruning defaults.
+
+    The stock strategies read only ``blocks_per_profile`` (CEP / CNP default
+    k) and ``num_nodes`` (CNP default k); both derive directly from the CSR
+    index, so callers holding a weight map but no graph — the parallel
+    meta-blocker's scalar tail, the service's delta refresh — never build
+    one.
+    """
+
+    __slots__ = ("blocks_per_profile", "num_nodes")
+
+    def __init__(self, index: CSRBlockIndex) -> None:
+        ids = index.node_ids
+        counts = index.node_block_count
+        self.blocks_per_profile = {
+            int(ids[dense]): int(counts[dense]) for dense in range(index.num_nodes)
+        }
+        self.num_nodes = index.num_nodes
 
 
 class PruningStrategy(ABC):

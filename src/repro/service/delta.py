@@ -46,6 +46,7 @@ from __future__ import annotations
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.pruning import (
     CardinalityNodePruning,
+    IndexStats,
     PruningStrategy,
     ReciprocalWeightedNodePruning,
     WeightedNodePruning,
@@ -67,25 +68,6 @@ _LOCAL_PRUNINGS = (
     ReciprocalWeightedNodePruning,
     CardinalityNodePruning,
 )
-
-
-class _IndexStats:
-    """Just enough of a :class:`BlockingGraph` for the pruning defaults.
-
-    The stock strategies read only ``blocks_per_profile`` (CEP / CNP default
-    k) and ``num_nodes`` (CNP default k); both derive directly from the CSR
-    index, so the full graph never has to exist.
-    """
-
-    __slots__ = ("blocks_per_profile", "num_nodes")
-
-    def __init__(self, index: CSRBlockIndex) -> None:
-        ids = index.node_ids
-        counts = index.node_block_count
-        self.blocks_per_profile = {
-            int(ids[dense]): int(counts[dense]) for dense in range(index.num_nodes)
-        }
-        self.num_nodes = index.num_nodes
 
 
 class DeltaMetaBlocker:
@@ -246,7 +228,7 @@ class DeltaMetaBlocker:
                 }
             else:
                 self._thresholds = self.pruning.node_thresholds(weights)
-        self.retained = self.pruning.prune(_IndexStats(index), weights)
+        self.retained = self.pruning.prune(IndexStats(index), weights)
         self._primed = True
         return self.retained
 

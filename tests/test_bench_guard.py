@@ -25,14 +25,6 @@ def test_e2e_engine_overhead_within_tolerance_of_baseline():
     assert not failures, "; ".join(failures)
 
 
-def test_blockstore_relay_bytes_within_ceiling_of_baseline():
-    sys.path.insert(0, str(REPO_ROOT / "scripts"))
-    from bench_guard import check_blockstore_against_baseline
-
-    failures = check_blockstore_against_baseline()
-    assert not failures, "; ".join(failures)
-
-
 def test_numpy_backend_speedup_within_tolerance_of_baseline():
     sys.path.insert(0, str(REPO_ROOT / "scripts"))
     from bench_guard import check_numpy_against_baseline

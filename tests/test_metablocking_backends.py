@@ -46,13 +46,19 @@ def _table_from(weights):
     import numpy as np
 
     pairs = list(weights)
+    num_nodes = max(x for p in pairs for x in p) + 1
     return backends.EdgeWeights(
-        mapping=dict(weights),
         a=np.asarray([a for a, _b in pairs], dtype=np.int64),
         b=np.asarray([b for _a, b in pairs], dtype=np.int64),
         w=np.asarray(list(weights.values()), dtype=np.float64),
-        num_nodes=max(x for p in pairs for x in p) + 1,
+        num_nodes=num_nodes,
+        node_ids=np.arange(num_nodes),
     )
+
+
+def _vectorised(strategy, table):
+    """The vectorised tail; explicit-k strategies never read the index."""
+    return backends.prune_edge_weights(strategy, table, None)
 
 
 class _StatsGraph:
@@ -71,7 +77,8 @@ class TestVectorisedPruningFastPaths:
         weights = _random_weights(seed)
         table = _table_from(weights)
         scalar = WeightedEdgePruning().prune(_StatsGraph(weights, 60), weights)
-        assert backends.wep_retain(table) == scalar
+        vectorised = _vectorised(WeightedEdgePruning(), table)
+        assert list(vectorised.items()) == list(scalar.items())
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 7, 10_000])
@@ -79,11 +86,10 @@ class TestVectorisedPruningFastPaths:
         weights = _random_weights(seed)
         table = _table_from(weights)
         scalar = CardinalityEdgePruning(k=k).prune(_StatsGraph(weights, 60), weights)
-        vectorised = backends.cep_retain(table, k)
-        assert vectorised == scalar
+        vectorised = _vectorised(CardinalityEdgePruning(k=k), table)
         # CEP's retained dict is in ranked order in the scalar path; the
         # vectorised path preserves that too.
-        assert list(vectorised) == list(scalar)
+        assert list(vectorised.items()) == list(scalar.items())
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("required", [1, 2])
@@ -94,7 +100,7 @@ class TestVectorisedPruningFastPaths:
             ReciprocalWeightedNodePruning() if required == 2 else WeightedNodePruning()
         )
         scalar = strategy.prune(_StatsGraph(weights, 60), weights)
-        assert backends.wnp_retain(table, required) == scalar
+        assert list(_vectorised(strategy, table).items()) == list(scalar.items())
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("required", [1, 2])
@@ -104,21 +110,23 @@ class TestVectorisedPruningFastPaths:
         table = _table_from(weights)
         strategy = CardinalityNodePruning(k=k, reciprocal=required == 2)
         scalar = strategy.prune(_StatsGraph(weights, 60), weights)
-        assert backends.cnp_retain(table, k, required) == scalar
+        assert list(_vectorised(strategy, table).items()) == list(scalar.items())
 
     def test_empty_table_retains_nothing(self):
         table = _table_from({(0, 1): 1.0})
         empty = _table_from({(0, 1): 1.0})
-        empty.mapping = {}
         empty.a = empty.a[:0]
         empty.b = empty.b[:0]
         empty.w = empty.w[:0]
-        empty._pairs = None
-        assert backends.wep_retain(empty) == {}
-        assert backends.cep_retain(empty, 3) == {}
-        assert backends.wnp_retain(empty, 1) == {}
-        assert backends.cnp_retain(empty, 3, 1) == {}
-        assert backends.wep_retain(table)  # sanity: non-empty stays non-empty
+        for strategy in (
+            WeightedEdgePruning(),
+            CardinalityEdgePruning(k=3),
+            WeightedNodePruning(),
+            CardinalityNodePruning(k=3),
+        ):
+            assert _vectorised(strategy, empty) == {}
+        # sanity: non-empty stays non-empty
+        assert _vectorised(WeightedEdgePruning(), table)
 
     def test_custom_strategy_falls_back_to_scalar_prune(self):
         class Custom(WeightedNodePruning):

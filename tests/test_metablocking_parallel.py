@@ -1,23 +1,45 @@
-"""Tests of the broadcast-join parallel meta-blocking.
+"""Tests of the one-stage broadcast-join parallel meta-blocking.
 
-The key property is output equivalence with the sequential meta-blocker for
-every weighting scheme × pruning strategy combination, on clean-clean and
-dirty datasets alike.
+Output equivalence with the sequential meta-blocker (ordered, bit-for-bit,
+over the whole option grid) lives in ``test_metablocking_equivalence.py``;
+this module pins the *shape* of the job — one executor stage over contiguous
+node ranges, no shuffle, one run-scoped broadcast, no driver-side sweep — the
+range partitioner's properties, the streaming contract and the lifecycle of
+what a run allocates.
 """
 
-import pytest
+from itertools import chain
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.blocking.block import BlockCollection
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
+from repro.data.synthetic import generate_scalability_products
 from repro.engine.context import EngineContext
+from repro.exceptions import EngineError
+from repro.metablocking import backends
 from repro.metablocking.metablocker import MetaBlocker
-from repro.metablocking.parallel import ParallelMetaBlocker
+from repro.metablocking.parallel import ParallelMetaBlocker, balanced_ranges
+from repro.metablocking.pruning import WeightedNodePruning
+from repro.metablocking.sharedmem import live_segments
+from repro.options import EngineOptions
+
+needs_numpy = pytest.mark.skipif(
+    not backends.numpy_available(), reason="numpy backend requires numpy"
+)
 
 
 def _prepared_blocks(dataset):
     raw = TokenBlocking().block(dataset.profiles)
     return BlockFiltering().filter(BlockPurging().purge(raw, len(dataset.profiles)))
+
+
+@pytest.fixture(scope="module")
+def blocks_400():
+    return _prepared_blocks(generate_scalability_products(400, seed=7))
 
 
 class TestParallelSequentialEquivalence:
@@ -37,11 +59,9 @@ class TestParallelSequentialEquivalence:
         assert parallel.candidate_pairs == sequential.candidate_pairs
 
     def test_entropy_equivalence(self, abt_buy_small):
-        from repro.metablocking.backends import numpy_available
-
         # Loose-schema blocking runs MinHash LSH, which needs numpy whatever
         # kernel backend meta-blocking itself uses.
-        if not numpy_available():
+        if not backends.numpy_available():
             pytest.skip("loose-schema LSH requires numpy")
         from repro.blocking.loose_schema_blocking import LooseSchemaTokenBlocking
         from repro.looseschema.attribute_partitioning import AttributePartitioner
@@ -61,24 +81,241 @@ class TestParallelSequentialEquivalence:
         ).run(blocks)
         assert parallel.candidate_pairs == sequential.candidate_pairs
 
-    def test_partition_count_does_not_change_result(self, abt_buy_small):
-        blocks = _prepared_blocks(abt_buy_small)
-        results = [
-            ParallelMetaBlocker(EngineContext(p), "cbs", "wnp").run(blocks).candidate_pairs
-            for p in (1, 2, 8)
-        ]
-        assert results[0] == results[1] == results[2]
-
     def test_empty_blocks(self):
-        from repro.blocking.block import BlockCollection
+        empty = BlockCollection(clean_clean=True)
+        blocker = ParallelMetaBlocker(EngineContext(2))
+        result = blocker.run(empty)
+        assert (result.num_candidates, result.graph_edges, result.graph_nodes) == (0, 0, 0)
+        assert list(blocker.stream_retained(empty)) == []
 
-        result = ParallelMetaBlocker(EngineContext(2)).run(BlockCollection(clean_clean=True))
-        assert result.num_candidates == 0
+    def test_custom_strategy_prunes_through_its_own_hook(self, abt_buy_small):
+        class TopHalf(WeightedNodePruning):
+            def node_thresholds(self, weights):
+                return {
+                    node: 1.5 * threshold
+                    for node, threshold in super().node_thresholds(weights).items()
+                }
 
-    def test_uses_broadcast_and_shuffles(self, abt_buy_small):
         blocks = _prepared_blocks(abt_buy_small)
+        sequential = MetaBlocker("cbs", TopHalf()).run(blocks)
+        parallel = ParallelMetaBlocker(EngineContext(3), "cbs", TopHalf()).run(blocks)
+        assert list(parallel.retained_edges.items()) == list(
+            sequential.retained_edges.items()
+        )
+        assert sequential.retained_edges != MetaBlocker("cbs", "wnp").run(blocks).retained_edges
+
+
+# --------------------------------------------------------------------------
+# Range partitioner
+# --------------------------------------------------------------------------
+class TestBalancedRanges:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        costs=st.one_of(
+            st.lists(st.integers(min_value=0, max_value=50), max_size=60),
+            # zeros everywhere but one dominant node
+            st.builds(
+                lambda n, at, weight: [weight if i == at % max(n, 1) else 0 for i in range(n)],
+                st.integers(min_value=0, max_value=40),
+                st.integers(min_value=0, max_value=39),
+                st.integers(min_value=0, max_value=10**9),
+            ),
+        ),
+        parts=st.integers(min_value=1, max_value=80),
+    )
+    def test_ranges_partition_the_ids_and_balance_the_cost(self, costs, parts):
+        ranges = balanced_ranges(costs, parts)
+        n = len(costs)
+        if n == 0:
+            assert ranges == []
+            return
+        assert 1 <= len(ranges) <= min(parts, n)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n
+        for (lo, hi), (next_lo, _next_hi) in zip(ranges, ranges[1:]):
+            assert hi == next_lo  # contiguous and disjoint
+        assert all(lo < hi for lo, hi in ranges)  # none empty
+        heaviest = max(sum(costs[lo:hi]) for lo, hi in ranges)
+        assert heaviest <= sum(costs) / parts + max(costs)
+
+    def test_even_costs_split_evenly(self):
+        assert balanced_ranges([1] * 8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+
+    def test_split_follows_the_cost_not_the_count(self):
+        # One heavy node up front: it gets a range of its own.
+        assert balanced_ranges([90, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], 2) == [(0, 1), (1, 11)]
+
+    @pytest.mark.parametrize("kernel", ["python", pytest.param("numpy", marks=needs_numpy)])
+    def test_sweep_costs_sum_the_block_sizes_of_each_node(self, abt_buy_small, kernel):
+        from repro.metablocking.index import CSRBlockIndex
+
+        blocks = _prepared_blocks(abt_buy_small)
+        index = CSRBlockIndex.from_blocks(
+            blocks, EngineOptions.resolve(kernel_backend=kernel)
+        )
+        expected = [0] * index.num_nodes
+        for block in blocks:
+            if block.num_comparisons():
+                for profile_id in chain(block.profiles_source0, block.profiles_source1):
+                    expected[index.node_of[profile_id]] += block.size
+        assert index.kernel().sweep_costs() == expected
+
+
+# --------------------------------------------------------------------------
+# Deterministic count guard: the shape of the job (counts repeat exactly)
+# --------------------------------------------------------------------------
+class TestOneStageJobShape:
+    PARTITIONS = 4
+
+    @pytest.mark.parametrize("executor", ["serial", "process:2"])
+    def test_one_executor_stage_no_shuffle_one_broadcast(self, blocks_400, executor):
+        with EngineContext(self.PARTITIONS, executor=executor) as context:
+            ParallelMetaBlocker(context, "cbs", "wnp").run(blocks_400)
+            table = context.scheduler.stage_table()
+            summary = context.metrics_summary()
+        assert len(table) <= 2
+        assert [row["description"] for row in table if row["executor"] != "driver"] == [
+            "metablocking.weights"
+        ]
+        assert sum(row["tasks"] for row in table) <= 2 * self.PARTITIONS
+        assert sum(row["shuffle_write_bytes"] for row in table) == 0
+        assert summary["shuffle_records"] == 0
+        assert summary["broadcasts"] == 1
+
+    @needs_numpy
+    @pytest.mark.parametrize("weighting", ["cbs", "js", "arcs", "ecbs"])
+    def test_driver_performs_no_kernel_sweep(self, blocks_400, monkeypatch, weighting):
+        """Weighing happens in the tasks only: under a process pool the driver
+        never materialises a neighbourhood (degree-free schemes)."""
+        sweeps = []
+        original = backends.NumpyKernel._sweep
+
+        def counting(self, nodes, **kwargs):
+            sweeps.append(len(nodes))  # forked workers append to their own copy
+            return original(self, nodes, **kwargs)
+
+        monkeypatch.setattr(backends.NumpyKernel, "_sweep", counting)
+        options = EngineOptions.resolve(kernel_backend="numpy")
+        with EngineContext(self.PARTITIONS, executor="process:2") as context:
+            result = ParallelMetaBlocker(context, weighting, "wnp", options=options).run(
+                blocks_400
+            )
+        assert result.graph_edges > 0
+        assert sweeps == []
+        # The same spy does see the serial executor's task-side sweeps.
+        ParallelMetaBlocker(
+            EngineContext(self.PARTITIONS), weighting, "wnp", options=options
+        ).run(blocks_400)
+        assert len(sweeps) == self.PARTITIONS
+
+    @needs_numpy
+    def test_sequential_run_builds_no_full_weight_dict(self, blocks_400, monkeypatch):
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("MetaBlocker.run built the O(E) pair -> weight dict")
+
+        options = EngineOptions.resolve(kernel_backend="numpy")
+        expected = MetaBlocker("cbs", "wnp", options=options).run(blocks_400)
+        monkeypatch.setattr(backends.NumpyKernel, "weight_table", forbidden)
+        monkeypatch.setattr(backends.EdgeWeights, "to_mapping", forbidden)
+        for blocker in (
+            MetaBlocker("cbs", "wnp", options=options),
+            ParallelMetaBlocker(EngineContext(self.PARTITIONS), "cbs", "wnp", options=options),
+        ):
+            result = blocker.run(blocks_400)
+            assert list(result.retained_edges.items()) == list(
+                expected.retained_edges.items()
+            )
+            assert len(result.retained_edges) < result.graph_edges
+
+
+# --------------------------------------------------------------------------
+# Streaming
+# --------------------------------------------------------------------------
+class TestStreamRetained:
+    @pytest.mark.parametrize("chunk_edges", [1, 7, 65536])
+    @pytest.mark.parametrize("kernel", ["python", pytest.param("numpy", marks=needs_numpy)])
+    def test_chunks_equal_the_sequential_stream(self, abt_buy_small, kernel, chunk_edges):
+        blocks = _prepared_blocks(abt_buy_small)
+        options = EngineOptions.resolve(kernel_backend=kernel)
+        chunks = list(
+            ParallelMetaBlocker(EngineContext(3), "ejs", "rwnp", options=options)
+            .stream_retained(blocks, chunk_edges=chunk_edges)
+        )
+        assert all(0 < len(chunk) <= chunk_edges for chunk in chunks)
+        sequential = MetaBlocker("ejs", "rwnp", options=options)
+        assert list(chain.from_iterable(chunks)) == list(
+            chain.from_iterable(sequential.stream_retained(blocks, chunk_edges=chunk_edges))
+        )
+        assert list(chain.from_iterable(chunks)) == list(
+            sequential.run(blocks).retained_edges.items()
+        )
+
+    @needs_numpy
+    def test_numpy_stream_never_builds_a_retained_dict(self, abt_buy_small, monkeypatch):
+        blocks = _prepared_blocks(abt_buy_small)
+        options = EngineOptions.resolve(kernel_backend="numpy")
+        expected = list(MetaBlocker("cbs", "cep", options=options).run(blocks).retained_edges.items())
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("stream_retained materialised the retained dict")
+
+        monkeypatch.setattr(backends, "retained_dict", forbidden)
+        monkeypatch.setattr(backends.EdgeWeights, "to_mapping", forbidden)
+        stream = ParallelMetaBlocker(
+            EngineContext(3), "cbs", "cep", options=options
+        ).stream_retained(blocks, chunk_edges=5)
+        assert list(chain.from_iterable(stream)) == expected
+
+    def test_rejects_non_positive_chunk_size(self, abt_buy_small):
+        from repro.exceptions import MetaBlockingError
+
+        blocks = _prepared_blocks(abt_buy_small)
+        with pytest.raises(MetaBlockingError):
+            list(ParallelMetaBlocker(EngineContext(2)).stream_retained(blocks, chunk_edges=0))
+
+
+# --------------------------------------------------------------------------
+# Lifecycle: what a run allocates, it releases
+# --------------------------------------------------------------------------
+class TestRunScopedBroadcast:
+    @pytest.mark.parametrize("executor", ["serial", "process:2"])
+    def test_repeated_runs_leave_no_broadcast_and_no_segment(self, blocks_400, executor):
+        with EngineContext(4, executor=executor) as context:
+            blocker = ParallelMetaBlocker(context, "cbs", "wnp")
+            results = [blocker.run(blocks_400) for _ in range(3)]
+            assert len(context._broadcasts) == 0
+            assert live_segments() == []
+            # The summary still counts what was created, run after run.
+            assert context.metrics_summary()["broadcasts"] == 3
+        assert results[0].retained_edges == results[1].retained_edges == results[2].retained_edges
+
+    def test_failed_task_still_releases_the_broadcast(self, blocks_400):
+        with EngineContext(
+            4, executor="process:2", fault_injector="raise@metablocking.weights:1#*"
+        ) as context:
+            with pytest.raises(EngineError):
+                ParallelMetaBlocker(context, "cbs", "wnp").run(blocks_400)
+            assert len(context._broadcasts) == 0
+            assert live_segments() == []
+
+    def test_failed_serial_task_still_releases_the_broadcast(self, blocks_400, monkeypatch):
+        from repro.metablocking import parallel
+
+        def boom(self, bounds):
+            raise RuntimeError("task failed")
+
+        monkeypatch.setattr(parallel._RangeWeigher, "__call__", boom)
         context = EngineContext(4)
-        ParallelMetaBlocker(context, "cbs", "wnp").run(blocks)
-        summary = context.metrics_summary()
-        assert summary["broadcasts"] >= 1
-        assert summary["shuffle_records"] > 0
+        with pytest.raises(RuntimeError, match="task failed"):
+            ParallelMetaBlocker(context, "cbs", "wnp").run(blocks_400)
+        assert len(context._broadcasts) == 0
+
+    def test_abandoned_stream_releases_everything_up_front(self, blocks_400):
+        # The job (and its cleanup) completes before the first chunk is
+        # handed out, so a consumer that stops early leaks nothing.
+        with EngineContext(4, executor="process:2") as context:
+            stream = ParallelMetaBlocker(context, "cbs", "wnp").stream_retained(
+                blocks_400, chunk_edges=10
+            )
+            assert len(next(stream)) == 10
+            assert len(context._broadcasts) == 0
+            assert live_segments() == []

@@ -32,13 +32,7 @@ from repro.engine.shuffle import (
 )
 from repro.metablocking.backends import numpy_available
 from repro.metablocking.index import CSRBlockIndex
-from repro.metablocking.parallel import (
-    _CardinalityNodeVotes,
-    _EdgeWeigher,
-    _NodeDegree,
-    _PartitionEdgeWeigher,
-    _WeightedNodeVotes,
-)
+from repro.metablocking.parallel import _RangeWeigher
 from repro.metablocking.weights import WeightingScheme
 from repro.options import EngineOptions
 
@@ -383,49 +377,42 @@ class TestNumpyIndexPickling:
 
 
 class TestMetaBlockingTaskFunctions:
-    def test_edge_weigher_roundtrip_produces_identical_edges(self):
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            "python",
+            pytest.param(
+                "numpy",
+                marks=pytest.mark.skipif(
+                    not numpy_available(), reason="numpy backend requires numpy"
+                ),
+            ),
+        ],
+    )
+    def test_range_weigher_roundtrip_emits_the_sequential_edge_stream(self, kernel):
+        """The one task of the ``metablocking.weights`` stage survives a pickle
+        round-trip, and its ranges concatenate to the per-node emission."""
         context = EngineContext(2)
-        index = CSRBlockIndex.from_blocks(_small_blocks())
-        index.degree_vector()
+        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend=kernel))
+        plan = index.weight_plan(WeightingScheme.EJS, True)  # resolves degrees
         broadcast = context.broadcast(index)
-        weigher = _EdgeWeigher(broadcast, WeightingScheme.EJS, True)
+        weigher = _RangeWeigher(broadcast, WeightingScheme.EJS, True)
         clone = _roundtrip(weigher)
-        for profile_id in index.node_ids:
-            assert clone(profile_id) == weigher(profile_id)
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy backend requires numpy")
-    def test_partition_edge_weigher_roundtrip_matches_per_node_emission(self):
-        context = EngineContext(2)
-        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="numpy"))
-        index.degree_vector()
-        broadcast = context.broadcast(index)
-        weigher = _roundtrip(
-            _PartitionEdgeWeigher(broadcast, WeightingScheme.EJS, True)
-        )
-        python_index = CSRBlockIndex.from_blocks(
+        n = index.num_nodes
+        reference = CSRBlockIndex.from_blocks(
             _small_blocks(), opts(kernel_backend="python")
         )
-        python_broadcast = context.broadcast(python_index)
-        per_node = _EdgeWeigher(python_broadcast, WeightingScheme.EJS, True)
-        expected = [record for pid in index.node_ids for record in per_node(pid)]
-        assert weigher(list(index.node_ids)) == expected
-        assert weigher([]) == []
-
-    def test_vote_functions_roundtrip(self):
-        # Compact wire format: the incidence maps nodes to (edge id, weight)
-        # entries and the vote tasks emit (edge id, 1) votes.
-        context = EngineContext(2)
-        incidence = {1: [(0, 0.5), (1, 0.25)], 2: [(0, 0.5)]}
-        broadcast = context.broadcast(incidence)
-        wnp = _roundtrip(_WeightedNodeVotes(broadcast))
-        assert wnp(1) == [(0, 1)]
-        cnp = _roundtrip(_CardinalityNodeVotes(broadcast, 1))
-        assert cnp(1) == [(0, 1)]
-        assert cnp(99) == []
-
-    def test_node_degree_roundtrip(self):
-        context = EngineContext(2)
-        index = CSRBlockIndex.from_blocks(_small_blocks())
-        broadcast = context.broadcast(index)
-        degree = _roundtrip(_NodeDegree(broadcast))
-        assert [degree(p) for p in index.node_ids] == list(index.degree_vector())
+        expected = [
+            (node, other, weight)
+            for node in range(n)
+            for other, weight in reference.kernel().weighted_edges(
+                node, reference.weight_plan(WeightingScheme.EJS, True)
+            )
+        ]
+        assert plan.total_edges == len(expected)
+        for task in (weigher, clone):
+            streamed = []
+            for bounds in ((0, 2), (2, 2), (2, n)):  # an empty range is legal
+                a, b, w = task(bounds)
+                streamed.extend(zip(a.tolist(), b.tolist(), w.tolist()))
+            assert streamed == expected

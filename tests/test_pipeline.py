@@ -230,7 +230,8 @@ class TestExecution:
         assert result.engine_metrics["tasks"] > 0
         by_label = {e.label: e for e in result.executions}
         assert by_label["meta_blocking"].engine["tasks"] > 0
-        assert by_label["meta_blocking"].engine["shuffle_records"] > 0
+        # One-stage meta-blocking: engine tasks, but nothing shuffled.
+        assert by_label["meta_blocking"].engine["shuffle_records"] == 0
         assert sum(e.engine["tasks"] for e in result.executions) == (
             result.engine_metrics["tasks"]
         )
