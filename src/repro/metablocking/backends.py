@@ -1,15 +1,17 @@
 """Pluggable kernel backends for the CSR meta-blocking kernel.
 
 The CSR index (:class:`~repro.metablocking.index.CSRBlockIndex`) stores its
-offset/entry/cardinality/entropy buffers as contiguous stdlib :mod:`array`
-buffers.  Two interchangeable kernels materialise node neighbourhoods and
+offset/entry/cardinality/entropy buffers as contiguous ``int64`` / ``float64``
+vectors (stdlib :mod:`array` or ndarray, depending on which builder filled
+them).  Two interchangeable kernels materialise node neighbourhoods and
 edge weights from those buffers:
 
 * :class:`PythonKernel` — the interpreted scratch-buffer kernel that has
   driven every path since the CSR rewrite.  Always available; zero
   dependencies.
-* :class:`NumpyKernel` — a vectorised kernel that wraps the same buffers
-  zero-copy via ``np.frombuffer`` and replaces the per-block inner loops
+* :class:`NumpyKernel` — a vectorised kernel that reads the same buffers
+  zero-copy (ndarrays in place, anything else via ``np.frombuffer``) and
+  replaces the per-block inner loops
   with gather / ``np.bincount`` / ufunc expressions.  Lazily imported and
   only selectable when numpy is importable.
 

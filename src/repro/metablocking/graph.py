@@ -131,10 +131,9 @@ def blocking_graph_from_index(
     """Materialise a :class:`BlockingGraph` from a prebuilt CSR index."""
     graph = BlockingGraph(clean_clean=clean_clean, num_blocks=num_blocks)
     node_ids = index.node_ids
-    graph.blocks_per_profile = {
-        profile_id: index.node_block_count[dense]
-        for dense, profile_id in enumerate(node_ids)
-    }
+    # ``tolist`` (stdlib array and ndarray alike) yields plain ints: no numpy
+    # scalar reaches a pruning strategy or a JSON payload through the graph.
+    graph.blocks_per_profile = dict(zip(node_ids, index.node_block_count.tolist()))
 
     kernel = index.kernel()
     edges = graph.edges

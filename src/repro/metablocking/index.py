@@ -3,7 +3,8 @@
 The paper's parallel meta-blocking never materialises the blocking graph as an
 edge list: each task receives a compact block index and materialises one node
 neighbourhood at a time.  This module is the compact index, stored as
-contiguous offset arrays (CSR style, stdlib :mod:`array` buffers):
+contiguous offset arrays (CSR style; ``int64`` / ``float64`` vectors whose
+container depends on who built them, see below):
 
 * ``node_block_offsets`` / ``node_block_entries`` — the blocks of each node
   (profile → blocks), with the node's source side encoded in the entry so no
@@ -18,6 +19,19 @@ contiguous offset arrays (CSR style, stdlib :mod:`array` buffers):
 
 Node ids are dense (0..n-1) and order-isomorphic to the profile ids
 (``node_ids`` is sorted), so canonical pair ordering carries over.
+
+What the fields are, per kernel × buffer backend — the values are equal
+element for element in every cell:
+
+* ``python`` × ``ram`` — stdlib :mod:`array` buffers, appended by the scalar
+  builder (the only one that runs without numpy);
+* ``numpy`` × ``ram`` — ndarrays produced by the array builder (one flatten,
+  two sorts, prefix sums) and used in place by the kernel;
+* either × ``memmap`` — zero-copy :class:`numpy.memmap` views into one file
+  the built vectors are written to once.
+
+``node_ids`` is a plain ``list[int]`` in every cell, so emitted pairs are
+type-identical whichever kernel produced them.
 
 Neighbourhood materialisation is delegated to a pluggable **kernel backend**
 (:mod:`repro.metablocking.backends`): the interpreted
@@ -35,8 +49,9 @@ pickle then carries only the segment name and layout, so a process pool maps
 the index once per machine instead of deserialising a copy per worker.
 
 Orthogonally to the *kernel* backend, a **buffer backend** decides where the
-numeric vectors live (the ``buffer_backend`` engine option): ``ram`` keeps the stdlib :mod:`array` buffers (the historical behaviour) while
-``memmap`` rewrites them into one file-backed :class:`numpy.memmap` buffer
+numeric vectors live (the ``buffer_backend`` engine option): ``ram`` keeps
+what the builder produced while
+``memmap`` writes them into one file-backed :class:`numpy.memmap` buffer
 under the managed temp root (:mod:`repro.engine.tmpfiles`), so the OS can page
 the index in and out and peak RSS no longer has to hold it.  Both kernels read
 either representation through the buffer protocol, so the retained edges are
@@ -49,6 +64,7 @@ from __future__ import annotations
 import weakref
 from array import array
 from bisect import bisect_left
+from itertools import chain
 
 from repro.blocking.block import BlockCollection
 from repro.metablocking import backends as _backends
@@ -123,7 +139,7 @@ class CSRBlockIndex:
         self.clean_clean = False
         self._backend = options.kernel_backend
         self._buffer_backend = options.buffer_backend
-        self._node_of: dict[int, int] | None = {}
+        self._node_of: dict[int, int] | None = None  # lazy, see node_of
         self._kernel = None
         self._degrees: array | None = None
         self._num_edges: int | None = None
@@ -138,33 +154,19 @@ class CSRBlockIndex:
     def from_blocks(
         cls, blocks: BlockCollection, options: "EngineOptions | None" = None
     ) -> "CSRBlockIndex":
-        """Build the index from a block collection (one pass over the blocks).
+        """Build the index from a block collection.
 
         Blocks that induce no comparison are skipped, exactly like the
         sequential graph builder; ``total_blocks`` still counts them because
-        ECBS normalises by the raw collection size.
-
-        Under ``options.buffer_backend == "memmap"`` the built vectors are
-        rewritten into one pid-stamped file under ``options.tmp_dir`` and
-        the attributes become zero-copy :class:`numpy.memmap` views — same
-        values, same emission order, bit-for-bit identical retained edges.
+        ECBS normalises by the raw collection size.  The member sets are
+        handed to the builder as they are — no sorted copy per block.
         """
-        valid: list[tuple[list[int], list[int], int, float, bool]] = []
-        for block in blocks:
-            cardinality = block.num_comparisons()
-            if cardinality == 0:
-                continue
-            valid.append(
-                (
-                    sorted(block.profiles_source0),
-                    sorted(block.profiles_source1),
-                    cardinality,
-                    block.entropy,
-                    block.is_clean_clean,
-                )
-            )
+        kept = [block for block in blocks if block.num_comparisons()]
         return cls._from_valid_blocks(
-            valid,
+            [block.profiles_source0 for block in kept],
+            [block.profiles_source1 for block in kept],
+            [block.entropy for block in kept],
+            [block.is_clean_clean for block in kept],
             clean_clean=blocks.clean_clean,
             total_blocks=len(blocks),
             options=options,
@@ -173,44 +175,103 @@ class CSRBlockIndex:
     @classmethod
     def _from_valid_blocks(
         cls,
-        valid: "list[tuple[list[int], list[int], int, float, bool]]",
+        sides0,
+        sides1,
+        entropies,
+        cleans,
         *,
         clean_clean: bool,
         total_blocks: int,
         options: "EngineOptions | None" = None,
     ) -> "CSRBlockIndex":
-        """Build the index from pre-validated ``(members0, members1,
-        cardinality, entropy, clean)`` tuples — the single array builder.
+        """Build the index from the comparison-inducing blocks, column-wise.
 
-        ``members0`` / ``members1`` must already be sorted and every tuple
-        must induce at least one comparison.  :meth:`from_blocks` derives the
-        tuples from a :class:`BlockCollection`; the incremental index
-        (:class:`IncrementalBlockIndex`) keeps them cached per token and
-        recomputes only the touched ones, so compaction routes through the
-        exact same construction and is bit-for-bit identical to a
-        from-scratch build by design.  On any build error the partially
-        constructed index is :meth:`close`\\ d (no leaked memmap buffer).
+        Four aligned sequences, one element per block: the source-0 and
+        source-1 member collections (any sized iterable of profile ids,
+        **unsorted**; the right side is empty for a dirty block), the block
+        entropy and whether the block is clean-clean.  Every block must
+        induce at least one comparison.  :meth:`from_blocks` reads the
+        columns off a :class:`BlockCollection`, :meth:`IncrementalBlockIndex.
+        compact` off its per-token overlay, so compaction is bit-for-bit
+        identical to a from-scratch build by construction.
+
+        The resolved kernel backend picks the builder: ``numpy`` runs
+        :meth:`_populate_arrays` (ndarray fields), ``python`` the scalar
+        :meth:`_populate` (stdlib arrays) — same values, element for
+        element; ``memmap`` then writes either result once into a file.  On
+        any build error the partially constructed index is :meth:`close`\\ d
+        (no leaked memmap buffer).
         """
         options = options or EngineOptions.resolve()
         index = cls(options)
+        index.clean_clean = clean_clean
+        index.total_blocks = total_blocks
+        populate = cls._populate_arrays if index._backend == "numpy" else cls._populate
         try:
-            return cls._populate(index, valid, clean_clean, total_blocks, options.tmp_dir)
+            populate(index, sides0, sides1, entropies, cleans)
+            if index._buffer_backend == "memmap":
+                index._materialise_memmap(options.tmp_dir)
+            return index
         except BaseException:
             index.close()
             raise
 
-    @classmethod
-    def _populate(cls, index, valid, clean_clean, total_blocks, tmp_dir):
-        index.clean_clean = clean_clean
-        index.total_blocks = total_blocks
+    @staticmethod
+    def _populate_arrays(index, sides0, sides1, entropies, cleans) -> None:
+        """The array builder: flatten the members once, two sorts, scans.
 
-        node_of = index._node_of
-        for members0, members1, _cardinality, _entropy, _clean in valid:
-            for profile_id in members0:
-                node_of.setdefault(profile_id, -1)
-            for profile_id in members1:
-                node_of.setdefault(profile_id, -1)
+        Memberships are flattened block by block, left side then right, so
+        the stream is already in ``entry = 2 * block + side`` order; sorting
+        the composite ``(entry, dense)`` key orders each side by dense id
+        (``block_nodes``), and a stable sort of that by node keeps each
+        node's entries ascending (``node_block_entries``) — the orders the
+        scalar builder appends in.  The composite key stays below 2**63 for
+        any index that fits in memory (``2 * memberships**2``).
+        """
+        np = _backends.numpy_or_none()
+        num_blocks = len(sides0)
+        lengths = np.empty(2 * num_blocks, dtype=np.int64)
+        lengths[0::2] = np.fromiter(map(len, sides0), np.int64, num_blocks)
+        lengths[1::2] = np.fromiter(map(len, sides1), np.int64, num_blocks)
+        profiles = np.fromiter(
+            chain.from_iterable(chain.from_iterable(zip(sides0, sides1))),
+            np.int64,
+            int(lengths.sum()),
+        )
+        node_ids, dense = np.unique(profiles, return_inverse=True)
+        n = len(node_ids)
+        entries = np.repeat(np.arange(2 * num_blocks, dtype=np.int64), lengths)
+        block_nodes = np.sort(entries * n + dense) % max(n, 1)
+        by_node = np.argsort(block_nodes, kind="stable")
+        owners = block_nodes[by_node]
+        node_entries = entries[by_node]
+        per_node = np.bincount(block_nodes, minlength=n)
+        # A profile on both sides of one block holds two adjacent entries of
+        # that block but counts the block once.
+        twice = (owners[1:] == owners[:-1]) & (node_entries[1:] >> 1 == node_entries[:-1] >> 1)
+        left, right = lengths[0::2], lengths[1::2]
+        clean = np.fromiter(cleans, bool, num_blocks)
+        cardinality = np.where(clean, left * right, left * (left - 1) // 2)
+        zero = np.zeros(1, dtype=np.int64)
+        # A plain list: pair tuples are built from it, so the emitted edges
+        # stay type-identical to the scalar builder's.
+        index.node_ids = node_ids.tolist()
+        index.node_block_offsets = np.concatenate((zero, np.cumsum(per_node)))
+        index.node_block_entries = node_entries
+        index.node_block_count = per_node - np.bincount(owners[1:][twice], minlength=n)
+        index.block_offsets = np.concatenate((zero, np.cumsum(left + right)))
+        index.block_nodes = block_nodes
+        index.block_split = np.where(clean, left, -1)
+        index.block_cardinality = cardinality
+        index.block_inv_cardinality = 1.0 / cardinality
+        index.block_entropy = np.fromiter(entropies, np.float64, num_blocks)
 
+    @staticmethod
+    def _populate(index, sides0, sides1, entropies, cleans) -> None:
+        """The scalar builder — the only one that runs without numpy."""
+        node_of = index._node_of = dict.fromkeys(
+            chain.from_iterable(chain(sides0, sides1)), -1
+        )
         index.node_ids = sorted(node_of)
         for dense, profile_id in enumerate(index.node_ids):
             node_of[profile_id] = dense
@@ -218,8 +279,13 @@ class CSRBlockIndex:
 
         per_node_entries: list[list[int]] = [[] for _ in range(n)]
         block_counts = array("q", bytes(8 * n))
-        for block_id, (members0, members1, cardinality, entropy, clean) in enumerate(valid):
-            index.block_split.append(len(members0) if clean else -1)
+        for block_id, (side0, side1, entropy, clean) in enumerate(
+            zip(sides0, sides1, entropies, cleans)
+        ):
+            members0, members1 = sorted(side0), sorted(side1)
+            left = len(members0)
+            cardinality = left * len(members1) if clean else left * (left - 1) // 2
+            index.block_split.append(left if clean else -1)
             index.block_cardinality.append(cardinality)
             index.block_inv_cardinality.append(1.0 / cardinality)
             index.block_entropy.append(entropy)
@@ -227,27 +293,22 @@ class CSRBlockIndex:
                 dense = node_of[profile_id]
                 per_node_entries[dense].append(block_id * 2)
                 index.block_nodes.append(dense)
+                block_counts[dense] += 1
+            # Count distinct membership (a node sitting on both sides of one
+            # block — degenerate but possible — still counts the block once).
+            seen_twice = set(members0).intersection(members1) if members1 else ()
             for profile_id in members1:
                 dense = node_of[profile_id]
                 per_node_entries[dense].append(block_id * 2 + 1)
                 index.block_nodes.append(dense)
-            index.block_offsets.append(len(index.block_nodes))
-            # Count distinct membership (a node sitting on both sides of one
-            # block — degenerate but possible — still counts the block once).
-            seen_twice = set(members0) & set(members1)
-            for profile_id in members0:
-                block_counts[node_of[profile_id]] += 1
-            for profile_id in members1:
                 if profile_id not in seen_twice:
-                    block_counts[node_of[profile_id]] += 1
+                    block_counts[dense] += 1
+            index.block_offsets.append(len(index.block_nodes))
 
         for entries in per_node_entries:
             index.node_block_entries.extend(entries)
             index.node_block_offsets.append(len(index.node_block_entries))
         index.node_block_count = block_counts
-        if index._buffer_backend == "memmap":
-            index._materialise_memmap(tmp_dir)
-        return index
 
     def _materialise_memmap(self, tmp_dir: str) -> None:
         """Rewrite the numeric vectors into one file-backed memmap buffer.
@@ -526,12 +587,13 @@ class CSRBlockIndex:
 class _TokenState:
     """Mutable per-token block of the incremental index.
 
-    Holds the raw member sets plus the cached, pre-validated build tuple
-    (the exact element :meth:`CSRBlockIndex._from_valid_blocks` consumes).
-    ``dirty`` marks tokens touched since the tuple was last derived, so a
-    compaction re-sorts only the blocks an append actually extended; a
-    ``None`` cache means the block currently induces no comparison and is
-    skipped, exactly like :meth:`Block.is_valid` filtering in token blocking.
+    Holds the raw member sets plus the cached pair of sorted member lists
+    the builder is fed (the scalar builder's per-block ``sorted`` is then a
+    linear scan; the array builder does not depend on the order).  ``dirty``
+    marks tokens touched since the pair was last derived, so a compaction
+    re-sorts only the blocks an append actually extended; a ``None`` cache
+    means the block currently induces no comparison and is skipped, exactly
+    like :meth:`Block.is_valid` filtering in token blocking.
     """
 
     __slots__ = ("members0", "members1", "dirty", "cached")
@@ -712,12 +774,11 @@ class IncrementalBlockIndex:
 
     # ------------------------------------------------------------- compaction
     def _valid_tuple(self, state: _TokenState) -> "tuple | None":
-        """The pre-validated build tuple of one token block (None = invalid).
+        """The sorted member lists of one token block (None = no comparison).
 
-        Cardinality and the entropy default (1.0) mirror
-        :meth:`Block.num_comparisons` / the :class:`Block` dataclass, so the
-        tuple is exactly what :meth:`CSRBlockIndex.from_blocks` would have
-        derived from the equivalent token-blocking output.
+        Validity mirrors :meth:`Block.num_comparisons`, so the kept blocks
+        are exactly the ones :meth:`CSRBlockIndex.from_blocks` would keep of
+        the equivalent token-blocking output.
         """
         if self.clean_clean:
             cardinality = len(state.members0) * len(state.members1)
@@ -726,34 +787,34 @@ class IncrementalBlockIndex:
             cardinality = n * (n - 1) // 2
         if cardinality == 0:
             return None
-        return (
-            sorted(state.members0),
-            sorted(state.members1),
-            cardinality,
-            1.0,
-            self.clean_clean,
-        )
+        return (sorted(state.members0), sorted(state.members1))
 
     def compact(self) -> CSRBlockIndex:
         """Fold the delta overlay into a fresh contiguous CSR index.
 
-        Only dirty tokens re-derive their build tuple; the valid tuples are
-        then fed in sorted-token order to the shared array builder.  The
-        previous CSR (if any) is closed only after the new one is fully
-        built, so a failed compaction leaves the old index usable.
+        Only dirty tokens re-derive their cached columns; the valid blocks
+        are then fed in sorted-token order to the shared builder (entropy
+        1.0, the :class:`Block` default).  The previous CSR (if any) is
+        closed only after the new one is fully built, so a failed compaction
+        leaves the old index usable.
         """
-        valid: list = []
+        sides0: list = []
+        sides1: list = []
         for token in sorted(self._tokens):
             state = self._tokens[token]
             if state.dirty:
                 state.cached = self._valid_tuple(state)
                 state.dirty = False
             if state.cached is not None:
-                valid.append(state.cached)
+                sides0.append(state.cached[0])
+                sides1.append(state.cached[1])
         rebuilt = CSRBlockIndex._from_valid_blocks(
-            valid,
+            sides0,
+            sides1,
+            [1.0] * len(sides0),
+            [self.clean_clean] * len(sides0),
             clean_clean=self.clean_clean,
-            total_blocks=len(valid),
+            total_blocks=len(sides0),
             options=self.options,
         )
         if self._csr is not None:

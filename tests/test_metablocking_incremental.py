@@ -235,7 +235,7 @@ class TestCloseHardening:
     def test_close_on_never_materialised_index_is_safe(self):
         incremental = IncrementalBlockIndex()
         incremental.close()
-        # A CSRBlockIndex that never ran _populate (e.g. unpickling target)
+        # A CSRBlockIndex that never ran a builder (e.g. unpickling target)
         # must also close without touching missing attributes.
         bare = CSRBlockIndex.__new__(CSRBlockIndex)
         bare.close()
@@ -256,7 +256,8 @@ class TestCloseHardening:
         def boom(*_args, **_kwargs):
             raise RuntimeError("injected build failure")
 
-        monkeypatch.setattr(CSRBlockIndex, "_populate", classmethod(boom))
+        # memmap implies numpy, and ``auto`` then resolves to the array builder.
+        monkeypatch.setattr(CSRBlockIndex, "_populate_arrays", staticmethod(boom))
         with pytest.raises(RuntimeError, match="injected"):
             incremental.materialise()
         monkeypatch.undo()
