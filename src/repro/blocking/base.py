@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterable
 
-from repro.blocking.block import Block, BlockCollection
+from repro.blocking.block import Block, BlockCollection, BlockColumns, numpy_or_none
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
 from repro.engine.context import EngineContext
@@ -34,10 +35,12 @@ def block_by_keys(
 
     ``keys_of(profile)`` yields the profile's distinct blocking keys and
     ``describe(key)`` names a key's block and gives its entropy.  Driver-side
-    the profiles stream straight into the per-source member lists of each
-    key; with an ``engine`` the same keys travel through ``flatMap`` →
-    ``groupByKey`` (the structure SparkER runs on Spark) and the grouped
-    members are read back the same way.
+    the profiles stream straight into the grouping; with an ``engine`` the
+    same keys travel through ``flatMap`` → ``groupByKey`` (the structure
+    SparkER runs on Spark) and the grouped members are read back the same
+    way.  With numpy importable the result is column-backed
+    (:func:`_group_into_columns`); otherwise per-source member lists per key
+    become :class:`Block` objects — same blocks, same order.
     """
     clean_clean = profiles.is_clean_clean
     if engine is None:
@@ -60,6 +63,9 @@ def block_by_keys(
             for profile_id, source_id in members
         )
 
+    np = numpy_or_none()
+    if np is not None:
+        return _group_into_columns(np, memberships, describe, clean_clean)
     sides: tuple[dict, dict] = ({}, {})
     for profile_id, source_id, keys in memberships:
         members_of = sides[1 if clean_clean and source_id == 1 else 0]
@@ -78,3 +84,47 @@ def block_by_keys(
             blocks.append(Block(name, set(members0), set(members1), entropy, clean_clean))
     blocks.sort(key=lambda block: block.key)
     return BlockCollection(blocks, clean_clean=clean_clean)
+
+
+def _group_into_columns(np, memberships, describe, clean_clean: bool) -> BlockCollection:
+    """Group ``(profile_id, source_id, keys)`` records into block columns.
+
+    Keys are numbered as first met and one flat id list grows by one
+    ``extend`` per record; the rest is array work: counts per (key, side)
+    pick the keys that induce a comparison, those are ranked by block name,
+    and one ``lexsort`` orders the memberships by ``(entry, profile id)``.
+    """
+    key_ids: dict = defaultdict()
+    key_ids.default_factory = key_ids.__len__  # a new key takes the next id
+    flat: list[int] = []
+    ends, owners, on_right = [], [], []
+    for profile_id, source_id, keys in memberships:
+        flat.extend(map(key_ids.__getitem__, keys))
+        ends.append(len(flat))
+        owners.append(profile_id)
+        on_right.append(clean_clean and source_id == 1)
+    per_record = np.diff(np.array(ends, dtype=np.int64), prepend=0)
+    members = np.repeat(np.array(owners, dtype=np.int64), per_record)
+    entries = 2 * np.array(flat, dtype=np.int64) + np.repeat(
+        np.array(on_right, dtype=np.int64), per_record
+    )
+    lengths = np.bincount(entries, minlength=2 * len(key_ids))
+    left, right = lengths[0::2], lengths[1::2]
+    valid = (left * right > 0) if clean_clean else left > 1
+    described = [describe(key) for key, ok in zip(key_ids, valid.tolist()) if ok]
+    names = [name for name, _entropy in described]
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    block_of_key = np.full(len(key_ids), -1, dtype=np.int64)
+    block_of_key[np.flatnonzero(valid)[by_name]] = np.arange(len(by_name))
+    blocks = block_of_key[entries >> 1]
+    staying = blocks >= 0
+    members = members[staying]
+    entries = 2 * blocks[staying] + (entries[staying] & 1)
+    order = np.lexsort((members, entries))
+    columns = BlockColumns(
+        [names[position] for position in by_name],
+        np.array([described[position][1] for position in by_name], dtype=np.float64),
+        entries[order],
+        members[order],
+    )
+    return BlockCollection.from_columns(columns, clean_clean=clean_clean)

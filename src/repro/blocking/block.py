@@ -4,14 +4,29 @@ A *block* is the set of profiles sharing one blocking key.  For clean-clean ER
 a block keeps the two sources separate (only cross-source comparisons count);
 for dirty ER all profiles sit in a single group and every unordered pair is a
 comparison.
+
+A :class:`BlockCollection` holds its blocks either as :class:`Block` objects
+or, on the numpy hot path, as the :class:`BlockColumns` membership vectors.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import compress
+from typing import Any, NamedTuple
 
 from repro.exceptions import BlockingError
+
+_PAIR_CHUNK = 1 << 20  # pair codes expanded at a time by count_distinct_comparisons
+
+
+def numpy_or_none():
+    """:func:`repro.metablocking.backends.numpy_or_none` — the one switch of
+    the column path — imported late: that package imports this module."""
+    from repro.metablocking.backends import numpy_or_none as switch
+
+    return switch()
 
 
 @dataclass
@@ -95,8 +110,61 @@ class Block:
         )
 
 
+class BlockColumns(NamedTuple):
+    """The column form of a block collection.
+
+    Invariants: ``entries`` ascends; ``members`` ascends inside an entry; a
+    profile sits in a block at most once; every block induces a comparison
+    and is clean-clean exactly when its collection is (dirty: no side 1).
+    The vectors are never written to, so collections may share them.
+    """
+
+    keys: list  # per block: its key, in collection order
+    entropies: Any  # per block: float64
+    entries: Any  # per membership: int64 ``2 * block + side``
+    members: Any  # per membership: int64 profile id
+
+    def lengths(self):
+        """Members per entry: the left side of block 0, its right side, ..."""
+        return numpy_or_none().bincount(self.entries, minlength=2 * len(self.keys))
+
+    def cardinalities(self, clean_clean: bool) -> tuple:
+        """Per block: the number of profiles and of induced comparisons."""
+        lengths = self.lengths()
+        left, right = lengths[0::2], lengths[1::2]
+        return left + right, left * right if clean_clean else left * (left - 1) // 2
+
+    def select(self, keep) -> "BlockColumns":
+        """The columns of the blocks whose flag in the bool vector ``keep`` is set."""
+        if keep.all():
+            return self
+        staying = keep[self.entries >> 1]
+        entries = self.entries[staying]
+        return BlockColumns(
+            list(compress(self.keys, keep.tolist())),
+            self.entropies[keep],
+            2 * (keep.cumsum() - 1)[entries >> 1] + (entries & 1),
+            self.members[staying],
+        )
+
+
 class BlockCollection:
-    """An ordered collection of blocks with profile-level indexing."""
+    """An ordered collection of blocks with profile-level indexing.
+
+    *Object-backed* it is a list of :class:`Block` — what the constructor and
+    :meth:`add` build, the only form without numpy.  *Column-backed*
+    (:meth:`from_columns`; ``columns`` is set) it is the :class:`BlockColumns`
+    vectors and no ``Block`` at all — what ``block_by_keys``, purging and
+    filtering produce and the CSR builder reads.  Sizes and counts answer
+    from the columns; whatever hands out ``Block`` objects (iteration,
+    indexing, :attr:`blocks`, :meth:`add`) first converts the collection to
+    object-backed, **one way**: the columns are dropped, so a mutated
+    ``Block`` can never disagree with them.
+    """
+
+    # Class-level: a collection pickled before the column form existed
+    # (a parent-version checkpoint) restores without the attribute.
+    columns: "BlockColumns | None" = None
 
     def __init__(self, blocks: Iterable[Block] = (), *, clean_clean: bool = False) -> None:
         self.clean_clean = clean_clean
@@ -104,47 +172,106 @@ class BlockCollection:
         for block in blocks:
             self.add(block)
 
+    @classmethod
+    def from_columns(cls, columns: BlockColumns, *, clean_clean: bool) -> "BlockCollection":
+        """A column-backed collection over ``columns`` (invariants: see there)."""
+        collection = cls(clean_clean=clean_clean)
+        collection.columns = columns
+        return collection
+
     def add(self, block: Block) -> None:
         """Append a block to the collection."""
         if not isinstance(block, Block):
             raise BlockingError("only Block instances can be added")
-        self._blocks.append(block)
+        self.blocks.append(block)
 
     def __iter__(self) -> Iterator[Block]:
-        return iter(self._blocks)
+        return iter(self.blocks)
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self._blocks if self.columns is None else self.columns.keys)
 
     def __getitem__(self, index: int) -> Block:
-        return self._blocks[index]
+        return self.blocks[index]
 
     @property
     def blocks(self) -> list[Block]:
-        """The underlying block list."""
+        """The block list; a column-backed collection converts here, one way
+        (the columns go only once the whole list stands)."""
+        columns = self.columns
+        if columns is not None:
+            ids = columns.members.tolist()
+            cuts = [0, *columns.lengths().cumsum().tolist()]
+            sides = [set(ids[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+            self._blocks = [
+                Block(*row, self.clean_clean)
+                for row in zip(columns.keys, sides[0::2], sides[1::2], columns.entropies.tolist())
+            ]
+            self.columns = None
         return self._blocks
 
     def total_comparisons(self) -> int:
         """Sum of per-block comparisons (pairs may be counted more than once)."""
+        if self.columns is not None:
+            return int(self.columns.cardinalities(self.clean_clean)[1].sum())
         return sum(block.num_comparisons() for block in self._blocks)
 
     def distinct_comparisons(self) -> set[tuple[int, int]]:
         """The set of distinct candidate pairs across all blocks."""
         pairs: set[tuple[int, int]] = set()
-        for block in self._blocks:
+        for block in self.blocks:
             pairs.update(block.comparisons())
         return pairs
+
+    def count_distinct_comparisons(self) -> int:
+        """``len(distinct_comparisons())``; column-backed, without the pair set.
+
+        Every member meets the later members of its entry (dirty) or the
+        members of its block's other side (clean-clean).  The pairs are
+        expanded a bounded chunk at a time as ``lower * n + upper`` codes over
+        dense ids and deduplicated by sorting; one last sort merges the
+        chunks' distinct codes — no ``Block``, no tuple.
+        """
+        if self.columns is None:
+            return len(self.distinct_comparisons())
+        from repro.metablocking.backends import expand_ranges  # late, as above
+
+        np = numpy_or_none()
+        entries = self.columns.entries
+        node_ids, dense = np.unique(self.columns.members, return_inverse=True)
+        lengths = self.columns.lengths()
+        ends = lengths.cumsum()
+        if self.clean_clean:  # a left member meets its block's right entry, which starts here
+            first = ends[entries]
+            partners = np.where(entries & 1, 0, lengths[entries | 1])
+        else:
+            first = np.arange(1, len(dense) + 1)
+            partners = ends[entries] - first
+        done = np.concatenate(([0], partners.cumsum()))
+        cuts = np.searchsorted(done, np.arange(0, done[-1] + _PAIR_CHUNK, _PAIR_CHUNK)).tolist()
+        distinct = [np.empty(0, dtype=np.int64)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            count = partners[lo:hi]
+            a, b = np.repeat(dense[lo:hi], count), dense[expand_ranges(np, first[lo:hi], count)]
+            codes = np.minimum(a, b) * len(node_ids) + np.maximum(a, b)
+            codes.sort()
+            distinct.append(codes[np.flatnonzero(np.diff(codes, prepend=-1))])
+        merged = np.concatenate(distinct)
+        merged.sort()
+        return int(np.count_nonzero(np.diff(merged, prepend=-1)))
 
     def profile_index(self) -> dict[int, list[int]]:
         """Map each profile id to the indices of the blocks that contain it."""
         index: dict[int, list[int]] = {}
-        for block_index, block in enumerate(self._blocks):
+        for block_index, block in enumerate(self.blocks):
             for profile_id in block.all_profiles():
                 index.setdefault(profile_id, []).append(block_index)
         return index
 
     def profile_ids(self) -> set[int]:
         """All profile ids appearing in at least one block."""
+        if self.columns is not None:
+            return set(numpy_or_none().unique(self.columns.members).tolist())
         ids: set[int] = set()
         for block in self._blocks:
             ids.update(block.all_profiles())
@@ -153,17 +280,17 @@ class BlockCollection:
     def purge_invalid(self) -> "BlockCollection":
         """Return a new collection without blocks that induce no comparison."""
         return BlockCollection(
-            (b for b in self._blocks if b.is_valid()), clean_clean=self.clean_clean
+            (b for b in self.blocks if b.is_valid()), clean_clean=self.clean_clean
         )
 
     def sorted_by_size(self, descending: bool = True) -> list[Block]:
         """Blocks sorted by number of comparisons."""
         return sorted(
-            self._blocks, key=lambda b: b.num_comparisons(), reverse=descending
+            self.blocks, key=lambda b: b.num_comparisons(), reverse=descending
         )
 
     def __repr__(self) -> str:
         return (
-            f"BlockCollection(blocks={len(self._blocks)}, "
+            f"BlockCollection(blocks={len(self)}, "
             f"comparisons={self.total_comparisons()}, clean_clean={self.clean_clean})"
         )

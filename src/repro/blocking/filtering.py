@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.blocking.block import Block, BlockCollection
+from repro.blocking.block import Block, BlockCollection, BlockColumns, numpy_or_none
 from repro.exceptions import BlockingError
 
 
@@ -36,7 +36,13 @@ class BlockFiltering:
             raise BlockingError("ratio must be in (0, 1]")
 
     def filter(self, blocks: BlockCollection) -> BlockCollection:
-        """Return a new collection where oversized memberships are dropped."""
+        """Return a new collection where oversized memberships are dropped
+        (column-backed stays column-backed; the object path is the definition)."""
+        if blocks.columns is not None:
+            return BlockCollection.from_columns(
+                self._filter_columns(blocks.columns, blocks.clean_clean),
+                clean_clean=blocks.clean_clean,
+            )
         # Once per block: its cardinality, and a count for each profile in it
         # (a profile listed on both sides of a block is in that block once).
         cardinality, block_counts = [], Counter()
@@ -79,6 +85,23 @@ class BlockFiltering:
         return BlockCollection(
             (block for block in kept if block is not None), clean_clean=blocks.clean_clean
         )
+
+    def _filter_columns(self, columns: BlockColumns, clean_clean: bool) -> BlockColumns:
+        """Rank each profile's memberships by block order, keep its quota."""
+        np = numpy_or_none()
+        entries, members = columns.entries, columns.members
+        sizes, comparisons = columns.cardinalities(clean_clean)
+        # Smallest block first: comparison cardinality, then size, then position.
+        block_rank = np.empty(len(sizes), dtype=np.int64)
+        block_rank[np.lexsort((sizes, comparisons))] = np.arange(len(sizes))
+        _ids, profile, counts = np.unique(members, return_inverse=True, return_counts=True)
+        by_profile = np.lexsort((block_rank[entries >> 1], profile))
+        place = np.arange(len(members)) - np.repeat(np.cumsum(counts) - counts, counts)
+        quota = np.maximum(1, np.ceil(self.ratio * counts))
+        staying = np.empty(len(members), dtype=bool)
+        staying[by_profile] = place < np.repeat(quota, counts)
+        kept = BlockColumns(columns.keys, columns.entropies, entries[staying], members[staying])
+        return kept.select(kept.cardinalities(clean_clean)[1] > 0)
 
     def __call__(self, blocks: BlockCollection) -> BlockCollection:
         return self.filter(blocks)

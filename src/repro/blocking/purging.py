@@ -11,6 +11,7 @@ the user change the aggressiveness of the purging step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.blocking.block import BlockCollection
 from repro.exceptions import BlockingError
@@ -43,47 +44,58 @@ class BlockPurging:
             raise BlockingError("smoothing must be positive when given")
 
     def purge(self, blocks: BlockCollection, num_profiles: int | None = None) -> BlockCollection:
-        """Return a new collection without the purged blocks."""
+        """Return a new collection without the purged blocks, order kept
+        (column-backed stays column-backed: a mask over per-block counts)."""
         if num_profiles is None:
             num_profiles = len(blocks.profile_ids())
         if num_profiles == 0:
             return BlockCollection(clean_clean=blocks.clean_clean)
 
         threshold = self.max_profile_fraction * num_profiles
+        columns = blocks.columns
+        if columns is not None:
+            sizes, comparisons = columns.cardinalities(blocks.clean_clean)
+            keep = sizes <= threshold
+            if self.smoothing is not None and keep.any():
+                keep &= comparisons <= self._cutoff(
+                    zip(comparisons[keep].tolist(), sizes[keep].tolist())
+                )
+            return BlockCollection.from_columns(
+                columns.select(keep), clean_clean=blocks.clean_clean
+            )
+
         kept = [block for block in blocks if block.size <= threshold]
-
-        if self.smoothing is not None:
-            kept = self._comparison_based_purge(kept)
-
+        if self.smoothing is not None and kept:
+            cutoff = self._cutoff((b.num_comparisons(), b.size) for b in kept)
+            kept = [block for block in kept if block.num_comparisons() <= cutoff]
         return BlockCollection(kept, clean_clean=blocks.clean_clean)
 
     # -------------------------------------------------------------- internals
-    def _comparison_based_purge(self, blocks: list) -> list:
+    def _cutoff(self, cardinalities) -> int:
         """Size-based purging: find the block-size cutoff where comparisons explode.
 
-        Blocks are ordered by ascending comparison cardinality; the cutoff is
-        the largest block cardinality at which the ratio (cumulative
-        comparisons / cumulative block sizes) still increases by at most the
-        smoothing factor.  This reproduces the spirit of Papadakis' comparison
-        based purging without requiring duplicate annotations.
+        The blocks' ``(comparisons, size)`` are scanned by ascending comparison
+        cardinality; the cutoff is the largest block cardinality at which the
+        ratio (cumulative comparisons / cumulative block sizes) still increases
+        by at most the smoothing factor.  This reproduces the spirit of
+        Papadakis' comparison based purging without requiring duplicate
+        annotations.
         """
-        if not blocks:
-            return blocks
-        ordered = sorted(blocks, key=lambda b: b.num_comparisons())
+        ordered = sorted(cardinalities, key=itemgetter(0))
         cumulative_comparisons = 0
         cumulative_size = 0
         best_ratio = float("inf")
-        cutoff = ordered[-1].num_comparisons()
-        for block in ordered:
-            cumulative_comparisons += block.num_comparisons()
-            cumulative_size += block.size
+        cutoff = ordered[-1][0]
+        for comparisons, size in ordered:
+            cumulative_comparisons += comparisons
+            cumulative_size += size
             if cumulative_size == 0:
                 continue
             ratio = cumulative_comparisons / cumulative_size
-            if ratio <= best_ratio * (self.smoothing or 1.0):
+            if ratio <= best_ratio * self.smoothing:
                 best_ratio = min(best_ratio, ratio)
-                cutoff = block.num_comparisons()
-        return [b for b in ordered if b.num_comparisons() <= cutoff]
+                cutoff = comparisons
+        return cutoff
 
     def __call__(self, blocks: BlockCollection, num_profiles: int | None = None) -> BlockCollection:
         return self.purge(blocks, num_profiles)

@@ -95,9 +95,10 @@ def block_stage_metrics(
     """The per-stage metric dict recorded after every block-level stage.
 
     Full quality statistics when a ground truth is available, plain counts
-    otherwise.  Both the legacy :class:`repro.core.blocker.Blocker` and the
-    pipeline stage adapters record exactly this dict, which is what keeps
-    the facade-vs-pipeline reports byte-identical.
+    otherwise (a column-backed collection answers those from its columns: no
+    pair set, no ``Block``).  Both the legacy :class:`repro.core.blocker.Blocker`
+    and the pipeline stage adapters record exactly this dict, which is what
+    keeps the facade-vs-pipeline reports byte-identical.
     """
     if ground_truth is not None:
         return compute_blocking_stats(
@@ -105,7 +106,7 @@ def block_stage_metrics(
         ).as_dict()
     return {
         "blocks": len(blocks),
-        "candidate_pairs": len(blocks.distinct_comparisons()),
+        "candidate_pairs": blocks.count_distinct_comparisons(),
         "total_comparisons": blocks.total_comparisons(),
     }
 

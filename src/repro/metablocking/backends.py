@@ -76,6 +76,19 @@ def numpy_available() -> bool:
     return numpy_or_none() is not None
 
 
+def expand_ranges(np, starts, counts):
+    """Concatenated ``arange(start, start + count)`` for every range."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    firsts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    return (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(firsts, counts)
+        + np.repeat(starts, counts)
+    )
+
+
 def make_kernel(index) -> "PythonKernel | NumpyKernel":
     """Build the scratch kernel matching ``index.backend``."""
     if index.backend == "numpy":
@@ -458,19 +471,6 @@ class NumpyKernel:
         return np.frombuffer(buffer, dtype=dtype)
 
     # ------------------------------------------------------------- the sweep
-    def _expand_ranges(self, starts, counts):
-        """Concatenated ``arange(start, start + count)`` for every range."""
-        np = self._np
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        firsts = np.concatenate(([0], np.cumsum(counts[:-1])))
-        return (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(firsts, counts)
-            + np.repeat(starts, counts)
-        )
-
     def sweep(self, nodes=None, *, need_arcs: bool = True, need_entropies: bool = True) -> _Sweep:
         """Materialise the neighbourhoods of ``nodes`` (all nodes if None).
 
@@ -512,7 +512,7 @@ class NumpyKernel:
         # 1. Every (node, block entry) of the swept nodes, node-major.
         entry_counts = self.node_block_offsets[nodes + 1] - self.node_block_offsets[nodes]
         entries = self.node_block_entries[
-            self._expand_ranges(self.node_block_offsets[nodes], entry_counts)
+            expand_ranges(np, self.node_block_offsets[nodes], entry_counts)
         ]
         owner_per_entry = np.repeat(nodes, entry_counts)
 
@@ -529,7 +529,7 @@ class NumpyKernel:
 
         # 3. Occurrence expansion: one row per (owner, co-member) incidence,
         # in exactly the order the Python kernel's nested loop visits them.
-        others = self.block_nodes[self._expand_ranges(lo, counts)]
+        others = self.block_nodes[expand_ranges(np, lo, counts)]
         owners = np.repeat(owner_per_entry, counts)
         occ_inv = (
             np.repeat(self.block_inv_cardinality[blocks], counts) if need_arcs else None

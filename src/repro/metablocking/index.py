@@ -25,8 +25,9 @@ element for element in every cell:
 
 * ``python`` × ``ram`` — stdlib :mod:`array` buffers, appended by the scalar
   builder (the only one that runs without numpy);
-* ``numpy`` × ``ram`` — ndarrays produced by the array builder (one flatten,
-  two sorts, prefix sums) and used in place by the kernel;
+* ``numpy`` × ``ram`` — ndarrays produced by the array builder (two sorts and
+  prefix sums over the flattened membership stream, which a column-backed
+  :class:`BlockCollection` already is) and used in place by the kernel;
 * either × ``memmap`` — zero-copy :class:`numpy.memmap` views into one file
   the built vectors are written to once.
 
@@ -158,18 +159,30 @@ class CSRBlockIndex:
 
         Blocks that induce no comparison are skipped, exactly like the
         sequential graph builder; ``total_blocks`` still counts them because
-        ECBS normalises by the raw collection size.  The member sets are
-        handed to the builder as they are — no sorted copy per block.
+        ECBS normalises by the raw collection size.  Under the numpy kernel a
+        column-backed collection hands its membership vectors straight to the
+        array builder — they already are its input stream, and every block in
+        them induces a comparison; otherwise the member sets are handed to
+        :meth:`_from_valid_blocks` as they are — no sorted copy per block.
         """
-        kept = [block for block in blocks if block.num_comparisons()]
-        return cls._from_valid_blocks(
-            [block.profiles_source0 for block in kept],
-            [block.profiles_source1 for block in kept],
-            [block.entropy for block in kept],
-            [block.is_clean_clean for block in kept],
-            clean_clean=blocks.clean_clean,
-            total_blocks=len(blocks),
-            options=options,
+        options = options or EngineOptions.resolve()
+        columns = blocks.columns if options.kernel_backend == "numpy" else None
+        if columns is None:
+            kept = [block for block in blocks if block.num_comparisons()]
+            return cls._from_valid_blocks(
+                [block.profiles_source0 for block in kept],
+                [block.profiles_source1 for block in kept],
+                [block.entropy for block in kept],
+                [block.is_clean_clean for block in kept],
+                clean_clean=blocks.clean_clean,
+                total_blocks=len(blocks),
+                options=options,
+            )
+        cleans = _backends.numpy_or_none().full(len(blocks), blocks.clean_clean)
+        return cls._build(
+            cls._populate_arrays,
+            (columns.lengths(), columns.members, columns.entropies, cleans),
+            blocks.clean_clean, len(blocks), options,
         )
 
     @classmethod
@@ -191,24 +204,41 @@ class CSRBlockIndex:
         **unsorted**; the right side is empty for a dirty block), the block
         entropy and whether the block is clean-clean.  Every block must
         induce at least one comparison.  :meth:`from_blocks` reads the
-        columns off a :class:`BlockCollection`, :meth:`IncrementalBlockIndex.
-        compact` off its per-token overlay, so compaction is bit-for-bit
-        identical to a from-scratch build by construction.
+        columns off an object-backed :class:`BlockCollection`,
+        :meth:`IncrementalBlockIndex.compact` off its per-token overlay, so
+        compaction is bit-for-bit identical to a from-scratch build by
+        construction.
 
-        The resolved kernel backend picks the builder: ``numpy`` runs
-        :meth:`_populate_arrays` (ndarray fields), ``python`` the scalar
-        :meth:`_populate` (stdlib arrays) — same values, element for
-        element; ``memmap`` then writes either result once into a file.  On
-        any build error the partially constructed index is :meth:`close`\\ d
-        (no leaked memmap buffer).
+        The resolved kernel backend picks the builder: ``numpy`` flattens
+        the member collections into the ``(lengths, profiles)`` stream and
+        runs :meth:`_populate_arrays` (ndarray fields), ``python`` the scalar
+        :meth:`_populate` (stdlib arrays) — same values, element for element.
         """
         options = options or EngineOptions.resolve()
+        populate, inputs = cls._populate, (sides0, sides1, entropies, cleans)
+        if options.kernel_backend == "numpy":
+            np = _backends.numpy_or_none()
+            lengths = np.empty(2 * len(sides0), dtype=np.int64)
+            lengths[0::2] = np.fromiter(map(len, sides0), np.int64, len(sides0))
+            lengths[1::2] = np.fromiter(map(len, sides1), np.int64, len(sides0))
+            profiles = np.fromiter(
+                chain.from_iterable(chain.from_iterable(zip(sides0, sides1))),
+                np.int64,
+                int(lengths.sum()),
+            )
+            populate, inputs = cls._populate_arrays, (lengths, profiles, entropies, cleans)
+        return cls._build(populate, inputs, clean_clean, total_blocks, options)
+
+    @classmethod
+    def _build(cls, populate, inputs, clean_clean, total_blocks, options) -> "CSRBlockIndex":
+        """Run one builder over its input; ``memmap`` then writes the result
+        once into a file.  On any build error the partially constructed index
+        is :meth:`close`\\ d (no leaked memmap buffer)."""
         index = cls(options)
         index.clean_clean = clean_clean
         index.total_blocks = total_blocks
-        populate = cls._populate_arrays if index._backend == "numpy" else cls._populate
         try:
-            populate(index, sides0, sides1, entropies, cleans)
+            populate(index, *inputs)
             if index._buffer_backend == "memmap":
                 index._materialise_memmap(options.tmp_dir)
             return index
@@ -217,27 +247,22 @@ class CSRBlockIndex:
             raise
 
     @staticmethod
-    def _populate_arrays(index, sides0, sides1, entropies, cleans) -> None:
-        """The array builder: flatten the members once, two sorts, scans.
+    def _populate_arrays(index, lengths, profiles, entropies, cleans) -> None:
+        """The array builder: two sorts and scans over the flattened stream.
 
-        Memberships are flattened block by block, left side then right, so
-        the stream is already in ``entry = 2 * block + side`` order; sorting
-        the composite ``(entry, dense)`` key orders each side by dense id
-        (``block_nodes``), and a stable sort of that by node keeps each
-        node's entries ascending (``node_block_entries``) — the orders the
-        scalar builder appends in.  The composite key stays below 2**63 for
-        any index that fits in memory (``2 * memberships**2``).
+        Its input is the membership stream block by block, left side then
+        right — ``lengths`` per ``entry = 2 * block + side`` and the
+        ``profiles`` in that order (unsorted inside an entry is fine): what a
+        column-backed collection stores, and what :meth:`_from_valid_blocks`
+        flattens member collections into.  Sorting the composite ``(entry,
+        dense)`` key orders each side by dense id (``block_nodes``), and a
+        stable sort of that by node keeps each node's entries ascending
+        (``node_block_entries``) — the orders the scalar builder appends in.
+        The composite key stays below 2**63 for any index that fits in
+        memory (``2 * memberships**2``).
         """
         np = _backends.numpy_or_none()
-        num_blocks = len(sides0)
-        lengths = np.empty(2 * num_blocks, dtype=np.int64)
-        lengths[0::2] = np.fromiter(map(len, sides0), np.int64, num_blocks)
-        lengths[1::2] = np.fromiter(map(len, sides1), np.int64, num_blocks)
-        profiles = np.fromiter(
-            chain.from_iterable(chain.from_iterable(zip(sides0, sides1))),
-            np.int64,
-            int(lengths.sum()),
-        )
+        num_blocks = len(lengths) // 2
         node_ids, dense = np.unique(profiles, return_inverse=True)
         n = len(node_ids)
         entries = np.repeat(np.arange(2 * num_blocks, dtype=np.int64), lengths)
@@ -250,7 +275,7 @@ class CSRBlockIndex:
         # that block but counts the block once.
         twice = (owners[1:] == owners[:-1]) & (node_entries[1:] >> 1 == node_entries[:-1] >> 1)
         left, right = lengths[0::2], lengths[1::2]
-        clean = np.fromiter(cleans, bool, num_blocks)
+        clean = np.asarray(cleans, dtype=bool)
         cardinality = np.where(clean, left * right, left * (left - 1) // 2)
         zero = np.zeros(1, dtype=np.int64)
         # A plain list: pair tuples are built from it, so the emitted edges
@@ -264,7 +289,7 @@ class CSRBlockIndex:
         index.block_split = np.where(clean, left, -1)
         index.block_cardinality = cardinality
         index.block_inv_cardinality = 1.0 / cardinality
-        index.block_entropy = np.fromiter(entropies, np.float64, num_blocks)
+        index.block_entropy = np.asarray(entropies, dtype=np.float64)
 
     @staticmethod
     def _populate(index, sides0, sides1, entropies, cleans) -> None:
