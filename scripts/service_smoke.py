@@ -8,7 +8,9 @@ temp root, then drives the whole request surface over real HTTP:
 2. ingest two batches into one collection (plus one into a second tenant);
 3. a budgeted match query must honour the budget and return the documented
    response schema;
-4. a delta-refreshed candidates query must return well-formed weighted pairs;
+4. a delta-refreshed candidates query must return exactly the retained edges
+   of profile 0 that an in-process batch ``MetaBlocker`` run computes on the
+   same profiles (weights through JSON, best first);
 5. ``/metrics`` must report the traffic with per-endpoint histograms;
 6. after SIGTERM the server must exit 0 and leave **zero** ``repro-*``
    artifacts in its temp root.
@@ -67,6 +69,35 @@ def profile_batch(start: int, count: int) -> dict:
     }
 
 
+def expected_candidates(payloads: list, profile_id: int) -> list:
+    """The candidates payload an in-process batch run predicts.
+
+    Independent of the service code: profiles -> token blocking ->
+    ``MetaBlocker`` with the server's default collection config (CBS, WNP),
+    then the retained edges incident to ``profile_id``, best first.
+    """
+    from repro.blocking.token_blocking import TokenBlocking
+    from repro.data.dataset import ProfileCollection
+    from repro.data.profile import EntityProfile
+    from repro.metablocking.metablocker import MetaBlocker
+
+    profiles = []
+    for raw in (profile for payload in payloads for profile in payload["profiles"]):
+        profile = EntityProfile(raw["id"], str(raw["id"]), 0)
+        for attribute, value in raw["attributes"].items():
+            profile.add(attribute, str(value))
+        profiles.append(profile)
+    blocks = TokenBlocking().block(ProfileCollection(profiles))
+    retained = MetaBlocker("cbs", "wnp").run(blocks).retained_edges
+    incident = sorted(
+        ((pair, weight) for pair, weight in retained.items() if profile_id in pair),
+        key=lambda item: (-item[1], item[0]),
+    )
+    return json.loads(json.dumps(
+        [{"pair": list(pair), "weight": weight} for pair, weight in incident]
+    ))
+
+
 def main() -> int:
     tmp_root = tempfile.mkdtemp(prefix="service-smoke-")
     env = dict(os.environ)
@@ -97,14 +128,11 @@ def main() -> int:
         )
         expect(ping.returncode == 0, "repro.cli ping reported unhealthy")
 
-        status, first = request(
-            port, "POST", "/collections/smoke/profiles", profile_batch(0, 40)
-        )
+        batches = [profile_batch(0, 40), profile_batch(40, 20)]
+        status, first = request(port, "POST", "/collections/smoke/profiles", batches[0])
         expect(status == 201, f"first ingest returned {status}: {first}")
         expect(first["appended"] == 40, f"bad ingest summary: {first}")
-        status, second = request(
-            port, "POST", "/collections/smoke/profiles", profile_batch(40, 20)
-        )
+        status, second = request(port, "POST", "/collections/smoke/profiles", batches[1])
         expect(status == 201 and second["total_profiles"] == 60,
                f"second ingest wrong: {second}")
         status, _other = request(
@@ -142,6 +170,11 @@ def main() -> int:
                 sorted(entry) == ["pair", "weight"] and 0 in entry["pair"],
                 f"malformed candidate entry: {entry}",
             )
+        expected = expected_candidates(batches, 0)
+        expect(bool(expected), "smoke data induces no candidate for profile 0")
+        expect(candidates["candidates"] == expected,
+               f"candidates differ from the in-process MetaBlocker run: "
+               f"{candidates['candidates']} != {expected}")
 
         status, metrics = request(port, "GET", "/metrics")
         expect(status == 200, "metrics endpoint failed")

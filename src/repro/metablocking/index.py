@@ -641,10 +641,9 @@ class AppendDelta:
 
     ``new_profile_ids`` are the appended profiles, ``touched_tokens`` the
     blocking keys they extended and ``touched_profile_ids`` every member of
-    a touched block *after* the append (the appended profiles included).
-    Because appends only ever add members, the blocking graph only gains
-    edges: any edge whose weight can change is incident to a touched
-    profile, which is what makes neighbourhood-local re-weighting exact.
+    a touched block *after* the append (the appended profiles included) —
+    what the service's ingest summary reports.  Meta-blocking does not read
+    it: the delta meta-blocker recomputes per compaction.
     """
 
     __slots__ = ("new_profile_ids", "touched_tokens", "touched_profile_ids")

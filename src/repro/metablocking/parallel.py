@@ -56,7 +56,7 @@ from repro.metablocking import backends as _backends
 from repro.metablocking.backends import EdgeWeights
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker, MetaBlockingResult
-from repro.metablocking.pruning import IndexStats, PruningStrategy, make_pruning_strategy
+from repro.metablocking.pruning import PruningStrategy, make_pruning_strategy
 from repro.metablocking.weights import WeightingScheme
 from repro.options import EngineOptions
 
@@ -203,8 +203,9 @@ class ParallelMetaBlocker:
             # CSR buffers (EJS's degree vector and edge count) travels with
             # the index instead of being re-swept per worker.
             index.weight_plan(self.weighting, self.use_entropy)
-            vectorised = index.backend == "numpy"
-            if vectorised and isinstance(self.context.executor, MultiprocessingExecutor):
+            if index.backend == "numpy" and isinstance(
+                self.context.executor, MultiprocessingExecutor
+            ):
                 # The broadcast pickle then carries only a segment reference:
                 # pool workers map the index instead of deserialising copies.
                 index.export_shared()
@@ -221,11 +222,7 @@ class ParallelMetaBlocker:
                 .collect()
             )
             table = _edge_table(index, parts)
-            if vectorised:
-                positions = _backends.retained_positions(self.pruning, table, index)
-                if positions is not None:
-                    return table, positions, None
-            return table, None, self.pruning.prune(IndexStats(index), table.to_mapping())
+            return (table, *_backends.retain_edges(self.pruning, table, index))
         finally:
             if broadcast is not None:
                 self.context.unbroadcast(broadcast)

@@ -14,20 +14,20 @@ the meta-blocking graph of this package:
   of their neighbourhood and emit, for each node in turn, its best unseen
   neighbours first (a simplified Progressive Profile Scheduling).
 
-Both run on the CSR index's kernel backend directly (the interpreted
-:class:`~repro.metablocking.backends.PythonKernel` or the vectorised
-:class:`~repro.metablocking.backends.NumpyKernel`, selected by the engine
-``options``) — one sweep materialising each node's neighbourhood
-exactly once, every edge weighted from its lower endpoint — instead of
-materialising a full :class:`~repro.metablocking.graph.BlockingGraph` and
-re-deriving node statistics from it.  Every kernel fixes the same
-accumulation order as the graph builder, so the weights (and therefore the
-rankings) are bit-for-bit identical to the graph-based implementation they
-replace, whichever backend runs the sweep.
+Both read the CSR index's edge table
+(:meth:`~repro.metablocking.backends.NumpyKernel.weight_arrays`, or the
+interpreted kernel's equivalent) — every edge weighted once from its lower
+endpoint, in the node-major first-touch order of the graph builder — instead
+of materialising a full :class:`~repro.metablocking.graph.BlockingGraph`.
+Every kernel fixes the same accumulation order as the graph builder, so the
+weights (and therefore the rankings) are bit-for-bit identical to the
+graph-based implementation, whichever backend weighs the table.  The numpy
+kernel caches its full sweep per index, so the service's delta refresh and a
+ranking over the same index share one sweep.
 
-``stream()`` is genuinely lazy: global sorting merges per-node runs through a
-heap (:func:`heapq.merge`), so consuming the first *k* comparisons never pays
-for a global sort; node scheduling yields node by node, each incident list
+Global sorting is one ``(-weight, pair)`` sort of the table (an array
+``lexsort`` under numpy; pair tuples are then built chunk by chunk as the
+stream is pulled); node scheduling yields node by node, each incident list
 sorted exactly once up front.  ``rank()`` is simply ``list(stream())``.  The
 benchmark ``bench_extension_progressive.py`` measures recall as a function of
 the number of comparisons performed, the paper family's standard
@@ -36,15 +36,19 @@ the number of comparisons performed, the paper family's standard
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterator
 
 from repro.blocking.block import BlockCollection
+from repro.metablocking import backends as _backends
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.weights import WeightingScheme
 from repro.options import EngineOptions
 
 _Edge = tuple[tuple[int, int], float]
+
+#: Pair tuples materialised per pull of the numpy ranking; a budgeted query
+#: usually reads a short prefix of a much longer ranking.
+_RANK_CHUNK = 1024
 
 
 def _edge_rank(item: _Edge) -> tuple[float, tuple[int, int]]:
@@ -52,18 +56,9 @@ def _edge_rank(item: _Edge) -> tuple[float, tuple[int, int]]:
     return (-item[1], item[0])
 
 
-def _weighted_edges_by_node(
-    index: CSRBlockIndex, scheme: WeightingScheme
-) -> list[list[_Edge]]:
-    """One kernel sweep: per dense node, its weighted edges (lower endpoint).
-
-    Every edge appears exactly once, in the node-major first-touch order the
-    graph builder uses — weights accumulate in the same order and come out
-    float-identical to ``weight_all_edges(build_blocking_graph(blocks))``,
-    whichever kernel backend drives the sweep.
-    """
-    plan = index.weight_plan(scheme, use_entropy=False)
-    return index.kernel().weighted_edges_by_node(plan)
+def _weight_table(index: CSRBlockIndex, scheme: WeightingScheme):
+    """The index's edge table under ``scheme`` (no entropy factor)."""
+    return index.kernel().weight_arrays(index.weight_plan(scheme, use_entropy=False))
 
 
 class ProgressiveSortedComparisons:
@@ -92,12 +87,7 @@ class ProgressiveSortedComparisons:
         return list(self.stream(blocks))
 
     def stream(self, blocks: BlockCollection) -> Iterator[tuple[int, int]]:
-        """Iterate the ranked comparisons lazily (heap merge of node runs).
-
-        Each node's emitted edges form one run, sorted by the rank key; the
-        runs are merged through a heap, so pulling the best *k* comparisons
-        costs O(k log n) pops after the weighting sweep — no global sort.
-        """
+        """Iterate the ranked comparisons, best first."""
         index = CSRBlockIndex.from_blocks(blocks, self.options)
         try:
             iterator = self.stream_index(index)
@@ -109,22 +99,22 @@ class ProgressiveSortedComparisons:
         """:meth:`stream` over a caller-owned, already-built index.
 
         The service layer keeps one long-lived index per collection and
-        answers every budgeted match query from it — same ranking, same heap
-        merge, but the index is neither rebuilt nor closed here.  The
-        weighting sweep runs eagerly (so the caller may close the index as
-        soon as this returns); only the merge is lazy.
+        answers every budgeted match query from it — same ranking, but the
+        index is neither rebuilt nor closed here.  Weighing and sorting run
+        eagerly over arrays the index does not own (so the caller may close
+        the index as soon as this returns); only the pair tuples are lazy.
         """
-        runs = [
-            sorted(edges, key=_edge_rank)
-            for edges in _weighted_edges_by_node(index, self.weighting)
-            if edges
-        ]
-
-        def _merge() -> Iterator[tuple[int, int]]:
-            for pair, _weight in heapq.merge(*runs, key=_edge_rank):
-                yield pair
-
-        return _merge()
+        table = _weight_table(index, self.weighting)
+        if index.backend != "numpy":
+            ranked = sorted(table.to_mapping().items(), key=_edge_rank)
+            return (pair for pair, _weight in ranked)
+        np = _backends.numpy_or_none()
+        order = _backends.ranked_positions(np, table, len(table))
+        return (
+            pair
+            for chunk in _backends.iter_retained_chunks(table, order, _RANK_CHUNK)
+            for pair, _weight in chunk
+        )
 
 
 class ProgressiveNodeScheduling:
@@ -158,17 +148,15 @@ class ProgressiveNodeScheduling:
         Sweep, schedule and per-node sorting all run eagerly (the caller may
         close the index as soon as this returns); the emission loop is lazy.
         """
-        per_node = _weighted_edges_by_node(index, self.weighting)
+        table = _weight_table(index, self.weighting)
 
         # Per-node incident edges, built in edge-emission order (the order the
         # node-priority float sums depend on), then each list sorted exactly
         # once up front — not per visit inside the emission loop.
         incident: dict[int, list[_Edge]] = {}
-        for edges in per_node:
-            for edge in edges:
-                pair, _weight = edge
-                for node in pair:
-                    incident.setdefault(node, []).append(edge)
+        for edge in table.to_mapping().items():
+            for node in edge[0]:
+                incident.setdefault(node, []).append(edge)
         priority = {
             node: sum(w for _p, w in edges) / len(edges)
             for node, edges in incident.items()

@@ -4,7 +4,7 @@ The batch library resolves one dataset per run; this package keeps the
 blocking index alive between requests.  Profiles stream in through
 :meth:`~repro.service.collection.ServiceCollection.ingest` into an
 append-only :class:`~repro.metablocking.index.IncrementalBlockIndex`,
-candidate edges refresh neighbourhood-locally through the
+candidate edges are recomputed once per compaction by the
 :class:`~repro.service.delta.DeltaMetaBlocker`, and budgeted match queries
 answer from a cached progressive ranking — all exposed over a stdlib-asyncio
 HTTP server (:mod:`repro.service.app`) with per-endpoint latency histograms

@@ -6,7 +6,7 @@ needs per tenant:
 * an :class:`~repro.metablocking.index.IncrementalBlockIndex` that absorbs
   ingested profiles into a delta overlay and compacts to a bit-exact CSR;
 * a :class:`~repro.service.delta.DeltaMetaBlocker` whose retained candidate
-  edges are refreshed neighbourhood-locally from the accumulated touched set;
+  edges are recomputed once per compaction (and cached between them);
 * a cached progressive ranking (:class:`~repro.metablocking.progressive.
   ProgressiveSortedComparisons` / ``ProgressiveNodeScheduling``) so repeated
   budgeted match queries extend one stream prefix instead of re-sweeping.
@@ -129,8 +129,6 @@ class ServiceCollection:
         self.delta = DeltaMetaBlocker(
             config.weighting, config.pruning, use_entropy=config.use_entropy
         )
-        # Touched profile ids accumulated since the last delta refresh.
-        self._pending_touched: set[int] = set()
         # Cached progressive ranking: one stream prefix per index version.
         self._prefix: list[tuple[int, int]] = []
         self._prefix_iter = None
@@ -235,7 +233,6 @@ class ServiceCollection:
                 ) from error
         service_fault(f"ingest.apply.{self.config.name}")
         delta = self.index.append_profiles(profiles)
-        self._pending_touched.update(delta.touched_profile_ids)
         if delta.new_profile_ids:
             # Any append invalidates the cached ranking prefix.
             self._prefix = []
@@ -316,9 +313,7 @@ class ServiceCollection:
         if self.index.is_stale:
             service_fault(f"compact.{self.config.name}")
         index = self.index.materialise()
-        touched = None if not self.delta.refreshes else frozenset(self._pending_touched)
-        self.delta.refresh(index, touched)
-        self._pending_touched.clear()
+        self.delta.refresh(index, self.index.compactions)
         incident = self.delta.candidates_of(profile_id)
         return {
             "profile_id": profile_id,
@@ -335,7 +330,6 @@ class ServiceCollection:
             "config": self.config.as_dict(),
             "index": self.index,
             "delta": self.delta,
-            "pending_touched": sorted(self._pending_touched),
             "ingests": self.ingests,
             "wal_applied_seq": self.wal_applied_seq,
         }
@@ -348,8 +342,9 @@ class ServiceCollection:
         collection.index.close()
         collection.index = state["index"]
         collection.index.options = collection.options
+        # Snapshots written before the array delta path also carry a
+        # ``pending_touched`` list; the restored delta recomputes instead.
         collection.delta = state["delta"]
-        collection._pending_touched = set(state.get("pending_touched", ()))
         collection.ingests = int(state.get("ingests", 0))
         collection.wal_applied_seq = int(state.get("wal_applied_seq", 0))
         return collection
@@ -365,7 +360,6 @@ class ServiceCollection:
             "stale": self.index.is_stale,
             "ingests": self.ingests,
             "queries": self.queries,
-            "pending_touched": len(self._pending_touched),
             "ranked_prefix": len(self._prefix),
             "delta": self.delta.stats(),
             "degraded": self.degraded_reason,

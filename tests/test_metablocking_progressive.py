@@ -1,16 +1,30 @@
 """Tests of the progressive meta-blocking extension."""
 
+import gc
+import hashlib
 import itertools
+import os
+import weakref
 from collections.abc import Iterator
 
 import pytest
 
 from repro.blocking.token_blocking import TokenBlocking
+from repro.metablocking.backends import numpy_available
+from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.progressive import (
     ProgressiveNodeScheduling,
     ProgressiveSortedComparisons,
     progressive_recall_curve,
 )
+from repro.options import EngineOptions
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="numpy backend requires numpy"
+)
+KERNELS = ["python", pytest.param("numpy", marks=needs_numpy)]
+BUFFERS = ["ram", pytest.param("memmap", marks=needs_numpy)]
+SCHEMES = ["cbs", "js", "arcs", "ecbs", "ejs"]
 
 
 class TestProgressiveSortedComparisons:
@@ -69,8 +83,8 @@ class TestProgressiveNodeScheduling:
 
 
 class TestStreamLaziness:
-    """``stream()`` must be an honest iterator: the ranking is produced
-    incrementally (heap merge / node-at-a-time), not materialised upfront."""
+    """``stream()`` must be an honest iterator: pair tuples are produced as
+    the stream is pulled (chunk by chunk / node at a time)."""
 
     @pytest.mark.parametrize(
         "strategy_cls", [ProgressiveSortedComparisons, ProgressiveNodeScheduling]
@@ -95,6 +109,62 @@ class TestStreamLaziness:
             first = strategy.rank(blocks)
             assert first == strategy.rank(blocks)
             assert set(first) == blocks.distinct_comparisons()
+
+
+@pytest.mark.parametrize("weighting", SCHEMES)
+@pytest.mark.parametrize("buffer_backend", BUFFERS)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_stream_index_is_the_sorted_weight_table(
+    abt_buy_small, kernel, buffer_backend, weighting, tmp_path
+):
+    """The ranking is literally the weight table sorted by ``(-w, pair)`` —
+    and owns its arrays: the index (a memmap file included) may be closed
+    and dropped before the iterator is drained."""
+    blocks = TokenBlocking().block(abt_buy_small.profiles)
+    options = EngineOptions.resolve(
+        kernel_backend=kernel, buffer_backend=buffer_backend, tmp_dir=str(tmp_path)
+    )
+    index = CSRBlockIndex.from_blocks(blocks, options)
+    mapping = index.kernel().weight_arrays(index.weight_plan(weighting, False)).to_mapping()
+    expected = [pair for pair, _w in sorted(mapping.items(), key=lambda e: (-e[1], e[0]))]
+
+    path = index.memmap_path
+    buffer = weakref.ref(index.node_block_entries)
+    stream = ProgressiveSortedComparisons(weighting, options=options).stream_index(index)
+    prefix = list(itertools.islice(stream, 10))
+    index.close()
+    del index
+    gc.collect()
+    assert buffer() is None
+    assert path is None or not os.path.exists(path)
+    assert prefix + list(stream) == expected
+
+
+# sha256(repr(ranking))[:16] of ProgressiveNodeScheduling at the commit that
+# replaced its per-node kernel runs with the edge table: output unchanged.
+_NODE_SCHEDULE_DIGESTS = {
+    ("abt_buy_small", "cbs"): "71550f60e05be09e",
+    ("abt_buy_small", "js"): "a29075587c9d6025",
+    ("abt_buy_small", "arcs"): "6b064c07fd6c1a20",
+    ("abt_buy_small", "ecbs"): "411dbdcd65ddbe2c",
+    ("abt_buy_small", "ejs"): "19d98bfc77484e19",
+    ("dirty_persons_small", "cbs"): "4e82dbe543281d3b",
+    ("dirty_persons_small", "js"): "12dcc105c4ecf4d2",
+    ("dirty_persons_small", "arcs"): "0921eb8b1b662a5f",
+    ("dirty_persons_small", "ecbs"): "f37c57e387855cae",
+    ("dirty_persons_small", "ejs"): "edfdad1bfe8be749",
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("dataset", ["abt_buy_small", "dirty_persons_small"])
+def test_node_scheduling_output_is_unchanged(dataset, kernel, request):
+    blocks = TokenBlocking().block(request.getfixturevalue(dataset).profiles)
+    options = EngineOptions.resolve(kernel_backend=kernel)
+    for weighting in SCHEMES:
+        ranking = ProgressiveNodeScheduling(weighting, options=options).rank(blocks)
+        digest = hashlib.sha256(repr(ranking).encode()).hexdigest()[:16]
+        assert digest == _NODE_SCHEDULE_DIGESTS[dataset, weighting], weighting
 
 
 class TestProgressiveRecallCurve:

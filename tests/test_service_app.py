@@ -127,10 +127,16 @@ class TestServiceCollection:
             collection.ingest(_ingest_payload(profiles[:30]))
             first = collection.candidates(0)
             assert first["refresh_mode"] == "full"
+            # Same compaction: the cached map answers, nothing is recomputed
+            # (an empty batch appends nothing, so it compacts nothing).
+            assert collection.candidates(0)["refresh_mode"] == "local"
+            collection.ingest({"profiles": []})
+            assert collection.candidates(0)["refresh_mode"] == "local"
             collection.ingest(_ingest_payload(profiles[30:]))
             second = collection.candidates(0)
-            assert second["refresh_mode"] in ("local", "full")
-            assert collection.delta.local_refreshes + collection.delta.full_refreshes == 2
+            assert second["refresh_mode"] == "full"
+            assert collection.delta.local_refreshes == 2
+            assert collection.delta.full_refreshes == 2
             for entry in second["candidates"]:
                 assert 0 in entry["pair"]
         finally:
@@ -167,6 +173,9 @@ class TestCollectionStore:
             p.profile_id for p in profiles
         )
         assert restored.matches(0, 25) == reference
+        # The snapshot carries no retained map; the first query recomputes it.
+        assert restored.delta.retained == {}
+        assert restored.candidates(0)["refresh_mode"] == "full"
         assert restored.delta.retained == collection.delta.retained
         reloaded.close_all()
 
@@ -246,6 +255,9 @@ class TestServiceApp:
             status, candidates = call("GET", "/collections/demo/candidates/0")
             assert status == 200
             assert candidates["refresh_mode"] == "full"
+            status, again = call("GET", "/collections/demo/candidates/0")
+            assert status == 200 and again["refresh_mode"] == "local"
+            assert again["candidates"] == candidates["candidates"]
 
             status, listing = call("GET", "/collections")
             assert status == 200

@@ -1,27 +1,37 @@
-"""Delta meta-blocker: incremental refresh ≡ batch meta-blocking.
+"""Delta meta-blocker: one array recompute per compaction ≡ batch meta-blocking.
 
 After every append + refresh the :class:`~repro.service.delta.
-DeltaMetaBlocker`'s retained edges must equal (dict-identical, floats
-included) what a fresh :class:`~repro.metablocking.metablocker.MetaBlocker`
-computes on the union collection.  Local-capable configurations (CBS/JS/ARCS
-× WNP/RWNP/CNP) must reach that answer through the neighbourhood-local path;
-global schemes (ECBS/EJS) and edge-centric prunings must fall back to a full
-recompute — equally correct, just not localised.
+DeltaMetaBlocker`'s retained edges must equal — values, floats *and* order —
+what a fresh :class:`~repro.metablocking.metablocker.MetaBlocker` computes on
+the union collection, for every weighting × pruning × task shape × kernel.
+A refresh on an unchanged compaction must do no work at all, and a
+``candidates`` query followed by a cold ``matches`` on one compaction must
+share a single kernel sweep.
 """
 
 from __future__ import annotations
+
+import json
+import pickle
 
 import pytest
 
 from repro.blocking.token_blocking import TokenBlocking
 from repro.data.dataset import ProfileCollection
+from repro.metablocking import backends
 from repro.metablocking.backends import numpy_available
 from repro.metablocking.index import IncrementalBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
+from repro.metablocking.pruning import WeightedNodePruning
+from repro.metablocking.weights import WeightingScheme
 from repro.options import EngineOptions
+from repro.pipeline.checkpoint import PipelineCheckpoint
+from repro.service.collection import CollectionConfig, ServiceCollection
 from repro.service.delta import DeltaMetaBlocker
+from repro.service.store import CollectionStore
 
 from tests.test_metablocking_incremental import _random_profiles
+from tests.test_service_app import _ingest_payload
 
 opts = EngineOptions.resolve
 
@@ -30,12 +40,8 @@ needs_numpy = pytest.mark.skipif(
 )
 
 KERNELS = ["python", pytest.param("numpy", marks=needs_numpy)]
-LOCAL_GRID = [
-    (weighting, pruning)
-    for weighting in ("cbs", "js", "arcs")
-    for pruning in ("wnp", "rwnp", "cnp")
-]
-GLOBAL_GRID = [("ecbs", "wnp"), ("ejs", "cnp"), ("cbs", "wep"), ("js", "cep")]
+SCHEMES = ["cbs", "js", "arcs", "ecbs", "ejs"]
+PRUNINGS = ["wep", "cep", "wnp", "rwnp", "cnp"]
 
 
 def _batch_retained(profiles, weighting, pruning, *, clean_clean, kernel):
@@ -46,103 +52,95 @@ def _batch_retained(profiles, weighting, pruning, *, clean_clean, kernel):
     ).retained_edges
 
 
-def _run_append_sequence(weighting, pruning, *, clean_clean, kernel, seed=19):
-    """Three appends with a refresh after each.
-
-    Yields ``(delta, retained_snapshot, expected)`` per refresh — the
-    snapshot is copied because the same :class:`DeltaMetaBlocker` instance
-    keeps mutating across steps.
-    """
-    profiles = _random_profiles(75, clean_clean=clean_clean, seed=seed)
-    batches = [profiles[:30], profiles[30:55], profiles[55:]]
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("clean_clean", [False, True])
+@pytest.mark.parametrize("pruning", PRUNINGS)
+@pytest.mark.parametrize("weighting", SCHEMES)
+def test_refresh_after_every_append_equals_batch(weighting, pruning, clean_clean, kernel):
+    profiles = _random_profiles(75, clean_clean=clean_clean, seed=19)
     incremental = IncrementalBlockIndex(
         clean_clean=clean_clean, options=opts(kernel_backend=kernel)
     )
     delta = DeltaMetaBlocker(weighting, pruning)
     try:
         ingested = []
-        pending: set[int] = set()
-        for position, batch in enumerate(batches):
-            append = incremental.append_profiles(batch)
-            pending.update(append.touched_profile_ids)
+        for batch in (profiles[:30], profiles[30:55], profiles[55:]):
+            incremental.append_profiles(batch)
             ingested.extend(batch)
-            index = incremental.materialise()
-            touched = None if position == 0 else frozenset(pending)
-            delta.refresh(index, touched)
-            pending.clear()
+            delta.refresh(incremental.materialise(), incremental.compactions)
+            assert delta.last_mode == "full"
             expected = _batch_retained(
                 ingested, weighting, pruning, clean_clean=clean_clean, kernel=kernel
             )
-            yield delta, dict(delta.retained), expected
+            assert list(delta.retained.items()) == list(expected.items())
+        assert delta.full_refreshes == delta.refreshes == 3
     finally:
         incremental.close()
 
 
+class _SweepSpy:
+    """Count whole-table weighings (both kernels) and numpy sweeps."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.tables = 0
+        self.sweeps = 0
+        for kernel in (backends.PythonKernel, backends.NumpyKernel):
+            counted = self._count(kernel.weight_arrays, "tables")
+            monkeypatch.setattr(kernel, "weight_arrays", counted)
+        counted = self._count(backends.NumpyKernel._sweep, "sweeps")
+        monkeypatch.setattr(backends.NumpyKernel, "_sweep", counted)
+
+    def _count(self, method, counter):
+        def counted(*args, **kwargs):
+            setattr(self, counter, getattr(self, counter) + 1)
+            return method(*args, **kwargs)
+
+        return counted
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("weighting,pruning", LOCAL_GRID)
-@pytest.mark.parametrize("clean_clean", [False, True])
-def test_local_refresh_matches_batch(weighting, pruning, clean_clean, kernel):
-    runs = list(
-        _run_append_sequence(weighting, pruning, clean_clean=clean_clean, kernel=kernel)
-    )
-    for _delta, retained, expected in runs:
-        assert retained == expected
-    final = runs[-1][0]
-    assert final.local_capable
-    # The first refresh primes fully; later refreshes must have localised
-    # (unless CNP's default k moved, which these sizes keep stable).
-    assert final.full_refreshes >= 1
-    assert final.local_refreshes >= 1
-    if pruning != "cnp":
-        assert final.last_mode == "local"
-    else:
-        # CNP falls back to a full recompute whenever an append moves the
-        # resolved default k — correct either way, so only require that the
-        # local path ran at least once in the sequence.
-        assert final.last_mode in ("local", "full")
-
-
-@pytest.mark.parametrize("weighting,pruning", GLOBAL_GRID)
-def test_global_configurations_fall_back_to_full_recompute(weighting, pruning):
-    runs = list(
-        _run_append_sequence(weighting, pruning, clean_clean=False, kernel="python")
-    )
-    for _delta, retained, expected in runs:
-        assert retained == expected
-    final = runs[-1][0]
-    assert not final.local_capable
-    assert final.local_refreshes == 0
-    assert final.full_refreshes == final.refreshes
-
-
-def test_refresh_with_none_forces_full_recompute():
-    profiles = _random_profiles(40, clean_clean=False, seed=5)
-    incremental = IncrementalBlockIndex()
-    incremental.append_profiles(profiles)
+def test_refresh_on_an_unchanged_index_does_no_sweep(kernel, monkeypatch):
+    incremental = IncrementalBlockIndex(options=opts(kernel_backend=kernel))
+    incremental.append_profiles(_random_profiles(40, clean_clean=False, seed=5))
     index = incremental.materialise()
     delta = DeltaMetaBlocker("cbs", "wnp")
-    delta.refresh(index, frozenset(range(40)))  # first call primes fully
-    delta.refresh(index, None)
-    assert delta.full_refreshes == 2
-    assert delta.retained == _batch_retained(
-        profiles, "cbs", "wnp", clean_clean=False, kernel="python"
+    try:
+        delta.refresh(index, incremental.compactions)
+        before = delta.retained
+        spy = _SweepSpy(monkeypatch)
+        assert delta.refresh(index, incremental.compactions) is before
+        assert (spy.tables, spy.sweeps) == (0, 0)
+        assert delta.last_mode == "local"
+        assert (delta.full_refreshes, delta.local_refreshes) == (1, 1)
+        # An unknown compaction count always recomputes.
+        delta.refresh(index)
+        assert delta.last_mode == "full" and spy.tables == 1
+    finally:
+        incremental.close()
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "weighting,use_entropy", [("cbs", False), ("arcs", False), ("ejs", False), ("js", True)]
+)
+def test_candidates_then_cold_matches_share_one_sweep(weighting, use_entropy, monkeypatch):
+    profiles = _random_profiles(90, clean_clean=False, seed=31)
+    collection = ServiceCollection(
+        CollectionConfig(
+            name="c", weighting=weighting, use_entropy=use_entropy, kernel_backend="numpy"
+        )
     )
-    incremental.close()
-
-
-def test_empty_touched_set_is_a_no_op_after_priming():
-    profiles = _random_profiles(40, clean_clean=False, seed=5)
-    incremental = IncrementalBlockIndex()
-    incremental.append_profiles(profiles)
-    index = incremental.materialise()
-    delta = DeltaMetaBlocker("cbs", "wnp")
-    delta.refresh(index, None)
-    before = dict(delta.retained)
-    delta.refresh(index, frozenset())
-    assert delta.last_mode == "local"
-    assert delta.last_affected == 0
-    assert delta.retained == before
-    incremental.close()
+    try:
+        spy = _SweepSpy(monkeypatch)
+        for lo in (0, 60):
+            collection.ingest(_ingest_payload(profiles[lo : lo + 60]))
+            sweeps = spy.sweeps
+            collection.candidates(profiles[lo].profile_id)
+            collection.matches(profiles[lo].profile_id, 40)
+            assert spy.sweeps - sweeps == 1
+        assert spy.tables == 4  # one table per query, both off the cached sweep
+    finally:
+        collection.close()
 
 
 def test_candidates_of_orders_best_first():
@@ -150,7 +148,7 @@ def test_candidates_of_orders_best_first():
     incremental = IncrementalBlockIndex()
     incremental.append_profiles(profiles)
     delta = DeltaMetaBlocker("js", "wnp")
-    delta.refresh(incremental.materialise(), None)
+    delta.refresh(incremental.materialise(), incremental.compactions)
     some_profile = next(pid for pair in delta.retained for pid in pair)
     incident = delta.candidates_of(some_profile)
     assert incident
@@ -163,10 +161,128 @@ def test_candidates_of_orders_best_first():
 
 
 def test_stats_exposes_refresh_counters():
-    delta = DeltaMetaBlocker("cbs", "wnp")
-    stats = delta.stats()
-    assert stats["local_capable"] is True
-    assert stats["refreshes"] == 0
-    assert stats["retained_edges"] == 0
-    assert stats["weighting"] == "cbs"
-    assert stats["pruning"] == "WeightedNodePruning"
+    stats = DeltaMetaBlocker("cbs", "wnp").stats()
+    assert stats == {
+        "weighting": "cbs",
+        "pruning": "WeightedNodePruning",
+        "refreshes": 0,
+        "full_refreshes": 0,
+        "local_refreshes": 0,
+        "last_mode": None,
+        "retained_edges": 0,
+    }
+
+
+# ---------------------------------------------------------------- edge cases
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize(
+    "batches",
+    [
+        pytest.param([], id="empty-collection"),
+        pytest.param([[{"id": 0, "attributes": {"name": "solo token"}}]], id="single-profile"),
+        pytest.param(
+            [[
+                {"id": 0, "attributes": {"name": "alpha"}},
+                {"id": 1, "attributes": {"name": "bravo"}},
+                {"id": 2},
+            ]],
+            id="no-comparison",
+        ),
+    ],
+)
+def test_collections_without_comparisons_answer_empty(batches, kernel):
+    collection = ServiceCollection(CollectionConfig(name="c", kernel_backend=kernel))
+    try:
+        for batch in batches:
+            collection.ingest({"profiles": batch})
+        candidates = collection.candidates(0)
+        assert candidates["candidates"] == []
+        matches = collection.matches(0, 10)
+        assert matches["candidates"] == [] and matches["matches"] == []
+        assert matches["exhausted"] is True
+    finally:
+        collection.close()
+
+
+# ------------------------------------------------------------------ snapshots
+def test_new_snapshots_carry_no_edge_state():
+    incremental = IncrementalBlockIndex()
+    incremental.append_profiles(_random_profiles(40, clean_clean=False, seed=5))
+    delta = DeltaMetaBlocker("cbs", "cnp")
+    delta.refresh(incremental.materialise(), incremental.compactions)
+    assert delta.retained
+    state = delta.__getstate__()
+    assert set(state) == {
+        "weighting", "pruning", "use_entropy",
+        "refreshes", "full_refreshes", "local_refreshes", "last_mode",
+    }
+    clone = pickle.loads(pickle.dumps(delta))
+    assert clone.retained == {} and clone.stats()["refreshes"] == 1
+    # The clone recomputes on its first refresh, whatever the count says.
+    clone.refresh(incremental.materialise(), incremental.compactions)
+    assert clone.last_mode == "full"
+    assert list(clone.retained.items()) == list(delta.retained.items())
+    incremental.close()
+
+
+def _parent_delta(monkeypatch) -> DeltaMetaBlocker:
+    """A delta that pickles like a parent-commit one: the class plus its
+    whole ``__dict__``, the dict-of-dicts local-refresh state included.
+    Deliberately stale — a restored collection must serve none of it."""
+    monkeypatch.setattr(DeltaMetaBlocker, "__getstate__", lambda self: self.__dict__)
+    delta = DeltaMetaBlocker.__new__(DeltaMetaBlocker)
+    delta.__dict__.update({
+        "weighting": WeightingScheme.CBS,
+        "pruning": WeightedNodePruning(),
+        "use_entropy": False,
+        "_local_capable": True,
+        "retained": {(0, 1): 99.0},
+        "_adj": {0: {1: 99.0}, 1: {0: 99.0}},
+        "_upper_order": {0: [1]},
+        "_thresholds": {0: 99.0, 1: 99.0},
+        "_kept": {},
+        "_k": None,
+        "_primed": True,
+        "refreshes": 3,
+        "full_refreshes": 1,
+        "local_refreshes": 2,
+        "last_mode": "local",
+        "last_affected": 7,
+        "last_reweighed": 4,
+    })
+    return delta
+
+
+def test_parent_format_snapshot_restores_and_answers_like_a_fresh_twin(
+    tmp_path, monkeypatch
+):
+    profiles = _random_profiles(60, clean_clean=False, seed=37)
+    source = ServiceCollection(CollectionConfig(name="demo"))
+    twin = ServiceCollection(CollectionConfig(name="demo"))
+    store = CollectionStore(snapshot_dir=str(tmp_path))
+    try:
+        for collection in (source, twin):
+            collection.ingest(_ingest_payload(profiles[:40]))
+        state = dict(source.snapshot_state(), delta=_parent_delta(monkeypatch))
+        state["pending_touched"] = [0, 1, 2]
+        PipelineCheckpoint(tmp_path / "demo").save(state)
+        monkeypatch.undo()
+
+        assert store.load_snapshots() == ["demo"]
+        restored = store.get("demo")
+        assert isinstance(restored.delta, DeltaMetaBlocker)
+        assert not hasattr(restored.delta, "_adj")
+        assert restored.delta.retained == {}
+        assert restored.delta.stats()["refreshes"] == 3
+
+        for collection in (restored, twin):
+            collection.ingest(_ingest_payload(profiles[40:]))
+        for probe in (0, 41):
+            got = [restored.candidates(probe), restored.matches(probe, 30)]
+            want = [twin.candidates(probe), twin.matches(probe, 30)]
+            assert json.dumps(got) == json.dumps(want)
+        assert list(restored.delta.retained.items()) == list(twin.delta.retained.items())
+    finally:
+        source.close()
+        twin.close()
+        store.close_all()
