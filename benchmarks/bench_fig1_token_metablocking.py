@@ -11,15 +11,18 @@ from __future__ import annotations
 from conftest import print_rows
 
 from repro.blocking.token_blocking import TokenBlocking
-from repro.metablocking.graph import build_blocking_graph
+from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
-from repro.metablocking.weights import weight_all_edges
 
 
 def _toy_rows(toy) -> list[dict[str, object]]:
     blocks = TokenBlocking(remove_stopwords=True).block(toy.profiles)
-    graph = build_blocking_graph(blocks)
-    weights = weight_all_edges(graph, "cbs")
+    index = CSRBlockIndex.from_blocks(blocks)
+    try:
+        plan = index.weight_plan("cbs", use_entropy=False)
+        weights = index.kernel().weight_arrays(plan).to_mapping()
+    finally:
+        index.close()
     result = MetaBlocker("cbs", "wep").run(blocks)
     rows = []
     for pair, weight in sorted(weights.items()):

@@ -1,22 +1,11 @@
-"""Meta-blocking kernel benchmark: kernel backends and engine overhead.
+"""Meta-blocking engine-overhead benchmark.
 
-Times the hot paths of the meta-blocking kernel, across graph sizes:
-
-* **python vs numpy kernel backend** (``numpy_entries``) — the interpreted
-  CSR kernel against the vectorised
-  :class:`~repro.metablocking.backends.NumpyKernel` on three paths:
-  neighbourhood weighing (kernel sweep → every edge weight: a dict for the
-  interpreted kernel, dense arrays for the vectorised one), and WNP and CNP
-  retention (the scalar ``prune`` against ``retained_positions`` plus the
-  retained dict).  Output equality is asserted *bit-for-bit* — identical dicts,
-  identical floats — before any timing is recorded; the guard enforces the
-  ≥3× combined-speedup floor at the largest committed size.
-* **engine vs sequential** (``e2e_entries``) — the overhead ratio of the full
-  ``ParallelMetaBlocker`` over ``MetaBlocker`` on the same blocks.
-
-Every comparison asserts identical results first, then the run writes its
-sections of ``BENCH_metablocking.json`` next to the repo root — the committed
-baseline that ``scripts/bench_guard.py`` checks regressions against.
+Times the full ``ParallelMetaBlocker`` against ``MetaBlocker`` on the same
+blocks, across graph sizes (``e2e_entries``): the overhead ratio of the
+engine plumbing over the sequential path.  Every comparison asserts identical
+results first, then the run writes its section of ``BENCH_metablocking.json``
+next to the repo root — the committed baseline that ``scripts/bench_guard.py``
+checks regressions against.
 
 Run directly::
 
@@ -36,21 +25,10 @@ from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.data.synthetic import SyntheticConfig, generate_abt_buy_like
 from repro.engine.context import EngineContext
-from repro.metablocking.graph import EdgeInfo
-from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
-from repro.metablocking.pruning import (
-    CardinalityNodePruning,
-    IndexStats,
-    WeightedNodePruning,
-    default_cnp_k,
-)
-from repro.metablocking.weights import WeightingScheme, compute_edge_weight
-from repro.options import EngineOptions
 
 DEFAULT_SIZES = (100, 200, 400)
-PYTHON = EngineOptions.resolve(kernel_backend="python")
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_metablocking.json"
 
 
@@ -59,43 +37,6 @@ def prepare_blocks(num_entities: int):
     raw = TokenBlocking().block(dataset.profiles)
     blocks = BlockFiltering().filter(BlockPurging().purge(raw, len(dataset.profiles)))
     return dataset, blocks
-
-
-# --------------------------------------------------------------------- kernel
-def kernel_edge_weights(index: CSRBlockIndex) -> dict[tuple[int, int], float]:
-    """The CSR path: one materialisation per node, one emission per edge.
-
-    Shaped exactly like the parallel weigher's hot loop (EdgeInfo +
-    compute_edge_weight per emitted edge) so the measured speedup is the one
-    the real pipeline gets.
-    """
-    scheme = WeightingScheme.CBS
-    kernel = index.kernel()
-    node_ids = index.node_ids
-    block_counts = index.node_block_count
-    total_blocks = index.total_blocks
-    weights: dict[tuple[int, int], float] = {}
-    for node in range(index.num_nodes):
-        touched = kernel.neighbours(node)
-        common, arcs, entropy = kernel.common_blocks, kernel.arcs, kernel.entropy_sum
-        blocks_node = block_counts[node]
-        profile_id = node_ids[node]
-        for other in touched:
-            if other <= node:
-                continue
-            info = EdgeInfo(
-                common_blocks=common[other],
-                arcs=arcs[other],
-                entropy_sum=entropy[other],
-            )
-            weights[(profile_id, node_ids[other])] = compute_edge_weight(
-                scheme,
-                info,
-                blocks_a=blocks_node,
-                blocks_b=block_counts[other],
-                total_blocks=total_blocks,
-            )
-    return weights
 
 
 # ------------------------------------------------------------------ harness
@@ -112,101 +53,6 @@ def _timed(func, *args, repeats: int = 3):
         result = func(*args)
         best = min(best, time.perf_counter() - start)
     return result, best
-
-
-# ------------------------------------------------------- numpy backend pass
-def _numpy_weight_arrays(index):
-    """One full numpy weighting job: fresh kernel sweep → dense edge arrays.
-
-    What ``MetaBlocker.run`` does before pruning (no pair → weight dict is
-    built).  The cached kernel (and its whole-graph sweep) is dropped first
-    so every repeat measures the complete job, not a cache hit.
-    """
-    from repro.metablocking.weights import WeightingScheme
-
-    index._kernel = None
-    plan = index.weight_plan(WeightingScheme.CBS, False)
-    return index.kernel().weight_arrays(plan)
-
-
-def _numpy_prune(strategy, table, index):
-    """``retained_positions`` → retained dict, the vectorised pruning tail."""
-    from repro.metablocking.backends import prune_edge_weights
-
-    table._canonical_rank = None  # measure the full job, not the rank cache
-    return prune_edge_weights(strategy, table, index)
-
-
-def run_numpy_benchmark(sizes=DEFAULT_SIZES) -> list[dict]:
-    """Python vs numpy kernel backend on neighbourhood + WNP + CNP.
-
-    Both backends run the same jobs over the same blocks; the outputs are
-    asserted equal — bit-for-bit, float weights included — before any timing
-    counts.  Skips cleanly (empty list) when numpy is not importable.
-    """
-    from repro.metablocking.backends import numpy_available
-
-    if not numpy_available():
-        print("numpy not importable — skipping the numpy backend comparison")
-        return []
-    entries = []
-    for num_entities in sizes:
-        _dataset, blocks = prepare_blocks(num_entities)
-        python_index = CSRBlockIndex.from_blocks(blocks, PYTHON)
-        numpy_index = CSRBlockIndex.from_blocks(
-            blocks, EngineOptions.resolve(kernel_backend="numpy")
-        )
-
-        python_weights, python_neigh_s = _timed(kernel_edge_weights, python_index)
-        table, numpy_neigh_s = _timed(_numpy_weight_arrays, numpy_index)
-        assert list(table.to_mapping().items()) == list(python_weights.items()), (
-            "backend edge weights or emission order diverged"
-        )
-
-        stats = IndexStats(python_index)
-        wnp = WeightedNodePruning()
-        cnp = CardinalityNodePruning(
-            k=default_cnp_k(sum(python_index.node_block_count), python_index.num_nodes)
-        )
-
-        python_wnp, python_wnp_s = _timed(wnp.prune, stats, python_weights)
-        numpy_wnp, numpy_wnp_s = _timed(_numpy_prune, wnp, table, numpy_index)
-        assert numpy_wnp == python_wnp, "backend WNP output diverged"
-
-        python_cnp, python_cnp_s = _timed(cnp.prune, stats, python_weights)
-        numpy_cnp, numpy_cnp_s = _timed(_numpy_prune, cnp, table, numpy_index)
-        assert numpy_cnp == python_cnp, "backend CNP output diverged"
-
-        python_total = python_neigh_s + python_wnp_s + python_cnp_s
-        numpy_total = numpy_neigh_s + numpy_wnp_s + numpy_cnp_s
-        entry = {
-            "num_entities": num_entities,
-            "edges": len(python_weights),
-            "neighbourhood": _backend_ratio(python_neigh_s, numpy_neigh_s),
-            "wnp": _backend_ratio(python_wnp_s, numpy_wnp_s),
-            "cnp": _backend_ratio(python_cnp_s, numpy_cnp_s),
-            "combined": _backend_ratio(python_total, numpy_total),
-        }
-        entries.append(entry)
-        print(
-            f"[{num_entities:>4} entities] python vs numpy backend | "
-            f"neighbourhood {python_neigh_s:.3f}s -> {numpy_neigh_s:.3f}s "
-            f"({entry['neighbourhood']['speedup']:.1f}x) | "
-            f"wnp {python_wnp_s:.3f}s -> {numpy_wnp_s:.3f}s "
-            f"({entry['wnp']['speedup']:.1f}x) | "
-            f"cnp {python_cnp_s:.3f}s -> {numpy_cnp_s:.3f}s "
-            f"({entry['cnp']['speedup']:.1f}x) | "
-            f"combined {entry['combined']['speedup']:.1f}x"
-        )
-    return entries
-
-
-def _backend_ratio(python_s: float, numpy_s: float) -> dict:
-    return {
-        "python_s": round(python_s, 6),
-        "numpy_s": round(numpy_s, 6),
-        "speedup": round(python_s / numpy_s, 2) if numpy_s > 0 else float("inf"),
-    }
 
 
 # --------------------------------------------------------------- end-to-end
@@ -262,35 +108,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--dry-run", action="store_true", help="run without writing the baseline file"
     )
-    parser.add_argument(
-        "--skip-e2e", action="store_true",
-        help="keep the committed e2e entries; skip the engine-overhead section",
-    )
-    parser.add_argument(
-        "--skip-numpy", action="store_true",
-        help="keep the committed numpy-backend entries; skip that comparison",
-    )
     args = parser.parse_args(argv)
 
     # Start from the committed file: other benchmarks own sections of it too.
     existing = json.loads(args.output.read_text()) if args.output.exists() else {}
-    e2e_entries = (
-        existing.get("e2e_entries", [])
-        if args.skip_e2e
-        else run_e2e_benchmark(args.sizes)
-    )
-    numpy_entries = (
-        existing.get("numpy_entries", [])
-        if args.skip_numpy
-        else run_numpy_benchmark(args.sizes)
-    )
+    e2e_entries = run_e2e_benchmark(args.sizes)
     if not args.dry_run:
-        payload = dict(
-            existing,
-            benchmark="metablocking_kernel",
-            e2e_entries=e2e_entries,
-            numpy_entries=numpy_entries,
-        )
+        payload = dict(existing, benchmark="metablocking_kernel", e2e_entries=e2e_entries)
         args.output.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"baseline written to {args.output}")
     return 0

@@ -1,6 +1,6 @@
 """Perf-regression guard for the meta-blocking kernel and the engine path.
 
-Six guards, all built on ratios that are largely machine-independent; most
+Five guards, all built on ratios that are largely machine-independent; most
 compare against the committed ``BENCH_metablocking.json`` baseline, the
 pipeline guard measures both sides fresh:
 
@@ -9,12 +9,6 @@ pipeline guard measures both sides fresh:
   ratio* (engine wall-clock / sequential wall-clock).  Fails when the
   engine plumbing became more than ``1 + tolerance`` times as expensive
   relative to the algorithmic work as the committed baseline.
-* **numpy kernel backend** — re-runs the python-vs-numpy backend comparison
-  at the *largest* committed size and fails when the combined
-  neighbourhood + WNP + CNP speedup of the vectorised kernel drops below
-  the hard 3× floor, or any tracked path falls below ``1 - tolerance`` of
-  its committed speedup.  Skips cleanly when numpy is not importable (the
-  pure-python fallback has no vectorised kernel to guard).
 * **pipeline runner** — times the ``SparkER`` facade against
   ``Pipeline.from_spec`` end-to-end on the same dataset and fails when the
   declarative stage-graph runner costs more than 5 percent over the facade
@@ -38,7 +32,7 @@ pipeline guard measures both sides fresh:
 Usage::
 
     PYTHONPATH=src python scripts/bench_guard.py
-    PYTHONPATH=src python scripts/bench_guard.py --numpy-tolerance 0.2 --e2e-tolerance 0.5
+    PYTHONPATH=src python scripts/bench_guard.py --e2e-tolerance 0.5
 
 Also wired as an opt-in pytest marker::
 
@@ -61,9 +55,8 @@ def check_e2e_against_baseline(
 ) -> list[str]:
     """Guard the end-to-end engine overhead; return failure messages.
 
-    The e2e tolerance defaults looser than the numpy-backend one because
-    whole-job wall-clocks carry more scheduler noise than best-of-N micro
-    timings.
+    The tolerance defaults loose because whole-job wall-clocks carry
+    scheduler noise.
     """
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     from bench_metablocking_kernel import run_e2e_benchmark
@@ -92,62 +85,6 @@ def check_e2e_against_baseline(
             f"path (baseline {expected:.2f}x, ceiling {ceiling:.2f}x)"
         ]
     return []
-
-
-NUMPY_FLOOR = 3.0  # acceptance floor: numpy backend ≥3× the python backend
-NUMPY_PATHS = ("neighbourhood", "wnp", "cnp")
-
-
-def check_numpy_against_baseline(
-    tolerance: float = 0.2, baseline_path: Path = BASELINE_PATH
-) -> list[str]:
-    """Guard the numpy kernel backend speedups; return failure messages.
-
-    The acceptance criterion (combined speedup ≥ ``NUMPY_FLOOR``) is
-    enforced on the *largest* committed size — re-measured, not just read
-    from the baseline — plus a baseline-relative tolerance per tracked path.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-    from bench_metablocking_kernel import run_numpy_benchmark
-
-    from repro.metablocking.backends import numpy_available
-
-    if not numpy_available():
-        print("numpy not importable — skipping the numpy backend guard")
-        return []
-    baseline = json.loads(baseline_path.read_text())
-    numpy_entries = baseline.get("numpy_entries")
-    if not numpy_entries:
-        return [
-            "no numpy-backend baseline committed — regenerate with "
-            "`python benchmarks/bench_metablocking_kernel.py`"
-        ]
-    failures: list[str] = []
-    largest = max(numpy_entries, key=lambda entry: entry["num_entities"])
-    committed_combined = largest["combined"]["speedup"]
-    if committed_combined < NUMPY_FLOOR:
-        failures.append(
-            f"numpy: committed combined speedup {committed_combined:.1f}x at the "
-            f"largest size is below the {NUMPY_FLOOR:.0f}x floor"
-        )
-    current = run_numpy_benchmark(sizes=[largest["num_entities"]])[0]
-    measured_combined = current["combined"]["speedup"]
-    if measured_combined < NUMPY_FLOOR:
-        failures.append(
-            f"numpy: combined neighbourhood+WNP+CNP speedup {measured_combined:.1f}x "
-            f"is below the {NUMPY_FLOOR:.0f}x floor (committed "
-            f"{committed_combined:.1f}x)"
-        )
-    for path in NUMPY_PATHS:
-        expected = largest[path]["speedup"]
-        measured = current[path]["speedup"]
-        floor = expected * (1.0 - tolerance)
-        if measured < floor:
-            failures.append(
-                f"numpy/{path}: backend speedup regressed to {measured:.1f}x "
-                f"(baseline {expected:.1f}x, floor {floor:.1f}x)"
-            )
-    return failures
 
 
 PIPELINE_CEILING = 1.05  # declarative runner must stay within 5% of the facade
@@ -197,17 +134,11 @@ def check_scale_against_baseline(
     backends in fresh subprocesses; fails when the retained-edge checksums
     diverge (bit-for-bit acceptance), when the measured memmap overhead
     exceeds the ceiling, or when the memmap peak RSS grows beyond
-    ``1 + tolerance`` of its committed value.  Skips when numpy is missing
-    (the memmap backend requires it).
+    ``1 + tolerance`` of its committed value.
     """
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     from bench_scalability import run_scale_benchmark
 
-    from repro.metablocking.backends import numpy_available
-
-    if not numpy_available():
-        print("numpy not importable — skipping the out-of-core scale guard")
-        return []
     baseline = json.loads(baseline_path.read_text())
     scale_entries = baseline.get("scale_entries")
     if not scale_entries:
@@ -394,12 +325,6 @@ def main(argv=None) -> int:
         help="allowed fractional e2e overhead increase (default 0.5 = 50%%)",
     )
     parser.add_argument(
-        "--numpy-tolerance",
-        type=float,
-        default=0.2,
-        help="allowed fractional numpy-backend speedup regression (default 0.2 = 20%%)",
-    )
-    parser.add_argument(
         "--pipeline-ceiling",
         type=float,
         default=PIPELINE_CEILING,
@@ -423,7 +348,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     failures = check_e2e_against_baseline(args.e2e_tolerance, args.baseline)
-    failures += check_numpy_against_baseline(args.numpy_tolerance, args.baseline)
     failures += check_pipeline_against_facade(args.pipeline_ceiling)
     failures += check_scale_against_baseline(args.scale_tolerance, args.baseline)
     failures += check_service_against_baseline(args.service_tolerance, args.baseline)
@@ -433,8 +357,7 @@ def main(argv=None) -> int:
             print(f"BENCH GUARD FAIL — {failure}", file=sys.stderr)
         return 1
     print(
-        "bench guard ok: e2e engine overhead, numpy backend speedups, "
-        "pipeline-runner overhead, out-of-core scale, service ingest/query "
+        "bench guard ok: e2e engine overhead, pipeline-runner overhead, out-of-core scale, service ingest/query "
         "and WAL durability baselines within tolerance"
     )
     return 0

@@ -15,8 +15,7 @@ temp root, then drives the whole request surface over real HTTP:
 6. after SIGTERM the server must exit 0 and leave **zero** ``repro-*``
    artifacts in its temp root.
 
-Exits non-zero with a diagnostic on the first violated expectation.  Runs on
-the no-numpy leg too — the service must not require the vectorised kernel.
+Exits non-zero with a diagnostic on the first violated expectation.
 """
 
 from __future__ import annotations

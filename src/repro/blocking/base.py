@@ -6,7 +6,9 @@ from abc import ABC, abstractmethod
 from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterable
 
-from repro.blocking.block import Block, BlockCollection, BlockColumns, numpy_or_none
+import numpy as np
+
+from repro.blocking.block import BlockCollection, BlockColumns
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
 from repro.engine.context import EngineContext
@@ -38,9 +40,7 @@ def block_by_keys(
     the profiles stream straight into the grouping; with an ``engine`` the
     same keys travel through ``flatMap`` → ``groupByKey`` (the structure
     SparkER runs on Spark) and the grouped members are read back the same
-    way.  With numpy importable the result is column-backed
-    (:func:`_group_into_columns`); otherwise per-source member lists per key
-    become :class:`Block` objects — same blocks, same order.
+    way.  The result is column-backed (:func:`_group_into_columns`).
     """
     clean_clean = profiles.is_clean_clean
     if engine is None:
@@ -63,30 +63,10 @@ def block_by_keys(
             for profile_id, source_id in members
         )
 
-    np = numpy_or_none()
-    if np is not None:
-        return _group_into_columns(np, memberships, describe, clean_clean)
-    sides: tuple[dict, dict] = ({}, {})
-    for profile_id, source_id, keys in memberships:
-        members_of = sides[1 if clean_clean and source_id == 1 else 0]
-        for key in keys:
-            members = members_of.get(key)
-            if members is None:
-                members_of[key] = [profile_id]
-            else:
-                members.append(profile_id)
-
-    blocks = []
-    for key, members0 in sides[0].items():
-        members1 = sides[1].get(key, ())
-        if members1 if clean_clean else len(members0) > 1:
-            name, entropy = describe(key)
-            blocks.append(Block(name, set(members0), set(members1), entropy, clean_clean))
-    blocks.sort(key=lambda block: block.key)
-    return BlockCollection(blocks, clean_clean=clean_clean)
+    return _group_into_columns(memberships, describe, clean_clean)
 
 
-def _group_into_columns(np, memberships, describe, clean_clean: bool) -> BlockCollection:
+def _group_into_columns(memberships, describe, clean_clean: bool) -> BlockCollection:
     """Group ``(profile_id, source_id, keys)`` records into block columns.
 
     Keys are numbered as first met and one flat id list grows by one

@@ -6,7 +6,7 @@ for dirty ER all profiles sit in a single group and every unordered pair is a
 comparison.
 
 A :class:`BlockCollection` holds its blocks either as :class:`Block` objects
-or, on the numpy hot path, as the :class:`BlockColumns` membership vectors.
+or, on the hot path, as the :class:`BlockColumns` membership vectors.
 """
 
 from __future__ import annotations
@@ -16,17 +16,11 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, NamedTuple
 
+import numpy as np
+
 from repro.exceptions import BlockingError
 
 _PAIR_CHUNK = 1 << 20  # pair codes expanded at a time by count_distinct_comparisons
-
-
-def numpy_or_none():
-    """:func:`repro.metablocking.backends.numpy_or_none` — the one switch of
-    the column path — imported late: that package imports this module."""
-    from repro.metablocking.backends import numpy_or_none as switch
-
-    return switch()
 
 
 @dataclass
@@ -126,7 +120,7 @@ class BlockColumns(NamedTuple):
 
     def lengths(self):
         """Members per entry: the left side of block 0, its right side, ..."""
-        return numpy_or_none().bincount(self.entries, minlength=2 * len(self.keys))
+        return np.bincount(self.entries, minlength=2 * len(self.keys))
 
     def cardinalities(self, clean_clean: bool) -> tuple:
         """Per block: the number of profiles and of induced comparisons."""
@@ -152,7 +146,9 @@ class BlockCollection:
     """An ordered collection of blocks with profile-level indexing.
 
     *Object-backed* it is a list of :class:`Block` — what the constructor and
-    :meth:`add` build, the only form without numpy.  *Column-backed*
+    :meth:`add` build, and the only form that holds blocks inducing no
+    comparison, per-block clean-clean flags or a profile listed on both
+    sides of a block.  *Column-backed*
     (:meth:`from_columns`; ``columns`` is set) it is the :class:`BlockColumns`
     vectors and no ``Block`` at all — what ``block_by_keys``, purging and
     filtering produce and the CSR builder reads.  Sizes and counts answer
@@ -234,9 +230,9 @@ class BlockCollection:
         """
         if self.columns is None:
             return len(self.distinct_comparisons())
-        from repro.metablocking.backends import expand_ranges  # late, as above
+        # Late: the meta-blocking package imports this module.
+        from repro.metablocking.backends import expand_ranges
 
-        np = numpy_or_none()
         entries = self.columns.entries
         node_ids, dense = np.unique(self.columns.members, return_inverse=True)
         lengths = self.columns.lengths()
@@ -252,7 +248,7 @@ class BlockCollection:
         distinct = [np.empty(0, dtype=np.int64)]
         for lo, hi in zip(cuts, cuts[1:]):
             count = partners[lo:hi]
-            a, b = np.repeat(dense[lo:hi], count), dense[expand_ranges(np, first[lo:hi], count)]
+            a, b = np.repeat(dense[lo:hi], count), dense[expand_ranges(first[lo:hi], count)]
             codes = np.minimum(a, b) * len(node_ids) + np.maximum(a, b)
             codes.sort()
             distinct.append(codes[np.flatnonzero(np.diff(codes, prepend=-1))])
@@ -271,7 +267,7 @@ class BlockCollection:
     def profile_ids(self) -> set[int]:
         """All profile ids appearing in at least one block."""
         if self.columns is not None:
-            return set(numpy_or_none().unique(self.columns.members).tolist())
+            return set(np.unique(self.columns.members).tolist())
         ids: set[int] = set()
         for block in self._blocks:
             ids.update(block.all_profiles())

@@ -13,7 +13,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.blocking.block import Block, BlockCollection, BlockColumns, numpy_or_none
+import numpy as np
+
+from repro.blocking.block import Block, BlockCollection, BlockColumns
 from repro.exceptions import BlockingError
 
 
@@ -88,7 +90,6 @@ class BlockFiltering:
 
     def _filter_columns(self, columns: BlockColumns, clean_clean: bool) -> BlockColumns:
         """Rank each profile's memberships by block order, keep its quota."""
-        np = numpy_or_none()
         entries, members = columns.entries, columns.members
         sizes, comparisons = columns.cardinalities(clean_clean)
         # Smallest block first: comparison cardinality, then size, then position.

@@ -196,7 +196,7 @@ def _build_run_spec(args: argparse.Namespace) -> dict[str, object]:
     ``Pipeline.from_spec`` as overrides and are resolved there, once.
     """
     # --executor / --workers imply the engine; the other option flags do not
-    # (the sequential path selects a kernel and a buffer backend too).
+    # (the sequential path selects a buffer backend too).
     use_engine = args.engine or bool(args.executor) or args.workers is not None
     if args.spec:
         spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))

@@ -66,7 +66,6 @@ class SparkERResult:
     timings: StageTimings = field(default_factory=StageTimings)
     engine_metrics: dict[str, object] = field(default_factory=dict)
     pipeline_result: PipelineResult | None = None
-    kernel_backend: str | None = None
 
     @property
     def matched_pairs(self) -> set[tuple[int, int]]:
@@ -86,8 +85,6 @@ class SparkERResult:
             "clusters": len(self.clusters),
             "entities": len(self.entities),
         }
-        if self.kernel_backend is not None:
-            summary["kernel_backend"] = self.kernel_backend
         if self.engine_metrics:
             summary["engine"] = dict(self.engine_metrics)
         return summary
@@ -111,7 +108,7 @@ class SparkER:
         with ``use_engine=True``.
     options:
         Resolved :class:`~repro.options.EngineOptions` — build them with
-        ``EngineOptions.resolve(kernel_backend=..., block_store=..., ...)``.
+        ``EngineOptions.resolve(buffer_backend=..., block_store=..., ...)``.
         Anything not given resolves from the ``REPRO_*`` environment and the
         defaults, once, here.
     partitioning:
@@ -326,7 +323,6 @@ class SparkER:
             timings=timings,
             engine_metrics=result.engine_metrics,
             pipeline_result=result,
-            kernel_backend=result.kernel_backend,
         )
 
     def __call__(

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from collections.abc import KeysView
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - typing only; numpy loads with MinHasher
-    import numpy as np
+import numpy as np
 
 from repro.data.dataset import ProfileCollection
 from repro.utils.hashing import MinHasher

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-try:  # numpy is optional at import time: only training/scoring the
-    import numpy as np  # supervised classifiers needs it.
-except ImportError:
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
 from repro.exceptions import MatchingError
-from repro.matching.features import PairFeatureExtractor, require_numpy
+from repro.matching.features import PairFeatureExtractor
 from repro.matching.matcher import Matcher
 
 
@@ -64,7 +61,6 @@ class LogisticRegressionMatcher(Matcher):
         labeled_pairs: Sequence[tuple[int, int, bool]],
     ) -> "LogisticRegressionMatcher":
         """Train on ``(profile_a, profile_b, is_match)`` triples."""
-        require_numpy()
         if not labeled_pairs:
             raise MatchingError("cannot train on an empty labeled-pair list")
         pairs = [(a, b) for a, b, _label in labeled_pairs]
@@ -137,7 +133,6 @@ class NaiveBayesMatcher(Matcher):
         labeled_pairs: Sequence[tuple[int, int, bool]],
     ) -> "NaiveBayesMatcher":
         """Train on ``(profile_a, profile_b, is_match)`` triples."""
-        require_numpy()
         if not labeled_pairs:
             raise MatchingError("cannot train on an empty labeled-pair list")
         pairs = [(a, b) for a, b, _label in labeled_pairs]

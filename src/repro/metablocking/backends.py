@@ -1,82 +1,49 @@
-"""Pluggable kernel backends for the CSR meta-blocking kernel.
+"""The CSR meta-blocking kernel and the one retention tail behind it.
 
 The CSR index (:class:`~repro.metablocking.index.CSRBlockIndex`) stores its
-offset/entry/cardinality/entropy buffers as contiguous ``int64`` / ``float64``
-vectors (stdlib :mod:`array` or ndarray, depending on which builder filled
-them).  Two interchangeable kernels materialise node neighbourhoods and
-edge weights from those buffers:
+offset/entry/cardinality/entropy buffers as contiguous ``int64`` /
+``float64`` ndarrays.  :class:`NumpyKernel` reads them zero-copy and
+materialises node neighbourhoods with gather / stable-sort /
+``np.bincount`` expressions; :meth:`NumpyKernel.weight_arrays` turns them
+into an :class:`EdgeWeights` table — every edge once, from its lower
+endpoint, in node-major first-touch order.  :func:`retain_edges` prunes that
+table: the WEP / CEP / WNP / CNP rules as array expressions
+(:func:`retained_positions`), and a custom strategy's own ``prune`` over the
+weight dict.  The sequential meta-blocker, the range pool and the service's
+delta refresh all run this one tail.
 
-* :class:`PythonKernel` — the interpreted scratch-buffer kernel that has
-  driven every path since the CSR rewrite.  Always available; zero
-  dependencies.
-* :class:`NumpyKernel` — a vectorised kernel that reads the same buffers
-  zero-copy (ndarrays in place, anything else via ``np.frombuffer``) and
-  replaces the per-block inner loops
-  with gather / ``np.bincount`` / ufunc expressions.  Lazily imported and
-  only selectable when numpy is importable.
+**Determinism is the contract.**  Every float is accumulated in one fixed
+order, so the same graph yields the same bits whichever driver weighs it and
+however its node range is split:
 
-Backend selection is the ``kernel_backend`` engine option
-(:mod:`repro.options`): ``auto`` picks numpy when importable, python
-otherwise.
-
-**Bit-for-bit parity is the contract.**  Both kernels produce the same
-neighbour order (node-major, first-touch), the same integer counts and the
-same *float* aggregates to the last ulp, because the numpy kernel fixes its
-accumulation order to the Python kernel's:
-
-* arcs / entropy sums accumulate through ``np.bincount(group, weights=...)``
-  whose C loop adds occurrences strictly left-to-right — the exact order the
-  Python kernel's ``+=`` visits them (a stable key sort never reorders the
-  occurrences *within* one (node, neighbour) group);
-* per-edge weight expressions use only ``* / + max`` ufuncs whose operand
-  order mirrors :func:`~repro.metablocking.weights.compute_edge_weight`
-  exactly; the ``log10`` factors of ECBS / EJS depend only on one endpoint,
-  so they are precomputed per *node* with ``math.log10`` (the same libm call
-  the scalar path makes) and merely gathered per edge — no vectorised
-  transcendental ever enters the weight;
+* arcs / entropy sums accumulate through ``np.bincount(group, weights=...)``,
+  whose C loop adds occurrences strictly left to right — in ascending block
+  order, because a stable key sort never reorders the occurrences *within*
+  one (node, neighbour) group;
+* the ``log10`` factors of ECBS / EJS depend only on one endpoint, so they
+  are computed per *node* with ``math.log10`` and merely gathered per edge —
+  no vectorised transcendental ever enters a weight;
 * the WEP / WNP threshold sums run through single-target ``np.bincount``
-  accumulation in weight-map insertion order, matching ``sum()`` over the
-  same floats; CEP / CNP top-k selection sorts by ``(-weight, canonical
-  edge rank)`` — pure comparisons, no float arithmetic at all.
+  accumulation in emission order; CEP / CNP top-k selection sorts by
+  ``(-weight, canonical edge rank)`` — comparisons only, no arithmetic.
 
-The equivalence test grid asserts this parity for every weighting × pruning
-× entropy × executor combination, so no tolerance is needed anywhere.
+Agreement with the definitions (not just between drivers) is checked by the
+test suite's brute-force reference, ``tests/metablocking_oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any
 
+import numpy as np
+
 from repro.exceptions import MetaBlockingError
 
-_numpy_checked = False
-_numpy_module: Any = None
 
-
-def numpy_or_none():
-    """The :mod:`numpy` module, imported lazily, or ``None`` if unavailable."""
-    global _numpy_checked, _numpy_module
-    if not _numpy_checked:
-        try:
-            import numpy  # noqa: PLC0415 - optional dependency, lazy by design
-
-            _numpy_module = numpy
-        except Exception:  # pragma: no cover - exercised in the no-numpy CI leg
-            _numpy_module = None
-        _numpy_checked = True
-    return _numpy_module
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend can be selected."""
-    return numpy_or_none() is not None
-
-
-def expand_ranges(np, starts, counts):
+def expand_ranges(starts, counts):
     """Concatenated ``arange(start, start + count)`` for every range."""
     total = int(counts.sum())
     if total == 0:
@@ -87,13 +54,6 @@ def expand_ranges(np, starts, counts):
         - np.repeat(firsts, counts)
         + np.repeat(starts, counts)
     )
-
-
-def make_kernel(index) -> "PythonKernel | NumpyKernel":
-    """Build the scratch kernel matching ``index.backend``."""
-    if index.backend == "numpy":
-        return NumpyKernel(index)
-    return PythonKernel(index)
 
 
 # --------------------------------------------------------------- weight plans
@@ -112,10 +72,19 @@ class WeightPlan:
     scheme: Any  # WeightingScheme; typed loosely to avoid an import cycle
     use_entropy: bool
     total_blocks: int
-    degrees: Any = None  # indexable per dense node (EJS only)
-    total_edges: int = 0
-    log_blocks: Any = None  # ndarray, numpy backend + ECBS only
-    log_degrees: Any = None  # ndarray, numpy backend + EJS only
+    total_edges: int = 0  # EJS only
+    log_blocks: Any = None  # float64 per dense node (ECBS only)
+    log_degrees: Any = None  # float64 per dense node (EJS only)
+
+
+def _log_factors(total: int, counts) -> Any:
+    """Per node ``log10(max(total / count, 1) + 1e-12)``; 0 where count is 0."""
+    factors = np.zeros(len(counts), dtype=np.float64)
+    if total > 0:
+        for node, count in enumerate(counts.tolist()):
+            if count:
+                factors[node] = math.log10(max(total / count, 1.0) + 1e-12)
+    return factors
 
 
 def make_weight_plan(index, scheme, use_entropy: bool) -> WeightPlan:
@@ -126,232 +95,25 @@ def make_weight_plan(index, scheme, use_entropy: bool) -> WeightPlan:
     plan = WeightPlan(
         scheme=scheme, use_entropy=use_entropy, total_blocks=index.total_blocks
     )
-    if scheme is WeightingScheme.EJS:
-        # Degrees resolve on a private sweep, so this is safe to run even
-        # while a shared kernel holds live neighbourhood state.
-        plan.degrees = index.degree_vector()
-        plan.total_edges = index.num_edges()
-    if index.backend != "numpy":
-        return plan
-    np = numpy_or_none()
-    n = index.num_nodes
     if scheme is WeightingScheme.ECBS:
-        total = plan.total_blocks
-        counts = index.node_block_count
-        log_blocks = np.zeros(n, dtype=np.float64)
-        if total > 0:
-            for node in range(n):
-                blocks = counts[node]
-                if blocks:
-                    # Exactly compute_edge_weight's per-endpoint factor.
-                    log_blocks[node] = math.log10(max(total / blocks, 1.0) + 1e-12)
-        plan.log_blocks = log_blocks
+        plan.log_blocks = _log_factors(plan.total_blocks, index.node_block_count)
     elif scheme is WeightingScheme.EJS:
-        total_edges = plan.total_edges
-        degrees = plan.degrees
-        log_degrees = np.zeros(n, dtype=np.float64)
-        if total_edges > 0:
-            for node in range(n):
-                degree = degrees[node]
-                if degree:
-                    log_degrees[node] = math.log10(
-                        max(total_edges / degree, 1.0) + 1e-12
-                    )
-        plan.log_degrees = log_degrees
+        plan.total_edges = index.num_edges()
+        plan.log_degrees = _log_factors(plan.total_edges, index.degree_vector())
     return plan
 
 
-# -------------------------------------------------------------- python kernel
-class PythonKernel:
-    """Materialise one node neighbourhood at a time into reusable buffers.
-
-    After :meth:`neighbours` returns, the per-neighbour aggregates sit in
-    ``common_blocks`` / ``arcs`` / ``entropy_sum`` indexed by dense node id;
-    they stay valid until the next :meth:`neighbours` call, which resets only
-    the previously touched entries.
-    """
-
-    name = "python"
-
-    __slots__ = ("_index", "common_blocks", "arcs", "entropy_sum", "_touched")
-
-    def __init__(self, index) -> None:
-        n = index.num_nodes
-        self._index = index
-        self.common_blocks = [0] * n
-        self.arcs = [0.0] * n
-        self.entropy_sum = [0.0] * n
-        self._touched: list[int] = []
-
-    def neighbours(self, node: int) -> list[int]:
-        """Fill the scratch buffers for ``node``; return its neighbour list.
-
-        Neighbours appear in first-touch order (ascending block id, member
-        order within a block) — the accumulation order is therefore identical
-        no matter which code path drives the kernel, keeping float sums
-        bit-for-bit reproducible.
-        """
-        index = self._index
-        common, arcs, entropy = self.common_blocks, self.arcs, self.entropy_sum
-        touched = self._touched
-        for previous in touched:
-            common[previous] = 0
-            arcs[previous] = 0.0
-            entropy[previous] = 0.0
-        del touched[:]
-
-        entries = index.node_block_entries
-        block_offsets = index.block_offsets
-        block_nodes = index.block_nodes
-        block_split = index.block_split
-        inv_cardinality = index.block_inv_cardinality
-        block_entropy = index.block_entropy
-        start = index.node_block_offsets[node]
-        end = index.node_block_offsets[node + 1]
-        for position in range(start, end):
-            entry = entries[position]
-            block = entry >> 1
-            split = block_split[block]
-            lo = block_offsets[block]
-            hi = block_offsets[block + 1]
-            if split >= 0:
-                # Clean-clean block: neighbours are the members of the other
-                # source; the entry's low bit says which side this node is on.
-                if entry & 1:
-                    hi = lo + split
-                else:
-                    lo = lo + split
-            inv = inv_cardinality[block]
-            block_ent = block_entropy[block]
-            for other in block_nodes[lo:hi]:
-                if other == node:
-                    continue
-                if common[other] == 0:
-                    touched.append(other)
-                common[other] += 1
-                arcs[other] += inv
-                entropy[other] += block_ent
-        return touched
-
-    # -------------------------------------------------------- edge emission
-    def edge_items(self, node: int) -> list[tuple]:
-        """``[(other_dense, EdgeInfo)]`` for the upper edges of ``node``.
-
-        Only neighbours with a dense id greater than ``node`` (each edge from
-        its lower endpoint, exactly once), in first-touch order; one direct
-        pass over the scratch buffers.
-        """
-        from repro.metablocking.graph import EdgeInfo
-
-        touched = self.neighbours(node)
-        common, arcs, entropy = self.common_blocks, self.arcs, self.entropy_sum
-        return [
-            (other, EdgeInfo(common[other], arcs[other], entropy[other]))
-            for other in touched
-            if other > node
-        ]
-
-    def weighted_edges(self, node: int, plan: WeightPlan) -> list[tuple[int, float]]:
-        """``[(other_dense, weight)]`` for the upper edges of ``node``.
-
-        The one scalar per-edge loop, shared by every consumer, so there is
-        exactly one reference path.
-        """
-        from repro.metablocking.graph import EdgeInfo
-        from repro.metablocking.weights import WeightingScheme, compute_edge_weight
-
-        index = self._index
-        needs_degrees = plan.scheme is WeightingScheme.EJS
-        touched = self.neighbours(node)
-        block_counts = index.node_block_count
-        common, arcs, entropy = self.common_blocks, self.arcs, self.entropy_sum
-        blocks_node = block_counts[node]
-        degrees = plan.degrees
-        use_entropy = plan.use_entropy
-        results: list[tuple[int, float]] = []
-        for other in touched:
-            if other <= node:
-                continue
-            info = EdgeInfo(
-                common_blocks=common[other],
-                arcs=arcs[other],
-                entropy_sum=entropy[other],
-            )
-            weight = compute_edge_weight(
-                plan.scheme,
-                info,
-                blocks_a=blocks_node,
-                blocks_b=block_counts[other],
-                total_blocks=plan.total_blocks,
-                degree_a=degrees[node] if needs_degrees else 0,
-                degree_b=degrees[other] if needs_degrees else 0,
-                total_edges=plan.total_edges if needs_degrees else 0,
-            )
-            if use_entropy:
-                weight *= info.mean_entropy
-            results.append((other, weight))
-        return results
-
-    def range_weights(self, lo: int, hi: int, plan: WeightPlan) -> tuple:
-        """The weighted upper edges of the dense nodes ``[lo, hi)`` as arrays.
-
-        ``(a, b, w)`` — two ``array('q')`` of dense endpoints and an
-        ``array('d')`` of weights, node-major first-touch order: the same
-        records :meth:`weighted_edges` emits node by node, without a python
-        tuple per edge on the wire.
-        """
-        a, b, w = array("q"), array("q"), array("d")
-        for node in range(lo, hi):
-            for other, weight in self.weighted_edges(node, plan):
-                a.append(node)
-                b.append(other)
-                w.append(weight)
-        return a, b, w
-
-    def sweep_costs(self) -> list[int]:
-        """Per dense node, the summed size of the blocks it sits in."""
-        index = self._index
-        offsets = index.block_offsets
-        entries = index.node_block_entries
-        bounds = index.node_block_offsets
-        return [
-            sum(
-                offsets[(entry >> 1) + 1] - offsets[entry >> 1]
-                for entry in entries[bounds[node] : bounds[node + 1]]
-            )
-            for node in range(index.num_nodes)
-        ]
-
-    def weight_arrays(self, plan: WeightPlan) -> "EdgeWeights":
-        """Every edge weight of the graph as one table (stdlib arrays)."""
-        n = self._index.num_nodes
-        return EdgeWeights(*self.range_weights(0, n, plan), n, self._index.node_ids)
-
-    def degrees(self) -> array:
-        """Blocking-graph degree of every node (one full sweep).
-
-        Runs on a private kernel so a caller holding live :meth:`neighbours`
-        results never has its scratch buffers clobbered.
-        """
-        index = self._index
-        sweeper = PythonKernel(index)
-        degrees = array("q", bytes(8 * index.num_nodes))
-        for node in range(index.num_nodes):
-            degrees[node] = len(sweeper.neighbours(node))
-        return degrees
-
-
-# --------------------------------------------------------------- numpy kernel
+# --------------------------------------------------------------------- kernel
 @dataclass
 class _Sweep:
     """One vectorised neighbourhood sweep over a set of owner nodes.
 
     Edges are grouped per owner (owner-major, first-touch order within each
-    owner — the Python kernel's emission order exactly), *including* the
-    lower-endpoint direction; consumers filter ``other > owner`` when they
-    emit each edge once.  ``arcs`` / ``entropies`` are ``None`` when the
-    sweep was computed for a job that does not read them (e.g. a CBS weight
-    table) — :meth:`NumpyKernel.sweep` recomputes on demand.
+    owner), *including* the lower-endpoint direction; consumers filter
+    ``other > owner`` when they emit each edge once.  ``arcs`` /
+    ``entropies`` are ``None`` when the sweep was computed for a job that
+    does not read them (e.g. a CBS weight table) — :meth:`NumpyKernel.sweep`
+    recomputes on demand.
     """
 
     owners: Any  # int64[m] dense owner per edge, non-decreasing
@@ -376,37 +138,21 @@ class NumpyKernel:
     Neighbourhoods are materialised by a gather of the owner's block member
     ranges, grouped per ``(owner, neighbour)`` key with one stable integer
     sort, and aggregated with ``np.bincount`` — see the module docstring for
-    why the result is bit-for-bit identical to :class:`PythonKernel`.
+    the accumulation order this fixes.
     """
 
-    name = "numpy"
-
     def __init__(self, index) -> None:
-        np = numpy_or_none()
-        if np is None:  # pragma: no cover - guarded by the kernel_backend option
-            raise MetaBlockingError("NumpyKernel requires numpy")
-        self._np = np
         self._index = index
-        as_view = self._as_view
-        self.node_block_offsets = as_view(index.node_block_offsets, np.int64)
-        self.node_block_entries = as_view(index.node_block_entries, np.int64)
-        self.node_block_count = as_view(index.node_block_count, np.int64)
-        self.block_offsets = as_view(index.block_offsets, np.int64)
-        self.block_nodes = as_view(index.block_nodes, np.int64)
-        self.block_split = as_view(index.block_split, np.int64)
-        self.block_inv_cardinality = as_view(index.block_inv_cardinality, np.float64)
-        self.block_entropy = as_view(index.block_entropy, np.float64)
+        self.node_block_offsets = np.asarray(index.node_block_offsets, dtype=np.int64)
+        self.node_block_entries = np.asarray(index.node_block_entries, dtype=np.int64)
+        self.node_block_count = np.asarray(index.node_block_count, dtype=np.int64)
+        self.block_offsets = np.asarray(index.block_offsets, dtype=np.int64)
+        self.block_nodes = np.asarray(index.block_nodes, dtype=np.int64)
+        self.block_split = np.asarray(index.block_split, dtype=np.int64)
+        self.block_inv_cardinality = np.asarray(index.block_inv_cardinality, dtype=np.float64)
+        self.block_entropy = np.asarray(index.block_entropy, dtype=np.float64)
         self.node_ids = np.asarray(index.node_ids, dtype=np.int64)
         self._full_sweep: _Sweep | None = None
-
-    def _as_view(self, buffer, dtype):
-        """Zero-copy ndarray view over a stdlib array (or a ready ndarray)."""
-        np = self._np
-        if isinstance(buffer, np.ndarray):
-            return buffer
-        if len(buffer) == 0:
-            return np.empty(0, dtype=dtype)
-        return np.frombuffer(buffer, dtype=dtype)
 
     # ------------------------------------------------------------- the sweep
     def sweep(self, nodes=None, *, need_arcs: bool = True, need_entropies: bool = True) -> _Sweep:
@@ -418,7 +164,6 @@ class NumpyKernel:
         weight jobs skip the float aggregates their scheme never reads; a
         cached sweep missing a later-needed aggregate is recomputed.
         """
-        np = self._np
         if nodes is None:
             cached = self._full_sweep
             if cached is not None:
@@ -440,7 +185,6 @@ class NumpyKernel:
         )
 
     def _sweep(self, nodes, *, need_arcs: bool, need_entropies: bool) -> _Sweep:
-        np = self._np
         n = self._index.num_nodes
         empty_i = np.empty(0, dtype=np.int64)
         empty_f = np.empty(0, dtype=np.float64)
@@ -450,7 +194,7 @@ class NumpyKernel:
         # 1. Every (node, block entry) of the swept nodes, node-major.
         entry_counts = self.node_block_offsets[nodes + 1] - self.node_block_offsets[nodes]
         entries = self.node_block_entries[
-            expand_ranges(np, self.node_block_offsets[nodes], entry_counts)
+            expand_ranges(self.node_block_offsets[nodes], entry_counts)
         ]
         owner_per_entry = np.repeat(nodes, entry_counts)
 
@@ -466,8 +210,8 @@ class NumpyKernel:
         counts = hi - lo
 
         # 3. Occurrence expansion: one row per (owner, co-member) incidence,
-        # in exactly the order the Python kernel's nested loop visits them.
-        others = self.block_nodes[expand_ranges(np, lo, counts)]
+        # ascending block order per owner.
+        others = self.block_nodes[expand_ranges(lo, counts)]
         owners = np.repeat(owner_per_entry, counts)
         occ_inv = (
             np.repeat(self.block_inv_cardinality[blocks], counts) if need_arcs else None
@@ -486,8 +230,7 @@ class NumpyKernel:
 
         # 4. Group by (owner, other).  The stable sort keeps each group's
         # occurrences in original relative order, so accumulating the sorted
-        # stream adds the same floats in the same order as the scalar `+=`
-        # loop visits them.
+        # stream adds the floats in ascending block order.
         keys = owners * n + others
         if n and n * n <= np.iinfo(np.int32).max:
             keys = keys.astype(np.int32)  # narrower radix sort, same order
@@ -517,7 +260,7 @@ class NumpyKernel:
                 )
 
         # 5. Reorder the groups into owner-major first-touch order (ascending
-        # first-occurrence position == the Python kernel's emission order).
+        # first-occurrence position).
         emit_order = np.argsort(first_occurrence, kind="stable")
         first_ordered = first_occurrence[emit_order]
         edge_owners = owners[first_ordered]
@@ -537,13 +280,12 @@ class NumpyKernel:
     def _edge_weights(self, sweep: _Sweep, keep, plan: WeightPlan):
         """The weight vector of ``sweep``'s edges selected by ``keep``.
 
-        A whole-neighbourhood ufunc expression per scheme; every operation
-        mirrors the operand order of ``compute_edge_weight`` (see module
-        docstring), so the floats come out bit-identical.
+        One whole-neighbourhood ufunc expression per scheme (definitions in
+        :mod:`repro.metablocking.weights`); the entropy factor is applied
+        last, as ``weight * (entropy_sum / common_blocks)``.
         """
         from repro.metablocking.weights import WeightingScheme
 
-        np = self._np
         scheme = plan.scheme
         owners = sweep.owners[keep]
         others = sweep.others[keep]
@@ -552,7 +294,7 @@ class NumpyKernel:
             weights = cbs
         elif scheme is WeightingScheme.ARCS:
             weights = sweep.arcs[keep]
-        elif scheme is WeightingScheme.JS:
+        elif scheme in (WeightingScheme.JS, WeightingScheme.EJS):
             blocks_sum = (
                 self.node_block_count[owners] + self.node_block_count[others]
             ).astype(np.float64)
@@ -563,34 +305,14 @@ class NumpyKernel:
                 out=np.zeros(len(cbs), dtype=np.float64),
                 where=denominator > 0,
             )
+            if scheme is WeightingScheme.EJS:
+                # Both endpoints of an edge have a degree, so both factors apply.
+                weights = weights * plan.log_degrees[owners] * plan.log_degrees[others]
         elif scheme is WeightingScheme.ECBS:
-            if plan.total_blocks == 0:
-                weights = np.zeros(len(cbs), dtype=np.float64)
-            else:
-                weights = cbs * plan.log_blocks[owners] * plan.log_blocks[others]
-        elif scheme is WeightingScheme.EJS:
-            blocks_sum = (
-                self.node_block_count[owners] + self.node_block_count[others]
-            ).astype(np.float64)
-            denominator = blocks_sum - cbs
-            js = np.divide(
-                cbs,
-                denominator,
-                out=np.zeros(len(cbs), dtype=np.float64),
-                where=denominator > 0,
-            )
-            if plan.total_edges == 0:
-                weights = js
-            else:
-                degrees = self._as_view(plan.degrees, np.int64)
-                scaled = js * plan.log_degrees[owners] * plan.log_degrees[others]
-                applies = (degrees[owners] > 0) & (degrees[others] > 0)
-                weights = np.where(applies, scaled, js)
+            weights = cbs * plan.log_blocks[owners] * plan.log_blocks[others]
         else:  # pragma: no cover - the enum is closed
             raise MetaBlockingError(f"unsupported weighting scheme: {scheme}")
         if plan.use_entropy:
-            # weight * mean entropy, the exact scalar expression
-            # (entropy_sum / common_blocks applied after the base weight).
             weights = weights * (sweep.entropies[keep] / cbs)
         return weights
 
@@ -611,25 +333,6 @@ class NumpyKernel:
         start, end = sweep.segment(node)
         return sweep.others[start:end].tolist()
 
-    def edge_items(self, node: int) -> list[tuple]:
-        """``[(other_dense, EdgeInfo)]`` for the upper edges of ``node``."""
-        from repro.metablocking.graph import EdgeInfo
-
-        sweep = self.sweep()
-        start, end = sweep.segment(node)
-        keep = sweep.others[start:end] > node
-        return list(
-            zip(
-                sweep.others[start:end][keep].tolist(),
-                map(
-                    EdgeInfo,
-                    sweep.common[start:end][keep].tolist(),
-                    sweep.arcs[start:end][keep].tolist(),
-                    sweep.entropies[start:end][keep].tolist(),
-                ),
-            )
-        )
-
     def _upper_edges(self, sweep: _Sweep, plan: WeightPlan) -> tuple:
         """``(a, b, w)`` of ``sweep``'s edges, each from its lower endpoint."""
         keep = sweep.others > sweep.owners
@@ -642,7 +345,7 @@ class NumpyKernel:
         ids in node-major first-touch order, so the concatenation over
         consecutive ranges is exactly :meth:`weight_arrays`.
         """
-        return self._upper_edges(self._plan_sweep(plan, self._np.arange(lo, hi)), plan)
+        return self._upper_edges(self._plan_sweep(plan, np.arange(lo, hi)), plan)
 
     def sweep_costs(self) -> list[int]:
         """Per dense node, the summed size of the blocks it sits in.
@@ -650,7 +353,6 @@ class NumpyKernel:
         What a partial sweep over the node gathers before grouping — read
         off the offset arrays, no neighbourhood is materialised.
         """
-        np = self._np
         sizes = np.diff(self.block_offsets)
         running = np.concatenate(([0], np.cumsum(sizes[self.node_block_entries >> 1])))
         return np.diff(running[self.node_block_offsets]).tolist()
@@ -672,16 +374,14 @@ class NumpyKernel:
         table.mapping = table.to_mapping()
         return table
 
-    def degrees(self) -> array:
+    def degrees(self):
         """Blocking-graph degree of every node, from the (cached) full sweep.
 
         Only the edge structure is needed, so a cold cache computes the
         cheap aggregate-free sweep.
         """
-        np = self._np
         sweep = self.sweep(need_arcs=False, need_entropies=False)
-        counts = np.bincount(sweep.owners, minlength=self._index.num_nodes)
-        return array("q", counts.tolist())
+        return np.bincount(sweep.owners, minlength=self._index.num_nodes).astype(np.int64)
 
 
 # ------------------------------------------------------- vectorised pruning
@@ -690,10 +390,9 @@ class EdgeWeights:
     """Every edge of the blocking graph as aligned dense arrays.
 
     ``a`` / ``b`` / ``w`` are the dense endpoints and the weight of each edge
-    in emission (node-major first-touch) order — ndarrays under the numpy
-    kernel, stdlib arrays under the python kernel — and ``node_ids`` maps
-    dense ids back to profile ids.  Pair tuples are only materialised for
-    what a consumer asks for: the retained edges, chunk by chunk
+    in emission (node-major first-touch) order, and ``node_ids`` maps dense
+    ids back to profile ids.  Pair tuples are only materialised for what a
+    consumer asks for: the retained edges, chunk by chunk
     (:func:`iter_retained_chunks`), or the whole graph (:meth:`to_mapping`).
     ``mapping`` caches the latter for :meth:`NumpyKernel.weight_table`.
     """
@@ -712,9 +411,6 @@ class EdgeWeights:
     def to_mapping(self) -> dict:
         """The full ``(a, b) → weight`` dict, in emission order."""
         ids = self.node_ids
-        if isinstance(ids, list):  # python kernel: stdlib arrays, plain id list
-            pairs = zip(map(ids.__getitem__, self.a), map(ids.__getitem__, self.b))
-            return dict(zip(pairs, self.w))
         return dict(
             zip(zip(ids[self.a].tolist(), ids[self.b].tolist()), self.w.tolist())
         )
@@ -722,12 +418,11 @@ class EdgeWeights:
     def canonical_rank(self):
         """Position of each edge in canonical (sorted-pair) order.
 
-        Ordering by ``(-weight, rank)`` therefore equals the scalar paths'
-        ``(-weight, pair)`` tie-break exactly.  Cached: CEP and CNP both
+        Ordering by ``(-weight, rank)`` is therefore the ``(-weight, pair)``
+        tie-break of the pruning definitions.  Cached: CEP and CNP both
         consume it.
         """
         if self._canonical_rank is None:
-            np = numpy_or_none()
             # Pairs are distinct, so one sort of the composite key is the
             # (a, b) lexicographic order (~9x faster than a two-key lexsort).
             order = np.argsort(self.a * self.num_nodes + self.b, kind="stable")
@@ -737,7 +432,7 @@ class EdgeWeights:
         return self._canonical_rank
 
 
-def _sequential_sum(np, values):
+def _sequential_sum(values):
     """Left-to-right float sum, bit-identical to ``sum()`` over the same list.
 
     ``np.sum`` uses pairwise summation (different rounding); a single-bin
@@ -750,13 +445,13 @@ def _sequential_sum(np, values):
     )
 
 
-def _wep_mask(np, table: EdgeWeights):
+def _wep_mask(table: EdgeWeights):
     """WEP's boolean retention mask: at or above the global mean weight."""
-    threshold = _sequential_sum(np, table.w) / len(table)
+    threshold = _sequential_sum(table.w) / len(table)
     return table.w >= threshold
 
 
-def ranked_positions(np, table: EdgeWeights, k: int):
+def ranked_positions(table: EdgeWeights, k: int):
     """The top-``k`` edge positions in ranked ``(-weight, pair)`` order.
 
     CEP's retention, and with ``k = len(table)`` progressive global sorting.
@@ -764,13 +459,11 @@ def ranked_positions(np, table: EdgeWeights, k: int):
     return np.lexsort((table.canonical_rank(), -table.w))[:k]
 
 
-def _interleaved_incidence(np, table: EdgeWeights):
-    """The per-node incidence stream in scalar append order.
+def _interleaved_incidence(table: EdgeWeights):
+    """The per-node incidence stream ``a0, b0, a1, b1, …``.
 
-    The scalar paths append each edge to ``incidence[a]`` then
-    ``incidence[b]`` while scanning the weight map; the interleaved
-    ``a0, b0, a1, b1, …`` stream reproduces each node's subsequence — and
-    therefore every per-node float accumulation order — exactly.
+    Each node's subsequence lists its incident edges in emission order —
+    the order its WNP threshold sum accumulates in.
     """
     m = len(table)
     nodes = np.empty(2 * m, dtype=np.int64)
@@ -779,9 +472,9 @@ def _interleaved_incidence(np, table: EdgeWeights):
     return nodes
 
 
-def _wnp_mask(np, table: EdgeWeights, required: int):
+def _wnp_mask(table: EdgeWeights, required: int):
     """WNP's boolean retention mask (per-node mean threshold votes)."""
-    nodes = _interleaved_incidence(np, table)
+    nodes = _interleaved_incidence(table)
     occurrence_w = np.repeat(table.w, 2)
     sums = np.bincount(nodes, weights=occurrence_w, minlength=table.num_nodes)
     counts = np.bincount(nodes, minlength=table.num_nodes)
@@ -791,7 +484,7 @@ def _wnp_mask(np, table: EdgeWeights, required: int):
     return votes >= required
 
 
-def _cnp_mask(np, table: EdgeWeights, k: int, required: int):
+def _cnp_mask(table: EdgeWeights, k: int, required: int):
     """CNP's boolean retention mask (per-node top-``k`` votes)."""
     m = len(table)
     # Rank the edges once by (-weight, canonical pair order), then sort the
@@ -800,7 +493,7 @@ def _cnp_mask(np, table: EdgeWeights, k: int, required: int):
     edge_order = np.lexsort((table.canonical_rank(), -table.w))
     edge_position = np.empty(m, dtype=np.int64)
     edge_position[edge_order] = np.arange(m, dtype=np.int64)
-    nodes = _interleaved_incidence(np, table)
+    nodes = _interleaved_incidence(table)
     occurrence_edge = np.repeat(np.arange(m, dtype=np.int64), 2)
     composite = nodes * m + edge_position[occurrence_edge]
     order = np.argsort(composite, kind="stable")
@@ -817,7 +510,7 @@ def supports_strategy(strategy) -> bool:
 
     Only the *stock* strategy classes qualify — any subclass may override
     ``prune`` or one of its hooks (e.g. ``WeightedNodePruning.
-    node_thresholds``), and the fast paths must never silently replace
+    node_thresholds``), and the array rules must never silently replace
     customised behaviour.  ``ReciprocalWeightedNodePruning`` is the one
     sanctioned subclass: it only flips the ``reciprocal`` flag.
     """
@@ -845,12 +538,11 @@ DEFAULT_CHUNK_EDGES = 65536
 def retained_positions(strategy, table: EdgeWeights, index):
     """Retained edge positions of ``table``, in retention order, or ``None``.
 
-    The one vectorised retention definition: the *positions* (indices into
-    ``table.a/b/w``) of the retained edges, in the order the scalar
-    strategies insert them into their result dict — emission (node-major
-    first-touch) order for WEP/WNP/CNP, ranked ``(-weight, pair)`` order for
-    CEP.  Returns ``None`` for custom strategy subclasses (the caller falls
-    back to the scalar ``prune``).  Default ``k`` derivations delegate to the
+    The vectorised retention definition: the *positions* (indices into
+    ``table.a/b/w``) of the retained edges — in emission (node-major
+    first-touch) order for WEP/WNP/CNP, in ranked ``(-weight, pair)`` order
+    for CEP.  Returns ``None`` for custom strategy subclasses (the caller
+    runs their own ``prune``).  Default ``k`` derivations delegate to the
     shared :func:`~repro.metablocking.pruning.default_cep_k` /
     :func:`~repro.metablocking.pruning.default_cnp_k` formulas.
     """
@@ -862,24 +554,23 @@ def retained_positions(strategy, table: EdgeWeights, index):
         default_cnp_k,
     )
 
-    np = numpy_or_none()
     if not supports_strategy(strategy):
         return None
     if not len(table):
         return np.empty(0, dtype=np.int64)
     if type(strategy) is WeightedEdgePruning:
-        return np.flatnonzero(_wep_mask(np, table))
+        return np.flatnonzero(_wep_mask(table))
     if type(strategy) is CardinalityEdgePruning:
         k = strategy.k
         if k is None:
-            k = default_cep_k(int(sum(index.node_block_count)))
-        return ranked_positions(np, table, k)
+            k = default_cep_k(int(index.node_block_count.sum()))
+        return ranked_positions(table, k)
     if isinstance(strategy, CardinalityNodePruning):
         k = strategy.k
         if k is None:
-            k = default_cnp_k(int(sum(index.node_block_count)), index.num_nodes)
-        return np.flatnonzero(_cnp_mask(np, table, k, 2 if strategy.reciprocal else 1))
-    return np.flatnonzero(_wnp_mask(np, table, 2 if strategy.reciprocal else 1))
+            k = default_cnp_k(int(index.node_block_count.sum()), index.num_nodes)
+        return np.flatnonzero(_cnp_mask(table, k, 2 if strategy.reciprocal else 1))
+    return np.flatnonzero(_wnp_mask(table, 2 if strategy.reciprocal else 1))
 
 
 def iter_retained_chunks(
@@ -926,16 +617,16 @@ def prune_edge_weights(strategy, table: EdgeWeights, index) -> "dict | None":
 def retain_edges(strategy, table: EdgeWeights, index) -> tuple:
     """The retention tail over a weighed table: ``(positions, retained)``.
 
-    On the numpy kernel a stock strategy retains through the array tail —
-    ``positions`` set, ``retained`` ``None``.  The python kernel and custom
-    strategies run the scalar ``strategy.prune`` over the full weight dict —
-    ``positions`` ``None``, ``retained`` the dict.  Shared by the range-pool
-    job and the service's delta refresh.
+    A stock strategy retains through the array rules — ``positions`` set,
+    ``retained`` ``None``.  A custom strategy runs its own ``prune`` over
+    :class:`~repro.metablocking.pruning.IndexStats` and the full weight dict
+    — ``positions`` ``None``, ``retained`` the dict.  Shared by the
+    sequential meta-blocker, the range-pool job and the service's delta
+    refresh.
     """
-    if index.backend == "numpy":
-        positions = retained_positions(strategy, table, index)
-        if positions is not None:
-            return positions, None
+    positions = retained_positions(strategy, table, index)
+    if positions is not None:
+        return positions, None
     from repro.metablocking.pruning import IndexStats  # import-cycle guard
 
     return None, strategy.prune(IndexStats(index), table.to_mapping())
@@ -944,8 +635,8 @@ def retain_edges(strategy, table: EdgeWeights, index) -> tuple:
 def iter_dict_chunks(retained: dict, chunk_edges: int = DEFAULT_CHUNK_EDGES):
     """Slice an already-built retained dict into ``items()`` chunks.
 
-    The streaming fallback of the scalar pruning paths (python kernel,
-    custom strategies): correct, but the dict is O(retained) by then.
+    The streaming form of a custom strategy's retention: correct, but the
+    dict is O(retained) by then.
     """
     if chunk_edges <= 0:
         raise MetaBlockingError("chunk_edges must be positive")

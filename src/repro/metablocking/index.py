@@ -3,8 +3,7 @@
 The paper's parallel meta-blocking never materialises the blocking graph as an
 edge list: each task receives a compact block index and materialises one node
 neighbourhood at a time.  This module is the compact index, stored as
-contiguous offset arrays (CSR style; ``int64`` / ``float64`` vectors whose
-container depends on who built them, see below):
+contiguous offset arrays (CSR style):
 
 * ``node_block_offsets`` / ``node_block_entries`` — the blocks of each node
   (profile → blocks), with the node's source side encoded in the entry so no
@@ -20,42 +19,26 @@ container depends on who built them, see below):
 Node ids are dense (0..n-1) and order-isomorphic to the profile ids
 (``node_ids`` is sorted), so canonical pair ordering carries over.
 
-What the fields are, per kernel × buffer backend — the values are equal
-element for element in every cell:
+Every numeric field is an ``int64`` / ``float64`` ndarray, built by one array
+builder (two sorts and prefix sums over the flattened membership stream,
+which a column-backed :class:`BlockCollection` already is).  ``node_ids`` is a
+plain ``list[int]``, so emitted pairs hold python ints.  Neighbourhoods are
+materialised by :class:`~repro.metablocking.backends.NumpyKernel`, whose one
+emission order (node-major first-touch) and one accumulation order keep every
+driving path — sequential run, parallel range tasks, progressive streams,
+the service's delta refresh — bit-for-bit equivalent.
 
-* ``python`` × ``ram`` — stdlib :mod:`array` buffers, appended by the scalar
-  builder (the only one that runs without numpy);
-* ``numpy`` × ``ram`` — ndarrays produced by the array builder (two sorts and
-  prefix sums over the flattened membership stream, which a column-backed
-  :class:`BlockCollection` already is) and used in place by the kernel;
-* either × ``memmap`` — zero-copy :class:`numpy.memmap` views into one file
-  the built vectors are written to once.
-
-``node_ids`` is a plain ``list[int]`` in every cell, so emitted pairs are
-type-identical whichever kernel produced them.
-
-Neighbourhood materialisation is delegated to a pluggable **kernel backend**
-(:mod:`repro.metablocking.backends`): the interpreted
-:class:`~repro.metablocking.backends.PythonKernel` (always available) or the
-vectorised :class:`~repro.metablocking.backends.NumpyKernel`, selected per
-index by the ``kernel_backend`` engine option (:mod:`repro.options`).  Both
-kernels share one emission order (node-major first-touch)
-and one accumulation order, which is what keeps every driving path —
-sequential graph builder, parallel range tasks, progressive streams — bit-for-bit
-equivalent across backends and executors.
-
-Under the numpy backend the index can additionally export its buffers into a
+The index can additionally export its buffers into a
 :class:`multiprocessing.shared_memory` segment (:meth:`export_shared`): the
 pickle then carries only the segment name and layout, so a process pool maps
 the index once per machine instead of deserialising a copy per worker.
 
-Orthogonally to the *kernel* backend, a **buffer backend** decides where the
-numeric vectors live (the ``buffer_backend`` engine option): ``ram`` keeps
-what the builder produced while
-``memmap`` writes them into one file-backed :class:`numpy.memmap` buffer
-under the managed temp root (:mod:`repro.engine.tmpfiles`), so the OS can page
-the index in and out and peak RSS no longer has to hold it.  Both kernels read
-either representation through the buffer protocol, so the retained edges are
+A **buffer backend** decides where the numeric vectors live (the
+``buffer_backend`` engine option): ``ram`` keeps what the builder produced
+while ``memmap`` writes them into one file-backed :class:`numpy.memmap`
+buffer under the managed temp root (:mod:`repro.engine.tmpfiles`), so the OS
+can page the index in and out and peak RSS no longer has to hold it.  The
+kernel reads either representation zero-copy, so the retained edges are
 bit-for-bit identical across buffer backends; lifecycle mirrors the shared
 segment (explicit :meth:`close`, GC finalizer backstop, dead-pid crash sweep).
 """
@@ -63,9 +46,10 @@ segment (explicit :meth:`close`, GC finalizer backstop, dead-pid crash sweep).
 from __future__ import annotations
 
 import weakref
-from array import array
 from bisect import bisect_left
 from itertools import chain
+
+import numpy as np
 
 from repro.blocking.block import BlockCollection
 from repro.metablocking import backends as _backends
@@ -89,10 +73,10 @@ class CSRBlockIndex:
     """Array-backed block index shared by the sequential and parallel paths.
 
     Build with :meth:`from_blocks`; the constructor only wires pre-built
-    arrays together.  This is the leaf that acts on the ``kernel_backend`` /
-    ``buffer_backend`` / ``tmp_dir`` engine options: ``options`` are the
-    resolved :class:`~repro.options.EngineOptions` handed down from the entry
-    point (``None`` resolves environment and defaults here).
+    arrays together.  This is the leaf that acts on the ``buffer_backend`` /
+    ``tmp_dir`` engine options: ``options`` are the resolved
+    :class:`~repro.options.EngineOptions` handed down from the entry point
+    (``None`` resolves environment and defaults here).
     """
 
     __slots__ = (
@@ -108,7 +92,6 @@ class CSRBlockIndex:
         "block_entropy",
         "total_blocks",
         "clean_clean",
-        "_backend",
         "_buffer_backend",
         "_node_of",
         "_kernel",
@@ -124,25 +107,25 @@ class CSRBlockIndex:
 
     def __init__(self, options: "EngineOptions | None" = None) -> None:
         options = options or EngineOptions.resolve()
+        empty_i, empty_f = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         self.node_ids: list[int] = []
-        self.node_block_offsets = array("q", [0])
-        self.node_block_entries = array("q")
-        self.node_block_count = array("q")
-        self.block_offsets = array("q", [0])
-        self.block_nodes = array("q")
+        self.node_block_offsets = np.zeros(1, dtype=np.int64)
+        self.node_block_entries = empty_i
+        self.node_block_count = empty_i
+        self.block_offsets = np.zeros(1, dtype=np.int64)
+        self.block_nodes = empty_i
         # Source-0 member count for clean-clean blocks; -1 marks a dirty block
         # whose comparisons pair the member list with itself.
-        self.block_split = array("q")
-        self.block_cardinality = array("q")
-        self.block_inv_cardinality = array("d")
-        self.block_entropy = array("d")
+        self.block_split = empty_i
+        self.block_cardinality = empty_i
+        self.block_inv_cardinality = empty_f
+        self.block_entropy = empty_f
         self.total_blocks = 0
         self.clean_clean = False
-        self._backend = options.kernel_backend
         self._buffer_backend = options.buffer_backend
         self._node_of: dict[int, int] | None = None  # lazy, see node_of
         self._kernel = None
-        self._degrees: array | None = None
+        self._degrees = None
         self._num_edges: int | None = None
         self._plans: dict = {}
         self._shared = None
@@ -157,16 +140,15 @@ class CSRBlockIndex:
     ) -> "CSRBlockIndex":
         """Build the index from a block collection.
 
-        Blocks that induce no comparison are skipped, exactly like the
-        sequential graph builder; ``total_blocks`` still counts them because
-        ECBS normalises by the raw collection size.  Under the numpy kernel a
-        column-backed collection hands its membership vectors straight to the
-        array builder — they already are its input stream, and every block in
-        them induces a comparison; otherwise the member sets are handed to
-        :meth:`_from_valid_blocks` as they are — no sorted copy per block.
+        Blocks that induce no comparison are skipped; ``total_blocks`` still
+        counts them because ECBS normalises by the raw collection size.  A
+        column-backed collection hands its membership vectors straight to
+        the array builder — they already are its input stream, and every
+        block in them induces a comparison; an object-backed one hands its
+        member sets to :meth:`_from_valid_blocks` as they are — no sorted
+        copy per block.
         """
-        options = options or EngineOptions.resolve()
-        columns = blocks.columns if options.kernel_backend == "numpy" else None
+        columns = blocks.columns
         if columns is None:
             kept = [block for block in blocks if block.num_comparisons()]
             return cls._from_valid_blocks(
@@ -178,9 +160,8 @@ class CSRBlockIndex:
                 total_blocks=len(blocks),
                 options=options,
             )
-        cleans = _backends.numpy_or_none().full(len(blocks), blocks.clean_clean)
+        cleans = np.full(len(blocks), blocks.clean_clean)
         return cls._build(
-            cls._populate_arrays,
             (columns.lengths(), columns.members, columns.entropies, cleans),
             blocks.clean_clean, len(blocks), options,
         )
@@ -207,38 +188,32 @@ class CSRBlockIndex:
         columns off an object-backed :class:`BlockCollection`,
         :meth:`IncrementalBlockIndex.compact` off its per-token overlay, so
         compaction is bit-for-bit identical to a from-scratch build by
-        construction.
-
-        The resolved kernel backend picks the builder: ``numpy`` flattens
-        the member collections into the ``(lengths, profiles)`` stream and
-        runs :meth:`_populate_arrays` (ndarray fields), ``python`` the scalar
-        :meth:`_populate` (stdlib arrays) — same values, element for element.
+        construction.  The member collections are flattened into the
+        builder's ``(lengths, profiles)`` stream here.
         """
-        options = options or EngineOptions.resolve()
-        populate, inputs = cls._populate, (sides0, sides1, entropies, cleans)
-        if options.kernel_backend == "numpy":
-            np = _backends.numpy_or_none()
-            lengths = np.empty(2 * len(sides0), dtype=np.int64)
-            lengths[0::2] = np.fromiter(map(len, sides0), np.int64, len(sides0))
-            lengths[1::2] = np.fromiter(map(len, sides1), np.int64, len(sides0))
-            profiles = np.fromiter(
-                chain.from_iterable(chain.from_iterable(zip(sides0, sides1))),
-                np.int64,
-                int(lengths.sum()),
-            )
-            populate, inputs = cls._populate_arrays, (lengths, profiles, entropies, cleans)
-        return cls._build(populate, inputs, clean_clean, total_blocks, options)
+        lengths = np.empty(2 * len(sides0), dtype=np.int64)
+        lengths[0::2] = np.fromiter(map(len, sides0), np.int64, len(sides0))
+        lengths[1::2] = np.fromiter(map(len, sides1), np.int64, len(sides0))
+        profiles = np.fromiter(
+            chain.from_iterable(chain.from_iterable(zip(sides0, sides1))),
+            np.int64,
+            int(lengths.sum()),
+        )
+        return cls._build(
+            (lengths, profiles, entropies, cleans), clean_clean, total_blocks, options
+        )
 
     @classmethod
-    def _build(cls, populate, inputs, clean_clean, total_blocks, options) -> "CSRBlockIndex":
-        """Run one builder over its input; ``memmap`` then writes the result
-        once into a file.  On any build error the partially constructed index
-        is :meth:`close`\\ d (no leaked memmap buffer)."""
+    def _build(cls, inputs, clean_clean, total_blocks, options) -> "CSRBlockIndex":
+        """Run the array builder over its input; ``memmap`` then writes the
+        result once into a file.  On any build error the partially
+        constructed index is :meth:`close`\\ d (no leaked memmap buffer)."""
+        options = options or EngineOptions.resolve()
         index = cls(options)
         index.clean_clean = clean_clean
         index.total_blocks = total_blocks
         try:
-            populate(index, *inputs)
+            cls._populate_arrays(index, *inputs)
             if index._buffer_backend == "memmap":
                 index._materialise_memmap(options.tmp_dir)
             return index
@@ -257,11 +232,9 @@ class CSRBlockIndex:
         flattens member collections into.  Sorting the composite ``(entry,
         dense)`` key orders each side by dense id (``block_nodes``), and a
         stable sort of that by node keeps each node's entries ascending
-        (``node_block_entries``) — the orders the scalar builder appends in.
-        The composite key stays below 2**63 for any index that fits in
-        memory (``2 * memberships**2``).
+        (``node_block_entries``).  The composite key stays below 2**63 for
+        any index that fits in memory (``2 * memberships**2``).
         """
-        np = _backends.numpy_or_none()
         num_blocks = len(lengths) // 2
         node_ids, dense = np.unique(profiles, return_inverse=True)
         n = len(node_ids)
@@ -278,8 +251,8 @@ class CSRBlockIndex:
         clean = np.asarray(cleans, dtype=bool)
         cardinality = np.where(clean, left * right, left * (left - 1) // 2)
         zero = np.zeros(1, dtype=np.int64)
-        # A plain list: pair tuples are built from it, so the emitted edges
-        # stay type-identical to the scalar builder's.
+        # A plain list: pair tuples are built from it, so emitted edges hold
+        # python ints.
         index.node_ids = node_ids.tolist()
         index.node_block_offsets = np.concatenate((zero, np.cumsum(per_node)))
         index.node_block_entries = node_entries
@@ -290,50 +263,6 @@ class CSRBlockIndex:
         index.block_cardinality = cardinality
         index.block_inv_cardinality = 1.0 / cardinality
         index.block_entropy = np.asarray(entropies, dtype=np.float64)
-
-    @staticmethod
-    def _populate(index, sides0, sides1, entropies, cleans) -> None:
-        """The scalar builder — the only one that runs without numpy."""
-        node_of = index._node_of = dict.fromkeys(
-            chain.from_iterable(chain(sides0, sides1)), -1
-        )
-        index.node_ids = sorted(node_of)
-        for dense, profile_id in enumerate(index.node_ids):
-            node_of[profile_id] = dense
-        n = len(index.node_ids)
-
-        per_node_entries: list[list[int]] = [[] for _ in range(n)]
-        block_counts = array("q", bytes(8 * n))
-        for block_id, (side0, side1, entropy, clean) in enumerate(
-            zip(sides0, sides1, entropies, cleans)
-        ):
-            members0, members1 = sorted(side0), sorted(side1)
-            left = len(members0)
-            cardinality = left * len(members1) if clean else left * (left - 1) // 2
-            index.block_split.append(left if clean else -1)
-            index.block_cardinality.append(cardinality)
-            index.block_inv_cardinality.append(1.0 / cardinality)
-            index.block_entropy.append(entropy)
-            for profile_id in members0:
-                dense = node_of[profile_id]
-                per_node_entries[dense].append(block_id * 2)
-                index.block_nodes.append(dense)
-                block_counts[dense] += 1
-            # Count distinct membership (a node sitting on both sides of one
-            # block — degenerate but possible — still counts the block once).
-            seen_twice = set(members0).intersection(members1) if members1 else ()
-            for profile_id in members1:
-                dense = node_of[profile_id]
-                per_node_entries[dense].append(block_id * 2 + 1)
-                index.block_nodes.append(dense)
-                if profile_id not in seen_twice:
-                    block_counts[dense] += 1
-            index.block_offsets.append(len(index.block_nodes))
-
-        for entries in per_node_entries:
-            index.node_block_entries.extend(entries)
-            index.node_block_offsets.append(len(index.node_block_entries))
-        index.node_block_count = block_counts
 
     def _materialise_memmap(self, tmp_dir: str) -> None:
         """Rewrite the numeric vectors into one file-backed memmap buffer.
@@ -347,7 +276,6 @@ class CSRBlockIndex:
         is unlinked by :meth:`close` (or a GC finalizer backstop) and by the
         dead-pid crash sweep of :mod:`repro.engine.tmpfiles`.
         """
-        np = _backends.numpy_or_none()
         from repro.engine import tmpfiles as _tmpfiles
 
         lengths = [len(getattr(self, fld)) for fld, _tc in _SHARED_FIELDS]
@@ -361,8 +289,7 @@ class CSRBlockIndex:
             for (fld, typecode), length in zip(_SHARED_FIELDS, lengths):
                 dtype = np.int64 if typecode == "q" else np.float64
                 view = base[offset : offset + 8 * length].view(dtype)
-                if length:
-                    view[:] = np.frombuffer(getattr(self, fld), dtype=dtype)
+                view[:] = getattr(self, fld)
                 setattr(self, fld, view)
                 offset += 8 * length
             base.flush()
@@ -391,16 +318,14 @@ class CSRBlockIndex:
         only the segment name and field layout — the worker attaches and
         maps, it never deserialises the buffers.
 
-        A memmap-backed index ships its vectors as stdlib arrays again
-        (``array(tc, view.tobytes())`` — bit-identical values): the file is
-        local to the building process, so the receiver holds a private ram
-        copy while ``_buffer_backend`` still records the label.  Process
-        pools avoid this copy entirely via :meth:`export_shared`.
+        A memmap-backed index ships in-memory copies of its vectors: the
+        file is local to the building process, so the receiver holds a
+        private ram copy while ``_buffer_backend`` still records the label.
+        Process pools avoid this copy entirely via :meth:`export_shared`.
         """
         small = {
             "total_blocks": self.total_blocks,
             "clean_clean": self.clean_clean,
-            "_backend": self._backend,
             "_buffer_backend": self._buffer_backend,
             "_num_edges": self._num_edges,
         }
@@ -423,8 +348,8 @@ class CSRBlockIndex:
             )
         }
         if self._mmap_base is not None:
-            for fld, typecode in _SHARED_FIELDS:
-                state[fld] = array(typecode, getattr(self, fld).tobytes())
+            for fld, _typecode in _SHARED_FIELDS:
+                state[fld] = np.array(getattr(self, fld))
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -455,7 +380,6 @@ class CSRBlockIndex:
         self._node_of = None  # rebuilt lazily; node_ids is the source of truth
         self.total_blocks = state["total_blocks"]
         self.clean_clean = state["clean_clean"]
-        self._backend = state["_backend"]
         self._buffer_backend = state.get("_buffer_backend", "ram")
         self._num_edges = state["_num_edges"]
 
@@ -464,8 +388,7 @@ class CSRBlockIndex:
         """Copy the numeric buffers into one shared-memory segment.
 
         After export, pickling this index ships only the segment reference;
-        process-pool workers attach instead of deserialising.  Requires the
-        numpy backend (the worker-side views are ndarrays).  The degree
+        process-pool workers attach instead of deserialising.  The degree
         vector rides along when it is already cached — a job whose weight
         plan reads degrees (EJS) resolves it before exporting, everything
         else never pays for the sweep.
@@ -477,14 +400,6 @@ class CSRBlockIndex:
         """
         if self._shared is not None and not self._shared.released:
             return self._shared
-        if self.backend != "numpy":
-            from repro.exceptions import MetaBlockingError
-
-            raise MetaBlockingError(
-                "export_shared() requires the numpy kernel backend"
-            )
-        import numpy as np
-
         from repro.metablocking.sharedmem import SharedIndexBuffers
 
         fields: dict = {
@@ -529,11 +444,6 @@ class CSRBlockIndex:
 
     # ------------------------------------------------------------- properties
     @property
-    def backend(self) -> str:
-        """The resolved kernel backend of this index (``python`` / ``numpy``)."""
-        return self._backend
-
-    @property
     def buffer_backend(self) -> str:
         """The resolved buffer backend of this index (``ram`` / ``memmap``)."""
         return self._buffer_backend
@@ -563,14 +473,14 @@ class CSRBlockIndex:
 
     # ----------------------------------------------------------------- kernel
     def kernel(self):
-        """The (cached) scratch kernel of the selected backend.
+        """The (cached) :class:`~repro.metablocking.backends.NumpyKernel`.
 
         One per index instance, i.e. per process: the serial executor's
         tasks share the driver's, every pool worker builds its own, and tasks
         within a process run strictly one at a time.
         """
         if self._kernel is None:
-            self._kernel = _backends.make_kernel(self)
+            self._kernel = _backends.NumpyKernel(self)
         return self._kernel
 
     def weight_plan(self, scheme, use_entropy: bool):
@@ -587,11 +497,9 @@ class CSRBlockIndex:
     def degree_vector(self):
         """Per-node blocking-graph degree, computed once and cached.
 
-        One kernel sweep over all nodes; every later degree lookup — EJS's
-        ``degree_b`` per neighbour, the global edge count — is O(1).  The
-        python backend sweeps a private kernel, so a caller holding live
-        :meth:`PythonKernel.neighbours` results never has its scratch buffers
-        clobbered; the numpy backend reads the cached whole-graph sweep.
+        Read off the kernel's cached whole-graph sweep; every later degree
+        lookup — EJS's ``degree_b`` per neighbour, the global edge count — is
+        O(1).
         """
         if self._degrees is None:
             self._degrees = self.kernel().degrees()
@@ -600,7 +508,7 @@ class CSRBlockIndex:
     def num_edges(self) -> int:
         """Number of distinct blocking-graph edges (from the degree vector)."""
         if self._num_edges is None:
-            self._num_edges = int(sum(self.degree_vector())) // 2
+            self._num_edges = int(self.degree_vector().sum()) // 2
         return self._num_edges
 
 
@@ -613,8 +521,8 @@ class _TokenState:
     """Mutable per-token block of the incremental index.
 
     Holds the raw member sets plus the cached pair of sorted member lists
-    the builder is fed (the scalar builder's per-block ``sorted`` is then a
-    linear scan; the array builder does not depend on the order).  ``dirty``
+    the builder is fed (snapshots of the sets; the builder itself does not
+    depend on their order).  ``dirty``
     marks tokens touched since the pair was last derived, so a compaction
     re-sorts only the blocks an append actually extended; a ``None`` cache
     means the block currently induces no comparison and is skipped, exactly
@@ -898,9 +806,9 @@ class IncrementalBlockIndex:
     # --------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:
         """Ship the overlay, never the CSR (one compaction rebuilds it) nor
-        the options: which kernel and temp root to compact under belongs to
-        the process that compacts, so a restored index resolves them afresh
-        (or its owning collection assigns its own)."""
+        the options: which buffer backend and temp root to compact under
+        belongs to the process that compacts, so a restored index resolves
+        them afresh (or its owning collection assigns its own)."""
         state = {
             slot: getattr(self, slot)
             for slot in self.__slots__

@@ -1,17 +1,16 @@
 """The sequential meta-blocker: weight the graph, (optionally) re-weight by
 entropy, prune, return candidate pairs.
 
-This is the reference implementation; :class:`repro.metablocking.parallel.
+This is the reference driver; :class:`repro.metablocking.parallel.
 ParallelMetaBlocker` produces exactly the same output using the broadcast-join
 structure SparkER runs on Spark.
 
-Both run on the pluggable kernel backend of the CSR index
-(:mod:`repro.metablocking.backends`).  Under the numpy backend neither builds
-the dict-of-:class:`EdgeInfo` graph nor a full pair → weight dict: the kernel
-emits three dense edge arrays, the WEP/WNP/CEP/CNP retention runs over them as
-array expressions, and only the retained edges become python tuples — with
-the same floats, the same tie-breaks and therefore the same retained edges as
-the interpreted path, to the last bit.
+Both build the CSR index, let its kernel (:mod:`repro.metablocking.backends`)
+emit every edge once as three dense arrays — endpoints and weight, entropy
+factor included — and prune them with the one retention tail,
+:func:`~repro.metablocking.backends.retain_edges`: the WEP/WNP/CEP/CNP rules
+as array expressions, a custom strategy's own ``prune`` over the weight dict.
+Only the retained edges become python tuples.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ from dataclasses import dataclass, field
 
 from repro.blocking.block import BlockCollection
 from repro.metablocking import backends as _backends
-from repro.metablocking.entropy_weighting import apply_entropy_weights
-from repro.metablocking.graph import BlockingGraph, blocking_graph_from_index
+from repro.metablocking.backends import EdgeWeights
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.pruning import PruningStrategy, make_pruning_strategy
-from repro.metablocking.weights import WeightingScheme, weight_all_edges
+from repro.metablocking.weights import WeightingScheme
 from repro.options import EngineOptions
 
 
@@ -85,24 +83,15 @@ class MetaBlocker:
 
     def run(self, blocks: BlockCollection) -> MetaBlockingResult:
         """Run meta-blocking over ``blocks`` and return the candidate pairs."""
-        index = CSRBlockIndex.from_blocks(blocks, self.options)
-        try:
-            vectorised = self._retain_vectorised(index)
-            if vectorised is not None:
-                table, positions = vectorised
-                retained = _backends.retained_dict(table, positions)
-                return MetaBlockingResult(
-                    candidate_pairs=set(retained),
-                    retained_edges=retained,
-                    graph_edges=len(table),
-                    graph_nodes=index.num_nodes,
-                )
-            graph = blocking_graph_from_index(
-                index, clean_clean=blocks.clean_clean, num_blocks=len(blocks)
-            )
-            return self.run_on_graph(graph)
-        finally:
-            index.close()
+        table, positions, retained = self._job(blocks)
+        if positions is not None:
+            retained = _backends.retained_dict(table, positions)
+        return MetaBlockingResult(
+            candidate_pairs=set(retained),
+            retained_edges=retained,
+            graph_edges=len(table),
+            graph_nodes=table.num_nodes,
+        )
 
     def stream_retained(
         self,
@@ -113,56 +102,39 @@ class MetaBlocker:
 
         The streaming counterpart of :meth:`run`: the concatenation of the
         yielded chunks is exactly ``run(blocks).retained_edges.items()`` —
-        same edges, same floats, same order.  On the numpy kernel backend
-        with a stock pruning strategy no retained-edge dict is ever built:
-        the O(E) residual is three dense numeric arrays (and, under the
-        ``memmap`` buffer backend, the index pages from disk), so the peak
-        python-object footprint is O(chunk).  Custom strategies and the
-        interpreted backend fall back to the graph path and chunk its
-        dict — correct, but not out-of-core.
+        same edges, same floats, same order.  With a stock pruning strategy
+        no retained-edge dict is ever built: the O(E) residual is three dense
+        numeric arrays plus the retained positions, so the peak python-object
+        footprint is O(chunk).  A custom strategy's ``prune`` returns a dict,
+        which is sliced — correct, but not out-of-core.
         """
-        index = CSRBlockIndex.from_blocks(blocks, self.options)
-        try:
-            vectorised = self._retain_vectorised(index)
-            if vectorised is not None:
-                yield from _backends.iter_retained_chunks(*vectorised, chunk_edges)
-                return
-            graph = blocking_graph_from_index(
-                index, clean_clean=blocks.clean_clean, num_blocks=len(blocks)
-            )
-            yield from _backends.iter_dict_chunks(
-                self.run_on_graph(graph).retained_edges, chunk_edges
-            )
-        finally:
-            index.close()
-
-    def _retain_vectorised(self, index: CSRBlockIndex) -> "tuple | None":
-        """The numpy fast path: ``(edge table, retained positions)``.
-
-        One kernel sweep into three dense arrays, array pruning over them;
-        the only pair tuples ever built are the retained ones.  Returns
-        ``None`` on the python kernel and for custom pruning strategies the
-        vectorised dispatch does not recognise — decided *before* the sweep,
-        so the graph-path fallback never pays for a discarded one.
-        """
-        if index.backend != "numpy" or not _backends.supports_strategy(self.pruning):
-            return None
-        plan = index.weight_plan(self.weighting, self.use_entropy)
-        table = index.kernel().weight_arrays(plan)
-        return table, _backends.retained_positions(self.pruning, table, index)
-
-    def run_on_graph(self, graph: BlockingGraph) -> MetaBlockingResult:
-        """Run weighting + (entropy) + pruning over a prebuilt blocking graph."""
-        weights = weight_all_edges(graph, self.weighting)
-        if self.use_entropy:
-            weights = apply_entropy_weights(graph, weights)
-        retained = self.pruning.prune(graph, weights)
-        return MetaBlockingResult(
-            candidate_pairs=set(retained),
-            retained_edges=retained,
-            graph_edges=graph.num_edges,
-            graph_nodes=graph.num_nodes,
-        )
+        table, positions, retained = self._job(blocks)
+        if positions is None:
+            yield from _backends.iter_dict_chunks(retained, chunk_edges)
+        else:
+            yield from _backends.iter_retained_chunks(table, positions, chunk_edges)
 
     def __call__(self, blocks: BlockCollection) -> MetaBlockingResult:
         return self.run(blocks)
+
+    # -------------------------------------------------------------- internals
+    def _job(self, blocks: BlockCollection) -> "tuple[EdgeWeights, object, dict | None]":
+        """Build the index, weigh it, retain.
+
+        Returns ``(table, positions, retained)``: the edge table plus either
+        the retained positions into it (stock strategy) or — ``positions``
+        is ``None`` — the retained dict of a custom strategy's ``prune``.
+        The index is run-scoped: the table holds arrays it does not own, so
+        the index is closed here, also when weighing raises.
+        """
+        index = CSRBlockIndex.from_blocks(blocks, self.options)
+        try:
+            table = self._weigh(index)
+            return (table, *_backends.retain_edges(self.pruning, table, index))
+        finally:
+            index.close()
+
+    def _weigh(self, index: CSRBlockIndex) -> EdgeWeights:
+        """Every edge weight of ``index`` as one table: one kernel sweep."""
+        plan = index.weight_plan(self.weighting, self.use_entropy)
+        return index.kernel().weight_arrays(plan)

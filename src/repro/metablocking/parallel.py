@@ -8,27 +8,25 @@ that shape and moves every edge as an *array element*, never as a python
 object, until the retained set is known:
 
 1. **Driver.**  Build the :class:`~repro.metablocking.index.CSRBlockIndex`,
-   export its buffers to one shared-memory segment (numpy kernel on a
-   process pool; otherwise the index pickles) and broadcast it — the job's
-   only broadcast.  Split the dense node ids ``[0, n)`` into
+   export its buffers to one shared-memory segment (on a process pool;
+   otherwise the index pickles) and broadcast it — the job's only
+   broadcast.  Split the dense node ids ``[0, n)`` into
    ``default_parallelism`` contiguous ranges balanced by *sweep cost* — per
    node, the summed size of the blocks it sits in, read off the offset
    arrays without materialising a neighbourhood (:func:`balanced_ranges`).
 2. **One executor stage, ``metablocking.weights``.**  A task receives one
    ``(lo, hi)`` range, runs one partial kernel sweep over it against the
-   broadcast index and returns ``(a, b, w)``: dense endpoints and weight of
-   every edge whose *lower* endpoint is in the range — ndarrays under the
-   numpy kernel, ``array('q')`` / ``array('d')`` under the python kernel.
-   Each edge is emitted exactly once, so there is nothing to deduplicate
-   and nothing to shuffle.
+   broadcast index and returns ``(a, b, w)`` ndarrays: dense endpoints and
+   weight of every edge whose *lower* endpoint is in the range.  Each edge
+   is emitted exactly once, so there is nothing to deduplicate and nothing
+   to shuffle.
 3. **Driver.**  Concatenate the task results in range order into one
    :class:`~repro.metablocking.backends.EdgeWeights` table and prune it with
-   the retention tail the sequential
-   :class:`~repro.metablocking.metablocker.MetaBlocker` uses
-   (:func:`~repro.metablocking.backends.retained_positions`, or the scalar
-   ``strategy.prune`` on the python kernel / for custom strategies).
+   the retention tail of the sequential
+   :class:`~repro.metablocking.metablocker.MetaBlocker`, which this class
+   extends: only the weighing step differs.
 
-**Range order is emission order.**  The kernels emit edges node-major (dense
+**Range order is emission order.**  The kernel emits edges node-major (dense
 ids ascending), first-touch within a node, each from its lower endpoint.  A
 contiguous range covers consecutive nodes, so concatenating the ranges in
 order reproduces the sequential full sweep's edge stream exactly — whatever
@@ -45,18 +43,17 @@ shuffle whose per-edge records cost more than the votes they carry.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from itertools import accumulate
 
-from repro.blocking.block import BlockCollection
+import numpy as np
+
 from repro.engine.context import EngineContext
 from repro.engine.executors import MultiprocessingExecutor
-from repro.metablocking import backends as _backends
 from repro.metablocking.backends import EdgeWeights
 from repro.metablocking.index import CSRBlockIndex
-from repro.metablocking.metablocker import MetaBlocker, MetaBlockingResult
-from repro.metablocking.pruning import PruningStrategy, make_pruning_strategy
+from repro.metablocking.metablocker import MetaBlocker
+from repro.metablocking.pruning import PruningStrategy
 from repro.metablocking.weights import WeightingScheme
 from repro.options import EngineOptions
 
@@ -105,21 +102,7 @@ class _RangeWeigher:
         return index.kernel().range_weights(*bounds, plan)
 
 
-def _edge_table(index: CSRBlockIndex, parts: list[tuple]) -> EdgeWeights:
-    """The task results, concatenated in range order, as one edge table."""
-    if index.backend == "numpy":
-        np = _backends.numpy_or_none()
-        a, b, w = (np.concatenate(column) for column in zip(*parts))
-        return EdgeWeights(a, b, w, index.num_nodes, index.kernel().node_ids)
-    a, b, w = array("q"), array("q"), array("d")
-    for part_a, part_b, part_w in parts:
-        a.extend(part_a)
-        b.extend(part_b)
-        w.extend(part_w)
-    return EdgeWeights(a, b, w, index.num_nodes, index.node_ids)
-
-
-class ParallelMetaBlocker:
+class ParallelMetaBlocker(MetaBlocker):
     """Parallel meta-blocking with the broadcast-join structure of SparkER.
 
     Parameters
@@ -142,74 +125,30 @@ class ParallelMetaBlocker:
         use_entropy: bool = False,
         options: EngineOptions | None = None,
     ) -> None:
-        self.context = context
-        self.weighting = WeightingScheme.parse(weighting)
-        self.pruning = make_pruning_strategy(pruning)
-        self.use_entropy = use_entropy
-        self.options = options or context.options
-
-    # ------------------------------------------------------------------ public
-    def run(self, blocks: BlockCollection) -> MetaBlockingResult:
-        """Run the parallel meta-blocking over ``blocks``."""
-        table, positions, retained = self._job(blocks)
-        if positions is not None:
-            retained = _backends.retained_dict(table, positions)
-        return MetaBlockingResult(
-            candidate_pairs=set(retained),
-            retained_edges=retained,
-            graph_edges=len(table),
-            graph_nodes=table.num_nodes,
+        super().__init__(
+            weighting, pruning, use_entropy=use_entropy,
+            options=options or context.options,
         )
+        self.context = context
 
-    def stream_retained(
-        self,
-        blocks: BlockCollection,
-        chunk_edges: int = _backends.DEFAULT_CHUNK_EDGES,
-    ):
-        """Yield the retained edges in bounded chunks of ``((a, b), weight)``.
+    def _weigh(self, index: CSRBlockIndex) -> EdgeWeights:
+        """Weigh on the executor: one task per cost-balanced node range.
 
-        The concatenation of the chunks equals ``run(blocks).retained_edges
-        .items()`` — and :meth:`MetaBlocker.stream_retained` — exactly.  On
-        the numpy kernel with a stock strategy the driver holds the edges as
-        three dense arrays plus the retained positions and materialises one
-        chunk of python tuples at a time; the python kernel and custom
-        strategies prune a full weight dict and slice the result.
+        The broadcast is released here, also when a task raises; the index
+        itself (and its shared segment) is closed by the caller.
         """
-        table, positions, retained = self._job(blocks)
-        if positions is None:
-            yield from _backends.iter_dict_chunks(retained, chunk_edges)
-        else:
-            yield from _backends.iter_retained_chunks(table, positions, chunk_edges)
-
-    def __call__(self, blocks: BlockCollection) -> MetaBlockingResult:
-        return self.run(blocks)
-
-    # -------------------------------------------------------------- internals
-    def _job(self, blocks: BlockCollection) -> "tuple[EdgeWeights, object, dict | None]":
-        """Weigh on the executor, prune on the driver.
-
-        Returns ``(table, positions, retained)``: the edge table plus either
-        the retained positions into it (numpy kernel, stock strategy) or —
-        ``positions`` is ``None`` — the retained dict of the scalar
-        ``prune``.  The index, its shared segment and the broadcast are
-        run-scoped: all released here, also when a task raises.
-        """
-        index = CSRBlockIndex.from_blocks(blocks, self.options)
-        broadcast = None
+        if index.num_nodes == 0:
+            return super()._weigh(index)
+        # Resolved before the index ships: what the plan reads beyond the
+        # CSR buffers (EJS's degree vector and edge count) travels with the
+        # index instead of being re-swept per worker.
+        index.weight_plan(self.weighting, self.use_entropy)
+        if isinstance(self.context.executor, MultiprocessingExecutor):
+            # The broadcast pickle then carries only a segment reference:
+            # pool workers map the index instead of deserialising copies.
+            index.export_shared()
+        broadcast = self.context.broadcast(index)
         try:
-            if index.num_nodes == 0:
-                return EdgeWeights(array("q"), array("q"), array("d"), 0), None, {}
-            # Resolved before the index ships: what the plan reads beyond the
-            # CSR buffers (EJS's degree vector and edge count) travels with
-            # the index instead of being re-swept per worker.
-            index.weight_plan(self.weighting, self.use_entropy)
-            if index.backend == "numpy" and isinstance(
-                self.context.executor, MultiprocessingExecutor
-            ):
-                # The broadcast pickle then carries only a segment reference:
-                # pool workers map the index instead of deserialising copies.
-                index.export_shared()
-            broadcast = self.context.broadcast(index)
             ranges = balanced_ranges(
                 index.kernel().sweep_costs(), self.context.default_parallelism
             )
@@ -221,12 +160,10 @@ class ParallelMetaBlocker:
                 )
                 .collect()
             )
-            table = _edge_table(index, parts)
-            return (table, *_backends.retain_edges(self.pruning, table, index))
         finally:
-            if broadcast is not None:
-                self.context.unbroadcast(broadcast)
-            index.close()
+            self.context.unbroadcast(broadcast)
+        a, b, w = (np.concatenate(column) for column in zip(*parts))
+        return EdgeWeights(a, b, w, index.num_nodes, index.kernel().node_ids)
 
 
 def make_meta_blocker(
@@ -241,9 +178,9 @@ def make_meta_blocker(
 
     The broadcast-join :class:`ParallelMetaBlocker` when an engine context is
     given, the sequential reference :class:`~repro.metablocking.metablocker.
-    MetaBlocker` otherwise — the two are bit-for-bit equivalent, on either
-    kernel backend.  Shared by the legacy :class:`repro.core.blocker.Blocker`
-    and the pipeline stage adapter.
+    MetaBlocker` otherwise — the two are bit-for-bit equivalent.  Shared by
+    the legacy :class:`repro.core.blocker.Blocker` and the pipeline stage
+    adapter.
     """
     if engine is not None:
         return ParallelMetaBlocker(

@@ -15,19 +15,15 @@ the meta-blocking graph of this package:
   neighbours first (a simplified Progressive Profile Scheduling).
 
 Both read the CSR index's edge table
-(:meth:`~repro.metablocking.backends.NumpyKernel.weight_arrays`, or the
-interpreted kernel's equivalent) — every edge weighted once from its lower
-endpoint, in the node-major first-touch order of the graph builder — instead
-of materialising a full :class:`~repro.metablocking.graph.BlockingGraph`.
-Every kernel fixes the same accumulation order as the graph builder, so the
-weights (and therefore the rankings) are bit-for-bit identical to the
-graph-based implementation, whichever backend weighs the table.  The numpy
-kernel caches its full sweep per index, so the service's delta refresh and a
-ranking over the same index share one sweep.
+(:meth:`~repro.metablocking.backends.NumpyKernel.weight_arrays`) — every edge
+weighted once from its lower endpoint, in node-major first-touch order —
+with the same weights the meta-blocker prunes.  The kernel caches its full
+sweep per index, so the service's delta refresh and a ranking over the same
+index share one sweep.
 
-Global sorting is one ``(-weight, pair)`` sort of the table (an array
-``lexsort`` under numpy; pair tuples are then built chunk by chunk as the
-stream is pulled); node scheduling yields node by node, each incident list
+Global sorting is one ``(-weight, pair)`` array ``lexsort`` of the table
+(pair tuples are then built chunk by chunk as the stream is pulled); node
+scheduling yields node by node, each incident list
 sorted exactly once up front.  ``rank()`` is simply ``list(stream())``.  The
 benchmark ``bench_extension_progressive.py`` measures recall as a function of
 the number of comparisons performed, the paper family's standard
@@ -46,7 +42,7 @@ from repro.options import EngineOptions
 
 _Edge = tuple[tuple[int, int], float]
 
-#: Pair tuples materialised per pull of the numpy ranking; a budgeted query
+#: Pair tuples materialised per pull of the ranking; a budgeted query
 #: usually reads a short prefix of a much longer ranking.
 _RANK_CHUNK = 1024
 
@@ -105,11 +101,7 @@ class ProgressiveSortedComparisons:
         the index as soon as this returns); only the pair tuples are lazy.
         """
         table = _weight_table(index, self.weighting)
-        if index.backend != "numpy":
-            ranked = sorted(table.to_mapping().items(), key=_edge_rank)
-            return (pair for pair, _weight in ranked)
-        np = _backends.numpy_or_none()
-        order = _backends.ranked_positions(np, table, len(table))
+        order = _backends.ranked_positions(table, len(table))
         return (
             pair
             for chunk in _backends.iter_retained_chunks(table, order, _RANK_CHUNK)

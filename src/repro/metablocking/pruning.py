@@ -15,8 +15,12 @@ Given the weighted blocking graph, a pruning strategy decides which edges
 * **CNP** — Cardinality Node Pruning: every node keeps its top-k incident
   edges, ``k = B/|P| - 1`` blocks-per-profile based by default; OR semantics.
 
-All strategies receive the edge weight mapping plus the graph (for node-level
-statistics) and return the retained pairs with their weights.
+Stock strategies run as array expressions over the kernel's edge table
+(:func:`~repro.metablocking.backends.retained_positions`).  The ``prune``
+methods below are the same rules over a weight dict: what a subclass
+inherits or overrides.  ``prune`` receives :class:`IndexStats` (node-level
+statistics for the default ``k``) plus the ``(a, b) → weight`` mapping and
+returns the retained pairs with their weights.
 """
 
 from __future__ import annotations
@@ -26,16 +30,15 @@ from abc import ABC, abstractmethod
 from collections import defaultdict
 
 from repro.exceptions import MetaBlockingError
-from repro.metablocking.graph import BlockingGraph
 from repro.metablocking.index import CSRBlockIndex
 
 
 def default_cep_k(total_assignments: int) -> int:
     """CEP's default K: half the total block assignments (Papadakis et al.).
 
-    The single definition shared by the scalar strategy, the parallel driver
-    and the vectorised backend fast path — the three must retain the same
-    edge set, so the formula must not fork.
+    The single definition shared by the dict-based ``prune`` and the array
+    rules — the two must retain the same edge set, so the formula must not
+    fork.
     """
     return max(1, total_assignments // 2)
 
@@ -46,13 +49,11 @@ def default_cnp_k(total_assignments: int, num_profiles: int) -> int:
 
 
 class IndexStats:
-    """Just enough of a :class:`BlockingGraph` for the pruning defaults.
+    """The node-level statistics a strategy's ``prune`` receives.
 
     The stock strategies read only ``blocks_per_profile`` (CEP / CNP default
     k) and ``num_nodes`` (CNP default k); both derive directly from the CSR
-    index, so callers holding a weight map but no graph — the parallel
-    meta-blocker's scalar tail, the service's delta refresh — never build
-    one.
+    index.  Every driver hands a custom strategy this object.
     """
 
     __slots__ = ("blocks_per_profile", "num_nodes")
@@ -72,15 +73,15 @@ class PruningStrategy(ABC):
     @abstractmethod
     def prune(
         self,
-        graph: BlockingGraph,
+        stats: IndexStats,
         weights: dict[tuple[int, int], float],
     ) -> dict[tuple[int, int], float]:
         """Return the retained edges (pair → weight)."""
 
     def __call__(
-        self, graph: BlockingGraph, weights: dict[tuple[int, int], float]
+        self, stats: IndexStats, weights: dict[tuple[int, int], float]
     ) -> dict[tuple[int, int], float]:
-        return self.prune(graph, weights)
+        return self.prune(stats, weights)
 
     # ---------------------------------------------------------------- helpers
     @staticmethod
@@ -100,7 +101,7 @@ class WeightedEdgePruning(PruningStrategy):
     """WEP: keep edges with weight >= the global mean edge weight."""
 
     def prune(
-        self, graph: BlockingGraph, weights: dict[tuple[int, int], float]
+        self, stats: IndexStats, weights: dict[tuple[int, int], float]
     ) -> dict[tuple[int, int], float]:
         if not weights:
             return {}
@@ -125,13 +126,13 @@ class CardinalityEdgePruning(PruningStrategy):
         self.k = k
 
     def prune(
-        self, graph: BlockingGraph, weights: dict[tuple[int, int], float]
+        self, stats: IndexStats, weights: dict[tuple[int, int], float]
     ) -> dict[tuple[int, int], float]:
         if not weights:
             return {}
         k = self.k
         if k is None:
-            k = default_cep_k(sum(graph.blocks_per_profile.values()))
+            k = default_cep_k(sum(stats.blocks_per_profile.values()))
         ranked = sorted(weights.items(), key=lambda item: (-item[1], item[0]))
         return dict(ranked[:k])
 
@@ -153,7 +154,7 @@ class WeightedNodePruning(PruningStrategy):
         }
 
     def prune(
-        self, graph: BlockingGraph, weights: dict[tuple[int, int], float]
+        self, stats: IndexStats, weights: dict[tuple[int, int], float]
     ) -> dict[tuple[int, int], float]:
         if not weights:
             return {}
@@ -195,14 +196,14 @@ class CardinalityNodePruning(PruningStrategy):
         self.reciprocal = reciprocal
 
     def prune(
-        self, graph: BlockingGraph, weights: dict[tuple[int, int], float]
+        self, stats: IndexStats, weights: dict[tuple[int, int], float]
     ) -> dict[tuple[int, int], float]:
         if not weights:
             return {}
         k = self.k
         if k is None:
             k = default_cnp_k(
-                sum(graph.blocks_per_profile.values()), graph.num_nodes
+                sum(stats.blocks_per_profile.values()), stats.num_nodes
             )
 
         incidence = self._node_incidence(weights)

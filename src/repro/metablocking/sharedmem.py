@@ -2,10 +2,10 @@
 
 Under a process executor the broadcast CSR index used to travel *inside* the
 pickled stage chain: every worker deserialised a multi-MB copy of the offset
-arrays per stage.  With the numpy kernel backend the buffers are plain
-``int64`` / ``float64`` blocks, so the driver can instead copy them once into
-one :class:`multiprocessing.shared_memory.SharedMemory` segment and ship only
-the segment *name* plus a field layout.  Workers attach and wrap each field
+arrays per stage.  The buffers are plain ``int64`` / ``float64`` blocks, so
+the driver can instead copy them once into one
+:class:`multiprocessing.shared_memory.SharedMemory` segment and ship only the
+segment *name* plus a field layout.  Workers attach and wrap each field
 as a zero-copy ``np.frombuffer`` view — the index is mapped once per machine,
 not pickled per worker.
 
@@ -110,12 +110,7 @@ class SharedIndexBuffers:
                 count=length,
                 offset=start * _ITEM_SIZE,
             )
-            # A memmap-backed index hands ndarray views here; everything else
-            # is a stdlib array reached through the buffer protocol.
-            if isinstance(buffer, np.ndarray):
-                view[:] = buffer
-            else:
-                view[:] = np.frombuffer(buffer, dtype=view.dtype)
+            view[:] = buffer
             del view  # keep the export handle closable
         # Owner handles are deliberately NOT put in the attachment cache: a
         # cached strong reference would keep an abandoned export alive and

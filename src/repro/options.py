@@ -1,14 +1,13 @@
 """Engine options: the one door a setting goes through to reach the engine.
 
-Seven values tune *how* a run executes without changing *what* it computes:
-where narrow stages run (``executor``), which CSR kernel and buffer
-representation the meta-blocking index uses (``kernel_backend``,
-``buffer_backend``), where run-scoped files land (``tmp_dir``), how failed
-tasks recover (``fault_policy``, and the test-only ``fault_inject``), and how
-shuffle blocks travel (``block_store``).  Each is reachable four ways — a
-keyword argument, a pipeline-spec ``engine.*`` key, a ``run`` CLI flag and a
-``REPRO_*`` environment variable — and this module is the only place that
-knows it: :data:`OPTIONS` is the table, :meth:`EngineOptions.resolve` the one
+Six values tune *how* a run executes without changing *what* it computes:
+where narrow stages run (``executor``), where the meta-blocking index keeps
+its buffers (``buffer_backend``), where run-scoped files land (``tmp_dir``),
+how failed tasks recover (``fault_policy``, and the test-only
+``fault_inject``), and how shuffle blocks travel (``block_store``).  Each is
+reachable four ways — a keyword argument, a pipeline-spec ``engine.*`` key,
+a ``run`` CLI flag and a ``REPRO_*`` environment variable — and this module
+is the only place that knows it: :data:`OPTIONS` is the table, :meth:`EngineOptions.resolve` the one
 resolution (explicit > spec > environment > default, then validated), and
 the CLI flags, the ``engine``-section validation and the docs table are all
 derived from the same rows.
@@ -32,13 +31,13 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.exceptions import (
+    ConfigurationError,
     EngineError,
     MetaBlockingError,
     PipelineValidationError,
     SparkERError,
 )
 
-KERNEL_CHOICES = ("auto", "python", "numpy")
 BUFFER_CHOICES = ("ram", "memmap")
 BLOCK_STORE_CHOICES = ("driver", "shared-memory", "spill")
 
@@ -76,38 +75,16 @@ def _executor(spec: Any) -> Any:
     )
 
 
-def _numpy_gated(what: str, flag: str, choices: "tuple[str, ...]") -> Callable[[Any], str]:
-    """Validator for a backend choice whose last value needs numpy.
-
-    ``choices`` is ``([auto,] plain, gated)``.  Requesting the gated value
-    outright without numpy installed is an error: silently falling back would
-    hide a mis-provisioned worker fleet (kernel) or that the run is *not*
-    out-of-core (buffer).  ``auto`` is the one spelling allowed to degrade.
-    """
-    *_, plain, gated = choices
-
-    def validate(spec: Any) -> str:
-        from repro.metablocking.backends import numpy_available
-
-        if not isinstance(spec, str):
-            raise MetaBlockingError(f"{what} spec must be a string, got {spec!r}")
-        name = spec.strip().lower()
-        if name == "auto" and "auto" in choices:
-            return gated if numpy_available() else plain
-        if name == plain:
-            return plain
-        if name == gated:
-            if not numpy_available():
-                raise MetaBlockingError(
-                    f"{what} {gated!r} requested but numpy is not importable; "
-                    f"install numpy or select {flag} {plain}"
-                )
-            return gated
+def _buffer_backend(spec: Any) -> str:
+    """``"ram"`` / ``"memmap"``."""
+    if not isinstance(spec, str):
+        raise MetaBlockingError(f"buffer backend spec must be a string, got {spec!r}")
+    name = spec.strip().lower()
+    if name not in BUFFER_CHOICES:
         raise MetaBlockingError(
-            f"unknown {what} {spec!r}; valid backends: {', '.join(choices)}"
+            f"unknown buffer backend {spec!r}; valid backends: {', '.join(BUFFER_CHOICES)}"
         )
-
-    return validate
+    return name
 
 
 def _tmp_dir(spec: Any) -> str:
@@ -234,21 +211,7 @@ OPTIONS: "tuple[Option, ...]" = (
         from_args=executor_from_args,
     ),
     Option(
-        "kernel_backend", "REPRO_KERNEL_BACKEND", "auto",
-        _numpy_gated("kernel backend", "--kernel-backend", KERNEL_CHOICES),
-        "`CSRBlockIndex` (which kernel materialises neighbourhoods)",
-        flags=(
-            ("--kernel-backend", dict(
-                choices=list(KERNEL_CHOICES),
-                help="meta-blocking kernel backend: 'numpy' vectorises the "
-                     "CSR kernel (bit-for-bit identical output), 'python' "
-                     "forces the interpreted kernel, 'auto' (default) picks "
-                     "numpy when importable")),
-        ),
-    ),
-    Option(
-        "buffer_backend", "REPRO_BUFFER_BACKEND", "ram",
-        _numpy_gated("buffer backend", "--buffer-backend", BUFFER_CHOICES),
+        "buffer_backend", "REPRO_BUFFER_BACKEND", "ram", _buffer_backend,
         "`CSRBlockIndex` (where the CSR vectors live)",
         flags=(
             ("--buffer-backend", dict(
@@ -257,7 +220,7 @@ OPTIONS: "tuple[Option, ...]" = (
                      "'ram' (default) keeps them in process memory, "
                      "'memmap' backs them with a file under --tmp-dir so "
                      "the OS can page the index out of core "
-                     "(bit-for-bit identical output; requires numpy)")),
+                     "(bit-for-bit identical output)")),
         ),
     ),
     Option(
@@ -349,16 +312,15 @@ def resolve_option(
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """The seven resolved engine options of one run (build with :meth:`resolve`).
+    """The six resolved engine options of one run (build with :meth:`resolve`).
 
-    Strings are canonical names (``"process:2"``, ``"numpy"``, ``"memmap"``,
+    Strings are canonical names (``"process:2"``, ``"memmap"``,
     ``"shared-memory"``); ``fault_policy`` / ``fault_inject`` are parsed
     objects; ``executor`` / ``block_store`` may instead hold a caller-built
     instance, which :class:`~repro.engine.context.EngineContext` uses as is.
     """
 
     executor: Any
-    kernel_backend: str
     buffer_backend: str
     tmp_dir: str
     fault_policy: Any
@@ -403,15 +365,45 @@ class EngineOptions:
         return section
 
 
+# ------------------------------------------------------------- retired keys
+#: Options that no longer exist, with the values a stored artifact (pipeline
+#: checkpoint, ``--output-config`` file, service snapshot) may carry for them
+#: and still describe what every run now does.
+_RETIRED = {"kernel_backend": (None, "auto", "numpy")}
+
+
+def drop_retired_keys(
+    mapping: "Mapping[str, Any]", error: "type[SparkERError]" = ConfigurationError
+) -> "dict[str, Any]":
+    """``mapping`` without the keys of retired options.
+
+    A value the retired option would have resolved to today is dropped
+    silently; any other (``kernel_backend: python`` asked for the removed
+    interpreted kernel) raises ``error`` instead of running something else.
+    """
+    kept = dict(mapping)
+    for key, harmless in _RETIRED.items():
+        value = kept.pop(key, None)
+        if value not in harmless:
+            raise error(
+                f"{key}={value!r}: the option was removed — numpy is required and "
+                f"the interpreted meta-blocking kernel no longer exists; drop the key"
+            )
+    return kept
+
+
 # --------------------------------------------------- derived: spec, CLI, docs
-def check_engine_section(section: "Mapping[str, Any]") -> None:
-    """Reject keys an ``engine`` section cannot hold (typos included)."""
+def check_engine_section(section: "Mapping[str, Any]") -> "dict[str, Any]":
+    """Reject keys an ``engine`` section cannot hold (typos included);
+    return the section without retired keys."""
+    section = drop_retired_keys(section, PipelineValidationError)
     unknown = set(section) - ENGINE_SECTION_KEYS
     if unknown:
         raise PipelineValidationError(
             f"unknown keys in the spec's engine section: {sorted(unknown)}; "
             f"accepted: {sorted(ENGINE_SECTION_KEYS)}"
         )
+    return section
 
 
 def add_cli_arguments(parser: argparse.ArgumentParser) -> None:

@@ -118,7 +118,7 @@ class PipelineContext:
         self.report.add(stage, metrics)
 
     def annotate(self, stage: str, **details: object) -> None:
-        """Attach execution details (e.g. the resolved kernel backend) to a
+        """Attach execution details (e.g. the resolved buffer backend) to a
         stage; the runner surfaces them in the per-stage executions table."""
         self._stage_details.setdefault(stage, {}).update(details)
 
@@ -136,7 +136,6 @@ class PipelineResult:
     spec: dict[str, object] = field(default_factory=dict)
     completed: list[str] = field(default_factory=list)
     partial: bool = False
-    kernel_backend: str | None = None
 
     # ------------------------------------------------------- common artifacts
     @property
@@ -159,7 +158,7 @@ class PipelineResult:
     def stage_rows(self) -> list[dict[str, object]]:
         """Uniform per-stage rows: status, seconds, engine counter deltas.
 
-        Detail columns (e.g. a meta-blocking stage's resolved kernel backend)
+        Detail columns (e.g. a meta-blocking stage's resolved buffer backend)
         are backfilled as empty cells on the other rows so the table renderer
         — which takes its columns from the first row — keeps them visible.
         """
@@ -189,8 +188,6 @@ class PipelineResult:
                 summary[key] = len(value)  # type: ignore[arg-type]
             except TypeError:
                 pass
-        if self.kernel_backend is not None:
-            summary["kernel_backend"] = self.kernel_backend
         if self.engine_metrics:
             summary["engine"] = dict(self.engine_metrics)
         return summary
@@ -345,8 +342,7 @@ class Pipeline:
             )
             stages.append(stage)
 
-        engine_section = dict(spec.get("engine") or {})
-        check_engine_section(engine_section)
+        engine_section = check_engine_section(spec.get("engine") or {})
         try:
             options = EngineOptions.resolve(engine_section, **(overrides or {}))
         except (EngineError, MetaBlockingError) as error:
@@ -597,13 +593,6 @@ class Pipeline:
             spec=self.resolved_spec(),
             completed=[execution.label for execution in executions],
             partial=stopped,
-            # A pipeline without a kernel-driven stage claims no backend.
-            kernel_backend=self.options.kernel_backend
-            if any(
-                "kernel_backend" in (getattr(execution, "detail", None) or {})
-                for execution in executions
-            )
-            else None,
         )
 
     def _checkpoint_state(self, **parts: Any) -> dict[str, Any]:

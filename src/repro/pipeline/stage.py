@@ -170,7 +170,7 @@ class StageExecution:
     seconds: float = 0.0
     resumed: bool = False
     engine: dict[str, int] = field(default_factory=dict)
-    # Free-form execution details (e.g. the resolved kernel backend of a
+    # Free-form execution details (e.g. the resolved buffer backend of a
     # meta-blocking stage), surfaced as extra columns of the executions table.
     detail: dict[str, object] = field(default_factory=dict)
 

@@ -59,12 +59,8 @@ def _record_block_stage(context: "PipelineContext", label: str, blocks: Any) -> 
 
 
 def _annotate_backends(context: "PipelineContext", label: str) -> None:
-    """Show the backends a CSR-index stage ran on in the executions table."""
-    context.annotate(
-        label,
-        kernel_backend=context.options.kernel_backend,
-        buffer_backend=context.options.buffer_backend,
-    )
+    """Show the buffer backend a CSR-index stage ran on in the executions table."""
+    context.annotate(label, buffer_backend=context.options.buffer_backend)
 
 
 @register_stage

@@ -29,7 +29,7 @@ from repro.metablocking.progressive import (
     ProgressiveNodeScheduling,
     ProgressiveSortedComparisons,
 )
-from repro.options import EngineOptions
+from repro.options import EngineOptions, drop_retired_keys
 from repro.service.delta import DeltaMetaBlocker
 from repro.service.wal import FSYNC_POLICIES, DegradedError, WriteAheadLog
 
@@ -60,7 +60,6 @@ class CollectionConfig:
     min_token_length: int = 1
     remove_stopwords: bool = False
     compact_every: "int | None" = None
-    kernel_backend: "str | None" = None
     buffer_backend: "str | None" = None
     tmp_dir: "str | None" = None
     progressive: str = "sorted"
@@ -86,6 +85,7 @@ class CollectionConfig:
     def from_dict(cls, payload: dict) -> "CollectionConfig":
         if not isinstance(payload, dict):
             raise ConfigurationError("collection config must be a mapping")
+        payload = drop_retired_keys(payload)
         known = {f for f in cls.__dataclass_fields__}  # noqa: C416 - py39 keys view
         unknown = set(payload) - known
         if unknown:
@@ -116,8 +116,8 @@ class ServiceCollection:
 
     def __init__(self, config: CollectionConfig) -> None:
         self.config = config
-        # The config doubles as the spec mapping: its kernel_backend /
-        # buffer_backend / tmp_dir keys are the engine-section keys.
+        # The config doubles as the spec mapping: its buffer_backend /
+        # tmp_dir keys are the engine-section keys.
         self.options = EngineOptions.resolve(config.as_dict())
         self.index = IncrementalBlockIndex(
             clean_clean=config.clean_clean,

@@ -15,8 +15,8 @@ collection returns, for every weighting scheme and pruning strategy.
 A full recompute beats re-weighing a neighbourhood: appends land in common
 token blocks, so on real traffic they touch most nodes anyway, and the array
 sweep plus tail costs milliseconds where the per-node dict bookkeeping it
-replaces cost a quarter of a second.  The numpy kernel caches its full sweep
-per index, so a ranked ``matches`` query on the same compaction reuses it.
+replaces cost a quarter of a second.  The kernel caches its full sweep per
+index, so a ranked ``matches`` query on the same compaction reuses it.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class DeltaMetaBlocker:
     """Maintain the retained candidate edges of a growing index.
 
     Parameters mirror :class:`~repro.metablocking.metablocker.MetaBlocker`
-    (weighting scheme, pruning strategy, entropy flag); the kernel and buffer
-    backends are whatever the refreshed index was built with.
+    (weighting scheme, pruning strategy, entropy flag); the buffer backend is
+    whatever the refreshed index was built with.
 
     Call :meth:`refresh` with the current compacted index and its compaction
     count; read :attr:`retained` afterwards.

@@ -64,7 +64,7 @@ class CollectionStore:
         """The named collection, created from the store defaults if new."""
         collection = self._collections.get(name)
         if collection is None:
-            config = CollectionConfig(name=name, **self.defaults)
+            config = CollectionConfig.from_dict({**self.defaults, "name": name})
             collection = ServiceCollection(config)
             self._collections[name] = collection
         self._attach_wal(collection)

@@ -10,15 +10,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
-# numpy is imported lazily (MinHash is its only consumer here): the hashing
-# helpers below — and everything that transitively imports them, like the
-# engine's hash partitioner and the meta-blocking layer — must stay usable
-# in the no-numpy environment of the pure-python kernel backend.
+import numpy as np
 
 # A large Mersenne prime used for the universal hash family of MinHash.
 _MERSENNE_PRIME = (1 << 61) - 1
@@ -56,8 +49,6 @@ class MinHasher:
     """
 
     def __init__(self, num_perm: int = 128, seed: int = 1) -> None:
-        import numpy as np
-
         if num_perm <= 0:
             raise ValueError("num_perm must be positive")
         self.num_perm = num_perm
@@ -67,10 +58,8 @@ class MinHasher:
         self._a = rng.integers(1, _MERSENNE_PRIME, size=num_perm, dtype=np.uint64)
         self._b = rng.integers(0, _MERSENNE_PRIME, size=num_perm, dtype=np.uint64)
 
-    def signature(self, tokens: Iterable[str]) -> "np.ndarray":
+    def signature(self, tokens: Iterable[str]) -> np.ndarray:
         """Return the MinHash signature (uint32 array) of a token set."""
-        import numpy as np
-
         token_list = list(tokens)
         if not token_list:
             return np.full(self.num_perm, _MAX_HASH, dtype=np.uint64)
@@ -84,17 +73,15 @@ class MinHasher:
         return (permuted % (_MAX_HASH + 1)).min(axis=1)
 
     @staticmethod
-    def estimate_jaccard(sig_a: "np.ndarray", sig_b: "np.ndarray") -> float:
+    def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
         """Estimate Jaccard similarity from two signatures."""
-        import numpy as np
-
         if sig_a.shape != sig_b.shape:
             raise ValueError("signatures must have the same length")
         if sig_a.size == 0:
             return 0.0
         return float(np.count_nonzero(sig_a == sig_b)) / float(sig_a.size)
 
-    def bands(self, signature: "np.ndarray", num_bands: int) -> list[int]:
+    def bands(self, signature: np.ndarray, num_bands: int) -> list[int]:
         """Split ``signature`` into bands and hash each band to a bucket id.
 
         Two sets landing in the same bucket for at least one band become LSH

@@ -25,14 +25,6 @@ def test_e2e_engine_overhead_within_tolerance_of_baseline():
     assert not failures, "; ".join(failures)
 
 
-def test_numpy_backend_speedup_within_tolerance_of_baseline():
-    sys.path.insert(0, str(REPO_ROOT / "scripts"))
-    from bench_guard import check_numpy_against_baseline
-
-    failures = check_numpy_against_baseline(tolerance=0.2)
-    assert not failures, "; ".join(failures)
-
-
 def test_pipeline_runner_overhead_within_ceiling_of_facade():
     sys.path.insert(0, str(REPO_ROOT / "scripts"))
     from bench_guard import check_pipeline_against_facade

@@ -1,17 +1,17 @@
 """The column form of a block collection against the object form.
 
-With numpy importable ``block_by_keys`` emits membership vectors
+``block_by_keys`` emits membership vectors
 (:class:`~repro.blocking.block.BlockColumns`) and purging, filtering, the
 stage statistics and the CSR builder work on them; the ``Block``-object
-algorithms are the definition.  Here the two forms are compared block for
+algorithms are the definition, and the only form for hand-built collections
+outside the column invariants.  Here the two forms are compared block for
 block on Hypothesis collections (dirty and clean-clean, small and huge ids,
 keys held by one side only, ties in ``(comparisons, size)``, quotas where
 ``ratio * count`` lands on and next to an integer, purge thresholds at
 ``size == threshold``), the definition-level oracle of
 ``test_blocking_oracle`` is run against an all-column chain, and a count
 guard pins that no ``Block`` is built on the hot path.  The order-keeping
-bugfix of comparison-based purging is tested on the object path too, so it
-runs in the no-numpy CI leg (everything column-backed skips there).
+bugfix of comparison-based purging is tested on the object path too.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import pickle
 import time
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +36,6 @@ from repro.data.profile import EntityProfile
 from repro.data.synthetic import generate_scalability_products
 from repro.engine.context import EngineContext
 from repro.exceptions import BlockingError
-from repro.metablocking import backends
 from repro.metablocking.index import _SHARED_FIELDS, CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
@@ -56,26 +54,11 @@ from tests.test_blocking_oracle import (
     partitionings,
 )
 
-needs_numpy = pytest.mark.skipif(
-    not backends.numpy_available(), reason="the column form requires numpy"
-)
-
 WORDS = [f"w{n}" for n in range(12)]
 RATIOS = [0.1, 0.3, 0.5, 0.7, 0.8, 1.0]
 ids = st.one_of(
     st.integers(min_value=0, max_value=40), st.integers(min_value=2**40, max_value=2**62)
 )
-
-
-@contextmanager
-def poisoned_numpy():
-    """``block_by_keys`` sees no numpy: it builds ``Block`` objects."""
-    saved = backends._numpy_checked, backends._numpy_module
-    backends._numpy_checked, backends._numpy_module = True, None
-    try:
-        yield
-    finally:
-        backends._numpy_checked, backends._numpy_module = saved
 
 
 @st.composite
@@ -150,7 +133,7 @@ def valid_collections(draw):
 
 
 # ---------------------------------------------------------------------------
-# the bugfix: comparison-based purging keeps collection order (runs without numpy)
+# the bugfix: comparison-based purging keeps collection order
 # ---------------------------------------------------------------------------
 def _graded_blocks():
     """Sorted keys whose comparison cardinalities are not ascending."""
@@ -187,9 +170,6 @@ def test_object_backed_collections_report_no_columns():
     blocks = _graded_blocks()
     assert blocks.columns is None
     assert blocks.count_distinct_comparisons() == len(blocks.distinct_comparisons())
-    with poisoned_numpy():
-        profiles = generate_scalability_products(40, seed=3).profiles
-        assert TokenBlocking().block(profiles).columns is None
 
 
 def test_a_collection_pickled_before_the_column_form_restores():
@@ -214,7 +194,6 @@ def test_the_constructor_takes_blocks_only():
 # ---------------------------------------------------------------------------
 # column path == object path, block for block
 # ---------------------------------------------------------------------------
-@needs_numpy
 class TestColumnsEqualObjects:
     @settings(max_examples=120, deadline=None)
     @given(collections(), partitionings())
@@ -226,9 +205,7 @@ class TestColumnsEqualObjects:
         ):
             columns = make().block(profiles)
             assert columns.columns is not None
-            with poisoned_numpy():
-                objects = make().block(profiles)
-            assert objects.columns is None
+            objects = as_objects(make().block(profiles))
             assert len(columns) == len(objects)
             assert columns.total_comparisons() == objects.total_comparisons()
             assert columns.profile_ids() == objects.profile_ids()
@@ -374,16 +351,13 @@ def _fields(index):
     return fields, index.total_blocks, index.clean_clean
 
 
-@needs_numpy
 class TestDownstreamOfColumns:
     @settings(max_examples=60, deadline=None)
     @given(valid_collections())
     def test_csr_fields_equal_under_every_backend(self, tmp_path_factory, blocks):
         tmp_dir = str(tmp_path_factory.mktemp("csr"))
-        for kernel, buffer_backend in (("python", "ram"), ("numpy", "ram"), ("numpy", "memmap")):
-            options = EngineOptions.resolve(
-                kernel_backend=kernel, buffer_backend=buffer_backend, tmp_dir=tmp_dir
-            )
+        for buffer_backend in ("ram", "memmap"):
+            options = EngineOptions.resolve(buffer_backend=buffer_backend, tmp_dir=tmp_dir)
             built = []
             for form in (as_columns(as_objects(blocks)), as_objects(blocks)):
                 index = CSRBlockIndex.from_blocks(form, options)
@@ -451,13 +425,16 @@ class TestDownstreamOfColumns:
 
     def test_a_labelled_run_records_the_same_statistics_from_either_form(self):
         # With a ground truth the stage statistics read the pair set, which
-        # converts each stage's collection; the report must not notice.
+        # converts each stage's collection (the later stages then run the
+        # object algorithms); the report must not notice.
         dataset = generate_scalability_products(400, seed=7)
         labelled = SparkER().run(dataset.profiles, dataset.ground_truth)
-        with poisoned_numpy():
-            expected = SparkER().run(dataset.profiles, dataset.ground_truth)
-        assert labelled.candidate_pairs == expected.candidate_pairs
-        assert labelled.report.as_rows() == expected.report.as_rows()
+        unlabelled = SparkER().run(dataset.profiles)
+        assert labelled.candidate_pairs == unlabelled.candidate_pairs
+        rows_with, rows_without = labelled.report.as_rows(), unlabelled.report.as_rows()
+        assert len(rows_with) == len(rows_without)
+        for with_truth, without in zip(rows_with, rows_without):
+            assert without.items() <= with_truth.items()
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_distinct_comparisons_counted_across_chunks(self, monkeypatch, abt_buy_small, chunk):
@@ -477,8 +454,7 @@ class TestDownstreamOfColumns:
         # not by re-deduplicating a growing accumulator per chunk.
         profiles = generate_scalability_products(10_000, seed=7).profiles
         columns = TokenBlocking().block(profiles)
-        with poisoned_numpy():
-            objects = TokenBlocking().block(profiles)
+        objects = as_objects(TokenBlocking().block(profiles))
         started = time.perf_counter()
         expected = len(objects.distinct_comparisons())
         set_seconds = time.perf_counter() - started
@@ -529,15 +505,10 @@ class TestNoBlockOnTheHotPath:
         result = SparkER(config).run(profiles)
         return edges, len(result.candidate_pairs)
 
-    @needs_numpy
-    def test_numpy_builds_no_block(self, built_blocks):
+    def test_the_hot_path_builds_no_block(self, built_blocks):
         outcome = self._hot_path()
         assert all(outcome) and built_blocks == []
-        with poisoned_numpy():
-            assert self._hot_path() == outcome
-        assert len(built_blocks) > 0  # the spy does see the object path
-
-    def test_without_numpy_blocks_are_built(self, built_blocks):
-        with poisoned_numpy():  # schema-agnostic: the loose-schema LSH needs numpy itself
-            assert all(self._hot_path(SparkERConfig.schema_agnostic()))
-        assert len(built_blocks) > 0
+        assert self._hot_path(SparkERConfig.schema_agnostic())[0] == outcome[0]
+        assert built_blocks == []
+        as_objects(TokenBlocking().block(generate_scalability_products(40, seed=3).profiles))
+        assert len(built_blocks) > 0  # the spy does see the object form

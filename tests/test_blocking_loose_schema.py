@@ -1,18 +1,11 @@
 """Tests of loose-schema (BLAST) token blocking."""
 
-import pytest
-
 from repro.blocking.loose_schema_blocking import LooseSchemaTokenBlocking
 from repro.blocking.token_blocking import TokenBlocking
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
 from repro.looseschema.attribute_partitioning import AttributePartitioner, AttributePartitioning
 from repro.looseschema.entropy import EntropyExtractor
-from repro.metablocking.backends import numpy_available
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="MinHash attribute LSH requires numpy"
-)
 
 
 def _toy_partitioning() -> AttributePartitioning:
@@ -46,14 +39,12 @@ class TestLooseSchemaKeys:
         # simonini_2 appears only in p2, so it generates no valid block.
         assert "simonini_2" not in keys
 
-    @needs_numpy
     def test_fewer_or_equal_comparisons_than_schema_agnostic(self, abt_buy_small):
         partitioning = AttributePartitioner(threshold=0.1).partition(abt_buy_small.profiles)
         loose = LooseSchemaTokenBlocking(partitioning).block(abt_buy_small.profiles)
         agnostic = TokenBlocking().block(abt_buy_small.profiles)
         assert len(loose.distinct_comparisons()) <= len(agnostic.distinct_comparisons())
 
-    @needs_numpy
     def test_blob_only_equals_schema_agnostic(self, abt_buy_small):
         # With every attribute in the blob, loose-schema keys are token_0 for
         # everyone — the same candidate pairs as schema-agnostic blocking.
@@ -64,7 +55,6 @@ class TestLooseSchemaKeys:
         agnostic = TokenBlocking().block(abt_buy_small.profiles)
         assert loose.distinct_comparisons() == agnostic.distinct_comparisons()
 
-    @needs_numpy
     def test_entropy_attached_to_blocks(self, abt_buy_small):
         partitioning = AttributePartitioner(threshold=0.1).partition(abt_buy_small.profiles)
         entropies = {cluster_id: 0.5 for cluster_id in partitioning.clusters}
@@ -75,19 +65,16 @@ class TestLooseSchemaKeys:
         observed = {block.entropy for block in blocks}
         assert observed <= {0.5, 0.25}
 
-    @needs_numpy
     def test_default_entropy_when_not_supplied(self, abt_buy_small):
         partitioning = AttributePartitioner(threshold=0.1).partition(abt_buy_small.profiles)
         blocks = LooseSchemaTokenBlocking(partitioning).block(abt_buy_small.profiles)
         assert all(block.entropy == 1.0 for block in blocks)
 
-    @needs_numpy
     def test_clean_clean_preserved(self, abt_buy_small):
         partitioning = AttributePartitioner(threshold=0.1).partition(abt_buy_small.profiles)
         blocks = LooseSchemaTokenBlocking(partitioning).block(abt_buy_small.profiles)
         assert blocks.clean_clean
 
-    @needs_numpy
     def test_distributed_matches_local(self, engine, abt_buy_small):
         partitioning = AttributePartitioner(threshold=0.1).partition(abt_buy_small.profiles)
         local = LooseSchemaTokenBlocking(partitioning).block(abt_buy_small.profiles)
@@ -96,7 +83,6 @@ class TestLooseSchemaKeys:
         )
         assert local.distinct_comparisons() == distributed.distinct_comparisons()
 
-    @needs_numpy
     def test_recall_stays_high(self, abt_buy_small):
         partitioning = AttributePartitioner(threshold=0.1).partition(abt_buy_small.profiles)
         blocks = LooseSchemaTokenBlocking(partitioning).block(abt_buy_small.profiles)

@@ -7,8 +7,7 @@ exceptions, hung tasks recovered through pool rebuilds, per-partition serial
 fallback when the policy is exhausted) and the headline chaos guarantee: a
 meta-blocking run whose workers are killed mid-stage — once per phase:
 narrow weights, shuffle map, shuffle reduce — still produces retained edges
-bit-for-bit identical to the sequential path, under both kernel backends,
-with the recovery visible in the stage metrics and no leaked ``/dev/shm``
+bit-for-bit identical to the sequential path, with the recovery visible in the stage metrics and no leaked ``/dev/shm``
 segments.  Checkpoint checksum/backup verification and the CLI fault flags
 ride along.
 """
@@ -47,9 +46,9 @@ from repro.exceptions import (
     PipelineValidationError,
     SparkERError,
 )
-from repro.metablocking.backends import numpy_available
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
+from repro.metablocking.sharedmem import live_segments
 from repro.options import EngineOptions
 from repro.pipeline import Pipeline
 from repro.pipeline.checkpoint import PipelineCheckpoint
@@ -58,10 +57,6 @@ from test_metablocking_equivalence import (
     _make_pruning,
     _random_clean_collection,
     _random_dirty_collection,
-)
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend requires numpy"
 )
 
 
@@ -587,20 +582,12 @@ def _chaos_executor() -> MultiprocessingExecutor:
     )
 
 
-def _assert_chaos_equivalence(blocks, weighting, pruning, kernel_backend):
-    options = EngineOptions.resolve(kernel_backend=kernel_backend)
-    sequential = MetaBlocker(weighting, _make_pruning(pruning), options=options).run(
-        blocks
-    )
+def _assert_chaos_equivalence(blocks, weighting, pruning):
+    sequential = MetaBlocker(weighting, _make_pruning(pruning)).run(blocks)
     executor = _chaos_executor()
     try:
         context = EngineContext(4, executor=executor)
-        parallel = ParallelMetaBlocker(
-            context,
-            weighting,
-            _make_pruning(pruning),
-            options=options,
-        ).run(blocks)
+        parallel = ParallelMetaBlocker(context, weighting, _make_pruning(pruning)).run(blocks)
         # The chaos must have actually happened — and been recovered.
         assert context.scheduler.total_recovered >= 1
         assert context.scheduler.total_task_failures >= 1
@@ -614,39 +601,21 @@ def _assert_chaos_equivalence(blocks, weighting, pruning, kernel_backend):
     assert parallel.graph_edges == sequential.graph_edges
     assert parallel.graph_nodes == sequential.graph_nodes
     assert sequential.num_candidates > 0
+    # Crashed workers and rebuilt pools must not leak shared segments.
+    assert live_segments() == []
 
 
 class TestChaosEquivalence:
     @pytest.mark.parametrize("pruning", ["wnp", "cnp"])
-    @pytest.mark.parametrize("weighting", ["cbs", "js"])
-    def test_clean_clean_python_backend(self, weighting, pruning):
-        blocks = _random_clean_collection(seed=31)
-        _assert_chaos_equivalence(blocks, weighting, pruning, "python")
-
-    @pytest.mark.parametrize("pruning", ["wnp", "cep"])
-    @pytest.mark.parametrize("weighting", ["ecbs", "arcs"])
-    def test_dirty_python_backend(self, weighting, pruning):
-        blocks = _random_dirty_collection(seed=32)
-        _assert_chaos_equivalence(blocks, weighting, pruning, "python")
-
-    @needs_numpy
-    @pytest.mark.parametrize("pruning", ["wnp", "cnp"])
     @pytest.mark.parametrize("weighting", ["cbs", "ejs"])
-    def test_clean_clean_numpy_backend(self, weighting, pruning):
-        from repro.metablocking.sharedmem import live_segments
+    def test_clean_clean(self, weighting, pruning):
+        _assert_chaos_equivalence(_random_clean_collection(seed=33), weighting, pruning)
 
-        blocks = _random_clean_collection(seed=33)
-        _assert_chaos_equivalence(blocks, weighting, pruning, "numpy")
-        # Crashed workers and rebuilt pools must not leak shared segments.
-        assert live_segments() == []
-
-    @needs_numpy
-    def test_dirty_numpy_backend(self):
-        from repro.metablocking.sharedmem import live_segments
-
-        blocks = _random_dirty_collection(seed=34)
-        _assert_chaos_equivalence(blocks, "js", "rwnp", "numpy")
-        assert live_segments() == []
+    @pytest.mark.parametrize(
+        "weighting, pruning", [("js", "rwnp"), ("ecbs", "cep"), ("arcs", "wnp")]
+    )
+    def test_dirty(self, weighting, pruning):
+        _assert_chaos_equivalence(_random_dirty_collection(seed=34), weighting, pruning)
 
 
 # =========================================================================
@@ -770,7 +739,6 @@ class TestBlockStoreChaos:
 # =========================================================================
 # Satellite: orphaned shared-memory segment sweep
 # =========================================================================
-@needs_numpy
 class TestSharedSegmentSweep:
     def _export(self):
         import array

@@ -2,15 +2,8 @@
 
 import math
 
-import pytest
-
 from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.looseschema.entropy import EntropyExtractor, shannon_entropy
-from repro.metablocking.backends import numpy_available
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="MinHash attribute LSH requires numpy"
-)
 
 
 class TestShannonEntropy:
@@ -34,13 +27,11 @@ class TestShannonEntropy:
 
 
 class TestEntropyExtractor:
-    @needs_numpy
     def test_every_cluster_has_entropy(self, abt_buy_small):
         partitioning = AttributePartitioner(threshold=0.1).partition(abt_buy_small.profiles)
         entropies = EntropyExtractor().extract(abt_buy_small.profiles, partitioning)
         assert set(entropies) == set(partitioning.clusters)
 
-    @needs_numpy
     def test_normalized_max_is_one(self, abt_buy_small):
         partitioning = AttributePartitioner(threshold=0.1).partition(abt_buy_small.profiles)
         entropies = EntropyExtractor(normalize=True).extract(
@@ -48,7 +39,6 @@ class TestEntropyExtractor:
         )
         assert math.isclose(max(entropies.values()), 1.0)
 
-    @needs_numpy
     def test_unnormalized_values_positive(self, abt_buy_small):
         partitioning = AttributePartitioner(threshold=0.1).partition(abt_buy_small.profiles)
         entropies = EntropyExtractor(normalize=False).extract(
@@ -75,7 +65,6 @@ class TestEntropyExtractor:
         entropies = EntropyExtractor(normalize=False).extract(profiles, partitioning)
         assert entropies[1] > entropies[2]
 
-    @needs_numpy
     def test_callable_interface(self, abt_buy_small):
         partitioning = AttributePartitioner(threshold=1.0).partition(abt_buy_small.profiles)
         extractor = EntropyExtractor()

@@ -7,14 +7,8 @@ from repro.looseschema.attribute_partitioning import (
     AttributePartitioner,
     AttributePartitioning,
 )
-from repro.metablocking.backends import numpy_available
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="MinHash attribute LSH requires numpy"
-)
 
 
-@needs_numpy
 class TestAttributePartitioner:
     def test_threshold_one_gives_blob_only(self, abt_buy_small):
         # Figure 6(a): threshold at the maximum → schema-agnostic behaviour,

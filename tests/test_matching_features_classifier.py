@@ -1,8 +1,7 @@
 """Tests of pair features and the supervised matchers."""
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # pair features and classifiers are numpy code
 
 from repro.exceptions import MatchingError
 from repro.looseschema.attribute_partitioning import AttributePartitioner

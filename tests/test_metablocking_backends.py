@@ -1,33 +1,36 @@
-"""Unit tests of the kernel backend layer (the vectorised fast paths).
+"""Unit tests of the kernel's retention tail.
 
-The cross-backend *output* equivalence lives in the grid of
-``test_metablocking_equivalence.py`` and the backend selection contract in
-``test_options.py``; this module pins the vectorised pruning helpers against
-their scalar references on adversarial weight maps (duplicate weights,
-zeros, tie-heavy).
+The definitions are checked by ``test_metablocking_oracle``; this module
+pins the array pruning rules against the strategies' dict form — what a
+subclass inherits — on adversarial weight maps (duplicate weights, zeros,
+tie-heavy), and the dispatch that hands custom strategies their own
+``prune``.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.blocking.block import Block, BlockCollection
+from repro.engine.context import EngineContext
 from repro.metablocking import backends
-from repro.metablocking.backends import numpy_available
-from repro.metablocking.index import CSRBlockIndex
+from repro.metablocking.index import CSRBlockIndex, IncrementalBlockIndex
+from repro.metablocking.metablocker import MetaBlocker
+from repro.metablocking.parallel import ParallelMetaBlocker
 from repro.metablocking.pruning import (
     CardinalityEdgePruning,
     CardinalityNodePruning,
+    IndexStats,
     ReciprocalWeightedNodePruning,
     WeightedEdgePruning,
     WeightedNodePruning,
 )
-from repro.options import EngineOptions
+from repro.service.delta import DeltaMetaBlocker
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend requires numpy"
-)
+from tests.test_metablocking_incremental import _random_profiles
 
 
 def _random_weights(seed: int, num_nodes: int = 60, num_edges: int = 400):
@@ -43,8 +46,6 @@ def _random_weights(seed: int, num_nodes: int = 60, num_edges: int = 400):
 
 
 def _table_from(weights):
-    import numpy as np
-
     pairs = list(weights)
     num_nodes = max(x for p in pairs for x in p) + 1
     return backends.EdgeWeights(
@@ -62,7 +63,7 @@ def _vectorised(strategy, table):
 
 
 class _StatsGraph:
-    """Just enough of a BlockingGraph for the scalar pruning strategies."""
+    """Just enough of an IndexStats for the dict-form pruning strategies."""
 
     def __init__(self, weights, num_nodes):
         nodes = {x for pair in weights for x in pair}
@@ -70,7 +71,6 @@ class _StatsGraph:
         self.num_nodes = num_nodes
 
 
-@needs_numpy
 class TestVectorisedPruningFastPaths:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_wep_matches_scalar(self, seed):
@@ -135,17 +135,13 @@ class TestVectorisedPruningFastPaths:
 
         weights = _random_weights(5)
         table = _table_from(weights)
-        index = CSRBlockIndex(EngineOptions.resolve(kernel_backend="python"))
         assert not backends.supports_strategy(Custom())
-        assert backends.prune_edge_weights(Custom(), table, index) is None
+        assert backends.prune_edge_weights(Custom(), table, CSRBlockIndex()) is None
 
     def test_hook_only_subclass_is_not_vectorised(self):
         # Overriding only the node_thresholds hook (not prune) must still
         # disqualify the fast path: the stock WNP arrays would silently
         # ignore the customised thresholds otherwise.
-        from repro.blocking.block import Block, BlockCollection
-        from repro.metablocking.metablocker import MetaBlocker
-
         class InfThresholds(WeightedNodePruning):
             def node_thresholds(self, weights):
                 return {node: float("inf") for pair in weights for node in pair}
@@ -154,13 +150,8 @@ class TestVectorisedPruningFastPaths:
         blocks = BlockCollection(clean_clean=False)
         for i in range(12):
             blocks.add(Block(key=f"b{i}", profiles_source0=set(range(i, i + 4))))
-        python_run = MetaBlocker(
-            "cbs", InfThresholds(), options=EngineOptions.resolve(kernel_backend="python")
-        ).run(blocks)
-        numpy_run = MetaBlocker(
-            "cbs", InfThresholds(), options=EngineOptions.resolve(kernel_backend="numpy")
-        ).run(blocks)
-        assert python_run.retained_edges == numpy_run.retained_edges == {}
+        assert MetaBlocker("cbs", InfThresholds()).run(blocks).retained_edges == {}
+        assert MetaBlocker("cbs", "wnp").run(blocks).retained_edges
 
     def test_stock_strategies_are_supported(self):
         assert backends.supports_strategy(WeightedEdgePruning())
@@ -168,3 +159,36 @@ class TestVectorisedPruningFastPaths:
         assert backends.supports_strategy(WeightedNodePruning())
         assert backends.supports_strategy(ReciprocalWeightedNodePruning())
         assert backends.supports_strategy(CardinalityNodePruning(reciprocal=True))
+
+
+class _Recording(WeightedNodePruning):
+    """A custom strategy that records what ``prune`` receives."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def prune(self, stats, weights):
+        self.seen.append(stats)
+        return super().prune(stats, weights)
+
+
+def test_custom_strategies_get_index_stats_on_every_path():
+    blocks = BlockCollection(
+        [Block(f"b{i}", set(range(i, i + 4))) for i in range(12)], clean_clean=False
+    )
+    stock = MetaBlocker("js", "wnp").run(blocks).retained_edges
+    sequential, parallel, delta = _Recording(), _Recording(), _Recording()
+    assert MetaBlocker("js", sequential).run(blocks).retained_edges == stock
+    with EngineContext(3) as context:
+        assert ParallelMetaBlocker(context, "js", parallel).run(blocks).retained_edges == stock
+    index = IncrementalBlockIndex()
+    try:
+        index.append_profiles(_random_profiles(30, clean_clean=False, seed=3))
+        expected = DeltaMetaBlocker("cbs", "wnp").refresh(index.materialise(), 1)
+        assert expected and DeltaMetaBlocker("cbs", delta).refresh(index.materialise(), 1) == expected
+    finally:
+        index.close()
+    for recorder in (sequential, parallel, delta):
+        assert [type(stats) for stats in recorder.seen] == [IndexStats]
+        assert recorder.seen[0].num_nodes == len(recorder.seen[0].blocks_per_profile)

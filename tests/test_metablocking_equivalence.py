@@ -1,20 +1,19 @@
-"""Exhaustive sequential ≡ parallel meta-blocking equivalence grid.
+"""Sequential ≡ parallel meta-blocking: the axes the oracle cannot reach.
 
-The broadcast-join :class:`~repro.metablocking.parallel.ParallelMetaBlocker`
-weighs contiguous node ranges on the executor and prunes the concatenated
-edge arrays with the sequential
-:class:`~repro.metablocking.metablocker.MetaBlocker`'s own retention tail, so
-the two must agree *bit-for-bit and in order*: ``list(retained_edges.items())``
-— the same pairs, float-identical weights, the same dict order — plus the
-same graph counts, for every weighting scheme × pruning strategy × entropy
-setting × executor × partition count × kernel backend, on dirty and
-clean-clean collections larger and messier than the fixture datasets (random
-skewed block sizes, random non-trivial entropies, overlapping blocks, invalid
-blocks mixed in).
-
-The reference of every cell is the interpreted kernel's sequential run: the
-vectorised numpy kernel fixes its accumulation order to the interpreted
-kernel's, so the python × numpy axis needs no tolerance either.
+``test_metablocking_oracle`` checks the sequential
+:class:`~repro.metablocking.metablocker.MetaBlocker` against the definitions
+on small collections.  The broadcast-join
+:class:`~repro.metablocking.parallel.ParallelMetaBlocker` weighs contiguous
+node ranges on the executor and prunes the concatenated edge arrays with the
+sequential meta-blocker's own retention tail, so the two must agree
+*bit-for-bit and in order*: ``list(retained_edges.items())`` — the same
+pairs, float-identical weights, the same dict order — plus the same graph
+counts, for every weighting scheme × pruning strategy on the executor ×
+partition-count axes (serial and process workers, fewer and more ranges than
+nodes), on dirty and clean-clean collections larger and messier than the
+oracle's (random skewed block sizes, random non-trivial entropies,
+overlapping blocks, invalid blocks mixed in).  The buffer-backend axis (ram
+vs memmap CSR buffers) is checked the same way.
 """
 
 from __future__ import annotations
@@ -26,13 +25,8 @@ import pytest
 from repro.blocking.block import Block, BlockCollection
 from repro.engine.context import EngineContext
 from repro.engine.executors import MultiprocessingExecutor
-from repro.metablocking.backends import numpy_available
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
-from repro.metablocking.progressive import (
-    ProgressiveNodeScheduling,
-    ProgressiveSortedComparisons,
-)
 from repro.metablocking.pruning import CardinalityNodePruning
 from repro.options import EngineOptions
 
@@ -40,10 +34,6 @@ WEIGHTINGS = ["cbs", "js", "arcs", "ecbs", "ejs"]
 PRUNINGS = ["wep", "cep", "wnp", "rwnp", "cnp", "rcnp"]
 
 opts = EngineOptions.resolve
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend requires numpy"
-)
 
 
 def _make_pruning(name: str):
@@ -117,7 +107,6 @@ def process_executor():
     executor.close()
 
 
-KERNELS = ["python", pytest.param("numpy", marks=needs_numpy)]
 EXECUTORS = ["serial", "process:2"]
 # 1000 exceeds the node count of both collections: more ranges asked for than
 # nodes exist, so the partitioner must cap itself.
@@ -136,15 +125,14 @@ def _ordered(result):
 
 @pytest.fixture(scope="module")
 def reference_of():
-    """The interpreted kernel's sequential run per cell, computed once."""
+    """The sequential run per cell, computed once."""
     cache: dict = {}
 
-    def reference(blocks, weighting, pruning, use_entropy):
-        key = (id(blocks), weighting, pruning, use_entropy)
+    def reference(blocks, weighting, pruning):
+        key = (id(blocks), weighting, pruning)
         if key not in cache:
             result = MetaBlocker(
-                weighting, _make_pruning(pruning), use_entropy=use_entropy,
-                options=opts(kernel_backend="python"),
+                weighting, _make_pruning(pruning), use_entropy=True
             ).run(blocks)
             assert result.num_candidates > 0
             cache[key] = _ordered(result)
@@ -153,46 +141,32 @@ def reference_of():
     return reference
 
 
-@pytest.mark.parametrize("use_entropy", [False, True], ids=["plain", "entropy"])
 @pytest.mark.parametrize("pruning", PRUNINGS)
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
 @pytest.mark.parametrize("shape", ["clean", "dirty"])
 class TestOrderedGridEquivalence:
-    """Order, not just membership: one contract for every execution shape."""
+    """Order, not just membership: one contract for every execution shape.
 
-    @pytest.fixture
-    def blocks(self, shape, clean_blocks, dirty_blocks):
-        return clean_blocks if shape == "clean" else dirty_blocks
-
-    @needs_numpy
-    def test_sequential_numpy(self, blocks, reference_of, weighting, pruning, use_entropy):
-        vectorised = MetaBlocker(
-            weighting, _make_pruning(pruning), use_entropy=use_entropy,
-            options=opts(kernel_backend="numpy"),
-        ).run(blocks)
-        assert _ordered(vectorised) == reference_of(
-            blocks, weighting, pruning, use_entropy
-        )
+    Entropy is on throughout: it sweeps the most aggregates per range; the
+    plain weights are the oracle's business.
+    """
 
     @pytest.mark.parametrize("partitions", PARTITIONS)
     @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("kernel", KERNELS)
     def test_parallel(
-        self, blocks, reference_of, process_executor,
-        weighting, pruning, use_entropy, kernel, executor, partitions,
+        self, shape, weighting, pruning, executor, partitions,
+        clean_blocks, dirty_blocks, reference_of, process_executor,
     ):
+        blocks = clean_blocks if shape == "clean" else dirty_blocks
         parallel = ParallelMetaBlocker(
             EngineContext(
                 partitions, executor=process_executor if executor != "serial" else None
             ),
             weighting,
             _make_pruning(pruning),
-            use_entropy=use_entropy,
-            options=opts(kernel_backend=kernel),
+            use_entropy=True,
         ).run(blocks)
-        assert _ordered(parallel) == reference_of(
-            blocks, weighting, pruning, use_entropy
-        )
+        assert _ordered(parallel) == reference_of(blocks, weighting, pruning)
 
 
 class TestProcessStagePlacement:
@@ -206,65 +180,41 @@ class TestProcessStagePlacement:
         assert all(task.worker.startswith("pid-") for task in stage.tasks)
 
 
-@needs_numpy
-class TestProgressiveBackendEquivalence:
-    @pytest.mark.parametrize("strategy", ["global", "node"])
-    @pytest.mark.parametrize("weighting", WEIGHTINGS)
-    def test_progressive_rankings_identical(self, clean_blocks, strategy, weighting):
-        cls = (
-            ProgressiveSortedComparisons
-            if strategy == "global"
-            else ProgressiveNodeScheduling
-        )
-        python_ranking = cls(weighting, options=opts(kernel_backend="python")).rank(
-            clean_blocks
-        )
-        numpy_ranking = cls(weighting, options=opts(kernel_backend="numpy")).rank(
-            clean_blocks
-        )
-        assert numpy_ranking == python_ranking
-
-
-@needs_numpy
 class TestBufferBackendGridEquivalence:
     """Buffer-backend axis: ram vs memmap CSR buffers, bit-for-bit.
 
     The memmap backend only changes *where* the index vectors live (one
     file-backed buffer under the managed temp root instead of process RAM);
-    both kernels read either representation through the buffer protocol, so
-    the retained edges — float weights included — must equal the ram
-    reference exactly: sequential and parallel, serial and process workers,
-    under both kernel backends, and no buffer file may outlive the run.
+    the kernel reads either representation zero-copy, so the retained edges
+    — float weights included — must equal the ram reference exactly:
+    sequential and parallel, serial and process workers, and no buffer file
+    may outlive the run.
     """
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
     @pytest.mark.parametrize("pruning", ["wep", "rcnp"])
     @pytest.mark.parametrize("weighting", ["cbs", "ejs"])
-    def test_sequential_clean_clean(self, clean_blocks, kernel, weighting, pruning):
+    def test_sequential_clean_clean(self, clean_blocks, weighting, pruning):
         reference = MetaBlocker(
             weighting, _make_pruning(pruning), use_entropy=True,
-            options=opts(kernel_backend=kernel, buffer_backend="ram"),
+            options=opts(buffer_backend="ram"),
         ).run(clean_blocks)
         memmap = MetaBlocker(
             weighting, _make_pruning(pruning), use_entropy=True,
-            options=opts(kernel_backend=kernel, buffer_backend="memmap"),
+            options=opts(buffer_backend="memmap"),
         ).run(clean_blocks)
         assert memmap.retained_edges == reference.retained_edges
         assert memmap.candidate_pairs == reference.candidate_pairs
         assert memmap.graph_edges == reference.graph_edges
         assert memmap.graph_nodes == reference.graph_nodes
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
     @pytest.mark.parametrize("pruning", ["wnp", "cep"])
     @pytest.mark.parametrize("weighting", ["js", "ecbs"])
-    def test_sequential_dirty(self, dirty_blocks, kernel, weighting, pruning):
+    def test_sequential_dirty(self, dirty_blocks, weighting, pruning):
         reference = MetaBlocker(
-            weighting, _make_pruning(pruning),
-            options=opts(kernel_backend=kernel, buffer_backend="ram"),
+            weighting, _make_pruning(pruning), options=opts(buffer_backend="ram")
         ).run(dirty_blocks)
         memmap = MetaBlocker(
-            weighting, _make_pruning(pruning),
-            options=opts(kernel_backend=kernel, buffer_backend="memmap"),
+            weighting, _make_pruning(pruning), options=opts(buffer_backend="memmap")
         ).run(dirty_blocks)
         assert memmap.retained_edges == reference.retained_edges
 

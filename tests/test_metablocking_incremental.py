@@ -4,8 +4,8 @@ The core contract of :class:`~repro.metablocking.index.IncrementalBlockIndex`
 is *bit-for-bit* equivalence: appending profiles in any batching and then
 compacting must produce exactly the CSR that
 ``CSRBlockIndex.from_blocks(TokenBlocking(...).block(union))`` builds from
-scratch — every shared buffer byte-identical, across kernel backends and
-buffer backends — and every downstream consumer (meta-blocking, progressive
+scratch — every shared buffer byte-identical, across buffer backends — and
+every downstream consumer (meta-blocking, progressive
 streams, the delta refresher) must therefore agree on the union collection.
 """
 
@@ -20,7 +20,6 @@ from repro.blocking.token_blocking import TokenBlocking
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
 from repro.exceptions import DataError
-from repro.metablocking.backends import numpy_available
 from repro.metablocking.index import (
     _SHARED_FIELDS,
     AppendDelta,
@@ -30,13 +29,9 @@ from repro.metablocking.index import (
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.progressive import ProgressiveSortedComparisons
 from repro.options import EngineOptions
+from repro.service.delta import DeltaMetaBlocker
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend requires numpy"
-)
-
-KERNELS = ["python", pytest.param("numpy", marks=needs_numpy)]
-BUFFERS = ["ram", pytest.param("memmap", marks=needs_numpy)]
+BUFFERS = ["ram", "memmap"]
 
 _WORDS = [
     "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
@@ -76,17 +71,16 @@ def _assert_bit_identical(built: CSRBlockIndex, reference: CSRBlockIndex):
         ), f"buffer {field} differs from the from-scratch build"
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("buffer_backend", BUFFERS)
 @pytest.mark.parametrize("clean_clean", [False, True])
 class TestCompactionParity:
     def test_append_then_compact_matches_batch_build(
-        self, kernel, buffer_backend, clean_clean, tmp_path
+        self, buffer_backend, clean_clean, tmp_path
     ):
         """Multi-batch append + compact ≡ one from-scratch build (bit-for-bit)."""
         profiles = _random_profiles(90, clean_clean=clean_clean, seed=7)
         options = EngineOptions.resolve(
-            kernel_backend=kernel, buffer_backend=buffer_backend, tmp_dir=str(tmp_path)
+            buffer_backend=buffer_backend, tmp_dir=str(tmp_path)
         )
         incremental = IncrementalBlockIndex(clean_clean=clean_clean, options=options)
         try:
@@ -102,12 +96,12 @@ class TestCompactionParity:
             incremental.close()
 
     def test_intermediate_compactions_do_not_change_the_result(
-        self, kernel, buffer_backend, clean_clean, tmp_path
+        self, buffer_backend, clean_clean, tmp_path
     ):
         """Compacting after every batch equals compacting once at the end."""
         profiles = _random_profiles(60, clean_clean=clean_clean, seed=11)
         options = EngineOptions.resolve(
-            kernel_backend=kernel, buffer_backend=buffer_backend, tmp_dir=str(tmp_path)
+            buffer_backend=buffer_backend, tmp_dir=str(tmp_path)
         )
         eager = IncrementalBlockIndex(
             clean_clean=clean_clean, compact_every=10, options=options
@@ -126,12 +120,10 @@ class TestCompactionParity:
             lazy.close()
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_append_then_query_equals_batch_query_on_union(kernel):
+def test_append_then_query_equals_batch_query_on_union():
     """Meta-blocking and progressive streams agree with the batch union run."""
     profiles = _random_profiles(80, clean_clean=False, seed=23)
-    options = EngineOptions.resolve(kernel_backend=kernel)
-    incremental = IncrementalBlockIndex(options=options)
+    incremental = IncrementalBlockIndex()
     try:
         incremental.append_profiles(profiles[:50])
         incremental.materialise()  # query between appends, then grow
@@ -140,17 +132,11 @@ def test_append_then_query_equals_batch_query_on_union(kernel):
 
         union = ProfileCollection(profiles)
         blocks = TokenBlocking().block(union)
-        batch = MetaBlocker("js", "wnp", options=options).run(blocks)
+        batch = MetaBlocker("js", "wnp").run(blocks)
+        served = DeltaMetaBlocker("js", "wnp").refresh(index)
+        assert list(served.items()) == list(batch.retained_edges.items())
 
-        from repro.metablocking.graph import blocking_graph_from_index
-
-        graph = blocking_graph_from_index(
-            index, clean_clean=False, num_blocks=index.total_blocks
-        )
-        served = MetaBlocker("js", "wnp", options=options).run_on_graph(graph)
-        assert served.retained_edges == batch.retained_edges
-
-        progressive = ProgressiveSortedComparisons("cbs", options=options)
+        progressive = ProgressiveSortedComparisons("cbs")
         assert list(progressive.stream_index(index)) == list(
             progressive.stream(blocks)
         )
@@ -241,7 +227,6 @@ class TestCloseHardening:
         bare.close()
         bare.close()
 
-    @needs_numpy
     def test_failed_memmap_build_leaves_no_artifact(self, tmp_path, monkeypatch):
         """A build error mid-materialisation discards the memmap file."""
         from repro.engine import tmpfiles
@@ -256,7 +241,6 @@ class TestCloseHardening:
         def boom(*_args, **_kwargs):
             raise RuntimeError("injected build failure")
 
-        # memmap implies numpy, and ``auto`` then resolves to the array builder.
         monkeypatch.setattr(CSRBlockIndex, "_populate_arrays", staticmethod(boom))
         with pytest.raises(RuntimeError, match="injected"):
             incremental.materialise()

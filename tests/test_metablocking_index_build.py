@@ -1,17 +1,15 @@
-"""Building the CSR index: the array builder against the scalar builder and
-against a definition-level decode of the fields.
+"""Building the CSR index against a definition-level decode of the fields.
 
-Two builders fill :class:`~repro.metablocking.index.CSRBlockIndex`: the
-scalar one (python kernel, always available) and the flatten–sort–scan array
-builder (numpy kernel).  They must agree element for element, and both must
-agree with what the fields *mean* — checked by decoding the offset arrays back
-into blocks and per-profile entry lists with code that shares nothing with
-either builder.  Collections are Hypothesis-generated: dirty and clean-clean,
-sparse and large profile ids, a profile listed on both sides of one block,
-blocks that induce no comparison interleaved with valid ones, zero blocks.
+The flatten–sort–scan array builder fills
+:class:`~repro.metablocking.index.CSRBlockIndex`; its fields must agree with
+what they *mean* — checked by decoding the offset arrays back into blocks and
+per-profile entry lists with code that shares nothing with the builder.
+Collections are Hypothesis-generated: dirty and clean-clean, sparse and large
+profile ids, a profile listed on both sides of one block, blocks that induce
+no comparison interleaved with valid ones, zero blocks.
 
-The second half pins which builder runs when (a count guard: deterministic,
-so it runs in tier-1) and that no numpy scalar leaves the index.
+The second half pins that the build sorts no block in python, that the
+index survives transport, and that no numpy scalar leaves it.
 """
 
 from __future__ import annotations
@@ -21,22 +19,15 @@ import os
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blocking.block import Block, BlockCollection
 from repro.data.synthetic import generate_scalability_products
-from repro.engine.context import EngineContext
 from repro.metablocking import index as index_module
-from repro.metablocking.backends import numpy_available
-from repro.metablocking.graph import blocking_graph_from_index
 from repro.metablocking.index import _SHARED_FIELDS, CSRBlockIndex, IncrementalBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
-from repro.metablocking.parallel import ParallelMetaBlocker
-from repro.metablocking.progressive import (
-    ProgressiveNodeScheduling,
-    ProgressiveSortedComparisons,
-)
 from repro.metablocking.pruning import IndexStats, WeightedNodePruning
 from repro.options import EngineOptions
 from repro.service import CollectionConfig, ServiceCollection
@@ -48,30 +39,18 @@ from tests.test_metablocking_incremental import (
 )
 from tests.test_metablocking_parallel import _prepared_blocks
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend requires numpy"
-)
-
-# (kernel backend, buffer backend) — memmap needs numpy whatever the kernel.
-BACKENDS = [
-    pytest.param(("python", "ram"), id="python"),
-    pytest.param(("numpy", "ram"), marks=needs_numpy, id="numpy-ram"),
-    pytest.param(("numpy", "memmap"), marks=needs_numpy, id="numpy-memmap"),
-]
+BACKENDS = ["ram", "memmap"]
 FIELDS = [field for field, _typecode in _SHARED_FIELDS]
 
 
-def _options(backend, tmp_dir=None) -> EngineOptions:
-    kernel, buffer_backend = backend
+def _options(buffer_backend="ram", tmp_dir=None) -> EngineOptions:
     return EngineOptions.resolve(
-        kernel_backend=kernel,
-        buffer_backend=buffer_backend,
-        tmp_dir=None if tmp_dir is None else str(tmp_dir),
+        buffer_backend=buffer_backend, tmp_dir=None if tmp_dir is None else str(tmp_dir)
     )
 
 
 def _fields(index: CSRBlockIndex) -> dict:
-    """Every built field as plain python lists (stdlib array or ndarray)."""
+    """Every built field as plain python lists."""
     decoded = {field: getattr(index, field).tolist() for field in FIELDS}
     decoded["node_ids"] = index.node_ids
     return decoded
@@ -112,7 +91,7 @@ def block_collections(draw):
 
 
 # ---------------------------------------------------------------------------
-# what the fields mean, decoded without either builder
+# what the fields mean, decoded without the builder
 # ---------------------------------------------------------------------------
 def expected_blocks(collection):
     """``(left, right, clean, cardinality, entropy)`` per block that compares."""
@@ -174,25 +153,13 @@ def check_against_definition(fields, collection):
 
 
 # ---------------------------------------------------------------------------
-# (a) + (b): the builders against each other and against the definition
+# the builder against the definition
 # ---------------------------------------------------------------------------
 class TestBuilders:
     @settings(max_examples=150, deadline=None)
     @given(block_collections())
-    def test_scalar_builder_matches_the_definition(self, collection):
-        index = CSRBlockIndex.from_blocks(collection, _options(("python", "ram")))
-        check_against_definition(_fields(index), collection)
-        assert index.total_blocks == len(collection)
-
-    @needs_numpy
-    @settings(max_examples=150, deadline=None)
-    @given(block_collections())
-    def test_array_builder_matches_scalar_builder_and_definition(self, collection):
-        import numpy as np
-
-        scalar = CSRBlockIndex.from_blocks(collection, _options(("python", "ram")))
-        built = CSRBlockIndex.from_blocks(collection, _options(("numpy", "ram")))
-        assert _fields(built) == _fields(scalar)
+    def test_array_builder_matches_the_definition(self, collection):
+        built = CSRBlockIndex.from_blocks(collection, _options())
         check_against_definition(_fields(built), collection)
         for field, typecode in _SHARED_FIELDS:
             buffer = getattr(built, field)
@@ -200,11 +167,8 @@ class TestBuilders:
             assert buffer.dtype == (np.int64 if typecode == "q" else np.float64), field
         assert type(built.node_ids) is list
         assert all(type(profile_id) is int for profile_id in built.node_ids)
-        assert built.node_of == scalar.node_of  # lazy under the array builder
-        assert (built.total_blocks, built.clean_clean) == (
-            scalar.total_blocks,
-            scalar.clean_clean,
-        )
+        assert built.node_of == {profile_id: dense for dense, profile_id in enumerate(built.node_ids)}
+        assert (built.total_blocks, built.clean_clean) == (len(collection), collection.clean_clean)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -247,7 +211,7 @@ class TestBuilders:
 
 
 # ---------------------------------------------------------------------------
-# (c): compaction is a from-scratch build
+# compaction is a from-scratch build
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("clean_clean", [False, True])
@@ -276,20 +240,17 @@ def test_compact_after_random_batches_equals_from_blocks(backend, clean_clean, s
 
 
 # ---------------------------------------------------------------------------
-# (d): transport and failure of an array-built index
+# transport and failure of an index
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def blocks_400():
     return _prepared_blocks(generate_scalability_products(400, seed=7))
 
 
-@needs_numpy
 class TestArrayBuiltIndexTransport:
     @pytest.mark.parametrize("buffer_backend", ["ram", "memmap"])
     def test_pickle_roundtrip_reproduces_the_fields(self, blocks_400, buffer_backend, tmp_path):
-        index = CSRBlockIndex.from_blocks(
-            blocks_400, _options(("numpy", buffer_backend), tmp_path)
-        )
+        index = CSRBlockIndex.from_blocks(blocks_400, _options(buffer_backend, tmp_path))
         try:
             clone = pickle.loads(pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL))
             assert _fields(clone) == _fields(index)
@@ -299,7 +260,7 @@ class TestArrayBuiltIndexTransport:
             index.close()
 
     def test_export_shared_then_attach_reproduces_the_fields(self, blocks_400):
-        index = CSRBlockIndex.from_blocks(blocks_400, _options(("numpy", "ram")))
+        index = CSRBlockIndex.from_blocks(blocks_400, _options())
         index.export_shared()
         try:
             attached = pickle.loads(pickle.dumps(index))
@@ -311,80 +272,34 @@ class TestArrayBuiltIndexTransport:
 
     def test_failed_build_leaves_no_buffer_file(self, blocks_400, tmp_path, monkeypatch):
         """An error while the arrays are written out discards the file."""
-        import numpy as np
 
         def boom(self):
             raise RuntimeError("injected flush failure")
 
         monkeypatch.setattr(np.memmap, "flush", boom)
         with pytest.raises(RuntimeError, match="injected"):
-            CSRBlockIndex.from_blocks(blocks_400, _options(("numpy", "memmap"), tmp_path))
+            CSRBlockIndex.from_blocks(blocks_400, _options("memmap", tmp_path))
         assert [name for name in os.listdir(tmp_path) if name.startswith("repro-csrbuf-")] == []
 
 
-# ---------------------------------------------------------------------------
-# which builder runs when (counts repeat exactly)
-# ---------------------------------------------------------------------------
-class TestBuilderDispatch:
-    @pytest.fixture
-    def scalar_builds(self, monkeypatch):
-        calls = []
-        original = CSRBlockIndex._populate
+def test_array_build_sorts_no_block_in_python(blocks_400, monkeypatch):
+    calls = []
 
-        def spy(index, *columns):
-            calls.append(index.backend)
-            return original(index, *columns)
+    def counting_sorted(iterable, **kwargs):
+        calls.append(1)
+        return sorted(iterable, **kwargs)
 
-        monkeypatch.setattr(CSRBlockIndex, "_populate", staticmethod(spy))
-        return calls
-
-    @staticmethod
-    def _builds(options, blocks):
-        """One call per index-building entry point; returns how many."""
-        MetaBlocker("cbs", "wnp", options=options).run(blocks)
-        for _chunk in MetaBlocker("cbs", "wnp", options=options).stream_retained(blocks):
-            pass
-        for executor in ("serial", "process:2"):
-            with EngineContext(4, executor=executor, options=options) as context:
-                ParallelMetaBlocker(context, "cbs", "wnp").run(blocks)
-        next(ProgressiveSortedComparisons("cbs", options=options).stream(blocks))
-        next(ProgressiveNodeScheduling("cbs", options=options).stream(blocks))
-        incremental = IncrementalBlockIndex(options=options)
-        incremental.append_profiles(_random_profiles(30, clean_clean=False, seed=3))
-        incremental.compact()
-        incremental.close()
-        return 7
-
-    @needs_numpy
-    def test_numpy_kernel_never_runs_the_scalar_builder(self, blocks_400, scalar_builds):
-        self._builds(EngineOptions.resolve(kernel_backend="numpy"), blocks_400)
-        assert scalar_builds == []
-
-    def test_python_kernel_runs_it_once_per_build(self, blocks_400, scalar_builds):
-        builds = self._builds(EngineOptions.resolve(kernel_backend="python"), blocks_400)
-        assert scalar_builds == ["python"] * builds
-
-    @needs_numpy
-    def test_array_build_sorts_no_block_in_python(self, blocks_400, monkeypatch):
-        calls = []
-
-        def counting_sorted(iterable, **kwargs):
-            calls.append(1)
-            return sorted(iterable, **kwargs)
-
-        # A module global shadows the builtin for everything index.py runs.
-        monkeypatch.setattr(index_module, "sorted", counting_sorted, raising=False)
-        CSRBlockIndex.from_blocks(blocks_400, EngineOptions.resolve(kernel_backend="numpy"))
-        assert calls == []
-        CSRBlockIndex.from_blocks(blocks_400, EngineOptions.resolve(kernel_backend="python"))
-        assert len(calls) > len(blocks_400)  # the spy does see the scalar builder
+    # A module global shadows the builtin for everything index.py runs.
+    monkeypatch.setattr(index_module, "sorted", counting_sorted, raising=False)
+    CSRBlockIndex.from_blocks(blocks_400).close()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
 # no numpy scalar leaves the index
 # ---------------------------------------------------------------------------
 class _CustomPruning(WeightedNodePruning):
-    """A subclass: routes meta-blocking through the graph (scalar) path."""
+    """A subclass: retention runs its own (dict-form) ``prune``."""
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -399,14 +314,11 @@ class TestPlainPythonValues:
             assert type(result.graph_nodes) is int and type(result.graph_edges) is int
         index = CSRBlockIndex.from_blocks(blocks_400, options)
         try:
-            graph = blocking_graph_from_index(
-                index, clean_clean=blocks_400.clean_clean, num_blocks=len(blocks_400)
+            counts = IndexStats(index).blocks_per_profile
+            assert counts and all(
+                type(profile_id) is int and type(count) is int
+                for profile_id, count in counts.items()
             )
-            for counts in (graph.blocks_per_profile, IndexStats(index).blocks_per_profile):
-                assert counts and all(
-                    type(profile_id) is int and type(count) is int
-                    for profile_id, count in counts.items()
-                )
             assert type(index.num_blocks) is int
             assert type(index.num_edges()) is int
             assert type(index.num_nodes) is int
@@ -414,14 +326,8 @@ class TestPlainPythonValues:
             index.close()
 
     def test_service_payloads_serialise(self, backend, tmp_path):
-        kernel, buffer_backend = backend
         collection = ServiceCollection(
-            CollectionConfig(
-                name="c",
-                kernel_backend=kernel,
-                buffer_backend=buffer_backend,
-                tmp_dir=str(tmp_path),
-            )
+            CollectionConfig(name="c", buffer_backend=backend, tmp_dir=str(tmp_path))
         )
         try:
             profiles = _random_profiles(50, clean_clean=False, seed=29)

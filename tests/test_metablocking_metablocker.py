@@ -4,10 +4,11 @@ from repro.blocking.block import Block, BlockCollection
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
-from repro.metablocking.entropy_weighting import apply_entropy_weights
-from repro.metablocking.graph import build_blocking_graph
 from repro.metablocking.metablocker import MetaBlocker
-from repro.metablocking.weights import weight_all_edges
+from repro.metablocking.pruning import CardinalityEdgePruning
+
+#: CEP with a k above any edge count here: retains, i.e. reports, every weight.
+EVERY_EDGE = CardinalityEdgePruning(k=10**9)
 
 
 class TestMetaBlockerToy:
@@ -34,9 +35,8 @@ class TestMetaBlockerToy:
 
     def test_retained_edges_subset_of_graph(self, abt_buy_small):
         blocks = TokenBlocking().block(abt_buy_small.profiles)
-        graph = build_blocking_graph(blocks)
         result = MetaBlocker("js", "wnp").run(blocks)
-        assert set(result.retained_edges) <= set(graph.edges)
+        assert set(result.retained_edges) <= blocks.distinct_comparisons()
 
     def test_recall_mostly_preserved(self, abt_buy_small):
         blocks = BlockFiltering().filter(
@@ -68,18 +68,16 @@ class TestEntropyWeighting:
         )
 
     def test_low_entropy_edges_damped(self):
-        blocks = self._entropy_blocks()
-        graph = build_blocking_graph(blocks)
-        weights = weight_all_edges(graph, "cbs")
-        reweighted = apply_entropy_weights(graph, weights)
+        reweighted = MetaBlocker("cbs", EVERY_EDGE, use_entropy=True).run(
+            self._entropy_blocks()
+        ).retained_edges
         assert reweighted[(0, 5)] == 1.0
         assert abs(reweighted[(1, 5)] - 0.1) < 1e-12
 
     def test_default_entropy_is_noop(self, abt_buy_small):
         blocks = TokenBlocking().block(abt_buy_small.profiles)
-        graph = build_blocking_graph(blocks)
-        weights = weight_all_edges(graph, "cbs")
-        assert apply_entropy_weights(graph, weights) == weights
+        plain = MetaBlocker("cbs", EVERY_EDGE).run(blocks).retained_edges
+        assert MetaBlocker("cbs", EVERY_EDGE, use_entropy=True).run(blocks).retained_edges == plain
 
     def test_entropy_changes_pruning_outcome(self):
         # With entropy, the low-entropy edge drops below the WEP threshold.
@@ -89,8 +87,3 @@ class TestEntropyWeighting:
         assert (1, 5) in without.candidate_pairs
         assert (1, 5) not in with_entropy.candidate_pairs
         assert (0, 5) in with_entropy.candidate_pairs
-
-    def test_unknown_edge_factor_one(self):
-        graph = build_blocking_graph(self._entropy_blocks())
-        weights = {(42, 43): 2.0}
-        assert apply_entropy_weights(graph, weights) == {(42, 43): 2.0}

@@ -24,6 +24,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.blocking.block import Block, BlockCollection
@@ -37,7 +38,6 @@ from repro.data.synthetic import (
 from repro.engine import tmpfiles
 from repro.engine.context import EngineContext
 from repro.exceptions import MetaBlockingError
-from repro.metablocking.backends import numpy_available
 from repro.metablocking.index import _SHARED_FIELDS, CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
@@ -45,10 +45,6 @@ from repro.metablocking.pruning import WeightedNodePruning
 from repro.options import EngineOptions
 
 opts = EngineOptions.resolve
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="memmap buffer backend requires numpy"
-)
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -126,11 +122,10 @@ class TestStreamedEmission:
         empty = BlockCollection(clean_clean=True)
         assert list(MetaBlocker("cbs", "wep").stream_retained(empty)) == []
 
-    @needs_numpy
     def test_iter_retained_chunks_rejects_nonpositive_chunk(self, blocks):
         from repro.metablocking import backends
 
-        index = CSRBlockIndex.from_blocks(blocks, opts(kernel_backend="numpy"))
+        index = CSRBlockIndex.from_blocks(blocks)
         plan = index.weight_plan("cbs", False)
         table = index.kernel().weight_arrays(plan)
         positions = backends.retained_positions(
@@ -141,7 +136,6 @@ class TestStreamedEmission:
                 next(backends.iter_retained_chunks(table, positions, bad))
 
 
-@needs_numpy
 class TestMemmapLifecycle:
     def test_buffer_file_lives_under_tmp_dir_until_close(self, blocks, tmp_path):
         index = CSRBlockIndex.from_blocks(
@@ -199,7 +193,8 @@ class TestMemmapLifecycle:
             assert clone.node_ids == index.node_ids
             for field, typecode in _SHARED_FIELDS:
                 restored = getattr(clone, field)
-                assert restored.typecode == typecode
+                assert type(restored) is np.ndarray
+                assert restored.dtype == (np.int64 if typecode == "q" else np.float64)
                 assert list(restored) == list(getattr(index, field))
         finally:
             index.close()
@@ -209,7 +204,7 @@ class TestMemmapLifecycle:
 
         index = CSRBlockIndex.from_blocks(
             blocks,
-            opts(kernel_backend="numpy", buffer_backend="memmap", tmp_dir=str(tmp_path)),
+            opts(buffer_backend="memmap", tmp_dir=str(tmp_path)),
         )
         reference = MetaBlocker("cbs", "wnp").run(blocks).retained_edges
         try:
@@ -264,12 +259,11 @@ class TestMemmapLifecycle:
         assert list(tmp_path.iterdir()) == []
 
 
-@needs_numpy
 class TestTmpRootReachesEveryIndexBuilder:
     """An explicit temp root is honoured by every path that builds a CSR index.
 
     Before options were handed down as one value, the progressive stage, the
-    service's cold sweep and ``build_blocking_graph`` dropped ``tmp_dir`` on
+    service's cold sweep and the blocking-graph builder dropped ``tmp_dir`` on
     the way to the index, so a memmap buffer landed in the platform temp dir
     instead of the requested root.
     """
@@ -335,13 +329,9 @@ class TestTmpRootReachesEveryIndexBuilder:
             collection.close()
         self._assert_under_root_and_gone(seen, tmp_path)
 
-    def test_build_blocking_graph(self, blocks, seen, tmp_path):
-        from repro.metablocking.graph import build_blocking_graph
-
-        graph = build_blocking_graph(
-            blocks, opts(buffer_backend="memmap", tmp_dir=str(tmp_path))
-        )
-        assert graph.num_edges > 0
+    def test_meta_blocker(self, blocks, seen, tmp_path):
+        options = opts(buffer_backend="memmap", tmp_dir=str(tmp_path))
+        assert MetaBlocker("cbs", "wnp", options=options).run(blocks).graph_edges > 0
         self._assert_under_root_and_gone(seen, tmp_path)
 
 

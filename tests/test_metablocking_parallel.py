@@ -25,11 +25,6 @@ from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker, balanced_ranges
 from repro.metablocking.pruning import WeightedNodePruning
 from repro.metablocking.sharedmem import live_segments
-from repro.options import EngineOptions
-
-needs_numpy = pytest.mark.skipif(
-    not backends.numpy_available(), reason="numpy backend requires numpy"
-)
 
 
 def _prepared_blocks(dataset):
@@ -59,10 +54,6 @@ class TestParallelSequentialEquivalence:
         assert parallel.candidate_pairs == sequential.candidate_pairs
 
     def test_entropy_equivalence(self, abt_buy_small):
-        # Loose-schema blocking runs MinHash LSH, which needs numpy whatever
-        # kernel backend meta-blocking itself uses.
-        if not backends.numpy_available():
-            pytest.skip("loose-schema LSH requires numpy")
         from repro.blocking.loose_schema_blocking import LooseSchemaTokenBlocking
         from repro.looseschema.attribute_partitioning import AttributePartitioner
         from repro.looseschema.entropy import EntropyExtractor
@@ -144,14 +135,11 @@ class TestBalancedRanges:
         # One heavy node up front: it gets a range of its own.
         assert balanced_ranges([90, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], 2) == [(0, 1), (1, 11)]
 
-    @pytest.mark.parametrize("kernel", ["python", pytest.param("numpy", marks=needs_numpy)])
-    def test_sweep_costs_sum_the_block_sizes_of_each_node(self, abt_buy_small, kernel):
+    def test_sweep_costs_sum_the_block_sizes_of_each_node(self, abt_buy_small):
         from repro.metablocking.index import CSRBlockIndex
 
         blocks = _prepared_blocks(abt_buy_small)
-        index = CSRBlockIndex.from_blocks(
-            blocks, EngineOptions.resolve(kernel_backend=kernel)
-        )
+        index = CSRBlockIndex.from_blocks(blocks)
         expected = [0] * index.num_nodes
         for block in blocks:
             if block.num_comparisons():
@@ -181,7 +169,6 @@ class TestOneStageJobShape:
         assert summary["shuffle_records"] == 0
         assert summary["broadcasts"] == 1
 
-    @needs_numpy
     @pytest.mark.parametrize("weighting", ["cbs", "js", "arcs", "ecbs"])
     def test_driver_performs_no_kernel_sweep(self, blocks_400, monkeypatch, weighting):
         """Weighing happens in the tasks only: under a process pool the driver
@@ -194,31 +181,24 @@ class TestOneStageJobShape:
             return original(self, nodes, **kwargs)
 
         monkeypatch.setattr(backends.NumpyKernel, "_sweep", counting)
-        options = EngineOptions.resolve(kernel_backend="numpy")
         with EngineContext(self.PARTITIONS, executor="process:2") as context:
-            result = ParallelMetaBlocker(context, weighting, "wnp", options=options).run(
-                blocks_400
-            )
+            result = ParallelMetaBlocker(context, weighting, "wnp").run(blocks_400)
         assert result.graph_edges > 0
         assert sweeps == []
         # The same spy does see the serial executor's task-side sweeps.
-        ParallelMetaBlocker(
-            EngineContext(self.PARTITIONS), weighting, "wnp", options=options
-        ).run(blocks_400)
+        ParallelMetaBlocker(EngineContext(self.PARTITIONS), weighting, "wnp").run(blocks_400)
         assert len(sweeps) == self.PARTITIONS
 
-    @needs_numpy
     def test_sequential_run_builds_no_full_weight_dict(self, blocks_400, monkeypatch):
         def forbidden(self, *args, **kwargs):
             raise AssertionError("MetaBlocker.run built the O(E) pair -> weight dict")
 
-        options = EngineOptions.resolve(kernel_backend="numpy")
-        expected = MetaBlocker("cbs", "wnp", options=options).run(blocks_400)
+        expected = MetaBlocker("cbs", "wnp").run(blocks_400)
         monkeypatch.setattr(backends.NumpyKernel, "weight_table", forbidden)
         monkeypatch.setattr(backends.EdgeWeights, "to_mapping", forbidden)
         for blocker in (
-            MetaBlocker("cbs", "wnp", options=options),
-            ParallelMetaBlocker(EngineContext(self.PARTITIONS), "cbs", "wnp", options=options),
+            MetaBlocker("cbs", "wnp"),
+            ParallelMetaBlocker(EngineContext(self.PARTITIONS), "cbs", "wnp"),
         ):
             result = blocker.run(blocks_400)
             assert list(result.retained_edges.items()) == list(
@@ -232,16 +212,14 @@ class TestOneStageJobShape:
 # --------------------------------------------------------------------------
 class TestStreamRetained:
     @pytest.mark.parametrize("chunk_edges", [1, 7, 65536])
-    @pytest.mark.parametrize("kernel", ["python", pytest.param("numpy", marks=needs_numpy)])
-    def test_chunks_equal_the_sequential_stream(self, abt_buy_small, kernel, chunk_edges):
+    def test_chunks_equal_the_sequential_stream(self, abt_buy_small, chunk_edges):
         blocks = _prepared_blocks(abt_buy_small)
-        options = EngineOptions.resolve(kernel_backend=kernel)
         chunks = list(
-            ParallelMetaBlocker(EngineContext(3), "ejs", "rwnp", options=options)
+            ParallelMetaBlocker(EngineContext(3), "ejs", "rwnp")
             .stream_retained(blocks, chunk_edges=chunk_edges)
         )
         assert all(0 < len(chunk) <= chunk_edges for chunk in chunks)
-        sequential = MetaBlocker("ejs", "rwnp", options=options)
+        sequential = MetaBlocker("ejs", "rwnp")
         assert list(chain.from_iterable(chunks)) == list(
             chain.from_iterable(sequential.stream_retained(blocks, chunk_edges=chunk_edges))
         )
@@ -249,20 +227,18 @@ class TestStreamRetained:
             sequential.run(blocks).retained_edges.items()
         )
 
-    @needs_numpy
-    def test_numpy_stream_never_builds_a_retained_dict(self, abt_buy_small, monkeypatch):
+    def test_stream_never_builds_a_retained_dict(self, abt_buy_small, monkeypatch):
         blocks = _prepared_blocks(abt_buy_small)
-        options = EngineOptions.resolve(kernel_backend="numpy")
-        expected = list(MetaBlocker("cbs", "cep", options=options).run(blocks).retained_edges.items())
+        expected = list(MetaBlocker("cbs", "cep").run(blocks).retained_edges.items())
 
         def forbidden(*args, **kwargs):
             raise AssertionError("stream_retained materialised the retained dict")
 
         monkeypatch.setattr(backends, "retained_dict", forbidden)
         monkeypatch.setattr(backends.EdgeWeights, "to_mapping", forbidden)
-        stream = ParallelMetaBlocker(
-            EngineContext(3), "cbs", "cep", options=options
-        ).stream_retained(blocks, chunk_edges=5)
+        stream = ParallelMetaBlocker(EngineContext(3), "cbs", "cep").stream_retained(
+            blocks, chunk_edges=5
+        )
         assert list(chain.from_iterable(stream)) == expected
 
     def test_rejects_non_positive_chunk_size(self, abt_buy_small):

@@ -10,7 +10,6 @@ from collections.abc import Iterator
 import pytest
 
 from repro.blocking.token_blocking import TokenBlocking
-from repro.metablocking.backends import numpy_available
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.progressive import (
     ProgressiveNodeScheduling,
@@ -19,11 +18,7 @@ from repro.metablocking.progressive import (
 )
 from repro.options import EngineOptions
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend requires numpy"
-)
-KERNELS = ["python", pytest.param("numpy", marks=needs_numpy)]
-BUFFERS = ["ram", pytest.param("memmap", marks=needs_numpy)]
+BUFFERS = ["ram", "memmap"]
 SCHEMES = ["cbs", "js", "arcs", "ecbs", "ejs"]
 
 
@@ -113,17 +108,14 @@ class TestStreamLaziness:
 
 @pytest.mark.parametrize("weighting", SCHEMES)
 @pytest.mark.parametrize("buffer_backend", BUFFERS)
-@pytest.mark.parametrize("kernel", KERNELS)
 def test_stream_index_is_the_sorted_weight_table(
-    abt_buy_small, kernel, buffer_backend, weighting, tmp_path
+    abt_buy_small, buffer_backend, weighting, tmp_path
 ):
     """The ranking is literally the weight table sorted by ``(-w, pair)`` —
     and owns its arrays: the index (a memmap file included) may be closed
     and dropped before the iterator is drained."""
     blocks = TokenBlocking().block(abt_buy_small.profiles)
-    options = EngineOptions.resolve(
-        kernel_backend=kernel, buffer_backend=buffer_backend, tmp_dir=str(tmp_path)
-    )
+    options = EngineOptions.resolve(buffer_backend=buffer_backend, tmp_dir=str(tmp_path))
     index = CSRBlockIndex.from_blocks(blocks, options)
     mapping = index.kernel().weight_arrays(index.weight_plan(weighting, False)).to_mapping()
     expected = [pair for pair, _w in sorted(mapping.items(), key=lambda e: (-e[1], e[0]))]
@@ -156,13 +148,11 @@ _NODE_SCHEDULE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("dataset", ["abt_buy_small", "dirty_persons_small"])
-def test_node_scheduling_output_is_unchanged(dataset, kernel, request):
+def test_node_scheduling_output_is_unchanged(dataset, request):
     blocks = TokenBlocking().block(request.getfixturevalue(dataset).profiles)
-    options = EngineOptions.resolve(kernel_backend=kernel)
     for weighting in SCHEMES:
-        ranking = ProgressiveNodeScheduling(weighting, options=options).rank(blocks)
+        ranking = ProgressiveNodeScheduling(weighting).rank(blocks)
         digest = hashlib.sha256(repr(ranking).encode()).hexdigest()[:16]
         assert digest == _NODE_SCHEDULE_DIGESTS[dataset, weighting], weighting
 

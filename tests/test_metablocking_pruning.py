@@ -1,9 +1,15 @@
-"""Tests of the pruning strategies."""
+"""Tests of the pruning strategies' dict form (what a subclass inherits).
+
+The array form every driver runs for the stock strategies is checked against
+the definitions by ``test_metablocking_oracle`` and against this dict form by
+``test_metablocking_backends``.
+"""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.exceptions import MetaBlockingError
-from repro.metablocking.graph import BlockingGraph, EdgeInfo
 from repro.metablocking.pruning import (
     CardinalityEdgePruning,
     CardinalityNodePruning,
@@ -15,20 +21,15 @@ from repro.metablocking.pruning import (
 
 
 def _graph_and_weights():
-    """A small weighted graph: star around node 0 plus an isolated pair."""
-    graph = BlockingGraph(
-        edges={
-            (0, 1): EdgeInfo(common_blocks=3),
-            (0, 2): EdgeInfo(common_blocks=1),
-            (0, 3): EdgeInfo(common_blocks=1),
-            (2, 3): EdgeInfo(common_blocks=2),
-            (4, 5): EdgeInfo(common_blocks=5),
-        },
-        blocks_per_profile={0: 4, 1: 3, 2: 2, 3: 2, 4: 5, 5: 5},
-        num_blocks=10,
+    """A small weighted graph: star around node 0 plus an isolated pair.
+
+    The first element stands in for the ``IndexStats`` a strategy receives.
+    """
+    stats = SimpleNamespace(
+        blocks_per_profile={0: 4, 1: 3, 2: 2, 3: 2, 4: 5, 5: 5}, num_nodes=6
     )
-    weights = {pair: float(info.common_blocks) for pair, info in graph.edges.items()}
-    return graph, weights
+    weights = {(0, 1): 3.0, (0, 2): 1.0, (0, 3): 1.0, (2, 3): 2.0, (4, 5): 5.0}
+    return stats, weights
 
 
 class TestWeightedEdgePruning:

@@ -1,23 +1,16 @@
-"""Tests of the edge weighting schemes."""
+"""Tests of the edge weighting schemes.
+
+Every scheme's values are checked against the definitions by
+``test_metablocking_oracle``; this module keeps the parser and one
+data-level sanity check.
+"""
 
 import pytest
 
-from repro.blocking.block import Block, BlockCollection
 from repro.exceptions import MetaBlockingError
-from repro.metablocking.graph import EdgeInfo, build_blocking_graph
-from repro.metablocking.weights import WeightingScheme, compute_edge_weight, weight_all_edges
-
-
-def _graph():
-    collection = BlockCollection(
-        [
-            Block(key="a", profiles_source0={0, 1}, profiles_source1={5}, clean_clean=True),
-            Block(key="b", profiles_source0={0}, profiles_source1={5}, clean_clean=True),
-            Block(key="c", profiles_source0={0}, profiles_source1={5, 6}, clean_clean=True),
-        ],
-        clean_clean=True,
-    )
-    return build_blocking_graph(collection)
+from repro.metablocking.metablocker import MetaBlocker
+from repro.metablocking.pruning import CardinalityEdgePruning
+from repro.metablocking.weights import WeightingScheme
 
 
 class TestWeightingSchemeParse:
@@ -33,72 +26,15 @@ class TestWeightingSchemeParse:
             WeightingScheme.parse("unknown")
 
 
-class TestComputeEdgeWeight:
-    def test_cbs(self):
-        info = EdgeInfo(common_blocks=3)
-        assert compute_edge_weight(
-            WeightingScheme.CBS, info, blocks_a=5, blocks_b=4, total_blocks=10
-        ) == 3.0
+@pytest.mark.parametrize("scheme", list(WeightingScheme))
+def test_matching_pairs_weigh_more(abt_buy_small, scheme):
+    from repro.blocking.token_blocking import TokenBlocking
 
-    def test_arcs(self):
-        info = EdgeInfo(common_blocks=2, arcs=0.75)
-        assert compute_edge_weight(
-            WeightingScheme.ARCS, info, blocks_a=5, blocks_b=4, total_blocks=10
-        ) == 0.75
-
-    def test_js(self):
-        info = EdgeInfo(common_blocks=2)
-        weight = compute_edge_weight(
-            WeightingScheme.JS, info, blocks_a=4, blocks_b=3, total_blocks=10
-        )
-        assert weight == 2 / (4 + 3 - 2)
-
-    def test_js_zero_denominator(self):
-        info = EdgeInfo(common_blocks=0)
-        assert compute_edge_weight(
-            WeightingScheme.JS, info, blocks_a=0, blocks_b=0, total_blocks=10
-        ) == 0.0
-
-    def test_ecbs_rarity_boost(self):
-        # The same CBS with rarer endpoints gets a larger ECBS weight.
-        info = EdgeInfo(common_blocks=2)
-        rare = compute_edge_weight(
-            WeightingScheme.ECBS, info, blocks_a=2, blocks_b=2, total_blocks=100
-        )
-        frequent = compute_edge_weight(
-            WeightingScheme.ECBS, info, blocks_a=50, blocks_b=50, total_blocks=100
-        )
-        assert rare > frequent
-
-    def test_ejs_falls_back_to_js_without_degrees(self):
-        info = EdgeInfo(common_blocks=2)
-        weight = compute_edge_weight(
-            WeightingScheme.EJS, info, blocks_a=4, blocks_b=3, total_blocks=10
-        )
-        assert weight == 2 / 5
-
-
-class TestWeightAllEdges:
-    @pytest.mark.parametrize("scheme", list(WeightingScheme))
-    def test_every_edge_weighted(self, scheme):
-        graph = _graph()
-        weights = weight_all_edges(graph, scheme)
-        assert set(weights) == set(graph.edges)
-        assert all(w >= 0.0 for w in weights.values())
-
-    def test_cbs_values(self):
-        graph = _graph()
-        weights = weight_all_edges(graph, "cbs")
-        assert weights[(0, 5)] == 3.0
-        assert weights[(1, 5)] == 1.0
-        assert weights[(0, 6)] == 1.0
-
-    def test_more_shared_blocks_heavier_edge(self, abt_buy_small):
-        from repro.blocking.token_blocking import TokenBlocking
-
-        graph = build_blocking_graph(TokenBlocking().block(abt_buy_small.profiles))
-        weights = weight_all_edges(graph, "cbs")
-        truth = abt_buy_small.ground_truth.pairs()
-        matching = [w for pair, w in weights.items() if pair in truth]
-        non_matching = [w for pair, w in weights.items() if pair not in truth]
-        assert sum(matching) / len(matching) > sum(non_matching) / len(non_matching)
+    blocks = TokenBlocking().block(abt_buy_small.profiles)
+    # CEP with a k above the edge count keeps, i.e. reports, every weight.
+    weights = MetaBlocker(scheme, CardinalityEdgePruning(k=10**9)).run(blocks).retained_edges
+    assert weights.keys() == blocks.distinct_comparisons()
+    truth = abt_buy_small.ground_truth.pairs()
+    matching = [w for pair, w in weights.items() if pair in truth]
+    non_matching = [w for pair, w in weights.items() if pair not in truth]
+    assert sum(matching) / len(matching) > sum(non_matching) / len(non_matching)

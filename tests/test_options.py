@@ -5,7 +5,7 @@ precedence test over :data:`repro.options.OPTIONS` (explicit > spec > env >
 default, bad value ⇒ typed error naming its source), covers what is derived
 from the table (CLI flags, engine-section validation, provenance), and guards
 the design with an ``ast`` walk over ``src/repro``: only the options module
-reads the seven ``REPRO_*`` variables, and only it and the named leaves
+reads the six ``REPRO_*`` variables, and only it and the named leaves
 declare a knob parameter.
 """
 
@@ -30,8 +30,6 @@ from repro.engine.executors import (
 from repro.engine.faults import FaultInjector, FaultPolicy
 from repro.engine.shuffle import DriverBlockStore
 from repro.exceptions import EngineError, MetaBlockingError, PipelineValidationError
-from repro.metablocking import backends
-from repro.metablocking.backends import numpy_available
 from repro.options import (
     ENGINE_SECTION_KEYS,
     OPTIONS,
@@ -42,7 +40,6 @@ from repro.options import (
 from repro.pipeline import Pipeline
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-AUTO_KERNEL = "numpy" if numpy_available() else "python"
 
 # field -> three distinct good raw values (explicit, spec, env), what each
 # resolves to, the resolved default, one bad value and its error type.
@@ -51,12 +48,8 @@ CASES = {
         ("process:3", "mp:2", "process"), ("process:3", "process:2", "process"),
         "serial", "cluster", EngineError,
     ),
-    "kernel_backend": (
-        ("python", "auto", "PYTHON"), ("python", AUTO_KERNEL, "python"),
-        AUTO_KERNEL, "fortran", MetaBlockingError,
-    ),
     "buffer_backend": (
-        ("ram", "RAM", " ram "), ("ram", "ram", "ram"),
+        ("memmap", "RAM", " MemMap "), ("memmap", "ram", "memmap"),
         "ram", "tape", MetaBlockingError,
     ),
     "tmp_dir": (
@@ -100,7 +93,7 @@ def _clean_env(monkeypatch):
         monkeypatch.delenv(option.env_var, raising=False)
 
 
-def test_table_is_the_seven_options():
+def test_table_is_the_six_options():
     assert [option.field for option in OPTIONS] == list(CASES)
     assert [option.field for option in OPTIONS] == list(
         EngineOptions.__dataclass_fields__
@@ -153,7 +146,6 @@ class TestValidators:
     def test_non_string_specs_are_rejected(self):
         for field, error in (
             ("executor", EngineError),
-            ("kernel_backend", MetaBlockingError),
             ("buffer_backend", MetaBlockingError),
             ("fault_policy", EngineError),
             ("fault_inject", EngineError),
@@ -165,15 +157,8 @@ class TestValidators:
     def test_unknown_option_name_is_a_type_error(self):
         with pytest.raises(TypeError, match="kernal_backend"):
             EngineOptions.resolve(kernal_backend="python")
-
-    @pytest.mark.parametrize("field", ["kernel_backend", "buffer_backend"])
-    def test_numpy_backends_without_numpy_are_errors(self, field, monkeypatch):
-        monkeypatch.setattr(backends, "_numpy_checked", True)
-        monkeypatch.setattr(backends, "_numpy_module", None)
-        value = "numpy" if field == "kernel_backend" else "memmap"
-        with pytest.raises(MetaBlockingError, match="numpy is not importable"):
-            resolve_option(field, value)
-        assert resolve_option("kernel_backend", "auto") == "python"
+        with pytest.raises(TypeError, match="kernel_backend"):  # a removed option
+            EngineOptions.resolve(kernel_backend="numpy")
 
     @pytest.mark.parametrize("alias", ["serial", "sync", "driver", "SERIAL"])
     def test_serial_executor_aliases(self, alias):
@@ -240,26 +225,24 @@ class TestLeaves:
         assert make_executor(EngineOptions.resolve(executor=instance)) is instance
 
     def test_context_explicit_values_override_handed_down_options(self, tmp_path):
-        handed_down = EngineOptions.resolve(kernel_backend="python", block_store="spill")
+        handed_down = EngineOptions.resolve(buffer_backend="memmap", block_store="spill")
         with EngineContext(2, tmp_dir=str(tmp_path), options=handed_down) as context:
-            assert context.options.kernel_backend == "python"
+            assert context.options.buffer_backend == "memmap"
             assert context.options.tmp_dir == str(tmp_path)
             assert context.block_store.directory.startswith(str(tmp_path))
 
     def test_leaf_without_options_reads_the_environment(self, monkeypatch):
         from repro.metablocking.index import CSRBlockIndex
 
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "python")
-        assert CSRBlockIndex().backend == "python"
-        assert CSRBlockIndex(EngineOptions.resolve(kernel_backend="auto")).backend == (
-            AUTO_KERNEL
-        )
+        monkeypatch.setenv("REPRO_BUFFER_BACKEND", "memmap")
+        assert CSRBlockIndex().buffer_backend == "memmap"
+        assert CSRBlockIndex(EngineOptions.resolve(buffer_backend="ram")).buffer_backend == "ram"
 
 
 class TestDerivedFromTheTable:
     def test_engine_section_keys(self):
         assert ENGINE_SECTION_KEYS == {
-            "enabled", "parallelism", "executor", "kernel_backend",
+            "enabled", "parallelism", "executor",
             "buffer_backend", "tmp_dir", "fault_policy", "block_store",
         }
 
@@ -274,8 +257,8 @@ class TestDerivedFromTheTable:
 
     def test_from_spec_wraps_bad_values(self):
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
-        spec["engine"]["kernel_backend"] = "fortran"
-        with pytest.raises(PipelineValidationError, match="engine.kernel_backend"):
+        spec["engine"]["buffer_backend"] = "tape"
+        with pytest.raises(PipelineValidationError, match="engine.buffer_backend"):
             Pipeline.from_spec(spec)
 
     def test_cli_flags_compose_explicit_values(self):
@@ -286,17 +269,18 @@ class TestDerivedFromTheTable:
         assert explicit_from_args(args) == {}
         args = parser.parse_args(
             ["run", "--synthetic", "abt-buy", "--workers", "2", "--task-retries", "2",
-             "--task-timeout", "30", "--kernel-backend", "python",
+             "--task-timeout", "30",
              "--buffer-backend", "ram", "--tmp-dir", "/x", "--block-store", "spill"]
         )
         assert explicit_from_args(args) == {
             "executor": "process:2",
-            "kernel_backend": "python",
             "buffer_backend": "ram",
             "tmp_dir": "/x",
             "fault_policy": "retries=2,timeout=30",
             "block_store": "spill",
         }
+        with pytest.raises(SystemExit):  # the flag went with the option
+            parser.parse_args(["run", "--kernel-backend", "numpy"])
 
     def test_every_flag_is_declared_on_run(self, capsys):
         from repro.cli import build_parser
@@ -310,9 +294,9 @@ class TestDerivedFromTheTable:
 
     def test_overrides_win_over_the_engine_section(self):
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
-        spec["engine"]["kernel_backend"] = "auto"
-        pipeline = Pipeline.from_spec(spec, overrides={"kernel_backend": "python"})
-        assert pipeline.options.kernel_backend == "python"
+        spec["engine"]["buffer_backend"] = "ram"
+        pipeline = Pipeline.from_spec(spec, overrides={"buffer_backend": "memmap"})
+        assert pipeline.options.buffer_backend == "memmap"
 
 
 class TestProvenance:
@@ -321,18 +305,14 @@ class TestProvenance:
     @pytest.mark.parametrize(
         "env_var, value, field",
         [
-            ("REPRO_KERNEL_BACKEND", "python", "kernel_backend"),
-            pytest.param(
-                "REPRO_BUFFER_BACKEND", "memmap", "buffer_backend",
-                marks=pytest.mark.skipif(not numpy_available(), reason="needs numpy"),
-            ),
+            ("REPRO_BUFFER_BACKEND", "memmap", "buffer_backend"),
             ("REPRO_BLOCK_STORE", "spill", "block_store"),
         ],
     )
     def test_env_selected_backend_round_trips(self, env_var, value, field, monkeypatch):
         dataset = generate_abt_buy_like(SyntheticConfig(num_entities=30, seed=3))
         monkeypatch.setenv(env_var, value)
-        # Schema-agnostic: the loose-schema LSH needs numpy, this test must not.
+        # Schema-agnostic: the loose-schema LSH adds nothing to what is tested.
         facade = SparkER(SparkERConfig.schema_agnostic(), use_engine=True)
         try:
             first = facade.run(dataset.profiles)
@@ -352,21 +332,29 @@ class TestProvenance:
         assert second.candidate_pairs == first.candidate_pairs
         assert second.spec == spec
 
-    def test_parent_era_spec_still_loads(self):
-        # The shape `run --output-config` wrote before EngineOptions.
+    @pytest.mark.parametrize("kernel_backend", [None, "auto", "numpy"])
+    def test_parent_era_spec_still_loads(self, kernel_backend):
+        # The shape `run --output-config` wrote before EngineOptions, and
+        # while the retired kernel-backend option existed.
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
         spec["engine"] = {
             "enabled": True, "parallelism": 4, "executor": None,
-            "kernel_backend": "python", "fault_policy": "retries=2,timeout=30",
+            "kernel_backend": kernel_backend, "fault_policy": "retries=2,timeout=30",
         }
         spec["dataset"] = {"synthetic": "abt-buy", "entities": 40, "seed": 42}
         pipeline = Pipeline.from_spec(spec)
         try:
-            assert pipeline.options.kernel_backend == "python"
             assert pipeline.options.fault_policy.max_attempts == 3
             assert isinstance(pipeline.engine.executor, SerialExecutor)
+            assert "kernel_backend" not in pipeline.resolved_spec()["engine"]
         finally:
             pipeline.shutdown()
+
+    def test_a_spec_asking_for_the_interpreted_kernel_is_refused(self):
+        spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
+        spec["engine"]["kernel_backend"] = "python"
+        with pytest.raises(PipelineValidationError, match="interpreted meta-blocking kernel"):
+            Pipeline.from_spec(spec)
 
 
 # ---------------------------------------------------------------- design guard

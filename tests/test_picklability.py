@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.blocking.block import Block, BlockCollection
@@ -30,7 +31,6 @@ from repro.engine.shuffle import (
     ShuffleMapTask,
     ZeroSeededCombiner,
 )
-from repro.metablocking.backends import numpy_available
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.parallel import _RangeWeigher
 from repro.metablocking.weights import WeightingScheme
@@ -45,7 +45,7 @@ def _roundtrip(obj):
 
 
 def _same_buffer(left, right) -> bool:
-    """Elementwise equality of two index buffers (stdlib array or ndarray)."""
+    """Elementwise equality of two index buffers."""
     return list(left) == list(right)
 
 
@@ -241,7 +241,7 @@ class TestCSRIndexPickling:
         assert clone.node_ids == index.node_ids
         assert _same_buffer(clone.node_block_offsets, index.node_block_offsets)
         assert _same_buffer(clone.block_nodes, index.block_nodes)
-        assert clone.degree_vector() == index.degree_vector()
+        assert _same_buffer(clone.degree_vector(), index.degree_vector())
         assert clone.num_edges() == index.num_edges()
 
     def test_cached_degrees_ship_instead_of_being_recomputed(self):
@@ -253,7 +253,7 @@ class TestCSRIndexPickling:
         index.num_edges()
         clone = _roundtrip(index)
         assert clone._degrees is not None
-        assert clone._degrees == index._degrees
+        assert _same_buffer(clone._degrees, index._degrees)
         assert clone._num_edges == index._num_edges
         assert _same_buffer(clone.block_cardinality, index.block_cardinality)
         assert _same_buffer(clone.block_inv_cardinality, index.block_inv_cardinality)
@@ -263,31 +263,13 @@ class TestCSRIndexPickling:
         index = CSRBlockIndex.from_blocks(_small_blocks())
         clone = _roundtrip(index)
         for node in range(index.num_nodes):
-            original = sorted(index.kernel().neighbours(node))
-            copied = sorted(clone.kernel().neighbours(node))
-            assert copied == original
-
-    def test_backend_choice_survives_the_roundtrip(self):
-        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="python"))
-        assert _roundtrip(index).backend == "python"
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy backend requires numpy")
-class TestNumpyIndexPickling:
-    def test_numpy_backend_roundtrip_matches_python_results(self):
-        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="numpy"))
-        index.degree_vector()
-        clone = _roundtrip(index)
-        assert clone.backend == "numpy"
-        assert clone.degree_vector() == index.degree_vector()
-        for node in range(index.num_nodes):
             assert clone.kernel().neighbours(node) == index.kernel().neighbours(node)
 
-    def test_shared_memory_roundtrip_is_zero_copy_and_identical(self):
-        import numpy as np
 
-        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="numpy"))
-        reference = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="python"))
+class TestSharedMemoryPickling:
+    def test_shared_memory_roundtrip_is_zero_copy_and_identical(self):
+        index = CSRBlockIndex.from_blocks(_small_blocks())
+        reference = CSRBlockIndex.from_blocks(_small_blocks())
         index.export_shared()
         try:
             payload = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
@@ -309,7 +291,7 @@ class TestNumpyIndexPickling:
     def test_release_unlinks_the_segment(self):
         from repro.metablocking.sharedmem import live_segments
 
-        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="numpy"))
+        index = CSRBlockIndex.from_blocks(_small_blocks())
         handle = index.export_shared()
         assert handle.name in live_segments()
         index.release_shared()
@@ -325,7 +307,7 @@ class TestNumpyIndexPickling:
 
         from repro.metablocking.sharedmem import live_segments
 
-        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="numpy"))
+        index = CSRBlockIndex.from_blocks(_small_blocks())
         name = index.export_shared().name
         assert name in live_segments()
         del index
@@ -336,7 +318,7 @@ class TestNumpyIndexPickling:
         from repro.metablocking.sharedmem import live_segments
 
         context = EngineContext(2)
-        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend="numpy"))
+        index = CSRBlockIndex.from_blocks(_small_blocks())
         index.export_shared()
         context.broadcast(index)
         assert live_segments()
@@ -366,13 +348,9 @@ class TestNumpyIndexPickling:
         dataset = generate_abt_buy_like(SyntheticConfig(num_entities=40, seed=7))
         raw = TokenBlocking().block(dataset.profiles)
         blocks = BlockFiltering().filter(BlockPurging().purge(raw, len(dataset.profiles)))
-        reference = MetaBlocker(
-            "cbs", "wnp", options=opts(kernel_backend="python")
-        ).run(blocks)
+        reference = MetaBlocker("cbs", "wnp").run(blocks)
         with EngineContext(4, executor="process:2") as context:
-            result = ParallelMetaBlocker(
-                context, "cbs", "wnp", options=opts(kernel_backend="numpy")
-            ).run(blocks)
+            result = ParallelMetaBlocker(context, "cbs", "wnp").run(blocks)
             # Run-scoped lifecycle: the segment is already unlinked when the
             # run returns, not merely at context shutdown.
             assert live_segments() == []
@@ -382,38 +360,19 @@ class TestNumpyIndexPickling:
 
 
 class TestMetaBlockingTaskFunctions:
-    @pytest.mark.parametrize(
-        "kernel",
-        [
-            "python",
-            pytest.param(
-                "numpy",
-                marks=pytest.mark.skipif(
-                    not numpy_available(), reason="numpy backend requires numpy"
-                ),
-            ),
-        ],
-    )
-    def test_range_weigher_roundtrip_emits_the_sequential_edge_stream(self, kernel):
+    def test_range_weigher_roundtrip_emits_the_sequential_edge_stream(self):
         """The one task of the ``metablocking.weights`` stage survives a pickle
-        round-trip, and its ranges concatenate to the per-node emission."""
+        round-trip, and its ranges concatenate to the whole-graph table."""
         context = EngineContext(2)
-        index = CSRBlockIndex.from_blocks(_small_blocks(), opts(kernel_backend=kernel))
+        index = CSRBlockIndex.from_blocks(_small_blocks())
         plan = index.weight_plan(WeightingScheme.EJS, True)  # resolves degrees
         broadcast = context.broadcast(index)
         weigher = _RangeWeigher(broadcast, WeightingScheme.EJS, True)
         clone = _roundtrip(weigher)
         n = index.num_nodes
-        reference = CSRBlockIndex.from_blocks(
-            _small_blocks(), opts(kernel_backend="python")
-        )
-        expected = [
-            (node, other, weight)
-            for node in range(n)
-            for other, weight in reference.kernel().weighted_edges(
-                node, reference.weight_plan(WeightingScheme.EJS, True)
-            )
-        ]
+        reference = CSRBlockIndex.from_blocks(_small_blocks())
+        table = reference.kernel().weight_arrays(reference.weight_plan(WeightingScheme.EJS, True))
+        expected = list(zip(table.a.tolist(), table.b.tolist(), table.w.tolist()))
         assert plan.total_edges == len(expected)
         for task in (weigher, clone):
             streamed = []

@@ -317,6 +317,30 @@ class TestCheckpointResume:
         resumed_flags = [e.resumed for e in resumed.executions]
         assert resumed_flags == [True] * 4 + [False] * 3
 
+    @pytest.mark.parametrize("kernel_backend", ["numpy", "python"])
+    def test_a_checkpoint_recording_the_retired_kernel_backend(
+        self, abt_buy_small, tmp_path, kernel_backend
+    ):
+        """Checkpoints written while the option existed record its resolved
+        value; ``numpy`` is what every run now does, ``python`` is refused."""
+        uninterrupted = Pipeline.from_spec(FULL_SPEC).run(abt_buy_small.profiles)
+        checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
+        Pipeline.from_spec(FULL_SPEC).run(
+            abt_buy_small.profiles, checkpoint=checkpoint, stop_after="meta_blocking"
+        )
+        state = checkpoint.load()
+        state["spec"]["engine"]["kernel_backend"] = kernel_backend
+        checkpoint.save(state)
+        if kernel_backend == "python":
+            with pytest.raises(PipelineValidationError, match="interpreted"):
+                Pipeline.resume(checkpoint)
+            return
+        resumed = Pipeline.resume(checkpoint)
+        assert resumed.candidate_pairs == uninterrupted.candidate_pairs
+        assert [c.members for c in resumed.clusters] == [
+            c.members for c in uninterrupted.clusters
+        ]
+
     def test_checkpoint_written_after_every_stage(self, abt_buy_small, tmp_path):
         checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
         Pipeline.from_spec(FULL_SPEC).run(

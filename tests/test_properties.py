@@ -15,10 +15,8 @@ from repro.matching.similarity import (
     jaro_winkler_similarity,
     levenshtein_similarity,
 )
-from repro.metablocking.graph import build_blocking_graph
 from repro.metablocking.metablocker import MetaBlocker
-from repro.metablocking.pruning import WeightedEdgePruning, WeightedNodePruning
-from repro.metablocking.weights import weight_all_edges
+from repro.metablocking.pruning import CardinalityEdgePruning
 from repro.utils.hashing import stable_hash
 from repro.utils.text import normalize_text
 from repro.utils.tokenize import tokenize
@@ -182,24 +180,27 @@ class TestBlockingProperties:
 # ---------------------------------------------------------------------------
 # meta-blocking invariants
 # ---------------------------------------------------------------------------
+def _all_cbs_weights(blocks):
+    """Every edge weight: CEP with a k no graph here reaches keeps them all."""
+    return MetaBlocker("cbs", CardinalityEdgePruning(k=10**9)).run(blocks).retained_edges
+
+
 class TestMetaBlockingProperties:
     @given(block_member_lists)
     @settings(max_examples=30, deadline=None)
     def test_pruning_output_subset_of_graph(self, members):
         blocks = _random_blocks(members)
-        graph = build_blocking_graph(blocks)
-        weights = weight_all_edges(graph, "cbs")
-        for strategy in (WeightedEdgePruning(), WeightedNodePruning()):
-            retained = strategy.prune(graph, weights)
+        weights = _all_cbs_weights(blocks)
+        for strategy in ("wep", "wnp"):
+            retained = MetaBlocker("cbs", strategy).run(blocks).retained_edges
             assert set(retained) <= set(weights)
 
     @given(block_member_lists)
     @settings(max_examples=30, deadline=None)
     def test_wnp_retains_every_node_best_edge(self, members):
         blocks = _random_blocks(members)
-        graph = build_blocking_graph(blocks)
-        weights = weight_all_edges(graph, "cbs")
-        retained = WeightedNodePruning().prune(graph, weights)
+        weights = _all_cbs_weights(blocks)
+        retained = MetaBlocker("cbs", "wnp").run(blocks).retained_edges
         # Every node's locally heaviest edge is >= its mean, so it must survive.
         best: dict[int, tuple[tuple[int, int], float]] = {}
         for pair, weight in weights.items():

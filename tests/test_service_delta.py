@@ -3,7 +3,7 @@
 After every append + refresh the :class:`~repro.service.delta.
 DeltaMetaBlocker`'s retained edges must equal — values, floats *and* order —
 what a fresh :class:`~repro.metablocking.metablocker.MetaBlocker` computes on
-the union collection, for every weighting × pruning × task shape × kernel.
+the union collection, for every weighting × pruning × task shape.
 A refresh on an unchanged compaction must do no work at all, and a
 ``candidates`` query followed by a cold ``matches`` on one compaction must
 share a single kernel sweep.
@@ -18,13 +18,12 @@ import pytest
 
 from repro.blocking.token_blocking import TokenBlocking
 from repro.data.dataset import ProfileCollection
+from repro.exceptions import ConfigurationError
 from repro.metablocking import backends
-from repro.metablocking.backends import numpy_available
 from repro.metablocking.index import IncrementalBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.pruning import WeightedNodePruning
 from repro.metablocking.weights import WeightingScheme
-from repro.options import EngineOptions
 from repro.pipeline.checkpoint import PipelineCheckpoint
 from repro.service.collection import CollectionConfig, ServiceCollection
 from repro.service.delta import DeltaMetaBlocker
@@ -33,34 +32,22 @@ from repro.service.store import CollectionStore
 from tests.test_metablocking_incremental import _random_profiles
 from tests.test_service_app import _ingest_payload
 
-opts = EngineOptions.resolve
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend requires numpy"
-)
-
-KERNELS = ["python", pytest.param("numpy", marks=needs_numpy)]
 SCHEMES = ["cbs", "js", "arcs", "ecbs", "ejs"]
 PRUNINGS = ["wep", "cep", "wnp", "rwnp", "cnp"]
 
 
-def _batch_retained(profiles, weighting, pruning, *, clean_clean, kernel):
+def _batch_retained(profiles, weighting, pruning, *, clean_clean):
     blocks = TokenBlocking().block(ProfileCollection(profiles))
     assert blocks.clean_clean == clean_clean
-    return MetaBlocker(weighting, pruning, options=opts(kernel_backend=kernel)).run(
-        blocks
-    ).retained_edges
+    return MetaBlocker(weighting, pruning).run(blocks).retained_edges
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("clean_clean", [False, True])
 @pytest.mark.parametrize("pruning", PRUNINGS)
 @pytest.mark.parametrize("weighting", SCHEMES)
-def test_refresh_after_every_append_equals_batch(weighting, pruning, clean_clean, kernel):
+def test_refresh_after_every_append_equals_batch(weighting, pruning, clean_clean):
     profiles = _random_profiles(75, clean_clean=clean_clean, seed=19)
-    incremental = IncrementalBlockIndex(
-        clean_clean=clean_clean, options=opts(kernel_backend=kernel)
-    )
+    incremental = IncrementalBlockIndex(clean_clean=clean_clean)
     delta = DeltaMetaBlocker(weighting, pruning)
     try:
         ingested = []
@@ -69,9 +56,7 @@ def test_refresh_after_every_append_equals_batch(weighting, pruning, clean_clean
             ingested.extend(batch)
             delta.refresh(incremental.materialise(), incremental.compactions)
             assert delta.last_mode == "full"
-            expected = _batch_retained(
-                ingested, weighting, pruning, clean_clean=clean_clean, kernel=kernel
-            )
+            expected = _batch_retained(ingested, weighting, pruning, clean_clean=clean_clean)
             assert list(delta.retained.items()) == list(expected.items())
         assert delta.full_refreshes == delta.refreshes == 3
     finally:
@@ -79,14 +64,13 @@ def test_refresh_after_every_append_equals_batch(weighting, pruning, clean_clean
 
 
 class _SweepSpy:
-    """Count whole-table weighings (both kernels) and numpy sweeps."""
+    """Count whole-table weighings and kernel sweeps."""
 
     def __init__(self, monkeypatch) -> None:
         self.tables = 0
         self.sweeps = 0
-        for kernel in (backends.PythonKernel, backends.NumpyKernel):
-            counted = self._count(kernel.weight_arrays, "tables")
-            monkeypatch.setattr(kernel, "weight_arrays", counted)
+        counted = self._count(backends.NumpyKernel.weight_arrays, "tables")
+        monkeypatch.setattr(backends.NumpyKernel, "weight_arrays", counted)
         counted = self._count(backends.NumpyKernel._sweep, "sweeps")
         monkeypatch.setattr(backends.NumpyKernel, "_sweep", counted)
 
@@ -98,9 +82,8 @@ class _SweepSpy:
         return counted
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_refresh_on_an_unchanged_index_does_no_sweep(kernel, monkeypatch):
-    incremental = IncrementalBlockIndex(options=opts(kernel_backend=kernel))
+def test_refresh_on_an_unchanged_index_does_no_sweep(monkeypatch):
+    incremental = IncrementalBlockIndex()
     incremental.append_profiles(_random_profiles(40, clean_clean=False, seed=5))
     index = incremental.materialise()
     delta = DeltaMetaBlocker("cbs", "wnp")
@@ -119,16 +102,13 @@ def test_refresh_on_an_unchanged_index_does_no_sweep(kernel, monkeypatch):
         incremental.close()
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "weighting,use_entropy", [("cbs", False), ("arcs", False), ("ejs", False), ("js", True)]
 )
 def test_candidates_then_cold_matches_share_one_sweep(weighting, use_entropy, monkeypatch):
     profiles = _random_profiles(90, clean_clean=False, seed=31)
     collection = ServiceCollection(
-        CollectionConfig(
-            name="c", weighting=weighting, use_entropy=use_entropy, kernel_backend="numpy"
-        )
+        CollectionConfig(name="c", weighting=weighting, use_entropy=use_entropy)
     )
     try:
         spy = _SweepSpy(monkeypatch)
@@ -174,7 +154,6 @@ def test_stats_exposes_refresh_counters():
 
 
 # ---------------------------------------------------------------- edge cases
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize(
     "batches",
     [
@@ -190,8 +169,8 @@ def test_stats_exposes_refresh_counters():
         ),
     ],
 )
-def test_collections_without_comparisons_answer_empty(batches, kernel):
-    collection = ServiceCollection(CollectionConfig(name="c", kernel_backend=kernel))
+def test_collections_without_comparisons_answer_empty(batches):
+    collection = ServiceCollection(CollectionConfig(name="c"))
     try:
         for batch in batches:
             collection.ingest({"profiles": batch})
@@ -265,6 +244,8 @@ def test_parent_format_snapshot_restores_and_answers_like_a_fresh_twin(
             collection.ingest(_ingest_payload(profiles[:40]))
         state = dict(source.snapshot_state(), delta=_parent_delta(monkeypatch))
         state["pending_touched"] = [0, 1, 2]
+        # The parent's config still had the kernel-backend field, unset.
+        state["config"] = dict(state["config"], kernel_backend=None)
         PipelineCheckpoint(tmp_path / "demo").save(state)
         monkeypatch.undo()
 
@@ -286,3 +267,17 @@ def test_parent_format_snapshot_restores_and_answers_like_a_fresh_twin(
         source.close()
         twin.close()
         store.close_all()
+
+
+@pytest.mark.parametrize("value", [None, "auto", "numpy"])
+def test_a_retired_kernel_backend_key_is_dropped(value):
+    config = CollectionConfig.from_dict({"name": "c", "kernel_backend": value})
+    assert config == CollectionConfig(name="c")
+    assert "kernel_backend" not in config.as_dict()
+
+
+def test_a_python_kernel_backend_is_rejected():
+    with pytest.raises(ConfigurationError, match="interpreted meta-blocking kernel"):
+        CollectionConfig.from_dict({"name": "c", "kernel_backend": "python"})
+    with pytest.raises(ConfigurationError, match="interpreted"):
+        CollectionStore(defaults={"kernel_backend": "python"}).get_or_create("c")
