@@ -1,8 +1,8 @@
 """FIG5 — the entity clusterer (Figure 5).
 
-Benchmarks the connected-components clusterer (the paper's algorithm, both the
-union-find reference and the Pregel-style distributed variant) and the
-alternative clustering algorithms on similarity graphs of increasing size.
+Benchmarks the connected-components clusterer (the paper's algorithm, computed
+with union-find) and the alternative clustering algorithms on similarity
+graphs of increasing size.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.clustering.merge_center import MergeCenterClustering
 from repro.clustering.unique_mapping import UniqueMappingClustering
 from repro.core.config import SparkERConfig
 from repro.core.sparker import SparkER
-from repro.engine.context import EngineContext
 from repro.evaluation.metrics import clustering_metrics
 from repro.matching.matcher import ThresholdMatcher
 
@@ -44,24 +43,6 @@ def test_fig5_connected_components(benchmark, dirty_persons):
     print_rows("FIG5 connected-components clustering (dirty persons)", [metrics])
     assert metrics["recall"] > 0.3
     assert metrics["max_cluster_size"] >= 3
-
-
-def test_fig5_distributed_connected_components(benchmark, dirty_persons):
-    """The GraphX-style (Pregel hash-min) variant produces the same clusters."""
-    graph = _similarity_graph(dirty_persons)
-    reference = ConnectedComponentsClustering().cluster(graph)
-
-    def run():
-        return ConnectedComponentsClustering(engine=EngineContext(4)).cluster(graph)
-
-    clusters = benchmark(run)
-    assert sorted(map(frozenset, (c.members for c in clusters))) == sorted(
-        map(frozenset, (c.members for c in reference))
-    )
-    print_rows(
-        "FIG5 distributed connected components",
-        [{"clusters": len(clusters), "same_as_union_find": True}],
-    )
 
 
 @pytest.mark.parametrize(

@@ -74,9 +74,9 @@ def run_e2e_benchmark(sizes=DEFAULT_SIZES) -> list[dict]:
     The guarded quantity is the *overhead ratio* (engine wall-clock over
     sequential wall-clock on the same blocks, same machine, same moment) —
     machine speed cancels out, so the committed baseline travels across
-    hosts.  A regression here means the engine plumbing (stage fusion,
-    executor dispatch, broadcast shipping) got more expensive relative to
-    the algorithmic work, which no kernel micro-benchmark would notice.
+    hosts.  A regression here means the engine plumbing (range split, map
+    dispatch, array concatenation) got more expensive relative to the
+    algorithmic work, which no kernel micro-benchmark would notice.
     """
     entries = []
     for num_entities in sizes:

@@ -6,8 +6,8 @@ that the work partitions over the blocking-graph nodes.  Real cluster speedups
 cannot be measured in a single Python process, so this benchmark reports the
 quantities that determine them:
 
-* task counts and shuffle volume as a function of the partition count,
-* load balance (skew) of the broadcast-join meta-blocking,
+* task counts as a function of the range count,
+* load balance (task-time skew) of the broadcast-join meta-blocking,
 * wall-clock of the sequential vs engine-backed meta-blocking (same output),
 * wall-clock growth as the dataset size grows.
 """
@@ -35,7 +35,6 @@ from repro.data.synthetic import (
     generate_scalability_products,
 )
 from repro.engine.context import EngineContext
-from repro.engine.executors import MultiprocessingExecutor
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
 from repro.options import EngineOptions
@@ -48,19 +47,17 @@ def _prepared_blocks(dataset):
 
 @pytest.mark.parametrize("partitions", [1, 2, 4, 8, 16])
 def test_scale_partition_sweep(benchmark, abt_buy_large, partitions):
-    """Task count, shuffle volume and skew of the parallel meta-blocking."""
+    """Task count and skew of the parallel meta-blocking."""
     blocks = _prepared_blocks(abt_buy_large)
 
     def run():
         context = EngineContext(default_parallelism=partitions)
         result = ParallelMetaBlocker(context, "cbs", "wnp").run(blocks)
-        stages = context.scheduler.stages
+        (stage,) = context.scheduler.stage_table()
         return {
             "partitions": partitions,
-            "tasks": context.scheduler.total_tasks,
-            "shuffle_records": context.scheduler.total_shuffle_records,
-            "fused_narrow": context.scheduler.total_fused_stages,
-            "max_stage_skew": round(max((s.skew for s in stages), default=0.0), 3),
+            "tasks": stage["tasks"],
+            "skew": stage["skew"],
             "candidate_pairs": result.num_candidates,
         }
 
@@ -70,12 +67,12 @@ def test_scale_partition_sweep(benchmark, abt_buy_large, partitions):
 
 
 def test_scale_stage_breakdown(benchmark, abt_buy_large):
-    """Per-stage record/shuffle counters of one broadcast-join WNP run.
+    """The stage row of one broadcast-join WNP run.
 
-    The broadcast-join structure shows up directly in the counters: one
-    weighting stage over contiguous node ranges emits each edge exactly once
-    (the CSR index travels by broadcast) and nothing crosses a shuffle
-    boundary — pruning runs on the driver over the collected arrays.
+    The broadcast-join structure shows up directly in the table: one
+    weighting map over contiguous node ranges emits each edge exactly once
+    (every task reads the shared CSR index) and nothing is shuffled —
+    pruning runs on the driver over the collected arrays.
     """
     blocks = _prepared_blocks(abt_buy_large)
 
@@ -85,11 +82,9 @@ def test_scale_stage_breakdown(benchmark, abt_buy_large):
         return context.scheduler.stage_table()
 
     table = benchmark(run)
-    print_rows("SCALE per-stage counters (WNP, 8 partitions)", table)
-    weight_stages = [r for r in table if "metablocking.weights" in str(r["description"])]
-    assert weight_stages, "the edge-weighting stage must appear in the stage table"
-    # Each edge is emitted from its lower endpoint only: no shuffle anywhere.
-    assert all(r["shuffle_write"] == 0 for r in table)
+    print_rows("SCALE stage table (WNP, 8 ranges)", table)
+    assert [row["description"] for row in table] == ["metablocking.weights"]
+    assert table[0]["tasks"] == 8
 
 
 def test_scale_parallel_equals_sequential(benchmark, abt_buy_large):
@@ -142,13 +137,12 @@ def test_scale_dataset_growth(benchmark, num_entities):
 def test_scale_executor_speedup(benchmark, abt_buy_large, weighting, pruning, use_entropy):
     """Serial vs process-pool executor wall-clock on the largest scenario.
 
-    This is the PR's headline number: the same broadcast-join meta-blocking
-    job, once with every stage in the driver and once with the narrow stages
-    shipped to a 4-worker process pool.  Output must be bit-for-bit identical
-    either way.  The ``ejs``+entropy weighted-edge job is where process
-    execution pays: almost all its work sits in the shipped weighting stage
-    (CBS/WNP spends a larger fraction in the driver-side vote shuffle, so it
-    is reported but not asserted).  The >1.5× speedup assertion is gated on
+    The same broadcast-join meta-blocking job, once with every range task in
+    the driver and once on a 4-worker process pool.  Output must be
+    bit-for-bit identical either way.  The ``ejs``+entropy weighted-edge job
+    is where process execution pays: almost all its work sits in the range
+    tasks (CBS/WNP spends a larger fraction in driver-side pruning, so it is
+    reported but not asserted).  The >1.5× speedup assertion is gated on
     the machine actually having 4 cores — a single-core container cannot
     exhibit multi-core speedup and reports the (honest) slowdown instead.
     """
@@ -163,18 +157,14 @@ def test_scale_executor_speedup(benchmark, abt_buy_large, weighting, pruning, us
             ).run(blocks)
             serial_s = time.perf_counter() - start
 
-        executor = MultiprocessingExecutor(max_workers=workers, on_unpicklable="raise")
-        try:
-            with EngineContext(workers, executor=executor) as process_context:
-                # Warm the pool so fork/start-up cost is not billed to the job.
-                process_context.parallelize(range(workers), workers).map(abs).collect()
-                start = time.perf_counter()
-                process_result = ParallelMetaBlocker(
-                    process_context, weighting, pruning, use_entropy=use_entropy
-                ).run(blocks)
-                process_s = time.perf_counter() - start
-        finally:
-            executor.close()
+        with EngineContext(workers, executor=f"process:{workers}") as process_context:
+            # Warm the pool so fork/start-up cost is not billed to the job.
+            process_context.map(abs, range(workers))
+            start = time.perf_counter()
+            process_result = ParallelMetaBlocker(
+                process_context, weighting, pruning, use_entropy=use_entropy
+            ).run(blocks)
+            process_s = time.perf_counter() - start
 
         assert process_result.retained_edges == serial_result.retained_edges
         return {
@@ -361,31 +351,6 @@ def main(argv=None) -> int:
         args.output.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"scale baseline written to {args.output}")
     return 0
-
-
-def test_scale_token_blocking_distributed(benchmark, abt_buy_large):
-    """Distributed token blocking produces the same blocks as the local path."""
-    local = TokenBlocking().block(abt_buy_large.profiles)
-
-    def run():
-        context = EngineContext(8)
-        blocks = TokenBlocking(engine=context).block(abt_buy_large.profiles)
-        return blocks, context.metrics_summary()
-
-    blocks, summary = benchmark(run)
-    print_rows(
-        "SCALE distributed token blocking",
-        [
-            {
-                "blocks": len(blocks),
-                "same_comparisons_as_local": blocks.distinct_comparisons()
-                == local.distinct_comparisons(),
-                "engine_tasks": summary["tasks"],
-                "shuffle_records": summary["shuffle_records"],
-            }
-        ],
-    )
-    assert blocks.distinct_comparisons() == local.distinct_comparisons()
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Run the blocking stack on the mini dataflow engine and inspect its metrics.
+"""Run the parallel meta-blocking on the engine's range pool and inspect it.
 
 SparkER's contribution is making meta-blocking run on a MapReduce-like engine
-(broadcast-join structure).  This example runs token blocking and the parallel
-meta-blocking on the engine with different partition counts and prints the
-engine metrics a Spark UI would show: tasks, shuffle volume, skew — and checks
-the output is identical to the sequential reference.
+(broadcast-join structure).  This example blocks on the driver, runs the
+parallel meta-blocking with different range counts and prints the stage row
+each run records — tasks, task-time skew, busy seconds — and checks the
+output is identical to the sequential reference.
 
     python examples/distributed_blocking.py
 """
@@ -32,15 +32,15 @@ def main() -> None:
 
     rows = []
     for partitions in (1, 2, 4, 8):
-        context = EngineContext(default_parallelism=partitions, app_name="distributed-blocking")
-        result = ParallelMetaBlocker(context, "cbs", "wnp").run(blocks)
-        stages = context.scheduler.stages
+        with EngineContext(default_parallelism=partitions) as context:
+            result = ParallelMetaBlocker(context, "cbs", "wnp").run(blocks)
+            (stage,) = context.scheduler.stage_table()
         rows.append(
             {
                 "partitions": partitions,
-                "tasks": context.scheduler.total_tasks,
-                "shuffle_records": context.scheduler.total_shuffle_records,
-                "max_skew": round(max((s.skew for s in stages), default=0.0), 2),
+                "tasks": stage["tasks"],
+                "skew": stage["skew"],
+                "busy_s": stage["elapsed_s"],
                 "candidate_pairs": result.num_candidates,
                 "identical_to_sequential": result.candidate_pairs == sequential.candidate_pairs,
             }
@@ -48,14 +48,6 @@ def main() -> None:
 
     print()
     print(format_table(rows, title="broadcast-join parallel meta-blocking"))
-
-    # The distributed token blocking path, for completeness.
-    context = EngineContext(default_parallelism=8)
-    distributed_blocks = TokenBlocking(engine=context).block(profiles)
-    print(
-        f"\ndistributed token blocking: {len(distributed_blocks)} blocks, "
-        f"engine metrics: {context.metrics_summary()}"
-    )
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Each scenario runs a **child** service process (this script with ``--child``)
 that ingests a deterministic sequence of profile batches into a WAL-backed
 :class:`~repro.service.store.CollectionStore`, snapshots midway, and is
 killed at a precise fault point via ``REPRO_SERVICE_FAULT`` (see
-:mod:`repro.engine.faults`).  The parent then recovers the store from the
+:mod:`repro.service.faults`).  The parent then recovers the store from the
 surviving snapshot + log (:meth:`CollectionStore.recover`) and asserts that
 the recovered state is **bit-for-bit identical** to an uncrashed twin that
 ingested the same durable prefix of batches:
@@ -141,7 +141,7 @@ def tear_log_tail(wal_dir: str) -> None:
 def run_scenario(name: str, base_dir: "str | None" = None) -> dict:
     """Run one scenario end to end; raises :class:`ChaosFailure` on breach."""
     from repro.engine import tmpfiles
-    from repro.engine.faults import CRASH_EXIT_CODE
+    from repro.service.faults import CRASH_EXIT_CODE
     from repro.service.store import CollectionStore
 
     fault, query, torn = SCENARIOS[name]

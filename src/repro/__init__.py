@@ -3,8 +3,9 @@
 This package reproduces the system described in *SparkER: Scaling Entity
 Resolution in Spark* (EDBT 2019).  It provides:
 
-* ``repro.engine`` -- a miniature MapReduce/Spark-like dataflow engine used as
-  the execution substrate for all parallel algorithms,
+* ``repro.engine`` -- the range pool (a process pool behind
+  ``EngineContext.map``, plus shared-memory and temp-file lifecycles) that
+  runs the parallel meta-blocking,
 * ``repro.data`` -- the entity-profile data model, loaders and synthetic
   dataset generators,
 * ``repro.blocking`` -- schema-agnostic token blocking, loose-schema (BLAST)

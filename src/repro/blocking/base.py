@@ -11,7 +11,6 @@ import numpy as np
 from repro.blocking.block import BlockCollection, BlockColumns
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
-from repro.engine.context import EngineContext
 
 
 class Blocker(ABC):
@@ -29,41 +28,18 @@ def block_by_keys(
     profiles: ProfileCollection,
     keys_of: Callable[[EntityProfile], Iterable[Hashable]],
     describe: Callable[[Hashable], tuple[str, float]],
-    *,
-    engine: EngineContext | None = None,
-    stage_name: str = "blocking.keys",
 ) -> BlockCollection:
     """One block per key that induces a comparison, sorted by block key.
 
     ``keys_of(profile)`` yields the profile's distinct blocking keys and
-    ``describe(key)`` names a key's block and gives its entropy.  Driver-side
-    the profiles stream straight into the grouping; with an ``engine`` the
-    same keys travel through ``flatMap`` → ``groupByKey`` (the structure
-    SparkER runs on Spark) and the grouped members are read back the same
-    way.  The result is column-backed (:func:`_group_into_columns`).
+    ``describe(key)`` names a key's block and gives its entropy.  The
+    profiles stream straight into the grouping, whose result is
+    column-backed (:func:`_group_into_columns`).
     """
-    clean_clean = profiles.is_clean_clean
-    if engine is None:
-        memberships = (
-            (profile.profile_id, profile.source_id, keys_of(profile)) for profile in profiles
-        )
-    else:
-        grouped = (
-            engine.parallelize(list(profiles))
-            .flatMap(
-                lambda p: [(key, (p.profile_id, p.source_id)) for key in keys_of(p)],
-                name=stage_name,
-            )
-            .groupByKey()
-            .collect()
-        )
-        memberships = (
-            (profile_id, source_id, (key,))
-            for key, members in grouped
-            for profile_id, source_id in members
-        )
-
-    return _group_into_columns(memberships, describe, clean_clean)
+    memberships = (
+        (profile.profile_id, profile.source_id, keys_of(profile)) for profile in profiles
+    )
+    return _group_into_columns(memberships, describe, profiles.is_clean_clean)
 
 
 def _group_into_columns(memberships, describe, clean_clean: bool) -> BlockCollection:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from repro.blocking.base import Blocker, block_by_keys
 from repro.blocking.block import BlockCollection
 from repro.data.dataset import ProfileCollection
-from repro.engine.context import EngineContext
 from repro.looseschema.attribute_partitioning import AttributePartitioning
 from repro.utils.tokenize import tokenize
 
@@ -33,8 +32,6 @@ class LooseSchemaTokenBlocking(Blocker):
         entropy of the cluster of their key.
     min_token_length / remove_stopwords:
         Tokenization options (same semantics as :class:`TokenBlocking`).
-    engine:
-        Optional engine context for the distributed code path.
     """
 
     def __init__(
@@ -44,31 +41,25 @@ class LooseSchemaTokenBlocking(Blocker):
         cluster_entropies: dict[int, float] | None = None,
         min_token_length: int = 1,
         remove_stopwords: bool = False,
-        engine: EngineContext | None = None,
     ) -> None:
         self.partitioning = partitioning
         self.cluster_entropies = cluster_entropies or {}
         self.min_token_length = min_token_length
         self.remove_stopwords = remove_stopwords
-        self.engine = engine
 
     def block(self, profiles: ProfileCollection) -> BlockCollection:
         """Build one block per ``token_clusterId`` key.
 
         An attribute's cluster is resolved by ``(source_id, attribute)``, the
-        way the entropy extractor resolves it, on the driver and on the engine
-        (where the mapping is shipped to tasks as a broadcast variable, exactly
-        as SparkER broadcasts the loose-schema information).
+        way the entropy extractor resolves it.
         """
-        mapping = self.partitioning.cluster_by_attribute()
-        shipped = self.engine.broadcast(mapping) if self.engine is not None else None
+        cluster_of = self.partitioning.cluster_by_attribute()
         blob_id = self.partitioning.blob_cluster_id
         min_length = self.min_token_length
         remove_stopwords = self.remove_stopwords
         entropies = self.cluster_entropies
 
         def keys_of(profile) -> set[tuple[str, int]]:
-            cluster_of = mapping if shipped is None else shipped.value
             source_id = profile.source_id
             keys = set()
             for attribute, value in profile.items():
@@ -83,8 +74,6 @@ class LooseSchemaTokenBlocking(Blocker):
             profiles,
             keys_of,
             lambda key: (f"{key[0]}_{key[1]}", entropies.get(key[1], 1.0)),
-            engine=self.engine,
-            stage_name="loose_schema.tokens",
         )
 
     def key_for(self, token: str, attribute: str, source_id: int | None = None) -> str:

@@ -11,7 +11,7 @@ Usage examples::
     # end-to-end run on the synthetic Abt-Buy stand-in
     python -m repro.cli run --synthetic abt-buy --entities 200
 
-    # same run on the mini engine with a 4-worker process pool
+    # same run, meta-blocking on a 4-worker range pool
     python -m repro.cli run --synthetic abt-buy --entities 200 \
         --executor process --workers 4
 
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--match-threshold", type=float, default=None,
                      help="matcher similarity threshold")
     run.add_argument("--engine", action="store_true",
-                     help="run the distributed code paths on the mini engine")
+                     help="run meta-blocking on the engine's range pool")
     add_cli_arguments(run)  # one flag set per engine option (repro.options)
     run.add_argument("--spec", default=None,
                      help="run a declarative stage-graph spec (JSON file) instead of "

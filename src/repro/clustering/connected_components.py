@@ -1,38 +1,20 @@
 """Connected-components clustering — the algorithm SparkER uses (GraphX).
 
 Based on the transitivity assumption: if p1 matches p2 and p2 matches p3 then
-p1, p2, p3 are the same entity.  The distributed variant runs the Pregel-style
-hash-min propagation on the mini engine; the default variant uses union-find
-driver-side.  Both produce identical clusters.
+p1, p2, p3 are the same entity.  The components are computed driver-side with
+union-find (:func:`repro.utils.unionfind.connected_components`).
 """
 
 from __future__ import annotations
 
 from repro.clustering.base import ClusteringAlgorithm, EntityCluster
-from repro.engine.context import EngineContext
-from repro.engine.graphx import connected_components, pregel_connected_components
 from repro.matching.similarity_graph import SimilarityGraph
+from repro.utils.unionfind import connected_components
 
 
 class ConnectedComponentsClustering(ClusteringAlgorithm):
-    """Transitive-closure clustering over the similarity graph.
-
-    Parameters
-    ----------
-    engine:
-        When given, the connected components are computed with the
-        Pregel-style distributed algorithm on the mini engine (the GraphX path
-        of the original system); otherwise a driver-side union-find is used.
-    """
-
-    def __init__(self, engine: EngineContext | None = None) -> None:
-        self.engine = engine
+    """Transitive-closure clustering over the similarity graph."""
 
     def cluster(self, graph: SimilarityGraph) -> list[EntityCluster]:
         edges = [edge.pair for edge in graph]
-        nodes = graph.nodes()
-        if self.engine is not None:
-            assignment = pregel_connected_components(self.engine, edges, nodes)
-        else:
-            assignment = connected_components(edges, nodes)
-        return self._build_clusters(assignment)
+        return self._build_clusters(connected_components(edges, graph.nodes()))

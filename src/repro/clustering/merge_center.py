@@ -9,7 +9,7 @@ everything reachable).
 from __future__ import annotations
 
 from repro.clustering.base import ClusteringAlgorithm, EntityCluster
-from repro.engine.graphx import UnionFind
+from repro.utils.unionfind import UnionFind
 from repro.matching.similarity_graph import SimilarityGraph
 
 

@@ -7,7 +7,6 @@ from repro.clustering.center_clustering import CenterClustering
 from repro.clustering.connected_components import ConnectedComponentsClustering
 from repro.clustering.merge_center import MergeCenterClustering
 from repro.clustering.unique_mapping import UniqueMappingClustering
-from repro.engine.context import EngineContext
 from repro.exceptions import ClusteringError
 
 _ALGORITHMS = {
@@ -18,11 +17,7 @@ _ALGORITHMS = {
 }
 
 
-def make_clustering_algorithm(
-    name: "str | ClusteringAlgorithm",
-    *,
-    engine: EngineContext | None = None,
-) -> ClusteringAlgorithm:
+def make_clustering_algorithm(name: "str | ClusteringAlgorithm") -> ClusteringAlgorithm:
     """Build a clustering algorithm from its name.
 
     Valid names: ``connected_components`` (the paper's default), ``center``,
@@ -37,6 +32,4 @@ def make_clustering_algorithm(
         raise ClusteringError(
             f"unknown clustering algorithm {name!r}; valid algorithms: {valid}"
         ) from exc
-    if algorithm_class is ConnectedComponentsClustering:
-        return ConnectedComponentsClustering(engine=engine)
     return algorithm_class()

@@ -61,8 +61,8 @@ class Blocker:
     config:
         Blocking configuration (see :class:`repro.core.config.BlockerConfig`).
     engine:
-        Optional engine context; when given, token blocking and meta-blocking
-        run as distributed jobs on the mini engine.
+        Optional engine context; when given, meta-blocking runs on its range
+        pool.
     partitioning:
         Optional user-supplied attribute partitioning (supervised mode,
         Figure 6(c)); when given it overrides the automatic partitioner.
@@ -148,7 +148,6 @@ class Blocker:
             return TokenBlocking(
                 min_token_length=self.config.min_token_length,
                 remove_stopwords=self.config.remove_stopwords,
-                engine=self.engine,
             )
 
         with report.timings.time("attribute_partitioning"):
@@ -178,7 +177,6 @@ class Blocker:
             cluster_entropies=entropies if self.config.use_entropy else None,
             min_token_length=self.config.min_token_length,
             remove_stopwords=self.config.remove_stopwords,
-            engine=self.engine,
         )
 
     def _build_meta_blocker(self):

@@ -13,7 +13,6 @@ from repro.clustering.base import EntityCluster
 from repro.clustering.registry import make_clustering_algorithm
 from repro.core.config import ClustererConfig
 from repro.data.dataset import ProfileCollection
-from repro.engine.context import EngineContext
 from repro.matching.similarity_graph import SimilarityGraph
 
 
@@ -24,21 +23,12 @@ class EntityClusterer:
     ----------
     config:
         Clusterer configuration (algorithm name + optional minimum edge score).
-    engine:
-        Optional engine context; the connected-components algorithm then runs
-        with the Pregel-style distributed implementation.
     """
 
-    def __init__(
-        self,
-        config: ClustererConfig | None = None,
-        *,
-        engine: EngineContext | None = None,
-    ) -> None:
+    def __init__(self, config: ClustererConfig | None = None) -> None:
         self.config = config or ClustererConfig()
         self.config.validate()
-        self.engine = engine
-        self.algorithm = make_clustering_algorithm(self.config.algorithm, engine=engine)
+        self.algorithm = make_clustering_algorithm(self.config.algorithm)
 
     def cluster(self, similarity_graph: SimilarityGraph) -> list[EntityCluster]:
         """Partition the similarity graph into entity clusters."""

@@ -99,16 +99,15 @@ class SparkER:
         The pipeline configuration (defaults to the unsupervised defaults).
     use_engine:
         When True an :class:`EngineContext` is created with
-        ``config.parallelism`` partitions and the distributed code paths are
-        used for blocking, meta-blocking and clustering.
+        ``config.parallelism`` ranges and meta-blocking runs on its range
+        pool; everything else runs on the driver either way.
     executor:
         Shorthand for the ``executor`` engine option (``"serial"``,
-        ``"process"``, ``"process:4"`` or an
-        :class:`~repro.engine.executors.Executor` instance); only meaningful
-        with ``use_engine=True``.
+        ``"process"``, ``"process:4"``); only meaningful with
+        ``use_engine=True``.
     options:
         Resolved :class:`~repro.options.EngineOptions` — build them with
-        ``EngineOptions.resolve(buffer_backend=..., block_store=..., ...)``.
+        ``EngineOptions.resolve(buffer_backend=..., tmp_dir=..., ...)``.
         Anything not given resolves from the ``REPRO_*`` environment and the
         defaults, once, here.
     partitioning:
@@ -122,7 +121,7 @@ class SparkER:
         config: SparkERConfig | None = None,
         *,
         use_engine: bool = False,
-        executor: object | None = None,
+        executor: str | None = None,
         options: EngineOptions | None = None,
         partitioning: AttributePartitioning | None = None,
         rules: Sequence[MatchingRule] | None = None,

@@ -1,205 +1,219 @@
-"""The engine context — the ``SparkContext`` of the mini engine.
+"""The engine context: a range pool for the parallel meta-blocking job.
 
-Create one :class:`EngineContext` per pipeline run.  It owns the executor
-(where narrow stages run), the scheduler (metrics), broadcast variables and
-accumulators, and is the factory for RDDs.
+The paper's parallel meta-blocking (Section 2.1, "inspired by the broadcast
+join") partitions the node ids, shares the compact block index and lets each
+task weigh the edges of its own nodes.  That is the one job this engine runs,
+so the engine is one operation: :meth:`EngineContext.map` applies a picklable
+callable to a list of items (cost-balanced ``(lo, hi)`` node ranges) and
+returns the results in item order — in the driver under ``executor="serial"``,
+on a lazily forked process pool under ``"process:N"``.  Each call records one
+row of ``context.scheduler.stage_table()``.
+
+Failure contract: a task exception re-raises in the driver with its own type;
+a crashed worker raises :class:`~repro.exceptions.EngineError` as soon as the
+pool notices, the pool is discarded (the next map forks a fresh one) and the
+dead-pid sweeps of :mod:`repro.engine.sharedmem` and
+:mod:`repro.engine.tmpfiles` reclaim whatever the worker left behind.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import Any, Callable, TypeVar
+import itertools
+import multiprocessing
+import os
+import pickle
+import sys
+import time
+from collections.abc import Callable, Iterable
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any
 
-from repro.engine.accumulators import Accumulator, new_accumulator
-from repro.engine.broadcast import Broadcast, new_broadcast
-from repro.engine.executors import Executor, StageResult, make_executor
-from repro.engine.rdd import RDD, ParallelCollectionRDD
-from repro.engine.scheduler import Scheduler
-from repro.engine.shuffle import BlockStore, make_block_store
+from repro.engine import sharedmem, tmpfiles
 from repro.exceptions import EngineError
 from repro.options import EngineOptions
 
-T = TypeVar("T")
+_payload_ids = itertools.count()
+
+# Worker-side single-slot cache: every task of one map shares one pickled
+# callable, so a worker unpickles it (and maps the shared index riding in it)
+# once per map rather than once per task.
+_cached: "tuple[int | None, Any]" = (None, None)
+
+
+def _run_task(payload: bytes, token: int, item: Any) -> "tuple[Any, float, int]":
+    """Worker body: apply the map's callable to one item, timed."""
+    global _cached
+    if _cached[0] != token:
+        _cached = (token, pickle.loads(payload))
+    started = time.perf_counter()
+    result = _cached[1](item)
+    return result, time.perf_counter() - started, os.getpid()
+
+
+class Scheduler:
+    """The stage rows of one context: what ran, where, and for how long.
+
+    ``skew`` is the slowest task over the mean task (1.0 = balanced ranges).
+    Nothing is shuffled, so the two shuffle byte columns are always 0; they
+    stay for readers of the historical row shape.
+    """
+
+    def __init__(self) -> None:
+        self.rows: list[dict[str, Any]] = []
+
+    def record(
+        self, name: str, executor: str, tasks: int, seconds: "list[float]",
+        workers: "set[int]", failures: int = 0,
+    ) -> None:
+        mean = sum(seconds) / len(seconds) if seconds else 0.0
+        self.rows.append({
+            "stage": len(self.rows),
+            "description": name,
+            "executor": executor,
+            "workers": len(workers),
+            "tasks": tasks,
+            "failures": failures,
+            "elapsed_s": round(sum(seconds), 6),
+            "shuffle_write_bytes": 0,
+            "shuffle_relay_bytes": 0,
+            "skew": round(max(seconds) / mean, 3) if mean else 0.0,
+        })
+
+    def stage_table(self) -> "list[dict[str, Any]]":
+        """One row per :meth:`EngineContext.map` call, in call order."""
+        return [dict(row) for row in self.rows]
 
 
 class EngineContext:
-    """Entry point of the mini dataflow engine.
+    """A pool of worker processes (or none) that maps a callable over items.
 
     Parameters
     ----------
     default_parallelism:
-        Number of partitions used by ``parallelize`` when not overridden and
-        the default for shuffle outputs.
-    app_name:
-        Label used in logs and metric reports.
-    executor / fault_policy / fault_injector / block_store / tmp_dir:
-        Explicit values of the engine options this context acts on (see the
-        table in :mod:`repro.options`): spec strings, or — the seam tests
-        substitute fakes through — :class:`~repro.engine.executors.Executor`,
-        :class:`~repro.engine.faults.FaultPolicy`,
-        :class:`~repro.engine.faults.FaultInjector` and
-        :class:`~repro.engine.shuffle.BlockStore` instances.  An executor or
-        store built here from a spec is owned by the context and closed in
-        :meth:`stop`; a caller-supplied instance is shared and left open.
-        The fault policy/injector configure the executor built here — pass
-        them to the executor's constructor when supplying an instance.
+        How many ranges a job splits its nodes into.
+    executor / tmp_dir:
+        Explicit values of those engine options (:mod:`repro.options`):
+        ``"serial"`` runs tasks in the driver, ``"process:N"`` on ``N``
+        forked workers (``"process"``: one per CPU); ``tmp_dir`` is the root
+        of the memmap buffers the jobs on this context build.
     options:
         The :class:`~repro.options.EngineOptions` an entry point resolved;
-        the explicit values above override it.  Without it, everything not
-        given explicitly resolves from the environment and defaults.  The
-        result is kept as :attr:`options` — what the meta-blocking jobs on
-        this context build their CSR index under.
+        the explicit values above override it, and everything else resolves
+        from the environment and defaults.  Kept as :attr:`options`.
     """
 
     def __init__(
         self,
         default_parallelism: int = 4,
-        app_name: str = "sparker",
-        executor: "Executor | str | None" = None,
-        fault_policy: Any = None,
-        fault_injector: Any = None,
-        block_store: "BlockStore | str | None" = None,
+        executor: "str | None" = None,
         tmp_dir: "str | None" = None,
         *,
         options: "EngineOptions | None" = None,
     ) -> None:
         if default_parallelism <= 0:
             raise EngineError("default_parallelism must be positive")
-        if isinstance(executor, Executor) and not (
-            fault_policy is None and fault_injector is None
-        ):
-            raise EngineError(
-                "cannot combine an Executor instance with fault_policy/"
-                "fault_injector; pass them to the executor's constructor"
-            )
         self.default_parallelism = default_parallelism
-        self.app_name = app_name
-        self.options = options = EngineOptions.resolve(
-            base=options,
-            executor=executor,
-            fault_policy=fault_policy,
-            fault_inject=fault_injector,
-            block_store=block_store,
-            tmp_dir=tmp_dir,
-        )
+        self.options = EngineOptions.resolve(base=options, executor=executor, tmp_dir=tmp_dir)
+        kind, _, count = self.options.executor.partition(":")
+        # 0 workers = tasks run in the driver.
+        self.workers = 0 if kind == "serial" else int(count or os.cpu_count() or 1)
+        self.executor = f"process[{self.workers}]" if self.workers else "serial"
         self.scheduler = Scheduler()
-        self._owns_executor = not isinstance(options.executor, Executor)
-        self.executor = make_executor(options)
-        self._owns_block_store = not isinstance(options.block_store, BlockStore)
-        self.block_store = make_block_store(options)
-        self._broadcasts: dict[int, Broadcast[Any]] = {}
-        self._broadcasts_created = 0
-        self._accumulators: dict[int, Accumulator[Any]] = {}
+        self._pool: "ProcessPoolExecutor | None" = None
+        self._stopped = False
 
-    # ------------------------------------------------------------------ RDDs
-    def parallelize(self, data: Sequence[Any], num_partitions: int | None = None) -> RDD:
-        """Create an RDD from a Python sequence."""
-        partitions = num_partitions or self.default_parallelism
-        if partitions <= 0:
-            raise EngineError("num_partitions must be positive")
-        return ParallelCollectionRDD(self, data, partitions)
+    # ------------------------------------------------------------------- map
+    def map(self, func: Callable[[Any], Any], items: Iterable[Any], name: str = "map") -> list:
+        """``[func(item) for item in items]``, one task per item, on the pool."""
+        if self._stopped:
+            raise EngineError("this EngineContext was stopped; create a new one")
+        items = list(items)
+        if not self.workers:
+            seconds: list[float] = []
+            try:
+                results = []
+                for item in items:
+                    started = time.perf_counter()
+                    results.append(func(item))
+                    seconds.append(time.perf_counter() - started)
+            except BaseException:
+                self.scheduler.record(name, self.executor, len(items), seconds, {os.getpid()}, 1)
+                raise
+            self.scheduler.record(name, self.executor, len(items), seconds, {os.getpid()})
+            return results
+        payload = pickle.dumps(func, protocol=pickle.HIGHEST_PROTOCOL)
+        token = next(_payload_ids)
+        pool = self._ensure_pool()
+        futures = [pool.submit(_run_task, payload, token, item) for item in items]
+        outcomes = []
+        try:
+            for future in futures:
+                outcomes.append(future.result())
+        except BrokenProcessPool as error:
+            self._record_outcomes(name, len(items), outcomes, failures=1)
+            self._discard_pool()
+            raise EngineError(
+                f"{name!r}: a worker process died; the pool was discarded"
+            ) from error
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            self._record_outcomes(name, len(items), outcomes, failures=1)
+            raise
+        self._record_outcomes(name, len(items), outcomes)
+        return [result for result, _seconds, _pid in outcomes]
 
-    def emptyRDD(self) -> RDD:
-        """Create an RDD with no elements (single empty partition)."""
-        return ParallelCollectionRDD(self, [], 1)
+    def _record_outcomes(self, name: str, tasks: int, outcomes: list, failures: int = 0) -> None:
+        self.scheduler.record(
+            name, self.executor, tasks,
+            [seconds for _result, seconds, _pid in outcomes],
+            {pid for _result, _seconds, pid in outcomes}, failures,
+        )
 
-    def range(self, start: int, end: int | None = None, num_partitions: int | None = None) -> RDD:
-        """Create an RDD of consecutive integers, like ``sc.range``."""
-        if end is None:
-            start, end = 0, start
-        return self.parallelize(list(range(start, end)), num_partitions)
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            # Cheap copy-on-write workers on Linux; macOS offers "fork" too,
+            # but forking after system frameworks loaded can deadlock, so
+            # other platforms keep their default start method.
+            mp_context = (
+                multiprocessing.get_context("fork") if sys.platform == "linux" else None
+            )
+            self._pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=mp_context)
+        return self._pool
 
-    # ----------------------------------------------------------- shared state
-    def broadcast(self, value: T) -> Broadcast[T]:
-        """Create a broadcast variable holding ``value``."""
-        broadcast = new_broadcast(value)
-        self._broadcasts[broadcast.id] = broadcast
-        self._broadcasts_created += 1
-        return broadcast
+    def _discard_pool(self) -> None:
+        """Reap a broken pool, then sweep what its dead workers left behind.
 
-    def unbroadcast(self, broadcast: Broadcast[Any]) -> None:
-        """Destroy a job-scoped broadcast and drop this context's reference.
-
-        A long-lived context would otherwise pin every value it ever
-        broadcast until :meth:`stop`.  Releasing OS-level state the value
-        holds (a shared-memory segment) stays with whoever created it.
+        The pool already terminated every worker when it broke, so waiting
+        is bounded; it also means no dead worker is still an unreaped zombie
+        whose pid would look alive to the sweeps.
         """
-        self._broadcasts.pop(broadcast.id, None)
-        broadcast.destroy()
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+        sharedmem.sweep_orphaned_segments()
+        tmpfiles.sweep_orphaned_artifacts(self.options.tmp_dir)
 
-    def accumulator(
-        self, initial: T, combine: Callable[[T, T], T] | None = None
-    ) -> Accumulator[T]:
-        """Create an accumulator starting at ``initial``."""
-        accumulator = new_accumulator(initial, combine)
-        self._accumulators[accumulator.id] = accumulator
-        return accumulator
-
-    def merge_stage_result(self, result: StageResult) -> None:
-        """Fold worker-side task state back into the driver objects.
-
-        Accumulator updates are replayed in partition order — the same order
-        a serial run applies them — and broadcast read counts are added to
-        the driver-side ``access_count``.
-        """
-        for task in result.tasks:
-            for accumulator_id, updates in task.accumulator_updates.items():
-                accumulator = self._accumulators.get(accumulator_id)
-                if accumulator is not None:
-                    for update in updates:
-                        accumulator.add(update)
-            for broadcast_id, reads in task.broadcast_reads.items():
-                broadcast = self._broadcasts.get(broadcast_id)
-                if broadcast is not None:
-                    broadcast.access_count += reads
-
-    # ---------------------------------------------------------------- metrics
-    def metrics_summary(self) -> dict[str, Any]:
-        """Return a summary of everything executed on this context so far."""
+    # --------------------------------------------------------------- metrics
+    def metrics_summary(self) -> "dict[str, Any]":
+        """Totals over every map run on this context so far."""
+        rows = self.scheduler.rows
         return {
-            "app_name": self.app_name,
             "default_parallelism": self.default_parallelism,
-            "executor": self.executor.name,
-            "block_store": self.block_store.name,
-            "jobs": len(self.scheduler.jobs),
-            "stages": len(self.scheduler.stages),
-            "tasks": self.scheduler.total_tasks,
-            "task_attempts": self.scheduler.total_task_attempts,
-            "task_failures": self.scheduler.total_task_failures,
-            "tasks_recovered": self.scheduler.total_recovered,
-            "shuffle_records": self.scheduler.total_shuffle_records,
-            "shuffle_bytes": self.scheduler.total_shuffle_bytes,
-            "shuffle_relay_bytes": self.scheduler.total_shuffle_relay_bytes,
-            "shuffle_peer_bytes": self.scheduler.total_shuffle_peer_bytes,
-            "max_rss_bytes": self.scheduler.max_rss_bytes,
-            "broadcasts": self._broadcasts_created,
-            "accumulators": len(self._accumulators),
+            "executor": self.executor,
+            "stages": len(rows),
+            "tasks": sum(row["tasks"] for row in rows),
+            "task_failures": sum(row["failures"] for row in rows),
         }
 
-    def reset_metrics(self) -> None:
-        """Clear recorded scheduler metrics (useful between benchmark phases)."""
-        self.scheduler.reset()
-
-    # --------------------------------------------------------------- lifecycle
+    # ------------------------------------------------------------- lifecycle
     def stop(self) -> None:
-        """Release engine resources (closes the executor if this context owns it).
-
-        Broadcast values that hold OS-level shared state (e.g. a CSR index
-        exported to a :mod:`multiprocessing.shared_memory` segment) expose a
-        ``release_shared()`` hook; stopping the context releases them so no
-        ``/dev/shm`` segment outlives the run.  A context-owned block store
-        is closed too, removing spill directories and any shuffle segment
-        stranded by an aborted run.
-        """
-        for broadcast in self._broadcasts.values():
-            value = getattr(broadcast, "_value", None)
-            release = getattr(value, "release_shared", None)
-            if callable(release):
-                release()
-        if self._owns_executor:
-            self.executor.close()
-        if self._owns_block_store:
-            self.block_store.close()
+        """Shut the pool down; idempotent.  ``map`` raises afterwards."""
+        self._stopped = True
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     def __enter__(self) -> "EngineContext":
         return self
@@ -209,7 +223,6 @@ class EngineContext:
 
     def __repr__(self) -> str:
         return (
-            f"EngineContext(app_name={self.app_name!r}, "
-            f"default_parallelism={self.default_parallelism}, "
-            f"executor={self.executor.name!r})"
+            f"EngineContext(default_parallelism={self.default_parallelism}, "
+            f"executor={self.executor!r})"
         )

@@ -1,11 +1,10 @@
 """Managed temporary file artifacts: one root directory, one sweep.
 
 Two subsystems create on-disk artifacts with a lifetime tied to a run: the
-spill block store (:class:`~repro.engine.shuffle.SpillFileBlockStore` writes
-bucket pickle files into a run directory) and the memmap buffer backend of
-the CSR index (:meth:`repro.metablocking.index.CSRBlockIndex` backs its
-offset/entry vectors with one file-backed buffer).  Both families route
-through this module so that
+memmap buffer backend of the CSR index
+(:meth:`repro.metablocking.index.CSRBlockIndex` backs its offset/entry
+vectors with one file-backed buffer) and the service WAL (its
+truncate-rewrite temp).  Both families route through this module so that
 
 * every artifact lives under **one root** — the ``tmp_dir`` engine option
   (:mod:`repro.options`) — never scattered across whatever tmpdir each call
@@ -108,12 +107,14 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
-def _artifact_pid(name: str) -> "int | None":
-    """Creator pid of a managed artifact name, or ``None`` for foreign names.
+def owner_pid(name: str) -> "int | None":
+    """Creator pid of a managed artifact or segment name, ``None`` if foreign.
 
-    Only names matching ``repro-<kind>-<pid>-<seq>`` exactly are claimed:
-    legacy ``tempfile.mkdtemp`` suffixes and other ``repro-*`` files parse as
-    non-integer fields and are left alone.
+    The one parser of the ``repro-<kind>-<pid>-<seq>`` scheme, for both
+    orphan sweeps (files here, shared-memory segments in
+    :mod:`repro.engine.sharedmem`).  Only exact matches are claimed:
+    ``tempfile.mkdtemp`` suffixes, extra fields and other non-integer fields
+    are someone else's and are left alone.
     """
     parts = name.split("-")
     if len(parts) != 4 or parts[0] != "repro" or not parts[1].isalnum():
@@ -133,10 +134,10 @@ def sweep_orphaned_artifacts(
     Scans the resolved root for ``repro-<kind>-<pid>-<seq>`` entries and
     removes those whose pid no longer exists — the crash-recovery companion
     of :func:`repro.engine.sharedmem.sweep_orphaned_segments`, covering the
-    on-disk artifact families (spill directories, memmap buffers, WAL
-    rewrite temps) in one place.  ``kind`` restricts the sweep to one family
-    (the service's startup recovery sweeps only ``waltmp`` under its WAL
-    directory).  Returns the removed paths.
+    on-disk artifact families (memmap buffers, WAL rewrite temps) in one
+    place.  ``kind`` restricts the sweep to one family (the service's
+    startup recovery sweeps only ``waltmp`` under its WAL directory).
+    Returns the removed paths.
     """
     root = resolve_option("tmp_dir", tmp_dir)
     try:
@@ -148,7 +149,7 @@ def sweep_orphaned_artifacts(
     for entry in entries:
         if marker is not None and not entry.startswith(marker):
             continue
-        pid = _artifact_pid(entry)
+        pid = owner_pid(entry)
         if pid is None:
             continue
         path = os.path.join(root, entry)

@@ -18,7 +18,7 @@ class DataError(SparkERError):
 
 
 class EngineError(SparkERError):
-    """The mini dataflow engine was used incorrectly (e.g. bad partitioning)."""
+    """The engine was misused or lost a worker (bad option, crashed pool)."""
 
 
 class BlockingError(SparkERError):

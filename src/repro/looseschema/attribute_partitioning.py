@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.data.dataset import ProfileCollection
-from repro.engine.graphx import UnionFind
+from repro.utils.unionfind import UnionFind
 from repro.exceptions import BlockingError
 from repro.looseschema.lsh import AttributeLSH, AttributeProfile, build_attribute_profiles
 
@@ -57,7 +57,7 @@ class AttributePartitioning:
         """Map ``(source_id, attribute)`` to its cluster id.
 
         The one resolution the entropy extractor and the loose-schema blocker
-        (driver and engine paths) share; a pair that is not a key belongs to
+        share; a pair that is not a key belongs to
         the blob cluster.
         """
         return {

@@ -1,4 +1,4 @@
-"""CSR-backed block index — the broadcast payload of the meta-blocking join.
+"""CSR-backed block index — the shared payload of the meta-blocking join.
 
 The paper's parallel meta-blocking never materialises the blocking graph as an
 edge list: each task receives a compact block index and materialises one node
@@ -308,7 +308,7 @@ class CSRBlockIndex:
     def __getstate__(self) -> dict:
         """Ship every array plus the cached degree vector, never the kernel.
 
-        The index is the broadcast payload of the parallel meta-blocking;
+        The index is the shared payload of the parallel meta-blocking;
         each worker process builds its own scratch kernel on first use, so
         the kernel (and its buffers / cached sweeps and weight plans) stays
         out of the pickle.  The per-block stat vectors and — when cached —
@@ -394,9 +394,8 @@ class CSRBlockIndex:
         else never pays for the sweep.
 
         Idempotent; returns the :class:`SharedIndexBuffers` handle.  The
-        segment is unlinked by :meth:`release_shared` (wired to
-        ``EngineContext.stop()``) or, as a backstop, when the index is
-        garbage collected.
+        segment is unlinked by :meth:`close` or, as a backstop, when the
+        index is garbage collected.
         """
         if self._shared is not None and not self._shared.released:
             return self._shared
@@ -411,11 +410,6 @@ class CSRBlockIndex:
             fields["degrees"] = (self._degrees, "q")
         self._shared = SharedIndexBuffers.export(fields)
         return self._shared
-
-    def release_shared(self) -> None:
-        """Unlink the exported segment (no-op when none was exported)."""
-        if self._shared is not None:
-            self._shared.release()
 
     def close(self) -> None:
         """Release every OS-level resource the index holds; idempotent.

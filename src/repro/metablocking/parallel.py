@@ -1,22 +1,22 @@
-"""Broadcast-join parallel meta-blocking on the mini engine — one stage.
+"""Broadcast-join parallel meta-blocking on the range pool — one map.
 
 The paper (Section 2.1) describes the parallel meta-blocking as *inspired by
 the broadcast join*: the nodes of the blocking graph are partitioned, the
-compact block index is broadcast, and each task materialises the
-neighbourhoods of its own nodes and weighs their edges.  This module keeps
-that shape and moves every edge as an *array element*, never as a python
-object, until the retained set is known:
+compact block index is shared with every task, and each task materialises
+the neighbourhoods of its own nodes and weighs their edges.  This module
+keeps that shape and moves every edge as an *array element*, never as a
+python object, until the retained set is known:
 
-1. **Driver.**  Build the :class:`~repro.metablocking.index.CSRBlockIndex`,
-   export its buffers to one shared-memory segment (on a process pool;
-   otherwise the index pickles) and broadcast it — the job's only
-   broadcast.  Split the dense node ids ``[0, n)`` into
-   ``default_parallelism`` contiguous ranges balanced by *sweep cost* — per
-   node, the summed size of the blocks it sits in, read off the offset
-   arrays without materialising a neighbourhood (:func:`balanced_ranges`).
-2. **One executor stage, ``metablocking.weights``.**  A task receives one
-   ``(lo, hi)`` range, runs one partial kernel sweep over it against the
-   broadcast index and returns ``(a, b, w)`` ndarrays: dense endpoints and
+1. **Driver.**  Build the :class:`~repro.metablocking.index.CSRBlockIndex`
+   and, on a process pool, export its buffers to one shared-memory segment
+   (the index then pickles as a segment reference).  Split the dense node
+   ids ``[0, n)`` into ``default_parallelism`` contiguous ranges balanced by
+   *sweep cost* — per node, the summed size of the blocks it sits in, read
+   off the offset arrays without materialising a neighbourhood
+   (:func:`balanced_ranges`).
+2. **One map, ``metablocking.weights``.**  A task receives one ``(lo, hi)``
+   range, runs one partial kernel sweep over it against the shared index
+   and returns ``(a, b, w)`` ndarrays: dense endpoints and
    weight of every edge whose *lower* endpoint is in the range.  Each edge
    is emitted exactly once, so there is nothing to deduplicate and nothing
    to shuffle.
@@ -49,7 +49,6 @@ from itertools import accumulate
 import numpy as np
 
 from repro.engine.context import EngineContext
-from repro.engine.executors import MultiprocessingExecutor
 from repro.metablocking.backends import EdgeWeights
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
@@ -83,21 +82,21 @@ def balanced_ranges(costs, parts: int) -> list[tuple[int, int]]:
 class _RangeWeigher:
     """``(lo, hi)`` → the ``(a, b, w)`` edge arrays of that dense node range.
 
-    The task function of the ``metablocking.weights`` stage: a module-level
-    callable with bound arguments (not a closure), so the stage pickles and
-    runs unchanged on the multiprocessing executor.  The weight plan is
-    cached on the index, i.e. resolved once per worker process.
+    The task function of the ``metablocking.weights`` map: a module-level
+    callable with bound arguments (not a closure), so it pickles for the
+    process pool.  The weight plan is cached on the index, i.e. resolved once
+    per worker process.
     """
 
-    __slots__ = ("broadcast", "scheme", "use_entropy")
+    __slots__ = ("index", "scheme", "use_entropy")
 
-    def __init__(self, broadcast, scheme: WeightingScheme, use_entropy: bool) -> None:
-        self.broadcast = broadcast
+    def __init__(self, index: CSRBlockIndex, scheme: WeightingScheme, use_entropy: bool) -> None:
+        self.index = index
         self.scheme = scheme
         self.use_entropy = use_entropy
 
     def __call__(self, bounds: tuple[int, int]) -> tuple:
-        index: CSRBlockIndex = self.broadcast.value
+        index = self.index
         plan = index.weight_plan(self.scheme, self.use_entropy)
         return index.kernel().range_weights(*bounds, plan)
 
@@ -108,7 +107,7 @@ class ParallelMetaBlocker(MetaBlocker):
     Parameters
     ----------
     context:
-        The engine context the job runs on.
+        The engine context whose pool runs the range tasks.
     weighting / pruning / use_entropy:
         Same meaning as for :class:`~repro.metablocking.metablocker.MetaBlocker`.
     options:
@@ -132,10 +131,10 @@ class ParallelMetaBlocker(MetaBlocker):
         self.context = context
 
     def _weigh(self, index: CSRBlockIndex) -> EdgeWeights:
-        """Weigh on the executor: one task per cost-balanced node range.
+        """Weigh on the pool: one task per cost-balanced node range.
 
-        The broadcast is released here, also when a task raises; the index
-        itself (and its shared segment) is closed by the caller.
+        The index (and the shared segment it exported) is closed by the
+        caller, also when a task raises.
         """
         if index.num_nodes == 0:
             return super()._weigh(index)
@@ -143,25 +142,18 @@ class ParallelMetaBlocker(MetaBlocker):
         # CSR buffers (EJS's degree vector and edge count) travels with the
         # index instead of being re-swept per worker.
         index.weight_plan(self.weighting, self.use_entropy)
-        if isinstance(self.context.executor, MultiprocessingExecutor):
-            # The broadcast pickle then carries only a segment reference:
-            # pool workers map the index instead of deserialising copies.
+        if self.context.workers:
+            # The index then pickles as a segment reference: pool workers
+            # map it instead of deserialising copies.
             index.export_shared()
-        broadcast = self.context.broadcast(index)
-        try:
-            ranges = balanced_ranges(
-                index.kernel().sweep_costs(), self.context.default_parallelism
-            )
-            parts = (
-                self.context.parallelize(ranges, len(ranges))
-                .map(
-                    _RangeWeigher(broadcast, self.weighting, self.use_entropy),
-                    name="metablocking.weights",
-                )
-                .collect()
-            )
-        finally:
-            self.context.unbroadcast(broadcast)
+        ranges = balanced_ranges(
+            index.kernel().sweep_costs(), self.context.default_parallelism
+        )
+        parts = self.context.map(
+            _RangeWeigher(index, self.weighting, self.use_entropy),
+            ranges,
+            "metablocking.weights",
+        )
         a, b, w = (np.concatenate(column) for column in zip(*parts))
         return EdgeWeights(a, b, w, index.num_nodes, index.kernel().node_ids)
 
@@ -176,7 +168,7 @@ def make_meta_blocker(
 ) -> "ParallelMetaBlocker | MetaBlocker":
     """Build the meta-blocker matching the execution substrate.
 
-    The broadcast-join :class:`ParallelMetaBlocker` when an engine context is
+    The range-pool :class:`ParallelMetaBlocker` when an engine context is
     given, the sequential reference :class:`~repro.metablocking.metablocker.
     MetaBlocker` otherwise — the two are bit-for-bit equivalent.  Shared by
     the legacy :class:`repro.core.blocker.Blocker` and the pipeline stage

@@ -1,18 +1,17 @@
 """Shared-memory transport for the CSR index's numeric buffers.
 
-Under a process executor the broadcast CSR index used to travel *inside* the
-pickled stage chain: every worker deserialised a multi-MB copy of the offset
-arrays per stage.  The buffers are plain ``int64`` / ``float64`` blocks, so
-the driver can instead copy them once into one
+On a process pool the CSR index would otherwise travel *inside* the pickled
+task callable: every worker would deserialise a multi-MB copy of the offset
+arrays per map.  The buffers are plain ``int64`` / ``float64`` blocks, so
+the driver instead copies them once into one
 :class:`multiprocessing.shared_memory.SharedMemory` segment and ship only the
 segment *name* plus a field layout.  Workers attach and wrap each field
 as a zero-copy ``np.frombuffer`` view — the index is mapped once per machine,
 not pickled per worker.
 
 The generic segment machinery (naming, resource-tracker-safe attach, quiet
-close, orphan sweep, attachment cache) lives in :mod:`repro.engine.sharedmem`
-and is shared with the shuffle block store; this module keeps only the
-numpy-specific layer: packing named numeric fields into one segment and
+close, orphan sweep, attachment cache) lives in :mod:`repro.engine.sharedmem`;
+this module keeps only the numpy-specific layer: packing named numeric fields into one segment and
 handing out zero-copy views.
 
 Naming, ownership and unlink responsibilities
@@ -21,8 +20,8 @@ Naming, ownership and unlink responsibilities
   :func:`repro.engine.sharedmem.make_segment_name`); the embedded pid is the
   exporting driver's, which the orphan sweep uses to detect dead owners;
 * the driver exports (``create=True``) and owns the segment; it unlinks it in
-  :meth:`SharedIndexBuffers.release` — wired to ``EngineContext.stop()``
-  through the index's ``release_shared`` hook — and a ``weakref.finalize``
+  :meth:`SharedIndexBuffers.release` — called when the meta-blocking job
+  closes its index — and a ``weakref.finalize``
   backstop unlinks on garbage collection / interpreter exit, so no
   ``/dev/shm`` segment outlives the run;
 * workers attach (``create=False``) and only ever close their mapping — they
@@ -38,14 +37,11 @@ import weakref
 from typing import Any
 
 from repro.engine.sharedmem import (
-    _handles,
-    _live_owned,
     cache_attachment,
     cached_attachment,
     live_segments as _live_engine_segments,
     make_segment_name,
     attach_untracked as _attach_untracked,
-    quiet_close as _quiet_close,
     register_owned,
     release_segment as _release_segment,
     sweep_orphaned_segments,
@@ -129,8 +125,8 @@ class SharedIndexBuffers:
             shm = _attach_untracked(name)
         except FileNotFoundError as error:
             raise MetaBlockingError(
-                f"shared CSR index segment {name!r} is gone — was the owning "
-                f"EngineContext stopped while tasks were still running?"
+                f"shared CSR index segment {name!r} is gone — was its index "
+                f"closed while tasks were still running?"
             ) from error
         handle = cls(shm, layout, owner=False)
         cache_attachment(name, handle)

@@ -1,16 +1,16 @@
 """Engine options: the one door a setting goes through to reach the engine.
 
-Six values tune *how* a run executes without changing *what* it computes:
-where narrow stages run (``executor``), where the meta-blocking index keeps
-its buffers (``buffer_backend``), where run-scoped files land (``tmp_dir``),
-how failed tasks recover (``fault_policy``, and the test-only
-``fault_inject``), and how shuffle blocks travel (``block_store``).  Each is
-reachable four ways — a keyword argument, a pipeline-spec ``engine.*`` key,
-a ``run`` CLI flag and a ``REPRO_*`` environment variable — and this module
-is the only place that knows it: :data:`OPTIONS` is the table, :meth:`EngineOptions.resolve` the one
+Three values tune *how* a run executes without changing *what* it computes:
+where the meta-blocking range tasks run (``executor``), where the
+meta-blocking index keeps its buffers (``buffer_backend``) and where
+run-scoped files land (``tmp_dir``).  Each is reachable four ways — a keyword
+argument, a pipeline-spec ``engine.*`` key, a ``run`` CLI flag and a
+``REPRO_*`` environment variable — and this module is the only place that
+knows it: :data:`OPTIONS` is the table, :meth:`EngineOptions.resolve` the one
 resolution (explicit > spec > environment > default, then validated), and
 the CLI flags, the ``engine``-section validation and the docs table are all
-derived from the same rows.
+derived from the same rows.  Keys of removed options that stored artifacts
+may still carry are handled by :func:`drop_retired_keys`.
 
 Entry points (``cli run``, ``Pipeline.from_spec``, ``SparkER``,
 ``ServiceCollection``) resolve once and hand the frozen :class:`EngineOptions`
@@ -39,21 +39,15 @@ from repro.exceptions import (
 )
 
 BUFFER_CHOICES = ("ram", "memmap")
-BLOCK_STORE_CHOICES = ("driver", "shared-memory", "spill")
 
 
 # ----------------------------------------------------------------- validators
 # Each takes the winning raw value (``None`` = nothing was set anywhere) and
-# returns the resolved one.  Engine classes are imported lazily: the engine
-# modules import this one.
-def _executor(spec: Any) -> Any:
-    """``"serial"`` / ``"process"`` / ``"process:<N>"``, or an instance."""
-    from repro.engine.executors import Executor
-
-    if isinstance(spec, Executor):
-        return spec
+# returns the resolved one.
+def _executor(spec: Any) -> str:
+    """``"serial"`` / ``"process"`` / ``"process:<N>"``."""
     if not isinstance(spec, str):
-        raise EngineError(f"executor spec must be an Executor or a string, got {spec!r}")
+        raise EngineError(f"executor spec must be a string, got {spec!r}")
     name, _, argument = spec.partition(":")
     name, argument = name.strip().lower(), argument.strip()
     if name in ("serial", "sync", "driver"):
@@ -96,54 +90,6 @@ def _tmp_dir(spec: Any) -> str:
     return os.fspath(spec)
 
 
-def _fault_policy(spec: Any) -> Any:
-    """A :class:`FaultPolicy`; nothing set means the no-retry policy."""
-    from repro.engine.faults import FaultPolicy
-
-    if spec is None:
-        return FaultPolicy()
-    if isinstance(spec, FaultPolicy):
-        return spec
-    if isinstance(spec, (str, Mapping)):
-        return FaultPolicy.parse(spec)
-    raise EngineError(
-        f"fault policy must be a FaultPolicy, spec string or mapping, got {spec!r}"
-    )
-
-
-def _fault_inject(spec: Any) -> Any:
-    """A :class:`FaultInjector`, or ``None`` — the production default."""
-    from repro.engine.faults import FaultInjector
-
-    if spec is None or isinstance(spec, FaultInjector):
-        return spec
-    if isinstance(spec, str):
-        return FaultInjector.parse(spec)
-    raise EngineError(
-        f"fault injector must be a FaultInjector or a spec string, got {spec!r}"
-    )
-
-
-def _block_store(spec: Any) -> Any:
-    """``"driver"`` / ``"shared-memory"`` / ``"spill"``, or an instance."""
-    from repro.engine.shuffle import BlockStore
-
-    if isinstance(spec, BlockStore):
-        return spec
-    if not isinstance(spec, str):
-        raise EngineError(f"block store spec must be a BlockStore or a string, got {spec!r}")
-    name = spec.strip().lower()
-    if name in ("driver", "inline"):
-        return "driver"
-    if name in ("shared-memory", "shared_memory", "sharedmem", "shm"):
-        return "shared-memory"
-    if name in ("spill", "file", "spill-file"):
-        return "spill"
-    raise EngineError(
-        f"unknown block store {spec!r}; expected 'driver', 'shared-memory' or 'spill'"
-    )
-
-
 # ------------------------------------------------------------ CLI composition
 def executor_from_args(args: argparse.Namespace) -> "str | None":
     """Build the executor spec from ``--executor`` / ``--workers``.
@@ -157,18 +103,6 @@ def executor_from_args(args: argparse.Namespace) -> "str | None":
     return f"{executor}:{args.workers}"
 
 
-def fault_policy_from_args(args: argparse.Namespace) -> "str | None":
-    """Build the fault-policy spec from ``--task-retries`` / ``--task-timeout``."""
-    parts = []
-    if args.task_retries is not None:
-        if args.task_retries < 0:
-            raise SparkERError("--task-retries must be >= 0")
-        parts.append(f"retries={args.task_retries}")
-    if args.task_timeout is not None:
-        parts.append(f"timeout={args.task_timeout:g}")
-    return ",".join(parts) or None
-
-
 # ------------------------------------------------------------------ the table
 @dataclass(frozen=True)
 class Option:
@@ -176,8 +110,8 @@ class Option:
 
     ``flags`` are the ``argparse`` declarations of its ``run`` flags and
     ``from_args`` composes them into one explicit value when a flag is not
-    the value itself; ``in_spec`` says whether a pipeline spec's ``engine``
-    section may set it (under the field's own name).
+    the value itself.  A pipeline spec's ``engine`` section sets it under the
+    field's own name.
     """
 
     field: str
@@ -187,22 +121,18 @@ class Option:
     consumer: str
     flags: "tuple[tuple[str, dict[str, Any]], ...]" = ()
     from_args: "Callable[[argparse.Namespace], Any] | None" = None
-    in_spec: bool = True
-
-    @property
-    def spec_key(self) -> "str | None":
-        return self.field if self.in_spec else None
 
 
 OPTIONS: "tuple[Option, ...]" = (
     Option(
         "executor", "REPRO_ENGINE_EXECUTOR", "serial", _executor,
-        "`EngineContext` (where narrow stages run)",
+        "`EngineContext` (where the meta-blocking range tasks run)",
         flags=(
             ("--executor", dict(
                 choices=["serial", "process"],
-                help="engine executor for narrow stages (implies --engine); "
-                     "'process' runs shippable stages on a process pool")),
+                help="where the meta-blocking range tasks run (implies "
+                     "--engine): 'serial' in this process, 'process' on a "
+                     "process pool")),
             ("--workers", dict(
                 type=int,
                 help="process-pool worker count (implies --executor process; "
@@ -225,49 +155,13 @@ OPTIONS: "tuple[Option, ...]" = (
     ),
     Option(
         "tmp_dir", "REPRO_TMPDIR", None, _tmp_dir,
-        "`engine.tmpfiles` (root of memmap buffers and spill directories; "
+        "`engine.tmpfiles` (root of the memmap buffers; "
         "default: the system temp dir)",
         flags=(
             ("--tmp-dir", dict(
                 help="root directory for engine temp artifacts (memmap "
-                     "index buffers, shuffle spill files); default: "
-                     "REPRO_TMPDIR or the system temp dir")),
-        ),
-    ),
-    Option(
-        "fault_policy", "REPRO_FAULT_POLICY", None, _fault_policy,
-        "`MultiprocessingExecutor` (task retries/timeouts; default: fail fast)",
-        flags=(
-            ("--task-retries", dict(
-                type=int,
-                help="extra attempts per task before the fault policy is "
-                     "exhausted (process executor only; default 0 = fail "
-                     "fast, like REPRO_FAULT_POLICY unset)")),
-            ("--task-timeout", dict(
-                type=float,
-                help="per-task timeout in seconds; a hung worker is killed, "
-                     "the pool rebuilt and the task retried (process "
-                     "executor only)")),
-        ),
-        from_args=fault_policy_from_args,
-    ),
-    Option(
-        "fault_inject", "REPRO_FAULT_INJECT", None, _fault_inject,
-        "`MultiprocessingExecutor` (deterministic chaos harness, tests only; "
-        "kwarg `fault_injector=`)",
-        in_spec=False,  # a test hook, never part of a run's provenance
-    ),
-    Option(
-        "block_store", "REPRO_BLOCK_STORE", "driver", _block_store,
-        "`EngineContext` (how shuffle blocks travel)",
-        flags=(
-            ("--block-store", dict(
-                choices=list(BLOCK_STORE_CHOICES),
-                help="how shuffle payloads travel between engine tasks: "
-                     "'driver' relays them through the driver (default), "
-                     "'shared-memory' publishes them as named shared-memory "
-                     "segments exchanged peer-to-peer (spills per block when "
-                     "shm is unavailable), 'spill' uses pickle files")),
+                     "index buffers); default: REPRO_TMPDIR or the system "
+                     "temp dir")),
         ),
     ),
 )
@@ -275,11 +169,8 @@ OPTIONS: "tuple[Option, ...]" = (
 _BY_FIELD = {option.field: option for option in OPTIONS}
 
 # What an ``engine`` section may hold: the pipeline's own two keys plus every
-# option settable from a spec.
-ENGINE_SECTION_KEYS = frozenset(
-    {"enabled", "parallelism"}
-    | {option.field for option in OPTIONS if option.in_spec}
-)
+# option.
+ENGINE_SECTION_KEYS = frozenset({"enabled", "parallelism", *_BY_FIELD})
 
 
 def _unset(value: Any) -> bool:
@@ -291,15 +182,14 @@ def resolve_option(
 ) -> Any:
     """Resolve one option: explicit > spec > environment > default, validated.
 
-    The per-field half of :meth:`EngineOptions.resolve`, for the leaves that
-    act on a single value (``tmpfiles`` on the temp root, the process
-    executor on its fault policy).  A validation error names the source that
+    The per-field half of :meth:`EngineOptions.resolve`, for the leaf that
+    acts on a single value (``tmpfiles`` on the temp root).  A validation error names the source that
     supplied the bad value.
     """
     option = _BY_FIELD[field]
     value, source = explicit, field
-    if _unset(value) and spec is not None and option.spec_key is not None:
-        value, source = spec.get(option.spec_key), f"engine.{option.spec_key}"
+    if _unset(value) and spec is not None:
+        value, source = spec.get(field), f"engine.{field}"
     if _unset(value):
         value, source = os.environ.get(option.env_var), option.env_var
     if _unset(value):
@@ -312,20 +202,15 @@ def resolve_option(
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """The six resolved engine options of one run (build with :meth:`resolve`).
+    """The three resolved engine options of one run (build with :meth:`resolve`).
 
-    Strings are canonical names (``"process:2"``, ``"memmap"``,
-    ``"shared-memory"``); ``fault_policy`` / ``fault_inject`` are parsed
-    objects; ``executor`` / ``block_store`` may instead hold a caller-built
-    instance, which :class:`~repro.engine.context.EngineContext` uses as is.
+    Every value is a canonical string (``"process:2"``, ``"memmap"``, a
+    directory).
     """
 
-    executor: Any
+    executor: str
     buffer_backend: str
     tmp_dir: str
-    fault_policy: Any
-    fault_inject: Any
-    block_store: Any
 
     @classmethod
     def resolve(
@@ -357,19 +242,27 @@ class EngineOptions:
 
     def as_spec(self) -> "dict[str, object]":
         """The ``engine``-section keys that reproduce these options."""
-        section: dict[str, object] = {}
-        for option in OPTIONS:
-            value = getattr(self, option.field)
-            if option.spec_key is not None and value is not None:
-                section[option.spec_key] = value if isinstance(value, str) else value.spec()
-        return section
+        return {field: getattr(self, field) for field in _BY_FIELD}
 
 
 # ------------------------------------------------------------- retired keys
-#: Options that no longer exist, with the values a stored artifact (pipeline
+#: Options that no longer exist: the values a stored artifact (pipeline
 #: checkpoint, ``--output-config`` file, service snapshot) may carry for them
-#: and still describe what every run now does.
-_RETIRED = {"kernel_backend": (None, "auto", "numpy")}
+#: and still describe what every run now does (``None``: any value does), and
+#: what was removed.
+_RETIRED = {
+    "kernel_backend": (
+        (None, "auto", "numpy"),
+        "numpy is required and the interpreted meta-blocking kernel no longer exists",
+    ),
+    # It only chose how shuffle payloads travelled; nothing is shuffled now.
+    "block_store": (None, "the engine no longer shuffles, so there are no block stores"),
+    "fault_policy": (
+        (None, "retries=0,backoff=0.1,backoff_max=5"),
+        "task retries and timeouts no longer exist; a crashed worker fails the run",
+    ),
+    "fault_inject": ((None,), "the engine fault injector no longer exists"),
+}
 
 
 def drop_retired_keys(
@@ -379,16 +272,14 @@ def drop_retired_keys(
 
     A value the retired option would have resolved to today is dropped
     silently; any other (``kernel_backend: python`` asked for the removed
-    interpreted kernel) raises ``error`` instead of running something else.
+    interpreted kernel, ``fault_policy: retries=2`` for retries) raises
+    ``error`` instead of running something else.
     """
     kept = dict(mapping)
-    for key, harmless in _RETIRED.items():
+    for key, (harmless, removed) in _RETIRED.items():
         value = kept.pop(key, None)
-        if value not in harmless:
-            raise error(
-                f"{key}={value!r}: the option was removed — numpy is required and "
-                f"the interpreted meta-blocking kernel no longer exists; drop the key"
-            )
+        if harmless is not None and value not in harmless:
+            raise error(f"{key}={value!r}: the option was removed — {removed}; drop the key")
     return kept
 
 
@@ -436,10 +327,9 @@ def docs_table() -> "list[str]":
     ]
     for option in OPTIONS:
         flags = " / ".join(f"`{flag}`" for flag, _ in option.flags) or "—"
-        spec_key = f"`engine.{option.spec_key}`" if option.spec_key else "—"
         default = f"`{option.default}`" if option.default else "—"
         lines.append(
-            f"| `{option.field}` | {flags} | {spec_key} | `{option.env_var}` "
+            f"| `{option.field}` | {flags} | `engine.{option.field}` | `{option.env_var}` "
             f"| {default} | {option.consumer} |"
         )
     return lines

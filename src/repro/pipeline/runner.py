@@ -42,26 +42,10 @@ from repro.utils.timers import StageTimings, Timer
 
 _UNSET = object()
 
-_ENGINE_COUNTERS = (
-    "jobs",
-    "stages",
-    "tasks",
-    "shuffle_records",
-    "shuffle_bytes",
-    "shuffle_relay_bytes",
-    "shuffle_peer_bytes",
-)
-
-# Monotonic counters in EngineContext.metrics_summary() that a per-run view
-# must report as deltas; everything else (e.g. default_parallelism) is a
-# configuration gauge and passes through unchanged.
-_ENGINE_RUN_COUNTERS = _ENGINE_COUNTERS + (
-    "broadcasts",
-    "accumulators",
-    "task_attempts",
-    "task_failures",
-    "tasks_recovered",
-)
+# Monotonic counters in EngineContext.metrics_summary(): per-stage and per-run
+# views report them as deltas; everything else (e.g. default_parallelism) is
+# a configuration gauge and passes through unchanged.
+_ENGINE_COUNTERS = ("stages", "tasks", "task_failures")
 
 _SPEC_ENTRY_KEYS = {"stage", "label", "params", "inputs", "outputs"}
 
@@ -93,10 +77,8 @@ def _engine_run_metrics(
     if engine is None:
         return {}
     summary = dict(engine.metrics_summary())
-    for key in _ENGINE_RUN_COUNTERS:
-        value, start = summary.get(key), run_start.get(key)
-        if isinstance(value, int) and isinstance(start, int):
-            summary[key] = value - start
+    for key in _ENGINE_COUNTERS:
+        summary[key] -= run_start[key]
     return summary
 
 
@@ -288,8 +270,7 @@ class Pipeline:
               "name": "my-pipeline",                    # optional
               "engine": {"enabled": true,               # optional section
                          "parallelism": 4,
-                         "executor": "process:2",
-                         "block_store": "shared-memory"},
+                         "executor": "process:2"},
               "seeds": {"blocks": "blocks"},            # optional extra seeds
               "stages": [
                 {"stage": "token_blocking",
@@ -303,8 +284,11 @@ class Pipeline:
         engine options (:mod:`repro.options`); they are resolved here, once —
         ``overrides`` (explicit values, e.g. CLI flags) win over the section,
         the section over the ``REPRO_*`` environment — and an unknown key is
-        rejected.  ``engine=`` overrides the spec's engine section with a
-        caller-managed context (pass ``None`` to force driver-side execution).
+        rejected, and a retired one (``block_store``, ``fault_policy``, ...)
+        dropped when harmless, rejected otherwise
+        (:func:`~repro.options.drop_retired_keys`).  ``engine=`` overrides
+        the spec's engine section with a caller-managed context (pass
+        ``None`` to force driver-side execution).
         """
         if not isinstance(spec, Mapping):
             raise PipelineValidationError("a pipeline spec must be a mapping")

@@ -181,8 +181,6 @@ class StageExecution:
             "status": "resumed" if self.resumed else "run",
             "seconds": round(self.seconds, 4),
             "tasks": self.engine.get("tasks", 0),
-            "shuffle_records": self.engine.get("shuffle_records", 0),
-            "shuffle_bytes": self.engine.get("shuffle_bytes", 0),
         }
         # getattr: executions unpickled from pre-detail checkpoints lack it.
         row.update(getattr(self, "detail", None) or {})

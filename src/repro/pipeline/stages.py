@@ -147,13 +147,11 @@ class TokenBlockingStage(Stage):
                 cluster_entropies=cluster_entropies if self.use_entropy else None,
                 min_token_length=self.min_token_length,
                 remove_stopwords=self.remove_stopwords,
-                engine=context.engine,
             )
         else:
             strategy = TokenBlocking(
                 min_token_length=self.min_token_length,
                 remove_stopwords=self.remove_stopwords,
-                engine=context.engine,
             )
         blocks = strategy.block(profiles)
         _record_block_stage(context, self.label, blocks)
@@ -395,7 +393,7 @@ class ClusteringStage(Stage):
 
     def run(self, context: "PipelineContext", *, similarity_graph):
         config = ClustererConfig(algorithm=self.algorithm, min_score=self.min_score)
-        clusterer = EntityClusterer(config, engine=context.engine)
+        clusterer = EntityClusterer(config)
         clusters = clusterer.cluster(similarity_graph)
         metrics: dict[str, object] = {"clusters": len(clusters)}
         if context.ground_truth is not None:

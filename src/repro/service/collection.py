@@ -22,7 +22,7 @@ import re
 from dataclasses import asdict, dataclass
 
 from repro.data.profile import EntityProfile
-from repro.engine.faults import service_fault
+from repro.service.faults import service_fault
 from repro.exceptions import ConfigurationError, DataError
 from repro.metablocking.index import IncrementalBlockIndex
 from repro.metablocking.progressive import (

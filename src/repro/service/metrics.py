@@ -1,7 +1,7 @@
 """Service-side request metrics: latency histograms plus failure counters.
 
-Thin aggregation over :class:`repro.engine.metrics.LatencyHistogram` — one
-histogram and one request/error counter pair per route label, snapshotted by
+Thin aggregation over :class:`LatencyHistogram` — one histogram and one
+request/error counter pair per route label, snapshotted by
 the ``GET /metrics`` endpoint.  Labels are route *patterns* (e.g.
 ``POST /collections/{name}/profiles``), not concrete paths, so cardinality is
 bounded by the route table.
@@ -19,11 +19,91 @@ The durability/admission layer adds two more surfaces:
 
 from __future__ import annotations
 
+import math
 import time
 
-from repro.engine.metrics import LatencyHistogram
-
 _SHED_STATUSES = (429, 503, 507)
+
+
+class LatencyHistogram:
+    """Log-scale latency histogram with streaming percentile estimates.
+
+    Buckets grow geometrically from ``base_seconds`` by ``growth`` per step —
+    fine resolution where service latencies live (sub-millisecond to
+    seconds), O(1) memory forever, no per-request allocation.  Percentiles
+    are read from the bucket boundaries (upper edge of the bucket holding
+    the requested rank), so ``p50``/``p95`` are conservative estimates with
+    bounded relative error (``growth - 1``), which is exactly what a
+    /metrics endpoint needs: stable, monotone, cheap.
+    """
+
+    __slots__ = ("base_seconds", "growth", "counts", "count", "total_seconds", "max_seconds")
+
+    def __init__(
+        self,
+        *,
+        base_seconds: float = 1e-5,
+        growth: float = 1.5,
+        num_buckets: int = 48,
+    ) -> None:
+        if base_seconds <= 0 or growth <= 1 or num_buckets < 2:
+            raise ValueError("invalid latency histogram shape")
+        self.base_seconds = base_seconds
+        self.growth = growth
+        # counts[i] holds observations <= base * growth**i; the last bucket
+        # is the unbounded overflow.
+        self.counts = [0] * num_buckets
+        self.count = 0
+        self.total_seconds = 0.0
+        self.max_seconds = 0.0
+
+    def observe(self, seconds: float) -> None:
+        """Record one observation (negative durations clamp to zero)."""
+        seconds = max(0.0, float(seconds))
+        self.count += 1
+        self.total_seconds += seconds
+        if seconds > self.max_seconds:
+            self.max_seconds = seconds
+        bound = self.base_seconds
+        last = len(self.counts) - 1
+        for bucket in range(last):
+            if seconds <= bound:
+                self.counts[bucket] += 1
+                return
+            bound *= self.growth
+        self.counts[last] += 1
+
+    def quantile(self, q: float) -> float:
+        """Upper bucket edge at quantile ``q`` (0 when nothing was observed)."""
+        if not 0 <= q <= 1:
+            raise ValueError("quantile must be within [0, 1]")
+        if self.count == 0:
+            return 0.0
+        rank = max(1, math.ceil(q * self.count))
+        seen = 0
+        bound = self.base_seconds
+        last = len(self.counts) - 1
+        for bucket, bucket_count in enumerate(self.counts):
+            seen += bucket_count
+            if seen >= rank:
+                return self.max_seconds if bucket == last else bound
+            bound *= self.growth
+        return self.max_seconds  # pragma: no cover - rank <= count always hits
+
+    @property
+    def mean_seconds(self) -> float:
+        return self.total_seconds / self.count if self.count else 0.0
+
+    def summary(self) -> dict[str, float]:
+        """Flat dict for the service /metrics endpoint (seconds)."""
+        return {
+            "count": self.count,
+            "mean": self.mean_seconds,
+            "p50": self.quantile(0.50),
+            "p95": self.quantile(0.95),
+            "p99": self.quantile(0.99),
+            "max": self.max_seconds,
+        }
 
 
 class ServiceMetrics:

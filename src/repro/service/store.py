@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 
 from repro.engine import tmpfiles as _tmpfiles
-from repro.engine.faults import service_fault
+from repro.service.faults import service_fault
 from repro.exceptions import ConfigurationError
 from repro.pipeline.checkpoint import PipelineCheckpoint
 from repro.service.collection import (

@@ -51,7 +51,7 @@ import struct
 import zlib
 
 from repro.engine import tmpfiles as _tmpfiles
-from repro.engine.faults import service_fault
+from repro.service.faults import service_fault
 from repro.exceptions import ConfigurationError, SparkERError
 
 _HEADER = struct.Struct("<QII")  # sequence number, payload length, payload CRC-32

@@ -22,7 +22,7 @@ def stable_hash(value: object, seed: int = 0) -> int:
     """Return a deterministic 64-bit hash of ``value``.
 
     Unlike ``hash()``, this is stable across interpreter runs, which makes
-    hash partitioning in the engine reproducible.
+    MinHash signatures reproducible.
     """
     data = repr(value).encode("utf-8", errors="replace")
     digest = hashlib.blake2b(data, digest_size=8, salt=struct.pack("<q", seed)).digest()

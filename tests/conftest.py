@@ -47,8 +47,8 @@ def dirty_persons_small():
 
 @pytest.fixture
 def engine():
-    """A fresh engine context with 4 partitions."""
-    return EngineContext(default_parallelism=4, app_name="tests")
+    """A fresh serial engine context splitting jobs into 4 ranges."""
+    return EngineContext(default_parallelism=4)
 
 
 @pytest.fixture

@@ -226,23 +226,6 @@ class TestColumnsEqualObjects:
         assert (index.num_nodes, index.num_blocks, index.total_blocks) == (0, 0, 0)
         index.close()
 
-    @settings(max_examples=25, deadline=None)
-    @given(collections(), partitionings())
-    def test_engine_branch_equals_driver_branch(self, profiles, partitioning):
-        engine = EngineContext(default_parallelism=3)
-        try:
-            for make in (
-                lambda engine=None: TokenBlocking(engine=engine),
-                lambda engine=None: LooseSchemaTokenBlocking(
-                    partitioning, cluster_entropies={1: 0.5}, engine=engine
-                ),
-            ):
-                distributed = make(engine).block(profiles)
-                assert distributed.columns is not None
-                assert rows(distributed) == rows(make().block(profiles))
-        finally:
-            engine.stop()
-
     @settings(max_examples=200, deadline=None)
     @given(
         st.one_of(collections().map(lambda p: TokenBlocking().block(p)), valid_collections()),

@@ -75,14 +75,6 @@ class TestLooseSchemaKeys:
         blocks = LooseSchemaTokenBlocking(partitioning).block(abt_buy_small.profiles)
         assert blocks.clean_clean
 
-    def test_distributed_matches_local(self, engine, abt_buy_small):
-        partitioning = AttributePartitioner(threshold=0.1).partition(abt_buy_small.profiles)
-        local = LooseSchemaTokenBlocking(partitioning).block(abt_buy_small.profiles)
-        distributed = LooseSchemaTokenBlocking(partitioning, engine=engine).block(
-            abt_buy_small.profiles
-        )
-        assert local.distinct_comparisons() == distributed.distinct_comparisons()
-
     def test_recall_stays_high(self, abt_buy_small):
         partitioning = AttributePartitioner(threshold=0.1).partition(abt_buy_small.profiles)
         blocks = LooseSchemaTokenBlocking(partitioning).block(abt_buy_small.profiles)
@@ -94,7 +86,7 @@ class TestLooseSchemaKeys:
 
 class TestClashingAttributeNames:
     """One attribute name may sit in a different cluster per source: the
-    blocker (driver and engine) and the entropy extractor must all resolve it
+    blocker and the entropy extractor must both resolve it
     by ``(source_id, attribute)``, never by name alone."""
 
     def _task(self):
@@ -108,7 +100,7 @@ class TestClashingAttributeNames:
         )
         return ProfileCollection([left, right]), partitioning
 
-    def test_local_engine_and_entropy_agree(self, engine):
+    def test_blocker_and_entropy_agree(self):
         profiles, partitioning = self._task()
         entropies = EntropyExtractor(normalize=False).extract(profiles, partitioning)
         # Cluster 1 holds {sony, bravia}; cluster 2 holds {kdl40 x2, sony}.
@@ -121,13 +113,10 @@ class TestClashingAttributeNames:
                 for block in blocker.block(profiles)
             }
 
-        local = keyed(LooseSchemaTokenBlocking(partitioning, cluster_entropies=entropies))
-        distributed = keyed(
-            LooseSchemaTokenBlocking(partitioning, cluster_entropies=entropies, engine=engine)
-        )
+        blocks = keyed(LooseSchemaTokenBlocking(partitioning, cluster_entropies=entropies))
         # "sony" is sony_1 on the left and sony_2 on the right (no shared
         # block); only "kdl40" meets in cluster 2, with that cluster's entropy.
-        assert local == distributed == {"kdl40_2": ({0}, {1}, entropies[2])}
+        assert blocks == {"kdl40_2": ({0}, {1}, entropies[2])}
 
     def test_key_for_with_source(self):
         _profiles, partitioning = self._task()

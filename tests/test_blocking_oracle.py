@@ -20,7 +20,6 @@ from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
-from repro.engine.context import EngineContext
 from repro.looseschema.attribute_partitioning import AttributePartitioning
 
 WORDS = ["sony", "tv", "hd", "led", "x1", "40", "lg", "pro"]
@@ -182,26 +181,6 @@ def test_loose_schema_blocking_equals_the_definition(task, partitioning):
     assert as_dict(blocks) == oracle_blocks(profiles, clean_clean, key_of)
     for block in blocks:
         assert block.entropy == entropies[int(block.key.rsplit("_", 1)[1])]
-
-
-@settings(max_examples=40, deadline=None)
-@given(collections(), partitionings())
-def test_engine_path_equals_driver_path(task, partitioning):
-    profiles, _clean_clean = task
-    engine = EngineContext(default_parallelism=3)
-    try:
-        for local, distributed in (
-            (TokenBlocking(), TokenBlocking(engine=engine)),
-            (
-                LooseSchemaTokenBlocking(partitioning, cluster_entropies={1: 0.5}),
-                LooseSchemaTokenBlocking(partitioning, cluster_entropies={1: 0.5}, engine=engine),
-            ),
-        ):
-            ours, theirs = local.block(profiles), distributed.block(profiles)
-            assert as_list(ours) == as_list(theirs)
-            assert [b.entropy for b in ours] == [b.entropy for b in theirs]
-    finally:
-        engine.stop()
 
 
 hand_made_blocks = st.lists(

@@ -1,10 +1,25 @@
 """Tests of the command-line interface."""
 
 import json
+import tempfile
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.pipeline import PipelineCheckpoint
+
+# The engine section `run --output-config` and checkpoints recorded while
+# block stores and fault policies existed: the resolved defaults.
+PARENT_ENGINE = {
+    "executor": "serial", "buffer_backend": "ram", "tmp_dir": tempfile.gettempdir(),
+    "fault_policy": "retries=0,backoff=0.1,backoff_max=5", "block_store": "driver",
+}
+
+
+def metrics_table(output):
+    lines = output.splitlines()
+    start = lines.index("pipeline stages")
+    return lines[start:lines.index("", start)]
 
 
 class TestParser:
@@ -94,11 +109,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_engine_executor_smoke(self, capsys, executor):
-        """Tiny end-to-end pipeline on the mini engine under both executors.
+        """Tiny end-to-end pipeline with the engine under both executors.
 
-        ``--executor`` implies ``--engine``; the process executor must
-        complete the full pipeline (shippable stages on the pool, closure
-        stages falling back to the driver) with a zero exit code.
+        ``--executor`` implies ``--engine``; with the process executor the
+        meta-blocking ranges run on the pool and the run exits 0.
         """
         arguments = ["run", "--synthetic", "abt-buy", "--entities", "40",
                      "--executor", executor]
@@ -196,13 +210,36 @@ class TestSpecRun:
         assert spec["stages"][4]["params"]["pruning"] == "wnp"
         assert main(["run", "--spec", str(resolved)]) == 0
         second = capsys.readouterr().out
-
-        def metrics_table(output):
-            lines = output.splitlines()
-            start = lines.index("pipeline stages")
-            return lines[start:lines.index("", start)]
-
         assert metrics_table(first) == metrics_table(second)
+
+    def test_a_parent_written_output_config_replays_byte_identically(self, capsys, tmp_path):
+        resolved, first_out, second_out = (
+            tmp_path / "resolved.json", tmp_path / "first.json", tmp_path / "second.json"
+        )
+        assert main([
+            "run", "--synthetic", "abt-buy", "--entities", "40",
+            "--output-config", str(resolved), "--output", str(first_out),
+        ]) == 0
+        first = capsys.readouterr().out
+        spec = json.loads(resolved.read_text())
+        spec["engine"].update(PARENT_ENGINE)
+        resolved.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(resolved), "--output", str(second_out)]) == 0
+        assert metrics_table(capsys.readouterr().out) == metrics_table(first)
+        assert second_out.read_bytes() == first_out.read_bytes()
+
+    def test_a_config_asking_for_task_retries_is_refused(self, capsys, tmp_path):
+        resolved = tmp_path / "resolved.json"
+        assert main([
+            "run", "--synthetic", "abt-buy", "--entities", "30",
+            "--output-config", str(resolved),
+        ]) == 0
+        spec = json.loads(resolved.read_text())
+        spec["engine"]["fault_policy"] = "retries=2,backoff=0.1,backoff_max=5"
+        resolved.write_text(json.dumps(spec))
+        capsys.readouterr()
+        assert main(["run", "--spec", str(resolved)]) == 2
+        assert "task retries" in capsys.readouterr().err
 
     def test_bad_spec_is_a_clean_error(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -229,6 +266,28 @@ class TestResumeCommand:
         assert "summary:" in captured
         entities = json.loads(output.read_text())
         assert isinstance(entities, list) and entities
+
+    def test_a_parent_written_checkpoint_resumes_byte_identically(self, capsys, tmp_path):
+        uninterrupted, resumed = tmp_path / "uninterrupted.json", tmp_path / "resumed.json"
+        assert main([
+            "run", "--synthetic", "abt-buy", "--entities", "40",
+            "--output", str(uninterrupted),
+        ]) == 0
+        first = capsys.readouterr().out
+        checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
+        assert main([
+            "run", "--synthetic", "abt-buy", "--entities", "40",
+            "--checkpoint", str(checkpoint.directory), "--stop-after", "meta_blocking",
+        ]) == 0
+        state = checkpoint.load()
+        state["spec"]["engine"].update(PARENT_ENGINE)
+        checkpoint.save(state)
+        capsys.readouterr()
+        assert main([
+            "resume", "--checkpoint", str(checkpoint.directory), "--output", str(resumed),
+        ]) == 0
+        assert metrics_table(capsys.readouterr().out) == metrics_table(first)
+        assert resumed.read_bytes() == uninterrupted.read_bytes()
 
     def test_resume_missing_checkpoint_is_a_clean_error(self, capsys, tmp_path):
         assert main(["resume", "--checkpoint", str(tmp_path / "nope")]) == 2

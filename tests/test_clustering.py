@@ -49,14 +49,6 @@ class TestConnectedComponents:
     def test_empty_graph(self):
         assert ConnectedComponentsClustering().cluster(SimilarityGraph()) == []
 
-    def test_distributed_matches_local(self, engine):
-        graph = _graph([(1, 2, 0.9), (2, 3, 0.8), (10, 11, 0.5), (12, 13, 0.4), (13, 14, 0.9)])
-        local = ConnectedComponentsClustering().cluster(graph)
-        distributed = ConnectedComponentsClustering(engine=engine).cluster(graph)
-        assert sorted(map(frozenset, (c.members for c in local))) == sorted(
-            map(frozenset, (c.members for c in distributed))
-        )
-
 
 class TestCenterClustering:
     def test_no_long_chains(self):

@@ -121,8 +121,3 @@ class TestEntityClusterer:
         clusterer = EntityClusterer()
         entities = clusterer.generate_entities([], abt_buy_small.profiles, include_singletons=True)
         assert len(entities) == len(abt_buy_small.profiles)
-
-    def test_engine_backed_clusterer(self, engine):
-        clusterer = EntityClusterer(engine=engine)
-        clusters = clusterer.cluster(self._graph())
-        assert sorted(c.size for c in clusters) == [2, 3]

@@ -115,7 +115,7 @@ class TestSweep:
         pid = _dead_pid()
         orphan_file = tmp_path / f"repro-csrbuf-{pid}-0"
         orphan_file.write_bytes(b"stale")
-        orphan_dir = tmp_path / f"repro-spill-{pid}-1"
+        orphan_dir = tmp_path / f"repro-rundir-{pid}-1"
         orphan_dir.mkdir()
         (orphan_dir / "bucket").write_bytes(b"stale")
         removed = tmpfiles.sweep_orphaned_artifacts(tmp_path)
@@ -144,7 +144,7 @@ class TestSweep:
         foreign = [
             tmp_path / "unrelated.txt",
             tmp_path / "repro-legacy-a1b2c3",  # non-integer pid field
-            tmp_path / f"repro-spill-{pid}-3-extra",  # five fields
+            tmp_path / f"repro-rundir-{pid}-3-extra",  # five fields
             tmp_path / f"repro--{pid}-0",  # empty kind
         ]
         for item in foreign:

@@ -161,4 +161,4 @@ class TestScalabilityStructure:
         many = EngineContext(8)
         ParallelMetaBlocker(few, "cbs", "wnp").run(blocks)
         ParallelMetaBlocker(many, "cbs", "wnp").run(blocks)
-        assert many.scheduler.total_tasks > few.scheduler.total_tasks
+        assert many.metrics_summary()["tasks"] > few.metrics_summary()["tasks"]

@@ -4,12 +4,12 @@
 :class:`~repro.metablocking.metablocker.MetaBlocker` against the definitions
 on small collections.  The broadcast-join
 :class:`~repro.metablocking.parallel.ParallelMetaBlocker` weighs contiguous
-node ranges on the executor and prunes the concatenated edge arrays with the
+node ranges on the range pool and prunes the concatenated edge arrays with the
 sequential meta-blocker's own retention tail, so the two must agree
 *bit-for-bit and in order*: ``list(retained_edges.items())`` — the same
 pairs, float-identical weights, the same dict order — plus the same graph
 counts, for every weighting scheme × pruning strategy on the executor ×
-partition-count axes (serial and process workers, fewer and more ranges than
+range-count axes (serial and process workers, fewer and more ranges than
 nodes), on dirty and clean-clean collections larger and messier than the
 oracle's (random skewed block sizes, random non-trivial entropies,
 overlapping blocks, invalid blocks mixed in).  The buffer-backend axis (ram
@@ -24,7 +24,6 @@ import pytest
 
 from repro.blocking.block import Block, BlockCollection
 from repro.engine.context import EngineContext
-from repro.engine.executors import MultiprocessingExecutor
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
 from repro.metablocking.pruning import CardinalityNodePruning
@@ -95,16 +94,21 @@ def dirty_blocks():
 
 
 @pytest.fixture(scope="module")
-def process_executor():
+def process_context():
     """One shared 2-worker pool (``process:2``) for the whole grid.
 
-    ``on_unpicklable="raise"`` makes the grid double as a regression guard
-    for the picklability of the meta-blocking stage chain: a stage that
-    silently stopped shipping would fail loudly here.
+    Every map pickles its task callable for the pool, so the grid doubles as
+    a regression guard for the picklability of the meta-blocking job.
     """
-    executor = MultiprocessingExecutor(max_workers=2, on_unpicklable="raise")
-    yield executor
-    executor.close()
+    with EngineContext(4, executor="process:2") as context:
+        yield context
+
+
+def _context(process_context, executor: str, partitions: int) -> EngineContext:
+    if executor == "serial":
+        return EngineContext(partitions)
+    process_context.default_parallelism = partitions
+    return process_context
 
 
 EXECUTORS = ["serial", "process:2"]
@@ -155,13 +159,11 @@ class TestOrderedGridEquivalence:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_parallel(
         self, shape, weighting, pruning, executor, partitions,
-        clean_blocks, dirty_blocks, reference_of, process_executor,
+        clean_blocks, dirty_blocks, reference_of, process_context,
     ):
         blocks = clean_blocks if shape == "clean" else dirty_blocks
         parallel = ParallelMetaBlocker(
-            EngineContext(
-                partitions, executor=process_executor if executor != "serial" else None
-            ),
+            _context(process_context, executor, partitions),
             weighting,
             _make_pruning(pruning),
             use_entropy=True,
@@ -170,14 +172,13 @@ class TestOrderedGridEquivalence:
 
 
 class TestProcessStagePlacement:
-    def test_process_tasks_run_on_worker_processes(self, dirty_blocks, process_executor):
-        context = EngineContext(4, executor=process_executor)
+    def test_process_tasks_run_on_worker_processes(self, dirty_blocks, process_context):
+        context = _context(process_context, "process:2", 4)
         ParallelMetaBlocker(context, "cbs", "wnp").run(dirty_blocks)
-        (stage,) = [
-            s for s in context.scheduler.stages if s.description == "metablocking.weights"
-        ]
-        assert stage.executor.startswith("process")
-        assert all(task.worker.startswith("pid-") for task in stage.tasks)
+        row = context.scheduler.stage_table()[-1]
+        assert row["description"] == "metablocking.weights"
+        assert row["executor"] == "process[2]"
+        assert 1 <= row["workers"] <= 2 and row["tasks"] == 4
 
 
 class TestBufferBackendGridEquivalence:
@@ -236,13 +237,13 @@ class TestBufferBackendGridEquivalence:
 
     @pytest.mark.parametrize("pruning", ["wnp", "rcnp"])
     @pytest.mark.parametrize("weighting", ["cbs", "ejs"])
-    def test_parallel_process(self, dirty_blocks, process_executor, weighting, pruning):
-        # Process workers receive the broadcast index via pickle / shared
-        # memory; the driver-side memmap file must stay private to the
-        # driver while the retained edges still match the ram reference.
+    def test_parallel_process(self, dirty_blocks, process_context, weighting, pruning):
+        # Process workers map the index from shared memory; the driver-side
+        # memmap file must stay private to the driver while the retained
+        # edges still match the ram reference.
         reference = MetaBlocker(weighting, _make_pruning(pruning)).run(dirty_blocks)
         parallel = ParallelMetaBlocker(
-            EngineContext(4, executor=process_executor),
+            _context(process_context, "process:2", 4),
             weighting,
             _make_pruning(pruning),
             options=opts(buffer_backend="memmap"),

@@ -160,9 +160,10 @@ def agree(got, expected, weights, cuts, exact):
 PATHS = ["run", "stream", "parallel"]
 
 
-def retained_by(path, blocks, weighting, rule, use_entropy, ranges, chunk):
+def retained_by(path, blocks, weighting, rule, use_entropy, ranges, chunk, context=None):
     """One batch path's retained ``[(pair, weight)]`` in retention order, and
-    its ``(graph_nodes, graph_edges)`` (``None`` for the stream)."""
+    its ``(graph_nodes, graph_edges)`` (``None`` for the stream).  The
+    parallel path runs on ``context`` when given, else on a serial one."""
     pruning = strategy_of(rule)
     if path == "stream":
         streamed = MetaBlocker(weighting, pruning, use_entropy=use_entropy).stream_retained(
@@ -172,18 +173,17 @@ def retained_by(path, blocks, weighting, rule, use_entropy, ranges, chunk):
     if path == "run":
         result = MetaBlocker(weighting, pruning, use_entropy=use_entropy).run(blocks)
     else:
-        with EngineContext(ranges) as context:
-            result = ParallelMetaBlocker(
-                context, weighting, pruning, use_entropy=use_entropy
-            ).run(blocks)
+        result = ParallelMetaBlocker(
+            context or EngineContext(ranges), weighting, pruning, use_entropy=use_entropy
+        ).run(blocks)
     return list(result.retained_edges.items()), (result.graph_nodes, result.graph_edges)
 
 
-def check_path(case, path, config):
+def check_path(case, path, config, context=None):
     weighting, rule, use_entropy, ranges, chunk = config
     graph, weights, expected, cuts = expect(case.oracle_blocks(), weighting, rule, use_entropy)
     blocks = case.build()
-    got, counts = retained_by(path, blocks, weighting, rule, use_entropy, ranges, chunk)
+    got, counts = retained_by(path, blocks, weighting, rule, use_entropy, ranges, chunk, context)
     assert counts in (None, (len(graph.nodes), len(graph.shared)))
     agree(got, expected, weights, cuts, weighting == "cbs" and not use_entropy)
     assert (blocks.columns is not None) == (case.rows is not None)  # the form held

@@ -4,7 +4,8 @@ The Hypothesis drivers in ``test_metablocking_oracle`` draw a scheme, a rule
 and a collection per example, so one run need not meet every combination.
 This grid pins all of them on every run: weighting scheme × entropy × pruning
 rule × batch path (``MetaBlocker.run``, ``stream_retained``,
-``ParallelMetaBlocker`` on a serial context), plus the full weight table,
+``ParallelMetaBlocker`` on a serial and on a ``process:2`` context), plus the
+full weight table,
 the progressive ranking and the incremental ``DeltaMetaBlocker``, on a fixed
 set of collections — the tie, threshold, isolated and empty cases and seeded
 random ones, dirty and clean-clean, hand-built (object-backed) and
@@ -15,6 +16,7 @@ import random
 
 import pytest
 
+from repro.engine.context import EngineContext
 from tests.test_metablocking_oracle import (
     AT_THRESHOLD,
     CLEAN_AT_THRESHOLD,
@@ -82,6 +84,23 @@ RANGES, CHUNK = 4, 3
 @pytest.mark.parametrize("name", COLLECTIONS)
 def test_batch_path(name, weighting, use_entropy, rule, path):
     check_path(COLLECTIONS[name], path, (weighting, rule, use_entropy, RANGES, CHUNK))
+
+
+@pytest.fixture(scope="module")
+def process_context():
+    with EngineContext(RANGES, executor="process:2") as context:
+        yield context
+
+
+@pytest.mark.parametrize("rule", RULES)
+@ENTROPY
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("name", COLLECTIONS)
+def test_parallel_on_a_process_pool(name, weighting, use_entropy, rule, process_context):
+    check_path(
+        COLLECTIONS[name], "parallel", (weighting, rule, use_entropy, RANGES, CHUNK),
+        process_context,
+    )
 
 
 @ENTROPY

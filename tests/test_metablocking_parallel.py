@@ -1,11 +1,11 @@
-"""Tests of the one-stage broadcast-join parallel meta-blocking.
+"""Tests of the one-map broadcast-join parallel meta-blocking.
 
 Output equivalence with the sequential meta-blocker (ordered, bit-for-bit,
 over the whole option grid) lives in ``test_metablocking_equivalence.py``;
-this module pins the *shape* of the job — one executor stage over contiguous
-node ranges, no shuffle, one run-scoped broadcast, no driver-side sweep — the
-range partitioner's properties, the streaming contract and the lifecycle of
-what a run allocates.
+this module pins the *shape* of the job — one map over contiguous node
+ranges, a run-scoped shared segment, no driver-side sweep — the range
+partitioner's properties, the streaming contract and the lifecycle of what a
+run allocates.
 """
 
 from itertools import chain
@@ -19,7 +19,6 @@ from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.data.synthetic import generate_scalability_products
 from repro.engine.context import EngineContext
-from repro.exceptions import EngineError
 from repro.metablocking import backends
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker, balanced_ranges
@@ -155,19 +154,13 @@ class TestOneStageJobShape:
     PARTITIONS = 4
 
     @pytest.mark.parametrize("executor", ["serial", "process:2"])
-    def test_one_executor_stage_no_shuffle_one_broadcast(self, blocks_400, executor):
+    def test_one_map_one_task_per_range(self, blocks_400, executor):
         with EngineContext(self.PARTITIONS, executor=executor) as context:
             ParallelMetaBlocker(context, "cbs", "wnp").run(blocks_400)
-            table = context.scheduler.stage_table()
-            summary = context.metrics_summary()
-        assert len(table) <= 2
-        assert [row["description"] for row in table if row["executor"] != "driver"] == [
-            "metablocking.weights"
-        ]
-        assert sum(row["tasks"] for row in table) <= 2 * self.PARTITIONS
-        assert sum(row["shuffle_write_bytes"] for row in table) == 0
-        assert summary["shuffle_records"] == 0
-        assert summary["broadcasts"] == 1
+            (row,) = context.scheduler.stage_table()
+        assert row["description"] == "metablocking.weights"
+        assert row["tasks"] == self.PARTITIONS and row["failures"] == 0
+        assert row["shuffle_write_bytes"] == row["shuffle_relay_bytes"] == 0
 
     @pytest.mark.parametrize("weighting", ["cbs", "js", "arcs", "ecbs"])
     def test_driver_performs_no_kernel_sweep(self, blocks_400, monkeypatch, weighting):
@@ -252,38 +245,29 @@ class TestStreamRetained:
 # --------------------------------------------------------------------------
 # Lifecycle: what a run allocates, it releases
 # --------------------------------------------------------------------------
-class TestRunScopedBroadcast:
+class TestRunScopedSegment:
     @pytest.mark.parametrize("executor", ["serial", "process:2"])
-    def test_repeated_runs_leave_no_broadcast_and_no_segment(self, blocks_400, executor):
+    def test_repeated_runs_leave_no_segment(self, blocks_400, executor):
         with EngineContext(4, executor=executor) as context:
             blocker = ParallelMetaBlocker(context, "cbs", "wnp")
             results = [blocker.run(blocks_400) for _ in range(3)]
-            assert len(context._broadcasts) == 0
             assert live_segments() == []
-            # The summary still counts what was created, run after run.
-            assert context.metrics_summary()["broadcasts"] == 3
+            assert context.metrics_summary()["stages"] == 3
         assert results[0].retained_edges == results[1].retained_edges == results[2].retained_edges
 
-    def test_failed_task_still_releases_the_broadcast(self, blocks_400):
-        with EngineContext(
-            4, executor="process:2", fault_injector="raise@metablocking.weights:1#*"
-        ) as context:
-            with pytest.raises(EngineError):
-                ParallelMetaBlocker(context, "cbs", "wnp").run(blocks_400)
-            assert len(context._broadcasts) == 0
-            assert live_segments() == []
-
-    def test_failed_serial_task_still_releases_the_broadcast(self, blocks_400, monkeypatch):
+    @pytest.mark.parametrize("executor", ["serial", "process:2"])
+    def test_a_failed_task_still_releases_the_segment(self, blocks_400, monkeypatch, executor):
         from repro.metablocking import parallel
 
         def boom(self, bounds):
             raise RuntimeError("task failed")
 
+        # Patched before the pool forks, so the workers run it too.
         monkeypatch.setattr(parallel._RangeWeigher, "__call__", boom)
-        context = EngineContext(4)
-        with pytest.raises(RuntimeError, match="task failed"):
-            ParallelMetaBlocker(context, "cbs", "wnp").run(blocks_400)
-        assert len(context._broadcasts) == 0
+        with EngineContext(4, executor=executor) as context:
+            with pytest.raises(RuntimeError, match="task failed"):
+                ParallelMetaBlocker(context, "cbs", "wnp").run(blocks_400)
+            assert live_segments() == []
 
     def test_abandoned_stream_releases_everything_up_front(self, blocks_400):
         # The job (and its cleanup) completes before the first chunk is
@@ -293,5 +277,4 @@ class TestRunScopedBroadcast:
                 blocks_400, chunk_edges=10
             )
             assert len(next(stream)) == 10
-            assert len(context._broadcasts) == 0
             assert live_segments() == []

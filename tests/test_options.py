@@ -3,10 +3,10 @@
 Replaces the per-knob ``resolve_*`` unit tests with one parametrised
 precedence test over :data:`repro.options.OPTIONS` (explicit > spec > env >
 default, bad value ⇒ typed error naming its source), covers what is derived
-from the table (CLI flags, engine-section validation, provenance), and guards
-the design with an ``ast`` walk over ``src/repro``: only the options module
-reads the six ``REPRO_*`` variables, and only it and the named leaves
-declare a knob parameter.
+from the table (CLI flags, engine-section validation, provenance, retired
+keys), and guards the design with an ``ast`` walk over ``src/repro``: only
+the options module reads the three ``REPRO_*`` variables, and no other
+function declares a knob parameter.
 """
 
 from __future__ import annotations
@@ -21,19 +21,17 @@ from repro.core.config import SparkERConfig
 from repro.core.sparker import SparkER
 from repro.data.synthetic import SyntheticConfig, generate_abt_buy_like
 from repro.engine.context import EngineContext
-from repro.engine.executors import (
-    Executor,
-    MultiprocessingExecutor,
-    SerialExecutor,
-    make_executor,
+from repro.exceptions import (
+    ConfigurationError,
+    EngineError,
+    MetaBlockingError,
+    PipelineValidationError,
 )
-from repro.engine.faults import FaultInjector, FaultPolicy
-from repro.engine.shuffle import DriverBlockStore
-from repro.exceptions import EngineError, MetaBlockingError, PipelineValidationError
 from repro.options import (
     ENGINE_SECTION_KEYS,
     OPTIONS,
     EngineOptions,
+    drop_retired_keys,
     explicit_from_args,
     resolve_option,
 )
@@ -56,35 +54,7 @@ CASES = {
         ("/a", "/b", "/c"), ("/a", "/b", "/c"),
         tempfile.gettempdir(), 7, EngineError,
     ),
-    "fault_policy": (
-        ("retries=3", {"retries": 2, "timeout": 30}, "retries=1,seed=7"),
-        (
-            FaultPolicy(max_attempts=4),
-            FaultPolicy(max_attempts=3, task_timeout=30.0),
-            FaultPolicy(max_attempts=2, jitter_seed=7),
-        ),
-        FaultPolicy(), "retries=many", EngineError,
-    ),
-    "fault_inject": (
-        ("crash@a:0#1", None, "raise@b:*#*"), ("crash@a:0#1", None, "raise@b:*#*"),
-        None, "no-at-sign", EngineError,
-    ),
-    "block_store": (
-        ("spill", "shm", "inline"), ("spill", "shared-memory", "driver"),
-        "driver", "carrier-pigeon", EngineError,
-    ),
 }
-
-
-def _comparable(value):
-    """Injectors have no ``__eq__``; compare them by their parsed clauses."""
-    return value.clauses if isinstance(value, FaultInjector) else value
-
-
-def _expect(field, resolved, expected):
-    if field == "fault_inject" and expected is not None:
-        expected = FaultInjector.parse(expected)
-    assert _comparable(resolved) == _comparable(expected)
 
 
 @pytest.fixture(autouse=True)
@@ -93,7 +63,7 @@ def _clean_env(monkeypatch):
         monkeypatch.delenv(option.env_var, raising=False)
 
 
-def test_table_is_the_six_options():
+def test_table_is_the_three_options():
     assert [option.field for option in OPTIONS] == list(CASES)
     assert [option.field for option in OPTIONS] == list(
         EngineOptions.__dataclass_fields__
@@ -104,31 +74,29 @@ def test_table_is_the_six_options():
 class TestPrecedence:
     def test_explicit_over_spec_over_env_over_default(self, option, monkeypatch):
         (explicit, spec_value, env), expected, default, _bad, _error = CASES[option.field]
-        _expect(option.field, resolve_option(option.field), default)
+        assert resolve_option(option.field) == default
         monkeypatch.setenv(option.env_var, env)
-        _expect(option.field, resolve_option(option.field), expected[2])
-        if option.spec_key is not None:
-            spec = {option.spec_key: spec_value}
-            _expect(option.field, resolve_option(option.field, None, spec), expected[1])
-            _expect(option.field, resolve_option(option.field, explicit, spec), expected[0])
-        _expect(option.field, resolve_option(option.field, explicit), expected[0])
+        assert resolve_option(option.field) == expected[2]
+        spec = {option.field: spec_value}
+        assert resolve_option(option.field, None, spec) == expected[1]
+        assert resolve_option(option.field, explicit, spec) == expected[0]
+        assert resolve_option(option.field, explicit) == expected[0]
         # The whole-object resolution is the same function, field by field.
         resolved = EngineOptions.resolve(**{option.field: explicit})
-        _expect(option.field, getattr(resolved, option.field), expected[0])
+        assert getattr(resolved, option.field) == expected[0]
 
     def test_blank_values_fall_through(self, option, monkeypatch):
         default = CASES[option.field][2]
         monkeypatch.setenv(option.env_var, "   ")
-        spec = {option.spec_key: None} if option.spec_key else None
-        _expect(option.field, resolve_option(option.field, "", spec), default)
+        spec = {option.field: None}
+        assert resolve_option(option.field, "", spec) == default
 
     def test_bad_value_is_a_typed_error_naming_its_source(self, option, monkeypatch):
         *_, bad, error = CASES[option.field]
         with pytest.raises(error, match=f"^{option.field}: "):
             resolve_option(option.field, bad)
-        if option.spec_key is not None:
-            with pytest.raises(error, match=f"^engine.{option.spec_key}: "):
-                resolve_option(option.field, None, {option.spec_key: bad})
+        with pytest.raises(error, match=f"^engine.{option.field}: "):
+            resolve_option(option.field, None, {option.field: bad})
         monkeypatch.setenv(option.env_var, str(bad))
         if isinstance(bad, str):
             with pytest.raises(error, match=f"^{option.env_var}: "):
@@ -147,18 +115,16 @@ class TestValidators:
         for field, error in (
             ("executor", EngineError),
             ("buffer_backend", MetaBlockingError),
-            ("fault_policy", EngineError),
-            ("fault_inject", EngineError),
-            ("block_store", EngineError),
         ):
             with pytest.raises(error):
                 resolve_option(field, 7)
 
-    def test_unknown_option_name_is_a_type_error(self):
-        with pytest.raises(TypeError, match="kernal_backend"):
-            EngineOptions.resolve(kernal_backend="python")
-        with pytest.raises(TypeError, match="kernel_backend"):  # a removed option
-            EngineOptions.resolve(kernel_backend="numpy")
+    @pytest.mark.parametrize(
+        "name", ["kernal_backend", "kernel_backend", "block_store", "fault_policy", "fault_inject"]
+    )
+    def test_unknown_or_removed_option_name_is_a_type_error(self, name):
+        with pytest.raises(TypeError, match=name):
+            EngineOptions.resolve(**{name: "x"})
 
     @pytest.mark.parametrize("alias", ["serial", "sync", "driver", "SERIAL"])
     def test_serial_executor_aliases(self, alias):
@@ -175,61 +141,31 @@ class TestValidators:
         with pytest.raises(EngineError, match="no worker count"):
             resolve_option("executor", "serial:4")
 
-    @pytest.mark.parametrize(
-        "alias", ["shared-memory", "shared_memory", "sharedmem", "shm", "SHM"]
-    )
-    def test_shared_memory_aliases(self, alias):
-        assert resolve_option("block_store", alias) == "shared-memory"
-
-    @pytest.mark.parametrize("alias", ["spill", "file", "spill-file"])
-    def test_spill_aliases(self, alias):
-        assert resolve_option("block_store", alias) == "spill"
-
-    def test_instances_pass_through(self):
-        executor, store = SerialExecutor(), DriverBlockStore()
-        policy = FaultPolicy(max_attempts=3)
-        injector = FaultInjector.parse("crash@stage:0#1")
-        options = EngineOptions.resolve(
-            executor=executor, block_store=store,
-            fault_policy=policy, fault_inject=injector,
-        )
-        assert options.executor is executor and options.block_store is store
-        assert options.fault_policy is policy and options.fault_inject is injector
-        # Instances serialise through their own spec().
-        section = options.as_spec()
-        assert section["executor"] == "serial"
-        assert section["block_store"] == "driver"
-        assert section["fault_policy"] == policy.spec()
+    def test_as_spec_records_every_option(self, tmp_path):
+        options = EngineOptions.resolve(executor="mp:2", tmp_dir=tmp_path)
+        assert options.as_spec() == {
+            "executor": "process:2", "buffer_backend": "ram", "tmp_dir": str(tmp_path),
+        }
 
     def test_path_like_tmp_dir(self, tmp_path):
         assert resolve_option("tmp_dir", tmp_path) == str(tmp_path)
 
 
 class TestLeaves:
-    def test_make_executor_builds_what_the_options_name(self):
-        assert isinstance(make_executor(EngineOptions.resolve()), SerialExecutor)
-        options = EngineOptions.resolve(
-            executor="process:3", fault_policy="retries=2",
-            fault_inject="crash@stage:0#1",
-        )
-        executor = make_executor(options)
-        try:
-            assert isinstance(executor, MultiprocessingExecutor)
-            assert executor.max_workers == 3
-            assert executor.fault_policy.max_attempts == 3
-            assert executor.fault_injector is options.fault_inject
-            assert executor.spec() == "process:3"
-        finally:
-            executor.close()
-        instance = SerialExecutor()
-        assert make_executor(EngineOptions.resolve(executor=instance)) is instance
+    def test_context_builds_the_pool_the_options_name(self):
+        with EngineContext(2, options=EngineOptions.resolve()) as context:
+            assert context.workers == 0
+        with EngineContext(2, options=EngineOptions.resolve(executor="process:3")) as context:
+            assert context.workers == 3 and context.executor == "process[3]"
 
     def test_context_explicit_values_override_handed_down_options(self, tmp_path):
-        handed_down = EngineOptions.resolve(buffer_backend="memmap", block_store="spill")
-        with EngineContext(2, tmp_dir=str(tmp_path), options=handed_down) as context:
+        handed_down = EngineOptions.resolve(buffer_backend="memmap", executor="process:2")
+        with EngineContext(
+            2, executor="serial", tmp_dir=str(tmp_path), options=handed_down
+        ) as context:
             assert context.options.buffer_backend == "memmap"
             assert context.options.tmp_dir == str(tmp_path)
-            assert context.block_store.directory.startswith(str(tmp_path))
+            assert context.workers == 0
 
     def test_leaf_without_options_reads_the_environment(self, monkeypatch):
         from repro.metablocking.index import CSRBlockIndex
@@ -242,8 +178,7 @@ class TestLeaves:
 class TestDerivedFromTheTable:
     def test_engine_section_keys(self):
         assert ENGINE_SECTION_KEYS == {
-            "enabled", "parallelism", "executor",
-            "buffer_backend", "tmp_dir", "fault_policy", "block_store",
+            "enabled", "parallelism", "executor", "buffer_backend", "tmp_dir",
         }
 
     def test_from_spec_rejects_unknown_engine_keys(self):
@@ -268,19 +203,29 @@ class TestDerivedFromTheTable:
         args = parser.parse_args(["run", "--synthetic", "abt-buy"])
         assert explicit_from_args(args) == {}
         args = parser.parse_args(
-            ["run", "--synthetic", "abt-buy", "--workers", "2", "--task-retries", "2",
-             "--task-timeout", "30",
-             "--buffer-backend", "ram", "--tmp-dir", "/x", "--block-store", "spill"]
+            ["run", "--synthetic", "abt-buy", "--workers", "2",
+             "--buffer-backend", "ram", "--tmp-dir", "/x"]
         )
         assert explicit_from_args(args) == {
             "executor": "process:2",
             "buffer_backend": "ram",
             "tmp_dir": "/x",
-            "fault_policy": "retries=2,timeout=30",
-            "block_store": "spill",
         }
-        with pytest.raises(SystemExit):  # the flag went with the option
-            parser.parse_args(["run", "--kernel-backend", "numpy"])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kernel-backend", "numpy"],
+            ["--block-store", "spill"],
+            ["--task-retries", "2"],
+            ["--task-timeout", "30"],
+        ],
+    )
+    def test_removed_flags_went_with_their_options(self, flags):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--synthetic", "abt-buy", *flags])
 
     def test_every_flag_is_declared_on_run(self, capsys):
         from repro.cli import build_parser
@@ -306,7 +251,7 @@ class TestProvenance:
         "env_var, value, field",
         [
             ("REPRO_BUFFER_BACKEND", "memmap", "buffer_backend"),
-            ("REPRO_BLOCK_STORE", "spill", "block_store"),
+            ("REPRO_ENGINE_EXECUTOR", "process:2", "executor"),
         ],
     )
     def test_env_selected_backend_round_trips(self, env_var, value, field, monkeypatch):
@@ -333,22 +278,43 @@ class TestProvenance:
         assert second.spec == spec
 
     @pytest.mark.parametrize("kernel_backend", [None, "auto", "numpy"])
-    def test_parent_era_spec_still_loads(self, kernel_backend):
-        # The shape `run --output-config` wrote before EngineOptions, and
-        # while the retired kernel-backend option existed.
+    @pytest.mark.parametrize("block_store", [None, "driver", "shared-memory", "spill"])
+    def test_parent_era_spec_still_loads(self, kernel_backend, block_store):
+        # The shapes `run --output-config` wrote while the retired options
+        # existed: their resolved defaults, or any block store.
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
         spec["engine"] = {
             "enabled": True, "parallelism": 4, "executor": None,
-            "kernel_backend": kernel_backend, "fault_policy": "retries=2,timeout=30",
+            "kernel_backend": kernel_backend, "block_store": block_store,
+            "fault_policy": "retries=0,backoff=0.1,backoff_max=5",
         }
         spec["dataset"] = {"synthetic": "abt-buy", "entities": 40, "seed": 42}
         pipeline = Pipeline.from_spec(spec)
         try:
-            assert pipeline.options.fault_policy.max_attempts == 3
-            assert isinstance(pipeline.engine.executor, SerialExecutor)
-            assert "kernel_backend" not in pipeline.resolved_spec()["engine"]
+            assert pipeline.engine.executor == "serial"
+            assert set(pipeline.resolved_spec()["engine"]) == ENGINE_SECTION_KEYS
         finally:
             pipeline.shutdown()
+
+    @pytest.mark.parametrize(
+        "key, value, removed",
+        [
+            ("fault_policy", "retries=2,timeout=30", "task retries"),
+            ("fault_policy", {"retries": 0}, "task retries"),
+            ("fault_inject", "crash@metablocking.weights:0#1", "fault injector"),
+        ],
+    )
+    def test_a_spec_asking_for_a_removed_feature_is_refused(self, key, value, removed):
+        spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
+        spec["engine"][key] = value
+        with pytest.raises(PipelineValidationError, match=removed):
+            Pipeline.from_spec(spec)
+
+    def test_retired_keys_in_a_service_config(self):
+        kept = drop_retired_keys({"name": "c", "block_store": "spill", "fault_policy": None})
+        assert kept == {"name": "c"}
+        with pytest.raises(ConfigurationError, match="fault_policy"):
+            drop_retired_keys({"fault_policy": "retries=1"})
 
     def test_a_spec_asking_for_the_interpreted_kernel_is_refused(self):
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
@@ -359,13 +325,9 @@ class TestProvenance:
 
 # ---------------------------------------------------------------- design guard
 ENGINE_ENV_VARS = {option.env_var for option in OPTIONS}
+# Knobs travel inside EngineOptions; the retired ones must not come back.
 KNOB_PARAMETERS = {
     "kernel_backend", "buffer_backend", "block_store", "fault_policy", "fault_injector",
-}
-# The leaves that act on a knob and therefore may take it by name.
-LEAVES = {
-    ("engine/context.py", "EngineContext.__init__"),
-    ("engine/executors.py", "MultiprocessingExecutor.__init__"),
 }
 
 
@@ -437,7 +399,7 @@ def test_only_the_options_module_reads_the_engine_environment():
     assert offenders == []
     # The walk does see reads: the options module's own and the chaos hook.
     trees = dict(_modules())
-    assert "REPRO_SERVICE_FAULT" in set(_environ_keys(trees["engine/faults.py"]))
+    assert "REPRO_SERVICE_FAULT" in set(_environ_keys(trees["service/faults.py"]))
     generic = [
         node for node in ast.walk(trees["options.py"])
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -446,7 +408,7 @@ def test_only_the_options_module_reads_the_engine_environment():
     assert len(generic) == 1  # the table-driven read in resolve_option
 
 
-def test_only_the_named_leaves_declare_a_knob_parameter():
+def test_no_function_declares_a_knob_parameter():
     offenders = []
     for module, tree in _modules():
         if module == "options.py":
@@ -458,8 +420,6 @@ def test_only_the_named_leaves_declare_a_knob_parameter():
             for node in owner.body:
                 if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
-                if (module, prefix + node.name) in LEAVES:
-                    continue
                 arguments = node.args
                 names = {
                     arg.arg
@@ -468,7 +428,3 @@ def test_only_the_named_leaves_declare_a_knob_parameter():
                 for name in sorted(names & KNOB_PARAMETERS):
                     offenders.append((module, prefix + node.name, name))
     assert offenders == []
-
-
-def test_executor_base_class_spec():
-    assert Executor().spec() == "executor"

@@ -1,11 +1,10 @@
-"""Pickle round-trip coverage for everything the process executor ships.
+"""Pickle round-trip coverage for everything the range pool ships.
 
-The multiprocessing executor works by pickling (a) the fused per-partition
-function chains, (b) the broadcast payloads referenced from them (including
-the CSR block index) and (c) the partition data itself.  These tests
-round-trip each of those through :mod:`pickle` so a picklability regression
-surfaces as a focused unit failure instead of a worker-pool hang or a
-cryptic stage error.
+A process-pool map pickles its task callable — for meta-blocking the range
+weigher and the CSR block index it carries, by value or as a shared-memory
+reference.  These tests round-trip each of those (and the profiles) through
+:mod:`pickle` so a picklability regression surfaces as a focused unit failure
+instead of a worker-pool error.
 """
 
 from __future__ import annotations
@@ -13,24 +12,10 @@ from __future__ import annotations
 import pickle
 
 import numpy as np
-import pytest
 
 from repro.blocking.block import Block, BlockCollection
 from repro.data.profile import EntityProfile, KeyValue
-from repro.engine import accumulators as accumulators_module
-from repro.engine import broadcast as broadcast_module
-from repro.engine.accumulators import _TaskSideAccumulator
 from repro.engine.context import EngineContext
-from repro.engine.partitioner import HashPartitioner
-from repro.engine.shuffle import (
-    CoGroupReduceTask,
-    ConcatReduceTask,
-    GroupByKeyTask,
-    MapSideCombiner,
-    ReduceByKeyTask,
-    ShuffleMapTask,
-    ZeroSeededCombiner,
-)
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.parallel import _RangeWeigher
 from repro.metablocking.weights import WeightingScheme
@@ -72,19 +57,6 @@ def _small_blocks() -> BlockCollection:
     return collection
 
 
-# -- helpers shipped as user functions ---------------------------------------
-def _plus_one(x):
-    return x + 1
-
-
-def _add(a, b):
-    return a + b
-
-
-def _extend(acc, value):
-    return acc + [value]
-
-
 class TestProfilePickling:
     def test_entity_profile_roundtrip(self):
         profile = EntityProfile(profile_id=7, original_id="r7", source_id=1)
@@ -102,135 +74,6 @@ class TestProfilePickling:
         assert _roundtrip(partition) == partition
 
 
-class TestBroadcastPickling:
-    def test_roundtrip_reuses_process_local_copy(self):
-        context = EngineContext(2)
-        broadcast = context.broadcast({"a": 1})
-        clone = _roundtrip(broadcast)
-        # Registry-backed __reduce__: within one process the same live
-        # object comes back, exactly what a forked worker observes.
-        assert clone is broadcast
-
-    def test_unknown_id_rebuilds_fresh_copy(self):
-        rebuilt = broadcast_module._rebuild(10**9, {"x": 2})
-        assert rebuilt.value == {"x": 2}
-        assert rebuilt.access_count == 1  # the read above
-        # A second rebuild with the same id reuses the first copy.
-        assert broadcast_module._rebuild(10**9, None) is rebuilt
-
-    def test_destroyed_broadcast_refuses_to_ship(self):
-        context = EngineContext(2)
-        broadcast = context.broadcast([1, 2, 3])
-        broadcast.destroy()
-        with pytest.raises(ValueError, match="destroyed"):
-            pickle.dumps(broadcast)
-
-    def test_ids_are_process_unique_across_contexts(self):
-        a = EngineContext(2).broadcast("left")
-        b = EngineContext(2).broadcast("right")
-        assert a.id != b.id
-
-
-class TestAccumulatorPickling:
-    def test_rebuilds_as_task_side_replica(self):
-        context = EngineContext(2)
-        accumulator = context.accumulator(0)
-        accumulator.add(5)
-        replica = _roundtrip(accumulator)
-        assert isinstance(replica, _TaskSideAccumulator)
-        assert replica.id == accumulator.id
-        assert replica.value == 0  # restarts from the initial value
-
-    def test_replica_records_updates_for_replay(self):
-        context = EngineContext(2)
-        accumulator = context.accumulator(0)
-        replica = _roundtrip(accumulator)
-        accumulators_module.begin_task_capture()
-        replica.add(3)
-        replica.add(4)
-        captured = accumulators_module.end_task_capture()
-        assert captured == {accumulator.id: [3, 4]}
-        assert accumulator.value == 0  # driver object untouched until merge
-
-
-class TestFusedChainPickling:
-    def test_engine_chain_roundtrip_matches_collect(self):
-        context = EngineContext(3)
-        rdd = (
-            context.parallelize(range(12))
-            .map(_plus_one)
-            .filter(_plus_one)  # truthy for all, exercises _FilterFunc
-            .keyBy(_plus_one)
-            .values()
-        )
-        source, funcs = rdd._fused_chain()
-        restored = pickle.loads(pickle.dumps(tuple(funcs)))
-        replayed = []
-        for index, partition in enumerate(source.partitions()):
-            rows = iter(partition)
-            for func in restored:
-                rows = func(index, rows)
-            replayed.extend(rows)
-        assert replayed == rdd.collect()
-
-    def test_lambda_chain_is_not_picklable(self):
-        context = EngineContext(2)
-        rdd = context.parallelize(range(4)).map(lambda x: x)
-        _source, funcs = rdd._fused_chain()
-        with pytest.raises(Exception):
-            pickle.dumps(tuple(funcs))
-
-    def test_sample_function_roundtrip(self):
-        context = EngineContext(2)
-        rdd = context.parallelize(range(100), 2).sample(0.4, seed=3)
-        _source, funcs = rdd._fused_chain()
-        restored = pickle.loads(pickle.dumps(tuple(funcs)))
-        sampled = list(restored[0](0, iter(range(100))))
-        direct = list(funcs[0](0, iter(range(100))))
-        assert sampled == direct
-
-
-class TestShuffleTaskPickling:
-    """The shuffle map and reduce tasks are what the executor ships for a
-    wide stage; each must round-trip and behave identically afterwards."""
-
-    def test_map_task_roundtrip_buckets_identically(self):
-        task = ShuffleMapTask(HashPartitioner(3), MapSideCombiner(_add))
-        clone = _roundtrip(task)
-        partition = [("a", 1), ("b", 2), ("a", 3), ("c", 4)]
-        assert list(clone(0, iter(partition))) == list(task(0, iter(partition)))
-
-    def test_map_task_without_combiner_roundtrip(self):
-        task = ShuffleMapTask(HashPartitioner(2))
-        clone = _roundtrip(task)
-        partition = [("x", 1), ("y", 2)]
-        assert list(clone(0, iter(partition))) == list(task(0, iter(partition)))
-
-    def test_zero_seeded_combiner_roundtrip(self):
-        combiner = MapSideCombiner(_extend, create=ZeroSeededCombiner([], _extend))
-        clone = _roundtrip(combiner)
-        assert clone.create(1) == [1]
-        assert clone.merge([1], 2) == [1, 2]
-
-    def test_reduce_tasks_roundtrip(self):
-        chunks = [[("a", 1), ("b", 2)], [("a", 3)]]
-        for task in (ReduceByKeyTask(_add), GroupByKeyTask(), ConcatReduceTask()):
-            clone = _roundtrip(task)
-            assert list(clone(0, iter(chunks))) == list(task(0, iter(chunks)))
-
-    def test_cogroup_task_roundtrip(self):
-        task = CoGroupReduceTask()
-        clone = _roundtrip(task)
-        chunks = [(0, [("k", 1)]), (1, [("k", 2), ("m", 3)])]
-        assert list(clone(0, iter(chunks))) == list(task(0, iter(chunks)))
-
-    def test_lambda_reducer_is_not_picklable(self):
-        # The shippability contract: a shuffle chain only fails to ship when
-        # the *user* reducer does.
-        with pytest.raises(Exception):
-            pickle.dumps(ReduceByKeyTask(lambda a, b: a + b))
-
-
 class TestCSRIndexPickling:
     def test_roundtrip_preserves_arrays_and_drops_kernel(self):
         index = CSRBlockIndex.from_blocks(_small_blocks())
@@ -245,7 +88,7 @@ class TestCSRIndexPickling:
         assert clone.num_edges() == index.num_edges()
 
     def test_cached_degrees_ship_instead_of_being_recomputed(self):
-        # The broadcast index must carry its one-pass degree sweep (and the
+        # The shipped index must carry its one-pass degree sweep (and the
         # per-block stat vectors) to the workers: a clone arrives with the
         # caches already populated, no re-scan per process.
         index = CSRBlockIndex.from_blocks(_small_blocks())
@@ -286,23 +129,23 @@ class TestSharedMemoryPickling:
                     == reference.kernel().neighbours(node)
                 )
         finally:
-            index.release_shared()
+            index.close()
 
-    def test_release_unlinks_the_segment(self):
+    def test_close_unlinks_the_segment(self):
         from repro.metablocking.sharedmem import live_segments
 
         index = CSRBlockIndex.from_blocks(_small_blocks())
         handle = index.export_shared()
         assert handle.name in live_segments()
-        index.release_shared()
+        index.close()
         assert handle.name not in live_segments()
         # After release the pickle falls back to shipping the full arrays.
         clone = _roundtrip(index)
         assert clone.node_ids == index.node_ids
 
     def test_garbage_collected_export_unlinks_the_segment(self):
-        # The GC backstop: an exported index abandoned without
-        # release_shared() must not leak its /dev/shm segment.
+        # The GC backstop: an exported index abandoned without close()
+        # must not leak its /dev/shm segment.
         import gc
 
         from repro.metablocking.sharedmem import live_segments
@@ -313,17 +156,6 @@ class TestSharedMemoryPickling:
         del index
         gc.collect()
         assert name not in live_segments()
-
-    def test_engine_context_stop_releases_broadcast_segments(self):
-        from repro.metablocking.sharedmem import live_segments
-
-        context = EngineContext(2)
-        index = CSRBlockIndex.from_blocks(_small_blocks())
-        index.export_shared()
-        context.broadcast(index)
-        assert live_segments()
-        context.stop()
-        assert live_segments() == []
 
     def test_process_run_ships_via_shared_memory_and_leaves_no_segments(
         self, monkeypatch
@@ -361,13 +193,11 @@ class TestSharedMemoryPickling:
 
 class TestMetaBlockingTaskFunctions:
     def test_range_weigher_roundtrip_emits_the_sequential_edge_stream(self):
-        """The one task of the ``metablocking.weights`` stage survives a pickle
+        """The one task of the ``metablocking.weights`` map survives a pickle
         round-trip, and its ranges concatenate to the whole-graph table."""
-        context = EngineContext(2)
         index = CSRBlockIndex.from_blocks(_small_blocks())
         plan = index.weight_plan(WeightingScheme.EJS, True)  # resolves degrees
-        broadcast = context.broadcast(index)
-        weigher = _RangeWeigher(broadcast, WeightingScheme.EJS, True)
+        weigher = _RangeWeigher(index, WeightingScheme.EJS, True)
         clone = _roundtrip(weigher)
         n = index.num_nodes
         reference = CSRBlockIndex.from_blocks(_small_blocks())

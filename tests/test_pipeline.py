@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -230,8 +232,8 @@ class TestExecution:
         assert result.engine_metrics["tasks"] > 0
         by_label = {e.label: e for e in result.executions}
         assert by_label["meta_blocking"].engine["tasks"] > 0
-        # One-stage meta-blocking: engine tasks, but nothing shuffled.
-        assert by_label["meta_blocking"].engine["shuffle_records"] == 0
+        # Meta-blocking is the one job on the engine.
+        assert by_label["token_blocking"].engine["tasks"] == 0
         assert sum(e.engine["tasks"] for e in result.executions) == (
             result.engine_metrics["tasks"]
         )
@@ -341,6 +343,37 @@ class TestCheckpointResume:
             c.members for c in uninterrupted.clusters
         ]
 
+    @pytest.mark.parametrize(
+        "engine_keys, refused",
+        [
+            # What a checkpoint recorded while the options existed: the
+            # resolved defaults, and any block store (it chose a transport).
+            ({"block_store": "shared-memory",
+              "fault_policy": "retries=0,backoff=0.1,backoff_max=5"}, None),
+            ({"fault_policy": "retries=2,backoff=0.1,backoff_max=5"}, "retries"),
+            ({"fault_inject": "crash@metablocking.weights:0#1"}, "fault injector"),
+        ],
+    )
+    def test_a_checkpoint_recording_retired_engine_options(
+        self, abt_buy_small, tmp_path, engine_keys, refused
+    ):
+        uninterrupted = Pipeline.from_spec(FULL_SPEC).run(abt_buy_small.profiles)
+        checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
+        Pipeline.from_spec(FULL_SPEC).run(
+            abt_buy_small.profiles, checkpoint=checkpoint, stop_after="meta_blocking"
+        )
+        state = checkpoint.load()
+        state["spec"]["engine"].update(engine_keys)
+        checkpoint.save(state)
+        if refused:
+            with pytest.raises(PipelineValidationError, match=refused):
+                Pipeline.resume(checkpoint)
+            return
+        resumed = Pipeline.resume(checkpoint)
+        assert resumed.candidate_pairs == uninterrupted.candidate_pairs
+        assert resumed.entities == uninterrupted.entities
+        assert not set(engine_keys) & set(resumed.spec["engine"])
+
     def test_checkpoint_written_after_every_stage(self, abt_buy_small, tmp_path):
         checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
         Pipeline.from_spec(FULL_SPEC).run(
@@ -403,3 +436,76 @@ class TestCheckpointResume:
         resumed = Pipeline.resume(checkpoint, extras=extras)
         assert not resumed.partial
         assert len(resumed.clusters) > 0
+
+
+def _state(completed):
+    return {
+        "completed": list(completed),
+        "spec": {"stages": [{"stage": name} for name in completed]},
+        "artifact_manifest": {},
+    }
+
+
+class TestCheckpointIntegrity:
+    def test_manifest_records_state_checksum(self, tmp_path):
+        checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
+        checkpoint.save(_state(["a"]))
+        manifest = json.loads(checkpoint.manifest_path.read_text())
+        digest = hashlib.sha256(checkpoint.state_path.read_bytes()).hexdigest()
+        assert manifest["checksum"] == digest
+        assert manifest["backup_checksum"] is None
+        checkpoint.save(_state(["a", "b"]))
+        manifest = json.loads(checkpoint.manifest_path.read_text())
+        assert manifest["backup_checksum"] == digest
+
+    def test_save_rotates_previous_state_into_backup(self, tmp_path):
+        checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
+        checkpoint.save(_state(["a"]))
+        assert not checkpoint.backup_path.is_file()
+        checkpoint.save(_state(["a", "b"]))
+        assert checkpoint.backup_path.is_file()
+        assert checkpoint.load()["completed"] == ["a", "b"]
+
+    def test_corrupt_state_falls_back_to_backup(self, tmp_path):
+        checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
+        checkpoint.save(_state(["a"]))
+        checkpoint.save(_state(["a", "b"]))
+        checkpoint.state_path.write_bytes(b"torn write garbage")
+        state = checkpoint.load()
+        # One stage behind, never garbage: the resume restarts from 'a'.
+        assert state["completed"] == ["a"]
+
+    def test_corrupt_state_without_backup_raises(self, tmp_path):
+        checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
+        checkpoint.save(_state(["a"]))
+        checkpoint.state_path.write_bytes(b"garbage")
+        with pytest.raises(PipelineError, match="no backup"):
+            checkpoint.load()
+
+    def test_corrupt_state_and_backup_raise(self, tmp_path):
+        checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
+        checkpoint.save(_state(["a"]))
+        checkpoint.save(_state(["a", "b"]))
+        checkpoint.state_path.write_bytes(b"garbage")
+        checkpoint.backup_path.write_bytes(b"also garbage")
+        with pytest.raises(PipelineError, match="backup failed verification"):
+            checkpoint.load()
+
+    def test_checksum_detects_valid_pickle_with_wrong_content(self, tmp_path):
+        """Corruption that still unpickles must be caught by the checksum."""
+        checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
+        checkpoint.save(_state(["a"]))
+        checkpoint.save(_state(["a", "b"]))
+        forged = dict(_state(["a", "b", "c"]), version=1)
+        checkpoint.state_path.write_bytes(pickle.dumps(forged))
+        assert checkpoint.load()["completed"] == ["a"]
+
+    def test_missing_manifest_degrades_to_unverified_load(self, tmp_path):
+        checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
+        checkpoint.save(_state(["a"]))
+        checkpoint.manifest_path.unlink()
+        assert checkpoint.load()["completed"] == ["a"]
+
+    def test_missing_checkpoint_raises(self, tmp_path):
+        with pytest.raises(PipelineError, match="no checkpoint"):
+            PipelineCheckpoint(tmp_path / "nope").load()

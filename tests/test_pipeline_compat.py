@@ -141,8 +141,8 @@ class TestFacadePipelineEquivalence:
             facade.shutdown()
         # The context outlives both runs; each report must count its own run.
         assert second.engine_metrics["tasks"] == first.engine_metrics["tasks"]
-        assert second.engine_metrics["shuffle_records"] == (
-            first.engine_metrics["shuffle_records"]
+        assert second.engine_metrics["stages"] == (
+            first.engine_metrics["stages"]
         )
 
     def test_schema_agnostic_ignores_user_partitioning(self, abt_buy_small):

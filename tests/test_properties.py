@@ -6,8 +6,6 @@ from repro.blocking.block import Block, BlockCollection
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.data.ground_truth import GroundTruth, canonical_pair
-from repro.engine.context import EngineContext
-from repro.engine.graphx import connected_components, pregel_connected_components
 from repro.evaluation.metrics import pair_metrics
 from repro.matching.similarity import (
     dice_similarity,
@@ -20,6 +18,7 @@ from repro.metablocking.pruning import CardinalityEdgePruning
 from repro.utils.hashing import stable_hash
 from repro.utils.text import normalize_text
 from repro.utils.tokenize import tokenize
+from repro.utils.unionfind import connected_components
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -132,10 +131,20 @@ class TestGroundTruthProperties:
 class TestConnectedComponentsProperties:
     @given(pair_lists)
     @settings(max_examples=25, deadline=None)
-    def test_pregel_matches_union_find(self, edges):
-        reference = connected_components(edges)
-        distributed = pregel_connected_components(EngineContext(3), edges)
-        assert distributed == reference
+    def test_label_is_the_minimum_reachable_node(self, edges):
+        neighbours: dict = {}
+        for a, b in edges:
+            neighbours.setdefault(a, set()).add(b)
+            neighbours.setdefault(b, set()).add(a)
+        assignment = connected_components(edges)
+        assert set(assignment) == set(neighbours)
+        for start in neighbours:
+            reached, frontier = {start}, [start]
+            while frontier:
+                for node in neighbours[frontier.pop()] - reached:
+                    reached.add(node)
+                    frontier.append(node)
+            assert assignment[start] == min(reached)
 
     @given(pair_lists)
     def test_endpoints_same_component(self, edges):

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.engine.metrics import LatencyHistogram
+from repro.service.metrics import LatencyHistogram
 from repro.service.http import HttpError, Request, Response, Router
 from repro.service.metrics import ServiceMetrics
 
