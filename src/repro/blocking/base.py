@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import defaultdict
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable
 
 import numpy as np
 
 from repro.blocking.block import BlockCollection, BlockColumns
 from repro.data.dataset import ProfileCollection
-from repro.data.profile import EntityProfile
+from repro.utils.tokenize import TokenTable
 
 
 class Blocker(ABC):
@@ -24,63 +23,46 @@ class Blocker(ABC):
         return self.block(profiles)
 
 
-def block_by_keys(
-    profiles: ProfileCollection,
-    keys_of: Callable[[EntityProfile], Iterable[Hashable]],
-    describe: Callable[[Hashable], tuple[str, float]],
+def group_token_keys(
+    table: TokenTable, values, keys, describe: Callable, clean_clean: bool
 ) -> BlockCollection:
-    """One block per key that induces a comparison, sorted by block key.
+    """One block per key that induces a comparison, sorted by block name.
 
-    ``keys_of(profile)`` yields the profile's distinct blocking keys and
-    ``describe(key)`` names a key's block and gives its entropy.  The
-    profiles stream straight into the grouping, whose result is
-    column-backed (:func:`_group_into_columns`).
+    ``keys[i]`` is the integer blocking key of a token occurrence in value
+    ``values[i]`` of ``table``.  ``describe(keys)`` gives the block names
+    (a list) and entropies (float64) of an int64 key array; it is asked only
+    for keys that make a block.  One sort of the membership codes
+    ``(2·key + side) · profiles + profile rank`` orders them and drops a
+    profile holding a key twice; runs of equal entries say which keys induce
+    a comparison, and their runs are gathered into block-name order.
     """
-    memberships = (
-        (profile.profile_id, profile.source_id, keys_of(profile)) for profile in profiles
-    )
-    return _group_into_columns(memberships, describe, profiles.is_clean_clean)
+    # Late: the meta-blocking package imports the blocking package.
+    from repro.metablocking.backends import expand_ranges
 
-
-def _group_into_columns(memberships, describe, clean_clean: bool) -> BlockCollection:
-    """Group ``(profile_id, source_id, keys)`` records into block columns.
-
-    Keys are numbered as first met and one flat id list grows by one
-    ``extend`` per record; the rest is array work: counts per (key, side)
-    pick the keys that induce a comparison, those are ranked by block name,
-    and one ``lexsort`` orders the memberships by ``(entry, profile id)``.
-    """
-    key_ids: dict = defaultdict()
-    key_ids.default_factory = key_ids.__len__  # a new key takes the next id
-    flat: list[int] = []
-    ends, owners, on_right = [], [], []
-    for profile_id, source_id, keys in memberships:
-        flat.extend(map(key_ids.__getitem__, keys))
-        ends.append(len(flat))
-        owners.append(profile_id)
-        on_right.append(clean_clean and source_id == 1)
-    per_record = np.diff(np.array(ends, dtype=np.int64), prepend=0)
-    members = np.repeat(np.array(owners, dtype=np.int64), per_record)
-    entries = 2 * np.array(flat, dtype=np.int64) + np.repeat(
-        np.array(on_right, dtype=np.int64), per_record
-    )
-    lengths = np.bincount(entries, minlength=2 * len(key_ids))
-    left, right = lengths[0::2], lengths[1::2]
-    valid = (left * right > 0) if clean_clean else left > 1
-    described = [describe(key) for key, ok in zip(key_ids, valid.tolist()) if ok]
-    names = [name for name, _entropy in described]
+    rows = table.row_of[values]
+    ids, rank = np.unique(table.profile_ids, return_inverse=True)  # ids are distinct
+    sides = (table.source_ids == 1) if clean_clean else np.zeros(len(rank), dtype=bool)
+    width = max(len(rank), 1)
+    codes = np.sort((2 * keys + sides[rows]) * width + rank[rows])
+    entries, members = np.divmod(codes[np.diff(codes, prepend=-1) != 0], width)
+    members = ids[members]
+    starts = np.flatnonzero(np.diff(entries, prepend=-1))
+    run_entries = entries[starts]
+    run_lengths = np.diff(starts, append=len(entries))
+    if clean_clean:  # a key's left run directly followed by its right run
+        left = np.flatnonzero((np.diff(run_entries) == 1) & (run_entries[1:] & 1 == 1))
+        runs = np.stack((left, left + 1), axis=1)
+    else:
+        runs = np.flatnonzero(run_lengths > 1)[:, None]
+    names, entropies = describe(run_entries[runs[:, 0]] >> 1)
     by_name = sorted(range(len(names)), key=names.__getitem__)
-    block_of_key = np.full(len(key_ids), -1, dtype=np.int64)
-    block_of_key[np.flatnonzero(valid)[by_name]] = np.arange(len(by_name))
-    blocks = block_of_key[entries >> 1]
-    staying = blocks >= 0
-    members = members[staying]
-    entries = 2 * blocks[staying] + (entries[staying] & 1)
-    order = np.lexsort((members, entries))
+    blocks = np.arange(len(by_name)).repeat(runs.shape[1])
+    runs = runs[by_name].ravel()
+    lengths = run_lengths[runs]
     columns = BlockColumns(
         [names[position] for position in by_name],
-        np.array([described[position][1] for position in by_name], dtype=np.float64),
-        entries[order],
-        members[order],
+        np.asarray(entropies, dtype=np.float64)[by_name],
+        np.repeat(2 * blocks + (run_entries[runs] & 1), lengths),
+        members[expand_ranges(starts[runs], lengths)],
     )
     return BlockCollection.from_columns(columns, clean_clean=clean_clean)

@@ -150,7 +150,7 @@ class BlockCollection:
     comparison, per-block clean-clean flags or a profile listed on both
     sides of a block.  *Column-backed*
     (:meth:`from_columns`; ``columns`` is set) it is the :class:`BlockColumns`
-    vectors and no ``Block`` at all — what ``block_by_keys``, purging and
+    vectors and no ``Block`` at all — what ``group_token_keys``, purging and
     filtering produce and the CSR builder reads.  Sizes and counts answer
     from the columns; whatever hands out ``Block`` objects (iteration,
     indexing, :attr:`blocks`, :meth:`add`) first converts the collection to

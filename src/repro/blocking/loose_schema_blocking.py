@@ -12,11 +12,13 @@ meta-blocking later uses to re-weight edges.
 
 from __future__ import annotations
 
-from repro.blocking.base import Blocker, block_by_keys
+import numpy as np
+
+from repro.blocking.base import Blocker, group_token_keys
 from repro.blocking.block import BlockCollection
 from repro.data.dataset import ProfileCollection
 from repro.looseschema.attribute_partitioning import AttributePartitioning
-from repro.utils.tokenize import tokenize
+from repro.utils.tokenize import token_table
 
 
 class LooseSchemaTokenBlocking(Blocker):
@@ -53,28 +55,26 @@ class LooseSchemaTokenBlocking(Blocker):
         An attribute's cluster is resolved by ``(source_id, attribute)``, the
         way the entropy extractor resolves it.
         """
+        table = token_table(profiles)
         cluster_of = self.partitioning.cluster_by_attribute()
         blob_id = self.partitioning.blob_cluster_id
-        min_length = self.min_token_length
-        remove_stopwords = self.remove_stopwords
-        entropies = self.cluster_entropies
+        # Per (source, attribute) key of the table: the position of its cluster
+        # among the clusters in use; a blocking key is token id × width + position.
+        used, position = [cluster_of.get(key, blob_id) for key in table.attributes], {}
+        cluster_at = np.array([position.setdefault(c, len(position)) for c in used], dtype=np.int64)
+        clusters, width, forms = list(position), max(len(position), 1), table.forms
+        entropies = np.array([self.cluster_entropies.get(c, 1.0) for c in clusters], dtype=float)
 
-        def keys_of(profile) -> set[tuple[str, int]]:
-            source_id = profile.source_id
-            keys = set()
-            for attribute, value in profile.items():
-                cluster_id = cluster_of.get((source_id, attribute), blob_id)
-                for token in tokenize(
-                    value, min_length=min_length, remove_stopwords=remove_stopwords
-                ):
-                    keys.add((token, cluster_id))
-            return keys
+        def describe(keys):
+            tokens, at = np.divmod(keys, width)
+            pairs = zip(tokens.tolist(), at.tolist())
+            return [f"{forms[token]}_{clusters[c]}" for token, c in pairs], entropies[at]
 
-        return block_by_keys(
-            profiles,
-            keys_of,
-            lambda key: (f"{key[0]}_{key[1]}", entropies.get(key[1], 1.0)),
+        values, tokens = table.select(
+            min_length=self.min_token_length, remove_stopwords=self.remove_stopwords
         )
+        keys = tokens * width + cluster_at[table.attribute_of[values]]
+        return group_token_keys(table, values, keys, describe, profiles.is_clean_clean)
 
     def key_for(self, token: str, attribute: str, source_id: int | None = None) -> str:
         """Return the loose-schema blocking key of ``token`` in ``attribute``."""

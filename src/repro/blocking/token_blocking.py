@@ -7,9 +7,12 @@ blocking collection the paper's introduction describes (Figure 1(b)).
 
 from __future__ import annotations
 
-from repro.blocking.base import Blocker, block_by_keys
+import numpy as np
+
+from repro.blocking.base import Blocker, group_token_keys
 from repro.blocking.block import BlockCollection
 from repro.data.dataset import ProfileCollection
+from repro.utils.tokenize import token_table
 
 
 class TokenBlocking(Blocker):
@@ -29,10 +32,13 @@ class TokenBlocking(Blocker):
 
     def block(self, profiles: ProfileCollection) -> BlockCollection:
         """Build one block per token that appears in at least one profile."""
-        min_length = self.min_token_length
-        remove_stopwords = self.remove_stopwords
-        return block_by_keys(
-            profiles,
-            lambda p: p.tokens(min_length=min_length, remove_stopwords=remove_stopwords),
-            lambda token: (token, 1.0),
+        table = token_table(profiles)
+        values, tokens = table.select(
+            min_length=self.min_token_length, remove_stopwords=self.remove_stopwords
         )
+        forms = table.forms
+
+        def describe(keys):
+            return list(map(forms.__getitem__, keys.tolist())), np.ones(len(keys))
+
+        return group_token_keys(table, values, tokens, describe, profiles.is_clean_clean)

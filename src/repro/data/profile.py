@@ -84,18 +84,6 @@ class EntityProfile:
             )
         return result
 
-    def attribute_tokens(
-        self, *, min_length: int = 1, remove_stopwords: bool = False
-    ) -> list[tuple[str, str]]:
-        """Return ``(attribute, token)`` pairs, preserving token provenance."""
-        pairs: list[tuple[str, str]] = []
-        for attribute, value in self.items():
-            for token in tokenize(
-                value, min_length=min_length, remove_stopwords=remove_stopwords
-            ):
-                pairs.append((attribute, token))
-        return pairs
-
     def text(self) -> str:
         """Concatenate every value (used by bag-of-words similarity)."""
         return " ".join(kv.value for kv in self.attributes)

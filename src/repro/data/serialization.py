@@ -7,7 +7,7 @@ from pathlib import Path
 
 from repro.data.dataset import ProfileCollection
 from repro.data.ground_truth import GroundTruth
-from repro.data.profile import EntityProfile, KeyValue
+from repro.data.profile import EntityProfile
 
 
 def profile_to_dict(profile: EntityProfile) -> dict[str, object]:
@@ -21,13 +21,16 @@ def profile_to_dict(profile: EntityProfile) -> dict[str, object]:
 
 
 def profile_from_dict(data: dict[str, object]) -> EntityProfile:
-    """Rebuild a profile from :func:`profile_to_dict` output."""
-    return EntityProfile(
+    """Rebuild a profile from :func:`profile_to_dict` output; each pair goes
+    through :meth:`EntityProfile.add` (``str``, ``strip``, empty / null dropped)."""
+    profile = EntityProfile(
         profile_id=int(data["profile_id"]),
         original_id=str(data.get("original_id", "")),
         source_id=int(data.get("source_id", 0)),
-        attributes=[KeyValue(a, v) for a, v in data.get("attributes", [])],
     )
+    for attribute, value in data.get("attributes", []):
+        profile.add(attribute, value)
+    return profile
 
 
 def save_collection(collection: ProfileCollection, path: str | Path) -> None:

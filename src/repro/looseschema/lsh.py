@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.data.dataset import ProfileCollection
 from repro.utils.hashing import MinHasher
-from repro.utils.tokenize import tokenize
+from repro.utils.tokenize import token_table
 
 
 @dataclass
@@ -48,33 +48,29 @@ class AttributeProfile:
         """The distinct tokens of the attribute (a set-like view)."""
         return self.value_counts.keys()
 
-    def add_value(self, value: str, sequence: int = 0) -> None:
-        """Record one attribute value, the ``sequence``-th of the collection."""
-        counts = self.value_counts
-        for token in tokenize(value):
-            if token in counts:
-                counts[token] += 1
-            else:
-                counts[token] = 1
-                self.first_seen.append(sequence)
-
 
 def build_attribute_profiles(profiles: ProfileCollection) -> dict[tuple[int, str], AttributeProfile]:
-    """Collect the token counts of every (source, attribute) pair of a collection."""
-    attribute_profiles: dict[tuple[int, str], AttributeProfile] = {}
-    sequence = 0
-    for profile in profiles:
-        source_id = profile.source_id
-        for attribute, value in profile.items():
-            key = (source_id, attribute)
-            attribute_profile = attribute_profiles.get(key)
-            if attribute_profile is None:
-                attribute_profile = attribute_profiles[key] = AttributeProfile(
-                    source_id=source_id, attribute=attribute
-                )
-            attribute_profile.add_value(value, sequence)
-            sequence += 1
-    return attribute_profiles
+    """Collect the token counts of every (source, attribute) pair of a collection.
+
+    One ``np.unique`` counts the token table's ``(attribute key, token)``
+    pairs; first occurrences give ``first_seen`` (a table value index) and
+    the token order inside an attribute.
+    """
+    table = token_table(profiles)
+    width = max(len(table.forms), 1)
+    codes = table.attribute_of[table.value_of] * width + table.token_ids
+    pairs, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    order = np.lexsort((first, pairs // width))
+    pairs, first, counts = pairs[order], first[order], counts[order]
+    cuts = np.searchsorted(pairs // width, np.arange(len(table.attributes) + 1)).tolist()
+    tokens = [table.forms[token] for token in (pairs % width).tolist()]
+    counts, first_seen = counts.tolist(), table.value_of[first].tolist()
+    return {
+        key: AttributeProfile(
+            key[0], key[1], dict(zip(tokens[lo:hi], counts[lo:hi])), first_seen[lo:hi]
+        )
+        for key, lo, hi in zip(table.attributes, cuts, cuts[1:])
+    }
 
 
 class AttributeLSH:

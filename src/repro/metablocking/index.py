@@ -670,7 +670,7 @@ class IncrementalBlockIndex:
             self._last_profile_id = profile_id
             self._profile_ids.append(profile_id)
             new_ids.append(profile_id)
-            # Mirror repro.blocking.base.block_by_keys: in a clean-clean task
+            # Mirror repro.blocking.base.group_token_keys: in a clean-clean task
             # source 1 fills the right side, everything else the left.
             side1 = self.clean_clean and profile.source_id == 1
             for token in profile.tokens(

@@ -1,17 +1,14 @@
 """Shared utilities: tokenization, text normalisation, hashing, timing."""
 
-from repro.utils.tokenize import tokenize, tokenize_profile, ngrams, character_ngrams
-from repro.utils.text import normalize_text, strip_punctuation, STOPWORDS
+from repro.utils.tokenize import tokenize, character_ngrams
+from repro.utils.text import normalize_text, STOPWORDS
 from repro.utils.hashing import stable_hash, MinHasher
 from repro.utils.timers import Timer, StageTimings
 
 __all__ = [
     "tokenize",
-    "tokenize_profile",
-    "ngrams",
     "character_ngrams",
     "normalize_text",
-    "strip_punctuation",
     "STOPWORDS",
     "stable_hash",
     "MinHasher",

@@ -23,7 +23,6 @@ STOPWORDS: frozenset[str] = frozenset(
     }
 )
 
-_PUNCTUATION_RE = re.compile(r"[^\w\s]", re.UNICODE)
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
 
@@ -33,18 +32,15 @@ def strip_accents(text: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
-def strip_punctuation(text: str) -> str:
-    """Replace every punctuation character in ``text`` with a space."""
-    return _PUNCTUATION_RE.sub(" ", text)
-
-
 def split_words(text: object) -> list[str]:
     """Return the words of ``text``, in order, in one regex scan.
 
     A word is a maximal run of word characters (regex ``\\w``) of the
     accent-stripped, lower-cased text.  This is the pipeline's one definition
-    of "token" and the only place text is normalised: :func:`normalize_text`
-    joins these words, :func:`repro.utils.tokenize.tokenize` filters them.
+    of "token": :func:`normalize_text` joins these words,
+    :func:`repro.utils.tokenize.tokenize` filters them, and
+    :func:`repro.utils.tokenize.token_table` yields them for a whole
+    collection at once.
     """
     if text is None:
         return []
@@ -61,10 +57,3 @@ def normalize_text(text: object) -> str:
     spaces and collapses runs of whitespace.  It is idempotent.
     """
     return " ".join(split_words(text))
-
-
-def is_numeric_token(token: str) -> bool:
-    """Return True if ``token`` looks like a plain number (int or decimal)."""
-    if not token:
-        return False
-    return re.fullmatch(r"\d+(\.\d+)?", token) is not None

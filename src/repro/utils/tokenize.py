@@ -7,9 +7,91 @@ definition of "token".
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import re
+from collections import defaultdict
+from typing import Any, NamedTuple
 
-from repro.utils.text import STOPWORDS, normalize_text, split_words
+import numpy as np
+
+from repro.utils.text import STOPWORDS, normalize_text, split_words, strip_accents
+
+# Values are joined around a NUL, which no word contains: each separator is a
+# token of its own, and the running count of separators numbers the values.
+_JOINER = " \x00 "
+_TOKEN_RE = re.compile(r"\w+|\x00", re.UNICODE)
+# One bytes.translate pass over an ASCII buffer: a word byte is lower-cased,
+# NUL stays, anything else becomes a space, so one split() yields the tokens.
+_ASCII_TOKEN_BYTES = bytes(
+    byte if byte == 0 else ord(chr(byte).lower()) if re.match(r"\w", chr(byte)) else 32
+    for byte in range(128)
+) + b" " * 128
+
+
+class TokenTable(NamedTuple):
+    """Every token of a profile collection as int64 columns, in reading order:
+    value ``value_of[i]`` holds form ``forms[token_ids[i]]``.  Profile rows are
+    positions in the collection; forms and attributes are numbered first-seen."""
+
+    forms: list  # distinct surface forms
+    value_of: Any  # per occurrence: its value
+    token_ids: Any  # per occurrence: its form
+    row_of: Any  # per value: its profile row
+    attribute_of: Any  # per value: its (source, attribute) key, an index into attributes
+    attributes: list  # distinct (source, attribute) keys
+    profile_ids: Any  # per profile row: its id
+    source_ids: Any  # per profile row: its source
+
+    def select(self, *, min_length: int = 1, remove_stopwords: bool = False) -> tuple:
+        """``(value_of, token_ids)`` of the occurrences :func:`tokenize` keeps."""
+        if min_length <= 1 and not remove_stopwords:
+            return self.value_of, self.token_ids
+        dropped = STOPWORDS if remove_stopwords else ()
+        keep = np.array([len(f) >= min_length and f not in dropped for f in self.forms], dtype=bool)
+        keep = keep[self.token_ids]
+        return self.value_of[keep], self.token_ids[keep]
+
+
+def token_table(profiles) -> TokenTable:
+    """Tokenise every value of ``profiles`` in one pass over one joined buffer.
+
+    The tokens of each value are exactly :func:`split_words` of it: a NUL
+    inside a value becomes a space first (NUL is no word character, so no
+    token changes), an ASCII buffer is lower-cased and split by one
+    ``bytes.translate`` + ``split``, any other buffer goes through
+    :func:`strip_accents`, ``lower`` and one ``findall``.  Built afresh on
+    every call: nothing is cached on the collection.
+    """
+    rows = list(profiles)
+    values = [kv.value for profile in rows for kv in profile.attributes]
+    attribute_ids: dict = defaultdict()
+    attribute_ids.default_factory = attribute_ids.__len__  # a new key takes the next id
+    attribute_of = [attribute_ids[profile.source_id, kv.attribute]
+                    for profile in rows for kv in profile.attributes]
+    text = _JOINER.join(values)
+    if text.count("\x00") >= len(values):  # more NULs than separators
+        text = _JOINER.join(value.replace("\x00", " ") for value in values)
+    if text.isascii():
+        separator, tokens = b"\x00", text.encode("ascii").translate(_ASCII_TOKEN_BYTES).split()
+    else:
+        separator, tokens = "\x00", _TOKEN_RE.findall(strip_accents(text).lower())
+    form_ids: dict = defaultdict()
+    form_ids.default_factory = form_ids.__len__
+    form_ids[separator]  # id 0
+    codes = np.fromiter(map(form_ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    words = codes > 0
+    forms = list(form_ids)[1:]
+    if separator == b"\x00":  # no form holds a space: decode them all in one go
+        forms = b" ".join(forms).decode("ascii").split(" ") if forms else []
+    return TokenTable(
+        forms,
+        np.cumsum(~words)[words],
+        codes[words] - 1,
+        np.repeat(np.arange(len(rows)), [len(profile.attributes) for profile in rows]),
+        np.array(attribute_of, dtype=np.int64),
+        list(attribute_ids),
+        np.array([profile.profile_id for profile in rows], dtype=np.int64),
+        np.array([profile.source_id for profile in rows], dtype=np.int64),
+    )
 
 
 def tokenize(
@@ -40,33 +122,6 @@ def tokenize(
 def token_set(text: str, **kwargs) -> set[str]:
     """Return the set of distinct tokens of ``text`` (see :func:`tokenize`)."""
     return set(tokenize(text, **kwargs))
-
-
-def tokenize_profile(
-    attribute_values: Iterable[tuple[str, str]],
-    *,
-    min_length: int = 1,
-    remove_stopwords: bool = False,
-) -> list[tuple[str, str]]:
-    """Tokenize every ``(attribute, value)`` pair of a profile.
-
-    Returns a list of ``(attribute, token)`` pairs preserving which attribute
-    each token came from, which the loose-schema blocker needs in order to map
-    tokens to attribute-cluster ids.
-    """
-    pairs: list[tuple[str, str]] = []
-    for attribute, value in attribute_values:
-        for token in tokenize(value, min_length=min_length, remove_stopwords=remove_stopwords):
-            pairs.append((attribute, token))
-    return pairs
-
-
-def ngrams(tokens: list[str], n: int) -> Iterator[tuple[str, ...]]:
-    """Yield the word ``n``-grams of a token list."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    for i in range(len(tokens) - n + 1):
-        yield tuple(tokens[i : i + n])
 
 
 def character_ngrams(text: str, n: int = 3, *, pad: bool = False) -> list[str]:

@@ -1,16 +1,18 @@
 """The column form of a block collection against the object form.
 
-``block_by_keys`` emits membership vectors
-(:class:`~repro.blocking.block.BlockColumns`) and purging, filtering, the
-stage statistics and the CSR builder work on them; the ``Block``-object
+The blockers emit membership vectors
+(:class:`~repro.blocking.block.BlockColumns`, grouped from one token table by
+``group_token_keys``) and purging, filtering, the stage statistics and the
+CSR builder work on them; the ``Block``-object
 algorithms are the definition, and the only form for hand-built collections
 outside the column invariants.  Here the two forms are compared block for
 block on Hypothesis collections (dirty and clean-clean, small and huge ids,
 keys held by one side only, ties in ``(comparisons, size)``, quotas where
 ``ratio * count`` lands on and next to an integer, purge thresholds at
 ``size == threshold``), the definition-level oracle of
-``test_blocking_oracle`` is run against an all-column chain, and a count
-guard pins that no ``Block`` is built on the hot path.  The order-keeping
+``test_blocking_oracle`` is run against an all-column chain, and two count
+guards pin that no ``Block`` is built and no value is tokenised one by one
+on the hot path.  The order-keeping
 bugfix of comparison-based purging is tested on the object path too.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import sys
 import time
 
 import pytest
@@ -36,6 +39,9 @@ from repro.data.profile import EntityProfile
 from repro.data.synthetic import generate_scalability_products
 from repro.engine.context import EngineContext
 from repro.exceptions import BlockingError
+from repro.looseschema.attribute_partitioning import AttributePartitioner
+from repro.looseschema.entropy import EntropyExtractor
+from repro.looseschema.lsh import build_attribute_profiles
 from repro.metablocking.index import _SHARED_FIELDS, CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
@@ -495,3 +501,40 @@ class TestNoBlockOnTheHotPath:
         assert built_blocks == []
         as_objects(TokenBlocking().block(generate_scalability_products(40, seed=3).profiles))
         assert len(built_blocks) > 0  # the spy does see the object form
+
+
+class TestNoPerValueTokenisingOnTheHotPath:
+    """The blockers and the attribute profiles read one token table per call;
+    ``split_words`` / ``tokenize`` — under every name a ``repro`` module bound
+    them to — are never called per value."""
+
+    @pytest.fixture
+    def tokenised(self, monkeypatch):
+        calls = []
+        originals = [
+            sys.modules["repro.utils.text"].split_words,
+            sys.modules["repro.utils.tokenize"].tokenize,
+        ]
+        for name, module in list(sys.modules.items()):
+            for attribute in ("split_words", "tokenize"):
+                original = getattr(module, attribute, None) if name.startswith("repro") else None
+                if any(original is candidate for candidate in originals):
+
+                    def spy(*args, _original=original, **kwargs):
+                        calls.append(args[0] if args else None)
+                        return _original(*args, **kwargs)
+
+                    monkeypatch.setattr(module, attribute, spy)
+        return calls
+
+    def test_blockers_and_attribute_profiles_tokenise_through_the_table(self, tokenised):
+        profiles = generate_scalability_products(400, seed=7).profiles
+        partitioning = AttributePartitioner(threshold=0.3).partition(profiles)
+        entropies = EntropyExtractor().extract(profiles, partitioning)
+        raw = TokenBlocking().block(profiles)
+        loose = LooseSchemaTokenBlocking(partitioning, cluster_entropies=entropies).block(profiles)
+        attribute_profiles = build_attribute_profiles(profiles)
+        assert len(raw) and len(loose) and attribute_profiles and len(partitioning.clusters) > 1
+        assert tokenised == []
+        profiles[0].tokens()  # the per-profile definition stays, and the spy sees it
+        assert set(tokenised) == {value for _attribute, value in profiles[0].items()}

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +102,21 @@ class TestRunCommand:
         )
         assert exit_code == 0
         assert "pipeline stages" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", [[], ["--schema-agnostic"]])
+    def test_non_ascii_json_sources(self, capsys, tmp_path, mode):
+        # Accents, Greek (a final capital sigma), CJK, punctuation and an
+        # embedded NUL: record i of one source describes record i of the other.
+        output = tmp_path / "entities.json"
+        data = Path(__file__).resolve().parents[1] / "examples" / "data"
+        exit_code = main(
+            ["run", "--source0", str(data / "unicode_source0.json"),
+             "--source1", str(data / "unicode_source1.json"), "--id-field", "id",
+             "--output", str(output), *mode]
+        )
+        assert exit_code == 0
+        entities = json.loads(output.read_text(encoding="utf-8"))
+        assert sorted(entity["profiles"] for entity in entities) == [[i, i + 5] for i in range(5)]
 
     def test_missing_input_is_error(self, capsys):
         exit_code = main(["run"])

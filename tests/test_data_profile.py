@@ -63,13 +63,6 @@ class TestEntityProfile:
         profile.add("title", "the matrix")
         assert profile.tokens(remove_stopwords=True) == {"matrix"}
 
-    def test_attribute_tokens_provenance(self):
-        profile = EntityProfile(profile_id=0)
-        profile.add("name", "Blast")
-        profile.add("authors", "Simonini")
-        assert ("name", "blast") in profile.attribute_tokens()
-        assert ("authors", "simonini") in profile.attribute_tokens()
-
     def test_text_concatenation(self):
         profile = EntityProfile(profile_id=0)
         profile.add("a", "x")

@@ -1,5 +1,8 @@
 """Tests of JSON round-trip serialization."""
 
+import json
+
+from repro.core.sparker import SparkER
 from repro.data.dataset import ProfileCollection
 from repro.data.ground_truth import GroundTruth
 from repro.data.profile import EntityProfile
@@ -44,6 +47,29 @@ class TestCollectionSerialization:
         path = tmp_path / "profiles.json"
         save_collection(collection, path)
         assert load_collection(path).is_clean_clean == collection.is_clean_clean
+
+    def test_raw_json_values_load_like_add(self, tmp_path):
+        # A hand-written file: numbers, booleans, null and padding, as JSON has
+        # them; profiles 2k and 2k + 1 (one per source) share their values.
+        def raw(pid):
+            return [["price", 90 + pid // 2], ["weight", 1.5 + pid // 2], ["stock", pid < 2],
+                    ["brand", None], ["name", f"  item{pid // 2}  "], ["note", "   "]]
+
+        payload = [
+            {"profile_id": pid, "source_id": pid % 2, "attributes": raw(pid)} for pid in range(4)
+        ]
+        path = tmp_path / "raw.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_collection(path)
+        for pid in range(4):
+            expected = EntityProfile(profile_id=pid, source_id=pid % 2)
+            for attribute, value in raw(pid):
+                expected.add(attribute, value)
+            assert loaded[pid] == expected
+        assert list(loaded[0].items()) == [
+            ("price", "90"), ("weight", "1.5"), ("stock", "True"), ("name", "item0")
+        ]
+        assert SparkER().run(loaded).candidate_pairs == {(0, 1), (2, 3)}
 
 
 class TestGroundTruthSerialization:

@@ -5,14 +5,7 @@ import unicodedata
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.utils.text import (
-    STOPWORDS,
-    is_numeric_token,
-    normalize_text,
-    split_words,
-    strip_accents,
-    strip_punctuation,
-)
+from repro.utils.text import STOPWORDS, normalize_text, split_words, strip_accents
 from repro.utils.tokenize import tokenize
 
 
@@ -118,31 +111,11 @@ class TestNormalizeText:
 
 
 class TestStripHelpers:
-    def test_strip_punctuation_replaces_with_space(self):
-        assert strip_punctuation("a.b,c") == "a b c"
-
     def test_strip_accents(self):
         assert strip_accents("résumé") == "resume"
 
     def test_strip_accents_no_change(self):
         assert strip_accents("plain") == "plain"
-
-
-class TestNumericToken:
-    def test_integer(self):
-        assert is_numeric_token("42")
-
-    def test_decimal(self):
-        assert is_numeric_token("12.99")
-
-    def test_word(self):
-        assert not is_numeric_token("sony")
-
-    def test_mixed(self):
-        assert not is_numeric_token("mp3")
-
-    def test_empty(self):
-        assert not is_numeric_token("")
 
 
 class TestStopwords:
