@@ -26,6 +26,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.blocking.base import group_token_keys
 from repro.blocking.block import Block, BlockCollection, BlockColumns
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.loose_schema_blocking import LooseSchemaTokenBlocking
@@ -51,6 +52,7 @@ from repro.metablocking.progressive import (
 )
 from repro.options import EngineOptions
 from repro.pipeline import Pipeline
+from repro.utils.tokenize import token_table
 
 from tests.test_blocking_oracle import (
     as_list,
@@ -317,6 +319,67 @@ class TestColumnsEqualObjects:
         assert as_list(purged) == oracle_input
         for ratio, blocks in filtered.items():
             assert as_list(blocks) == oracle_filter(oracle_input, ratio)
+
+
+# ---------------------------------------------------------------------------
+# the grouping routine itself, on hand-written token tables
+# ---------------------------------------------------------------------------
+class TestGroupTokenKeys:
+    """``group_token_keys`` with a ``describe`` that records what it is asked:
+    only keys that make a block are named, and blocks come in name order."""
+
+    @staticmethod
+    def _group(profiles, clean_clean, names):
+        asked = []
+
+        def describe(keys):
+            asked.extend(keys.tolist())
+            return [names[key] for key in keys.tolist()], [0.5 * key for key in keys.tolist()]
+
+        table = token_table(profiles)
+        values, tokens = table.select()
+        blocks = group_token_keys(table, values, tokens, describe, clean_clean)
+        return blocks, table.forms, asked
+
+    def test_a_key_of_one_profile_is_never_described(self):
+        profiles = [EntityProfile(1), EntityProfile(2)]
+        profiles[0].add("name", "shared alone")
+        profiles[1].add("name", "shared")
+        blocks, forms, asked = self._group(profiles, False, ["k0", "k1"])
+        assert forms == ["shared", "alone"] and asked == [0]
+        assert rows(blocks) == (False, [("k0", {1, 2}, set(), 0.0, False)])
+
+    def test_a_profile_holding_a_key_twice_counts_once(self):
+        profiles = [EntityProfile(5), EntityProfile(3)]
+        profiles[0].add("name", "tv tv")
+        profiles[0].add("title", "tv")
+        profiles[1].add("name", "radio")
+        blocks, _forms, asked = self._group(profiles, False, ["tv", "radio"])
+        assert asked == [] and len(blocks) == 0  # 5 alone holds "tv", three times
+        profiles[1].add("title", "TV")
+        blocks, _forms, asked = self._group(profiles, False, ["tv", "radio"])
+        assert asked == [0] and blocks.columns.members.tolist() == [3, 5]
+        assert rows(blocks) == (False, [("tv", {3, 5}, set(), 0.0, False)])
+
+    def test_clean_clean_keys_on_one_side_make_no_block(self):
+        profiles = [EntityProfile(1), EntityProfile(2), EntityProfile(9, source_id=1)]
+        profiles[0].add("name", "left both")
+        profiles[1].add("name", "left")
+        profiles[2].add("name", "right both")
+        blocks, forms, asked = self._group(profiles, True, ["left", "both", "right"])
+        assert forms == ["left", "both", "right"] and asked == [1]
+        assert rows(blocks) == (True, [("both", {1}, {9}, 0.5, True)])
+
+    def test_blocks_come_in_block_name_order_with_their_entropies(self):
+        profiles = [EntityProfile(1), EntityProfile(2)]
+        profiles[0].add("name", "a b c")
+        profiles[1].add("name", "c b a")
+        blocks, _forms, asked = self._group(profiles, False, ["z", "m", "a"])
+        assert sorted(asked) == [0, 1, 2]
+        assert blocks.columns.entries.tolist() == [0, 0, 2, 2, 4, 4]
+        assert [(key, entropy) for key, _s0, _s1, entropy, _cc in rows(blocks)[1]] == [
+            ("a", 1.0), ("m", 0.5), ("z", 0.0)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,14 @@ class TestTokenTable:
             for _profile, kv in values_of(profiles)
         ]
 
+    def test_both_buffers_yield_str_forms_and_a_nul_splits_like_a_space(self):
+        ascii_only = token_table([EntityProfile(0, attributes=[KeyValue("a", "Sony\x00TV sony")])])
+        accented = token_table([EntityProfile(0, attributes=[KeyValue("a", "Café\x00TV café")])])
+        assert ascii_only.forms == ["sony", "tv"] and accented.forms == ["cafe", "tv"]
+        assert all(type(form) is str for form in ascii_only.forms + accented.forms)
+        for table in (ascii_only, accented):
+            assert table.value_of.tolist() == [0, 0, 0] and table.token_ids.tolist() == [0, 1, 0]
+
     def test_an_empty_collection_and_a_profile_without_values(self):
         empty = token_table(ProfileCollection())
         assert empty.forms == [] and empty.attributes == []
