@@ -15,8 +15,8 @@ from repro.core.sparker import SparkER
 
 def _run_pipeline(dataset, config: SparkERConfig) -> dict[str, object]:
     result = SparkER(config).run(dataset.profiles, dataset.ground_truth)
-    clusterer = result.report.get("clusterer").metrics
-    matcher = result.report.get("matcher").metrics
+    clusterer = result.report.get("clustering").metrics
+    matcher = result.report.get("matching").metrics
     return {
         "candidate_pairs": result.summary()["candidate_pairs"],
         "matched_pairs": result.summary()["matched_pairs"],
@@ -54,7 +54,7 @@ def test_fig3_distributed_engine(benchmark, abt_buy):
             "configuration": "unsupervised default on the engine",
             "candidate_pairs": result.summary()["candidate_pairs"],
             "clusters": result.summary()["clusters"],
-            "cluster_f1": result.report.get("clusterer").metrics["f1"],
+            "cluster_f1": result.report.get("clustering").metrics["f1"],
         }
 
     row = benchmark(run)

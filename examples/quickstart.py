@@ -26,9 +26,11 @@ def main() -> None:
     pipeline = SparkER(SparkERConfig.unsupervised_default())
     result = pipeline.run(dataset.profiles, dataset.ground_truth)
 
-    # 3. Inspect the per-stage report (the numbers the SparkER GUI displays).
+    # 3. Inspect the per-stage report (the numbers the SparkER GUI displays);
+    #    rows and timings are keyed by pipeline stage label.
     print()
     print(format_table(result.report.as_rows(), title="pipeline stages"))
+    print("cluster quality:", result.report.get("clustering").metrics)
 
     # 4. Look at a few resolved entities.
     print()

@@ -1,18 +1,13 @@
 """Perf-regression guard for the meta-blocking kernel and the engine path.
 
-Five guards, all built on ratios that are largely machine-independent; most
-compare against the committed ``BENCH_metablocking.json`` baseline, the
-pipeline guard measures both sides fresh:
+Four guards, all built on ratios that are largely machine-independent,
+compared against the committed ``BENCH_metablocking.json`` baseline:
 
 * **end-to-end** — times the full ``ParallelMetaBlocker`` against the
   sequential ``MetaBlocker`` on the same blocks and checks the *overhead
   ratio* (engine wall-clock / sequential wall-clock).  Fails when the
   engine plumbing became more than ``1 + tolerance`` times as expensive
   relative to the algorithmic work as the committed baseline.
-* **pipeline runner** — times the ``SparkER`` facade against
-  ``Pipeline.from_spec`` end-to-end on the same dataset and fails when the
-  declarative stage-graph runner costs more than 5 percent over the facade
-  (which itself runs through the same stage graph).
 * **ER service** — checks the committed ``service_entries`` (ingest
   throughput and budgeted query latency of the long-lived service at up to
   10⁴ entities): the warm-query/cold-sweep speedup must stay above a hard
@@ -83,35 +78,6 @@ def check_e2e_against_baseline(
         return [
             f"e2e: engine overhead regressed to {measured:.2f}x the sequential "
             f"path (baseline {expected:.2f}x, ceiling {ceiling:.2f}x)"
-        ]
-    return []
-
-
-PIPELINE_CEILING = 1.05  # declarative runner must stay within 5% of the facade
-
-
-def check_pipeline_against_facade(
-    ceiling: float = PIPELINE_CEILING,
-) -> list[str]:
-    """Guard the facade-vs-pipeline-runner overhead; return failure messages.
-
-    The facade is a thin wrapper over the canonical pipeline spec, so the
-    declarative runner going through ``Pipeline.from_spec`` must not cost
-    more than ``ceiling`` times the facade's end-to-end wall-clock.  Both
-    sides are measured fresh (best-of-N on the same dataset), so no committed
-    baseline is needed — the ratio is machine-independent by construction.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-    from bench_pipeline import DEFAULT_SIZES, run_pipeline_benchmark
-
-    # Only the largest default size: long enough that scheduler jitter does
-    # not swamp a 5% ratio, and the smaller sweep sizes would be discarded.
-    entry = run_pipeline_benchmark(sizes=DEFAULT_SIZES[-1:])[0]
-    overhead = entry["overhead"]
-    if overhead > ceiling:
-        return [
-            f"pipeline: declarative runner overhead {overhead:.3f}x the facade "
-            f"on {entry['num_entities']} entities (ceiling {ceiling:.2f}x)"
         ]
     return []
 
@@ -325,12 +291,6 @@ def main(argv=None) -> int:
         help="allowed fractional e2e overhead increase (default 0.5 = 50%%)",
     )
     parser.add_argument(
-        "--pipeline-ceiling",
-        type=float,
-        default=PIPELINE_CEILING,
-        help="maximum pipeline-runner/facade wall-clock ratio (default 1.05)",
-    )
-    parser.add_argument(
         "--scale-tolerance",
         type=float,
         default=0.25,
@@ -348,7 +308,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     failures = check_e2e_against_baseline(args.e2e_tolerance, args.baseline)
-    failures += check_pipeline_against_facade(args.pipeline_ceiling)
     failures += check_scale_against_baseline(args.scale_tolerance, args.baseline)
     failures += check_service_against_baseline(args.service_tolerance, args.baseline)
     failures += check_service_wal_against_baseline(args.baseline)
@@ -357,7 +316,7 @@ def main(argv=None) -> int:
             print(f"BENCH GUARD FAIL — {failure}", file=sys.stderr)
         return 1
     print(
-        "bench guard ok: e2e engine overhead, pipeline-runner overhead, out-of-core scale, service ingest/query "
+        "bench guard ok: e2e engine overhead, out-of-core scale, service ingest/query "
         "and WAL durability baselines within tolerance"
     )
     return 0

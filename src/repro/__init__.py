@@ -25,10 +25,11 @@ Resolution in Spark* (EDBT 2019).  It provides:
   string-keyed registry, declarative dict/JSON specs
   (``Pipeline.from_spec``), a validated runner with per-stage metrics and
   checkpoint/resume,
-* ``repro.core`` -- the SparkER pipeline modules (Blocker, Entity Matcher,
-  Entity Clusterer), the end-to-end :class:`~repro.core.sparker.SparkER`
-  facade (a thin wrapper over the canonical pipeline spec) and the
-  process-debugging session.
+* ``repro.core`` -- the configuration and the entry points that build
+  pipeline specs: :class:`~repro.core.blocker.Blocker` runs the blocker chain
+  (``blocker_stages``), :class:`~repro.core.sparker.SparkER` that chain plus
+  matching and clustering (``SparkER.canonical_spec``), and the
+  process-debugging session reruns the blocker on a sample.
 """
 
 from repro.version import __version__

@@ -96,9 +96,7 @@ def block_stage_metrics(
 
     Full quality statistics when a ground truth is available, plain counts
     otherwise (a column-backed collection answers those from its columns: no
-    pair set, no ``Block``).  Both the legacy :class:`repro.core.blocker.Blocker`
-    and the pipeline stage adapters record exactly this dict, which is what
-    keeps the facade-vs-pipeline reports byte-identical.
+    pair set, no ``Block``).
     """
     if ground_truth is not None:
         return compute_blocking_stats(

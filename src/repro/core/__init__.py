@@ -1,4 +1,5 @@
-"""The SparkER pipeline: Blocker, Entity Matcher, Entity Clusterer, facade."""
+"""The SparkER entry points: ``Blocker`` and ``SparkER`` build pipeline specs
+over one blocker chain; ``DebugSession`` reruns the blocker on a sample."""
 
 from repro.core.config import (
     SparkERConfig,

@@ -2,9 +2,13 @@
 
 Pipeline: (optional) loose-schema generator → token blocking (schema-agnostic
 or loose-schema) → block purging → block filtering → meta-blocking → candidate
-pairs.  Every intermediate stage is kept on the report so the process
-debugging can show how each step changed the number of blocks, candidate pairs
-and recall/precision — exactly the quantities of the demo GUI.
+pairs.  The chain is one list of stage-graph spec entries,
+:func:`blocker_stages`; :class:`Blocker` runs that list through
+:class:`~repro.pipeline.Pipeline` and :class:`~repro.core.sparker.SparkER`
+runs it with matching and clustering appended.  Every intermediate block
+collection and per-stage metric row is kept on the report, so the process
+debugging can show how each step changed the number of blocks, candidate
+pairs and recall/precision — exactly the quantities of the demo GUI.
 """
 
 from __future__ import annotations
@@ -12,26 +16,75 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.blocking.block import BlockCollection
-from repro.blocking.filtering import BlockFiltering
-from repro.blocking.loose_schema_blocking import LooseSchemaTokenBlocking
-from repro.blocking.purging import BlockPurging
-from repro.blocking.stats import block_stage_metrics, candidate_pair_stats
-from repro.blocking.token_blocking import TokenBlocking
 from repro.core.config import BlockerConfig
 from repro.data.dataset import ProfileCollection
 from repro.data.ground_truth import GroundTruth
 from repro.engine.context import EngineContext
 from repro.evaluation.report import PipelineReport
-from repro.looseschema.attribute_partitioning import (
-    AttributePartitioner,
-    AttributePartitioning,
-    loose_schema_metrics,
-)
-from repro.looseschema.entropy import EntropyExtractor
-from repro.looseschema.lsh import build_attribute_profiles
+from repro.looseschema.attribute_partitioning import AttributePartitioning
 from repro.metablocking.metablocker import MetaBlockingResult
-from repro.metablocking.parallel import make_meta_blocker
+from repro.pipeline import Pipeline, PipelineResult
 from repro.utils.timers import StageTimings
+
+
+def blocker_stages(config: BlockerConfig) -> list[dict[str, object]]:
+    """The blocker chain as spec entries: raw → purged → filtered blocks →
+    candidate pairs (meta-blocking, or the blocks' own comparisons)."""
+    stages: list[dict[str, object]] = []
+    if config.use_loose_schema:
+        stages.append(
+            {"stage": "loose_schema", "params": {"threshold": config.attribute_threshold}}
+        )
+    stages += [
+        {
+            "stage": "token_blocking",
+            "params": {
+                "min_token_length": config.min_token_length,
+                "remove_stopwords": config.remove_stopwords,
+                "use_entropy": config.use_entropy,
+            },
+            "outputs": {"blocks": "raw_blocks"},
+        },
+        {
+            "stage": "block_purging",
+            "params": {"max_profile_fraction": config.purge_factor},
+            "inputs": {"blocks": "raw_blocks"},
+            "outputs": {"blocks": "purged_blocks"},
+        },
+        {
+            "stage": "block_filtering",
+            "params": {"ratio": config.filter_ratio},
+            "inputs": {"blocks": "purged_blocks"},
+            "outputs": {"blocks": "filtered_blocks"},
+        },
+    ]
+    if config.use_meta_blocking:
+        stages.append(
+            {
+                "stage": "meta_blocking",
+                "params": {
+                    "weighting": config.weighting_scheme,
+                    "pruning": config.pruning_strategy,
+                    "use_entropy": config.use_entropy,
+                },
+                "inputs": {"blocks": "filtered_blocks"},
+            }
+        )
+    else:
+        stages.append({"stage": "block_comparisons", "inputs": {"blocks": "filtered_blocks"}})
+    return stages
+
+
+def blocker_seeds(
+    config: BlockerConfig, partitioning: AttributePartitioning | None
+) -> dict[str, object]:
+    """The artifacts a blocker chain run starts from besides the profiles.
+
+    A user partitioning is seeded only on the loose-schema path: on the
+    schema-agnostic one it would switch token blocking to loose-schema keys.
+    """
+    seeded = partitioning is not None and config.use_loose_schema
+    return {"partitioning": partitioning} if seeded else {}
 
 
 @dataclass
@@ -47,6 +100,23 @@ class BlockerReport:
     candidate_pairs: set[tuple[int, int]] = field(default_factory=set)
     pipeline_report: PipelineReport = field(default_factory=PipelineReport)
     timings: StageTimings = field(default_factory=StageTimings)
+
+    @classmethod
+    def from_result(cls, result: PipelineResult) -> "BlockerReport":
+        """The blocker artifacts of a run over :func:`blocker_stages`; the
+        metric rows and timings are the run's own, keyed by stage label."""
+        store = result.artifacts
+        return cls(
+            partitioning=store.get("partitioning"),  # type: ignore[arg-type]
+            cluster_entropies=store.get("cluster_entropies") or {},  # type: ignore[arg-type]
+            raw_blocks=store.get("raw_blocks"),  # type: ignore[arg-type]
+            purged_blocks=store.get("purged_blocks"),  # type: ignore[arg-type]
+            filtered_blocks=store.get("filtered_blocks"),  # type: ignore[arg-type]
+            meta_blocking=store.get("meta_blocking"),  # type: ignore[arg-type]
+            candidate_pairs=result.candidate_pairs,
+            pipeline_report=result.report,
+            timings=result.timings,
+        )
 
     def stage_rows(self) -> list[dict[str, object]]:
         """Rows of the per-stage metric table (for reports and benchmarks)."""
@@ -65,7 +135,7 @@ class Blocker:
         pool.
     partitioning:
         Optional user-supplied attribute partitioning (supervised mode,
-        Figure 6(c)); when given it overrides the automatic partitioner.
+        Figure 6(c)); on the loose-schema path it replaces the automatic one.
     """
 
     def __init__(
@@ -80,122 +150,21 @@ class Blocker:
         self.engine = engine
         self.user_partitioning = partitioning
 
-    # ------------------------------------------------------------------ public
     def run(
         self,
         profiles: ProfileCollection,
         ground_truth: GroundTruth | None = None,
     ) -> BlockerReport:
-        """Run the full blocking pipeline and return the stage-by-stage report."""
-        report = BlockerReport()
-        max_comparisons = profiles.max_comparisons()
-
-        # -- loose schema generation ------------------------------------------
-        blocking_strategy = self._build_blocking_strategy(profiles, report)
-
-        # -- token blocking ----------------------------------------------------
-        with report.timings.time("blocking"):
-            report.raw_blocks = blocking_strategy.block(profiles)
-        self._record_block_stage(
-            report, "token_blocking", report.raw_blocks, ground_truth, max_comparisons
+        """Run the blocker chain and return the stage-by-stage report."""
+        # A caller's engine brings its own options (buffer backend, temp root).
+        engine = self.engine.options.as_spec() if self.engine is not None else {}
+        spec = {"stages": blocker_stages(self.config), "engine": engine}
+        result = Pipeline.from_spec(spec, engine=self.engine).run(
+            profiles, ground_truth, artifacts=blocker_seeds(self.config, self.user_partitioning)
         )
-
-        # -- block purging -----------------------------------------------------
-        with report.timings.time("purging"):
-            purging = BlockPurging(max_profile_fraction=self.config.purge_factor)
-            report.purged_blocks = purging.purge(report.raw_blocks, len(profiles))
-        self._record_block_stage(
-            report, "block_purging", report.purged_blocks, ground_truth, max_comparisons
-        )
-
-        # -- block filtering ---------------------------------------------------
-        with report.timings.time("filtering"):
-            filtering = BlockFiltering(ratio=self.config.filter_ratio)
-            report.filtered_blocks = filtering.filter(report.purged_blocks)
-        self._record_block_stage(
-            report, "block_filtering", report.filtered_blocks, ground_truth, max_comparisons
-        )
-
-        # -- meta-blocking -----------------------------------------------------
-        if self.config.use_meta_blocking:
-            with report.timings.time("meta_blocking"):
-                meta_blocker = self._build_meta_blocker()
-                report.meta_blocking = meta_blocker.run(report.filtered_blocks)
-                report.candidate_pairs = report.meta_blocking.candidate_pairs
-            metrics: dict[str, object] = dict(report.meta_blocking.as_dict())
-            if ground_truth is not None:
-                metrics.update(
-                    candidate_pair_stats(
-                        report.candidate_pairs, ground_truth, max_comparisons=max_comparisons
-                    )
-                )
-            report.pipeline_report.add("meta_blocking", metrics)
-        else:
-            report.candidate_pairs = report.filtered_blocks.distinct_comparisons()
-
-        return report
+        return BlockerReport.from_result(result)
 
     def __call__(
         self, profiles: ProfileCollection, ground_truth: GroundTruth | None = None
     ) -> BlockerReport:
         return self.run(profiles, ground_truth)
-
-    # -------------------------------------------------------------- internals
-    def _build_blocking_strategy(
-        self, profiles: ProfileCollection, report: BlockerReport
-    ):
-        if not self.config.use_loose_schema:
-            return TokenBlocking(
-                min_token_length=self.config.min_token_length,
-                remove_stopwords=self.config.remove_stopwords,
-            )
-
-        with report.timings.time("attribute_partitioning"):
-            attribute_profiles = build_attribute_profiles(profiles)
-            if self.user_partitioning is not None:
-                partitioning = self.user_partitioning
-            else:
-                partitioner = AttributePartitioner(
-                    threshold=self.config.attribute_threshold
-                )
-                partitioning = partitioner.partition_from_attribute_profiles(
-                    attribute_profiles
-                )
-        report.partitioning = partitioning
-
-        with report.timings.time("entropy_extraction"):
-            entropies = EntropyExtractor().extract_from_attribute_profiles(
-                attribute_profiles, partitioning
-            )
-        report.cluster_entropies = entropies
-        report.pipeline_report.add(
-            "loose_schema", loose_schema_metrics(partitioning, entropies)
-        )
-
-        return LooseSchemaTokenBlocking(
-            partitioning,
-            cluster_entropies=entropies if self.config.use_entropy else None,
-            min_token_length=self.config.min_token_length,
-            remove_stopwords=self.config.remove_stopwords,
-        )
-
-    def _build_meta_blocker(self):
-        return make_meta_blocker(
-            self.engine,
-            weighting=self.config.weighting_scheme,
-            pruning=self.config.pruning_strategy,
-            use_entropy=self.config.use_entropy,
-        )
-
-    @staticmethod
-    def _record_block_stage(
-        report: BlockerReport,
-        stage: str,
-        blocks: BlockCollection,
-        ground_truth: GroundTruth | None,
-        max_comparisons: int,
-    ) -> None:
-        report.pipeline_report.add(
-            stage,
-            block_stage_metrics(blocks, ground_truth, max_comparisons=max_comparisons),
-        )

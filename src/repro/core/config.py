@@ -9,10 +9,23 @@ unsupervised configuration.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
 
-from repro.exceptions import ConfigurationError
+from repro.clustering.registry import make_clustering_algorithm
+from repro.exceptions import ConfigurationError, SparkERError
+from repro.matching.similarity import get_similarity_function
+from repro.metablocking.pruning import make_pruning_strategy
 from repro.metablocking.weights import WeightingScheme
+
+
+def check_name(parse: Callable[[str], object], name: str) -> None:
+    """Parse a scheme / strategy / function / algorithm name with its own
+    parser; an unknown one is a :class:`ConfigurationError` naming it."""
+    try:
+        parse(name)
+    except SparkERError as error:
+        raise ConfigurationError(str(error)) from None
 
 
 @dataclass
@@ -65,7 +78,8 @@ class BlockerConfig:
             raise ConfigurationError("filter_ratio must be in (0, 1]")
         if self.min_token_length < 1:
             raise ConfigurationError("min_token_length must be >= 1")
-        WeightingScheme.parse(self.weighting_scheme)
+        check_name(WeightingScheme.parse, self.weighting_scheme)
+        check_name(make_pruning_strategy, self.pruning_strategy)
 
 
 @dataclass
@@ -93,6 +107,7 @@ class MatcherConfig:
             raise ConfigurationError("threshold must be in [0, 1]")
         if not 0.0 <= self.decision_threshold <= 1.0:
             raise ConfigurationError("decision_threshold must be in [0, 1]")
+        check_name(get_similarity_function, self.similarity)
 
 
 @dataclass
@@ -110,6 +125,7 @@ class ClustererConfig:
         """Raise :class:`ConfigurationError` on inconsistent values."""
         if not 0.0 <= self.min_score <= 1.0:
             raise ConfigurationError("min_score must be in [0, 1]")
+        check_name(make_clustering_algorithm, self.algorithm)
 
 
 @dataclass

@@ -1,14 +1,12 @@
-"""The end-to-end SparkER facade (Figure 3 of the paper).
+"""The end-to-end SparkER entry point (Figure 3 of the paper).
 
 ``profiles → Blocker → candidate pairs → Entity Matcher → matching pairs →
-Entity Clusterer → output entities``.  Since the stage-graph redesign,
-:class:`SparkER` is a thin compatibility wrapper over the canonical pipeline
-spec (:meth:`SparkER.canonical_spec`): it builds a
-:class:`repro.pipeline.Pipeline` from the spec, runs it, and re-packages the
-artifacts into the legacy :class:`SparkERResult` shape — bit-for-bit
-identical to what the hard-wired facade produced.  New code should use
-``repro.pipeline`` directly; this class exists so existing callers (and the
-paper's fixed wiring) keep working unchanged.
+Entity Clusterer → output entities``.  :class:`SparkER` builds the canonical
+stage-graph spec (:meth:`SparkER.canonical_spec`: the blocker chain of
+:func:`~repro.core.blocker.blocker_stages` plus matching, clustering and
+entity generation), runs it as a :class:`repro.pipeline.Pipeline` and hands
+back the pipeline's own report and timings, keyed by stage label, beside the
+artifacts of the run.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.clustering.base import EntityCluster, clusters_to_pairs
-from repro.core.blocker import BlockerReport
+from repro.core.blocker import BlockerReport, blocker_seeds, blocker_stages
 from repro.core.config import SparkERConfig
 from repro.data.dataset import ProfileCollection
 from repro.data.ground_truth import GroundTruth
@@ -29,28 +27,6 @@ from repro.matching.similarity_graph import SimilarityGraph
 from repro.options import EngineOptions
 from repro.pipeline import Pipeline, PipelineResult
 from repro.utils.timers import StageTimings
-
-# Pipeline stage label → legacy report name of the hard-wired facade.
-_BLOCKER_LABELS = (
-    "loose_schema",
-    "token_blocking",
-    "block_purging",
-    "block_filtering",
-    "meta_blocking",
-)
-_LEGACY_STAGE_NAMES = {
-    **{label: f"blocker.{label}" for label in _BLOCKER_LABELS},
-    "matching": "matcher",
-    "clustering": "clusterer",
-}
-# Stage labels whose seconds roll up into the legacy three-bucket timings.
-_TIMING_BUCKETS = {
-    **{label: "blocker" for label in _BLOCKER_LABELS},
-    "block_comparisons": "blocker",
-    "matching": "matcher",
-    "clustering": "clusterer",
-    "entity_generation": "clusterer",
-}
 
 
 @dataclass
@@ -91,7 +67,7 @@ class SparkERResult:
 
 
 class SparkER:
-    """The full entity-resolution pipeline (compatibility facade).
+    """The full entity-resolution pipeline.
 
     Parameters
     ----------
@@ -139,9 +115,11 @@ class SparkER:
             else None
         )
         self.partitioning = partitioning
-        self.rules = rules
-        self.labeled_pairs = labeled_pairs
-        self.custom_matcher = matcher
+        self.extras = {
+            key: value
+            for key, value in (("rules", rules), ("labeled_pairs", labeled_pairs), ("matcher", matcher))
+            if value is not None
+        }
 
     # -------------------------------------------------------------- the spec
     @classmethod
@@ -153,7 +131,7 @@ class SparkER:
         executor: str | None = None,
         options: EngineOptions | None = None,
     ) -> dict[str, object]:
-        """The declarative stage-graph spec equivalent to this facade.
+        """The declarative stage-graph spec :meth:`run` executes.
 
         ``Pipeline.from_spec(SparkER.canonical_spec(config))`` reproduces
         ``SparkER(config).run(...)`` bit for bit.  The spec is plain data
@@ -163,60 +141,8 @@ class SparkER:
         """
         config = config or SparkERConfig.unsupervised_default()
         config.validate()
-        blocker = config.blocker
-        stages: list[dict[str, object]] = []
-        if blocker.use_loose_schema:
-            stages.append(
-                {
-                    "stage": "loose_schema",
-                    "params": {"threshold": blocker.attribute_threshold},
-                }
-            )
-        stages.append(
-            {
-                "stage": "token_blocking",
-                "params": {
-                    "min_token_length": blocker.min_token_length,
-                    "remove_stopwords": blocker.remove_stopwords,
-                    "use_entropy": blocker.use_entropy,
-                },
-                "outputs": {"blocks": "raw_blocks"},
-            }
-        )
-        stages.append(
-            {
-                "stage": "block_purging",
-                "params": {"max_profile_fraction": blocker.purge_factor},
-                "inputs": {"blocks": "raw_blocks"},
-                "outputs": {"blocks": "purged_blocks"},
-            }
-        )
-        stages.append(
-            {
-                "stage": "block_filtering",
-                "params": {"ratio": blocker.filter_ratio},
-                "inputs": {"blocks": "purged_blocks"},
-                "outputs": {"blocks": "filtered_blocks"},
-            }
-        )
-        if blocker.use_meta_blocking:
-            stages.append(
-                {
-                    "stage": "meta_blocking",
-                    "params": {
-                        "weighting": blocker.weighting_scheme,
-                        "pruning": blocker.pruning_strategy,
-                        "use_entropy": blocker.use_entropy,
-                    },
-                    "inputs": {"blocks": "filtered_blocks"},
-                }
-            )
-        else:
-            stages.append(
-                {"stage": "block_comparisons", "inputs": {"blocks": "filtered_blocks"}}
-            )
-        matcher = config.matcher
-        stages.append(
+        matcher, clusterer = config.matcher, config.clusterer
+        stages = blocker_stages(config.blocker) + [
             {
                 "stage": "matching",
                 "params": {
@@ -226,35 +152,21 @@ class SparkER:
                     "classifier_epochs": matcher.classifier_epochs,
                     "decision_threshold": matcher.decision_threshold,
                 },
-            }
-        )
-        clusterer = config.clusterer
-        stages.append(
+            },
             {
                 "stage": "clustering",
-                "params": {
-                    "algorithm": clusterer.algorithm,
-                    "min_score": clusterer.min_score,
-                },
-            }
-        )
-        stages.append({"stage": "entity_generation"})
-        engine_section: dict[str, object] = {
-            "enabled": use_engine,
-            "parallelism": config.parallelism,
-        }
-        if options is not None:
-            engine_section.update(options.as_spec())
+                "params": {"algorithm": clusterer.algorithm, "min_score": clusterer.min_score},
+            },
+            {"stage": "entity_generation"},
+        ]
+        engine: dict[str, object] = {"enabled": use_engine, "parallelism": config.parallelism}
+        engine.update(options.as_spec() if options is not None else {})
         if executor is not None:
-            engine_section["executor"] = executor
-        return {
-            "name": "sparker",
-            "engine": engine_section,
-            "stages": stages,
-        }
+            engine["executor"] = executor
+        return {"name": "sparker", "engine": engine, "stages": stages}
 
     def build_pipeline(self) -> Pipeline:
-        """The canonical pipeline, wired to this facade's engine context."""
+        """The canonical pipeline, wired to this instance's engine context."""
         spec = self.canonical_spec(
             self.config, use_engine=self.engine is not None, options=self.options
         )
@@ -267,59 +179,20 @@ class SparkER:
         ground_truth: GroundTruth | None = None,
     ) -> SparkERResult:
         """Run blocker → matcher → clusterer and return every artefact."""
-        pipeline = self.build_pipeline()
-        artifacts: dict[str, object] = {}
-        # The legacy Blocker only consulted a user partitioning on the
-        # loose-schema path; seeding it unconditionally would switch
-        # schema-agnostic configs to loose-schema blocking.
-        if self.partitioning is not None and self.config.blocker.use_loose_schema:
-            artifacts["partitioning"] = self.partitioning
-        extras: dict[str, object] = {}
-        if self.rules is not None:
-            extras["rules"] = self.rules
-        if self.labeled_pairs is not None:
-            extras["labeled_pairs"] = self.labeled_pairs
-        if self.custom_matcher is not None:
-            extras["matcher"] = self.custom_matcher
-        result = pipeline.run(
-            profiles, ground_truth, artifacts=artifacts or None, extras=extras or None
+        result = self.build_pipeline().run(
+            profiles,
+            ground_truth,
+            artifacts=blocker_seeds(self.config.blocker, self.partitioning),
+            extras=self.extras,
         )
-        return self._legacy_result(result)
-
-    def _legacy_result(self, result: PipelineResult) -> SparkERResult:
-        """Re-package a pipeline result into the legacy facade shape."""
-        store = result.artifacts
-        blocker_report = BlockerReport(
-            partitioning=store.get("partitioning"),  # type: ignore[arg-type]
-            cluster_entropies=store.get("cluster_entropies") or {},  # type: ignore[arg-type]
-            raw_blocks=store.get("raw_blocks"),  # type: ignore[arg-type]
-            purged_blocks=store.get("purged_blocks"),  # type: ignore[arg-type]
-            filtered_blocks=store.get("filtered_blocks"),  # type: ignore[arg-type]
-            meta_blocking=store.get("meta_blocking"),  # type: ignore[arg-type]
-            candidate_pairs=result.candidate_pairs,
-        )
-        report = PipelineReport()
-        timings = StageTimings()
-        for stage in result.report.stages:
-            if stage.stage in _BLOCKER_LABELS:
-                blocker_report.pipeline_report.add(stage.stage, stage.metrics)
-            legacy_name = _LEGACY_STAGE_NAMES.get(stage.stage)
-            if legacy_name is not None:
-                report.add(legacy_name, stage.metrics)
-        for execution in result.executions:
-            bucket = _TIMING_BUCKETS.get(execution.label)
-            if bucket is not None:
-                timings.record(bucket, execution.seconds)
-            if bucket == "blocker":
-                blocker_report.timings.record(execution.label, execution.seconds)
         return SparkERResult(
-            blocker_report=blocker_report,
+            blocker_report=BlockerReport.from_result(result),
             candidate_pairs=result.candidate_pairs,
-            similarity_graph=store.get("similarity_graph"),  # type: ignore[arg-type]
+            similarity_graph=result.similarity_graph,
             clusters=result.clusters,
             entities=result.entities,
-            report=report,
-            timings=timings,
+            report=result.report,
+            timings=result.timings,
             engine_metrics=result.engine_metrics,
             pipeline_result=result,
         )

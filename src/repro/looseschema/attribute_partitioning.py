@@ -184,20 +184,3 @@ class AttributePartitioner:
         for a, b in pairs:
             uf.union(a, b)
         return [set(members) for members in uf.components().values()]
-
-
-def loose_schema_metrics(
-    partitioning: AttributePartitioning, entropies: "dict[int, float]"
-) -> "dict[str, object]":
-    """The metric dict recorded after loose-schema generation.
-
-    Shared by the legacy :class:`repro.core.blocker.Blocker` and the pipeline
-    stage adapter so the facade-vs-pipeline reports stay byte-identical.
-    """
-    return {
-        "clusters": len(partitioning.non_blob_clusters()),
-        "blob_attributes": len(
-            partitioning.clusters.get(partitioning.blob_cluster_id, set())
-        ),
-        "entropies": {k: round(v, 3) for k, v in sorted(entropies.items())},
-    }

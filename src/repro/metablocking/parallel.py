@@ -156,26 +156,3 @@ class ParallelMetaBlocker(MetaBlocker):
         )
         a, b, w = (np.concatenate(column) for column in zip(*parts))
         return EdgeWeights(a, b, w, index.num_nodes, index.kernel().node_ids)
-
-
-def make_meta_blocker(
-    engine: "EngineContext | None" = None,
-    *,
-    weighting: "str | WeightingScheme" = WeightingScheme.CBS,
-    pruning: "str | PruningStrategy" = "wep",
-    use_entropy: bool = False,
-    options: "EngineOptions | None" = None,
-) -> "ParallelMetaBlocker | MetaBlocker":
-    """Build the meta-blocker matching the execution substrate.
-
-    The range-pool :class:`ParallelMetaBlocker` when an engine context is
-    given, the sequential reference :class:`~repro.metablocking.metablocker.
-    MetaBlocker` otherwise — the two are bit-for-bit equivalent.  Shared by
-    the legacy :class:`repro.core.blocker.Blocker` and the pipeline stage
-    adapter.
-    """
-    if engine is not None:
-        return ParallelMetaBlocker(
-            engine, weighting, pruning, use_entropy=use_entropy, options=options
-        )
-    return MetaBlocker(weighting, pruning, use_entropy=use_entropy, options=options)

@@ -54,9 +54,10 @@ Quick start::
     }).run(profiles, ground_truth)
     result.entities, result.summary(), result.stage_rows()
 
-The legacy :class:`repro.core.sparker.SparkER` facade is a thin wrapper over
-``Pipeline.from_spec(SparkER.canonical_spec(config))`` and produces
-bit-for-bit identical results.
+:class:`repro.core.sparker.SparkER` runs
+``Pipeline.from_spec(SparkER.canonical_spec(config))`` and
+:class:`repro.core.blocker.Blocker` the blocker half of that spec,
+``blocker_stages(config.blocker)``.
 """
 
 from repro.pipeline.artifacts import ArtifactStore, KNOWN_KINDS

@@ -70,7 +70,7 @@ def _engine_run_metrics(
 ) -> dict[str, object]:
     """The engine summary scoped to this run: integer counters as deltas.
 
-    An :class:`EngineContext` can outlive many pipeline runs (the facade
+    An :class:`EngineContext` can outlive many pipeline runs (``SparkER``
     reuses one); reporting lifetime counters would double-count every run
     after the first.
     """

@@ -4,10 +4,8 @@ Each class wraps one black-box module of the paper's architecture (blocking,
 meta-blocking, matching, clustering, evaluation…) behind the typed
 :class:`~repro.pipeline.stage.Stage` protocol and registers itself in the
 string-keyed registry, so any of them can be placed in a declarative spec.
-
-The metric dictionaries recorded here are exactly the ones the legacy
-``Blocker``/``SparkER`` facade recorded, which is what lets the facade be a
-thin wrapper over the canonical spec with bit-for-bit identical reports.
+Stage parameters that name a scheme, strategy, similarity or algorithm are
+parsed when the stage is built, so a misspelt one fails before anything runs.
 """
 
 from __future__ import annotations
@@ -20,22 +18,24 @@ from repro.blocking.loose_schema_blocking import LooseSchemaTokenBlocking
 from repro.blocking.purging import BlockPurging
 from repro.blocking.stats import block_stage_metrics, candidate_pair_stats
 from repro.blocking.token_blocking import TokenBlocking
-from repro.core.config import ClustererConfig, MatcherConfig
+from repro.clustering.registry import make_clustering_algorithm
+from repro.core.config import ClustererConfig, MatcherConfig, check_name
 from repro.core.entity_clusterer import EntityClusterer
 from repro.core.entity_matcher import EntityMatcher
 from repro.evaluation.metrics import clustering_metrics, pair_metrics
 from repro.exceptions import EvaluationError, PipelineValidationError
-from repro.looseschema.attribute_partitioning import (
-    AttributePartitioner,
-    loose_schema_metrics,
-)
+from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.looseschema.entropy import EntropyExtractor
 from repro.looseschema.lsh import AttributeLSH, build_attribute_profiles
-from repro.metablocking.parallel import make_meta_blocker
+from repro.matching.similarity import get_similarity_function
+from repro.metablocking.metablocker import MetaBlocker
+from repro.metablocking.parallel import ParallelMetaBlocker
 from repro.metablocking.progressive import (
     ProgressiveNodeScheduling,
     ProgressiveSortedComparisons,
 )
+from repro.metablocking.pruning import make_pruning_strategy
+from repro.metablocking.weights import WeightingScheme
 from repro.pipeline import artifacts as kinds
 from repro.pipeline.registry import register_stage
 from repro.pipeline.stage import Stage, _port
@@ -45,11 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def _record_block_stage(context: "PipelineContext", label: str, blocks: Any) -> None:
-    """Record the per-stage block statistics, with quality when GT is known.
-
-    The metric dict comes from the same helper the legacy ``Blocker`` uses,
-    so reports stay identical across the facade and the stage graph.
-    """
+    """Record the per-stage block statistics, with quality when GT is known."""
     context.record(
         label,
         block_stage_metrics(
@@ -68,8 +64,7 @@ class LooseSchemaStage(Stage):
     """Loose-schema generation: LSH attribute partitioning + cluster entropy.
 
     When a ``partitioning`` artifact is already in the store (supervised mode)
-    it is reused and only the entropies are extracted, exactly like the
-    legacy facade with a user-supplied partitioning.
+    it is reused and only the entropies are extracted.
     """
 
     kind = "loose_schema"
@@ -110,7 +105,15 @@ class LooseSchemaStage(Stage):
         entropies = EntropyExtractor().extract_from_attribute_profiles(
             attribute_profiles, partitioning
         )
-        context.record(self.label, loose_schema_metrics(partitioning, entropies))
+        blob = partitioning.clusters.get(partitioning.blob_cluster_id, set())
+        context.record(
+            self.label,
+            {
+                "clusters": len(partitioning.non_blob_clusters()),
+                "blob_attributes": len(blob),
+                "entropies": {k: round(v, 3) for k, v in sorted(entropies.items())},
+            },
+        )
         return {"partitioning": partitioning, "cluster_entropies": entropies}
 
 
@@ -200,7 +203,7 @@ class MetaBlockingStage(Stage):
     """Meta-blocking: weight the blocking graph, prune, emit candidate pairs.
 
     Runs the broadcast-join :class:`ParallelMetaBlocker` when the pipeline has
-    an engine, the sequential reference implementation otherwise — both are
+    an engine, the sequential :class:`MetaBlocker` otherwise — both are
     bit-for-bit equivalent.
     """
 
@@ -218,17 +221,19 @@ class MetaBlockingStage(Stage):
         use_entropy: bool = False,
     ) -> None:
         super().__init__()
+        check_name(WeightingScheme.parse, weighting)
+        check_name(make_pruning_strategy, pruning)
         self.weighting = weighting
         self.pruning = pruning
         self.use_entropy = use_entropy
 
     def run(self, context: "PipelineContext", *, blocks):
-        meta_blocker = make_meta_blocker(
-            context.engine,
-            weighting=self.weighting,
-            pruning=self.pruning,
-            use_entropy=self.use_entropy,
-            options=context.options,
+        args = (self.weighting, self.pruning)
+        kwargs = {"use_entropy": self.use_entropy, "options": context.options}
+        meta_blocker = (
+            ParallelMetaBlocker(context.engine, *args, **kwargs)
+            if context.engine is not None
+            else MetaBlocker(*args, **kwargs)
         )
         result = meta_blocker.run(blocks)
         _annotate_backends(context, self.label)
@@ -290,6 +295,7 @@ class ProgressiveMetaBlockingStage(Stage):
             raise PipelineValidationError(
                 f"progressive strategy must be 'global' or 'node', got {strategy!r}"
             )
+        check_name(WeightingScheme.parse, weighting)
         self.weighting = weighting
         self.strategy = strategy
         self.budget = budget
@@ -347,6 +353,7 @@ class MatchingStage(Stage):
         decision_threshold: float = 0.5,
     ) -> None:
         super().__init__()
+        check_name(get_similarity_function, similarity)
         self.mode = mode
         self.similarity = similarity
         self.threshold = threshold
@@ -388,6 +395,7 @@ class ClusteringStage(Stage):
 
     def __init__(self, algorithm: str = "connected_components", min_score: float = 0.0) -> None:
         super().__init__()
+        check_name(make_clustering_algorithm, algorithm)
         self.algorithm = algorithm
         self.min_score = min_score
 

@@ -29,8 +29,15 @@ class TestBlockerConfig:
             BlockerConfig(filter_ratio=1.5).validate()
 
     def test_invalid_weighting(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigurationError, match="'nope'"):
             BlockerConfig(weighting_scheme="nope").validate()
+
+    def test_invalid_pruning(self):
+        with pytest.raises(ConfigurationError, match="'nope'"):
+            BlockerConfig(pruning_strategy="nope").validate()
+
+    def test_names_parse_case_insensitively(self):
+        BlockerConfig(weighting_scheme="ECBS", pruning_strategy="CNP").validate()
 
     def test_invalid_token_length(self):
         with pytest.raises(ConfigurationError):
@@ -49,6 +56,10 @@ class TestMatcherConfig:
         with pytest.raises(ConfigurationError):
             MatcherConfig(threshold=-0.1).validate()
 
+    def test_invalid_similarity(self):
+        with pytest.raises(ConfigurationError, match="'nosuch'"):
+            MatcherConfig(similarity="nosuch").validate()
+
 
 class TestClustererConfig:
     def test_defaults_valid(self):
@@ -57,6 +68,10 @@ class TestClustererConfig:
     def test_invalid_min_score(self):
         with pytest.raises(ConfigurationError):
             ClustererConfig(min_score=2.0).validate()
+
+    def test_invalid_algorithm(self):
+        with pytest.raises(ConfigurationError, match="'nosuch'"):
+            ClustererConfig(algorithm="nosuch").validate()
 
 
 class TestSamplingConfig:

@@ -19,16 +19,16 @@ class TestSparkERUnsupervised:
 
     def test_quality_on_synthetic(self, abt_buy_small):
         result = SparkER().run(abt_buy_small.profiles, abt_buy_small.ground_truth)
-        clusterer_report = result.report.get("clusterer")
+        clusterer_report = result.report.get("clustering")
         assert clusterer_report.metrics["recall"] > 0.7
         assert clusterer_report.metrics["precision"] > 0.7
 
     def test_stage_reports_present(self, abt_buy_small):
         result = SparkER().run(abt_buy_small.profiles, abt_buy_small.ground_truth)
         stages = [s.stage for s in result.report.stages]
-        assert "blocker.token_blocking" in stages
-        assert "matcher" in stages
-        assert "clusterer" in stages
+        assert "token_blocking" in stages
+        assert "matching" in stages
+        assert "clustering" in stages
 
     def test_without_ground_truth(self, abt_buy_small):
         result = SparkER().run(abt_buy_small.profiles)
@@ -36,7 +36,16 @@ class TestSparkERUnsupervised:
 
     def test_timings_recorded(self, abt_buy_small):
         result = SparkER().run(abt_buy_small.profiles)
-        assert set(result.timings.durations) == {"blocker", "matcher", "clusterer"}
+        assert list(result.timings.durations) == [
+            "loose_schema",
+            "token_blocking",
+            "block_purging",
+            "block_filtering",
+            "meta_blocking",
+            "matching",
+            "clustering",
+            "entity_generation",
+        ]
 
     def test_resolved_pairs_from_clusters(self, abt_buy_small):
         result = SparkER().run(abt_buy_small.profiles, abt_buy_small.ground_truth)
@@ -66,8 +75,8 @@ class TestSparkERWithEngine:
         distributed = SparkER(use_engine=True).run(
             abt_buy_small.profiles, abt_buy_small.ground_truth
         )
-        local_f1 = local.report.get("clusterer").metrics["f1"]
-        distributed_f1 = distributed.report.get("clusterer").metrics["f1"]
+        local_f1 = local.report.get("clustering").metrics["f1"]
+        distributed_f1 = distributed.report.get("clustering").metrics["f1"]
         assert abs(local_f1 - distributed_f1) < 0.05
 
 
@@ -79,7 +88,7 @@ class TestSparkERDirty:
             dirty_persons_small.profiles, dirty_persons_small.ground_truth
         )
         assert result.summary()["clusters"] > 0
-        clusterer_metrics = result.report.get("clusterer").metrics
+        clusterer_metrics = result.report.get("clustering").metrics
         assert clusterer_metrics["recall"] > 0.3
 
 

@@ -65,7 +65,7 @@ class TestFigure3EndToEnd:
 
     def test_pipeline_quality(self, abt_buy_medium):
         result = SparkER().run(abt_buy_medium.profiles, abt_buy_medium.ground_truth)
-        clusterer_metrics = result.report.get("clusterer").metrics
+        clusterer_metrics = result.report.get("clustering").metrics
         assert clusterer_metrics["recall"] > 0.7
         assert clusterer_metrics["precision"] > 0.7
 

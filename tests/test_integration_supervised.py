@@ -35,7 +35,7 @@ class TestSupervisedPipeline:
         config.matcher.classifier_epochs = 150
         pipeline = SparkER(config, labeled_pairs=_labeled_pairs(abt_buy_small))
         result = pipeline.run(abt_buy_small.profiles, abt_buy_small.ground_truth)
-        metrics = result.report.get("clusterer").metrics
+        metrics = result.report.get("clustering").metrics
         assert metrics["f1"] > 0.7
 
     def test_user_partitioning_end_to_end(self, abt_buy_small):
@@ -44,7 +44,7 @@ class TestSupervisedPipeline:
         pipeline = SparkER(config, partitioning=partitioning)
         result = pipeline.run(abt_buy_small.profiles, abt_buy_small.ground_truth)
         assert result.blocker_report.partitioning is partitioning
-        assert result.report.get("clusterer").metrics["recall"] > 0.6
+        assert result.report.get("clustering").metrics["recall"] > 0.6
 
     def test_rule_matcher_end_to_end(self, abt_buy_small):
         config = SparkERConfig.unsupervised_default()
@@ -68,8 +68,8 @@ class TestSupervisedPipeline:
             supervised, labeled_pairs=_labeled_pairs(abt_buy_small)
         ).run(abt_buy_small.profiles, abt_buy_small.ground_truth)
 
-        bad_recall = bad_result.report.get("clusterer").metrics["recall"]
-        supervised_recall = supervised_result.report.get("clusterer").metrics["recall"]
+        bad_recall = bad_result.report.get("clustering").metrics["recall"]
+        supervised_recall = supervised_result.report.get("clustering").metrics["recall"]
         assert supervised_recall > bad_recall
 
     def test_config_persistence_roundtrip(self, abt_buy_small, tmp_path):

@@ -9,7 +9,10 @@ import pickle
 import pytest
 
 from repro.blocking.token_blocking import TokenBlocking
+from repro.core.config import SparkERConfig
+from repro.core.sparker import SparkER
 from repro.exceptions import (
+    ConfigurationError,
     EvaluationError,
     PipelineError,
     PipelineValidationError,
@@ -132,6 +135,51 @@ class TestValidation:
         pipeline = Pipeline.from_spec(FULL_SPEC)
         with pytest.raises(PipelineValidationError, match="stop_after"):
             pipeline.run(abt_buy_small.profiles, stop_after="nope")
+
+    @pytest.mark.parametrize(
+        "section, field, stage, param",
+        [
+            ("blocker", "weighting_scheme", "meta_blocking", "weighting"),
+            ("blocker", "pruning_strategy", "meta_blocking", "pruning"),
+            ("matcher", "similarity", "matching", "similarity"),
+            ("clusterer", "algorithm", "clustering", "algorithm"),
+        ],
+    )
+    def test_unknown_names_fail_before_anything_runs(
+        self, abt_buy_small, tmp_path, section, field, stage, param
+    ):
+        config = SparkERConfig.unsupervised_default()
+        setattr(getattr(config, section), field, "bogus")
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            config.validate()
+        # The same name written straight into a spec: refused at composition,
+        # before loose-schema, blocking and filtering run and checkpoint.
+        spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
+        for entry in spec["stages"]:
+            if entry["stage"] == stage:
+                entry["params"][param] = "bogus"
+        checkpoint = tmp_path / "ckpt"
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            Pipeline.from_spec(spec).run(abt_buy_small.profiles, checkpoint=checkpoint)
+        assert not checkpoint.exists()
+
+    def test_unknown_progressive_weighting_rejected(self):
+        with pytest.raises(ConfigurationError, match="'nosuch'"):
+            make_stage("progressive_meta_blocking", {"weighting": "nosuch"})
+
+    def test_names_are_stored_as_given(self):
+        spec = {
+            "stages": [
+                "token_blocking",
+                {"stage": "meta_blocking", "params": {"weighting": "CBS", "pruning": "WNP"}},
+                {"stage": "matching", "params": {"similarity": "Jaccard"}},
+            ]
+        }
+        resolved = Pipeline.from_spec(spec).resolved_spec()["stages"]
+        assert resolved[1]["params"]["weighting"] == "CBS"
+        assert resolved[1]["params"]["pruning"] == "WNP"
+        assert resolved[2]["params"]["similarity"] == "Jaccard"
+        assert Pipeline.from_spec({"stages": resolved}).resolved_spec()["stages"] == resolved
 
 
 class TestExecution:

@@ -1,20 +1,28 @@
-"""Facade-vs-stage-graph equivalence grid.
+"""Entry-point-vs-stage-graph equivalence grid.
 
-``SparkER`` is a thin wrapper over ``Pipeline.from_spec(SparkER.canonical_
-spec(config))``; this module asserts the two entry points are bit-for-bit
-identical — retained edges, matched pairs, clusters and reports — on
-clean-clean and dirty synthetic datasets, under the serial and process
-executors, and that a checkpointed run resumed mid-pipeline reproduces the
-uninterrupted result.
+``SparkER`` runs ``Pipeline.from_spec(SparkER.canonical_spec(config))`` and
+``Blocker`` the blocker half of it, ``blocker_stages(config.blocker)``; this
+module asserts the entry points are bit-for-bit identical to the spec run
+and to each other — blocks, retained edges, matched pairs, clusters and
+reports — on clean-clean and dirty synthetic datasets, under the serial and
+process executors, that ``repro.core`` builds no second blocker chain, and
+that a checkpointed run resumed mid-pipeline reproduces the uninterrupted
+result.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.core
+from repro.core.blocker import Blocker, blocker_stages
 from repro.core.config import SparkERConfig
 from repro.core.sparker import SparkER
 from repro.data.synthetic import SyntheticConfig, generate_abt_buy_like, generate_dirty_persons
+from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.pipeline import Pipeline
 
 
@@ -107,18 +115,22 @@ class TestFacadePipelineEquivalence:
         )
         _assert_equivalent(facade_result, pipeline_result)
 
-    def test_legacy_report_names_preserved(self, abt_buy_small):
+    def test_report_names_are_stage_labels(self, abt_buy_small):
         result = SparkER().run(abt_buy_small.profiles, abt_buy_small.ground_truth)
-        names = [stage.stage for stage in result.report.stages]
-        assert names == [
-            "blocker.loose_schema",
-            "blocker.token_blocking",
-            "blocker.block_purging",
-            "blocker.block_filtering",
-            "blocker.meta_blocking",
-            "matcher",
-            "clusterer",
+        labels = [entry["stage"] for entry in SparkER.canonical_spec()["stages"]]
+        assert labels == [
+            "loose_schema",
+            "token_blocking",
+            "block_purging",
+            "block_filtering",
+            "meta_blocking",
+            "matching",
+            "clustering",
+            "entity_generation",
         ]
+        assert [stage.stage for stage in result.report.stages] == labels
+        assert list(result.timings.durations) == labels
+        assert result.report is result.pipeline_result.report
 
     def test_facade_summary_includes_engine_metrics(self, abt_buy_small):
         facade = SparkER(use_engine=True)
@@ -182,6 +194,79 @@ class TestFacadePipelineEquivalence:
         engine_section = result.pipeline_result.spec["engine"]
         assert engine_section["enabled"] is True
         assert engine_section["executor"] == "process:2"
+
+
+_BLOCKER_CASES = ("loose_schema", "schema_agnostic", "no_meta_blocking", "user_partitioning")
+
+
+class TestBlockerIsTheBlockerHalfOfSparkER:
+    @pytest.mark.parametrize("case", _BLOCKER_CASES)
+    @pytest.mark.parametrize("executor_key", ["driver", "process"])
+    def test_blocker_equals_sparker_blocker_stages(self, case, executor_key):
+        dataset = generate_abt_buy_like(SyntheticConfig(num_entities=50, seed=11))
+        if case == "schema_agnostic":
+            config = SparkERConfig.schema_agnostic()
+        else:
+            config = SparkERConfig.unsupervised_default()
+        config.blocker.use_meta_blocking = case != "no_meta_blocking"
+        partitioning = None
+        if case == "user_partitioning":
+            partitioning = AttributePartitioner(threshold=0.1).partition(dataset.profiles)
+        executor = _EXECUTORS[executor_key]
+        sparker = SparkER(
+            config, use_engine=executor is not None, executor=executor, partitioning=partitioning
+        )
+        try:
+            blocker = Blocker(
+                config.blocker, engine=sparker.engine, partitioning=partitioning
+            ).run(dataset.profiles, dataset.ground_truth)
+            full = sparker.run(dataset.profiles, dataset.ground_truth)
+        finally:
+            sparker.shutdown()
+
+        expected = full.blocker_report
+        for name in ("raw_blocks", "purged_blocks", "filtered_blocks"):
+            assert getattr(blocker, name).blocks == getattr(expected, name).blocks
+        assert blocker.candidate_pairs == expected.candidate_pairs == full.candidate_pairs
+        if config.blocker.use_meta_blocking:
+            assert list(blocker.meta_blocking.retained_edges.items()) == list(
+                expected.meta_blocking.retained_edges.items()
+            )
+        else:
+            assert blocker.meta_blocking is None and expected.meta_blocking is None
+        if partitioning is not None:
+            assert blocker.partitioning is partitioning
+        rows = blocker.stage_rows()
+        labels = [entry["stage"] for entry in blocker_stages(config.blocker)]
+        assert [row["stage"] for row in rows] == labels == list(blocker.timings.durations)
+        assert rows == full.report.as_rows()[: len(rows)]
+
+
+# What only the stage adapters may build: a second blocker chain in repro.core
+# would restate pipeline/stages.py.
+_STAGE_ONLY_NAMES = {
+    "TokenBlocking",
+    "LooseSchemaTokenBlocking",
+    "BlockPurging",
+    "BlockFiltering",
+    "MetaBlocker",
+    "ParallelMetaBlocker",
+    "EntropyExtractor",
+    "build_attribute_profiles",
+}
+
+
+def test_core_builds_no_second_blocker_chain():
+    for path in sorted(Path(repro.core.__file__).parent.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        assert not names & _STAGE_ONLY_NAMES, f"{path.name} uses {sorted(names & _STAGE_ONLY_NAMES)}"
 
 
 class TestCheckpointResumeEquivalence:
