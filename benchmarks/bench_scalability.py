@@ -9,7 +9,9 @@ quantities that determine them:
 * task counts as a function of the range count,
 * load balance (task-time skew) of the broadcast-join meta-blocking,
 * wall-clock of the sequential vs engine-backed meta-blocking (same output),
-* wall-clock growth as the dataset size grows.
+* wall-clock growth as the dataset size grows,
+* and, run as a script, the CSR index's share of the streamed CBS/WNP
+  meta-blocking's peak RSS on the scalability dataset.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from repro.data.synthetic import (
     generate_scalability_products,
 )
 from repro.engine.context import EngineContext
+from repro.metablocking.index import _SHARED_FIELDS, CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
-from repro.options import EngineOptions
 
 
 def _prepared_blocks(dataset):
@@ -183,9 +185,7 @@ def test_scale_executor_speedup(benchmark, abt_buy_large, weighting, pruning, us
         assert row["speedup"] > 1.5
 
 
-SCALE_SIZES = (10_000, 100_000)
-SCALE_BUFFER_BACKENDS = ("ram", "memmap")
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_metablocking.json"
+SCALE_SIZES = (30_000, 100_000)
 
 
 def _max_rss_kb() -> int:
@@ -196,160 +196,89 @@ def _max_rss_kb() -> int:
     return int(peak) // 1024 if sys.platform == "darwin" else int(peak)
 
 
-def scale_run(num_entities: int, buffer_backend: str) -> dict:
-    """One out-of-core meta-blocking run on the scalability dataset.
+def _csr_buffer_bytes(index: CSRBlockIndex) -> int:
+    """The index's numeric vectors plus its node ids as int64 — what a
+    process pool maps from shared memory."""
+    vectors = sum(getattr(index, field).nbytes for field, _typecode in _SHARED_FIELDS)
+    return vectors + 8 * index.num_nodes
+
+
+def scale_run(num_entities: int) -> dict:
+    """One streamed CBS/WNP meta-blocking run on the scalability dataset.
 
     Streams the retained edges in bounded chunks (no retained-edge dict is
     ever materialised) and fingerprints them with a SHA-256 over the packed
-    ``(a, b, weight)`` triples in emission order, so ram and memmap runs can
-    be compared bit-for-bit across processes.  Call this in a *fresh*
-    process per configuration: ``ru_maxrss`` is a process-lifetime
-    high-water mark, so two configurations measured in one process would
-    share one meaningless peak.
+    ``(a, b, weight)`` triples in emission order.  Peak RSS is read right
+    after the stream; the index is then rebuilt once to size its buffers.
+    Call this in a *fresh* process per size: ``ru_maxrss`` is a
+    process-lifetime high-water mark.
     """
     start = time.perf_counter()
     dataset = generate_scalability_products(num_entities)
     blocks = _prepared_blocks(dataset)
     build_s = time.perf_counter() - start
 
-    meta_blocker = MetaBlocker(
-        "cbs", "wnp", options=EngineOptions.resolve(buffer_backend=buffer_backend)
-    )
     digest = hashlib.sha256()
     retained = 0
     mb_start = time.perf_counter()
-    for chunk in meta_blocker.stream_retained(blocks):
+    for chunk in MetaBlocker("cbs", "wnp").stream_retained(blocks):
         for (a, b), weight in chunk:
             digest.update(struct.pack("<qqd", a, b, weight))
         retained += len(chunk)
     metablocking_s = time.perf_counter() - mb_start
+    max_rss_kb = _max_rss_kb()
 
+    index = CSRBlockIndex.from_blocks(blocks)
+    csr_mb = _csr_buffer_bytes(index) / 1e6
     return {
         "num_entities": num_entities,
-        "buffer_backend": buffer_backend,
         "profiles": len(dataset.profiles),
         "blocks": len(blocks),
         "retained_edges": retained,
         "checksum": digest.hexdigest()[:16],
         "build_s": round(build_s, 3),
         "metablocking_s": round(metablocking_s, 3),
-        "max_rss_kb": _max_rss_kb(),
+        "csr_buffers_mb": round(csr_mb, 1),
+        "peak_rss_mb": round(max_rss_kb / 1024),
+        "csr_share_of_peak": round(csr_mb / (max_rss_kb * 1024 / 1e6), 4),
     }
 
 
-def run_scale_benchmark(
-    sizes=SCALE_SIZES, buffer_backends=SCALE_BUFFER_BACKENDS
-) -> list[dict]:
-    """Run :func:`scale_run` for every size × buffer backend, one subprocess
-    each, and fold the results into one entry per size.
-
-    The subprocess isolation is what makes ``max_rss_kb`` comparable across
-    backends; the checksum equality check is the out-of-core acceptance
-    criterion (memmap output bit-for-bit identical to ram).
-    """
+def run_scale_benchmark(sizes=SCALE_SIZES) -> list[dict]:
+    """Run :func:`scale_run` once per size, each in its own subprocess (which
+    is what makes ``peak_rss_mb`` a per-size number)."""
     repo_root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(repo_root / "src"), str(repo_root / "benchmarks")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    entries: list[dict] = []
+    rows = []
     for num_entities in sizes:
-        per_backend: dict[str, dict] = {}
-        for backend in buffer_backends:
-            completed = subprocess.run(
-                [sys.executable, __file__, "--scale-child", str(num_entities), backend],
-                check=True,
-                capture_output=True,
-                text=True,
-                env=env,
-            )
-            per_backend[backend] = json.loads(completed.stdout.splitlines()[-1])
-        checksums = {row["checksum"] for row in per_backend.values()}
-        if len(checksums) != 1:
-            raise AssertionError(
-                f"scale benchmark: buffer backends disagree at {num_entities} "
-                f"entities: { {k: v['checksum'] for k, v in per_backend.items()} }"
-            )
-        reference = per_backend[buffer_backends[0]]
-        entry = {
-            "num_entities": num_entities,
-            "profiles": reference["profiles"],
-            "blocks": reference["blocks"],
-            "retained_edges": reference["retained_edges"],
-            "checksum": reference["checksum"],
-        }
-        for backend, row in per_backend.items():
-            entry[backend] = {
-                "build_s": row["build_s"],
-                "metablocking_s": row["metablocking_s"],
-                "max_rss_kb": row["max_rss_kb"],
-            }
-        if "ram" in per_backend and "memmap" in per_backend:
-            entry["memmap_overhead"] = round(
-                per_backend["memmap"]["metablocking_s"]
-                / max(per_backend["ram"]["metablocking_s"], 1e-9),
-                3,
-            )
-            entry["memmap_rss_ratio"] = round(
-                per_backend["memmap"]["max_rss_kb"]
-                / max(per_backend["ram"]["max_rss_kb"], 1),
-                3,
-            )
-        entries.append(entry)
-    return entries
-
-
-def test_scale_out_of_core_smoke(benchmark):
-    """CI smoke: ram and memmap agree bit-for-bit on a small scalability run.
-
-    The committed 10⁴/10⁵ baselines are regenerated offline with
-    ``python benchmarks/bench_scalability.py``; here a 2 000-entity sweep
-    keeps the subprocess-isolated RSS/equivalence machinery exercised on
-    every benchmark run.
-    """
-    entries = benchmark.pedantic(
-        lambda: run_scale_benchmark(sizes=(2_000,)), rounds=1, iterations=1
-    )
-    print_rows("SCALE out-of-core (2000 entities)", entries)
-    entry = entries[0]
-    assert entry["retained_edges"] > 0
-    assert entry["memmap_overhead"] > 0  # checksum equality already enforced
+        completed = subprocess.run(
+            [sys.executable, __file__, "--scale-child", str(num_entities)],
+            check=True, capture_output=True, text=True, env=env,
+        )
+        rows.append(json.loads(completed.stdout.splitlines()[-1]))
+    return rows
 
 
 def main(argv=None) -> int:
-    """Regenerate the committed ``scale_entries`` section of the baseline."""
+    """Print the CSR-buffer vs peak-RSS table of ``docs/BENCHMARKS.md``."""
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--scale-child",
-        nargs=2,
-        metavar=("NUM_ENTITIES", "BUFFER_BACKEND"),
-        default=None,
-        help="internal: run one configuration and print its JSON row",
+        "--scale-child", type=int, metavar="NUM_ENTITIES", default=None,
+        help="internal: run one size and print its JSON row",
     )
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SCALE_SIZES))
-    parser.add_argument("--output", type=Path, default=BASELINE_PATH)
-    parser.add_argument(
-        "--dry-run", action="store_true", help="run without writing the baseline file"
-    )
     args = parser.parse_args(argv)
 
     if args.scale_child is not None:
-        num_entities, backend = args.scale_child
-        print(json.dumps(scale_run(int(num_entities), backend)))
+        print(json.dumps(scale_run(args.scale_child)))
         return 0
-
-    entries = run_scale_benchmark(sizes=tuple(args.sizes))
-    print_rows("SCALE out-of-core baseline", entries)
-    if not args.dry_run:
-        payload = (
-            json.loads(args.output.read_text()) if args.output.exists() else {}
-        )
-        payload["scale_entries"] = entries
-        args.output.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"scale baseline written to {args.output}")
+    print_rows("SCALE CSR buffers vs peak RSS (streamed cbs/wnp)", run_scale_benchmark(args.sizes))
     return 0
 
 

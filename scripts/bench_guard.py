@@ -1,6 +1,6 @@
 """Perf-regression guard for the meta-blocking kernel and the engine path.
 
-Four guards, all built on ratios that are largely machine-independent,
+Three guards, all built on ratios that are largely machine-independent,
 compared against the committed ``BENCH_metablocking.json`` baseline:
 
 * **end-to-end** — times the full ``ParallelMetaBlocker`` against the
@@ -18,11 +18,6 @@ compared against the committed ``BENCH_metablocking.json`` baseline:
   default ``fsync=batch`` policy must hold at least 50 percent of the
   non-WAL ingest rate for the same batch stream (a machine-independent
   ratio — crossing it means the durable write path itself regressed).
-* **out-of-core scale** — checks the committed ``scale_entries`` (the
-  10⁴/10⁵-entity out-of-core runs of ``benchmarks/bench_scalability.py``)
-  for the memmap-vs-ram overhead and peak-RSS ceilings at the largest size,
-  then re-runs the smallest size under both buffer backends in fresh
-  subprocesses and fails on checksum divergence or RSS/overhead regression.
 
 Usage::
 
@@ -80,87 +75,6 @@ def check_e2e_against_baseline(
             f"path (baseline {expected:.2f}x, ceiling {ceiling:.2f}x)"
         ]
     return []
-
-
-SCALE_OVERHEAD_CEILING = 1.5  # memmap meta-blocking ≤ 1.5× the ram wall-clock
-SCALE_RSS_CEILING = 1.15  # memmap peak RSS ≤ 1.15× the ram peak RSS
-
-
-def check_scale_against_baseline(
-    tolerance: float = 0.25, baseline_path: Path = BASELINE_PATH
-) -> list[str]:
-    """Guard the out-of-core scale baseline; return failure messages.
-
-    Two layers.  Committed-side (no re-run, so the 10⁵-entity run stays
-    offline): at the *largest* committed size the memmap buffer backend must
-    stay within ``SCALE_OVERHEAD_CEILING`` of the ram wall-clock and within
-    ``SCALE_RSS_CEILING`` of the ram peak RSS — the out-of-core index must
-    not cost real time or, absurdly, more memory.  Re-measured (CI-
-    affordable): the *smallest* committed size re-runs under both buffer
-    backends in fresh subprocesses; fails when the retained-edge checksums
-    diverge (bit-for-bit acceptance), when the measured memmap overhead
-    exceeds the ceiling, or when the memmap peak RSS grows beyond
-    ``1 + tolerance`` of its committed value.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-    from bench_scalability import run_scale_benchmark
-
-    baseline = json.loads(baseline_path.read_text())
-    scale_entries = baseline.get("scale_entries")
-    if not scale_entries:
-        return [
-            "no scale baseline committed — regenerate with "
-            "`python benchmarks/bench_scalability.py`"
-        ]
-    failures: list[str] = []
-    largest = max(scale_entries, key=lambda entry: entry["num_entities"])
-    if largest["memmap_overhead"] > SCALE_OVERHEAD_CEILING:
-        failures.append(
-            f"scale: committed memmap overhead {largest['memmap_overhead']:.2f}x "
-            f"at {largest['num_entities']} entities is above the "
-            f"{SCALE_OVERHEAD_CEILING:.1f}x ceiling"
-        )
-    if largest["memmap_rss_ratio"] > SCALE_RSS_CEILING:
-        failures.append(
-            f"scale: committed memmap peak RSS is "
-            f"{largest['memmap_rss_ratio']:.2f}x the ram peak at "
-            f"{largest['num_entities']} entities (ceiling {SCALE_RSS_CEILING:.2f}x)"
-        )
-
-    smallest = min(scale_entries, key=lambda entry: entry["num_entities"])
-    guard_size = smallest["num_entities"]
-    # run_scale_benchmark raises AssertionError itself when the ram and
-    # memmap checksums diverge — surface that as a guard failure.
-    try:
-        current = run_scale_benchmark(sizes=[guard_size])[0]
-    except AssertionError as error:
-        return failures + [f"scale: {error}"]
-    if current["checksum"] != smallest["checksum"]:
-        failures.append(
-            f"scale: retained-edge checksum at {guard_size} entities changed to "
-            f"{current['checksum']} (committed {smallest['checksum']}) — the "
-            "meta-blocking output drifted; regenerate the baseline if intended"
-        )
-    overhead_ceiling = max(
-        SCALE_OVERHEAD_CEILING, smallest["memmap_overhead"] * (1.0 + tolerance)
-    )
-    if current["memmap_overhead"] > overhead_ceiling:
-        failures.append(
-            f"scale: memmap overhead regressed to "
-            f"{current['memmap_overhead']:.2f}x the ram wall-clock at "
-            f"{guard_size} entities (committed {smallest['memmap_overhead']:.2f}x, "
-            f"ceiling {overhead_ceiling:.2f}x)"
-        )
-    committed_rss = smallest["memmap"]["max_rss_kb"]
-    rss_ceiling = committed_rss * (1.0 + tolerance)
-    measured_rss = current["memmap"]["max_rss_kb"]
-    if measured_rss > rss_ceiling:
-        failures.append(
-            f"scale: memmap peak RSS regressed to {measured_rss} KB at "
-            f"{guard_size} entities (committed {committed_rss} KB, ceiling "
-            f"{rss_ceiling:.0f} KB)"
-        )
-    return failures
 
 
 SERVICE_WARM_SPEEDUP_FLOOR = 20.0
@@ -291,13 +205,6 @@ def main(argv=None) -> int:
         help="allowed fractional e2e overhead increase (default 0.5 = 50%%)",
     )
     parser.add_argument(
-        "--scale-tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional memmap RSS/overhead regression at the "
-        "smallest committed scale size (default 0.25 = 25%%)",
-    )
-    parser.add_argument(
         "--service-tolerance",
         type=float,
         default=0.5,
@@ -308,7 +215,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     failures = check_e2e_against_baseline(args.e2e_tolerance, args.baseline)
-    failures += check_scale_against_baseline(args.scale_tolerance, args.baseline)
     failures += check_service_against_baseline(args.service_tolerance, args.baseline)
     failures += check_service_wal_against_baseline(args.baseline)
     if failures:
@@ -316,8 +222,8 @@ def main(argv=None) -> int:
             print(f"BENCH GUARD FAIL — {failure}", file=sys.stderr)
         return 1
     print(
-        "bench guard ok: e2e engine overhead, out-of-core scale, service ingest/query "
-        "and WAL durability baselines within tolerance"
+        "bench guard ok: e2e engine overhead, service ingest/query and WAL "
+        "durability baselines within tolerance"
     )
     return 0
 

@@ -9,9 +9,7 @@ Walks every fenced code block in ``README.md`` and ``docs/*.md`` and checks:
 * ``bash`` blocks: every ``python -m repro.cli ...`` invocation (env-var
   prefixes and line continuations stripped) **parses against the actual
   argument parser**, so a documented flag that no longer exists fails here;
-  plain ``python <path>`` invocations must point at files that exist;
-* the "Engine options" table of ``docs/ARCHITECTURE.md`` is, row for row,
-  the one :func:`repro.options.docs_table` derives from the options table.
+  plain ``python <path>`` invocations must point at files that exist.
 
 Usage::
 
@@ -139,24 +137,8 @@ def check_bash_block(code: str, where: str) -> list[str]:
     return failures
 
 
-def check_options_table() -> list[str]:
-    """The documented engine-options table must be the derived one."""
-    from repro.options import docs_table
-
-    text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
-    _, _, section = text.partition("\n## Engine options\n")
-    section = section.partition("\n## ")[0]
-    documented = [line for line in section.splitlines() if line.startswith("|")]
-    if documented == docs_table():
-        return []
-    return [
-        "docs/ARCHITECTURE.md: the 'Engine options' table differs from "
-        "repro.options.docs_table() — regenerate it from the options table"
-    ]
-
-
 def main() -> int:
-    failures: list[str] = check_options_table()
+    failures: list[str] = []
     blocks = 0
     for path in DOC_FILES:
         if not path.exists():

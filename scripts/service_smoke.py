@@ -1,8 +1,7 @@
 #!/usr/bin/env python
 """CI smoke driver for the ER service.
 
-Starts ``python -m repro.cli serve`` on an ephemeral port with a dedicated
-temp root, then drives the whole request surface over real HTTP:
+Starts ``python -m repro.cli serve`` on an ephemeral port, then drives the whole request surface over real HTTP:
 
 1. ``ping`` (the CLI healthcheck helper) must succeed;
 2. ingest two batches into one collection (plus one into a second tenant);
@@ -12,8 +11,8 @@ temp root, then drives the whole request surface over real HTTP:
    of profile 0 that an in-process batch ``MetaBlocker`` run computes on the
    same profiles (weights through JSON, best first);
 5. ``/metrics`` must report the traffic with per-endpoint histograms;
-6. after SIGTERM the server must exit 0 and leave **zero** ``repro-*``
-   artifacts in its temp root.
+6. after SIGTERM the server must exit 0 and leave **zero** new ``repro-*``
+   shared-memory segments behind.
 
 Exits non-zero with a diagnostic on the first violated expectation.
 """
@@ -25,7 +24,6 @@ import os
 import signal
 import subprocess
 import sys
-import tempfile
 import urllib.error
 import urllib.request
 
@@ -97,16 +95,20 @@ def expected_candidates(payloads: list, profile_id: int) -> list:
     ))
 
 
+def _repro_segments() -> "set[str]":
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("repro-")}
+    except OSError:  # no /dev/shm on this platform
+        return set()
+
+
 def main() -> int:
-    tmp_root = tempfile.mkdtemp(prefix="service-smoke-")
-    env = dict(os.environ)
-    env["REPRO_TMPDIR"] = tmp_root
+    segments_before = _repro_segments()
     server = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
-        env=env,
     )
     port = None
     try:
@@ -195,9 +197,8 @@ def main() -> int:
             print(f"server: {remainder.rstrip()}")
 
     expect(returncode == 0, f"server exited with {returncode}")
-    leaked = [name for name in os.listdir(tmp_root) if name.startswith("repro-")]
-    expect(leaked == [], f"leaked artifacts in {tmp_root}: {leaked}")
-    os.rmdir(tmp_root)
+    leaked = _repro_segments() - segments_before
+    expect(not leaked, f"leaked shared-memory segments: {sorted(leaked)}")
     print("service smoke OK")
     return 0
 

@@ -58,7 +58,7 @@ from repro.evaluation.report import format_table
 from repro.exceptions import PipelineValidationError, SparkERError
 from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.looseschema.entropy import EntropyExtractor
-from repro.options import add_cli_arguments, explicit_from_args
+from repro.options import executor_from_args
 from repro.pipeline import Pipeline, PipelineResult, stage_catalog
 
 class _TrackExplicit(argparse.Action):
@@ -192,11 +192,11 @@ def _apply_spec_dataset(args: argparse.Namespace, spec: dict[str, object]) -> No
 def _build_run_spec(args: argparse.Namespace) -> dict[str, object]:
     """The stage-graph spec of this invocation: --spec file or canonical.
 
-    Engine-option flags are not folded in here: they reach
-    ``Pipeline.from_spec`` as overrides and are resolved there, once.
+    The executor flags are not folded in here: they reach
+    ``Pipeline.from_spec`` as its explicit ``executor`` and are resolved
+    there, once.
     """
-    # --executor / --workers imply the engine; the other option flags do not
-    # (the sequential path selects a buffer backend too).
+    # --executor / --workers imply the engine.
     use_engine = args.engine or bool(args.executor) or args.workers is not None
     if args.spec:
         spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
@@ -240,7 +240,7 @@ def _command_run(args: argparse.Namespace) -> int:
     # Remove the dataset section before handing the spec to the pipeline —
     # it is CLI provenance, not a stage-graph concern.
     spec = {key: value for key, value in spec.items() if key != "dataset"}
-    pipeline = Pipeline.from_spec(spec, overrides=explicit_from_args(args))
+    pipeline = Pipeline.from_spec(spec, executor=executor_from_args(args))
     ground_truth = dataset.ground_truth if len(dataset.ground_truth) else None
     try:
         result = pipeline.run(
@@ -445,7 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="matcher similarity threshold")
     run.add_argument("--engine", action="store_true",
                      help="run meta-blocking on the engine's range pool")
-    add_cli_arguments(run)  # one flag set per engine option (repro.options)
+    run.add_argument("--executor", choices=["serial", "process"],
+                     help="where the meta-blocking range tasks run (implies --engine): "
+                          "'serial' in this process, 'process' on a process pool")
+    run.add_argument("--workers", type=int,
+                     help="process-pool worker count (implies --executor process; "
+                          "default: CPU count)")
     run.add_argument("--spec", default=None,
                      help="run a declarative stage-graph spec (JSON file) instead of "
                           "the canonical SparkER wiring")

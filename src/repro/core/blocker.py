@@ -156,9 +156,7 @@ class Blocker:
         ground_truth: GroundTruth | None = None,
     ) -> BlockerReport:
         """Run the blocker chain and return the stage-by-stage report."""
-        # A caller's engine brings its own options (buffer backend, temp root).
-        engine = self.engine.options.as_spec() if self.engine is not None else {}
-        spec = {"stages": blocker_stages(self.config), "engine": engine}
+        spec = {"stages": blocker_stages(self.config)}
         result = Pipeline.from_spec(spec, engine=self.engine).run(
             profiles, ground_truth, artifacts=blocker_seeds(self.config, self.user_partitioning)
         )

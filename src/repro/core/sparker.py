@@ -24,7 +24,7 @@ from repro.evaluation.report import PipelineReport
 from repro.looseschema.attribute_partitioning import AttributePartitioning
 from repro.matching.matcher import Matcher, MatchingRule
 from repro.matching.similarity_graph import SimilarityGraph
-from repro.options import EngineOptions
+from repro.options import resolve_executor
 from repro.pipeline import Pipeline, PipelineResult
 from repro.utils.timers import StageTimings
 
@@ -78,14 +78,10 @@ class SparkER:
         ``config.parallelism`` ranges and meta-blocking runs on its range
         pool; everything else runs on the driver either way.
     executor:
-        Shorthand for the ``executor`` engine option (``"serial"``,
-        ``"process"``, ``"process:4"``); only meaningful with
-        ``use_engine=True``.
-    options:
-        Resolved :class:`~repro.options.EngineOptions` — build them with
-        ``EngineOptions.resolve(buffer_backend=..., tmp_dir=..., ...)``.
-        Anything not given resolves from the ``REPRO_*`` environment and the
-        defaults, once, here.
+        The ``executor`` engine option (``"serial"``, ``"process"``,
+        ``"process:4"``); only meaningful with ``use_engine=True``.  Not
+        given, it resolves from ``REPRO_ENGINE_EXECUTOR`` and the default,
+        once, here.
     partitioning:
         Optional user-supplied attribute partitioning (supervised mode).
     rules / labeled_pairs / matcher:
@@ -98,7 +94,6 @@ class SparkER:
         *,
         use_engine: bool = False,
         executor: str | None = None,
-        options: EngineOptions | None = None,
         partitioning: AttributePartitioning | None = None,
         rules: Sequence[MatchingRule] | None = None,
         labeled_pairs: Sequence[tuple[int, int, bool]] | None = None,
@@ -106,13 +101,9 @@ class SparkER:
     ) -> None:
         self.config = config or SparkERConfig.unsupervised_default()
         self.config.validate()
-        self.options = EngineOptions.resolve(base=options, executor=executor)
+        self.executor = resolve_executor(executor)
         self.engine = (
-            EngineContext(
-                default_parallelism=self.config.parallelism, options=self.options
-            )
-            if use_engine
-            else None
+            EngineContext(self.config.parallelism, self.executor) if use_engine else None
         )
         self.partitioning = partitioning
         self.extras = {
@@ -129,15 +120,14 @@ class SparkER:
         *,
         use_engine: bool = False,
         executor: str | None = None,
-        options: EngineOptions | None = None,
     ) -> dict[str, object]:
         """The declarative stage-graph spec :meth:`run` executes.
 
         ``Pipeline.from_spec(SparkER.canonical_spec(config))`` reproduces
         ``SparkER(config).run(...)`` bit for bit.  The spec is plain data
         (JSON-serialisable), so it can be persisted, diffed and edited.
-        ``options`` are recorded in its engine section; without them the
-        section leaves every engine option to whoever loads the spec.
+        ``executor`` is recorded in its engine section; without it the
+        section leaves the executor to whoever loads the spec.
         """
         config = config or SparkERConfig.unsupervised_default()
         config.validate()
@@ -160,7 +150,6 @@ class SparkER:
             {"stage": "entity_generation"},
         ]
         engine: dict[str, object] = {"enabled": use_engine, "parallelism": config.parallelism}
-        engine.update(options.as_spec() if options is not None else {})
         if executor is not None:
             engine["executor"] = executor
         return {"name": "sparker", "engine": engine, "stages": stages}
@@ -168,7 +157,7 @@ class SparkER:
     def build_pipeline(self) -> Pipeline:
         """The canonical pipeline, wired to this instance's engine context."""
         spec = self.canonical_spec(
-            self.config, use_engine=self.engine is not None, options=self.options
+            self.config, use_engine=self.engine is not None, executor=self.executor
         )
         return Pipeline.from_spec(spec, engine=self.engine)
 

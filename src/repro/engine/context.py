@@ -12,8 +12,8 @@ row of ``context.scheduler.stage_table()``.
 Failure contract: a task exception re-raises in the driver with its own type;
 a crashed worker raises :class:`~repro.exceptions.EngineError` as soon as the
 pool notices, the pool is discarded (the next map forks a fresh one) and the
-dead-pid sweeps of :mod:`repro.engine.sharedmem` and
-:mod:`repro.engine.tmpfiles` reclaim whatever the worker left behind.
+dead-pid sweep of :mod:`repro.engine.sharedmem` reclaims whatever segment the
+worker left behind.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
-from repro.engine import sharedmem, tmpfiles
+from repro.engine import sharedmem
 from repro.exceptions import EngineError
-from repro.options import EngineOptions
+from repro.options import resolve_executor
 
 _payload_ids = itertools.count()
 
@@ -92,30 +92,19 @@ class EngineContext:
     ----------
     default_parallelism:
         How many ranges a job splits its nodes into.
-    executor / tmp_dir:
-        Explicit values of those engine options (:mod:`repro.options`):
-        ``"serial"`` runs tasks in the driver, ``"process:N"`` on ``N``
-        forked workers (``"process"``: one per CPU); ``tmp_dir`` is the root
-        of the memmap buffers the jobs on this context build.
-    options:
-        The :class:`~repro.options.EngineOptions` an entry point resolved;
-        the explicit values above override it, and everything else resolves
-        from the environment and defaults.  Kept as :attr:`options`.
+    executor:
+        The ``executor`` engine option (:mod:`repro.options`): ``"serial"``
+        runs tasks in the driver, ``"process:N"`` on ``N`` forked workers
+        (``"process"``: one per CPU); ``None`` resolves the environment and
+        the default.  The canonical spec is kept as :attr:`executor_spec`.
     """
 
-    def __init__(
-        self,
-        default_parallelism: int = 4,
-        executor: "str | None" = None,
-        tmp_dir: "str | None" = None,
-        *,
-        options: "EngineOptions | None" = None,
-    ) -> None:
+    def __init__(self, default_parallelism: int = 4, executor: "str | None" = None) -> None:
         if default_parallelism <= 0:
             raise EngineError("default_parallelism must be positive")
         self.default_parallelism = default_parallelism
-        self.options = EngineOptions.resolve(base=options, executor=executor, tmp_dir=tmp_dir)
-        kind, _, count = self.options.executor.partition(":")
+        self.executor_spec = resolve_executor(executor)
+        kind, _, count = self.executor_spec.partition(":")
         # 0 workers = tasks run in the driver.
         self.workers = 0 if kind == "serial" else int(count or os.cpu_count() or 1)
         self.executor = f"process[{self.workers}]" if self.workers else "serial"
@@ -183,17 +172,17 @@ class EngineContext:
         return self._pool
 
     def _discard_pool(self) -> None:
-        """Reap a broken pool, then sweep what its dead workers left behind.
+        """Reap a broken pool, then sweep the segments its dead workers left.
 
         The pool already terminated every worker when it broke, so waiting
         is bounded; it also means no dead worker is still an unreaped zombie
-        whose pid would look alive to the sweeps.
+        whose pid would look alive to the sweep.  Workers create no files,
+        so there is no file sweep.
         """
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
         sharedmem.sweep_orphaned_segments()
-        tmpfiles.sweep_orphaned_artifacts(self.options.tmp_dir)
 
     # --------------------------------------------------------------- metrics
     def metrics_summary(self) -> "dict[str, Any]":

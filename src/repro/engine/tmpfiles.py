@@ -1,34 +1,24 @@
-"""Managed temporary file artifacts: one root directory, one sweep.
+"""Managed temporary file artifacts: pid-stamped names, one sweep.
 
-Two subsystems create on-disk artifacts with a lifetime tied to a run: the
-memmap buffer backend of the CSR index
-(:meth:`repro.metablocking.index.CSRBlockIndex` backs its offset/entry
-vectors with one file-backed buffer) and the service WAL (its
-truncate-rewrite temp).  Both families route through this module so that
-
-* every artifact lives under **one root** — the ``tmp_dir`` engine option
-  (:mod:`repro.options`) — never scattered across whatever tmpdir each call
-  site happened to pick;
-* every artifact name carries its **creator pid**
-  (``repro-<kind>-<pid>-<seq>``), mirroring the shared-memory segment naming
-  of :mod:`repro.engine.sharedmem`, so a single crash sweep
-  (:func:`sweep_orphaned_artifacts`) can tell a live owner's file from a
-  dead one's and reclaim disk after a crashed run without ever touching an
-  artifact that is still in use.
+The service WAL's truncate-rewrite temp (``waltmp``) is the on-disk artifact
+with a lifetime tied to a process.  Its caller names the directory it lives
+in — the WAL directory — and its name carries the **creator pid**
+(``repro-<kind>-<pid>-<seq>``), mirroring the shared-memory segment naming
+of :mod:`repro.engine.sharedmem`, so a crash sweep
+(:func:`sweep_orphaned_artifacts`) can tell a live owner's file from a dead
+one's and reclaim disk after a crash without ever touching an artifact that
+is still in use.
 
 Ownership mirrors the segment registries: paths created here join a
 process-local live set and leave it on :func:`discard_artifact`; the sweep
 skips the live set, skips any artifact whose creator pid is alive, and
-removes the rest (files and directories alike).
+removes the rest.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import shutil
-
-from repro.options import resolve_option
 
 _artifact_ids = itertools.count()
 
@@ -38,30 +28,16 @@ _artifact_ids = itertools.count()
 _live_owned: set[str] = set()
 
 
-def _new_artifact_path(kind: str, tmp_dir: "str | os.PathLike | None") -> str:
-    if not kind.isalnum():
-        raise ValueError(f"artifact kind must be alphanumeric, got {kind!r}")
-    root = resolve_option("tmp_dir", tmp_dir)
-    os.makedirs(root, exist_ok=True)
-    name = f"repro-{kind}-{os.getpid()}-{next(_artifact_ids)}"
-    return os.path.join(root, name)
-
-
-def make_artifact_path(kind: str, tmp_dir: "str | os.PathLike | None" = None) -> str:
-    """Reserve a pid-stamped artifact *file* path (the file is not created).
+def make_artifact_path(kind: str, directory: "str | os.PathLike") -> str:
+    """Reserve a pid-stamped artifact file path under ``directory`` (the
+    file is not created).
 
     The path joins the live-owned set immediately, so a concurrent sweep in
     this process never reclaims it between reservation and first write.
     """
-    path = _new_artifact_path(kind, tmp_dir)
-    _live_owned.add(path)
-    return path
-
-
-def make_artifact_dir(kind: str, tmp_dir: "str | os.PathLike | None" = None) -> str:
-    """Create a pid-stamped artifact *directory* and return its path."""
-    path = _new_artifact_path(kind, tmp_dir)
-    os.mkdir(path)
+    if not kind.isalnum():
+        raise ValueError(f"artifact kind must be alphanumeric, got {kind!r}")
+    path = os.path.join(directory, f"repro-{kind}-{os.getpid()}-{next(_artifact_ids)}")
     _live_owned.add(path)
     return path
 
@@ -77,17 +53,14 @@ def release_artifact(path: str) -> None:
 
 
 def discard_artifact(path: str) -> None:
-    """Remove one artifact (file or directory) and drop its ownership.
+    """Remove one artifact file and drop its ownership.
 
     Idempotent and silent on a path that is already gone — exactly like the
     segment unlink helpers this mirrors.
     """
     _live_owned.discard(path)
     try:
-        if os.path.isdir(path):
-            shutil.rmtree(path, ignore_errors=True)
-        else:
-            os.unlink(path)
+        os.unlink(path)
     except OSError:
         pass
 
@@ -127,21 +100,18 @@ def owner_pid(name: str) -> "int | None":
 
 
 def sweep_orphaned_artifacts(
-    tmp_dir: "str | os.PathLike | None" = None, kind: "str | None" = None
+    directory: "str | os.PathLike", kind: "str | None" = None
 ) -> list[str]:
     """Remove managed artifacts whose creator process is gone.
 
-    Scans the resolved root for ``repro-<kind>-<pid>-<seq>`` entries and
-    removes those whose pid no longer exists — the crash-recovery companion
-    of :func:`repro.engine.sharedmem.sweep_orphaned_segments`, covering the
-    on-disk artifact families (memmap buffers, WAL rewrite temps) in one
-    place.  ``kind`` restricts the sweep to one family (the service's
-    startup recovery sweeps only ``waltmp`` under its WAL directory).
-    Returns the removed paths.
+    Scans ``directory`` for ``repro-<kind>-<pid>-<seq>`` entries and removes
+    those whose pid no longer exists — the on-disk companion of
+    :func:`repro.engine.sharedmem.sweep_orphaned_segments`.  ``kind``
+    restricts the sweep to one family (the service's startup recovery sweeps
+    only ``waltmp`` under its WAL directory).  Returns the removed paths.
     """
-    root = resolve_option("tmp_dir", tmp_dir)
     try:
-        entries = os.listdir(root)
+        entries = os.listdir(directory)
     except OSError:
         return []
     marker = None if kind is None else f"repro-{kind}-"
@@ -152,7 +122,7 @@ def sweep_orphaned_artifacts(
         pid = owner_pid(entry)
         if pid is None:
             continue
-        path = os.path.join(root, entry)
+        path = os.path.join(directory, entry)
         if path in _live_owned:
             continue
         if pid == os.getpid() or pid_alive(pid):

@@ -32,20 +32,10 @@ The index can additionally export its buffers into a
 :class:`multiprocessing.shared_memory` segment (:meth:`export_shared`): the
 pickle then carries only the segment name and layout, so a process pool maps
 the index once per machine instead of deserialising a copy per worker.
-
-A **buffer backend** decides where the numeric vectors live (the
-``buffer_backend`` engine option): ``ram`` keeps what the builder produced
-while ``memmap`` writes them into one file-backed :class:`numpy.memmap`
-buffer under the managed temp root (:mod:`repro.engine.tmpfiles`), so the OS
-can page the index in and out and peak RSS no longer has to hold it.  The
-kernel reads either representation zero-copy, so the retained edges are
-bit-for-bit identical across buffer backends; lifecycle mirrors the shared
-segment (explicit :meth:`close`, GC finalizer backstop, dead-pid crash sweep).
 """
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left
 from itertools import chain
 
@@ -53,7 +43,6 @@ import numpy as np
 
 from repro.blocking.block import BlockCollection
 from repro.metablocking import backends as _backends
-from repro.options import EngineOptions
 
 # Buffers that travel through the shared-memory segment, with their typecode.
 _SHARED_FIELDS = (
@@ -73,10 +62,7 @@ class CSRBlockIndex:
     """Array-backed block index shared by the sequential and parallel paths.
 
     Build with :meth:`from_blocks`; the constructor only wires pre-built
-    arrays together.  This is the leaf that acts on the ``buffer_backend`` /
-    ``tmp_dir`` engine options: ``options`` are the resolved
-    :class:`~repro.options.EngineOptions` handed down from the entry point
-    (``None`` resolves environment and defaults here).
+    arrays together.
     """
 
     __slots__ = (
@@ -92,21 +78,15 @@ class CSRBlockIndex:
         "block_entropy",
         "total_blocks",
         "clean_clean",
-        "_buffer_backend",
         "_node_of",
         "_kernel",
         "_degrees",
         "_num_edges",
         "_plans",
         "_shared",
-        "_mmap_path",
-        "_mmap_base",
-        "_mmap_finalizer",
-        "__weakref__",
     )
 
-    def __init__(self, options: "EngineOptions | None" = None) -> None:
-        options = options or EngineOptions.resolve()
+    def __init__(self) -> None:
         empty_i, empty_f = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         self.node_ids: list[int] = []
         self.node_block_offsets = np.zeros(1, dtype=np.int64)
@@ -122,22 +102,16 @@ class CSRBlockIndex:
         self.block_entropy = empty_f
         self.total_blocks = 0
         self.clean_clean = False
-        self._buffer_backend = options.buffer_backend
         self._node_of: dict[int, int] | None = None  # lazy, see node_of
         self._kernel = None
         self._degrees = None
         self._num_edges: int | None = None
         self._plans: dict = {}
         self._shared = None
-        self._mmap_path: str | None = None
-        self._mmap_base = None
-        self._mmap_finalizer = None
 
     # ------------------------------------------------------------------ build
     @classmethod
-    def from_blocks(
-        cls, blocks: BlockCollection, options: "EngineOptions | None" = None
-    ) -> "CSRBlockIndex":
+    def from_blocks(cls, blocks: BlockCollection) -> "CSRBlockIndex":
         """Build the index from a block collection.
 
         Blocks that induce no comparison are skipped; ``total_blocks`` still
@@ -158,12 +132,11 @@ class CSRBlockIndex:
                 [block.is_clean_clean for block in kept],
                 clean_clean=blocks.clean_clean,
                 total_blocks=len(blocks),
-                options=options,
             )
         cleans = np.full(len(blocks), blocks.clean_clean)
         return cls._build(
             (columns.lengths(), columns.members, columns.entropies, cleans),
-            blocks.clean_clean, len(blocks), options,
+            blocks.clean_clean, len(blocks),
         )
 
     @classmethod
@@ -176,7 +149,6 @@ class CSRBlockIndex:
         *,
         clean_clean: bool,
         total_blocks: int,
-        options: "EngineOptions | None" = None,
     ) -> "CSRBlockIndex":
         """Build the index from the comparison-inducing blocks, column-wise.
 
@@ -200,26 +172,17 @@ class CSRBlockIndex:
             int(lengths.sum()),
         )
         return cls._build(
-            (lengths, profiles, entropies, cleans), clean_clean, total_blocks, options
+            (lengths, profiles, entropies, cleans), clean_clean, total_blocks
         )
 
     @classmethod
-    def _build(cls, inputs, clean_clean, total_blocks, options) -> "CSRBlockIndex":
-        """Run the array builder over its input; ``memmap`` then writes the
-        result once into a file.  On any build error the partially
-        constructed index is :meth:`close`\\ d (no leaked memmap buffer)."""
-        options = options or EngineOptions.resolve()
-        index = cls(options)
+    def _build(cls, inputs, clean_clean, total_blocks) -> "CSRBlockIndex":
+        """Run the array builder over its input."""
+        index = cls()
         index.clean_clean = clean_clean
         index.total_blocks = total_blocks
-        try:
-            cls._populate_arrays(index, *inputs)
-            if index._buffer_backend == "memmap":
-                index._materialise_memmap(options.tmp_dir)
-            return index
-        except BaseException:
-            index.close()
-            raise
+        cls._populate_arrays(index, *inputs)
+        return index
 
     @staticmethod
     def _populate_arrays(index, lengths, profiles, entropies, cleans) -> None:
@@ -264,46 +227,6 @@ class CSRBlockIndex:
         index.block_inv_cardinality = 1.0 / cardinality
         index.block_entropy = np.asarray(entropies, dtype=np.float64)
 
-    def _materialise_memmap(self, tmp_dir: str) -> None:
-        """Rewrite the numeric vectors into one file-backed memmap buffer.
-
-        All nine :data:`_SHARED_FIELDS` vectors (8-byte items, so layout is
-        trivially aligned) are packed back-to-back into a single
-        ``repro-csrbuf-<pid>-<seq>`` file and the attributes replaced with
-        zero-copy views into it.  ``node_ids`` deliberately stays a plain
-        Python list: pair tuples are built from it, and keeping it native
-        keeps the emitted edges type-identical to the ram backend.  The file
-        is unlinked by :meth:`close` (or a GC finalizer backstop) and by the
-        dead-pid crash sweep of :mod:`repro.engine.tmpfiles`.
-        """
-        from repro.engine import tmpfiles as _tmpfiles
-
-        lengths = [len(getattr(self, fld)) for fld, _tc in _SHARED_FIELDS]
-        total_bytes = 8 * sum(lengths)
-        path = _tmpfiles.make_artifact_path("csrbuf", tmp_dir)
-        try:
-            base = np.memmap(
-                path, dtype=np.uint8, mode="w+", shape=(max(total_bytes, 1),)
-            )
-            offset = 0
-            for (fld, typecode), length in zip(_SHARED_FIELDS, lengths):
-                dtype = np.int64 if typecode == "q" else np.float64
-                view = base[offset : offset + 8 * length].view(dtype)
-                view[:] = getattr(self, fld)
-                setattr(self, fld, view)
-                offset += 8 * length
-            base.flush()
-        except BaseException:
-            # The buffer file never reached a usable state: reclaim it now
-            # instead of leaning on the GC finalizer / dead-pid sweep.
-            _tmpfiles.discard_artifact(path)
-            raise
-        self._mmap_path = path
-        self._mmap_base = base
-        self._mmap_finalizer = weakref.finalize(
-            self, _tmpfiles.discard_artifact, path
-        )
-
     # ------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:
         """Ship every array plus the cached degree vector, never the kernel.
@@ -317,48 +240,25 @@ class CSRBlockIndex:
         When the buffers were exported to shared memory the state carries
         only the segment name and field layout — the worker attaches and
         maps, it never deserialises the buffers.
-
-        A memmap-backed index ships in-memory copies of its vectors: the
-        file is local to the building process, so the receiver holds a
-        private ram copy while ``_buffer_backend`` still records the label.
-        Process pools avoid this copy entirely via :meth:`export_shared`.
         """
-        small = {
-            "total_blocks": self.total_blocks,
-            "clean_clean": self.clean_clean,
-            "_buffer_backend": self._buffer_backend,
-            "_num_edges": self._num_edges,
-        }
         if self._shared is not None and not self._shared.released:
-            small["shared_name"] = self._shared.name
-            small["shared_layout"] = self._shared.layout
-            return small
-        state = {
+            return {
+                "total_blocks": self.total_blocks,
+                "clean_clean": self.clean_clean,
+                "_num_edges": self._num_edges,
+                "shared_name": self._shared.name,
+                "shared_layout": self._shared.layout,
+            }
+        return {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot
-            not in (
-                "_kernel",
-                "_plans",
-                "_shared",
-                "_mmap_path",
-                "_mmap_base",
-                "_mmap_finalizer",
-                "__weakref__",
-            )
+            if slot not in ("_kernel", "_plans", "_shared")
         }
-        if self._mmap_base is not None:
-            for fld, _typecode in _SHARED_FIELDS:
-                state[fld] = np.array(getattr(self, fld))
-        return state
 
     def __setstate__(self, state: dict) -> None:
         self._kernel = None
         self._plans = {}
         self._shared = None
-        self._mmap_path = None
-        self._mmap_base = None
-        self._mmap_finalizer = None
         if "shared_name" in state:
             self._attach_shared(state)
             return
@@ -380,7 +280,6 @@ class CSRBlockIndex:
         self._node_of = None  # rebuilt lazily; node_ids is the source of truth
         self.total_blocks = state["total_blocks"]
         self.clean_clean = state["clean_clean"]
-        self._buffer_backend = state.get("_buffer_backend", "ram")
         self._num_edges = state["_num_edges"]
 
     # -------------------------------------------------------- shared memory
@@ -412,41 +311,19 @@ class CSRBlockIndex:
         return self._shared
 
     def close(self) -> None:
-        """Release every OS-level resource the index holds; idempotent.
+        """Unlink the exported shared-memory segment, if any; idempotent.
 
-        Unlinks the exported shared-memory segment (if any) and the
-        memmap buffer file (if the ``memmap`` buffer backend built one).
-        A garbage-collected index discards the memmap file through a
-        :func:`weakref.finalize` backstop, and a crashed process's file is
-        reclaimed by the dead-pid sweep — ``close()`` is simply the prompt
-        path.
-
-        Safe on any instance, however incomplete: an index whose build
-        failed mid-way (or whose ``__init__`` never ran, e.g. a broken
-        unpickle) may miss some slots entirely, so every resource handle is
-        read with a default instead of assumed present.
+        A garbage-collected index releases it through the segment's own
+        finalizer backstop, and a crashed process's segment is reclaimed by
+        the dead-pid sweep — ``close()`` is simply the prompt path.  Safe on
+        any instance, however incomplete (e.g. a broken unpickle whose
+        ``__init__`` never ran).
         """
         shared = getattr(self, "_shared", None)
         if shared is not None:
             shared.release()
-        finalizer = getattr(self, "_mmap_finalizer", None)
-        if finalizer is not None:
-            finalizer()
-        self._mmap_finalizer = None
-        self._mmap_base = None
-        self._mmap_path = None
 
     # ------------------------------------------------------------- properties
-    @property
-    def buffer_backend(self) -> str:
-        """The resolved buffer backend of this index (``ram`` / ``memmap``)."""
-        return self._buffer_backend
-
-    @property
-    def memmap_path(self) -> "str | None":
-        """Path of the file-backed buffer, or ``None`` under the ram backend."""
-        return self._mmap_path
-
     @property
     def node_of(self) -> dict[int, int]:
         """profile id → dense node id (rebuilt lazily after a shared attach)."""
@@ -598,8 +475,7 @@ class IncrementalBlockIndex:
     otherwise compaction happens lazily on :meth:`materialise` (the query
     path).  Pickling drops the built CSR — a restored instance rebuilds it
     with one compaction, which the snapshot/restore story of the service
-    relies on.  ``options`` are the engine options each compaction builds
-    its CSR under.
+    relies on.
     """
 
     __slots__ = (
@@ -609,7 +485,6 @@ class IncrementalBlockIndex:
         "compact_every",
         "appended_profiles",
         "compactions",
-        "options",
         "_tokens",
         "_profile_ids",
         "_last_profile_id",
@@ -626,7 +501,6 @@ class IncrementalBlockIndex:
         min_token_length: int = 1,
         remove_stopwords: bool = False,
         compact_every: "int | None" = None,
-        options: "EngineOptions | None" = None,
     ) -> None:
         if compact_every is not None and compact_every < 1:
             from repro.exceptions import DataError
@@ -638,7 +512,6 @@ class IncrementalBlockIndex:
         self.compact_every = compact_every
         self.appended_profiles = 0
         self.compactions = 0
-        self.options = options or EngineOptions.resolve()
         self._tokens: dict[str, _TokenState] = {}
         self._profile_ids: list[int] = []
         self._last_profile_id = -1
@@ -741,7 +614,6 @@ class IncrementalBlockIndex:
             [self.clean_clean] * len(sides0),
             clean_clean=self.clean_clean,
             total_blocks=len(sides0),
-            options=self.options,
         )
         if self._csr is not None:
             self._csr.close()
@@ -799,23 +671,18 @@ class IncrementalBlockIndex:
 
     # --------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:
-        """Ship the overlay, never the CSR (one compaction rebuilds it) nor
-        the options: which buffer backend and temp root to compact under
-        belongs to the process that compacts, so a restored index resolves
-        them afresh (or its owning collection assigns its own)."""
+        """Ship the overlay, never the CSR (one compaction rebuilds it)."""
         state = {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot not in ("_csr", "options", "__weakref__")
+            if slot not in ("_csr", "__weakref__")
         }
         state["_stale"] = True
         return state
 
     def __setstate__(self, state: dict) -> None:
         self._csr = None
-        self.options = EngineOptions.resolve()
         for slot, value in state.items():
-            # Snapshots written before EngineOptions pickled the three knob
-            # specs; they are re-resolved now, like every restored index.
+            # Older snapshots carry the settings of removed engine options.
             if slot not in ("_backend", "_buffer_backend", "_tmp_dir"):
                 setattr(self, slot, value)

@@ -23,7 +23,6 @@ from repro.metablocking.backends import EdgeWeights
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.pruning import PruningStrategy, make_pruning_strategy
 from repro.metablocking.weights import WeightingScheme
-from repro.options import EngineOptions
 
 
 @dataclass
@@ -63,9 +62,6 @@ class MetaBlocker:
         When True the edge weights are multiplied by the mean entropy of the
         generating blocks before pruning (BLAST).  Has no effect if every
         block carries the default entropy of 1.0.
-    options:
-        Resolved :class:`~repro.options.EngineOptions`, handed to the CSR
-        index untouched (``None``: the index resolves environment/defaults).
     """
 
     def __init__(
@@ -74,12 +70,10 @@ class MetaBlocker:
         pruning: str | PruningStrategy = "wep",
         *,
         use_entropy: bool = False,
-        options: EngineOptions | None = None,
     ) -> None:
         self.weighting = WeightingScheme.parse(weighting)
         self.pruning = make_pruning_strategy(pruning)
         self.use_entropy = use_entropy
-        self.options = options
 
     def run(self, blocks: BlockCollection) -> MetaBlockingResult:
         """Run meta-blocking over ``blocks`` and return the candidate pairs."""
@@ -106,7 +100,7 @@ class MetaBlocker:
         no retained-edge dict is ever built: the O(E) residual is three dense
         numeric arrays plus the retained positions, so the peak python-object
         footprint is O(chunk).  A custom strategy's ``prune`` returns a dict,
-        which is sliced — correct, but not out-of-core.
+        which is sliced — correct, but not bounded by the chunk size.
         """
         table, positions, retained = self._job(blocks)
         if positions is None:
@@ -127,7 +121,7 @@ class MetaBlocker:
         The index is run-scoped: the table holds arrays it does not own, so
         the index is closed here, also when weighing raises.
         """
-        index = CSRBlockIndex.from_blocks(blocks, self.options)
+        index = CSRBlockIndex.from_blocks(blocks)
         try:
             table = self._weigh(index)
             return (table, *_backends.retain_edges(self.pruning, table, index))

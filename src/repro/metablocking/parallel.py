@@ -54,7 +54,6 @@ from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.pruning import PruningStrategy
 from repro.metablocking.weights import WeightingScheme
-from repro.options import EngineOptions
 
 
 def balanced_ranges(costs, parts: int) -> list[tuple[int, int]]:
@@ -110,9 +109,6 @@ class ParallelMetaBlocker(MetaBlocker):
         The engine context whose pool runs the range tasks.
     weighting / pruning / use_entropy:
         Same meaning as for :class:`~repro.metablocking.metablocker.MetaBlocker`.
-    options:
-        Resolved :class:`~repro.options.EngineOptions` for the CSR index;
-        defaults to the ones the context was built with.
     """
 
     def __init__(
@@ -122,12 +118,8 @@ class ParallelMetaBlocker(MetaBlocker):
         pruning: str | PruningStrategy = "wnp",
         *,
         use_entropy: bool = False,
-        options: EngineOptions | None = None,
     ) -> None:
-        super().__init__(
-            weighting, pruning, use_entropy=use_entropy,
-            options=options or context.options,
-        )
+        super().__init__(weighting, pruning, use_entropy=use_entropy)
         self.context = context
 
     def _weigh(self, index: CSRBlockIndex) -> EdgeWeights:

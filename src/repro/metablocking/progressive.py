@@ -38,7 +38,6 @@ from repro.blocking.block import BlockCollection
 from repro.metablocking import backends as _backends
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.weights import WeightingScheme
-from repro.options import EngineOptions
 
 _Edge = tuple[tuple[int, int], float]
 
@@ -64,19 +63,10 @@ class ProgressiveSortedComparisons:
     ----------
     weighting:
         Edge weighting scheme used to rank the comparisons.
-    options:
-        Resolved :class:`~repro.options.EngineOptions` for the CSR index
-        :meth:`stream` builds (``None``: the index resolves them).
     """
 
-    def __init__(
-        self,
-        weighting: str | WeightingScheme = WeightingScheme.CBS,
-        *,
-        options: EngineOptions | None = None,
-    ) -> None:
+    def __init__(self, weighting: str | WeightingScheme = WeightingScheme.CBS) -> None:
         self.weighting = WeightingScheme.parse(weighting)
-        self.options = options
 
     def rank(self, blocks: BlockCollection) -> list[tuple[int, int]]:
         """Return every distinct comparison, best first."""
@@ -84,7 +74,7 @@ class ProgressiveSortedComparisons:
 
     def stream(self, blocks: BlockCollection) -> Iterator[tuple[int, int]]:
         """Iterate the ranked comparisons, best first."""
-        index = CSRBlockIndex.from_blocks(blocks, self.options)
+        index = CSRBlockIndex.from_blocks(blocks)
         try:
             iterator = self.stream_index(index)
         finally:
@@ -112,14 +102,8 @@ class ProgressiveSortedComparisons:
 class ProgressiveNodeScheduling:
     """Emit comparisons node by node, best nodes and best neighbours first."""
 
-    def __init__(
-        self,
-        weighting: str | WeightingScheme = WeightingScheme.CBS,
-        *,
-        options: EngineOptions | None = None,
-    ) -> None:
+    def __init__(self, weighting: str | WeightingScheme = WeightingScheme.CBS) -> None:
         self.weighting = WeightingScheme.parse(weighting)
-        self.options = options
 
     def rank(self, blocks: BlockCollection) -> list[tuple[int, int]]:
         """Return every distinct comparison following the node schedule."""
@@ -127,7 +111,7 @@ class ProgressiveNodeScheduling:
 
     def stream(self, blocks: BlockCollection) -> Iterator[tuple[int, int]]:
         """Iterate the scheduled comparisons lazily, one node at a time."""
-        index = CSRBlockIndex.from_blocks(blocks, self.options)
+        index = CSRBlockIndex.from_blocks(blocks)
         try:
             iterator = self.stream_index(index)
         finally:

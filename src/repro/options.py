@@ -1,50 +1,38 @@
-"""Engine options: the one door a setting goes through to reach the engine.
+"""The engine option: the one door ``executor`` goes through to reach the engine.
 
-Three values tune *how* a run executes without changing *what* it computes:
-where the meta-blocking range tasks run (``executor``), where the
-meta-blocking index keeps its buffers (``buffer_backend``) and where
-run-scoped files land (``tmp_dir``).  Each is reachable four ways — a keyword
-argument, a pipeline-spec ``engine.*`` key, a ``run`` CLI flag and a
-``REPRO_*`` environment variable — and this module is the only place that
-knows it: :data:`OPTIONS` is the table, :meth:`EngineOptions.resolve` the one
-resolution (explicit > spec > environment > default, then validated), and
-the CLI flags, the ``engine``-section validation and the docs table are all
-derived from the same rows.  Keys of removed options that stored artifacts
-may still carry are handled by :func:`drop_retired_keys`.
-
-Entry points (``cli run``, ``Pipeline.from_spec``, ``SparkER``,
-``ServiceCollection``) resolve once and hand the frozen :class:`EngineOptions`
-down; only the leaves that act on a value unpack it, and a leaf built without
-options calls :meth:`EngineOptions.resolve` itself, so
-``MetaBlocker("cbs", "wnp")`` still honours the environment.  Worker
-processes receive the driver's resolved values — ``os.environ`` is read for
-these variables here and nowhere else.
+One value tunes *how* a run executes without changing *what* it computes:
+where the meta-blocking range tasks run (``executor``).  It is reachable four
+ways — a keyword argument, a pipeline-spec ``engine.executor`` key, the
+``run`` flags ``--executor`` / ``--workers`` and the ``REPRO_ENGINE_EXECUTOR``
+environment variable — and :func:`resolve_executor` is the one resolution
+(explicit > spec > environment > ``serial``, then validated).  Entry points
+resolve once and hand the canonical string down; ``os.environ`` is read for
+it here and nowhere else.  Keys of removed options that stored artifacts may
+still carry are handled by :func:`drop_retired_keys`.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import tempfile
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.exceptions import (
     ConfigurationError,
     EngineError,
-    MetaBlockingError,
     PipelineValidationError,
     SparkERError,
 )
 
-BUFFER_CHOICES = ("ram", "memmap")
+EXECUTOR_ENV_VAR = "REPRO_ENGINE_EXECUTOR"
+
+# What an ``engine`` section may hold: the pipeline's own two keys plus the
+# option.
+ENGINE_SECTION_KEYS = frozenset({"enabled", "parallelism", "executor"})
 
 
-# ----------------------------------------------------------------- validators
-# Each takes the winning raw value (``None`` = nothing was set anywhere) and
-# returns the resolved one.
-def _executor(spec: Any) -> str:
+def _canonical_executor(spec: Any) -> str:
     """``"serial"`` / ``"process"`` / ``"process:<N>"``."""
     if not isinstance(spec, str):
         raise EngineError(f"executor spec must be a string, got {spec!r}")
@@ -69,25 +57,31 @@ def _executor(spec: Any) -> str:
     )
 
 
-def _buffer_backend(spec: Any) -> str:
-    """``"ram"`` / ``"memmap"``."""
-    if not isinstance(spec, str):
-        raise MetaBlockingError(f"buffer backend spec must be a string, got {spec!r}")
-    name = spec.strip().lower()
-    if name not in BUFFER_CHOICES:
-        raise MetaBlockingError(
-            f"unknown buffer backend {spec!r}; valid backends: {', '.join(BUFFER_CHOICES)}"
-        )
-    return name
+def _unset(value: Any) -> bool:
+    return value is None or (isinstance(value, str) and not value.strip())
 
 
-def _tmp_dir(spec: Any) -> str:
-    """The artifact root as a string; nothing set means the platform default."""
-    if spec is None:
-        return tempfile.gettempdir()
-    if not isinstance(spec, (str, os.PathLike)):
-        raise EngineError(f"tmp dir must be a path, got {spec!r}")
-    return os.fspath(spec)
+def resolve_executor(
+    explicit: Any = None, spec: "Mapping[str, Any] | None" = None
+) -> str:
+    """Resolve the executor: explicit > spec > environment > ``serial``.
+
+    ``spec`` is a pipeline spec's ``engine`` section.  The result is the
+    canonical string (``"serial"``, ``"process"``, ``"process:2"``), so
+    resolving it again is a no-op.  A bad value raises
+    :class:`~repro.exceptions.EngineError` naming the source that supplied it.
+    """
+    value, source = explicit, "executor"
+    if _unset(value) and spec is not None:
+        value, source = spec.get("executor"), "engine.executor"
+    if _unset(value):
+        value, source = os.environ.get(EXECUTOR_ENV_VAR), EXECUTOR_ENV_VAR
+    if _unset(value):
+        value, source = "serial", "executor"
+    try:
+        return _canonical_executor(value)
+    except EngineError as error:
+        raise EngineError(f"{source}: {error}") from None
 
 
 # ------------------------------------------------------------ CLI composition
@@ -101,148 +95,6 @@ def executor_from_args(args: argparse.Namespace) -> "str | None":
     if executor is None or args.workers is None:
         return executor
     return f"{executor}:{args.workers}"
-
-
-# ------------------------------------------------------------------ the table
-@dataclass(frozen=True)
-class Option:
-    """One engine option and every way it can be set.
-
-    ``flags`` are the ``argparse`` declarations of its ``run`` flags and
-    ``from_args`` composes them into one explicit value when a flag is not
-    the value itself.  A pipeline spec's ``engine`` section sets it under the
-    field's own name.
-    """
-
-    field: str
-    env_var: str
-    default: "str | None"
-    validate: Callable[[Any], Any]
-    consumer: str
-    flags: "tuple[tuple[str, dict[str, Any]], ...]" = ()
-    from_args: "Callable[[argparse.Namespace], Any] | None" = None
-
-
-OPTIONS: "tuple[Option, ...]" = (
-    Option(
-        "executor", "REPRO_ENGINE_EXECUTOR", "serial", _executor,
-        "`EngineContext` (where the meta-blocking range tasks run)",
-        flags=(
-            ("--executor", dict(
-                choices=["serial", "process"],
-                help="where the meta-blocking range tasks run (implies "
-                     "--engine): 'serial' in this process, 'process' on a "
-                     "process pool")),
-            ("--workers", dict(
-                type=int,
-                help="process-pool worker count (implies --executor process; "
-                     "default: CPU count)")),
-        ),
-        from_args=executor_from_args,
-    ),
-    Option(
-        "buffer_backend", "REPRO_BUFFER_BACKEND", "ram", _buffer_backend,
-        "`CSRBlockIndex` (where the CSR vectors live)",
-        flags=(
-            ("--buffer-backend", dict(
-                choices=list(BUFFER_CHOICES),
-                help="where the meta-blocking CSR index buffers live: "
-                     "'ram' (default) keeps them in process memory, "
-                     "'memmap' backs them with a file under --tmp-dir so "
-                     "the OS can page the index out of core "
-                     "(bit-for-bit identical output)")),
-        ),
-    ),
-    Option(
-        "tmp_dir", "REPRO_TMPDIR", None, _tmp_dir,
-        "`engine.tmpfiles` (root of the memmap buffers; "
-        "default: the system temp dir)",
-        flags=(
-            ("--tmp-dir", dict(
-                help="root directory for engine temp artifacts (memmap "
-                     "index buffers); default: REPRO_TMPDIR or the system "
-                     "temp dir")),
-        ),
-    ),
-)
-
-_BY_FIELD = {option.field: option for option in OPTIONS}
-
-# What an ``engine`` section may hold: the pipeline's own two keys plus every
-# option.
-ENGINE_SECTION_KEYS = frozenset({"enabled", "parallelism", *_BY_FIELD})
-
-
-def _unset(value: Any) -> bool:
-    return value is None or (isinstance(value, str) and not value.strip())
-
-
-def resolve_option(
-    field: str, explicit: Any = None, spec: "Mapping[str, Any] | None" = None
-) -> Any:
-    """Resolve one option: explicit > spec > environment > default, validated.
-
-    The per-field half of :meth:`EngineOptions.resolve`, for the leaf that
-    acts on a single value (``tmpfiles`` on the temp root).  A validation error names the source that
-    supplied the bad value.
-    """
-    option = _BY_FIELD[field]
-    value, source = explicit, field
-    if _unset(value) and spec is not None:
-        value, source = spec.get(field), f"engine.{field}"
-    if _unset(value):
-        value, source = os.environ.get(option.env_var), option.env_var
-    if _unset(value):
-        value, source = option.default, field
-    try:
-        return option.validate(value)
-    except SparkERError as error:
-        raise type(error)(f"{source}: {error}") from None
-
-
-@dataclass(frozen=True)
-class EngineOptions:
-    """The three resolved engine options of one run (build with :meth:`resolve`).
-
-    Every value is a canonical string (``"process:2"``, ``"memmap"``, a
-    directory).
-    """
-
-    executor: str
-    buffer_backend: str
-    tmp_dir: str
-
-    @classmethod
-    def resolve(
-        cls,
-        spec: "Mapping[str, Any] | None" = None,
-        *,
-        base: "EngineOptions | None" = None,
-        **explicit: Any,
-    ) -> "EngineOptions":
-        """Resolve every option once.
-
-        ``explicit`` keyword values win, then the ``engine`` section ``spec``
-        of a pipeline spec, then the ``REPRO_*`` environment, then the
-        default.  With ``base`` (already-resolved options handed down from an
-        entry point) only the explicit values are resolved; everything else is
-        taken from ``base`` unchanged.
-        """
-        unknown = set(explicit) - set(_BY_FIELD)
-        if unknown:
-            raise TypeError(f"unknown engine options: {sorted(unknown)}")
-        return cls(
-            **{
-                field: getattr(base, field)
-                if base is not None and _unset(explicit.get(field))
-                else resolve_option(field, explicit.get(field), spec)
-                for field in _BY_FIELD
-            }
-        )
-
-    def as_spec(self) -> "dict[str, object]":
-        """The ``engine``-section keys that reproduce these options."""
-        return {field: getattr(self, field) for field in _BY_FIELD}
 
 
 # ------------------------------------------------------------- retired keys
@@ -262,6 +114,10 @@ _RETIRED = {
         "task retries and timeouts no longer exist; a crashed worker fails the run",
     ),
     "fault_inject": ((None,), "the engine fault injector no longer exists"),
+    # A memmap-backed index computed the same edges as the in-memory one.
+    "buffer_backend": (None, "the CSR index always lives in process memory"),
+    # Its last consumer was the memmap buffer file.
+    "tmp_dir": (None, "the only temp file left, the WAL rewrite, lives in its WAL directory"),
 }
 
 
@@ -283,7 +139,6 @@ def drop_retired_keys(
     return kept
 
 
-# --------------------------------------------------- derived: spec, CLI, docs
 def check_engine_section(section: "Mapping[str, Any]") -> "dict[str, Any]":
     """Reject keys an ``engine`` section cannot hold (typos included);
     return the section without retired keys."""
@@ -295,41 +150,3 @@ def check_engine_section(section: "Mapping[str, Any]") -> "dict[str, Any]":
             f"accepted: {sorted(ENGINE_SECTION_KEYS)}"
         )
     return section
-
-
-def add_cli_arguments(parser: argparse.ArgumentParser) -> None:
-    """Declare every option's flags on the ``run`` sub-parser."""
-    for option in OPTIONS:
-        for flag, keywords in option.flags:
-            parser.add_argument(flag, **keywords)
-
-
-def explicit_from_args(args: argparse.Namespace) -> "dict[str, Any]":
-    """The options the user set on the command line, keyed by field."""
-    explicit = {}
-    for option in OPTIONS:
-        if not option.flags:
-            continue
-        if option.from_args is not None:
-            value = option.from_args(args)
-        else:
-            value = getattr(args, option.field)
-        if value is not None:
-            explicit[option.field] = value
-    return explicit
-
-
-def docs_table() -> "list[str]":
-    """The "Engine options" markdown table of ``docs/ARCHITECTURE.md``."""
-    lines = [
-        "| field | CLI flag | spec key | env var | default | consumed by |",
-        "|---|---|---|---|---|---|",
-    ]
-    for option in OPTIONS:
-        flags = " / ".join(f"`{flag}`" for flag, _ in option.flags) or "—"
-        default = f"`{option.default}`" if option.default else "—"
-        lines.append(
-            f"| `{option.field}` | {flags} | `engine.{option.field}` | `{option.env_var}` "
-            f"| {default} | {option.consumer} |"
-        )
-    return lines

@@ -27,13 +27,8 @@ from repro.data.dataset import ProfileCollection
 from repro.data.ground_truth import GroundTruth
 from repro.engine.context import EngineContext
 from repro.evaluation.report import PipelineReport
-from repro.exceptions import (
-    EngineError,
-    MetaBlockingError,
-    PipelineError,
-    PipelineValidationError,
-)
-from repro.options import EngineOptions, check_engine_section
+from repro.exceptions import EngineError, PipelineError, PipelineValidationError
+from repro.options import check_engine_section, resolve_executor
 from repro.pipeline.artifacts import PROFILES, ArtifactStore
 from repro.pipeline.checkpoint import PipelineCheckpoint
 from repro.pipeline.registry import make_stage
@@ -91,18 +86,10 @@ class PipelineContext:
     extras: dict[str, Any] = field(default_factory=dict)
     report: PipelineReport = field(default_factory=PipelineReport)
     max_comparisons: int = 0
-    # The run's resolved engine options; stages hand them to what they build.
-    options: EngineOptions | None = None
-    _stage_details: dict[str, dict[str, object]] = field(default_factory=dict)
 
     def record(self, stage: str, metrics: dict[str, object]) -> None:
         """Record the metric snapshot of one stage into the unified report."""
         self.report.add(stage, metrics)
-
-    def annotate(self, stage: str, **details: object) -> None:
-        """Attach execution details (e.g. the resolved buffer backend) to a
-        stage; the runner surfaces them in the per-stage executions table."""
-        self._stage_details.setdefault(stage, {}).update(details)
 
 
 @dataclass
@@ -138,22 +125,8 @@ class PipelineResult:
 
     # ----------------------------------------------------------------- report
     def stage_rows(self) -> list[dict[str, object]]:
-        """Uniform per-stage rows: status, seconds, engine counter deltas.
-
-        Detail columns (e.g. a meta-blocking stage's resolved buffer backend)
-        are backfilled as empty cells on the other rows so the table renderer
-        — which takes its columns from the first row — keeps them visible.
-        """
-        rows = [execution.as_row() for execution in self.executions]
-        detail_keys: list[str] = []
-        for execution in self.executions:
-            for key in getattr(execution, "detail", None) or {}:
-                if key not in detail_keys:
-                    detail_keys.append(key)
-        for row in rows:
-            for key in detail_keys:
-                row.setdefault(key, "")
-        return rows
+        """Uniform per-stage rows: status, seconds, engine counter deltas."""
+        return [execution.as_row() for execution in self.executions]
 
     def summary(self) -> dict[str, object]:
         """Headline numbers of the run, engine metrics included."""
@@ -191,9 +164,10 @@ class Pipeline:
     seeds:
         Extra artifacts the caller promises to provide at :meth:`run` time,
         as a key → kind mapping; ``profiles`` is always seeded.
-    options:
-        The run's resolved :class:`~repro.options.EngineOptions`; defaults to
-        the engine's own, else to the environment and defaults.
+    executor:
+        The run's ``executor`` engine option, recorded in
+        :meth:`resolved_spec`; defaults to the engine's own, else to the
+        environment and the default.
     """
 
     def __init__(
@@ -203,7 +177,7 @@ class Pipeline:
         engine: EngineContext | None = None,
         name: str = "pipeline",
         seeds: Mapping[str, str] | None = None,
-        options: EngineOptions | None = None,
+        executor: str | None = None,
     ) -> None:
         self.stages = list(stages)
         if not self.stages:
@@ -214,9 +188,9 @@ class Pipeline:
         if seeds:
             self.seeds.update(seeds)
         self._owns_engine = False
-        self.options = options or (
-            engine.options if engine is not None else EngineOptions.resolve()
-        )
+        if executor is None and engine is not None:
+            executor = engine.executor_spec
+        self.executor = resolve_executor(executor)
         self.validate()
 
     # ------------------------------------------------------------- composition
@@ -260,7 +234,7 @@ class Pipeline:
         spec: Mapping[str, object],
         *,
         engine: "EngineContext | object" = _UNSET,
-        overrides: Mapping[str, object] | None = None,
+        executor: str | None = None,
     ) -> "Pipeline":
         """Build a pipeline from a plain dict/JSON spec.
 
@@ -281,11 +255,11 @@ class Pipeline:
             }
 
         Besides ``enabled`` / ``parallelism`` the engine section holds the
-        engine options (:mod:`repro.options`); they are resolved here, once —
-        ``overrides`` (explicit values, e.g. CLI flags) win over the section,
-        the section over the ``REPRO_*`` environment — and an unknown key is
-        rejected, and a retired one (``block_store``, ``fault_policy``, ...)
-        dropped when harmless, rejected otherwise
+        ``executor`` engine option (:mod:`repro.options`); it is resolved
+        here, once — an explicit ``executor`` (e.g. from CLI flags) wins over
+        the section, the section over ``REPRO_ENGINE_EXECUTOR`` — and an
+        unknown key is rejected, and a retired one (``block_store``,
+        ``fault_policy``, ...) dropped when harmless, rejected otherwise
         (:func:`~repro.options.drop_retired_keys`).  ``engine=`` overrides
         the spec's engine section with a caller-managed context (pass
         ``None`` to force driver-side execution).
@@ -328,8 +302,8 @@ class Pipeline:
 
         engine_section = check_engine_section(spec.get("engine") or {})
         try:
-            options = EngineOptions.resolve(engine_section, **(overrides or {}))
-        except (EngineError, MetaBlockingError) as error:
+            executor = resolve_executor(executor, engine_section)
+        except EngineError as error:
             raise PipelineValidationError(f"invalid engine option {error}") from error
         owns_engine = False
         if engine is not _UNSET:
@@ -337,7 +311,7 @@ class Pipeline:
         elif engine_section.get("enabled"):
             engine_context = EngineContext(
                 default_parallelism=int(engine_section.get("parallelism", 4)),
-                options=options,
+                executor=executor,
             )
             owns_engine = True
         else:
@@ -347,7 +321,7 @@ class Pipeline:
             engine=engine_context,  # type: ignore[arg-type]
             name=str(spec.get("name", "pipeline")),
             seeds=dict(spec.get("seeds") or {}),
-            options=options,
+            executor=executor,
         )
         pipeline._owns_engine = owns_engine
         return pipeline
@@ -356,14 +330,14 @@ class Pipeline:
         """The provenance spec: every stage with its resolved parameters.
 
         Round-trips: ``Pipeline.from_spec(p.resolved_spec())`` builds an
-        equivalent pipeline.  The engine section records the options the
-        run resolved to — what actually ran, wherever each value came from —
-        so the spec replays identically under a different environment.
+        equivalent pipeline.  The engine section records the executor the
+        run resolved to — what actually ran, wherever it came from — so the
+        spec replays identically under a different environment.
         """
         engine_section: dict[str, object] = {"enabled": self.engine is not None}
         if self.engine is not None:
             engine_section["parallelism"] = self.engine.default_parallelism
-        engine_section.update(self.options.as_spec())
+        engine_section["executor"] = self.executor
         spec: dict[str, object] = {
             "name": self.name,
             "engine": engine_section,
@@ -509,7 +483,6 @@ class Pipeline:
             extras=extras_dict,
             report=report,
             max_comparisons=profiles.max_comparisons(),
-            options=self.options,
         )
 
         stopped = False
@@ -546,7 +519,6 @@ class Pipeline:
                     params=stage.params(),
                     seconds=timer.elapsed,
                     engine=delta,
-                    detail=context._stage_details.pop(stage.label, {}),
                 )
             )
             timings.record(stage.label, timer.elapsed)

@@ -170,9 +170,6 @@ class StageExecution:
     seconds: float = 0.0
     resumed: bool = False
     engine: dict[str, int] = field(default_factory=dict)
-    # Free-form execution details (e.g. the resolved buffer backend of a
-    # meta-blocking stage), surfaced as extra columns of the executions table.
-    detail: dict[str, object] = field(default_factory=dict)
 
     def as_row(self, metrics: dict[str, object] | None = None) -> dict[str, object]:
         """One row of the unified per-stage table (CLI output)."""
@@ -182,8 +179,6 @@ class StageExecution:
             "seconds": round(self.seconds, 4),
             "tasks": self.engine.get("tasks", 0),
         }
-        # getattr: executions unpickled from pre-detail checkpoints lack it.
-        row.update(getattr(self, "detail", None) or {})
         if metrics:
             row.update(metrics)
         return row

@@ -54,11 +54,6 @@ def _record_block_stage(context: "PipelineContext", label: str, blocks: Any) -> 
     )
 
 
-def _annotate_backends(context: "PipelineContext", label: str) -> None:
-    """Show the buffer backend a CSR-index stage ran on in the executions table."""
-    context.annotate(label, buffer_backend=context.options.buffer_backend)
-
-
 @register_stage
 class LooseSchemaStage(Stage):
     """Loose-schema generation: LSH attribute partitioning + cluster entropy.
@@ -229,14 +224,12 @@ class MetaBlockingStage(Stage):
 
     def run(self, context: "PipelineContext", *, blocks):
         args = (self.weighting, self.pruning)
-        kwargs = {"use_entropy": self.use_entropy, "options": context.options}
         meta_blocker = (
-            ParallelMetaBlocker(context.engine, *args, **kwargs)
+            ParallelMetaBlocker(context.engine, *args, use_entropy=self.use_entropy)
             if context.engine is not None
-            else MetaBlocker(*args, **kwargs)
+            else MetaBlocker(*args, use_entropy=self.use_entropy)
         )
         result = meta_blocker.run(blocks)
-        _annotate_backends(context, self.label)
         metrics: dict[str, object] = dict(result.as_dict())
         if context.ground_truth is not None:
             metrics.update(
@@ -306,8 +299,7 @@ class ProgressiveMetaBlockingStage(Stage):
             if self.strategy == "global"
             else ProgressiveNodeScheduling
         )
-        progressive = strategy(weighting=self.weighting, options=context.options)
-        _annotate_backends(context, self.label)
+        progressive = strategy(weighting=self.weighting)
         stream = progressive.stream(blocks)
         if self.budget is not None:
             stream = islice(stream, self.budget)

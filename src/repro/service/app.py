@@ -31,8 +31,8 @@ lock-free, exactly the old serial semantics, while a cold ranking sweep on
 one tenant no longer blocks ``healthz``, warm queries or other tenants).
 A thread pool rather than the engine's process pool because collection
 state is mutable and deliberately unpicklable mid-stream; the engine
-kernels drop the GIL in numpy and block on I/O in memmap mode, which is
-where the loop's liveness comes from.
+kernels drop the GIL in numpy, which is where the loop's liveness comes
+from.
 
 **Admission control.**  A global in-flight cap and a per-collection cap
 return ``429`` with ``Retry-After`` instead of queuing unboundedly; an
@@ -45,9 +45,9 @@ reads (see :mod:`repro.service.wal`).
 **Shutdown ordering.**  Stop accepting, *drain* in-flight connections and
 offloaded work under ``drain_timeout``, then close every collection and
 sweep owned tmp artifacts (:func:`repro.engine.tmpfiles.
-discard_live_artifacts`) — a SIGTERM during a cold sweep must not unlink
-buffers the sweep still has mapped, and a killed service must not leak
-``repro-*`` files (CI asserts both).
+discard_live_artifacts`) — a SIGTERM during a WAL truncate must not unlink
+the rewrite temp it is still writing, and a stopped service must not leak
+``repro-*`` files or segments (CI asserts both).
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from repro.metablocking.progressive import (
     ProgressiveNodeScheduling,
     ProgressiveSortedComparisons,
 )
-from repro.options import EngineOptions, drop_retired_keys
+from repro.options import drop_retired_keys
 from repro.service.delta import DeltaMetaBlocker
 from repro.service.wal import FSYNC_POLICIES, DegradedError, WriteAheadLog
 
@@ -60,8 +60,6 @@ class CollectionConfig:
     min_token_length: int = 1
     remove_stopwords: bool = False
     compact_every: "int | None" = None
-    buffer_backend: "str | None" = None
-    tmp_dir: "str | None" = None
     progressive: str = "sorted"
     wal_fsync: "str | None" = None
 
@@ -116,15 +114,11 @@ class ServiceCollection:
 
     def __init__(self, config: CollectionConfig) -> None:
         self.config = config
-        # The config doubles as the spec mapping: its buffer_backend /
-        # tmp_dir keys are the engine-section keys.
-        self.options = EngineOptions.resolve(config.as_dict())
         self.index = IncrementalBlockIndex(
             clean_clean=config.clean_clean,
             min_token_length=config.min_token_length,
             remove_stopwords=config.remove_stopwords,
             compact_every=config.compact_every,
-            options=self.options,
         )
         self.delta = DeltaMetaBlocker(
             config.weighting, config.pruning, use_entropy=config.use_entropy
@@ -261,7 +255,7 @@ class ServiceCollection:
             strategy = ProgressiveNodeScheduling
         else:
             strategy = ProgressiveSortedComparisons
-        return strategy(self.config.weighting, options=self.options)
+        return strategy(self.config.weighting)
 
     def _ensure_prefix(self, length: int) -> list[tuple[int, int]]:
         """Grow the cached progressive prefix to ``length`` comparisons.
@@ -341,7 +335,6 @@ class ServiceCollection:
         collection = cls(config)
         collection.index.close()
         collection.index = state["index"]
-        collection.index.options = collection.options
         # Snapshots written before the array delta path also carry a
         # ``pending_touched`` list; the restored delta recomputes instead.
         collection.delta = state["delta"]

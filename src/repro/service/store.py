@@ -7,7 +7,7 @@ persistence: each collection snapshots into its own checkpoint directory
 (``<snapshot_dir>/<name>/``) as an atomic, SHA-256-verified pickle with a
 rotated backup.  The incremental index pickles only its delta overlay — a
 restored collection rebuilds its CSR with one compaction on first query, so
-snapshots stay small and never contain memmap paths from a dead process.
+snapshots stay small and never hold a shared-memory segment name.
 
 With a ``wal_dir`` every collection also gets a
 :class:`~repro.service.wal.WriteAheadLog` (``<wal_dir>/<name>.wal``):
@@ -49,7 +49,7 @@ class CollectionStore:
         self.snapshot_dir = snapshot_dir
         self.wal_dir = wal_dir
         # Config values applied to collections created on first ingest
-        # (clean_clean, backends, ...); an explicit CollectionConfig wins.
+        # (clean_clean, weighting, ...); an explicit CollectionConfig wins.
         self.defaults = dict(defaults or {})
         self._collections: dict[str, ServiceCollection] = {}
 

@@ -25,14 +25,6 @@ def test_e2e_engine_overhead_within_tolerance_of_baseline():
     assert not failures, "; ".join(failures)
 
 
-def test_out_of_core_scale_within_tolerance_of_baseline():
-    sys.path.insert(0, str(REPO_ROOT / "scripts"))
-    from bench_guard import check_scale_against_baseline
-
-    failures = check_scale_against_baseline(tolerance=0.25)
-    assert not failures, "; ".join(failures)
-
-
 def test_service_ingest_query_within_tolerance_of_baseline():
     sys.path.insert(0, str(REPO_ROOT / "scripts"))
     from bench_guard import check_service_against_baseline

@@ -9,12 +9,18 @@ import pytest
 from repro.cli import build_parser, main
 from repro.pipeline import PipelineCheckpoint
 
-# The engine section `run --output-config` and checkpoints recorded while
-# block stores and fault policies existed: the resolved defaults.
-PARENT_ENGINE = {
+# The engine sections `run --output-config` and checkpoints recorded while
+# block stores, fault policies, buffer backends and temp roots existed: the
+# resolved defaults, and the memmap backend under an explicit root.
+_PARENT_ENGINE = {
     "executor": "serial", "buffer_backend": "ram", "tmp_dir": tempfile.gettempdir(),
     "fault_policy": "retries=0,backoff=0.1,backoff_max=5", "block_store": "driver",
 }
+PARENT_ENGINES = pytest.mark.parametrize(
+    "parent_engine",
+    [_PARENT_ENGINE, dict(_PARENT_ENGINE, buffer_backend="memmap", tmp_dir="/var/tmp/repro")],
+    ids=["ram", "memmap"],
+)
 
 
 def metrics_table(output):
@@ -228,7 +234,10 @@ class TestSpecRun:
         second = capsys.readouterr().out
         assert metrics_table(first) == metrics_table(second)
 
-    def test_a_parent_written_output_config_replays_byte_identically(self, capsys, tmp_path):
+    @PARENT_ENGINES
+    def test_a_parent_written_output_config_replays_byte_identically(
+        self, capsys, tmp_path, parent_engine
+    ):
         resolved, first_out, second_out = (
             tmp_path / "resolved.json", tmp_path / "first.json", tmp_path / "second.json"
         )
@@ -238,7 +247,7 @@ class TestSpecRun:
         ]) == 0
         first = capsys.readouterr().out
         spec = json.loads(resolved.read_text())
-        spec["engine"].update(PARENT_ENGINE)
+        spec["engine"].update(parent_engine)
         resolved.write_text(json.dumps(spec))
         assert main(["run", "--spec", str(resolved), "--output", str(second_out)]) == 0
         assert metrics_table(capsys.readouterr().out) == metrics_table(first)
@@ -283,7 +292,10 @@ class TestResumeCommand:
         entities = json.loads(output.read_text())
         assert isinstance(entities, list) and entities
 
-    def test_a_parent_written_checkpoint_resumes_byte_identically(self, capsys, tmp_path):
+    @PARENT_ENGINES
+    def test_a_parent_written_checkpoint_resumes_byte_identically(
+        self, capsys, tmp_path, parent_engine
+    ):
         uninterrupted, resumed = tmp_path / "uninterrupted.json", tmp_path / "resumed.json"
         assert main([
             "run", "--synthetic", "abt-buy", "--entities", "40",
@@ -296,7 +308,7 @@ class TestResumeCommand:
             "--checkpoint", str(checkpoint.directory), "--stop-after", "meta_blocking",
         ]) == 0
         state = checkpoint.load()
-        state["spec"]["engine"].update(PARENT_ENGINE)
+        state["spec"]["engine"].update(parent_engine)
         checkpoint.save(state)
         capsys.readouterr()
         assert main([
@@ -369,7 +381,6 @@ class TestServeCommand:
         repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.abspath(repo_src)
-        env["REPRO_TMPDIR"] = str(tmp_path)
         spec = tmp_path / "service.json"
         spec.write_text(_json.dumps({
             "defaults": {"weighting": "js"},
@@ -410,8 +421,6 @@ class TestServeCommand:
         assert "collection: extra" in output
         assert "collection: preloaded" in output
         assert "service stopped" in output
-        leaked = [name for name in os.listdir(tmp_path) if name.startswith("repro-")]
-        assert leaked == []
 
 
 class TestServeDurabilityCli:
@@ -480,7 +489,6 @@ class TestServeDurabilityCli:
         repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.abspath(repo_src)
-        env["REPRO_TMPDIR"] = str(tmp_path)
         serve_args = [
             sys.executable, "-m", "repro.cli", "serve", "--port", "0",
             "--wal-dir", str(tmp_path / "wal"),

@@ -22,7 +22,7 @@ from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.data.synthetic import SyntheticConfig, generate_abt_buy_like
-from repro.engine import sharedmem, tmpfiles
+from repro.engine import sharedmem
 from repro.engine.context import EngineContext
 from repro.exceptions import EngineError
 from repro.metablocking.metablocker import MetaBlocker
@@ -50,18 +50,11 @@ def _raise_boom(x):
     raise _Boom(x)
 
 
-class _LeaveThenDie:
-    """Leave a pid-stamped segment and artifact behind, then kill the worker."""
-
-    def __init__(self, tmp_dir: str) -> None:
-        self.tmp_dir = tmp_dir
-
-    def __call__(self, _item):
-        name = sharedmem.make_segment_name("csr")
-        os.close(os.open(os.path.join(SHM, name), os.O_CREAT | os.O_WRONLY))
-        path = tmpfiles.make_artifact_path("csrbuf", self.tmp_dir)
-        os.close(os.open(path, os.O_CREAT | os.O_WRONLY))
-        os._exit(3)
+def _leave_a_segment_then_die(_item):
+    """Leave a pid-stamped segment behind, then kill the worker."""
+    name = sharedmem.make_segment_name("csr")
+    os.close(os.open(os.path.join(SHM, name), os.O_CREAT | os.O_WRONLY))
+    os._exit(3)
 
 
 def _repro_segments() -> "set[str]":
@@ -157,17 +150,16 @@ class TestFailures:
             assert context.map(_double, [1]) == [2]  # still usable
 
     @needs_shm
-    def test_a_crashed_worker_fails_loudly_within_a_bound(self, tmp_path):
+    def test_a_crashed_worker_fails_loudly_within_a_bound(self):
         before = _repro_segments()
-        with EngineContext(2, executor="process:2", tmp_dir=str(tmp_path)) as context:
+        with EngineContext(2, executor="process:2") as context:
             started = time.perf_counter()
             with pytest.raises(EngineError, match="worker process died"):
-                context.map(_LeaveThenDie(str(tmp_path)), range(4), "crash")
+                context.map(_leave_a_segment_then_die, range(4), "crash")
             assert time.perf_counter() - started < 30
             assert context.scheduler.stage_table()[-1]["failures"] == 1
-            # The sweeps ran over the dead workers' leftovers.
+            # The segment sweep ran over the dead workers' leftovers.
             assert _repro_segments() <= before
-            assert not os.listdir(tmp_path)
             # The broken pool was discarded; the next map forks a fresh one.
             assert context.map(_double, [1, 2]) == [2, 4]
 

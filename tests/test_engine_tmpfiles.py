@@ -1,5 +1,4 @@
-"""Managed temp artifacts: pid-stamped naming, crash sweep (root resolution:
-tests/test_options.py)."""
+"""Managed temp artifacts: pid-stamped naming, crash sweep."""
 
 from __future__ import annotations
 
@@ -33,23 +32,9 @@ class TestArtifactCreation:
             for path in paths:
                 tmpfiles.discard_artifact(path)
 
-    def test_artifact_dir_is_created(self, tmp_path):
-        path = tmpfiles.make_artifact_dir("demo", tmp_path)
-        assert os.path.isdir(path)
-        tmpfiles.discard_artifact(path)
-        assert not os.path.exists(path)
-
     def test_non_alphanumeric_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             tmpfiles.make_artifact_path("bad-kind", tmp_path)
-
-    def test_missing_root_is_created(self, tmp_path):
-        root = tmp_path / "nested" / "root"
-        path = tmpfiles.make_artifact_path("demo", root)
-        try:
-            assert os.path.isdir(root)
-        finally:
-            tmpfiles.discard_artifact(path)
 
     def test_live_artifacts_filters_by_kind(self, tmp_path):
         demo = tmpfiles.make_artifact_path("demo", tmp_path)
@@ -80,15 +65,16 @@ class TestDiscard:
 
     def test_discard_live_artifacts_sweeps_owned_paths(self, tmp_path):
         demo = tmpfiles.make_artifact_path("demo", tmp_path)
-        other = tmpfiles.make_artifact_dir("other", tmp_path)
-        with open(demo, "wb") as handle:
-            handle.write(b"payload")
+        other = tmpfiles.make_artifact_path("other", tmp_path)
+        for path in (demo, other):
+            with open(path, "wb") as handle:
+                handle.write(b"payload")
         try:
             # Kind-filtered sweep leaves the other family untouched.
             removed = tmpfiles.discard_live_artifacts("demo")
             assert removed == [demo]
             assert not os.path.exists(demo)
-            assert os.path.isdir(other)
+            assert os.path.exists(other)
             assert other in tmpfiles.live_artifacts()
             removed = tmpfiles.discard_live_artifacts()
             assert other in removed
@@ -113,18 +99,15 @@ def _dead_pid() -> int:
 class TestSweep:
     def test_dead_pid_artifacts_are_removed(self, tmp_path):
         pid = _dead_pid()
-        orphan_file = tmp_path / f"repro-csrbuf-{pid}-0"
-        orphan_file.write_bytes(b"stale")
-        orphan_dir = tmp_path / f"repro-rundir-{pid}-1"
-        orphan_dir.mkdir()
-        (orphan_dir / "bucket").write_bytes(b"stale")
+        orphans = [tmp_path / f"repro-waltmp-{pid}-0", tmp_path / f"repro-demo-{pid}-1"]
+        for orphan in orphans:
+            orphan.write_bytes(b"stale")
         removed = tmpfiles.sweep_orphaned_artifacts(tmp_path)
-        assert sorted(removed) == sorted([str(orphan_file), str(orphan_dir)])
-        assert not orphan_file.exists()
-        assert not orphan_dir.exists()
+        assert sorted(removed) == sorted(str(orphan) for orphan in orphans)
+        assert not any(orphan.exists() for orphan in orphans)
 
     def test_live_pid_artifacts_are_kept(self, tmp_path):
-        survivor = tmp_path / f"repro-csrbuf-{os.getpid()}-7"
+        survivor = tmp_path / f"repro-waltmp-{os.getpid()}-7"
         survivor.write_bytes(b"in use")
         assert tmpfiles.sweep_orphaned_artifacts(tmp_path) == []
         assert survivor.exists()
@@ -179,7 +162,7 @@ class TestKindFilteredSweep:
         pid = _dead_pid()
         wal_orphan = tmp_path / f"repro-waltmp-{pid}-0"
         wal_orphan.write_bytes(b"stale rewrite")
-        other_orphan = tmp_path / f"repro-csrbuf-{pid}-1"
+        other_orphan = tmp_path / f"repro-demo-{pid}-1"
         other_orphan.write_bytes(b"someone else's")
         removed = tmpfiles.sweep_orphaned_artifacts(tmp_path, kind="waltmp")
         assert removed == [str(wal_orphan)]

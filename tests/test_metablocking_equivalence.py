@@ -12,8 +12,7 @@ counts, for every weighting scheme × pruning strategy on the executor ×
 range-count axes (serial and process workers, fewer and more ranges than
 nodes), on dirty and clean-clean collections larger and messier than the
 oracle's (random skewed block sizes, random non-trivial entropies,
-overlapping blocks, invalid blocks mixed in).  The buffer-backend axis (ram
-vs memmap CSR buffers) is checked the same way.
+overlapping blocks, invalid blocks mixed in).
 """
 
 from __future__ import annotations
@@ -27,12 +26,9 @@ from repro.engine.context import EngineContext
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
 from repro.metablocking.pruning import CardinalityNodePruning
-from repro.options import EngineOptions
 
 WEIGHTINGS = ["cbs", "js", "arcs", "ecbs", "ejs"]
 PRUNINGS = ["wep", "cep", "wnp", "rwnp", "cnp", "rcnp"]
-
-opts = EngineOptions.resolve
 
 
 def _make_pruning(name: str):
@@ -181,99 +177,13 @@ class TestProcessStagePlacement:
         assert 1 <= row["workers"] <= 2 and row["tasks"] == 4
 
 
-class TestBufferBackendGridEquivalence:
-    """Buffer-backend axis: ram vs memmap CSR buffers, bit-for-bit.
-
-    The memmap backend only changes *where* the index vectors live (one
-    file-backed buffer under the managed temp root instead of process RAM);
-    the kernel reads either representation zero-copy, so the retained edges
-    — float weights included — must equal the ram reference exactly:
-    sequential and parallel, serial and process workers, and no buffer file
-    may outlive the run.
-    """
-
-    @pytest.mark.parametrize("pruning", ["wep", "rcnp"])
-    @pytest.mark.parametrize("weighting", ["cbs", "ejs"])
-    def test_sequential_clean_clean(self, clean_blocks, weighting, pruning):
-        reference = MetaBlocker(
-            weighting, _make_pruning(pruning), use_entropy=True,
-            options=opts(buffer_backend="ram"),
-        ).run(clean_blocks)
-        memmap = MetaBlocker(
-            weighting, _make_pruning(pruning), use_entropy=True,
-            options=opts(buffer_backend="memmap"),
-        ).run(clean_blocks)
-        assert memmap.retained_edges == reference.retained_edges
-        assert memmap.candidate_pairs == reference.candidate_pairs
-        assert memmap.graph_edges == reference.graph_edges
-        assert memmap.graph_nodes == reference.graph_nodes
-
-    @pytest.mark.parametrize("pruning", ["wnp", "cep"])
-    @pytest.mark.parametrize("weighting", ["js", "ecbs"])
-    def test_sequential_dirty(self, dirty_blocks, weighting, pruning):
-        reference = MetaBlocker(
-            weighting, _make_pruning(pruning), options=opts(buffer_backend="ram")
-        ).run(dirty_blocks)
-        memmap = MetaBlocker(
-            weighting, _make_pruning(pruning), options=opts(buffer_backend="memmap")
-        ).run(dirty_blocks)
-        assert memmap.retained_edges == reference.retained_edges
-
-    @pytest.mark.parametrize("pruning", ["cnp", "rwnp"])
-    @pytest.mark.parametrize("weighting", ["arcs", "cbs"])
-    def test_parallel_serial(self, clean_blocks, weighting, pruning):
-        reference = ParallelMetaBlocker(
-            EngineContext(4), weighting, _make_pruning(pruning), use_entropy=True
-        ).run(clean_blocks)
-        memmap = ParallelMetaBlocker(
-            EngineContext(4),
-            weighting,
-            _make_pruning(pruning),
-            use_entropy=True,
-            options=opts(buffer_backend="memmap"),
-        ).run(clean_blocks)
-        assert memmap.retained_edges == reference.retained_edges
-        assert memmap.candidate_pairs == reference.candidate_pairs
-
-    @pytest.mark.parametrize("pruning", ["wnp", "rcnp"])
-    @pytest.mark.parametrize("weighting", ["cbs", "ejs"])
-    def test_parallel_process(self, dirty_blocks, process_context, weighting, pruning):
-        # Process workers map the index from shared memory; the driver-side
-        # memmap file must stay private to the driver while the retained
-        # edges still match the ram reference.
-        reference = MetaBlocker(weighting, _make_pruning(pruning)).run(dirty_blocks)
-        parallel = ParallelMetaBlocker(
-            _context(process_context, "process:2", 4),
-            weighting,
-            _make_pruning(pruning),
-            options=opts(buffer_backend="memmap"),
-        ).run(dirty_blocks)
-        assert parallel.retained_edges == reference.retained_edges
-
-    @pytest.mark.parametrize("chunk_edges", [1, 97, 65536])
-    def test_streamed_chunks_match_run_bit_for_bit(self, clean_blocks, chunk_edges):
-        reference = list(
-            MetaBlocker("ejs", "wnp", use_entropy=True)
-            .run(clean_blocks)
-            .retained_edges.items()
-        )
-        streamed = [
-            edge
-            for chunk in MetaBlocker(
-                "ejs", "wnp", use_entropy=True, options=opts(buffer_backend="memmap")
-            ).stream_retained(clean_blocks, chunk_edges=chunk_edges)
-            for edge in chunk
-        ]
-        assert streamed == reference
-
-    def test_no_buffer_files_leak(self, tmp_path):
-        from repro.engine import tmpfiles
-
-        blocks = _random_clean_collection(seed=404)
-        MetaBlocker(
-            "cbs", "wnp", options=opts(buffer_backend="memmap", tmp_dir=str(tmp_path))
-        ).run(blocks)
-        assert tmpfiles.live_artifacts("csrbuf") == []
-        assert list(tmp_path.iterdir()) == []
-
-
+@pytest.mark.parametrize("chunk_edges", [1, 97, 65536])
+def test_streamed_chunks_match_run_bit_for_bit(clean_blocks, chunk_edges):
+    blocker = MetaBlocker("ejs", "wnp", use_entropy=True)
+    reference = list(blocker.run(clean_blocks).retained_edges.items())
+    streamed = [
+        edge
+        for chunk in blocker.stream_retained(clean_blocks, chunk_edges=chunk_edges)
+        for edge in chunk
+    ]
+    assert streamed == reference

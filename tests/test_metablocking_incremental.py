@@ -28,10 +28,7 @@ from repro.metablocking.index import (
 )
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.progressive import ProgressiveSortedComparisons
-from repro.options import EngineOptions
 from repro.service.delta import DeltaMetaBlocker
-
-BUFFERS = ["ram", "memmap"]
 
 _WORDS = [
     "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
@@ -55,11 +52,11 @@ def _random_profiles(count: int, *, clean_clean: bool, seed: int, start_id: int 
     return profiles
 
 
-def _batch_index(profiles, *, clean_clean, options):
+def _batch_index(profiles, *, clean_clean):
     union = ProfileCollection(profiles)
     blocks = TokenBlocking().block(union)
     assert blocks.clean_clean == clean_clean or not profiles
-    return CSRBlockIndex.from_blocks(blocks, options)
+    return CSRBlockIndex.from_blocks(blocks)
 
 
 def _assert_bit_identical(built: CSRBlockIndex, reference: CSRBlockIndex):
@@ -71,23 +68,17 @@ def _assert_bit_identical(built: CSRBlockIndex, reference: CSRBlockIndex):
         ), f"buffer {field} differs from the from-scratch build"
 
 
-@pytest.mark.parametrize("buffer_backend", BUFFERS)
 @pytest.mark.parametrize("clean_clean", [False, True])
 class TestCompactionParity:
-    def test_append_then_compact_matches_batch_build(
-        self, buffer_backend, clean_clean, tmp_path
-    ):
+    def test_append_then_compact_matches_batch_build(self, clean_clean):
         """Multi-batch append + compact ≡ one from-scratch build (bit-for-bit)."""
         profiles = _random_profiles(90, clean_clean=clean_clean, seed=7)
-        options = EngineOptions.resolve(
-            buffer_backend=buffer_backend, tmp_dir=str(tmp_path)
-        )
-        incremental = IncrementalBlockIndex(clean_clean=clean_clean, options=options)
+        incremental = IncrementalBlockIndex(clean_clean=clean_clean)
         try:
             for start in range(0, len(profiles), 25):
                 incremental.append_profiles(profiles[start : start + 25])
             built = incremental.materialise()
-            reference = _batch_index(profiles, clean_clean=clean_clean, options=options)
+            reference = _batch_index(profiles, clean_clean=clean_clean)
             try:
                 _assert_bit_identical(built, reference)
             finally:
@@ -95,18 +86,11 @@ class TestCompactionParity:
         finally:
             incremental.close()
 
-    def test_intermediate_compactions_do_not_change_the_result(
-        self, buffer_backend, clean_clean, tmp_path
-    ):
+    def test_intermediate_compactions_do_not_change_the_result(self, clean_clean):
         """Compacting after every batch equals compacting once at the end."""
         profiles = _random_profiles(60, clean_clean=clean_clean, seed=11)
-        options = EngineOptions.resolve(
-            buffer_backend=buffer_backend, tmp_dir=str(tmp_path)
-        )
-        eager = IncrementalBlockIndex(
-            clean_clean=clean_clean, compact_every=10, options=options
-        )
-        lazy = IncrementalBlockIndex(clean_clean=clean_clean, options=options)
+        eager = IncrementalBlockIndex(clean_clean=clean_clean, compact_every=10)
+        lazy = IncrementalBlockIndex(clean_clean=clean_clean)
         try:
             for start in range(0, len(profiles), 15):
                 batch = profiles[start : start + 15]
@@ -227,13 +211,9 @@ class TestCloseHardening:
         bare.close()
         bare.close()
 
-    def test_failed_memmap_build_leaves_no_artifact(self, tmp_path, monkeypatch):
-        """A build error mid-materialisation discards the memmap file."""
-        from repro.engine import tmpfiles
-
-        incremental = IncrementalBlockIndex(
-            options=EngineOptions.resolve(buffer_backend="memmap", tmp_dir=str(tmp_path))
-        )
+    def test_failed_build_leaves_the_overlay_intact(self, monkeypatch):
+        """A build error mid-materialisation keeps the overlay retryable."""
+        incremental = IncrementalBlockIndex()
         profile = EntityProfile(0, "a")
         profile.add("name", "alpha bravo")
         incremental.append_profiles([profile])
@@ -245,11 +225,6 @@ class TestCloseHardening:
         with pytest.raises(RuntimeError, match="injected"):
             incremental.materialise()
         monkeypatch.undo()
-        assert not [
-            path
-            for path in tmpfiles.live_artifacts()
-            if str(tmp_path) in path
-        ]
         # The overlay is intact: a retry after the injected failure succeeds
         # (one lone profile induces no comparisons, so the index is empty).
         index = incremental.materialise()

@@ -15,7 +15,6 @@ index survives transport, and that no numpy scalar leaves it.
 from __future__ import annotations
 
 import json
-import os
 import pickle
 import random
 
@@ -29,7 +28,6 @@ from repro.metablocking import index as index_module
 from repro.metablocking.index import _SHARED_FIELDS, CSRBlockIndex, IncrementalBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.pruning import IndexStats, WeightedNodePruning
-from repro.options import EngineOptions
 from repro.service import CollectionConfig, ServiceCollection
 
 from tests.test_metablocking_incremental import (
@@ -39,14 +37,7 @@ from tests.test_metablocking_incremental import (
 )
 from tests.test_metablocking_parallel import _prepared_blocks
 
-BACKENDS = ["ram", "memmap"]
 FIELDS = [field for field, _typecode in _SHARED_FIELDS]
-
-
-def _options(buffer_backend="ram", tmp_dir=None) -> EngineOptions:
-    return EngineOptions.resolve(
-        buffer_backend=buffer_backend, tmp_dir=None if tmp_dir is None else str(tmp_dir)
-    )
 
 
 def _fields(index: CSRBlockIndex) -> dict:
@@ -159,7 +150,7 @@ class TestBuilders:
     @settings(max_examples=150, deadline=None)
     @given(block_collections())
     def test_array_builder_matches_the_definition(self, collection):
-        built = CSRBlockIndex.from_blocks(collection, _options())
+        built = CSRBlockIndex.from_blocks(collection)
         check_against_definition(_fields(built), collection)
         for field, typecode in _SHARED_FIELDS:
             buffer = getattr(built, field)
@@ -170,9 +161,8 @@ class TestBuilders:
         assert built.node_of == {profile_id: dense for dense, profile_id in enumerate(built.node_ids)}
         assert (built.total_blocks, built.clean_clean) == (len(collection), collection.clean_clean)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_member_order_of_the_input_is_irrelevant(self, backend, seed, tmp_path):
+    def test_member_order_of_the_input_is_irrelevant(self, seed):
         """The input contract: member collections arrive unsorted."""
         rng = random.Random(seed)
         sides0 = [rng.sample(range(0, 90, 3), rng.randint(1, 6)) for _ in range(12)]
@@ -182,7 +172,7 @@ class TestBuilders:
         def build(left, right):
             return CSRBlockIndex._from_valid_blocks(
                 left, right, entropies, [True] * 12,
-                clean_clean=True, total_blocks=12, options=_options(backend, tmp_path),
+                clean_clean=True, total_blocks=12,
             )
 
         shuffled = build(sides0, sides1)
@@ -193,9 +183,8 @@ class TestBuilders:
             shuffled.close()
             ordered.close()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_blocks(self, backend, tmp_path):
-        index = CSRBlockIndex.from_blocks(BlockCollection(), _options(backend, tmp_path))
+    def test_zero_blocks(self):
+        index = CSRBlockIndex.from_blocks(BlockCollection())
         try:
             assert _fields(index) == {
                 **{field: [] for field in FIELDS},
@@ -203,9 +192,7 @@ class TestBuilders:
                 "block_offsets": [0],
                 "node_ids": [],
             }
-            assert MetaBlocker("cbs", "wnp", options=_options(backend, tmp_path)).run(
-                BlockCollection()
-            ).retained_edges == {}
+            assert MetaBlocker("cbs", "wnp").run(BlockCollection()).retained_edges == {}
         finally:
             index.close()
 
@@ -213,14 +200,12 @@ class TestBuilders:
 # ---------------------------------------------------------------------------
 # compaction is a from-scratch build
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("clean_clean", [False, True])
 @pytest.mark.parametrize("seed", [5, 17])
-def test_compact_after_random_batches_equals_from_blocks(backend, clean_clean, seed, tmp_path):
+def test_compact_after_random_batches_equals_from_blocks(clean_clean, seed):
     rng = random.Random(seed)
     profiles = _random_profiles(70, clean_clean=clean_clean, seed=seed)
-    options = _options(backend, tmp_path)
-    incremental = IncrementalBlockIndex(clean_clean=clean_clean, options=options)
+    incremental = IncrementalBlockIndex(clean_clean=clean_clean)
     try:
         start = 0
         while start < len(profiles):
@@ -229,14 +214,13 @@ def test_compact_after_random_batches_equals_from_blocks(backend, clean_clean, s
             if rng.random() < 0.4:
                 incremental.compact()  # dirty and cached tokens then mix
             start = stop
-        reference = _batch_index(profiles, clean_clean=clean_clean, options=options)
+        reference = _batch_index(profiles, clean_clean=clean_clean)
         try:
             _assert_bit_identical(incremental.materialise(), reference)
         finally:
             reference.close()
     finally:
         incremental.close()
-    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +232,8 @@ def blocks_400():
 
 
 class TestArrayBuiltIndexTransport:
-    @pytest.mark.parametrize("buffer_backend", ["ram", "memmap"])
-    def test_pickle_roundtrip_reproduces_the_fields(self, blocks_400, buffer_backend, tmp_path):
-        index = CSRBlockIndex.from_blocks(blocks_400, _options(buffer_backend, tmp_path))
+    def test_pickle_roundtrip_reproduces_the_fields(self, blocks_400):
+        index = CSRBlockIndex.from_blocks(blocks_400)
         try:
             clone = pickle.loads(pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL))
             assert _fields(clone) == _fields(index)
@@ -260,7 +243,7 @@ class TestArrayBuiltIndexTransport:
             index.close()
 
     def test_export_shared_then_attach_reproduces_the_fields(self, blocks_400):
-        index = CSRBlockIndex.from_blocks(blocks_400, _options())
+        index = CSRBlockIndex.from_blocks(blocks_400)
         index.export_shared()
         try:
             attached = pickle.loads(pickle.dumps(index))
@@ -269,17 +252,6 @@ class TestArrayBuiltIndexTransport:
             assert {field: getattr(attached, field).tolist() for field in FIELDS} == expected
         finally:
             index.close()
-
-    def test_failed_build_leaves_no_buffer_file(self, blocks_400, tmp_path, monkeypatch):
-        """An error while the arrays are written out discards the file."""
-
-        def boom(self):
-            raise RuntimeError("injected flush failure")
-
-        monkeypatch.setattr(np.memmap, "flush", boom)
-        with pytest.raises(RuntimeError, match="injected"):
-            CSRBlockIndex.from_blocks(blocks_400, _options("memmap", tmp_path))
-        assert [name for name in os.listdir(tmp_path) if name.startswith("repro-csrbuf-")] == []
 
 
 def test_array_build_sorts_no_block_in_python(blocks_400, monkeypatch):
@@ -302,17 +274,15 @@ class _CustomPruning(WeightedNodePruning):
     """A subclass: retention runs its own (dict-form) ``prune``."""
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestPlainPythonValues:
-    def test_results_graph_counts_and_stats(self, blocks_400, backend, tmp_path):
-        options = _options(backend, tmp_path)
+    def test_results_graph_counts_and_stats(self, blocks_400):
         for pruning in ("wnp", "cep", _CustomPruning()):
-            result = MetaBlocker("js", pruning, options=options).run(blocks_400)
+            result = MetaBlocker("js", pruning).run(blocks_400)
             assert result.retained_edges
             for (a, b), weight in result.retained_edges.items():
                 assert (type(a), type(b), type(weight)) == (int, int, float)
             assert type(result.graph_nodes) is int and type(result.graph_edges) is int
-        index = CSRBlockIndex.from_blocks(blocks_400, options)
+        index = CSRBlockIndex.from_blocks(blocks_400)
         try:
             counts = IndexStats(index).blocks_per_profile
             assert counts and all(
@@ -325,10 +295,8 @@ class TestPlainPythonValues:
         finally:
             index.close()
 
-    def test_service_payloads_serialise(self, backend, tmp_path):
-        collection = ServiceCollection(
-            CollectionConfig(name="c", buffer_backend=backend, tmp_dir=str(tmp_path))
-        )
+    def test_service_payloads_serialise(self):
+        collection = ServiceCollection(CollectionConfig(name="c"))
         try:
             profiles = _random_profiles(50, clean_clean=False, seed=29)
             for batch in (profiles[:30], profiles[30:]):

@@ -4,8 +4,8 @@ The Hypothesis drivers in ``test_metablocking_oracle`` draw a scheme, a rule
 and a collection per example, so one run need not meet every combination.
 This grid pins all of them on every run: weighting scheme × entropy × pruning
 rule × batch path (``MetaBlocker.run``, ``stream_retained``,
-``ParallelMetaBlocker`` on a serial and on a ``process:2`` context), plus the
-full weight table,
+``ParallelMetaBlocker`` on a serial context at 1, 4 and 64 ranges and on a
+``process:2`` context), plus the full weight table,
 the progressive ranking and the incremental ``DeltaMetaBlocker``, on a fixed
 set of collections — the tie, threshold, isolated and empty cases and seeded
 random ones, dirty and clean-clean, hand-built (object-backed) and
@@ -17,6 +17,7 @@ import random
 import pytest
 
 from repro.engine.context import EngineContext
+from repro.metablocking.parallel import ParallelMetaBlocker
 from tests.test_metablocking_oracle import (
     AT_THRESHOLD,
     CLEAN_AT_THRESHOLD,
@@ -25,7 +26,6 @@ from tests.test_metablocking_oracle import (
     EMPTY,
     ISOLATED,
     K_TIE,
-    PATHS,
     RULES,
     WEIGHTINGS,
     Case,
@@ -75,15 +75,35 @@ COLLECTIONS = {
 ENTROPY = pytest.mark.parametrize("use_entropy", [False, True], ids=["plain", "entropy"])
 # Four ranges: more than some collections have nodes, fewer than others.
 RANGES, CHUNK = 4, 3
+# The range-width axis of the serial range pool: one range (the whole sweep
+# as one task), four, and 64 (every collection here gets one node per range).
+RANGE_WIDTHS = [1, RANGES, 64]
 
 
-@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("path", ["run", "stream"])
 @pytest.mark.parametrize("rule", RULES)
 @ENTROPY
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
 @pytest.mark.parametrize("name", COLLECTIONS)
 def test_batch_path(name, weighting, use_entropy, rule, path):
     check_path(COLLECTIONS[name], path, (weighting, rule, use_entropy, RANGES, CHUNK))
+
+
+@pytest.mark.parametrize("ranges", RANGE_WIDTHS)
+@pytest.mark.parametrize("rule", RULES)
+@ENTROPY
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("name", COLLECTIONS)
+def test_parallel_at_every_range_width(name, weighting, use_entropy, rule, ranges):
+    check_path(COLLECTIONS[name], "parallel", (weighting, rule, use_entropy, ranges, CHUNK))
+
+
+@pytest.mark.parametrize("name", COLLECTIONS)
+def test_the_widest_axis_gives_every_node_its_own_range(name):
+    with EngineContext(max(RANGE_WIDTHS)) as context:
+        result = ParallelMetaBlocker(context, "cbs", "wnp").run(COLLECTIONS[name].build())
+        tasks = [row["tasks"] for row in context.scheduler.stage_table()]
+    assert tasks == ([result.graph_nodes] if result.graph_nodes else [])
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,6 @@
 import gc
 import hashlib
 import itertools
-import os
 import weakref
 from collections.abc import Iterator
 
@@ -16,9 +15,7 @@ from repro.metablocking.progressive import (
     ProgressiveSortedComparisons,
     progressive_recall_curve,
 )
-from repro.options import EngineOptions
 
-BUFFERS = ["ram", "memmap"]
 SCHEMES = ["cbs", "js", "arcs", "ecbs", "ejs"]
 
 
@@ -107,28 +104,22 @@ class TestStreamLaziness:
 
 
 @pytest.mark.parametrize("weighting", SCHEMES)
-@pytest.mark.parametrize("buffer_backend", BUFFERS)
-def test_stream_index_is_the_sorted_weight_table(
-    abt_buy_small, buffer_backend, weighting, tmp_path
-):
+def test_stream_index_is_the_sorted_weight_table(abt_buy_small, weighting):
     """The ranking is literally the weight table sorted by ``(-w, pair)`` —
-    and owns its arrays: the index (a memmap file included) may be closed
-    and dropped before the iterator is drained."""
+    and owns its arrays: the index may be closed and dropped before the
+    iterator is drained."""
     blocks = TokenBlocking().block(abt_buy_small.profiles)
-    options = EngineOptions.resolve(buffer_backend=buffer_backend, tmp_dir=str(tmp_path))
-    index = CSRBlockIndex.from_blocks(blocks, options)
+    index = CSRBlockIndex.from_blocks(blocks)
     mapping = index.kernel().weight_arrays(index.weight_plan(weighting, False)).to_mapping()
     expected = [pair for pair, _w in sorted(mapping.items(), key=lambda e: (-e[1], e[0]))]
 
-    path = index.memmap_path
     buffer = weakref.ref(index.node_block_entries)
-    stream = ProgressiveSortedComparisons(weighting, options=options).stream_index(index)
+    stream = ProgressiveSortedComparisons(weighting).stream_index(index)
     prefix = list(itertools.islice(stream, 10))
     index.close()
     del index
     gc.collect()
     assert buffer() is None
-    assert path is None or not os.path.exists(path)
     assert prefix + list(stream) == expected
 
 

@@ -1,18 +1,19 @@
-"""Engine options: one table, one resolution, one place that reads the env.
+"""The engine option: one resolution, one place that reads the env.
 
-Replaces the per-knob ``resolve_*`` unit tests with one parametrised
-precedence test over :data:`repro.options.OPTIONS` (explicit > spec > env >
-default, bad value ⇒ typed error naming its source), covers what is derived
-from the table (CLI flags, engine-section validation, provenance, retired
-keys), and guards the design with an ``ast`` walk over ``src/repro``: only
-the options module reads the three ``REPRO_*`` variables, and no other
-function declares a knob parameter.
+Covers :func:`repro.options.resolve_executor` (explicit > spec > env >
+``serial``, bad value ⇒ typed error naming its source), what builds on it
+(the ``--executor`` / ``--workers`` flags, engine-section validation,
+provenance, retired keys), and guards the design with ``ast`` walks over
+``src/repro``: only the options module reads ``REPRO_ENGINE_EXECUTOR``, no
+function declares a knob parameter, and no name of the removed buffer
+backend, temp-root option or options object survives outside the
+retired-key table.
 """
 
 from __future__ import annotations
 
 import ast
-import tempfile
+import re
 from pathlib import Path
 
 import pytest
@@ -21,165 +22,106 @@ from repro.core.config import SparkERConfig
 from repro.core.sparker import SparkER
 from repro.data.synthetic import SyntheticConfig, generate_abt_buy_like
 from repro.engine.context import EngineContext
-from repro.exceptions import (
-    ConfigurationError,
-    EngineError,
-    MetaBlockingError,
-    PipelineValidationError,
-)
+from repro.exceptions import ConfigurationError, EngineError, PipelineValidationError
 from repro.options import (
     ENGINE_SECTION_KEYS,
-    OPTIONS,
-    EngineOptions,
+    EXECUTOR_ENV_VAR,
     drop_retired_keys,
-    explicit_from_args,
-    resolve_option,
+    executor_from_args,
+    resolve_executor,
 )
 from repro.pipeline import Pipeline
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-# field -> three distinct good raw values (explicit, spec, env), what each
-# resolves to, the resolved default, one bad value and its error type.
-CASES = {
-    "executor": (
-        ("process:3", "mp:2", "process"), ("process:3", "process:2", "process"),
-        "serial", "cluster", EngineError,
-    ),
-    "buffer_backend": (
-        ("memmap", "RAM", " MemMap "), ("memmap", "ram", "memmap"),
-        "ram", "tape", MetaBlockingError,
-    ),
-    "tmp_dir": (
-        ("/a", "/b", "/c"), ("/a", "/b", "/c"),
-        tempfile.gettempdir(), 7, EngineError,
-    ),
-}
+# Environment variables of the removed options: nothing may read them.
+RETIRED_ENV_VARS = {"REPRO_BUFFER_BACKEND", "REPRO_TMPDIR"}
 
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for option in OPTIONS:
-        monkeypatch.delenv(option.env_var, raising=False)
+    monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
 
 
-def test_table_is_the_three_options():
-    assert [option.field for option in OPTIONS] == list(CASES)
-    assert [option.field for option in OPTIONS] == list(
-        EngineOptions.__dataclass_fields__
-    )
+class TestResolveExecutor:
+    def test_explicit_over_spec_over_env_over_default(self, monkeypatch):
+        assert resolve_executor() == "serial"
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "process")
+        assert resolve_executor() == "process"
+        spec = {"executor": "mp:2"}
+        assert resolve_executor(None, spec) == "process:2"
+        assert resolve_executor("process:3", spec) == "process:3"
+        assert resolve_executor("process:3") == "process:3"
 
+    def test_blank_values_fall_through(self, monkeypatch):
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "   ")
+        assert resolve_executor("", {"executor": None}) == "serial"
 
-@pytest.mark.parametrize("option", OPTIONS, ids=lambda option: option.field)
-class TestPrecedence:
-    def test_explicit_over_spec_over_env_over_default(self, option, monkeypatch):
-        (explicit, spec_value, env), expected, default, _bad, _error = CASES[option.field]
-        assert resolve_option(option.field) == default
-        monkeypatch.setenv(option.env_var, env)
-        assert resolve_option(option.field) == expected[2]
-        spec = {option.field: spec_value}
-        assert resolve_option(option.field, None, spec) == expected[1]
-        assert resolve_option(option.field, explicit, spec) == expected[0]
-        assert resolve_option(option.field, explicit) == expected[0]
-        # The whole-object resolution is the same function, field by field.
-        resolved = EngineOptions.resolve(**{option.field: explicit})
-        assert getattr(resolved, option.field) == expected[0]
+    def test_bad_value_is_a_typed_error_naming_its_source(self, monkeypatch):
+        with pytest.raises(EngineError, match="^executor: "):
+            resolve_executor("cluster")
+        with pytest.raises(EngineError, match="^engine.executor: "):
+            resolve_executor(None, {"executor": "cluster"})
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "cluster")
+        with pytest.raises(EngineError, match=f"^{EXECUTOR_ENV_VAR}: "):
+            resolve_executor()
 
-    def test_blank_values_fall_through(self, option, monkeypatch):
-        default = CASES[option.field][2]
-        monkeypatch.setenv(option.env_var, "   ")
-        spec = {option.field: None}
-        assert resolve_option(option.field, "", spec) == default
-
-    def test_bad_value_is_a_typed_error_naming_its_source(self, option, monkeypatch):
-        *_, bad, error = CASES[option.field]
-        with pytest.raises(error, match=f"^{option.field}: "):
-            resolve_option(option.field, bad)
-        with pytest.raises(error, match=f"^engine.{option.field}: "):
-            resolve_option(option.field, None, {option.field: bad})
-        monkeypatch.setenv(option.env_var, str(bad))
-        if isinstance(bad, str):
-            with pytest.raises(error, match=f"^{option.env_var}: "):
-                EngineOptions.resolve()
-
-    def test_base_options_are_taken_unchanged(self, option, monkeypatch):
-        (explicit, _spec, env), expected, *_ = CASES[option.field]
-        base = EngineOptions.resolve(**{option.field: explicit})
-        monkeypatch.setenv(option.env_var, env)
-        kept = EngineOptions.resolve(base=base)
-        assert getattr(kept, option.field) is getattr(base, option.field)
-
-
-class TestValidators:
     def test_non_string_specs_are_rejected(self):
-        for field, error in (
-            ("executor", EngineError),
-            ("buffer_backend", MetaBlockingError),
-        ):
-            with pytest.raises(error):
-                resolve_option(field, 7)
+        with pytest.raises(EngineError, match="must be a string"):
+            resolve_executor(7)
 
-    @pytest.mark.parametrize(
-        "name", ["kernal_backend", "kernel_backend", "block_store", "fault_policy", "fault_inject"]
-    )
-    def test_unknown_or_removed_option_name_is_a_type_error(self, name):
-        with pytest.raises(TypeError, match=name):
-            EngineOptions.resolve(**{name: "x"})
+    def test_resolving_a_resolved_value_is_a_no_op(self):
+        for spec in ("serial", "process", "process:4"):
+            assert resolve_executor(resolve_executor(spec)) == spec
 
     @pytest.mark.parametrize("alias", ["serial", "sync", "driver", "SERIAL"])
     def test_serial_executor_aliases(self, alias):
-        assert resolve_option("executor", alias) == "serial"
+        assert resolve_executor(alias) == "serial"
 
     @pytest.mark.parametrize("alias", ["process", "processes", "multiprocessing", "mp"])
     def test_process_executor_aliases(self, alias):
-        assert resolve_option("executor", alias) == "process"
-        assert resolve_option("executor", f"{alias}: 4") == "process:4"
+        assert resolve_executor(alias) == "process"
+        assert resolve_executor(f"{alias}: 4") == "process:4"
 
     def test_executor_grammar_errors(self):
         with pytest.raises(EngineError, match="invalid worker count"):
-            resolve_option("executor", "process:many")
+            resolve_executor("process:many")
         with pytest.raises(EngineError, match="no worker count"):
-            resolve_option("executor", "serial:4")
-
-    def test_as_spec_records_every_option(self, tmp_path):
-        options = EngineOptions.resolve(executor="mp:2", tmp_dir=tmp_path)
-        assert options.as_spec() == {
-            "executor": "process:2", "buffer_backend": "ram", "tmp_dir": str(tmp_path),
-        }
-
-    def test_path_like_tmp_dir(self, tmp_path):
-        assert resolve_option("tmp_dir", tmp_path) == str(tmp_path)
+            resolve_executor("serial:4")
 
 
-class TestLeaves:
-    def test_context_builds_the_pool_the_options_name(self):
-        with EngineContext(2, options=EngineOptions.resolve()) as context:
-            assert context.workers == 0
-        with EngineContext(2, options=EngineOptions.resolve(executor="process:3")) as context:
+class TestContext:
+    def test_context_builds_the_pool_the_executor_names(self):
+        with EngineContext(2) as context:
+            assert (context.workers, context.executor_spec) == (0, "serial")
+        with EngineContext(2, executor="mp:3") as context:
             assert context.workers == 3 and context.executor == "process[3]"
+            assert context.executor_spec == "process:3"
 
-    def test_context_explicit_values_override_handed_down_options(self, tmp_path):
-        handed_down = EngineOptions.resolve(buffer_backend="memmap", executor="process:2")
-        with EngineContext(
-            2, executor="serial", tmp_dir=str(tmp_path), options=handed_down
-        ) as context:
-            assert context.options.buffer_backend == "memmap"
-            assert context.options.tmp_dir == str(tmp_path)
+    def test_context_without_an_executor_reads_the_environment(self, monkeypatch):
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "process:2")
+        with EngineContext(2) as context:
+            assert context.executor_spec == "process:2"
+        with EngineContext(2, executor="serial") as context:
             assert context.workers == 0
 
-    def test_leaf_without_options_reads_the_environment(self, monkeypatch):
-        from repro.metablocking.index import CSRBlockIndex
+    def test_retired_environment_variables_are_not_read(self, monkeypatch):
+        # Values the removed options would have refused: a run that still
+        # read them would fail.
+        from repro.blocking.block import Block, BlockCollection
+        from repro.metablocking.metablocker import MetaBlocker
 
-        monkeypatch.setenv("REPRO_BUFFER_BACKEND", "memmap")
-        assert CSRBlockIndex().buffer_backend == "memmap"
-        assert CSRBlockIndex(EngineOptions.resolve(buffer_backend="ram")).buffer_backend == "ram"
+        monkeypatch.setenv("REPRO_BUFFER_BACKEND", "tape")
+        monkeypatch.setenv("REPRO_TMPDIR", "/nonexistent/repro-root")
+        blocks = BlockCollection()
+        blocks.add(Block(key="a", profiles_source0={1, 2, 3}))
+        blocks.add(Block(key="b", profiles_source0={2, 3}))
+        assert MetaBlocker("cbs", "wnp").run(blocks).retained_edges
 
 
-class TestDerivedFromTheTable:
+class TestEngineSection:
     def test_engine_section_keys(self):
-        assert ENGINE_SECTION_KEYS == {
-            "enabled", "parallelism", "executor", "buffer_backend", "tmp_dir",
-        }
+        assert ENGINE_SECTION_KEYS == {"enabled", "parallelism", "executor"}
 
     def test_from_spec_rejects_unknown_engine_keys(self):
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
@@ -192,25 +134,27 @@ class TestDerivedFromTheTable:
 
     def test_from_spec_wraps_bad_values(self):
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
-        spec["engine"]["buffer_backend"] = "tape"
-        with pytest.raises(PipelineValidationError, match="engine.buffer_backend"):
+        spec["engine"]["executor"] = "cluster"
+        with pytest.raises(PipelineValidationError, match="engine.executor"):
             Pipeline.from_spec(spec)
 
-    def test_cli_flags_compose_explicit_values(self):
+    def test_explicit_executor_wins_over_the_engine_section(self):
+        spec = SparkER.canonical_spec(
+            SparkERConfig.unsupervised_default(), use_engine=True, executor="process:2"
+        )
+        with Pipeline.from_spec(spec, executor="serial") as pipeline:
+            assert pipeline.executor == "serial"
+            assert pipeline.engine.workers == 0
+
+    def test_cli_flags_compose_the_executor(self):
         from repro.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(["run", "--synthetic", "abt-buy"])
-        assert explicit_from_args(args) == {}
-        args = parser.parse_args(
-            ["run", "--synthetic", "abt-buy", "--workers", "2",
-             "--buffer-backend", "ram", "--tmp-dir", "/x"]
-        )
-        assert explicit_from_args(args) == {
-            "executor": "process:2",
-            "buffer_backend": "ram",
-            "tmp_dir": "/x",
-        }
+        assert executor_from_args(parser.parse_args(["run", "--synthetic", "abt-buy"])) is None
+        args = parser.parse_args(["run", "--synthetic", "abt-buy", "--workers", "2"])
+        assert executor_from_args(args) == "process:2"
+        args = parser.parse_args(["run", "--synthetic", "abt-buy", "--executor", "serial"])
+        assert executor_from_args(args) == "serial"
 
     @pytest.mark.parametrize(
         "flags",
@@ -219,6 +163,9 @@ class TestDerivedFromTheTable:
             ["--block-store", "spill"],
             ["--task-retries", "2"],
             ["--task-timeout", "30"],
+            ["--buffer-backend", "ram"],
+            ["--buffer-backend", "memmap"],
+            ["--tmp-dir", "/tmp"],
         ],
     )
     def test_removed_flags_went_with_their_options(self, flags):
@@ -227,36 +174,21 @@ class TestDerivedFromTheTable:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--synthetic", "abt-buy", *flags])
 
-    def test_every_flag_is_declared_on_run(self, capsys):
+    def test_the_executor_flags_are_declared_on_run(self, capsys):
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--help"])
         help_text = capsys.readouterr().out
-        for option in OPTIONS:
-            for flag, _keywords in option.flags:
-                assert flag in help_text
-
-    def test_overrides_win_over_the_engine_section(self):
-        spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
-        spec["engine"]["buffer_backend"] = "ram"
-        pipeline = Pipeline.from_spec(spec, overrides={"buffer_backend": "memmap"})
-        assert pipeline.options.buffer_backend == "memmap"
+        assert "--executor" in help_text and "--workers" in help_text
 
 
 class TestProvenance:
     """A resolved spec records what ran, so it replays under any environment."""
 
-    @pytest.mark.parametrize(
-        "env_var, value, field",
-        [
-            ("REPRO_BUFFER_BACKEND", "memmap", "buffer_backend"),
-            ("REPRO_ENGINE_EXECUTOR", "process:2", "executor"),
-        ],
-    )
-    def test_env_selected_backend_round_trips(self, env_var, value, field, monkeypatch):
+    def test_env_selected_executor_round_trips(self, monkeypatch):
         dataset = generate_abt_buy_like(SyntheticConfig(num_entities=30, seed=3))
-        monkeypatch.setenv(env_var, value)
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "process:2")
         # Schema-agnostic: the loose-schema LSH adds nothing to what is tested.
         facade = SparkER(SparkERConfig.schema_agnostic(), use_engine=True)
         try:
@@ -264,29 +196,32 @@ class TestProvenance:
         finally:
             facade.shutdown()
         spec = first.pipeline_result.spec
-        assert spec["engine"][field] == value
+        assert spec["engine"]["executor"] == "process:2"
 
-        monkeypatch.delenv(env_var)
+        monkeypatch.delenv(EXECUTOR_ENV_VAR)
         replay = Pipeline.from_spec(spec)
         try:
-            assert getattr(replay.options, field) == value
-            assert getattr(replay.engine.options, field) == value
+            assert replay.executor == "process:2"
+            assert replay.engine.executor_spec == "process:2"
             second = replay.run(dataset.profiles)
         finally:
             replay.shutdown()
         assert second.candidate_pairs == first.candidate_pairs
         assert second.spec == spec
 
+    @pytest.mark.parametrize("buffer_backend", [None, "ram", "memmap"])
     @pytest.mark.parametrize("kernel_backend", [None, "auto", "numpy"])
     @pytest.mark.parametrize("block_store", [None, "driver", "shared-memory", "spill"])
-    def test_parent_era_spec_still_loads(self, kernel_backend, block_store):
+    def test_parent_era_spec_still_loads(self, kernel_backend, block_store, buffer_backend):
         # The shapes `run --output-config` wrote while the retired options
-        # existed: their resolved defaults, or any block store.
+        # existed: their resolved defaults, or any block store, buffer
+        # backend and temp root.
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
         spec["engine"] = {
             "enabled": True, "parallelism": 4, "executor": None,
             "kernel_backend": kernel_backend, "block_store": block_store,
             "fault_policy": "retries=0,backoff=0.1,backoff_max=5",
+            "buffer_backend": buffer_backend, "tmp_dir": "/tmp",
         }
         spec["dataset"] = {"synthetic": "abt-buy", "entities": 40, "seed": 42}
         pipeline = Pipeline.from_spec(spec)
@@ -311,7 +246,10 @@ class TestProvenance:
             Pipeline.from_spec(spec)
 
     def test_retired_keys_in_a_service_config(self):
-        kept = drop_retired_keys({"name": "c", "block_store": "spill", "fault_policy": None})
+        kept = drop_retired_keys({
+            "name": "c", "block_store": "spill", "fault_policy": None,
+            "buffer_backend": "memmap", "tmp_dir": "/var/tmp",
+        })
         assert kept == {"name": "c"}
         with pytest.raises(ConfigurationError, match="fault_policy"):
             drop_retired_keys({"fault_policy": "retries=1"})
@@ -324,10 +262,11 @@ class TestProvenance:
 
 
 # ---------------------------------------------------------------- design guard
-ENGINE_ENV_VARS = {option.env_var for option in OPTIONS}
-# Knobs travel inside EngineOptions; the retired ones must not come back.
+# Knobs of removed options, and the options object they travelled in, must
+# not come back as parameters.
 KNOB_PARAMETERS = {
     "kernel_backend", "buffer_backend", "block_store", "fault_policy", "fault_injector",
+    "tmp_dir", "options",
 }
 
 
@@ -389,30 +328,23 @@ def _environ_keys(tree):
 
 
 def test_only_the_options_module_reads_the_engine_environment():
-    offenders = [
-        (module, key)
-        for module, tree in _modules()
-        if module != "options.py"
-        for key in _environ_keys(tree)
-        if key in ENGINE_ENV_VARS
-    ]
-    assert offenders == []
-    # The walk does see reads: the options module's own and the chaos hook.
     trees = dict(_modules())
-    assert "REPRO_SERVICE_FAULT" in set(_environ_keys(trees["service/faults.py"]))
+    reads = {module: set(_environ_keys(tree)) for module, tree in trees.items()}
+    assert [m for m, keys in reads.items() if EXECUTOR_ENV_VAR in keys] == ["options.py"]
+    assert [m for m, keys in reads.items() if keys & RETIRED_ENV_VARS] == []
+    # The walk does see reads: the chaos hook's own.
+    assert "REPRO_SERVICE_FAULT" in reads["service/faults.py"]
     generic = [
         node for node in ast.walk(trees["options.py"])
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         and _is_os_environ(node.func.value)
     ]
-    assert len(generic) == 1  # the table-driven read in resolve_option
+    assert len(generic) == 1  # the one read in resolve_executor
 
 
 def test_no_function_declares_a_knob_parameter():
     offenders = []
     for module, tree in _modules():
-        if module == "options.py":
-            continue
         for owner in ast.walk(tree):
             if not isinstance(owner, (ast.ClassDef, ast.Module)):
                 continue
@@ -428,3 +360,72 @@ def test_no_function_declares_a_knob_parameter():
                 for name in sorted(names & KNOB_PARAMETERS):
                     offenders.append((module, prefix + node.name, name))
     assert offenders == []
+
+
+# Names of the deleted buffer backend, temp-root option and options object.
+REMOVED_NAMES = re.compile(r"memmap|buffer_backend|tmp_dir|csrbuf|EngineOptions")
+
+
+def _names(node):
+    """The identifiers and string constants one AST node carries."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.arg):
+        return [node.arg]
+    if isinstance(node, ast.keyword):
+        return [node.arg or ""]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname or ""]
+    return []
+
+
+def _allowed_subtrees(module, tree):
+    """Where the removed names may still appear: the retired-key table (the
+    keys old artifacts carry) and the old-snapshot slot names the incremental
+    index ignores on restore."""
+    for node in ast.walk(tree):
+        if (
+            module == "options.py"
+            and isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "_RETIRED" for t in node.targets)
+        ):
+            yield node.value
+        if module == "metablocking/index.py" and isinstance(node, ast.ClassDef) and (
+            node.name == "IncrementalBlockIndex"
+        ):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name == "__setstate__":
+                    yield from method.body
+
+
+def test_no_removed_option_name_outside_the_retired_table():
+    offenders = []
+    for module, tree in _modules():
+        allowed = {
+            id(node)
+            for subtree in _allowed_subtrees(module, tree)
+            for node in ast.walk(subtree)
+        }
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            for name in _names(node):
+                if REMOVED_NAMES.search(name):
+                    offenders.append((module, getattr(node, "lineno", None), name[:60]))
+    assert offenders == []
+    # The allowances are not vacuous: the table and the slot names are there.
+    trees = dict(_modules())
+    for module, expected in (("options.py", "buffer_backend"), ("metablocking/index.py", "_tmp_dir")):
+        allowed_names = [
+            name
+            for subtree in _allowed_subtrees(module, trees[module])
+            for node in ast.walk(subtree)
+            for name in _names(node)
+        ]
+        assert expected in allowed_names

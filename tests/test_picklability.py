@@ -19,10 +19,6 @@ from repro.engine.context import EngineContext
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.parallel import _RangeWeigher
 from repro.metablocking.weights import WeightingScheme
-from repro.options import EngineOptions
-
-
-opts = EngineOptions.resolve
 
 
 def _roundtrip(obj):

@@ -269,6 +269,40 @@ def test_parent_format_snapshot_restores_and_answers_like_a_fresh_twin(
         store.close_all()
 
 
+@pytest.mark.parametrize("buffer_backend", ["ram", "memmap"])
+def test_a_snapshot_naming_a_buffer_backend_restores_like_a_fresh_twin(
+    tmp_path, buffer_backend
+):
+    profiles = _random_profiles(60, clean_clean=False, seed=41)
+    source = ServiceCollection(CollectionConfig(name="demo"))
+    twin = ServiceCollection(CollectionConfig(name="demo"))
+    store = CollectionStore(snapshot_dir=str(tmp_path / "snapshots"))
+    try:
+        for collection in (source, twin):
+            collection.ingest(_ingest_payload(profiles[:40]))
+        state = source.snapshot_state()
+        # The parent's config recorded where the index buffers lived.
+        state["config"] = dict(
+            state["config"], buffer_backend=buffer_backend, tmp_dir=str(tmp_path / "buffers")
+        )
+        PipelineCheckpoint(tmp_path / "snapshots" / "demo").save(state)
+
+        assert store.load_snapshots() == ["demo"]
+        restored = store.get("demo")
+        assert restored.config == twin.config
+        for collection in (restored, twin):
+            collection.ingest(_ingest_payload(profiles[40:]))
+        for probe in (0, 41):
+            got = [restored.candidates(probe), restored.matches(probe, 30)]
+            want = [twin.candidates(probe), twin.matches(probe, 30)]
+            assert json.dumps(got) == json.dumps(want)
+        assert not (tmp_path / "buffers").exists()
+    finally:
+        source.close()
+        twin.close()
+        store.close_all()
+
+
 @pytest.mark.parametrize("value", [None, "auto", "numpy"])
 def test_a_retired_kernel_backend_key_is_dropped(value):
     config = CollectionConfig.from_dict({"name": "c", "kernel_backend": value})
