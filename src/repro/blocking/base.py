@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.blocking.block import BlockCollection, BlockColumns
 from repro.data.dataset import ProfileCollection
-from repro.utils.tokenize import TokenTable
 
 
 class Blocker(ABC):
@@ -24,26 +23,26 @@ class Blocker(ABC):
 
 
 def group_token_keys(
-    table: TokenTable, values, keys, describe: Callable, clean_clean: bool
+    keys, sides, rows, profile_ids, describe: Callable, clean_clean: bool
 ) -> BlockCollection:
     """One block per key that induces a comparison, sorted by block name.
 
-    ``keys[i]`` is the integer blocking key of a token occurrence in value
-    ``values[i]`` of ``table``.  ``describe(keys)`` gives the block names
-    (a list) and entropies (float64) of an int64 key array; it is asked only
-    for keys that make a block.  One sort of the membership codes
-    ``(2·key + side) · profiles + profile rank`` orders them and drops a
-    profile holding a key twice; runs of equal entries say which keys induce
-    a comparison, and their runs are gathered into block-name order.
+    Three aligned columns, one entry per token occurrence: ``keys[i]`` is its
+    integer blocking key, ``sides[i]`` its side (1 for a source-1 profile of
+    a clean-clean task, else 0) and ``profile_ids[rows[i]]`` its profile
+    (``profile_ids`` distinct, in any order).  ``describe(keys)`` gives the
+    block names (a list) and entropies (float64) of an int64 key array; it
+    is asked only for keys that make a block.  One sort of the membership
+    codes ``(2·key + side) · profiles + profile rank`` orders them and drops
+    a profile holding a key twice; runs of equal entries say which keys
+    induce a comparison, and their runs are gathered into block-name order.
     """
     # Late: the meta-blocking package imports the blocking package.
     from repro.metablocking.backends import expand_ranges
 
-    rows = table.row_of[values]
-    ids, rank = np.unique(table.profile_ids, return_inverse=True)  # ids are distinct
-    sides = (table.source_ids == 1) if clean_clean else np.zeros(len(rank), dtype=bool)
+    ids, rank = np.unique(profile_ids, return_inverse=True)  # ids are distinct
     width = max(len(rank), 1)
-    codes = np.sort((2 * keys + sides[rows]) * width + rank[rows])
+    codes = np.sort((2 * keys + sides) * width + rank[rows])
     entries, members = np.divmod(codes[np.diff(codes, prepend=-1) != 0], width)
     members = ids[members]
     starts = np.flatnonzero(np.diff(entries, prepend=-1))

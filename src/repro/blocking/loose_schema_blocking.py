@@ -74,7 +74,9 @@ class LooseSchemaTokenBlocking(Blocker):
             min_length=self.min_token_length, remove_stopwords=self.remove_stopwords
         )
         keys = tokens * width + cluster_at[table.attribute_of[values]]
-        return group_token_keys(table, values, keys, describe, profiles.is_clean_clean)
+        clean_clean = profiles.is_clean_clean
+        sides, rows = table.members(values, clean_clean)
+        return group_token_keys(keys, sides, rows, table.profile_ids, describe, clean_clean)
 
     def key_for(self, token: str, attribute: str, source_id: int | None = None) -> str:
         """Return the loose-schema blocking key of ``token`` in ``attribute``."""

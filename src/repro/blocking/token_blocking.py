@@ -15,6 +15,17 @@ from repro.data.dataset import ProfileCollection
 from repro.utils.tokenize import token_table
 
 
+def group_tokens(forms, tokens, sides, rows, profile_ids, clean_clean: bool) -> BlockCollection:
+    """Token blocks of occurrence columns (see :func:`group_token_keys`): a
+    key is an index into ``forms``, its block is named by the form and has
+    entropy 1."""
+
+    def describe(keys):
+        return list(map(forms.__getitem__, keys.tolist())), np.ones(len(keys))
+
+    return group_token_keys(tokens, sides, rows, profile_ids, describe, clean_clean)
+
+
 class TokenBlocking(Blocker):
     """Schema-agnostic token blocking.
 
@@ -36,9 +47,6 @@ class TokenBlocking(Blocker):
         values, tokens = table.select(
             min_length=self.min_token_length, remove_stopwords=self.remove_stopwords
         )
-        forms = table.forms
-
-        def describe(keys):
-            return list(map(forms.__getitem__, keys.tolist())), np.ones(len(keys))
-
-        return group_token_keys(table, values, tokens, describe, profiles.is_clean_clean)
+        clean_clean = profiles.is_clean_clean
+        sides, rows = table.members(values, clean_clean)
+        return group_tokens(table.forms, tokens, sides, rows, table.profile_ids, clean_clean)

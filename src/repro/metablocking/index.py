@@ -42,7 +42,9 @@ from itertools import chain
 import numpy as np
 
 from repro.blocking.block import BlockCollection
+from repro.blocking.token_blocking import group_tokens
 from repro.metablocking import backends as _backends
+from repro.utils.tokenize import token_table
 
 # Buffers that travel through the shared-memory segment, with their typecode.
 _SHARED_FIELDS = (
@@ -118,70 +120,26 @@ class CSRBlockIndex:
         counts them because ECBS normalises by the raw collection size.  A
         column-backed collection hands its membership vectors straight to
         the array builder — they already are its input stream, and every
-        block in them induces a comparison; an object-backed one hands its
-        member sets to :meth:`_from_valid_blocks` as they are — no sorted
-        copy per block.
+        block in them induces a comparison.  An object-backed one is
+        flattened into that stream here: the member sets of its
+        comparison-inducing blocks, left then right, as they are (unsorted,
+        no copy per block).
         """
         columns = blocks.columns
-        if columns is None:
+        if columns is not None:
+            lengths, profiles = columns.lengths(), columns.members
+            entropies, cleans = columns.entropies, np.full(len(blocks), blocks.clean_clean)
+        else:
             kept = [block for block in blocks if block.num_comparisons()]
-            return cls._from_valid_blocks(
-                [block.profiles_source0 for block in kept],
-                [block.profiles_source1 for block in kept],
-                [block.entropy for block in kept],
-                [block.is_clean_clean for block in kept],
-                clean_clean=blocks.clean_clean,
-                total_blocks=len(blocks),
-            )
-        cleans = np.full(len(blocks), blocks.clean_clean)
-        return cls._build(
-            (columns.lengths(), columns.members, columns.entropies, cleans),
-            blocks.clean_clean, len(blocks),
-        )
-
-    @classmethod
-    def _from_valid_blocks(
-        cls,
-        sides0,
-        sides1,
-        entropies,
-        cleans,
-        *,
-        clean_clean: bool,
-        total_blocks: int,
-    ) -> "CSRBlockIndex":
-        """Build the index from the comparison-inducing blocks, column-wise.
-
-        Four aligned sequences, one element per block: the source-0 and
-        source-1 member collections (any sized iterable of profile ids,
-        **unsorted**; the right side is empty for a dirty block), the block
-        entropy and whether the block is clean-clean.  Every block must
-        induce at least one comparison.  :meth:`from_blocks` reads the
-        columns off an object-backed :class:`BlockCollection`,
-        :meth:`IncrementalBlockIndex.compact` off its per-token overlay, so
-        compaction is bit-for-bit identical to a from-scratch build by
-        construction.  The member collections are flattened into the
-        builder's ``(lengths, profiles)`` stream here.
-        """
-        lengths = np.empty(2 * len(sides0), dtype=np.int64)
-        lengths[0::2] = np.fromiter(map(len, sides0), np.int64, len(sides0))
-        lengths[1::2] = np.fromiter(map(len, sides1), np.int64, len(sides0))
-        profiles = np.fromiter(
-            chain.from_iterable(chain.from_iterable(zip(sides0, sides1))),
-            np.int64,
-            int(lengths.sum()),
-        )
-        return cls._build(
-            (lengths, profiles, entropies, cleans), clean_clean, total_blocks
-        )
-
-    @classmethod
-    def _build(cls, inputs, clean_clean, total_blocks) -> "CSRBlockIndex":
-        """Run the array builder over its input."""
+            sides = [side for block in kept for side in (block.profiles_source0, block.profiles_source1)]
+            lengths = np.fromiter(map(len, sides), np.int64, len(sides))
+            profiles = np.fromiter(chain.from_iterable(sides), np.int64, int(lengths.sum()))
+            entropies = [block.entropy for block in kept]
+            cleans = [block.is_clean_clean for block in kept]
         index = cls()
-        index.clean_clean = clean_clean
-        index.total_blocks = total_blocks
-        cls._populate_arrays(index, *inputs)
+        index.clean_clean = blocks.clean_clean
+        index.total_blocks = len(blocks)
+        cls._populate_arrays(index, lengths, profiles, entropies, cleans)
         return index
 
     @staticmethod
@@ -191,8 +149,8 @@ class CSRBlockIndex:
         Its input is the membership stream block by block, left side then
         right — ``lengths`` per ``entry = 2 * block + side`` and the
         ``profiles`` in that order (unsorted inside an entry is fine): what a
-        column-backed collection stores, and what :meth:`_from_valid_blocks`
-        flattens member collections into.  Sorting the composite ``(entry,
+        column-backed collection stores, and what :meth:`from_blocks`
+        flattens member sets into.  Sorting the composite ``(entry,
         dense)`` key orders each side by dense id (``block_nodes``), and a
         stable sort of that by node keeps each node's entries ascending
         (``node_block_entries``).  The composite key stays below 2**63 for
@@ -389,30 +347,17 @@ class CSRBlockIndex:
 
 
 class _TokenState:
-    """Mutable per-token block of the incremental index.
+    """Unpickle shim: the member-set pair per token that older snapshots hold.
 
-    Holds the raw member sets plus the cached pair of sorted member lists
-    the builder is fed (snapshots of the sets; the builder itself does not
-    depend on their order).  ``dirty``
-    marks tokens touched since the pair was last derived, so a compaction
-    re-sorts only the blocks an append actually extended; a ``None`` cache
-    means the block currently induces no comparison and is skipped, exactly
-    like :meth:`Block.is_valid` filtering in token blocking.
+    :meth:`IncrementalBlockIndex.__setstate__` turns a restored
+    ``{form: _TokenState}`` map into occurrence columns; nothing else uses it.
     """
 
-    __slots__ = ("members0", "members1", "dirty", "cached")
-
-    def __init__(self) -> None:
-        self.members0: set[int] = set()
-        self.members1: set[int] = set()
-        self.dirty = True
-        self.cached: "tuple | None" = None
-
-    def __getstate__(self):
-        return (self.members0, self.members1, self.dirty, self.cached)
+    __slots__ = ("members0", "members1")
 
     def __setstate__(self, state) -> None:
-        self.members0, self.members1, self.dirty, self.cached = state
+        # Pickled as (members0, members1, dirty flag, cached build tuple).
+        self.members0, self.members1 = state[:2]
 
 
 class AppendDelta:
@@ -450,19 +395,19 @@ class IncrementalBlockIndex:
     """Append-only token-blocking index with periodic CSR compaction.
 
     The batch pipeline rebuilds the whole :class:`CSRBlockIndex` per run;
-    this class is the long-lived variant the service layer ingests into.
-    :meth:`append_profiles` tokenises new profiles exactly like
-    :class:`~repro.blocking.token_blocking.TokenBlocking` (same tokenizer,
-    same per-source grouping) and extends the touched token blocks in a
-    delta overlay — plain per-token member sets — without rebuilding
-    anything.  :meth:`compact` folds the overlay into a fresh contiguous
-    CSR: cached build tuples are recomputed *only* for dirty tokens, and
-    construction routes through the same
-    :meth:`CSRBlockIndex._from_valid_blocks` builder the batch path uses,
-    so the compacted index is bit-for-bit identical to
+    this class is the long-lived variant the service layer ingests into.  It
+    stores what a batch token table stores: growable int64 columns with one
+    entry per token occurrence — token id, side, profile row (a position in
+    :meth:`profile_ids`) — and one forms dictionary, form → token id, that
+    outlives the batches.  :meth:`append_profiles` runs
+    :func:`~repro.utils.tokenize.token_table` over a batch, gives the forms
+    its ``select`` keeps persistent ids and appends their occurrences;
+    nothing is rebuilt.  :meth:`compact` groups the columns with
+    :func:`~repro.blocking.token_blocking.group_tokens`, the routine
+    :class:`~repro.blocking.token_blocking.TokenBlocking` ends in, and builds
+    with :meth:`CSRBlockIndex.from_blocks`, so the compacted index is
     ``CSRBlockIndex.from_blocks(TokenBlocking(...).block(union))`` on the
-    union collection (token blocking emits blocks in sorted-key order and
-    keeps only comparison-inducing ones; so does the compactor).
+    union collection by construction.
 
     ``clean_clean`` is declared up front — the incremental collection grows,
     so it cannot be inferred from the data the way
@@ -485,7 +430,9 @@ class IncrementalBlockIndex:
         "compact_every",
         "appended_profiles",
         "compactions",
-        "_tokens",
+        "_forms",
+        "_occurrences",
+        "_size",
         "_profile_ids",
         "_last_profile_id",
         "_stale",
@@ -512,7 +459,10 @@ class IncrementalBlockIndex:
         self.compact_every = compact_every
         self.appended_profiles = 0
         self.compactions = 0
-        self._tokens: dict[str, _TokenState] = {}
+        self._forms: dict[str, int] = {}
+        # Rows token id, side, profile row; the first ``_size`` columns hold data.
+        self._occurrences = np.empty((3, 0), dtype=np.int64)
+        self._size = 0
         self._profile_ids: list[int] = []
         self._last_profile_id = -1
         self._stale = True
@@ -524,97 +474,73 @@ class IncrementalBlockIndex:
         """Tokenise and index new profiles; return what they touched.
 
         ``profiles`` is any iterable of
-        :class:`~repro.data.profile.EntityProfile`; ids must be strictly
-        greater than every previously appended id.  Only the token blocks
-        the new profiles belong to are marked dirty — everything else keeps
-        its cached build tuple across the next compaction.
+        :class:`~repro.data.profile.EntityProfile`; ids must increase strictly,
+        from above every previously appended id.  They are all checked before
+        anything changes, so a refused batch leaves the index as it was.
         """
         from repro.exceptions import DataError
 
-        new_ids: list[int] = []
-        touched: set[str] = set()
-        for profile in profiles:
-            profile_id = profile.profile_id
-            if profile_id <= self._last_profile_id:
+        batch = list(profiles)
+        new_ids = [profile.profile_id for profile in batch]
+        for before, profile_id in zip([self._last_profile_id, *new_ids], new_ids):
+            if profile_id <= before:
                 raise DataError(
                     "append_profiles requires strictly increasing profile ids: "
-                    f"got {profile_id} after {self._last_profile_id}"
+                    f"got {profile_id} after {before}"
                 )
-            self._last_profile_id = profile_id
-            self._profile_ids.append(profile_id)
-            new_ids.append(profile_id)
-            # Mirror repro.blocking.base.group_token_keys: in a clean-clean task
-            # source 1 fills the right side, everything else the left.
-            side1 = self.clean_clean and profile.source_id == 1
-            for token in profile.tokens(
-                min_length=self.min_token_length,
-                remove_stopwords=self.remove_stopwords,
-            ):
-                state = self._tokens.get(token)
-                if state is None:
-                    state = _TokenState()
-                    self._tokens[token] = state
-                (state.members1 if side1 else state.members0).add(profile_id)
-                state.dirty = True
-                touched.add(token)
-        touched_profiles: set[int] = set()
-        for token in touched:
-            state = self._tokens[token]
-            touched_profiles |= state.members0
-            touched_profiles |= state.members1
+        table = token_table(batch)
+        values, tokens = table.select(
+            min_length=self.min_token_length, remove_stopwords=self.remove_stopwords
+        )
+        sides, rows = table.members(values, self.clean_clean)
+        seen = np.zeros(len(table.forms), dtype=bool)
+        seen[tokens] = True
+        touched = [table.forms[token] for token in np.flatnonzero(seen).tolist()]
+        token_ids = np.zeros(len(table.forms), dtype=np.int64)
+        token_ids[seen] = [self._forms.setdefault(form, len(self._forms)) for form in touched]
+        self._append(token_ids[tokens], sides, rows + len(self._profile_ids))
+        self._profile_ids.extend(new_ids)
         if new_ids:
+            self._last_profile_id = new_ids[-1]
             self.appended_profiles += len(new_ids)
             self._since_compact += len(new_ids)
             self._stale = True
-        delta = AppendDelta(new_ids, touched, touched_profiles)
+        # Every holder of a touched token, the batch's profiles included.
+        hit = np.zeros(len(self._forms), dtype=bool)
+        hit[token_ids[seen]] = True
+        all_tokens, _sides, all_rows = self._occurrences[:, : self._size]
+        held = np.zeros(len(self._profile_ids), dtype=bool)
+        held[all_rows[hit[all_tokens]]] = True
+        holders = [self._profile_ids[row] for row in np.flatnonzero(held).tolist()]
+        delta = AppendDelta(new_ids, touched, holders)
         if self.compact_every is not None and self._since_compact >= self.compact_every:
             self.compact()
         return delta
 
+    def _append(self, tokens, sides, rows) -> None:
+        """Append occurrences to the columns, doubling their capacity when full."""
+        size = self._size + len(tokens)
+        if size > self._occurrences.shape[1]:
+            grown = np.empty((3, max(size, 2 * self._occurrences.shape[1])), dtype=np.int64)
+            grown[:, : self._size] = self._occurrences[:, : self._size]
+            self._occurrences = grown
+        self._occurrences[:, self._size : size] = (tokens, sides, rows)
+        self._size = size
+
     # ------------------------------------------------------------- compaction
-    def _valid_tuple(self, state: _TokenState) -> "tuple | None":
-        """The sorted member lists of one token block (None = no comparison).
-
-        Validity mirrors :meth:`Block.num_comparisons`, so the kept blocks
-        are exactly the ones :meth:`CSRBlockIndex.from_blocks` would keep of
-        the equivalent token-blocking output.
-        """
-        if self.clean_clean:
-            cardinality = len(state.members0) * len(state.members1)
-        else:
-            n = len(state.members0)
-            cardinality = n * (n - 1) // 2
-        if cardinality == 0:
-            return None
-        return (sorted(state.members0), sorted(state.members1))
-
     def compact(self) -> CSRBlockIndex:
-        """Fold the delta overlay into a fresh contiguous CSR index.
+        """Group the occurrence columns into a fresh contiguous CSR index.
 
-        Only dirty tokens re-derive their cached columns; the valid blocks
-        are then fed in sorted-token order to the shared builder (entropy
-        1.0, the :class:`Block` default).  The previous CSR (if any) is
+        Token blocking's own grouping (blocks in form order, only
+        comparison-inducing ones, entropy 1.0) and then
+        :meth:`CSRBlockIndex.from_blocks`.  The previous CSR (if any) is
         closed only after the new one is fully built, so a failed compaction
         leaves the old index usable.
         """
-        sides0: list = []
-        sides1: list = []
-        for token in sorted(self._tokens):
-            state = self._tokens[token]
-            if state.dirty:
-                state.cached = self._valid_tuple(state)
-                state.dirty = False
-            if state.cached is not None:
-                sides0.append(state.cached[0])
-                sides1.append(state.cached[1])
-        rebuilt = CSRBlockIndex._from_valid_blocks(
-            sides0,
-            sides1,
-            [1.0] * len(sides0),
-            [self.clean_clean] * len(sides0),
-            clean_clean=self.clean_clean,
-            total_blocks=len(sides0),
-        )
+        tokens, sides, rows = self._occurrences[:, : self._size]
+        profile_ids = np.array(self._profile_ids, dtype=np.int64)
+        blocks = group_tokens(list(self._forms), tokens, sides, rows, profile_ids, self.clean_clean)
+        rebuilt = CSRBlockIndex.from_blocks(blocks)
         if self._csr is not None:
             self._csr.close()
         self._csr = rebuilt
@@ -643,7 +569,7 @@ class IncrementalBlockIndex:
     @property
     def num_tokens(self) -> int:
         """Number of distinct blocking keys seen so far."""
-        return len(self._tokens)
+        return len(self._forms)
 
     @property
     def last_profile_id(self) -> int:
@@ -671,18 +597,33 @@ class IncrementalBlockIndex:
 
     # --------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:
-        """Ship the overlay, never the CSR (one compaction rebuilds it)."""
+        """Ship the columns and the forms, never the CSR (one compaction
+        rebuilds it)."""
         state = {
             slot: getattr(self, slot)
             for slot in self.__slots__
             if slot not in ("_csr", "__weakref__")
         }
+        state["_occurrences"] = self._occurrences[:, : self._size]
         state["_stale"] = True
         return state
 
     def __setstate__(self, state: dict) -> None:
         self._csr = None
         for slot, value in state.items():
-            # Older snapshots carry the settings of removed engine options.
-            if slot not in ("_backend", "_buffer_backend", "_tmp_dir"):
+            # Older snapshots carry the settings of removed engine options
+            # and, instead of the columns, member sets per token.
+            if slot not in ("_backend", "_buffer_backend", "_tmp_dir", "_tokens"):
                 setattr(self, slot, value)
+        if "_tokens" in state:
+            blocks = state["_tokens"]
+            self._forms = dict(zip(blocks, range(len(blocks))))
+            held = [
+                (token, side, profile_id)
+                for token, block in enumerate(blocks.values())
+                for side, members in enumerate((block.members0, block.members1))
+                for profile_id in members
+            ]
+            tokens, sides, profiles = np.array(held, dtype=np.int64).reshape(-1, 3).T
+            self._occurrences, self._size = np.empty((3, 0), dtype=np.int64), 0
+            self._append(tokens, sides, np.searchsorted(self._profile_ids, profiles))

@@ -3,8 +3,9 @@
 A :class:`ServiceCollection` ties together the pieces a long-lived resolver
 needs per tenant:
 
-* an :class:`~repro.metablocking.index.IncrementalBlockIndex` that absorbs
-  ingested profiles into a delta overlay and compacts to a bit-exact CSR;
+* an :class:`~repro.metablocking.index.IncrementalBlockIndex` that appends
+  ingested profiles as token-occurrence columns and compacts them to a
+  bit-exact CSR;
 * a :class:`~repro.service.delta.DeltaMetaBlocker` whose retained candidate
   edges are recomputed once per compaction (and cached between them);
 * a cached progressive ranking (:class:`~repro.metablocking.progressive.

@@ -5,7 +5,8 @@ a running service and reuses the pipeline's
 :class:`~repro.pipeline.checkpoint.PipelineCheckpoint` machinery for
 persistence: each collection snapshots into its own checkpoint directory
 (``<snapshot_dir>/<name>/``) as an atomic, SHA-256-verified pickle with a
-rotated backup.  The incremental index pickles only its delta overlay — a
+rotated backup.  The incremental index pickles only its token-occurrence
+columns and forms dictionary — a
 restored collection rebuilds its CSR with one compaction on first query, so
 snapshots stay small and never hold a shared-memory segment name.
 

@@ -50,6 +50,12 @@ class TokenTable(NamedTuple):
         keep = keep[self.token_ids]
         return self.value_of[keep], self.token_ids[keep]
 
+    def members(self, values, clean_clean: bool) -> tuple:
+        """``(sides, rows)`` of the occurrences in ``values``: side 1 for a
+        source-1 profile of a clean-clean task, else 0, and the profile row."""
+        rows = self.row_of[values]
+        return (self.source_ids[rows] == 1) & clean_clean, rows
+
 
 def token_table(profiles) -> TokenTable:
     """Tokenise every value of ``profiles`` in one pass over one joined buffer.

@@ -337,7 +337,8 @@ class TestGroupTokenKeys:
 
         table = token_table(profiles)
         values, tokens = table.select()
-        blocks = group_token_keys(table, values, tokens, describe, clean_clean)
+        sides, rows = table.members(values, clean_clean)
+        blocks = group_token_keys(tokens, sides, rows, table.profile_ids, describe, clean_clean)
         return blocks, table.forms, asked
 
     def test_a_key_of_one_profile_is_never_described(self):

@@ -28,14 +28,19 @@ def _labeled_pairs(dataset, num_negative=50, seed=2):
     return positives + negatives
 
 
+@pytest.fixture(scope="module")
+def supervised_result(abt_buy_small):
+    """One trained-classifier run, shared by the tests that read it."""
+    config = SparkERConfig.unsupervised_default()
+    config.matcher.mode = "classifier"
+    config.matcher.classifier_epochs = 150
+    pipeline = SparkER(config, labeled_pairs=_labeled_pairs(abt_buy_small))
+    return pipeline.run(abt_buy_small.profiles, abt_buy_small.ground_truth)
+
+
 class TestSupervisedPipeline:
-    def test_classifier_matcher_end_to_end(self, abt_buy_small):
-        config = SparkERConfig.unsupervised_default()
-        config.matcher.mode = "classifier"
-        config.matcher.classifier_epochs = 150
-        pipeline = SparkER(config, labeled_pairs=_labeled_pairs(abt_buy_small))
-        result = pipeline.run(abt_buy_small.profiles, abt_buy_small.ground_truth)
-        metrics = result.report.get("clustering").metrics
+    def test_classifier_matcher_end_to_end(self, supervised_result):
+        metrics = supervised_result.report.get("clustering").metrics
         assert metrics["f1"] > 0.7
 
     def test_user_partitioning_end_to_end(self, abt_buy_small):
@@ -54,19 +59,12 @@ class TestSupervisedPipeline:
         result = pipeline.run(abt_buy_small.profiles, abt_buy_small.ground_truth)
         assert result.summary()["matched_pairs"] > 0
 
-    def test_supervised_beats_bad_unsupervised_threshold(self, abt_buy_small):
+    def test_supervised_beats_bad_unsupervised_threshold(self, abt_buy_small, supervised_result):
         # A deliberately bad unsupervised threshold loses recall; the trained
         # classifier recovers it — the value proposition of the supervised mode.
         bad = SparkERConfig.unsupervised_default()
         bad.matcher.threshold = 0.9
         bad_result = SparkER(bad).run(abt_buy_small.profiles, abt_buy_small.ground_truth)
-
-        supervised = SparkERConfig.unsupervised_default()
-        supervised.matcher.mode = "classifier"
-        supervised.matcher.classifier_epochs = 150
-        supervised_result = SparkER(
-            supervised, labeled_pairs=_labeled_pairs(abt_buy_small)
-        ).run(abt_buy_small.profiles, abt_buy_small.ground_truth)
 
         bad_recall = bad_result.report.get("clustering").metrics["recall"]
         supervised_recall = supervised_result.report.get("clustering").metrics["recall"]

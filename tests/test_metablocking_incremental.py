@@ -11,11 +11,15 @@ streams, the delta refresher) must therefore agree on the union collection.
 
 from __future__ import annotations
 
+import ast
 import pickle
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.blocking.token_blocking import TokenBlocking
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
@@ -128,6 +132,122 @@ def test_append_then_query_equals_batch_query_on_union():
         incremental.close()
 
 
+# Words for both tokeniser buffers (ASCII and not: an accent, a sharp s, a
+# ligature, Greek, CJK), stop-words, one- and two-letter tokens, a NUL inside
+# a value, and a value with no token at all.
+_VOCABULARY = [
+    "alpha", "Bravo", "tv", "a", "ab", "the", "and", "x1", "snake_case", "--", "fine",
+    "tv\x00set", "café", "CAFE", "straße", "ﬁne", "ΟΔΟΣ",
+    "東京",
+]
+
+
+def _profile(profile_id, source_id, *values):
+    profile = EntityProfile(profile_id, f"p{profile_id}", source_id)
+    for value in values:
+        profile.add("name", value)
+    return profile
+
+
+@st.composite
+def _batch_sequences(draw):
+    """Batches of profiles with strictly increasing, gappy ids."""
+    next_id, batches = 0, []
+    for _ in range(draw(st.integers(1, 4))):
+        batch = []
+        for _ in range(draw(st.integers(0, 5))):
+            next_id += draw(st.integers(1, 3))
+            words = st.lists(st.sampled_from(_VOCABULARY), max_size=4).map(" ".join)
+            values = draw(st.lists(words, max_size=3))
+            batch.append(_profile(next_id, draw(st.integers(0, 1)), *values))
+        batches.append(batch)
+    return batches
+
+
+# ASCII and non-ASCII batches in turn, a NUL inside a value, tokenless profiles.
+_MIXED_BATCHES = [
+    [_profile(0, 0, "alpha tv the"), _profile(1, 1, "Alpha café"), _profile(2, 0, "--")],
+    [_profile(4, 0, "tv\x00set alpha"), _profile(5, 1, "set ab the", "x1")],
+    [_profile(7, 1, "CAFE straße ﬁne"), _profile(9, 0, "fine ab"), _profile(10, 1)],
+    [_profile(11, 1, "alpha and tv")],
+]
+
+
+def _union_reference(union, *, clean_clean, **tokens):
+    """The batch build on the union; ``None`` when a clean-clean index holds
+    one source only (no block compares anything then)."""
+    if not clean_clean:  # a dirty index puts every profile on the left
+        union = [EntityProfile(p.profile_id, p.original_id, 0, p.attributes) for p in union]
+    blocks = TokenBlocking(**tokens).block(ProfileCollection(union))
+    if blocks.clean_clean != clean_clean:
+        return None
+    return CSRBlockIndex.from_blocks(blocks)
+
+
+def _replay_against_the_union(batches, clean_clean, min_token_length, remove_stopwords):
+    """After every append: the CSR equals the batch build on the union, and
+    the delta and ``num_tokens`` equal their definitions over
+    ``EntityProfile.tokens``."""
+    options = {"min_token_length": min_token_length, "remove_stopwords": remove_stopwords}
+    incremental = IncrementalBlockIndex(clean_clean=clean_clean, **options)
+    union = []
+    try:
+        for batch in batches:
+            delta = incremental.append_profiles(batch)
+            union.extend(batch)
+            tokens_of = {
+                p.profile_id: p.tokens(min_length=min_token_length, remove_stopwords=remove_stopwords)
+                for p in union
+            }
+            touched = set().union(*(tokens_of[p.profile_id] for p in batch))
+            assert delta.new_profile_ids == tuple(p.profile_id for p in batch)
+            assert delta.touched_tokens == touched
+            assert delta.touched_profile_ids == {
+                profile_id for profile_id, held in tokens_of.items() if held & touched
+            }
+            assert incremental.num_tokens == len(set().union(*tokens_of.values()))
+            built = incremental.materialise()
+            reference = _union_reference(union, clean_clean=clean_clean, **options)
+            if reference is None:
+                assert (built.node_ids, built.total_blocks) == ([], 0)
+                continue
+            try:
+                _assert_bit_identical(built, reference)
+            finally:
+                reference.close()
+    finally:
+        incremental.close()
+
+
+class TestEveryAppendEqualsTheBatchBuild:
+    @settings(max_examples=80, deadline=None)
+    @given(_batch_sequences(), st.booleans(), st.sampled_from([1, 2, 3]), st.booleans())
+    def test_generated_batches(self, batches, clean_clean, min_token_length, remove_stopwords):
+        _replay_against_the_union(batches, clean_clean, min_token_length, remove_stopwords)
+
+    @pytest.mark.parametrize("remove_stopwords", [False, True])
+    @pytest.mark.parametrize("min_token_length", [1, 2, 3])
+    @pytest.mark.parametrize("clean_clean", [False, True])
+    def test_mixed_buffers(self, clean_clean, min_token_length, remove_stopwords):
+        _replay_against_the_union(_MIXED_BATCHES, clean_clean, min_token_length, remove_stopwords)
+
+
+def test_metablocking_and_service_call_no_per_value_tokeniser():
+    """Blocking keys come from ``token_table`` only: the index and the service
+    never tokenise a profile or a value on their own."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for package in ("metablocking", "service"):
+        for path in sorted((root / package).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    called = node.func
+                    name = called.attr if isinstance(called, ast.Attribute) else getattr(called, "id", "")
+                    if name in ("tokens", "tokenize", "split_words"):
+                        offenders.append(f"{package}/{path.name}:{node.lineno} {name}()")
+    assert offenders == []
+
+
 class TestIncrementalBehaviour:
     def test_append_returns_the_touched_delta(self):
         incremental = IncrementalBlockIndex()
@@ -147,6 +267,27 @@ class TestIncrementalBehaviour:
         lone = incremental.append_profiles([third])
         assert lone.touched_profile_ids == frozenset({2})
         incremental.close()
+
+    def test_a_refused_batch_changes_nothing(self):
+        """Ids are checked before anything is appended: ``[2, 1]`` after
+        ``[0, 1]`` leaves no trace of profile 2."""
+        profiles = [EntityProfile(profile_id, f"p{profile_id}") for profile_id in range(3)]
+        for profile in profiles:
+            profile.add("name", "alpha")
+        incremental = IncrementalBlockIndex()
+        try:
+            incremental.append_profiles(profiles[:2])
+            before = incremental.materialise()
+            with pytest.raises(DataError, match="strictly increasing"):
+                incremental.append_profiles([profiles[2], profiles[1]])
+            assert not incremental.has_profile(2)
+            assert incremental.num_profiles == incremental.appended_profiles == 2
+            assert incremental.last_profile_id == 1
+            assert not incremental.is_stale and incremental.materialise() is before
+            incremental.append_profiles([profiles[2]])
+            assert incremental.materialise().node_ids == [0, 1, 2]
+        finally:
+            incremental.close()
 
     def test_profile_ids_must_strictly_increase(self):
         incremental = IncrementalBlockIndex()

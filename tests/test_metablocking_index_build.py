@@ -170,10 +170,11 @@ class TestBuilders:
         entropies = [rng.random() + 0.1 for _ in range(12)]
 
         def build(left, right):
-            return CSRBlockIndex._from_valid_blocks(
-                left, right, entropies, [True] * 12,
-                clean_clean=True, total_blocks=12,
-            )
+            blocks = [
+                Block(f"b{number}", *members, True)
+                for number, members in enumerate(zip(left, right, entropies))
+            ]
+            return CSRBlockIndex.from_blocks(BlockCollection(blocks, clean_clean=True))
 
         shuffled = build(sides0, sides1)
         ordered = build([sorted(side) for side in sides0], [set(side) for side in sides1])
@@ -212,7 +213,7 @@ def test_compact_after_random_batches_equals_from_blocks(clean_clean, seed):
             stop = start + rng.randint(1, 20)
             incremental.append_profiles(profiles[start:stop])
             if rng.random() < 0.4:
-                incremental.compact()  # dirty and cached tokens then mix
+                incremental.compact()  # compactions between appends
             start = stop
         reference = _batch_index(profiles, clean_clean=clean_clean)
         try:

@@ -20,7 +20,7 @@ from repro.blocking.token_blocking import TokenBlocking
 from repro.data.dataset import ProfileCollection
 from repro.exceptions import ConfigurationError
 from repro.metablocking import backends
-from repro.metablocking.index import IncrementalBlockIndex
+from repro.metablocking.index import IncrementalBlockIndex, _TokenState
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.pruning import WeightedNodePruning
 from repro.metablocking.weights import WeightingScheme
@@ -232,6 +232,31 @@ def _parent_delta(monkeypatch) -> DeltaMetaBlocker:
     return delta
 
 
+def _parent_index(index, profiles, monkeypatch) -> IncrementalBlockIndex:
+    """An index that pickles like a parent-commit one: a member-set pair per
+    token string (pickled with a dirty flag and a cached build tuple) in place
+    of the occurrence columns."""
+    tokens = {}
+    for profile in profiles:
+        for token in sorted(profile.tokens()):
+            if token not in tokens:
+                tokens[token] = _TokenState.__new__(_TokenState)
+                tokens[token].members0, tokens[token].members1 = set(), set()
+            tokens[token].members0.add(profile.profile_id)
+    state = {
+        slot: value
+        for slot, value in index.__getstate__().items()
+        if slot not in ("_forms", "_occurrences", "_size")
+    }
+    state["_tokens"] = tokens
+    monkeypatch.setattr(
+        _TokenState, "__getstate__",
+        lambda self: (self.members0, self.members1, False, None), raising=False,
+    )
+    monkeypatch.setattr(IncrementalBlockIndex, "__getstate__", lambda self: state)
+    return IncrementalBlockIndex()
+
+
 def test_parent_format_snapshot_restores_and_answers_like_a_fresh_twin(
     tmp_path, monkeypatch
 ):
@@ -242,7 +267,11 @@ def test_parent_format_snapshot_restores_and_answers_like_a_fresh_twin(
     try:
         for collection in (source, twin):
             collection.ingest(_ingest_payload(profiles[:40]))
-        state = dict(source.snapshot_state(), delta=_parent_delta(monkeypatch))
+        state = dict(
+            source.snapshot_state(),
+            delta=_parent_delta(monkeypatch),
+            index=_parent_index(source.index, profiles[:40], monkeypatch),
+        )
         state["pending_touched"] = [0, 1, 2]
         # The parent's config still had the kernel-backend field, unset.
         state["config"] = dict(state["config"], kernel_backend=None)
@@ -255,14 +284,18 @@ def test_parent_format_snapshot_restores_and_answers_like_a_fresh_twin(
         assert not hasattr(restored.delta, "_adj")
         assert restored.delta.retained == {}
         assert restored.delta.stats()["refreshes"] == 3
+        assert restored.stats()["tokens"] == twin.stats()["tokens"]
 
-        for collection in (restored, twin):
-            collection.ingest(_ingest_payload(profiles[40:]))
+        summaries = [
+            collection.ingest(_ingest_payload(profiles[40:])) for collection in (restored, twin)
+        ]
+        assert summaries[0] == summaries[1]
         for probe in (0, 41):
             got = [restored.candidates(probe), restored.matches(probe, 30)]
             want = [twin.candidates(probe), twin.matches(probe, 30)]
             assert json.dumps(got) == json.dumps(want)
         assert list(restored.delta.retained.items()) == list(twin.delta.retained.items())
+        assert restored.stats()["tokens"] == twin.stats()["tokens"]
     finally:
         source.close()
         twin.close()
