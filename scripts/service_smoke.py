@@ -125,7 +125,6 @@ def main() -> int:
         ping = subprocess.run(
             [sys.executable, "-m", "repro.cli", "ping", "--port", str(port),
              "--timeout", "30"],
-            env=env,
         )
         expect(ping.returncode == 0, "repro.cli ping reported unhealthy")
 

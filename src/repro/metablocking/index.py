@@ -131,7 +131,9 @@ class CSRBlockIndex:
             entropies, cleans = columns.entropies, np.full(len(blocks), blocks.clean_clean)
         else:
             kept = [block for block in blocks if block.num_comparisons()]
-            sides = [side for block in kept for side in (block.profiles_source0, block.profiles_source1)]
+            sides = [
+                side for block in kept for side in (block.profiles_source0, block.profiles_source1)
+            ]
             lengths = np.fromiter(map(len, sides), np.int64, len(sides))
             profiles = np.fromiter(chain.from_iterable(sides), np.int64, int(lengths.sum()))
             entropies = [block.entropy for block in kept]

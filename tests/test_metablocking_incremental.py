@@ -196,7 +196,9 @@ def _replay_against_the_union(batches, clean_clean, min_token_length, remove_sto
             delta = incremental.append_profiles(batch)
             union.extend(batch)
             tokens_of = {
-                p.profile_id: p.tokens(min_length=min_token_length, remove_stopwords=remove_stopwords)
+                p.profile_id: p.tokens(
+                    min_length=min_token_length, remove_stopwords=remove_stopwords
+                )
                 for p in union
             }
             touched = set().union(*(tokens_of[p.profile_id] for p in batch))
@@ -242,7 +244,7 @@ def test_metablocking_and_service_call_no_per_value_tokeniser():
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Call):
                     called = node.func
-                    name = called.attr if isinstance(called, ast.Attribute) else getattr(called, "id", "")
+                    name = getattr(called, "attr", getattr(called, "id", ""))
                     if name in ("tokens", "tokenize", "split_words"):
                         offenders.append(f"{package}/{path.name}:{node.lineno} {name}()")
     assert offenders == []
