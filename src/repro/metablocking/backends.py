@@ -2,15 +2,18 @@
 
 The CSR index (:class:`~repro.metablocking.index.CSRBlockIndex`) stores its
 offset/entry/cardinality/entropy buffers as contiguous ``int64`` /
-``float64`` ndarrays.  :class:`NumpyKernel` reads them zero-copy and
-materialises node neighbourhoods with gather / stable-sort /
-``np.bincount`` expressions; :meth:`NumpyKernel.weight_arrays` turns them
-into an :class:`EdgeWeights` table — every edge once, from its lower
-endpoint, in node-major first-touch order.  :func:`retain_edges` prunes that
-table: the WEP / CEP / WNP / CNP rules as array expressions
-(:func:`retained_positions`), and a custom strategy's own ``prune`` over the
-weight dict.  The sequential meta-blocker, the range pool and the service's
-delta refresh all run this one tail.
+``float64`` ndarrays.  :class:`NumpyKernel` reads them zero-copy and sweeps
+one contiguous node range at a time — gather / stable-sort / ``np.bincount``
+over the *upper* edges only (neighbour above owner).
+:meth:`NumpyKernel.weight_arrays` joins the cost-balanced range sweeps, each
+under :data:`SWEEP_BUDGET`, into an :class:`EdgeWeights` table — every edge
+once, from its lower endpoint, in node-major first-touch order — so the
+weighing scratch is O(budget) and only the table is O(edges).  The
+sequential meta-blocker loops over the ranges, the range pool maps them.
+:func:`retain_edges` prunes that table: the WEP / CEP / WNP / CNP rules as
+array expressions (:func:`retained_positions`), and a custom strategy's own
+``prune`` over the weight dict.  The sequential meta-blocker, the range pool
+and the service's delta refresh all run this one tail.
 
 **Determinism is the contract.**  Every float is accumulated in one fixed
 order, so the same graph yields the same bits whichever driver weighs it and
@@ -34,8 +37,9 @@ test suite's brute-force reference, ``tests/metablocking_oracle.py``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Any
 
 import numpy as np
@@ -49,11 +53,9 @@ def expand_ranges(starts, counts):
     if total == 0:
         return np.empty(0, dtype=np.int64)
     firsts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(firsts, counts)
-        + np.repeat(starts, counts)
-    )
+    expanded = np.repeat(starts - firsts, counts)
+    expanded += np.arange(total, dtype=np.int64)
+    return expanded
 
 
 # --------------------------------------------------------------- weight plans
@@ -104,32 +106,57 @@ def make_weight_plan(index, scheme, use_entropy: bool) -> WeightPlan:
 
 
 # --------------------------------------------------------------------- kernel
+#: The sweep cost (:meth:`NumpyKernel.sweep_costs`) one range sweep takes on.
+#: Every weighing splits the nodes into ``⌈total cost / SWEEP_BUDGET⌉``
+#: cost-balanced ranges, so its scratch stays O(budget) however large the
+#: graph (a single node heavier than the budget still gets one range).
+SWEEP_BUDGET = 1 << 18
+
+
+def _join(column: list, dtype: str):
+    """Concatenate ``column``'s arrays (empty: a ``dtype`` array) and clear it."""
+    joined = np.concatenate(column) if column else np.empty(0, dtype=dtype)
+    column.clear()
+    return joined
+
+
+def balanced_ranges(costs, parts: int) -> list[tuple[int, int]]:
+    """Split ``[0, len(costs))`` into contiguous ranges of near-equal cost.
+
+    ``costs`` are non-negative integers.  Returns at most ``parts`` non-empty
+    ``(lo, hi)`` ranges that are disjoint, ascending and cover every index;
+    the ``k``-th cut is the first index whose cost prefix reaches ``k/parts``
+    of the total, so no range outweighs the ideal share by more than the
+    heaviest single element.  Zero-cost stretches never get a range of their
+    own (an all-zero vector yields one range).
+    """
+    n = len(costs)
+    if n == 0:
+        return []
+    prefix = [0, *accumulate(costs)]
+    total = prefix[-1]
+    cuts = {0, n}
+    for k in range(1, parts):
+        cuts.add(bisect_left(prefix, -(-k * total // parts)))
+    bounds = sorted(cuts)
+    return list(zip(bounds, bounds[1:]))
+
+
 @dataclass
 class _Sweep:
-    """One vectorised neighbourhood sweep over a set of owner nodes.
+    """The upper edges of one node range, grouped per ``(owner, other)``.
 
-    Edges are grouped per owner (owner-major, first-touch order within each
-    owner), *including* the lower-endpoint direction; consumers filter
-    ``other > owner`` when they emit each edge once.  ``arcs`` /
-    ``entropies`` are ``None`` when the sweep was computed for a job that
-    does not read them (e.g. a CBS weight table) — :meth:`NumpyKernel.sweep`
-    recomputes on demand.
+    Owner-major, first-touch order within each owner, and only edges with
+    ``other > owner``: every edge once, from its lower endpoint.  ``arcs`` /
+    ``entropies`` are ``None`` when the job does not read them (e.g. a CBS
+    weight table).
     """
 
     owners: Any  # int64[m] dense owner per edge, non-decreasing
-    others: Any  # int64[m] dense neighbour per edge
+    others: Any  # int64[m] dense neighbour per edge, > its owner
     common: Any  # int64[m]
     arcs: Any  # float64[m] or None
     entropies: Any  # float64[m] or None
-    offsets: Any = None  # int64[k+1] segment bounds per swept node
-
-    def segment(self, position: int) -> tuple[int, int]:
-        return int(self.offsets[position]), int(self.offsets[position + 1])
-
-    def has(self, *, need_arcs: bool, need_entropies: bool) -> bool:
-        return (self.arcs is not None or not need_arcs) and (
-            self.entropies is not None or not need_entropies
-        )
 
 
 class NumpyKernel:
@@ -138,7 +165,8 @@ class NumpyKernel:
     Neighbourhoods are materialised by a gather of the owner's block member
     ranges, grouped per ``(owner, neighbour)`` key with one stable integer
     sort, and aggregated with ``np.bincount`` — see the module docstring for
-    the accumulation order this fixes.
+    the accumulation order this fixes.  The edge table and the degree vector
+    are passes of range sweeps; nothing of a sweep outlives its range.
     """
 
     def __init__(self, index) -> None:
@@ -152,94 +180,65 @@ class NumpyKernel:
         self.block_inv_cardinality = np.asarray(index.block_inv_cardinality, dtype=np.float64)
         self.block_entropy = np.asarray(index.block_entropy, dtype=np.float64)
         self.node_ids = np.asarray(index.node_ids, dtype=np.int64)
-        self._full_sweep: _Sweep | None = None
 
     # ------------------------------------------------------------- the sweep
-    def sweep(self, nodes=None, *, need_arcs: bool = True, need_entropies: bool = True) -> _Sweep:
-        """Materialise the neighbourhoods of ``nodes`` (all nodes if None).
+    def _gather(self, nodes: range) -> tuple:
+        """``(owners, others, blocks, counts)`` of a contiguous node range.
 
-        The whole-graph sweep is computed once and cached; partition sweeps
-        (worker tasks) compute only their own nodes, preserving the parallel
-        path's work partitioning.  ``need_arcs`` / ``need_entropies`` let
-        weight jobs skip the float aggregates their scheme never reads; a
-        cached sweep missing a later-needed aggregate is recomputed.
+        ``others`` has one row per (owner, co-member) incidence, self
+        included, node-major and in ascending block order per owner.
+        ``owners``, ``blocks`` and ``counts`` are the owner, the block and
+        the row count of each (owner, block entry); ``np.repeat(x, counts)``
+        expands them per row.
         """
-        if nodes is None:
-            cached = self._full_sweep
-            if cached is not None:
-                if cached.has(need_arcs=need_arcs, need_entropies=need_entropies):
-                    return cached
-                # Upgrade: keep whatever the cached sweep already carries.
-                need_arcs = need_arcs or cached.arcs is not None
-                need_entropies = need_entropies or cached.entropies is not None
-            self._full_sweep = self._sweep(
-                np.arange(self._index.num_nodes),
-                need_arcs=need_arcs,
-                need_entropies=need_entropies,
-            )
-            return self._full_sweep
-        return self._sweep(
-            np.asarray(nodes, dtype=np.int64),
-            need_arcs=need_arcs,
-            need_entropies=need_entropies,
-        )
-
-    def _sweep(self, nodes, *, need_arcs: bool, need_entropies: bool) -> _Sweep:
-        n = self._index.num_nodes
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_f = np.empty(0, dtype=np.float64)
-        if len(nodes) == 0:
-            return _Sweep(empty_i, empty_i, empty_i, empty_f, empty_f, np.zeros(1, np.int64))
-
+        nodes = np.arange(nodes.start, nodes.stop)
         # 1. Every (node, block entry) of the swept nodes, node-major.
         entry_counts = self.node_block_offsets[nodes + 1] - self.node_block_offsets[nodes]
         entries = self.node_block_entries[
             expand_ranges(self.node_block_offsets[nodes], entry_counts)
         ]
-        owner_per_entry = np.repeat(nodes, entry_counts)
-
+        owners = np.repeat(nodes, entry_counts)
         # 2. Member ranges per entry, side-filtered for clean-clean blocks.
         blocks = entries >> 1
         side = entries & 1
-        lo = self.block_offsets[blocks]
-        hi = self.block_offsets[blocks + 1]
+        first = self.block_offsets[blocks]
+        last = self.block_offsets[blocks + 1]
         split = self.block_split[blocks]
         clean = split >= 0
-        hi = np.where(clean & (side == 1), lo + split, hi)
-        lo = np.where(clean & (side == 0), lo + split, lo)
-        counts = hi - lo
+        last = np.where(clean & (side == 1), first + split, last)
+        first = np.where(clean & (side == 0), first + split, first)
+        counts = last - first
+        # 3. Occurrence expansion.
+        return owners, self.block_nodes[expand_ranges(first, counts)], blocks, counts
 
-        # 3. Occurrence expansion: one row per (owner, co-member) incidence,
-        # ascending block order per owner.
-        others = self.block_nodes[expand_ranges(lo, counts)]
-        owners = np.repeat(owner_per_entry, counts)
-        occ_inv = (
-            np.repeat(self.block_inv_cardinality[blocks], counts) if need_arcs else None
-        )
-        occ_ent = (
-            np.repeat(self.block_entropy[blocks], counts) if need_entropies else None
-        )
-        self_mask = others != owners
-        if not self_mask.all():
-            others = others[self_mask]
-            owners = owners[self_mask]
-            if occ_inv is not None:
-                occ_inv = occ_inv[self_mask]
-            if occ_ent is not None:
-                occ_ent = occ_ent[self_mask]
+    def _sweep(self, nodes: range, *, need_arcs: bool, need_entropies: bool) -> _Sweep:
+        """The upper edges of a contiguous node range and their aggregates."""
+        n, lo = self._index.num_nodes, nodes.start
+        owners, others, blocks, counts = self._gather(nodes)
+        keys = np.repeat(owners, counts)
+        # Only other > owner: the dropped rows are whole (owner, other)
+        # groups, so first-touch order and every group's sums are unchanged.
+        upper = others > keys
+        # One key encodes both endpoints: (owner - lo) * n + other, built in
+        # place (fresh scratch pages cost as much as the arithmetic).
+        keys -= lo
+        keys *= n
+        keys += others
+        keys = keys[upper]
+        del others  # the sort below is the scratch peak
+        occ_blocks = np.repeat(blocks, counts)[upper] if need_arcs or need_entropies else None
+        total = len(keys)
+        if total == 0:
+            empty_i, empty_f = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+            return _Sweep(empty_i, empty_i, empty_i, empty_f, empty_f)
 
         # 4. Group by (owner, other).  The stable sort keeps each group's
         # occurrences in original relative order, so accumulating the sorted
         # stream adds the floats in ascending block order.
-        keys = owners * n + others
-        if n and n * n <= np.iinfo(np.int32).max:
-            keys = keys.astype(np.int32)  # narrower radix sort, same order
+        if len(nodes) * n <= np.iinfo(np.int32).max:
+            keys = keys.astype(np.int32)  # narrower sort keys, same order
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
-        total = len(sorted_keys)
-        if total == 0:
-            offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
-            return _Sweep(empty_i, empty_i, empty_i, empty_f, empty_f, offsets)
         new_group = np.empty(total, dtype=bool)
         new_group[0] = True
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
@@ -248,52 +247,66 @@ class NumpyKernel:
         num_groups = len(boundaries)
         common = np.diff(np.concatenate((boundaries, [total])))
         arcs = entropies = None
-        if need_arcs or need_entropies:
+        if occ_blocks is not None:
             group_of_sorted = np.cumsum(new_group) - 1
+            sorted_blocks = occ_blocks[order]
             if need_arcs:
                 arcs = np.bincount(
-                    group_of_sorted, weights=occ_inv[order], minlength=num_groups
+                    group_of_sorted,
+                    weights=self.block_inv_cardinality[sorted_blocks],
+                    minlength=num_groups,
                 )
             if need_entropies:
                 entropies = np.bincount(
-                    group_of_sorted, weights=occ_ent[order], minlength=num_groups
+                    group_of_sorted,
+                    weights=self.block_entropy[sorted_blocks],
+                    minlength=num_groups,
                 )
 
         # 5. Reorder the groups into owner-major first-touch order (ascending
-        # first-occurrence position).
-        emit_order = np.argsort(first_occurrence, kind="stable")
-        first_ordered = first_occurrence[emit_order]
-        edge_owners = owners[first_ordered]
-        edge_others = others[first_ordered]
-        offsets = np.searchsorted(edge_owners, nodes, side="left")
-        offsets = np.concatenate((offsets, [len(edge_owners)]))
+        # first-occurrence position): mark the first occurrences, read them
+        # off in stream order, and look up each one's group — no sort.
+        is_first = np.zeros(total, dtype=bool)
+        is_first[first_occurrence] = True
+        first_ordered = np.flatnonzero(is_first)
+        group_at = np.empty(total, dtype=np.int64)
+        group_at[first_occurrence] = np.arange(num_groups)
+        emit_order = group_at[first_ordered]
+        edge_keys = keys[first_ordered].astype(np.int64, copy=False)
+        edge_owners, edge_others = np.divmod(edge_keys, n)
+        edge_owners += lo
         return _Sweep(
             owners=edge_owners,
             others=edge_others,
             common=common[emit_order],
             arcs=arcs[emit_order] if arcs is not None else None,
             entropies=entropies[emit_order] if entropies is not None else None,
-            offsets=offsets,
         )
 
-    # ------------------------------------------------------------ weights
-    def _edge_weights(self, sweep: _Sweep, keep, plan: WeightPlan):
-        """The weight vector of ``sweep``'s edges selected by ``keep``.
+    def ranges(self, parts: int = 1) -> list[tuple[int, int]]:
+        """The cost-balanced node ranges of one pass: at least ``parts``, and
+        as many as :data:`SWEEP_BUDGET` asks for."""
+        costs = self.sweep_costs()
+        return balanced_ranges(costs, max(parts, -(-sum(costs) // SWEEP_BUDGET)))
 
-        One whole-neighbourhood ufunc expression per scheme (definitions in
+    # ------------------------------------------------------------ weights
+    def _edge_weights(self, sweep: _Sweep, plan: WeightPlan):
+        """The weight vector of ``sweep``'s edges.
+
+        One whole-range ufunc expression per scheme (definitions in
         :mod:`repro.metablocking.weights`); the entropy factor is applied
         last, as ``weight * (entropy_sum / common_blocks)``.
         """
         from repro.metablocking.weights import WeightingScheme
 
         scheme = plan.scheme
-        owners = sweep.owners[keep]
-        others = sweep.others[keep]
-        cbs = sweep.common[keep].astype(np.float64)
+        owners = sweep.owners
+        others = sweep.others
+        cbs = sweep.common.astype(np.float64)
         if scheme is WeightingScheme.CBS:
             weights = cbs
         elif scheme is WeightingScheme.ARCS:
-            weights = sweep.arcs[keep]
+            weights = sweep.arcs
         elif scheme in (WeightingScheme.JS, WeightingScheme.EJS):
             blocks_sum = (
                 self.node_block_count[owners] + self.node_block_count[others]
@@ -313,60 +326,66 @@ class NumpyKernel:
         else:  # pragma: no cover - the enum is closed
             raise MetaBlockingError(f"unsupported weighting scheme: {scheme}")
         if plan.use_entropy:
-            weights = weights * (sweep.entropies[keep] / cbs)
+            weights = weights * (sweep.entropies / cbs)
         return weights
-
-    def _plan_sweep(self, plan: WeightPlan, nodes=None) -> _Sweep:
-        """The sweep for one weight plan, skipping aggregates it never reads."""
-        from repro.metablocking.weights import WeightingScheme
-
-        return self.sweep(
-            nodes,
-            need_arcs=plan.scheme is WeightingScheme.ARCS,
-            need_entropies=plan.use_entropy,
-        )
 
     # ----------------------------------------------------------- public API
     def neighbours(self, node: int) -> list[int]:
-        """All neighbours of ``node`` in first-touch order (python ints)."""
-        sweep = self.sweep(need_arcs=False, need_entropies=False)
-        start, end = sweep.segment(node)
-        return sweep.others[start:end].tolist()
+        """All neighbours of ``node`` in first-touch order (python ints).
 
-    def _upper_edges(self, sweep: _Sweep, plan: WeightPlan) -> tuple:
-        """``(a, b, w)`` of ``sweep``'s edges, each from its lower endpoint."""
-        keep = sweep.others > sweep.owners
-        return sweep.owners[keep], sweep.others[keep], self._edge_weights(sweep, keep, plan)
+        A one-node gather, both directions: the co-members of its blocks in
+        ascending block order, each kept where it first appears.
+        """
+        _owners, others, _blocks, _counts = self._gather(range(node, node + 1))
+        return list(dict.fromkeys(others[others != node].tolist()))
 
     def range_weights(self, lo: int, hi: int, plan: WeightPlan) -> tuple:
         """The weighted upper edges of the dense nodes ``[lo, hi)`` as arrays.
 
-        One partial sweep; ``(a, b, w)`` are aligned ndarrays over dense node
-        ids in node-major first-touch order, so the concatenation over
-        consecutive ranges is exactly :meth:`weight_arrays`.
+        One range sweep, skipping the aggregates the plan never reads;
+        ``(a, b, w)`` are aligned ndarrays over dense node ids in node-major
+        first-touch order, so the concatenation over consecutive ranges is
+        exactly :meth:`weight_arrays`.
         """
-        return self._upper_edges(self._plan_sweep(plan, np.arange(lo, hi)), plan)
+        from repro.metablocking.weights import WeightingScheme
+
+        sweep = self._sweep(
+            range(lo, hi),
+            need_arcs=plan.scheme is WeightingScheme.ARCS,
+            need_entropies=plan.use_entropy,
+        )
+        return sweep.owners, sweep.others, self._edge_weights(sweep, plan)
 
     def sweep_costs(self) -> list[int]:
         """Per dense node, the summed size of the blocks it sits in.
 
-        What a partial sweep over the node gathers before grouping — read
+        What a range sweep over the node gathers before grouping — read
         off the offset arrays, no neighbourhood is materialised.
         """
         sizes = np.diff(self.block_offsets)
         running = np.concatenate(([0], np.cumsum(sizes[self.node_block_entries >> 1])))
         return np.diff(running[self.node_block_offsets]).tolist()
 
+    def edge_table(self, parts) -> "EdgeWeights":
+        """Per-range ``(a, b, w)`` parts, in range order, as one table.
+
+        Joined column by column, each column's parts dropped once joined,
+        so the join holds the parts plus one column, not two tables.
+        """
+        columns = [list(column) for column in zip(*parts)] or [[], [], []]
+        a, b, w = (_join(column, dtype) for column, dtype in zip(columns, "qqd"))
+        return EdgeWeights(a, b, w, self._index.num_nodes, self.node_ids)
+
     def weight_arrays(self, plan: WeightPlan) -> "EdgeWeights":
         """Every edge weight of the graph as aligned dense arrays — no dict.
 
-        ``node_ids`` carries the dense→profile-id vector, so pair tuples are
-        materialised lazily, per retained chunk.  The O(E) footprint is three
-        numeric arrays (~24 bytes/edge) instead of a dict of tuples
-        (~200 bytes/edge).
+        :meth:`range_weights` over :meth:`ranges`, concatenated in range
+        order.  ``node_ids`` carries the dense→profile-id vector, so pair
+        tuples are materialised lazily, per retained chunk.  The O(E)
+        footprint is three numeric arrays (~24 bytes/edge) instead of a dict
+        of tuples (~200 bytes/edge).
         """
-        a, b, w = self._upper_edges(self._plan_sweep(plan), plan)
-        return EdgeWeights(a, b, w, self._index.num_nodes, self.node_ids)
+        return self.edge_table(self.range_weights(lo, hi, plan) for lo, hi in self.ranges())
 
     def weight_table(self, plan: WeightPlan) -> "EdgeWeights":
         """:meth:`weight_arrays` plus the full ``(a, b) → weight`` dict."""
@@ -375,13 +394,18 @@ class NumpyKernel:
         return table
 
     def degrees(self):
-        """Blocking-graph degree of every node, from the (cached) full sweep.
+        """Blocking-graph degree of every node.
 
-        Only the edge structure is needed, so a cold cache computes the
-        cheap aggregate-free sweep.
+        One aggregate-free pass of range sweeps; each upper edge counts at
+        both endpoints.
         """
-        sweep = self.sweep(need_arcs=False, need_entropies=False)
-        return np.bincount(sweep.owners, minlength=self._index.num_nodes).astype(np.int64)
+        n = self._index.num_nodes
+        degrees = np.zeros(n, dtype=np.int64)
+        for lo, hi in self.ranges():
+            sweep = self._sweep(range(lo, hi), need_arcs=False, need_entropies=False)
+            degrees += np.bincount(sweep.owners, minlength=n)
+            degrees += np.bincount(sweep.others, minlength=n)
+        return degrees
 
 
 # ------------------------------------------------------- vectorised pruning

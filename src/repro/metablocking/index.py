@@ -193,9 +193,9 @@ class CSRBlockIndex:
 
         The index is the shared payload of the parallel meta-blocking;
         each worker process builds its own scratch kernel on first use, so
-        the kernel (and its buffers / cached sweeps and weight plans) stays
-        out of the pickle.  The per-block stat vectors and — when cached —
-        the degree vector *do* ship, so workers never redo a full sweep.
+        the kernel (and its buffer views and the weight plans) stays out of
+        the pickle.  The per-block stat vectors and — when cached —
+        the degree vector *do* ship, so workers never redo the degree pass.
 
         When the buffers were exported to shared memory the state carries
         only the segment name and field layout — the worker attaches and
@@ -250,7 +250,7 @@ class CSRBlockIndex:
         process-pool workers attach instead of deserialising.  The degree
         vector rides along when it is already cached — a job whose weight
         plan reads degrees (EJS) resolves it before exporting, everything
-        else never pays for the sweep.
+        else never pays for the degree pass.
 
         Idempotent; returns the :class:`SharedIndexBuffers` handle.  The
         segment is unlinked by :meth:`close` or, as a backstop, when the
@@ -328,7 +328,7 @@ class CSRBlockIndex:
     def degree_vector(self):
         """Per-node blocking-graph degree, computed once and cached.
 
-        Read off the kernel's cached whole-graph sweep; every later degree
+        One pass of the kernel's range sweeps counts it; every later degree
         lookup — EJS's ``degree_b`` per neighbour, the global edge count — is
         O(1).
         """

@@ -7,7 +7,7 @@ structure SparkER runs on Spark.
 
 Both build the CSR index, let its kernel (:mod:`repro.metablocking.backends`)
 emit every edge once as three dense arrays — endpoints and weight, entropy
-factor included — and prune them with the one retention tail,
+factor included — range by range, and prune them with the one retention tail,
 :func:`~repro.metablocking.backends.retain_edges`: the WEP/WNP/CEP/CNP rules
 as array expressions, a custom strategy's own ``prune`` over the weight dict.
 Only the retained edges become python tuples.
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.blocking.block import BlockCollection
+from repro.exceptions import MetaBlockingError
 from repro.metablocking import backends as _backends
 from repro.metablocking.backends import EdgeWeights
 from repro.metablocking.index import CSRBlockIndex
@@ -101,7 +102,10 @@ class MetaBlocker:
         numeric arrays plus the retained positions, so the peak python-object
         footprint is O(chunk).  A custom strategy's ``prune`` returns a dict,
         which is sliced — correct, but not bounded by the chunk size.
+        A non-positive ``chunk_edges`` raises before any index is built.
         """
+        if chunk_edges <= 0:
+            raise MetaBlockingError("chunk_edges must be positive")
         table, positions, retained = self._job(blocks)
         if positions is None:
             yield from _backends.iter_dict_chunks(retained, chunk_edges)
@@ -129,6 +133,6 @@ class MetaBlocker:
             index.close()
 
     def _weigh(self, index: CSRBlockIndex) -> EdgeWeights:
-        """Every edge weight of ``index`` as one table: one kernel sweep."""
+        """Every edge weight of ``index`` as one table, weighed range by range."""
         plan = index.weight_plan(self.weighting, self.use_entropy)
         return index.kernel().weight_arrays(plan)

@@ -3,37 +3,37 @@
 The paper (Section 2.1) describes the parallel meta-blocking as *inspired by
 the broadcast join*: the nodes of the blocking graph are partitioned, the
 compact block index is shared with every task, and each task materialises
-the neighbourhoods of its own nodes and weighs their edges.  This module
-keeps that shape and moves every edge as an *array element*, never as a
-python object, until the retained set is known:
+the neighbourhoods of its own nodes and weighs their edges.  The sequential
+:class:`~repro.metablocking.metablocker.MetaBlocker` already weighs that way,
+range by range (:meth:`~repro.metablocking.backends.NumpyKernel.
+weight_arrays`); this class only maps the same ranges over the pool:
 
 1. **Driver.**  Build the :class:`~repro.metablocking.index.CSRBlockIndex`
    and, on a process pool, export its buffers to one shared-memory segment
    (the index then pickles as a segment reference).  Split the dense node
-   ids ``[0, n)`` into ``default_parallelism`` contiguous ranges balanced by
-   *sweep cost* — per node, the summed size of the blocks it sits in, read
-   off the offset arrays without materialising a neighbourhood
-   (:func:`balanced_ranges`).
+   ids ``[0, n)`` into the kernel's contiguous ranges balanced by *sweep
+   cost* — per node, the summed size of the blocks it sits in, read off the
+   offset arrays without materialising a neighbourhood — with at least
+   ``default_parallelism`` parts and none over the scratch budget
+   (:meth:`~repro.metablocking.backends.NumpyKernel.ranges`).
 2. **One map, ``metablocking.weights``.**  A task receives one ``(lo, hi)``
-   range, runs one partial kernel sweep over it against the shared index
-   and returns ``(a, b, w)`` ndarrays: dense endpoints and
-   weight of every edge whose *lower* endpoint is in the range.  Each edge
-   is emitted exactly once, so there is nothing to deduplicate and nothing
-   to shuffle.
+   range, runs one range sweep over it against the shared index and returns
+   ``(a, b, w)`` ndarrays: dense endpoints and weight of every edge whose
+   *lower* endpoint is in the range.  Each edge is emitted exactly once, so
+   there is nothing to deduplicate and nothing to shuffle.
 3. **Driver.**  Concatenate the task results in range order into one
    :class:`~repro.metablocking.backends.EdgeWeights` table and prune it with
-   the retention tail of the sequential
-   :class:`~repro.metablocking.metablocker.MetaBlocker`, which this class
+   the retention tail of the sequential meta-blocker, which this class
    extends: only the weighing step differs.
 
 **Range order is emission order.**  The kernel emits edges node-major (dense
 ids ascending), first-touch within a node, each from its lower endpoint.  A
 contiguous range covers consecutive nodes, so concatenating the ranges in
-order reproduces the sequential full sweep's edge stream exactly — whatever
-the number of ranges.  Every order-sensitive float (WEP's global mean, WNP's
-per-node means) is then computed by the *same* code over the *same* array,
-so retained edges, weights and the result dict's order are bit-for-bit the
-sequential ones by construction.
+order reproduces one edge stream whatever the number of ranges — the
+sequential path is this map at width 1.  Every order-sensitive float (WEP's
+global mean, WNP's per-node means) is then computed by the *same* code over
+the *same* array, so retained edges, weights and the result dict's order are
+bit-for-bit the sequential ones by construction.
 
 **Pruning stays on the driver.**  It is a handful of array expressions, an
 order of magnitude cheaper than the weighing; WEP and CEP need the global
@@ -43,39 +43,12 @@ shuffle whose per-edge records cost more than the votes they carry.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate
-
-import numpy as np
-
 from repro.engine.context import EngineContext
 from repro.metablocking.backends import EdgeWeights
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.pruning import PruningStrategy
 from repro.metablocking.weights import WeightingScheme
-
-
-def balanced_ranges(costs, parts: int) -> list[tuple[int, int]]:
-    """Split ``[0, len(costs))`` into contiguous ranges of near-equal cost.
-
-    ``costs`` are non-negative integers.  Returns at most ``parts`` non-empty
-    ``(lo, hi)`` ranges that are disjoint, ascending and cover every index;
-    the ``k``-th cut is the first index whose cost prefix reaches ``k/parts``
-    of the total, so no range outweighs the ideal share by more than the
-    heaviest single element.  Zero-cost stretches never get a range of their
-    own (an all-zero vector yields one range).
-    """
-    n = len(costs)
-    if n == 0:
-        return []
-    prefix = [0, *accumulate(costs)]
-    total = prefix[-1]
-    cuts = {0, n}
-    for k in range(1, parts):
-        cuts.add(bisect_left(prefix, -(-k * total // parts)))
-    bounds = sorted(cuts)
-    return list(zip(bounds, bounds[1:]))
 
 
 class _RangeWeigher:
@@ -123,10 +96,11 @@ class ParallelMetaBlocker(MetaBlocker):
         self.context = context
 
     def _weigh(self, index: CSRBlockIndex) -> EdgeWeights:
-        """Weigh on the pool: one task per cost-balanced node range.
+        """Weigh on the pool: the sequential range list, mapped.
 
-        The index (and the shared segment it exported) is closed by the
-        caller, also when a task raises.
+        The ranges are the kernel's budgeted ones, split into at least
+        ``default_parallelism`` parts.  The index (and the shared segment it
+        exported) is closed by the caller, also when a task raises.
         """
         if index.num_nodes == 0:
             return super()._weigh(index)
@@ -138,13 +112,10 @@ class ParallelMetaBlocker(MetaBlocker):
             # The index then pickles as a segment reference: pool workers
             # map it instead of deserialising copies.
             index.export_shared()
-        ranges = balanced_ranges(
-            index.kernel().sweep_costs(), self.context.default_parallelism
-        )
+        kernel = index.kernel()
         parts = self.context.map(
             _RangeWeigher(index, self.weighting, self.use_entropy),
-            ranges,
+            kernel.ranges(self.context.default_parallelism),
             "metablocking.weights",
         )
-        a, b, w = (np.concatenate(column) for column in zip(*parts))
-        return EdgeWeights(a, b, w, index.num_nodes, index.kernel().node_ids)
+        return kernel.edge_table(parts)

@@ -16,10 +16,9 @@ the meta-blocking graph of this package:
 
 Both read the CSR index's edge table
 (:meth:`~repro.metablocking.backends.NumpyKernel.weight_arrays`) — every edge
-weighted once from its lower endpoint, in node-major first-touch order —
-with the same weights the meta-blocker prunes.  The kernel caches its full
-sweep per index, so the service's delta refresh and a ranking over the same
-index share one sweep.
+weighted once from its lower endpoint, in node-major first-touch order,
+range by range under the kernel's scratch budget — with the same weights the
+meta-blocker prunes.
 
 Global sorting is one ``(-weight, pair)`` array ``lexsort`` of the table
 (pair tuples are then built chunk by chunk as the stream is pulled); node

@@ -13,10 +13,10 @@ bit-for-bit — values *and* order — what a fresh
 collection returns, for every weighting scheme and pruning strategy.
 
 A full recompute beats re-weighing a neighbourhood: appends land in common
-token blocks, so on real traffic they touch most nodes anyway, and the array
-sweep plus tail costs milliseconds where the per-node dict bookkeeping it
-replaces cost a quarter of a second.  The kernel caches its full sweep per
-index, so a ranked ``matches`` query on the same compaction reuses it.
+token blocks, so on real traffic they touch most nodes anyway, and the range
+sweeps plus tail cost milliseconds where the per-node dict bookkeeping they
+replace cost a quarter of a second.  Nothing of a sweep is cached: a ranked
+``matches`` query on the same compaction weighs its own table.
 """
 
 from __future__ import annotations

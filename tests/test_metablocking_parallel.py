@@ -21,7 +21,8 @@ from repro.data.synthetic import generate_scalability_products
 from repro.engine.context import EngineContext
 from repro.metablocking import backends
 from repro.metablocking.metablocker import MetaBlocker
-from repro.metablocking.parallel import ParallelMetaBlocker, balanced_ranges
+from repro.metablocking.backends import balanced_ranges
+from repro.metablocking.parallel import ParallelMetaBlocker
 from repro.metablocking.pruning import WeightedNodePruning
 from repro.metablocking.sharedmem import live_segments
 
