@@ -18,11 +18,8 @@ from repro.metablocking.metablocker import MetaBlocker
 def _toy_rows(toy) -> list[dict[str, object]]:
     blocks = TokenBlocking(remove_stopwords=True).block(toy.profiles)
     index = CSRBlockIndex.from_blocks(blocks)
-    try:
-        plan = index.weight_plan("cbs", use_entropy=False)
-        weights = index.kernel().weight_arrays(plan).to_mapping()
-    finally:
-        index.close()
+    plan = index.weight_plan("cbs", use_entropy=False)
+    weights = index.kernel().weight_arrays(plan).to_mapping()
     result = MetaBlocker("cbs", "wep").run(blocks)
     rows = []
     for pair, weight in sorted(weights.items()):

@@ -37,7 +37,7 @@ from repro.data.synthetic import (
     generate_scalability_products,
 )
 from repro.engine.context import EngineContext
-from repro.metablocking.index import _SHARED_FIELDS, CSRBlockIndex
+from repro.metablocking.index import ARRAY_FIELDS, CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
 
@@ -197,9 +197,8 @@ def _max_rss_kb() -> int:
 
 
 def _csr_buffer_bytes(index: CSRBlockIndex) -> int:
-    """The index's numeric vectors plus its node ids as int64 — what a
-    process pool maps from shared memory."""
-    vectors = sum(getattr(index, field).nbytes for field, _typecode in _SHARED_FIELDS)
+    """The index's numeric vectors plus its node ids as int64."""
+    vectors = sum(getattr(index, field).nbytes for field in ARRAY_FIELDS)
     return vectors + 8 * index.num_nodes
 
 

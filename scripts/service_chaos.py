@@ -117,11 +117,11 @@ def build_twin(num_batches: int):
 
 def state_fingerprint(collection) -> dict:
     """Everything two equivalent collections must agree on, hashable."""
-    from repro.metablocking.index import _SHARED_FIELDS
+    from repro.metablocking.index import ARRAY_FIELDS
 
     csr = collection.index.materialise()
     digest = hashlib.sha256()
-    for field, _typecode in _SHARED_FIELDS:
+    for field in ARRAY_FIELDS:
         digest.update(getattr(csr, field).tobytes())
     return {
         "profile_ids": collection.index.profile_ids(),

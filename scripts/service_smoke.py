@@ -11,8 +11,8 @@ Starts ``python -m repro.cli serve`` on an ephemeral port, then drives the whole
    of profile 0 that an in-process batch ``MetaBlocker`` run computes on the
    same profiles (weights through JSON, best first);
 5. ``/metrics`` must report the traffic with per-endpoint histograms;
-6. after SIGTERM the server must exit 0 and leave **zero** new ``repro-*``
-   shared-memory segments behind.
+6. after SIGTERM the server must exit 0 with **no** new ``repro-*`` entry
+   in ``/dev/shm`` (nothing in the package creates one).
 
 Exits non-zero with a diagnostic on the first violated expectation.
 """
@@ -197,7 +197,7 @@ def main() -> int:
 
     expect(returncode == 0, f"server exited with {returncode}")
     leaked = _repro_segments() - segments_before
-    expect(not leaked, f"leaked shared-memory segments: {sorted(leaked)}")
+    expect(not leaked, f"new /dev/shm entries: {sorted(leaked)}")
     print("service smoke OK")
     return 0
 

@@ -3,25 +3,28 @@
 The paper's parallel meta-blocking (Section 2.1, "inspired by the broadcast
 join") partitions the node ids, shares the compact block index and lets each
 task weigh the edges of its own nodes.  That is the one job this engine runs,
-so the engine is one operation: :meth:`EngineContext.map` applies a picklable
-callable to a list of items (cost-balanced ``(lo, hi)`` node ranges) and
-returns the results in item order — in the driver under ``executor="serial"``,
-on a lazily forked process pool under ``"process:N"``.  Each call records one
-row of ``context.scheduler.stage_table()``.
+so the engine is one operation: :meth:`EngineContext.map` applies a callable
+to a list of items (cost-balanced ``(lo, hi)`` node ranges) and returns the
+results in item order — in the driver under ``executor="serial"``, on a
+process pool opened for that one map under ``"process:N"``.  Each call
+records one row of ``context.scheduler.stage_table()``.
+
+Broadcast is the fork: on Linux the pool's workers are forked after the
+callable (and the index it carries) exists, so they inherit it copy-on-write
+and it is never pickled.  Other platforms keep their default start method and
+the callable travels by value, pickled once per worker as the pool
+initializer's argument.
 
 Failure contract: a task exception re-raises in the driver with its own type;
 a crashed worker raises :class:`~repro.exceptions.EngineError` as soon as the
-pool notices, the pool is discarded (the next map forks a fresh one) and the
-dead-pid sweep of :mod:`repro.engine.sharedmem` reclaims whatever segment the
-worker left behind.
+pool notices.  Either way the map's pool is shut down before ``map`` returns,
+so no worker outlives the call and the next map starts clean.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
-import pickle
 import sys
 import time
 from collections.abc import Callable, Iterable
@@ -29,25 +32,28 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
-from repro.engine import sharedmem
 from repro.exceptions import EngineError
 from repro.options import resolve_executor
 
-_payload_ids = itertools.count()
+# Cheap copy-on-write workers on Linux; macOS offers "fork" too, but forking
+# after system frameworks loaded can deadlock, so other platforms keep their
+# default start method.
+_MP_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" else None
 
-# Worker-side single-slot cache: every task of one map shares one pickled
-# callable, so a worker unpickles it (and maps the shared index riding in it)
-# once per map rather than once per task.
-_cached: "tuple[int | None, Any]" = (None, None)
+# The callable of the map a worker serves, set once per worker by _install.
+_task: "Callable[[Any], Any] | None" = None
 
 
-def _run_task(payload: bytes, token: int, item: Any) -> "tuple[Any, float, int]":
+def _install(func: Callable[[Any], Any]) -> None:
+    """Pool initializer: hold the map's callable for every task of this worker."""
+    global _task
+    _task = func
+
+
+def _run_task(item: Any) -> "tuple[Any, float, int]":
     """Worker body: apply the map's callable to one item, timed."""
-    global _cached
-    if _cached[0] != token:
-        _cached = (token, pickle.loads(payload))
     started = time.perf_counter()
-    result = _cached[1](item)
+    result = _task(item)
     return result, time.perf_counter() - started, os.getpid()
 
 
@@ -86,7 +92,7 @@ class Scheduler:
 
 
 class EngineContext:
-    """A pool of worker processes (or none) that maps a callable over items.
+    """Maps a callable over items, in the driver or on worker processes.
 
     Parameters
     ----------
@@ -94,9 +100,10 @@ class EngineContext:
         How many ranges a job splits its nodes into.
     executor:
         The ``executor`` engine option (:mod:`repro.options`): ``"serial"``
-        runs tasks in the driver, ``"process:N"`` on ``N`` forked workers
-        (``"process"``: one per CPU); ``None`` resolves the environment and
-        the default.  The canonical spec is kept as :attr:`executor_spec`.
+        runs tasks in the driver, ``"process:N"`` on up to ``N`` forked
+        workers per map (``"process"``: one per CPU); ``None`` resolves the
+        environment and the default.  The canonical spec is kept as
+        :attr:`executor_spec`.
     """
 
     def __init__(self, default_parallelism: int = 4, executor: "str | None" = None) -> None:
@@ -109,12 +116,16 @@ class EngineContext:
         self.workers = 0 if kind == "serial" else int(count or os.cpu_count() or 1)
         self.executor = f"process[{self.workers}]" if self.workers else "serial"
         self.scheduler = Scheduler()
-        self._pool: "ProcessPoolExecutor | None" = None
         self._stopped = False
 
     # ------------------------------------------------------------------- map
     def map(self, func: Callable[[Any], Any], items: Iterable[Any], name: str = "map") -> list:
-        """``[func(item) for item in items]``, one task per item, on the pool."""
+        """``[func(item) for item in items]``, one task per item.
+
+        On a process executor the map opens a pool of ``min(workers,
+        len(items))`` workers (none for no items) and shuts it down before
+        returning, whatever happens.
+        """
         if self._stopped:
             raise EngineError("this EngineContext was stopped; create a new one")
         items = list(items)
@@ -131,58 +142,29 @@ class EngineContext:
                 raise
             self.scheduler.record(name, self.executor, len(items), seconds, {os.getpid()})
             return results
-        payload = pickle.dumps(func, protocol=pickle.HIGHEST_PROTOCOL)
-        token = next(_payload_ids)
-        pool = self._ensure_pool()
-        futures = [pool.submit(_run_task, payload, token, item) for item in items]
-        outcomes = []
+        outcomes: list = []
+        failures = 1
         try:
-            for future in futures:
-                outcomes.append(future.result())
+            if items:
+                pool = ProcessPoolExecutor(
+                    min(self.workers, len(items)), mp_context=_MP_CONTEXT,
+                    initializer=_install, initargs=(func,),
+                )
+                try:
+                    for future in [pool.submit(_run_task, item) for item in items]:
+                        outcomes.append(future.result())
+                finally:
+                    pool.shutdown(wait=True, cancel_futures=True)
+            failures = 0
         except BrokenProcessPool as error:
-            self._record_outcomes(name, len(items), outcomes, failures=1)
-            self._discard_pool()
-            raise EngineError(
-                f"{name!r}: a worker process died; the pool was discarded"
-            ) from error
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            self._record_outcomes(name, len(items), outcomes, failures=1)
-            raise
-        self._record_outcomes(name, len(items), outcomes)
-        return [result for result, _seconds, _pid in outcomes]
-
-    def _record_outcomes(self, name: str, tasks: int, outcomes: list, failures: int = 0) -> None:
-        self.scheduler.record(
-            name, self.executor, tasks,
-            [seconds for _result, seconds, _pid in outcomes],
-            {pid for _result, _seconds, pid in outcomes}, failures,
-        )
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            # Cheap copy-on-write workers on Linux; macOS offers "fork" too,
-            # but forking after system frameworks loaded can deadlock, so
-            # other platforms keep their default start method.
-            mp_context = (
-                multiprocessing.get_context("fork") if sys.platform == "linux" else None
+            raise EngineError(f"{name!r}: a worker process died") from error
+        finally:
+            self.scheduler.record(
+                name, self.executor, len(items),
+                [seconds for _result, seconds, _pid in outcomes],
+                {pid for _result, _seconds, pid in outcomes}, failures,
             )
-            self._pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=mp_context)
-        return self._pool
-
-    def _discard_pool(self) -> None:
-        """Reap a broken pool, then sweep the segments its dead workers left.
-
-        The pool already terminated every worker when it broke, so waiting
-        is bounded; it also means no dead worker is still an unreaped zombie
-        whose pid would look alive to the sweep.  Workers create no files,
-        so there is no file sweep.
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        sharedmem.sweep_orphaned_segments()
+        return [result for result, _seconds, _pid in outcomes]
 
     # --------------------------------------------------------------- metrics
     def metrics_summary(self) -> "dict[str, Any]":
@@ -198,11 +180,8 @@ class EngineContext:
 
     # ------------------------------------------------------------- lifecycle
     def stop(self) -> None:
-        """Shut the pool down; idempotent.  ``map`` raises afterwards."""
+        """Refuse further maps; idempotent.  No pool outlives a map."""
         self._stopped = True
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
     def __enter__(self) -> "EngineContext":
         return self

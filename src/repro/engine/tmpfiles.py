@@ -3,16 +3,14 @@
 The service WAL's truncate-rewrite temp (``waltmp``) is the on-disk artifact
 with a lifetime tied to a process.  Its caller names the directory it lives
 in — the WAL directory — and its name carries the **creator pid**
-(``repro-<kind>-<pid>-<seq>``), mirroring the shared-memory segment naming
-of :mod:`repro.engine.sharedmem`, so a crash sweep
+(``repro-<kind>-<pid>-<seq>``), so a crash sweep
 (:func:`sweep_orphaned_artifacts`) can tell a live owner's file from a dead
 one's and reclaim disk after a crash without ever touching an artifact that
 is still in use.
 
-Ownership mirrors the segment registries: paths created here join a
-process-local live set and leave it on :func:`discard_artifact`; the sweep
-skips the live set, skips any artifact whose creator pid is alive, and
-removes the rest.
+Paths created here join a process-local live set and leave it on
+:func:`discard_artifact`; the sweep skips the live set, skips any artifact
+whose creator pid is alive, and removes the rest.
 """
 
 from __future__ import annotations
@@ -55,8 +53,7 @@ def release_artifact(path: str) -> None:
 def discard_artifact(path: str) -> None:
     """Remove one artifact file and drop its ownership.
 
-    Idempotent and silent on a path that is already gone — exactly like the
-    segment unlink helpers this mirrors.
+    Idempotent and silent on a path that is already gone.
     """
     _live_owned.discard(path)
     try:
@@ -66,9 +63,8 @@ def discard_artifact(path: str) -> None:
 
 
 def pid_alive(pid: int) -> bool:
-    """The one liveness probe of both orphan sweeps (files here, segments in
-    :mod:`repro.engine.sharedmem`); any doubt counts as alive — never sweep
-    what might still be in use."""
+    """The liveness probe of the orphan sweep; any doubt counts as alive —
+    never sweep what might still be in use."""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -81,11 +77,10 @@ def pid_alive(pid: int) -> bool:
 
 
 def owner_pid(name: str) -> "int | None":
-    """Creator pid of a managed artifact or segment name, ``None`` if foreign.
+    """Creator pid of a managed artifact name, ``None`` if foreign.
 
-    The one parser of the ``repro-<kind>-<pid>-<seq>`` scheme, for both
-    orphan sweeps (files here, shared-memory segments in
-    :mod:`repro.engine.sharedmem`).  Only exact matches are claimed:
+    The one parser of the ``repro-<kind>-<pid>-<seq>`` scheme.  Only exact
+    matches are claimed:
     ``tempfile.mkdtemp`` suffixes, extra fields and other non-integer fields
     are someone else's and are left alone.
     """
@@ -105,8 +100,7 @@ def sweep_orphaned_artifacts(
     """Remove managed artifacts whose creator process is gone.
 
     Scans ``directory`` for ``repro-<kind>-<pid>-<seq>`` entries and removes
-    those whose pid no longer exists — the on-disk companion of
-    :func:`repro.engine.sharedmem.sweep_orphaned_segments`.  ``kind``
+    those whose pid no longer exists.  ``kind``
     restricts the sweep to one family (the service's startup recovery sweeps
     only ``waltmp`` under its WAL directory).  Returns the removed paths.
     """

@@ -1,4 +1,4 @@
-"""CSR-backed block index — the shared payload of the meta-blocking join.
+"""CSR-backed block index — the broadcast payload of the meta-blocking join.
 
 The paper's parallel meta-blocking never materialises the blocking graph as an
 edge list: each task receives a compact block index and materialises one node
@@ -28,10 +28,9 @@ emission order (node-major first-touch) and one accumulation order keep every
 driving path — sequential run, parallel range tasks, progressive streams,
 the service's delta refresh — bit-for-bit equivalent.
 
-The index can additionally export its buffers into a
-:class:`multiprocessing.shared_memory` segment (:meth:`export_shared`): the
-pickle then carries only the segment name and layout, so a process pool maps
-the index once per machine instead of deserialising a copy per worker.
+The index lives in process memory only.  A forked range worker inherits the
+driver's index copy-on-write; where workers are not forked, the index pickles
+by value (:meth:`CSRBlockIndex.__getstate__`).
 """
 
 from __future__ import annotations
@@ -46,18 +45,18 @@ from repro.blocking.token_blocking import group_tokens
 from repro.metablocking import backends as _backends
 from repro.utils.tokenize import token_table
 
-# Buffers that travel through the shared-memory segment, with their typecode.
-_SHARED_FIELDS = (
-    ("node_block_offsets", "q"),
-    ("node_block_entries", "q"),
-    ("node_block_count", "q"),
-    ("block_offsets", "q"),
-    ("block_nodes", "q"),
-    ("block_split", "q"),
-    ("block_cardinality", "q"),
-    ("block_inv_cardinality", "d"),
-    ("block_entropy", "d"),
-)
+# The index's numeric buffers and their dtype; ``node_ids`` is a list.
+ARRAY_FIELDS = {
+    "node_block_offsets": np.int64,
+    "node_block_entries": np.int64,
+    "node_block_count": np.int64,
+    "block_offsets": np.int64,
+    "block_nodes": np.int64,
+    "block_split": np.int64,
+    "block_cardinality": np.int64,
+    "block_inv_cardinality": np.float64,
+    "block_entropy": np.float64,
+}
 
 
 class CSRBlockIndex:
@@ -85,7 +84,6 @@ class CSRBlockIndex:
         "_degrees",
         "_num_edges",
         "_plans",
-        "_shared",
     )
 
     def __init__(self) -> None:
@@ -109,7 +107,6 @@ class CSRBlockIndex:
         self._degrees = None
         self._num_edges: int | None = None
         self._plans: dict = {}
-        self._shared = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -191,106 +188,37 @@ class CSRBlockIndex:
     def __getstate__(self) -> dict:
         """Ship every array plus the cached degree vector, never the kernel.
 
-        The index is the shared payload of the parallel meta-blocking;
+        The index is the broadcast payload of the parallel meta-blocking;
         each worker process builds its own scratch kernel on first use, so
         the kernel (and its buffer views and the weight plans) stays out of
         the pickle.  The per-block stat vectors and — when cached —
         the degree vector *do* ship, so workers never redo the degree pass.
-
-        When the buffers were exported to shared memory the state carries
-        only the segment name and field layout — the worker attaches and
-        maps, it never deserialises the buffers.
         """
-        if self._shared is not None and not self._shared.released:
-            return {
-                "total_blocks": self.total_blocks,
-                "clean_clean": self.clean_clean,
-                "_num_edges": self._num_edges,
-                "shared_name": self._shared.name,
-                "shared_layout": self._shared.layout,
-            }
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot not in ("_kernel", "_plans", "_shared")
+            if slot not in ("_kernel", "_plans")
         }
 
     def __setstate__(self, state: dict) -> None:
         self._kernel = None
         self._plans = {}
-        self._shared = None
-        if "shared_name" in state:
-            self._attach_shared(state)
-            return
         for slot, value in state.items():
             setattr(self, slot, value)
 
-    def _attach_shared(self, state: dict) -> None:
-        """Rebuild from a shared-memory reference (worker side, zero-copy)."""
-        from repro.metablocking.sharedmem import SharedIndexBuffers
-
-        self._shared = SharedIndexBuffers.attach(
-            state["shared_name"], state["shared_layout"]
-        )
-        views = self._shared.views()
-        for field, _typecode in _SHARED_FIELDS:
-            setattr(self, field, views[field])
-        self.node_ids = views["node_ids"]
-        self._degrees = views.get("degrees")
-        self._node_of = None  # rebuilt lazily; node_ids is the source of truth
-        self.total_blocks = state["total_blocks"]
-        self.clean_clean = state["clean_clean"]
-        self._num_edges = state["_num_edges"]
-
-    # -------------------------------------------------------- shared memory
-    def export_shared(self):
-        """Copy the numeric buffers into one shared-memory segment.
-
-        After export, pickling this index ships only the segment reference;
-        process-pool workers attach instead of deserialising.  The degree
-        vector rides along when it is already cached — a job whose weight
-        plan reads degrees (EJS) resolves it before exporting, everything
-        else never pays for the degree pass.
-
-        Idempotent; returns the :class:`SharedIndexBuffers` handle.  The
-        segment is unlinked by :meth:`close` or, as a backstop, when the
-        index is garbage collected.
-        """
-        if self._shared is not None and not self._shared.released:
-            return self._shared
-        from repro.metablocking.sharedmem import SharedIndexBuffers
-
-        fields: dict = {
-            field: (getattr(self, field), typecode)
-            for field, typecode in _SHARED_FIELDS
-        }
-        fields["node_ids"] = (np.asarray(self.node_ids, dtype=np.int64), "q")
-        if self._degrees is not None:
-            fields["degrees"] = (self._degrees, "q")
-        self._shared = SharedIndexBuffers.export(fields)
-        return self._shared
-
     def close(self) -> None:
-        """Unlink the exported shared-memory segment, if any; idempotent.
+        """Nothing to release — the index holds process memory only.
 
-        A garbage-collected index releases it through the segment's own
-        finalizer backstop, and a crashed process's segment is reclaimed by
-        the dead-pid sweep — ``close()`` is simply the prompt path.  Safe on
-        any instance, however incomplete (e.g. a broken unpickle whose
-        ``__init__`` never ran).
+        Kept so callers that scope an index to a ``try``/``finally`` still
+        run unchanged.
         """
-        shared = getattr(self, "_shared", None)
-        if shared is not None:
-            shared.release()
 
     # ------------------------------------------------------------- properties
     @property
     def node_of(self) -> dict[int, int]:
-        """profile id → dense node id (rebuilt lazily after a shared attach)."""
+        """profile id → dense node id, built on first use."""
         if self._node_of is None:
-            ids = self.node_ids
-            ids = ids.tolist() if hasattr(ids, "tolist") else ids
-            self._node_of = {profile_id: dense for dense, profile_id in enumerate(ids)}
+            self._node_of = {profile_id: dense for dense, profile_id in enumerate(self.node_ids)}
         return self._node_of
 
     @property
@@ -536,20 +464,17 @@ class IncrementalBlockIndex:
         Token blocking's own grouping (blocks in form order, only
         comparison-inducing ones, entropy 1.0) and then
         :meth:`CSRBlockIndex.from_blocks`.  The previous CSR (if any) is
-        closed only after the new one is fully built, so a failed compaction
-        leaves the old index usable.
+        replaced only after the new one is fully built, so a failed
+        compaction leaves the old index usable.
         """
         tokens, sides, rows = self._occurrences[:, : self._size]
         profile_ids = np.array(self._profile_ids, dtype=np.int64)
         blocks = group_tokens(list(self._forms), tokens, sides, rows, profile_ids, self.clean_clean)
-        rebuilt = CSRBlockIndex.from_blocks(blocks)
-        if self._csr is not None:
-            self._csr.close()
-        self._csr = rebuilt
+        self._csr = CSRBlockIndex.from_blocks(blocks)
         self._stale = False
         self._since_compact = 0
         self.compactions += 1
-        return rebuilt
+        return self._csr
 
     def materialise(self) -> CSRBlockIndex:
         """The current CSR index, compacting first if appends made it stale."""
@@ -587,15 +512,6 @@ class IncrementalBlockIndex:
         ids = self._profile_ids
         position = bisect_left(ids, profile_id)
         return position < len(ids) and ids[position] == profile_id
-
-    # -------------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        """Close the built CSR (if any); idempotent, safe when never built."""
-        csr = getattr(self, "_csr", None)
-        if csr is not None:
-            csr.close()
-        self._csr = None
-        self._stale = True
 
     # --------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:

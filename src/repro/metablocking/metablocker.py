@@ -122,15 +122,10 @@ class MetaBlocker:
         Returns ``(table, positions, retained)``: the edge table plus either
         the retained positions into it (stock strategy) or — ``positions``
         is ``None`` — the retained dict of a custom strategy's ``prune``.
-        The index is run-scoped: the table holds arrays it does not own, so
-        the index is closed here, also when weighing raises.
         """
         index = CSRBlockIndex.from_blocks(blocks)
-        try:
-            table = self._weigh(index)
-            return (table, *_backends.retain_edges(self.pruning, table, index))
-        finally:
-            index.close()
+        table = self._weigh(index)
+        return (table, *_backends.retain_edges(self.pruning, table, index))
 
     def _weigh(self, index: CSRBlockIndex) -> EdgeWeights:
         """Every edge weight of ``index`` as one table, weighed range by range."""

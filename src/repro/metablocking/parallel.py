@@ -9,16 +9,17 @@ range by range (:meth:`~repro.metablocking.backends.NumpyKernel.
 weight_arrays`); this class only maps the same ranges over the pool:
 
 1. **Driver.**  Build the :class:`~repro.metablocking.index.CSRBlockIndex`
-   and, on a process pool, export its buffers to one shared-memory segment
-   (the index then pickles as a segment reference).  Split the dense node
-   ids ``[0, n)`` into the kernel's contiguous ranges balanced by *sweep
-   cost* — per node, the summed size of the blocks it sits in, read off the
-   offset arrays without materialising a neighbourhood — with at least
+   — the broadcast: the map's workers are forked after it exists and
+   inherit it copy-on-write (where workers are not forked, it pickles by
+   value once per worker).  Split the dense node ids ``[0, n)`` into the
+   kernel's contiguous ranges balanced by *sweep cost* — per node, the
+   summed size of the blocks it sits in, read off the offset arrays without
+   materialising a neighbourhood — with at least
    ``default_parallelism`` parts and none over the scratch budget
    (:meth:`~repro.metablocking.backends.NumpyKernel.ranges`).
 2. **One map, ``metablocking.weights``.**  A task receives one ``(lo, hi)``
-   range, runs one range sweep over it against the shared index and returns
-   ``(a, b, w)`` ndarrays: dense endpoints and weight of every edge whose
+   range, runs one range sweep over it against the inherited index and
+   returns ``(a, b, w)`` ndarrays: dense endpoints and weight of every edge whose
    *lower* endpoint is in the range.  Each edge is emitted exactly once, so
    there is nothing to deduplicate and nothing to shuffle.
 3. **Driver.**  Concatenate the task results in range order into one
@@ -55,9 +56,9 @@ class _RangeWeigher:
     """``(lo, hi)`` → the ``(a, b, w)`` edge arrays of that dense node range.
 
     The task function of the ``metablocking.weights`` map: a module-level
-    callable with bound arguments (not a closure), so it pickles for the
-    process pool.  The weight plan is cached on the index, i.e. resolved once
-    per worker process.
+    callable with bound arguments (not a closure), so it also pickles where
+    the pool's workers are not forked.  The weight plan is cached on the
+    index, i.e. resolved once per worker process.
     """
 
     __slots__ = ("index", "scheme", "use_entropy")
@@ -99,19 +100,14 @@ class ParallelMetaBlocker(MetaBlocker):
         """Weigh on the pool: the sequential range list, mapped.
 
         The ranges are the kernel's budgeted ones, split into at least
-        ``default_parallelism`` parts.  The index (and the shared segment it
-        exported) is closed by the caller, also when a task raises.
+        ``default_parallelism`` parts.
         """
         if index.num_nodes == 0:
             return super()._weigh(index)
-        # Resolved before the index ships: what the plan reads beyond the
-        # CSR buffers (EJS's degree vector and edge count) travels with the
-        # index instead of being re-swept per worker.
+        # Resolved before the workers fork: what the plan reads beyond the
+        # CSR buffers (EJS's degree vector and edge count) is inherited with
+        # the index instead of being re-swept per worker.
         index.weight_plan(self.weighting, self.use_entropy)
-        if self.context.workers:
-            # The index then pickles as a segment reference: pool workers
-            # map it instead of deserialising copies.
-            index.export_shared()
         kernel = index.kernel()
         parts = self.context.map(
             _RangeWeigher(index, self.weighting, self.use_entropy),

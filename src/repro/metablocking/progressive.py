@@ -73,21 +73,15 @@ class ProgressiveSortedComparisons:
 
     def stream(self, blocks: BlockCollection) -> Iterator[tuple[int, int]]:
         """Iterate the ranked comparisons, best first."""
-        index = CSRBlockIndex.from_blocks(blocks)
-        try:
-            iterator = self.stream_index(index)
-        finally:
-            index.close()
-        yield from iterator
+        yield from self.stream_index(CSRBlockIndex.from_blocks(blocks))
 
     def stream_index(self, index: CSRBlockIndex) -> Iterator[tuple[int, int]]:
         """:meth:`stream` over a caller-owned, already-built index.
 
         The service layer keeps one long-lived index per collection and
         answers every budgeted match query from it — same ranking, but the
-        index is neither rebuilt nor closed here.  Weighing and sorting run
-        eagerly over arrays the index does not own (so the caller may close
-        the index as soon as this returns); only the pair tuples are lazy.
+        index is not rebuilt here.  Weighing and sorting run eagerly; only
+        the pair tuples are lazy.
         """
         table = _weight_table(index, self.weighting)
         order = _backends.ranked_positions(table, len(table))
@@ -110,18 +104,13 @@ class ProgressiveNodeScheduling:
 
     def stream(self, blocks: BlockCollection) -> Iterator[tuple[int, int]]:
         """Iterate the scheduled comparisons lazily, one node at a time."""
-        index = CSRBlockIndex.from_blocks(blocks)
-        try:
-            iterator = self.stream_index(index)
-        finally:
-            index.close()
-        yield from iterator
+        yield from self.stream_index(CSRBlockIndex.from_blocks(blocks))
 
     def stream_index(self, index: CSRBlockIndex) -> Iterator[tuple[int, int]]:
         """:meth:`stream` over a caller-owned, already-built index.
 
-        Sweep, schedule and per-node sorting all run eagerly (the caller may
-        close the index as soon as this returns); the emission loop is lazy.
+        Sweep, schedule and per-node sorting all run eagerly; the emission
+        loop is lazy.
         """
         table = _weight_table(index, self.weighting)
 

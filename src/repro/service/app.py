@@ -47,7 +47,7 @@ offloaded work under ``drain_timeout``, then close every collection and
 sweep owned tmp artifacts (:func:`repro.engine.tmpfiles.
 discard_live_artifacts`) — a SIGTERM during a WAL truncate must not unlink
 the rewrite temp it is still writing, and a stopped service must not leak
-``repro-*`` files or segments (CI asserts both).
+``repro-*`` files (CI asserts it, and that no ``/dev/shm`` entry appears).
 """
 
 from __future__ import annotations

@@ -334,7 +334,6 @@ class ServiceCollection:
         """Rebuild a collection from :meth:`snapshot_state` output."""
         config = CollectionConfig.from_dict(state["config"])
         collection = cls(config)
-        collection.index.close()
         collection.index = state["index"]
         # Snapshots written before the array delta path also carry a
         # ``pending_touched`` list; the restored delta recomputes instead.
@@ -367,8 +366,7 @@ class ServiceCollection:
         }
 
     def close(self) -> None:
-        """Release the index buffers and the WAL handle (idempotent)."""
+        """Release the WAL handle (idempotent)."""
         self._prefix_iter = None
-        self.index.close()
         if self.wal is not None:
             self.wal.close()

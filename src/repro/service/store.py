@@ -8,7 +8,7 @@ persistence: each collection snapshots into its own checkpoint directory
 rotated backup.  The incremental index pickles only its token-occurrence
 columns and forms dictionary — a
 restored collection rebuilds its CSR with one compaction on first query, so
-snapshots stay small and never hold a shared-memory segment name.
+snapshots stay small.
 
 With a ``wal_dir`` every collection also gets a
 :class:`~repro.service.wal.WriteAheadLog` (``<wal_dir>/<name>.wal``):

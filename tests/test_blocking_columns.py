@@ -43,7 +43,7 @@ from repro.exceptions import BlockingError
 from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.looseschema.entropy import EntropyExtractor
 from repro.looseschema.lsh import build_attribute_profiles
-from repro.metablocking.index import _SHARED_FIELDS, CSRBlockIndex
+from repro.metablocking.index import ARRAY_FIELDS, CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
 from repro.metablocking.progressive import (
@@ -231,7 +231,6 @@ class TestColumnsEqualObjects:
         assert filtered.columns is not None and list(filtered) == []
         index = CSRBlockIndex.from_blocks(TokenBlocking().block(ProfileCollection()))
         assert (index.num_nodes, index.num_blocks, index.total_blocks) == (0, 0, 0)
-        index.close()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -398,7 +397,7 @@ def _both_forms(entities=300, seed=7):
 
 
 def _fields(index):
-    fields = {name: list(getattr(index, name)) for name, _typecode in _SHARED_FIELDS}
+    fields = {name: list(getattr(index, name)) for name in ARRAY_FIELDS}
     fields["node_ids"] = list(index.node_ids)
     return fields, index.total_blocks, index.clean_clean
 
@@ -410,10 +409,7 @@ class TestDownstreamOfColumns:
         built = []
         for form in (as_columns(as_objects(blocks)), as_objects(blocks)):
             index = CSRBlockIndex.from_blocks(form)
-            try:
-                built.append(_fields(index))
-            finally:
-                index.close()
+            built.append(_fields(index))
         assert len(built[0][0]) == 10 and built[0] == built[1]
 
     def test_meta_blockers_agree_on_ordered_output(self):

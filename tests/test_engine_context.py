@@ -4,17 +4,20 @@ Pins the contract the repo benchmark and the parallel meta-blocking rely on:
 ``map`` returns results in item order on both executors, every call records
 one stage row with the keys ``bench/batch.py`` reads, a raising task
 re-raises its own type, a crashed worker raises ``EngineError`` within a
-bound and the dead-pid sweeps reclaim what it left behind, and a stopped
-context refuses work.
+bound, no worker process outlives a map (the forked workers inherit the
+callable, which is never pickled on Linux; spawned workers get it once
+each), and a stopped context refuses work.
 """
 
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 import os
-import subprocess
+import pickle
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -22,7 +25,6 @@ from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.data.synthetic import SyntheticConfig, generate_abt_buy_like
-from repro.engine import sharedmem
 from repro.engine.context import EngineContext
 from repro.exceptions import EngineError
 from repro.metablocking.metablocker import MetaBlocker
@@ -33,8 +35,6 @@ BENCH_ROW_KEYS = {
     "executor", "tasks", "failures", "elapsed_s",
     "shuffle_write_bytes", "shuffle_relay_bytes", "skew",
 }
-SHM = "/dev/shm"
-needs_shm = pytest.mark.skipif(not os.path.isdir(SHM), reason="no /dev/shm")
 
 
 # -- module-level task functions: picklable, unlike test-local closures ------
@@ -50,21 +50,32 @@ def _raise_boom(x):
     raise _Boom(x)
 
 
-def _leave_a_segment_then_die(_item):
-    """Leave a pid-stamped segment behind, then kill the worker."""
-    name = sharedmem.make_segment_name("csr")
-    os.close(os.open(os.path.join(SHM, name), os.O_CREAT | os.O_WRONLY))
+def _die(_item):
+    """Kill the worker running this task."""
     os._exit(3)
 
 
-def _repro_segments() -> "set[str]":
-    return {entry for entry in os.listdir(SHM) if entry.startswith("repro-")}
+class _Unpicklable:
+    """A task callable that refuses to be pickled."""
+
+    def __call__(self, x):
+        return x * 3
+
+    def __reduce__(self):
+        raise pickle.PicklingError("this callable must be inherited, not pickled")
 
 
-def _dead_pid() -> int:
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    return child.pid
+class _CountedDouble:
+    """A task callable that counts how often the driver pickles it."""
+
+    pickles = 0
+
+    def __call__(self, x):
+        return x * 2
+
+    def __reduce__(self):
+        type(self).pickles += 1
+        return (_CountedDouble, ())
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +94,43 @@ class TestMap:
 
     def test_serial_runs_closures_in_the_driver(self, engine):
         assert engine.map(lambda x: (x, os.getpid()), [1]) == [(1, os.getpid())]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers fork only on Linux")
+    def test_forked_workers_inherit_an_unpicklable_callable(self, engine, pool):
+        items = list(range(7))
+        assert pool.map(_Unpicklable(), items) == engine.map(_Unpicklable(), items)
+
+    def test_spawned_workers_get_the_callable_once_each(self, monkeypatch):
+        """Where workers are not forked, the callable travels by value as the
+        pool initializer's argument: once per worker, never once per task."""
+        from repro.engine import context as context_module
+
+        monkeypatch.setattr(
+            context_module, "_MP_CONTEXT", multiprocessing.get_context("spawn")
+        )
+        monkeypatch.setattr(_CountedDouble, "pickles", 0)
+        items = list(range(12))
+        with EngineContext(4, executor="process:2") as context:
+            assert context.map(_CountedDouble(), items) == [x * 2 for x in items]
+            workers = context.scheduler.stage_table()[-1]["workers"]
+        assert 1 <= workers <= _CountedDouble.pickles <= 2
+        assert multiprocessing.active_children() == []
+
+    def test_each_map_sizes_its_pool_to_its_items(self, pool, monkeypatch):
+        from repro.engine import context as context_module
+
+        sizes = []
+
+        def recording_pool(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return ProcessPoolExecutor(max_workers, **kwargs)
+
+        monkeypatch.setattr(context_module, "ProcessPoolExecutor", recording_pool)
+        assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
+        assert pool.map(_double, [5]) == [10]
+        assert pool.map(_double, []) == []
+        assert sizes == [2, 1]
+        assert [row["workers"] for row in pool.scheduler.stage_table()[-2:]] == [1, 0]
 
     def test_one_stage_row_per_map(self, pool):
         before = len(pool.scheduler.stage_table())
@@ -149,19 +197,38 @@ class TestFailures:
             assert context.scheduler.stage_table()[-1]["failures"] == 1
             assert context.map(_double, [1]) == [2]  # still usable
 
-    @needs_shm
     def test_a_crashed_worker_fails_loudly_within_a_bound(self):
-        before = _repro_segments()
         with EngineContext(2, executor="process:2") as context:
             started = time.perf_counter()
             with pytest.raises(EngineError, match="worker process died"):
-                context.map(_leave_a_segment_then_die, range(4), "crash")
+                context.map(_die, range(4), "crash")
             assert time.perf_counter() - started < 30
             assert context.scheduler.stage_table()[-1]["failures"] == 1
-            # The segment sweep ran over the dead workers' leftovers.
-            assert _repro_segments() <= before
-            # The broken pool was discarded; the next map forks a fresh one.
+            # The broken pool is gone; the next map forks a fresh one.
             assert context.map(_double, [1, 2]) == [2, 4]
+
+    def test_a_crashed_spawned_worker_fails_loudly_too(self, monkeypatch):
+        """The failure contract does not depend on forking: a spawned worker
+        that dies raises ``EngineError`` and leaves no child behind."""
+        from repro.engine import context as context_module
+
+        monkeypatch.setattr(
+            context_module, "_MP_CONTEXT", multiprocessing.get_context("spawn")
+        )
+        with EngineContext(2, executor="process:2") as context:
+            started = time.perf_counter()
+            with pytest.raises(EngineError, match="worker process died"):
+                context.map(_die, range(4), "crash")
+            assert time.perf_counter() - started < 30
+            assert context.scheduler.stage_table()[-1]["failures"] == 1
+            assert context.map(_double, [1, 2]) == [2, 4]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("func", [_double, _raise_boom, _die])
+    def test_no_worker_outlives_a_map(self, pool, func):
+        with contextlib.suppress(_Boom, EngineError):
+            pool.map(func, range(4))
+        assert multiprocessing.active_children() == []
 
     def test_stop_is_idempotent_and_final(self):
         context = EngineContext(2, executor="process:2")
@@ -174,60 +241,3 @@ class TestFailures:
             pass
         with pytest.raises(EngineError, match="stopped"):
             serial.map(_double, [1])
-
-
-@needs_shm
-class TestSegmentSweep:
-    def _export(self):
-        import numpy as np
-
-        from repro.metablocking.sharedmem import SharedIndexBuffers
-
-        return SharedIndexBuffers.export({"offsets": (np.arange(3), "q")})
-
-    def _touch(self, name: str) -> str:
-        path = os.path.join(SHM, name)
-        os.close(os.open(path, os.O_CREAT | os.O_WRONLY))
-        return path
-
-    def test_live_export_is_not_swept(self):
-        buffers = self._export()
-        try:
-            assert buffers.name not in sharedmem.sweep_orphaned_segments()
-            assert buffers.name in sharedmem.live_segments()
-        finally:
-            buffers.release()
-        assert buffers.name not in sharedmem.live_segments()
-
-    def test_abandoned_own_segment_is_swept(self):
-        buffers = self._export()
-        # A registry torn by a crash: the segment exists in /dev/shm but is
-        # no longer accounted for as a live export.
-        sharedmem._live_owned.discard(buffers.name)
-        try:
-            assert buffers.name in sharedmem.sweep_orphaned_segments()
-            assert buffers.name not in sharedmem.live_segments()
-        finally:
-            buffers.release()  # idempotent: unlink already happened
-
-    def test_dead_owner_segment_is_swept(self):
-        path = self._touch(f"repro-csr-{_dead_pid()}-0")
-        assert os.path.basename(path) in sharedmem.sweep_orphaned_segments()
-        assert not os.path.exists(path)
-
-    def test_foreign_names_of_a_dead_pid_are_left_alone(self):
-        """Only exact ``repro-<kind>-<pid>-<seq>`` names are the engine's."""
-        pid = _dead_pid()
-        paths = [
-            self._touch(f"repro-x-{pid}-notaseq"),
-            self._touch(f"repro-x-{pid}-1-extra"),
-        ]
-        try:
-            swept = sharedmem.sweep_orphaned_segments()
-            for path in paths:
-                assert os.path.exists(path)
-                assert os.path.basename(path) not in swept
-        finally:
-            for path in paths:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(path)

@@ -183,12 +183,9 @@ def test_custom_strategies_get_index_stats_on_every_path():
     with EngineContext(3) as context:
         assert ParallelMetaBlocker(context, "js", parallel).run(blocks).retained_edges == stock
     index = IncrementalBlockIndex()
-    try:
-        index.append_profiles(_random_profiles(30, clean_clean=False, seed=3))
-        expected = DeltaMetaBlocker("cbs", "wnp").refresh(index.materialise(), 1)
-        assert expected and DeltaMetaBlocker("cbs", delta).refresh(index.materialise(), 1) == expected
-    finally:
-        index.close()
+    index.append_profiles(_random_profiles(30, clean_clean=False, seed=3))
+    expected = DeltaMetaBlocker("cbs", "wnp").refresh(index.materialise(), 1)
+    assert expected and DeltaMetaBlocker("cbs", delta).refresh(index.materialise(), 1) == expected
     for recorder in (sequential, parallel, delta):
         assert [type(stats) for stats in recorder.seen] == [IndexStats]
         assert recorder.seen[0].num_nodes == len(recorder.seen[0].blocks_per_profile)

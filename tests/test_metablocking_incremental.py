@@ -25,7 +25,7 @@ from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
 from repro.exceptions import DataError
 from repro.metablocking.index import (
-    _SHARED_FIELDS,
+    ARRAY_FIELDS,
     AppendDelta,
     CSRBlockIndex,
     IncrementalBlockIndex,
@@ -66,7 +66,7 @@ def _batch_index(profiles, *, clean_clean):
 def _assert_bit_identical(built: CSRBlockIndex, reference: CSRBlockIndex):
     assert built.node_ids == reference.node_ids
     assert built.total_blocks == reference.total_blocks
-    for field, _typecode in _SHARED_FIELDS:
+    for field in ARRAY_FIELDS:
         assert (
             getattr(built, field).tobytes() == getattr(reference, field).tobytes()
         ), f"buffer {field} differs from the from-scratch build"
@@ -78,58 +78,45 @@ class TestCompactionParity:
         """Multi-batch append + compact ≡ one from-scratch build (bit-for-bit)."""
         profiles = _random_profiles(90, clean_clean=clean_clean, seed=7)
         incremental = IncrementalBlockIndex(clean_clean=clean_clean)
-        try:
-            for start in range(0, len(profiles), 25):
-                incremental.append_profiles(profiles[start : start + 25])
-            built = incremental.materialise()
-            reference = _batch_index(profiles, clean_clean=clean_clean)
-            try:
-                _assert_bit_identical(built, reference)
-            finally:
-                reference.close()
-        finally:
-            incremental.close()
+        for start in range(0, len(profiles), 25):
+            incremental.append_profiles(profiles[start : start + 25])
+        built = incremental.materialise()
+        reference = _batch_index(profiles, clean_clean=clean_clean)
+        _assert_bit_identical(built, reference)
 
     def test_intermediate_compactions_do_not_change_the_result(self, clean_clean):
         """Compacting after every batch equals compacting once at the end."""
         profiles = _random_profiles(60, clean_clean=clean_clean, seed=11)
         eager = IncrementalBlockIndex(clean_clean=clean_clean, compact_every=10)
         lazy = IncrementalBlockIndex(clean_clean=clean_clean)
-        try:
-            for start in range(0, len(profiles), 15):
-                batch = profiles[start : start + 15]
-                eager.append_profiles(batch)
-                lazy.append_profiles(batch)
-            assert eager.compactions >= 4
-            _assert_bit_identical(eager.materialise(), lazy.materialise())
-            assert lazy.compactions == 1
-        finally:
-            eager.close()
-            lazy.close()
+        for start in range(0, len(profiles), 15):
+            batch = profiles[start : start + 15]
+            eager.append_profiles(batch)
+            lazy.append_profiles(batch)
+        assert eager.compactions >= 4
+        _assert_bit_identical(eager.materialise(), lazy.materialise())
+        assert lazy.compactions == 1
 
 
 def test_append_then_query_equals_batch_query_on_union():
     """Meta-blocking and progressive streams agree with the batch union run."""
     profiles = _random_profiles(80, clean_clean=False, seed=23)
     incremental = IncrementalBlockIndex()
-    try:
-        incremental.append_profiles(profiles[:50])
-        incremental.materialise()  # query between appends, then grow
-        incremental.append_profiles(profiles[50:])
-        index = incremental.materialise()
+    incremental.append_profiles(profiles[:50])
+    incremental.materialise()  # query between appends, then grow
+    incremental.append_profiles(profiles[50:])
+    index = incremental.materialise()
 
-        union = ProfileCollection(profiles)
-        blocks = TokenBlocking().block(union)
-        batch = MetaBlocker("js", "wnp").run(blocks)
-        served = DeltaMetaBlocker("js", "wnp").refresh(index)
-        assert list(served.items()) == list(batch.retained_edges.items())
+    union = ProfileCollection(profiles)
+    blocks = TokenBlocking().block(union)
+    batch = MetaBlocker("js", "wnp").run(blocks)
+    served = DeltaMetaBlocker("js", "wnp").refresh(index)
+    assert list(served.items()) == list(batch.retained_edges.items())
 
-        progressive = ProgressiveSortedComparisons("cbs")
-        assert list(progressive.stream_index(index)) == list(
-            progressive.stream(blocks)
-        )
-    finally:
-        incremental.close()
+    progressive = ProgressiveSortedComparisons("cbs")
+    assert list(progressive.stream_index(index)) == list(
+        progressive.stream(blocks)
+    )
 
 
 # Words for both tokeniser buffers (ASCII and not: an accent, a sharp s, a
@@ -191,34 +178,28 @@ def _replay_against_the_union(batches, clean_clean, min_token_length, remove_sto
     options = {"min_token_length": min_token_length, "remove_stopwords": remove_stopwords}
     incremental = IncrementalBlockIndex(clean_clean=clean_clean, **options)
     union = []
-    try:
-        for batch in batches:
-            delta = incremental.append_profiles(batch)
-            union.extend(batch)
-            tokens_of = {
-                p.profile_id: p.tokens(
-                    min_length=min_token_length, remove_stopwords=remove_stopwords
-                )
-                for p in union
-            }
-            touched = set().union(*(tokens_of[p.profile_id] for p in batch))
-            assert delta.new_profile_ids == tuple(p.profile_id for p in batch)
-            assert delta.touched_tokens == touched
-            assert delta.touched_profile_ids == {
-                profile_id for profile_id, held in tokens_of.items() if held & touched
-            }
-            assert incremental.num_tokens == len(set().union(*tokens_of.values()))
-            built = incremental.materialise()
-            reference = _union_reference(union, clean_clean=clean_clean, **options)
-            if reference is None:
-                assert (built.node_ids, built.total_blocks) == ([], 0)
-                continue
-            try:
-                _assert_bit_identical(built, reference)
-            finally:
-                reference.close()
-    finally:
-        incremental.close()
+    for batch in batches:
+        delta = incremental.append_profiles(batch)
+        union.extend(batch)
+        tokens_of = {
+            p.profile_id: p.tokens(
+                min_length=min_token_length, remove_stopwords=remove_stopwords
+            )
+            for p in union
+        }
+        touched = set().union(*(tokens_of[p.profile_id] for p in batch))
+        assert delta.new_profile_ids == tuple(p.profile_id for p in batch)
+        assert delta.touched_tokens == touched
+        assert delta.touched_profile_ids == {
+            profile_id for profile_id, held in tokens_of.items() if held & touched
+        }
+        assert incremental.num_tokens == len(set().union(*tokens_of.values()))
+        built = incremental.materialise()
+        reference = _union_reference(union, clean_clean=clean_clean, **options)
+        if reference is None:
+            assert (built.node_ids, built.total_blocks) == ([], 0)
+            continue
+        _assert_bit_identical(built, reference)
 
 
 class TestEveryAppendEqualsTheBatchBuild:
@@ -268,7 +249,6 @@ class TestIncrementalBehaviour:
         third.add("name", "delta")
         lone = incremental.append_profiles([third])
         assert lone.touched_profile_ids == frozenset({2})
-        incremental.close()
 
     def test_a_refused_batch_changes_nothing(self):
         """Ids are checked before anything is appended: ``[2, 1]`` after
@@ -277,19 +257,16 @@ class TestIncrementalBehaviour:
         for profile in profiles:
             profile.add("name", "alpha")
         incremental = IncrementalBlockIndex()
-        try:
-            incremental.append_profiles(profiles[:2])
-            before = incremental.materialise()
-            with pytest.raises(DataError, match="strictly increasing"):
-                incremental.append_profiles([profiles[2], profiles[1]])
-            assert not incremental.has_profile(2)
-            assert incremental.num_profiles == incremental.appended_profiles == 2
-            assert incremental.last_profile_id == 1
-            assert not incremental.is_stale and incremental.materialise() is before
-            incremental.append_profiles([profiles[2]])
-            assert incremental.materialise().node_ids == [0, 1, 2]
-        finally:
-            incremental.close()
+        incremental.append_profiles(profiles[:2])
+        before = incremental.materialise()
+        with pytest.raises(DataError, match="strictly increasing"):
+            incremental.append_profiles([profiles[2], profiles[1]])
+        assert not incremental.has_profile(2)
+        assert incremental.num_profiles == incremental.appended_profiles == 2
+        assert incremental.last_profile_id == 1
+        assert not incremental.is_stale and incremental.materialise() is before
+        incremental.append_profiles([profiles[2]])
+        assert incremental.materialise().node_ids == [0, 1, 2]
 
     def test_profile_ids_must_strictly_increase(self):
         incremental = IncrementalBlockIndex()
@@ -302,7 +279,6 @@ class TestIncrementalBehaviour:
             incremental.append_profiles([EntityProfile(3, "past")])
         assert incremental.has_profile(5)
         assert not incremental.has_profile(3)
-        incremental.close()
 
     def test_materialise_is_cached_until_the_next_append(self):
         incremental = IncrementalBlockIndex()
@@ -318,7 +294,6 @@ class TestIncrementalBehaviour:
         incremental.append_profiles([follow])
         assert incremental.is_stale
         assert incremental.materialise() is not first
-        incremental.close()
 
     def test_pickle_round_trip_rebuilds_the_same_csr(self):
         profiles = _random_profiles(40, clean_clean=True, seed=3)
@@ -329,31 +304,9 @@ class TestIncrementalBehaviour:
         assert clone.is_stale  # the CSR itself is not shipped
         assert clone.profile_ids() == incremental.profile_ids()
         _assert_bit_identical(clone.materialise(), original)
-        clone.close()
-        incremental.close()
 
 
 class TestCloseHardening:
-    def test_close_is_idempotent(self):
-        incremental = IncrementalBlockIndex()
-        profile = EntityProfile(0, "a")
-        profile.add("name", "alpha bravo")
-        incremental.append_profiles([profile])
-        index = incremental.materialise()
-        index.close()
-        index.close()
-        incremental.close()
-        incremental.close()
-
-    def test_close_on_never_materialised_index_is_safe(self):
-        incremental = IncrementalBlockIndex()
-        incremental.close()
-        # A CSRBlockIndex that never ran a builder (e.g. unpickling target)
-        # must also close without touching missing attributes.
-        bare = CSRBlockIndex.__new__(CSRBlockIndex)
-        bare.close()
-        bare.close()
-
     def test_failed_build_leaves_the_overlay_intact(self, monkeypatch):
         """A build error mid-materialisation keeps the overlay retryable."""
         incremental = IncrementalBlockIndex()
@@ -372,4 +325,25 @@ class TestCloseHardening:
         # (one lone profile induces no comparisons, so the index is empty).
         index = incremental.materialise()
         assert index.num_nodes == 0
-        incremental.close()
+
+    def test_close_is_idempotent(self):
+        """``CSRBlockIndex.close`` releases nothing: closing twice is safe
+        and the index answers exactly as before."""
+        incremental = IncrementalBlockIndex()
+        incremental.append_profiles(_random_profiles(30, clean_clean=False, seed=5))
+        index = incremental.materialise()
+        fields = {field: getattr(index, field).tolist() for field in ARRAY_FIELDS}
+        neighbours = [index.kernel().neighbours(node) for node in range(index.num_nodes)]
+        index.close()
+        index.close()
+        assert {field: getattr(index, field).tolist() for field in ARRAY_FIELDS} == fields
+        assert [index.kernel().neighbours(n) for n in range(index.num_nodes)] == neighbours
+        assert incremental.materialise() is index
+        _assert_bit_identical(pickle.loads(pickle.dumps(index)), index)
+
+    def test_close_on_never_materialised_index_is_safe(self):
+        # A CSRBlockIndex that never ran a builder (e.g. an unpickling
+        # target) closes without touching missing attributes.
+        bare = CSRBlockIndex.__new__(CSRBlockIndex)
+        bare.close()
+        bare.close()

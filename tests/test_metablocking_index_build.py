@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.blocking.block import Block, BlockCollection
 from repro.data.synthetic import generate_scalability_products
+from repro.engine.context import EngineContext
 from repro.metablocking import index as index_module
-from repro.metablocking.index import _SHARED_FIELDS, CSRBlockIndex, IncrementalBlockIndex
+from repro.metablocking.index import ARRAY_FIELDS, CSRBlockIndex, IncrementalBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.pruning import IndexStats, WeightedNodePruning
 from repro.service import CollectionConfig, ServiceCollection
@@ -37,7 +39,7 @@ from tests.test_metablocking_incremental import (
 )
 from tests.test_metablocking_parallel import _prepared_blocks
 
-FIELDS = [field for field, _typecode in _SHARED_FIELDS]
+FIELDS = list(ARRAY_FIELDS)
 
 
 def _fields(index: CSRBlockIndex) -> dict:
@@ -152,10 +154,10 @@ class TestBuilders:
     def test_array_builder_matches_the_definition(self, collection):
         built = CSRBlockIndex.from_blocks(collection)
         check_against_definition(_fields(built), collection)
-        for field, typecode in _SHARED_FIELDS:
+        for field, dtype in ARRAY_FIELDS.items():
             buffer = getattr(built, field)
             assert isinstance(buffer, np.ndarray), field
-            assert buffer.dtype == (np.int64 if typecode == "q" else np.float64), field
+            assert buffer.dtype == dtype, field
         assert type(built.node_ids) is list
         assert all(type(profile_id) is int for profile_id in built.node_ids)
         assert built.node_of == {profile_id: dense for dense, profile_id in enumerate(built.node_ids)}
@@ -178,24 +180,17 @@ class TestBuilders:
 
         shuffled = build(sides0, sides1)
         ordered = build([sorted(side) for side in sides0], [set(side) for side in sides1])
-        try:
-            assert _fields(shuffled) == _fields(ordered)
-        finally:
-            shuffled.close()
-            ordered.close()
+        assert _fields(shuffled) == _fields(ordered)
 
     def test_zero_blocks(self):
         index = CSRBlockIndex.from_blocks(BlockCollection())
-        try:
-            assert _fields(index) == {
-                **{field: [] for field in FIELDS},
-                "node_block_offsets": [0],
-                "block_offsets": [0],
-                "node_ids": [],
-            }
-            assert MetaBlocker("cbs", "wnp").run(BlockCollection()).retained_edges == {}
-        finally:
-            index.close()
+        assert _fields(index) == {
+            **{field: [] for field in FIELDS},
+            "node_block_offsets": [0],
+            "block_offsets": [0],
+            "node_ids": [],
+        }
+        assert MetaBlocker("cbs", "wnp").run(BlockCollection()).retained_edges == {}
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +202,15 @@ def test_compact_after_random_batches_equals_from_blocks(clean_clean, seed):
     rng = random.Random(seed)
     profiles = _random_profiles(70, clean_clean=clean_clean, seed=seed)
     incremental = IncrementalBlockIndex(clean_clean=clean_clean)
-    try:
-        start = 0
-        while start < len(profiles):
-            stop = start + rng.randint(1, 20)
-            incremental.append_profiles(profiles[start:stop])
-            if rng.random() < 0.4:
-                incremental.compact()  # compactions between appends
-            start = stop
-        reference = _batch_index(profiles, clean_clean=clean_clean)
-        try:
-            _assert_bit_identical(incremental.materialise(), reference)
-        finally:
-            reference.close()
-    finally:
-        incremental.close()
+    start = 0
+    while start < len(profiles):
+        stop = start + rng.randint(1, 20)
+        incremental.append_profiles(profiles[start:stop])
+        if rng.random() < 0.4:
+            incremental.compact()  # compactions between appends
+        start = stop
+    reference = _batch_index(profiles, clean_clean=clean_clean)
+    _assert_bit_identical(incremental.materialise(), reference)
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +224,28 @@ def blocks_400():
 class TestArrayBuiltIndexTransport:
     def test_pickle_roundtrip_reproduces_the_fields(self, blocks_400):
         index = CSRBlockIndex.from_blocks(blocks_400)
-        try:
-            clone = pickle.loads(pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL))
-            assert _fields(clone) == _fields(index)
-            assert clone.node_of == index.node_of
-            assert clone.kernel().neighbours(3) == index.kernel().neighbours(3)
-        finally:
-            index.close()
+        clone = pickle.loads(pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL))
+        assert _fields(clone) == _fields(index)
+        assert clone.node_of == index.node_of
+        assert clone.kernel().neighbours(3) == index.kernel().neighbours(3)
 
-    def test_export_shared_then_attach_reproduces_the_fields(self, blocks_400):
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers fork only on Linux")
+    def test_forked_workers_see_the_built_fields(self, blocks_400):
+        """A ``process:2`` map's workers inherit the index by fork: a closure
+        (which could not be pickled) reads every field and one neighbourhood
+        exactly as the driver built them."""
         index = CSRBlockIndex.from_blocks(blocks_400)
-        index.export_shared()
-        try:
-            attached = pickle.loads(pickle.dumps(index))
-            expected = _fields(index)
-            assert attached.node_ids.tolist() == expected.pop("node_ids")
-            assert {field: getattr(attached, field).tolist() for field in FIELDS} == expected
-        finally:
-            index.close()
+
+        def read(field):
+            if field == "neighbours":
+                return index.kernel().neighbours(3)
+            return getattr(index, field).tolist()
+
+        items = [*FIELDS, "neighbours"]
+        with EngineContext(2, executor="process:2") as context:
+            seen = context.map(read, items)
+        expected = _fields(index)
+        assert seen == [*(expected[field] for field in FIELDS), index.kernel().neighbours(3)]
 
 
 def test_array_build_sorts_no_block_in_python(blocks_400, monkeypatch):
@@ -264,7 +257,7 @@ def test_array_build_sorts_no_block_in_python(blocks_400, monkeypatch):
 
     # A module global shadows the builtin for everything index.py runs.
     monkeypatch.setattr(index_module, "sorted", counting_sorted, raising=False)
-    CSRBlockIndex.from_blocks(blocks_400).close()
+    CSRBlockIndex.from_blocks(blocks_400)
     assert calls == []
 
 
@@ -284,17 +277,14 @@ class TestPlainPythonValues:
                 assert (type(a), type(b), type(weight)) == (int, int, float)
             assert type(result.graph_nodes) is int and type(result.graph_edges) is int
         index = CSRBlockIndex.from_blocks(blocks_400)
-        try:
-            counts = IndexStats(index).blocks_per_profile
-            assert counts and all(
-                type(profile_id) is int and type(count) is int
-                for profile_id, count in counts.items()
-            )
-            assert type(index.num_blocks) is int
-            assert type(index.num_edges()) is int
-            assert type(index.num_nodes) is int
-        finally:
-            index.close()
+        counts = IndexStats(index).blocks_per_profile
+        assert counts and all(
+            type(profile_id) is int and type(count) is int
+            for profile_id, count in counts.items()
+        )
+        assert type(index.num_blocks) is int
+        assert type(index.num_edges()) is int
+        assert type(index.num_nodes) is int
 
     def test_service_payloads_serialise(self):
         collection = ServiceCollection(CollectionConfig(name="c"))

@@ -224,17 +224,14 @@ def check_progressive(case, weighting):
 def check_delta(clean_clean, rows, cuts_at, weighting, rule):
     index = IncrementalBlockIndex(clean_clean=clean_clean)
     delta = DeltaMetaBlocker(weighting, strategy_of(rule))
-    try:
-        bounds = sorted({0, len(rows), *(c % (len(rows) + 1) for c in cuts_at)})
-        for lo, hi in zip(bounds, bounds[1:]):
-            index.append_profiles(profiles_of(rows[lo:hi]))
-            got = delta.refresh(index.materialise(), index.compactions)
-            _g, weights, expected, cuts = expect(
-                token_blocks(rows[:hi], clean_clean), weighting, rule, False
-            )
-            agree(list(got.items()), expected, weights, cuts, weighting == "cbs")
-    finally:
-        index.close()
+    bounds = sorted({0, len(rows), *(c % (len(rows) + 1) for c in cuts_at)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        index.append_profiles(profiles_of(rows[lo:hi]))
+        got = delta.refresh(index.materialise(), index.compactions)
+        _g, weights, expected, cuts = expect(
+            token_blocks(rows[:hi], clean_clean), weighting, rule, False
+        )
+        agree(list(got.items()), expected, weights, cuts, weighting == "cbs")
 
 
 # ---------------------------------------------------------------------------

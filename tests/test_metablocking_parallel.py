@@ -3,11 +3,12 @@
 Output equivalence with the sequential meta-blocker (ordered, bit-for-bit,
 over the whole option grid) lives in ``test_metablocking_equivalence.py``;
 this module pins the *shape* of the job — one map over contiguous node
-ranges, a run-scoped shared segment, no driver-side sweep — the range
-partitioner's properties, the streaming contract and the lifecycle of what a
-run allocates.
+ranges, workers that live no longer than the run, no driver-side sweep —
+the range partitioner's properties, the streaming contract and the
+lifecycle of what a run allocates.
 """
 
+import multiprocessing
 from itertools import chain
 
 import pytest
@@ -24,7 +25,6 @@ from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.backends import balanced_ranges
 from repro.metablocking.parallel import ParallelMetaBlocker
 from repro.metablocking.pruning import WeightedNodePruning
-from repro.metablocking.sharedmem import live_segments
 
 
 def _prepared_blocks(dataset):
@@ -246,18 +246,19 @@ class TestStreamRetained:
 # --------------------------------------------------------------------------
 # Lifecycle: what a run allocates, it releases
 # --------------------------------------------------------------------------
-class TestRunScopedSegment:
+class TestRunScopedWorkers:
     @pytest.mark.parametrize("executor", ["serial", "process:2"])
-    def test_repeated_runs_leave_no_segment(self, blocks_400, executor):
+    def test_repeated_runs_leave_no_worker(self, blocks_400, executor):
         with EngineContext(4, executor=executor) as context:
             blocker = ParallelMetaBlocker(context, "cbs", "wnp")
             results = [blocker.run(blocks_400) for _ in range(3)]
-            assert live_segments() == []
+            assert multiprocessing.active_children() == []
             assert context.metrics_summary()["stages"] == 3
         assert results[0].retained_edges == results[1].retained_edges == results[2].retained_edges
+        assert results[0].retained_edges == MetaBlocker("cbs", "wnp").run(blocks_400).retained_edges
 
     @pytest.mark.parametrize("executor", ["serial", "process:2"])
-    def test_a_failed_task_still_releases_the_segment(self, blocks_400, monkeypatch, executor):
+    def test_a_failed_task_leaves_no_worker(self, blocks_400, monkeypatch, executor):
         from repro.metablocking import parallel
 
         def boom(self, bounds):
@@ -268,14 +269,16 @@ class TestRunScopedSegment:
         with EngineContext(4, executor=executor) as context:
             with pytest.raises(RuntimeError, match="task failed"):
                 ParallelMetaBlocker(context, "cbs", "wnp").run(blocks_400)
-            assert live_segments() == []
+            assert context.metrics_summary()["stages"] == 1
+            assert multiprocessing.active_children() == []
 
-    def test_abandoned_stream_releases_everything_up_front(self, blocks_400):
-        # The job (and its cleanup) completes before the first chunk is
-        # handed out, so a consumer that stops early leaks nothing.
+    def test_abandoned_stream_leaves_no_worker(self, blocks_400):
+        # The job completes before the first chunk is handed out, so a
+        # consumer that stops early leaves nothing running.
         with EngineContext(4, executor="process:2") as context:
             stream = ParallelMetaBlocker(context, "cbs", "wnp").stream_retained(
                 blocks_400, chunk_edges=10
             )
             assert len(next(stream)) == 10
-            assert live_segments() == []
+            assert context.metrics_summary()["stages"] == 1
+            assert multiprocessing.active_children() == []

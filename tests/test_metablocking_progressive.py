@@ -116,7 +116,6 @@ def test_stream_index_is_the_sorted_weight_table(abt_buy_small, weighting):
     buffer = weakref.ref(index.node_block_entries)
     stream = ProgressiveSortedComparisons(weighting).stream_index(index)
     prefix = list(itertools.islice(stream, 10))
-    index.close()
     del index
     gc.collect()
     assert buffer() is None

@@ -362,8 +362,12 @@ def test_no_function_declares_a_knob_parameter():
     assert offenders == []
 
 
-# Names of the deleted buffer backend, temp-root option and options object.
-REMOVED_NAMES = re.compile(r"memmap|buffer_backend|tmp_dir|csrbuf|EngineOptions")
+# Names of the deleted buffer backend, temp-root option, options object and
+# shared-memory transport of the CSR index.
+REMOVED_NAMES = re.compile(
+    r"memmap|buffer_backend|tmp_dir|csrbuf|EngineOptions"
+    r"|export_shared|SharedIndexBuffers|sweep_orphaned_segments|shared_memory|sharedmem"
+)
 
 
 def _names(node):

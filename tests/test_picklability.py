@@ -1,23 +1,35 @@
 """Pickle round-trip coverage for everything the range pool ships.
 
-A process-pool map pickles its task callable — for meta-blocking the range
-weigher and the CSR block index it carries, by value or as a shared-memory
-reference.  These tests round-trip each of those (and the profiles) through
-:mod:`pickle` so a picklability regression surfaces as a focused unit failure
-instead of a worker-pool error.
+Where a process-pool map's workers are not forked (any platform but Linux),
+the map pickles its task callable once per worker — for meta-blocking the
+range weigher and the CSR block index it carries, by value.  These tests
+round-trip each of those (and the profiles) through :mod:`pickle` so a
+picklability regression surfaces as a focused unit failure instead of a
+worker-pool error.  ``TestProcessRunTransport`` pins how a ``process:2``
+run hands the index over: never pickled by forked workers, once per worker
+by spawned ones, and no shared-memory segment either way.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
+import sys
 
-import numpy as np
+import pytest
 
 from repro.blocking.block import Block, BlockCollection
+from repro.blocking.filtering import BlockFiltering
+from repro.blocking.purging import BlockPurging
+from repro.blocking.token_blocking import TokenBlocking
 from repro.data.profile import EntityProfile, KeyValue
+from repro.data.synthetic import SyntheticConfig, generate_abt_buy_like
+from repro.engine import context as context_module
 from repro.engine.context import EngineContext
 from repro.metablocking.index import CSRBlockIndex
-from repro.metablocking.parallel import _RangeWeigher
+from repro.metablocking.metablocker import MetaBlocker
+from repro.metablocking.parallel import ParallelMetaBlocker, _RangeWeigher
 from repro.metablocking.weights import WeightingScheme
 
 
@@ -105,88 +117,6 @@ class TestCSRIndexPickling:
             assert clone.kernel().neighbours(node) == index.kernel().neighbours(node)
 
 
-class TestSharedMemoryPickling:
-    def test_shared_memory_roundtrip_is_zero_copy_and_identical(self):
-        index = CSRBlockIndex.from_blocks(_small_blocks())
-        reference = CSRBlockIndex.from_blocks(_small_blocks())
-        index.export_shared()
-        try:
-            payload = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
-            # The buffers must not ride in the pickle: only the segment name
-            # and layout do, so the payload stays tiny.
-            assert len(payload) < 2048
-            clone = pickle.loads(payload)
-            assert isinstance(clone.block_nodes, np.ndarray)
-            assert clone.node_of == reference.node_of
-            assert list(clone.degree_vector()) == list(reference.degree_vector())
-            for node in range(reference.num_nodes):
-                assert (
-                    clone.kernel().neighbours(node)
-                    == reference.kernel().neighbours(node)
-                )
-        finally:
-            index.close()
-
-    def test_close_unlinks_the_segment(self):
-        from repro.metablocking.sharedmem import live_segments
-
-        index = CSRBlockIndex.from_blocks(_small_blocks())
-        handle = index.export_shared()
-        assert handle.name in live_segments()
-        index.close()
-        assert handle.name not in live_segments()
-        # After release the pickle falls back to shipping the full arrays.
-        clone = _roundtrip(index)
-        assert clone.node_ids == index.node_ids
-
-    def test_garbage_collected_export_unlinks_the_segment(self):
-        # The GC backstop: an exported index abandoned without close()
-        # must not leak its /dev/shm segment.
-        import gc
-
-        from repro.metablocking.sharedmem import live_segments
-
-        index = CSRBlockIndex.from_blocks(_small_blocks())
-        name = index.export_shared().name
-        assert name in live_segments()
-        del index
-        gc.collect()
-        assert name not in live_segments()
-
-    def test_process_run_ships_via_shared_memory_and_leaves_no_segments(
-        self, monkeypatch
-    ):
-        from repro.blocking.filtering import BlockFiltering
-        from repro.blocking.purging import BlockPurging
-        from repro.blocking.token_blocking import TokenBlocking
-        from repro.data.synthetic import SyntheticConfig, generate_abt_buy_like
-        from repro.metablocking.metablocker import MetaBlocker
-        from repro.metablocking.parallel import ParallelMetaBlocker
-        from repro.metablocking.sharedmem import live_segments
-
-        exported: list[str] = []
-        original = CSRBlockIndex.export_shared
-
-        def spy(self):
-            handle = original(self)
-            exported.append(handle.name)
-            return handle
-
-        monkeypatch.setattr(CSRBlockIndex, "export_shared", spy)
-        dataset = generate_abt_buy_like(SyntheticConfig(num_entities=40, seed=7))
-        raw = TokenBlocking().block(dataset.profiles)
-        blocks = BlockFiltering().filter(BlockPurging().purge(raw, len(dataset.profiles)))
-        reference = MetaBlocker("cbs", "wnp").run(blocks)
-        with EngineContext(4, executor="process:2") as context:
-            result = ParallelMetaBlocker(context, "cbs", "wnp").run(blocks)
-            # Run-scoped lifecycle: the segment is already unlinked when the
-            # run returns, not merely at context shutdown.
-            assert live_segments() == []
-        assert exported, "process run did not ship the index via shared memory"
-        assert result.retained_edges == reference.retained_edges
-        assert live_segments() == []
-
-
 class TestMetaBlockingTaskFunctions:
     def test_range_weigher_roundtrip_emits_the_sequential_edge_stream(self):
         """The one task of the ``metablocking.weights`` map survives a pickle
@@ -206,3 +136,58 @@ class TestMetaBlockingTaskFunctions:
                 a, b, w = task(bounds)
                 streamed.extend(zip(a.tolist(), b.tolist(), w.tolist()))
             assert streamed == expected
+
+
+@pytest.fixture(scope="module")
+def abt_blocks() -> BlockCollection:
+    dataset = generate_abt_buy_like(SyntheticConfig(num_entities=60, seed=7))
+    raw = TokenBlocking().block(dataset.profiles)
+    return BlockFiltering().filter(BlockPurging().purge(raw, len(dataset.profiles)))
+
+
+def _process_run(blocks, monkeypatch) -> "tuple[list, int, int]":
+    """A ``process:2`` CBS/WNP run: its retained edges, how often the driver
+    pickled a CSR index, and how many workers ran its weighing tasks."""
+    pickled = []
+    original = CSRBlockIndex.__getstate__
+
+    def counting_getstate(self):
+        pickled.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CSRBlockIndex, "__getstate__", counting_getstate)
+    with EngineContext(4, executor="process:2") as context:
+        result = ParallelMetaBlocker(context, "cbs", "wnp").run(blocks)
+        (row,) = context.scheduler.stage_table()
+    monkeypatch.undo()
+    return list(result.retained_edges.items()), len(pickled), row["workers"]
+
+
+class TestProcessRunTransport:
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers fork only on Linux")
+    def test_forked_run_never_pickles_the_index(self, abt_blocks, monkeypatch):
+        edges, pickles, workers = _process_run(abt_blocks, monkeypatch)
+        assert edges == list(MetaBlocker("cbs", "wnp").run(abt_blocks).retained_edges.items())
+        assert pickles == 0
+        assert 1 <= workers <= 2
+
+    def test_spawned_run_pickles_the_index_once_per_worker(self, abt_blocks, monkeypatch):
+        monkeypatch.setattr(
+            context_module, "_MP_CONTEXT", multiprocessing.get_context("spawn")
+        )
+        edges, pickles, workers = _process_run(abt_blocks, monkeypatch)
+        assert edges == list(MetaBlocker("cbs", "wnp").run(abt_blocks).retained_edges.items())
+        assert 1 <= workers <= pickles <= 2
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+    def test_process_run_leaves_no_segment_and_no_child(self, abt_blocks):
+        def segments():
+            return {name for name in os.listdir("/dev/shm") if name.startswith("repro-")}
+
+        before = segments()
+        with EngineContext(4, executor="process:2") as context:
+            result = ParallelMetaBlocker(context, "cbs", "wnp").run(abt_blocks)
+            assert multiprocessing.active_children() == []
+            assert segments() <= before
+        assert result.retained_edges == MetaBlocker("cbs", "wnp").run(abt_blocks).retained_edges
+        assert segments() <= before

@@ -49,18 +49,15 @@ def test_refresh_after_every_append_equals_batch(weighting, pruning, clean_clean
     profiles = _random_profiles(75, clean_clean=clean_clean, seed=19)
     incremental = IncrementalBlockIndex(clean_clean=clean_clean)
     delta = DeltaMetaBlocker(weighting, pruning)
-    try:
-        ingested = []
-        for batch in (profiles[:30], profiles[30:55], profiles[55:]):
-            incremental.append_profiles(batch)
-            ingested.extend(batch)
-            delta.refresh(incremental.materialise(), incremental.compactions)
-            assert delta.last_mode == "full"
-            expected = _batch_retained(ingested, weighting, pruning, clean_clean=clean_clean)
-            assert list(delta.retained.items()) == list(expected.items())
-        assert delta.full_refreshes == delta.refreshes == 3
-    finally:
-        incremental.close()
+    ingested = []
+    for batch in (profiles[:30], profiles[30:55], profiles[55:]):
+        incremental.append_profiles(batch)
+        ingested.extend(batch)
+        delta.refresh(incremental.materialise(), incremental.compactions)
+        assert delta.last_mode == "full"
+        expected = _batch_retained(ingested, weighting, pruning, clean_clean=clean_clean)
+        assert list(delta.retained.items()) == list(expected.items())
+    assert delta.full_refreshes == delta.refreshes == 3
 
 
 class _SweepSpy:
@@ -87,19 +84,16 @@ def test_refresh_on_an_unchanged_index_does_no_sweep(monkeypatch):
     incremental.append_profiles(_random_profiles(40, clean_clean=False, seed=5))
     index = incremental.materialise()
     delta = DeltaMetaBlocker("cbs", "wnp")
-    try:
-        delta.refresh(index, incremental.compactions)
-        before = delta.retained
-        spy = _SweepSpy(monkeypatch)
-        assert delta.refresh(index, incremental.compactions) is before
-        assert (spy.tables, spy.sweeps) == (0, 0)
-        assert delta.last_mode == "local"
-        assert (delta.full_refreshes, delta.local_refreshes) == (1, 1)
-        # An unknown compaction count always recomputes.
-        delta.refresh(index)
-        assert delta.last_mode == "full" and spy.tables == 1
-    finally:
-        incremental.close()
+    delta.refresh(index, incremental.compactions)
+    before = delta.retained
+    spy = _SweepSpy(monkeypatch)
+    assert delta.refresh(index, incremental.compactions) is before
+    assert (spy.tables, spy.sweeps) == (0, 0)
+    assert delta.last_mode == "local"
+    assert (delta.full_refreshes, delta.local_refreshes) == (1, 1)
+    # An unknown compaction count always recomputes.
+    delta.refresh(index)
+    assert delta.last_mode == "full" and spy.tables == 1
 
 
 @pytest.mark.parametrize(
@@ -142,7 +136,6 @@ def test_candidates_of_orders_best_first():
     for pair, weight in incident:
         assert some_profile in pair
         assert delta.retained[pair] == weight
-    incremental.close()
 
 
 def test_stats_exposes_refresh_counters():
@@ -206,7 +199,6 @@ def test_new_snapshots_carry_no_edge_state():
     clone.refresh(incremental.materialise(), incremental.compactions)
     assert clone.last_mode == "full"
     assert list(clone.retained.items()) == list(delta.retained.items())
-    incremental.close()
 
 
 def _parent_delta(monkeypatch) -> DeltaMetaBlocker:

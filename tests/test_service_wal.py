@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import ConfigurationError, DataError
-from repro.metablocking.index import _SHARED_FIELDS
+from repro.metablocking.index import ARRAY_FIELDS
 from repro.service import (
     CollectionConfig,
     CollectionStore,
@@ -245,7 +245,7 @@ class TestCollectionWal:
 # ------------------------------------------------------------ store recovery
 def _csr_bytes(collection):
     csr = collection.index.materialise()
-    return [getattr(csr, field).tobytes() for field, _tc in _SHARED_FIELDS]
+    return [getattr(csr, field).tobytes() for field in ARRAY_FIELDS]
 
 
 class TestStoreRecovery:
