@@ -90,7 +90,8 @@ class EntityMatcher:
         profiles: ProfileCollection,
         candidate_pairs: Sequence[tuple[int, int]],
     ) -> SimilarityGraph:
-        """Score/label every candidate pair and return the similarity graph."""
+        """Score/label every candidate pair, in sorted order, and return the
+        similarity graph (the pipeline's one sort of the candidate pairs)."""
         matcher = self.build_matcher(profiles)
         return matcher.match(profiles, sorted(candidate_pairs))
 

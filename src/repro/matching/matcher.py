@@ -11,12 +11,28 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
-from repro.exceptions import MatchingError
-from repro.matching.similarity import Similarity, get_similarity_function
+from repro.exceptions import DataError, MatchingError
+from repro.matching.similarity import SIMILARITY_FUNCTIONS, Similarity, get_similarity_function
 from repro.matching.similarity_graph import SimilarityGraph
+from repro.utils.tokenize import token_table
+
+# The most token probes one chunk of the array pass of ThresholdMatcher.match
+# holds at once, so its scratch memory is bounded whatever the pair count.
+PROBE_BUDGET = 1 << 16
+
+# A token-set measure as (numerator, denominator) of the intersection size and
+# the two set sizes; a zero denominator scores 0.0, as the per-pair compare does.
+_SET_SCORE_TERMS = {
+    SIMILARITY_FUNCTIONS["jaccard"]: lambda common, a, b: (common, a + b - common),
+    SIMILARITY_FUNCTIONS["dice"]: lambda common, a, b: (2 * common, a + b),
+    SIMILARITY_FUNCTIONS["overlap"]: lambda common, a, b: (common, np.minimum(a, b)),
+}
 
 
 class Matcher(ABC):
@@ -103,6 +119,68 @@ class ThresholdMatcher(Matcher):
             _prepared_operand(self.similarity, right, None, prepared),
         )
         return score >= self.threshold, score
+
+    def match(
+        self,
+        profiles: ProfileCollection,
+        candidate_pairs: Sequence[tuple[int, int]],
+    ) -> SimilarityGraph:
+        """Score every pair in one array pass when the measure is a stock
+        token-set one and ``evaluate`` is this class's; else pair by pair."""
+        terms = _SET_SCORE_TERMS.get(self.similarity)
+        if terms is None or type(self).evaluate is not ThresholdMatcher.evaluate:
+            return super().match(profiles, candidate_pairs)
+        pairs = list(candidate_pairs)
+        graph = SimilarityGraph()
+        if not pairs:
+            return graph
+        numerators, denominators = terms(*_set_sizes(profiles, pairs))
+        scores = np.zeros(len(pairs))
+        np.divide(numerators, denominators, out=scores, where=denominators > 0)
+        kept = np.flatnonzero(scores >= self.threshold)
+        for index, score in zip(kept.tolist(), scores[kept].tolist()):
+            a, b = pairs[index]
+            graph.add(a, b, score)
+        return graph
+
+
+def _set_sizes(profiles: ProfileCollection, pairs: list) -> tuple:
+    """``(|A ∩ B|, |A|, |B|)`` int64 arrays of the whole-text token sets of
+    every pair, from one token table of the collection."""
+    row_of = {profile.profile_id: row for row, profile in enumerate(profiles)}
+    try:
+        rows = np.fromiter(
+            map(row_of.__getitem__, chain.from_iterable(pairs)), np.int64, 2 * len(pairs)
+        ).reshape(-1, 2)
+    except KeyError as exc:
+        raise DataError(f"unknown profile id {exc.args[0]}") from None
+    table = token_table(profiles)
+    # Each profile's distinct tokens as one sorted run of row * width + token codes.
+    width = max(len(table.forms), 1)
+    codes = np.sort(table.row_of[table.value_of] * width + table.token_ids)
+    codes = codes[np.diff(codes, prepend=-1) != 0]  # not np.unique: it imports numpy.ma
+    sizes = np.bincount(codes // width, minlength=len(row_of))
+    starts = np.cumsum(sizes) - sizes
+    left, right = sizes[rows[:, 0]], sizes[rows[:, 1]]
+    # Probe the smaller set's codes into the other's run, a chunk at a time:
+    # probe number i of a pair reads code index i + base, shifted to the other row.
+    probe = np.where(left <= right, rows[:, 0], rows[:, 1])
+    shifts = (rows[:, 0] + rows[:, 1] - 2 * probe) * width
+    lengths = np.minimum(left, right)
+    ends = np.cumsum(lengths)
+    base = starts[probe] - (ends - lengths)
+    common = np.zeros(len(pairs), dtype=np.int64)
+    start = 0
+    while start < len(pairs):
+        low = ends[start] - lengths[start]
+        stop = max(int(np.searchsorted(ends, low + PROBE_BUDGET, "right")), start + 1)
+        pair_of = np.repeat(np.arange(start, stop), lengths[start:stop])
+        targets = codes[np.arange(low, ends[stop - 1]) + base[pair_of]] + shifts[pair_of]
+        found = np.searchsorted(codes, targets)
+        hit = codes[np.minimum(found, len(codes) - 1)] == targets
+        common[start:stop] = np.bincount(pair_of[hit] - start, minlength=stop - start)
+        start = stop
+    return common, left, right
 
 
 @dataclass

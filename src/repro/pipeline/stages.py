@@ -367,7 +367,7 @@ class MatchingStage(Stage):
             partitioning=partitioning,
             matcher=context.extras.get("matcher"),
         )
-        similarity_graph = matcher.match(profiles, sorted(candidate_pairs))
+        similarity_graph = matcher.match(profiles, candidate_pairs)
         metrics: dict[str, object] = {"matched_pairs": len(similarity_graph)}
         if context.ground_truth is not None:
             metrics.update(

@@ -1,12 +1,17 @@
 """Tests of threshold / rule-based matchers and the similarity graph."""
 
+import struct
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data.dataset import ProfileCollection
-from repro.data.profile import EntityProfile
-from repro.exceptions import MatchingError
-from repro.matching.matcher import MatchingRule, RuleBasedMatcher, ThresholdMatcher
+from repro.data.profile import EntityProfile, KeyValue
+from repro.exceptions import DataError, MatchingError
+from repro.matching import matcher as matcher_module
+from repro.matching.matcher import Matcher, MatchingRule, RuleBasedMatcher, ThresholdMatcher
 from repro.matching.similarity import SIMILARITY_FUNCTIONS
 from repro.matching.similarity_graph import SimilarityEdge, SimilarityGraph
 
@@ -134,7 +139,10 @@ class TestRuleBasedMatcher:
 # prepared-operand matching == the string-level similarity functions
 # ---------------------------------------------------------------------------
 _values = st.lists(
-    st.sampled_from(["Sony", "sony", "TV", "tv,", "40\"", "Café", "12.5", "1,000", "x-1", "led"]),
+    st.sampled_from([
+        "Sony", "sony", "TV", "tv,", "40\"", "Café", "12.5", "1,000", "x-1", "led",
+        "Straße", "STRASSE", "İ", "i", "東京", "東京タワー", "a\x00b", "\x00", "--",
+    ]),
     min_size=0,
     max_size=5,
 ).map(" ".join)
@@ -142,15 +150,37 @@ _values = st.lists(
 
 @st.composite
 def _collections(draw):
+    """Profiles under shuffled, non-contiguous ids, dirty or clean-clean, some
+    with no attributes or empty values; pairs include reversed, repeated and
+    self pairs."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=10**6), min_size=2, max_size=6,
+                        unique=True))
+    clean_clean = draw(st.booleans())
     profiles = []
-    for profile_id in range(draw(st.integers(min_value=2, max_value=6))):
-        profile = EntityProfile(profile_id=profile_id, source_id=profile_id % 2)
-        profile.add("name", draw(_values))
-        profile.add("price", draw(_values))
+    for index, profile_id in enumerate(ids):
+        profile = EntityProfile(profile_id=profile_id, source_id=index % 2 if clean_clean else 0)
+        for attribute in draw(st.lists(st.sampled_from(["name", "price"]), max_size=3)):
+            # KeyValue directly: EntityProfile.add would skip an empty value
+            profile.attributes.append(KeyValue(attribute, draw(_values)))
         profiles.append(profile)
     collection = ProfileCollection(profiles)
-    pairs = [(a, b) for a in range(len(profiles)) for b in range(a + 1, len(profiles))]
-    return collection, pairs
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    pairs += [(b, a) for a, b in pairs[:2]] + pairs[:1] + [(ids[0], ids[0])]
+    return collection, draw(st.permutations(pairs))
+
+
+def _string_level_graph(profiles, pairs, function, threshold) -> list:
+    """``(a, b, score bits)`` of the edges the definition gives, in graph order."""
+    graph = SimilarityGraph()
+    for a, b in pairs:
+        score = function(profiles[a].text(), profiles[b].text())
+        if score >= threshold:
+            graph.add(a, b, score)
+    return _edges(graph)
+
+
+def _edges(graph) -> list:
+    return [(edge.profile_a, edge.profile_b, struct.pack("<d", edge.score)) for edge in graph]
 
 
 class TestMatchersEqualStringLevelSimilarities:
@@ -159,19 +189,29 @@ class TestMatchersEqualStringLevelSimilarities:
     def test_threshold_matcher(self, task, name, threshold):
         profiles, pairs = task
         function = SIMILARITY_FUNCTIONS[name]
-        expected = {}
-        for a, b in pairs:
-            score = function(profiles[a].text(), profiles[b].text())
-            if score >= threshold:
-                expected[(a, b)] = score
         matcher = ThresholdMatcher(name, threshold)
-        graph = matcher.match(profiles, pairs)
-        assert {edge.pair: edge.score for edge in graph} == expected
-        for a, b in pairs:  # the single-pair API agrees with the batch
-            assert matcher.score(profiles[a], profiles[b]) == function(
-                profiles[a].text(), profiles[b].text()
-            )
-            assert matcher.is_match(profiles[a], profiles[b]) == ((a, b) in expected)
+        expected = _string_level_graph(profiles, pairs, function, threshold)
+        assert _edges(matcher.match(profiles, pairs)) == expected
+        for a, b in pairs:  # the single-pair API agrees with the definition
+            score = function(profiles[a].text(), profiles[b].text())
+            assert matcher.score(profiles[a], profiles[b]) == score
+            assert matcher.is_match(profiles[a], profiles[b]) == (score >= threshold)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_collections())
+    def test_token_set_array_pass(self, task):
+        """The array pass of jaccard / dice / overlap, at every chunk budget,
+        gives the definition's edges in the definition's order, bit for bit."""
+        profiles, pairs = task
+        for name in ("jaccard", "dice", "overlap"):
+            for threshold in (0.0, 0.4, 1.0):
+                expected = _string_level_graph(
+                    profiles, pairs, SIMILARITY_FUNCTIONS[name], threshold
+                )
+                for budget in (1, 8, matcher_module.PROBE_BUDGET):
+                    with mock.patch.object(matcher_module, "PROBE_BUDGET", budget):
+                        graph = ThresholdMatcher(name, threshold).match(profiles, pairs)
+                    assert _edges(graph) == expected, (name, threshold, budget)
 
     @settings(max_examples=60, deadline=None)
     @given(_collections(), st.sampled_from(sorted(SIMILARITY_FUNCTIONS)))
@@ -182,7 +222,7 @@ class TestMatchersEqualStringLevelSimilarities:
             MatchingRule("jaccard", 0.2),  # whole-profile text
             MatchingRule(name, 0.1, "name", "price"),  # one attribute, two operands
         ]
-        expected = {}
+        expected = SimilarityGraph()
         for a, b in pairs:
             left, right = profiles[a], profiles[b]
             scores = [
@@ -191,21 +231,76 @@ class TestMatchersEqualStringLevelSimilarities:
                 SIMILARITY_FUNCTIONS[name](left.value_of("name"), right.value_of("price")),
             ]
             if scores[0] >= 0.3 and scores[1] >= 0.2 and scores[2] >= 0.1:
-                expected[(a, b)] = sum(scores) / 3
+                expected.add(a, b, sum(scores) / 3)
         graph = RuleBasedMatcher(rules).match(profiles, pairs)
-        assert {edge.pair: edge.score for edge in graph} == expected
+        assert _edges(graph) == _edges(expected)
 
 
 class TestPreparedOperands:
     def test_each_profile_is_prepared_once_per_match_call(self, monkeypatch):
         profiles = _profiles()
-        matcher = ThresholdMatcher("jaccard", 0.0)
+        matcher = ThresholdMatcher("cosine", 0.0)
         prepared = []
         monkeypatch.setattr(
-            matcher.similarity, "prepare", lambda text: prepared.append(text) or set(text.split())
+            matcher.similarity, "prepare", lambda text: prepared.append(text) or Counter(text.split())
         )
         matcher.match(profiles, [(0, 1), (0, 2), (1, 2), (0, 1)])
         assert sorted(prepared) == sorted(profile.text() for profile in profiles)
         # The memo belongs to the call: a second call prepares again.
         matcher.match(profiles, [(0, 1)])
         assert len(prepared) == 5
+
+    @pytest.mark.parametrize("name", ["jaccard", "dice", "overlap"])
+    def test_token_set_measures_prepare_nothing(self, monkeypatch, name):
+        """Their matcher reads one token table instead of preparing texts."""
+        profiles = _profiles()
+        matcher = ThresholdMatcher(name, 0.0)
+        prepared = []
+        monkeypatch.setattr(
+            matcher.similarity, "prepare", lambda text: prepared.append(text) or set(text.split())
+        )
+        graph = matcher.match(profiles, [(0, 1), (0, 2), (1, 2), (0, 1)])
+        assert len(graph) == 3
+        assert prepared == []
+
+    def test_overridden_evaluate_is_scored_pair_by_pair(self):
+        class Halved(ThresholdMatcher):
+            def evaluate(self, left, right, prepared):
+                matched, score = super().evaluate(left, right, prepared)
+                return matched, score / 2
+
+        profiles = _profiles()
+        graph = Halved("jaccard", 0.0).match(profiles, [(0, 1)])
+        full = ThresholdMatcher("jaccard", 0.0).match(profiles, [(0, 1)])
+        assert graph.score_of(0, 1) == full.score_of(0, 1) / 2
+
+
+class TestTokenSetArrayPassFailures:
+    def _profiles(self) -> ProfileCollection:
+        profiles = []
+        for profile_id in (0, 5, 10):
+            profile = EntityProfile(profile_id=profile_id)
+            profile.add("name", f"sony tv {profile_id}")
+            profiles.append(profile)
+        return ProfileCollection(profiles)
+
+    @pytest.mark.parametrize("unknown", [-1, 3, 7, 11, 10**9])
+    def test_unknown_profile_id_raises_like_the_pair_loop(self, unknown):
+        """An id between, below or above the known ones is never taken for a
+        neighbouring row; the first unknown id in reading order is named."""
+        profiles = self._profiles()
+        pairs = [(0, 5), (5, unknown), (99, 0)]
+        matcher = ThresholdMatcher("jaccard", 0.0)
+        with pytest.raises(DataError) as per_pair:
+            Matcher.match(matcher, profiles, pairs)
+        with pytest.raises(DataError) as array_pass:
+            matcher.match(profiles, pairs)
+        assert str(array_pass.value) == str(per_pair.value) == f"unknown profile id {unknown}"
+
+    def test_empty_pair_list_builds_no_table(self, monkeypatch):
+        def no_table(profiles):
+            raise AssertionError("token_table called for no pairs")
+
+        monkeypatch.setattr(matcher_module, "token_table", no_table)
+        graph = ThresholdMatcher("jaccard", 0.0).match(self._profiles(), [])
+        assert isinstance(graph, SimilarityGraph) and len(graph) == 0
