@@ -9,14 +9,16 @@ import numpy as np
 
 from repro.blocking.block import BlockCollection, BlockColumns
 from repro.data.dataset import ProfileCollection
+from repro.utils.tokenize import TokenTable
 
 
 class Blocker(ABC):
     """A blocking strategy maps a profile collection to a block collection."""
 
     @abstractmethod
-    def block(self, profiles: ProfileCollection) -> BlockCollection:
-        """Build the block collection for ``profiles``."""
+    def block(self, profiles: ProfileCollection, table: TokenTable | None = None) -> BlockCollection:
+        """Build the block collection for ``profiles``; ``table`` is a token
+        table of them (one is built when absent)."""
 
     def __call__(self, profiles: ProfileCollection) -> BlockCollection:
         return self.block(profiles)

@@ -249,10 +249,14 @@ class BlockCollection:
         for lo, hi in zip(cuts, cuts[1:]):
             count = partners[lo:hi]
             a, b = np.repeat(dense[lo:hi], count), dense[expand_ranges(first[lo:hi], count)]
-            codes = np.minimum(a, b) * len(node_ids) + np.maximum(a, b)
+            codes = np.minimum(a, b)  # in place from here on: bounded scratch
+            codes *= len(node_ids)
+            codes += np.maximum(a, b, out=b)
+            del a, b
             codes.sort()
-            distinct.append(codes[np.flatnonzero(np.diff(codes, prepend=-1))])
+            distinct.append(codes[np.diff(codes, prepend=-1) != 0])
         merged = np.concatenate(distinct)
+        distinct.clear()
         merged.sort()
         return int(np.count_nonzero(np.diff(merged, prepend=-1)))
 

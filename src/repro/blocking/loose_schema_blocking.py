@@ -18,7 +18,7 @@ from repro.blocking.base import Blocker, group_token_keys
 from repro.blocking.block import BlockCollection
 from repro.data.dataset import ProfileCollection
 from repro.looseschema.attribute_partitioning import AttributePartitioning
-from repro.utils.tokenize import token_table
+from repro.utils.tokenize import TokenTable, table_for
 
 
 class LooseSchemaTokenBlocking(Blocker):
@@ -49,13 +49,13 @@ class LooseSchemaTokenBlocking(Blocker):
         self.min_token_length = min_token_length
         self.remove_stopwords = remove_stopwords
 
-    def block(self, profiles: ProfileCollection) -> BlockCollection:
+    def block(self, profiles: ProfileCollection, table: TokenTable | None = None) -> BlockCollection:
         """Build one block per ``token_clusterId`` key.
 
         An attribute's cluster is resolved by ``(source_id, attribute)``, the
         way the entropy extractor resolves it.
         """
-        table = token_table(profiles)
+        table = table_for(profiles, table)
         cluster_of = self.partitioning.cluster_by_attribute()
         blob_id = self.partitioning.blob_cluster_id
         # Per (source, attribute) key of the table: the position of its cluster

@@ -12,7 +12,7 @@ import numpy as np
 from repro.blocking.base import Blocker, group_token_keys
 from repro.blocking.block import BlockCollection
 from repro.data.dataset import ProfileCollection
-from repro.utils.tokenize import token_table
+from repro.utils.tokenize import TokenTable, table_for
 
 
 def group_tokens(forms, tokens, sides, rows, profile_ids, clean_clean: bool) -> BlockCollection:
@@ -41,9 +41,9 @@ class TokenBlocking(Blocker):
         self.min_token_length = min_token_length
         self.remove_stopwords = remove_stopwords
 
-    def block(self, profiles: ProfileCollection) -> BlockCollection:
+    def block(self, profiles: ProfileCollection, table: TokenTable | None = None) -> BlockCollection:
         """Build one block per token that appears in at least one profile."""
-        table = token_table(profiles)
+        table = table_for(profiles, table)
         values, tokens = table.select(
             min_length=self.min_token_length, remove_stopwords=self.remove_stopwords
         )

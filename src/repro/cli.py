@@ -60,6 +60,7 @@ from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.looseschema.entropy import EntropyExtractor
 from repro.options import executor_from_args
 from repro.pipeline import Pipeline, PipelineResult, stage_catalog
+from repro.utils.tokenize import token_table
 
 class _TrackExplicit(argparse.Action):
     """Store the value and remember that the user set this flag explicitly.
@@ -288,9 +289,10 @@ def _command_stages(args: argparse.Namespace) -> int:
 
 
 def _command_partition(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args)
-    partitioning = AttributePartitioner(threshold=args.threshold).partition(dataset.profiles)
-    entropies = EntropyExtractor().extract(dataset.profiles, partitioning)
+    profiles = _load_dataset(args).profiles
+    table = token_table(profiles)  # one tokenising pass for both steps
+    partitioning = AttributePartitioner(threshold=args.threshold).partition(profiles, table)
+    entropies = EntropyExtractor().extract(profiles, partitioning, table)
     print(f"attribute partitioning at threshold {args.threshold}:")
     for line in partitioning.describe():
         print("  " + line)

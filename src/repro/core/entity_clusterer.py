@@ -54,12 +54,15 @@ class EntityClusterer:
         clustered_ids: set[int] = set()
         for cluster in clusters:
             clustered_ids.update(cluster.members)
-            merged: dict[str, list[str]] = {}
+            # Distinct (attribute, value) pairs as dict keys, in first-seen
+            # order, so the merge stays linear in the cluster's values.
+            seen: dict[tuple[str, str], None] = {}
             for profile_id in sorted(cluster.members):
-                for attribute, value in profiles[profile_id].items():
-                    values = merged.setdefault(attribute, [])
-                    if value not in values:
-                        values.append(value)
+                for kv in profiles[profile_id].attributes:
+                    seen[kv.attribute, kv.value] = None
+            merged: dict[str, list[str]] = {}
+            for attribute, value in seen:
+                merged.setdefault(attribute, []).append(value)
             entities.append(
                 {
                     "entity_id": cluster.cluster_id,

@@ -19,6 +19,7 @@ from repro.matching.features import PairFeatureExtractor
 from repro.matching.matcher import Matcher, MatchingRule, RuleBasedMatcher, ThresholdMatcher
 from repro.matching.similarity_graph import SimilarityGraph
 from repro.looseschema.attribute_partitioning import AttributePartitioning
+from repro.utils.tokenize import TokenTable
 
 
 class EntityMatcher:
@@ -89,10 +90,14 @@ class EntityMatcher:
         self,
         profiles: ProfileCollection,
         candidate_pairs: Sequence[tuple[int, int]],
+        table: TokenTable | None = None,
     ) -> SimilarityGraph:
         """Score/label every candidate pair, in sorted order, and return the
-        similarity graph (the pipeline's one sort of the candidate pairs)."""
+        similarity graph (the pipeline's one sort of the candidate pairs).
+        ``table``, a token table of ``profiles``, goes to a threshold matcher."""
         matcher = self.build_matcher(profiles)
+        if isinstance(matcher, ThresholdMatcher):
+            return matcher.match(profiles, sorted(candidate_pairs), table)
         return matcher.match(profiles, sorted(candidate_pairs))
 
     def __call__(

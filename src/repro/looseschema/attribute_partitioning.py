@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from repro.data.dataset import ProfileCollection
 from repro.utils.unionfind import UnionFind
 from repro.exceptions import BlockingError
-from repro.looseschema.lsh import AttributeLSH, AttributeProfile, build_attribute_profiles
+from repro.looseschema.lsh import AttributeLSH, AttributeTokens
+from repro.utils.tokenize import TokenTable, table_for
 
 
 @dataclass
@@ -123,22 +124,24 @@ class AttributePartitioner:
         self.lsh = lsh or AttributeLSH()
 
     # ------------------------------------------------------------------ public
-    def partition(self, profiles: ProfileCollection) -> AttributePartitioning:
-        """Run LSH → best match → transitive closure → blob assignment."""
-        attribute_profiles = build_attribute_profiles(profiles)
-        return self.partition_from_attribute_profiles(attribute_profiles)
-
-    def partition_from_attribute_profiles(
-        self, attribute_profiles: dict[tuple[int, str], AttributeProfile]
+    def partition(
+        self, profiles: ProfileCollection, table: TokenTable | None = None
     ) -> AttributePartitioning:
-        """Same as :meth:`partition` but starting from prebuilt attribute profiles."""
-        all_attributes = set(attribute_profiles)
+        """Run LSH → best match → transitive closure → blob assignment.
+
+        ``table`` is a token table of ``profiles`` (one is built when absent).
+        """
+        return self.partition_columns(AttributeTokens.of(table_for(profiles, table)))
+
+    def partition_columns(self, columns: AttributeTokens) -> AttributePartitioning:
+        """Same as :meth:`partition` but starting from prebuilt attribute columns."""
+        all_attributes = set(columns.table.attributes)
 
         # Degenerate threshold: everything in the blob (Figure 6(a)).
         if self.threshold >= 1.0:
             return AttributePartitioning(clusters={0: set(all_attributes)})
 
-        similarities = self.lsh.similarities(attribute_profiles)
+        similarities = self.lsh.similarities(columns)
         filtered = {
             pair: similarity
             for pair, similarity in similarities.items()

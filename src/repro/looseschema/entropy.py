@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from operator import itemgetter
+
+import numpy as np
 
 from repro.data.dataset import ProfileCollection
 from repro.looseschema.attribute_partitioning import AttributePartitioning
-from repro.looseschema.lsh import AttributeProfile, build_attribute_profiles
+from repro.looseschema.lsh import AttributeTokens
+from repro.utils.tokenize import TokenTable, table_for
 
 
 def shannon_entropy(counts: Iterable[int]) -> float:
@@ -50,36 +52,42 @@ class EntropyExtractor:
         self,
         profiles: ProfileCollection,
         partitioning: AttributePartitioning,
+        table: TokenTable | None = None,
     ) -> dict[int, float]:
-        """Return cluster id → entropy for every cluster of ``partitioning``."""
-        return self.extract_from_attribute_profiles(
-            build_attribute_profiles(profiles), partitioning
+        """Return cluster id → entropy for every cluster of ``partitioning``;
+        ``table`` is a token table of ``profiles`` (one is built when absent)."""
+        return self.extract_columns(AttributeTokens.of(table_for(profiles, table)), partitioning)
+
+    def extract_columns(
+        self, columns: AttributeTokens, partitioning: AttributePartitioning
+    ) -> dict[int, float]:
+        """Same as :meth:`extract` but summing prebuilt attribute columns."""
+        cluster_of, blob_id = partitioning.cluster_by_attribute(), partitioning.blob_cluster_id
+        position = {cluster_id: at for at, cluster_id in enumerate(partitioning.clusters)}
+        cluster_at = np.array(
+            [position.setdefault(cluster_of.get(key, blob_id), len(position))
+             for key in columns.table.attributes],
+            dtype=np.int64,
         )
-
-    def extract_from_attribute_profiles(
-        self,
-        attribute_profiles: dict[tuple[int, str], AttributeProfile],
-        partitioning: AttributePartitioning,
-    ) -> dict[int, float]:
-        """Same as :meth:`extract` but summing prebuilt attribute token counts."""
-        arrivals: dict[int, list] = {cluster_id: [] for cluster_id in partitioning.clusters}
-        cluster_of = partitioning.cluster_by_attribute()
-        for key, attribute_profile in attribute_profiles.items():
-            cluster_id = cluster_of.get(key, partitioning.blob_cluster_id)
-            arrivals.setdefault(cluster_id, []).extend(
-                zip(attribute_profile.first_seen, attribute_profile.value_counts.items())
-            )
-
-        entropies = {}
-        for cluster_id, entries in arrivals.items():
-            # The entropy is a float sum, so the order of its terms is part of
-            # the result (and an ulp moves pruning decisions downstream): sum
-            # in the order the cluster's tokens arrive in the collection.
-            entries.sort(key=itemgetter(0))
-            token_counts: dict[str, int] = {}
-            for _sequence, (token, count) in entries:
-                token_counts[token] = token_counts.get(token, 0) + count
-            entropies[cluster_id] = shannon_entropy(token_counts.values())
+        # One (cluster, form) entry per form of a cluster: its summed count and
+        # the first occurrence of the form in any of the cluster's attributes.
+        width = max(len(columns.table.forms), 1)
+        codes = np.repeat(cluster_at * width, np.diff(columns.cuts)) + columns.forms
+        order = np.argsort(codes, kind="stable")
+        starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+        clusters = codes[order][starts] // width
+        counts = np.add.reduceat(columns.counts[order], starts)
+        first = np.minimum.reduceat(columns.first[order], starts)
+        # The entropy is a float sum, so the order of its terms is part of the
+        # result (and an ulp moves pruning decisions downstream): sum each
+        # cluster's counts in the order its forms arrive in the collection.
+        arrival = np.lexsort((first, clusters))
+        counts = counts[arrival].tolist()
+        cuts = np.searchsorted(clusters[arrival], np.arange(len(position) + 1)).tolist()
+        entropies = {
+            cluster_id: shannon_entropy(counts[lo:hi])
+            for cluster_id, lo, hi in zip(position, cuts, cuts[1:])
+        }
 
         if self.normalize:
             maximum = max(entropies.values(), default=0.0)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from collections.abc import KeysView
 from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from repro.data.dataset import ProfileCollection
 from repro.utils.hashing import MinHasher
-from repro.utils.tokenize import token_table
+from repro.utils.tokenize import TokenTable, token_table
 
 
 @dataclass
@@ -27,10 +28,10 @@ class AttributeProfile:
 
     ``value_counts`` maps each token to its number of occurrences over the
     attribute's values: its keys are the token set LSH compares, its counts
-    are what the entropy extractor sums per cluster, so one tokenising pass
-    over the collection serves both.  ``first_seen`` holds, for each token in
-    ``value_counts`` order, the sequence number of the value that introduced
-    it, which lets the extractor merge attributes in collection order.
+    are what the entropy extractor sums per cluster.  ``first_seen`` holds,
+    for each token in ``value_counts`` order, the sequence number of the
+    value that introduced it.  A readable view of one key of
+    :class:`AttributeTokens`, which is what the loose-schema code reads.
     """
 
     source_id: int
@@ -49,22 +50,44 @@ class AttributeProfile:
         return self.value_counts.keys()
 
 
-def build_attribute_profiles(profiles: ProfileCollection) -> dict[tuple[int, str], AttributeProfile]:
-    """Collect the token counts of every (source, attribute) pair of a collection.
+class AttributeTokens(NamedTuple):
+    """The distinct forms of every (source, attribute) key of a token table:
+    key ``table.attributes[k]`` owns the slots ``cuts[k]:cuts[k + 1]``, its
+    form ids ascending.  One stable sort of ``attribute · F + form`` codes."""
 
-    One ``np.unique`` counts the token table's ``(attribute key, token)``
-    pairs; first occurrences give ``first_seen`` (a table value index) and
-    the token order inside an attribute.
-    """
-    table = token_table(profiles)
-    width = max(len(table.forms), 1)
-    codes = table.attribute_of[table.value_of] * width + table.token_ids
-    pairs, first, counts = np.unique(codes, return_index=True, return_counts=True)
-    order = np.lexsort((first, pairs // width))
-    pairs, first, counts = pairs[order], first[order], counts[order]
-    cuts = np.searchsorted(pairs // width, np.arange(len(table.attributes) + 1)).tolist()
-    tokens = [table.forms[token] for token in (pairs % width).tolist()]
-    counts, first_seen = counts.tolist(), table.value_of[first].tolist()
+    table: TokenTable
+    cuts: Any  # per key: its first slot; last: the slot count
+    forms: Any  # per slot: its form id
+    counts: Any  # per slot: its occurrences in the key's values
+    first: Any  # per slot: the table occurrence that introduced it
+
+    @classmethod
+    def of(cls, table: TokenTable) -> "AttributeTokens":
+        width = max(len(table.forms), 1)
+        codes = table.attribute_of[table.value_of] * width + table.token_ids
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        attributes, forms = np.divmod(codes[starts], width)
+        cuts = np.searchsorted(attributes, np.arange(len(table.attributes) + 1))
+        return cls(table, cuts, forms, np.diff(starts, append=len(codes)), order[starts])
+
+    def runs(self) -> dict[tuple[int, str], Any]:
+        """Key → its sorted form ids (the set LSH compares)."""
+        cuts = self.cuts.tolist()
+        return {k: self.forms[lo:hi] for k, lo, hi in zip(self.table.attributes, cuts, cuts[1:])}
+
+
+def build_attribute_profiles(profiles: ProfileCollection) -> dict[tuple[int, str], AttributeProfile]:
+    """The token counts of every (source, attribute) pair of a collection, as
+    :class:`AttributeProfile` objects: a view of :class:`AttributeTokens`
+    with each key's tokens in the order they first occur."""
+    columns = AttributeTokens.of(token_table(profiles))
+    table, cuts = columns.table, columns.cuts.tolist()
+    order = np.lexsort((columns.first, np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))))
+    tokens = [table.forms[form] for form in columns.forms[order].tolist()]
+    counts = columns.counts[order].tolist()
+    first_seen = table.value_of[columns.first[order]].tolist()
     return {
         key: AttributeProfile(
             key[0], key[1], dict(zip(tokens[lo:hi], counts[lo:hi])), first_seen[lo:hi]
@@ -91,13 +114,18 @@ class AttributeLSH:
         self.hasher = MinHasher(num_perm=num_perm, seed=seed)
         self.num_bands = num_bands
 
-    def signatures(
-        self, attribute_profiles: dict[tuple[int, str], AttributeProfile]
-    ) -> dict[tuple[int, str], np.ndarray]:
-        """Compute MinHash signatures of every attribute profile."""
+    def signatures(self, columns: AttributeTokens) -> dict[tuple[int, str], np.ndarray]:
+        """MinHash signature of every key, each distinct form hashed once."""
+        used = np.zeros(len(columns.table.forms), dtype=bool)
+        used[columns.forms] = True
+        rank = np.cumsum(used) - 1  # a used form's row in ``permuted``
+        forms = map(columns.table.forms.__getitem__, np.flatnonzero(used).tolist())
+        # Every permutation of every used form, then one row gather per key.
+        permuted = self.hasher.permuted(forms)
+        empty = self.hasher.signature(())
         return {
-            key: self.hasher.signature(profile.tokens)
-            for key, profile in attribute_profiles.items()
+            key: permuted[rank[run]].min(axis=0).astype(np.uint64) if len(run) else empty
+            for key, run in columns.runs().items()
         }
 
     def candidate_pairs(
@@ -121,7 +149,7 @@ class AttributeLSH:
 
     def similarities(
         self,
-        attribute_profiles: dict[tuple[int, str], AttributeProfile],
+        columns: AttributeTokens,
         *,
         use_exact: bool = True,
         cross_source_only: bool = True,
@@ -132,25 +160,25 @@ class AttributeLSH:
         ----------
         use_exact:
             When True the Jaccard similarity is computed exactly on the token
-            sets of candidate pairs (cheap, since LSH already pruned the
-            pairs); otherwise the MinHash estimate is used.
+            form-id runs of candidate pairs (cheap, since LSH already pruned
+            the pairs); otherwise the MinHash estimate is used.
         cross_source_only:
             When True only pairs from different sources are returned, which is
             what attribute alignment needs in clean-clean ER.  For dirty ER
             (single source) this flag has no effect.
         """
-        signatures = self.signatures(attribute_profiles)
-        sources = {key[0] for key in attribute_profiles}
-        single_source = len(sources) < 2
+        signatures = self.signatures(columns)
+        runs = columns.runs()
+        single_source = len({key[0] for key in runs}) < 2
         result: dict[tuple[tuple[int, str], tuple[int, str]], float] = {}
         for a, b in self.candidate_pairs(signatures):
             if cross_source_only and not single_source and a[0] == b[0]:
                 continue
             if use_exact:
-                tokens_a = attribute_profiles[a].tokens
-                tokens_b = attribute_profiles[b].tokens
-                union = len(tokens_a | tokens_b)
-                similarity = len(tokens_a & tokens_b) / union if union else 0.0
+                run_a, run_b = runs[a], runs[b]
+                common = int(np.count_nonzero(np.isin(run_a, run_b, assume_unique=True)))
+                union = len(run_a) + len(run_b) - common
+                similarity = common / union if union else 0.0
             else:
                 similarity = MinHasher.estimate_jaccard(signatures[a], signatures[b])
             result[(a, b)] = similarity

@@ -20,7 +20,7 @@ from repro.data.profile import EntityProfile
 from repro.exceptions import DataError, MatchingError
 from repro.matching.similarity import SIMILARITY_FUNCTIONS, Similarity, get_similarity_function
 from repro.matching.similarity_graph import SimilarityGraph
-from repro.utils.tokenize import token_table
+from repro.utils.tokenize import TokenTable, table_for
 
 # The most token probes one chunk of the array pass of ThresholdMatcher.match
 # holds at once, so its scratch memory is bounded whatever the pair count.
@@ -124,9 +124,12 @@ class ThresholdMatcher(Matcher):
         self,
         profiles: ProfileCollection,
         candidate_pairs: Sequence[tuple[int, int]],
+        table: TokenTable | None = None,
     ) -> SimilarityGraph:
         """Score every pair in one array pass when the measure is a stock
-        token-set one and ``evaluate`` is this class's; else pair by pair."""
+        token-set one and ``evaluate`` is this class's; else pair by pair.
+        The array pass reads ``table``, a token table of ``profiles`` (one is
+        built when absent)."""
         terms = _SET_SCORE_TERMS.get(self.similarity)
         if terms is None or type(self).evaluate is not ThresholdMatcher.evaluate:
             return super().match(profiles, candidate_pairs)
@@ -134,7 +137,7 @@ class ThresholdMatcher(Matcher):
         graph = SimilarityGraph()
         if not pairs:
             return graph
-        numerators, denominators = terms(*_set_sizes(profiles, pairs))
+        numerators, denominators = terms(*_set_sizes(profiles, pairs, table))
         scores = np.zeros(len(pairs))
         np.divide(numerators, denominators, out=scores, where=denominators > 0)
         kept = np.flatnonzero(scores >= self.threshold)
@@ -144,7 +147,7 @@ class ThresholdMatcher(Matcher):
         return graph
 
 
-def _set_sizes(profiles: ProfileCollection, pairs: list) -> tuple:
+def _set_sizes(profiles: ProfileCollection, pairs: list, table: TokenTable | None) -> tuple:
     """``(|A ∩ B|, |A|, |B|)`` int64 arrays of the whole-text token sets of
     every pair, from one token table of the collection."""
     row_of = {profile.profile_id: row for row, profile in enumerate(profiles)}
@@ -154,7 +157,7 @@ def _set_sizes(profiles: ProfileCollection, pairs: list) -> tuple:
         ).reshape(-1, 2)
     except KeyError as exc:
         raise DataError(f"unknown profile id {exc.args[0]}") from None
-    table = token_table(profiles)
+    table = table_for(profiles, table)
     # Each profile's distinct tokens as one sorted run of row * width + token codes.
     width = max(len(table.forms), 1)
     codes = np.sort(table.row_of[table.value_of] * width + table.token_ids)

@@ -18,6 +18,7 @@ from repro.exceptions import PipelineError
 # the stored value, not a Python class check: stages that agree on a kind can
 # be freely recombined.
 PROFILES = "profiles"
+TOKENS = "tokens"
 PARTITIONING = "partitioning"
 CLUSTER_ENTROPIES = "cluster_entropies"
 BLOCKS = "blocks"
@@ -30,6 +31,7 @@ EVALUATION = "evaluation"
 
 KNOWN_KINDS = (
     PROFILES,
+    TOKENS,
     PARTITIONING,
     CLUSTER_ENTROPIES,
     BLOCKS,

@@ -6,6 +6,8 @@ meta-blocking, matching, clustering, evaluation…) behind the typed
 string-keyed registry, so any of them can be placed in a declarative spec.
 Stage parameters that name a scheme, strategy, similarity or algorithm are
 parsed when the stage is built, so a misspelt one fails before anything runs.
+Loose schema, token blocking and matching share the run's ``tokens`` artifact:
+the first of them to find it missing builds it, and each passes it on.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.evaluation.metrics import clustering_metrics, pair_metrics
 from repro.exceptions import EvaluationError, PipelineValidationError
 from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.looseschema.entropy import EntropyExtractor
-from repro.looseschema.lsh import AttributeLSH, build_attribute_profiles
+from repro.looseschema.lsh import AttributeLSH, AttributeTokens
 from repro.matching.similarity import get_similarity_function
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
@@ -39,6 +41,7 @@ from repro.metablocking.weights import WeightingScheme
 from repro.pipeline import artifacts as kinds
 from repro.pipeline.registry import register_stage
 from repro.pipeline.stage import Stage, _port
+from repro.utils.tokenize import table_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.runner import PipelineContext
@@ -66,10 +69,12 @@ class LooseSchemaStage(Stage):
     inputs = (
         _port("profiles", kinds.PROFILES),
         _port("partitioning", kinds.PARTITIONING, required=False),
+        _port("tokens", kinds.TOKENS, required=False),
     )
     outputs = (
         _port("partitioning", kinds.PARTITIONING),
         _port("cluster_entropies", kinds.CLUSTER_ENTROPIES),
+        _port("tokens", kinds.TOKENS),
     )
 
     def __init__(
@@ -85,10 +90,11 @@ class LooseSchemaStage(Stage):
         self.num_bands = num_bands
         self.lsh_seed = lsh_seed
 
-    def run(self, context: "PipelineContext", *, profiles, partitioning=None):
-        # One tokenising pass: the partitioner reads the attribute profiles'
-        # token sets, the entropy extractor their token counts.
-        attribute_profiles = build_attribute_profiles(profiles)
+    def run(self, context: "PipelineContext", *, profiles, partitioning=None, tokens=None):
+        # One sort of the token table: the partitioner reads the attribute
+        # columns' form runs, the entropy extractor their counts.
+        tokens = table_for(profiles, tokens)
+        columns = AttributeTokens.of(tokens)
         if partitioning is None:
             partitioner = AttributePartitioner(
                 threshold=self.threshold,
@@ -96,10 +102,8 @@ class LooseSchemaStage(Stage):
                     num_perm=self.num_perm, num_bands=self.num_bands, seed=self.lsh_seed
                 ),
             )
-            partitioning = partitioner.partition_from_attribute_profiles(attribute_profiles)
-        entropies = EntropyExtractor().extract_from_attribute_profiles(
-            attribute_profiles, partitioning
-        )
+            partitioning = partitioner.partition_columns(columns)
+        entropies = EntropyExtractor().extract_columns(columns, partitioning)
         blob = partitioning.clusters.get(partitioning.blob_cluster_id, set())
         context.record(
             self.label,
@@ -109,7 +113,7 @@ class LooseSchemaStage(Stage):
                 "entropies": {k: round(v, 3) for k, v in sorted(entropies.items())},
             },
         )
-        return {"partitioning": partitioning, "cluster_entropies": entropies}
+        return {"partitioning": partitioning, "cluster_entropies": entropies, "tokens": tokens}
 
 
 @register_stage
@@ -122,8 +126,9 @@ class TokenBlockingStage(Stage):
         _port("profiles", kinds.PROFILES),
         _port("partitioning", kinds.PARTITIONING, required=False),
         _port("cluster_entropies", kinds.CLUSTER_ENTROPIES, required=False),
+        _port("tokens", kinds.TOKENS, required=False),
     )
-    outputs = (_port("blocks", kinds.BLOCKS),)
+    outputs = (_port("blocks", kinds.BLOCKS), _port("tokens", kinds.TOKENS))
 
     def __init__(
         self,
@@ -137,8 +142,15 @@ class TokenBlockingStage(Stage):
         self.use_entropy = use_entropy
 
     def run(
-        self, context: "PipelineContext", *, profiles, partitioning=None, cluster_entropies=None
+        self,
+        context: "PipelineContext",
+        *,
+        profiles,
+        partitioning=None,
+        cluster_entropies=None,
+        tokens=None,
     ):
+        tokens = table_for(profiles, tokens)
         if partitioning is not None:
             strategy = LooseSchemaTokenBlocking(
                 partitioning,
@@ -151,9 +163,9 @@ class TokenBlockingStage(Stage):
                 min_token_length=self.min_token_length,
                 remove_stopwords=self.remove_stopwords,
             )
-        blocks = strategy.block(profiles)
+        blocks = strategy.block(profiles, tokens)
         _record_block_stage(context, self.label, blocks)
-        return {"blocks": blocks}
+        return {"blocks": blocks, "tokens": tokens}
 
 
 @register_stage
@@ -333,8 +345,9 @@ class MatchingStage(Stage):
         _port("profiles", kinds.PROFILES),
         _port("candidate_pairs", kinds.CANDIDATE_PAIRS),
         _port("partitioning", kinds.PARTITIONING, required=False),
+        _port("tokens", kinds.TOKENS, required=False),
     )
-    outputs = (_port("similarity_graph", kinds.SIMILARITY_GRAPH),)
+    outputs = (_port("similarity_graph", kinds.SIMILARITY_GRAPH), _port("tokens", kinds.TOKENS))
 
     def __init__(
         self,
@@ -352,7 +365,10 @@ class MatchingStage(Stage):
         self.classifier_epochs = classifier_epochs
         self.decision_threshold = decision_threshold
 
-    def run(self, context: "PipelineContext", *, profiles, candidate_pairs, partitioning=None):
+    def run(
+        self, context: "PipelineContext", *, profiles, candidate_pairs, partitioning=None, tokens=None
+    ):
+        tokens = table_for(profiles, tokens)
         config = MatcherConfig(
             mode=self.mode,
             similarity=self.similarity,
@@ -367,14 +383,14 @@ class MatchingStage(Stage):
             partitioning=partitioning,
             matcher=context.extras.get("matcher"),
         )
-        similarity_graph = matcher.match(profiles, candidate_pairs)
+        similarity_graph = matcher.match(profiles, candidate_pairs, tokens)
         metrics: dict[str, object] = {"matched_pairs": len(similarity_graph)}
         if context.ground_truth is not None:
             metrics.update(
                 pair_metrics(similarity_graph.pairs(), context.ground_truth).as_dict()
             )
         context.record(self.label, metrics)
-        return {"similarity_graph": similarity_graph}
+        return {"similarity_graph": similarity_graph, "tokens": tokens}
 
 
 @register_stage

@@ -16,17 +16,24 @@ import numpy as np
 # A large Mersenne prime used for the universal hash family of MinHash.
 _MERSENNE_PRIME = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
+_PERMUTE_ROWS = 1024  # token hashes MinHasher.permuted permutes at a time
 
 
-def stable_hash(value: object, seed: int = 0) -> int:
-    """Return a deterministic 64-bit hash of ``value``.
+def stable_hashes(values: Iterable[object], seed: int = 0) -> np.ndarray:
+    """A deterministic 64-bit hash of every value, as one uint64 array.
 
     Unlike ``hash()``, this is stable across interpreter runs, which makes
     MinHash signatures reproducible.
     """
-    data = repr(value).encode("utf-8", errors="replace")
-    digest = hashlib.blake2b(data, digest_size=8, salt=struct.pack("<q", seed)).digest()
-    return int.from_bytes(digest, "little")
+    salt = struct.pack("<q", seed)
+    data = (repr(value).encode("utf-8", errors="replace") for value in values)
+    digests = [hashlib.blake2b(text, digest_size=8, salt=salt).digest() for text in data]
+    return np.frombuffer(b"".join(digests), dtype="<u8")
+
+
+def stable_hash(value: object, seed: int = 0) -> int:
+    """Return the deterministic 64-bit hash of one value (see :func:`stable_hashes`)."""
+    return int(stable_hashes([value], seed)[0])
 
 
 def stable_token_hash(token: str, seed: int = 0) -> int:
@@ -63,14 +70,18 @@ class MinHasher:
         token_list = list(tokens)
         if not token_list:
             return np.full(self.num_perm, _MAX_HASH, dtype=np.uint64)
-        hashes = np.array(
-            [stable_token_hash(t, self.seed) for t in token_list], dtype=np.uint64
-        )
-        # (num_perm, num_tokens) matrix of permuted hashes; take per-row minima.
-        permuted = (
-            self._a[:, None] * hashes[None, :] + self._b[:, None]
-        ) % _MERSENNE_PRIME
-        return (permuted % (_MAX_HASH + 1)).min(axis=1)
+        return self.permuted(token_list).min(axis=0).astype(np.uint64)
+
+    def permuted(self, tokens: Iterable[str]) -> np.ndarray:
+        """The ``(tokens, num_perm)`` uint32 matrix of every permutation of every
+        token's :func:`stable_token_hash`; a signature is the minimum of its
+        tokens' rows."""
+        hashes = stable_hashes(tokens, self.seed) & _MAX_HASH
+        permuted = np.empty((len(hashes), self.num_perm), dtype=np.uint32)
+        for start in range(0, len(hashes), _PERMUTE_ROWS):  # uint64 wraps; & is % 2**32
+            rows = hashes[start : start + _PERMUTE_ROWS, None] * self._a + self._b
+            permuted[start : start + _PERMUTE_ROWS] = rows % _MERSENNE_PRIME & _MAX_HASH
+        return permuted
 
     @staticmethod
     def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:

@@ -13,6 +13,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
+from repro.exceptions import DataError
 from repro.utils.text import STOPWORDS, normalize_text, split_words, strip_accents
 
 # Values are joined around a NUL, which no word contains: each separator is a
@@ -64,8 +65,9 @@ def token_table(profiles) -> TokenTable:
     inside a value becomes a space first (NUL is no word character, so no
     token changes), an ASCII buffer is lower-cased and split by one
     ``bytes.translate`` + ``split``, any other buffer goes through
-    :func:`strip_accents`, ``lower`` and one ``findall``.  Built afresh on
-    every call: nothing is cached on the collection.
+    :func:`strip_accents`, ``lower`` and one ``findall``.  Nothing is cached
+    on the collection: a pipeline run builds one table and hands it to its
+    stages as the ``tokens`` artifact (see :func:`table_for`).
     """
     rows = list(profiles)
     values = [kv.value for profile in rows for kv in profile.attributes]
@@ -98,6 +100,17 @@ def token_table(profiles) -> TokenTable:
         np.array([profile.profile_id for profile in rows], dtype=np.int64),
         np.array([profile.source_id for profile in rows], dtype=np.int64),
     )
+
+
+def table_for(profiles, table: TokenTable | None = None) -> TokenTable:
+    """``table`` when it was built from ``profiles`` (the same profile ids in
+    the same order), a new :func:`token_table` when it is None; a table of
+    another collection raises :class:`DataError`."""
+    if table is None:
+        return token_table(profiles)
+    if table.profile_ids.tolist() != [profile.profile_id for profile in profiles]:
+        raise DataError("the token table was built from another profile collection")
+    return table
 
 
 def tokenize(

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.clustering.base import EntityCluster
 from repro.core.config import ClustererConfig, MatcherConfig
 from repro.core.entity_clusterer import EntityClusterer
 from repro.core.entity_matcher import EntityMatcher
+from repro.data.dataset import ProfileCollection
+from repro.data.profile import EntityProfile
 from repro.exceptions import ConfigurationError, MatchingError
 from repro.matching.matcher import MatchingRule, ThresholdMatcher
 from repro.matching.similarity_graph import SimilarityEdge, SimilarityGraph
@@ -116,6 +119,33 @@ class TestEntityClusterer:
         merged_attributes = set(entity["attributes"])
         assert "name" in merged_attributes
         assert "title" in merged_attributes
+
+    def test_generate_entities_on_a_large_cluster_keeps_first_seen_value_order(self):
+        # 200 members whose values repeat: every attribute's value list equals
+        # the one a first-seen list scan builds, order included.
+        profiles = ProfileCollection()
+        for profile_id in range(200):
+            profile = EntityProfile(profile_id=profile_id, source_id=profile_id % 2)
+            profile.add("name", f"name {(profile_id * 7) % 13}")
+            profile.add("tag", f"t{(profile_id * 3) % 11}")
+            profile.add("tag", f"t{profile_id % 5}")
+            if profile_id % 4:
+                profile.add("price", str(profile_id % 3))
+            profiles.add(profile)
+        cluster = EntityCluster(cluster_id=4, members=set(range(199, -1, -1)))
+        expected: dict[str, list[str]] = {}
+        for profile_id in sorted(cluster.members):
+            for attribute, value in profiles[profile_id].items():
+                values = expected.setdefault(attribute, [])
+                if value not in values:
+                    values.append(value)
+
+        entities = EntityClusterer().generate_entities([cluster], profiles)
+        assert entities == [{"entity_id": 4, "profiles": list(range(200)), "attributes": expected}]
+        assert [list(values) for values in entities[0]["attributes"].values()] == list(
+            expected.values()
+        )
+        assert len(expected["tag"]) == 11 and expected["name"][:3] == ["name 0", "name 7", "name 1"]
 
     def test_generate_entities_with_singletons(self, abt_buy_small):
         clusterer = EntityClusterer()

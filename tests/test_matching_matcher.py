@@ -1,5 +1,6 @@
 """Tests of threshold / rule-based matchers and the similarity graph."""
 
+import importlib
 import struct
 from collections import Counter
 from unittest import mock
@@ -14,6 +15,9 @@ from repro.matching import matcher as matcher_module
 from repro.matching.matcher import Matcher, MatchingRule, RuleBasedMatcher, ThresholdMatcher
 from repro.matching.similarity import SIMILARITY_FUNCTIONS
 from repro.matching.similarity_graph import SimilarityEdge, SimilarityGraph
+
+# The module, not the function ``repro.utils`` re-exports under the same name.
+tokenize_module = importlib.import_module("repro.utils.tokenize")
 
 
 def _profiles() -> ProfileCollection:
@@ -301,6 +305,6 @@ class TestTokenSetArrayPassFailures:
         def no_table(profiles):
             raise AssertionError("token_table called for no pairs")
 
-        monkeypatch.setattr(matcher_module, "token_table", no_table)
+        monkeypatch.setattr(tokenize_module, "token_table", no_table)
         graph = ThresholdMatcher("jaccard", 0.0).match(self._profiles(), [])
         assert isinstance(graph, SimilarityGraph) and len(graph) == 0
