@@ -18,9 +18,10 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
+from repro.blocking.pairs import CandidatePairs
 from repro.exceptions import BlockingError
 
-_PAIR_CHUNK = 1 << 20  # pair codes expanded at a time by count_distinct_comparisons
+_PAIR_CHUNK = 1 << 20  # pair codes expanded at a time by _distinct_codes
 
 
 @dataclass
@@ -158,9 +159,12 @@ class BlockCollection:
     ``Block`` can never disagree with them.
     """
 
-    # Class-level: a collection pickled before the column form existed
-    # (a parent-version checkpoint) restores without the attribute.
+    # Class-level: a collection pickled before the column form (or the
+    # count) existed (a parent-version checkpoint) restores without them.
     columns: "BlockColumns | None" = None
+    # The distinct-pair count of the columns, once known; an object-backed
+    # collection never keeps one (its Blocks can be changed in place).
+    _distinct_count: "int | None" = None
 
     def __init__(self, blocks: Iterable[Block] = (), *, clean_clean: bool = False) -> None:
         self.clean_clean = clean_clean
@@ -193,7 +197,8 @@ class BlockCollection:
     @property
     def blocks(self) -> list[Block]:
         """The block list; a column-backed collection converts here, one way
-        (the columns go only once the whole list stands)."""
+        (the columns, and with them the distinct-pair count, go only once the
+        whole list stands — so :meth:`add` drops the count too)."""
         columns = self.columns
         if columns is not None:
             ids = columns.members.tolist()
@@ -203,7 +208,7 @@ class BlockCollection:
                 Block(*row, self.clean_clean)
                 for row in zip(columns.keys, sides[0::2], sides[1::2], columns.entropies.tolist())
             ]
-            self.columns = None
+            self.columns = self._distinct_count = None
         return self._blocks
 
     def total_comparisons(self) -> int:
@@ -212,29 +217,56 @@ class BlockCollection:
             return int(self.columns.cardinalities(self.clean_clean)[1].sum())
         return sum(block.num_comparisons() for block in self._blocks)
 
-    def distinct_comparisons(self) -> set[tuple[int, int]]:
-        """The set of distinct candidate pairs across all blocks."""
+    def distinct_comparisons(self) -> "set[tuple[int, int]] | CandidatePairs":
+        """The distinct candidate pairs across all blocks: a set of tuples,
+        or the :class:`CandidatePairs` columns of a column-backed collection
+        (which stays column-backed)."""
+        if self.columns is not None:
+            node_ids, codes = self._distinct_codes()
+            self._distinct_count = len(codes)
+            return CandidatePairs.from_codes(codes, node_ids)
         pairs: set[tuple[int, int]] = set()
         for block in self.blocks:
             pairs.update(block.comparisons())
         return pairs
 
     def count_distinct_comparisons(self) -> int:
-        """``len(distinct_comparisons())``; column-backed, without the pair set.
+        """``len(distinct_comparisons())``; column-backed, without the pair set,
+        once per collection (and none when :meth:`keeping_count_of` reused
+        its source's count)."""
+        if self.columns is None:
+            return len(self.distinct_comparisons())
+        if self._distinct_count is None:
+            self._distinct_count = len(self._distinct_codes()[1])
+        return self._distinct_count
+
+    def keeping_count_of(self, source: "BlockCollection") -> "BlockCollection":
+        """This collection, derived from ``source`` by removing comparisons
+        only (purging, filtering), with ``source``'s distinct-pair count
+        when it removed none: then the pair multiset is ``source``'s."""
+        known = source._distinct_count is not None and self.columns is not None
+        if known and self.total_comparisons() == source.total_comparisons():
+            self._distinct_count = source._distinct_count
+        return self
+
+    def _distinct_codes(self) -> tuple:
+        """``(node_ids, codes)``: the ascending profile ids of the columns and
+        the ascending distinct ``lower * n + upper`` codes of their pairs.
 
         Every member meets the later members of its entry (dirty) or the
         members of its block's other side (clean-clean).  The pairs are
-        expanded a bounded chunk at a time as ``lower * n + upper`` codes over
-        dense ids and deduplicated by sorting; one last sort merges the
-        chunks' distinct codes — no ``Block``, no tuple.
+        expanded a bounded chunk at a time as codes over dense ids (int32
+        when ``n²`` fits) and deduplicated by sorting; one last sort merges
+        the chunks' distinct codes — no ``Block``, no tuple.
         """
-        if self.columns is None:
-            return len(self.distinct_comparisons())
         # Late: the meta-blocking package imports this module.
         from repro.metablocking.backends import expand_ranges
 
         entries = self.columns.entries
         node_ids, dense = np.unique(self.columns.members, return_inverse=True)
+        n = len(node_ids)
+        if n * n <= np.iinfo(np.int32).max:
+            dense = dense.astype(np.int32)
         lengths = self.columns.lengths()
         ends = lengths.cumsum()
         if self.clean_clean:  # a left member meets its block's right entry, which starts here
@@ -245,12 +277,12 @@ class BlockCollection:
             partners = ends[entries] - first
         done = np.concatenate(([0], partners.cumsum()))
         cuts = np.searchsorted(done, np.arange(0, done[-1] + _PAIR_CHUNK, _PAIR_CHUNK)).tolist()
-        distinct = [np.empty(0, dtype=np.int64)]
+        distinct = [np.empty(0, dtype=dense.dtype)]
         for lo, hi in zip(cuts, cuts[1:]):
             count = partners[lo:hi]
             a, b = np.repeat(dense[lo:hi], count), dense[expand_ranges(first[lo:hi], count)]
             codes = np.minimum(a, b)  # in place from here on: bounded scratch
-            codes *= len(node_ids)
+            codes *= n
             codes += np.maximum(a, b, out=b)
             del a, b
             codes.sort()
@@ -258,7 +290,7 @@ class BlockCollection:
         merged = np.concatenate(distinct)
         distinct.clear()
         merged.sort()
-        return int(np.count_nonzero(np.diff(merged, prepend=-1)))
+        return node_ids, merged[np.diff(merged, prepend=-1) != 0]
 
     def profile_index(self) -> dict[int, list[int]]:
         """Map each profile id to the indices of the blocks that contain it."""

@@ -44,7 +44,7 @@ class BlockFiltering:
             return BlockCollection.from_columns(
                 self._filter_columns(blocks.columns, blocks.clean_clean),
                 clean_clean=blocks.clean_clean,
-            )
+            ).keeping_count_of(blocks)
         # Once per block: its cardinality, and a count for each profile in it
         # (a profile listed on both sides of a block is in that block once).
         cardinality, block_counts = [], Counter()

@@ -62,7 +62,7 @@ class BlockPurging:
                 )
             return BlockCollection.from_columns(
                 columns.select(keep), clean_clean=blocks.clean_clean
-            )
+            ).keeping_count_of(blocks)
 
         kept = [block for block in blocks if block.size <= threshold]
         if self.smoothing is not None and kept:

@@ -65,24 +65,31 @@ def compute_blocking_stats(
         Number of comparisons of the naive all-pairs solution, used for the
         reduction ratio; when omitted the reduction ratio is reported as 0.
     """
-    candidate_pairs = blocks.distinct_comparisons()
+    return pair_stats(
+        blocks.distinct_comparisons(),
+        ground_truth,
+        max_comparisons,
+        num_blocks=len(blocks),
+        total_comparisons=blocks.total_comparisons(),
+    )
+
+
+def pair_stats(
+    candidate_pairs, ground_truth: GroundTruth, max_comparisons: int | None, **counts: int
+) -> BlockingStats:
+    """The statistics of a candidate-pair set (any set, or a
+    :class:`~repro.blocking.pairs.CandidatePairs`); ``counts`` fills
+    ``num_blocks`` / ``total_comparisons`` when there are blocks."""
     true_pairs = ground_truth.pairs()
     found = candidate_pairs & true_pairs
-
-    recall = len(found) / len(true_pairs) if true_pairs else 1.0
-    precision = len(found) / len(candidate_pairs) if candidate_pairs else 0.0
-    reduction = 0.0
-    if max_comparisons:
-        reduction = 1.0 - (len(candidate_pairs) / max_comparisons)
-
     return BlockingStats(
-        num_blocks=len(blocks),
+        num_blocks=counts.get("num_blocks", 0),
         num_candidate_pairs=len(candidate_pairs),
-        total_comparisons=blocks.total_comparisons(),
-        recall=recall,
-        precision=precision,
+        total_comparisons=counts.get("total_comparisons", 0),
+        recall=len(found) / len(true_pairs) if true_pairs else 1.0,
+        precision=len(found) / len(candidate_pairs) if candidate_pairs else 0.0,
         lost_pairs=true_pairs - candidate_pairs,
-        reduction_ratio=reduction,
+        reduction_ratio=1.0 - len(candidate_pairs) / max_comparisons if max_comparisons else 0.0,
     )
 
 
@@ -116,17 +123,8 @@ def candidate_pair_stats(
     max_comparisons: int | None = None,
 ) -> dict[str, object]:
     """Same statistics but for an explicit candidate-pair set (post meta-blocking)."""
-    true_pairs = ground_truth.pairs()
-    found = candidate_pairs & true_pairs
-    recall = len(found) / len(true_pairs) if true_pairs else 1.0
-    precision = len(found) / len(candidate_pairs) if candidate_pairs else 0.0
-    reduction = 0.0
-    if max_comparisons:
-        reduction = 1.0 - (len(candidate_pairs) / max_comparisons)
+    row = pair_stats(candidate_pairs, ground_truth, max_comparisons).as_dict()
     return {
-        "candidate_pairs": len(candidate_pairs),
-        "recall": round(recall, 4),
-        "precision": round(precision, 6),
-        "lost_pairs": len(true_pairs - candidate_pairs),
-        "reduction_ratio": round(reduction, 4),
+        key: row[key]
+        for key in ("candidate_pairs", "recall", "precision", "lost_pairs", "reduction_ratio")
     }

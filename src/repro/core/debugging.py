@@ -27,6 +27,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
+from repro.blocking.stats import pair_stats
 from repro.core.blocker import Blocker, BlockerReport
 from repro.core.config import SparkERConfig
 from repro.core.sparker import SparkER, SparkERResult
@@ -255,19 +256,15 @@ class DebugSession:
     ) -> DebugStepResult:
         blocker = Blocker(blocker_config, partitioning=partitioning)
         report = blocker.run(self.sample.profiles, self.sample.ground_truth)
-        candidate_pairs = report.candidate_pairs
-        truth = self.sample.ground_truth.pairs()
-        found = candidate_pairs & truth
-        recall = len(found) / len(truth) if truth else 1.0
-        precision = len(found) / len(candidate_pairs) if candidate_pairs else 0.0
+        stats = pair_stats(report.candidate_pairs, self.sample.ground_truth, None)
         blocks = report.filtered_blocks if report.filtered_blocks is not None else report.raw_blocks
         step = DebugStepResult(
             label=label,
             num_blocks=len(blocks) if blocks is not None else 0,
-            num_candidate_pairs=len(candidate_pairs),
-            recall=recall,
-            precision=precision,
-            lost_pairs=truth - candidate_pairs,
+            num_candidate_pairs=stats.num_candidate_pairs,
+            recall=stats.recall,
+            precision=stats.precision,
+            lost_pairs=stats.lost_pairs,
             partitioning=report.partitioning,
             cluster_entropies=report.cluster_entropies,
             blocker_report=report,

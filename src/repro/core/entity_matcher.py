@@ -9,8 +9,9 @@ classifier matchers).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
+from repro.blocking.pairs import CandidatePairs
 from repro.core.config import MatcherConfig
 from repro.data.dataset import ProfileCollection
 from repro.exceptions import ConfigurationError, MatchingError
@@ -89,20 +90,23 @@ class EntityMatcher:
     def match(
         self,
         profiles: ProfileCollection,
-        candidate_pairs: Sequence[tuple[int, int]],
+        candidate_pairs: "CandidatePairs | Iterable[tuple[int, int]]",
         table: TokenTable | None = None,
     ) -> SimilarityGraph:
         """Score/label every candidate pair, in sorted order, and return the
-        similarity graph (the pipeline's one sort of the candidate pairs).
-        ``table``, a token table of ``profiles``, goes to a threshold matcher."""
+        similarity graph.  :class:`CandidatePairs` are in that order already;
+        any other iterable of tuples is sorted here, once.  ``table``, a token
+        table of ``profiles``, goes to a threshold matcher."""
         matcher = self.build_matcher(profiles)
+        if not isinstance(candidate_pairs, CandidatePairs):
+            candidate_pairs = sorted(candidate_pairs)
         if isinstance(matcher, ThresholdMatcher):
-            return matcher.match(profiles, sorted(candidate_pairs), table)
-        return matcher.match(profiles, sorted(candidate_pairs))
+            return matcher.match(profiles, candidate_pairs, table)
+        return matcher.match(profiles, candidate_pairs)
 
     def __call__(
         self,
         profiles: ProfileCollection,
-        candidate_pairs: Sequence[tuple[int, int]],
+        candidate_pairs: "CandidatePairs | Iterable[tuple[int, int]]",
     ) -> SimilarityGraph:
         return self.match(profiles, candidate_pairs)

@@ -9,12 +9,12 @@ ones, :mod:`repro.matching.classifier` the supervised ones.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
+from repro.blocking.pairs import pair_columns
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
 from repro.exceptions import DataError, MatchingError
@@ -61,21 +61,23 @@ class Matcher(ABC):
     def match(
         self,
         profiles: ProfileCollection,
-        candidate_pairs: Sequence[tuple[int, int]],
+        candidate_pairs: Iterable[tuple[int, int]],
     ) -> SimilarityGraph:
         """Score every candidate pair and return the graph of matches."""
-        graph = SimilarityGraph()
+        left, right, scores = [], [], []
         prepared: dict = {}
         for a, b in candidate_pairs:
             matched, score = self.evaluate(profiles[a], profiles[b], prepared)
             if matched:
-                graph.add(a, b, score)
-        return graph
+                left.append(a)
+                right.append(b)
+                scores.append(score)
+        return SimilarityGraph.from_arrays(left, right, scores)
 
     def __call__(
         self,
         profiles: ProfileCollection,
-        candidate_pairs: Sequence[tuple[int, int]],
+        candidate_pairs: Iterable[tuple[int, int]],
     ) -> SimilarityGraph:
         return self.match(profiles, candidate_pairs)
 
@@ -123,46 +125,48 @@ class ThresholdMatcher(Matcher):
     def match(
         self,
         profiles: ProfileCollection,
-        candidate_pairs: Sequence[tuple[int, int]],
+        candidate_pairs: Iterable[tuple[int, int]],
         table: TokenTable | None = None,
     ) -> SimilarityGraph:
         """Score every pair in one array pass when the measure is a stock
         token-set one and ``evaluate`` is this class's; else pair by pair.
-        The array pass reads ``table``, a token table of ``profiles`` (one is
-        built when absent)."""
+        The array pass reads the pairs as id columns (a
+        :class:`~repro.blocking.pairs.CandidatePairs`'s own, else the tuples
+        in order) and ``table``, a token table of ``profiles`` (one is built
+        when absent)."""
         terms = _SET_SCORE_TERMS.get(self.similarity)
         if terms is None or type(self).evaluate is not ThresholdMatcher.evaluate:
             return super().match(profiles, candidate_pairs)
-        pairs = list(candidate_pairs)
-        graph = SimilarityGraph()
-        if not pairs:
-            return graph
-        numerators, denominators = terms(*_set_sizes(profiles, pairs, table))
-        scores = np.zeros(len(pairs))
+        a, b = pair_columns(candidate_pairs)
+        if not len(a):
+            return SimilarityGraph()
+        numerators, denominators = terms(*_set_sizes(profiles, a, b, table))
+        scores = np.zeros(len(a))
         np.divide(numerators, denominators, out=scores, where=denominators > 0)
-        kept = np.flatnonzero(scores >= self.threshold)
-        for index, score in zip(kept.tolist(), scores[kept].tolist()):
-            a, b = pairs[index]
-            graph.add(a, b, score)
-        return graph
+        kept = scores >= self.threshold
+        return SimilarityGraph.from_arrays(a[kept], b[kept], scores[kept])
 
 
-def _set_sizes(profiles: ProfileCollection, pairs: list, table: TokenTable | None) -> tuple:
+def _set_sizes(profiles: ProfileCollection, a, b, table: TokenTable | None) -> tuple:
     """``(|A ∩ B|, |A|, |B|)`` int64 arrays of the whole-text token sets of
-    every pair, from one token table of the collection."""
-    row_of = {profile.profile_id: row for row, profile in enumerate(profiles)}
-    try:
-        rows = np.fromiter(
-            map(row_of.__getitem__, chain.from_iterable(pairs)), np.int64, 2 * len(pairs)
-        ).reshape(-1, 2)
-    except KeyError as exc:
-        raise DataError(f"unknown profile id {exc.args[0]}") from None
+    the pairs ``(a[i], b[i])``, from one token table of the collection."""
     table = table_for(profiles, table)
+    # Profile id -> row: binary searches over the rows' ids, sorted, a column
+    # at a time (each mostly ascends, which makes searchsorted ~3x faster).
+    by_id = np.argsort(table.profile_ids, kind="stable")
+    ids = table.profile_ids[by_id]
+    pair_ids = np.stack((a, b), axis=1)
+    found = np.stack((ids.searchsorted(a), ids.searchsorted(b)), axis=1)
+    known = found < len(ids)
+    known[known] = ids[found[known]] == pair_ids[known]
+    if not known.all():
+        raise DataError(f"unknown profile id {pair_ids[~known][0]}")
+    rows = by_id[found]
     # Each profile's distinct tokens as one sorted run of row * width + token codes.
     width = max(len(table.forms), 1)
     codes = np.sort(table.row_of[table.value_of] * width + table.token_ids)
     codes = codes[np.diff(codes, prepend=-1) != 0]  # not np.unique: it imports numpy.ma
-    sizes = np.bincount(codes // width, minlength=len(row_of))
+    sizes = np.bincount(codes // width, minlength=len(ids))
     starts = np.cumsum(sizes) - sizes
     left, right = sizes[rows[:, 0]], sizes[rows[:, 1]]
     # Probe the smaller set's codes into the other's run, a chunk at a time:
@@ -172,9 +176,9 @@ def _set_sizes(profiles: ProfileCollection, pairs: list, table: TokenTable | Non
     lengths = np.minimum(left, right)
     ends = np.cumsum(lengths)
     base = starts[probe] - (ends - lengths)
-    common = np.zeros(len(pairs), dtype=np.int64)
+    common = np.zeros(len(rows), dtype=np.int64)
     start = 0
-    while start < len(pairs):
+    while start < len(rows):
         low = ends[start] - lengths[start]
         stop = max(int(np.searchsorted(ends, low + PROBE_BUDGET, "right")), start + 1)
         pair_of = np.repeat(np.arange(start, stop), lengths[start:stop])

@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -624,9 +625,43 @@ def iter_retained_chunks(
         )
 
 
-def retained_dict(table: EdgeWeights, positions) -> dict:
-    """The retained-edge dict of a :func:`retained_positions` result."""
-    return dict(chain.from_iterable(iter_retained_chunks(table, positions)))
+class RetainedEdges(Mapping):
+    """The retained edges of a stock strategy, ``(a, b) → weight``, read-only.
+
+    Holds the profile-id endpoints and weights at ``positions`` of ``table``
+    (in retention order) as three columns, not the table.  The dict — the
+    floats and the order of :func:`iter_retained_chunks` — is built on the
+    first read that needs an edge (``len`` does not) and never pickled.
+    """
+
+    def __init__(self, table: EdgeWeights, positions) -> None:
+        ids = table.node_ids
+        self.a, self.b, self.w = ids[table.a[positions]], ids[table.b[positions]], table.w[positions]
+        self._edges: "dict | None" = None
+
+    def as_dict(self) -> dict:
+        """A new plain dict of the edges."""
+        return dict(zip(zip(self.a.tolist(), self.b.tolist()), self.w.tolist()))
+
+    def _mapping(self) -> dict:
+        if self._edges is None:
+            self._edges = self.as_dict()
+        return self._edges
+
+    def __len__(self) -> int:
+        return len(self.w)
+
+    def __getitem__(self, pair):
+        return self._mapping()[pair]
+
+    def __iter__(self):
+        return iter(self._mapping())
+
+    def items(self):
+        return self._mapping().items()
+
+    def __getstate__(self) -> dict:
+        return {"a": self.a, "b": self.b, "w": self.w, "_edges": None}
 
 
 def prune_edge_weights(strategy, table: EdgeWeights, index) -> "dict | None":
@@ -635,7 +670,7 @@ def prune_edge_weights(strategy, table: EdgeWeights, index) -> "dict | None":
     ``None`` for custom strategy subclasses, like the positions dispatch.
     """
     positions = retained_positions(strategy, table, index)
-    return None if positions is None else retained_dict(table, positions)
+    return None if positions is None else RetainedEdges(table, positions).as_dict()
 
 
 def retain_edges(strategy, table: EdgeWeights, index) -> tuple:
@@ -654,16 +689,3 @@ def retain_edges(strategy, table: EdgeWeights, index) -> tuple:
     from repro.metablocking.pruning import IndexStats  # import-cycle guard
 
     return None, strategy.prune(IndexStats(index), table.to_mapping())
-
-
-def iter_dict_chunks(retained: dict, chunk_edges: int = DEFAULT_CHUNK_EDGES):
-    """Slice an already-built retained dict into ``items()`` chunks.
-
-    The streaming form of a custom strategy's retention: correct, but the
-    dict is O(retained) by then.
-    """
-    if chunk_edges <= 0:
-        raise MetaBlockingError("chunk_edges must be positive")
-    items = list(retained.items())
-    for start in range(0, len(items), chunk_edges):
-        yield items[start : start + chunk_edges]

@@ -10,17 +10,22 @@ emit every edge once as three dense arrays — endpoints and weight, entropy
 factor included — range by range, and prune them with the one retention tail,
 :func:`~repro.metablocking.backends.retain_edges`: the WEP/WNP/CEP/CNP rules
 as array expressions, a custom strategy's own ``prune`` over the weight dict.
-Only the retained edges become python tuples.
+The result keeps the retained edges as columns: the candidate pairs sorted
+once by their dense codes, the retained-edge dict built only when read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.blocking.block import BlockCollection
+from repro.blocking.pairs import CandidatePairs
 from repro.exceptions import MetaBlockingError
 from repro.metablocking import backends as _backends
-from repro.metablocking.backends import EdgeWeights
+from repro.metablocking.backends import EdgeWeights, RetainedEdges
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.pruning import PruningStrategy, make_pruning_strategy
 from repro.metablocking.weights import WeightingScheme
@@ -28,10 +33,16 @@ from repro.metablocking.weights import WeightingScheme
 
 @dataclass
 class MetaBlockingResult:
-    """Output of a meta-blocking run."""
+    """Output of a meta-blocking run.
 
-    candidate_pairs: set[tuple[int, int]] = field(default_factory=set)
-    retained_edges: dict[tuple[int, int], float] = field(default_factory=dict)
+    ``candidate_pairs`` is a read-only :class:`CandidatePairs` and
+    ``retained_edges`` a read-only mapping (a :class:`RetainedEdges` view,
+    or a custom strategy's own dict); results pickled by earlier versions
+    hold a ``set`` and a ``dict`` there, which read the same.
+    """
+
+    candidate_pairs: "CandidatePairs | set[tuple[int, int]]" = field(default_factory=CandidatePairs)
+    retained_edges: "Mapping[tuple[int, int], float]" = field(default_factory=dict)
     graph_edges: int = 0
     graph_nodes: int = 0
 
@@ -79,10 +90,16 @@ class MetaBlocker:
     def run(self, blocks: BlockCollection) -> MetaBlockingResult:
         """Run meta-blocking over ``blocks`` and return the candidate pairs."""
         table, positions, retained = self._job(blocks)
-        if positions is not None:
-            retained = _backends.retained_dict(table, positions)
+        if positions is None:
+            pairs = CandidatePairs.of(retained)
+        else:
+            # Upper edges over ascending dense ids: the codes sort as the pairs do.
+            pairs = CandidatePairs.from_codes(
+                np.sort(table.a[positions] * table.num_nodes + table.b[positions]), table.node_ids
+            )
+            retained = RetainedEdges(table, positions)
         return MetaBlockingResult(
-            candidate_pairs=set(retained),
+            candidate_pairs=pairs,
             retained_edges=retained,
             graph_edges=len(table),
             graph_nodes=table.num_nodes,
@@ -108,7 +125,8 @@ class MetaBlocker:
             raise MetaBlockingError("chunk_edges must be positive")
         table, positions, retained = self._job(blocks)
         if positions is None:
-            yield from _backends.iter_dict_chunks(retained, chunk_edges)
+            items = list(retained.items())
+            yield from (items[start : start + chunk_edges] for start in range(0, len(items), chunk_edges))
         else:
             yield from _backends.iter_retained_chunks(table, positions, chunk_edges)
 

@@ -90,7 +90,7 @@ class DeltaMetaBlocker:
         table = index.kernel().weight_arrays(plan)
         positions, retained = _backends.retain_edges(self.pruning, table, index)
         if positions is not None:
-            retained = _backends.retained_dict(table, positions)
+            retained = _backends.RetainedEdges(table, positions).as_dict()
         self.retained = retained
         self._compactions = compactions
         self.full_refreshes += 1

@@ -1,12 +1,13 @@
-"""Union-find and the connected components built on it.
+"""Union-find: a disjoint-set forest over hashable items.
 
-Connected components is the GraphX primitive SparkER clusters entities with;
-on one machine a disjoint-set forest computes the same components.
+Merge-center clustering and attribute partitioning merge sets with it;
+connected-components clustering labels its components with arrays instead
+(:mod:`repro.clustering.connected_components`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable
 
 
 class UnionFind:
@@ -55,29 +56,3 @@ class UnionFind:
 
     def __len__(self) -> int:
         return len(self._parent)
-
-
-def connected_components(
-    edges: Iterable[tuple[Hashable, Hashable]],
-    nodes: Iterable[Hashable] = (),
-) -> dict[Hashable, Hashable]:
-    """Union-find connected components.
-
-    Returns a mapping node → component id, where the component id is the
-    minimum node id (by Python ordering of ``repr`` for mixed types, natural
-    ordering otherwise) in the component.
-    """
-    uf = UnionFind()
-    for node in nodes:
-        uf.add(node)
-    for a, b in edges:
-        uf.union(a, b)
-    components: dict[Hashable, Hashable] = {}
-    for members in uf.components().values():
-        try:
-            label = min(members)
-        except TypeError:
-            label = min(members, key=repr)
-        for member in members:
-            components[member] = label
-    return components

@@ -228,7 +228,7 @@ class TestStreamRetained:
         def forbidden(*args, **kwargs):
             raise AssertionError("stream_retained materialised the retained dict")
 
-        monkeypatch.setattr(backends, "retained_dict", forbidden)
+        monkeypatch.setattr(backends.RetainedEdges, "as_dict", forbidden)
         monkeypatch.setattr(backends.EdgeWeights, "to_mapping", forbidden)
         stream = ParallelMetaBlocker(EngineContext(3), "cbs", "cep").stream_retained(
             blocks, chunk_edges=5

