@@ -5,12 +5,15 @@ Starts ``python -m repro.cli serve`` on an ephemeral port, then drives the whole
 
 1. ``ping`` (the CLI healthcheck helper) must succeed;
 2. ingest two batches into one collection (plus one into a second tenant);
-3. a budgeted match query must honour the budget and return the documented
-   response schema;
+3. a budgeted match query must honour the budget, return the documented
+   response schema and schedule exactly the first ``budget`` comparisons of
+   an in-process batch ``ProgressiveSortedComparisons`` ranking of the same
+   profiles;
 4. a delta-refreshed candidates query must return exactly the retained edges
    of profile 0 that an in-process batch ``MetaBlocker`` run computes on the
    same profiles (weights through JSON, best first);
-5. ``/metrics`` must report the traffic with per-endpoint histograms;
+5. ``/metrics`` must report the traffic with per-endpoint histograms, and
+   one weighed edge table per compaction;
 6. after SIGTERM the server must exit 0 with **no** new ``repro-*`` entry
    in ``/dev/shm`` (nothing in the package creates one).
 
@@ -66,17 +69,11 @@ def profile_batch(start: int, count: int) -> dict:
     }
 
 
-def expected_candidates(payloads: list, profile_id: int) -> list:
-    """The candidates payload an in-process batch run predicts.
-
-    Independent of the service code: profiles -> token blocking ->
-    ``MetaBlocker`` with the server's default collection config (CBS, WNP),
-    then the retained edges incident to ``profile_id``, best first.
-    """
+def batch_blocks(payloads: list):
+    """Token blocks of the ingested profiles, built without the service code."""
     from repro.blocking.token_blocking import TokenBlocking
     from repro.data.dataset import ProfileCollection
     from repro.data.profile import EntityProfile
-    from repro.metablocking.metablocker import MetaBlocker
 
     profiles = []
     for raw in (profile for payload in payloads for profile in payload["profiles"]):
@@ -84,8 +81,28 @@ def expected_candidates(payloads: list, profile_id: int) -> list:
         for attribute, value in raw["attributes"].items():
             profile.add(attribute, str(value))
         profiles.append(profile)
-    blocks = TokenBlocking().block(ProfileCollection(profiles))
-    retained = MetaBlocker("cbs", "wnp").run(blocks).retained_edges
+    return TokenBlocking().block(ProfileCollection(profiles))
+
+
+def expected_ranking(payloads: list, budget: int) -> list:
+    """The comparisons a budgeted match query schedules, per a batch run:
+    the first ``budget`` of the server's default ranking (sorted, CBS)."""
+    from repro.metablocking.progressive import ProgressiveSortedComparisons
+
+    ranking = ProgressiveSortedComparisons("cbs").rank(batch_blocks(payloads))
+    return [list(pair) for pair in ranking[:budget]]
+
+
+def expected_candidates(payloads: list, profile_id: int) -> list:
+    """The candidates payload an in-process batch run predicts.
+
+    Independent of the service code: profiles -> token blocking ->
+    ``MetaBlocker`` with the server's default collection config (CBS, WNP),
+    then the retained edges incident to ``profile_id``, best first.
+    """
+    from repro.metablocking.metablocker import MetaBlocker
+
+    retained = MetaBlocker("cbs", "wnp").run(batch_blocks(payloads)).retained_edges
     incident = sorted(
         ((pair, weight) for pair, weight in retained.items() if profile_id in pair),
         key=lambda item: (-item[1], item[0]),
@@ -158,6 +175,11 @@ def main() -> int:
             all(0 in pair for pair in matches["matches"]),
             "matches contain pairs without the queried profile",
         )
+        ranked = expected_ranking(batches, budget)
+        expect(len(ranked) == budget, "smoke data ranks fewer comparisons than the budget")
+        expect(matches["candidates"] == ranked,
+               f"match candidates differ from the in-process progressive ranking: "
+               f"{matches['candidates']} != {ranked}")
 
         status, candidates = request(
             port, "GET", "/collections/smoke/candidates/0"
@@ -188,6 +210,9 @@ def main() -> int:
                "match endpoint histogram missing")
         expect(endpoint["p95"] >= endpoint["p50"] >= 0.0,
                f"non-monotone latency quantiles: {endpoint}")
+        smoke = metrics["collections"]["smoke"]
+        expect(smoke["tables_weighed"] == smoke["compactions"] == 1,
+               f"matches and candidates did not share one table: {smoke}")
     finally:
         server.send_signal(signal.SIGTERM)
         remainder = server.stdout.read()

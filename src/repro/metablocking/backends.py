@@ -480,8 +480,15 @@ def ranked_positions(table: EdgeWeights, k: int):
     """The top-``k`` edge positions in ranked ``(-weight, pair)`` order.
 
     CEP's retention, and with ``k = len(table)`` progressive global sorting.
+    Only the edges at or above the ``k``-th largest weight (ties included)
+    are lexsorted; ``a·n + b`` orders pairs as :meth:`EdgeWeights.canonical_rank`.
     """
-    return np.lexsort((table.canonical_rank(), -table.w))[:k]
+    negated = -table.w
+    candidates = np.arange(len(table))
+    if 0 < k < len(table):
+        candidates = np.flatnonzero(negated <= np.partition(negated, k - 1)[k - 1])
+    pairs = table.a[candidates] * table.num_nodes + table.b[candidates]
+    return candidates[np.lexsort((pairs, negated[candidates]))[:k]]
 
 
 def _interleaved_incidence(table: EdgeWeights):
@@ -659,6 +666,11 @@ class RetainedEdges(Mapping):
 
     def items(self):
         return self._mapping().items()
+
+    def items_of(self, node: int) -> list:
+        """The edges with endpoint ``node``, in retention order; no dict."""
+        hit = np.flatnonzero((self.a == node) | (self.b == node))
+        return list(zip(zip(self.a[hit].tolist(), self.b[hit].tolist()), self.w[hit].tolist()))
 
     def __getstate__(self) -> dict:
         return {"a": self.a, "b": self.b, "w": self.w, "_edges": None}

@@ -20,9 +20,9 @@ weighted once from its lower endpoint, in node-major first-touch order,
 range by range under the kernel's scratch budget — with the same weights the
 meta-blocker prunes.
 
-Global sorting is one ``(-weight, pair)`` array ``lexsort`` of the table
-(pair tuples are then built chunk by chunk as the stream is pulled); node
-scheduling yields node by node, each incident list
+Global sorting ranks growing windows of the table by ``(-weight, pair)``,
+never sorting past the window a consumer pulls; node scheduling yields node
+by node, each incident list
 sorted exactly once up front.  ``rank()`` is simply ``list(stream())``.  The
 benchmark ``bench_extension_progressive.py`` measures recall as a function of
 the number of comparisons performed, the paper family's standard
@@ -40,8 +40,8 @@ from repro.metablocking.weights import WeightingScheme
 
 _Edge = tuple[tuple[int, int], float]
 
-#: Pair tuples materialised per pull of the ranking; a budgeted query
-#: usually reads a short prefix of a much longer ranking.
+#: Edges in the first ranked window (and pair tuples materialised per pull);
+#: a budgeted query usually reads a short prefix of a much longer ranking.
 _RANK_CHUNK = 1024
 
 
@@ -50,9 +50,21 @@ def _edge_rank(item: _Edge) -> tuple[float, tuple[int, int]]:
     return (-item[1], item[0])
 
 
-def _weight_table(index: CSRBlockIndex, scheme: WeightingScheme):
-    """The index's edge table under ``scheme`` (no entropy factor)."""
+def _weight_table(index: CSRBlockIndex, scheme: WeightingScheme, table):
+    """``table``, or else the index's edge table under ``scheme`` (no entropy factor)."""
+    if table is not None:
+        return table
     return index.kernel().weight_arrays(index.weight_plan(scheme, use_entropy=False))
+
+
+def _ranked_windows(table: _backends.EdgeWeights) -> Iterator[list[_Edge]]:
+    """The ``(-weight, pair)`` ranking of ``table`` as chunks of edges, ranked
+    in windows of ``_RANK_CHUNK`` edges, then ×4 per further pull."""
+    done, k = 0, _RANK_CHUNK
+    while done < len(table):
+        order = _backends.ranked_positions(table, k)
+        yield from _backends.iter_retained_chunks(table, order[done:], _RANK_CHUNK)
+        done, k = len(order), 4 * k
 
 
 class ProgressiveSortedComparisons:
@@ -75,21 +87,17 @@ class ProgressiveSortedComparisons:
         """Iterate the ranked comparisons, best first."""
         yield from self.stream_index(CSRBlockIndex.from_blocks(blocks))
 
-    def stream_index(self, index: CSRBlockIndex) -> Iterator[tuple[int, int]]:
+    def stream_index(self, index: CSRBlockIndex, table=None) -> Iterator[tuple[int, int]]:
         """:meth:`stream` over a caller-owned, already-built index.
 
         The service layer keeps one long-lived index per collection and
         answers every budgeted match query from it — same ranking, but the
-        index is not rebuilt here.  Weighing and sorting run eagerly; only
-        the pair tuples are lazy.
+        index is not rebuilt here.  ``table`` is the index's no-entropy edge
+        table when the caller has weighed it already.  Weighing runs
+        eagerly; the ranking windows and the pair tuples are lazy.
         """
-        table = _weight_table(index, self.weighting)
-        order = _backends.ranked_positions(table, len(table))
-        return (
-            pair
-            for chunk in _backends.iter_retained_chunks(table, order, _RANK_CHUNK)
-            for pair, _weight in chunk
-        )
+        table = _weight_table(index, self.weighting, table)
+        return (pair for chunk in _ranked_windows(table) for pair, _weight in chunk)
 
 
 class ProgressiveNodeScheduling:
@@ -106,13 +114,13 @@ class ProgressiveNodeScheduling:
         """Iterate the scheduled comparisons lazily, one node at a time."""
         yield from self.stream_index(CSRBlockIndex.from_blocks(blocks))
 
-    def stream_index(self, index: CSRBlockIndex) -> Iterator[tuple[int, int]]:
+    def stream_index(self, index: CSRBlockIndex, table=None) -> Iterator[tuple[int, int]]:
         """:meth:`stream` over a caller-owned, already-built index.
 
         Sweep, schedule and per-node sorting all run eagerly; the emission
         loop is lazy.
         """
-        table = _weight_table(index, self.weighting)
+        table = _weight_table(index, self.weighting, table)
 
         # Per-node incident edges, built in edge-emission order (the order the
         # node-priority float sums depend on), then each list sorted exactly

@@ -7,7 +7,8 @@ needs per tenant:
   ingested profiles as token-occurrence columns and compacts them to a
   bit-exact CSR;
 * a :class:`~repro.service.delta.DeltaMetaBlocker` whose retained candidate
-  edges are recomputed once per compaction (and cached between them);
+  edges are recomputed once per compaction from the edge table it shares
+  with the ranking below (cached between compactions);
 * a cached progressive ranking (:class:`~repro.metablocking.progressive.
   ProgressiveSortedComparisons` / ``ProgressiveNodeScheduling``) so repeated
   budgeted match queries extend one stream prefix instead of re-sweeping.
@@ -124,6 +125,9 @@ class ServiceCollection:
         self.delta = DeltaMetaBlocker(
             config.weighting, config.pruning, use_entropy=config.use_entropy
         )
+        # (compactions, EdgeWeights) of the last weighing; never pickled.
+        self._table = None
+        self.tables_weighed = 0
         # Cached progressive ranking: one stream prefix per index version.
         self._prefix: list[tuple[int, int]] = []
         self._prefix_iter = None
@@ -258,6 +262,14 @@ class ServiceCollection:
             strategy = ProgressiveSortedComparisons
         return strategy(self.config.weighting)
 
+    def _edge_table(self, index):
+        """``index``'s no-entropy edge table, weighed once per compaction."""
+        if self._table is None or self._table[0] != self.index.compactions:
+            plan = index.weight_plan(self.config.weighting, use_entropy=False)
+            self._table = (self.index.compactions, index.kernel().weight_arrays(plan))
+            self.tables_weighed += 1
+        return self._table[1]
+
     def _ensure_prefix(self, length: int) -> list[tuple[int, int]]:
         """Grow the cached progressive prefix to ``length`` comparisons.
 
@@ -270,7 +282,7 @@ class ServiceCollection:
             if self.index.is_stale:
                 service_fault(f"compact.{self.config.name}")
             index = self.index.materialise()
-            self._prefix_iter = self._progressive().stream_index(index)
+            self._prefix_iter = self._progressive().stream_index(index, self._edge_table(index))
         while len(self._prefix) < length and not self._prefix_complete:
             try:
                 self._prefix.append(next(self._prefix_iter))
@@ -308,7 +320,10 @@ class ServiceCollection:
         if self.index.is_stale:
             service_fault(f"compact.{self.config.name}")
         index = self.index.materialise()
-        self.delta.refresh(index, self.index.compactions)
+        # With entropy on, the delta's plan is not the shared table's.
+        table = None if self.config.use_entropy else self._edge_table(index)
+        self.delta.refresh(index, self.index.compactions, table)
+        self.tables_weighed += table is None and self.delta.last_mode == "full"
         incident = self.delta.candidates_of(profile_id)
         return {
             "profile_id": profile_id,
@@ -353,6 +368,7 @@ class ServiceCollection:
             "stale": self.index.is_stale,
             "ingests": self.ingests,
             "queries": self.queries,
+            "tables_weighed": self.tables_weighed,
             "ranked_prefix": len(self._prefix),
             "delta": self.delta.stats(),
             "degraded": self.degraded_reason,

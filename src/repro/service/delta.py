@@ -10,13 +10,15 @@ graph into an :class:`~repro.metablocking.backends.EdgeWeights` table
 (:func:`~repro.metablocking.backends.retain_edges`) prunes it, so the map is
 bit-for-bit — values *and* order — what a fresh
 :class:`~repro.metablocking.metablocker.MetaBlocker` run on the union
-collection returns, for every weighting scheme and pruning strategy.
+collection returns, for every weighting scheme and pruning strategy.  A
+stock strategy's map stays :class:`~repro.metablocking.backends.RetainedEdges`
+columns: no dict is built per compaction.
 
 A full recompute beats re-weighing a neighbourhood: appends land in common
 token blocks, so on real traffic they touch most nodes anyway, and the range
 sweeps plus tail cost milliseconds where the per-node dict bookkeeping they
-replace cost a quarter of a second.  Nothing of a sweep is cached: a ranked
-``matches`` query on the same compaction weighs its own table.
+replace cost a quarter of a second.  The service hands :meth:`refresh` the
+table it shares with the ranked ``matches`` when their weight plans agree.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class DeltaMetaBlocker:
         self.pruning = make_pruning_strategy(pruning)
         self.use_entropy = use_entropy
         # pair -> weight, == the batch meta-blocker's retained_edges.
-        self.retained: dict[tuple[int, int], float] = {}
+        self.retained: "_backends.RetainedEdges | dict" = {}
         # Compaction count the retained map was computed at (None: never).
         self._compactions: "int | None" = None
         self.refreshes = 0
@@ -70,8 +72,8 @@ class DeltaMetaBlocker:
         self.last_mode: "str | None" = None
 
     def refresh(
-        self, index: CSRBlockIndex, compactions: "int | None" = None
-    ) -> dict[tuple[int, int], float]:
+        self, index: CSRBlockIndex, compactions: "int | None" = None, table=None
+    ) -> "_backends.RetainedEdges | dict":
         """Bring :attr:`retained` up to date with ``index``; return it.
 
         ``compactions`` is the owning index's
@@ -79,18 +81,20 @@ class DeltaMetaBlocker:
         count when ``index`` was built.  The same count as the previous
         refresh means the same graph: nothing is recomputed and
         :attr:`last_mode` reads ``"local"``.  Any other count — or ``None``
-        — recomputes the whole map (``"full"``).
+        — recomputes the whole map (``"full"``), from ``table`` when given
+        (``index``'s edge table under this blocker's weight plan).
         """
         self.refreshes += 1
         if compactions is not None and compactions == self._compactions:
             self.local_refreshes += 1
             self.last_mode = "local"
             return self.retained
-        plan = index.weight_plan(self.weighting, self.use_entropy)
-        table = index.kernel().weight_arrays(plan)
+        if table is None:
+            plan = index.weight_plan(self.weighting, self.use_entropy)
+            table = index.kernel().weight_arrays(plan)
         positions, retained = _backends.retain_edges(self.pruning, table, index)
         if positions is not None:
-            retained = _backends.RetainedEdges(table, positions).as_dict()
+            retained = _backends.RetainedEdges(table, positions)
         self.retained = retained
         self._compactions = compactions
         self.full_refreshes += 1
@@ -99,11 +103,10 @@ class DeltaMetaBlocker:
 
     def candidates_of(self, profile_id: int) -> list[tuple[tuple[int, int], float]]:
         """The retained edges incident to one profile, best first."""
-        incident = [
-            (pair, weight)
-            for pair, weight in self.retained.items()
-            if profile_id in pair
-        ]
+        if isinstance(self.retained, _backends.RetainedEdges):
+            incident = self.retained.items_of(profile_id)
+        else:  # a custom strategy's own mapping
+            incident = [(pair, w) for pair, w in self.retained.items() if profile_id in pair]
         incident.sort(key=lambda item: (-item[1], item[0]))
         return incident
 

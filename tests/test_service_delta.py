@@ -6,7 +6,7 @@ what a fresh :class:`~repro.metablocking.metablocker.MetaBlocker` computes on
 the union collection, for every weighting × pruning × task shape.
 A refresh on an unchanged compaction must do no work at all, and a
 ``candidates`` query followed by a cold ``matches`` on one compaction must
-share a single kernel sweep.
+share a single weighed table (two when entropy makes their plans differ).
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ def test_refresh_after_every_append_equals_batch(weighting, pruning, clean_clean
         delta.refresh(incremental.materialise(), incremental.compactions)
         assert delta.last_mode == "full"
         expected = _batch_retained(ingested, weighting, pruning, clean_clean=clean_clean)
+        # Kept as the retention's columns, no dict per compaction.
+        assert isinstance(delta.retained, backends.RetainedEdges)
+        assert delta.retained == expected
         assert list(delta.retained.items()) == list(expected.items())
     assert delta.full_refreshes == delta.refreshes == 3
 
@@ -99,25 +102,30 @@ def test_refresh_on_an_unchanged_index_does_no_sweep(monkeypatch):
 @pytest.mark.parametrize(
     "weighting,use_entropy", [("cbs", False), ("arcs", False), ("ejs", False), ("js", True)]
 )
-def test_candidates_then_cold_matches_weigh_one_range_pass_each(
+def test_candidates_then_cold_matches_weigh_one_table_per_compaction(
     weighting, use_entropy, monkeypatch
 ):
-    """No sweep is cached: each query weighs its own table, one range sweep
-    per range (one range at this size), and EJS adds one degree pass per
-    compaction, shared by both queries through the index's weight plan."""
+    """Without entropy ``candidates`` and the cold ``matches`` share one
+    table per compaction — one range sweep (one range at this size).  With
+    entropy the delta's plan differs from the ranking's, so each weighs its
+    own.  EJS adds one degree pass per compaction, shared through the
+    index's weight plan.  Repeating both queries weighs nothing."""
     profiles = _random_profiles(90, clean_clean=False, seed=31)
     collection = ServiceCollection(
         CollectionConfig(name="c", weighting=weighting, use_entropy=use_entropy)
     )
+    per_compaction = 2 if use_entropy else 1
     try:
         spy = _SweepSpy(monkeypatch)
         for lo in (0, 60):
             collection.ingest(_ingest_payload(profiles[lo : lo + 60]))
             sweeps = spy.sweeps
-            collection.candidates(profiles[lo].profile_id)
-            collection.matches(profiles[lo].profile_id, 40)
-            assert spy.sweeps - sweeps == 2 + (weighting == "ejs")
-        assert spy.tables == 4  # one table per query
+            for _repeat in range(2):
+                collection.candidates(profiles[lo].profile_id)
+                collection.matches(profiles[lo].profile_id, 40)
+            assert spy.sweeps - sweeps == per_compaction + (weighting == "ejs")
+        assert spy.tables == 2 * per_compaction
+        assert collection.stats()["tables_weighed"] == spy.tables
     finally:
         collection.close()
 
@@ -136,6 +144,73 @@ def test_candidates_of_orders_best_first():
     for pair, weight in incident:
         assert some_profile in pair
         assert delta.retained[pair] == weight
+
+
+def _dict_scan(retained, profile_id):
+    """``candidates_of`` as a scan of the retained dict."""
+    incident = [(pair, w) for pair, w in retained.items() if profile_id in pair]
+    return sorted(incident, key=lambda item: (-item[1], item[0]))
+
+
+@pytest.mark.parametrize("pruning", PRUNINGS)
+@pytest.mark.parametrize("weighting", ["cbs", "ejs"])
+def test_candidates_of_masks_the_columns_like_a_dict_scan(weighting, pruning):
+    profiles = _random_profiles(70, clean_clean=True, seed=23)
+    incremental = IncrementalBlockIndex(clean_clean=True)
+    incremental.append_profiles(profiles)
+    delta = DeltaMetaBlocker(weighting, pruning)
+    delta.refresh(incremental.materialise(), incremental.compactions)
+    as_dict = dict(delta.retained.items())
+    for profile_id in [p.profile_id for p in profiles] + [999]:  # 999: not ingested
+        assert delta.candidates_of(profile_id) == _dict_scan(as_dict, profile_id)
+
+
+class _CustomPruning(WeightedNodePruning):
+    """A subclass: the array rules must not stand in for it."""
+
+
+def test_a_custom_strategy_answers_from_its_dict():
+    profiles = _random_profiles(50, clean_clean=False, seed=9)
+    incremental = IncrementalBlockIndex()
+    incremental.append_profiles(profiles)
+    index = incremental.materialise()
+    delta = DeltaMetaBlocker("cbs", _CustomPruning())
+    table = index.kernel().weight_arrays(index.weight_plan("cbs", False))
+    delta.refresh(index, incremental.compactions, table)
+    assert type(delta.retained) is dict and delta.retained
+    stock = DeltaMetaBlocker("cbs", "wnp")
+    stock.refresh(index, incremental.compactions, table)
+    assert list(delta.retained.items()) == list(stock.retained.items())
+    for profile in profiles:
+        expected = _dict_scan(delta.retained, profile.profile_id)
+        assert delta.candidates_of(profile.profile_id) == expected
+        assert stock.candidates_of(profile.profile_id) == expected
+
+
+def test_a_restored_collection_carries_no_table_and_weighs_once(tmp_path, monkeypatch):
+    profiles = _random_profiles(60, clean_clean=False, seed=41)
+    store = CollectionStore(snapshot_dir=str(tmp_path))
+    collection = store.get_or_create("c")
+    collection.ingest(_ingest_payload(profiles))
+    payloads = [collection.candidates(p.profile_id) for p in profiles[:5]]
+    payloads.append(collection.matches(0, 30))
+    assert collection._table is not None
+    state = pickle.dumps(collection.snapshot_state())
+    assert b"EdgeWeights" not in state and b"RetainedEdges" not in state
+    store.snapshot("c")
+    store.close_all()
+
+    reloaded = CollectionStore(snapshot_dir=str(tmp_path))
+    reloaded.load_snapshots()
+    restored = reloaded.get("c")
+    assert restored._table is None and restored.delta.retained == {}
+    spy = _SweepSpy(monkeypatch)
+    replayed = [restored.candidates(p.profile_id) for p in profiles[:5]]
+    replayed.append(restored.matches(0, 30))
+    assert spy.tables == 1 and restored.stats()["tables_weighed"] == 1
+    assert replayed[0]["refresh_mode"] == "full"
+    assert replayed == payloads
+    reloaded.close_all()
 
 
 def test_stats_exposes_refresh_counters():
