@@ -10,9 +10,9 @@ under :data:`SWEEP_BUDGET`, into an :class:`EdgeWeights` table — every edge
 once, from its lower endpoint, in node-major first-touch order — so the
 weighing scratch is O(budget) and only the table is O(edges).  The
 sequential meta-blocker loops over the ranges, the range pool maps them.
-:func:`retain_edges` prunes that table: the WEP / CEP / WNP / CNP rules as
-array expressions (:func:`retained_positions`), and a custom strategy's own
-``prune`` over the weight dict.  The sequential meta-blocker, the range pool
+:func:`retained_positions` prunes that table: the WEP / CEP / WNP / CNP
+rules as array expressions, dispatched on the strategy's exact class — the
+only definition of the rules.  The sequential meta-blocker, the range pool
 and the service's delta refresh all run this one tail.
 
 **Determinism is the contract.**  Every float is accumulated in one fixed
@@ -46,6 +46,12 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import MetaBlockingError
+from repro.metablocking.pruning import (
+    CardinalityEdgePruning,
+    CardinalityNodePruning,
+    WeightedEdgePruning,
+    make_pruning_strategy,
+)
 
 
 def expand_ranges(starts, counts):
@@ -458,10 +464,11 @@ class EdgeWeights:
 
 
 def _sequential_sum(values):
-    """Left-to-right float sum, bit-identical to ``sum()`` over the same list.
+    """Left-to-right float sum: one rounding per value, in array order.
 
-    ``np.sum`` uses pairwise summation (different rounding); a single-bin
-    weighted ``np.bincount`` accumulates strictly in order instead.
+    Neither ``np.sum`` (pairwise summation) nor Python's ``sum()`` (which
+    compensates float sums from 3.12 on) rounds that way; a single-bin
+    weighted ``np.bincount`` accumulates strictly in order.
     """
     if len(values) == 0:
         return 0.0
@@ -495,7 +502,7 @@ def _interleaved_incidence(table: EdgeWeights):
     """The per-node incidence stream ``a0, b0, a1, b1, …``.
 
     Each node's subsequence lists its incident edges in emission order —
-    the order its WNP threshold sum accumulates in.
+    the order its mean incident weight accumulates in.
     """
     m = len(table)
     nodes = np.empty(2 * m, dtype=np.int64)
@@ -504,13 +511,21 @@ def _interleaved_incidence(table: EdgeWeights):
     return nodes
 
 
+def node_means(table: EdgeWeights):
+    """Every dense node's mean incident edge weight (0.0 without edges).
+
+    WNP's thresholds and progressive node scheduling's priorities.  Each
+    node's sum adds its incident weights left to right in emission order.
+    """
+    nodes = _interleaved_incidence(table)
+    sums = np.bincount(nodes, weights=np.repeat(table.w, 2), minlength=table.num_nodes)
+    counts = np.bincount(nodes, minlength=table.num_nodes)
+    return sums / np.maximum(counts, 1)
+
+
 def _wnp_mask(table: EdgeWeights, required: int):
     """WNP's boolean retention mask (per-node mean threshold votes)."""
-    nodes = _interleaved_incidence(table)
-    occurrence_w = np.repeat(table.w, 2)
-    sums = np.bincount(nodes, weights=occurrence_w, minlength=table.num_nodes)
-    counts = np.bincount(nodes, minlength=table.num_nodes)
-    thresholds = sums / np.maximum(counts, 1)
+    thresholds = node_means(table)
     votes = (table.w >= thresholds[table.a]).astype(np.int64)
     votes += table.w >= thresholds[table.b]
     return votes >= required
@@ -537,72 +552,38 @@ def _cnp_mask(table: EdgeWeights, k: int, required: int):
     return votes >= required
 
 
-def supports_strategy(strategy) -> bool:
-    """True when the vectorised dispatch covers ``strategy`` exactly.
-
-    Only the *stock* strategy classes qualify — any subclass may override
-    ``prune`` or one of its hooks (e.g. ``WeightedNodePruning.
-    node_thresholds``), and the array rules must never silently replace
-    customised behaviour.  ``ReciprocalWeightedNodePruning`` is the one
-    sanctioned subclass: it only flips the ``reciprocal`` flag.
-    """
-    from repro.metablocking.pruning import (  # import-cycle guard
-        CardinalityEdgePruning,
-        CardinalityNodePruning,
-        ReciprocalWeightedNodePruning,
-        WeightedEdgePruning,
-        WeightedNodePruning,
-    )
-
-    return type(strategy) in (
-        WeightedEdgePruning,
-        CardinalityEdgePruning,
-        CardinalityNodePruning,
-        WeightedNodePruning,
-        ReciprocalWeightedNodePruning,
-    )
-
-
 # ----------------------------------------------------------- streamed pruning
 DEFAULT_CHUNK_EDGES = 65536
 
 
 def retained_positions(strategy, table: EdgeWeights, index):
-    """Retained edge positions of ``table``, in retention order, or ``None``.
+    """Retained edge positions of ``table``, in retention order.
 
-    The vectorised retention definition: the *positions* (indices into
+    The pruning rules' one definition: the *positions* (indices into
     ``table.a/b/w``) of the retained edges — in emission (node-major
     first-touch) order for WEP/WNP/CNP, in ranked ``(-weight, pair)`` order
-    for CEP.  Returns ``None`` for custom strategy subclasses (the caller
-    runs their own ``prune``).  Default ``k`` derivations delegate to the
-    shared :func:`~repro.metablocking.pruning.default_cep_k` /
-    :func:`~repro.metablocking.pruning.default_cnp_k` formulas.
+    for CEP.  ``strategy`` goes through :func:`~repro.metablocking.pruning.
+    make_pruning_strategy`, so anything but a stock strategy (or its name)
+    raises.  ``index`` is read only for the default ``k`` of CEP / CNP,
+    which derive from the total block assignments ``B`` (Papadakis et al.):
+    ``K = B / 2`` edges, ``k = B / |P| - 1`` per node, both at least 1.
     """
-    from repro.metablocking.pruning import (  # import-cycle guard
-        CardinalityEdgePruning,
-        CardinalityNodePruning,
-        WeightedEdgePruning,
-        default_cep_k,
-        default_cnp_k,
-    )
-
-    if not supports_strategy(strategy):
-        return None
+    strategy = make_pruning_strategy(strategy)
+    kind = type(strategy)
     if not len(table):
         return np.empty(0, dtype=np.int64)
-    if type(strategy) is WeightedEdgePruning:
+    if kind is WeightedEdgePruning:
         return np.flatnonzero(_wep_mask(table))
-    if type(strategy) is CardinalityEdgePruning:
-        k = strategy.k
-        if k is None:
-            k = default_cep_k(int(index.node_block_count.sum()))
+    if kind is CardinalityEdgePruning:
+        k = strategy.k or max(1, int(index.node_block_count.sum()) // 2)
         return ranked_positions(table, k)
-    if isinstance(strategy, CardinalityNodePruning):
-        k = strategy.k
-        if k is None:
-            k = default_cnp_k(int(index.node_block_count.sum()), index.num_nodes)
-        return np.flatnonzero(_cnp_mask(table, k, 2 if strategy.reciprocal else 1))
-    return np.flatnonzero(_wnp_mask(table, 2 if strategy.reciprocal else 1))
+    required = 2 if strategy.reciprocal else 1
+    if kind is CardinalityNodePruning:
+        k = strategy.k or max(
+            1, math.floor(int(index.node_block_count.sum()) / max(1, index.num_nodes)) - 1
+        )
+        return np.flatnonzero(_cnp_mask(table, k, required))
+    return np.flatnonzero(_wnp_mask(table, required))
 
 
 def iter_retained_chunks(
@@ -633,17 +614,22 @@ def iter_retained_chunks(
 
 
 class RetainedEdges(Mapping):
-    """The retained edges of a stock strategy, ``(a, b) → weight``, read-only.
+    """The retained edges, ``(a, b) → weight``, read-only.
 
     Holds the profile-id endpoints and weights at ``positions`` of ``table``
-    (in retention order) as three columns, not the table.  The dict — the
-    floats and the order of :func:`iter_retained_chunks` — is built on the
-    first read that needs an edge (``len`` does not) and never pickled.
+    (in retention order) as three columns, not the table; no table, no
+    edges.  The dict — the floats and the order of
+    :func:`iter_retained_chunks` — is built on the first read that needs an
+    edge (``len`` does not) and never pickled.
     """
 
-    def __init__(self, table: EdgeWeights, positions) -> None:
-        ids = table.node_ids
-        self.a, self.b, self.w = ids[table.a[positions]], ids[table.b[positions]], table.w[positions]
+    def __init__(self, table: "EdgeWeights | None" = None, positions=None) -> None:
+        if table is None:
+            self.a = self.b = np.empty(0, dtype=np.int64)
+            self.w = np.empty(0, dtype=np.float64)
+        else:
+            ids = table.node_ids
+            self.a, self.b, self.w = ids[table.a[positions]], ids[table.b[positions]], table.w[positions]
         self._edges: "dict | None" = None
 
     def as_dict(self) -> dict:
@@ -676,28 +662,6 @@ class RetainedEdges(Mapping):
         return {"a": self.a, "b": self.b, "w": self.w, "_edges": None}
 
 
-def prune_edge_weights(strategy, table: EdgeWeights, index) -> "dict | None":
-    """:func:`retained_positions` materialised as the retained-edge dict.
-
-    ``None`` for custom strategy subclasses, like the positions dispatch.
-    """
-    positions = retained_positions(strategy, table, index)
-    return None if positions is None else RetainedEdges(table, positions).as_dict()
-
-
-def retain_edges(strategy, table: EdgeWeights, index) -> tuple:
-    """The retention tail over a weighed table: ``(positions, retained)``.
-
-    A stock strategy retains through the array rules — ``positions`` set,
-    ``retained`` ``None``.  A custom strategy runs its own ``prune`` over
-    :class:`~repro.metablocking.pruning.IndexStats` and the full weight dict
-    — ``positions`` ``None``, ``retained`` the dict.  Shared by the
-    sequential meta-blocker, the range-pool job and the service's delta
-    refresh.
-    """
-    positions = retained_positions(strategy, table, index)
-    if positions is not None:
-        return positions, None
-    from repro.metablocking.pruning import IndexStats  # import-cycle guard
-
-    return None, strategy.prune(IndexStats(index), table.to_mapping())
+def prune_edge_weights(strategy, table: EdgeWeights, index) -> dict:
+    """:func:`retained_positions` materialised as the retained-edge dict."""
+    return RetainedEdges(table, retained_positions(strategy, table, index)).as_dict()

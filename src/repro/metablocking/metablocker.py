@@ -8,15 +8,14 @@ structure SparkER runs on Spark.
 Both build the CSR index, let its kernel (:mod:`repro.metablocking.backends`)
 emit every edge once as three dense arrays — endpoints and weight, entropy
 factor included — range by range, and prune them with the one retention tail,
-:func:`~repro.metablocking.backends.retain_edges`: the WEP/WNP/CEP/CNP rules
-as array expressions, a custom strategy's own ``prune`` over the weight dict.
-The result keeps the retained edges as columns: the candidate pairs sorted
-once by their dense codes, the retained-edge dict built only when read.
+:func:`~repro.metablocking.backends.retained_positions`: the WEP/WNP/CEP/CNP
+rules as array expressions.  The result keeps the retained edges as columns:
+the candidate pairs sorted once by their dense codes, the retained-edge dict
+built only when read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,13 +35,13 @@ class MetaBlockingResult:
     """Output of a meta-blocking run.
 
     ``candidate_pairs`` is a read-only :class:`CandidatePairs` and
-    ``retained_edges`` a read-only mapping (a :class:`RetainedEdges` view,
-    or a custom strategy's own dict); results pickled by earlier versions
-    hold a ``set`` and a ``dict`` there, which read the same.
+    ``retained_edges`` a read-only :class:`RetainedEdges` mapping; results
+    pickled by earlier versions hold a ``set`` and a ``dict`` there, which
+    read the same.
     """
 
     candidate_pairs: "CandidatePairs | set[tuple[int, int]]" = field(default_factory=CandidatePairs)
-    retained_edges: "Mapping[tuple[int, int], float]" = field(default_factory=dict)
+    retained_edges: "RetainedEdges | dict[tuple[int, int], float]" = field(default_factory=RetainedEdges)
     graph_edges: int = 0
     graph_nodes: int = 0
 
@@ -89,18 +88,14 @@ class MetaBlocker:
 
     def run(self, blocks: BlockCollection) -> MetaBlockingResult:
         """Run meta-blocking over ``blocks`` and return the candidate pairs."""
-        table, positions, retained = self._job(blocks)
-        if positions is None:
-            pairs = CandidatePairs.of(retained)
-        else:
-            # Upper edges over ascending dense ids: the codes sort as the pairs do.
-            pairs = CandidatePairs.from_codes(
-                np.sort(table.a[positions] * table.num_nodes + table.b[positions]), table.node_ids
-            )
-            retained = RetainedEdges(table, positions)
+        table, positions = self._job(blocks)
+        # Upper edges over ascending dense ids: the codes sort as the pairs do.
+        pairs = CandidatePairs.from_codes(
+            np.sort(table.a[positions] * table.num_nodes + table.b[positions]), table.node_ids
+        )
         return MetaBlockingResult(
             candidate_pairs=pairs,
-            retained_edges=retained,
+            retained_edges=RetainedEdges(table, positions),
             graph_edges=len(table),
             graph_nodes=table.num_nodes,
         )
@@ -114,36 +109,25 @@ class MetaBlocker:
 
         The streaming counterpart of :meth:`run`: the concatenation of the
         yielded chunks is exactly ``run(blocks).retained_edges.items()`` —
-        same edges, same floats, same order.  With a stock pruning strategy
-        no retained-edge dict is ever built: the O(E) residual is three dense
-        numeric arrays plus the retained positions, so the peak python-object
-        footprint is O(chunk).  A custom strategy's ``prune`` returns a dict,
-        which is sliced — correct, but not bounded by the chunk size.
+        same edges, same floats, same order.  No retained-edge dict is ever
+        built: the O(E) residual is three dense numeric arrays plus the
+        retained positions, so the peak python-object footprint is O(chunk).
         A non-positive ``chunk_edges`` raises before any index is built.
         """
         if chunk_edges <= 0:
             raise MetaBlockingError("chunk_edges must be positive")
-        table, positions, retained = self._job(blocks)
-        if positions is None:
-            items = list(retained.items())
-            yield from (items[start : start + chunk_edges] for start in range(0, len(items), chunk_edges))
-        else:
-            yield from _backends.iter_retained_chunks(table, positions, chunk_edges)
+        yield from _backends.iter_retained_chunks(*self._job(blocks), chunk_edges)
 
     def __call__(self, blocks: BlockCollection) -> MetaBlockingResult:
         return self.run(blocks)
 
     # -------------------------------------------------------------- internals
-    def _job(self, blocks: BlockCollection) -> "tuple[EdgeWeights, object, dict | None]":
-        """Build the index, weigh it, retain.
-
-        Returns ``(table, positions, retained)``: the edge table plus either
-        the retained positions into it (stock strategy) or — ``positions``
-        is ``None`` — the retained dict of a custom strategy's ``prune``.
-        """
+    def _job(self, blocks: BlockCollection) -> "tuple[EdgeWeights, object]":
+        """Build the index, weigh it, retain: the edge table and the
+        retained positions into it."""
         index = CSRBlockIndex.from_blocks(blocks)
         table = self._weigh(index)
-        return (table, *_backends.retain_edges(self.pruning, table, index))
+        return table, _backends.retained_positions(self.pruning, table, index)
 
     def _weigh(self, index: CSRBlockIndex) -> EdgeWeights:
         """Every edge weight of ``index`` as one table, weighed range by range."""

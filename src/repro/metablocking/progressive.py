@@ -21,9 +21,9 @@ range by range under the kernel's scratch budget — with the same weights the
 meta-blocker prunes.
 
 Global sorting ranks growing windows of the table by ``(-weight, pair)``,
-never sorting past the window a consumer pulls; node scheduling yields node
-by node, each incident list
-sorted exactly once up front.  ``rank()`` is simply ``list(stream())``.  The
+never sorting past the window a consumer pulls; node scheduling orders the
+whole table with one ``lexsort`` up front.  Both materialise pair tuples
+only per pulled chunk.  ``rank()`` is simply ``list(stream())``.  The
 benchmark ``bench_extension_progressive.py`` measures recall as a function of
 the number of comparisons performed, the paper family's standard
 "progressive recall" curve.
@@ -32,6 +32,8 @@ the number of comparisons performed, the paper family's standard
 from __future__ import annotations
 
 from collections.abc import Iterator
+
+import numpy as np
 
 from repro.blocking.block import BlockCollection
 from repro.metablocking import backends as _backends
@@ -43,11 +45,6 @@ _Edge = tuple[tuple[int, int], float]
 #: Edges in the first ranked window (and pair tuples materialised per pull);
 #: a budgeted query usually reads a short prefix of a much longer ranking.
 _RANK_CHUNK = 1024
-
-
-def _edge_rank(item: _Edge) -> tuple[float, tuple[int, int]]:
-    """Best first: descending weight, ties broken by canonical pair order."""
-    return (-item[1], item[0])
 
 
 def _weight_table(index: CSRBlockIndex, scheme: WeightingScheme, table):
@@ -117,35 +114,22 @@ class ProgressiveNodeScheduling:
     def stream_index(self, index: CSRBlockIndex, table=None) -> Iterator[tuple[int, int]]:
         """:meth:`stream` over a caller-owned, already-built index.
 
-        Sweep, schedule and per-node sorting all run eagerly; the emission
-        loop is lazy.
+        Nodes are visited by descending priority — the mean weight of their
+        incident edges, WNP's threshold — ties by id; a visit emits the
+        node's not yet emitted edges by ``(-weight, pair)``.  So an edge
+        comes out at the visit of its earlier-scheduled endpoint: one
+        ``lexsort`` keyed by that visit and then by ``(-weight, pair)``
+        orders the whole table.  Weighing and ordering run eagerly; the pair
+        tuples are materialised lazily, chunk by chunk.
         """
         table = _weight_table(index, self.weighting, table)
-
-        # Per-node incident edges, built in edge-emission order (the order the
-        # node-priority float sums depend on), then each list sorted exactly
-        # once up front — not per visit inside the emission loop.
-        incident: dict[int, list[_Edge]] = {}
-        for edge in table.to_mapping().items():
-            for node in edge[0]:
-                incident.setdefault(node, []).append(edge)
-        priority = {
-            node: sum(w for _p, w in edges) / len(edges)
-            for node, edges in incident.items()
-        }
-        for edges in incident.values():
-            edges.sort(key=_edge_rank)
-
-        def _emit() -> Iterator[tuple[int, int]]:
-            emitted: set[tuple[int, int]] = set()
-            for node in sorted(priority, key=lambda n: (-priority[n], n)):
-                for pair, _weight in incident[node]:
-                    if pair in emitted:
-                        continue
-                    emitted.add(pair)
-                    yield pair
-
-        return _emit()
+        n = table.num_nodes
+        visit = np.empty(n, dtype=np.int64)
+        visit[np.argsort(-_backends.node_means(table), kind="stable")] = np.arange(n)
+        first_visit = np.minimum(visit[table.a], visit[table.b])
+        order = np.lexsort((table.a * n + table.b, -table.w, first_visit))
+        chunks = _backends.iter_retained_chunks(table, order, _RANK_CHUNK)
+        return (pair for chunk in chunks for pair, _weight in chunk)
 
 
 def progressive_recall_curve(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 from repro.data.profile import EntityProfile
 from repro.service.faults import service_fault
@@ -58,6 +59,8 @@ class CollectionConfig:
     clean_clean: bool = False
     weighting: str = "cbs"
     pruning: str = "wnp"
+    # Accepted so older specs and snapshots load; a compacted block's
+    # entropy is 1.0, so it changes no service weight.
     use_entropy: bool = False
     min_token_length: int = 1
     remove_stopwords: bool = False
@@ -122,16 +125,15 @@ class ServiceCollection:
             remove_stopwords=config.remove_stopwords,
             compact_every=config.compact_every,
         )
-        self.delta = DeltaMetaBlocker(
-            config.weighting, config.pruning, use_entropy=config.use_entropy
-        )
+        self.delta = DeltaMetaBlocker(config.weighting, config.pruning)
         # (compactions, EdgeWeights) of the last weighing; never pickled.
         self._table = None
         self.tables_weighed = 0
-        # Cached progressive ranking: one stream prefix per index version.
+        # Cached progressive ranking: one stream prefix per index version,
+        # and the ranking's length once its stream is open.
         self._prefix: list[tuple[int, int]] = []
         self._prefix_iter = None
-        self._prefix_complete = False
+        self._prefix_total: "int | None" = None
         self.ingests = 0
         self.queries = 0
         # Durability state: wired by the store when a WAL directory is
@@ -234,9 +236,7 @@ class ServiceCollection:
         delta = self.index.append_profiles(profiles)
         if delta.new_profile_ids:
             # Any append invalidates the cached ranking prefix.
-            self._prefix = []
-            self._prefix_iter = None
-            self._prefix_complete = False
+            self._prefix, self._prefix_iter, self._prefix_total = [], None, None
         self.ingests += 1
         if seq is not None:
             self.wal_applied_seq = seq
@@ -263,7 +263,11 @@ class ServiceCollection:
         return strategy(self.config.weighting)
 
     def _edge_table(self, index):
-        """``index``'s no-entropy edge table, weighed once per compaction."""
+        """``index``'s edge table, weighed once per compaction.
+
+        The no-entropy plan serves ``use_entropy`` too: every compacted
+        block carries entropy 1.0, a factor of exactly 1.0.
+        """
         if self._table is None or self._table[0] != self.index.compactions:
             plan = index.weight_plan(self.config.weighting, use_entropy=False)
             self._table = (self.index.compactions, index.kernel().weight_arrays(plan))
@@ -278,17 +282,19 @@ class ServiceCollection:
         cached, so a second query with a smaller or equal budget does no
         ranking work at all.
         """
-        if self._prefix_iter is None and not self._prefix_complete:
+        if self._prefix_total is None:
             if self.index.is_stale:
                 service_fault(f"compact.{self.config.name}")
             index = self.index.materialise()
-            self._prefix_iter = self._progressive().stream_index(index, self._edge_table(index))
-        while len(self._prefix) < length and not self._prefix_complete:
-            try:
-                self._prefix.append(next(self._prefix_iter))
-            except StopIteration:
-                self._prefix_iter = None
-                self._prefix_complete = True
+            table = self._edge_table(index)
+            self._prefix_iter = self._progressive().stream_index(index, table)
+            # Both strategies rank every edge of the table exactly once.
+            self._prefix_total = len(table)
+        wanted = min(length, self._prefix_total) - len(self._prefix)
+        if wanted > 0:
+            self._prefix.extend(islice(self._prefix_iter, wanted))
+        if len(self._prefix) == self._prefix_total:
+            self._prefix_iter = None
         return self._prefix[:length]
 
     def matches(self, profile_id: int, budget: int) -> dict:
@@ -297,7 +303,8 @@ class ServiceCollection:
         ``candidates`` is the progressive stream prefix of length ≤ budget
         (the comparisons a budget-``B`` progressive run would schedule);
         ``matches`` filters that prefix to the pairs involving
-        ``profile_id``, best first.
+        ``profile_id``, best first; ``exhausted`` is true when that prefix
+        is the whole ranking.
         """
         if budget < 0:
             raise DataError("budget must be >= 0")
@@ -309,7 +316,7 @@ class ServiceCollection:
             "profile_id": profile_id,
             "budget": budget,
             "scheduled": len(prefix),
-            "exhausted": self._prefix_complete and len(self._prefix) <= budget,
+            "exhausted": len(prefix) == self._prefix_total,
             "candidates": [list(pair) for pair in prefix],
             "matches": [list(pair) for pair in matches],
         }
@@ -320,10 +327,7 @@ class ServiceCollection:
         if self.index.is_stale:
             service_fault(f"compact.{self.config.name}")
         index = self.index.materialise()
-        # With entropy on, the delta's plan is not the shared table's.
-        table = None if self.config.use_entropy else self._edge_table(index)
-        self.delta.refresh(index, self.index.compactions, table)
-        self.tables_weighed += table is None and self.delta.last_mode == "full"
+        self.delta.refresh(index, self._edge_table(index), self.index.compactions)
         incident = self.delta.candidates_of(profile_id)
         return {
             "profile_id": profile_id,
@@ -383,6 +387,6 @@ class ServiceCollection:
 
     def close(self) -> None:
         """Release the WAL handle (idempotent)."""
-        self._prefix_iter = None
+        self._prefix, self._prefix_iter, self._prefix_total = [], None, None
         if self.wal is not None:
             self.wal.close()

@@ -4,21 +4,22 @@ The service's blocking graph only changes when its
 :class:`~repro.metablocking.index.IncrementalBlockIndex` compacts, so
 :class:`DeltaMetaBlocker` keeps the retained-edge map of the last compacted
 index and recomputes it — whole — when the compaction count moves.  The
-recompute is the batch meta-blocker's own array path: the kernel weighs the
-graph into an :class:`~repro.metablocking.backends.EdgeWeights` table
+recompute is the batch meta-blocker's own array path: the caller hands in
+the index's :class:`~repro.metablocking.backends.EdgeWeights` table
 (``index.kernel().weight_arrays(plan)``) and the shared retention tail
-(:func:`~repro.metablocking.backends.retain_edges`) prunes it, so the map is
-bit-for-bit — values *and* order — what a fresh
+(:func:`~repro.metablocking.backends.retained_positions`) prunes it, so the
+map is bit-for-bit — values *and* order — what a fresh
 :class:`~repro.metablocking.metablocker.MetaBlocker` run on the union
-collection returns, for every weighting scheme and pruning strategy.  A
-stock strategy's map stays :class:`~repro.metablocking.backends.RetainedEdges`
-columns: no dict is built per compaction.
+collection returns, for every weighting scheme and pruning strategy.  The
+map stays :class:`~repro.metablocking.backends.RetainedEdges` columns: no
+dict is built per compaction.
 
 A full recompute beats re-weighing a neighbourhood: appends land in common
 token blocks, so on real traffic they touch most nodes anyway, and the range
 sweeps plus tail cost milliseconds where the per-node dict bookkeeping they
 replace cost a quarter of a second.  The service hands :meth:`refresh` the
-table it shares with the ranked ``matches`` when their weight plans agree.
+table it shares with the ranked ``matches``: the no-entropy weighing, which
+is also the entropy one, since every compacted block carries entropy 1.0.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.metablocking.weights import WeightingScheme
 _PICKLED = (
     "weighting",
     "pruning",
-    "use_entropy",
     "refreshes",
     "full_refreshes",
     "local_refreshes",
@@ -45,25 +45,22 @@ class DeltaMetaBlocker:
     """Maintain the retained candidate edges of a growing index.
 
     Parameters mirror :class:`~repro.metablocking.metablocker.MetaBlocker`
-    (weighting scheme, pruning strategy, entropy flag); the buffer backend is
-    whatever the refreshed index was built with.
+    (weighting scheme, pruning strategy); the buffer backend is whatever the
+    refreshed index was built with.
 
-    Call :meth:`refresh` with the current compacted index and its compaction
-    count; read :attr:`retained` afterwards.
+    Call :meth:`refresh` with the current compacted index, its edge table and
+    its compaction count; read :attr:`retained` afterwards.
     """
 
     def __init__(
         self,
         weighting: "str | WeightingScheme" = WeightingScheme.CBS,
         pruning: "str | PruningStrategy" = "wnp",
-        *,
-        use_entropy: bool = False,
     ) -> None:
         self.weighting = WeightingScheme.parse(weighting)
         self.pruning = make_pruning_strategy(pruning)
-        self.use_entropy = use_entropy
         # pair -> weight, == the batch meta-blocker's retained_edges.
-        self.retained: "_backends.RetainedEdges | dict" = {}
+        self.retained = _backends.RetainedEdges()
         # Compaction count the retained map was computed at (None: never).
         self._compactions: "int | None" = None
         self.refreshes = 0
@@ -72,30 +69,28 @@ class DeltaMetaBlocker:
         self.last_mode: "str | None" = None
 
     def refresh(
-        self, index: CSRBlockIndex, compactions: "int | None" = None, table=None
-    ) -> "_backends.RetainedEdges | dict":
+        self,
+        index: CSRBlockIndex,
+        table: _backends.EdgeWeights,
+        compactions: "int | None" = None,
+    ) -> _backends.RetainedEdges:
         """Bring :attr:`retained` up to date with ``index``; return it.
 
-        ``compactions`` is the owning index's
+        ``table`` is ``index``'s edge table under this blocker's weighting
+        scheme.  ``compactions`` is the owning index's
         :attr:`~repro.metablocking.index.IncrementalBlockIndex.compactions`
         count when ``index`` was built.  The same count as the previous
         refresh means the same graph: nothing is recomputed and
         :attr:`last_mode` reads ``"local"``.  Any other count — or ``None``
-        — recomputes the whole map (``"full"``), from ``table`` when given
-        (``index``'s edge table under this blocker's weight plan).
+        — prunes ``table`` into a new map (``"full"``).
         """
         self.refreshes += 1
         if compactions is not None and compactions == self._compactions:
             self.local_refreshes += 1
             self.last_mode = "local"
             return self.retained
-        if table is None:
-            plan = index.weight_plan(self.weighting, self.use_entropy)
-            table = index.kernel().weight_arrays(plan)
-        positions, retained = _backends.retain_edges(self.pruning, table, index)
-        if positions is not None:
-            retained = _backends.RetainedEdges(table, positions)
-        self.retained = retained
+        positions = _backends.retained_positions(self.pruning, table, index)
+        self.retained = _backends.RetainedEdges(table, positions)
         self._compactions = compactions
         self.full_refreshes += 1
         self.last_mode = "full"
@@ -103,10 +98,7 @@ class DeltaMetaBlocker:
 
     def candidates_of(self, profile_id: int) -> list[tuple[tuple[int, int], float]]:
         """The retained edges incident to one profile, best first."""
-        if isinstance(self.retained, _backends.RetainedEdges):
-            incident = self.retained.items_of(profile_id)
-        else:  # a custom strategy's own mapping
-            incident = [(pair, w) for pair, w in self.retained.items() if profile_id in pair]
+        incident = self.retained.items_of(profile_id)
         incident.sort(key=lambda item: (-item[1], item[0]))
         return incident
 
@@ -131,10 +123,11 @@ class DeltaMetaBlocker:
 
         Snapshots written before the array path also carry the dict-of-dicts
         state of the neighbourhood-local refresh (``_adj``, ``_upper_order``,
-        ``_thresholds``, ``_kept``, ``_primed``, ...) and the retained map;
-        all of it is dropped here.
+        ``_thresholds``, ``_kept``, ``_primed``, ...), the retained map and
+        the ``use_entropy`` flag, which the service's weights never depended
+        on; all of it is dropped here.
         """
         for name in _PICKLED:
             setattr(self, name, state[name])
-        self.retained = {}
+        self.retained = _backends.RetainedEdges()
         self._compactions = None

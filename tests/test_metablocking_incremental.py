@@ -110,7 +110,8 @@ def test_append_then_query_equals_batch_query_on_union():
     union = ProfileCollection(profiles)
     blocks = TokenBlocking().block(union)
     batch = MetaBlocker("js", "wnp").run(blocks)
-    served = DeltaMetaBlocker("js", "wnp").refresh(index)
+    table = index.kernel().weight_arrays(index.weight_plan("js", use_entropy=False))
+    served = DeltaMetaBlocker("js", "wnp").refresh(index, table)
     assert list(served.items()) == list(batch.retained_edges.items())
 
     progressive = ProgressiveSortedComparisons("cbs")

@@ -29,7 +29,6 @@ from repro.engine.context import EngineContext
 from repro.metablocking import index as index_module
 from repro.metablocking.index import ARRAY_FIELDS, CSRBlockIndex, IncrementalBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
-from repro.metablocking.pruning import IndexStats, WeightedNodePruning
 from repro.service import CollectionConfig, ServiceCollection
 
 from tests.test_metablocking_incremental import (
@@ -264,20 +263,16 @@ def test_array_build_sorts_no_block_in_python(blocks_400, monkeypatch):
 # ---------------------------------------------------------------------------
 # no numpy scalar leaves the index
 # ---------------------------------------------------------------------------
-class _CustomPruning(WeightedNodePruning):
-    """A subclass: retention runs its own (dict-form) ``prune``."""
-
-
 class TestPlainPythonValues:
     def test_results_graph_counts_and_stats(self, blocks_400):
-        for pruning in ("wnp", "cep", _CustomPruning()):
+        for pruning in ("wnp", "cep"):
             result = MetaBlocker("js", pruning).run(blocks_400)
             assert result.retained_edges
             for (a, b), weight in result.retained_edges.items():
                 assert (type(a), type(b), type(weight)) == (int, int, float)
             assert type(result.graph_nodes) is int and type(result.graph_edges) is int
         index = CSRBlockIndex.from_blocks(blocks_400)
-        counts = IndexStats(index).blocks_per_profile
+        counts = dict(zip(index.node_ids, index.node_block_count.tolist()))
         assert counts and all(
             type(profile_id) is int and type(count) is int
             for profile_id, count in counts.items()

@@ -227,7 +227,9 @@ def check_delta(clean_clean, rows, cuts_at, weighting, rule):
     bounds = sorted({0, len(rows), *(c % (len(rows) + 1) for c in cuts_at)})
     for lo, hi in zip(bounds, bounds[1:]):
         index.append_profiles(profiles_of(rows[lo:hi]))
-        got = delta.refresh(index.materialise(), index.compactions)
+        compacted = index.materialise()
+        plan = compacted.weight_plan(weighting, use_entropy=False)
+        got = delta.refresh(compacted, compacted.kernel().weight_arrays(plan), index.compactions)
         _g, weights, expected, cuts = expect(
             token_blocks(rows[:hi], clean_clean), weighting, rule, False
         )

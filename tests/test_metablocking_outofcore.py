@@ -30,7 +30,6 @@ from repro.exceptions import MetaBlockingError
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
-from repro.metablocking.pruning import WeightedNodePruning
 
 
 def _collection(seed: int = 11) -> BlockCollection:
@@ -55,10 +54,6 @@ def blocks():
     return _collection()
 
 
-class _CustomWNP(WeightedNodePruning):
-    """A subclass the vectorised dispatch must refuse (fallback coverage)."""
-
-
 class TestStreamedEmission:
     @pytest.mark.parametrize("pruning", ["wep", "cep", "wnp", "cnp"])
     @pytest.mark.parametrize("weighting", ["cbs", "js", "arcs", "ecbs", "ejs"])
@@ -81,16 +76,6 @@ class TestStreamedEmission:
         assert all(chunks)  # no empty chunks
         total = sum(len(chunk) for chunk in chunks)
         assert total == len(blocker.run(blocks).retained_edges)
-
-    def test_custom_strategy_falls_back_to_run(self, blocks):
-        blocker = MetaBlocker("js", _CustomWNP())
-        reference = list(blocker.run(blocks).retained_edges.items())
-        streamed = [
-            edge
-            for chunk in blocker.stream_retained(blocks, chunk_edges=50)
-            for edge in chunk
-        ]
-        assert streamed == reference
 
     def test_parallel_stream_equals_run_items(self, blocks):
         blocker = ParallelMetaBlocker(EngineContext(4), "ejs", "rwnp")

@@ -24,7 +24,6 @@ from repro.metablocking import backends
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.backends import balanced_ranges
 from repro.metablocking.parallel import ParallelMetaBlocker
-from repro.metablocking.pruning import WeightedNodePruning
 
 
 def _prepared_blocks(dataset):
@@ -78,22 +77,6 @@ class TestParallelSequentialEquivalence:
         result = blocker.run(empty)
         assert (result.num_candidates, result.graph_edges, result.graph_nodes) == (0, 0, 0)
         assert list(blocker.stream_retained(empty)) == []
-
-    def test_custom_strategy_prunes_through_its_own_hook(self, abt_buy_small):
-        class TopHalf(WeightedNodePruning):
-            def node_thresholds(self, weights):
-                return {
-                    node: 1.5 * threshold
-                    for node, threshold in super().node_thresholds(weights).items()
-                }
-
-        blocks = _prepared_blocks(abt_buy_small)
-        sequential = MetaBlocker("cbs", TopHalf()).run(blocks)
-        parallel = ParallelMetaBlocker(EngineContext(3), "cbs", TopHalf()).run(blocks)
-        assert list(parallel.retained_edges.items()) == list(
-            sequential.retained_edges.items()
-        )
-        assert sequential.retained_edges != MetaBlocker("cbs", "wnp").run(blocks).retained_edges
 
 
 # --------------------------------------------------------------------------

@@ -228,16 +228,9 @@ class TestCandidatePairsAlgebra:
 # --------------------------------------------------------------------------
 # retained edges
 # --------------------------------------------------------------------------
-class KeepAboveOne(WeightedNodePruning):
-    """A custom strategy: ``prune`` over the weight dict."""
-
-    def prune(self, stats, weights):
-        return {pair: weight for pair, weight in weights.items() if weight > 1.0}
-
-
 STRATEGIES = [
     "wep", "wnp", "cep", "cnp", "rwnp",
-    CardinalityNodePruning(reciprocal=True), WeightedNodePruning(reciprocal=True), KeepAboveOne(),
+    CardinalityNodePruning(reciprocal=True), WeightedNodePruning(reciprocal=True),
 ]
 
 

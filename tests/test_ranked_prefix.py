@@ -5,9 +5,10 @@ or above the ``k``-th largest weight (ties included) and lexsorts that
 subset; the sorted progressive stream ranks growing windows of it.  Both must
 equal the full ``lexsort((canonical_rank, -w))`` order position for position
 — on tables with heavy weight ties (integer CBS weights) above all, where a
-window cut falls inside a run of equal weights.  The service's cold
-``matches`` must equal a fresh batch ranking of the union collection across
-growing ingest cycles.
+window cut falls inside a run of equal weights.  Node scheduling's one
+``lexsort`` must equal its definition, a node-by-node loop.  The service's
+cold ``matches`` must equal a fresh batch ranking of the union collection
+across growing ingest cycles.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ from hypothesis import given, settings, strategies as st
 from repro.blocking.token_blocking import TokenBlocking
 from repro.data.dataset import ProfileCollection
 from repro.metablocking import backends, progressive
-from repro.metablocking.progressive import ProgressiveSortedComparisons
+from repro.metablocking.index import CSRBlockIndex
+from repro.metablocking.progressive import (
+    ProgressiveNodeScheduling,
+    ProgressiveSortedComparisons,
+)
 from repro.service.collection import CollectionConfig, ServiceCollection
 
 from tests.test_metablocking_incremental import _random_profiles
@@ -103,7 +108,83 @@ def test_cold_matches_equal_a_fresh_batch_ranking_across_ingests(weighting):
                     assert result["matches"] == [
                         list(p) for p in ranking[:budget] if probe in p
                     ]
-                    # A budget of exactly the length has not seen the end yet.
-                    assert result["exhausted"] == (budget > len(ranking))
+                    # Exhausted: the prefix returned is the whole ranking.
+                    assert result["exhausted"] == (budget >= len(ranking))
+    finally:
+        collection.close()
+
+
+@pytest.mark.parametrize("strategy", ["sorted", "node"])
+def test_a_budget_of_exactly_the_ranking_length_is_exhausted_first_time(strategy):
+    """``exhausted`` depends on the budget alone, not on which budgets an
+    earlier query pulled: the first query at exactly the length says true,
+    one short of it false — before and after."""
+    profiles = _random_profiles(40, clean_clean=False, seed=47)
+    blocks = TokenBlocking().block(ProfileCollection(profiles))
+    length = len(ProgressiveSortedComparisons("cbs").rank(blocks))
+    assert length > 1
+    for budgets in ([length, length - 1, length], [length - 1, length, length - 1]):
+        collection = ServiceCollection(CollectionConfig(name="c", progressive=strategy))
+        try:
+            collection.ingest(_ingest_payload(profiles))
+            for budget in budgets:
+                result = collection.matches(profiles[0].profile_id, budget)
+                assert result["scheduled"] == budget
+                assert result["exhausted"] == (budget == length)
+        finally:
+            collection.close()
+
+
+def _scheduled_by_definition(table):
+    """Progressive node scheduling as defined, over the table's edge dict.
+
+    Node priority is the mean incident weight, summed left to right in
+    emission order by an explicit loop (``sum()`` compensates floats from
+    Python 3.12 on); nodes are visited by ``(-priority, node)``, and each
+    visit emits the node's unseen edges by ``(-weight, pair)``.
+    """
+    incident: dict = {}
+    for pair, weight in table.to_mapping().items():
+        for node in pair:
+            incident.setdefault(node, []).append((pair, weight))
+    priority = {}
+    for node, edges in incident.items():
+        total = 0.0
+        for _pair, weight in edges:
+            total += weight
+        priority[node] = total / len(edges)
+    emitted: dict = {}
+    for node in sorted(priority, key=lambda n: (-priority[n], n)):
+        for pair, _weight in sorted(incident[node], key=lambda e: (-e[1], e[0])):
+            emitted.setdefault(pair, None)
+    return list(emitted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tied_tables(), chunk=st.integers(1, 6))
+def test_node_schedule_equals_its_definition(table, chunk):
+    with mock.patch.object(progressive, "_RANK_CHUNK", chunk):
+        stream = ProgressiveNodeScheduling("cbs").stream_index(None, table)
+        assert list(stream) == _scheduled_by_definition(table)
+
+
+@pytest.mark.parametrize("weighting", ["cbs", "js"])
+def test_node_scheduled_matches_follow_the_definition_across_ingests(weighting):
+    profiles = _random_profiles(60, clean_clean=False, seed=53)
+    collection = ServiceCollection(
+        CollectionConfig(name="c", weighting=weighting, progressive="node")
+    )
+    try:
+        for lo, hi in ((0, 20), (20, 40), (40, 60)):
+            collection.ingest(_ingest_payload(profiles[lo:hi]))
+            blocks = TokenBlocking().block(ProfileCollection(profiles[:hi]))
+            index = CSRBlockIndex.from_blocks(blocks)
+            table = index.kernel().weight_arrays(index.weight_plan(weighting, False))
+            expected = _scheduled_by_definition(table)
+            assert ProgressiveNodeScheduling(weighting).rank(blocks) == expected
+            for budget in (5, len(expected), len(expected) + 3):
+                result = collection.matches(profiles[lo].profile_id, budget)
+                assert result["candidates"] == [list(p) for p in expected[:budget]]
+                assert result["exhausted"] == (budget >= len(expected))
     finally:
         collection.close()

@@ -42,6 +42,14 @@ def _batch_retained(profiles, weighting, pruning, *, clean_clean):
     return MetaBlocker(weighting, pruning).run(blocks).retained_edges
 
 
+def _refresh(delta, incremental):
+    """Refresh ``delta`` as the service does: the compacted index, its
+    no-entropy edge table and its compaction count."""
+    index = incremental.materialise()
+    plan = index.weight_plan(delta.weighting, use_entropy=False)
+    return delta.refresh(index, index.kernel().weight_arrays(plan), incremental.compactions)
+
+
 @pytest.mark.parametrize("clean_clean", [False, True])
 @pytest.mark.parametrize("pruning", PRUNINGS)
 @pytest.mark.parametrize("weighting", SCHEMES)
@@ -53,7 +61,7 @@ def test_refresh_after_every_append_equals_batch(weighting, pruning, clean_clean
     for batch in (profiles[:30], profiles[30:55], profiles[55:]):
         incremental.append_profiles(batch)
         ingested.extend(batch)
-        delta.refresh(incremental.materialise(), incremental.compactions)
+        _refresh(delta, incremental)
         assert delta.last_mode == "full"
         expected = _batch_retained(ingested, weighting, pruning, clean_clean=clean_clean)
         # Kept as the retention's columns, no dict per compaction.
@@ -86,17 +94,25 @@ def test_refresh_on_an_unchanged_index_does_no_sweep(monkeypatch):
     incremental = IncrementalBlockIndex()
     incremental.append_profiles(_random_profiles(40, clean_clean=False, seed=5))
     index = incremental.materialise()
+    table = index.kernel().weight_arrays(index.weight_plan("cbs", use_entropy=False))
     delta = DeltaMetaBlocker("cbs", "wnp")
-    delta.refresh(index, incremental.compactions)
+    delta.refresh(index, table, incremental.compactions)
     before = delta.retained
     spy = _SweepSpy(monkeypatch)
-    assert delta.refresh(index, incremental.compactions) is before
-    assert (spy.tables, spy.sweeps) == (0, 0)
+    prunes = []
+    retained_positions = backends.retained_positions
+    monkeypatch.setattr(
+        backends, "retained_positions",
+        lambda *args: prunes.append(args) or retained_positions(*args),
+    )
+    assert delta.refresh(index, table, incremental.compactions) is before
+    assert prunes == [] and (spy.tables, spy.sweeps) == (0, 0)
     assert delta.last_mode == "local"
     assert (delta.full_refreshes, delta.local_refreshes) == (1, 1)
     # An unknown compaction count always recomputes.
-    delta.refresh(index)
-    assert delta.last_mode == "full" and spy.tables == 1
+    delta.refresh(index, table)
+    assert delta.last_mode == "full" and len(prunes) == 1
+    assert list(delta.retained.items()) == list(before.items())
 
 
 @pytest.mark.parametrize(
@@ -105,16 +121,16 @@ def test_refresh_on_an_unchanged_index_does_no_sweep(monkeypatch):
 def test_candidates_then_cold_matches_weigh_one_table_per_compaction(
     weighting, use_entropy, monkeypatch
 ):
-    """Without entropy ``candidates`` and the cold ``matches`` share one
-    table per compaction — one range sweep (one range at this size).  With
-    entropy the delta's plan differs from the ranking's, so each weighs its
-    own.  EJS adds one degree pass per compaction, shared through the
-    index's weight plan.  Repeating both queries weighs nothing."""
+    """``candidates`` and the cold ``matches`` share one table per
+    compaction — one range sweep (one range at this size) — with entropy
+    too: compacted blocks carry entropy 1.0, so its factor is 1.0.  EJS adds
+    one degree pass per compaction, shared through the index's weight plan.
+    Repeating both queries weighs nothing."""
     profiles = _random_profiles(90, clean_clean=False, seed=31)
     collection = ServiceCollection(
         CollectionConfig(name="c", weighting=weighting, use_entropy=use_entropy)
     )
-    per_compaction = 2 if use_entropy else 1
+    per_compaction = 1
     try:
         spy = _SweepSpy(monkeypatch)
         for lo in (0, 60):
@@ -130,12 +146,38 @@ def test_candidates_then_cold_matches_weigh_one_table_per_compaction(
         collection.close()
 
 
+@pytest.mark.parametrize("weighting", ["cbs", "js", "arcs"])
+def test_entropy_leaves_the_service_candidates_unchanged(weighting):
+    """A ``use_entropy`` collection answers what one without entropy does,
+    and what a batch entropy meta-blocker on the union collection retains."""
+    profiles = _random_profiles(80, clean_clean=False, seed=37)
+    collections = [
+        ServiceCollection(CollectionConfig(name="c", weighting=weighting, use_entropy=flag))
+        for flag in (True, False)
+    ]
+    try:
+        for lo, hi in ((0, 45), (45, 80)):
+            blocks = TokenBlocking().block(ProfileCollection(profiles[:hi]))
+            batch = MetaBlocker(weighting, "wnp", use_entropy=True).run(blocks).retained_edges
+            for collection in collections:
+                collection.ingest(_ingest_payload(profiles[lo:hi]))
+            for profile in profiles[:hi]:
+                entropy, plain = (c.candidates(profile.profile_id) for c in collections)
+                assert entropy == plain
+                assert [(tuple(c["pair"]), c["weight"]) for c in entropy["candidates"]] == (
+                    _dict_scan(batch, profile.profile_id)
+                )
+    finally:
+        for collection in collections:
+            collection.close()
+
+
 def test_candidates_of_orders_best_first():
     profiles = _random_profiles(50, clean_clean=False, seed=9)
     incremental = IncrementalBlockIndex()
     incremental.append_profiles(profiles)
     delta = DeltaMetaBlocker("js", "wnp")
-    delta.refresh(incremental.materialise(), incremental.compactions)
+    _refresh(delta, incremental)
     some_profile = next(pid for pair in delta.retained for pid in pair)
     incident = delta.candidates_of(some_profile)
     assert incident
@@ -159,32 +201,10 @@ def test_candidates_of_masks_the_columns_like_a_dict_scan(weighting, pruning):
     incremental = IncrementalBlockIndex(clean_clean=True)
     incremental.append_profiles(profiles)
     delta = DeltaMetaBlocker(weighting, pruning)
-    delta.refresh(incremental.materialise(), incremental.compactions)
+    _refresh(delta, incremental)
     as_dict = dict(delta.retained.items())
     for profile_id in [p.profile_id for p in profiles] + [999]:  # 999: not ingested
         assert delta.candidates_of(profile_id) == _dict_scan(as_dict, profile_id)
-
-
-class _CustomPruning(WeightedNodePruning):
-    """A subclass: the array rules must not stand in for it."""
-
-
-def test_a_custom_strategy_answers_from_its_dict():
-    profiles = _random_profiles(50, clean_clean=False, seed=9)
-    incremental = IncrementalBlockIndex()
-    incremental.append_profiles(profiles)
-    index = incremental.materialise()
-    delta = DeltaMetaBlocker("cbs", _CustomPruning())
-    table = index.kernel().weight_arrays(index.weight_plan("cbs", False))
-    delta.refresh(index, incremental.compactions, table)
-    assert type(delta.retained) is dict and delta.retained
-    stock = DeltaMetaBlocker("cbs", "wnp")
-    stock.refresh(index, incremental.compactions, table)
-    assert list(delta.retained.items()) == list(stock.retained.items())
-    for profile in profiles:
-        expected = _dict_scan(delta.retained, profile.profile_id)
-        assert delta.candidates_of(profile.profile_id) == expected
-        assert stock.candidates_of(profile.profile_id) == expected
 
 
 def test_a_restored_collection_carries_no_table_and_weighs_once(tmp_path, monkeypatch):
@@ -210,6 +230,28 @@ def test_a_restored_collection_carries_no_table_and_weighs_once(tmp_path, monkey
     assert spy.tables == 1 and restored.stats()["tables_weighed"] == 1
     assert replayed[0]["refresh_mode"] == "full"
     assert replayed == payloads
+    reloaded.close_all()
+
+
+@pytest.mark.parametrize("pruning", ["wnp", "rwnp", "cnp"])
+def test_a_snapshot_holding_a_pickled_strategy_restores(tmp_path, pruning):
+    """Snapshots pickle the delta's strategy object; the restored one is the
+    same stock class with the same attributes, and answers the same."""
+    profiles = _random_profiles(50, clean_clean=False, seed=59)
+    store = CollectionStore(snapshot_dir=str(tmp_path))
+    collection = store.add(ServiceCollection(CollectionConfig(name="c", pruning=pruning)))
+    collection.ingest(_ingest_payload(profiles))
+    payloads = [collection.candidates(p.profile_id) for p in profiles[:5]]
+    strategy = collection.delta.pruning
+    store.snapshot("c")
+    store.close_all()
+
+    reloaded = CollectionStore(snapshot_dir=str(tmp_path))
+    reloaded.load_snapshots()
+    restored = reloaded.get("c").delta.pruning
+    assert type(restored) is type(strategy) and vars(restored) == vars(strategy)
+    assert isinstance(restored, WeightedNodePruning) == pruning.endswith("wnp")
+    assert [reloaded.get("c").candidates(p.profile_id) for p in profiles[:5]] == payloads
     reloaded.close_all()
 
 
@@ -261,17 +303,17 @@ def test_new_snapshots_carry_no_edge_state():
     incremental = IncrementalBlockIndex()
     incremental.append_profiles(_random_profiles(40, clean_clean=False, seed=5))
     delta = DeltaMetaBlocker("cbs", "cnp")
-    delta.refresh(incremental.materialise(), incremental.compactions)
+    _refresh(delta, incremental)
     assert delta.retained
     state = delta.__getstate__()
     assert set(state) == {
-        "weighting", "pruning", "use_entropy",
+        "weighting", "pruning",
         "refreshes", "full_refreshes", "local_refreshes", "last_mode",
     }
     clone = pickle.loads(pickle.dumps(delta))
     assert clone.retained == {} and clone.stats()["refreshes"] == 1
     # The clone recomputes on its first refresh, whatever the count says.
-    clone.refresh(incremental.materialise(), incremental.compactions)
+    _refresh(clone, incremental)
     assert clone.last_mode == "full"
     assert list(clone.retained.items()) == list(delta.retained.items())
 
