@@ -260,10 +260,10 @@ class BlockCollection:
         the chunks' distinct codes — no ``Block``, no tuple.
         """
         # Late: the meta-blocking package imports this module.
-        from repro.metablocking.backends import expand_ranges
+        from repro.metablocking.backends import expand_ranges, unique_inverse
 
         entries = self.columns.entries
-        node_ids, dense = np.unique(self.columns.members, return_inverse=True)
+        node_ids, dense = unique_inverse(self.columns.members)
         n = len(node_ids)
         if n * n <= np.iinfo(np.int32).max:
             dense = dense.astype(np.int32)

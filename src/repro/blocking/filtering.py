@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.blocking.block import Block, BlockCollection, BlockColumns
 from repro.exceptions import BlockingError
+from repro.metablocking.backends import stable_sort, unique_inverse
 
 
 @dataclass
@@ -92,15 +93,17 @@ class BlockFiltering:
         """Rank each profile's memberships by block order, keep its quota."""
         entries, members = columns.entries, columns.members
         sizes, comparisons = columns.cardinalities(clean_clean)
-        # Smallest block first: comparison cardinality, then size, then position.
-        block_rank = np.empty(len(sizes), dtype=np.int64)
-        block_rank[np.lexsort((sizes, comparisons))] = np.arange(len(sizes))
-        _ids, profile, counts = np.unique(members, return_inverse=True, return_counts=True)
-        by_profile = np.lexsort((block_rank[entries >> 1], profile))
-        place = np.arange(len(members)) - np.repeat(np.cumsum(counts) - counts, counts)
-        quota = np.maximum(1, np.ceil(self.ratio * counts))
-        staying = np.empty(len(members), dtype=bool)
-        staying[by_profile] = place < np.repeat(quota, counts)
+        # Smallest block first: comparisons, then size, then position (size pass first).
+        by_size = stable_sort(sizes)[1]
+        block_rank = np.empty(len(by_size), dtype=np.int64)
+        block_rank[by_size[stable_sort(comparisons[by_size])[1]]] = np.arange(len(by_size))
+        profile = unique_inverse(members)[1]
+        counts = np.bincount(profile)
+        # Distinct codes (a profile sits in a block once): sorted, a profile's
+        # run lists its blocks smallest first; the one at its quota stays last.
+        codes = (profile << max(len(by_size) - 1, 0).bit_length()) | block_rank[entries >> 1]
+        quota = np.maximum(1, np.ceil(self.ratio * counts)).astype(np.int64)
+        staying = codes <= np.sort(codes)[np.cumsum(counts) - counts + quota - 1][profile]
         kept = BlockColumns(columns.keys, columns.entropies, entries[staying], members[staying])
         return kept.select(kept.cardinalities(clean_clean)[1] > 0)
 

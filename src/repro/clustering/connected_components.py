@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.clustering.base import ClusteringAlgorithm, EntityCluster
 from repro.matching.similarity_graph import SimilarityGraph
+from repro.metablocking.backends import stable_sort, unique_inverse
 
 
 def component_labels(u, v, n: int):
@@ -47,7 +48,7 @@ class ConnectedComponentsClustering(ClusteringAlgorithm):
 
     def cluster(self, graph: SimilarityGraph) -> list[EntityCluster]:
         lower, upper = graph.canonical()
-        ids, dense = np.unique(np.concatenate((lower, upper)), return_inverse=True)
+        ids, dense = unique_inverse(np.concatenate((lower, upper)))
         label = component_labels(dense[: len(lower)], dense[len(lower) :], len(ids))
         roots = np.flatnonzero(label == np.arange(len(ids)))
         root_ids = ids[roots].tolist()
@@ -55,7 +56,7 @@ class ConnectedComponentsClustering(ClusteringAlgorithm):
         rank[roots[sorted(range(len(roots)), key=lambda r: repr(root_ids[r]))]] = np.arange(len(roots))
         nodes = np.array(list(graph.nodes()), dtype=np.int64)
         cluster_of = rank[label[np.searchsorted(ids, nodes)]]
-        members = nodes[np.argsort(cluster_of, kind="stable")].tolist()
         cuts = np.cumsum(np.bincount(cluster_of, minlength=len(roots))).tolist()
+        members = nodes[stable_sort(cluster_of)[1]].tolist()
         sets = [set(members[lo:hi]) for lo, hi in zip([0, *cuts], cuts)]
         return list(map(EntityCluster, range(len(sets)), sets))

@@ -62,6 +62,7 @@ class EntropyExtractor:
         self, columns: AttributeTokens, partitioning: AttributePartitioning
     ) -> dict[int, float]:
         """Same as :meth:`extract` but summing prebuilt attribute columns."""
+        from repro.metablocking.backends import stable_sort  # late: an import cycle
         cluster_of, blob_id = partitioning.cluster_by_attribute(), partitioning.blob_cluster_id
         position = {cluster_id: at for at, cluster_id in enumerate(partitioning.clusters)}
         cluster_at = np.array(
@@ -72,16 +73,15 @@ class EntropyExtractor:
         # One (cluster, form) entry per form of a cluster: its summed count and
         # the first occurrence of the form in any of the cluster's attributes.
         width = max(len(columns.table.forms), 1)
-        codes = np.repeat(cluster_at * width, np.diff(columns.cuts)) + columns.forms
-        order = np.argsort(codes, kind="stable")
-        starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
-        clusters = codes[order][starts] // width
+        codes, order = stable_sort(np.repeat(cluster_at * width, np.diff(columns.cuts)) + columns.forms)
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        clusters = codes[starts] // width
         counts = np.add.reduceat(columns.counts[order], starts)
         first = np.minimum.reduceat(columns.first[order], starts)
         # The entropy is a float sum, so the order of its terms is part of the
         # result (and an ulp moves pruning decisions downstream): sum each
         # cluster's counts in the order its forms arrive in the collection.
-        arrival = np.lexsort((first, clusters))
+        arrival = stable_sort(clusters * max(len(columns.table.value_of), 1) + first)[1]
         counts = counts[arrival].tolist()
         cuts = np.searchsorted(clusters[arrival], np.arange(len(position) + 1)).tolist()
         entropies = {

@@ -63,10 +63,9 @@ class AttributeTokens(NamedTuple):
 
     @classmethod
     def of(cls, table: TokenTable) -> "AttributeTokens":
+        from repro.metablocking.backends import stable_sort  # late: an import cycle
         width = max(len(table.forms), 1)
-        codes = table.attribute_of[table.value_of] * width + table.token_ids
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
+        codes, order = stable_sort(table.attribute_of[table.value_of] * width + table.token_ids)
         starts = np.flatnonzero(np.diff(codes, prepend=-1))
         attributes, forms = np.divmod(codes[starts], width)
         cuts = np.searchsorted(attributes, np.arange(len(table.attributes) + 1))

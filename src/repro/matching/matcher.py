@@ -20,6 +20,7 @@ from repro.data.profile import EntityProfile
 from repro.exceptions import DataError, MatchingError
 from repro.matching.similarity import SIMILARITY_FUNCTIONS, Similarity, get_similarity_function
 from repro.matching.similarity_graph import SimilarityGraph
+from repro.metablocking.backends import stable_sort
 from repro.utils.tokenize import TokenTable, table_for
 
 # The most token probes one chunk of the array pass of ThresholdMatcher.match
@@ -153,8 +154,7 @@ def _set_sizes(profiles: ProfileCollection, a, b, table: TokenTable | None) -> t
     table = table_for(profiles, table)
     # Profile id -> row: binary searches over the rows' ids, sorted, a column
     # at a time (each mostly ascends, which makes searchsorted ~3x faster).
-    by_id = np.argsort(table.profile_ids, kind="stable")
-    ids = table.profile_ids[by_id]
+    ids, by_id = stable_sort(table.profile_ids.copy())
     pair_ids = np.stack((a, b), axis=1)
     found = np.stack((ids.searchsorted(a), ids.searchsorted(b)), axis=1)
     known = found < len(ids)

@@ -122,21 +122,30 @@ tfidf_cosine_similarity = Similarity(
 # character-based measures
 # --------------------------------------------------------------------------
 def edit_distance(a: str, b: str) -> int:
-    """Levenshtein edit distance between two raw strings."""
+    """Levenshtein edit distance between two raw strings: Myers' bit-parallel
+    algorithm (Hyyrö's form), one DP column of ``a`` as two delta bit-vectors."""
     if a == b:
         return 0
     if not a:
         return len(b)
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    matches: dict[str, int] = {}
+    for i, char in enumerate(a):
+        matches[char] = matches.get(char, 0) | 1 << i
+    mask, last = (1 << len(a)) - 1, 1 << (len(a) - 1)
+    plus, minus, score = mask, 0, len(a)
+    for char in b:
+        eq = matches.get(char, 0)
+        vertical = eq | minus
+        horizontal = (((eq & plus) + plus) ^ plus) | eq
+        up = minus | ~(horizontal | plus)
+        down = plus & horizontal
+        score += 1 if up & last else -1 if down & last else 0
+        up = up << 1 | 1
+        plus = (down << 1 | ~(vertical | up)) & mask
+        minus = up & vertical
+    return score
 
 
 def _levenshtein(a: str, b: str) -> float:

@@ -3,7 +3,7 @@
 The CSR index (:class:`~repro.metablocking.index.CSRBlockIndex`) stores its
 offset/entry/cardinality/entropy buffers as contiguous ``int64`` /
 ``float64`` ndarrays.  :class:`NumpyKernel` reads them zero-copy and sweeps
-one contiguous node range at a time — gather / stable-sort / ``np.bincount``
+one contiguous node range at a time — gather / sort / ``np.bincount``
 over the *upper* edges only (neighbour above owner).
 :meth:`NumpyKernel.weight_arrays` joins the cost-balanced range sweeps, each
 under :data:`SWEEP_BUDGET`, into an :class:`EdgeWeights` table — every edge
@@ -21,8 +21,8 @@ however its node range is split:
 
 * arcs / entropy sums accumulate through ``np.bincount(group, weights=...)``,
   whose C loop adds occurrences strictly left to right — in ascending block
-  order, because a stable key sort never reorders the occurrences *within*
-  one (node, neighbour) group;
+  order, because the position bits of every sort code (:func:`stable_sort`)
+  keep the occurrences *within* one (node, neighbour) group in stream order;
 * the ``log10`` factors of ECBS / EJS depend only on one endpoint, so they
   are computed per *node* with ``math.log10`` and merely gathered per edge —
   no vectorised transcendental ever enters a weight;
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any
 
@@ -63,6 +63,36 @@ def expand_ranges(starts, counts):
     expanded = np.repeat(starts - firsts, counts)
     expanded += np.arange(total, dtype=np.int64)
     return expanded
+
+
+def stable_sort(keys):
+    """``(keys[order], order)`` for ``order = np.argsort(keys, kind="stable")``
+    of integer ``keys``, which it consumes: one in-place ``np.sort`` of int64
+    codes ``(key − min) << bits | position`` (the position bits keep equal keys
+    in input order); keys too wide for 63 bits take the stable argsort."""
+    bits = max(len(keys) - 1, 0).bit_length()
+    low, high = (int(keys.min()), int(keys.max())) if len(keys) else (0, 0)
+    if (high - low).bit_length() + bits > 63:
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    codes = keys.astype(np.int64, copy=False)
+    codes -= low
+    codes <<= bits
+    codes |= np.arange(len(codes), dtype=np.int64)
+    codes.sort()
+    order = codes & ((1 << bits) - 1)
+    codes >>= bits
+    codes += low
+    return codes, order
+
+
+def unique_inverse(values):
+    """``np.unique(values, return_inverse=True)`` of integers, by :func:`stable_sort`."""
+    ordered, order = stable_sort(values.astype(np.int64))
+    new = np.diff(ordered, prepend=ordered[:1] - 1) != 0
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
 
 
 # --------------------------------------------------------------- weight plans
@@ -170,10 +200,10 @@ class NumpyKernel:
     """Vectorised neighbourhood materialisation over zero-copy buffer views.
 
     Neighbourhoods are materialised by a gather of the owner's block member
-    ranges, grouped per ``(owner, neighbour)`` key with one stable integer
-    sort, and aggregated with ``np.bincount`` — see the module docstring for
-    the accumulation order this fixes.  The edge table and the degree vector
-    are passes of range sweeps; nothing of a sweep outlives its range.
+    ranges, grouped per ``(owner, neighbour)`` key with one sort of position-packed
+    codes, and aggregated with ``np.bincount`` — see the module docstring for the
+    accumulation order this fixes.  The edge table and the degree vector are
+    passes of range sweeps; nothing of a sweep outlives its range.
     """
 
     def __init__(self, index) -> None:
@@ -235,20 +265,14 @@ class NumpyKernel:
         del others  # the sort below is the scratch peak
         occ_blocks = np.repeat(blocks, counts)[upper] if need_arcs or need_entropies else None
         total = len(keys)
-        if total == 0:
-            empty_i, empty_f = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-            return _Sweep(empty_i, empty_i, empty_i, empty_f, empty_f)
 
-        # 4. Group by (owner, other).  The stable sort keeps each group's
-        # occurrences in original relative order, so accumulating the sorted
-        # stream adds the floats in ascending block order.
-        if len(nodes) * n <= np.iinfo(np.int32).max:
-            keys = keys.astype(np.int32)  # narrower sort keys, same order
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
+        # 4. Group by (owner, other), sorting ``keys`` in place.  Position in
+        # the low bits keeps each group's occurrences in stream order, so the
+        # sorted stream adds the floats in ascending block order.
+        keys, order = stable_sort(keys)
         new_group = np.empty(total, dtype=bool)
-        new_group[0] = True
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
+        new_group[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
         boundaries = np.flatnonzero(new_group)
         first_occurrence = order[new_group]
         num_groups = len(boundaries)
@@ -279,8 +303,7 @@ class NumpyKernel:
         group_at = np.empty(total, dtype=np.int64)
         group_at[first_occurrence] = np.arange(num_groups)
         emit_order = group_at[first_ordered]
-        edge_keys = keys[first_ordered].astype(np.int64, copy=False)
-        edge_owners, edge_others = np.divmod(edge_keys, n)
+        edge_owners, edge_others = np.divmod(keys[boundaries[emit_order]], n)
         edge_owners += lo
         return _Sweep(
             owners=edge_owners,
@@ -434,7 +457,6 @@ class EdgeWeights:
     num_nodes: int
     node_ids: Any = None
     mapping: "dict | None" = None
-    _canonical_rank: Any = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.a)
@@ -450,17 +472,10 @@ class EdgeWeights:
         """Position of each edge in canonical (sorted-pair) order.
 
         Ordering by ``(-weight, rank)`` is therefore the ``(-weight, pair)``
-        tie-break of the pruning definitions.  Cached: CEP and CNP both
-        consume it.
+        tie-break of the pruning definitions.  Pairs are distinct, so it is
+        each ``a·n + b`` key's rank among the keys.
         """
-        if self._canonical_rank is None:
-            # Pairs are distinct, so one sort of the composite key is the
-            # (a, b) lexicographic order (~9x faster than a two-key lexsort).
-            order = np.argsort(self.a * self.num_nodes + self.b, kind="stable")
-            rank = np.empty(len(self.a), dtype=np.int64)
-            rank[order] = np.arange(len(self.a), dtype=np.int64)
-            self._canonical_rank = rank
-        return self._canonical_rank
+        return unique_inverse(self.a * self.num_nodes + self.b)[1]
 
 
 def _sequential_sum(values):
@@ -535,20 +550,19 @@ def _cnp_mask(table: EdgeWeights, k: int, required: int):
     """CNP's boolean retention mask (per-node top-``k`` votes)."""
     m = len(table)
     # Rank the edges once by (-weight, canonical pair order), then sort the
-    # interleaved incidence stream by a single (node, edge position) integer
-    # key — stable radix sort, no float arithmetic, exact tie-breaks.
+    # incidence stream's distinct ``node << bits | edge rank`` codes.
     edge_order = np.lexsort((table.canonical_rank(), -table.w))
     edge_position = np.empty(m, dtype=np.int64)
     edge_position[edge_order] = np.arange(m, dtype=np.int64)
-    nodes = _interleaved_incidence(table)
-    occurrence_edge = np.repeat(np.arange(m, dtype=np.int64), 2)
-    composite = nodes * m + edge_position[occurrence_edge]
-    order = np.argsort(composite, kind="stable")
-    sorted_nodes = nodes[order]
+    bits = (m - 1).bit_length()
+    codes = _interleaved_incidence(table) << bits
+    codes |= np.repeat(edge_position, 2)
+    codes.sort()
+    sorted_nodes = codes >> bits
     segment_starts = np.searchsorted(sorted_nodes, np.arange(table.num_nodes))
     position_in_node = np.arange(2 * m, dtype=np.int64) - segment_starts[sorted_nodes]
     kept = position_in_node < k
-    votes = np.bincount(occurrence_edge[order][kept], minlength=m)
+    votes = np.bincount(edge_order[codes[kept] & ((1 << bits) - 1)], minlength=m)
     return votes >= required
 
 

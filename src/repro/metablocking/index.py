@@ -149,20 +149,21 @@ class CSRBlockIndex:
         right — ``lengths`` per ``entry = 2 * block + side`` and the
         ``profiles`` in that order (unsorted inside an entry is fine): what a
         column-backed collection stores, and what :meth:`from_blocks`
-        flattens member sets into.  Sorting the composite ``(entry,
-        dense)`` key orders each side by dense id (``block_nodes``), and a
-        stable sort of that by node keeps each node's entries ascending
-        (``node_block_entries``).  The composite key stays below 2**63 for
-        any index that fits in memory (``2 * memberships**2``).
+        flattens member sets into.  Sorting the ``entry << bits | dense``
+        codes orders each side by dense id (``block_nodes``); sorting the
+        distinct ``dense << bits | entry`` codes lists each node's entries
+        ascending (``node_block_entries``).  Both stay below 2**63 for any
+        index that fits in memory.
         """
         num_blocks = len(lengths) // 2
-        node_ids, dense = np.unique(profiles, return_inverse=True)
+        node_ids, dense = _backends.unique_inverse(profiles)
         n = len(node_ids)
         entries = np.repeat(np.arange(2 * num_blocks, dtype=np.int64), lengths)
-        block_nodes = np.sort(entries * n + dense) % max(n, 1)
-        by_node = np.argsort(block_nodes, kind="stable")
-        owners = block_nodes[by_node]
-        node_entries = entries[by_node]
+        node_bits, entry_bits = max(n - 1, 0).bit_length(), max(2 * num_blocks - 1, 0).bit_length()
+        block_nodes = np.sort((entries << node_bits) | dense) & ((1 << node_bits) - 1)
+        owners = np.sort((dense << entry_bits) | entries)
+        node_entries = owners & ((1 << entry_bits) - 1)
+        owners >>= entry_bits
         per_node = np.bincount(block_nodes, minlength=n)
         # A profile on both sides of one block holds two adjacent entries of
         # that block but counts the block once.

@@ -25,9 +25,12 @@ def stable_hashes(values: Iterable[object], seed: int = 0) -> np.ndarray:
     Unlike ``hash()``, this is stable across interpreter runs, which makes
     MinHash signatures reproducible.
     """
-    salt = struct.pack("<q", seed)
-    data = (repr(value).encode("utf-8", errors="replace") for value in values)
-    digests = [hashlib.blake2b(text, digest_size=8, salt=salt).digest() for text in data]
+    salted = hashlib.blake2b(digest_size=8, salt=struct.pack("<q", seed))
+    digests = []
+    for value in values:
+        hasher = salted.copy()
+        hasher.update(repr(value).encode("utf-8", errors="replace"))
+        digests.append(hasher.digest())
     return np.frombuffer(b"".join(digests), dtype="<u8")
 
 

@@ -1,8 +1,11 @@
 """Tests of the similarity functions."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import MatchingError
 from repro.matching.similarity import (
@@ -21,6 +24,11 @@ from repro.matching.similarity import (
     qgram_similarity,
     tfidf_cosine_similarity,
 )
+from tests.levenshtein_reference import edit_distance as reference_edit_distance
+
+# A small alphabet makes matches (and so every bit-vector case) common;
+# "e" plus combining acute / grave marks are separate code points.
+_TEXT = st.text(alphabet="abe\u0301\u0300 é", max_size=24)
 
 
 class TestTokenSetMeasures:
@@ -77,6 +85,19 @@ class TestCharacterMeasures:
 
     def test_edit_distance_equal(self):
         assert edit_distance("same", "same") == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(_TEXT, _TEXT)
+    def test_edit_distance_equals_the_dp(self, a, b):
+        assert edit_distance(a, b) == reference_edit_distance(a, b)
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 350])
+    def test_edit_distance_equals_the_dp_past_a_machine_word(self, length):
+        rng = random.Random(length)
+        for _ in range(5):
+            a = "".join(rng.choice("abé\u0301") for _ in range(length))
+            b = "".join(rng.choice("abé\u0301") for _ in range(rng.randrange(1, length + 40)))
+            assert edit_distance(a, b) == reference_edit_distance(a, b)
 
     def test_levenshtein_similarity_range(self):
         assert 0.0 <= levenshtein_similarity("sony", "sonny") <= 1.0
