@@ -65,5 +65,6 @@ def group_token_keys(
         np.asarray(entropies, dtype=np.float64)[by_name],
         np.repeat(2 * blocks + (run_entries[runs] & 1), lengths),
         members[expand_ranges(starts[runs], lengths)],
+        np.full(len(by_name), clean_clean),
     )
     return BlockCollection.from_columns(columns, clean_clean=clean_clean)

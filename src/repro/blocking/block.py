@@ -5,8 +5,9 @@ a block keeps the two sources separate (only cross-source comparisons count);
 for dirty ER all profiles sit in a single group and every unordered pair is a
 comparison.
 
-A :class:`BlockCollection` holds its blocks either as :class:`Block` objects
-or, on the hot path, as the :class:`BlockColumns` membership vectors.
+A :class:`BlockCollection` stores its blocks as the :class:`BlockColumns`
+membership vectors, the one form every consumer reads; a :class:`Block` is a
+value encoded into them or decoded from them.
 """
 
 from __future__ import annotations
@@ -106,11 +107,11 @@ class Block:
 
 
 class BlockColumns(NamedTuple):
-    """The column form of a block collection.
+    """The storage of a block collection: membership vectors.
 
     Invariants: ``entries`` ascends; ``members`` ascends inside an entry; a
-    profile sits in a block at most once; every block induces a comparison
-    and is clean-clean exactly when its collection is (dirty: no side 1).
+    block with a side-1 member is clean-clean.  A block may induce no
+    comparison, and a profile may sit on both sides of a clean-clean block.
     The vectors are never written to, so collections may share them.
     """
 
@@ -118,16 +119,20 @@ class BlockColumns(NamedTuple):
     entropies: Any  # per block: float64
     entries: Any  # per membership: int64 ``2 * block + side``
     members: Any  # per membership: int64 profile id
+    # Per block: bool, clean-clean.  ``None`` only while a 4-field tuple
+    # pickled before the flag existed loads: ``BlockCollection.__setstate__``
+    # fills it before anything reads it.
+    cleans: Any = None
 
     def lengths(self):
         """Members per entry: the left side of block 0, its right side, ..."""
         return np.bincount(self.entries, minlength=2 * len(self.keys))
 
-    def cardinalities(self, clean_clean: bool) -> tuple:
+    def cardinalities(self) -> tuple:
         """Per block: the number of profiles and of induced comparisons."""
         lengths = self.lengths()
         left, right = lengths[0::2], lengths[1::2]
-        return left + right, left * right if clean_clean else left * (left - 1) // 2
+        return left + right, np.where(self.cleans, left * right, left * (left - 1) // 2)
 
     def select(self, keep) -> "BlockColumns":
         """The columns of the blocks whose flag in the bool vector ``keep`` is set."""
@@ -140,102 +145,117 @@ class BlockColumns(NamedTuple):
             self.entropies[keep],
             2 * (keep.cumsum() - 1)[entries >> 1] + (entries & 1),
             self.members[staying],
+            self.cleans[keep],
         )
 
 
+_EMPTY = BlockColumns(
+    [], np.empty(0), *(np.empty(0, dtype=dtype) for dtype in (np.int64, np.int64, bool))
+)
+
+
+def _encode(blocks: Iterable[Block], base: BlockColumns = _EMPTY) -> BlockColumns:
+    """The columns of ``base`` followed by those of ``blocks``."""
+    keys, entropies, cleans, entries, members = [], [], [], [], []
+    for position, block in enumerate(blocks, len(base.keys)):
+        if not isinstance(block, Block):
+            raise BlockingError("only Block instances can be added")
+        keys.append(block.key)
+        entropies.append(block.entropy)
+        cleans.append(block.is_clean_clean)
+        for side, profile_ids in enumerate((block.profiles_source0, block.profiles_source1)):
+            members.extend(sorted(profile_ids))
+            entries.extend([2 * position + side] * len(profile_ids))
+    tail = (entropies, entries, members, cleans)
+    return BlockColumns(
+        base.keys + keys,
+        *(np.concatenate((old, np.array(new, dtype=old.dtype))) for old, new in zip(base[1:], tail)),
+    )
+
+
 class BlockCollection:
-    """An ordered collection of blocks with profile-level indexing.
+    """An ordered collection of blocks, stored as :class:`BlockColumns`.
 
-    *Object-backed* it is a list of :class:`Block` — what the constructor and
-    :meth:`add` build, and the only form that holds blocks inducing no
-    comparison, per-block clean-clean flags or a profile listed on both
-    sides of a block.  *Column-backed*
-    (:meth:`from_columns`; ``columns`` is set) it is the :class:`BlockColumns`
-    vectors and no ``Block`` at all — what ``group_token_keys``, purging and
-    filtering produce and the CSR builder reads.  Sizes and counts answer
-    from the columns; whatever hands out ``Block`` objects (iteration,
-    indexing, :attr:`blocks`, :meth:`add`) first converts the collection to
-    object-backed, **one way**: the columns are dropped, so a mutated
-    ``Block`` can never disagree with them.
+    The constructor and :meth:`add` encode :class:`Block` values into the
+    columns; :func:`~repro.blocking.base.group_token_keys`, purging and
+    filtering build the columns directly (:meth:`from_columns`).  Sizes,
+    counts and pairs answer from the columns.  Iterating, indexing and
+    :attr:`blocks` decode fresh ``Block`` values and leave the collection as
+    it is, so changing a decoded ``Block`` changes nothing here.
     """
-
-    # Class-level: a collection pickled before the column form (or the
-    # count) existed (a parent-version checkpoint) restores without them.
-    columns: "BlockColumns | None" = None
-    # The distinct-pair count of the columns, once known; an object-backed
-    # collection never keeps one (its Blocks can be changed in place).
-    _distinct_count: "int | None" = None
 
     def __init__(self, blocks: Iterable[Block] = (), *, clean_clean: bool = False) -> None:
         self.clean_clean = clean_clean
-        self._blocks: list[Block] = []
-        for block in blocks:
-            self.add(block)
+        self.columns = _encode(blocks)
+        # The distinct-pair count of the columns, once known.
+        self._distinct_count: int | None = None
 
     @classmethod
     def from_columns(cls, columns: BlockColumns, *, clean_clean: bool) -> "BlockCollection":
-        """A column-backed collection over ``columns`` (invariants: see there)."""
+        """A collection over ``columns`` (invariants: see there)."""
         collection = cls(clean_clean=clean_clean)
         collection.columns = columns
         return collection
 
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickle, also one written before the columns were the
+        only storage: its ``Block`` list is encoded, and 4-field columns get
+        the collection's flag on every block."""
+        clean_clean = state["clean_clean"]
+        columns = state.get("columns") or _encode(state["_blocks"])
+        if columns.cleans is None:
+            columns = columns._replace(cleans=np.full(len(columns.keys), clean_clean))
+        self.clean_clean, self.columns = clean_clean, columns
+        self._distinct_count = state.get("_distinct_count")
+
     def add(self, block: Block) -> None:
         """Append a block to the collection."""
-        if not isinstance(block, Block):
-            raise BlockingError("only Block instances can be added")
-        self.blocks.append(block)
+        self.columns = _encode([block], self.columns)
+        self._distinct_count = None
 
     def __iter__(self) -> Iterator[Block]:
-        return iter(self.blocks)
+        keys, entropies, _entries, members, cleans = self.columns
+        ids = members.tolist()
+        cuts = [0, *self.columns.lengths().cumsum().tolist()]
+        sides = [set(ids[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        rows = zip(keys, sides[0::2], sides[1::2], entropies.tolist(), cleans.tolist())
+        return (Block(*row) for row in rows)
 
     def __len__(self) -> int:
-        return len(self._blocks if self.columns is None else self.columns.keys)
+        return len(self.columns.keys)
 
     def __getitem__(self, index: int) -> Block:
-        return self.blocks[index]
+        """The block at ``index``, decoded alone."""
+        position = range(len(self))[index]
+        keys, entropies, entries, members, cleans = self.columns
+        lo, split, hi = np.searchsorted(entries, [2 * position, 2 * position + 1, 2 * position + 2])
+        return Block(
+            keys[position],
+            set(members[lo:split].tolist()),
+            set(members[split:hi].tolist()),
+            float(entropies[position]),
+            bool(cleans[position]),
+        )
 
     @property
     def blocks(self) -> list[Block]:
-        """The block list; a column-backed collection converts here, one way
-        (the columns, and with them the distinct-pair count, go only once the
-        whole list stands — so :meth:`add` drops the count too)."""
-        columns = self.columns
-        if columns is not None:
-            ids = columns.members.tolist()
-            cuts = [0, *columns.lengths().cumsum().tolist()]
-            sides = [set(ids[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-            self._blocks = [
-                Block(*row, self.clean_clean)
-                for row in zip(columns.keys, sides[0::2], sides[1::2], columns.entropies.tolist())
-            ]
-            self.columns = self._distinct_count = None
-        return self._blocks
+        """Every block, decoded."""
+        return list(self)
 
     def total_comparisons(self) -> int:
         """Sum of per-block comparisons (pairs may be counted more than once)."""
-        if self.columns is not None:
-            return int(self.columns.cardinalities(self.clean_clean)[1].sum())
-        return sum(block.num_comparisons() for block in self._blocks)
+        return int(self.columns.cardinalities()[1].sum())
 
-    def distinct_comparisons(self) -> "set[tuple[int, int]] | CandidatePairs":
-        """The distinct candidate pairs across all blocks: a set of tuples,
-        or the :class:`CandidatePairs` columns of a column-backed collection
-        (which stays column-backed)."""
-        if self.columns is not None:
-            node_ids, codes = self._distinct_codes()
-            self._distinct_count = len(codes)
-            return CandidatePairs.from_codes(codes, node_ids)
-        pairs: set[tuple[int, int]] = set()
-        for block in self.blocks:
-            pairs.update(block.comparisons())
-        return pairs
+    def distinct_comparisons(self) -> CandidatePairs:
+        """The distinct candidate pairs across all blocks, as columns."""
+        node_ids, codes = self._distinct_codes()
+        self._distinct_count = len(codes)
+        return CandidatePairs.from_codes(codes, node_ids)
 
     def count_distinct_comparisons(self) -> int:
-        """``len(distinct_comparisons())``; column-backed, without the pair set,
-        once per collection (and none when :meth:`keeping_count_of` reused
-        its source's count)."""
-        if self.columns is None:
-            return len(self.distinct_comparisons())
+        """``len(distinct_comparisons())`` without the pair set, once per
+        collection (and none when :meth:`keeping_count_of` reused its
+        source's count)."""
         if self._distinct_count is None:
             self._distinct_count = len(self._distinct_codes()[1])
         return self._distinct_count
@@ -244,7 +264,7 @@ class BlockCollection:
         """This collection, derived from ``source`` by removing comparisons
         only (purging, filtering), with ``source``'s distinct-pair count
         when it removed none: then the pair multiset is ``source``'s."""
-        known = source._distinct_count is not None and self.columns is not None
+        known = source._distinct_count is not None
         if known and self.total_comparisons() == source.total_comparisons():
             self._distinct_count = source._distinct_count
         return self
@@ -253,11 +273,14 @@ class BlockCollection:
         """``(node_ids, codes)``: the ascending profile ids of the columns and
         the ascending distinct ``lower * n + upper`` codes of their pairs.
 
-        Every member meets the later members of its entry (dirty) or the
-        members of its block's other side (clean-clean).  The pairs are
-        expanded a bounded chunk at a time as codes over dense ids (int32
-        when ``n²`` fits) and deduplicated by sorting; one last sort merges
-        the chunks' distinct codes — no ``Block``, no tuple.
+        Every member meets the later members of its entry (dirty block) or
+        the members of its block's right side (a left member of a
+        clean-clean block).  The pairs are expanded a bounded chunk at a
+        time as codes over dense ids (int32 when ``n²`` fits) and
+        deduplicated by sorting; one last sort merges the chunks' distinct
+        codes — no ``Block``, no tuple.  A profile on both sides of a block
+        meets itself there; that code becomes -1, which the deduplication
+        drops.
         """
         # Late: the meta-blocking package imports this module.
         from repro.metablocking.backends import expand_ranges, unique_inverse
@@ -269,22 +292,25 @@ class BlockCollection:
             dense = dense.astype(np.int32)
         lengths = self.columns.lengths()
         ends = lengths.cumsum()
-        if self.clean_clean:  # a left member meets its block's right entry, which starts here
-            first = ends[entries]
-            partners = np.where(entries & 1, 0, lengths[entries | 1])
-        else:
-            first = np.arange(1, len(dense) + 1)
-            partners = ends[entries] - first
+        # A left member of a clean-clean block meets its right entry, which
+        # starts where the left one ends; a dirty member the rest of its entry.
+        clean = self.columns.cleans[entries >> 1]
+        first = np.where(clean, ends[entries], np.arange(1, len(dense) + 1))
+        partners = np.where(
+            clean, np.where(entries & 1, 0, lengths[entries | 1]), ends[entries] - first
+        )
         done = np.concatenate(([0], partners.cumsum()))
         cuts = np.searchsorted(done, np.arange(0, done[-1] + _PAIR_CHUNK, _PAIR_CHUNK)).tolist()
         distinct = [np.empty(0, dtype=dense.dtype)]
         for lo, hi in zip(cuts, cuts[1:]):
             count = partners[lo:hi]
             a, b = np.repeat(dense[lo:hi], count), dense[expand_ranges(first[lo:hi], count)]
+            itself = a == b
             codes = np.minimum(a, b)  # in place from here on: bounded scratch
             codes *= n
             codes += np.maximum(a, b, out=b)
-            del a, b
+            codes[itself] = -1
+            del a, b, itself
             codes.sort()
             distinct.append(codes[np.diff(codes, prepend=-1) != 0])
         merged = np.concatenate(distinct)
@@ -292,34 +318,9 @@ class BlockCollection:
         merged.sort()
         return node_ids, merged[np.diff(merged, prepend=-1) != 0]
 
-    def profile_index(self) -> dict[int, list[int]]:
-        """Map each profile id to the indices of the blocks that contain it."""
-        index: dict[int, list[int]] = {}
-        for block_index, block in enumerate(self.blocks):
-            for profile_id in block.all_profiles():
-                index.setdefault(profile_id, []).append(block_index)
-        return index
-
     def profile_ids(self) -> set[int]:
         """All profile ids appearing in at least one block."""
-        if self.columns is not None:
-            return set(np.unique(self.columns.members).tolist())
-        ids: set[int] = set()
-        for block in self._blocks:
-            ids.update(block.all_profiles())
-        return ids
-
-    def purge_invalid(self) -> "BlockCollection":
-        """Return a new collection without blocks that induce no comparison."""
-        return BlockCollection(
-            (b for b in self.blocks if b.is_valid()), clean_clean=self.clean_clean
-        )
-
-    def sorted_by_size(self, descending: bool = True) -> list[Block]:
-        """Blocks sorted by number of comparisons."""
-        return sorted(
-            self.blocks, key=lambda b: b.num_comparisons(), reverse=descending
-        )
+        return set(np.unique(self.columns.members).tolist())
 
     def __repr__(self) -> str:
         return (

@@ -5,7 +5,9 @@ blocks that contain more than half of the profiles in the collection* — these
 correspond to highly frequent blocking keys such as stop-words.  A
 comparison-based variant (purge the largest blocks until the marginal cost per
 retained comparison stops improving) is provided as well, since the demo lets
-the user change the aggressiveness of the purging step.
+the user change the aggressiveness of the purging step.  Both rules are masks
+over the per-block counts of the collection's
+:class:`~repro.blocking.block.BlockColumns`.
 """
 
 from __future__ import annotations
@@ -45,30 +47,18 @@ class BlockPurging:
 
     def purge(self, blocks: BlockCollection, num_profiles: int | None = None) -> BlockCollection:
         """Return a new collection without the purged blocks, order kept
-        (column-backed stays column-backed: a mask over per-block counts)."""
+        (a mask over the per-block counts of the columns)."""
         if num_profiles is None:
             num_profiles = len(blocks.profile_ids())
-        if num_profiles == 0:
-            return BlockCollection(clean_clean=blocks.clean_clean)
-
-        threshold = self.max_profile_fraction * num_profiles
-        columns = blocks.columns
-        if columns is not None:
-            sizes, comparisons = columns.cardinalities(blocks.clean_clean)
-            keep = sizes <= threshold
-            if self.smoothing is not None and keep.any():
-                keep &= comparisons <= self._cutoff(
-                    zip(comparisons[keep].tolist(), sizes[keep].tolist())
-                )
-            return BlockCollection.from_columns(
-                columns.select(keep), clean_clean=blocks.clean_clean
-            ).keeping_count_of(blocks)
-
-        kept = [block for block in blocks if block.size <= threshold]
-        if self.smoothing is not None and kept:
-            cutoff = self._cutoff((b.num_comparisons(), b.size) for b in kept)
-            kept = [block for block in kept if block.num_comparisons() <= cutoff]
-        return BlockCollection(kept, clean_clean=blocks.clean_clean)
+        sizes, comparisons = blocks.columns.cardinalities()
+        keep = sizes <= self.max_profile_fraction * num_profiles
+        if self.smoothing is not None and keep.any():
+            keep &= comparisons <= self._cutoff(
+                zip(comparisons[keep].tolist(), sizes[keep].tolist())
+            )
+        return BlockCollection.from_columns(
+            blocks.columns.select(keep), clean_clean=blocks.clean_clean
+        ).keeping_count_of(blocks)
 
     # -------------------------------------------------------------- internals
     def _cutoff(self, cardinalities) -> int:

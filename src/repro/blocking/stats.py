@@ -102,8 +102,8 @@ def block_stage_metrics(
     """The per-stage metric dict recorded after every block-level stage.
 
     Full quality statistics when a ground truth is available, plain counts
-    otherwise (a column-backed collection answers those from its columns: no
-    pair set, no ``Block``).
+    otherwise (answered from the collection's columns: no pair set, no
+    ``Block``).
     """
     if ground_truth is not None:
         return compute_blocking_stats(

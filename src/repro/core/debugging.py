@@ -27,6 +27,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.blocking.stats import pair_stats
 from repro.core.blocker import Blocker, BlockerReport
 from repro.core.config import SparkERConfig
@@ -199,10 +201,10 @@ class DebugSession:
                 break
             left, right = pair
             shared: list[str] = []
-            if raw_blocks is not None:
-                for block in raw_blocks:
-                    if block.contains(left) and block.contains(right):
-                        shared.append(block.key)
+            if raw_blocks is not None:  # the blocks holding each endpoint, intersected
+                columns = raw_blocks.columns
+                holding = [columns.entries[columns.members == end] >> 1 for end in pair]
+                shared = [columns.keys[block] for block in np.intersect1d(*holding).tolist()]
             explanations.append(
                 LostPairExplanation(
                     pair=pair,

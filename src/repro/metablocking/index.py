@@ -20,13 +20,14 @@ Node ids are dense (0..n-1) and order-isomorphic to the profile ids
 (``node_ids`` is sorted), so canonical pair ordering carries over.
 
 Every numeric field is an ``int64`` / ``float64`` ndarray, built by one array
-builder (two sorts and prefix sums over the flattened membership stream,
-which a column-backed :class:`BlockCollection` already is).  ``node_ids`` is a
-plain ``list[int]``, so emitted pairs hold python ints.  Neighbourhoods are
-materialised by :class:`~repro.metablocking.backends.NumpyKernel`, whose one
-emission order (node-major first-touch) and one accumulation order keep every
-driving path — sequential run, parallel range tasks, progressive streams,
-the service's delta refresh — bit-for-bit equivalent.
+builder (one sort and prefix sums over the membership stream of a
+:class:`BlockCollection`'s columns, its blocks that induce a comparison).
+``node_ids`` is a plain ``list[int]``, so emitted pairs hold python ints.
+Neighbourhoods are materialised by
+:class:`~repro.metablocking.backends.NumpyKernel`, whose one emission order
+(node-major first-touch) and one accumulation order keep every driving path
+— sequential run, parallel range tasks, progressive streams, the service's
+delta refresh — bit-for-bit equivalent.
 
 The index lives in process memory only.  A forked range worker inherits the
 driver's index copy-on-write; where workers are not forked, the index pickles
@@ -36,7 +37,6 @@ by value (:meth:`CSRBlockIndex.__getstate__`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
 
 import numpy as np
 
@@ -113,55 +113,33 @@ class CSRBlockIndex:
     def from_blocks(cls, blocks: BlockCollection) -> "CSRBlockIndex":
         """Build the index from a block collection.
 
-        Blocks that induce no comparison are skipped; ``total_blocks`` still
-        counts them because ECBS normalises by the raw collection size.  A
-        column-backed collection hands its membership vectors straight to
-        the array builder — they already are its input stream, and every
-        block in them induces a comparison.  An object-backed one is
-        flattened into that stream here: the member sets of its
-        comparison-inducing blocks, left then right, as they are (unsorted,
-        no copy per block).
+        The blocks that induce a comparison are selected from the columns
+        and handed to the array builder; ``total_blocks`` still counts every
+        block because ECBS normalises by the raw collection size.
         """
         columns = blocks.columns
-        if columns is not None:
-            lengths, profiles = columns.lengths(), columns.members
-            entropies, cleans = columns.entropies, np.full(len(blocks), blocks.clean_clean)
-        else:
-            kept = [block for block in blocks if block.num_comparisons()]
-            sides = [
-                side for block in kept for side in (block.profiles_source0, block.profiles_source1)
-            ]
-            lengths = np.fromiter(map(len, sides), np.int64, len(sides))
-            profiles = np.fromiter(chain.from_iterable(sides), np.int64, int(lengths.sum()))
-            entropies = [block.entropy for block in kept]
-            cleans = [block.is_clean_clean for block in kept]
         index = cls()
         index.clean_clean = blocks.clean_clean
         index.total_blocks = len(blocks)
-        cls._populate_arrays(index, lengths, profiles, entropies, cleans)
+        cls._populate_arrays(index, columns.select(columns.cardinalities()[1] > 0))
         return index
 
     @staticmethod
-    def _populate_arrays(index, lengths, profiles, entropies, cleans) -> None:
-        """The array builder: two sorts and scans over the flattened stream.
+    def _populate_arrays(index, columns) -> None:
+        """The array builder: one sort and scans over the membership stream.
 
-        Its input is the membership stream block by block, left side then
-        right — ``lengths`` per ``entry = 2 * block + side`` and the
-        ``profiles`` in that order (unsorted inside an entry is fine): what a
-        column-backed collection stores, and what :meth:`from_blocks`
-        flattens member sets into.  Sorting the ``entry << bits | dense``
-        codes orders each side by dense id (``block_nodes``); sorting the
-        distinct ``dense << bits | entry`` codes lists each node's entries
-        ascending (``node_block_entries``).  Both stay below 2**63 for any
-        index that fits in memory.
+        Its input is :class:`~repro.blocking.block.BlockColumns` of blocks
+        that each induce a comparison.  Members ascend inside an entry, so
+        their dense ids, entry after entry, already are ``block_nodes``;
+        sorting the ``dense << bits | entry`` codes lists each node's
+        entries ascending (``node_block_entries``).  The codes stay below
+        2**63 for any index that fits in memory.
         """
-        num_blocks = len(lengths) // 2
-        node_ids, dense = _backends.unique_inverse(profiles)
+        entries, lengths = columns.entries, columns.lengths()
+        node_ids, block_nodes = _backends.unique_inverse(columns.members)
         n = len(node_ids)
-        entries = np.repeat(np.arange(2 * num_blocks, dtype=np.int64), lengths)
-        node_bits, entry_bits = max(n - 1, 0).bit_length(), max(2 * num_blocks - 1, 0).bit_length()
-        block_nodes = np.sort((entries << node_bits) | dense) & ((1 << node_bits) - 1)
-        owners = np.sort((dense << entry_bits) | entries)
+        entry_bits = max(len(lengths) - 1, 0).bit_length()
+        owners = np.sort((block_nodes << entry_bits) | entries)
         node_entries = owners & ((1 << entry_bits) - 1)
         owners >>= entry_bits
         per_node = np.bincount(block_nodes, minlength=n)
@@ -169,8 +147,7 @@ class CSRBlockIndex:
         # that block but counts the block once.
         twice = (owners[1:] == owners[:-1]) & (node_entries[1:] >> 1 == node_entries[:-1] >> 1)
         left, right = lengths[0::2], lengths[1::2]
-        clean = np.asarray(cleans, dtype=bool)
-        cardinality = np.where(clean, left * right, left * (left - 1) // 2)
+        cardinality = columns.cardinalities()[1]
         zero = np.zeros(1, dtype=np.int64)
         # A plain list: pair tuples are built from it, so emitted edges hold
         # python ints.
@@ -180,10 +157,10 @@ class CSRBlockIndex:
         index.node_block_count = per_node - np.bincount(owners[1:][twice], minlength=n)
         index.block_offsets = np.concatenate((zero, np.cumsum(left + right)))
         index.block_nodes = block_nodes
-        index.block_split = np.where(clean, left, -1)
+        index.block_split = np.where(columns.cleans, left, -1)
         index.block_cardinality = cardinality
         index.block_inv_cardinality = 1.0 / cardinality
-        index.block_entropy = np.asarray(entropies, dtype=np.float64)
+        index.block_entropy = columns.entropies
 
     # ------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:

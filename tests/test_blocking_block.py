@@ -69,24 +69,5 @@ class TestBlockCollection:
         # (1, 5) appears in both blocks but is counted once in the distinct set.
         assert collection.distinct_comparisons() == {(0, 5), (1, 5), (1, 6)}
 
-    def test_profile_index(self):
-        index = self._collection().profile_index()
-        assert index[1] == [0, 1]
-        assert index[0] == [0]
-
     def test_profile_ids(self):
         assert self._collection().profile_ids() == {0, 1, 5, 6}
-
-    def test_purge_invalid(self):
-        collection = BlockCollection(
-            [Block(key="ok", profiles_source0={1, 2}), Block(key="solo", profiles_source0={3})]
-        )
-        purged = collection.purge_invalid()
-        assert [b.key for b in purged] == ["ok"]
-
-    def test_sorted_by_size(self):
-        collection = self._collection()
-        keys = [b.key for b in collection.sorted_by_size()]
-        assert keys == ["a", "b"] or keys == ["b", "a"]
-        sizes = [b.num_comparisons() for b in collection.sorted_by_size()]
-        assert sizes == sorted(sizes, reverse=True)

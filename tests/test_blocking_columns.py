@@ -1,19 +1,19 @@
-"""The column form of a block collection against the object form.
+"""The column storage of a block collection against the definitions.
 
-The blockers emit membership vectors
-(:class:`~repro.blocking.block.BlockColumns`, grouped from one token table by
-``group_token_keys``) and purging, filtering, the stage statistics and the
-CSR builder work on them; the ``Block``-object
-algorithms are the definition, and the only form for hand-built collections
-outside the column invariants.  Here the two forms are compared block for
-block on Hypothesis collections (dirty and clean-clean, small and huge ids,
-keys held by one side only, ties in ``(comparisons, size)``, quotas where
-``ratio * count`` lands on and next to an integer, purge thresholds at
-``size == threshold``), the definition-level oracle of
-``test_blocking_oracle`` is run against an all-column chain, and two count
+A :class:`~repro.blocking.block.BlockCollection` is its
+:class:`~repro.blocking.block.BlockColumns`: the blockers emit them (grouped
+from one token table by ``group_token_keys``), ``Block`` values are encoded
+into them, and purging, filtering, the stage statistics and the CSR builder
+read them.  Here they are held to the definition-level oracles —
+``oracle_blocks``, ``oracle_purge`` and ``oracle_filter`` of
+``test_blocking_oracle`` and ``tests/metablocking_oracle.py`` — and to
+brute-force counts, on Hypothesis collections (dirty and clean-clean, small
+and huge ids, keys held by one side only, ties in ``(comparisons, size)``,
+quotas where ``ratio * count`` lands on and next to an integer, purge
+thresholds at ``size == threshold``).  Reading decodes fresh ``Block`` values
+and changes nothing; pickles of the earlier storage forms restore; two count
 guards pin that no ``Block`` is built and no value is tokenised one by one
-on the hot path.  The order-keeping
-bugfix of comparison-based purging is tested on the object path too.
+on the hot path.
 """
 
 from __future__ import annotations
@@ -22,12 +22,15 @@ import math
 import pickle
 import sys
 import time
+from itertools import combinations
+from typing import Any, NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.blocking import block as block_module
 from repro.blocking.base import group_token_keys
-from repro.blocking.block import Block, BlockCollection, BlockColumns
+from repro.blocking.block import Block, BlockCollection
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.loose_schema_blocking import LooseSchemaTokenBlocking
 from repro.blocking.purging import BlockPurging
@@ -38,23 +41,20 @@ from repro.core.sparker import SparkER
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
 from repro.data.synthetic import generate_scalability_products
-from repro.engine.context import EngineContext
 from repro.exceptions import BlockingError
 from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.looseschema.entropy import EntropyExtractor
 from repro.looseschema.lsh import build_attribute_profiles
-from repro.metablocking.index import ARRAY_FIELDS, CSRBlockIndex
+from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
-from repro.metablocking.parallel import ParallelMetaBlocker
-from repro.metablocking.progressive import (
-    ProgressiveNodeScheduling,
-    ProgressiveSortedComparisons,
-)
 from repro.pipeline import Pipeline
 from repro.utils.tokenize import token_table
 
+from tests import metablocking_oracle as oracle
 from tests.test_blocking_oracle import (
     as_list,
+    comparisons,
+    loose_key,
     oracle_blocks,
     oracle_filter,
     oracle_purge,
@@ -85,47 +85,33 @@ def collections(draw):
 
 
 def rows(blocks: BlockCollection):
-    """Everything a block is, in collection order (materialises ``blocks``)."""
+    """Everything a block is, in collection order."""
     return blocks.clean_clean, [
         (b.key, b.profiles_source0, b.profiles_source1, b.entropy, b.is_clean_clean)
         for b in blocks
     ]
 
 
-def as_objects(blocks: BlockCollection) -> BlockCollection:
-    """An object-backed copy (the argument converts, which is the point)."""
-    return BlockCollection(
-        [
-            Block(b.key, set(b.profiles_source0), set(b.profiles_source1), b.entropy, b.clean_clean)
-            for b in blocks
-        ],
-        clean_clean=blocks.clean_clean,
-    )
+def brute_pairs(listed):
+    """The distinct comparisons of ``[(key, source0, source1, clean_clean)]``:
+    cross-side pairs of distinct profiles, or every pair of side 0."""
+    pairs = set()
+    for _key, source0, source1, clean_clean in listed:
+        if clean_clean:
+            pairs.update((min(a, b), max(a, b)) for a in source0 for b in source1 if a != b)
+        else:
+            pairs.update(combinations(sorted(source0), 2))
+    return pairs
 
 
-def as_columns(blocks: BlockCollection) -> BlockCollection:
-    """A column-backed copy of a collection that meets the column invariants."""
-    import numpy as np
-
-    entries, members = [], []
-    for position, block in enumerate(blocks):
-        for side, profile_ids in enumerate((block.profiles_source0, block.profiles_source1)):
-            members.extend(sorted(profile_ids))
-            entries.extend([2 * position + side] * len(profile_ids))
-    return BlockCollection.from_columns(
-        BlockColumns(
-            [block.key for block in blocks],
-            np.array([block.entropy for block in blocks], dtype=np.float64),
-            np.array(entries, dtype=np.int64),
-            np.array(members, dtype=np.int64),
-        ),
-        clean_clean=blocks.clean_clean,
-    )
+def total(listed) -> int:
+    """The summed comparison cardinalities of ``[(key, source0, source1, clean_clean)]``."""
+    return sum(comparisons(*row[1:]) for row in listed)
 
 
 @st.composite
 def valid_collections(draw):
-    """Hand-made blocks that meet the column invariants: few ids over small
+    """Hand-made blocks that each induce a comparison: few ids over small
     sets, so equal ``(comparisons, size)`` is the norm."""
     clean_clean = draw(st.booleans())
     blocks = []
@@ -165,32 +151,55 @@ def test_comparison_based_purging_keeps_collection_order(smoothing):
 def test_token_blocking_smoothing_purge_filter_equals_the_oracle(dirty_persons_small):
     profiles = dirty_persons_small.profiles
     purged = BlockPurging(smoothing=1.05).purge(TokenBlocking().block(profiles), len(profiles))
-    keys = [block.key for block in as_objects(purged)]
+    keys = [block.key for block in purged]
     assert keys == sorted(keys) and keys
-    purged = BlockPurging(smoothing=1.05).purge(TokenBlocking().block(profiles), len(profiles))
-    expected = oracle_filter(as_list(as_objects(purged)), 0.8)
-    purged = BlockPurging(smoothing=1.05).purge(TokenBlocking().block(profiles), len(profiles))
-    assert as_list(BlockFiltering(0.8).filter(purged)) == expected
+    assert as_list(BlockFiltering(0.8).filter(purged)) == oracle_filter(as_list(purged), 0.8)
 
 
-def test_object_backed_collections_report_no_columns():
-    blocks = _graded_blocks()
-    assert blocks.columns is None
-    assert blocks.count_distinct_comparisons() == len(blocks.distinct_comparisons())
+class _ParentColumns(NamedTuple):
+    """The columns as they were pickled before the per-block flag, under
+    the name they were pickled by."""
+
+    __module__ = block_module.__name__
+    __qualname__ = "BlockColumns"
+    keys: list
+    entropies: Any
+    entries: Any
+    members: Any
 
 
-def test_a_collection_pickled_before_the_column_form_restores():
+def test_a_collection_pickled_before_the_column_form_restores(monkeypatch, abt_buy_small):
     objects = _graded_blocks()
     old = BlockCollection.__new__(BlockCollection)
-    # What a checkpoint written before the column form holds: no ``columns``.
+    # What a checkpoint written before the column form holds: a Block list.
     old.__dict__.update(clean_clean=False, _blocks=_graded_blocks().blocks)
     restored = pickle.loads(pickle.dumps(old))
-    assert "columns" not in restored.__dict__ and restored.columns is None
     assert len(restored) == len(objects) and rows(restored) == rows(objects)
     assert restored.total_comparisons() == objects.total_comparisons()
     assert rows(BlockFiltering(0.5).filter(BlockPurging(1.0).purge(restored, 10))) == rows(
         BlockFiltering(0.5).filter(BlockPurging(1.0).purge(objects, 10))
     )
+    # ... or, converted by a read, the same list beside ``columns = None``.
+    old.__dict__.update(columns=None, _distinct_count=None)
+    assert rows(pickle.loads(pickle.dumps(old))) == rows(objects)
+
+    # Columns pickled before the per-block flag: the collection's flag for every block.
+    blocks = TokenBlocking().block(abt_buy_small.profiles)
+    assert blocks.clean_clean
+    count = blocks.count_distinct_comparisons()
+    old = BlockCollection.__new__(BlockCollection)
+    with monkeypatch.context() as patched:
+        patched.setattr(block_module, "BlockColumns", _ParentColumns)
+        old.__dict__.update(
+            clean_clean=True, _blocks=[], columns=_ParentColumns(*blocks.columns[:4]),
+            _distinct_count=count,
+        )
+        data = pickle.dumps(old)
+    restored = pickle.loads(data)
+    assert type(restored.columns) is block_module.BlockColumns
+    assert restored.columns.cleans.tolist() == [True] * len(blocks)
+    assert rows(restored) == rows(blocks) and restored.count_distinct_comparisons() == count
+    assert restored.distinct_comparisons() == blocks.distinct_comparisons()
 
 
 def test_the_constructor_takes_blocks_only():
@@ -199,36 +208,42 @@ def test_the_constructor_takes_blocks_only():
 
 
 # ---------------------------------------------------------------------------
-# column path == object path, block for block
+# the columns against the definitions
 # ---------------------------------------------------------------------------
-class TestColumnsEqualObjects:
+class TestColumnsEqualTheDefinitions:
     @settings(max_examples=120, deadline=None)
     @given(collections(), partitionings())
     def test_blockers(self, profiles, partitioning):
         entropies = {0: 0.25, 1: 0.5, 2: 1.0}
-        for make in (
-            TokenBlocking,
-            lambda: LooseSchemaTokenBlocking(partitioning, cluster_entropies=entropies),
+        clean_clean = profiles.is_clean_clean
+        for blocker, key_of, entropy_of in (
+            (TokenBlocking(), lambda _p, _a, token: token, lambda _key: 1.0),
+            (
+                LooseSchemaTokenBlocking(partitioning, cluster_entropies=entropies),
+                loose_key(partitioning),
+                lambda key: entropies[int(key.rsplit("_", 1)[1])],
+            ),
         ):
-            columns = make().block(profiles)
-            assert columns.columns is not None
-            objects = as_objects(make().block(profiles))
-            assert len(columns) == len(objects)
-            assert columns.total_comparisons() == objects.total_comparisons()
-            assert columns.profile_ids() == objects.profile_ids()
-            assert columns.count_distinct_comparisons() == len(objects.distinct_comparisons())
-            assert columns.columns is not None  # none of that converted it
-            assert rows(columns) == rows(objects)
-            assert columns.columns is None  # iterating did, one way
-            assert columns.distinct_comparisons() == objects.distinct_comparisons()
+            blocks = blocker.block(profiles)
+            columns = blocks.columns
+            expected = oracle_blocks(profiles, clean_clean, key_of)
+            listed = [(key, *expected[key], clean_clean) for key in sorted(expected)]
+            assert as_list(blocks) == listed
+            assert [block.entropy for block in blocks] == [entropy_of(row[0]) for row in listed]
+            assert len(blocks) == len(listed)
+            assert blocks.total_comparisons() == total(listed)
+            assert blocks.profile_ids() == set().union(*(row[1] | row[2] for row in listed))
+            assert blocks.count_distinct_comparisons() == len(brute_pairs(listed))
+            assert blocks.distinct_comparisons() == brute_pairs(listed)
+            assert blocks.columns is columns  # reading changed nothing
 
     def test_empty_collection(self):
         empty = TokenBlocking().block(ProfileCollection())
-        assert empty.columns is not None and len(empty) == 0
+        assert len(empty) == 0 and list(empty) == []
         assert empty.total_comparisons() == 0 and empty.profile_ids() == set()
         assert empty.count_distinct_comparisons() == 0
         filtered = BlockFiltering().filter(BlockPurging().purge(empty, 5))
-        assert filtered.columns is not None and list(filtered) == []
+        assert list(filtered) == [] and len(BlockPurging().purge(empty)) == 0
         index = CSRBlockIndex.from_blocks(TokenBlocking().block(ProfileCollection()))
         assert (index.num_nodes, index.num_blocks, index.total_blocks) == (0, 0, 0)
 
@@ -240,24 +255,31 @@ class TestColumnsEqualObjects:
         st.sampled_from(RATIOS),
     )
     def test_purge_and_filter(self, blocks, fraction, smoothing, ratio):
-        objects = as_objects(blocks)
+        listed = as_list(blocks)
+        everyone = len(blocks.profile_ids())
         # Thresholds that land exactly on a block size: fraction * (size / fraction).
-        sizes = {block.size for block in objects}
-        for num_profiles in {None, len(objects.profile_ids())} | {
-            round(size / fraction) for size in sizes
-        }:
-            purging = BlockPurging(fraction, smoothing=smoothing)
-            purged = purging.purge(as_columns(objects), num_profiles)
-            assert purged.columns is not None or not len(objects)
-            expected = purging.purge(as_objects(objects), num_profiles)
-            assert len(purged) == len(expected)
-            assert purged.total_comparisons() == expected.total_comparisons()
-            assert rows(purged) == rows(expected)
-        filtered = BlockFiltering(ratio).filter(as_columns(objects))
-        assert filtered.columns is not None
-        expected = BlockFiltering(ratio).filter(as_objects(objects))
-        assert filtered.count_distinct_comparisons() == len(expected.distinct_comparisons())
-        assert rows(filtered) == rows(expected)
+        sizes = {len(row[1]) + len(row[2]) for row in listed}
+        for num_profiles in {None, everyone} | {round(size / fraction) for size in sizes}:
+            purged = BlockPurging(fraction, smoothing=smoothing).purge(blocks, num_profiles)
+            within = oracle_purge(
+                {row[0]: (row[1], row[2]) for row in listed},
+                everyone if num_profiles is None else num_profiles,
+                fraction,
+            )
+            expected = [row for row in listed if row[0] in within]
+            got = as_list(purged)
+            if smoothing is not None:
+                # Comparison-based purging also drops what lies above one
+                # comparison cutoff, never everything.
+                cutoff = max((comparisons(*row[1:]) for row in got), default=-1)
+                expected = [row for row in expected if comparisons(*row[1:]) <= cutoff]
+                assert bool(got) == bool(within)
+            assert got == expected
+            assert len(purged) == len(expected) and purged.total_comparisons() == total(expected)
+        filtered = BlockFiltering(ratio).filter(blocks)
+        expected = oracle_filter(listed, ratio)
+        assert as_list(filtered) == expected
+        assert filtered.count_distinct_comparisons() == len(brute_pairs(expected))
 
     @pytest.mark.parametrize("ratio, count, quota", [(0.7, 10, 7), (0.28, 25, 8)])
     def test_quota_on_and_next_to_an_integer(self, ratio, count, quota):
@@ -266,11 +288,9 @@ class TestColumnsEqualObjects:
         star = BlockCollection(
             [Block(f"k{n:02d}", {0, 100 + n, 200 + n}) for n in range(count)]
         )
-        filtered = BlockFiltering(ratio).filter(as_columns(star))
+        filtered = BlockFiltering(ratio).filter(star)
         assert sum(0 in block.profiles_source0 for block in filtered) == quota
-        assert rows(BlockFiltering(ratio).filter(as_columns(star))) == rows(
-            BlockFiltering(ratio).filter(as_objects(star))
-        )
+        assert as_list(filtered) == oracle_filter(as_list(star), ratio)
 
     def test_block_order_is_comparisons_then_size_then_position(self):
         wide = Block("a", {0}, {10, 11, 12, 13, 14, 15}, clean_clean=True)  # 6 comparisons, 7 profiles
@@ -280,25 +300,27 @@ class TestColumnsEqualObjects:
         blocks = BlockCollection([wide, square, flat, twin], clean_clean=True)
         # Profile 0 sits in all four; smallest first they are c, d, a, b.
         for ratio, staying in ((0.25, ["c"]), (0.75, ["a", "c", "d"])):
-            filtered = BlockFiltering(ratio).filter(as_columns(blocks))
+            filtered = BlockFiltering(ratio).filter(blocks)
             assert [b.key for b in filtered if 0 in b.profiles_source0] == staying
-            assert rows(BlockFiltering(ratio).filter(as_columns(blocks))) == rows(
-                BlockFiltering(ratio).filter(as_objects(blocks))
-            )
+            assert as_list(filtered) == oracle_filter(as_list(blocks), ratio)
 
-    def test_materialised_collection_takes_the_object_path(self):
+    def test_reads_decode_fresh_blocks_and_change_nothing(self):
         profiles = generate_scalability_products(120, seed=5).profiles
-        expected = rows(BlockFiltering().filter(TokenBlocking().block(profiles)))
-        touched = TokenBlocking().block(profiles)
-        first = next(iter(touched))
-        assert touched.columns is None and touched[0] is first and touched.blocks[0] is first
-        filtered = BlockFiltering().filter(touched)
-        assert filtered.columns is None and rows(filtered) == expected
-        grown = TokenBlocking().block(profiles)
-        grown.add(Block("zzzz", {1, 2}))
-        assert grown.columns is None and grown[len(grown) - 1].key == "zzzz"
-        with pytest.raises(Exception):
-            TokenBlocking().block(profiles).add("not a block")
+        blocks = TokenBlocking().block(profiles)
+        columns = blocks.columns
+        expected = as_list(BlockFiltering().filter(blocks))
+        first = next(iter(blocks))
+        assert blocks[0] == first == blocks.blocks[0] and blocks[0] is not first
+        assert blocks[-1] == blocks.blocks[-1] == blocks[len(blocks) - 1]
+        with pytest.raises(IndexError):
+            blocks[len(blocks)]
+        first.remove(min(first.all_profiles()))
+        assert blocks[0] != first and blocks.columns is columns
+        assert as_list(BlockFiltering().filter(blocks)) == expected
+        blocks.add(Block("zzzz", {1, 2}))
+        assert len(blocks) == len(columns.keys) + 1 and blocks[-1] == Block("zzzz", {1, 2})
+        with pytest.raises(BlockingError):
+            blocks.add("not a block")
 
     @settings(max_examples=100, deadline=None)
     @given(collections())
@@ -309,7 +331,6 @@ class TestColumnsEqualObjects:
         raw = TokenBlocking().block(profiles)
         purged = BlockPurging().purge(raw, len(profiles))
         filtered = {ratio: BlockFiltering(ratio).filter(purged) for ratio in RATIOS}
-        assert raw.columns is not None and (purged.columns is not None or not len(profiles))
         assert {key: (side0, side1) for key, side0, side1, _c in as_list(raw)} == expected
         oracle_input = [
             (key, *expected_purged[key], clean_clean) for key in sorted(expected_purged)
@@ -382,60 +403,38 @@ class TestGroupTokenKeys:
 
 
 # ---------------------------------------------------------------------------
-# downstream of the blocks: CSR fields, meta-blocking, pickles, checkpoints
+# downstream of the blocks: CSR fields, pickles, checkpoints, counts
 # ---------------------------------------------------------------------------
-def _both_forms(entities=300, seed=7):
+def _chain(entities=300, seed=7):
     profiles = generate_scalability_products(entities, seed=seed).profiles
-
-    def chain():
-        raw = TokenBlocking().block(profiles)
-        return BlockFiltering().filter(BlockPurging().purge(raw, len(profiles)))
-
-    columns, objects = chain(), as_objects(chain())
-    assert columns.columns is not None and objects.columns is None
-    return columns, objects
-
-
-def _fields(index):
-    fields = {name: list(getattr(index, name)) for name in ARRAY_FIELDS}
-    fields["node_ids"] = list(index.node_ids)
-    return fields, index.total_blocks, index.clean_clean
+    raw = TokenBlocking().block(profiles)
+    return BlockFiltering().filter(BlockPurging().purge(raw, len(profiles)))
 
 
 class TestDownstreamOfColumns:
     @settings(max_examples=60, deadline=None)
     @given(valid_collections())
-    def test_csr_fields_equal_for_both_forms(self, blocks):
-        built = []
-        for form in (as_columns(as_objects(blocks)), as_objects(blocks)):
-            index = CSRBlockIndex.from_blocks(form)
-            built.append(_fields(index))
-        assert len(built[0][0]) == 10 and built[0] == built[1]
-
-    def test_meta_blockers_agree_on_ordered_output(self):
-        columns, objects = _both_forms()
-        for weighting, pruning in (("cbs", "wnp"), ("js", "cnp"), ("ecbs", "wep"), ("arcs", "cep")):
-            runs = [MetaBlocker(weighting, pruning).run(form) for form in (columns, objects)]
-            assert list(runs[0].retained_edges.items()) == list(runs[1].retained_edges.items())
-            streams = [
-                [list(chunk) for chunk in MetaBlocker(weighting, pruning).stream_retained(form, 500)]
-                for form in (columns, objects)
-            ]
-            assert streams[0] == streams[1] and streams[0]
-        with EngineContext(4) as context:
-            parallel = [
-                ParallelMetaBlocker(context, "cbs", "wnp").run(form) for form in (columns, objects)
-            ]
-        assert list(parallel[0].retained_edges.items()) == list(parallel[1].retained_edges.items())
-        for progressive in (ProgressiveSortedComparisons("cbs"), ProgressiveNodeScheduling("cbs")):
-            assert progressive.rank(columns) == progressive.rank(objects)
-        assert columns.columns is not None  # none of it built a Block
+    def test_csr_fields_equal_the_blocking_graph(self, blocks):
+        graph = oracle.Graph(
+            (block.profiles_source0, block.profiles_source1, block.is_clean_clean, block.entropy)
+            for block in blocks
+        )
+        index = CSRBlockIndex.from_blocks(blocks)
+        inducing = [block for block in graph.blocks if oracle.cardinality(block)]
+        assert index.node_ids == graph.nodes and index.total_blocks == len(graph.blocks)
+        assert index.node_block_count.tolist() == [graph.blocks_of[p] for p in graph.nodes]
+        assert index.degree_vector().tolist() == [graph.degree[p] for p in graph.nodes]
+        assert index.block_cardinality.tolist() == list(map(oracle.cardinality, inducing))
+        assert index.block_entropy.tolist() == [block[3] for block in inducing]
 
     def test_pickle_round_trip(self):
-        columns, objects = _both_forms(120)
-        restored = pickle.loads(pickle.dumps(columns))
-        assert restored.columns is not None and columns.columns is not None
-        assert rows(restored) == rows(objects)
+        blocks = _chain(120)
+        restored = pickle.loads(pickle.dumps(blocks))
+        assert restored.columns.keys == blocks.columns.keys
+        assert [column.tobytes() for column in restored.columns[1:]] == [
+            column.tobytes() for column in blocks.columns[1:]
+        ]
+        assert rows(restored) == rows(blocks)
 
     def test_checkpoint_resume_reproduces_the_blocks(self, abt_buy_small, tmp_path):
         keys = ["raw_blocks", "purged_blocks", "filtered_blocks"]
@@ -454,24 +453,22 @@ class TestDownstreamOfColumns:
         assert resumed.candidate_pairs == whole.candidate_pairs
         assert resumed.report.as_rows() == whole.report.as_rows()
         for key in keys:
-            assert resumed.artifacts.get(key).columns is not None
             assert rows(resumed.artifacts.get(key)) == rows(whole.artifacts.get(key))
 
     def test_stage_metrics_are_plain_ints_and_equal_the_pair_set(self):
-        columns, objects = _both_forms(200)
-        recorded = block_stage_metrics(columns)
-        assert columns.columns is not None
+        blocks = _chain(200)
+        listed = as_list(blocks)
+        recorded = block_stage_metrics(blocks)
         assert recorded == {
-            "blocks": len(objects),
-            "candidate_pairs": len(objects.distinct_comparisons()),
-            "total_comparisons": objects.total_comparisons(),
+            "blocks": len(listed),
+            "candidate_pairs": len(brute_pairs(listed)),
+            "total_comparisons": total(listed),
         }
         assert all(type(value) is int for value in recorded.values())
 
-    def test_a_labelled_run_records_the_same_statistics_from_either_form(self):
-        # With a ground truth the stage statistics read the pair set, which
-        # converts each stage's collection (the later stages then run the
-        # object algorithms); the report must not notice.
+    def test_a_labelled_run_records_the_same_statistics_as_an_unlabelled_one(self):
+        # With a ground truth the stage statistics read the pair set, without
+        # one the counts; the shared columns must agree.
         dataset = generate_scalability_products(400, seed=7)
         labelled = SparkER().run(dataset.profiles, dataset.ground_truth)
         unlabelled = SparkER().run(dataset.profiles)
@@ -483,45 +480,31 @@ class TestDownstreamOfColumns:
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_distinct_comparisons_counted_across_chunks(self, monkeypatch, abt_buy_small, chunk):
-        from repro.blocking import block as block_module
-
         monkeypatch.setattr(block_module, "_PAIR_CHUNK", chunk)
         clean_clean = TokenBlocking().block(abt_buy_small.profiles)
         assert clean_clean.clean_clean
-        for columns in (_both_forms(200)[0], clean_clean):
-            counted = columns.count_distinct_comparisons()
-            assert columns.columns is not None
-            assert counted == len(columns.distinct_comparisons()) > chunk
+        for blocks in (_chain(200), clean_clean):
+            counted = blocks.count_distinct_comparisons()
+            pairs = blocks.distinct_comparisons()
+            assert counted == len(pairs) > chunk and pairs == brute_pairs(as_list(blocks))
 
     def test_counting_pairs_at_scale_beats_building_the_pair_set(self):
-        # 10^4 entities, raw stage: 1.1M pairs.  The object path is the
-        # parent's ``len(set of tuples)``; the chunks must merge in one sort,
-        # not by re-deduplicating a growing accumulator per chunk.
+        # 10^4 entities, raw stage: 1.1M pairs, as a set of tuples and as a
+        # count; the chunks must merge in one sort, not by re-deduplicating a
+        # growing accumulator per chunk.
         profiles = generate_scalability_products(10_000, seed=7).profiles
-        columns = TokenBlocking().block(profiles)
-        objects = as_objects(TokenBlocking().block(profiles))
+        blocks = TokenBlocking().block(profiles)
+        listed = as_list(blocks)
         started = time.perf_counter()
-        expected = len(objects.distinct_comparisons())
+        expected = len(brute_pairs(listed))
         set_seconds = time.perf_counter() - started
         count_seconds = []
         for _rep in range(2):
+            fresh = TokenBlocking().block(profiles)  # no count kept yet
             started = time.perf_counter()
-            assert columns.count_distinct_comparisons() == expected
+            assert fresh.count_distinct_comparisons() == expected
             count_seconds.append(time.perf_counter() - started)
         assert expected > 10**6 and min(count_seconds) < set_seconds
-
-    def test_a_failed_conversion_keeps_the_columns(self, monkeypatch):
-        columns, objects = _both_forms(120)
-
-        def boom(self, *args, **kwargs):
-            raise MemoryError
-
-        with monkeypatch.context() as patched:
-            patched.setattr(Block, "__init__", boom)
-            with pytest.raises(MemoryError):
-                columns.blocks
-        assert columns.columns is not None and len(columns) == len(objects)
-        assert rows(columns) == rows(objects)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +538,8 @@ class TestNoBlockOnTheHotPath:
         assert all(outcome) and built_blocks == []
         assert self._hot_path(SparkERConfig.schema_agnostic())[0] == outcome[0]
         assert built_blocks == []
-        as_objects(TokenBlocking().block(generate_scalability_products(40, seed=3).profiles))
-        assert len(built_blocks) > 0  # the spy does see the object form
+        list(TokenBlocking().block(generate_scalability_products(40, seed=3).profiles))
+        assert len(built_blocks) > 0  # the spy does see a decode
 
 
 class TestNoPerValueTokenisingOnTheHotPath:

@@ -28,6 +28,8 @@ from repro.looseschema.attribute_partitioning import AttributePartitioning
 from repro.looseschema.entropy import EntropyExtractor
 from repro.looseschema.lsh import build_attribute_profiles
 
+from tests import metablocking_oracle as oracle
+
 WORDS = ["sony", "tv", "hd", "led", "x1", "40", "lg", "pro"]
 ATTRIBUTES = ["name", "title", "descr"]
 
@@ -298,11 +300,36 @@ hand_made_blocks = st.lists(
 @given(hand_made_blocks, st.sampled_from([0.5, 0.8, 1.0]))
 # 1x4 and 2x2 comparisons tie: the smaller block (4 profiles, listed second) wins.
 @example([({0}, {1, 2, 3, 4}, True), ({0, 5}, {1, 6}, True)], 0.5)
+# Profile 2 on both sides: compared with 1 and 3, never with itself.
+@example([({1, 2}, {2, 3}, True)], 0.5)
 def test_filtering_equals_the_definition_on_arbitrary_blocks(sides, ratio):
     # Few ids over small sets: equal cardinalities are the norm, and a
-    # profile can sit on both sides of one block.
+    # profile can sit on both sides of one block.  A block with a side-1
+    # profile is clean-clean whatever its flag says.
+    listed = [
+        (f"k{index}", set(source0), set(source1), clean_clean or bool(source1))
+        for index, (source0, source1, clean_clean) in enumerate(sides)
+    ]
+    entropies = [1 / (index + 1) for index in range(len(sides))]
     blocks = BlockCollection(
-        Block(f"k{index}", set(source0), set(source1), clean_clean=clean_clean)
+        Block(f"k{index}", set(source0), set(source1), entropies[index], clean_clean)
         for index, (source0, source1, clean_clean) in enumerate(sides)
     )
+    # The encoder round trip keeps order, keys, sides, flags and entropies,
+    # blocks without a comparison included.
+    assert as_list(blocks) == listed
+    assert [block.entropy for block in blocks] == entropies
+
     assert as_list(BlockFiltering(ratio).filter(blocks)) == oracle_filter(as_list(blocks), ratio)
+
+    everyone = set().union(*(source0 | source1 for _k, source0, source1, _c in listed))
+    within = oracle_purge({key: (source0, source1) for key, source0, source1, _c in listed},
+                          len(everyone), ratio)
+    assert as_list(BlockPurging(ratio).purge(blocks)) == [row for row in listed if row[0] in within]
+
+    graph = oracle.Graph((source0, source1, clean_clean, 1.0)
+                         for _key, source0, source1, clean_clean in listed)
+    assert len(blocks) == len(listed)
+    assert blocks.total_comparisons() == sum(comparisons(*row[1:]) for row in listed)
+    assert blocks.count_distinct_comparisons() == len(graph.shared)
+    assert blocks.distinct_comparisons() == graph.shared.keys()

@@ -1,5 +1,6 @@
 """Tests of the process-debugging session (Section 3 / Figure 6)."""
 
+from repro.blocking.block import Block
 from repro.core.config import SparkERConfig
 from repro.core.debugging import DebugSession
 
@@ -57,6 +58,35 @@ class TestDebugSessionWorkflow:
             assert explanation.pair in step.lost_pairs
             assert explanation.left_attributes
             assert "lost pair" in explanation.render()
+
+    def test_lost_pair_explanations_read_the_raw_columns(self, abt_buy_small, monkeypatch):
+        # Hard purging and filtering lose pairs that shared raw blocks.
+        config = SparkERConfig.unsupervised_default()
+        config.blocker.purge_factor, config.blocker.filter_ratio = 0.05, 0.3
+        config.blocker.pruning_strategy = "cep"
+        session = DebugSession(abt_buy_small.profiles, abt_buy_small.ground_truth, config, sample=False)
+        step = session.try_threshold(0.3)
+        raw_blocks = step.blocker_report.raw_blocks
+        assert step.lost_pairs and len(raw_blocks)
+        # What the keys mean: every raw block holding both ends of the pair.
+        expected = {
+            pair: sorted(
+                block.key for block in raw_blocks if block.contains(pair[0]) and block.contains(pair[1])
+            )
+            for pair in step.lost_pairs
+        }
+        assert any(expected.values())
+        built = []
+        original = Block.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Block, "__init__", spy)
+        explanations = session.explain_lost_pairs(step)
+        assert built == []
+        assert {e.pair: e.shared_keys_before for e in explanations} == expected
 
     def test_meta_blocking_with_entropy_reduces_candidates(self, abt_buy_small):
         # Figure 6(e): meta-blocking + entropy gives a large decrease in

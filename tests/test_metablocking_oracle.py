@@ -6,7 +6,8 @@ drives it against the package's paths — ``MetaBlocker.run`` and
 ``stream_retained``, ``ParallelMetaBlocker`` on a serial context with a drawn
 range count, ``ProgressiveSortedComparisons`` and ``DeltaMetaBlocker`` over an
 ``IncrementalBlockIndex`` — on dirty and clean-clean collections, both
-hand-built (object-backed) and token-blocked (column-backed).
+hand-built (encoded from ``Block`` values, blocks without a comparison among
+them) and token-blocked.
 
 The contract.  Weights agree to a relative 1e-12.  Retained edges and their
 order agree exactly, except for *borderline* edges: a weight within
@@ -186,7 +187,6 @@ def check_path(case, path, config, context=None):
     got, counts = retained_by(path, blocks, weighting, rule, use_entropy, ranges, chunk, context)
     assert counts in (None, (len(graph.nodes), len(graph.shared)))
     agree(got, expected, weights, cuts, weighting == "cbs" and not use_entropy)
-    assert (blocks.columns is not None) == (case.rows is not None)  # the form held
 
 
 def check_weights(case, weighting, use_entropy):
@@ -200,7 +200,6 @@ def check_weights(case, weighting, use_entropy):
     everything = result.retained_edges
     assert everything.keys() == weights.keys()
     assert all(same_weight(everything[pair], weights[pair]) for pair in weights)
-    assert (blocks.columns is not None) == (case.rows is not None)  # the form held
 
 
 def check_batch_paths(case, config):

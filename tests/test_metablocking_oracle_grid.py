@@ -8,8 +8,8 @@ rule × batch path (``MetaBlocker.run``, ``stream_retained``,
 ``process:2`` context), plus the full weight table,
 the progressive ranking and the incremental ``DeltaMetaBlocker``, on a fixed
 set of collections — the tie, threshold, isolated and empty cases and seeded
-random ones, dirty and clean-clean, hand-built (object-backed) and
-token-blocked (column-backed).  Same contract as the Hypothesis drivers.
+random ones, dirty and clean-clean, hand-built (encoded from ``Block``
+values) and token-blocked.  Same contract as the Hypothesis drivers.
 """
 
 import random

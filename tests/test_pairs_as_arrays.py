@@ -337,7 +337,6 @@ class TestStageCounts:
             lambda b: BlockFiltering(ratio=1.0).filter(b),
         ):
             out = stage(blocks)
-            assert out.columns is None
             assert _metric(out) == len(out.distinct_comparisons()) == 3
         blocks.add(Block("e", {6, 7}))
         assert _metric(blocks) == 4
