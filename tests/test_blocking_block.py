@@ -71,3 +71,30 @@ class TestBlockCollection:
 
     def test_profile_ids(self):
         assert self._collection().profile_ids() == {0, 1, 5, 6}
+
+    def test_a_profile_on_both_sides_is_never_paired_with_itself(self):
+        collection = BlockCollection([Block("a", {1, 2}, {2, 3}, clean_clean=True)], clean_clean=True)
+        # ||b|| counts 2 x 2 = 4, the pair (2, 2) among them; the pair set does not.
+        assert collection.total_comparisons() == 4
+        assert collection.distinct_comparisons() == {(1, 2), (1, 3), (2, 3)}
+        assert collection.count_distinct_comparisons() == 3
+
+    def test_blocks_keep_their_own_flags_and_those_without_a_comparison(self):
+        blocks = [
+            Block("solo", {3}),
+            Block("dirty", {1, 2, 4}),
+            Block("lost", {1, 2}, clean_clean=True),
+            Block("cross", {1}, {5}, entropy=0.5, clean_clean=True),
+        ]
+        collection = BlockCollection(blocks)
+        assert list(collection) == blocks and collection[2] == blocks[2]
+        assert [b.is_clean_clean for b in collection] == [False, False, True, True]
+        assert collection.total_comparisons() == 3 + 0 + 1
+        assert collection.distinct_comparisons() == {(1, 2), (1, 4), (2, 4), (1, 5)}
+        assert collection.profile_ids() == {1, 2, 3, 4, 5}
+
+    def test_add_after_counting_counts_again(self):
+        collection = self._collection()
+        assert collection.count_distinct_comparisons() == 3
+        collection.add(Block(key="c", profiles_source0={7}, profiles_source1={8}))
+        assert collection.count_distinct_comparisons() == 4 == len(collection.distinct_comparisons())

@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.blocking import block as block_module
 from repro.blocking.base import group_token_keys
-from repro.blocking.block import Block, BlockCollection
+from repro.blocking.block import Block, BlockCollection, BlockColumns
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.loose_schema_blocking import LooseSchemaTokenBlocking
 from repro.blocking.purging import BlockPurging
@@ -41,12 +41,18 @@ from repro.core.sparker import SparkER
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
 from repro.data.synthetic import generate_scalability_products
+from repro.engine.context import EngineContext
 from repro.exceptions import BlockingError
 from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.looseschema.entropy import EntropyExtractor
 from repro.looseschema.lsh import build_attribute_profiles
-from repro.metablocking.index import CSRBlockIndex
+from repro.metablocking.index import ARRAY_FIELDS, CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
+from repro.metablocking.parallel import ParallelMetaBlocker
+from repro.metablocking.progressive import (
+    ProgressiveNodeScheduling,
+    ProgressiveSortedComparisons,
+)
 from repro.pipeline import Pipeline
 from repro.utils.tokenize import token_table
 
@@ -411,6 +417,34 @@ def _chain(entities=300, seed=7):
     return BlockFiltering().filter(BlockPurging().purge(raw, len(profiles)))
 
 
+def as_columns(blocks: BlockCollection) -> BlockCollection:
+    """The collection over membership vectors written here, block by block,
+    not by the encoder."""
+    import numpy as np
+
+    entries, members = [], []
+    for position, block in enumerate(blocks):
+        for side, profile_ids in enumerate((block.profiles_source0, block.profiles_source1)):
+            members.extend(sorted(profile_ids))
+            entries.extend([2 * position + side] * len(profile_ids))
+    return BlockCollection.from_columns(
+        BlockColumns(
+            [block.key for block in blocks],
+            np.array([block.entropy for block in blocks], dtype=np.float64),
+            np.array(entries, dtype=np.int64),
+            np.array(members, dtype=np.int64),
+            np.array([block.is_clean_clean for block in blocks], dtype=bool),
+        ),
+        clean_clean=blocks.clean_clean,
+    )
+
+
+def _fields(index):
+    fields = {name: list(getattr(index, name)) for name in ARRAY_FIELDS}
+    fields["node_ids"] = list(index.node_ids)
+    return fields, index.total_blocks, index.clean_clean
+
+
 class TestDownstreamOfColumns:
     @settings(max_examples=60, deadline=None)
     @given(valid_collections())
@@ -426,6 +460,43 @@ class TestDownstreamOfColumns:
         assert index.degree_vector().tolist() == [graph.degree[p] for p in graph.nodes]
         assert index.block_cardinality.tolist() == list(map(oracle.cardinality, inducing))
         assert index.block_entropy.tolist() == [block[3] for block in inducing]
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_collections())
+    def test_csr_fields_equal_for_both_forms(self, blocks):
+        # Encoded from Block values, or over vectors written by hand.
+        built = [_fields(CSRBlockIndex.from_blocks(form)) for form in (blocks, as_columns(blocks))]
+        assert len(built[0][0]) == 10 and built[0] == built[1]
+
+    def test_meta_blockers_agree_on_ordered_output(self, monkeypatch):
+        # Grouped, purged and filtered columns, or the same blocks decoded
+        # and encoded again by the constructor.
+        grouped = _chain()
+        encoded = BlockCollection(list(grouped), clean_clean=grouped.clean_clean)
+        assert rows(encoded) == rows(grouped)
+        built = []
+        original = Block.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Block, "__init__", spy)
+        forms = (grouped, encoded)
+        for weighting, pruning in (("cbs", "wnp"), ("js", "cnp"), ("ecbs", "wep"), ("arcs", "cep")):
+            runs = [MetaBlocker(weighting, pruning).run(form) for form in forms]
+            assert list(runs[0].retained_edges.items()) == list(runs[1].retained_edges.items())
+            streams = [
+                [list(chunk) for chunk in MetaBlocker(weighting, pruning).stream_retained(form, 500)]
+                for form in forms
+            ]
+            assert streams[0] == streams[1] and streams[0]
+        with EngineContext(4) as context:
+            parallel = [ParallelMetaBlocker(context, "cbs", "wnp").run(form) for form in forms]
+        assert list(parallel[0].retained_edges.items()) == list(parallel[1].retained_edges.items())
+        for progressive in (ProgressiveSortedComparisons("cbs"), ProgressiveNodeScheduling("cbs")):
+            assert progressive.rank(grouped) == progressive.rank(encoded)
+        assert built == []  # none of it decoded a Block
 
     def test_pickle_round_trip(self):
         blocks = _chain(120)
@@ -505,6 +576,26 @@ class TestDownstreamOfColumns:
             assert fresh.count_distinct_comparisons() == expected
             count_seconds.append(time.perf_counter() - started)
         assert expected > 10**6 and min(count_seconds) < set_seconds
+
+    def test_a_failed_conversion_keeps_the_columns(self, monkeypatch):
+        blocks = _chain(120)
+        columns, expected = blocks.columns, rows(blocks)
+
+        def boom(self, *args, **kwargs):
+            raise MemoryError
+
+        # A decode that fails part way leaves the collection as it was ...
+        with monkeypatch.context() as patched:
+            patched.setattr(Block, "__init__", boom)
+            with pytest.raises(MemoryError):
+                blocks.blocks
+            with pytest.raises(MemoryError):
+                blocks[0]
+        assert blocks.columns is columns and rows(blocks) == expected
+        # ... and so does a failed add.
+        with pytest.raises(BlockingError):
+            blocks.add("not a block")
+        assert blocks.columns is columns and len(blocks) == len(expected[1])
 
 
 # ---------------------------------------------------------------------------
