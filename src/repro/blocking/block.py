@@ -75,11 +75,13 @@ class Block:
         return n * (n - 1) // 2
 
     def comparisons(self) -> Iterator[tuple[int, int]]:
-        """Yield every comparison (canonically ordered pair) of this block."""
+        """Yield every comparison (canonically ordered pair) of this block;
+        a profile listed on both sides is never paired with itself."""
         if self.is_clean_clean:
             for a in self.profiles_source0:
                 for b in self.profiles_source1:
-                    yield (a, b) if a <= b else (b, a)
+                    if a != b:
+                        yield (a, b) if a < b else (b, a)
         else:
             ordered = sorted(self.profiles_source0)
             for i, a in enumerate(ordered):
@@ -121,7 +123,7 @@ class BlockColumns(NamedTuple):
     members: Any  # per membership: int64 profile id
     # Per block: bool, clean-clean.  ``None`` only while a 4-field tuple
     # pickled before the flag existed loads: ``BlockCollection.__setstate__``
-    # fills it before anything reads it.
+    # fills it before anything reads it; ``from_columns`` refuses it.
     cleans: Any = None
 
     def lengths(self):
@@ -193,6 +195,8 @@ class BlockCollection:
     @classmethod
     def from_columns(cls, columns: BlockColumns, *, clean_clean: bool) -> "BlockCollection":
         """A collection over ``columns`` (invariants: see there)."""
+        if columns.cleans is None:
+            raise BlockingError("columns need their per-block clean-clean flags")
         collection = cls(clean_clean=clean_clean)
         collection.columns = columns
         return collection

@@ -58,7 +58,9 @@ class BlockFiltering:
         bits = max(len(by_size) - 1, 0).bit_length()
         codes = (profile << bits) | block_rank[entries >> 1]
         ranked = np.sort(codes)
-        ranked = ranked[np.diff(ranked, prepend=-1) != 0]
+        repeated = ranked[1:] == ranked[:-1]
+        if repeated.any():
+            ranked = ranked[np.concatenate(([True], ~repeated))]
         counts = np.bincount(ranked >> bits)
         quota = np.maximum(1, np.ceil(self.ratio * counts)).astype(np.int64)
         staying = codes <= ranked[np.cumsum(counts) - counts + quota - 1][profile]

@@ -11,6 +11,11 @@ class TestBlock:
         block = Block(key="sony", profiles_source0={0, 1}, profiles_source1={5, 6})
         assert block.num_comparisons() == 4
         assert set(block.comparisons()) == {(0, 5), (0, 6), (1, 5), (1, 6)}
+        # A profile on both sides is never paired with itself; ||b|| stays |left| * |right|.
+        both = Block("a", {1, 2}, {2, 3}, clean_clean=True)
+        assert both.num_comparisons() == 4
+        assert sorted(both.comparisons()) == [(1, 2), (1, 3), (2, 3)]
+        assert BlockCollection([both]).distinct_comparisons() == set(both.comparisons())
 
     def test_dirty_comparisons(self):
         block = Block(key="sony", profiles_source0={1, 2, 3})

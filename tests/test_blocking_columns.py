@@ -115,6 +115,22 @@ def total(listed) -> int:
     return sum(comparisons(*row[1:]) for row in listed)
 
 
+def smoothing_cutoff(listed, smoothing) -> int:
+    """The comparison cutoff of comparison-based purging over ``[(key,
+    source0, source1, clean_clean)]``, from its definition: scan the blocks
+    by ascending comparisons (ties in collection order); the cutoff is the
+    last comparison count at which cumulative comparisons / cumulative size
+    is at most ``smoothing`` times the best such ratio seen before it."""
+    ordered = sorted(listed, key=lambda row: comparisons(*row[1:]))
+    cutoff, best, compared, sized = comparisons(*ordered[-1][1:]), math.inf, 0, 0
+    for row in ordered:
+        compared += comparisons(*row[1:])
+        sized += len(row[1]) + len(row[2])
+        if sized and compared / sized <= best * smoothing:
+            best, cutoff = min(best, compared / sized), comparisons(*row[1:])
+    return cutoff
+
+
 @st.composite
 def valid_collections(draw):
     """Hand-made blocks that each induce a comparison: few ids over small
@@ -206,6 +222,9 @@ def test_a_collection_pickled_before_the_column_form_restores(monkeypatch, abt_b
     assert restored.columns.cleans.tolist() == [True] * len(blocks)
     assert rows(restored) == rows(blocks) and restored.count_distinct_comparisons() == count
     assert restored.distinct_comparisons() == blocks.distinct_comparisons()
+    # Outside unpickling, 4-field columns are refused rather than read as dirty ER.
+    with pytest.raises(BlockingError, match="clean-clean flags"):
+        BlockCollection.from_columns(BlockColumns(*blocks.columns[:4]), clean_clean=True)
 
 
 def test_the_constructor_takes_blocks_only():
@@ -274,12 +293,11 @@ class TestColumnsEqualTheDefinitions:
             )
             expected = [row for row in listed if row[0] in within]
             got = as_list(purged)
-            if smoothing is not None:
-                # Comparison-based purging also drops what lies above one
-                # comparison cutoff, never everything.
-                cutoff = max((comparisons(*row[1:]) for row in got), default=-1)
+            if smoothing is not None and expected:
+                # Comparison-based purging also drops what lies above the
+                # cutoff of the blocks the size rule kept.
+                cutoff = smoothing_cutoff(expected, smoothing)
                 expected = [row for row in expected if comparisons(*row[1:]) <= cutoff]
-                assert bool(got) == bool(within)
             assert got == expected
             assert len(purged) == len(expected) and purged.total_comparisons() == total(expected)
         filtered = BlockFiltering(ratio).filter(blocks)
