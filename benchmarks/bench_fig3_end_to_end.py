@@ -42,21 +42,3 @@ def test_fig3_schema_agnostic(benchmark, abt_buy):
     print_rows("FIG3 end-to-end pipeline (schema-agnostic)", [row])
     assert row["cluster_f1"] > 0.7
 
-
-def test_fig3_distributed_engine(benchmark, abt_buy):
-    """End-to-end run on the mini engine (the distributed code paths)."""
-
-    def run():
-        result = SparkER(SparkERConfig.unsupervised_default(), use_engine=True).run(
-            abt_buy.profiles, abt_buy.ground_truth
-        )
-        return {
-            "configuration": "unsupervised default on the engine",
-            "candidate_pairs": result.summary()["candidate_pairs"],
-            "clusters": result.summary()["clusters"],
-            "cluster_f1": result.report.get("clustering").metrics["f1"],
-        }
-
-    row = benchmark(run)
-    print_rows("FIG3 end-to-end pipeline (engine-backed)", [row])
-    assert row["cluster_f1"] > 0.7

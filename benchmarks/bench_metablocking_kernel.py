@@ -61,9 +61,8 @@ def _sequential_metablocking(blocks):
 
 
 def _engine_metablocking(blocks):
-    # Pin the serial executor: the committed overhead baseline was recorded
-    # with it, and an inherited REPRO_ENGINE_EXECUTOR must not change what
-    # the guard measures (or leak an owned worker pool).
+    # The serial executor: the committed overhead baseline was recorded
+    # with it.
     with EngineContext(4, executor="serial") as context:
         return ParallelMetaBlocker(context, "cbs", "wnp").run(blocks)
 

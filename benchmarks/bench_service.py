@@ -39,7 +39,7 @@ import time
 from pathlib import Path
 
 from repro.data.synthetic import generate_scalability_products
-from repro.engine.metrics import LatencyHistogram
+from repro.service.metrics import LatencyHistogram
 from repro.service.collection import CollectionConfig, ServiceCollection
 from repro.service.wal import WriteAheadLog
 

@@ -11,10 +11,6 @@ Usage examples::
     # end-to-end run on the synthetic Abt-Buy stand-in
     python -m repro.cli run --synthetic abt-buy --entities 200
 
-    # same run, meta-blocking on a 4-worker range pool
-    python -m repro.cli run --synthetic abt-buy --entities 200 \
-        --executor process --workers 4
-
     # clean-clean ER on two CSV files with a ground-truth mapping
     python -m repro.cli run --source0 abt.csv --source1 buy.csv \
         --ground-truth mapping.csv --id-field id --output entities.json
@@ -58,7 +54,6 @@ from repro.evaluation.report import format_table
 from repro.exceptions import PipelineValidationError, SparkERError
 from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.looseschema.entropy import EntropyExtractor
-from repro.options import executor_from_args
 from repro.pipeline import Pipeline, PipelineResult, stage_catalog
 from repro.utils.tokenize import token_table
 
@@ -191,23 +186,14 @@ def _apply_spec_dataset(args: argparse.Namespace, spec: dict[str, object]) -> No
 
 
 def _build_run_spec(args: argparse.Namespace) -> dict[str, object]:
-    """The stage-graph spec of this invocation: --spec file or canonical.
-
-    The executor flags are not folded in here: they reach
-    ``Pipeline.from_spec`` as its explicit ``executor`` and are resolved
-    there, once.
-    """
-    # --executor / --workers imply the engine.
-    use_engine = args.engine or bool(args.executor) or args.workers is not None
+    """The stage-graph spec of this invocation: --spec file or canonical."""
     if args.spec:
         spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         if not isinstance(spec, dict):
             raise SparkERError(f"spec file {args.spec} must hold a JSON object")
         _apply_spec_dataset(args, spec)
-        if use_engine:
-            spec["engine"] = dict(spec.get("engine") or {}, enabled=True)
         return spec
-    return SparkER.canonical_spec(_config_from_args(args), use_engine=use_engine)
+    return SparkER.canonical_spec(_config_from_args(args))
 
 
 def _print_result(dataset: DatasetPair | None, result: PipelineResult) -> None:
@@ -241,17 +227,13 @@ def _command_run(args: argparse.Namespace) -> int:
     # Remove the dataset section before handing the spec to the pipeline —
     # it is CLI provenance, not a stage-graph concern.
     spec = {key: value for key, value in spec.items() if key != "dataset"}
-    pipeline = Pipeline.from_spec(spec, executor=executor_from_args(args))
     ground_truth = dataset.ground_truth if len(dataset.ground_truth) else None
-    try:
-        result = pipeline.run(
-            dataset.profiles,
-            ground_truth,
-            checkpoint=args.checkpoint,
-            stop_after=args.stop_after,
-        )
-    finally:
-        pipeline.shutdown()
+    result = Pipeline.from_spec(spec).run(
+        dataset.profiles,
+        ground_truth,
+        checkpoint=args.checkpoint,
+        stop_after=args.stop_after,
+    )
 
     _print_result(dataset, result)
     if result.partial:
@@ -445,14 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--similarity", default=None, help="matcher similarity function")
     run.add_argument("--match-threshold", type=float, default=None,
                      help="matcher similarity threshold")
-    run.add_argument("--engine", action="store_true",
-                     help="run meta-blocking on the engine's range pool")
-    run.add_argument("--executor", choices=["serial", "process"],
-                     help="where the meta-blocking range tasks run (implies --engine): "
-                          "'serial' in this process, 'process' on a process pool")
-    run.add_argument("--workers", type=int,
-                     help="process-pool worker count (implies --executor process; "
-                          "default: CPU count)")
     run.add_argument("--spec", default=None,
                      help="run a declarative stage-graph spec (JSON file) instead of "
                           "the canonical SparkER wiring")

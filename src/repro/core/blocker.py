@@ -19,7 +19,6 @@ from repro.blocking.block import BlockCollection
 from repro.core.config import BlockerConfig
 from repro.data.dataset import ProfileCollection
 from repro.data.ground_truth import GroundTruth
-from repro.engine.context import EngineContext
 from repro.evaluation.report import PipelineReport
 from repro.looseschema.attribute_partitioning import AttributePartitioning
 from repro.metablocking.metablocker import MetaBlockingResult
@@ -130,9 +129,6 @@ class Blocker:
     ----------
     config:
         Blocking configuration (see :class:`repro.core.config.BlockerConfig`).
-    engine:
-        Optional engine context; when given, meta-blocking runs on its range
-        pool.
     partitioning:
         Optional user-supplied attribute partitioning (supervised mode,
         Figure 6(c)); on the loose-schema path it replaces the automatic one.
@@ -142,12 +138,10 @@ class Blocker:
         self,
         config: BlockerConfig | None = None,
         *,
-        engine: EngineContext | None = None,
         partitioning: AttributePartitioning | None = None,
     ) -> None:
         self.config = config or BlockerConfig()
         self.config.validate()
-        self.engine = engine
         self.user_partitioning = partitioning
 
     def run(
@@ -157,7 +151,7 @@ class Blocker:
     ) -> BlockerReport:
         """Run the blocker chain and return the stage-by-stage report."""
         spec = {"stages": blocker_stages(self.config)}
-        result = Pipeline.from_spec(spec, engine=self.engine).run(
+        result = Pipeline.from_spec(spec).run(
             profiles, ground_truth, artifacts=blocker_seeds(self.config, self.user_partitioning)
         )
         return BlockerReport.from_result(result)

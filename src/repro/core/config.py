@@ -150,12 +150,9 @@ class SparkERConfig:
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
     clusterer: ClustererConfig = field(default_factory=ClustererConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    parallelism: int = 4
 
     def validate(self) -> None:
         """Validate every section."""
-        if self.parallelism <= 0:
-            raise ConfigurationError("parallelism must be positive")
         self.blocker.validate()
         self.matcher.validate()
         self.clusterer.validate()
@@ -180,7 +177,8 @@ class SparkERConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "SparkERConfig":
-        """Rebuild a configuration from :meth:`as_dict` output."""
+        """Rebuild a configuration from :meth:`as_dict` output; keys outside
+        the four sections (a retired ``parallelism``) are ignored."""
         config = cls()
         blocker = dict(data.get("blocker", {}))
         matcher = dict(data.get("matcher", {}))
@@ -190,6 +188,5 @@ class SparkERConfig:
         config.matcher = MatcherConfig(**matcher)
         config.clusterer = ClustererConfig(**clusterer)
         config.sampling = SamplingConfig(**sampling)
-        config.parallelism = int(data.get("parallelism", config.parallelism))
         config.validate()
         return config

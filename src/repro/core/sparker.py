@@ -19,12 +19,10 @@ from repro.core.blocker import BlockerReport, blocker_seeds, blocker_stages
 from repro.core.config import SparkERConfig
 from repro.data.dataset import ProfileCollection
 from repro.data.ground_truth import GroundTruth
-from repro.engine.context import EngineContext
 from repro.evaluation.report import PipelineReport
 from repro.looseschema.attribute_partitioning import AttributePartitioning
 from repro.matching.matcher import Matcher, MatchingRule
 from repro.matching.similarity_graph import SimilarityGraph
-from repro.options import resolve_executor
 from repro.pipeline import Pipeline, PipelineResult
 from repro.utils.timers import StageTimings
 
@@ -40,7 +38,6 @@ class SparkERResult:
     entities: list[dict[str, object]]
     report: PipelineReport = field(default_factory=PipelineReport)
     timings: StageTimings = field(default_factory=StageTimings)
-    engine_metrics: dict[str, object] = field(default_factory=dict)
     pipeline_result: PipelineResult | None = None
 
     @property
@@ -54,16 +51,13 @@ class SparkERResult:
         return clusters_to_pairs(self.clusters)
 
     def summary(self) -> dict[str, object]:
-        """Headline numbers of the run, engine metrics included when present."""
-        summary: dict[str, object] = {
+        """Headline numbers of the run."""
+        return {
             "candidate_pairs": len(self.candidate_pairs),
             "matched_pairs": len(self.matched_pairs),
             "clusters": len(self.clusters),
             "entities": len(self.entities),
         }
-        if self.engine_metrics:
-            summary["engine"] = dict(self.engine_metrics)
-        return summary
 
 
 class SparkER:
@@ -73,15 +67,6 @@ class SparkER:
     ----------
     config:
         The pipeline configuration (defaults to the unsupervised defaults).
-    use_engine:
-        When True an :class:`EngineContext` is created with
-        ``config.parallelism`` ranges and meta-blocking runs on its range
-        pool; everything else runs on the driver either way.
-    executor:
-        The ``executor`` engine option (``"serial"``, ``"process"``,
-        ``"process:4"``); only meaningful with ``use_engine=True``.  Not
-        given, it resolves from ``REPRO_ENGINE_EXECUTOR`` and the default,
-        once, here.
     partitioning:
         Optional user-supplied attribute partitioning (supervised mode).
     rules / labeled_pairs / matcher:
@@ -92,8 +77,6 @@ class SparkER:
         self,
         config: SparkERConfig | None = None,
         *,
-        use_engine: bool = False,
-        executor: str | None = None,
         partitioning: AttributePartitioning | None = None,
         rules: Sequence[MatchingRule] | None = None,
         labeled_pairs: Sequence[tuple[int, int, bool]] | None = None,
@@ -101,10 +84,6 @@ class SparkER:
     ) -> None:
         self.config = config or SparkERConfig.unsupervised_default()
         self.config.validate()
-        self.executor = resolve_executor(executor)
-        self.engine = (
-            EngineContext(self.config.parallelism, self.executor) if use_engine else None
-        )
         self.partitioning = partitioning
         self.extras = {
             key: value
@@ -114,20 +93,12 @@ class SparkER:
 
     # -------------------------------------------------------------- the spec
     @classmethod
-    def canonical_spec(
-        cls,
-        config: SparkERConfig | None = None,
-        *,
-        use_engine: bool = False,
-        executor: str | None = None,
-    ) -> dict[str, object]:
+    def canonical_spec(cls, config: SparkERConfig | None = None) -> dict[str, object]:
         """The declarative stage-graph spec :meth:`run` executes.
 
         ``Pipeline.from_spec(SparkER.canonical_spec(config))`` reproduces
         ``SparkER(config).run(...)`` bit for bit.  The spec is plain data
         (JSON-serialisable), so it can be persisted, diffed and edited.
-        ``executor`` is recorded in its engine section; without it the
-        section leaves the executor to whoever loads the spec.
         """
         config = config or SparkERConfig.unsupervised_default()
         config.validate()
@@ -149,17 +120,11 @@ class SparkER:
             },
             {"stage": "entity_generation"},
         ]
-        engine: dict[str, object] = {"enabled": use_engine, "parallelism": config.parallelism}
-        if executor is not None:
-            engine["executor"] = executor
-        return {"name": "sparker", "engine": engine, "stages": stages}
+        return {"name": "sparker", "stages": stages}
 
     def build_pipeline(self) -> Pipeline:
-        """The canonical pipeline, wired to this instance's engine context."""
-        spec = self.canonical_spec(
-            self.config, use_engine=self.engine is not None, executor=self.executor
-        )
-        return Pipeline.from_spec(spec, engine=self.engine)
+        """The canonical pipeline of this instance's configuration."""
+        return Pipeline.from_spec(self.canonical_spec(self.config))
 
     # ------------------------------------------------------------------ public
     def run(
@@ -182,7 +147,6 @@ class SparkER:
             entities=result.entities,
             report=result.report,
             timings=result.timings,
-            engine_metrics=result.engine_metrics,
             pipeline_result=result,
         )
 
@@ -190,8 +154,3 @@ class SparkER:
         self, profiles: ProfileCollection, ground_truth: GroundTruth | None = None
     ) -> SparkERResult:
         return self.run(profiles, ground_truth)
-
-    def shutdown(self) -> None:
-        """Release engine resources (worker pools); safe without an engine."""
-        if self.engine is not None:
-            self.engine.stop()

@@ -13,7 +13,9 @@ cluster, that needs two pieces:
   sweep of the service WAL's rewrite temp.
 
 :class:`~repro.metablocking.parallel.ParallelMetaBlocker` is the one job.
-Token blocking and connected components run on the driver.
+It is called directly (benchmarks, ``examples/distributed_blocking.py``);
+the pipeline's meta-blocking stage always runs the sequential
+:class:`~repro.metablocking.metablocker.MetaBlocker`.
 """
 
 from repro.engine.context import EngineContext

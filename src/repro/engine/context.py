@@ -33,7 +33,6 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from repro.exceptions import EngineError
-from repro.options import resolve_executor
 
 # Cheap copy-on-write workers on Linux; macOS offers "fork" too, but forking
 # after system frameworks loaded can deadlock, so other platforms keep their
@@ -42,6 +41,34 @@ _MP_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" els
 
 # The callable of the map a worker serves, set once per worker by _install.
 _task: "Callable[[Any], Any] | None" = None
+
+
+def canonical_executor(spec: Any) -> str:
+    """``"serial"`` / ``"process"`` / ``"process:<N>"`` from an executor spec
+    (``None`` or blank: ``"serial"``); canonicalising twice is a no-op."""
+    if spec is None or (isinstance(spec, str) and not spec.strip()):
+        return "serial"
+    if not isinstance(spec, str):
+        raise EngineError(f"executor spec must be a string, got {spec!r}")
+    name, _, argument = spec.partition(":")
+    name, argument = name.strip().lower(), argument.strip()
+    if name in ("serial", "sync", "driver"):
+        if argument:
+            raise EngineError(
+                f"the serial executor takes no worker count (got {spec!r}); "
+                f"use 'process:<N>' for a worker pool"
+            )
+        return "serial"
+    if name in ("process", "processes", "multiprocessing", "mp"):
+        if not argument:
+            return "process"
+        try:
+            return f"process:{int(argument)}"
+        except ValueError as error:
+            raise EngineError(f"invalid worker count in executor spec {spec!r}") from error
+    raise EngineError(
+        f"unknown executor {spec!r}; expected 'serial', 'process' or 'process:<N>'"
+    )
 
 
 def _install(func: Callable[[Any], Any]) -> None:
@@ -99,18 +126,17 @@ class EngineContext:
     default_parallelism:
         How many ranges a job splits its nodes into.
     executor:
-        The ``executor`` engine option (:mod:`repro.options`): ``"serial"``
-        runs tasks in the driver, ``"process:N"`` on up to ``N`` forked
-        workers per map (``"process"``: one per CPU); ``None`` resolves the
-        environment and the default.  The canonical spec is kept as
-        :attr:`executor_spec`.
+        Where the tasks run (:func:`canonical_executor`): ``"serial"`` (or
+        ``None``) in the driver, ``"process:N"`` on up to ``N`` forked
+        workers per map (``"process"``: one per CPU).  The canonical spec is
+        kept as :attr:`executor_spec`.
     """
 
     def __init__(self, default_parallelism: int = 4, executor: "str | None" = None) -> None:
         if default_parallelism <= 0:
             raise EngineError("default_parallelism must be positive")
         self.default_parallelism = default_parallelism
-        self.executor_spec = resolve_executor(executor)
+        self.executor_spec = canonical_executor(executor)
         kind, _, count = self.executor_spec.partition(":")
         # 0 workers = tasks run in the driver.
         self.workers = 0 if kind == "serial" else int(count or os.cpu_count() or 1)

@@ -121,15 +121,21 @@ class CSRBlockIndex:
         index = cls()
         index.clean_clean = blocks.clean_clean
         index.total_blocks = len(blocks)
-        cls._populate_arrays(index, columns.select(columns.cardinalities()[1] > 0))
+        cardinality = columns.cardinalities()[1]
+        kept = cardinality > 0
+        # Rebound, so the vectors over every block are freed before the build.
+        columns, cardinality = columns.select(kept), cardinality[kept]
+        del kept
+        cls._populate_arrays(index, columns, cardinality)
         return index
 
     @staticmethod
-    def _populate_arrays(index, columns) -> None:
+    def _populate_arrays(index, columns, cardinality) -> None:
         """The array builder: one sort and scans over the membership stream.
 
         Its input is :class:`~repro.blocking.block.BlockColumns` of blocks
-        that each induce a comparison.  Members ascend inside an entry, so
+        that each induce a comparison, and their comparison counts
+        (``cardinality``, positive).  Members ascend inside an entry, so
         their dense ids, entry after entry, already are ``block_nodes``;
         sorting the ``dense << bits | entry`` codes lists each node's
         entries ascending (``node_block_entries``).  The codes stay below
@@ -147,7 +153,6 @@ class CSRBlockIndex:
         # that block but counts the block once.
         twice = (owners[1:] == owners[:-1]) & (node_entries[1:] >> 1 == node_entries[:-1] >> 1)
         left, right = lengths[0::2], lengths[1::2]
-        cardinality = columns.cardinalities()[1]
         zero = np.zeros(1, dtype=np.int64)
         # A plain list: pair tuples are built from it, so emitted edges hold
         # python ints.

@@ -1,107 +1,22 @@
-"""The engine option: the one door ``executor`` goes through to reach the engine.
+"""Keys of removed options, as stored artifacts may still carry them.
 
-One value tunes *how* a run executes without changing *what* it computes:
-where the meta-blocking range tasks run (``executor``).  It is reachable four
-ways — a keyword argument, a pipeline-spec ``engine.executor`` key, the
-``run`` flags ``--executor`` / ``--workers`` and the ``REPRO_ENGINE_EXECUTOR``
-environment variable — and :func:`resolve_executor` is the one resolution
-(explicit > spec > environment > ``serial``, then validated).  Entry points
-resolve once and hand the canonical string down; ``os.environ`` is read for
-it here and nowhere else.  Keys of removed options that stored artifacts may
-still carry are handled by :func:`drop_retired_keys`.
+A pipeline checkpoint, a ``--output-config`` file, a saved configuration or a
+service snapshot written before an option was removed still names it.
+:func:`drop_retired_keys` is the one door those keys go through: it drops a
+value that describes what every run now does and refuses one that asks for
+the removed behaviour.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
 from collections.abc import Mapping
 from typing import Any
 
-from repro.exceptions import (
-    ConfigurationError,
-    EngineError,
-    PipelineValidationError,
-    SparkERError,
-)
+from repro.exceptions import ConfigurationError, SparkERError
 
-EXECUTOR_ENV_VAR = "REPRO_ENGINE_EXECUTOR"
-
-# What an ``engine`` section may hold: the pipeline's own two keys plus the
-# option.
-ENGINE_SECTION_KEYS = frozenset({"enabled", "parallelism", "executor"})
-
-
-def _canonical_executor(spec: Any) -> str:
-    """``"serial"`` / ``"process"`` / ``"process:<N>"``."""
-    if not isinstance(spec, str):
-        raise EngineError(f"executor spec must be a string, got {spec!r}")
-    name, _, argument = spec.partition(":")
-    name, argument = name.strip().lower(), argument.strip()
-    if name in ("serial", "sync", "driver"):
-        if argument:
-            raise EngineError(
-                f"the serial executor takes no worker count (got {spec!r}); "
-                f"use 'process:<N>' for a worker pool"
-            )
-        return "serial"
-    if name in ("process", "processes", "multiprocessing", "mp"):
-        if not argument:
-            return "process"
-        try:
-            return f"process:{int(argument)}"
-        except ValueError as error:
-            raise EngineError(f"invalid worker count in executor spec {spec!r}") from error
-    raise EngineError(
-        f"unknown executor {spec!r}; expected 'serial', 'process' or 'process:<N>'"
-    )
-
-
-def _unset(value: Any) -> bool:
-    return value is None or (isinstance(value, str) and not value.strip())
-
-
-def resolve_executor(
-    explicit: Any = None, spec: "Mapping[str, Any] | None" = None
-) -> str:
-    """Resolve the executor: explicit > spec > environment > ``serial``.
-
-    ``spec`` is a pipeline spec's ``engine`` section.  The result is the
-    canonical string (``"serial"``, ``"process"``, ``"process:2"``), so
-    resolving it again is a no-op.  A bad value raises
-    :class:`~repro.exceptions.EngineError` naming the source that supplied it.
-    """
-    value, source = explicit, "executor"
-    if _unset(value) and spec is not None:
-        value, source = spec.get("executor"), "engine.executor"
-    if _unset(value):
-        value, source = os.environ.get(EXECUTOR_ENV_VAR), EXECUTOR_ENV_VAR
-    if _unset(value):
-        value, source = "serial", "executor"
-    try:
-        return _canonical_executor(value)
-    except EngineError as error:
-        raise EngineError(f"{source}: {error}") from None
-
-
-# ------------------------------------------------------------ CLI composition
-def executor_from_args(args: argparse.Namespace) -> "str | None":
-    """Build the executor spec from ``--executor`` / ``--workers``.
-
-    ``--workers`` without ``--executor`` implies the process executor — a
-    worker count for the serial executor would otherwise be silently ignored.
-    """
-    executor = args.executor or ("process" if args.workers is not None else None)
-    if executor is None or args.workers is None:
-        return executor
-    return f"{executor}:{args.workers}"
-
-
-# ------------------------------------------------------------- retired keys
-#: Options that no longer exist: the values a stored artifact (pipeline
-#: checkpoint, ``--output-config`` file, service snapshot) may carry for them
-#: and still describe what every run now does (``None``: any value does), and
-#: what was removed.
+#: Options that no longer exist: the values a stored artifact may carry for
+#: them and still describe what every run now does (``None``: any value
+#: does), and what was removed.
 _RETIRED = {
     "kernel_backend": (
         (None, "auto", "numpy"),
@@ -118,6 +33,11 @@ _RETIRED = {
     "buffer_backend": (None, "the CSR index always lives in process memory"),
     # Its last consumer was the memmap buffer file.
     "tmp_dir": (None, "the only temp file left, the WAL rewrite, lives in its WAL directory"),
+    # The keys of an older spec's ``engine`` section: they chose where
+    # meta-blocking ran, never what it computed.
+    "enabled": (None, "meta-blocking always runs in the driver"),
+    "parallelism": (None, "meta-blocking always runs in the driver"),
+    "executor": (None, "meta-blocking always runs in the driver"),
 }
 
 
@@ -137,16 +57,3 @@ def drop_retired_keys(
         if harmless is not None and value not in harmless:
             raise error(f"{key}={value!r}: the option was removed — {removed}; drop the key")
     return kept
-
-
-def check_engine_section(section: "Mapping[str, Any]") -> "dict[str, Any]":
-    """Reject keys an ``engine`` section cannot hold (typos included);
-    return the section without retired keys."""
-    section = drop_retired_keys(section, PipelineValidationError)
-    unknown = set(section) - ENGINE_SECTION_KEYS
-    if unknown:
-        raise PipelineValidationError(
-            f"unknown keys in the spec's engine section: {sorted(unknown)}; "
-            f"accepted: {sorted(ENGINE_SECTION_KEYS)}"
-        )
-    return section

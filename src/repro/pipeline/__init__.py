@@ -22,8 +22,7 @@ Registry key            Paper module / figure element
                         partitioning artifact is wired in)
 ``block_purging``       Blocker → Block purging
 ``block_filtering``     Blocker → Block filtering
-``meta_blocking``       Blocker → Meta-blocking (graph weighting + pruning;
-                        broadcast-join parallel variant under an engine)
+``meta_blocking``       Blocker → Meta-blocking (graph weighting + pruning)
 ``block_comparisons``   Blocker → candidate pairs without meta-blocking
 ``progressive_meta_blocking``  Progressive ER extension ([6] of the demo
                         paper): budgeted best-first candidate emission

@@ -2,8 +2,8 @@
 
 ``Pipeline`` executes a list of :class:`~repro.pipeline.stage.Stage` instances
 in order over a shared :class:`~repro.pipeline.artifacts.ArtifactStore`,
-recording per-stage wall-clock and engine-metric deltas into one unified
-report.  Pipelines are buildable three ways:
+recording per-stage wall-clock into one unified report.  Pipelines are
+buildable three ways:
 
 * directly, from stage instances: ``Pipeline([TokenBlockingStage(), ...])``;
 * declaratively, from a plain dict/JSON spec: ``Pipeline.from_spec({...})``;
@@ -25,63 +25,27 @@ from typing import Any
 
 from repro.data.dataset import ProfileCollection
 from repro.data.ground_truth import GroundTruth
-from repro.engine.context import EngineContext
 from repro.evaluation.report import PipelineReport
-from repro.exceptions import EngineError, PipelineError, PipelineValidationError
-from repro.options import check_engine_section, resolve_executor
+from repro.exceptions import PipelineError, PipelineValidationError
+from repro.options import drop_retired_keys
 from repro.pipeline.artifacts import PROFILES, ArtifactStore
 from repro.pipeline.checkpoint import PipelineCheckpoint
 from repro.pipeline.registry import make_stage
 from repro.pipeline.stage import Stage, StageExecution
 from repro.utils.timers import StageTimings, Timer
 
-_UNSET = object()
-
-# Monotonic counters in EngineContext.metrics_summary(): per-stage and per-run
-# views report them as deltas; everything else (e.g. default_parallelism) is
-# a configuration gauge and passes through unchanged.
-_ENGINE_COUNTERS = ("stages", "tasks", "task_failures")
-
 _SPEC_ENTRY_KEYS = {"stage", "label", "params", "inputs", "outputs"}
 
 # "dataset" is CLI provenance (which inputs to load), tolerated so resolved
-# specs written by `run --output-config` feed straight back into from_spec.
+# specs written by `run --output-config` feed straight back into from_spec;
+# "engine" is the section of older specs (see from_spec).
 _SPEC_TOP_KEYS = {"name", "engine", "seeds", "stages", "dataset"}
-
-
-def _engine_snapshot(engine: EngineContext | None) -> dict[str, int]:
-    if engine is None:
-        return {}
-    summary = engine.metrics_summary()
-    return {counter: int(summary[counter]) for counter in _ENGINE_COUNTERS}
-
-
-def _engine_delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
-    return {counter: after[counter] - before[counter] for counter in after}
-
-
-def _engine_run_metrics(
-    engine: EngineContext | None, run_start: dict[str, object]
-) -> dict[str, object]:
-    """The engine summary scoped to this run: integer counters as deltas.
-
-    An :class:`EngineContext` can outlive many pipeline runs (``SparkER``
-    reuses one); reporting lifetime counters would double-count every run
-    after the first.
-    """
-    if engine is None:
-        return {}
-    summary = dict(engine.metrics_summary())
-    for key in _ENGINE_COUNTERS:
-        summary[key] -= run_start[key]
-    return summary
 
 
 @dataclass
 class PipelineContext:
     """Everything a stage may need beyond its declared input artifacts."""
 
-    engine: EngineContext | None = None
     ground_truth: GroundTruth | None = None
     extras: dict[str, Any] = field(default_factory=dict)
     report: PipelineReport = field(default_factory=PipelineReport)
@@ -101,7 +65,6 @@ class PipelineResult:
     report: PipelineReport
     executions: list[StageExecution]
     timings: StageTimings
-    engine_metrics: dict[str, object] = field(default_factory=dict)
     spec: dict[str, object] = field(default_factory=dict)
     completed: list[str] = field(default_factory=list)
     partial: bool = False
@@ -125,11 +88,11 @@ class PipelineResult:
 
     # ----------------------------------------------------------------- report
     def stage_rows(self) -> list[dict[str, object]]:
-        """Uniform per-stage rows: status, seconds, engine counter deltas."""
+        """Uniform per-stage rows: status and seconds."""
         return [execution.as_row() for execution in self.executions]
 
     def summary(self) -> dict[str, object]:
-        """Headline numbers of the run, engine metrics included."""
+        """Headline numbers of the run."""
         summary: dict[str, object] = {
             "stages_run": sum(1 for e in self.executions if not e.resumed),
             "stages_resumed": sum(1 for e in self.executions if e.resumed),
@@ -143,8 +106,6 @@ class PipelineResult:
                 summary[key] = len(value)  # type: ignore[arg-type]
             except TypeError:
                 pass
-        if self.engine_metrics:
-            summary["engine"] = dict(self.engine_metrics)
         return summary
 
 
@@ -155,42 +116,27 @@ class Pipeline:
     ----------
     stages:
         The stage instances, executed in order.
-    engine:
-        Optional :class:`EngineContext` made available to every stage; a
-        pipeline built by :meth:`from_spec` with an enabled engine section
-        creates (and owns) its own context.
     name:
         Label used in reports and specs.
     seeds:
         Extra artifacts the caller promises to provide at :meth:`run` time,
         as a key → kind mapping; ``profiles`` is always seeded.
-    executor:
-        The run's ``executor`` engine option, recorded in
-        :meth:`resolved_spec`; defaults to the engine's own, else to the
-        environment and the default.
     """
 
     def __init__(
         self,
         stages: Iterable[Stage],
         *,
-        engine: EngineContext | None = None,
         name: str = "pipeline",
         seeds: Mapping[str, str] | None = None,
-        executor: str | None = None,
     ) -> None:
         self.stages = list(stages)
         if not self.stages:
             raise PipelineValidationError("a pipeline needs at least one stage")
-        self.engine = engine
         self.name = name
         self.seeds = {PROFILES: PROFILES}
         if seeds:
             self.seeds.update(seeds)
-        self._owns_engine = False
-        if executor is None and engine is not None:
-            executor = engine.executor_spec
-        self.executor = resolve_executor(executor)
         self.validate()
 
     # ------------------------------------------------------------- composition
@@ -229,22 +175,13 @@ class Pipeline:
 
     # -------------------------------------------------------------------- spec
     @classmethod
-    def from_spec(
-        cls,
-        spec: Mapping[str, object],
-        *,
-        engine: "EngineContext | object" = _UNSET,
-        executor: str | None = None,
-    ) -> "Pipeline":
+    def from_spec(cls, spec: Mapping[str, object]) -> "Pipeline":
         """Build a pipeline from a plain dict/JSON spec.
 
         Spec shape::
 
             {
               "name": "my-pipeline",                    # optional
-              "engine": {"enabled": true,               # optional section
-                         "parallelism": 4,
-                         "executor": "process:2"},
               "seeds": {"blocks": "blocks"},            # optional extra seeds
               "stages": [
                 {"stage": "token_blocking",
@@ -254,15 +191,11 @@ class Pipeline:
               ]
             }
 
-        Besides ``enabled`` / ``parallelism`` the engine section holds the
-        ``executor`` engine option (:mod:`repro.options`); it is resolved
-        here, once — an explicit ``executor`` (e.g. from CLI flags) wins over
-        the section, the section over ``REPRO_ENGINE_EXECUTOR`` — and an
-        unknown key is rejected, and a retired one (``block_store``,
-        ``fault_policy``, ...) dropped when harmless, rejected otherwise
-        (:func:`~repro.options.drop_retired_keys`).  ``engine=`` overrides
-        the spec's engine section with a caller-managed context (pass
-        ``None`` to force driver-side execution).
+        Specs written by earlier versions may carry an ``engine`` section,
+        whose keys are all retired (:func:`~repro.options.drop_retired_keys`):
+        the three it could hold are dropped whatever their value, one that
+        asks for a removed feature (``kernel_backend: python``) is refused,
+        and an unknown key is an error.
         """
         if not isinstance(spec, Mapping):
             raise PipelineValidationError("a pipeline spec must be a mapping")
@@ -300,47 +233,25 @@ class Pipeline:
             )
             stages.append(stage)
 
-        engine_section = check_engine_section(spec.get("engine") or {})
-        try:
-            executor = resolve_executor(executor, engine_section)
-        except EngineError as error:
-            raise PipelineValidationError(f"invalid engine option {error}") from error
-        owns_engine = False
-        if engine is not _UNSET:
-            engine_context = engine  # caller-managed (possibly None)
-        elif engine_section.get("enabled"):
-            engine_context = EngineContext(
-                default_parallelism=int(engine_section.get("parallelism", 4)),
-                executor=executor,
+        unknown = drop_retired_keys(spec.get("engine") or {}, PipelineValidationError)
+        if unknown:
+            raise PipelineValidationError(
+                f"unknown keys in the spec's engine section: {sorted(unknown)}"
             )
-            owns_engine = True
-        else:
-            engine_context = None
-        pipeline = cls(
+        return cls(
             stages,
-            engine=engine_context,  # type: ignore[arg-type]
             name=str(spec.get("name", "pipeline")),
             seeds=dict(spec.get("seeds") or {}),
-            executor=executor,
         )
-        pipeline._owns_engine = owns_engine
-        return pipeline
 
     def resolved_spec(self) -> dict[str, object]:
         """The provenance spec: every stage with its resolved parameters.
 
         Round-trips: ``Pipeline.from_spec(p.resolved_spec())`` builds an
-        equivalent pipeline.  The engine section records the executor the
-        run resolved to — what actually ran, wherever it came from — so the
-        spec replays identically under a different environment.
+        equivalent pipeline.
         """
-        engine_section: dict[str, object] = {"enabled": self.engine is not None}
-        if self.engine is not None:
-            engine_section["parallelism"] = self.engine.default_parallelism
-        engine_section["executor"] = self.executor
         spec: dict[str, object] = {
             "name": self.name,
-            "engine": engine_section,
             "stages": [stage.as_spec() for stage in self.stages],
         }
         extra_seeds = {k: v for k, v in self.seeds.items() if k != PROFILES}
@@ -351,23 +262,19 @@ class Pipeline:
     # -------------------------------------------------------------- checkpoint
     @classmethod
     def from_checkpoint(
-        cls,
-        checkpoint: "str | os.PathLike[str] | PipelineCheckpoint",
-        *,
-        engine: "EngineContext | object" = _UNSET,
+        cls, checkpoint: "str | os.PathLike[str] | PipelineCheckpoint"
     ) -> "Pipeline":
         """Rebuild the pipeline whose run state is stored in ``checkpoint``."""
         if not isinstance(checkpoint, PipelineCheckpoint):
             checkpoint = PipelineCheckpoint(checkpoint)
         state = checkpoint.load()
-        return cls.from_spec(state["spec"], engine=engine)
+        return cls.from_spec(state["spec"])
 
     @classmethod
     def resume(
         cls,
         checkpoint: "str | os.PathLike[str] | PipelineCheckpoint",
         *,
-        engine: "EngineContext | object" = _UNSET,
         extras: Mapping[str, Any] | None = None,
         stop_after: str | None = None,
     ) -> "PipelineResult":
@@ -381,18 +288,14 @@ class Pipeline:
         # Load the (potentially huge) state pickle once and share it with
         # run() instead of letting it re-load the same file.
         state = checkpoint.load()
-        pipeline = cls.from_spec(state["spec"], engine=engine)
-        try:
-            return pipeline.run(
-                None,
-                extras=extras,
-                checkpoint=checkpoint,
-                resume=True,
-                stop_after=stop_after,
-                _resume_state=state,
-            )
-        finally:
-            pipeline.shutdown()
+        return cls.from_spec(state["spec"]).run(
+            None,
+            extras=extras,
+            checkpoint=checkpoint,
+            resume=True,
+            stop_after=stop_after,
+            _resume_state=state,
+        )
 
     # --------------------------------------------------------------------- run
     def run(
@@ -476,9 +379,7 @@ class Pipeline:
         # pipelines whose declared seeds were never provided).
         self.validate(available=store.manifest())
 
-        run_start_metrics = dict(self.engine.metrics_summary()) if self.engine else {}
         context = PipelineContext(
-            engine=self.engine,
             ground_truth=ground_truth,
             extras=extras_dict,
             report=report,
@@ -501,10 +402,8 @@ class Pipeline:
                     raise PipelineError(
                         f"stage {stage.label!r} is missing required input {key!r}"
                     )
-            before = _engine_snapshot(self.engine)
             with Timer() as timer:
                 outputs = stage.run(context, **inputs)
-            delta = _engine_delta(before, _engine_snapshot(self.engine))
             for spec in stage.outputs:
                 if spec.name not in outputs:
                     raise PipelineError(
@@ -518,7 +417,6 @@ class Pipeline:
                     kind=stage.kind,
                     params=stage.params(),
                     seconds=timer.elapsed,
-                    engine=delta,
                 )
             )
             timings.record(stage.label, timer.elapsed)
@@ -545,7 +443,6 @@ class Pipeline:
             report=report,
             executions=executions,
             timings=timings,
-            engine_metrics=_engine_run_metrics(self.engine, run_start_metrics),
             spec=self.resolved_spec(),
             completed=[execution.label for execution in executions],
             partial=stopped,
@@ -564,19 +461,6 @@ class Pipeline:
             "ground_truth": parts["ground_truth"],
             "artifact_manifest": store.manifest(),
         }
-
-    # --------------------------------------------------------------- lifecycle
-    def shutdown(self) -> None:
-        """Release the engine if this pipeline created it (from a spec)."""
-        if self._owns_engine and self.engine is not None:
-            self.engine.stop()
-            self._owns_engine = False
-
-    def __enter__(self) -> "Pipeline":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
 
     def __repr__(self) -> str:
         labels = ", ".join(stage.label for stage in self.stages)

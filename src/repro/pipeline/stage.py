@@ -169,7 +169,6 @@ class StageExecution:
     params: dict[str, object] = field(default_factory=dict)
     seconds: float = 0.0
     resumed: bool = False
-    engine: dict[str, int] = field(default_factory=dict)
 
     def as_row(self, metrics: dict[str, object] | None = None) -> dict[str, object]:
         """One row of the unified per-stage table (CLI output)."""
@@ -177,7 +176,6 @@ class StageExecution:
             "stage": self.label,
             "status": "resumed" if self.resumed else "run",
             "seconds": round(self.seconds, 4),
-            "tasks": self.engine.get("tasks", 0),
         }
         if metrics:
             row.update(metrics)

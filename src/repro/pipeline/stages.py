@@ -31,7 +31,6 @@ from repro.looseschema.entropy import EntropyExtractor
 from repro.looseschema.lsh import AttributeLSH, AttributeTokens
 from repro.matching.similarity import get_similarity_function
 from repro.metablocking.metablocker import MetaBlocker
-from repro.metablocking.parallel import ParallelMetaBlocker
 from repro.metablocking.progressive import (
     ProgressiveNodeScheduling,
     ProgressiveSortedComparisons,
@@ -207,12 +206,8 @@ class BlockFilteringStage(Stage):
 
 @register_stage
 class MetaBlockingStage(Stage):
-    """Meta-blocking: weight the blocking graph, prune, emit candidate pairs.
-
-    Runs the broadcast-join :class:`ParallelMetaBlocker` when the pipeline has
-    an engine, the sequential :class:`MetaBlocker` otherwise — both are
-    bit-for-bit equivalent.
-    """
+    """Meta-blocking: weight the blocking graph, prune, emit candidate pairs
+    (the sequential :class:`MetaBlocker`)."""
 
     kind = "meta_blocking"
     inputs = (_port("blocks", kinds.BLOCKS),)
@@ -235,13 +230,7 @@ class MetaBlockingStage(Stage):
         self.use_entropy = use_entropy
 
     def run(self, context: "PipelineContext", *, blocks):
-        args = (self.weighting, self.pruning)
-        meta_blocker = (
-            ParallelMetaBlocker(context.engine, *args, use_entropy=self.use_entropy)
-            if context.engine is not None
-            else MetaBlocker(*args, use_entropy=self.use_entropy)
-        )
-        result = meta_blocker.run(blocks)
+        result = MetaBlocker(self.weighting, self.pruning, use_entropy=self.use_entropy).run(blocks)
         metrics: dict[str, object] = dict(result.as_dict())
         if context.ground_truth is not None:
             metrics.update(

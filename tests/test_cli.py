@@ -10,16 +10,22 @@ from repro.cli import build_parser, main
 from repro.pipeline import PipelineCheckpoint
 
 # The engine sections `run --output-config` and checkpoints recorded while
-# block stores, fault policies, buffer backends and temp roots existed: the
-# resolved defaults, and the memmap backend under an explicit root.
+# the pipeline had an engine option and block stores, fault policies, buffer
+# backends and temp roots existed: the resolved defaults, the memmap backend
+# under an explicit root, and meta-blocking on a two-worker range pool.
 _PARENT_ENGINE = {
-    "executor": "serial", "buffer_backend": "ram", "tmp_dir": tempfile.gettempdir(),
+    "enabled": False, "parallelism": 4, "executor": "serial",
+    "buffer_backend": "ram", "tmp_dir": tempfile.gettempdir(),
     "fault_policy": "retries=0,backoff=0.1,backoff_max=5", "block_store": "driver",
 }
 PARENT_ENGINES = pytest.mark.parametrize(
     "parent_engine",
-    [_PARENT_ENGINE, dict(_PARENT_ENGINE, buffer_backend="memmap", tmp_dir="/var/tmp/repro")],
-    ids=["ram", "memmap"],
+    [
+        _PARENT_ENGINE,
+        dict(_PARENT_ENGINE, buffer_backend="memmap", tmp_dir="/var/tmp/repro"),
+        dict(_PARENT_ENGINE, enabled=True, parallelism=8, executor="process:2"),
+    ],
+    ids=["ram", "memmap", "process2"],
 )
 
 
@@ -129,53 +135,6 @@ class TestRunCommand:
         assert exit_code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_engine_executor_smoke(self, capsys, executor):
-        """Tiny end-to-end pipeline with the engine under both executors.
-
-        ``--executor`` implies ``--engine``; with the process executor the
-        meta-blocking ranges run on the pool and the run exits 0.
-        """
-        arguments = ["run", "--synthetic", "abt-buy", "--entities", "40",
-                     "--executor", executor]
-        if executor == "process":
-            arguments += ["--workers", "2"]
-        exit_code = main(arguments)
-        assert exit_code == 0
-        captured = capsys.readouterr().out
-        assert "pipeline stages" in captured
-        assert "summary:" in captured
-
-    def test_executor_flag_parses(self):
-        args = build_parser().parse_args(
-            ["run", "--synthetic", "abt-buy", "--executor", "process", "--workers", "4"]
-        )
-        assert args.executor == "process"
-        assert args.workers == 4
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--synthetic", "abt-buy", "--executor", "thread"])
-
-    def test_serial_with_workers_is_a_clean_error(self, capsys):
-        exit_code = main(
-            ["run", "--synthetic", "abt-buy", "--entities", "30",
-             "--executor", "serial", "--workers", "2"]
-        )
-        assert exit_code == 2
-        assert "no worker count" in capsys.readouterr().err
-
-    def test_workers_alone_implies_process_executor(self, capsys):
-        """--workers without --executor must not be silently ignored."""
-        from repro.options import executor_from_args as _executor_spec
-
-        args = build_parser().parse_args(
-            ["run", "--synthetic", "abt-buy", "--workers", "2"]
-        )
-        assert _executor_spec(args) == "process:2"
-        exit_code = main(
-            ["run", "--synthetic", "abt-buy", "--entities", "30", "--workers", "2"]
-        )
-        assert exit_code == 0
-
 
 class TestStagesCommand:
     def test_lists_registered_stages(self, capsys):
@@ -247,7 +206,7 @@ class TestSpecRun:
         ]) == 0
         first = capsys.readouterr().out
         spec = json.loads(resolved.read_text())
-        spec["engine"].update(parent_engine)
+        spec["engine"] = parent_engine
         resolved.write_text(json.dumps(spec))
         assert main(["run", "--spec", str(resolved), "--output", str(second_out)]) == 0
         assert metrics_table(capsys.readouterr().out) == metrics_table(first)
@@ -260,7 +219,7 @@ class TestSpecRun:
             "--output-config", str(resolved),
         ]) == 0
         spec = json.loads(resolved.read_text())
-        spec["engine"]["fault_policy"] = "retries=2,backoff=0.1,backoff_max=5"
+        spec["engine"] = dict(_PARENT_ENGINE, fault_policy="retries=2,backoff=0.1,backoff_max=5")
         resolved.write_text(json.dumps(spec))
         capsys.readouterr()
         assert main(["run", "--spec", str(resolved)]) == 2
@@ -308,7 +267,7 @@ class TestResumeCommand:
             "--checkpoint", str(checkpoint.directory), "--stop-after", "meta_blocking",
         ]) == 0
         state = checkpoint.load()
-        state["spec"]["engine"].update(parent_engine)
+        state["spec"]["engine"] = parent_engine
         checkpoint.save(state)
         capsys.readouterr()
         assert main([

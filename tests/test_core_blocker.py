@@ -3,6 +3,7 @@
 from repro.core.blocker import Blocker
 from repro.core.config import BlockerConfig
 from repro.looseschema.attribute_partitioning import AttributePartitioner
+from repro.metablocking.parallel import ParallelMetaBlocker
 
 
 class TestBlockerSchemaAgnostic:
@@ -67,7 +68,9 @@ class TestBlockerLooseSchema:
     def test_engine_backed_run_matches_local(self, abt_buy_small, engine):
         config = BlockerConfig(use_loose_schema=False, pruning_strategy="wnp")
         local = Blocker(config).run(abt_buy_small.profiles)
-        distributed = Blocker(config, engine=engine).run(abt_buy_small.profiles)
+        distributed = ParallelMetaBlocker(
+            engine, config.weighting_scheme, config.pruning_strategy, use_entropy=config.use_entropy
+        ).run(local.filtered_blocks)
         assert local.candidate_pairs == distributed.candidate_pairs
 
     def test_stage_rows(self, abt_buy_small):

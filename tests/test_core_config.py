@@ -95,12 +95,6 @@ class TestSparkERConfig:
         assert not config.blocker.use_loose_schema
         assert not config.blocker.use_entropy
 
-    def test_invalid_parallelism(self):
-        config = SparkERConfig()
-        config.parallelism = 0
-        with pytest.raises(ConfigurationError):
-            config.validate()
-
     def test_dict_roundtrip(self):
         config = SparkERConfig.unsupervised_default()
         config.blocker.attribute_threshold = 0.25

@@ -65,21 +65,6 @@ class TestSparkERUnsupervised:
         assert loose.summary()["candidate_pairs"] <= agnostic.summary()["candidate_pairs"]
 
 
-class TestSparkERWithEngine:
-    def test_engine_backed_run(self, abt_buy_small):
-        result = SparkER(use_engine=True).run(abt_buy_small.profiles, abt_buy_small.ground_truth)
-        assert result.summary()["clusters"] > 0
-
-    def test_engine_and_local_similar_quality(self, abt_buy_small):
-        local = SparkER().run(abt_buy_small.profiles, abt_buy_small.ground_truth)
-        distributed = SparkER(use_engine=True).run(
-            abt_buy_small.profiles, abt_buy_small.ground_truth
-        )
-        local_f1 = local.report.get("clustering").metrics["f1"]
-        distributed_f1 = distributed.report.get("clustering").metrics["f1"]
-        assert abs(local_f1 - distributed_f1) < 0.05
-
-
 class TestSparkERDirty:
     def test_dirty_er_pipeline(self, dirty_persons_small):
         config = SparkERConfig.schema_agnostic()

@@ -154,10 +154,10 @@ class TestMap:
             assert context.workers == (os.cpu_count() or 1)
         assert "EngineContext" in repr(engine)
 
-    def test_env_var_selects_the_executor(self, monkeypatch):
+    def test_env_var_is_not_read(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_EXECUTOR", "process:3")
         with EngineContext(2) as context:
-            assert context.executor == "process[3]"
+            assert context.executor == "serial"
 
     def test_invalid_parallelism(self):
         with pytest.raises(EngineError):

@@ -1,13 +1,12 @@
-"""The engine option: one resolution, one place that reads the env.
+"""Retired options: the keys stored artifacts still carry, and design guards.
 
-Covers :func:`repro.options.resolve_executor` (explicit > spec > env >
-``serial``, bad value ⇒ typed error naming its source), what builds on it
-(the ``--executor`` / ``--workers`` flags, engine-section validation,
-provenance, retired keys), and guards the design with ``ast`` walks over
-``src/repro``: only the options module reads ``REPRO_ENGINE_EXECUTOR``, no
-function declares a knob parameter, and no name of the removed buffer
-backend, temp-root option or options object survives outside the
-retired-key table.
+Covers :func:`repro.options.drop_retired_keys` through the doors stored
+artifacts come in by (pipeline specs with an ``engine`` section, service
+configs), the executor grammar of :class:`EngineContext`, the ``run`` flags
+and environment variables that went with their options, and guards the
+design with ``ast`` walks over ``src/repro``: nothing reads a retired
+environment variable, no function declares a knob parameter, and no name of
+a removed option survives outside the retired-key table.
 """
 
 from __future__ import annotations
@@ -21,73 +20,60 @@ import pytest
 from repro.core.config import SparkERConfig
 from repro.core.sparker import SparkER
 from repro.data.synthetic import SyntheticConfig, generate_abt_buy_like
-from repro.engine.context import EngineContext
+from repro.engine.context import EngineContext, canonical_executor
 from repro.exceptions import ConfigurationError, EngineError, PipelineValidationError
-from repro.options import (
-    ENGINE_SECTION_KEYS,
-    EXECUTOR_ENV_VAR,
-    drop_retired_keys,
-    executor_from_args,
-    resolve_executor,
-)
+from repro.options import drop_retired_keys
 from repro.pipeline import Pipeline
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 # Environment variables of the removed options: nothing may read them.
-RETIRED_ENV_VARS = {"REPRO_BUFFER_BACKEND", "REPRO_TMPDIR"}
+RETIRED_ENV_VARS = {"REPRO_BUFFER_BACKEND", "REPRO_TMPDIR", "REPRO_ENGINE_EXECUTOR"}
+
+# Engine sections `run --output-config` and `SparkER.canonical_spec` wrote
+# while the pipeline could run meta-blocking on the range pool, and values
+# the executor grammar would refuse: all are dropped.
+ENGINE_SECTIONS = [
+    {"enabled": True, "parallelism": 4, "executor": None},
+    {"enabled": True, "parallelism": 8, "executor": "process:2"},
+    {"enabled": False, "parallelism": 4},
+    {"executor": None},
+    {"executor": "cluster", "parallelism": 0},
+]
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
+class TestExecutorGrammar:
+    """``EngineContext``'s executor spec: ``serial`` / ``process`` / ``process:N``."""
 
+    def test_blank_values_are_serial(self):
+        assert canonical_executor(None) == canonical_executor("  ") == "serial"
 
-class TestResolveExecutor:
-    def test_explicit_over_spec_over_env_over_default(self, monkeypatch):
-        assert resolve_executor() == "serial"
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "process")
-        assert resolve_executor() == "process"
-        spec = {"executor": "mp:2"}
-        assert resolve_executor(None, spec) == "process:2"
-        assert resolve_executor("process:3", spec) == "process:3"
-        assert resolve_executor("process:3") == "process:3"
-
-    def test_blank_values_fall_through(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "   ")
-        assert resolve_executor("", {"executor": None}) == "serial"
-
-    def test_bad_value_is_a_typed_error_naming_its_source(self, monkeypatch):
-        with pytest.raises(EngineError, match="^executor: "):
-            resolve_executor("cluster")
-        with pytest.raises(EngineError, match="^engine.executor: "):
-            resolve_executor(None, {"executor": "cluster"})
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "cluster")
-        with pytest.raises(EngineError, match=f"^{EXECUTOR_ENV_VAR}: "):
-            resolve_executor()
+    def test_bad_value_is_a_typed_error(self):
+        with pytest.raises(EngineError, match="unknown executor"):
+            canonical_executor("cluster")
 
     def test_non_string_specs_are_rejected(self):
         with pytest.raises(EngineError, match="must be a string"):
-            resolve_executor(7)
+            canonical_executor(7)
 
     def test_resolving_a_resolved_value_is_a_no_op(self):
         for spec in ("serial", "process", "process:4"):
-            assert resolve_executor(resolve_executor(spec)) == spec
+            assert canonical_executor(canonical_executor(spec)) == spec
 
     @pytest.mark.parametrize("alias", ["serial", "sync", "driver", "SERIAL"])
     def test_serial_executor_aliases(self, alias):
-        assert resolve_executor(alias) == "serial"
+        assert canonical_executor(alias) == "serial"
 
     @pytest.mark.parametrize("alias", ["process", "processes", "multiprocessing", "mp"])
     def test_process_executor_aliases(self, alias):
-        assert resolve_executor(alias) == "process"
-        assert resolve_executor(f"{alias}: 4") == "process:4"
+        assert canonical_executor(alias) == "process"
+        assert canonical_executor(f"{alias}: 4") == "process:4"
 
     def test_executor_grammar_errors(self):
         with pytest.raises(EngineError, match="invalid worker count"):
-            resolve_executor("process:many")
+            canonical_executor("process:many")
         with pytest.raises(EngineError, match="no worker count"):
-            resolve_executor("serial:4")
+            canonical_executor("serial:4")
 
 
 class TestContext:
@@ -98,13 +84,6 @@ class TestContext:
             assert context.workers == 3 and context.executor == "process[3]"
             assert context.executor_spec == "process:3"
 
-    def test_context_without_an_executor_reads_the_environment(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "process:2")
-        with EngineContext(2) as context:
-            assert context.executor_spec == "process:2"
-        with EngineContext(2, executor="serial") as context:
-            assert context.workers == 0
-
     def test_retired_environment_variables_are_not_read(self, monkeypatch):
         # Values the removed options would have refused: a run that still
         # read them would fail.
@@ -113,48 +92,29 @@ class TestContext:
 
         monkeypatch.setenv("REPRO_BUFFER_BACKEND", "tape")
         monkeypatch.setenv("REPRO_TMPDIR", "/nonexistent/repro-root")
+        monkeypatch.setenv("REPRO_ENGINE_EXECUTOR", "cluster")
         blocks = BlockCollection()
         blocks.add(Block(key="a", profiles_source0={1, 2, 3}))
         blocks.add(Block(key="b", profiles_source0={2, 3}))
         assert MetaBlocker("cbs", "wnp").run(blocks).retained_edges
+        with EngineContext(2) as context:
+            assert context.executor_spec == "serial"
+        dataset = generate_abt_buy_like(SyntheticConfig(num_entities=20, seed=3))
+        assert SparkER(SparkERConfig.schema_agnostic()).run(dataset.profiles).candidate_pairs
 
 
 class TestEngineSection:
-    def test_engine_section_keys(self):
-        assert ENGINE_SECTION_KEYS == {"enabled", "parallelism", "executor"}
-
     def test_from_spec_rejects_unknown_engine_keys(self):
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
-        spec["engine"]["kernal_backend"] = "python"
+        spec["engine"] = {"enabled": True, "kernal_backend": "python"}
         with pytest.raises(PipelineValidationError) as raised:
             Pipeline.from_spec(spec)
         assert "kernal_backend" in str(raised.value)
-        for key in ENGINE_SECTION_KEYS:
-            assert key in str(raised.value)
 
-    def test_from_spec_wraps_bad_values(self):
+    def test_canonical_and_resolved_specs_have_no_engine_section(self):
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
-        spec["engine"]["executor"] = "cluster"
-        with pytest.raises(PipelineValidationError, match="engine.executor"):
-            Pipeline.from_spec(spec)
-
-    def test_explicit_executor_wins_over_the_engine_section(self):
-        spec = SparkER.canonical_spec(
-            SparkERConfig.unsupervised_default(), use_engine=True, executor="process:2"
-        )
-        with Pipeline.from_spec(spec, executor="serial") as pipeline:
-            assert pipeline.executor == "serial"
-            assert pipeline.engine.workers == 0
-
-    def test_cli_flags_compose_the_executor(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        assert executor_from_args(parser.parse_args(["run", "--synthetic", "abt-buy"])) is None
-        args = parser.parse_args(["run", "--synthetic", "abt-buy", "--workers", "2"])
-        assert executor_from_args(args) == "process:2"
-        args = parser.parse_args(["run", "--synthetic", "abt-buy", "--executor", "serial"])
-        assert executor_from_args(args) == "serial"
+        assert "engine" not in spec
+        assert "engine" not in Pipeline.from_spec(spec).resolved_spec()
 
     @pytest.mark.parametrize(
         "flags",
@@ -166,6 +126,10 @@ class TestEngineSection:
             ["--buffer-backend", "ram"],
             ["--buffer-backend", "memmap"],
             ["--tmp-dir", "/tmp"],
+            ["--engine"],
+            ["--executor", "process"],
+            ["--executor", "serial"],
+            ["--workers", "2"],
         ],
     )
     def test_removed_flags_went_with_their_options(self, flags):
@@ -174,62 +138,38 @@ class TestEngineSection:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--synthetic", "abt-buy", *flags])
 
-    def test_the_executor_flags_are_declared_on_run(self, capsys):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--executor" in help_text and "--workers" in help_text
-
 
 class TestProvenance:
-    """A resolved spec records what ran, so it replays under any environment."""
+    """Specs written while the retired options existed still load and run."""
 
-    def test_env_selected_executor_round_trips(self, monkeypatch):
-        dataset = generate_abt_buy_like(SyntheticConfig(num_entities=30, seed=3))
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "process:2")
-        # Schema-agnostic: the loose-schema LSH adds nothing to what is tested.
-        facade = SparkER(SparkERConfig.schema_agnostic(), use_engine=True)
-        try:
-            first = facade.run(dataset.profiles)
-        finally:
-            facade.shutdown()
-        spec = first.pipeline_result.spec
-        assert spec["engine"]["executor"] == "process:2"
-
-        monkeypatch.delenv(EXECUTOR_ENV_VAR)
-        replay = Pipeline.from_spec(spec)
-        try:
-            assert replay.executor == "process:2"
-            assert replay.engine.executor_spec == "process:2"
-            second = replay.run(dataset.profiles)
-        finally:
-            replay.shutdown()
-        assert second.candidate_pairs == first.candidate_pairs
-        assert second.spec == spec
-
+    @pytest.mark.parametrize("engine", ENGINE_SECTIONS)
     @pytest.mark.parametrize("buffer_backend", [None, "ram", "memmap"])
     @pytest.mark.parametrize("kernel_backend", [None, "auto", "numpy"])
     @pytest.mark.parametrize("block_store", [None, "driver", "shared-memory", "spill"])
-    def test_parent_era_spec_still_loads(self, kernel_backend, block_store, buffer_backend):
+    def test_parent_era_spec_still_loads(self, kernel_backend, block_store, buffer_backend, engine):
         # The shapes `run --output-config` wrote while the retired options
         # existed: their resolved defaults, or any block store, buffer
-        # backend and temp root.
-        spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
-        spec["engine"] = {
-            "enabled": True, "parallelism": 4, "executor": None,
-            "kernel_backend": kernel_backend, "block_store": block_store,
-            "fault_policy": "retries=0,backoff=0.1,backoff_max=5",
-            "buffer_backend": buffer_backend, "tmp_dir": "/tmp",
-        }
-        spec["dataset"] = {"synthetic": "abt-buy", "entities": 40, "seed": 42}
-        pipeline = Pipeline.from_spec(spec)
-        try:
-            assert pipeline.engine.executor == "serial"
-            assert set(pipeline.resolved_spec()["engine"]) == ENGINE_SECTION_KEYS
-        finally:
-            pipeline.shutdown()
+        # backend and temp root, beside any engine section.
+        canonical = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
+        spec = dict(canonical, dataset={"synthetic": "abt-buy", "entities": 40, "seed": 42})
+        spec["engine"] = dict(
+            engine,
+            kernel_backend=kernel_backend, block_store=block_store,
+            fault_policy="retries=0,backoff=0.1,backoff_max=5",
+            buffer_backend=buffer_backend, tmp_dir="/tmp",
+        )
+        expected = Pipeline.from_spec(canonical).resolved_spec()
+        assert Pipeline.from_spec(spec).resolved_spec() == expected
+
+    @pytest.mark.parametrize("engine", ENGINE_SECTIONS)
+    def test_parent_era_engine_section_runs_like_none(self, engine):
+        dataset = generate_abt_buy_like(SyntheticConfig(num_entities=40, seed=3))
+        spec = SparkER.canonical_spec(SparkERConfig.schema_agnostic())
+        plain = Pipeline.from_spec(spec).run(dataset.profiles)
+        old = Pipeline.from_spec(dict(spec, engine=engine)).run(dataset.profiles)
+        assert old.entities == plain.entities
+        assert list(old.candidate_pairs) == list(plain.candidate_pairs)
+        assert old.spec == plain.spec
 
     @pytest.mark.parametrize(
         "key, value, removed",
@@ -241,7 +181,7 @@ class TestProvenance:
     )
     def test_a_spec_asking_for_a_removed_feature_is_refused(self, key, value, removed):
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
-        spec["engine"][key] = value
+        spec["engine"] = {"enabled": True, "executor": "process:2", key: value}
         with pytest.raises(PipelineValidationError, match=removed):
             Pipeline.from_spec(spec)
 
@@ -256,9 +196,16 @@ class TestProvenance:
 
     def test_a_spec_asking_for_the_interpreted_kernel_is_refused(self):
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
-        spec["engine"]["kernel_backend"] = "python"
+        spec["engine"] = {"kernel_backend": "python"}
         with pytest.raises(PipelineValidationError, match="interpreted meta-blocking kernel"):
             Pipeline.from_spec(spec)
+
+    def test_saved_config_with_parallelism_loads(self):
+        saved = SparkERConfig.schema_agnostic().as_dict()
+        assert "parallelism" not in saved
+        for parallelism in (4, 8, 0):
+            config = SparkERConfig.from_dict(dict(saved, parallelism=parallelism))
+            assert config.as_dict() == saved
 
 
 # ---------------------------------------------------------------- design guard
@@ -266,8 +213,10 @@ class TestProvenance:
 # not come back as parameters.
 KNOB_PARAMETERS = {
     "kernel_backend", "buffer_backend", "block_store", "fault_policy", "fault_injector",
-    "tmp_dir", "options",
+    "tmp_dir", "options", "executor", "use_engine", "engine",
 }
+# The range pool itself keeps its executor.
+KNOB_OWNERS = {("engine/context.py", "executor")}
 
 
 def _modules():
@@ -327,10 +276,9 @@ def _environ_keys(tree):
             yield key
 
 
-def test_only_the_options_module_reads_the_engine_environment():
+def test_no_module_reads_a_retired_environment_variable():
     trees = dict(_modules())
     reads = {module: set(_environ_keys(tree)) for module, tree in trees.items()}
-    assert [m for m, keys in reads.items() if EXECUTOR_ENV_VAR in keys] == ["options.py"]
     assert [m for m, keys in reads.items() if keys & RETIRED_ENV_VARS] == []
     # The walk does see reads: the chaos hook's own.
     assert "REPRO_SERVICE_FAULT" in reads["service/faults.py"]
@@ -339,7 +287,7 @@ def test_only_the_options_module_reads_the_engine_environment():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         and _is_os_environ(node.func.value)
     ]
-    assert len(generic) == 1  # the one read in resolve_executor
+    assert generic == []
 
 
 def test_no_function_declares_a_knob_parameter():
@@ -358,15 +306,18 @@ def test_no_function_declares_a_knob_parameter():
                     for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs
                 }
                 for name in sorted(names & KNOB_PARAMETERS):
-                    offenders.append((module, prefix + node.name, name))
+                    if (module, name) not in KNOB_OWNERS:
+                        offenders.append((module, prefix + node.name, name))
     assert offenders == []
 
 
-# Names of the deleted buffer backend, temp-root option, options object and
-# shared-memory transport of the CSR index.
+# Names of the deleted buffer backend, temp-root option, options object,
+# shared-memory transport of the CSR index and the pipeline's engine option.
 REMOVED_NAMES = re.compile(
     r"memmap|buffer_backend|tmp_dir|csrbuf|EngineOptions"
     r"|export_shared|SharedIndexBuffers|sweep_orphaned_segments|shared_memory|sharedmem"
+    r"|use_engine|resolve_executor|REPRO_ENGINE_EXECUTOR|engine_metrics|executor_from_args"
+    r"|check_engine_section|ENGINE_SECTION_KEYS"
 )
 
 

@@ -38,6 +38,10 @@ FULL_SPEC = {
     ],
 }
 
+# The engine section every resolved spec recorded while the pipeline had an
+# engine option (a driver-side run).
+PARENT_ENGINE = {"enabled": False, "parallelism": 4, "executor": "serial"}
+
 EXPECTED_KINDS = {
     "loose_schema",
     "token_blocking",
@@ -270,23 +274,6 @@ class TestExecution:
         assert summary["entities"] == len(result.entities)
         assert summary["stages_run"] == len(FULL_SPEC["stages"])
 
-    def test_engine_metrics_recorded_per_stage(self, abt_buy_small):
-        spec = dict(FULL_SPEC, engine={"enabled": True, "parallelism": 2})
-        pipeline = Pipeline.from_spec(spec)
-        try:
-            result = pipeline.run(abt_buy_small.profiles, abt_buy_small.ground_truth)
-        finally:
-            pipeline.shutdown()
-        assert result.engine_metrics["tasks"] > 0
-        by_label = {e.label: e for e in result.executions}
-        assert by_label["meta_blocking"].engine["tasks"] > 0
-        # Meta-blocking is the one job on the engine.
-        assert by_label["token_blocking"].engine["tasks"] == 0
-        assert sum(e.engine["tasks"] for e in result.executions) == (
-            result.engine_metrics["tasks"]
-        )
-        assert "engine" in result.summary()
-
     def test_missing_declared_output_is_an_error(self, abt_buy_small):
         from repro.pipeline import Stage, register_stage
         from repro.pipeline.stage import _port
@@ -379,7 +366,7 @@ class TestCheckpointResume:
             abt_buy_small.profiles, checkpoint=checkpoint, stop_after="meta_blocking"
         )
         state = checkpoint.load()
-        state["spec"]["engine"]["kernel_backend"] = kernel_backend
+        state["spec"]["engine"] = dict(PARENT_ENGINE, kernel_backend=kernel_backend)
         checkpoint.save(state)
         if kernel_backend == "python":
             with pytest.raises(PipelineValidationError, match="interpreted"):
@@ -400,6 +387,8 @@ class TestCheckpointResume:
               "fault_policy": "retries=0,backoff=0.1,backoff_max=5"}, None),
             ({"fault_policy": "retries=2,backoff=0.1,backoff_max=5"}, "retries"),
             ({"fault_inject": "crash@metablocking.weights:0#1"}, "fault injector"),
+            # Meta-blocking on a two-worker range pool.
+            ({"enabled": True, "parallelism": 8, "executor": "process:2"}, None),
         ],
     )
     def test_a_checkpoint_recording_retired_engine_options(
@@ -411,7 +400,7 @@ class TestCheckpointResume:
             abt_buy_small.profiles, checkpoint=checkpoint, stop_after="meta_blocking"
         )
         state = checkpoint.load()
-        state["spec"]["engine"].update(engine_keys)
+        state["spec"]["engine"] = dict(PARENT_ENGINE, **engine_keys)
         checkpoint.save(state)
         if refused:
             with pytest.raises(PipelineValidationError, match=refused):
@@ -420,7 +409,7 @@ class TestCheckpointResume:
         resumed = Pipeline.resume(checkpoint)
         assert resumed.candidate_pairs == uninterrupted.candidate_pairs
         assert resumed.entities == uninterrupted.entities
-        assert not set(engine_keys) & set(resumed.spec["engine"])
+        assert "engine" not in resumed.spec
 
     def test_checkpoint_written_after_every_stage(self, abt_buy_small, tmp_path):
         checkpoint = PipelineCheckpoint(tmp_path / "ckpt")

@@ -4,8 +4,8 @@
 ``Blocker`` the blocker half of it, ``blocker_stages(config.blocker)``; this
 module asserts the entry points are bit-for-bit identical to the spec run
 and to each other — blocks, retained edges, matched pairs, clusters and
-reports — on clean-clean and dirty synthetic datasets, under the serial and
-process executors, that ``repro.core`` builds no second blocker chain, and
+reports — on clean-clean and dirty synthetic datasets, that ``repro.core``
+builds no second blocker chain, and
 that a checkpointed run resumed mid-pipeline reproduces the uninterrupted
 result.
 """
@@ -47,8 +47,6 @@ _DATASETS = {
     ),
 }
 
-_EXECUTORS = {"driver": None, "serial": "serial", "process": "process:2"}
-
 
 def _assert_equivalent(facade_result, pipeline_result) -> None:
     """Bit-for-bit equality of every artifact the facade exposes."""
@@ -81,28 +79,13 @@ def _cluster_pairs(cluster):
 
 class TestFacadePipelineEquivalence:
     @pytest.mark.parametrize("dataset_key", sorted(_DATASETS))
-    @pytest.mark.parametrize("executor_key", sorted(_EXECUTORS))
-    def test_facade_matches_canonical_spec(self, dataset_key, executor_key):
+    def test_facade_matches_canonical_spec(self, dataset_key):
         make_dataset, make_config = _DATASETS[dataset_key]
         dataset = make_dataset()
-        executor = _EXECUTORS[executor_key]
-        use_engine = executor is not None
-
-        facade = SparkER(make_config(), use_engine=use_engine, executor=executor)
-        try:
-            facade_result = facade.run(dataset.profiles, dataset.ground_truth)
-        finally:
-            facade.shutdown()
-
-        spec = SparkER.canonical_spec(
-            make_config(), use_engine=use_engine, executor=executor
+        facade_result = SparkER(make_config()).run(dataset.profiles, dataset.ground_truth)
+        pipeline_result = Pipeline.from_spec(SparkER.canonical_spec(make_config())).run(
+            dataset.profiles, dataset.ground_truth
         )
-        pipeline = Pipeline.from_spec(spec)
-        try:
-            pipeline_result = pipeline.run(dataset.profiles, dataset.ground_truth)
-        finally:
-            pipeline.shutdown()
-
         _assert_equivalent(facade_result, pipeline_result)
 
     def test_facade_matches_spec_without_meta_blocking(self):
@@ -132,31 +115,6 @@ class TestFacadePipelineEquivalence:
         assert list(result.timings.durations) == labels
         assert result.report is result.pipeline_result.report
 
-    def test_facade_summary_includes_engine_metrics(self, abt_buy_small):
-        facade = SparkER(use_engine=True)
-        try:
-            result = facade.run(abt_buy_small.profiles, abt_buy_small.ground_truth)
-        finally:
-            facade.shutdown()
-        assert result.engine_metrics["tasks"] > 0
-        assert result.summary()["engine"]["tasks"] > 0
-        # Driver-side runs keep the legacy summary shape (no engine key).
-        plain = SparkER().run(abt_buy_small.profiles)
-        assert "engine" not in plain.summary()
-
-    def test_engine_metrics_are_per_run_not_lifetime(self, abt_buy_small):
-        facade = SparkER(use_engine=True)
-        try:
-            first = facade.run(abt_buy_small.profiles)
-            second = facade.run(abt_buy_small.profiles)
-        finally:
-            facade.shutdown()
-        # The context outlives both runs; each report must count its own run.
-        assert second.engine_metrics["tasks"] == first.engine_metrics["tasks"]
-        assert second.engine_metrics["stages"] == (
-            first.engine_metrics["stages"]
-        )
-
     def test_schema_agnostic_ignores_user_partitioning(self, abt_buy_small):
         """The legacy Blocker only consulted a partitioning on the
         loose-schema path; a schema-agnostic config must block identically
@@ -175,34 +133,13 @@ class TestFacadePipelineEquivalence:
         assert seeded.matched_pairs == plain.matched_pairs
         assert seeded.blocker_report.partitioning is None
 
-    def test_engine_run_metrics_keep_gauges(self, abt_buy_small):
-        facade = SparkER(use_engine=True)
-        try:
-            result = facade.run(abt_buy_small.profiles)
-        finally:
-            facade.shutdown()
-        # Counters are per-run deltas; configuration gauges pass through.
-        assert result.engine_metrics["default_parallelism"] == 4
-        assert result.engine_metrics["tasks"] > 0
-
-    def test_engine_backed_provenance_spec_round_trips(self, abt_buy_small):
-        facade = SparkER(use_engine=True, executor="process:2")
-        try:
-            result = facade.run(abt_buy_small.profiles)
-        finally:
-            facade.shutdown()
-        engine_section = result.pipeline_result.spec["engine"]
-        assert engine_section["enabled"] is True
-        assert engine_section["executor"] == "process:2"
-
 
 _BLOCKER_CASES = ("loose_schema", "schema_agnostic", "no_meta_blocking", "user_partitioning")
 
 
 class TestBlockerIsTheBlockerHalfOfSparkER:
     @pytest.mark.parametrize("case", _BLOCKER_CASES)
-    @pytest.mark.parametrize("executor_key", ["driver", "process"])
-    def test_blocker_equals_sparker_blocker_stages(self, case, executor_key):
+    def test_blocker_equals_sparker_blocker_stages(self, case):
         dataset = generate_abt_buy_like(SyntheticConfig(num_entities=50, seed=11))
         if case == "schema_agnostic":
             config = SparkERConfig.schema_agnostic()
@@ -212,17 +149,10 @@ class TestBlockerIsTheBlockerHalfOfSparkER:
         partitioning = None
         if case == "user_partitioning":
             partitioning = AttributePartitioner(threshold=0.1).partition(dataset.profiles)
-        executor = _EXECUTORS[executor_key]
-        sparker = SparkER(
-            config, use_engine=executor is not None, executor=executor, partitioning=partitioning
+        blocker = Blocker(config.blocker, partitioning=partitioning).run(
+            dataset.profiles, dataset.ground_truth
         )
-        try:
-            blocker = Blocker(
-                config.blocker, engine=sparker.engine, partitioning=partitioning
-            ).run(dataset.profiles, dataset.ground_truth)
-            full = sparker.run(dataset.profiles, dataset.ground_truth)
-        finally:
-            sparker.shutdown()
+        full = SparkER(config, partitioning=partitioning).run(dataset.profiles, dataset.ground_truth)
 
         expected = full.blocker_report
         for name in ("raw_blocks", "purged_blocks", "filtered_blocks"):
@@ -270,32 +200,18 @@ def test_core_builds_no_second_blocker_chain():
 
 
 class TestCheckpointResumeEquivalence:
-    @pytest.mark.parametrize("executor_key", ["driver", "process"])
-    def test_killed_after_meta_blocking_then_resumed(self, executor_key, tmp_path):
+    def test_killed_after_meta_blocking_then_resumed(self, tmp_path):
         dataset = generate_abt_buy_like(SyntheticConfig(num_entities=50, seed=11))
-        executor = _EXECUTORS[executor_key]
-        use_engine = executor is not None
-        spec = SparkER.canonical_spec(
-            _clean_clean_config(), use_engine=use_engine, executor=executor
-        )
-
-        pipeline = Pipeline.from_spec(spec)
-        try:
-            uninterrupted = pipeline.run(dataset.profiles, dataset.ground_truth)
-        finally:
-            pipeline.shutdown()
+        spec = SparkER.canonical_spec(_clean_clean_config())
+        uninterrupted = Pipeline.from_spec(spec).run(dataset.profiles, dataset.ground_truth)
 
         checkpoint = tmp_path / "ckpt"
-        interrupted = Pipeline.from_spec(spec)
-        try:
-            partial = interrupted.run(
-                dataset.profiles,
-                dataset.ground_truth,
-                checkpoint=checkpoint,
-                stop_after="meta_blocking",
-            )
-        finally:
-            interrupted.shutdown()
+        partial = Pipeline.from_spec(spec).run(
+            dataset.profiles,
+            dataset.ground_truth,
+            checkpoint=checkpoint,
+            stop_after="meta_blocking",
+        )
         assert partial.partial
         assert "similarity_graph" not in partial.artifacts
 
