@@ -16,7 +16,8 @@ ingested the same durable prefix of batches:
   twin's, and ``matches``/``candidates`` answers agree exactly;
 * recovering twice from the same disk state yields the same fingerprint
   (replay idempotence);
-* no ``repro-*`` temp artifacts leak into the WAL directory.
+* no file but the log leaks into the WAL directory, and no ``*.tmp`` temp
+  into the snapshot directory.
 
 Kill points cover the full write path: before the log write, after the log
 but before the index apply, after the apply but before the ack, mid-snapshot
@@ -140,7 +141,6 @@ def tear_log_tail(wal_dir: str) -> None:
 
 def run_scenario(name: str, base_dir: "str | None" = None) -> dict:
     """Run one scenario end to end; raises :class:`ChaosFailure` on breach."""
-    from repro.engine import tmpfiles
     from repro.service.faults import CRASH_EXIT_CODE
     from repro.service.store import CollectionStore
 
@@ -227,11 +227,14 @@ def run_scenario(name: str, base_dir: "str | None" = None) -> dict:
 
     leaked = [
         entry for entry in os.listdir(wal_dir) if not entry.endswith(".wal")
+    ] + [
+        os.path.join(directory, entry)
+        for directory, _subdirs, entries in os.walk(snapshot_dir)
+        for entry in entries
+        if entry.endswith(".tmp")
     ]
-    if leaked or tmpfiles.live_artifacts():
-        raise ChaosFailure(
-            f"{name}: leaked artifacts {leaked or tmpfiles.live_artifacts()}"
-        )
+    if leaked:
+        raise ChaosFailure(f"{name}: leaked files {leaked}")
     if own_dir is not None:
         import shutil
 

@@ -170,13 +170,10 @@ class StageExecution:
     seconds: float = 0.0
     resumed: bool = False
 
-    def as_row(self, metrics: dict[str, object] | None = None) -> dict[str, object]:
+    def as_row(self) -> dict[str, object]:
         """One row of the unified per-stage table (CLI output)."""
-        row: dict[str, object] = {
+        return {
             "stage": self.label,
             "status": "resumed" if self.resumed else "run",
             "seconds": round(self.seconds, 4),
         }
-        if metrics:
-            row.update(metrics)
-        return row

@@ -44,10 +44,9 @@ reads (see :mod:`repro.service.wal`).
 
 **Shutdown ordering.**  Stop accepting, *drain* in-flight connections and
 offloaded work under ``drain_timeout``, then close every collection and
-sweep owned tmp artifacts (:func:`repro.engine.tmpfiles.
-discard_live_artifacts`) — a SIGTERM during a WAL truncate must not unlink
-the rewrite temp it is still writing, and a stopped service must not leak
-``repro-*`` files (CI asserts it, and that no ``/dev/shm`` entry appears).
+sweep the store's WAL and snapshot directories of durable-file temps
+(:func:`repro.pipeline.checkpoint.sweep`) — after the drain, so it races
+no write unless the drain window expired first.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import __version__
-from repro.engine import tmpfiles as _tmpfiles
 from repro.exceptions import ConfigurationError
+from repro.pipeline.checkpoint import sweep, temp_files
 from repro.service.http import HttpError, HttpServer, Request, Response, Router
 from repro.service.metrics import ServiceMetrics
 from repro.service.store import CollectionStore
@@ -147,7 +146,7 @@ class ServiceApp:
     def _metrics(self, _request: Request) -> dict:
         payload = self.metrics.snapshot()
         payload["collections"] = self.store.stats()
-        payload["tmp_artifacts"] = len(_tmpfiles.live_artifacts())
+        payload["tmp_artifacts"] = sum(len(temp_files(d)) for d in self.store.directories())
         return payload
 
     def _collections(self, _request: Request) -> dict:
@@ -327,13 +326,14 @@ class ServiceApp:
         return drained and self._inflight == 0
 
     def shutdown(self) -> None:
-        """Close collections and sweep owned tmp artifacts (idempotent)."""
+        """Close collections and sweep the store's temps (idempotent)."""
         if self._closed:
             return
         self._closed = True
         self._pool.shutdown(wait=False, cancel_futures=True)
         self.store.close_all()
-        _tmpfiles.discard_live_artifacts()
+        for directory in self.store.directories():
+            sweep(directory)
 
 
 async def run_service(app: ServiceApp, *, ready=None, stop_event=None) -> None:

@@ -102,6 +102,8 @@ def _parse_attributes(raw, profile: EntityProfile) -> None:
     if not isinstance(raw, dict):
         raise DataError("profile 'attributes' must be an object of attr -> value")
     for attribute, value in raw.items():
+        if not isinstance(attribute, str):  # JSON, hence the WAL, keeps only strings
+            raise DataError(f"attribute name {attribute!r} must be a string")
         values = value if isinstance(value, (list, tuple)) else [value]
         for item in values:
             if item is None:
@@ -182,9 +184,10 @@ class ServiceCollection:
             source = raw.get("source", 0)
             if source not in (0, 1):
                 raise DataError(f"profile #{position} 'source' must be 0 or 1")
-            profile = EntityProfile(
-                profile_id, str(raw.get("original_id", profile_id)), source
-            )
+            original_id = raw.get("original_id", profile_id)
+            if original_id is not None and not isinstance(original_id, (str, int, float)):
+                raise DataError(f"profile #{position} 'original_id' must be a string or number")
+            profile = EntityProfile(profile_id, str(original_id), source)
             _parse_attributes(raw.get("attributes", {}), profile)
             profiles.append(profile)
             last_id = profile_id

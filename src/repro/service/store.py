@@ -14,19 +14,24 @@ With a ``wal_dir`` every collection also gets a
 :class:`~repro.service.wal.WriteAheadLog` (``<wal_dir>/<name>.wal``):
 ingests are logged before they apply, ``snapshot`` truncates the log up to
 the snapshotted sequence number, and :meth:`CollectionStore.recover` —
-the crash-restart entry point — restores snapshots, sweeps orphaned WAL
-rewrite temps, and replays each log tail, reconstructing exactly the
-pre-crash acked state (a batch-boundary prefix of the ingest history).
+the crash-restart entry point — sweeps orphaned temps, restores snapshots,
+and replays each log tail, reconstructing exactly the pre-crash acked state
+(a batch-boundary prefix of the ingest history).
+
+Every file here goes through the one durable-file writer of
+:mod:`repro.pipeline.checkpoint`.  The WAL directory and each snapshot
+directory have **one owning process** — :meth:`CollectionStore.recover`
+adopts every ``<name>.wal`` it finds, so two live servers must never share
+one — and the owner sweeps every temp in them at recovery and at shutdown.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.engine import tmpfiles as _tmpfiles
 from repro.service.faults import service_fault
 from repro.exceptions import ConfigurationError
-from repro.pipeline.checkpoint import PipelineCheckpoint
+from repro.pipeline.checkpoint import PipelineCheckpoint, sweep
 from repro.service.collection import (
     CollectionConfig,
     ServiceCollection,
@@ -101,13 +106,21 @@ class CollectionStore:
             WriteAheadLog(self._wal_path(collection.config.name), fsync=policy)
         )
 
-    def recover(self) -> dict:
-        """Crash-restart entry point: snapshots, temp sweep, WAL replay.
+    def directories(self) -> list[str]:
+        """The WAL directory and every snapshot directory that exist."""
+        found = [self.wal_dir] if self.wal_dir and os.path.isdir(self.wal_dir) else []
+        if self.snapshot_dir and os.path.isdir(self.snapshot_dir):
+            with os.scandir(self.snapshot_dir) as entries:
+                found += sorted(entry.path for entry in entries if entry.is_dir())
+        return found
 
-        Restores every readable snapshot, sweeps ``waltmp`` rewrite temps
-        orphaned by a crash mid-truncate, then replays each ``<name>.wal``
-        tail on top of the restored state — records the snapshot already
-        covers (``seq <= wal_applied_seq``) are skipped, so replaying twice
+    def recover(self) -> dict:
+        """Crash-restart entry point: temp sweep, snapshots, WAL replay.
+
+        Sweeps the temps a crash left in :meth:`directories`, restores every
+        snapshot, then replays each ``<name>.wal`` tail on top of the
+        restored state — records the snapshot already covers
+        (``seq <= wal_applied_seq``) are skipped, so replaying twice
         or after an un-truncated snapshot is idempotent.  Collections that
         only exist as a log (no snapshot yet) are created from the store
         defaults, which is the configuration they were serving with as long
@@ -115,16 +128,14 @@ class CollectionStore:
 
         Returns ``{"restored", "replayed", "torn_truncations", "swept"}``.
         """
+        swept = [path for directory in self.directories() for path in sweep(directory)]
         summary: dict = {
             "restored": self.load_snapshots(),
             "replayed": {},
             "torn_truncations": 0,
-            "swept": [],
+            "swept": swept,
         }
         if self.wal_dir and os.path.isdir(self.wal_dir):
-            summary["swept"] = _tmpfiles.sweep_orphaned_artifacts(
-                self.wal_dir, kind="waltmp"
-            )
             for entry in sorted(os.listdir(self.wal_dir)):
                 if not entry.endswith(_WAL_SUFFIX):
                     continue
@@ -159,10 +170,10 @@ class CollectionStore:
     def snapshot(self, name: str) -> dict:
         """Persist one collection; return where and what was written.
 
-        Order matters for crash safety: sync the WAL, write the checkpoint,
-        *then* truncate the log up to the snapshotted sequence number — a
-        crash between the last two steps leaves extra log records that
-        replay skips as duplicates.
+        Order matters for crash safety: sync the WAL, write the checkpoint
+        (fsynced), *then* truncate the log up to the snapshotted sequence
+        number — a crash between the last two steps leaves extra log
+        records that replay skips as duplicates.
         """
         collection = self._collections.get(name)
         if collection is None:
@@ -200,7 +211,9 @@ class CollectionStore:
 
         Returns the restored names.  Collections already registered (e.g.
         preloaded from a spec) are left alone; unreadable snapshots raise —
-        refusing to serve half a dataset beats serving it silently.
+        refusing to serve half a dataset beats serving it silently.  A save
+        cut short leaves the new copy, the previous one, or (a first
+        snapshot) none, and then the untruncated log replays instead.
         """
         if not self.snapshot_dir or not os.path.isdir(self.snapshot_dir):
             return []

@@ -15,13 +15,16 @@ offset  bytes  field
 0       8      sequence number (``<Q``, unsigned little-endian)
 8       4      payload length ``L`` (``<I``)
 12      4      CRC-32 of the payload bytes (``<I``, :func:`zlib.crc32`)
-16      L      payload — the raw ingest dict, pickled
+16      L      payload — the ingest dict as compact JSON (UTF-8)
 ======  =====  =======================================================
 
 A **torn tail** (the process died mid-write: short header, short payload,
 or CRC mismatch) is detected on replay, truncated off the file and counted
 — never fatal.  Replay therefore yields a batch-boundary prefix of the
-ingest history: a record is either fully durable or it never happened.
+ingest history: a record is either fully durable or it never happened.  An
+intact record that is not JSON (an earlier version's binary record) is no
+tear: replay raises :class:`~repro.exceptions.DataError` naming the file
+and sequence number, and leaves the file alone.
 
 Durability is graded by the ``fsync`` policy:
 
@@ -32,10 +35,10 @@ Durability is graded by the ``fsync`` policy:
 * ``off`` — never ``fsync``: fastest, same process-kill guarantee as
   ``batch``.
 
-Truncation rewrites the surviving records into a pid-stamped ``waltmp``
-artifact (:mod:`repro.engine.tmpfiles`) and renames it over the log, so a
-crash mid-truncate leaves either the complete old log or the complete new
-one, plus at most one orphaned temp the startup sweep reclaims.
+Truncation rewrites the surviving records through the one durable-file
+writer of :mod:`repro.pipeline.checkpoint`, so a crash mid-truncate leaves
+either the complete old log or the complete new one, plus at most one
+``<name>.wal.<random>.tmp`` that the startup sweep reclaims.
 
 A WAL device error (``OSError`` on append) flips the owning collection
 into **read-only degraded mode**: writes are rejected (HTTP ``507``), reads
@@ -45,14 +48,14 @@ keep serving the last consistent state — see
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 import struct
 import zlib
 
-from repro.engine import tmpfiles as _tmpfiles
+from repro.exceptions import ConfigurationError, DataError, SparkERError
+from repro.pipeline.checkpoint import commit_temp, write_synced_temp
 from repro.service.faults import service_fault
-from repro.exceptions import ConfigurationError, SparkERError
 
 _HEADER = struct.Struct("<QII")  # sequence number, payload length, payload CRC-32
 
@@ -84,9 +87,7 @@ class WriteAheadLog:
     # ----------------------------------------------------------------- append
     def _append_handle(self):
         if self._handle is None:
-            parent = os.path.dirname(self.path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
             self._handle = open(self.path, "ab")
         return self._handle
 
@@ -96,10 +97,14 @@ class WriteAheadLog:
         The record is flushed to the OS before returning under every policy
         (process death never loses an acked append); ``fsync`` per the
         policy.  Raises :class:`OSError` on device failure — the caller
-        (the collection) maps that to degraded mode.
+        (the collection) maps that to degraded mode; :class:`DataError`,
+        before anything is written, when the payload has no JSON form.
         """
         service_fault("wal.append")
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        try:
+            data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        except (TypeError, ValueError) as error:
+            raise DataError(f"ingest payload cannot be logged as JSON: {error}") from error
         seq = self.next_seq
         record = _HEADER.pack(seq, len(data), zlib.crc32(data)) + data
         handle = self._append_handle()
@@ -176,20 +181,27 @@ class WriteAheadLog:
         A partial final record (the process died mid-write) is cut off the
         file and counted in :attr:`torn_truncations` — the log then ends at
         the last complete record, which is the durability contract: a batch
-        is either fully logged or it never happened.
+        is either fully logged or it never happened.  An intact record that
+        does not decode raises :class:`DataError` before the file is touched.
         """
         self._close_handle()
         records, good_end, torn = self._scan()
+        out = []
+        for seq, _raw, payload in records:
+            try:
+                out.append((seq, json.loads(payload)))
+            except ValueError as error:
+                raise DataError(
+                    f"WAL {self.path}: record {seq} passes its CRC but is not a "
+                    f"JSON ingest payload (written by an earlier version?): {error}"
+                ) from error
+            self.next_seq = max(self.next_seq, seq + 1)
         if torn:
             with open(self.path, "r+b") as handle:
                 handle.truncate(good_end)
                 handle.flush()
                 os.fsync(handle.fileno())
             self.torn_truncations += 1
-        out = []
-        for seq, _raw, payload in records:
-            out.append((seq, pickle.loads(payload)))
-            self.next_seq = max(self.next_seq, seq + 1)
         self.replayed_records += len(out)
         return out
 
@@ -198,27 +210,24 @@ class WriteAheadLog:
         """Drop every record with sequence number ``<= seq``; return the count.
 
         Called after a snapshot: records the snapshot already covers are
-        dead weight.  The surviving suffix is rewritten into a ``waltmp``
-        artifact and atomically renamed over the log — a crash in between
-        leaves a complete log either way.
+        dead weight.  The surviving suffix is written to a synced temp and
+        committed over the log — a crash in between (the ``wal.truncate``
+        fault point) leaves a complete log either way.
         """
         self._close_handle()
         records, _good_end, torn = self._scan()
-        survivors = [(s, raw) for s, raw, _payload in records if s > seq]
+        survivors = [raw for s, raw, _payload in records if s > seq]
         dropped = len(records) - len(survivors)
         if dropped == 0 and not torn and os.path.exists(self.path):
             return 0
-        parent = os.path.dirname(self.path) or "."
-        os.makedirs(parent, exist_ok=True)
-        tmp_path = _tmpfiles.make_artifact_path("waltmp", parent)
-        with open(tmp_path, "wb") as handle:
-            for _s, raw in survivors:
-                handle.write(raw)
-            handle.flush()
-            os.fsync(handle.fileno())
-        service_fault("wal.truncate")
-        os.replace(tmp_path, self.path)
-        _tmpfiles.release_artifact(tmp_path)
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        temp = write_synced_temp(self.path, b"".join(survivors))
+        try:
+            service_fault("wal.truncate")
+        except BaseException:
+            os.unlink(temp)
+            raise
+        commit_temp(temp, self.path)
         self.truncated_records += dropped
         return dropped
 

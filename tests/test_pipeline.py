@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
 
 import pytest
@@ -25,6 +26,7 @@ from repro.pipeline import (
     stage_catalog,
     stage_parameters,
 )
+from repro.pipeline.checkpoint import sweep, temp_files, write_synced_temp
 
 FULL_SPEC = {
     "stages": [
@@ -537,12 +539,132 @@ class TestCheckpointIntegrity:
         checkpoint.state_path.write_bytes(pickle.dumps(forged))
         assert checkpoint.load()["completed"] == ["a"]
 
-    def test_missing_manifest_degrades_to_unverified_load(self, tmp_path):
+    @pytest.mark.parametrize(
+        "manifest",
+        [None, "{torn", {"version": 1}, {"version": 2, "checksum": "x"}],
+        ids=["missing", "unreadable", "no-checksum", "other-version"],
+    )
+    def test_state_without_a_usable_manifest_is_never_unpickled(
+        self, tmp_path, monkeypatch, manifest
+    ):
         checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
         checkpoint.save(_state(["a"]))
-        checkpoint.manifest_path.unlink()
-        assert checkpoint.load()["completed"] == ["a"]
+        if manifest is None:
+            checkpoint.manifest_path.unlink()
+        else:
+            text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+            checkpoint.manifest_path.write_text(text)
+
+        def refuse(_data):
+            raise AssertionError("an unverified state reached pickle.loads")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        with pytest.raises(PipelineError, match="manifest|version"):
+            checkpoint.load()
 
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(PipelineError, match="no checkpoint"):
             PipelineCheckpoint(tmp_path / "nope").load()
+
+
+class _Crash(Exception):
+    """Stands in for a process dying at one step of a save."""
+
+
+def _crash_at(monkeypatch, hit):
+    """Make the ``hit``-th ``os.replace`` / ``os.fsync`` call raise
+    :class:`_Crash` (``hit=0``: none does); return the call counter."""
+    calls = [0]
+
+    def step(real):
+        def call(*args):
+            calls[0] += 1
+            if calls[0] == hit:
+                raise _Crash(f"died at step {hit}")
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(os, "replace", step(os.replace))
+    monkeypatch.setattr(os, "fsync", step(os.fsync))
+    return calls
+
+
+class TestCheckpointCrashWindows:
+    """Every step of a save, a rename or an fsync, is a place to die."""
+
+    def _steps(self, tmp_path, monkeypatch, saves):
+        checkpoint = PipelineCheckpoint(tmp_path / "count")
+        for state in saves[:-1]:
+            checkpoint.save(state)
+        with monkeypatch.context() as patch:
+            calls = _crash_at(patch, 0)
+            checkpoint.save(saves[-1])
+        return calls[0]
+
+    def test_a_save_that_dies_at_any_step_loads_the_new_or_previous_state(
+        self, tmp_path, monkeypatch
+    ):
+        saves = [_state(["a"]), _state(["a", "b"]), _state(["a", "b", "c"])]
+        steps = self._steps(tmp_path, monkeypatch, saves)
+        # Rotate, then manifest and state: a file fsync, a rename and a
+        # directory fsync each.
+        assert steps == 7
+        for hit in range(1, steps + 1):
+            checkpoint = PipelineCheckpoint(tmp_path / f"hit{hit}")
+            checkpoint.save(saves[0])
+            checkpoint.save(saves[1])
+            with monkeypatch.context() as patch:
+                _crash_at(patch, hit)
+                with pytest.raises(_Crash):
+                    checkpoint.save(saves[2])
+            assert checkpoint.exists()
+            assert checkpoint.load()["completed"] in (["a", "b"], ["a", "b", "c"])
+            # A second crash in a row keeps a loadable checkpoint too.
+            with monkeypatch.context() as patch:
+                _crash_at(patch, hit)
+                with pytest.raises(_Crash):
+                    checkpoint.save(saves[2])
+            assert checkpoint.load()["completed"] in (["a", "b"], ["a", "b", "c"])
+            checkpoint.save(saves[2])
+            assert checkpoint.load()["completed"] == ["a", "b", "c"]
+            assert temp_files(checkpoint.directory) == []
+
+    def test_a_first_save_that_dies_leaves_no_checkpoint_or_the_new_one(
+        self, tmp_path, monkeypatch
+    ):
+        steps = self._steps(tmp_path, monkeypatch, [_state(["a"])])
+        assert steps == 6
+        for hit in range(1, steps + 1):
+            checkpoint = PipelineCheckpoint(tmp_path / f"hit{hit}")
+            with monkeypatch.context() as patch:
+                _crash_at(patch, hit)
+                with pytest.raises(_Crash):
+                    checkpoint.save(_state(["a"]))
+            if checkpoint.exists():
+                assert checkpoint.load()["completed"] == ["a"]
+            else:
+                with pytest.raises(PipelineError, match="no checkpoint"):
+                    checkpoint.load()
+
+    def test_sweep_removes_only_temps_of_the_writer(self, tmp_path):
+        temps = [write_synced_temp(tmp_path / name, b"x") for name in ("a.wal", "state.pkl")]
+        assert all(os.path.basename(t).startswith(("a.wal.", "state.pkl.")) for t in temps)
+        foreign = ["a.wal", "notes.tmp", "pipeline_manifest.json", "repro-waltmp-1-0"]
+        for name in foreign:
+            (tmp_path / name).write_bytes(b"keep")
+        assert temp_files(tmp_path) == sorted(temps)
+        assert sweep(tmp_path) == sorted(temps)
+        assert sorted(os.listdir(tmp_path)) == sorted(foreign)
+        assert sweep(tmp_path) == []
+
+    def test_a_killed_save_leaves_a_temp_the_next_save_sweeps(self, tmp_path):
+        checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
+        checkpoint.save(_state(["a"]))
+        # A kill between the temp's fsync and its rename runs no cleanup.
+        orphan = write_synced_temp(checkpoint.state_path, b"half a save")
+        assert temp_files(checkpoint.directory) == [orphan]
+        assert checkpoint.load()["completed"] == ["a"]
+        checkpoint.save(_state(["a", "b"]))
+        assert temp_files(checkpoint.directory) == []
+        assert checkpoint.load()["completed"] == ["a", "b"]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -300,10 +301,13 @@ class TestServiceApp:
         _run_against_app(scenario)
 
     def test_snapshot_endpoint_and_shutdown_sweep(self, tmp_path):
-        from repro.engine import tmpfiles
+        from repro.pipeline.checkpoint import temp_files, write_synced_temp
 
-        store = CollectionStore(snapshot_dir=str(tmp_path))
+        store = CollectionStore(
+            snapshot_dir=str(tmp_path / "snap"), wal_dir=str(tmp_path / "wal")
+        )
         app = ServiceApp(store)
+        strays = []
 
         def scenario(call):
             call(
@@ -314,12 +318,21 @@ class TestServiceApp:
             status, summary = call("POST", "/collections/demo/snapshot")
             assert status == 201
             assert summary["collection"] == "demo"
-            assert (tmp_path / "demo" / "pipeline_state.pkl").is_file()
+            assert (tmp_path / "snap" / "demo" / "pipeline_state.pkl").is_file()
             assert call("POST", "/collections/missing/snapshot")[0] == 400
+            assert call("GET", "/metrics")[1]["tmp_artifacts"] == 0
+            # What a write cut short would leave, in both kinds of directory.
+            strays.append(write_synced_temp(tmp_path / "wal" / "demo.wal", b"x"))
+            strays.append(
+                write_synced_temp(tmp_path / "snap" / "demo" / "pipeline_state.pkl", b"x")
+            )
+            assert call("GET", "/metrics")[1]["tmp_artifacts"] == 2
 
         _run_against_app(scenario, app)
-        # stop() ran the shutdown sweep: no owned tmp artifacts remain.
-        assert tmpfiles.live_artifacts() == []
+        # stop() ran the shutdown sweep: no temp file remains on disk.
+        assert [t for d in store.directories() for t in temp_files(d)] == []
+        assert not any(os.path.exists(stray) for stray in strays)
+        assert sorted(os.listdir(tmp_path / "wal")) == ["demo.wal"]
         app.shutdown()  # idempotent
 
 

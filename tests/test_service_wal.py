@@ -19,15 +19,19 @@ Three layers, matching the durability contract stated in
 
 from __future__ import annotations
 
+import json
 import os
+import pickle
 import struct
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 
 from repro.exceptions import ConfigurationError, DataError
 from repro.metablocking.index import ARRAY_FIELDS
+from repro.pipeline.checkpoint import temp_files, write_synced_temp
 from repro.service import (
     CollectionConfig,
     CollectionStore,
@@ -133,6 +137,47 @@ class TestWriteAheadLog:
         assert wal.append({"batch": 4}) == 5
         wal.close()
 
+    def test_records_hold_the_payload_as_compact_json(self, tmp_path):
+        path = tmp_path / "c.wal"
+        wal = WriteAheadLog(path)
+        payload = {"profiles": [{"id": 3, "attributes": {"name": "ä b", "n": 1.5}}]}
+        wal.append(payload)
+        wal.close()
+        data = path.read_bytes()
+        seq, length, crc = struct.unpack_from("<QII", data)
+        body = data[16:]
+        assert (seq, length, crc) == (1, len(body), zlib.crc32(body))
+        assert body == json.dumps(payload, separators=(",", ":")).encode()
+
+    def test_a_payload_without_a_json_form_is_a_data_error(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "c.wal")
+        with pytest.raises(DataError, match="JSON"):
+            wal.append({"profiles": [{"id": 0, "original_id": {1, 2}}]})
+        assert wal.next_seq == 1 and wal.appends == 0
+        assert wal.size_bytes() == 0
+        wal.close()
+
+    @pytest.mark.parametrize("tail", [b"", b"torn"], ids=["intact", "torn-after"])
+    def test_an_intact_record_that_does_not_decode_is_an_error_not_a_tear(
+        self, tmp_path, tail
+    ):
+        path = tmp_path / "c.wal"
+        wal = WriteAheadLog(path)
+        wal.append({"batch": 0})
+        wal.close()
+        # A record as an earlier version wrote it: a pickled payload.
+        old = pickle.dumps({"batch": 1}, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(path, "ab") as handle:
+            handle.write(struct.pack("<QII", 2, len(old), zlib.crc32(old)) + old + tail)
+        before = path.read_bytes()
+
+        fresh = WriteAheadLog(path)
+        with pytest.raises(DataError, match=r"c\.wal: record 2 passes its CRC"):
+            fresh.replay()
+        # Never mistaken for a torn tail: nothing is cut off the file.
+        assert path.read_bytes() == before
+        assert fresh.torn_truncations == 0
+
     def test_ensure_next_seq_only_raises_the_floor(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "c.wal")
         wal.ensure_next_seq(7)
@@ -184,6 +229,39 @@ class TestCollectionWal:
                 collection.ingest({"profiles": [{"id": 5, "attributes": {"name": "a"}}]})
             # Only the valid batch ever reached the log.
             assert len(WriteAheadLog(tmp_path / "c.wal").replay()) == 1
+        finally:
+            collection.close()
+
+    @pytest.mark.parametrize(
+        "profile",
+        [{"id": 0, "attributes": {7: "x"}}, {"id": 0, "original_id": (1, 2)}],
+        ids=["int-attribute-name", "tuple-original-id"],
+    )
+    def test_what_json_would_change_is_refused_before_logging(self, tmp_path, profile):
+        """A replayed record must apply exactly as the live one did, so a
+        value JSON would turn into another (a key into a string, a tuple into
+        a list) is refused up front."""
+        collection = ServiceCollection(CollectionConfig(name="c"))
+        collection.attach_wal(WriteAheadLog(tmp_path / "c.wal"))
+        try:
+            with pytest.raises(DataError, match="must be a string"):
+                collection.ingest({"profiles": [profile]})
+            assert collection.index.num_profiles == 0
+            assert WriteAheadLog(tmp_path / "c.wal").replay() == []
+        finally:
+            collection.close()
+
+    def test_an_unloggable_payload_is_neither_logged_nor_applied(self, tmp_path):
+        collection = ServiceCollection(CollectionConfig(name="c"))
+        collection.attach_wal(WriteAheadLog(tmp_path / "c.wal"))
+        try:
+            # Valid profiles, but a value JSON cannot encode.
+            payload = {"profiles": [{"id": 0, "attributes": {"name": "a"}}], "tag": {1}}
+            with pytest.raises(DataError, match="JSON"):
+                collection.ingest(payload)
+            assert collection.index.num_profiles == 0
+            assert collection.wal_applied_seq == 0
+            assert WriteAheadLog(tmp_path / "c.wal").replay() == []
         finally:
             collection.close()
 
@@ -243,6 +321,11 @@ class TestCollectionWal:
 
 
 # ------------------------------------------------------------ store recovery
+def _inode(path):
+    info = os.stat(path)
+    return info.st_dev, info.st_ino
+
+
 def _csr_bytes(collection):
     csr = collection.index.materialise()
     return [getattr(csr, field).tobytes() for field in ARRAY_FIELDS]
@@ -341,22 +424,105 @@ class TestStoreRecovery:
         assert got.index.profile_ids() == sorted(p.profile_id for p in profiles)
         recovered.close_all()
 
-    def test_recovery_sweeps_orphaned_rewrite_temps(self, tmp_path):
+    def test_recovery_sweeps_orphaned_temps(self, tmp_path):
         snap, wal_dir = self._dirs(tmp_path)
         store = CollectionStore(snapshot_dir=snap, wal_dir=wal_dir)
         store.get_or_create("demo").ingest({"profiles": [{"id": 0}]})
+        store.snapshot("demo")
+        store.get_or_create("demo").ingest({"profiles": [{"id": 1}]})
         store.close_all()
-        # A crash mid-truncate leaves a pid-stamped rewrite temp behind; a
-        # dead pid means it is provably orphaned.
-        orphan = os.path.join(wal_dir, "repro-waltmp-999999-0")
-        with open(orphan, "wb") as handle:
-            handle.write(b"leftover rewrite")
+        # A crash between a temp's fsync and its rename leaves it behind:
+        # mid-truncate in the WAL directory, mid-snapshot in the snapshot's.
+        orphans = [
+            write_synced_temp(os.path.join(wal_dir, "demo.wal"), b"leftover rewrite"),
+            write_synced_temp(
+                os.path.join(snap, "demo", "pipeline_state.pkl"), b"half a snapshot"
+            ),
+        ]
+        foreign = os.path.join(wal_dir, "notes.txt")
+        with open(foreign, "w") as handle:
+            handle.write("not a temp")
 
         recovered = CollectionStore(snapshot_dir=snap, wal_dir=wal_dir)
         outcome = recovered.recover()
-        assert outcome["swept"] == [orphan]
-        assert not os.path.exists(orphan)
+        assert sorted(outcome["swept"]) == sorted(orphans)
+        assert not any(os.path.exists(orphan) for orphan in orphans)
+        assert os.path.exists(foreign)
+        assert outcome["restored"] == ["demo"] and outcome["replayed"] == {"demo": 1}
+        assert recovered.get("demo").index.profile_ids() == [0, 1]
         recovered.close_all()
+
+    def test_a_snapshot_that_dies_at_any_step_still_restarts(self, tmp_path, monkeypatch):
+        """Each rename or fsync of a snapshot (and of its log truncation) is
+        a place to die; the restarted store always holds every ingest."""
+        from tests.test_pipeline import _Crash, _crash_at
+
+        for first in (True, False):
+            hit = 0
+            while True:
+                hit += 1
+                base = tmp_path / f"{first}-{hit}"
+                snap, wal_dir = str(base / "snap"), str(base / "wal")
+                store = CollectionStore(snapshot_dir=snap, wal_dir=wal_dir)
+                collection = store.get_or_create("demo")
+                collection.ingest({"profiles": [{"id": 0, "attributes": {"n": "a b"}}]})
+                if not first:
+                    store.snapshot("demo")
+                collection.ingest({"profiles": [{"id": 1, "attributes": {"n": "b c"}}]})
+                with monkeypatch.context() as patch:
+                    _crash_at(patch, hit)
+                    try:
+                        store.snapshot("demo")
+                    except _Crash:
+                        crashed = True
+                    else:
+                        crashed = False
+                store.close_all()
+                recovered = CollectionStore(snapshot_dir=snap, wal_dir=wal_dir)
+                recovered.recover()
+                assert recovered.get("demo").index.profile_ids() == [0, 1]
+                assert [t for d in recovered.directories() for t in temp_files(d)] == []
+                recovered.close_all()
+                if not crashed:
+                    break
+            assert hit > 6
+
+    def test_a_snapshot_is_on_stable_storage_before_the_log_drops_it(
+        self, tmp_path, monkeypatch
+    ):
+        snap, wal_dir = self._dirs(tmp_path)
+        store = CollectionStore(snapshot_dir=snap, wal_dir=wal_dir)
+        store.get_or_create("demo").ingest({"profiles": [{"id": 0}]})
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", (info.st_dev, info.st_ino)))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.fspath(dst)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        assert store.snapshot("demo")["wal_truncated_records"] == 1
+        monkeypatch.undo()
+        store.close_all()
+
+        def synced(path):
+            info = os.stat(path)
+            return events.index(("fsync", (info.st_dev, info.st_ino)))
+
+        log_replaced = events.index(("replace", os.path.join(wal_dir, "demo.wal")))
+        snapshot = os.path.join(snap, "demo")
+        for path in ("pipeline_state.pkl", "pipeline_manifest.json"):
+            assert synced(os.path.join(snapshot, path)) < log_replaced
+        assert synced(snapshot) < log_replaced
+        # The log's own rewrite is synced, file then directory, too.
+        assert synced(os.path.join(wal_dir, "demo.wal")) < log_replaced
+        assert events[-1] == ("fsync", _inode(wal_dir))
 
 
 # --------------------------------------------------------- subprocess chaos
