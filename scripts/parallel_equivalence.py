@@ -1,12 +1,15 @@
 """The range pool computes what the sequential driver computes, byte for byte.
 
 Blocks the scale-proportional generator's input (token blocking, purging,
-filtering), then runs CBS/WNP meta-blocking twice: ``MetaBlocker.run`` in
-this process and ``ParallelMetaBlocker`` on a fresh
-``EngineContext(4, "process:2")``, whose range tasks run on two forked
-workers.  The retained-edge columns (endpoints and weights, in retention
-order) and the candidate-pair columns must be equal byte for byte; exits 1
-naming the first column that differs.
+filtering), then runs CBS/WNP meta-blocking three times: ``MetaBlocker.run``
+in this process and ``ParallelMetaBlocker`` on a fresh
+``EngineContext(4, "process:2")`` and ``EngineContext(4, "process:3")``.
+The driver is process 0 of each map: on ``process:2`` it weighs ranges
+``0::2`` beside one forked child, on ``process:3`` ranges ``0::3`` beside two
+(4 ranges on 3 processes, an uneven split).  The retained-edge columns
+(endpoints and weights, in retention order) and the candidate-pair columns
+must be equal byte for byte; exits 1 naming the executor and the first
+column that differs.
 
     PYTHONPATH=src python scripts/parallel_equivalence.py [--entities 10000]
 """
@@ -47,18 +50,26 @@ def main(argv=None) -> int:
         BlockPurging().purge(TokenBlocking().block(profiles), len(profiles))
     )
     sequential = MetaBlocker("cbs", "wnp").run(blocks)
-    with EngineContext(4, "process:2") as context:
-        parallel = ParallelMetaBlocker(context, "cbs", "wnp").run(blocks)
-        workers = max(row["workers"] for row in context.scheduler.stage_table())
-    expected, got = columns(sequential), columns(parallel)
-    for name, image in expected.items():
-        if got[name] != image:
-            print(f"process:2 and the sequential driver differ in {name}", file=sys.stderr)
-            return 1
+    expected = columns(sequential)
     print(
         f"{len(profiles)} profiles, {len(sequential.retained_edges)} retained edges, "
-        f"{len(sequential.candidate_pairs)} candidate pairs: equal, {workers} worker processes"
+        f"{len(sequential.candidate_pairs)} candidate pairs"
     )
+    for executor in ("process:2", "process:3"):
+        with EngineContext(4, executor) as context:
+            parallel = ParallelMetaBlocker(context, "cbs", "wnp").run(blocks)
+            table = context.scheduler.stage_table()
+        got = columns(parallel)
+        for name, image in expected.items():
+            if got[name] != image:
+                print(f"{executor} and the sequential driver differ in {name}", file=sys.stderr)
+                return 1
+        for row in table:  # none when there is no node to weigh
+            share, children = -(-row["tasks"] // row["workers"]), row["workers"] - 1
+            print(
+                f"{executor}: equal; the driver weighed {share} of {row['tasks']} ranges "
+                f"beside {children} forked child{'ren' if children != 1 else ''}"
+            )
     return 0
 
 

@@ -3,9 +3,8 @@
 This package reproduces the system described in *SparkER: Scaling Entity
 Resolution in Spark* (EDBT 2019).  It provides:
 
-* ``repro.engine`` -- the range pool (a process pool forked per
-  ``EngineContext.map``, plus the pid-stamped temp-file lifecycle) that
-  runs the parallel meta-blocking,
+* ``repro.engine`` -- the range pool (``EngineContext.map`` on the driver
+  and children forked per map) that runs the parallel meta-blocking,
 * ``repro.data`` -- the entity-profile data model, loaders and synthetic
   dataset generators,
 * ``repro.blocking`` -- schema-agnostic token blocking, loose-schema (BLAST)

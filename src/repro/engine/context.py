@@ -5,42 +5,41 @@ join") partitions the node ids, shares the compact block index and lets each
 task weigh the edges of its own nodes.  That is the one job this engine runs,
 so the engine is one operation: :meth:`EngineContext.map` applies a callable
 to a list of items (cost-balanced ``(lo, hi)`` node ranges) and returns the
-results in item order — in the driver under ``executor="serial"``, on a
-process pool opened for that one map under ``"process:N"``.  Each call
-records one row of ``context.scheduler.stage_table()``.
+results in item order — in the driver under ``executor="serial"``; under
+``"process:N"`` item ``i`` runs on process ``i mod P``, ``P = min(N,
+len(items))``, where process 0 is the driver and the others are children
+forked for that one map, each sending its results back on its own pipe.
+Each call records one row of ``context.scheduler.stage_table()``.
 
-Broadcast is the fork: on Linux the pool's workers are forked after the
-callable (and the index it carries) exists, so they inherit it copy-on-write
-and it is never pickled.  Other platforms keep their default start method and
-the callable travels by value, pickled once per worker as the pool
-initializer's argument.
+Broadcast is the fork: on Linux the children are forked after the callable
+(and the index it carries) exists, so they inherit it copy-on-write and it is
+never pickled.  Other platforms keep their default start method and the
+callable travels by value, pickled once per child.
 
-Failure contract: a task exception re-raises in the driver with its own type;
-a crashed worker raises :class:`~repro.exceptions.EngineError` as soon as the
-pool notices.  Either way the map's pool is shut down before ``map`` returns,
-so no worker outlives the call and the next map starts clean.
+Failure contract: a task exception re-raises in the driver with its own type,
+whoever ran it (one that does not pickle: :class:`~repro.exceptions.
+EngineError` naming its type); a child that dies raises ``EngineError``; a
+task that exits its process ends the driver if the driver ran it, as under
+``MetaBlocker.run``.  Whatever happens, every child is joined (after an
+exception, killed first) before ``map`` returns, so the next map starts clean.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import sys
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from repro.exceptions import EngineError
 
-# Cheap copy-on-write workers on Linux; macOS offers "fork" too, but forking
+# Cheap copy-on-write children on Linux; macOS offers "fork" too, but forking
 # after system frameworks loaded can deadlock, so other platforms keep their
 # default start method.
-_MP_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-
-# The callable of the map a worker serves, set once per worker by _install.
-_task: "Callable[[Any], Any] | None" = None
+_MP_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
 
 
 def canonical_executor(spec: Any) -> str:
@@ -62,26 +61,38 @@ def canonical_executor(spec: Any) -> str:
     if name in ("process", "processes", "multiprocessing", "mp"):
         if not argument:
             return "process"
-        try:
-            return f"process:{int(argument)}"
-        except ValueError as error:
-            raise EngineError(f"invalid worker count in executor spec {spec!r}") from error
+        if not argument.isdecimal() or int(argument) < 1:
+            raise EngineError(f"invalid worker count in executor spec {spec!r}: need at least 1")
+        return f"process:{int(argument)}"
     raise EngineError(
         f"unknown executor {spec!r}; expected 'serial', 'process' or 'process:<N>'"
     )
 
 
-def _install(func: Callable[[Any], Any]) -> None:
-    """Pool initializer: hold the map's callable for every task of this worker."""
-    global _task
-    _task = func
+def _run_share(func: Callable[[Any], Any], pairs: "list[tuple[int, Any]]", done: list) -> None:
+    """Apply ``func`` to each ``(index, item)``, appending ``(index, result, seconds)``."""
+    for index, item in pairs:
+        started = time.perf_counter()
+        result = func(item)
+        done.append((index, result, time.perf_counter() - started))
 
 
-def _run_task(item: Any) -> "tuple[Any, float, int]":
-    """Worker body: apply the map's callable to one item, timed."""
-    started = time.perf_counter()
-    result = _task(item)
-    return result, time.perf_counter() - started, os.getpid()
+def _serve(func: Callable[[Any], Any], pairs: "list[tuple[int, Any]]", writer: Any) -> None:
+    """Child body: run this child's share, send ``(pid, done, exception)``."""
+    done: list = []
+    try:
+        _run_share(func, pairs, done)
+        error = None
+    except BaseException as raised:
+        done, error = [], raised
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:
+            error = EngineError(f"a task raised {type(raised).__name__}, which does not pickle")
+    try:
+        writer.send((os.getpid(), done, error))
+    except Exception as unsent:
+        writer.send((os.getpid(), [], EngineError(f"a task result does not pickle: {unsent!r}")))
 
 
 class Scheduler:
@@ -127,9 +138,9 @@ class EngineContext:
         How many ranges a job splits its nodes into.
     executor:
         Where the tasks run (:func:`canonical_executor`): ``"serial"`` (or
-        ``None``) in the driver, ``"process:N"`` on up to ``N`` forked
-        workers per map (``"process"``: one per CPU).  The canonical spec is
-        kept as :attr:`executor_spec`.
+        ``None``) in the driver, ``"process:N"`` on up to ``N`` processes per
+        map, the driver and the children forked for that map (``"process"``:
+        one per CPU).  The canonical spec is kept as :attr:`executor_spec`.
     """
 
     def __init__(self, default_parallelism: int = 4, executor: "str | None" = None) -> None:
@@ -138,7 +149,7 @@ class EngineContext:
         self.default_parallelism = default_parallelism
         self.executor_spec = canonical_executor(executor)
         kind, _, count = self.executor_spec.partition(":")
-        # 0 workers = tasks run in the driver.
+        # 0 workers = every task runs in the driver.
         self.workers = 0 if kind == "serial" else int(count or os.cpu_count() or 1)
         self.executor = f"process[{self.workers}]" if self.workers else "serial"
         self.scheduler = Scheduler()
@@ -148,49 +159,48 @@ class EngineContext:
     def map(self, func: Callable[[Any], Any], items: Iterable[Any], name: str = "map") -> list:
         """``[func(item) for item in items]``, one task per item.
 
-        On a process executor the map opens a pool of ``min(workers,
-        len(items))`` workers (none for no items) and shuts it down before
-        returning, whatever happens.
+        On a process executor the map forks ``min(workers, len(items)) - 1``
+        children (none for 0 or 1 items), runs items ``0::P`` in the driver,
+        receives the rest and joins every child before returning.
         """
         if self._stopped:
             raise EngineError("this EngineContext was stopped; create a new one")
-        items = list(items)
-        if not self.workers:
-            seconds: list[float] = []
-            try:
-                results = []
-                for item in items:
-                    started = time.perf_counter()
-                    results.append(func(item))
-                    seconds.append(time.perf_counter() - started)
-            except BaseException:
-                self.scheduler.record(name, self.executor, len(items), seconds, {os.getpid()}, 1)
-                raise
-            self.scheduler.record(name, self.executor, len(items), seconds, {os.getpid()})
-            return results
-        outcomes: list = []
-        failures = 1
+        pairs = list(enumerate(items))
+        processes = max(1, min(self.workers, len(pairs)))
+        children, done, failures = [], [], 1
+        pids = {os.getpid()} if pairs else set()
         try:
-            if items:
-                pool = ProcessPoolExecutor(
-                    min(self.workers, len(items)), mp_context=_MP_CONTEXT,
-                    initializer=_install, initargs=(func,),
-                )
+            for rank in range(1, processes):
+                reader, writer = _MP_CONTEXT.Pipe(duplex=False)
+                child = _MP_CONTEXT.Process(target=_serve, args=(func, pairs[rank::processes], writer))
+                child.start()
+                children.append((child, reader))
+                writer.close()  # the next child must not inherit it: EOF means died
+            _run_share(func, pairs[::processes], done)
+            for _child, reader in children:
                 try:
-                    for future in [pool.submit(_run_task, item) for item in items]:
-                        outcomes.append(future.result())
-                finally:
-                    pool.shutdown(wait=True, cancel_futures=True)
+                    pid, child_done, error = reader.recv()
+                except EOFError:
+                    raise EngineError(f"{name!r}: a worker process died") from None
+                pids.add(pid)
+                done.extend(child_done)
+                if error is not None:
+                    raise error
             failures = 0
-        except BrokenProcessPool as error:
-            raise EngineError(f"{name!r}: a worker process died") from error
+        except BaseException:
+            for child, _reader in children:
+                child.kill()
+            raise
         finally:
+            for child, reader in children:
+                child.join()
+                reader.close()
             self.scheduler.record(
-                name, self.executor, len(items),
-                [seconds for _result, seconds, _pid in outcomes],
-                {pid for _result, _seconds, pid in outcomes}, failures,
+                name, self.executor, len(pairs), [seconds for _i, _r, seconds in done],
+                pids, failures,
             )
-        return [result for result, _seconds, _pid in outcomes]
+        done.sort(key=lambda task: task[0])
+        return [result for _index, result, _seconds in done]
 
     # --------------------------------------------------------------- metrics
     def metrics_summary(self) -> "dict[str, Any]":
@@ -206,7 +216,7 @@ class EngineContext:
 
     # ------------------------------------------------------------- lifecycle
     def stop(self) -> None:
-        """Refuse further maps; idempotent.  No pool outlives a map."""
+        """Refuse further maps; idempotent.  No child outlives a map."""
         self._stopped = True
 
     def __enter__(self) -> "EngineContext":

@@ -6,13 +6,14 @@ compact block index is shared with every task, and each task materialises
 the neighbourhoods of its own nodes and weighs their edges.  The sequential
 :class:`~repro.metablocking.metablocker.MetaBlocker` already weighs that way,
 range by range (:meth:`~repro.metablocking.backends.NumpyKernel.
-weight_arrays`); this class only maps the same ranges over the pool:
+weight_arrays`); this class only maps the same ranges over the engine:
 
 1. **Driver.**  Build the :class:`~repro.metablocking.index.CSRBlockIndex`
-   — the broadcast: the map's workers are forked after it exists and
-   inherit it copy-on-write (where workers are not forked, it pickles by
-   value once per worker).  Split the dense node ids ``[0, n)`` into the
-   kernel's contiguous ranges balanced by *sweep cost* — per node, the
+   — the broadcast: the driver weighs its own share of the ranges on it,
+   and the map's children are forked after it exists and inherit it
+   copy-on-write (where they are not forked, it pickles by value once per
+   child).  Split the dense node ids ``[0, n)`` into the kernel's
+   contiguous ranges balanced by *sweep cost* — per node, the
    summed size of the blocks it sits in, read off the offset arrays without
    materialising a neighbourhood — with at least
    ``default_parallelism`` parts and none over the scratch budget
@@ -57,8 +58,8 @@ class _RangeWeigher:
 
     The task function of the ``metablocking.weights`` map: a module-level
     callable with bound arguments (not a closure), so it also pickles where
-    the pool's workers are not forked.  The weight plan is cached on the
-    index, i.e. resolved once per worker process.
+    the map's children are not forked.  The weight plan is cached on the
+    index, i.e. resolved once per process.
     """
 
     __slots__ = ("index", "scheme", "use_entropy")
@@ -80,7 +81,7 @@ class ParallelMetaBlocker(MetaBlocker):
     Parameters
     ----------
     context:
-        The engine context whose pool runs the range tasks.
+        The engine context whose map runs the range tasks.
     weighting / pruning / use_entropy:
         Same meaning as for :class:`~repro.metablocking.metablocker.MetaBlocker`.
     """
@@ -97,16 +98,16 @@ class ParallelMetaBlocker(MetaBlocker):
         self.context = context
 
     def _weigh(self, index: CSRBlockIndex) -> EdgeWeights:
-        """Weigh on the pool: the sequential range list, mapped.
+        """Weigh on the engine: the sequential range list, mapped.
 
         The ranges are the kernel's budgeted ones, split into at least
         ``default_parallelism`` parts.
         """
         if index.num_nodes == 0:
             return super()._weigh(index)
-        # Resolved before the workers fork: what the plan reads beyond the
+        # Resolved before the children fork: what the plan reads beyond the
         # CSR buffers (EJS's degree vector and edge count) is inherited with
-        # the index instead of being re-swept per worker.
+        # the index instead of being re-swept per child.
         index.weight_plan(self.weighting, self.use_entropy)
         kernel = index.kernel()
         parts = self.context.map(

@@ -4,9 +4,10 @@ Pins the contract the repo benchmark and the parallel meta-blocking rely on:
 ``map`` returns results in item order on both executors, every call records
 one stage row with the keys ``bench/batch.py`` reads, a raising task
 re-raises its own type, a crashed worker raises ``EngineError`` within a
-bound, no worker process outlives a map (the forked workers inherit the
-callable, which is never pickled on Linux; spawned workers get it once
-each), and a stopped context refuses work.
+bound, no child process outlives a map (the driver runs items ``0::P``
+itself; the forked children inherit the callable, which is never pickled on
+Linux; spawned children get it once each), and a stopped context refuses
+work.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import os
 import pickle
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -50,9 +50,50 @@ def _raise_boom(x):
     raise _Boom(x)
 
 
-def _die(_item):
-    """Kill the worker running this task."""
+class _OutsideTheDriver:
+    """A task callable that acts only in a child: it carries the driver's
+    pid and runs ``act`` wherever the pid differs, doubles elsewhere."""
+
+    def __init__(self, act):
+        self.driver = os.getpid()
+        self.act = act
+
+    def __call__(self, x):
+        if os.getpid() != self.driver:
+            return self.act(x)
+        return x * 2
+
+
+def _exit_3(_item):
     os._exit(3)
+
+
+def _die():
+    """Kill the child running a task; the driver's share doubles."""
+    return _OutsideTheDriver(_exit_3)
+
+
+class _InTheDriver:
+    """Raise ``_Boom`` in the driver; children sleep long enough that only a
+    kill ends them in time."""
+
+    def __init__(self):
+        self.driver = os.getpid()
+
+    def __call__(self, x):
+        if os.getpid() == self.driver:
+            raise _Boom(x)
+        time.sleep(60)
+        return x
+
+
+class _UnpicklableError(Exception):
+    def __reduce__(self):
+        raise pickle.PicklingError("this exception does not pickle")
+
+
+def _raise_unpicklable(x):
+    raise _UnpicklableError(x)
 
 
 class _Unpicklable:
@@ -101,8 +142,9 @@ class TestMap:
         assert pool.map(_Unpicklable(), items) == engine.map(_Unpicklable(), items)
 
     def test_spawned_workers_get_the_callable_once_each(self, monkeypatch):
-        """Where workers are not forked, the callable travels by value as the
-        pool initializer's argument: once per worker, never once per task."""
+        """Where children are not forked, the callable travels by value as the
+        child's argument: once per child, never once per task, and never for
+        the driver's own share."""
         from repro.engine import context as context_module
 
         monkeypatch.setattr(
@@ -113,24 +155,38 @@ class TestMap:
         with EngineContext(4, executor="process:2") as context:
             assert context.map(_CountedDouble(), items) == [x * 2 for x in items]
             workers = context.scheduler.stage_table()[-1]["workers"]
-        assert 1 <= workers <= _CountedDouble.pickles <= 2
+        assert workers == 2 and _CountedDouble.pickles == workers - 1
         assert multiprocessing.active_children() == []
 
     def test_each_map_sizes_its_pool_to_its_items(self, pool, monkeypatch):
+        """``min(workers, len(items)) - 1`` children per map: the driver is
+        process 0, so 3 items fork 1 child and 1 or 0 items fork none."""
         from repro.engine import context as context_module
 
-        sizes = []
+        forked = []
+        process = context_module._MP_CONTEXT.Process
 
-        def recording_pool(max_workers, **kwargs):
-            sizes.append(max_workers)
-            return ProcessPoolExecutor(max_workers, **kwargs)
+        def recording_process(*args, **kwargs):
+            forked.append(kwargs)
+            return process(*args, **kwargs)
 
-        monkeypatch.setattr(context_module, "ProcessPoolExecutor", recording_pool)
-        assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
-        assert pool.map(_double, [5]) == [10]
-        assert pool.map(_double, []) == []
-        assert sizes == [2, 1]
-        assert [row["workers"] for row in pool.scheduler.stage_table()[-2:]] == [1, 0]
+        monkeypatch.setattr(context_module._MP_CONTEXT, "Process", recording_process)
+        children = []
+        for items in ([1, 2, 3], [5], []):
+            before = len(forked)
+            assert pool.map(_double, items) == [x * 2 for x in items]
+            children.append(len(forked) - before)
+        assert children == [1, 0, 0]
+        assert [row["workers"] for row in pool.scheduler.stage_table()[-3:]] == [2, 1, 0]
+
+    def test_items_come_back_in_order_on_an_uneven_split(self):
+        """5 items on ``process:3``: the driver runs items 0 and 3, the first
+        child 1 and 4, the second child 2; the results are in item order."""
+        with EngineContext(4, executor="process:3") as context:
+            assert context.map(_double, range(5)) == [0, 2, 4, 6, 8]
+            (row,) = context.scheduler.stage_table()
+        assert row["workers"] == 3 and row["tasks"] == 5
+        assert multiprocessing.active_children() == []
 
     def test_one_stage_row_per_map(self, pool):
         before = len(pool.scheduler.stage_table())
@@ -162,6 +218,11 @@ class TestMap:
     def test_invalid_parallelism(self):
         with pytest.raises(EngineError):
             EngineContext(default_parallelism=0)
+
+    @pytest.mark.parametrize("spec", ["process:0", "process:-1"])
+    def test_a_worker_count_below_one_is_refused(self, spec):
+        with pytest.raises(EngineError, match="need at least 1"):
+            EngineContext(2, executor=spec)
 
 
 class TestBenchContract:
@@ -197,18 +258,41 @@ class TestFailures:
             assert context.scheduler.stage_table()[-1]["failures"] == 1
             assert context.map(_double, [1]) == [2]  # still usable
 
+    def test_a_child_exception_keeps_its_type(self):
+        with EngineContext(2, executor="process:2") as context:
+            with pytest.raises(_Boom):
+                context.map(_OutsideTheDriver(_raise_boom), range(4))
+            assert context.scheduler.stage_table()[-1]["failures"] == 1
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_exception_that_does_not_pickle_names_its_type(self):
+        with EngineContext(2, executor="process:2") as context:
+            with pytest.raises(EngineError, match="_UnpicklableError"):
+                context.map(_OutsideTheDriver(_raise_unpicklable), range(4))
+        assert multiprocessing.active_children() == []
+
+    def test_a_driver_side_exception_kills_the_children(self):
+        """The driver's share raises first; the children, asleep for 60 s,
+        are killed and joined before the exception leaves ``map``."""
+        with EngineContext(2, executor="process:3") as context:
+            started = time.perf_counter()
+            with pytest.raises(_Boom):
+                context.map(_InTheDriver(), range(3))
+            assert time.perf_counter() - started < 30
+        assert multiprocessing.active_children() == []
+
     def test_a_crashed_worker_fails_loudly_within_a_bound(self):
         with EngineContext(2, executor="process:2") as context:
             started = time.perf_counter()
             with pytest.raises(EngineError, match="worker process died"):
-                context.map(_die, range(4), "crash")
+                context.map(_die(), range(4), "crash")
             assert time.perf_counter() - started < 30
             assert context.scheduler.stage_table()[-1]["failures"] == 1
-            # The broken pool is gone; the next map forks a fresh one.
+            # The dead child is joined; the next map forks fresh ones.
             assert context.map(_double, [1, 2]) == [2, 4]
 
     def test_a_crashed_spawned_worker_fails_loudly_too(self, monkeypatch):
-        """The failure contract does not depend on forking: a spawned worker
+        """The failure contract does not depend on forking: a spawned child
         that dies raises ``EngineError`` and leaves no child behind."""
         from repro.engine import context as context_module
 
@@ -218,7 +302,7 @@ class TestFailures:
         with EngineContext(2, executor="process:2") as context:
             started = time.perf_counter()
             with pytest.raises(EngineError, match="worker process died"):
-                context.map(_die, range(4), "crash")
+                context.map(_die(), range(4), "crash")
             assert time.perf_counter() - started < 30
             assert context.scheduler.stage_table()[-1]["failures"] == 1
             assert context.map(_double, [1, 2]) == [2, 4]
@@ -226,6 +310,8 @@ class TestFailures:
 
     @pytest.mark.parametrize("func", [_double, _raise_boom, _die])
     def test_no_worker_outlives_a_map(self, pool, func):
+        if func is _die:
+            func = _die()
         with contextlib.suppress(_Boom, EngineError):
             pool.map(func, range(4))
         assert multiprocessing.active_children() == []

@@ -147,22 +147,27 @@ class TestOneStageJobShape:
         assert row["shuffle_write_bytes"] == row["shuffle_relay_bytes"] == 0
 
     @pytest.mark.parametrize("weighting", ["cbs", "js", "arcs", "ecbs"])
-    def test_driver_performs_no_kernel_sweep(self, blocks_400, monkeypatch, weighting):
-        """Weighing happens in the tasks only: under a process pool the driver
-        never materialises a neighbourhood (degree-free schemes)."""
+    def test_driver_sweeps_exactly_its_own_share(self, blocks_400, monkeypatch, weighting):
+        """Weighing happens in the tasks only: under ``process:2`` the driver
+        sweeps exactly the ranges ``0::2`` (its share as process 0) and never
+        materialises a neighbourhood outside a task (degree-free schemes)."""
+        from repro.metablocking.index import CSRBlockIndex
+
         sweeps = []
         original = backends.NumpyKernel._sweep
 
         def counting(self, nodes, **kwargs):
-            sweeps.append(len(nodes))  # forked workers append to their own copy
+            sweeps.append((nodes.start, nodes.stop))  # children append to their own copy
             return original(self, nodes, **kwargs)
 
+        ranges = CSRBlockIndex.from_blocks(blocks_400).kernel().ranges(self.PARTITIONS)
         monkeypatch.setattr(backends.NumpyKernel, "_sweep", counting)
         with EngineContext(self.PARTITIONS, executor="process:2") as context:
             result = ParallelMetaBlocker(context, weighting, "wnp").run(blocks_400)
         assert result.graph_edges > 0
-        assert sweeps == []
-        # The same spy does see the serial executor's task-side sweeps.
+        assert sweeps == ranges[0::2]
+        # The same spy sees every task-side sweep of the serial executor.
+        sweeps.clear()
         ParallelMetaBlocker(EngineContext(self.PARTITIONS), weighting, "wnp").run(blocks_400)
         assert len(sweeps) == self.PARTITIONS
 

@@ -1,13 +1,14 @@
 """Pickle round-trip coverage for everything the range pool ships.
 
 Where a process-pool map's workers are not forked (any platform but Linux),
-the map pickles its task callable once per worker — for meta-blocking the
+the map pickles its task callable once per child — for meta-blocking the
 range weigher and the CSR block index it carries, by value.  These tests
 round-trip each of those (and the profiles) through :mod:`pickle` so a
 picklability regression surfaces as a focused unit failure instead of a
 worker-pool error.  ``TestProcessRunTransport`` pins how a ``process:2``
-run hands the index over: never pickled by forked workers, once per worker
-by spawned ones, and no shared-memory segment either way.
+run hands the index over: never pickled by forked children, once per child
+by spawned ones (the driver runs its own share on its own index), and no
+shared-memory segment either way.
 """
 
 from __future__ import annotations
@@ -172,12 +173,14 @@ class TestProcessRunTransport:
         assert 1 <= workers <= 2
 
     def test_spawned_run_pickles_the_index_once_per_worker(self, abt_blocks, monkeypatch):
+        """The driver runs its own share on its own index; each spawned
+        child gets the index by value once."""
         monkeypatch.setattr(
             context_module, "_MP_CONTEXT", multiprocessing.get_context("spawn")
         )
         edges, pickles, workers = _process_run(abt_blocks, monkeypatch)
         assert edges == list(MetaBlocker("cbs", "wnp").run(abt_blocks).retained_edges.items())
-        assert 1 <= workers <= pickles <= 2
+        assert workers == 2 and pickles == workers - 1
 
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
     def test_process_run_leaves_no_segment_and_no_child(self, abt_blocks):
