@@ -9,8 +9,8 @@ Resolution in Spark* (EDBT 2019).  It provides:
   dataset generators,
 * ``repro.blocking`` -- schema-agnostic token blocking, loose-schema (BLAST)
   blocking, block purging and block filtering,
-* ``repro.looseschema`` -- the loose-schema generator (LSH attribute
-  partitioning + attribute-cluster entropy),
+* ``repro.looseschema`` -- the loose-schema generator (attribute
+  partitioning by exact Jaccard + attribute-cluster entropy),
 * ``repro.metablocking`` -- the blocking graph, edge-weighting schemes,
   pruning strategies, BLAST entropy re-weighting and the broadcast-join style
   parallel meta-blocking,

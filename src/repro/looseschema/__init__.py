@@ -1,6 +1,11 @@
-"""Loose-schema generator: LSH attribute partitioning + cluster entropy (BLAST)."""
+"""Loose-schema generator (BLAST): attribute partitioning + cluster entropy.
 
-from repro.looseschema.lsh import AttributeLSH, AttributeProfile, build_attribute_profiles
+Attribute pairs are scored by exact Jaccard of their value tokens, every
+pair; BLAST's LSH step, which proposes the pairs to score on schemas with
+thousands of attributes, is described in the paper but not run here.
+"""
+
+from repro.looseschema.attributes import AttributeProfile, build_attribute_profiles
 from repro.looseschema.attribute_partitioning import (
     AttributePartitioner,
     AttributePartitioning,
@@ -8,7 +13,6 @@ from repro.looseschema.attribute_partitioning import (
 from repro.looseschema.entropy import EntropyExtractor, shannon_entropy
 
 __all__ = [
-    "AttributeLSH",
     "AttributeProfile",
     "build_attribute_profiles",
     "AttributePartitioner",

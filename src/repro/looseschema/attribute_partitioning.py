@@ -2,10 +2,14 @@
 
 Per the paper (Section 2.1):
 
-1. LSH is applied to attribute values to group attributes by similarity; the
-   groups are overlapping.
+1. Attributes are grouped by the similarity of their values.  BLAST
+   proposes similar attribute pairs with LSH over the value tokens; here
+   every pair is scored by exact Jaccard instead (cross-source pairs in
+   clean-clean ER, all pairs in dirty ER), which costs O(A²) set
+   intersections for A attributes and is what LSH approximates.
 2. For each attribute only its *most similar* partner is kept, giving pairs of
-   similar attributes.
+   similar attributes; on a tie the partner with the smaller
+   ``(source, attribute)`` key wins.
 3. The transitive closure of those pairs partitions the attributes into
    non-overlapping clusters.
 4. Attributes that appear in no cluster go to a catch-all *blob* partition.
@@ -19,11 +23,14 @@ blocking; lowering it produces increasingly many clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+
+import numpy as np
 
 from repro.data.dataset import ProfileCollection
 from repro.utils.unionfind import UnionFind
 from repro.exceptions import BlockingError
-from repro.looseschema.lsh import AttributeLSH, AttributeTokens
+from repro.looseschema.attributes import AttributeTokens
 from repro.utils.tokenize import TokenTable, table_for
 
 
@@ -103,6 +110,25 @@ class AttributePartitioning:
         self.clusters.setdefault(target_cluster, set()).add(key)
 
 
+def attribute_similarities(
+    columns: AttributeTokens,
+) -> dict[tuple[tuple[int, str], tuple[int, str]], float]:
+    """Exact Jaccard of the token sets of every attribute pair ``(a, b)``,
+    ``a < b``, in sorted key order: only pairs from different sources when
+    the collection has more than one (clean-clean ER), all pairs otherwise."""
+    runs = columns.runs()
+    single_source = len({key[0] for key in runs}) < 2
+    result: dict[tuple[tuple[int, str], tuple[int, str]], float] = {}
+    for a, b in combinations(sorted(runs), 2):
+        if not single_source and a[0] == b[0]:
+            continue
+        run_a, run_b = runs[a], runs[b]
+        common = int(np.count_nonzero(np.isin(run_a, run_b, assume_unique=True)))
+        union = len(run_a) + len(run_b) - common
+        result[(a, b)] = common / union if union else 0.0
+    return result
+
+
 class AttributePartitioner:
     """Builds an :class:`AttributePartitioning` from a profile collection.
 
@@ -113,21 +139,18 @@ class AttributePartitioner:
         strictly below the threshold are discarded *before* the best-match
         selection; with ``threshold >= 1.0`` every attribute ends up in the
         blob (schema-agnostic behaviour, Figure 6(a)).
-    lsh:
-        The LSH configuration used to propose candidate attribute pairs.
     """
 
-    def __init__(self, threshold: float = 0.3, lsh: AttributeLSH | None = None) -> None:
+    def __init__(self, threshold: float = 0.3) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise BlockingError("threshold must be in [0, 1]")
         self.threshold = threshold
-        self.lsh = lsh or AttributeLSH()
 
     # ------------------------------------------------------------------ public
     def partition(
         self, profiles: ProfileCollection, table: TokenTable | None = None
     ) -> AttributePartitioning:
-        """Run LSH → best match → transitive closure → blob assignment.
+        """Run similarity → best match → transitive closure → blob assignment.
 
         ``table`` is a token table of ``profiles`` (one is built when absent).
         """
@@ -141,10 +164,9 @@ class AttributePartitioner:
         if self.threshold >= 1.0:
             return AttributePartitioning(clusters={0: set(all_attributes)})
 
-        similarities = self.lsh.similarities(columns)
         filtered = {
             pair: similarity
-            for pair, similarity in similarities.items()
+            for pair, similarity in attribute_similarities(columns).items()
             if similarity >= self.threshold and similarity > 0.0
         }
 
@@ -165,15 +187,17 @@ class AttributePartitioner:
     def _best_match_pairs(
         similarities: dict[tuple[tuple[int, str], tuple[int, str]], float]
     ) -> set[tuple[tuple[int, str], tuple[int, str]]]:
-        """Keep, for each attribute, only the edge to its most similar partner."""
-        best: dict[tuple[int, str], tuple[tuple[int, str], float]] = {}
+        """Keep, for each attribute, only the edge to its most similar partner;
+        on equal similarity the smaller partner key wins, whatever order the
+        pairs come in."""
+        best: dict[tuple[int, str], tuple[float, tuple[int, str]]] = {}
         for (a, b), similarity in similarities.items():
-            if a not in best or similarity > best[a][1]:
-                best[a] = (b, similarity)
-            if b not in best or similarity > best[b][1]:
-                best[b] = (a, similarity)
+            for attribute, partner in ((a, b), (b, a)):
+                rank = (-similarity, partner)
+                if attribute not in best or rank < best[attribute]:
+                    best[attribute] = rank
         pairs: set[tuple[tuple[int, str], tuple[int, str]]] = set()
-        for attribute, (partner, _similarity) in best.items():
+        for attribute, (_similarity, partner) in best.items():
             pair = tuple(sorted((attribute, partner)))
             pairs.add(pair)  # type: ignore[arg-type]
         return pairs

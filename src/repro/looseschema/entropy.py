@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.data.dataset import ProfileCollection
 from repro.looseschema.attribute_partitioning import AttributePartitioning
-from repro.looseschema.lsh import AttributeTokens
+from repro.looseschema.attributes import AttributeTokens
 from repro.utils.tokenize import TokenTable, table_for
 
 

@@ -1,7 +1,8 @@
 """Keys of removed options, as stored artifacts may still carry them.
 
 A pipeline checkpoint, a ``--output-config`` file, a saved configuration or a
-service snapshot written before an option was removed still names it.
+service snapshot written before an option was removed still names it, in a
+spec's ``engine`` section or in a stage's params.
 :func:`drop_retired_keys` is the one door those keys go through: it drops a
 value that describes what every run now does and refuses one that asks for
 the removed behaviour.
@@ -38,6 +39,11 @@ _RETIRED = {
     "enabled": (None, "meta-blocking always runs in the driver"),
     "parallelism": (None, "meta-blocking always runs in the driver"),
     "executor": (None, "meta-blocking always runs in the driver"),
+    # The loose_schema stage's MinHash/LSH parameters: every attribute pair
+    # is now scored exactly, a superset of the pairs LSH proposed.
+    "num_perm": (None, "attribute partitioning no longer runs MinHash"),
+    "num_bands": (None, "attribute partitioning no longer runs LSH banding"),
+    "lsh_seed": (None, "attribute partitioning no longer runs MinHash"),
 }
 
 

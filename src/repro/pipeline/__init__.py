@@ -16,7 +16,7 @@ Mapping of registered stages to Figure 3 of the paper:
 Registry key            Paper module / figure element
 ====================== ======================================================
 ``loose_schema``        Blocker → Loose-schema generator (Figure 4, BLAST:
-                        LSH attribute partitioning + cluster entropies)
+                        attribute partitioning + cluster entropies)
 ``token_blocking``      Blocker → Block generation (schema-agnostic token
                         blocking, or loose-schema blocking when a
                         partitioning artifact is wired in)

@@ -42,6 +42,13 @@ _SPEC_ENTRY_KEYS = {"stage", "label", "params", "inputs", "outputs"}
 _SPEC_TOP_KEYS = {"name", "engine", "seeds", "stages", "dataset"}
 
 
+def _stage_params(entry: Mapping[str, Any]) -> dict[str, Any]:
+    """A spec entry's params without retired keys: specs and checkpoints
+    both come through here, so one written before a stage parameter was
+    removed builds and resumes like one written after."""
+    return drop_retired_keys(entry.get("params") or {}, PipelineValidationError)
+
+
 @dataclass
 class PipelineContext:
     """Everything a stage may need beyond its declared input artifacts."""
@@ -195,7 +202,9 @@ class Pipeline:
         whose keys are all retired (:func:`~repro.options.drop_retired_keys`):
         the three it could hold are dropped whatever their value, one that
         asks for a removed feature (``kernel_backend: python``) is refused,
-        and an unknown key is an error.
+        and an unknown key is an error.  Stage params go through the same
+        door (the LSH parameters ``loose_schema`` once took are dropped);
+        any other unknown param is refused.
         """
         if not isinstance(spec, Mapping):
             raise PipelineValidationError("a pipeline spec must be a mapping")
@@ -225,7 +234,7 @@ class Pipeline:
             kind = entry.get("stage")
             if not isinstance(kind, str):
                 raise PipelineValidationError("each stage entry needs a 'stage' name")
-            stage = make_stage(kind, dict(entry.get("params") or {}))
+            stage = make_stage(kind, _stage_params(entry))
             stage.configure(
                 label=entry.get("label"),
                 inputs=dict(entry.get("inputs") or {}),
@@ -343,8 +352,10 @@ class Pipeline:
             if checkpoint is None:
                 raise PipelineError("resume=True requires a checkpoint directory")
             state = _resume_state if _resume_state is not None else checkpoint.load()
-            stored_stages = state.get("spec", {}).get("stages")
-            if stored_stages != self.resolved_spec()["stages"]:
+            stored_stages = state.get("spec", {}).get("stages") or ()
+            if [dict(e, params=_stage_params(e)) for e in stored_stages] != [
+                dict(e, params=_stage_params(e)) for e in self.resolved_spec()["stages"]
+            ]:
                 raise PipelineError(
                     "checkpoint was written by a different pipeline spec; "
                     "rebuild it with Pipeline.from_checkpoint() or start fresh"

@@ -28,7 +28,7 @@ from repro.evaluation.metrics import clustering_metrics, pair_metrics
 from repro.exceptions import EvaluationError, PipelineValidationError
 from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.looseschema.entropy import EntropyExtractor
-from repro.looseschema.lsh import AttributeLSH, AttributeTokens
+from repro.looseschema.attributes import AttributeTokens
 from repro.matching.similarity import get_similarity_function
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.progressive import (
@@ -58,10 +58,11 @@ def _record_block_stage(context: "PipelineContext", label: str, blocks: Any) -> 
 
 @register_stage
 class LooseSchemaStage(Stage):
-    """Loose-schema generation: LSH attribute partitioning + cluster entropy.
+    """Loose-schema generation: attribute partitioning + cluster entropy.
 
-    When a ``partitioning`` artifact is already in the store (supervised mode)
-    it is reused and only the entropies are extracted.
+    Every attribute pair is scored by exact Jaccard (BLAST's LSH step is not
+    run).  When a ``partitioning`` artifact is already in the store
+    (supervised mode) it is reused and only the entropies are extracted.
     """
 
     kind = "loose_schema"
@@ -76,18 +77,9 @@ class LooseSchemaStage(Stage):
         _port("tokens", kinds.TOKENS),
     )
 
-    def __init__(
-        self,
-        threshold: float = 0.3,
-        num_perm: int = 128,
-        num_bands: int = 32,
-        lsh_seed: int = 5,
-    ) -> None:
+    def __init__(self, threshold: float = 0.3) -> None:
         super().__init__()
         self.threshold = threshold
-        self.num_perm = num_perm
-        self.num_bands = num_bands
-        self.lsh_seed = lsh_seed
 
     def run(self, context: "PipelineContext", *, profiles, partitioning=None, tokens=None):
         # One sort of the token table: the partitioner reads the attribute
@@ -95,13 +87,7 @@ class LooseSchemaStage(Stage):
         tokens = table_for(profiles, tokens)
         columns = AttributeTokens.of(tokens)
         if partitioning is None:
-            partitioner = AttributePartitioner(
-                threshold=self.threshold,
-                lsh=AttributeLSH(
-                    num_perm=self.num_perm, num_bands=self.num_bands, seed=self.lsh_seed
-                ),
-            )
-            partitioning = partitioner.partition_columns(columns)
+            partitioning = AttributePartitioner(self.threshold).partition_columns(columns)
         entropies = EntropyExtractor().extract_columns(columns, partitioning)
         blob = partitioning.clusters.get(partitioning.blob_cluster_id, set())
         context.record(

@@ -146,7 +146,7 @@ def token_set(text: str, **kwargs) -> set[str]:
 def character_ngrams(text: str, n: int = 3, *, pad: bool = False) -> list[str]:
     """Return the character ``n``-grams of the normalised ``text``.
 
-    Used by the LSH attribute-partitioning step and by q-gram similarity.
+    Used by q-gram similarity.
     """
     if n <= 0:
         raise ValueError("n must be positive")

@@ -1,30 +1,23 @@
-"""The loose-schema generator on per-attribute token dicts: an oracle.
+"""The loose-schema generator by its definition, on Python sets: an oracle.
 
-This is the string path the column code in ``repro.looseschema`` replaced:
-attribute profiles are ``{token: count}`` dicts built value by value with
-:func:`~repro.utils.text.split_words`, MinHash hashes every token of every
-attribute with one ``blake2b`` call each, exact Jaccard intersects Python
-sets, and the entropy extractor merges the dicts cluster by cluster in
-collection order.  The column path must equal it bit for bit: signatures,
-similarities, partitions and entropies.
+Attribute profiles are ``{token: count}`` dicts built value by value with
+:func:`~repro.utils.text.split_words`.  Attribute partitioning is the
+Jaccard of the token sets of every cross-source pair (every pair when the
+collection has one source), a threshold, each attribute's best match (ties
+to the smaller ``(source, attribute)`` key), the transitive closure of those
+pairs and a blob of the rest.  The entropy extractor merges the dicts
+cluster by cluster in collection order.  The column path must equal it bit
+for bit: similarities, partitions and entropies.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from operator import itemgetter
 
-import numpy as np
-
-from repro.looseschema.attribute_partitioning import AttributePartitioner, AttributePartitioning
+from repro.looseschema.attribute_partitioning import AttributePartitioning
+from repro.looseschema.attributes import AttributeProfile
 from repro.looseschema.entropy import shannon_entropy
-from repro.looseschema.lsh import AttributeLSH, AttributeProfile
-from repro.utils.hashing import MinHasher
 from repro.utils.text import split_words
-
-MERSENNE_PRIME = (1 << 61) - 1
-MAX_HASH = (1 << 32) - 1
 
 
 def attribute_profiles(profiles) -> dict[tuple[int, str], AttributeProfile]:
@@ -45,63 +38,61 @@ def attribute_profiles(profiles) -> dict[tuple[int, str], AttributeProfile]:
     return result
 
 
-def token_hash(token: str, seed: int) -> int:
-    """The low 32 bits of the seeded ``blake2b`` digest of ``repr(token)``."""
-    data = repr(token).encode("utf-8", errors="replace")
-    digest = hashlib.blake2b(data, digest_size=8, salt=struct.pack("<q", seed)).digest()
-    return int.from_bytes(digest, "little") & MAX_HASH
-
-
-def signature(hasher: MinHasher, tokens) -> np.ndarray:
-    """Per permutation ``(a, b)``: the least ``(a·h + b) mod p mod 2³²`` over
-    the tokens' hashes ``h`` (uint64 arithmetic, as the family defines it)."""
-    hashes = np.array([token_hash(token, hasher.seed) for token in tokens], dtype=np.uint64)
-    if not len(hashes):
-        return np.full(hasher.num_perm, MAX_HASH, dtype=np.uint64)
-    permuted = (hasher._a[:, None] * hashes[None, :] + hasher._b[:, None]) % MERSENNE_PRIME
-    return (permuted % (MAX_HASH + 1)).min(axis=1)
-
-
-def signatures(lsh: AttributeLSH, profiles: dict) -> dict:
-    """One MinHash signature per key, hashing each of its tokens."""
-    return {key: signature(lsh.hasher, profile.tokens) for key, profile in profiles.items()}
-
-
-def similarities(
-    lsh: AttributeLSH, profiles: dict, *, use_exact: bool = True, cross_source_only: bool = True
-) -> dict:
-    """Jaccard of the token sets (or the MinHash estimate) of every LSH candidate pair."""
-    signed = signatures(lsh, profiles)
-    single_source = len({key[0] for key in profiles}) < 2
+def similarities(profiles: dict) -> dict:
+    """Jaccard of the token sets of every attribute pair ``(a, b)``, ``a < b``:
+    only cross-source pairs when there are several sources, else all pairs."""
+    keys = sorted(profiles)
+    dirty = len({source for source, _attribute in keys}) < 2
     result = {}
-    for a, b in lsh.candidate_pairs(signed):
-        if cross_source_only and not single_source and a[0] == b[0]:
-            continue
-        if use_exact:
-            tokens_a, tokens_b = profiles[a].tokens, profiles[b].tokens
-            union = len(tokens_a | tokens_b)
-            similarity = len(tokens_a & tokens_b) / union if union else 0.0
-        else:
-            similarity = MinHasher.estimate_jaccard(signed[a], signed[b])
-        result[(a, b)] = similarity
+    for i, a in enumerate(keys):
+        for b in keys[i + 1 :]:
+            if dirty or a[0] != b[0]:
+                tokens_a, tokens_b = set(profiles[a].tokens), set(profiles[b].tokens)
+                union = len(tokens_a | tokens_b)
+                result[(a, b)] = len(tokens_a & tokens_b) / union if union else 0.0
     return result
 
 
-def partition(partitioner: AttributePartitioner, profiles: dict) -> AttributePartitioning:
+def best_matches(similarities: dict) -> set:
+    """Per attribute, the pair to its most similar partner; a tie goes to
+    the smallest ``(source, attribute)`` partner."""
+    partners: dict = {}
+    for (a, b), similarity in similarities.items():
+        partners.setdefault(a, []).append((similarity, b))
+        partners.setdefault(b, []).append((similarity, a))
+    pairs = set()
+    for attribute, scored in partners.items():
+        top = max(similarity for similarity, _partner in scored)
+        partner = min(partner for similarity, partner in scored if similarity == top)
+        pairs.add(tuple(sorted((attribute, partner))))
+    return pairs
+
+
+def closure(pairs: set) -> list:
+    """The connected components of the pairs, as sets, by repeated merging."""
+    components: list = []
+    for a, b in pairs:
+        touching = [c for c in components if a in c or b in c]
+        merged = {a, b}.union(*touching)
+        components = [c for c in components if c not in touching] + [merged]
+    return components
+
+
+def partition(threshold: float, profiles: dict) -> AttributePartitioning:
     """Threshold → best match per attribute → transitive closure → blob."""
-    if partitioner.threshold >= 1.0:
+    if threshold >= 1.0:
         return AttributePartitioning(clusters={0: set(profiles)})
     kept = {
         pair: similarity
-        for pair, similarity in similarities(partitioner.lsh, profiles).items()
-        if similarity >= partitioner.threshold and similarity > 0.0
+        for pair, similarity in similarities(profiles).items()
+        if similarity >= threshold and similarity > 0.0
     }
-    clusters = partitioner._transitive_closure(partitioner._best_match_pairs(kept))
-    clustered = set().union(*clusters) if clusters else set()
+    clusters = closure(best_matches(kept))
+    clustered = set().union(*clusters)
     partitioning = AttributePartitioning()
     partitioning.clusters[partitioning.blob_cluster_id] = set(profiles) - clustered
-    for index, members in enumerate(sorted(clusters, key=lambda c: sorted(c)), start=1):
-        partitioning.clusters[index] = set(members)
+    for index, members in enumerate(sorted(clusters, key=sorted), start=1):
+        partitioning.clusters[index] = members
     return partitioning
 
 

@@ -45,7 +45,7 @@ from repro.engine.context import EngineContext
 from repro.exceptions import BlockingError
 from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.looseschema.entropy import EntropyExtractor
-from repro.looseschema.lsh import build_attribute_profiles
+from repro.looseschema.attributes import build_attribute_profiles
 from repro.metablocking.index import ARRAY_FIELDS, CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker

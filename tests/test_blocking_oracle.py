@@ -26,7 +26,7 @@ from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile, KeyValue
 from repro.looseschema.attribute_partitioning import AttributePartitioning
 from repro.looseschema.entropy import EntropyExtractor
-from repro.looseschema.lsh import build_attribute_profiles
+from repro.looseschema.attributes import build_attribute_profiles
 
 from tests import metablocking_oracle as oracle
 

@@ -9,6 +9,10 @@ import pytest
 from repro.cli import build_parser, main
 from repro.pipeline import PipelineCheckpoint
 
+# The loose_schema params `run --output-config` and checkpoints recorded
+# while attribute partitioning ran MinHash with banding LSH.
+_PARENT_LSH = {"num_perm": 128, "num_bands": 32, "lsh_seed": 5}
+
 # The engine sections `run --output-config` and checkpoints recorded while
 # the pipeline had an engine option and block stores, fault policies, buffer
 # backends and temp roots existed: the resolved defaults, the memmap backend
@@ -207,6 +211,8 @@ class TestSpecRun:
         first = capsys.readouterr().out
         spec = json.loads(resolved.read_text())
         spec["engine"] = parent_engine
+        assert spec["stages"][0]["stage"] == "loose_schema"
+        spec["stages"][0]["params"].update(_PARENT_LSH)
         resolved.write_text(json.dumps(spec))
         assert main(["run", "--spec", str(resolved), "--output", str(second_out)]) == 0
         assert metrics_table(capsys.readouterr().out) == metrics_table(first)
@@ -268,6 +274,8 @@ class TestResumeCommand:
         ]) == 0
         state = checkpoint.load()
         state["spec"]["engine"] = parent_engine
+        assert state["spec"]["stages"][0]["stage"] == "loose_schema"
+        state["spec"]["stages"][0]["params"].update(_PARENT_LSH)
         checkpoint.save(state)
         capsys.readouterr()
         assert main([

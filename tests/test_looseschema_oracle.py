@@ -1,14 +1,13 @@
-"""The column path of the loose-schema generator against the dict oracle.
+"""The column path of the loose-schema generator against its definition.
 
-``tests/looseschema_oracle.py`` keeps the per-attribute token dicts the
-columns replaced.  On Hypothesis collections — dirty and clean-clean,
-non-ASCII and mixed-case text, NUL inside values, attributes whose values
-hold no token, profiles with no attribute — the signatures must be equal
-arrays, similarities and entropies equal floats (``==``, never ``approx``),
-and partitions, blocks, candidate pairs and clusters identical.
+``tests/looseschema_oracle.py`` defines attribute partitioning on Python
+sets.  On Hypothesis collections — dirty and clean-clean, non-ASCII and
+mixed-case text, NUL inside values, attributes whose values hold no token,
+profiles with no attribute — similarities and entropies must be equal
+floats (``==``, never ``approx``), and partitions, blocks, candidate pairs
+and clusters identical.
 """
 
-import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro.blocking.loose_schema_blocking import LooseSchemaTokenBlocking
@@ -16,9 +15,9 @@ from repro.core.config import SparkERConfig
 from repro.core.sparker import SparkER
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile, KeyValue
-from repro.looseschema.attribute_partitioning import AttributePartitioner
+from repro.looseschema.attribute_partitioning import AttributePartitioner, attribute_similarities
+from repro.looseschema.attributes import AttributeTokens, build_attribute_profiles
 from repro.looseschema.entropy import EntropyExtractor
-from repro.looseschema.lsh import AttributeLSH, AttributeTokens, build_attribute_profiles
 from repro.utils.tokenize import token_table
 from tests import looseschema_oracle as oracle
 
@@ -32,7 +31,6 @@ values = st.one_of(
     st.sampled_from(["", "!!", "\x00", " - "]),  # no token: an attribute may stay empty
     st.text(max_size=6),
 )
-LSHS = [AttributeLSH(), AttributeLSH(num_perm=16, num_bands=8, seed=3)]
 
 
 @st.composite
@@ -83,28 +81,15 @@ def test_columns_equal_the_dict_path(profiles, threshold):
         (list(p.value_counts.items()), p.first_seen) for p in expected.values()
     ]
 
-    for lsh in LSHS:
-        signatures, expected_signatures = lsh.signatures(columns), oracle.signatures(lsh, expected)
-        assert list(signatures) == list(expected_signatures)
-        for key, signature in signatures.items():
-            assert signature.dtype == expected_signatures[key].dtype
-            assert np.array_equal(signature, expected_signatures[key])
-            assert np.array_equal(lsh.hasher.signature(view[key].tokens), signature)
-        for use_exact in (True, False):
-            for cross in (True, False):
-                got = lsh.similarities(columns, use_exact=use_exact, cross_source_only=cross)
-                want = oracle.similarities(
-                    lsh, expected, use_exact=use_exact, cross_source_only=cross
-                )
-                assert list(got.items()) == list(want.items())
+    similarities = attribute_similarities(columns)
+    assert list(similarities.items()) == list(oracle.similarities(expected).items())
 
-        partitioner = AttributePartitioner(threshold, lsh)
-        partitioning = partitioner.partition(profiles)
-        assert partitioning.clusters == oracle.partition(partitioner, expected).clusters
-        for normalize in (True, False):
-            got = EntropyExtractor(normalize=normalize).extract(profiles, partitioning)
-            want = oracle.entropies(expected, partitioning, normalize=normalize)
-            assert list(got.items()) == list(want.items())
+    partitioning = AttributePartitioner(threshold).partition(profiles)
+    assert partitioning.clusters == oracle.partition(threshold, expected).clusters
+    for normalize in (True, False):
+        got = EntropyExtractor(normalize=normalize).extract(profiles, partitioning)
+        want = oracle.entropies(expected, partitioning, normalize=normalize)
+        assert list(got.items()) == list(want.items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,9 +98,7 @@ def test_runs_on_oracle_inputs_are_identical(profiles):
     config = SparkERConfig.unsupervised_default()
     config.blocker.attribute_threshold = 0.1
     run = SparkER(config).run(profiles)
-    partitioning = oracle.partition(
-        AttributePartitioner(0.1), oracle.attribute_profiles(profiles)
-    )
+    partitioning = oracle.partition(0.1, oracle.attribute_profiles(profiles))
     entropies = oracle.entropies(oracle.attribute_profiles(profiles), partitioning)
     assert run.blocker_report.partitioning.clusters == partitioning.clusters
     assert run.blocker_report.cluster_entropies == entropies

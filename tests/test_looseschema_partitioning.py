@@ -1,12 +1,34 @@
 """Tests of attribute partitioning (the BLAST loose-schema generator)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.data.synthetic import generate_bibliographic
 from repro.exceptions import BlockingError
 from repro.looseschema.attribute_partitioning import (
     AttributePartitioner,
     AttributePartitioning,
 )
+
+# ``name`` is as similar to ``title`` as to ``label`` (3/5); which one it
+# keeps decides between one 4-attribute cluster and two clusters.
+TIED = """
+from repro.data.dataset import ProfileCollection
+from repro.data.profile import EntityProfile, KeyValue
+from repro.looseschema.attribute_partitioning import AttributePartitioner
+profiles = ProfileCollection([
+    EntityProfile(0, source_id=0, attributes=[
+        KeyValue("name", "a b c d"), KeyValue("other", "a b c x k")]),
+    EntityProfile(1, source_id=1, attributes=[
+        KeyValue("title", "a b c x"), KeyValue("label", "a b c y")]),
+])
+clusters = AttributePartitioner(0.3).partition(profiles).non_blob_clusters()
+print(sorted(sorted(members) for members in clusters.values()))
+"""
 
 
 class TestAttributePartitioner:
@@ -59,6 +81,38 @@ class TestAttributePartitioner:
         )
         # title (source 0) and reference (source 1) share most tokens.
         assert partitioning.cluster_of("title") == partitioning.cluster_of("reference")
+
+    @pytest.mark.parametrize("seed", [7, 11, 42])
+    def test_a_pair_lsh_missed_gets_its_own_cluster(self, seed):
+        # Jaccard 0.392 ≥ 0.3, but banding LSH (32 bands × 4 rows) never
+        # proposed the pair, and both attributes fell in the blob.
+        partitioning = AttributePartitioner().partition(
+            generate_bibliographic(200, seed=seed).profiles
+        )
+        cluster = partitioning.cluster_of("authors", 0)
+        assert cluster != partitioning.blob_cluster_id
+        assert partitioning.clusters[cluster] == {(0, "authors"), (1, "author_list")}
+
+    def test_a_tied_best_match_goes_to_the_smaller_partner(self):
+        name, other, title, label = (0, "name"), (0, "other"), (1, "title"), (1, "label")
+        similarities = [((name, title), 0.6), ((name, label), 0.6), ((other, title), 0.8)]
+        for pairs in (similarities, similarities[::-1]):
+            best = AttributePartitioner._best_match_pairs(dict(pairs))
+            assert best == {(name, label), (other, title)}
+
+    def test_partitioning_does_not_depend_on_the_hash_seed(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", TIED], env=dict(env, PYTHONHASHSEED=seed),
+                stdout=subprocess.PIPE, text=True,
+            )
+            for seed in ("1", "5")
+        ]
+        outputs = [run.communicate(timeout=60)[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        expected = "[[(0, 'name'), (1, 'label')], [(0, 'other'), (1, 'title')]]\n"
+        assert outputs == [expected, expected]
 
 
 class TestAttributePartitioning:

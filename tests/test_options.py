@@ -23,7 +23,7 @@ from repro.data.synthetic import SyntheticConfig, generate_abt_buy_like
 from repro.engine.context import EngineContext, canonical_executor
 from repro.exceptions import ConfigurationError, EngineError, PipelineValidationError
 from repro.options import drop_retired_keys
-from repro.pipeline import Pipeline
+from repro.pipeline import Pipeline, registered_stages
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -39,6 +39,13 @@ ENGINE_SECTIONS = [
     {"enabled": False, "parallelism": 4},
     {"executor": None},
     {"executor": "cluster", "parallelism": 0},
+]
+
+# The loose_schema params every resolved spec recorded while attribute
+# partitioning ran MinHash with banding LSH, and other values: all dropped.
+LSH_PARAMS = [
+    {"num_perm": 128, "num_bands": 32, "lsh_seed": 5},
+    {"num_perm": 16, "num_bands": 8, "lsh_seed": 3},
 ]
 
 
@@ -146,12 +153,19 @@ class TestProvenance:
     @pytest.mark.parametrize("buffer_backend", [None, "ram", "memmap"])
     @pytest.mark.parametrize("kernel_backend", [None, "auto", "numpy"])
     @pytest.mark.parametrize("block_store", [None, "driver", "shared-memory", "spill"])
-    def test_parent_era_spec_still_loads(self, kernel_backend, block_store, buffer_backend, engine):
+    @pytest.mark.parametrize("lsh", LSH_PARAMS)
+    def test_parent_era_spec_still_loads(
+        self, kernel_backend, block_store, buffer_backend, engine, lsh
+    ):
         # The shapes `run --output-config` wrote while the retired options
         # existed: their resolved defaults, or any block store, buffer
-        # backend and temp root, beside any engine section.
+        # backend and temp root, beside any engine section and any LSH
+        # parameters of the loose_schema stage.
         canonical = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
         spec = dict(canonical, dataset={"synthetic": "abt-buy", "entities": 40, "seed": 42})
+        spec["stages"] = [dict(entry) for entry in canonical["stages"]]
+        assert spec["stages"][0]["stage"] == "loose_schema"
+        spec["stages"][0]["params"] = dict(spec["stages"][0]["params"], **lsh)
         spec["engine"] = dict(
             engine,
             kernel_backend=kernel_backend, block_store=block_store,
@@ -183,6 +197,17 @@ class TestProvenance:
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
         spec["engine"] = {"enabled": True, "executor": "process:2", key: value}
         with pytest.raises(PipelineValidationError, match=removed):
+            Pipeline.from_spec(spec)
+
+    @pytest.mark.parametrize("kind", sorted(registered_stages()))
+    def test_a_misspelt_stage_param_is_refused(self, kind):
+        with pytest.raises(PipelineValidationError, match="bad parameters"):
+            Pipeline.from_spec({"stages": [{"stage": kind, "params": {"num_perms": 128}}]})
+
+    def test_a_stage_param_asking_for_a_removed_feature_is_refused(self):
+        spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
+        spec["stages"][0] = dict(spec["stages"][0], params={"kernel_backend": "python"})
+        with pytest.raises(PipelineValidationError, match="interpreted meta-blocking kernel"):
             Pipeline.from_spec(spec)
 
     def test_retired_keys_in_a_service_config(self):
@@ -312,12 +337,14 @@ def test_no_function_declares_a_knob_parameter():
 
 
 # Names of the deleted buffer backend, temp-root option, options object,
-# shared-memory transport of the CSR index and the pipeline's engine option.
+# shared-memory transport of the CSR index, the pipeline's engine option and
+# the MinHash / banding LSH of attribute partitioning.
 REMOVED_NAMES = re.compile(
     r"memmap|buffer_backend|tmp_dir|csrbuf|EngineOptions"
     r"|export_shared|SharedIndexBuffers|sweep_orphaned_segments|shared_memory|sharedmem"
     r"|use_engine|resolve_executor|REPRO_ENGINE_EXECUTOR|engine_metrics|executor_from_args"
     r"|check_engine_section|ENGINE_SECTION_KEYS"
+    r"|MinHash|AttributeLSH|num_perm|num_bands|lsh_seed"
 )
 
 

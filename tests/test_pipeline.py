@@ -44,6 +44,11 @@ FULL_SPEC = {
 # engine option (a driver-side run).
 PARENT_ENGINE = {"enabled": False, "parallelism": 4, "executor": "serial"}
 
+# The loose-schema spec, and the loose_schema params every resolved spec
+# recorded while attribute partitioning ran MinHash with banding LSH.
+LOOSE_SPEC = {"stages": [{"stage": "loose_schema"}, *FULL_SPEC["stages"]]}
+PARENT_LSH = {"num_perm": 128, "num_bands": 32, "lsh_seed": 5}
+
 EXPECTED_KINDS = {
     "loose_schema",
     "token_blocking",
@@ -412,6 +417,31 @@ class TestCheckpointResume:
         assert resumed.candidate_pairs == uninterrupted.candidate_pairs
         assert resumed.entities == uninterrupted.entities
         assert "engine" not in resumed.spec
+
+    @pytest.mark.parametrize("stop_after", ["loose_schema", "meta_blocking"])
+    @pytest.mark.parametrize(
+        "lsh", [PARENT_LSH, {"num_perm": 16, "num_bands": 8, "lsh_seed": 3}]
+    )
+    def test_a_checkpoint_recording_the_retired_lsh_params(
+        self, abt_buy_small, tmp_path, stop_after, lsh
+    ):
+        uninterrupted = Pipeline.from_spec(LOOSE_SPEC).run(abt_buy_small.profiles)
+        checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
+        Pipeline.from_spec(LOOSE_SPEC).run(
+            abt_buy_small.profiles, checkpoint=checkpoint, stop_after=stop_after
+        )
+        state = checkpoint.load()
+        state["spec"]["stages"][0]["params"].update(lsh)
+        state["spec"]["engine"] = PARENT_ENGINE
+        checkpoint.save(state)
+        resumed = Pipeline.resume(checkpoint)
+        assert resumed.candidate_pairs == uninterrupted.candidate_pairs
+        assert [c.members for c in resumed.clusters] == [
+            c.members for c in uninterrupted.clusters
+        ]
+        assert resumed.entities == uninterrupted.entities
+        assert resumed.spec == uninterrupted.spec
+        assert resumed.report.as_rows() == uninterrupted.report.as_rows()
 
     def test_checkpoint_written_after_every_stage(self, abt_buy_small, tmp_path):
         checkpoint = PipelineCheckpoint(tmp_path / "ckpt")

@@ -15,7 +15,6 @@ from repro.matching.similarity import (
 )
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.pruning import CardinalityEdgePruning
-from repro.utils.hashing import stable_hash
 from repro.utils.text import normalize_text
 from repro.utils.tokenize import tokenize
 from tests.components_reference import connected_components
@@ -59,7 +58,7 @@ block_member_lists = st.lists(
 
 
 # ---------------------------------------------------------------------------
-# text / hashing
+# text
 # ---------------------------------------------------------------------------
 class TestTextProperties:
     @given(short_text)
@@ -71,10 +70,6 @@ class TestTextProperties:
         for token in tokenize(text):
             assert token == normalize_text(token)
             assert " " not in token
-
-    @given(short_text)
-    def test_stable_hash_deterministic(self, text):
-        assert stable_hash(text) == stable_hash(text)
 
 
 class TestSimilarityProperties:
