@@ -81,14 +81,14 @@ def pair_stats(
     :class:`~repro.blocking.pairs.CandidatePairs`); ``counts`` fills
     ``num_blocks`` / ``total_comparisons`` when there are blocks."""
     true_pairs = ground_truth.pairs()
-    found = candidate_pairs & true_pairs
+    found = true_pairs & candidate_pairs
     return BlockingStats(
         num_blocks=counts.get("num_blocks", 0),
         num_candidate_pairs=len(candidate_pairs),
         total_comparisons=counts.get("total_comparisons", 0),
         recall=len(found) / len(true_pairs) if true_pairs else 1.0,
         precision=len(found) / len(candidate_pairs) if candidate_pairs else 0.0,
-        lost_pairs=true_pairs - candidate_pairs,
+        lost_pairs=true_pairs - found,
         reduction_ratio=1.0 - len(candidate_pairs) / max_comparisons if max_comparisons else 0.0,
     )
 

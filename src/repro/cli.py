@@ -40,9 +40,8 @@ from pathlib import Path
 
 from repro.core.config import SparkERConfig
 from repro.core.sparker import SparkER
-from repro.data.dataset import DatasetPair, ProfileCollection
-from repro.data.ground_truth import GroundTruth
-from repro.data.loaders import load_csv, load_json
+from repro.data.dataset import DatasetPair
+from repro.data.loaders import load_dataset
 from repro.data.synthetic import (
     SyntheticConfig,
     generate_abt_buy_like,
@@ -88,53 +87,16 @@ _SYNTHETIC_GENERATORS = {
 }
 
 
-def _load_file(path: Path, *, id_field: str | None, source_id: int, start_id: int):
-    if path.suffix.lower() == ".json":
-        return load_json(path, id_field=id_field, source_id=source_id, start_id=start_id)
-    return load_csv(path, id_field=id_field, source_id=source_id, start_id=start_id)
-
-
 def _load_dataset(args: argparse.Namespace) -> DatasetPair:
     """Build the dataset from --synthetic or from --source0/--source1 files."""
     if args.synthetic:
         generator = _SYNTHETIC_GENERATORS[args.synthetic]
         return generator(args.entities, args.seed)
-
     if not args.source0:
         raise SparkERError("either --synthetic or --source0 must be given")
-
-    profiles0 = _load_file(
-        Path(args.source0), id_field=args.id_field, source_id=0, start_id=0
+    return load_dataset(
+        args.source0, args.source1, args.ground_truth, id_field=args.id_field
     )
-    collection = ProfileCollection(profiles0)
-    id_map0 = {p.original_id: p.profile_id for p in profiles0}
-    id_map1: dict[str, int] = {}
-    if args.source1:
-        profiles1 = _load_file(
-            Path(args.source1), id_field=args.id_field, source_id=1, start_id=len(profiles0)
-        )
-        for profile in profiles1:
-            collection.add(profile)
-        id_map1 = {p.original_id: p.profile_id for p in profiles1}
-
-    ground_truth = GroundTruth()
-    if args.ground_truth:
-        import csv as _csv
-
-        with Path(args.ground_truth).open(newline="", encoding="utf-8") as handle:
-            reader = _csv.DictReader(handle)
-            fields = reader.fieldnames or []
-            if len(fields) < 2:
-                raise SparkERError("the ground-truth CSV needs two id columns")
-            right_map = id_map1 or id_map0
-            for row in reader:
-                left = id_map0.get(str(row[fields[0]]).strip())
-                right = right_map.get(str(row[fields[1]]).strip())
-                if left is not None and right is not None:
-                    ground_truth.add(left, right)
-
-    name = Path(args.source0).stem
-    return DatasetPair(profiles=collection, ground_truth=ground_truth, name=name)
 
 
 def _config_from_args(args: argparse.Namespace) -> SparkERConfig:
@@ -413,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of entities for the synthetic generators")
         sub.add_argument("--seed", type=int, default=42, action=_TrackExplicit,
                          help="synthetic generator seed")
-        sub.add_argument("--source0", help="first dataset (CSV or JSON)")
+        sub.add_argument("--source0", help="first dataset (.json, .jsonl or CSV)")
         sub.add_argument("--source1", help="second dataset for clean-clean ER")
         sub.add_argument("--ground-truth", help="CSV of matching original-id pairs")
         sub.add_argument("--id-field", default=None, help="name of the record-id column")

@@ -3,7 +3,7 @@
 from repro.data.profile import EntityProfile, KeyValue
 from repro.data.dataset import ProfileCollection, DatasetPair
 from repro.data.ground_truth import GroundTruth
-from repro.data.loaders import load_csv, load_json, load_jsonl
+from repro.data.loaders import load_dataset
 from repro.data.synthetic import (
     SyntheticConfig,
     generate_abt_buy_like,
@@ -18,9 +18,7 @@ __all__ = [
     "ProfileCollection",
     "DatasetPair",
     "GroundTruth",
-    "load_csv",
-    "load_json",
-    "load_jsonl",
+    "load_dataset",
     "SyntheticConfig",
     "generate_abt_buy_like",
     "generate_bibliographic",

@@ -1,12 +1,12 @@
 """Loaders for the public ER benchmark datasets used by the SparkER demo.
 
-The demo runs on the Abt-Buy dataset distributed by the University of Leipzig
-("FEVER" benchmark collection): two CSV files (``Abt.csv``, ``Buy.csv``) plus
-a perfect-mapping CSV (``abt_buy_perfectMapping.csv``) whose columns are the
-original record ids.  The same layout is used by the other datasets on the
-page (Amazon-GoogleProducts, DBLP-ACM, DBLP-Scholar).
+The demo runs on the Abt-Buy dataset distributed by the University of Leipzig:
+two latin-1 CSV files (``Abt.csv``, ``Buy.csv``) with an ``id`` column plus a
+perfect-mapping CSV (``abt_buy_perfectMapping.csv``) whose first two columns
+are the original ids of matching records.  The same layout is used by the
+other datasets on the page (Amazon-GoogleProducts, DBLP-ACM).
 
-These loaders parse that layout when the files are available locally and
+These read that layout through :func:`~repro.data.loaders.load_dataset` and
 return the same :class:`~repro.data.dataset.DatasetPair` structure produced by
 the synthetic generators, so the whole pipeline, the benchmarks and the debug
 session run unchanged on the real data.  Nothing is downloaded: if the files
@@ -15,79 +15,17 @@ are absent, callers should fall back to :mod:`repro.data.synthetic`.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
-from repro.data.dataset import DatasetPair, ProfileCollection
-from repro.data.ground_truth import GroundTruth
-from repro.data.loaders import load_csv
-from repro.exceptions import DataError
+from repro.data.dataset import DatasetPair
+from repro.data.loaders import load_dataset
 
 
-def load_two_source_benchmark(
-    source0_path: str | Path,
-    source1_path: str | Path,
-    mapping_path: str | Path,
-    *,
-    id_field: str = "id",
-    mapping_left_field: str | None = None,
-    mapping_right_field: str | None = None,
-    name: str = "benchmark",
-    encoding: str = "utf-8",
-) -> DatasetPair:
-    """Load a Leipzig-style clean-clean benchmark (two CSVs + perfect mapping).
-
-    Parameters
-    ----------
-    source0_path / source1_path:
-        The two record CSV files; every column except ``id_field`` becomes an
-        attribute.
-    mapping_path:
-        The perfect-mapping CSV.  Its two columns hold the original ids of the
-        matching records; by default the column names are taken from the CSV
-        header (first column → source 0, second column → source 1), or they
-        can be forced with ``mapping_left_field`` / ``mapping_right_field``.
-    id_field:
-        Name of the id column in the two record files.
-    """
-    source0_path, source1_path = Path(source0_path), Path(source1_path)
-    mapping_path = Path(mapping_path)
-    for path in (source0_path, source1_path, mapping_path):
-        if not path.exists():
-            raise DataError(f"benchmark file not found: {path}")
-
-    profiles0 = load_csv(source0_path, id_field=id_field, source_id=0, start_id=0)
-    profiles1 = load_csv(
-        source1_path, id_field=id_field, source_id=1, start_id=len(profiles0)
+def _load_leipzig(directory: str | Path, files: tuple[str, str, str], name: str) -> DatasetPair:
+    source0, source1, mapping = (Path(directory) / file for file in files)
+    return load_dataset(
+        source0, source1, mapping, id_field="id", encoding="latin-1", name=name
     )
-
-    collection = ProfileCollection(profiles0)
-    for profile in profiles1:
-        collection.add(profile)
-
-    id_map0 = {p.original_id: p.profile_id for p in profiles0}
-    id_map1 = {p.original_id: p.profile_id for p in profiles1}
-
-    ground_truth = GroundTruth()
-    with mapping_path.open(newline="", encoding=encoding) as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or len(reader.fieldnames) < 2:
-            raise DataError(f"perfect mapping {mapping_path} needs at least two columns")
-        left_field = mapping_left_field or reader.fieldnames[0]
-        right_field = mapping_right_field or reader.fieldnames[1]
-        for row in reader:
-            left = id_map0.get(str(row[left_field]).strip())
-            right = id_map1.get(str(row[right_field]).strip())
-            if left is None or right is None:
-                continue
-            ground_truth.add(left, right)
-
-    if len(ground_truth) == 0:
-        raise DataError(
-            f"no ground-truth pair of {mapping_path} could be mapped to record ids; "
-            f"check id_field / mapping column names"
-        )
-    return DatasetPair(profiles=collection, ground_truth=ground_truth, name=name)
 
 
 def load_abt_buy(directory: str | Path) -> DatasetPair:
@@ -96,38 +34,17 @@ def load_abt_buy(directory: str | Path) -> DatasetPair:
     Expects ``Abt.csv``, ``Buy.csv`` and ``abt_buy_perfectMapping.csv`` inside
     ``directory``.
     """
-    directory = Path(directory)
-    return load_two_source_benchmark(
-        directory / "Abt.csv",
-        directory / "Buy.csv",
-        directory / "abt_buy_perfectMapping.csv",
-        id_field="id",
-        name="abt-buy",
-        encoding="latin-1",
-    )
+    files = ("Abt.csv", "Buy.csv", "abt_buy_perfectMapping.csv")
+    return _load_leipzig(directory, files, "abt-buy")
 
 
 def load_amazon_google(directory: str | Path) -> DatasetPair:
     """Load the Amazon-GoogleProducts benchmark (same Leipzig layout)."""
-    directory = Path(directory)
-    return load_two_source_benchmark(
-        directory / "Amazon.csv",
-        directory / "GoogleProducts.csv",
-        directory / "Amzon_GoogleProducts_perfectMapping.csv",
-        id_field="id",
-        name="amazon-google",
-        encoding="latin-1",
-    )
+    files = ("Amazon.csv", "GoogleProducts.csv", "Amzon_GoogleProducts_perfectMapping.csv")
+    return _load_leipzig(directory, files, "amazon-google")
 
 
 def load_dblp_acm(directory: str | Path) -> DatasetPair:
     """Load the DBLP-ACM citation benchmark (same Leipzig layout)."""
-    directory = Path(directory)
-    return load_two_source_benchmark(
-        directory / "DBLP2.csv",
-        directory / "ACM.csv",
-        directory / "DBLP-ACM_perfectMapping.csv",
-        id_field="id",
-        name="dblp-acm",
-        encoding="latin-1",
-    )
+    files = ("DBLP2.csv", "ACM.csv", "DBLP-ACM_perfectMapping.csv")
+    return _load_leipzig(directory, files, "dblp-acm")

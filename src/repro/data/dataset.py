@@ -135,27 +135,3 @@ class DatasetPair:
             "max_comparisons": self.profiles.max_comparisons(),
         }
 
-
-def merge_sources(
-    source0: Iterable[EntityProfile], source1: Iterable[EntityProfile]
-) -> ProfileCollection:
-    """Merge two sources into one collection, re-assigning contiguous ids.
-
-    Profiles of source 0 get ids ``0..n0-1`` and source 1 gets ``n0..n0+n1-1``,
-    which is the id layout the original SparkER uses (a single id space with a
-    separator id).
-    """
-    collection = ProfileCollection()
-    next_id = 0
-    for source_id, source in ((0, source0), (1, source1)):
-        for profile in source:
-            collection.add(
-                EntityProfile(
-                    profile_id=next_id,
-                    original_id=profile.original_id or str(profile.profile_id),
-                    source_id=source_id,
-                    attributes=list(profile.attributes),
-                )
-            )
-            next_id += 1
-    return collection

@@ -57,14 +57,5 @@ class GroundTruth:
             (a, b) for a, b in self._pairs if a in wanted and b in wanted
         )
 
-    def missing_from(self, candidate_pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
-        """Return the true matches not present in ``candidate_pairs``.
-
-        These are the "false positives" of the demo's debugging view — the
-        paper uses that term for ground-truth pairs *lost* during blocking.
-        """
-        candidates = {canonical_pair(a, b) for a, b in candidate_pairs}
-        return self._pairs - candidates
-
     def __repr__(self) -> str:
         return f"GroundTruth(matches={len(self._pairs)})"

@@ -1,151 +1,117 @@
-"""Loaders: build profile collections from CSV / JSON / JSON-lines files.
+"""The one reader from files to a dataset: :func:`load_dataset`.
 
 The original SparkER loads CSV and JSON datasets into ``EntityProfile`` RDDs;
-these loaders produce the same profile structure driver-side.
+this builds the same profile structure driver-side.  The format of a source
+follows its file suffix: ``.json`` is an array of objects, ``.jsonl`` one
+object per line, anything else CSV with a header row.  Every read, decode or
+parse failure is a :class:`~repro.exceptions.DataError` naming the file.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Iterable
+from collections.abc import Callable
 from pathlib import Path
 
-from repro.data.dataset import ProfileCollection
+from repro.data.dataset import DatasetPair, ProfileCollection
 from repro.data.ground_truth import GroundTruth
 from repro.data.profile import EntityProfile
 from repro.exceptions import DataError
 
 
-def _profiles_from_records(
-    records: Iterable[dict[str, object]],
-    *,
-    id_field: str | None,
-    source_id: int,
-    start_id: int,
+def _read(path: Path, encoding: str, parse: Callable):
+    """``parse`` applied to ``path`` opened as text; any failure names the file."""
+    try:
+        with path.open(newline="", encoding=encoding) as handle:
+            return parse(handle)
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except (OSError, ValueError, RecursionError, csv.Error, DataError) as error:
+        raise DataError(f"{path}: {error}") from error
+
+
+def _records(handle, suffix: str) -> list:
+    """The records of an opened source whose file name ends in ``suffix``."""
+    if suffix == ".jsonl":
+        return [json.loads(line) for line in handle if line.strip()]
+    if suffix == ".json":
+        data = json.load(handle)
+        if not isinstance(data, list):
+            raise DataError("a JSON source must be an array of objects")
+        return data
+    return list(csv.DictReader(handle))
+
+
+def _profiles(
+    records: list, id_field: str | None, source_id: int, start_id: int
 ) -> list[EntityProfile]:
     profiles: list[EntityProfile] = []
-    next_id = start_id
-    for record in records:
-        original_id = str(record.get(id_field, next_id)) if id_field else str(next_id)
-        profile = EntityProfile(
-            profile_id=next_id, original_id=original_id, source_id=source_id
-        )
+    for profile_id, record in enumerate(records, start_id):
+        if not isinstance(record, dict):
+            raise DataError(f"record {profile_id - start_id} is not an object")
+        original_id = str(record.get(id_field, profile_id)) if id_field else str(profile_id)
+        profile = EntityProfile(profile_id, original_id, source_id)
         for attribute, value in record.items():
             if id_field is not None and attribute == id_field:
                 continue
-            if isinstance(value, (list, tuple)):
-                for item in value:
-                    profile.add(attribute, item)
-            else:
-                profile.add(attribute, value)
+            for item in value if isinstance(value, list) else (value,):
+                profile.add(attribute, item)
         profiles.append(profile)
-        next_id += 1
     return profiles
 
 
-def load_csv(
-    path: str | Path,
+def _truth(handle, left: dict[str, int], right: dict[str, int]) -> GroundTruth:
+    """Pairs of the first two columns: the first through ``left``, the second
+    through ``right``; rows with an unknown id are skipped."""
+    rows = csv.reader(handle)
+    if len(next(rows, ())) < 2:
+        raise DataError("a ground truth needs two id columns in its header")
+    truth = GroundTruth()
+    for row in rows:
+        if len(row) >= 2:
+            a, b = left.get(row[0].strip()), right.get(row[1].strip())
+            if a is not None and b is not None:
+                truth.add(a, b)
+    if not len(truth):
+        raise DataError("no ground-truth pair maps to the ids of the sources")
+    return truth
+
+
+def load_dataset(
+    source0: str | Path,
+    source1: str | Path | None = None,
+    ground_truth: str | Path | None = None,
     *,
     id_field: str | None = None,
-    source_id: int = 0,
-    start_id: int = 0,
-    delimiter: str = ",",
-) -> list[EntityProfile]:
-    """Load a CSV file into a list of profiles (header row required)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        records = [dict(row) for row in reader]
-    return _profiles_from_records(
-        records, id_field=id_field, source_id=source_id, start_id=start_id
-    )
+    encoding: str = "utf-8",
+    name: str | None = None,
+) -> DatasetPair:
+    """Read one source (dirty ER) or two (clean-clean ER) and a ground truth.
 
-
-def load_json(
-    path: str | Path,
-    *,
-    id_field: str | None = None,
-    source_id: int = 0,
-    start_id: int = 0,
-) -> list[EntityProfile]:
-    """Load a JSON file containing a list of flat objects."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, list):
-        raise DataError("JSON dataset must be a list of objects")
-    return _profiles_from_records(
-        data, id_field=id_field, source_id=source_id, start_id=start_id
-    )
-
-
-def load_jsonl(
-    path: str | Path,
-    *,
-    id_field: str | None = None,
-    source_id: int = 0,
-    start_id: int = 0,
-) -> list[EntityProfile]:
-    """Load a JSON-lines file (one object per line)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    records = []
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return _profiles_from_records(
-        records, id_field=id_field, source_id=source_id, start_id=start_id
-    )
-
-
-def load_ground_truth_csv(
-    path: str | Path,
-    id_mapping_source0: dict[str, int],
-    id_mapping_source1: dict[str, int],
-    *,
-    left_field: str = "id1",
-    right_field: str = "id2",
-    delimiter: str = ",",
-) -> GroundTruth:
-    """Load a ground-truth CSV of original-id pairs and map them to profile ids."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    ground_truth = GroundTruth()
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        for row in reader:
-            left = id_mapping_source0.get(str(row[left_field]))
-            right = id_mapping_source1.get(str(row[right_field]))
-            if left is None or right is None:
-                continue
-            ground_truth.add(left, right)
-    return ground_truth
-
-
-def collection_from_records(
-    records0: Iterable[dict[str, object]],
-    records1: Iterable[dict[str, object]] | None = None,
-    *,
-    id_field: str | None = None,
-) -> ProfileCollection:
-    """Build a collection directly from in-memory record dictionaries."""
-    profiles0 = _profiles_from_records(
-        records0, id_field=id_field, source_id=0, start_id=0
-    )
-    collection = ProfileCollection(profiles0)
-    if records1 is not None:
-        profiles1 = _profiles_from_records(
-            records1, id_field=id_field, source_id=1, start_id=len(profiles0)
+    Profile ids run from 0 over source 0, then on over source 1.  A record's
+    ``id_field`` value is its original id (the profile id when absent), and
+    every other field an attribute; a list value gives one pair per item.
+    The ground truth is a CSV whose first column holds source-0 ids and whose
+    second holds source-1 ids (source-0 ids with one source).  ``encoding``
+    applies to every file; ``name`` defaults to the stem of ``source0``.
+    """
+    collection = ProfileCollection()
+    id_maps: list[dict[str, int]] = []
+    paths = [Path(path) for path in (source0, source1) if path is not None]
+    for source_id, path in enumerate(paths):
+        profiles = _read(
+            path,
+            encoding,
+            lambda handle: _profiles(
+                _records(handle, path.suffix.lower()), id_field, source_id, len(collection)
+            ),
         )
-        for profile in profiles1:
+        for profile in profiles:
             collection.add(profile)
-    return collection
+        id_maps.append({p.original_id: p.profile_id for p in profiles})
+    truth = GroundTruth()
+    if ground_truth is not None:
+        left, right = id_maps[0], id_maps[-1]
+        truth = _read(Path(ground_truth), encoding, lambda handle: _truth(handle, left, right))
+    return DatasetPair(collection, truth, name or paths[0].stem)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from repro.blocking.stats import pair_stats
 from repro.clustering.base import EntityCluster, clusters_to_pairs
 from repro.data.ground_truth import GroundTruth, canonical_pair
 from repro.exceptions import EvaluationError
@@ -79,18 +80,18 @@ def blocking_metrics(
     * *pair completeness* (PC) is the recall of the candidate set,
     * *pair quality* (PQ) is its precision,
     * *reduction ratio* (RR) is 1 - |candidates| / |all-pairs comparisons|.
+
+    The counts come from :func:`~repro.blocking.stats.pair_stats`, as the
+    pipeline's stage rows do (they round recall to 4 places, these to 6).
     """
-    metrics = pair_metrics(candidate_pairs, ground_truth)
-    num_candidates = metrics.true_positives + metrics.false_positives
-    reduction_ratio = 0.0
-    if max_comparisons > 0:
-        reduction_ratio = 1.0 - num_candidates / max_comparisons
+    pairs = {canonical_pair(a, b) for a, b in candidate_pairs}
+    stats = pair_stats(pairs, ground_truth, max_comparisons)
     return {
-        "pair_completeness": round(metrics.recall, 6),
-        "pair_quality": round(metrics.precision, 6),
-        "reduction_ratio": round(reduction_ratio, 6),
-        "candidate_pairs": num_candidates,
-        "f1": round(metrics.f1, 6),
+        "pair_completeness": round(stats.recall, 6),
+        "pair_quality": round(stats.precision, 6),
+        "reduction_ratio": round(stats.reduction_ratio, 6),
+        "candidate_pairs": stats.num_candidate_pairs,
+        "f1": round(stats.f1, 6),
     }
 
 

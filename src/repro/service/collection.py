@@ -59,9 +59,6 @@ class CollectionConfig:
     clean_clean: bool = False
     weighting: str = "cbs"
     pruning: str = "wnp"
-    # Accepted so older specs and snapshots load; a compacted block's
-    # entropy is 1.0, so it changes no service weight.
-    use_entropy: bool = False
     min_token_length: int = 1
     remove_stopwords: bool = False
     compact_every: "int | None" = None
@@ -89,6 +86,9 @@ class CollectionConfig:
         if not isinstance(payload, dict):
             raise ConfigurationError("collection config must be a mapping")
         payload = drop_retired_keys(payload)
+        # ``use_entropy`` changed no service weight (a compacted block's
+        # entropy is 1.0); older specs, configs and snapshots still name it.
+        payload.pop("use_entropy", None)
         known = {f for f in cls.__dataclass_fields__}  # noqa: C416 - py39 keys view
         unknown = set(payload) - known
         if unknown:
@@ -268,8 +268,8 @@ class ServiceCollection:
     def _edge_table(self, index):
         """``index``'s edge table, weighed once per compaction.
 
-        The no-entropy plan serves ``use_entropy`` too: every compacted
-        block carries entropy 1.0, a factor of exactly 1.0.
+        The plan weighs without entropy: every compacted block carries
+        entropy 1.0, a factor of exactly 1.0.
         """
         if self._table is None or self._table[0] != self.index.compactions:
             plan = index.weight_plan(self.config.weighting, use_entropy=False)

@@ -134,6 +134,39 @@ class TestRunCommand:
         entities = json.loads(output.read_text(encoding="utf-8"))
         assert sorted(entity["profiles"] for entity in entities) == [[i, i + 5] for i in range(5)]
 
+    def test_csv_and_json_lines_sources_with_ground_truth(self, capsys):
+        data = Path(__file__).resolve().parents[1] / "examples" / "data"
+        exit_code = main(
+            ["run", "--source0", str(data / "products_a.csv"),
+             "--source1", str(data / "products_b.jsonl"),
+             "--ground-truth", str(data / "products_truth.csv"), "--id-field", "id"]
+        )
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert "'source0': 6, 'source1': 5" in out and "'matches': 4" in out
+
+    def test_unmappable_ground_truth_is_error(self, capsys):
+        # The sources swapped: no first-column id is a source-0 id.
+        data = Path(__file__).resolve().parents[1] / "examples" / "data"
+        exit_code = main(
+            ["run", "--source0", str(data / "products_b.jsonl"),
+             "--source1", str(data / "products_a.csv"),
+             "--ground-truth", str(data / "products_truth.csv"), "--id-field", "id"]
+        )
+        assert exit_code == 2
+        assert "products_truth.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [("a.json", "[1, 2"), ("a.json", '[{"x": 1}, 2]'), ("a.jsonl", "[1]\n")],
+        ids=["truncated-json", "non-object-record", "non-object-line"],
+    )
+    def test_malformed_json_source_is_error(self, capsys, tmp_path, name, text):
+        source = tmp_path / name
+        source.write_text(text)
+        assert main(["run", "--source0", str(source)]) == 2
+        assert f"error: {source}" in capsys.readouterr().err
+
     def test_missing_input_is_error(self, capsys):
         exit_code = main(["run"])
         assert exit_code == 2

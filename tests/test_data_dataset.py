@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data.dataset import DatasetPair, ProfileCollection, merge_sources
+from repro.data.dataset import DatasetPair, ProfileCollection
 from repro.data.ground_truth import GroundTruth
 from repro.data.profile import EntityProfile
 from repro.exceptions import DataError
@@ -83,21 +83,6 @@ class TestProfileCollection:
         collection = ProfileCollection([_profile(i) for i in range(5)])
         subset = collection.subset([1, 3])
         assert subset.ids() == [1, 3]
-
-
-class TestMergeSources:
-    def test_contiguous_ids(self):
-        source0 = [_profile(10, 0, name="a"), _profile(11, 0, name="b")]
-        source1 = [_profile(5, 1, title="c")]
-        merged = merge_sources(source0, source1)
-        assert merged.ids() == [0, 1, 2]
-        assert merged[2].source_id == 1
-        assert merged.separator_id == 1
-
-    def test_original_ids_preserved(self):
-        source0 = [EntityProfile(profile_id=3, original_id="abc", source_id=0)]
-        merged = merge_sources(source0, [])
-        assert merged[0].original_id == "abc"
 
 
 class TestDatasetPair:

@@ -36,15 +36,6 @@ class TestGroundTruth:
         assert (1, 2) in restricted
         assert (3, 4) not in restricted
 
-    def test_missing_from(self):
-        truth = GroundTruth([(1, 2), (3, 4)])
-        lost = truth.missing_from([(2, 1), (5, 6)])
-        assert lost == {(3, 4)}
-
-    def test_missing_from_order_insensitive(self):
-        truth = GroundTruth([(1, 2)])
-        assert truth.missing_from([(2, 1)]) == set()
-
     def test_pairs_returns_copy(self):
         truth = GroundTruth([(1, 2)])
         pairs = truth.pairs()

@@ -24,7 +24,12 @@ from repro.blocking.block import Block, BlockCollection
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.pairs import CandidatePairs
 from repro.blocking.purging import BlockPurging
-from repro.blocking.stats import block_stage_metrics, candidate_pair_stats, compute_blocking_stats
+from repro.blocking.stats import (
+    block_stage_metrics,
+    candidate_pair_stats,
+    compute_blocking_stats,
+    pair_stats,
+)
 from repro.blocking.token_blocking import TokenBlocking
 from repro.clustering.base import ClusteringAlgorithm
 from repro.clustering.connected_components import ConnectedComponentsClustering, component_labels
@@ -33,6 +38,7 @@ from repro.core.debugging import DebugSession
 from repro.core.entity_clusterer import EntityClusterer
 from repro.core.entity_matcher import EntityMatcher
 from repro.data.ground_truth import GroundTruth, canonical_pair
+from repro.evaluation.metrics import blocking_metrics
 from repro.matching.matcher import Matcher, ThresholdMatcher
 from repro.matching.similarity_graph import SimilarityEdge, SimilarityGraph
 from repro.metablocking import backends
@@ -199,7 +205,8 @@ class TestCandidatePairsAlgebra:
         assert candidate_pair_stats(view, truth, max_comparisons=1000) == candidate_pair_stats(
             pairs, truth, max_comparisons=1000
         )
-        assert truth.missing_from(view) == truth.missing_from(pairs)
+        assert pair_stats(view, truth, None).lost_pairs == pair_stats(pairs, truth, None).lost_pairs
+        assert blocking_metrics(view, truth, 1000) == blocking_metrics(pairs, truth, 1000)
 
     def test_read_only(self):
         view = CandidatePairs.of([(2, 1)])

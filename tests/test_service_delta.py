@@ -128,7 +128,7 @@ def test_candidates_then_cold_matches_weigh_one_table_per_compaction(
     Repeating both queries weighs nothing."""
     profiles = _random_profiles(90, clean_clean=False, seed=31)
     collection = ServiceCollection(
-        CollectionConfig(name="c", weighting=weighting, use_entropy=use_entropy)
+        CollectionConfig.from_dict({"name": "c", "weighting": weighting, "use_entropy": use_entropy})
     )
     per_compaction = 1
     try:
@@ -148,12 +148,13 @@ def test_candidates_then_cold_matches_weigh_one_table_per_compaction(
 
 @pytest.mark.parametrize("weighting", ["cbs", "js", "arcs"])
 def test_entropy_leaves_the_service_candidates_unchanged(weighting):
-    """A ``use_entropy`` collection answers what one without entropy does,
-    and what a batch entropy meta-blocker on the union collection retains."""
+    """A config naming ``use_entropy`` (a retired collection key) answers
+    what one without it does, and what a batch entropy meta-blocker on the
+    union collection retains."""
     profiles = _random_profiles(80, clean_clean=False, seed=37)
     collections = [
-        ServiceCollection(CollectionConfig(name="c", weighting=weighting, use_entropy=flag))
-        for flag in (True, False)
+        ServiceCollection(CollectionConfig.from_dict({"name": "c", "weighting": weighting, **key}))
+        for key in ({"use_entropy": True}, {})
     ]
     try:
         for lo, hi in ((0, 45), (45, 80)):
@@ -444,6 +445,36 @@ def test_a_snapshot_naming_a_buffer_backend_restores_like_a_fresh_twin(
             want = [twin.candidates(probe), twin.matches(probe, 30)]
             assert json.dumps(got) == json.dumps(want)
         assert not (tmp_path / "buffers").exists()
+    finally:
+        source.close()
+        twin.close()
+        store.close_all()
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_snapshot_naming_use_entropy_restores_like_a_fresh_twin(tmp_path, flag):
+    profiles = _random_profiles(60, clean_clean=False, seed=43)
+    source = ServiceCollection(CollectionConfig(name="demo"))
+    twin = ServiceCollection(CollectionConfig(name="demo"))
+    store = CollectionStore(snapshot_dir=str(tmp_path))
+    try:
+        for collection in (source, twin):
+            collection.ingest(_ingest_payload(profiles[:40]))
+        state = source.snapshot_state()
+        # The parent's config carried the flag, which changed no weight.
+        state["config"] = dict(state["config"], use_entropy=flag)
+        PipelineCheckpoint(tmp_path / "demo").save(state)
+
+        assert store.load_snapshots() == ["demo"]
+        restored = store.get("demo")
+        assert restored.config == twin.config
+        assert "use_entropy" not in restored.config.as_dict()
+        for collection in (restored, twin):
+            collection.ingest(_ingest_payload(profiles[40:]))
+        for probe in (0, 41):
+            got = [restored.candidates(probe), restored.matches(probe, 30)]
+            want = [twin.candidates(probe), twin.matches(probe, 30)]
+            assert json.dumps(got) == json.dumps(want)
     finally:
         source.close()
         twin.close()
