@@ -15,8 +15,8 @@ from repro.core.sparker import SparkER
 
 def _run_pipeline(dataset, config: SparkERConfig) -> dict[str, object]:
     result = SparkER(config).run(dataset.profiles, dataset.ground_truth)
-    clusterer = result.report.get("clustering").metrics
-    matcher = result.report.get("matching").metrics
+    clusterer = result.execution("clustering").metrics
+    matcher = result.execution("matching").metrics
     return {
         "candidate_pairs": result.summary()["candidate_pairs"],
         "matched_pairs": result.summary()["matched_pairs"],

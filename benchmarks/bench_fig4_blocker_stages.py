@@ -17,7 +17,7 @@ from repro.core.config import BlockerConfig
 def _stage_rows(dataset, config: BlockerConfig) -> list[dict[str, object]]:
     report = Blocker(config).run(dataset.profiles, dataset.ground_truth)
     rows = []
-    for row in report.stage_rows():
+    for row in report.metric_rows():
         if row["stage"] == "loose_schema":
             continue
         rows.append(

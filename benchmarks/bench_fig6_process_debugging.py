@@ -94,7 +94,7 @@ def test_fig6_batch_mode_application(benchmark, abt_buy):
         return {
             "candidate_pairs": result.summary()["candidate_pairs"],
             "clusters": result.summary()["clusters"],
-            "cluster_f1": result.report.get("clustering").metrics["f1"],
+            "cluster_f1": result.execution("clustering").metrics["f1"],
         }
 
     row = benchmark(run)

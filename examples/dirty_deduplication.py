@@ -35,7 +35,7 @@ def main() -> None:
     result = SparkER(config).run(dataset.profiles, dataset.ground_truth)
 
     print()
-    print(format_table(result.report.as_rows(), title="pipeline stages"))
+    print(format_table(result.pipeline_result.metric_rows(), title="pipeline stages"))
 
     large_clusters = [c for c in result.clusters if c.size >= 3]
     print(f"\nclusters with 3+ duplicate records: {len(large_clusters)}")

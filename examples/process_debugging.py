@@ -66,7 +66,7 @@ def main() -> None:
     print("\napplying the tuned configuration to the full dataset (batch mode)...")
     result = session.apply_to_full_dataset(threshold=0.3, use_entropy=True)
     print("batch run summary:", result.summary())
-    print("final cluster quality:", result.report.get("clustering").metrics)
+    print("final cluster quality:", result.execution("clustering").metrics)
 
 
 if __name__ == "__main__":

@@ -26,11 +26,11 @@ def main() -> None:
     pipeline = SparkER(SparkERConfig.unsupervised_default())
     result = pipeline.run(dataset.profiles, dataset.ground_truth)
 
-    # 3. Inspect the per-stage report (the numbers the SparkER GUI displays);
-    #    rows and timings are keyed by pipeline stage label.
+    # 3. Inspect the per-stage metrics (the numbers the SparkER GUI displays):
+    #    one execution record per pipeline stage, found by its label.
     print()
-    print(format_table(result.report.as_rows(), title="pipeline stages"))
-    print("cluster quality:", result.report.get("clustering").metrics)
+    print(format_table(result.pipeline_result.metric_rows(), title="pipeline stages"))
+    print("cluster quality:", result.execution("clustering").metrics)
 
     # 4. Look at a few resolved entities.
     print()
@@ -48,7 +48,8 @@ def main() -> None:
 
     print()
     print("summary:", result.summary())
-    print("stage timings (s):", {k: round(v, 3) for k, v in result.timings.as_dict().items()})
+    executions = result.pipeline_result.executions
+    print("stage timings (s):", {e.label: round(e.seconds, 3) for e in executions})
 
 
 if __name__ == "__main__":

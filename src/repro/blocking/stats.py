@@ -9,8 +9,12 @@ all of them from a block collection and the ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+
+import numpy as np
 
 from repro.blocking.block import BlockCollection
+from repro.blocking.pairs import CandidatePairs, pair_columns
 from repro.data.ground_truth import GroundTruth
 
 
@@ -81,7 +85,10 @@ def pair_stats(
     :class:`~repro.blocking.pairs.CandidatePairs`); ``counts`` fills
     ``num_blocks`` / ``total_comparisons`` when there are blocks."""
     true_pairs = ground_truth.pairs()
-    found = true_pairs & candidate_pairs
+    if isinstance(candidate_pairs, CandidatePairs):
+        found = _true_among(true_pairs, candidate_pairs)
+    else:
+        found = true_pairs & candidate_pairs
     return BlockingStats(
         num_blocks=counts.get("num_blocks", 0),
         num_candidate_pairs=len(candidate_pairs),
@@ -91,6 +98,25 @@ def pair_stats(
         lost_pairs=true_pairs - found,
         reduction_ratio=1.0 - len(candidate_pairs) / max_comparisons if max_comparisons else 0.0,
     )
+
+
+def _true_among(true_pairs: set[tuple[int, int]], pairs: CandidatePairs) -> set:
+    """The true pairs among the rows of ``pairs``, which ascend in ``(a, b)``
+    with ``a < b``, so their codes ``(a - lo) * span + (b - lo)`` ascend too:
+    one searchsorted places every true pair's code (the set path past 2³¹)."""
+    if not true_pairs or not len(pairs):
+        return set()
+    lo = int(pairs.a[0])
+    span = int(pairs.b.max()) - lo + 1
+    if span >= 2**31:
+        return true_pairs & set(pairs)
+    codes = (pairs.a - lo) * span + (pairs.b - lo)
+    truth = list(true_pairs)
+    lower, upper = (column - lo for column in pair_columns(truth))
+    known = (lower >= 0) & (upper < span)
+    wanted = np.where(known, lower * span + upper, -1)
+    at = np.minimum(codes.searchsorted(wanted), len(codes) - 1)
+    return set(compress(truth, (known & (codes[at] == wanted)).tolist()))
 
 
 def block_stage_metrics(

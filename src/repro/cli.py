@@ -162,7 +162,7 @@ def _print_result(dataset: DatasetPair | None, result: PipelineResult) -> None:
     if dataset is not None:
         print(f"dataset: {dataset.summary()}")
         print()
-    print(format_table(result.report.as_rows(), title="pipeline stages"))
+    print(format_table(result.metric_rows(), title="pipeline stages"))
     print()
     print(format_table(result.stage_rows(), title="stage executions"))
     print()

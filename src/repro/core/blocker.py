@@ -6,9 +6,10 @@ pairs.  The chain is one list of stage-graph spec entries,
 :func:`blocker_stages`; :class:`Blocker` runs that list through
 :class:`~repro.pipeline.Pipeline` and :class:`~repro.core.sparker.SparkER`
 runs it with matching and clustering appended.  Every intermediate block
-collection and per-stage metric row is kept on the report, so the process
-debugging can show how each step changed the number of blocks, candidate
-pairs and recall/precision — exactly the quantities of the demo GUI.
+collection and stage execution (with its metrics) is kept on the report, so
+the process debugging can show how each step changed the number of blocks,
+candidate pairs and recall/precision — exactly the quantities of the demo
+GUI.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from repro.blocking.block import BlockCollection
 from repro.core.config import BlockerConfig
 from repro.data.dataset import ProfileCollection
 from repro.data.ground_truth import GroundTruth
-from repro.evaluation.report import PipelineReport
 from repro.looseschema.attribute_partitioning import AttributePartitioning
 from repro.metablocking.metablocker import MetaBlockingResult
-from repro.pipeline import Pipeline, PipelineResult
-from repro.utils.timers import StageTimings
+from repro.pipeline import Pipeline, PipelineResult, StageExecution
 
 
 def blocker_stages(config: BlockerConfig) -> list[dict[str, object]]:
@@ -97,13 +96,12 @@ class BlockerReport:
     filtered_blocks: BlockCollection | None = None
     meta_blocking: MetaBlockingResult | None = None
     candidate_pairs: set[tuple[int, int]] = field(default_factory=set)
-    pipeline_report: PipelineReport = field(default_factory=PipelineReport)
-    timings: StageTimings = field(default_factory=StageTimings)
+    executions: list[StageExecution] = field(default_factory=list)
 
     @classmethod
     def from_result(cls, result: PipelineResult) -> "BlockerReport":
-        """The blocker artifacts of a run over :func:`blocker_stages`; the
-        metric rows and timings are the run's own, keyed by stage label."""
+        """The blocker artifacts of a run over :func:`blocker_stages`, and
+        the run's stage executions."""
         store = result.artifacts
         return cls(
             partitioning=store.get("partitioning"),  # type: ignore[arg-type]
@@ -113,13 +111,12 @@ class BlockerReport:
             filtered_blocks=store.get("filtered_blocks"),  # type: ignore[arg-type]
             meta_blocking=store.get("meta_blocking"),  # type: ignore[arg-type]
             candidate_pairs=result.candidate_pairs,
-            pipeline_report=result.report,
-            timings=result.timings,
+            executions=result.executions,
         )
 
-    def stage_rows(self) -> list[dict[str, object]]:
-        """Rows of the per-stage metric table (for reports and benchmarks)."""
-        return self.pipeline_report.as_rows()
+    def metric_rows(self) -> list[dict[str, object]]:
+        """Per-stage rows: the label, then what the stage recorded."""
+        return [execution.metric_row() for execution in self.executions]
 
 
 class Blocker:

@@ -5,26 +5,24 @@ Entity Clusterer → output entities``.  :class:`SparkER` builds the canonical
 stage-graph spec (:meth:`SparkER.canonical_spec`: the blocker chain of
 :func:`~repro.core.blocker.blocker_stages` plus matching, clustering and
 entity generation), runs it as a :class:`repro.pipeline.Pipeline` and hands
-back the pipeline's own report and timings, keyed by stage label, beside the
-artifacts of the run.
+back the run's stage executions (params, seconds and metrics, keyed by stage
+label) beside its artifacts.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.clustering.base import EntityCluster, clusters_to_pairs
 from repro.core.blocker import BlockerReport, blocker_seeds, blocker_stages
 from repro.core.config import SparkERConfig
 from repro.data.dataset import ProfileCollection
 from repro.data.ground_truth import GroundTruth
-from repro.evaluation.report import PipelineReport
 from repro.looseschema.attribute_partitioning import AttributePartitioning
 from repro.matching.matcher import Matcher, MatchingRule
 from repro.matching.similarity_graph import SimilarityGraph
-from repro.pipeline import Pipeline, PipelineResult
-from repro.utils.timers import StageTimings
+from repro.pipeline import Pipeline, PipelineResult, StageExecution
 
 
 @dataclass
@@ -36,9 +34,11 @@ class SparkERResult:
     similarity_graph: SimilarityGraph
     clusters: list[EntityCluster]
     entities: list[dict[str, object]]
-    report: PipelineReport = field(default_factory=PipelineReport)
-    timings: StageTimings = field(default_factory=StageTimings)
-    pipeline_result: PipelineResult | None = None
+    pipeline_result: PipelineResult
+
+    def execution(self, label: str) -> StageExecution | None:
+        """The execution record of the stage labelled ``label`` (or None)."""
+        return self.pipeline_result.execution(label)
 
     @property
     def matched_pairs(self) -> set[tuple[int, int]]:
@@ -145,8 +145,6 @@ class SparkER:
             similarity_graph=result.similarity_graph,
             clusters=result.clusters,
             entities=result.entities,
-            report=result.report,
-            timings=result.timings,
             pipeline_result=result,
         )
 

@@ -6,14 +6,12 @@ from repro.evaluation.metrics import (
     blocking_metrics,
     clustering_metrics,
 )
-from repro.evaluation.report import StageReport, PipelineReport, format_table
+from repro.evaluation.report import format_table
 
 __all__ = [
     "pair_metrics",
     "PairMetrics",
     "blocking_metrics",
     "clustering_metrics",
-    "StageReport",
-    "PipelineReport",
     "format_table",
 ]

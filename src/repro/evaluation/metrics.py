@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from repro.blocking.pairs import CandidatePairs
 from repro.blocking.stats import pair_stats
 from repro.clustering.base import EntityCluster, clusters_to_pairs
 from repro.data.ground_truth import GroundTruth, canonical_pair
@@ -84,7 +85,9 @@ def blocking_metrics(
     The counts come from :func:`~repro.blocking.stats.pair_stats`, as the
     pipeline's stage rows do (they round recall to 4 places, these to 6).
     """
-    pairs = {canonical_pair(a, b) for a, b in candidate_pairs}
+    pairs = candidate_pairs
+    if not isinstance(pairs, CandidatePairs):  # its rows are canonical already
+        pairs = {canonical_pair(a, b) for a, b in candidate_pairs}
     stats = pair_stats(pairs, ground_truth, max_comparisons)
     return {
         "pair_completeness": round(stats.recall, 6),

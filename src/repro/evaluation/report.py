@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 
 
 def format_table(rows: Sequence[Mapping[str, object]], *, title: str | None = None) -> str:
-    """Render a list of uniform dictionaries as an aligned text table."""
+    """Render a list of dictionaries as an aligned text table.
+
+    The columns are every row's keys in first-seen order; a row without a
+    column leaves its cell blank.
+    """
     if not rows:
         return f"{title}\n(empty)" if title else "(empty)"
-    columns = list(rows[0].keys())
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     widths = {
         column: max(len(str(column)), *(len(str(row.get(column, ""))) for row in rows))
         for column in columns
@@ -26,49 +29,3 @@ def format_table(rows: Sequence[Mapping[str, object]], *, title: str | None = No
             " | ".join(str(row.get(column, "")).ljust(widths[column]) for column in columns)
         )
     return "\n".join(lines)
-
-
-@dataclass
-class StageReport:
-    """Metrics snapshot of one pipeline stage."""
-
-    stage: str
-    metrics: dict[str, object] = field(default_factory=dict)
-
-    def line(self) -> str:
-        """One-line rendering of the stage metrics."""
-        parts = ", ".join(f"{key}={value}" for key, value in self.metrics.items())
-        return f"[{self.stage}] {parts}"
-
-
-@dataclass
-class PipelineReport:
-    """Collection of stage reports of one end-to-end run."""
-
-    stages: list[StageReport] = field(default_factory=list)
-
-    def add(self, stage: str, metrics: dict[str, object]) -> StageReport:
-        """Record a new stage snapshot and return it."""
-        report = StageReport(stage=stage, metrics=dict(metrics))
-        self.stages.append(report)
-        return report
-
-    def get(self, stage: str) -> StageReport | None:
-        """Return the most recent report of ``stage`` (or None)."""
-        for report in reversed(self.stages):
-            if report.stage == stage:
-                return report
-        return None
-
-    def render(self) -> str:
-        """Multi-line rendering of every stage."""
-        return "\n".join(report.line() for report in self.stages)
-
-    def as_rows(self) -> list[dict[str, object]]:
-        """Rows suitable for :func:`format_table`."""
-        rows = []
-        for report in self.stages:
-            row: dict[str, object] = {"stage": report.stage}
-            row.update(report.metrics)
-            rows.append(row)
-        return rows

@@ -51,7 +51,7 @@ Quick start::
             {"stage": "entity_generation"},
         ],
     }).run(profiles, ground_truth)
-    result.entities, result.summary(), result.stage_rows()
+    result.entities, result.summary(), result.metric_rows(), result.stage_rows()
 
 :class:`repro.core.sparker.SparkER` runs
 ``Pipeline.from_spec(SparkER.canonical_spec(config))`` and

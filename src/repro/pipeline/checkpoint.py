@@ -1,8 +1,9 @@
 """Checkpoint/resume for pipeline runs, and the one durable-file writer.
 
 After every completed stage the runner serialises the whole run state — the
-resolved spec, the artifact store, the report, the per-stage execution
-records and the input data — into one pickle under the checkpoint directory.
+resolved spec, the artifact store, the per-stage execution records (with
+their metrics) and the input data — into one pickle under the checkpoint
+directory.
 A re-run with ``resume=True`` (or ``python -m repro.cli resume``) loads that
 state, verifies the spec still matches, and skips every completed stage.
 
@@ -26,11 +27,13 @@ it has no write in flight.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
 import re
 import tempfile
+import types
 from pathlib import Path
 from typing import Any
 
@@ -43,6 +46,30 @@ CHECKPOINT_VERSION = 1
 
 # ``<target>.<random>.tmp``: the names ``write_synced_temp`` gives its temps.
 _TEMP_NAME = re.compile(r".+\.[a-z0-9_]+\.tmp")
+
+# Earlier versions kept each stage's metrics in a ``report`` of rows and its
+# seconds in a ``timings`` record; a class these modules no longer define
+# loads as a namespace, and the report's rows move onto the executions.
+_RETIRED_RECORD_MODULES = {"repro.evaluation.report", "repro.utils.timers"}
+
+
+class _StateUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        try:
+            return super().find_class(module, name)
+        except AttributeError:
+            if module in _RETIRED_RECORD_MODULES:
+                return types.SimpleNamespace
+            raise
+
+
+def _metrics_onto_executions(state: dict[str, Any]) -> dict[str, Any]:
+    report, _timings = state.pop("report", None), state.pop("timings", None)
+    rows = {row.stage: row.metrics for row in getattr(report, "stages", ())}
+    for execution in state.get("executions", ()):
+        if "metrics" not in vars(execution):
+            execution.metrics = dict(rows.get(execution.label, {}))
+    return state
 
 
 def _checksum(data: bytes) -> str:
@@ -177,7 +204,7 @@ class PipelineCheckpoint:
             )
         path, _digest, data = found
         try:
-            return pickle.loads(data)
+            return _metrics_onto_executions(_StateUnpickler(io.BytesIO(data)).load())
         except Exception as error:
             raise PipelineError(
                 f"checkpoint state {path} failed to unpickle: {error!r}"

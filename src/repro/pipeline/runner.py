@@ -2,7 +2,8 @@
 
 ``Pipeline`` executes a list of :class:`~repro.pipeline.stage.Stage` instances
 in order over a shared :class:`~repro.pipeline.artifacts.ArtifactStore`,
-recording per-stage wall-clock into one unified report.  Pipelines are
+recording one :class:`~repro.pipeline.stage.StageExecution` per stage (its
+params, wall-clock and metrics).  Pipelines are
 buildable three ways:
 
 * directly, from stage instances: ``Pipeline([TokenBlockingStage(), ...])``;
@@ -25,14 +26,13 @@ from typing import Any
 
 from repro.data.dataset import ProfileCollection
 from repro.data.ground_truth import GroundTruth
-from repro.evaluation.report import PipelineReport
 from repro.exceptions import PipelineError, PipelineValidationError
 from repro.options import drop_retired_keys
 from repro.pipeline.artifacts import PROFILES, ArtifactStore
 from repro.pipeline.checkpoint import PipelineCheckpoint
 from repro.pipeline.registry import make_stage
 from repro.pipeline.stage import Stage, StageExecution
-from repro.utils.timers import StageTimings, Timer
+from repro.utils.timers import Timer
 
 _SPEC_ENTRY_KEYS = {"stage", "label", "params", "inputs", "outputs"}
 
@@ -55,12 +55,12 @@ class PipelineContext:
 
     ground_truth: GroundTruth | None = None
     extras: dict[str, Any] = field(default_factory=dict)
-    report: PipelineReport = field(default_factory=PipelineReport)
     max_comparisons: int = 0
+    metrics: dict[str, object] = field(default_factory=dict)
 
-    def record(self, stage: str, metrics: dict[str, object]) -> None:
-        """Record the metric snapshot of one stage into the unified report."""
-        self.report.add(stage, metrics)
+    def record(self, metrics: Mapping[str, object]) -> None:
+        """Record metrics of the running stage into its execution record."""
+        self.metrics.update(metrics)
 
 
 @dataclass
@@ -69,9 +69,7 @@ class PipelineResult:
 
     name: str
     artifacts: ArtifactStore
-    report: PipelineReport
     executions: list[StageExecution]
-    timings: StageTimings
     spec: dict[str, object] = field(default_factory=dict)
     completed: list[str] = field(default_factory=list)
     partial: bool = False
@@ -93,9 +91,17 @@ class PipelineResult:
     def entities(self) -> list[dict[str, object]]:
         return self.artifacts.get("entities", [])  # type: ignore[return-value]
 
-    # ----------------------------------------------------------------- report
+    # ------------------------------------------------------------ executions
+    def execution(self, label: str) -> StageExecution | None:
+        """The execution record of the stage labelled ``label`` (or None)."""
+        return next((e for e in self.executions if e.label == label), None)
+
+    def metric_rows(self) -> list[dict[str, object]]:
+        """Per-stage rows: the label, then what the stage recorded."""
+        return [execution.metric_row() for execution in self.executions]
+
     def stage_rows(self) -> list[dict[str, object]]:
-        """Uniform per-stage rows: status and seconds."""
+        """Per-stage rows: status and seconds."""
         return [execution.as_row() for execution in self.executions]
 
     def summary(self) -> dict[str, object]:
@@ -103,7 +109,7 @@ class PipelineResult:
         summary: dict[str, object] = {
             "stages_run": sum(1 for e in self.executions if not e.resumed),
             "stages_resumed": sum(1 for e in self.executions if e.resumed),
-            "seconds": round(self.timings.total, 4),
+            "seconds": round(sum(e.seconds for e in self.executions), 4),
         }
         for key in ("candidate_pairs", "similarity_graph", "clusters", "entities"):
             value = self.artifacts.get(key)
@@ -319,7 +325,7 @@ class Pipeline:
         stop_after: str | None = None,
         _resume_state: "dict[str, Any] | None" = None,
     ) -> PipelineResult:
-        """Execute the stage graph and return every artifact plus the report.
+        """Execute the stage graph; return every artifact and each stage's record.
 
         Parameters
         ----------
@@ -361,10 +367,7 @@ class Pipeline:
                     "rebuild it with Pipeline.from_checkpoint() or start fresh"
                 )
             store: ArtifactStore = state["store"]
-            report: PipelineReport = state["report"]
             executions: list[StageExecution] = list(state["executions"])
-            timings: StageTimings = state["timings"]
-            completed: set[str] = set(state["completed"])
             for execution in executions:
                 execution.resumed = True
             if profiles is None:
@@ -375,10 +378,7 @@ class Pipeline:
             if profiles is None:
                 raise PipelineError("run() needs a profile collection")
             store = ArtifactStore()
-            report = PipelineReport()
             executions = []
-            timings = StageTimings()
-            completed = set()
             store.put(PROFILES, PROFILES, profiles)
             for key, value in (artifacts or {}).items():
                 if isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], str):
@@ -393,10 +393,10 @@ class Pipeline:
         context = PipelineContext(
             ground_truth=ground_truth,
             extras=extras_dict,
-            report=report,
             max_comparisons=profiles.max_comparisons(),
         )
 
+        completed = {execution.label for execution in executions}
         stopped = False
         for stage in self.stages:
             if stage.label in completed:
@@ -413,6 +413,7 @@ class Pipeline:
                     raise PipelineError(
                         f"stage {stage.label!r} is missing required input {key!r}"
                     )
+            context.metrics = {}
             with Timer() as timer:
                 outputs = stage.run(context, **inputs)
             for spec in stage.outputs:
@@ -428,22 +429,19 @@ class Pipeline:
                     kind=stage.kind,
                     params=stage.params(),
                     seconds=timer.elapsed,
+                    metrics=context.metrics,
                 )
             )
-            timings.record(stage.label, timer.elapsed)
-            completed.add(stage.label)
             if checkpoint is not None:
-                checkpoint.save(
-                    self._checkpoint_state(
-                        store=store,
-                        report=report,
-                        executions=executions,
-                        timings=timings,
-                        completed=[e.label for e in executions],
-                        profiles=profiles,
-                        ground_truth=ground_truth,
-                    )
-                )
+                checkpoint.save({
+                    "spec": self.resolved_spec(),
+                    "completed": [e.label for e in executions],
+                    "store": store,
+                    "executions": executions,
+                    "profiles": profiles,
+                    "ground_truth": ground_truth,
+                    "artifact_manifest": store.manifest(),
+                })
             if stop_after == stage.label:
                 stopped = True
                 break
@@ -451,27 +449,11 @@ class Pipeline:
         return PipelineResult(
             name=self.name,
             artifacts=store,
-            report=report,
             executions=executions,
-            timings=timings,
             spec=self.resolved_spec(),
             completed=[execution.label for execution in executions],
             partial=stopped,
         )
-
-    def _checkpoint_state(self, **parts: Any) -> dict[str, Any]:
-        store: ArtifactStore = parts["store"]
-        return {
-            "spec": self.resolved_spec(),
-            "completed": parts["completed"],
-            "store": store,
-            "report": parts["report"],
-            "executions": parts["executions"],
-            "timings": parts["timings"],
-            "profiles": parts["profiles"],
-            "ground_truth": parts["ground_truth"],
-            "artifact_manifest": store.manifest(),
-        }
 
     def __repr__(self) -> str:
         labels = ", ".join(stage.label for stage in self.stages)

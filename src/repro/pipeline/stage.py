@@ -162,18 +162,27 @@ class Stage:
 
 @dataclass
 class StageExecution:
-    """What one stage did during a run (the unified-report record)."""
+    """What one stage did during a run: the one per-stage record.
+
+    ``metrics`` holds what the stage passed to ``context.record`` (blocks,
+    candidate pairs, recall and precision when a ground truth is known).
+    """
 
     label: str
     kind: str
     params: dict[str, object] = field(default_factory=dict)
     seconds: float = 0.0
     resumed: bool = False
+    metrics: dict[str, object] = field(default_factory=dict)
 
     def as_row(self) -> dict[str, object]:
-        """One row of the unified per-stage table (CLI output)."""
+        """One row of the status table: label, run or resumed, seconds."""
         return {
             "stage": self.label,
             "status": "resumed" if self.resumed else "run",
             "seconds": round(self.seconds, 4),
         }
+
+    def metric_row(self) -> dict[str, object]:
+        """One row of the metrics table: the label, then the metrics."""
+        return {"stage": self.label, **self.metrics}

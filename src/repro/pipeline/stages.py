@@ -46,14 +46,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.runner import PipelineContext
 
 
-def _record_block_stage(context: "PipelineContext", label: str, blocks: Any) -> None:
+def _record_block_stage(context: "PipelineContext", blocks: Any) -> None:
     """Record the per-stage block statistics, with quality when GT is known."""
     context.record(
-        label,
-        block_stage_metrics(
-            blocks, context.ground_truth, max_comparisons=context.max_comparisons
-        ),
+        block_stage_metrics(blocks, context.ground_truth, max_comparisons=context.max_comparisons)
     )
+
+
+def _record_pair_stats(context: "PipelineContext", pairs: Any) -> None:
+    """Record the candidate-pair quality statistics when GT is known."""
+    if context.ground_truth is not None:
+        context.record(
+            candidate_pair_stats(pairs, context.ground_truth, max_comparisons=context.max_comparisons)
+        )
 
 
 @register_stage
@@ -91,7 +96,6 @@ class LooseSchemaStage(Stage):
         entropies = EntropyExtractor().extract_columns(columns, partitioning)
         blob = partitioning.clusters.get(partitioning.blob_cluster_id, set())
         context.record(
-            self.label,
             {
                 "clusters": len(partitioning.non_blob_clusters()),
                 "blob_attributes": len(blob),
@@ -149,7 +153,7 @@ class TokenBlockingStage(Stage):
                 remove_stopwords=self.remove_stopwords,
             )
         blocks = strategy.block(profiles, tokens)
-        _record_block_stage(context, self.label, blocks)
+        _record_block_stage(context, blocks)
         return {"blocks": blocks, "tokens": tokens}
 
 
@@ -168,7 +172,7 @@ class BlockPurgingStage(Stage):
     def run(self, context: "PipelineContext", *, blocks, profiles):
         purging = BlockPurging(max_profile_fraction=self.max_profile_fraction)
         purged = purging.purge(blocks, len(profiles))
-        _record_block_stage(context, self.label, purged)
+        _record_block_stage(context, purged)
         return {"blocks": purged}
 
 
@@ -186,7 +190,7 @@ class BlockFilteringStage(Stage):
 
     def run(self, context: "PipelineContext", *, blocks):
         filtered = BlockFiltering(ratio=self.ratio).filter(blocks)
-        _record_block_stage(context, self.label, filtered)
+        _record_block_stage(context, filtered)
         return {"blocks": filtered}
 
 
@@ -217,16 +221,8 @@ class MetaBlockingStage(Stage):
 
     def run(self, context: "PipelineContext", *, blocks):
         result = MetaBlocker(self.weighting, self.pruning, use_entropy=self.use_entropy).run(blocks)
-        metrics: dict[str, object] = dict(result.as_dict())
-        if context.ground_truth is not None:
-            metrics.update(
-                candidate_pair_stats(
-                    result.candidate_pairs,
-                    context.ground_truth,
-                    max_comparisons=context.max_comparisons,
-                )
-            )
-        context.record(self.label, metrics)
+        context.record(result.as_dict())
+        _record_pair_stats(context, result.candidate_pairs)
         return {"candidate_pairs": result.candidate_pairs, "meta_blocking": result}
 
 
@@ -240,14 +236,8 @@ class BlockComparisonsStage(Stage):
 
     def run(self, context: "PipelineContext", *, blocks):
         pairs = blocks.distinct_comparisons()
-        metrics: dict[str, object] = {"candidate_pairs": len(pairs)}
-        if context.ground_truth is not None:
-            metrics.update(
-                candidate_pair_stats(
-                    pairs, context.ground_truth, max_comparisons=context.max_comparisons
-                )
-            )
-        context.record(self.label, metrics)
+        context.record({"candidate_pairs": len(pairs)})
+        _record_pair_stats(context, pairs)
         return {"candidate_pairs": pairs}
 
 
@@ -291,18 +281,10 @@ class ProgressiveMetaBlockingStage(Stage):
         if self.budget is not None:
             stream = islice(stream, self.budget)
         pairs = set(stream)
-        metrics: dict[str, object] = {
-            "candidate_pairs": len(pairs),
-            "budget": self.budget,
-            "strategy": self.strategy,
-        }
-        if context.ground_truth is not None:
-            metrics.update(
-                candidate_pair_stats(
-                    pairs, context.ground_truth, max_comparisons=context.max_comparisons
-                )
-            )
-        context.record(self.label, metrics)
+        context.record(
+            {"candidate_pairs": len(pairs), "budget": self.budget, "strategy": self.strategy}
+        )
+        _record_pair_stats(context, pairs)
         return {"candidate_pairs": pairs}
 
 
@@ -359,12 +341,9 @@ class MatchingStage(Stage):
             matcher=context.extras.get("matcher"),
         )
         similarity_graph = matcher.match(profiles, candidate_pairs, tokens)
-        metrics: dict[str, object] = {"matched_pairs": len(similarity_graph)}
+        context.record({"matched_pairs": len(similarity_graph)})
         if context.ground_truth is not None:
-            metrics.update(
-                pair_metrics(similarity_graph.pairs(), context.ground_truth).as_dict()
-            )
-        context.record(self.label, metrics)
+            context.record(pair_metrics(similarity_graph.pairs(), context.ground_truth).as_dict())
         return {"similarity_graph": similarity_graph, "tokens": tokens}
 
 
@@ -386,10 +365,9 @@ class ClusteringStage(Stage):
         config = ClustererConfig(algorithm=self.algorithm, min_score=self.min_score)
         clusterer = EntityClusterer(config)
         clusters = clusterer.cluster(similarity_graph)
-        metrics: dict[str, object] = {"clusters": len(clusters)}
+        context.record({"clusters": len(clusters)})
         if context.ground_truth is not None:
-            metrics.update(clustering_metrics(clusters, context.ground_truth))
-        context.record(self.label, metrics)
+            context.record(clustering_metrics(clusters, context.ground_truth))
         return {"clusters": clusters}
 
 
@@ -410,7 +388,7 @@ class EntityGenerationStage(Stage):
         entities = clusterer.generate_entities(
             clusters, profiles, include_singletons=self.include_singletons
         )
-        context.record(self.label, {"entities": len(entities)})
+        context.record({"entities": len(entities)})
         return {"entities": entities}
 
 
@@ -459,5 +437,5 @@ class EvaluationStage(Stage):
         for section, metrics in evaluation.items():
             for key, value in metrics.items():
                 flat[f"{section}.{key}"] = value
-        context.record(self.label, flat)
+        context.record(flat)
         return {"evaluation": evaluation}

@@ -2,7 +2,7 @@
 
 from repro.utils.tokenize import tokenize, character_ngrams
 from repro.utils.text import normalize_text, STOPWORDS
-from repro.utils.timers import Timer, StageTimings
+from repro.utils.timers import Timer
 
 __all__ = [
     "tokenize",
@@ -10,5 +10,4 @@ __all__ = [
     "normalize_text",
     "STOPWORDS",
     "Timer",
-    "StageTimings",
 ]

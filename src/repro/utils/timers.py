@@ -1,9 +1,8 @@
-"""Lightweight timing helpers used by the pipeline and the benchmarks."""
+"""The stopwatch used by the pipeline and the benchmarks."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 
 class Timer:
@@ -28,44 +27,3 @@ class Timer:
     def __exit__(self, *exc_info: object) -> None:
         if self._start is not None:
             self.elapsed = time.perf_counter() - self._start
-
-
-@dataclass
-class StageTimings:
-    """Accumulates named stage durations for a pipeline run."""
-
-    durations: dict[str, float] = field(default_factory=dict)
-
-    def record(self, stage: str, seconds: float) -> None:
-        """Add ``seconds`` to the accumulated duration of ``stage``."""
-        self.durations[stage] = self.durations.get(stage, 0.0) + seconds
-
-    def time(self, stage: str) -> "_StageContext":
-        """Return a context manager that records elapsed time under ``stage``."""
-        return _StageContext(self, stage)
-
-    @property
-    def total(self) -> float:
-        """Total recorded time across all stages."""
-        return sum(self.durations.values())
-
-    def as_dict(self) -> dict[str, float]:
-        """Return a copy of the stage → seconds mapping."""
-        return dict(self.durations)
-
-
-class _StageContext:
-    """Context manager produced by :meth:`StageTimings.time`."""
-
-    def __init__(self, timings: StageTimings, stage: str) -> None:
-        self._timings = timings
-        self._stage = stage
-        self._timer = Timer()
-
-    def __enter__(self) -> "_StageContext":
-        self._timer.__enter__()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._timer.__exit__(*exc_info)
-        self._timings.record(self._stage, self._timer.elapsed)

@@ -540,7 +540,7 @@ class TestDownstreamOfColumns:
         )
         resumed = Pipeline.resume(tmp_path / "ckpt")
         assert resumed.candidate_pairs == whole.candidate_pairs
-        assert resumed.report.as_rows() == whole.report.as_rows()
+        assert resumed.metric_rows() == whole.metric_rows()
         for key in keys:
             assert rows(resumed.artifacts.get(key)) == rows(whole.artifacts.get(key))
 
@@ -562,7 +562,8 @@ class TestDownstreamOfColumns:
         labelled = SparkER().run(dataset.profiles, dataset.ground_truth)
         unlabelled = SparkER().run(dataset.profiles)
         assert labelled.candidate_pairs == unlabelled.candidate_pairs
-        rows_with, rows_without = labelled.report.as_rows(), unlabelled.report.as_rows()
+        rows_with = labelled.pipeline_result.metric_rows()
+        rows_without = unlabelled.pipeline_result.metric_rows()
         assert len(rows_with) == len(rows_without)
         for with_truth, without in zip(rows_with, rows_without):
             assert without.items() <= with_truth.items()

@@ -10,7 +10,7 @@ class TestBlockerSchemaAgnostic:
     def test_stages_executed(self, abt_buy_small):
         config = BlockerConfig(use_loose_schema=False, use_entropy=False)
         report = Blocker(config).run(abt_buy_small.profiles, abt_buy_small.ground_truth)
-        stages = [stage.stage for stage in report.pipeline_report.stages]
+        stages = [execution.label for execution in report.executions]
         assert stages == ["token_blocking", "block_purging", "block_filtering", "meta_blocking"]
         assert report.partitioning is None
 
@@ -35,7 +35,8 @@ class TestBlockerSchemaAgnostic:
 
     def test_timings_recorded(self, abt_buy_small):
         report = Blocker(BlockerConfig(use_loose_schema=False)).run(abt_buy_small.profiles)
-        assert list(report.timings.durations) == [
+        assert all(execution.seconds >= 0 for execution in report.executions)
+        assert [execution.label for execution in report.executions] == [
             "token_blocking",
             "block_purging",
             "block_filtering",
@@ -49,7 +50,7 @@ class TestBlockerLooseSchema:
         report = Blocker(config).run(abt_buy_small.profiles, abt_buy_small.ground_truth)
         assert report.partitioning is not None
         assert len(report.cluster_entropies) == len(report.partitioning.clusters)
-        assert report.pipeline_report.get("loose_schema") is not None
+        assert report.executions[0].label == "loose_schema"
 
     def test_recall_preserved(self, abt_buy_small):
         config = BlockerConfig(use_loose_schema=True, attribute_threshold=0.1)
@@ -75,5 +76,5 @@ class TestBlockerLooseSchema:
 
     def test_stage_rows(self, abt_buy_small):
         report = Blocker(BlockerConfig()).run(abt_buy_small.profiles, abt_buy_small.ground_truth)
-        rows = report.stage_rows()
+        rows = report.metric_rows()
         assert any(row["stage"] == "meta_blocking" for row in rows)

@@ -123,5 +123,5 @@ class TestDebugSessionWorkflow:
         session.try_threshold(0.3)
         result = session.apply_to_full_dataset(threshold=0.3, use_entropy=True)
         assert result.summary()["clusters"] > 0
-        clusterer_metrics = result.report.get("clustering").metrics
+        clusterer_metrics = result.execution("clustering").metrics
         assert clusterer_metrics["f1"] > 0.6

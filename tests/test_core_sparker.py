@@ -19,13 +19,13 @@ class TestSparkERUnsupervised:
 
     def test_quality_on_synthetic(self, abt_buy_small):
         result = SparkER().run(abt_buy_small.profiles, abt_buy_small.ground_truth)
-        clusterer_report = result.report.get("clustering")
+        clusterer_report = result.execution("clustering")
         assert clusterer_report.metrics["recall"] > 0.7
         assert clusterer_report.metrics["precision"] > 0.7
 
     def test_stage_reports_present(self, abt_buy_small):
         result = SparkER().run(abt_buy_small.profiles, abt_buy_small.ground_truth)
-        stages = [s.stage for s in result.report.stages]
+        stages = [e.label for e in result.pipeline_result.executions]
         assert "token_blocking" in stages
         assert "matching" in stages
         assert "clustering" in stages
@@ -36,7 +36,9 @@ class TestSparkERUnsupervised:
 
     def test_timings_recorded(self, abt_buy_small):
         result = SparkER().run(abt_buy_small.profiles)
-        assert list(result.timings.durations) == [
+        executions = result.pipeline_result.executions
+        assert all(execution.seconds >= 0 for execution in executions)
+        assert [execution.label for execution in executions] == [
             "loose_schema",
             "token_blocking",
             "block_purging",
@@ -73,7 +75,7 @@ class TestSparkERDirty:
             dirty_persons_small.profiles, dirty_persons_small.ground_truth
         )
         assert result.summary()["clusters"] > 0
-        clusterer_metrics = result.report.get("clustering").metrics
+        clusterer_metrics = result.execution("clustering").metrics
         assert clusterer_metrics["recall"] > 0.3
 
 

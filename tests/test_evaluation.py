@@ -5,7 +5,7 @@ import pytest
 from repro.clustering.base import EntityCluster
 from repro.data.ground_truth import GroundTruth
 from repro.evaluation.metrics import blocking_metrics, clustering_metrics, pair_metrics
-from repro.evaluation.report import PipelineReport, StageReport, format_table
+from repro.evaluation.report import format_table
 from repro.exceptions import EvaluationError
 
 
@@ -87,36 +87,19 @@ class TestClusteringMetrics:
 
 
 class TestReports:
-    def test_stage_report_line(self):
-        report = StageReport("blocking", {"blocks": 10})
-        assert "blocking" in report.line()
-        assert "blocks=10" in report.line()
-
-    def test_pipeline_report_add_get(self):
-        pipeline = PipelineReport()
-        pipeline.add("blocking", {"blocks": 5})
-        pipeline.add("matching", {"pairs": 3})
-        assert pipeline.get("blocking").metrics["blocks"] == 5
-        assert pipeline.get("missing") is None
-
-    def test_pipeline_report_render(self):
-        pipeline = PipelineReport()
-        pipeline.add("stage", {"x": 1})
-        assert "[stage]" in pipeline.render()
-
-    def test_as_rows(self):
-        pipeline = PipelineReport()
-        pipeline.add("stage", {"x": 1})
-        rows = pipeline.as_rows()
-        assert rows[0]["stage"] == "stage"
-        assert rows[0]["x"] == 1
-
     def test_format_table(self):
         table = format_table([{"a": 1, "b": "xy"}, {"a": 22, "b": "z"}], title="t")
         lines = table.splitlines()
         assert lines[0] == "t"
         assert "a" in lines[1] and "b" in lines[1]
         assert len(lines) == 5
+
+    def test_format_table_columns_are_every_rows_keys(self):
+        rows = [{"stage": "a", "x": 1}, {"stage": "b", "recall": 0.5}, {"y": 2}]
+        header, rule, *body = format_table(rows).splitlines()
+        assert [cell.strip() for cell in header.split("|")] == ["stage", "x", "recall", "y"]
+        assert [cell.strip() for cell in body[1].split("|")] == ["b", "", "0.5", ""]
+        assert [cell.strip() for cell in body[2].split("|")] == ["", "", "", "2"]
 
     def test_format_table_empty(self):
         assert "(empty)" in format_table([], title="nothing")

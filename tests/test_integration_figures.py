@@ -65,7 +65,7 @@ class TestFigure3EndToEnd:
 
     def test_pipeline_quality(self, abt_buy_medium):
         result = SparkER().run(abt_buy_medium.profiles, abt_buy_medium.ground_truth)
-        clusterer_metrics = result.report.get("clustering").metrics
+        clusterer_metrics = result.execution("clustering").metrics
         assert clusterer_metrics["recall"] > 0.7
         assert clusterer_metrics["precision"] > 0.7
 
@@ -81,7 +81,7 @@ class TestFigure4BlockerStages:
     def test_monotone_candidate_reduction(self, abt_buy_medium):
         config = BlockerConfig(use_loose_schema=False, use_entropy=False)
         report = Blocker(config).run(abt_buy_medium.profiles, abt_buy_medium.ground_truth)
-        rows = {row["stage"]: row for row in report.stage_rows()}
+        rows = {row["stage"]: row for row in report.metric_rows()}
         raw = rows["token_blocking"]["candidate_pairs"]
         purged = rows["block_purging"]["candidate_pairs"]
         filtered = rows["block_filtering"]["candidate_pairs"]
@@ -93,14 +93,14 @@ class TestFigure4BlockerStages:
     def test_recall_stays_high_through_stages(self, abt_buy_medium):
         config = BlockerConfig(use_loose_schema=False, use_entropy=False)
         report = Blocker(config).run(abt_buy_medium.profiles, abt_buy_medium.ground_truth)
-        rows = {row["stage"]: row for row in report.stage_rows()}
+        rows = {row["stage"]: row for row in report.metric_rows()}
         assert rows["token_blocking"]["recall"] > 0.95
         assert rows["meta_blocking"]["recall"] > 0.85
 
     def test_precision_improves_through_stages(self, abt_buy_medium):
         config = BlockerConfig(use_loose_schema=False, use_entropy=False)
         report = Blocker(config).run(abt_buy_medium.profiles, abt_buy_medium.ground_truth)
-        rows = {row["stage"]: row for row in report.stage_rows()}
+        rows = {row["stage"]: row for row in report.metric_rows()}
         assert rows["meta_blocking"]["precision"] > rows["token_blocking"]["precision"]
 
 

@@ -40,7 +40,7 @@ def supervised_result(abt_buy_small):
 
 class TestSupervisedPipeline:
     def test_classifier_matcher_end_to_end(self, supervised_result):
-        metrics = supervised_result.report.get("clustering").metrics
+        metrics = supervised_result.execution("clustering").metrics
         assert metrics["f1"] > 0.7
 
     def test_user_partitioning_end_to_end(self, abt_buy_small):
@@ -49,7 +49,7 @@ class TestSupervisedPipeline:
         pipeline = SparkER(config, partitioning=partitioning)
         result = pipeline.run(abt_buy_small.profiles, abt_buy_small.ground_truth)
         assert result.blocker_report.partitioning is partitioning
-        assert result.report.get("clustering").metrics["recall"] > 0.6
+        assert result.execution("clustering").metrics["recall"] > 0.6
 
     def test_rule_matcher_end_to_end(self, abt_buy_small):
         config = SparkERConfig.unsupervised_default()
@@ -66,8 +66,8 @@ class TestSupervisedPipeline:
         bad.matcher.threshold = 0.9
         bad_result = SparkER(bad).run(abt_buy_small.profiles, abt_buy_small.ground_truth)
 
-        bad_recall = bad_result.report.get("clustering").metrics["recall"]
-        supervised_recall = supervised_result.report.get("clustering").metrics["recall"]
+        bad_recall = bad_result.execution("clustering").metrics["recall"]
+        supervised_recall = supervised_result.execution("clustering").metrics["recall"]
         assert supervised_recall > bad_recall
 
     def test_config_persistence_roundtrip(self, abt_buy_small, tmp_path):

@@ -410,4 +410,4 @@ class TestParentCheckpoints:
         assert as_rows(resumed.similarity_graph) == as_rows(uninterrupted.similarity_graph)
         assert cluster_rows(resumed.clusters) == cluster_rows(uninterrupted.clusters)
         assert resumed.entities == uninterrupted.entities
-        assert resumed.report.as_rows() == uninterrupted.report.as_rows()
+        assert resumed.metric_rows() == uninterrupted.metric_rows()

@@ -240,7 +240,7 @@ class TestExecution:
         )
         result = pipeline.run(abt_buy_small.profiles, abt_buy_small.ground_truth)
         assert 0 < len(result.candidate_pairs) <= 50
-        row = result.report.get("progressive_meta_blocking")
+        row = result.execution("progressive_meta_blocking")
         assert row.metrics["budget"] == 50
 
     def test_progressive_bad_strategy_rejected(self):
@@ -254,7 +254,7 @@ class TestExecution:
         )
         evaluation = result.artifacts.get("evaluation")
         assert set(evaluation) == {"blocking", "matching", "clustering"}
-        row = result.report.get("evaluation")
+        row = result.execution("evaluation")
         assert any(key.startswith("clustering.") for key in row.metrics)
 
     def test_evaluation_stage_requires_ground_truth(self, abt_buy_small):
@@ -267,10 +267,10 @@ class TestExecution:
             abt_buy_small.profiles, abt_buy_small.ground_truth
         )
         labels = [entry["stage"] for entry in FULL_SPEC["stages"]]
-        assert [s.stage for s in result.report.stages] == labels
+        assert [row["stage"] for row in result.metric_rows()] == labels
         assert [row["stage"] for row in result.stage_rows()] == labels
         assert all(row["status"] == "run" for row in result.stage_rows())
-        assert set(result.timings.durations) == set(labels)
+        assert all(e.metrics and e.seconds >= 0 for e in result.executions)
 
     def test_summary_reports_artifact_counts(self, abt_buy_small):
         result = Pipeline.from_spec(FULL_SPEC).run(
@@ -316,7 +316,7 @@ class TestSpecRoundTrip:
         assert [c.members for c in first.clusters] == [
             c.members for c in second.clusters
         ]
-        assert first.report.as_rows() == second.report.as_rows()
+        assert first.metric_rows() == second.metric_rows()
         assert rebuilt.resolved_spec()["stages"] == resolved["stages"]
 
     def test_resolved_spec_records_all_parameters(self):
@@ -357,7 +357,7 @@ class TestCheckpointResume:
         assert [c.members for c in resumed.clusters] == [
             c.members for c in uninterrupted.clusters
         ]
-        assert resumed.report.as_rows() == uninterrupted.report.as_rows()
+        assert resumed.metric_rows() == uninterrupted.metric_rows()
         resumed_flags = [e.resumed for e in resumed.executions]
         assert resumed_flags == [True] * 4 + [False] * 3
 
@@ -441,7 +441,7 @@ class TestCheckpointResume:
         ]
         assert resumed.entities == uninterrupted.entities
         assert resumed.spec == uninterrupted.spec
-        assert resumed.report.as_rows() == uninterrupted.report.as_rows()
+        assert resumed.metric_rows() == uninterrupted.metric_rows()
 
     def test_checkpoint_written_after_every_stage(self, abt_buy_small, tmp_path):
         checkpoint = PipelineCheckpoint(tmp_path / "ckpt")

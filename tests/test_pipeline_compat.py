@@ -66,9 +66,7 @@ def _assert_equivalent(facade_result, pipeline_result) -> None:
     if facade_meta is not None or pipeline_meta is not None:
         assert facade_meta.retained_edges == pipeline_meta.retained_edges
     # The facade's own run *is* a pipeline run — the unified reports match.
-    assert facade_result.pipeline_result.report.as_rows() == (
-        pipeline_result.report.as_rows()
-    )
+    assert facade_result.pipeline_result.metric_rows() == pipeline_result.metric_rows()
 
 
 def _cluster_pairs(cluster):
@@ -111,9 +109,9 @@ class TestFacadePipelineEquivalence:
             "clustering",
             "entity_generation",
         ]
-        assert [stage.stage for stage in result.report.stages] == labels
-        assert list(result.timings.durations) == labels
-        assert result.report is result.pipeline_result.report
+        assert [row["stage"] for row in result.pipeline_result.metric_rows()] == labels
+        assert [row["stage"] for row in result.pipeline_result.stage_rows()] == labels
+        assert result.execution("clustering") is result.pipeline_result.executions[-2]
 
     def test_schema_agnostic_ignores_user_partitioning(self, abt_buy_small):
         """The legacy Blocker only consulted a partitioning on the
@@ -166,10 +164,10 @@ class TestBlockerIsTheBlockerHalfOfSparkER:
             assert blocker.meta_blocking is None and expected.meta_blocking is None
         if partitioning is not None:
             assert blocker.partitioning is partitioning
-        rows = blocker.stage_rows()
+        rows = blocker.metric_rows()
         labels = [entry["stage"] for entry in blocker_stages(config.blocker)]
-        assert [row["stage"] for row in rows] == labels == list(blocker.timings.durations)
-        assert rows == full.report.as_rows()[: len(rows)]
+        assert [row["stage"] for row in rows] == labels
+        assert rows == full.pipeline_result.metric_rows()[: len(rows)]
 
 
 # What only the stage adapters may build: a second blocker chain in repro.core
@@ -227,4 +225,4 @@ class TestCheckpointResumeEquivalence:
             c.members for c in uninterrupted.clusters
         ]
         assert resumed.entities == uninterrupted.entities
-        assert resumed.report.as_rows() == uninterrupted.report.as_rows()
+        assert resumed.metric_rows() == uninterrupted.metric_rows()

@@ -1,6 +1,6 @@
-"""Tests of the timing helpers."""
+"""Tests of the stopwatch."""
 
-from repro.utils.timers import StageTimings, Timer
+from repro.utils.timers import Timer
 
 
 class TestTimer:
@@ -12,32 +12,3 @@ class TestTimer:
     def test_elapsed_zero_before_use(self):
         assert Timer().elapsed == 0.0
 
-
-class TestStageTimings:
-    def test_record_accumulates(self):
-        timings = StageTimings()
-        timings.record("blocking", 1.0)
-        timings.record("blocking", 2.0)
-        assert timings.durations["blocking"] == 3.0
-
-    def test_total(self):
-        timings = StageTimings()
-        timings.record("a", 1.0)
-        timings.record("b", 2.0)
-        assert timings.total == 3.0
-
-    def test_time_context_manager(self):
-        timings = StageTimings()
-        with timings.time("stage"):
-            sum(range(1000))
-        assert timings.durations["stage"] >= 0.0
-
-    def test_as_dict_copy(self):
-        timings = StageTimings()
-        timings.record("a", 1.0)
-        copy = timings.as_dict()
-        copy["a"] = 99.0
-        assert timings.durations["a"] == 1.0
-
-    def test_empty_total(self):
-        assert StageTimings().total == 0.0
