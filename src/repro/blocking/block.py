@@ -22,7 +22,7 @@ import numpy as np
 from repro.blocking.pairs import CandidatePairs
 from repro.exceptions import BlockingError
 
-_PAIR_CHUNK = 1 << 20  # pair codes expanded at a time by _distinct_codes
+_PAIR_CHUNK = 1 << 20  # pair codes expanded at a time by _pair_codes
 
 
 @dataclass
@@ -252,16 +252,19 @@ class BlockCollection:
 
     def distinct_comparisons(self) -> CandidatePairs:
         """The distinct candidate pairs across all blocks, as columns."""
-        node_ids, codes = self._distinct_codes()
+        codes, width, id_of = self._pair_codes()
+        codes = codes[np.diff(codes, prepend=-1) != 0]
         self._distinct_count = len(codes)
-        return CandidatePairs.from_codes(codes, node_ids)
+        lower, upper = np.divmod(codes.astype(np.int64, copy=False), width)
+        return CandidatePairs(id_of(lower), id_of(upper))
 
     def count_distinct_comparisons(self) -> int:
         """``len(distinct_comparisons())`` without the pair set, once per
         collection (and none when :meth:`keeping_count_of` reused its
         source's count)."""
         if self._distinct_count is None:
-            self._distinct_count = len(self._distinct_codes()[1])
+            codes = self._pair_codes()[0]
+            self._distinct_count = int(np.count_nonzero(np.diff(codes, prepend=-1)))
         return self._distinct_count
 
     def keeping_count_of(self, source: "BlockCollection") -> "BlockCollection":
@@ -273,26 +276,35 @@ class BlockCollection:
             self._distinct_count = source._distinct_count
         return self
 
-    def _distinct_codes(self) -> tuple:
-        """``(node_ids, codes)``: the ascending profile ids of the columns and
-        the ascending distinct ``lower * n + upper`` codes of their pairs.
+    def _pair_codes(self) -> tuple:
+        """``(codes, width, id_of)``: the ``lower * width + upper`` codes of
+        every pair of the columns, ascending, where ``id_of`` maps a code's
+        ``lower`` / ``upper`` back to profile ids.  A pair may have several
+        codes and -1 is no pair, so a reader keeps the codes that differ
+        from the one before them, taking -1 before the first.
 
         Every member meets the later members of its entry (dirty block) or
         the members of its block's right side (a left member of a
         clean-clean block).  The pairs are expanded a bounded chunk at a
-        time as codes over dense ids (int32 when ``n²`` fits) and
-        deduplicated by sorting; one last sort merges the chunks' distinct
-        codes — no ``Block``, no tuple.  A profile on both sides of a block
-        meets itself there; that code becomes -1, which the deduplication
-        drops.
+        time as codes over the ids offset by the smallest one (their ranks
+        when ``width²`` would pass int64; int32 when it fits) and sorted;
+        with several chunks each is deduplicated and one last sort merges
+        them — no ``Block``, no tuple.  A profile on both sides of a block
+        meets itself there; that code becomes -1.
         """
         # Late: the meta-blocking package imports this module.
         from repro.metablocking.backends import expand_ranges, unique_inverse
 
-        entries = self.columns.entries
-        node_ids, dense = unique_inverse(self.columns.members)
-        n = len(node_ids)
-        if n * n <= np.iinfo(np.int32).max:
+        entries, members = self.columns.entries, self.columns.members
+        low, high = (int(members.min()), int(members.max())) if len(members) else (0, 0)
+        width = high - low + 1
+        if width * width <= np.iinfo(np.int64).max:
+            dense = members - low
+            id_of = lambda offsets: offsets + low
+        else:
+            node_ids, dense = unique_inverse(members)
+            width, id_of = len(node_ids), node_ids.__getitem__
+        if width * width <= np.iinfo(np.int32).max:
             dense = dense.astype(np.int32)
         lengths = self.columns.lengths()
         ends = lengths.cumsum()
@@ -305,22 +317,24 @@ class BlockCollection:
         )
         done = np.concatenate(([0], partners.cumsum()))
         cuts = np.searchsorted(done, np.arange(0, done[-1] + _PAIR_CHUNK, _PAIR_CHUNK)).tolist()
-        distinct = [np.empty(0, dtype=dense.dtype)]
+        chunks = [np.empty(0, dtype=dense.dtype)]
         for lo, hi in zip(cuts, cuts[1:]):
             count = partners[lo:hi]
             a, b = np.repeat(dense[lo:hi], count), dense[expand_ranges(first[lo:hi], count)]
             itself = a == b
             codes = np.minimum(a, b)  # in place from here on: bounded scratch
-            codes *= n
+            codes *= width
             codes += np.maximum(a, b, out=b)
             codes[itself] = -1
             del a, b, itself
             codes.sort()
-            distinct.append(codes[np.diff(codes, prepend=-1) != 0])
-        merged = np.concatenate(distinct)
-        distinct.clear()
+            chunks.append(codes if len(cuts) == 2 else codes[np.diff(codes, prepend=-1) != 0])
+        if len(chunks) <= 2:
+            return chunks[-1], width, id_of
+        merged = np.concatenate(chunks)
+        chunks.clear()
         merged.sort()
-        return node_ids, merged[np.diff(merged, prepend=-1) != 0]
+        return merged, width, id_of
 
     def profile_ids(self) -> set[int]:
         """All profile ids appearing in at least one block."""

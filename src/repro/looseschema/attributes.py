@@ -38,11 +38,6 @@ class AttributeProfile:
     first_seen: list[int] = field(default_factory=list)
 
     @property
-    def qualified_name(self) -> tuple[int, str]:
-        """The (source_id, attribute) key used throughout the loose-schema code."""
-        return (self.source_id, self.attribute)
-
-    @property
     def tokens(self) -> KeysView[str]:
         """The distinct tokens of the attribute (a set-like view)."""
         return self.value_counts.keys()

@@ -20,12 +20,15 @@ from repro.data.profile import EntityProfile
 from repro.exceptions import DataError, MatchingError
 from repro.matching.similarity import SIMILARITY_FUNCTIONS, Similarity, get_similarity_function
 from repro.matching.similarity_graph import SimilarityGraph
-from repro.metablocking.backends import stable_sort
+from repro.metablocking.backends import expand_ranges, stable_sort
 from repro.utils.tokenize import TokenTable, table_for
 
 # The most token probes one chunk of the array pass of ThresholdMatcher.match
 # holds at once, so its scratch memory is bounded whatever the pair count.
 PROBE_BUDGET = 1 << 16
+# The most (row, token) cells of its probe table, which holds a block of the
+# pairs' larger rows at a time (one row when the forms alone exceed it).
+TABLE_BUDGET = 1 << 22
 
 # A token-set measure as (numerator, denominator) of the intersection size and
 # the two set sizes; a zero denominator scores 0.0, as the per-pair compare does.
@@ -169,23 +172,42 @@ def _set_sizes(profiles: ProfileCollection, a, b, table: TokenTable | None) -> t
     sizes = np.bincount(codes // width, minlength=len(ids))
     starts = np.cumsum(sizes) - sizes
     left, right = sizes[rows[:, 0]], sizes[rows[:, 1]]
-    # Probe the smaller set's codes into the other's run, a chunk at a time:
-    # probe number i of a pair reads code index i + base, shifted to the other row.
-    probe = np.where(left <= right, rows[:, 0], rows[:, 1])
-    shifts = (rows[:, 0] + rows[:, 1] - 2 * probe) * width
-    lengths = np.minimum(left, right)
+    # Group the pairs by the row of their larger set, whose slot numbers
+    # those rows in order; the smaller set's codes are probed into a table of
+    # (slot, token) cells, slot * width + token, a block of slots at a time.
+    larger, order = stable_sort(np.where(left > right, rows[:, 0], rows[:, 1]))
+    smaller = (rows[:, 0] + rows[:, 1])[order] - larger
+    new = np.diff(larger, prepend=-1) != 0
+    slots = np.cumsum(new) - 1
+    span = max(TABLE_BUDGET // width, 1)  # slots per block
+    marks = np.zeros(min(span, int(slots[-1]) + 1) * width, dtype=bool)
+    # The cells of every slot, in slot order, and where each slot's cells begin.
+    owners = larger[new]
+    cells = codes[expand_ranges(starts[owners], sizes[owners])]
+    cells += np.repeat((np.arange(len(owners)) - owners) * width, sizes[owners])
+    firsts = np.concatenate(([0], np.cumsum(sizes[owners])))
+    # Probe number i of a pair reads code index i + base, shifted to its cell.
+    lengths = sizes[smaller]
     ends = np.cumsum(lengths)
-    base = starts[probe] - (ends - lengths)
+    base = starts[smaller] - (ends - lengths)
+    shifts = (slots - smaller) * width
     common = np.zeros(len(rows), dtype=np.int64)
     start = 0
     while start < len(rows):
-        low = ends[start] - lengths[start]
-        stop = max(int(np.searchsorted(ends, low + PROBE_BUDGET, "right")), start + 1)
-        pair_of = np.repeat(np.arange(start, stop), lengths[start:stop])
-        targets = codes[np.arange(low, ends[stop - 1]) + base[pair_of]] + shifts[pair_of]
-        found = np.searchsorted(codes, targets)
-        hit = codes[np.minimum(found, len(codes) - 1)] == targets
-        common[start:stop] = np.bincount(pair_of[hit] - start, minlength=stop - start)
+        low, first = ends[start] - lengths[start], slots[start]
+        stop = min(
+            int(np.searchsorted(ends, low + PROBE_BUDGET, "right")),
+            int(np.searchsorted(slots, first + span)),
+        )
+        stop = max(stop, start + 1)
+        offset = first * width
+        marked = cells[firsts[first] : firsts[slots[stop - 1] + 1]] - offset
+        marks[marked] = True
+        pair_of = np.repeat(np.arange(stop - start), lengths[start:stop])
+        probes = codes[np.arange(low, ends[stop - 1]) + base[start:stop][pair_of]]
+        probes += (shifts[start:stop] - offset)[pair_of]
+        common[order[start:stop]] = np.bincount(pair_of[marks[probes]], minlength=stop - start)
+        marks[marked] = False
         start = stop
     return common, left, right
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.exceptions import PipelineError
-
 # The artifact kinds known to the built-in stages.  A kind is a contract on
 # the stored value, not a Python class check: stages that agree on a kind can
 # be freely recombined.
@@ -64,12 +62,6 @@ class ArtifactStore:
     def get(self, key: str, default: object = None) -> object:
         """Return the artifact stored under ``key`` (or ``default``)."""
         return self._values.get(key, default)
-
-    def require(self, key: str) -> object:
-        """Return the artifact under ``key``; raise if absent."""
-        if key not in self._values:
-            raise PipelineError(f"artifact {key!r} is not in the store")
-        return self._values[key]
 
     def kind_of(self, key: str) -> str | None:
         """Return the kind tag of ``key`` (or None when absent)."""

@@ -191,10 +191,6 @@ class HttpServer:
         assert self._server is not None, "start() first"
         await self._server.serve_forever()
 
-    @property
-    def active_connections(self) -> int:
-        return self._active_connections
-
     def _idle(self) -> asyncio.Event:
         # Created lazily inside the running loop (py3.9 binds the Event's
         # loop at construction time).

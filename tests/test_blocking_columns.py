@@ -22,6 +22,7 @@ import math
 import pickle
 import sys
 import time
+from unittest import mock
 from itertools import combinations
 from typing import Any, NamedTuple
 
@@ -46,6 +47,8 @@ from repro.exceptions import BlockingError
 from repro.looseschema.attribute_partitioning import AttributePartitioner
 from repro.looseschema.entropy import EntropyExtractor
 from repro.looseschema.attributes import build_attribute_profiles
+from repro.metablocking import backends
+from repro.metablocking.backends import unique_inverse as rank
 from repro.metablocking.index import ARRAY_FIELDS, CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
@@ -429,6 +432,40 @@ class TestGroupTokenKeys:
 # ---------------------------------------------------------------------------
 # downstream of the blocks: CSR fields, pickles, checkpoints, counts
 # ---------------------------------------------------------------------------
+# Profile ids spread over the pair codes' three widths (see test_pair_codes_equal_the_brute_pairs).
+SPREADS = {
+    "close": lambda i: i,
+    "past an int32 square": lambda i: 50_000 * i,
+    "near 2**40": lambda i: 2**40 + i,
+    "ranks": lambda i: 2**40 * i,
+}
+HAND_BUILT = {
+    "dirty": BlockCollection([Block("a", {1, 2, 3}), Block("b", {2, 3, 4}), Block("c", {5})]),
+    "clean-clean, a profile on both sides": BlockCollection(
+        [
+            Block("a", {1, 2}, {2, 3}, clean_clean=True),
+            Block("b", {3}, {3}, clean_clean=True),
+            Block("c", {1}, {2, 4}, clean_clean=True),
+        ],
+        clean_clean=True,
+    ),
+    "empty": BlockCollection(clean_clean=True),
+}
+
+
+@st.composite
+def overlapping_collections(draw):
+    """Hand-made blocks over ids 0-9, dirty or clean-clean, whose two sides
+    may share profiles; some blocks induce no comparison, none may exist."""
+    clean_clean = draw(st.booleans())
+    blocks = []
+    for position in range(draw(st.integers(0, 6))):
+        left = draw(st.sets(st.integers(0, 9), max_size=5))
+        right = draw(st.sets(st.integers(0, 9), max_size=5)) if clean_clean else set()
+        blocks.append(Block(f"k{position}", left, right, 1.0, clean_clean))
+    return BlockCollection(blocks, clean_clean=clean_clean)
+
+
 def _chain(entities=300, seed=7):
     profiles = generate_scalability_products(entities, seed=seed).profiles
     raw = TokenBlocking().block(profiles)
@@ -577,6 +614,37 @@ class TestDownstreamOfColumns:
             counted = blocks.count_distinct_comparisons()
             pairs = blocks.distinct_comparisons()
             assert counted == len(pairs) > chunk and pairs == brute_pairs(as_list(blocks))
+        for blocks in HAND_BUILT.values():
+            listed = as_list(blocks)
+            counted = as_columns(blocks).count_distinct_comparisons()
+            pairs = as_columns(blocks).distinct_comparisons()
+            assert counted == len(pairs) == len(brute_pairs(listed)) and pairs == brute_pairs(listed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(overlapping_collections(), st.sampled_from(sorted(SPREADS)), st.sampled_from([1, 7, None]))
+    def test_pair_codes_equal_the_brute_pairs(self, blocks, spread, chunk):
+        """Both sides of a block may share a profile (the -1 code); the ids
+        sit close, past an int32 square, near 2**40, or too far apart for
+        offset codes, which alone takes the ranks of ``unique_inverse``."""
+        moved = as_columns(BlockCollection(
+            [
+                Block(b.key, set(map(SPREADS[spread], b.profiles_source0)),
+                      set(map(SPREADS[spread], b.profiles_source1)), b.entropy, b.is_clean_clean)
+                for b in blocks
+            ],
+            clean_clean=blocks.clean_clean,
+        ))
+        expected = brute_pairs(as_list(moved))
+        ranked = []
+        with mock.patch.object(block_module, "_PAIR_CHUNK", chunk or block_module._PAIR_CHUNK), \
+                mock.patch.object(backends, "unique_inverse", lambda v: ranked.append(v) or rank(v)):
+            counted = moved.count_distinct_comparisons()
+            pairs = as_columns(moved).distinct_comparisons()
+        assert counted == len(pairs) == len(expected) and pairs == expected
+        assert list(pairs) == sorted(expected)
+        members = moved.columns.members.tolist()
+        span = max(members) - min(members) + 1 if members else 1
+        assert bool(ranked) == (span * span >= 2**63) and (not ranked or spread == "ranks")
 
     def test_counting_pairs_at_scale_beats_building_the_pair_set(self):
         # 10^4 entities, raw stage: 1.1M pairs, as a set of tuples and as a

@@ -2,8 +2,10 @@
 
 ``tests/golden.json`` holds SHA-256 digests of
 
-* ``SparkER.run``'s candidate pairs (sorted), clusters (id and members in
-  iteration order) and entities (JSON, key order kept) on fixed-seed
+* ``SparkER.run``'s candidate pairs (sorted), similarity graph (``(a, b,
+  score.hex())`` in row order), clusters (id and members in iteration
+  order), entities (JSON, key order kept) and per-stage metric rows
+  (``metric_rows()``: stage metrics, no seconds) on fixed-seed
   ``generate_abt_buy_like`` and ``generate_scalability_products`` inputs,
   under the default (loose-schema) and the schema-agnostic configuration;
 * the retained edges of ``MetaBlocker.run`` — endpoints and weights in
@@ -69,10 +71,14 @@ def run_digests(dataset: str, config: str) -> "dict[str, str]":
     """Digests of one ``SparkER.run``."""
     result = SparkER(CONFIGS[config]()).run(INPUTS[dataset]().profiles)
     clusters = [(cluster.cluster_id, list(cluster.members)) for cluster in result.clusters]
+    graph = result.similarity_graph
+    edges = list(zip(graph.a.tolist(), graph.b.tolist(), map(float.hex, graph.score.tolist())))
     return {
         "candidate_pairs": _sha256(repr(sorted(result.candidate_pairs)).encode()),
         "clusters": _sha256(repr(clusters).encode()),
         "entities": _sha256(json.dumps(result.entities).encode()),
+        "metric_rows": _sha256(repr(result.pipeline_result.metric_rows()).encode()),
+        "similarity_graph": _sha256(repr(edges).encode()),
     }
 
 

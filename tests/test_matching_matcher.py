@@ -204,18 +204,24 @@ class TestMatchersEqualStringLevelSimilarities:
     @settings(max_examples=100, deadline=None)
     @given(_collections())
     def test_token_set_array_pass(self, task):
-        """The array pass of jaccard / dice / overlap, at every chunk budget,
-        gives the definition's edges in the definition's order, bit for bit."""
+        """The array pass of jaccard / dice / overlap, at every chunk budget
+        and with a table of one block of rows, of several blocks or of one
+        row per block, gives the definition's edges in the definition's
+        order, bit for bit."""
         profiles, pairs = task
+        width = max(len(tokenize_module.token_table(profiles).forms), 1)
+        tables = {"one block": len(profiles) * width, "several": 2 * width, "one row": 1}
         for name in ("jaccard", "dice", "overlap"):
             for threshold in (0.0, 0.4, 1.0):
                 expected = _string_level_graph(
                     profiles, pairs, SIMILARITY_FUNCTIONS[name], threshold
                 )
                 for budget in (1, 8, matcher_module.PROBE_BUDGET):
-                    with mock.patch.object(matcher_module, "PROBE_BUDGET", budget):
-                        graph = ThresholdMatcher(name, threshold).match(profiles, pairs)
-                    assert _edges(graph) == expected, (name, threshold, budget)
+                    for table, cells in tables.items():
+                        with mock.patch.object(matcher_module, "PROBE_BUDGET", budget), \
+                                mock.patch.object(matcher_module, "TABLE_BUDGET", cells):
+                            graph = ThresholdMatcher(name, threshold).match(profiles, pairs)
+                        assert _edges(graph) == expected, (name, threshold, budget, table)
 
     @settings(max_examples=60, deadline=None)
     @given(_collections(), st.sampled_from(sorted(SIMILARITY_FUNCTIONS)))
@@ -238,6 +244,85 @@ class TestMatchersEqualStringLevelSimilarities:
                 expected.add(a, b, sum(scores) / 3)
         graph = RuleBasedMatcher(rules).match(profiles, pairs)
         assert _edges(graph) == _edges(expected)
+
+
+@st.composite
+def _token_sets(draw, forms=60):
+    """Profiles under scattered ids holding 0-15 of ``forms`` words each (a
+    profile with none scores 0 against anything), and 1-30 pairs of them."""
+    ids = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=8, unique=True))
+    profiles = []
+    for profile_id in ids:
+        profile = EntityProfile(profile_id=profile_id)
+        words = draw(st.lists(st.integers(0, forms - 1), max_size=15))
+        profile.attributes.append(KeyValue("name", " ".join(f"w{word}" for word in words)))
+        profiles.append(profile)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), min_size=1,
+                          max_size=30))
+    return ProfileCollection(profiles), pairs
+
+
+def _array_pass_equals_pair_loop(profiles, pairs) -> None:
+    """The array pass's edges, order and score bits are the base loop's."""
+    for name in ("jaccard", "dice", "overlap"):
+        for threshold in (0.0, 0.4):
+            matcher = ThresholdMatcher(name, threshold)
+            assert _edges(matcher.match(profiles, pairs)) == _edges(
+                Matcher.match(matcher, profiles, pairs)
+            ), (name, threshold)
+
+
+class TestTokenSetTable:
+    """The probe table of the array pass: rows of the pairs' larger sets,
+    marked a block at a time, against ``Matcher.match``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_token_sets(), st.data())
+    def test_more_forms_than_the_table_holds(self, task, data):
+        profiles, pairs = task
+        width = len(tokenize_module.token_table(profiles).forms)
+        cells = data.draw(st.integers(1, max(width - 1, 1)))
+        with mock.patch.object(matcher_module, "TABLE_BUDGET", cells):
+            _array_pass_equals_pair_loop(profiles, pairs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_token_sets(forms=4), st.sampled_from([1, 8, None]))
+    def test_profiles_with_no_token(self, task, cells):
+        profiles, pairs = task
+        profiles = ProfileCollection([
+            EntityProfile(profile.profile_id, attributes=[KeyValue("name", "")]) if i % 2 else profile
+            for i, profile in enumerate(profiles)
+        ])
+        pairs = pairs + [(p.profile_id, q.profile_id) for p in profiles for q in profiles]
+        with mock.patch.object(matcher_module, "TABLE_BUDGET", cells or matcher_module.TABLE_BUDGET):
+            _array_pass_equals_pair_loop(profiles, pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_token_sets(), st.sampled_from([1, 8, None]), st.sampled_from([1, 8, None]))
+    def test_larger_rows_listed_in_descending_order(self, task, cells, budget):
+        profiles, pairs = task
+        row = {profile.profile_id: position for position, profile in enumerate(profiles)}
+        size = {profile.profile_id: len(set(profile.text().split())) for profile in profiles}
+        pairs = sorted(pairs, key=lambda p: -row[p[0] if size[p[0]] > size[p[1]] else p[1]])
+        with mock.patch.object(matcher_module, "TABLE_BUDGET", cells or matcher_module.TABLE_BUDGET), \
+                mock.patch.object(matcher_module, "PROBE_BUDGET", budget or matcher_module.PROBE_BUDGET):
+            _array_pass_equals_pair_loop(profiles, pairs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_token_sets(), st.integers(0, 2**41), st.data())
+    def test_an_unknown_id_raises(self, task, unknown, data):
+        profiles, pairs = task
+        if unknown in {profile.profile_id for profile in profiles}:
+            unknown = -1
+        pairs = list(pairs)
+        pairs.insert(data.draw(st.integers(0, len(pairs))), (pairs[0][0], unknown))
+        for name in ("jaccard", "dice", "overlap"):
+            matcher = ThresholdMatcher(name, 0.0)
+            with pytest.raises(DataError) as per_pair:
+                Matcher.match(matcher, profiles, pairs)
+            with pytest.raises(DataError) as array_pass:
+                matcher.match(profiles, pairs)
+            assert str(array_pass.value) == str(per_pair.value)
 
 
 class TestPreparedOperands:

@@ -319,7 +319,7 @@ class TestStageCounts:
         def forbidden(self):
             raise AssertionError("counted again")
 
-        monkeypatch.setattr(BlockCollection, "_distinct_codes", forbidden)
+        monkeypatch.setattr(BlockCollection, "_pair_codes", forbidden)
         kept = BlockPurging(max_profile_fraction=1.0).purge(raw, len(abt_buy_small.profiles))
         assert _metric(BlockFiltering(ratio=1.0).filter(kept)) == expected
 
