@@ -15,7 +15,11 @@ Starts ``python -m repro.cli serve`` on an ephemeral port, then drives the whole
 5. ``/metrics`` must report the traffic with per-endpoint histograms, and
    one weighed edge table per compaction;
 6. after SIGTERM the server must exit 0 with **no** new ``repro-*`` entry
-   in ``/dev/shm`` (nothing in the package creates one).
+   in ``/dev/shm`` (nothing in the package creates one);
+7. a WAL directory whose log holds records in the layout written before
+   the payloads were JSON (pickled ingest dicts) must replay at
+   ``serve --wal-dir`` startup — the ``replayed N WAL record(s)`` line —
+   and answer ``candidates`` like the in-process ``MetaBlocker`` run.
 
 Exits non-zero with a diagnostic on the first violated expectation.
 """
@@ -24,11 +28,15 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import signal
+import struct
 import subprocess
 import sys
+import tempfile
 import urllib.error
 import urllib.request
+import zlib
 
 
 def fail(message: str) -> None:
@@ -119,24 +127,68 @@ def _repro_segments() -> "set[str]":
         return set()
 
 
-def main() -> int:
-    segments_before = _repro_segments()
+def start_server(*options: str):
+    """``(server, port, startup lines)`` of a ``serve --port 0`` child."""
     server = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0", *options],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
-    port = None
+    port, lines = None, []
+    for _ in range(400):
+        line = server.stdout.readline()
+        if not line:
+            break
+        print(f"server: {line.rstrip()}")
+        lines.append(line.rstrip())
+        if line.startswith("serving on "):
+            port = int(line.strip().rsplit(":", 1)[1])
+            break
+    return server, port, lines
+
+
+def stop_server(server) -> int:
+    """SIGTERM the server; its exit code."""
+    server.send_signal(signal.SIGTERM)
+    remainder = server.stdout.read()
+    returncode = server.wait(timeout=60)
+    if remainder:
+        print(f"server: {remainder.rstrip()}")
+    return returncode
+
+
+def pickled_record(seq: int, payload: dict) -> bytes:
+    """A WAL record as written before the payloads were JSON."""
+    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return struct.pack("<QII", seq, len(data), zlib.crc32(data)) + data
+
+
+def old_wal_leg() -> None:
+    batches = [profile_batch(0, 30), profile_batch(30, 10)]
+    with tempfile.TemporaryDirectory() as wal_dir:
+        with open(os.path.join(wal_dir, "legacy.wal"), "wb") as handle:
+            handle.write(b"".join(pickled_record(seq, b) for seq, b in enumerate(batches, 1)))
+        server, port, lines = start_server("--wal-dir", wal_dir)
+        try:
+            expect(port is not None, "server with the old WAL never announced its port")
+            expect("replayed 2 WAL record(s) into collection 'legacy'" in lines,
+                   f"no replay line for the old WAL: {lines}")
+            status, candidates = request(port, "GET", "/collections/legacy/candidates/0")
+            expect(status == 200, f"candidates on the old WAL returned {status}")
+            expected = expected_candidates(batches, 0)
+            expect(bool(expected) and candidates["candidates"] == expected,
+                   f"old-WAL candidates differ from the in-process MetaBlocker run: "
+                   f"{candidates['candidates']} != {expected}")
+        finally:
+            returncode = stop_server(server)
+        expect(returncode == 0, f"server on the old WAL exited with {returncode}")
+
+
+def main() -> int:
+    segments_before = _repro_segments()
+    server, port, _lines = start_server()
     try:
-        for _ in range(400):
-            line = server.stdout.readline()
-            if not line:
-                break
-            print(f"server: {line.rstrip()}")
-            if line.startswith("serving on "):
-                port = int(line.strip().rsplit(":", 1)[1])
-                break
         expect(port is not None, "server never announced its port")
 
         ping = subprocess.run(
@@ -214,15 +266,12 @@ def main() -> int:
         expect(smoke["tables_weighed"] == smoke["compactions"] == 1,
                f"matches and candidates did not share one table: {smoke}")
     finally:
-        server.send_signal(signal.SIGTERM)
-        remainder = server.stdout.read()
-        returncode = server.wait(timeout=60)
-        if remainder:
-            print(f"server: {remainder.rstrip()}")
+        returncode = stop_server(server)
 
     expect(returncode == 0, f"server exited with {returncode}")
     leaked = _repro_segments() - segments_before
     expect(not leaked, f"new /dev/shm entries: {sorted(leaked)}")
+    old_wal_leg()
     print("service smoke OK")
     return 0
 

@@ -121,10 +121,7 @@ class BlockColumns(NamedTuple):
     entropies: Any  # per block: float64
     entries: Any  # per membership: int64 ``2 * block + side``
     members: Any  # per membership: int64 profile id
-    # Per block: bool, clean-clean.  ``None`` only while a 4-field tuple
-    # pickled before the flag existed loads: ``BlockCollection.__setstate__``
-    # fills it before anything reads it; ``from_columns`` refuses it.
-    cleans: Any = None
+    cleans: Any  # per block: bool, clean-clean
 
     def lengths(self):
         """Members per entry: the left side of block 0, its right side, ..."""
@@ -195,22 +192,9 @@ class BlockCollection:
     @classmethod
     def from_columns(cls, columns: BlockColumns, *, clean_clean: bool) -> "BlockCollection":
         """A collection over ``columns`` (invariants: see there)."""
-        if columns.cleans is None:
-            raise BlockingError("columns need their per-block clean-clean flags")
         collection = cls(clean_clean=clean_clean)
         collection.columns = columns
         return collection
-
-    def __setstate__(self, state: dict) -> None:
-        """Restore a pickle, also one written before the columns were the
-        only storage: its ``Block`` list is encoded, and 4-field columns get
-        the collection's flag on every block."""
-        clean_clean = state["clean_clean"]
-        columns = state.get("columns") or _encode(state["_blocks"])
-        if columns.cleans is None:
-            columns = columns._replace(cleans=np.full(len(columns.keys), clean_clean))
-        self.clean_clean, self.columns = clean_clean, columns
-        self._distinct_count = state.get("_distinct_count")
 
     def add(self, block: Block) -> None:
         """Append a block to the collection."""

@@ -148,114 +148,13 @@ def _product_entity(rng: random.Random, index: int) -> dict[str, object]:
     }
 
 
-def _iter_abt_buy_events(config: SyntheticConfig):
-    """Replay the Abt-Buy draw sequence, one entity at a time, O(1) memory.
-
-    The historical eager generator consumes its single rng in two phases:
-    first *every* entity's canonical draws (phase 1), then every entity's
-    membership/perturbation draws (phase 2).  Replaying that exact sequence
-    without holding all entities needs two equal-seed rng streams: one feeds
-    phase 1 lazily, the other fast-forwards past all phase-1 draws and then
-    serves phase 2 — bit-for-bit the same values the eager two-phase loop
-    drew, entity by entity.
-
-    Yields ``(abt_profile | None, buy_profile | None)`` per entity, with
-    *source-local* profile ids (the running per-source positions).
-    """
-    entity_rng = random.Random(config.seed)
-    phase2_rng = random.Random(config.seed)
-    for index in range(config.num_entities):
-        _product_entity(phase2_rng, index)
-
-    num_abt = 0
-    num_buy = 0
-    for index in range(config.num_entities):
-        entity = _product_entity(entity_rng, index)
-        rng = phase2_rng
-        in_both = rng.random() < config.match_rate
-        in_abt = in_both or (index % 2 == 0)
-        in_buy = in_both or not in_abt
-
-        abt_profile = None
-        if in_abt:
-            abt_profile = EntityProfile(
-                profile_id=num_abt,
-                original_id=f"abt-{index}",
-                source_id=0,
-            )
-            abt_profile.add("name", entity["name"])
-            abt_profile.add("description", entity["description"])
-            abt_profile.add("price", f"{entity['price']:.2f}")
-            num_abt += 1
-
-        buy_profile = None
-        if in_buy:
-            name_tokens = str(entity["name"]).split()
-            perturbed = []
-            for token in name_tokens:
-                if rng.random() < config.typo_rate:
-                    perturbed.append(_typo(token, rng))
-                else:
-                    perturbed.append(token)
-            description_tokens = [
-                t for t in str(entity["description"]).split()
-                if rng.random() > config.drop_rate
-            ]
-            price = float(entity["price"]) * rng.uniform(0.95, 1.05)
-            buy_profile = EntityProfile(
-                profile_id=num_buy,
-                original_id=f"buy-{index}",
-                source_id=1,
-            )
-            buy_profile.add("title", " ".join(perturbed))
-            buy_profile.add("short_descr", " ".join(description_tokens))
-            buy_profile.add("list_price", f"{price:.2f}")
-            buy_profile.add("manufacturer", entity["brand"])
-            num_buy += 1
-
-        yield abt_profile, buy_profile
-
-
-def iter_abt_buy_like(config: SyntheticConfig | None = None):
-    """Yield the Abt-Buy-like profiles lazily, in merged-id-space order.
-
-    The streaming counterpart of :func:`generate_abt_buy_like`: yields
-    ``(profile, match)`` tuples where ``profile`` carries its *final* merged
-    profile id (all abt profiles first, then all buy profiles, exactly the
-    eager order) and ``match`` is the ``(abt_id, buy_id)`` ground-truth pair
-    a matching buy profile closes, or ``None``.  Construction is O(1)
-    memory: no intermediate per-source lists exist — the cost is a second
-    deterministic replay of the draw sequence to learn the abt/buy id
-    offset before the buy profiles stream out.
-    """
-    config = config or SyntheticConfig()
-    offset = 0
-    for abt_profile, _buy in _iter_abt_buy_events(config):
-        if abt_profile is not None:
-            yield abt_profile, None
-            offset += 1
-    for abt_profile, buy_profile in _iter_abt_buy_events(config):
-        if buy_profile is None:
-            continue
-        merged = EntityProfile(
-            profile_id=buy_profile.profile_id + offset,
-            original_id=buy_profile.original_id,
-            source_id=1,
-            attributes=list(buy_profile.attributes),
-        )
-        match = None
-        if abt_profile is not None:
-            match = (abt_profile.profile_id, merged.profile_id)
-        yield merged, match
-
-
-def iter_scalability_products(
+def generate_scalability_products(
     num_entities: int,
     seed: int = 42,
     match_rate: float = 0.9,
     typo_rate: float = 0.1,
-):
-    """Yield a clean-clean product dataset sized for scalability runs, lazily.
+) -> DatasetPair:
+    """Generate a clean-clean product dataset sized for scalability runs.
 
     The Abt-Buy-like generator draws every token from a fixed vocabulary, so
     past a few thousand entities each token lands in thousands of profiles
@@ -265,64 +164,35 @@ def iter_scalability_products(
     ``num_entities // 8`` values, description words span ``num_entities``),
     so expected block sizes — and the per-profile graph degree — stay
     bounded as the dataset grows, like the real product feeds the paper's
-    scalability experiments run on.
-
-    Yields ``(profile, match)`` tuples in one pass with O(1) memory: the
-    source-0 profile of each entity, then (with probability ``match_rate``)
-    its perturbed source-1 counterpart carrying the ground-truth pair.
-    Profile ids interleave the two sources in emission order.
+    scalability experiments run on.  Each entity adds its source-0 profile,
+    then (with probability ``match_rate``) its perturbed source-1 match.
     """
     rng = random.Random(seed)
     series_vocab = max(1, num_entities // 8)
     word_vocab = max(1, num_entities)
-    next_id = 0
+    collection = ProfileCollection()
+    ground_truth = GroundTruth()
     for index in range(num_entities):
         brand = _BRANDS[index % len(_BRANDS)]
         model = f"{brand[:2]}{index}"
         series = f"series{index % series_vocab}"
         words = [f"w{rng.randrange(word_vocab)}" for _ in range(3)]
         name = f"{model} {series}"
-        profile = EntityProfile(
-            profile_id=next_id, original_id=f"scale-a-{index}", source_id=0
-        )
-        next_id += 1
+        profile = EntityProfile(len(collection), f"scale-a-{index}", source_id=0)
         profile.add("name", name)
         profile.add("description", " ".join(words))
         profile.add("price", f"{rng.uniform(20, 2000):.2f}")
-        yield profile, None
+        collection.add(profile)
         if rng.random() >= match_rate:
             continue
-        perturbed = [
-            _typo(token, rng) if rng.random() < typo_rate else token
-            for token in name.split()
-        ]
+        perturbed = [_typo(t, rng) if rng.random() < typo_rate else t for t in name.split()]
         kept = [word for word in words if rng.random() > 0.3]
-        counterpart = EntityProfile(
-            profile_id=next_id, original_id=f"scale-b-{index}", source_id=1
-        )
-        next_id += 1
+        counterpart = EntityProfile(len(collection), f"scale-b-{index}", source_id=1)
         counterpart.add("title", " ".join(perturbed))
         counterpart.add("short_descr", " ".join(kept))
         counterpart.add("list_price", f"{rng.uniform(20, 2000):.2f}")
-        yield counterpart, (profile.profile_id, counterpart.profile_id)
-
-
-def generate_scalability_products(
-    num_entities: int,
-    seed: int = 42,
-    match_rate: float = 0.9,
-    typo_rate: float = 0.1,
-) -> DatasetPair:
-    """Materialise :func:`iter_scalability_products` into a dataset pair."""
-    collection = ProfileCollection()
-    ground_truth = GroundTruth()
-    stream = iter_scalability_products(
-        num_entities, seed=seed, match_rate=match_rate, typo_rate=typo_rate
-    )
-    for profile, match in stream:
-        collection.add(profile)
-        if match is not None:
-            ground_truth.add(*match)
+        collection.add(counterpart)
+        ground_truth.add(profile.profile_id, counterpart.profile_id)
     return DatasetPair(
         profiles=collection, ground_truth=ground_truth, name="scalability-products"
     )
@@ -336,17 +206,49 @@ def generate_abt_buy_like(config: SyntheticConfig | None = None) -> DatasetPair:
     ``manufacturer``.  Matching records share most name tokens (with typos)
     and part of the description; prices differ by a small jitter.
 
-    Built on the lazy :func:`iter_abt_buy_like` stream — one profile lives
-    between generation and collection insert, never the per-source lists the
-    eager two-phase loop used to hold.
+    One rng draws every entity's canonical attributes, then each entity's
+    membership and perturbations; the buy profiles' ids follow the abt ones.
     """
     config = config or SyntheticConfig()
+    rng = random.Random(config.seed)
+    entities = [_product_entity(rng, index) for index in range(config.num_entities)]
+    abt: list[EntityProfile] = []
+    buy: list[tuple[EntityProfile, "int | None"]] = []  # with the abt id it matches
+    for index, entity in enumerate(entities):
+        in_both = rng.random() < config.match_rate
+        in_abt = in_both or (index % 2 == 0)
+        if in_abt:
+            profile = EntityProfile(len(abt), f"abt-{index}", source_id=0)
+            profile.add("name", entity["name"])
+            profile.add("description", entity["description"])
+            profile.add("price", f"{entity['price']:.2f}")
+            abt.append(profile)
+        if in_both or not in_abt:
+            perturbed = [
+                _typo(token, rng) if rng.random() < config.typo_rate else token
+                for token in str(entity["name"]).split()
+            ]
+            description_tokens = [
+                t for t in str(entity["description"]).split()
+                if rng.random() > config.drop_rate
+            ]
+            price = float(entity["price"]) * rng.uniform(0.95, 1.05)
+            profile = EntityProfile(len(buy), f"buy-{index}", source_id=1)
+            profile.add("title", " ".join(perturbed))
+            profile.add("short_descr", " ".join(description_tokens))
+            profile.add("list_price", f"{price:.2f}")
+            profile.add("manufacturer", entity["brand"])
+            buy.append((profile, len(abt) - 1 if in_both else None))
+
     collection = ProfileCollection()
     ground_truth = GroundTruth()
-    for profile, match in iter_abt_buy_like(config):
+    for profile in abt:
+        collection.add(profile)
+    for profile, match in buy:
+        profile.profile_id += len(abt)
         collection.add(profile)
         if match is not None:
-            ground_truth.add(*match)
+            ground_truth.add(match, profile.profile_id)
     return DatasetPair(profiles=collection, ground_truth=ground_truth, name="abt-buy-like")
 
 

@@ -116,13 +116,5 @@ class SimilarityGraph:
         kept = self.score >= threshold
         return SimilarityGraph.from_arrays(self.a[kept], self.b[kept], self.score[kept])
 
-    def __setstate__(self, state: dict) -> None:
-        """Restore the columns; a graph pickled by an earlier version holds
-        an ``_edges`` dict of :class:`SimilarityEdge` instead."""
-        if "_edges" in state:
-            self.__init__(state["_edges"].values())
-        else:
-            self.__dict__.update(state)
-
     def __repr__(self) -> str:
         return f"SimilarityGraph(nodes={len(self.nodes())}, edges={len(self)})"

@@ -259,20 +259,6 @@ class CSRBlockIndex:
 # --------------------------------------------------------------------------
 
 
-class _TokenState:
-    """Unpickle shim: the member-set pair per token that older snapshots hold.
-
-    :meth:`IncrementalBlockIndex.__setstate__` turns a restored
-    ``{form: _TokenState}`` map into occurrence columns; nothing else uses it.
-    """
-
-    __slots__ = ("members0", "members1")
-
-    def __setstate__(self, state) -> None:
-        # Pickled as (members0, members1, dirty flag, cached build tuple).
-        self.members0, self.members1 = state[:2]
-
-
 class AppendDelta:
     """What one :meth:`IncrementalBlockIndex.append_profiles` call touched.
 
@@ -512,19 +498,4 @@ class IncrementalBlockIndex:
     def __setstate__(self, state: dict) -> None:
         self._csr = None
         for slot, value in state.items():
-            # Older snapshots carry the settings of removed engine options
-            # and, instead of the columns, member sets per token.
-            if slot not in ("_backend", "_buffer_backend", "_tmp_dir", "_tokens"):
-                setattr(self, slot, value)
-        if "_tokens" in state:
-            blocks = state["_tokens"]
-            self._forms = dict(zip(blocks, range(len(blocks))))
-            held = [
-                (token, side, profile_id)
-                for token, block in enumerate(blocks.values())
-                for side, members in enumerate((block.members0, block.members1))
-                for profile_id in members
-            ]
-            tokens, sides, profiles = np.array(held, dtype=np.int64).reshape(-1, 3).T
-            self._occurrences, self._size = np.empty((3, 0), dtype=np.int64), 0
-            self._append(tokens, sides, np.searchsorted(self._profile_ids, profiles))
+            setattr(self, slot, value)

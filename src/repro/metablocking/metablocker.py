@@ -35,13 +35,11 @@ class MetaBlockingResult:
     """Output of a meta-blocking run.
 
     ``candidate_pairs`` is a read-only :class:`CandidatePairs` and
-    ``retained_edges`` a read-only :class:`RetainedEdges` mapping; results
-    pickled by earlier versions hold a ``set`` and a ``dict`` there, which
-    read the same.
+    ``retained_edges`` a read-only :class:`RetainedEdges` mapping.
     """
 
-    candidate_pairs: "CandidatePairs | set[tuple[int, int]]" = field(default_factory=CandidatePairs)
-    retained_edges: "RetainedEdges | dict[tuple[int, int], float]" = field(default_factory=RetainedEdges)
+    candidate_pairs: CandidatePairs = field(default_factory=CandidatePairs)
+    retained_edges: RetainedEdges = field(default_factory=RetainedEdges)
     graph_edges: int = 0
     graph_nodes: int = 0
 

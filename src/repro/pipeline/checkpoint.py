@@ -12,7 +12,9 @@ state and of the previous state, which each save rotates into a backup slot.
 :meth:`PipelineCheckpoint.load` reads the manifest first and unpickles only
 a copy whose checksum it records — the state file, else the backup — so a
 torn file or a save cut short at any step loads the newest verified copy,
-at most one stage behind.  No manifest, or no verified copy, raises.
+at most one stage behind.  No manifest, or no verified copy, raises.  It
+unpickles through :mod:`repro.pipeline.legacy`, so a state an earlier
+version wrote loads in the current shape.
 
 Every durable file of the package (checkpoint state and manifest, service
 snapshots, the service WAL's truncate-rewrite) is written the same way:
@@ -27,17 +29,16 @@ it has no write in flight.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import pickle
 import re
 import tempfile
-import types
 from pathlib import Path
 from typing import Any
 
 from repro.exceptions import PipelineError
+from repro.pipeline import legacy
 
 STATE_FILE = "pipeline_state.pkl"
 BACKUP_FILE = "pipeline_state.prev.pkl"
@@ -46,31 +47,6 @@ CHECKPOINT_VERSION = 1
 
 # ``<target>.<random>.tmp``: the names ``write_synced_temp`` gives its temps.
 _TEMP_NAME = re.compile(r".+\.[a-z0-9_]+\.tmp")
-
-# Earlier versions kept each stage's metrics in a ``report`` of rows and its
-# seconds in a ``timings`` record; a class these modules no longer define
-# loads as a namespace, and the report's rows move onto the executions.
-_RETIRED_RECORD_MODULES = {"repro.evaluation.report", "repro.utils.timers"}
-
-
-class _StateUnpickler(pickle.Unpickler):
-    def find_class(self, module: str, name: str) -> Any:
-        try:
-            return super().find_class(module, name)
-        except AttributeError:
-            if module in _RETIRED_RECORD_MODULES:
-                return types.SimpleNamespace
-            raise
-
-
-def _metrics_onto_executions(state: dict[str, Any]) -> dict[str, Any]:
-    report, _timings = state.pop("report", None), state.pop("timings", None)
-    rows = {row.stage: row.metrics for row in getattr(report, "stages", ())}
-    for execution in state.get("executions", ()):
-        if "metrics" not in vars(execution):
-            execution.metrics = dict(rows.get(execution.label, {}))
-    return state
-
 
 def _checksum(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -204,11 +180,12 @@ class PipelineCheckpoint:
             )
         path, _digest, data = found
         try:
-            return _metrics_onto_executions(_StateUnpickler(io.BytesIO(data)).load())
+            state = legacy.unpickle_state(data)
         except Exception as error:
             raise PipelineError(
                 f"checkpoint state {path} failed to unpickle: {error!r}"
             ) from error
+        return legacy.current_state(state)
 
     def _recorded_checksums(self) -> set[str]:
         """The state checksums the manifest records.  No checksum, no

@@ -42,13 +42,6 @@ _SPEC_ENTRY_KEYS = {"stage", "label", "params", "inputs", "outputs"}
 _SPEC_TOP_KEYS = {"name", "engine", "seeds", "stages", "dataset"}
 
 
-def _stage_params(entry: Mapping[str, Any]) -> dict[str, Any]:
-    """A spec entry's params without retired keys: specs and checkpoints
-    both come through here, so one written before a stage parameter was
-    removed builds and resumes like one written after."""
-    return drop_retired_keys(entry.get("params") or {}, PipelineValidationError)
-
-
 @dataclass
 class PipelineContext:
     """Everything a stage may need beyond its declared input artifacts."""
@@ -240,7 +233,8 @@ class Pipeline:
             kind = entry.get("stage")
             if not isinstance(kind, str):
                 raise PipelineValidationError("each stage entry needs a 'stage' name")
-            stage = make_stage(kind, _stage_params(entry))
+            params = drop_retired_keys(entry.get("params") or {}, PipelineValidationError)
+            stage = make_stage(kind, params)
             stage.configure(
                 label=entry.get("label"),
                 inputs=dict(entry.get("inputs") or {}),
@@ -358,10 +352,7 @@ class Pipeline:
             if checkpoint is None:
                 raise PipelineError("resume=True requires a checkpoint directory")
             state = _resume_state if _resume_state is not None else checkpoint.load()
-            stored_stages = state.get("spec", {}).get("stages") or ()
-            if [dict(e, params=_stage_params(e)) for e in stored_stages] != [
-                dict(e, params=_stage_params(e)) for e in self.resolved_spec()["stages"]
-            ]:
+            if state.get("spec", {}).get("stages") != self.resolved_spec()["stages"]:
                 raise PipelineError(
                     "checkpoint was written by a different pipeline spec; "
                     "rebuild it with Pipeline.from_checkpoint() or start fresh"

@@ -357,8 +357,6 @@ class ServiceCollection:
         config = CollectionConfig.from_dict(state["config"])
         collection = cls(config)
         collection.index = state["index"]
-        # Snapshots written before the array delta path also carry a
-        # ``pending_touched`` list; the restored delta recomputes instead.
         collection.delta = state["delta"]
         collection.ingests = int(state.get("ingests", 0))
         collection.wal_applied_seq = int(state.get("wal_applied_seq", 0))

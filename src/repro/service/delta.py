@@ -119,14 +119,8 @@ class DeltaMetaBlocker:
         return {name: getattr(self, name) for name in _PICKLED}
 
     def __setstate__(self, state: dict) -> None:
-        """Restore configuration and counters; force one recompute.
-
-        Snapshots written before the array path also carry the dict-of-dicts
-        state of the neighbourhood-local refresh (``_adj``, ``_upper_order``,
-        ``_thresholds``, ``_kept``, ``_primed``, ...), the retained map and
-        the ``use_entropy`` flag, which the service's weights never depended
-        on; all of it is dropped here.
-        """
+        """Restore configuration and counters (the names in ``_PICKLED``,
+        nothing else); force one recompute."""
         for name in _PICKLED:
             setattr(self, name, state[name])
         self.retained = _backends.RetainedEdges()

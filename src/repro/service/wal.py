@@ -18,13 +18,17 @@ offset  bytes  field
 16      L      payload — the ingest dict as compact JSON (UTF-8)
 ======  =====  =======================================================
 
+Logs written before the payloads were JSON hold pickled ingest dicts in the
+same frame; replay reads them with :func:`repro.pipeline.legacy.wal_payload`
+(plain data only: no log runs code), and appends after them are JSON.
+
 A **torn tail** (the process died mid-write: short header, short payload,
 or CRC mismatch) is detected on replay, truncated off the file and counted
 — never fatal.  Replay therefore yields a batch-boundary prefix of the
 ingest history: a record is either fully durable or it never happened.  An
-intact record that is not JSON (an earlier version's binary record) is no
-tear: replay raises :class:`~repro.exceptions.DataError` naming the file
-and sequence number, and leaves the file alone.
+intact record that is neither JSON nor a pickled plain dict is no tear:
+replay raises :class:`~repro.exceptions.DataError` naming the file and
+sequence number, and leaves the file alone.
 
 Durability is graded by the ``fsync`` policy:
 
@@ -54,6 +58,7 @@ import struct
 import zlib
 
 from repro.exceptions import ConfigurationError, DataError, SparkERError
+from repro.pipeline import legacy
 from repro.pipeline.checkpoint import commit_temp, write_synced_temp
 from repro.service.faults import service_fault
 
@@ -181,8 +186,9 @@ class WriteAheadLog:
         A partial final record (the process died mid-write) is cut off the
         file and counted in :attr:`torn_truncations` — the log then ends at
         the last complete record, which is the durability contract: a batch
-        is either fully logged or it never happened.  An intact record that
-        does not decode raises :class:`DataError` before the file is touched.
+        is either fully logged or it never happened.  A record in the
+        earlier pickled layout replays; an intact record that does not
+        decode raises :class:`DataError` before the file is touched.
         """
         self._close_handle()
         records, good_end, torn = self._scan()
@@ -190,11 +196,14 @@ class WriteAheadLog:
         for seq, _raw, payload in records:
             try:
                 out.append((seq, json.loads(payload)))
-            except ValueError as error:
-                raise DataError(
-                    f"WAL {self.path}: record {seq} passes its CRC but is not a "
-                    f"JSON ingest payload (written by an earlier version?): {error}"
-                ) from error
+            except ValueError:
+                try:
+                    out.append((seq, legacy.wal_payload(payload)))
+                except Exception as error:
+                    raise DataError(
+                        f"WAL {self.path}: record {seq} passes its CRC but is neither a "
+                        f"JSON ingest payload nor a pickled plain one: {error!r}"
+                    ) from error
             self.next_seq = max(self.next_seq, seq + 1)
         if torn:
             with open(self.path, "r+b") as handle:

@@ -56,7 +56,7 @@ from repro.metablocking.progressive import (
     ProgressiveNodeScheduling,
     ProgressiveSortedComparisons,
 )
-from repro.pipeline import Pipeline
+from repro.pipeline import Pipeline, PipelineCheckpoint
 from repro.utils.tokenize import token_table
 
 from tests import metablocking_oracle as oracle
@@ -193,12 +193,22 @@ class _ParentColumns(NamedTuple):
     members: Any
 
 
-def test_a_collection_pickled_before_the_column_form_restores(monkeypatch, abt_buy_small):
+def _through_checkpoint(directory, value):
+    """``value`` saved in a checkpoint and loaded back."""
+    checkpoint = PipelineCheckpoint(directory)
+    checkpoint.save({"value": value})
+    return checkpoint.load()["value"]
+
+
+def test_a_collection_pickled_before_the_column_form_restores(
+    monkeypatch, tmp_path, abt_buy_small
+):
     objects = _graded_blocks()
     old = BlockCollection.__new__(BlockCollection)
     # What a checkpoint written before the column form holds: a Block list.
     old.__dict__.update(clean_clean=False, _blocks=_graded_blocks().blocks)
-    restored = pickle.loads(pickle.dumps(old))
+    restored = _through_checkpoint(tmp_path / "blocks", old)
+    assert type(restored) is BlockCollection and type(restored.columns) is BlockColumns
     assert len(restored) == len(objects) and rows(restored) == rows(objects)
     assert restored.total_comparisons() == objects.total_comparisons()
     assert rows(BlockFiltering(0.5).filter(BlockPurging(1.0).purge(restored, 10))) == rows(
@@ -206,28 +216,31 @@ def test_a_collection_pickled_before_the_column_form_restores(monkeypatch, abt_b
     )
     # ... or, converted by a read, the same list beside ``columns = None``.
     old.__dict__.update(columns=None, _distinct_count=None)
-    assert rows(pickle.loads(pickle.dumps(old))) == rows(objects)
+    restored = _through_checkpoint(tmp_path / "converted", old)
+    assert type(restored) is BlockCollection and rows(restored) == rows(objects)
 
     # Columns pickled before the per-block flag: the collection's flag for every block.
     blocks = TokenBlocking().block(abt_buy_small.profiles)
     assert blocks.clean_clean
     count = blocks.count_distinct_comparisons()
     old = BlockCollection.__new__(BlockCollection)
+    checkpoint = PipelineCheckpoint(tmp_path / "four-fields")
     with monkeypatch.context() as patched:
         patched.setattr(block_module, "BlockColumns", _ParentColumns)
         old.__dict__.update(
             clean_clean=True, _blocks=[], columns=_ParentColumns(*blocks.columns[:4]),
             _distinct_count=count,
         )
-        data = pickle.dumps(old)
-    restored = pickle.loads(data)
+        checkpoint.save({"value": old})
+    restored = checkpoint.load()["value"]
+    assert type(restored) is BlockCollection
     assert type(restored.columns) is block_module.BlockColumns
     assert restored.columns.cleans.tolist() == [True] * len(blocks)
     assert rows(restored) == rows(blocks) and restored.count_distinct_comparisons() == count
     assert restored.distinct_comparisons() == blocks.distinct_comparisons()
-    # Outside unpickling, 4-field columns are refused rather than read as dirty ER.
-    with pytest.raises(BlockingError, match="clean-clean flags"):
-        BlockCollection.from_columns(BlockColumns(*blocks.columns[:4]), clean_clean=True)
+    # Outside a checkpoint, columns without the flags are not columns at all.
+    with pytest.raises(TypeError):
+        BlockColumns(*blocks.columns[:4])
 
 
 def test_the_constructor_takes_blocks_only():

@@ -11,7 +11,11 @@
 * the retained edges of ``MetaBlocker.run`` — endpoints and weights in
   retention order, the float bits included — for every weighting scheme ×
   pruning rule × entropy on/off, on one loose-schema token-blocked
-  collection (whose blocks carry entropies, so the entropy axis matters).
+  collection (whose blocks carry entropies, so the entropy axis matters);
+* the generated inputs themselves — every profile's id, original id,
+  source and attribute list in collection order, and the sorted ground
+  truth — of ``generate_abt_buy_like`` over sizes × seeds × match rates and
+  of ``generate_scalability_products`` over sizes × seeds.
 
 A refactor that is meant to change no output must leave every digest equal.
 Recompute the file at a commit whose outputs are the reference with
@@ -98,6 +102,30 @@ def edges_digest(weighting: str, pruning: str, use_entropy: bool) -> str:
     return digest.hexdigest()
 
 
+def generator_digest(dataset) -> str:
+    """Digest of a generated dataset: its profiles and its ground truth."""
+    profiles = [
+        (p.profile_id, p.original_id, p.source_id, [(a.attribute, a.value) for a in p.attributes])
+        for p in dataset.profiles
+    ]
+    truth = sorted(dataset.ground_truth.pairs())
+    return _sha256(repr((dataset.name, profiles, truth)).encode())
+
+
+GENERATORS = {
+    "abt-buy": lambda n, seed, rate: generate_abt_buy_like(
+        SyntheticConfig(num_entities=n, seed=seed, match_rate=rate)
+    ),
+    "scalability": lambda n, seed: generate_scalability_products(n, seed=seed),
+}
+GENERATOR_CASES = [
+    ("abt-buy", n, seed, rate)
+    for n in (0, 1, 2, 7, 250, 300, 1000)
+    for seed in (3, 7, 42)
+    for rate in (0.0, 0.8, 1.0)
+] + [("scalability", n, seed) for n in (0, 1, 9, 400, 4000) for seed in (7, 11, 42)]
+
+
 RUN_CASES = [(dataset, config) for dataset in INPUTS for config in CONFIGS]
 EDGE_CASES = [
     (weighting, pruning, use_entropy)
@@ -115,6 +143,10 @@ def _edge_key(weighting: str, pruning: str, use_entropy: bool) -> str:
     return f"edges/{weighting}/{pruning}/{'entropy' if use_entropy else 'plain'}"
 
 
+def _generator_key(generator: str, *args) -> str:
+    return "/".join(("generate", generator, *map(str, args)))
+
+
 def compute() -> "dict[str, object]":
     """Every digest of the file, recomputed."""
     golden: "dict[str, object]" = {}
@@ -122,6 +154,8 @@ def compute() -> "dict[str, object]":
         golden[_run_key(*case)] = run_digests(*case)
     for case in EDGE_CASES:
         golden[_edge_key(*case)] = edges_digest(*case)
+    for generator, *args in GENERATOR_CASES:
+        golden[_generator_key(generator, *args)] = generator_digest(GENERATORS[generator](*args))
     return golden
 
 
@@ -143,8 +177,21 @@ def test_retained_edges_match_golden(weighting, pruning, use_entropy):
     assert edges_digest(*case) == _golden()[_edge_key(*case)]
 
 
+@pytest.mark.parametrize(
+    "case", GENERATOR_CASES, ids=[_generator_key(*c) for c in GENERATOR_CASES]
+)
+def test_generated_inputs_match_golden(case):
+    generator, *args = case
+    digest = generator_digest(GENERATORS[generator](*args))
+    assert digest == _golden()[_generator_key(generator, *args)]
+
+
 def test_golden_file_covers_every_case():
-    assert set(_golden()) == {_run_key(*c) for c in RUN_CASES} | {_edge_key(*c) for c in EDGE_CASES}
+    assert set(_golden()) == (
+        {_run_key(*c) for c in RUN_CASES}
+        | {_edge_key(*c) for c in EDGE_CASES}
+        | {_generator_key(*c) for c in GENERATOR_CASES}
+    )
 
 
 if __name__ == "__main__":

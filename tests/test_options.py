@@ -369,8 +369,10 @@ def _names(node):
 
 def _allowed_subtrees(module, tree):
     """Where the removed names may still appear: the retired-key table (the
-    keys old artifacts carry) and the old-snapshot slot names the incremental
-    index ignores on restore."""
+    keys old artifacts carry) and the one reader of earlier versions' files,
+    which drops the old-snapshot slots of the incremental index."""
+    if module == "pipeline/legacy.py":
+        yield tree
     for node in ast.walk(tree):
         if (
             module == "options.py"
@@ -378,12 +380,6 @@ def _allowed_subtrees(module, tree):
             and any(isinstance(t, ast.Name) and t.id == "_RETIRED" for t in node.targets)
         ):
             yield node.value
-        if module == "metablocking/index.py" and isinstance(node, ast.ClassDef) and (
-            node.name == "IncrementalBlockIndex"
-        ):
-            for method in node.body:
-                if isinstance(method, ast.FunctionDef) and method.name == "__setstate__":
-                    yield from method.body
 
 
 def test_no_removed_option_name_outside_the_retired_table():
@@ -403,7 +399,7 @@ def test_no_removed_option_name_outside_the_retired_table():
     assert offenders == []
     # The allowances are not vacuous: the table and the slot names are there.
     trees = dict(_modules())
-    for module, expected in (("options.py", "buffer_backend"), ("metablocking/index.py", "_tmp_dir")):
+    for module, expected in (("options.py", "buffer_backend"), ("pipeline/legacy.py", "_tmp_dir")):
         allowed_names = [
             name
             for subtree in _allowed_subtrees(module, trees[module])

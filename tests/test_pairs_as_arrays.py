@@ -381,9 +381,12 @@ FULL_SPEC = {
 
 
 class TestParentCheckpoints:
-    def test_parent_shaped_graph_unpickles(self):
+    def test_parent_shaped_graph_unpickles(self, tmp_path):
         graph = SimilarityGraph.from_arrays([2, 1, 3], [1, 2, 4], [0.5, 0.75, 0.25])
-        restored = pickle.loads(pickle.dumps(_parent_shaped(graph)))
+        checkpoint = PipelineCheckpoint(tmp_path / "ckpt")
+        checkpoint.save({"graph": _parent_shaped(graph)})
+        restored = checkpoint.load()["graph"]
+        assert type(restored) is SimilarityGraph
         assert as_rows(restored) == as_rows(graph) == [
             (1, 2, struct.pack("<d", 0.75)), (3, 4, struct.pack("<d", 0.25))
         ]
@@ -405,6 +408,15 @@ class TestParentCheckpoints:
             store._values[key] = _parent_shaped(value)
         assert type(store.get("candidate_pairs")) is set
         checkpoint.save(pickle.loads(pickle.dumps(state)))
+        loaded = checkpoint.load()["store"]
+        result, expected = loaded.get("meta_blocking"), uninterrupted.artifacts.get("meta_blocking")
+        assert type(result) is MetaBlockingResult
+        assert type(result.candidate_pairs) is CandidatePairs
+        assert type(result.retained_edges) is backends.RetainedEdges
+        assert result.candidate_pairs == expected.candidate_pairs
+        assert list(result.retained_edges.items()) == list(expected.retained_edges.items())
+        if "similarity_graph" in loaded:
+            assert type(loaded.get("similarity_graph")) is SimilarityGraph
         resumed = Pipeline.resume(checkpoint)
         assert sorted(resumed.candidate_pairs) == sorted(uninterrupted.candidate_pairs)
         assert as_rows(resumed.similarity_graph) == as_rows(uninterrupted.similarity_graph)

@@ -434,6 +434,9 @@ class TestCheckpointResume:
         state["spec"]["stages"][0]["params"].update(lsh)
         state["spec"]["engine"] = PARENT_ENGINE
         checkpoint.save(state)
+        # Loading drops the retired params: the stored stages are the resolved ones.
+        resolved = Pipeline.from_spec(LOOSE_SPEC).resolved_spec()["stages"]
+        assert checkpoint.load()["spec"]["stages"] == resolved
         resumed = Pipeline.resume(checkpoint)
         assert resumed.candidate_pairs == uninterrupted.candidate_pairs
         assert [c.members for c in resumed.clusters] == [

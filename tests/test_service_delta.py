@@ -20,11 +20,13 @@ from repro.blocking.token_blocking import TokenBlocking
 from repro.data.dataset import ProfileCollection
 from repro.exceptions import ConfigurationError
 from repro.metablocking import backends
-from repro.metablocking.index import IncrementalBlockIndex, _TokenState
+from repro.metablocking import index as index_module
+from repro.metablocking.index import IncrementalBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.pruning import WeightedNodePruning
 from repro.metablocking.weights import WeightingScheme
 from repro.pipeline.checkpoint import PipelineCheckpoint
+from repro.pipeline.legacy import _TokenState
 from repro.service.collection import CollectionConfig, ServiceCollection
 from repro.service.delta import DeltaMetaBlocker
 from repro.service.store import CollectionStore
@@ -349,8 +351,9 @@ def _parent_delta(monkeypatch) -> DeltaMetaBlocker:
 
 def _parent_index(index, profiles, monkeypatch) -> IncrementalBlockIndex:
     """An index that pickles like a parent-commit one: a member-set pair per
-    token string (pickled with a dirty flag and a cached build tuple) in place
-    of the occurrence columns."""
+    token string (pickled with a dirty flag and a cached build tuple, under
+    the name the index module gave its class) in place of the occurrence
+    columns."""
     tokens = {}
     for profile in profiles:
         for token in sorted(profile.tokens()):
@@ -368,6 +371,8 @@ def _parent_index(index, profiles, monkeypatch) -> IncrementalBlockIndex:
         _TokenState, "__getstate__",
         lambda self: (self.members0, self.members1, False, None), raising=False,
     )
+    monkeypatch.setattr(_TokenState, "__module__", index_module.__name__)
+    monkeypatch.setattr(index_module, "_TokenState", _TokenState, raising=False)
     monkeypatch.setattr(IncrementalBlockIndex, "__getstate__", lambda self: state)
     return IncrementalBlockIndex()
 
@@ -392,10 +397,13 @@ def test_parent_format_snapshot_restores_and_answers_like_a_fresh_twin(
         state["config"] = dict(state["config"], kernel_backend=None)
         PipelineCheckpoint(tmp_path / "demo").save(state)
         monkeypatch.undo()
+        data = (tmp_path / "demo" / "pipeline_state.pkl").read_bytes()
+        assert b"_TokenState" in data and b"repro.pipeline.legacy" not in data
 
         assert store.load_snapshots() == ["demo"]
         restored = store.get("demo")
-        assert isinstance(restored.delta, DeltaMetaBlocker)
+        assert type(restored.index) is IncrementalBlockIndex
+        assert type(restored.delta) is DeltaMetaBlocker
         assert not hasattr(restored.delta, "_adj")
         assert restored.delta.retained == {}
         assert restored.delta.stats()["refreshes"] == 3

@@ -46,6 +46,23 @@ from tests.test_service_app import _ingest_payload
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+def _pickled_record(seq: int, payload) -> bytes:
+    """One record as logs written before the payloads were JSON hold it:
+    the same frame around the pickled ingest dict."""
+    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return struct.pack("<QII", seq, len(data), zlib.crc32(data)) + data
+
+
+class _Marker:
+    """A pickle that, if unpickled with its globals, creates ``path``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
 def _chaos():
     sys.path.insert(0, str(REPO_ROOT / "scripts"))
     import service_chaos
@@ -157,18 +174,46 @@ class TestWriteAheadLog:
         assert wal.size_bytes() == 0
         wal.close()
 
+    def test_a_record_in_the_earlier_pickled_layout_replays(self, tmp_path):
+        path = tmp_path / "c.wal"
+        old = {"profiles": [{"id": 3, "attributes": {"name": ["ä b"], "n": [1.5]}}]}
+        path.write_bytes(_pickled_record(1, old) + _pickled_record(2, {"batch": 1}))
+        wal = WriteAheadLog(path)
+        assert wal.replay() == [(1, old), (2, {"batch": 1})]
+        assert wal.append({"batch": 2}) == 3  # new records are JSON, after the old ones
+        wal.close()
+
+        fresh = WriteAheadLog(path)
+        assert fresh.replay() == [(1, old), (2, {"batch": 1}), (3, {"batch": 2})]
+        assert fresh.next_seq == 4 and fresh.torn_truncations == 0
+
+        torn = tmp_path / "torn.wal"
+        torn.write_bytes(_pickled_record(1, old) + _pickled_record(2, {"batch": 1})[:-3])
+        wal = WriteAheadLog(torn)
+        assert wal.replay() == [(1, old)]
+        assert wal.torn_truncations == 1
+        assert torn.read_bytes() == _pickled_record(1, old)
+
     @pytest.mark.parametrize("tail", [b"", b"torn"], ids=["intact", "torn-after"])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pickle.dumps({"batch": 1, "at": Path("x")}, protocol=pickle.HIGHEST_PROTOCOL),
+            pickle.dumps([{"batch": 1}], protocol=pickle.HIGHEST_PROTOCOL),
+            pickle.dumps({"batch": 1}, protocol=pickle.HIGHEST_PROTOCOL) + b"\x00",
+            b"\xff\x00 neither JSON nor a pickle",
+        ],
+        ids=["names-a-global", "not-a-dict", "trailing-bytes", "garbage"],
+    )
     def test_an_intact_record_that_does_not_decode_is_an_error_not_a_tear(
-        self, tmp_path, tail
+        self, tmp_path, payload, tail
     ):
         path = tmp_path / "c.wal"
         wal = WriteAheadLog(path)
         wal.append({"batch": 0})
         wal.close()
-        # A record as an earlier version wrote it: a pickled payload.
-        old = pickle.dumps({"batch": 1}, protocol=pickle.HIGHEST_PROTOCOL)
         with open(path, "ab") as handle:
-            handle.write(struct.pack("<QII", 2, len(old), zlib.crc32(old)) + old + tail)
+            handle.write(struct.pack("<QII", 2, len(payload), zlib.crc32(payload)) + payload + tail)
         before = path.read_bytes()
 
         fresh = WriteAheadLog(path)
@@ -177,6 +222,13 @@ class TestWriteAheadLog:
         # Never mistaken for a torn tail: nothing is cut off the file.
         assert path.read_bytes() == before
         assert fresh.torn_truncations == 0
+
+    def test_a_record_runs_no_code(self, tmp_path):
+        path, ran = tmp_path / "c.wal", tmp_path / "ran"
+        path.write_bytes(_pickled_record(1, {"profiles": [], "x": _Marker(ran)}))
+        with pytest.raises(DataError, match="record 1"):
+            WriteAheadLog(path).replay()
+        assert not ran.exists()
 
     def test_ensure_next_seq_only_raises_the_floor(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "c.wal")
@@ -406,6 +458,37 @@ class TestStoreRecovery:
         assert got.index.profile_ids() == sorted(p.profile_id for p in profiles)
         assert got.wal.next_seq == 2
         recovered.close_all()
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["intact", "torn-tail"])
+    def test_a_log_written_before_records_were_json_recovers(self, tmp_path, torn):
+        snap, wal_dir = self._dirs(tmp_path)
+        profiles = _random_profiles(40, clean_clean=False, seed=19)
+        batches = [_ingest_payload(profiles[lo:lo + 10]) for lo in range(0, 40, 10)]
+        os.makedirs(wal_dir)
+        log = b"".join(_pickled_record(seq, batch) for seq, batch in enumerate(batches, 1))
+        tail = _pickled_record(5, {"profiles": [{"id": 999}]})[:-1] if torn else b""
+        Path(wal_dir, "demo.wal").write_bytes(log + tail)
+
+        recovered = CollectionStore(snapshot_dir=snap, wal_dir=wal_dir)
+        outcome = recovered.recover()
+        assert outcome["replayed"] == {"demo": 4}
+        assert outcome["torn_truncations"] == int(torn)
+        assert Path(wal_dir, "demo.wal").read_bytes() == log
+        twin = ServiceCollection(CollectionConfig(name="demo"))
+        for batch in batches:
+            twin.ingest(batch)
+        got = recovered.get("demo")
+        for probe in (0, 17, 39):
+            answers = [got.candidates(probe), got.matches(probe, 20)]
+            assert json.dumps(answers) == json.dumps([twin.candidates(probe), twin.matches(probe, 20)])
+        # The log goes on in JSON after its old records, and replays whole.
+        assert got.ingest({"profiles": [{"id": 1000}]})["wal_seq"] == 5
+        recovered.close_all()
+        again = CollectionStore(snapshot_dir=snap, wal_dir=wal_dir)
+        assert again.recover()["replayed"] == {"demo": 5}
+        assert again.get("demo").index.has_profile(1000)
+        again.close_all()
+        twin.close()
 
     def test_recovery_truncates_a_torn_tail(self, tmp_path):
         snap, wal_dir = self._dirs(tmp_path)

@@ -120,6 +120,7 @@ class TestParentShapedCheckpoint:
         assert b"repro.evaluation.report" in checkpoint.state_path.read_bytes()
         state = checkpoint.load()
         assert "report" not in state and "timings" not in state
+        assert all(type(execution) is StageExecution for execution in state["executions"])
         resumed = Pipeline.resume(checkpoint)
         assert json.dumps(resumed.entities) == json.dumps(uninterrupted.entities)
         assert resumed.metric_rows() == uninterrupted.metric_rows()
