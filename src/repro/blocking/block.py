@@ -12,6 +12,7 @@ value encoded into them or decoded from them.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import compress
@@ -22,7 +23,7 @@ import numpy as np
 from repro.blocking.pairs import CandidatePairs
 from repro.exceptions import BlockingError
 
-_PAIR_CHUNK = 1 << 20  # pair codes expanded at a time by _pair_codes
+_PAIR_CHUNK = 1 << 20  # pairs expanded per range by _pair_codes
 
 
 @dataclass
@@ -183,6 +184,8 @@ class BlockCollection:
     it is, so changing a decoded ``Block`` changes nothing here.
     """
 
+    _count_source = None  # a weak reference, see keeping_count_of
+
     def __init__(self, blocks: Iterable[Block] = (), *, clean_clean: bool = False) -> None:
         self.clean_clean = clean_clean
         self.columns = _encode(blocks)
@@ -236,53 +239,64 @@ class BlockCollection:
 
     def distinct_comparisons(self) -> CandidatePairs:
         """The distinct candidate pairs across all blocks, as columns."""
-        codes, width, id_of = self._pair_codes()
-        codes = codes[np.diff(codes, prepend=-1) != 0]
+        ranges, width, id_of = self._pair_codes()
+        codes = np.concatenate([codes[np.diff(codes, prepend=-1) != 0] for codes in ranges])
         self._distinct_count = len(codes)
         lower, upper = np.divmod(codes.astype(np.int64, copy=False), width)
         return CandidatePairs(id_of(lower), id_of(upper))
 
     def count_distinct_comparisons(self) -> int:
-        """``len(distinct_comparisons())`` without the pair set, once per
-        collection (and none when :meth:`keeping_count_of` reused its
-        source's count)."""
+        """``len(distinct_comparisons())`` without the pair set, range by
+        range, once per collection (and none when :meth:`keeping_count_of`
+        finds its source's count)."""
         if self._distinct_count is None:
-            codes = self._pair_codes()[0]
-            self._distinct_count = int(np.count_nonzero(np.diff(codes, prepend=-1)))
+            source = self._count_source and self._count_source()
+            if source is not None and (
+                source.columns is self.columns
+                or source.total_comparisons() == self.total_comparisons()
+            ):
+                self._distinct_count = source.count_distinct_comparisons()
+            else:
+                ranges = self._pair_codes()[0]
+                self._distinct_count = sum(int(np.count_nonzero(np.diff(c, prepend=-1))) for c in ranges)
         return self._distinct_count
 
     def keeping_count_of(self, source: "BlockCollection") -> "BlockCollection":
         """This collection, derived from ``source`` by removing comparisons
-        only (purging, filtering), with ``source``'s distinct-pair count
-        when it removed none: then the pair multiset is ``source``'s."""
-        known = source._distinct_count is not None
-        if known and self.total_comparisons() == source.total_comparisons():
-            self._distinct_count = source._distinct_count
+        only (purging, filtering): with an unchanged total it has
+        ``source``'s pair multiset, so it takes ``source``'s count (held
+        weakly, and compared only when counted)."""
+        self._count_source = weakref.ref(source)
         return self
 
-    def _pair_codes(self) -> tuple:
-        """``(codes, width, id_of)``: the ``lower * width + upper`` codes of
-        every pair of the columns, ascending, where ``id_of`` maps a code's
-        ``lower`` / ``upper`` back to profile ids.  A pair may have several
-        codes and -1 is no pair, so a reader keeps the codes that differ
-        from the one before them, taking -1 before the first.
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in vars(self).items() if key != "_count_source"}
 
-        Every member meets the later members of its entry (dirty block) or
-        the members of its block's right side (a left member of a
-        clean-clean block).  The pairs are expanded a bounded chunk at a
-        time as codes over the ids offset by the smallest one (their ranks
-        when ``width²`` would pass int64; int32 when it fits) and sorted;
-        with several chunks each is deduplicated and one last sort merges
-        them — no ``Block``, no tuple.  A profile on both sides of a block
-        meets itself there; that code becomes -1.
+    def _pair_codes(self) -> tuple:
+        """``(ranges, width, id_of)``: ``ranges`` yields sorted ``lower *
+        width + upper`` codes of every pair of the columns, a range at a
+        time; a code may repeat and -1 is no pair, so a reader keeps the
+        codes that differ from the one before them, taking -1 before the
+        first.  No code falls in two ranges and the ranges ascend.
+        ``id_of`` maps a code's ``lower`` / ``upper`` back to profile ids.
+
+        A dirty member meets the later members of its entry.  Up to
+        :data:`_PAIR_CHUNK` pairs, one range in column order has a left
+        member of a clean-clean block meet its right side (and a profile on
+        both sides itself: -1).  Beyond, a clean-clean member meets the
+        other side's members above it, so every pair comes from its lower
+        endpoint, and the members, node by node, are cut between nodes about
+        every :data:`_PAIR_CHUNK` pairs: bounded scratch, no merge.  Ids are
+        offset by the smallest one (ranks when the codes would pass int64;
+        int32 when they fit).
         """
         # Late: the meta-blocking package imports this module.
-        from repro.metablocking.backends import expand_ranges, unique_inverse
+        from repro.metablocking.backends import expand_ranges, stable_sort, unique_inverse
 
         entries, members = self.columns.entries, self.columns.members
         low, high = (int(members.min()), int(members.max())) if len(members) else (0, 0)
         width = high - low + 1
-        if width * width <= np.iinfo(np.int64).max:
+        if max(width, 2 * len(self)) * width <= np.iinfo(np.int64).max:
             dense = members - low
             id_of = lambda offsets: offsets + low
         else:
@@ -292,33 +306,39 @@ class BlockCollection:
             dense = dense.astype(np.int32)
         lengths = self.columns.lengths()
         ends = lengths.cumsum()
+        clean = self.columns.cleans[entries >> 1]
         # A left member of a clean-clean block meets its right entry, which
         # starts where the left one ends; a dirty member the rest of its entry.
-        clean = self.columns.cleans[entries >> 1]
         first = np.where(clean, ends[entries], np.arange(1, len(dense) + 1))
-        partners = np.where(
-            clean, np.where(entries & 1, 0, lengths[entries | 1]), ends[entries] - first
-        )
-        done = np.concatenate(([0], partners.cumsum()))
-        cuts = np.searchsorted(done, np.arange(0, done[-1] + _PAIR_CHUNK, _PAIR_CHUNK)).tolist()
-        chunks = [np.empty(0, dtype=dense.dtype)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            count = partners[lo:hi]
-            a, b = np.repeat(dense[lo:hi], count), dense[expand_ranges(first[lo:hi], count)]
-            itself = a == b
-            codes = np.minimum(a, b)  # in place from here on: bounded scratch
-            codes *= width
-            codes += np.maximum(a, b, out=b)
-            codes[itself] = -1
-            del a, b, itself
-            codes.sort()
-            chunks.append(codes if len(cuts) == 2 else codes[np.diff(codes, prepend=-1) != 0])
-        if len(chunks) <= 2:
-            return chunks[-1], width, id_of
-        merged = np.concatenate(chunks)
-        chunks.clear()
-        merged.sort()
-        return merged, width, id_of
+        counts = np.where(clean, np.where(entries & 1, 0, lengths[entries | 1]), ends[entries] - first)
+        owners, cuts = dense, [0, len(dense)]
+        if counts.sum() > _PAIR_CHUNK:
+            if clean.any():  # entry, then member: the keys ascend
+                other = entries[clean] ^ 1
+                keys = entries * width + dense
+                first[clean] = keys.searchsorted(other * width + dense[clean], "right")
+                counts[clean] = ends[other] - first[clean]
+                del keys, other
+            order = stable_sort(dense.astype(np.int64))[1]
+            owners, first, counts = dense[order], first[order], counts[order]
+            done = counts.cumsum()
+            at = owners[done.searchsorted(np.arange(_PAIR_CHUNK, done[-1], _PAIR_CHUNK))]
+            cuts = np.unique([0, *owners.searchsorted(at).tolist(), len(dense)]).tolist()
+
+        def ranges():
+            for lo, hi in zip(cuts, cuts[1:]):
+                count = counts[lo:hi]
+                a, b = np.repeat(owners[lo:hi], count), dense[expand_ranges(first[lo:hi], count)]
+                itself = a == b
+                codes = np.minimum(a, b)  # in place from here on: bounded scratch
+                codes *= width
+                codes += np.maximum(a, b, out=b)
+                codes[itself] = -1
+                del a, b, itself
+                codes.sort()
+                yield codes
+
+        return ranges(), width, id_of
 
     def profile_ids(self) -> set[int]:
         """All profile ids appearing in at least one block."""

@@ -13,7 +13,7 @@ from itertools import compress
 
 import numpy as np
 
-from repro.blocking.block import BlockCollection
+from repro.blocking.block import BlockCollection, BlockColumns
 from repro.blocking.pairs import CandidatePairs, pair_columns
 from repro.data.ground_truth import GroundTruth
 
@@ -70,7 +70,7 @@ def compute_blocking_stats(
         reduction ratio; when omitted the reduction ratio is reported as 0.
     """
     return pair_stats(
-        blocks.distinct_comparisons(),
+        blocks,
         ground_truth,
         max_comparisons,
         num_blocks=len(blocks),
@@ -81,23 +81,51 @@ def compute_blocking_stats(
 def pair_stats(
     candidate_pairs, ground_truth: GroundTruth, max_comparisons: int | None, **counts: int
 ) -> BlockingStats:
-    """The statistics of a candidate-pair set (any set, or a
-    :class:`~repro.blocking.pairs.CandidatePairs`); ``counts`` fills
-    ``num_blocks`` / ``total_comparisons`` when there are blocks."""
+    """The statistics of a candidate-pair set (any set, a
+    :class:`~repro.blocking.pairs.CandidatePairs`, or the distinct
+    comparisons of a :class:`BlockCollection`, whose pair set is not built);
+    ``counts`` fills ``num_blocks`` / ``total_comparisons`` when there are blocks."""
     true_pairs = ground_truth.pairs()
-    if isinstance(candidate_pairs, CandidatePairs):
-        found = _true_among(true_pairs, candidate_pairs)
+    if isinstance(candidate_pairs, BlockCollection):
+        found = _paired(true_pairs, candidate_pairs.columns)
+        candidates = candidate_pairs.count_distinct_comparisons()
+    elif isinstance(candidate_pairs, CandidatePairs):
+        found, candidates = _true_among(true_pairs, candidate_pairs), len(candidate_pairs)
     else:
-        found = true_pairs & candidate_pairs
+        found, candidates = true_pairs & candidate_pairs, len(candidate_pairs)
     return BlockingStats(
         num_blocks=counts.get("num_blocks", 0),
-        num_candidate_pairs=len(candidate_pairs),
+        num_candidate_pairs=candidates,
         total_comparisons=counts.get("total_comparisons", 0),
         recall=len(found) / len(true_pairs) if true_pairs else 1.0,
-        precision=len(found) / len(candidate_pairs) if candidate_pairs else 0.0,
+        precision=len(found) / candidates if candidates else 0.0,
         lost_pairs=true_pairs - found,
-        reduction_ratio=1.0 - len(candidate_pairs) / max_comparisons if max_comparisons else 0.0,
+        reduction_ratio=1.0 - candidates / max_comparisons if max_comparisons else 0.0,
     )
+
+
+def _paired(true_pairs: set[tuple[int, int]], columns: BlockColumns) -> set:
+    """The true pairs some block pairs: one id sits in an entry whose
+    partner entry — the other side of a clean-clean block, the entry itself
+    in a dirty one — holds the other id (so a profile on both sides of a
+    block pairs with every other member of it)."""
+    # Late: the meta-blocking package imports the blocking package.
+    from repro.metablocking.backends import expand_ranges, stable_sort
+
+    truth, entries = list(true_pairs), columns.entries
+    ordered, order = stable_sort(columns.members.astype(np.int64))
+    partners = np.where(columns.cleans[entries >> 1], entries ^ 1, entries)
+    span = 2 * len(columns.keys)
+
+    def codes(ids, entry_of):  # ``pair * span + entry`` per entry of each pair's id
+        start, stop = ordered.searchsorted(ids), ordered.searchsorted(ids, "right")
+        rows = order[expand_ranges(start, stop - start)]
+        return np.repeat(np.arange(len(ids)), stop - start) * span + entry_of[rows]
+
+    lower, upper = pair_columns(truth)
+    found = np.zeros(len(truth), dtype=bool)
+    found[np.intersect1d(codes(lower, entries), codes(upper, partners)) // span] = True
+    return set(compress(truth, found.tolist()))
 
 
 def _true_among(true_pairs: set[tuple[int, int]], pairs: CandidatePairs) -> set:
@@ -125,11 +153,11 @@ def block_stage_metrics(
     *,
     max_comparisons: int | None = None,
 ) -> dict[str, object]:
-    """The per-stage metric dict recorded after every block-level stage.
+    """The per-stage metric dict of a block-level stage.
 
     Full quality statistics when a ground truth is available, plain counts
     otherwise (answered from the collection's columns: no pair set, no
-    ``Block``).
+    ``Block``), which a pipeline stage records with the pair count deferred.
     """
     if ground_truth is not None:
         return compute_blocking_stats(

@@ -136,8 +136,8 @@ def make_weight_plan(index, scheme, use_entropy: bool) -> WeightPlan:
     )
     if scheme is WeightingScheme.ECBS:
         plan.log_blocks = _log_factors(plan.total_blocks, index.node_block_count)
-    elif scheme is WeightingScheme.EJS:
-        plan.total_edges = index.num_edges()
+    elif scheme is WeightingScheme.EJS:  # each edge adds 2 to the degree sum
+        plan.total_edges = int(index.degree_vector().sum()) // 2
         plan.log_degrees = _log_factors(plan.total_edges, index.degree_vector())
     return plan
 

@@ -40,7 +40,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from repro.blocking.block import BlockCollection
+from repro.blocking.block import BlockCollection, BlockColumns
 from repro.blocking.token_blocking import group_tokens
 from repro.metablocking import backends as _backends
 from repro.utils.tokenize import token_table
@@ -240,7 +240,7 @@ class CSRBlockIndex:
         """Per-node blocking-graph degree, computed once and cached.
 
         One pass of the kernel's range sweeps counts it; every later degree
-        lookup — EJS's ``degree_b`` per neighbour, the global edge count — is
+        lookup — EJS's ``degree_b`` per neighbour, its global edge count — is
         O(1).
         """
         if self._degrees is None:
@@ -248,9 +248,16 @@ class CSRBlockIndex:
         return self._degrees
 
     def num_edges(self) -> int:
-        """Number of distinct blocking-graph edges (from the degree vector)."""
+        """Number of distinct blocking-graph edges: the index's blocks, as
+        columns, counted by :meth:`BlockCollection.count_distinct_comparisons`."""
         if self._num_edges is None:
-            self._num_edges = int(self.degree_vector().sum()) // 2
+            sizes, clean = np.diff(self.block_offsets), self.block_split >= 0
+            left = np.where(clean, self.block_split, sizes)
+            lengths = np.column_stack((left, sizes - left)).ravel()
+            entries = np.repeat(np.arange(len(lengths)), lengths)
+            columns = BlockColumns([None] * len(sizes), None, entries, self.block_nodes, clean)
+            blocks = BlockCollection.from_columns(columns, clean_clean=self.clean_clean)
+            self._num_edges = blocks.count_distinct_comparisons()
         return self._num_edges
 
 

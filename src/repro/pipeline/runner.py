@@ -381,10 +381,11 @@ class Pipeline:
         # pipelines whose declared seeds were never provided).
         self.validate(available=store.manifest())
 
+        # Only ground-truth statistics read the all-pairs count.
         context = PipelineContext(
             ground_truth=ground_truth,
             extras=extras_dict,
-            max_comparisons=profiles.max_comparisons(),
+            max_comparisons=profiles.max_comparisons() if ground_truth is not None else 0,
         )
 
         completed = {execution.label for execution in executions}

@@ -166,6 +166,9 @@ class StageExecution:
 
     ``metrics`` holds what the stage passed to ``context.record`` (blocks,
     candidate pairs, recall and precision when a ground truth is known).
+    A callable value is deferred: the first read of ``metrics`` (a row, a
+    table, a pickle) replaces it with its result, so nobody computes a
+    statistic nobody reads.
     """
 
     label: str
@@ -186,3 +189,22 @@ class StageExecution:
     def metric_row(self) -> dict[str, object]:
         """One row of the metrics table: the label, then the metrics."""
         return {"stage": self.label, **self.metrics}
+
+    def __getstate__(self) -> dict:
+        _computed(vars(self).get("metrics", {}))  # a pickle holds values
+        return vars(self)
+
+
+def _computed(metrics: dict[str, object]) -> dict[str, object]:
+    """``metrics`` with each callable value replaced, in place, by its result."""
+    for key, value in metrics.items():
+        if callable(value):
+            metrics[key] = value()
+    return metrics
+
+
+StageExecution.metrics = property(  # type: ignore[assignment]
+    lambda execution: _computed(vars(execution)["metrics"]),
+    lambda execution, metrics: vars(execution).__setitem__("metrics", metrics),
+    lambda execution: vars(execution).pop("metrics"),
+)

@@ -47,10 +47,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def _record_block_stage(context: "PipelineContext", blocks: Any) -> None:
-    """Record the per-stage block statistics, with quality when GT is known."""
-    context.record(
-        block_stage_metrics(blocks, context.ground_truth, max_comparisons=context.max_comparisons)
-    )
+    """Record the per-stage block statistics, with quality when GT is known;
+    without, the pair count is the collection's counter, run when the row
+    is first read (see :class:`~repro.pipeline.stage.StageExecution`)."""
+    if context.ground_truth is not None:
+        context.record(
+            block_stage_metrics(blocks, context.ground_truth, max_comparisons=context.max_comparisons)
+        )
+        return
+    count, total = blocks.count_distinct_comparisons, blocks.total_comparisons()
+    context.record({"blocks": len(blocks), "candidate_pairs": count, "total_comparisons": total})
 
 
 def _record_pair_stats(context: "PipelineContext", pairs: Any) -> None:

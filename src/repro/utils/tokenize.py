@@ -8,7 +8,9 @@ definition of "token".
 from __future__ import annotations
 
 import re
+import weakref
 from collections import defaultdict
+from contextlib import suppress
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -102,12 +104,24 @@ def token_table(profiles) -> TokenTable:
     )
 
 
+# Per profile collection, the id column of the last table table_for built from it.
+_BUILT_IDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def table_for(profiles, table: TokenTable | None = None) -> TokenTable:
     """``table`` when it was built from ``profiles`` (the same profile ids in
     the same order), a new :func:`token_table` when it is None; a table of
-    another collection raises :class:`DataError`."""
+    another collection raises :class:`DataError`.  A table built here from
+    this very collection object, of its length, is taken without reading
+    the ids: a collection only appends."""
     if table is None:
-        return token_table(profiles)
+        table = token_table(profiles)
+        with suppress(TypeError):  # a list, say, has no weak reference
+            _BUILT_IDS[profiles] = table.profile_ids
+        return table
+    with suppress(TypeError):
+        if _BUILT_IDS.get(profiles) is table.profile_ids and len(profiles) == len(table.profile_ids):
+            return table
     if table.profile_ids.tolist() != [profile.profile_id for profile in profiles]:
         raise DataError("the token table was built from another profile collection")
     return table
