@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Run the parallel meta-blocking on the engine's range pool and inspect it.
+"""Run the parallel meta-blocking on the engine's range map and inspect it.
 
 SparkER's contribution is making meta-blocking run on a MapReduce-like engine
-(broadcast-join structure).  This example blocks on the driver, runs the
-parallel meta-blocking with different range counts and prints the stage row
-each run records — tasks, task-time skew, busy seconds — and checks the
-output is identical to the sequential reference.
+(broadcast-join structure); here the broadcast join is described and run as
+a range map in the driver.  This example blocks, runs the parallel
+meta-blocking with different range counts and prints the stage row each run
+records — tasks, task-time skew, busy seconds — and checks the output is
+identical to the sequential reference.
 
     python examples/distributed_blocking.py
 """

@@ -3,8 +3,8 @@
 This package reproduces the system described in *SparkER: Scaling Entity
 Resolution in Spark* (EDBT 2019).  It provides:
 
-* ``repro.engine`` -- the range pool (``EngineContext.map`` on the driver
-  and children forked per map) that runs the parallel meta-blocking,
+* ``repro.engine`` -- the range map (``EngineContext.map``, run in the
+  driver) that runs the parallel meta-blocking,
 * ``repro.data`` -- the entity-profile data model, loaders and synthetic
   dataset generators,
 * ``repro.blocking`` -- schema-agnostic token blocking, loose-schema (BLAST)

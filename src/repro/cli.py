@@ -81,8 +81,8 @@ _SYNTHETIC_GENERATORS = {
     "abt-buy": lambda n, seed: generate_abt_buy_like(SyntheticConfig(num_entities=n, seed=seed)),
     "bibliographic": lambda n, seed: generate_bibliographic(num_entities=n, seed=seed),
     "dirty-persons": lambda n, seed: generate_dirty_persons(num_entities=n, seed=seed),
-    # Scale-proportional vocabularies: block sizes stay bounded as n grows,
-    # so this is the one safe to point at 10^4+ entities (see BENCHMARKS.md).
+    # Name and description vocabularies grow with n, so their blocks stay
+    # small; the price tokens' blocks still grow with n (see the generator).
     "scalability": lambda n, seed: generate_scalability_products(n, seed=seed),
 }
 

@@ -162,10 +162,14 @@ def generate_scalability_products(
     measuring how meta-blocking *scales*.  Here the token vocabularies grow
     with ``num_entities`` (model ids are per-entity, series ids span
     ``num_entities // 8`` values, description words span ``num_entities``),
-    so expected block sizes — and the per-profile graph degree — stay
-    bounded as the dataset grows, like the real product feeds the paper's
-    scalability experiments run on.  Each entity adds its source-0 profile,
-    then (with probability ``match_rate``) its perturbed source-1 match.
+    so the blocks of those tokens stay near 20 profiles as the dataset grows.
+    The price tokens do not: their integer parts (20–2000) and cents (00–99)
+    come from fixed vocabularies, so their blocks — and the per-profile
+    graph degree — grow with ``num_entities``.  At seed 7 the largest token
+    block holds 108 profiles at 4·10³ entities and 863 at 4·10⁴ (after
+    purging and filtering: 18 and 92).  Each entity adds its source-0
+    profile, then (with probability ``match_rate``) its perturbed source-1
+    match.
     """
     rng = random.Random(seed)
     series_vocab = max(1, num_entities // 8)

@@ -9,10 +9,10 @@ over the *upper* edges only (neighbour above owner).
 under :data:`SWEEP_BUDGET`, into an :class:`EdgeWeights` table — every edge
 once, from its lower endpoint, in node-major first-touch order — so the
 weighing scratch is O(budget) and only the table is O(edges).  The
-sequential meta-blocker loops over the ranges, the range pool maps them.
+sequential meta-blocker loops over the ranges, the range map maps them.
 :func:`retained_positions` prunes that table: the WEP / CEP / WNP / CNP
 rules as array expressions, dispatched on the strategy's exact class — the
-only definition of the rules.  The sequential meta-blocker, the range pool
+only definition of the rules.  The sequential meta-blocker, the range map
 and the service's delta refresh all run this one tail.
 
 **Determinism is the contract.**  Every float is accumulated in one fixed
@@ -417,11 +417,7 @@ class NumpyKernel:
         """
         return self.edge_table(self.range_weights(lo, hi, plan) for lo, hi in self.ranges())
 
-    def weight_table(self, plan: WeightPlan) -> "EdgeWeights":
-        """:meth:`weight_arrays` plus the full ``(a, b) → weight`` dict."""
-        table = self.weight_arrays(plan)
-        table.mapping = table.to_mapping()
-        return table
+    weight_table = weight_arrays  # the name the repo benchmark calls
 
     def degrees(self):
         """Blocking-graph degree of every node.
@@ -448,7 +444,6 @@ class EdgeWeights:
     ids back to profile ids.  Pair tuples are only materialised for what a
     consumer asks for: the retained edges, chunk by chunk
     (:func:`iter_retained_chunks`), or the whole graph (:meth:`to_mapping`).
-    ``mapping`` caches the latter for :meth:`NumpyKernel.weight_table`.
     """
 
     a: Any
@@ -456,7 +451,6 @@ class EdgeWeights:
     w: Any
     num_nodes: int
     node_ids: Any = None
-    mapping: "dict | None" = None
 
     def __len__(self) -> int:
         return len(self.a)

@@ -29,9 +29,8 @@ Neighbourhoods are materialised by
 — sequential run, parallel range tasks, progressive streams, the service's
 delta refresh — bit-for-bit equivalent.
 
-The index lives in process memory only.  A forked range worker inherits the
-driver's index copy-on-write; where workers are not forked, the index pickles
-by value (:meth:`CSRBlockIndex.__getstate__`).
+The index lives in process memory only.  The broadcast join is described and
+run as a range map in the driver, so every range task reads this one index.
 """
 
 from __future__ import annotations
@@ -167,28 +166,6 @@ class CSRBlockIndex:
         index.block_inv_cardinality = 1.0 / cardinality
         index.block_entropy = columns.entropies
 
-    # ------------------------------------------------------------- pickling
-    def __getstate__(self) -> dict:
-        """Ship every array plus the cached degree vector, never the kernel.
-
-        The index is the broadcast payload of the parallel meta-blocking;
-        each worker process builds its own scratch kernel on first use, so
-        the kernel (and its buffer views and the weight plans) stays out of
-        the pickle.  The per-block stat vectors and — when cached —
-        the degree vector *do* ship, so workers never redo the degree pass.
-        """
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot not in ("_kernel", "_plans")
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self._kernel = None
-        self._plans = {}
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     def close(self) -> None:
         """Nothing to release — the index holds process memory only.
 
@@ -217,9 +194,8 @@ class CSRBlockIndex:
     def kernel(self):
         """The (cached) :class:`~repro.metablocking.backends.NumpyKernel`.
 
-        One per index instance, i.e. per process: the serial executor's
-        tasks share the driver's, every pool worker builds its own, and tasks
-        within a process run strictly one at a time.
+        One per index instance: the range tasks of a map share it and run
+        strictly one at a time.
         """
         if self._kernel is None:
             self._kernel = _backends.NumpyKernel(self)

@@ -1,29 +1,27 @@
-"""Broadcast-join parallel meta-blocking on the range pool — one map.
+"""Broadcast-join parallel meta-blocking as one range map in the driver.
 
 The paper (Section 2.1) describes the parallel meta-blocking as *inspired by
 the broadcast join*: the nodes of the blocking graph are partitioned, the
 compact block index is shared with every task, and each task materialises
-the neighbourhoods of its own nodes and weighs their edges.  The sequential
-:class:`~repro.metablocking.metablocker.MetaBlocker` already weighs that way,
-range by range (:meth:`~repro.metablocking.backends.NumpyKernel.
+the neighbourhoods of its own nodes and weighs their edges.  Here the
+broadcast join is described and run as a range map in the driver.  The
+sequential :class:`~repro.metablocking.metablocker.MetaBlocker` already weighs
+that way, range by range (:meth:`~repro.metablocking.backends.NumpyKernel.
 weight_arrays`); this class only maps the same ranges over the engine:
 
-1. **Driver.**  Build the :class:`~repro.metablocking.index.CSRBlockIndex`
-   — the broadcast: the driver weighs its own share of the ranges on it,
-   and the map's children are forked after it exists and inherit it
-   copy-on-write (where they are not forked, it pickles by value once per
-   child).  Split the dense node ids ``[0, n)`` into the kernel's
-   contiguous ranges balanced by *sweep cost* — per node, the
-   summed size of the blocks it sits in, read off the offset arrays without
-   materialising a neighbourhood — with at least
+1. **Build.**  Build the :class:`~repro.metablocking.index.CSRBlockIndex` —
+   the broadcast: every task reads it.  Split the dense node ids ``[0, n)``
+   into the kernel's contiguous ranges balanced by *sweep cost* — per node,
+   the summed size of the blocks it sits in, read off the offset arrays
+   without materialising a neighbourhood — with at least
    ``default_parallelism`` parts and none over the scratch budget
    (:meth:`~repro.metablocking.backends.NumpyKernel.ranges`).
 2. **One map, ``metablocking.weights``.**  A task receives one ``(lo, hi)``
-   range, runs one range sweep over it against the inherited index and
-   returns ``(a, b, w)`` ndarrays: dense endpoints and weight of every edge whose
-   *lower* endpoint is in the range.  Each edge is emitted exactly once, so
-   there is nothing to deduplicate and nothing to shuffle.
-3. **Driver.**  Concatenate the task results in range order into one
+   range, runs one range sweep over it and returns ``(a, b, w)`` ndarrays:
+   dense endpoints and weight of every edge whose *lower* endpoint is in the
+   range.  Each edge is emitted exactly once, so there is nothing to
+   deduplicate and nothing to shuffle.
+3. **Prune.**  Concatenate the task results in range order into one
    :class:`~repro.metablocking.backends.EdgeWeights` table and prune it with
    the retention tail of the sequential meta-blocker, which this class
    extends: only the weighing step differs.
@@ -37,10 +35,8 @@ global mean, WNP's per-node means) is then computed by the *same* code over
 the *same* array, so retained edges, weights and the result dict's order are
 bit-for-bit the sequential ones by construction.
 
-**Pruning stays on the driver.**  It is a handful of array expressions, an
-order of magnitude cheaper than the weighing; WEP and CEP need the global
-view anyway; and distributing the node-centric votes would re-create a
-shuffle whose per-edge records cost more than the votes they carry.
+**Pruning is not mapped.**  It is a handful of array expressions, an order of
+magnitude cheaper than the weighing; WEP and CEP need the global view anyway.
 """
 
 from __future__ import annotations
@@ -51,28 +47,6 @@ from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.pruning import PruningStrategy
 from repro.metablocking.weights import WeightingScheme
-
-
-class _RangeWeigher:
-    """``(lo, hi)`` → the ``(a, b, w)`` edge arrays of that dense node range.
-
-    The task function of the ``metablocking.weights`` map: a module-level
-    callable with bound arguments (not a closure), so it also pickles where
-    the map's children are not forked.  The weight plan is cached on the
-    index, i.e. resolved once per process.
-    """
-
-    __slots__ = ("index", "scheme", "use_entropy")
-
-    def __init__(self, index: CSRBlockIndex, scheme: WeightingScheme, use_entropy: bool) -> None:
-        self.index = index
-        self.scheme = scheme
-        self.use_entropy = use_entropy
-
-    def __call__(self, bounds: tuple[int, int]) -> tuple:
-        index = self.index
-        plan = index.weight_plan(self.scheme, self.use_entropy)
-        return index.kernel().range_weights(*bounds, plan)
 
 
 class ParallelMetaBlocker(MetaBlocker):
@@ -105,13 +79,10 @@ class ParallelMetaBlocker(MetaBlocker):
         """
         if index.num_nodes == 0:
             return super()._weigh(index)
-        # Resolved before the children fork: what the plan reads beyond the
-        # CSR buffers (EJS's degree vector and edge count) is inherited with
-        # the index instead of being re-swept per child.
-        index.weight_plan(self.weighting, self.use_entropy)
+        plan = index.weight_plan(self.weighting, self.use_entropy)
         kernel = index.kernel()
         parts = self.context.map(
-            _RangeWeigher(index, self.weighting, self.use_entropy),
+            lambda bounds: kernel.range_weights(*bounds, plan),
             kernel.ranges(self.context.default_parallelism),
             "metablocking.weights",
         )

@@ -29,10 +29,10 @@ work to a bounded :class:`~concurrent.futures.ThreadPoolExecutor` via
 — one engine operation per collection at a time keeps the index/delta state
 lock-free, exactly the old serial semantics, while a cold ranking sweep on
 one tenant no longer blocks ``healthz``, warm queries or other tenants).
-A thread pool rather than the engine's process pool because collection
-state is mutable and deliberately unpicklable mid-stream; the engine
-kernels drop the GIL in numpy, which is where the loop's liveness comes
-from.
+A thread pool because collection state is mutable and shared by every
+request of a tenant (the batch engine has no pool: its range map runs in the
+driver); the engine kernels drop the GIL in numpy, which is where the loop's
+liveness comes from.
 
 **Admission control.**  A global in-flight cap and a per-collection cap
 return ``429`` with ``Retry-After`` instead of queuing unboundedly; an

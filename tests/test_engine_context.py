@@ -1,13 +1,10 @@
-"""Tests of the engine context: the range pool, its stage rows, its failures.
+"""Tests of the engine context: the range map, its stage rows, its failures.
 
 Pins the contract the repo benchmark and the parallel meta-blocking rely on:
-``map`` returns results in item order on both executors, every call records
-one stage row with the keys ``bench/batch.py`` reads, a raising task
-re-raises its own type, a crashed worker raises ``EngineError`` within a
-bound, no child process outlives a map (the driver runs items ``0::P``
-itself; the forked children inherit the callable, which is never pickled on
-Linux; spawned children get it once each), and a stopped context refuses
-work.
+``map`` returns results in item order, every call records one stage row with
+the keys ``bench/batch.py`` reads, a raising task re-raises its own type, no
+executor spec starts a process (every task runs in the driver), and a stopped
+context refuses work.
 """
 
 from __future__ import annotations
@@ -15,9 +12,6 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
-import pickle
-import sys
-import time
 
 import pytest
 
@@ -29,6 +23,7 @@ from repro.engine.context import EngineContext
 from repro.exceptions import EngineError
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
+from repro.metablocking.pruning import CardinalityNodePruning
 
 # The stage-row keys the repo benchmark's engine layer reads.
 BENCH_ROW_KEYS = {
@@ -37,7 +32,6 @@ BENCH_ROW_KEYS = {
 }
 
 
-# -- module-level task functions: picklable, unlike test-local closures ------
 def _double(x):
     return x * 2
 
@@ -50,76 +44,20 @@ def _raise_boom(x):
     raise _Boom(x)
 
 
-class _OutsideTheDriver:
-    """A task callable that acts only in a child: it carries the driver's
-    pid and runs ``act`` wherever the pid differs, doubles elsewhere."""
-
-    def __init__(self, act):
-        self.driver = os.getpid()
-        self.act = act
-
-    def __call__(self, x):
-        if os.getpid() != self.driver:
-            return self.act(x)
-        return x * 2
+def _blocks(num_entities: int):
+    dataset = generate_abt_buy_like(SyntheticConfig(num_entities=num_entities, seed=7))
+    return BlockFiltering().filter(
+        BlockPurging().purge(TokenBlocking().block(dataset.profiles), len(dataset.profiles))
+    )
 
 
-def _exit_3(_item):
-    os._exit(3)
+def _column_bytes(result) -> list:
+    """The retained-edge and candidate-pair columns of a run, as bytes."""
+    edges, pairs = result.retained_edges, result.candidate_pairs
+    return [column.tobytes() for column in (edges.a, edges.b, edges.w, pairs.a, pairs.b)]
 
 
-def _die():
-    """Kill the child running a task; the driver's share doubles."""
-    return _OutsideTheDriver(_exit_3)
-
-
-class _InTheDriver:
-    """Raise ``_Boom`` in the driver; children sleep long enough that only a
-    kill ends them in time."""
-
-    def __init__(self):
-        self.driver = os.getpid()
-
-    def __call__(self, x):
-        if os.getpid() == self.driver:
-            raise _Boom(x)
-        time.sleep(60)
-        return x
-
-
-class _UnpicklableError(Exception):
-    def __reduce__(self):
-        raise pickle.PicklingError("this exception does not pickle")
-
-
-def _raise_unpicklable(x):
-    raise _UnpicklableError(x)
-
-
-class _Unpicklable:
-    """A task callable that refuses to be pickled."""
-
-    def __call__(self, x):
-        return x * 3
-
-    def __reduce__(self):
-        raise pickle.PicklingError("this callable must be inherited, not pickled")
-
-
-class _CountedDouble:
-    """A task callable that counts how often the driver pickles it."""
-
-    pickles = 0
-
-    def __call__(self, x):
-        return x * 2
-
-    def __reduce__(self):
-        type(self).pickles += 1
-        return (_CountedDouble, ())
-
-
-@pytest.fixture(scope="module")
+@pytest.fixture
 def pool():
     with EngineContext(4, executor="process:2") as context:
         yield context
@@ -136,84 +74,40 @@ class TestMap:
     def test_serial_runs_closures_in_the_driver(self, engine):
         assert engine.map(lambda x: (x, os.getpid()), [1]) == [(1, os.getpid())]
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="workers fork only on Linux")
-    def test_forked_workers_inherit_an_unpicklable_callable(self, engine, pool):
-        items = list(range(7))
-        assert pool.map(_Unpicklable(), items) == engine.map(_Unpicklable(), items)
-
-    def test_spawned_workers_get_the_callable_once_each(self, monkeypatch):
-        """Where children are not forked, the callable travels by value as the
-        child's argument: once per child, never once per task, and never for
-        the driver's own share."""
-        from repro.engine import context as context_module
-
-        monkeypatch.setattr(
-            context_module, "_MP_CONTEXT", multiprocessing.get_context("spawn")
+    def test_a_process_spec_starts_no_process(self, pool):
+        """``process:2`` runs every task in the driver, and the parallel
+        meta-blocking on it equals the sequential run byte for byte."""
+        assert pool.map(lambda x: (x, os.getpid()), range(5)) == [
+            (x, os.getpid()) for x in range(5)
+        ]
+        assert multiprocessing.active_children() == []
+        blocks = _blocks(80)
+        parallel = ParallelMetaBlocker(pool, "cbs", "wnp").run(blocks)
+        sequential = MetaBlocker("cbs", "wnp").run(blocks)
+        assert multiprocessing.active_children() == []
+        assert _column_bytes(parallel) == _column_bytes(sequential)
+        assert (parallel.graph_edges, parallel.graph_nodes) == (
+            sequential.graph_edges, sequential.graph_nodes,
         )
-        monkeypatch.setattr(_CountedDouble, "pickles", 0)
-        items = list(range(12))
-        with EngineContext(4, executor="process:2") as context:
-            assert context.map(_CountedDouble(), items) == [x * 2 for x in items]
-            workers = context.scheduler.stage_table()[-1]["workers"]
-        assert workers == 2 and _CountedDouble.pickles == workers - 1
-        assert multiprocessing.active_children() == []
-
-    def test_each_map_sizes_its_pool_to_its_items(self, pool, monkeypatch):
-        """``min(workers, len(items)) - 1`` children per map: the driver is
-        process 0, so 3 items fork 1 child and 1 or 0 items fork none."""
-        from repro.engine import context as context_module
-
-        forked = []
-        process = context_module._MP_CONTEXT.Process
-
-        def recording_process(*args, **kwargs):
-            forked.append(kwargs)
-            return process(*args, **kwargs)
-
-        monkeypatch.setattr(context_module._MP_CONTEXT, "Process", recording_process)
-        children = []
-        for items in ([1, 2, 3], [5], []):
-            before = len(forked)
-            assert pool.map(_double, items) == [x * 2 for x in items]
-            children.append(len(forked) - before)
-        assert children == [1, 0, 0]
-        assert [row["workers"] for row in pool.scheduler.stage_table()[-3:]] == [2, 1, 0]
-
-    def test_items_come_back_in_order_on_an_uneven_split(self):
-        """5 items on ``process:3``: the driver runs items 0 and 3, the first
-        child 1 and 4, the second child 2; the results are in item order."""
-        with EngineContext(4, executor="process:3") as context:
-            assert context.map(_double, range(5)) == [0, 2, 4, 6, 8]
-            (row,) = context.scheduler.stage_table()
-        assert row["workers"] == 3 and row["tasks"] == 5
-        assert multiprocessing.active_children() == []
 
     def test_one_stage_row_per_map(self, pool):
-        before = len(pool.scheduler.stage_table())
         pool.map(_double, range(6), "demo")
-        row = pool.scheduler.stage_table()[before]
+        (row,) = pool.scheduler.stage_table()
         assert row["description"] == "demo"
-        assert row["executor"] == "process[2]"
+        assert row["executor"] == "serial"
         assert row["tasks"] == 6 and row["failures"] == 0
-        assert 1 <= row["workers"] <= 2
         assert row["shuffle_write_bytes"] == row["shuffle_relay_bytes"] == 0
 
-    def test_executor_labels_and_summary(self, engine):
-        engine.map(_double, range(3))
-        assert engine.executor == "serial" and engine.workers == 0
-        summary = engine.metrics_summary()
-        assert summary == {
-            "default_parallelism": 4, "executor": "serial",
-            "stages": 1, "tasks": 3, "task_failures": 0,
-        }
+    def test_spec_and_repr(self, engine):
+        assert engine.executor_spec == "serial"
         with EngineContext(2, executor="process") as context:
-            assert context.workers == (os.cpu_count() or 1)
+            assert context.executor_spec == "process"
         assert "EngineContext" in repr(engine)
 
     def test_env_var_is_not_read(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_EXECUTOR", "process:3")
         with EngineContext(2) as context:
-            assert context.executor == "serial"
+            assert context.executor_spec == "serial"
 
     def test_invalid_parallelism(self):
         with pytest.raises(EngineError):
@@ -229,10 +123,7 @@ class TestBenchContract:
     """What ``bench/batch.py``'s ``engine_process2`` workload runs and reads."""
 
     def test_parallel_run_on_a_fresh_process2_context(self):
-        dataset = generate_abt_buy_like(SyntheticConfig(num_entities=120, seed=7))
-        blocks = BlockFiltering().filter(
-            BlockPurging().purge(TokenBlocking().block(dataset.profiles), len(dataset.profiles))
-        )
+        blocks = _blocks(120)
         context = EngineContext(default_parallelism=4, executor="process:2")
         try:
             result = ParallelMetaBlocker(context, "cbs", "wnp").run(blocks)
@@ -249,70 +140,47 @@ class TestBenchContract:
         assert row["skew"] >= 1.0
 
 
+@pytest.fixture(scope="module")
+def synthetic_blocks():
+    return _blocks(80)
+
+
+class TestProcessSpecGrid:
+    """On every weighting scheme × pruning rule, a ``process:2`` context runs
+    its map in the driver and ``ParallelMetaBlocker`` on it writes the same
+    retained-edge and candidate-pair column bytes as ``MetaBlocker.run``."""
+
+    @pytest.mark.parametrize("rule", ["wep", "cep", "wnp", "rwnp", "cnp", "rcnp"])
+    @pytest.mark.parametrize("weighting", ["cbs", "ecbs", "js", "ejs", "arcs"])
+    def test_equals_the_sequential_bytes(self, synthetic_blocks, weighting, rule):
+        def pruning():
+            return CardinalityNodePruning(reciprocal=True) if rule == "rcnp" else rule
+
+        with EngineContext(4, executor="process:2") as context:
+            parallel = ParallelMetaBlocker(context, weighting, pruning()).run(synthetic_blocks)
+            (row,) = context.scheduler.stage_table()
+        sequential = MetaBlocker(weighting, pruning()).run(synthetic_blocks)
+        assert multiprocessing.active_children() == []
+        assert row["executor"] == "serial" and row["tasks"] == 4
+        assert _column_bytes(parallel) == _column_bytes(sequential)
+        assert (parallel.graph_edges, parallel.graph_nodes) == (
+            sequential.graph_edges, sequential.graph_nodes,
+        )
+
+
 class TestFailures:
     @pytest.mark.parametrize("executor", ["serial", "process:2"])
     def test_a_raising_task_reraises_its_own_type(self, executor):
         with EngineContext(2, executor=executor) as context:
             with pytest.raises(_Boom):
                 context.map(_raise_boom, [1, 2])
-            assert context.scheduler.stage_table()[-1]["failures"] == 1
+            (row,) = context.scheduler.stage_table()
+            assert row["failures"] == 1 and row["tasks"] == 2
             assert context.map(_double, [1]) == [2]  # still usable
 
-    def test_a_child_exception_keeps_its_type(self):
-        with EngineContext(2, executor="process:2") as context:
-            with pytest.raises(_Boom):
-                context.map(_OutsideTheDriver(_raise_boom), range(4))
-            assert context.scheduler.stage_table()[-1]["failures"] == 1
-        assert multiprocessing.active_children() == []
-
-    def test_a_child_exception_that_does_not_pickle_names_its_type(self):
-        with EngineContext(2, executor="process:2") as context:
-            with pytest.raises(EngineError, match="_UnpicklableError"):
-                context.map(_OutsideTheDriver(_raise_unpicklable), range(4))
-        assert multiprocessing.active_children() == []
-
-    def test_a_driver_side_exception_kills_the_children(self):
-        """The driver's share raises first; the children, asleep for 60 s,
-        are killed and joined before the exception leaves ``map``."""
-        with EngineContext(2, executor="process:3") as context:
-            started = time.perf_counter()
-            with pytest.raises(_Boom):
-                context.map(_InTheDriver(), range(3))
-            assert time.perf_counter() - started < 30
-        assert multiprocessing.active_children() == []
-
-    def test_a_crashed_worker_fails_loudly_within_a_bound(self):
-        with EngineContext(2, executor="process:2") as context:
-            started = time.perf_counter()
-            with pytest.raises(EngineError, match="worker process died"):
-                context.map(_die(), range(4), "crash")
-            assert time.perf_counter() - started < 30
-            assert context.scheduler.stage_table()[-1]["failures"] == 1
-            # The dead child is joined; the next map forks fresh ones.
-            assert context.map(_double, [1, 2]) == [2, 4]
-
-    def test_a_crashed_spawned_worker_fails_loudly_too(self, monkeypatch):
-        """The failure contract does not depend on forking: a spawned child
-        that dies raises ``EngineError`` and leaves no child behind."""
-        from repro.engine import context as context_module
-
-        monkeypatch.setattr(
-            context_module, "_MP_CONTEXT", multiprocessing.get_context("spawn")
-        )
-        with EngineContext(2, executor="process:2") as context:
-            started = time.perf_counter()
-            with pytest.raises(EngineError, match="worker process died"):
-                context.map(_die(), range(4), "crash")
-            assert time.perf_counter() - started < 30
-            assert context.scheduler.stage_table()[-1]["failures"] == 1
-            assert context.map(_double, [1, 2]) == [2, 4]
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("func", [_double, _raise_boom, _die])
+    @pytest.mark.parametrize("func", [_double, _raise_boom])
     def test_no_worker_outlives_a_map(self, pool, func):
-        if func is _die:
-            func = _die()
-        with contextlib.suppress(_Boom, EngineError):
+        with contextlib.suppress(_Boom):
             pool.map(func, range(4))
         assert multiprocessing.active_children() == []
 

@@ -4,15 +4,15 @@
 :class:`~repro.metablocking.metablocker.MetaBlocker` against the definitions
 on small collections.  The broadcast-join
 :class:`~repro.metablocking.parallel.ParallelMetaBlocker` weighs contiguous
-node ranges on the range pool and prunes the concatenated edge arrays with the
+node ranges on the range map and prunes the concatenated edge arrays with the
 sequential meta-blocker's own retention tail, so the two must agree
 *bit-for-bit and in order*: ``list(retained_edges.items())`` — the same
 pairs, float-identical weights, the same dict order — plus the same graph
 counts, for every weighting scheme × pruning strategy on the executor ×
-range-count axes (serial and process workers, fewer and more ranges than
-nodes), on dirty and clean-clean collections larger and messier than the
-oracle's (random skewed block sizes, random non-trivial entropies,
-overlapping blocks, invalid blocks mixed in).
+range-count axes (a serial and a ``process:2`` spec, both run in the driver;
+fewer and more ranges than nodes), on dirty and clean-clean collections
+larger and messier than the oracle's (random skewed block sizes, random
+non-trivial entropies, overlapping blocks, invalid blocks mixed in).
 """
 
 from __future__ import annotations
@@ -91,11 +91,7 @@ def dirty_blocks():
 
 @pytest.fixture(scope="module")
 def process_context():
-    """One shared 2-worker pool (``process:2``) for the whole grid.
-
-    Every map pickles its task callable for the pool, so the grid doubles as
-    a regression guard for the picklability of the meta-blocking job.
-    """
+    """One shared ``process:2`` context for the whole grid."""
     with EngineContext(4, executor="process:2") as context:
         yield context
 
@@ -165,16 +161,6 @@ class TestOrderedGridEquivalence:
             use_entropy=True,
         ).run(blocks)
         assert _ordered(parallel) == reference_of(blocks, weighting, pruning)
-
-
-class TestProcessStagePlacement:
-    def test_process_tasks_run_on_worker_processes(self, dirty_blocks, process_context):
-        context = _context(process_context, "process:2", 4)
-        ParallelMetaBlocker(context, "cbs", "wnp").run(dirty_blocks)
-        row = context.scheduler.stage_table()[-1]
-        assert row["description"] == "metablocking.weights"
-        assert row["executor"] == "process[2]"
-        assert 1 <= row["workers"] <= 2 and row["tasks"] == 4
 
 
 @pytest.mark.parametrize("chunk_edges", [1, 97, 65536])

@@ -8,16 +8,14 @@ Collections are Hypothesis-generated: dirty and clean-clean, sparse and large
 profile ids, a profile listed on both sides of one block, blocks that induce
 no comparison interleaved with valid ones, zero blocks.
 
-The second half pins that the build sorts no block in python, that the
-index survives transport, and that no numpy scalar leaves it.
+The second half pins that the build sorts no block in python and that no
+numpy scalar leaves it.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -25,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.blocking.block import Block, BlockCollection
 from repro.data.synthetic import generate_scalability_products
-from repro.engine.context import EngineContext
 from repro.metablocking import index as index_module
 from repro.metablocking.index import ARRAY_FIELDS, CSRBlockIndex, IncrementalBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
@@ -213,38 +210,11 @@ def test_compact_after_random_batches_equals_from_blocks(clean_clean, seed):
 
 
 # ---------------------------------------------------------------------------
-# transport and failure of an index
+# what the build does not do
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def blocks_400():
     return _prepared_blocks(generate_scalability_products(400, seed=7))
-
-
-class TestArrayBuiltIndexTransport:
-    def test_pickle_roundtrip_reproduces_the_fields(self, blocks_400):
-        index = CSRBlockIndex.from_blocks(blocks_400)
-        clone = pickle.loads(pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL))
-        assert _fields(clone) == _fields(index)
-        assert clone.node_of == index.node_of
-        assert clone.kernel().neighbours(3) == index.kernel().neighbours(3)
-
-    @pytest.mark.skipif(sys.platform != "linux", reason="workers fork only on Linux")
-    def test_forked_workers_see_the_built_fields(self, blocks_400):
-        """A ``process:2`` map's workers inherit the index by fork: a closure
-        (which could not be pickled) reads every field and one neighbourhood
-        exactly as the driver built them."""
-        index = CSRBlockIndex.from_blocks(blocks_400)
-
-        def read(field):
-            if field == "neighbours":
-                return index.kernel().neighbours(3)
-            return getattr(index, field).tolist()
-
-        items = [*FIELDS, "neighbours"]
-        with EngineContext(2, executor="process:2") as context:
-            seen = context.map(read, items)
-        expected = _fields(index)
-        assert seen == [*(expected[field] for field in FIELDS), index.kernel().neighbours(3)]
 
 
 def test_array_build_sorts_no_block_in_python(blocks_400, monkeypatch):

@@ -4,8 +4,8 @@ The Hypothesis drivers in ``test_metablocking_oracle`` draw a scheme, a rule
 and a collection per example, so one run need not meet every combination.
 This grid pins all of them on every run: weighting scheme × entropy × pruning
 rule × batch path (``MetaBlocker.run``, ``stream_retained``,
-``ParallelMetaBlocker`` on a serial context at 1, 4 and 64 ranges and on a
-``process:2`` context), plus the full weight table,
+``ParallelMetaBlocker`` at 1, 4 and 64 ranges and on a ``process:2``
+context, whose map runs in the driver like every other), plus the full weight table,
 the progressive ranking and the incremental ``DeltaMetaBlocker``, on a fixed
 set of collections — the tie, threshold, isolated and empty cases and seeded
 random ones, dirty and clean-clean, hand-built (encoded from ``Block``
@@ -75,7 +75,7 @@ COLLECTIONS = {
 ENTROPY = pytest.mark.parametrize("use_entropy", [False, True], ids=["plain", "entropy"])
 # Four ranges: more than some collections have nodes, fewer than others.
 RANGES, CHUNK = 4, 3
-# The range-width axis of the serial range pool: one range (the whole sweep
+# The range-width axis of the range map: one range (the whole sweep
 # as one task), four, and 64 (every collection here gets one node per range).
 RANGE_WIDTHS = [1, RANGES, 64]
 
@@ -117,6 +117,8 @@ def process_context():
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
 @pytest.mark.parametrize("name", COLLECTIONS)
 def test_parallel_on_a_process_pool(name, weighting, use_entropy, rule, process_context):
+    """An executor spec that names processes changes nothing: the ``process:2``
+    context's map runs in the driver and agrees with the reference."""
     check_path(
         COLLECTIONS[name], "parallel", (weighting, rule, use_entropy, RANGES, CHUNK),
         process_context,

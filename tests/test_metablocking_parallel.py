@@ -3,7 +3,7 @@
 Output equivalence with the sequential meta-blocker (ordered, bit-for-bit,
 over the whole option grid) lives in ``test_metablocking_equivalence.py``;
 this module pins the *shape* of the job — one map over contiguous node
-ranges, workers that live no longer than the run, no driver-side sweep —
+ranges, run in the driver, each range swept once by its task —
 the range partitioner's properties, the streaming contract and the
 lifecycle of what a run allocates.
 """
@@ -148,16 +148,17 @@ class TestOneStageJobShape:
 
     @pytest.mark.parametrize("weighting", ["cbs", "js", "arcs", "ecbs"])
     def test_driver_sweeps_exactly_its_own_share(self, blocks_400, monkeypatch, weighting):
-        """Weighing happens in the tasks only: under ``process:2`` the driver
-        sweeps exactly the ranges ``0::2`` (its share as process 0) and never
-        materialises a neighbourhood outside a task (degree-free schemes)."""
+        """Weighing happens in the tasks only: the driver's share is every
+        range, so the run sweeps exactly the kernel's ranges, in order, and
+        never materialises a neighbourhood outside a task (degree-free
+        schemes)."""
         from repro.metablocking.index import CSRBlockIndex
 
         sweeps = []
         original = backends.NumpyKernel._sweep
 
         def counting(self, nodes, **kwargs):
-            sweeps.append((nodes.start, nodes.stop))  # children append to their own copy
+            sweeps.append((nodes.start, nodes.stop))
             return original(self, nodes, **kwargs)
 
         ranges = CSRBlockIndex.from_blocks(blocks_400).kernel().ranges(self.PARTITIONS)
@@ -165,11 +166,7 @@ class TestOneStageJobShape:
         with EngineContext(self.PARTITIONS, executor="process:2") as context:
             result = ParallelMetaBlocker(context, weighting, "wnp").run(blocks_400)
         assert result.graph_edges > 0
-        assert sweeps == ranges[0::2]
-        # The same spy sees every task-side sweep of the serial executor.
-        sweeps.clear()
-        ParallelMetaBlocker(EngineContext(self.PARTITIONS), weighting, "wnp").run(blocks_400)
-        assert len(sweeps) == self.PARTITIONS
+        assert sweeps == ranges and len(ranges) == self.PARTITIONS
 
     def test_sequential_run_builds_no_full_weight_dict(self, blocks_400, monkeypatch):
         def forbidden(self, *args, **kwargs):
@@ -232,7 +229,7 @@ class TestStreamRetained:
 
 
 # --------------------------------------------------------------------------
-# Lifecycle: what a run allocates, it releases
+# Lifecycle: a run starts no process and leaves its context usable
 # --------------------------------------------------------------------------
 class TestRunScopedWorkers:
     @pytest.mark.parametrize("executor", ["serial", "process:2"])
@@ -241,23 +238,21 @@ class TestRunScopedWorkers:
             blocker = ParallelMetaBlocker(context, "cbs", "wnp")
             results = [blocker.run(blocks_400) for _ in range(3)]
             assert multiprocessing.active_children() == []
-            assert context.metrics_summary()["stages"] == 3
+            assert len(context.scheduler.stage_table()) == 3
         assert results[0].retained_edges == results[1].retained_edges == results[2].retained_edges
         assert results[0].retained_edges == MetaBlocker("cbs", "wnp").run(blocks_400).retained_edges
 
     @pytest.mark.parametrize("executor", ["serial", "process:2"])
     def test_a_failed_task_leaves_no_worker(self, blocks_400, monkeypatch, executor):
-        from repro.metablocking import parallel
-
-        def boom(self, bounds):
+        def boom(self, lo, hi, plan):
             raise RuntimeError("task failed")
 
-        # Patched before the pool forks, so the workers run it too.
-        monkeypatch.setattr(parallel._RangeWeigher, "__call__", boom)
+        monkeypatch.setattr(backends.NumpyKernel, "range_weights", boom)
         with EngineContext(4, executor=executor) as context:
             with pytest.raises(RuntimeError, match="task failed"):
                 ParallelMetaBlocker(context, "cbs", "wnp").run(blocks_400)
-            assert context.metrics_summary()["stages"] == 1
+            (row,) = context.scheduler.stage_table()
+            assert row["failures"] == 1
             assert multiprocessing.active_children() == []
 
     def test_abandoned_stream_leaves_no_worker(self, blocks_400):
@@ -268,5 +263,5 @@ class TestRunScopedWorkers:
                 blocks_400, chunk_edges=10
             )
             assert len(next(stream)) == 10
-            assert context.metrics_summary()["stages"] == 1
+            assert len(context.scheduler.stage_table()) == 1
             assert multiprocessing.active_children() == []

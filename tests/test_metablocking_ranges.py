@@ -5,7 +5,7 @@ SWEEP_BUDGET⌉`` cost-balanced ranges of it.  The oracle grid's collections
 fit in one range at the real budget, so here the budget is patched down — to
 1 (every node its own range) and to a middle value (a few nodes per range) —
 and every path that weighs (``MetaBlocker.run``, ``stream_retained``, the
-range pool, both progressive strategies and ``DeltaMetaBlocker.refresh``) is
+range map, both progressive strategies and ``DeltaMetaBlocker.refresh``) is
 checked against the definition-level reference, or against its own output
 at the real budget where the reference has no definition.  The degree pass
 EJS reads is checked against the reference's degrees and edge count.

@@ -67,14 +67,23 @@ class TestExecutorGrammar:
         for spec in ("serial", "process", "process:4"):
             assert canonical_executor(canonical_executor(spec)) == spec
 
-    @pytest.mark.parametrize("alias", ["serial", "sync", "driver", "SERIAL"])
+    @pytest.mark.parametrize("alias", ["serial", "SERIAL"])
     def test_serial_executor_aliases(self, alias):
         assert canonical_executor(alias) == "serial"
 
-    @pytest.mark.parametrize("alias", ["process", "processes", "multiprocessing", "mp"])
+    @pytest.mark.parametrize("alias", ["process", "PROCESS"])
     def test_process_executor_aliases(self, alias):
         assert canonical_executor(alias) == "process"
         assert canonical_executor(f"{alias}: 4") == "process:4"
+
+    def test_names_are_case_and_space_insensitive(self):
+        assert canonical_executor(" SERIAL ") == "serial"
+        assert canonical_executor("Process: 4") == "process:4"
+
+    @pytest.mark.parametrize("alias", ["sync", "driver", "processes", "multiprocessing", "mp"])
+    def test_retired_aliases_are_unknown(self, alias):
+        with pytest.raises(EngineError, match="unknown executor"):
+            canonical_executor(alias)
 
     def test_executor_grammar_errors(self):
         with pytest.raises(EngineError, match="invalid worker count"):
@@ -84,12 +93,13 @@ class TestExecutorGrammar:
 
 
 class TestContext:
-    def test_context_builds_the_pool_the_executor_names(self):
+    def test_context_keeps_the_canonical_spec(self):
         with EngineContext(2) as context:
-            assert (context.workers, context.executor_spec) == (0, "serial")
-        with EngineContext(2, executor="mp:3") as context:
-            assert context.workers == 3 and context.executor == "process[3]"
+            assert context.executor_spec == "serial"
+        with EngineContext(2, executor="process: 3") as context:
             assert context.executor_spec == "process:3"
+            assert context.map(str, [1])[0] == "1"
+            assert context.scheduler.stage_table()[0]["executor"] == "serial"
 
     def test_retired_environment_variables_are_not_read(self, monkeypatch):
         # Values the removed options would have refused: a run that still
