@@ -462,15 +462,6 @@ class EdgeWeights:
             zip(zip(ids[self.a].tolist(), ids[self.b].tolist()), self.w.tolist())
         )
 
-    def canonical_rank(self):
-        """Position of each edge in canonical (sorted-pair) order.
-
-        Ordering by ``(-weight, rank)`` is therefore the ``(-weight, pair)``
-        tie-break of the pruning definitions.  Pairs are distinct, so it is
-        each ``a·n + b`` key's rank among the keys.
-        """
-        return unique_inverse(self.a * self.num_nodes + self.b)[1]
-
 
 def _sequential_sum(values):
     """Left-to-right float sum: one rounding per value, in array order.
@@ -497,7 +488,7 @@ def ranked_positions(table: EdgeWeights, k: int):
 
     CEP's retention, and with ``k = len(table)`` progressive global sorting.
     Only the edges at or above the ``k``-th largest weight (ties included)
-    are lexsorted; ``a·n + b`` orders pairs as :meth:`EdgeWeights.canonical_rank`.
+    are lexsorted; the key ``a·n + b`` orders the dense pairs ``(a, b)``.
     """
     negated = -table.w
     candidates = np.arange(len(table))
@@ -543,9 +534,9 @@ def _wnp_mask(table: EdgeWeights, required: int):
 def _cnp_mask(table: EdgeWeights, k: int, required: int):
     """CNP's boolean retention mask (per-node top-``k`` votes)."""
     m = len(table)
-    # Rank the edges once by (-weight, canonical pair order), then sort the
-    # incidence stream's distinct ``node << bits | edge rank`` codes.
-    edge_order = np.lexsort((table.canonical_rank(), -table.w))
+    # Rank the edges once by (-weight, pair), then sort the incidence
+    # stream's distinct ``node << bits | edge rank`` codes.
+    edge_order = np.lexsort((table.a * table.num_nodes + table.b, -table.w))
     edge_position = np.empty(m, dtype=np.int64)
     edge_position[edge_order] = np.arange(m, dtype=np.int64)
     bits = (m - 1).bit_length()

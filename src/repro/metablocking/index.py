@@ -298,18 +298,16 @@ class IncrementalBlockIndex:
     strictly increasing order (the natural ingest order), which keeps "new
     profile" well-defined and rejects duplicate ids early.
 
-    ``compact_every=N`` auto-compacts after every N appended profiles;
-    otherwise compaction happens lazily on :meth:`materialise` (the query
-    path).  Pickling drops the built CSR — a restored instance rebuilds it
-    with one compaction, which the snapshot/restore story of the service
-    relies on.
+    Compaction happens on :meth:`materialise` (the query path) or when
+    :meth:`compact` is called; when it runs never changes an answer.
+    Pickling drops the built CSR — a restored instance rebuilds it with one
+    compaction, which the snapshot/restore story of the service relies on.
     """
 
     __slots__ = (
         "clean_clean",
         "min_token_length",
         "remove_stopwords",
-        "compact_every",
         "appended_profiles",
         "compactions",
         "_forms",
@@ -318,7 +316,6 @@ class IncrementalBlockIndex:
         "_profile_ids",
         "_last_profile_id",
         "_stale",
-        "_since_compact",
         "_csr",
         "__weakref__",
     )
@@ -329,16 +326,10 @@ class IncrementalBlockIndex:
         clean_clean: bool = False,
         min_token_length: int = 1,
         remove_stopwords: bool = False,
-        compact_every: "int | None" = None,
     ) -> None:
-        if compact_every is not None and compact_every < 1:
-            from repro.exceptions import DataError
-
-            raise DataError("compact_every must be a positive integer or None")
         self.clean_clean = clean_clean
         self.min_token_length = min_token_length
         self.remove_stopwords = remove_stopwords
-        self.compact_every = compact_every
         self.appended_profiles = 0
         self.compactions = 0
         self._forms: dict[str, int] = {}
@@ -348,7 +339,6 @@ class IncrementalBlockIndex:
         self._profile_ids: list[int] = []
         self._last_profile_id = -1
         self._stale = True
-        self._since_compact = 0
         self._csr: "CSRBlockIndex | None" = None
 
     # ------------------------------------------------------------------ ingest
@@ -385,7 +375,6 @@ class IncrementalBlockIndex:
         if new_ids:
             self._last_profile_id = new_ids[-1]
             self.appended_profiles += len(new_ids)
-            self._since_compact += len(new_ids)
             self._stale = True
         # Every holder of a touched token, the batch's profiles included.
         hit = np.zeros(len(self._forms), dtype=bool)
@@ -394,10 +383,7 @@ class IncrementalBlockIndex:
         held = np.zeros(len(self._profile_ids), dtype=bool)
         held[all_rows[hit[all_tokens]]] = True
         holders = [self._profile_ids[row] for row in np.flatnonzero(held).tolist()]
-        delta = AppendDelta(new_ids, touched, holders)
-        if self.compact_every is not None and self._since_compact >= self.compact_every:
-            self.compact()
-        return delta
+        return AppendDelta(new_ids, touched, holders)
 
     def _append(self, tokens, sides, rows) -> None:
         """Append occurrences to the columns, doubling their capacity when full."""
@@ -424,7 +410,6 @@ class IncrementalBlockIndex:
         blocks = group_tokens(list(self._forms), tokens, sides, rows, profile_ids, self.clean_clean)
         self._csr = CSRBlockIndex.from_blocks(blocks)
         self._stale = False
-        self._since_compact = 0
         self.compactions += 1
         return self._csr
 

@@ -44,6 +44,9 @@ _RETIRED = {
     "num_perm": (None, "attribute partitioning no longer runs MinHash"),
     "num_bands": (None, "attribute partitioning no longer runs LSH banding"),
     "lsh_seed": (None, "attribute partitioning no longer runs MinHash"),
+    # A service collection's automatic compaction period: when the index
+    # compacts never changes an answer, and queries compact on demand.
+    "compact_every": (None, "the incremental index compacts when it is queried"),
 }
 
 

@@ -12,9 +12,10 @@ record written before records were JSON, building plain data only.
 
 Earlier shapes: a ``BlockCollection`` as a ``Block`` list (``_blocks``) or
 with 4-field ``BlockColumns``; a ``SimilarityGraph`` as an ``_edges`` dict;
-an ``IncrementalBlockIndex`` with ``_TokenState`` member sets (``_tokens``)
-and removed engine settings; a ``MetaBlockingResult`` holding a ``set`` and
-a ``dict``; checkpoint metrics in a ``report`` and seconds in ``timings``.
+an ``IncrementalBlockIndex`` with ``_TokenState`` member sets (``_tokens``),
+removed engine settings or an automatic compaction period; a
+``MetaBlockingResult`` holding a ``set`` and a ``dict``; checkpoint metrics
+in a ``report`` and seconds in ``timings``.
 """
 
 from __future__ import annotations
@@ -37,8 +38,11 @@ from repro.options import drop_retired_keys
 
 # Modules whose retired record classes (the report, the timings) load as namespaces.
 _RETIRED_RECORD_MODULES = {"repro.evaluation.report", "repro.utils.timers"}
-# Index slots of removed engine options: kernel backend, buffers, temp root.
-_RETIRED_INDEX_SLOTS = ("_backend", "_buffer_backend", "_tmp_dir")
+# Index slots of removed options: kernel backend, buffers, temp root, and
+# the automatic compaction period with its counter.
+_RETIRED_INDEX_SLOTS = (
+    "_backend", "_buffer_backend", "_tmp_dir", "compact_every", "_since_compact"
+)
 
 
 class _BlockColumns(BlockColumns):

@@ -61,7 +61,6 @@ class CollectionConfig:
     pruning: str = "wnp"
     min_token_length: int = 1
     remove_stopwords: bool = False
-    compact_every: "int | None" = None
     progressive: str = "sorted"
     wal_fsync: "str | None" = None
 
@@ -125,7 +124,6 @@ class ServiceCollection:
             clean_clean=config.clean_clean,
             min_token_length=config.min_token_length,
             remove_stopwords=config.remove_stopwords,
-            compact_every=config.compact_every,
         )
         self.delta = DeltaMetaBlocker(config.weighting, config.pruning)
         # (compactions, EdgeWeights) of the last weighing; never pickled.

@@ -55,29 +55,3 @@ def engine():
 def default_config():
     """The unsupervised default configuration."""
     return SparkERConfig.unsupervised_default()
-
-
-# -- opt-in perf-regression guard -------------------------------------------
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-guard",
-        action="store_true",
-        default=False,
-        help="run the opt-in kernel perf-regression guard (times real workloads)",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "bench_guard: opt-in perf-regression guard, deselected unless --bench-guard is given",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--bench-guard"):
-        return
-    skip_guard = pytest.mark.skip(reason="bench guard is opt-in: pass --bench-guard")
-    for item in items:
-        if "bench_guard" in item.keywords:
-            item.add_marker(skip_guard)

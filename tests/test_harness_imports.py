@@ -1,11 +1,11 @@
-"""Every legacy benchmark and script imports, and every name it imports exists.
+"""Every figure benchmark and script imports, and every name it imports exists.
 
-``benchmarks/*.py`` and ``scripts/*.py`` run outside tier-1 (by hand, or in
-a non-blocking CI job), so a name moved or deleted in ``src/`` would break
-them silently.  This module imports each file without running it, and
-resolves every ``from X import Y`` in it — the ones inside functions too —
-whose module is in ``repro`` or is one of these files (``bench_guard``
-imports ``bench_service`` inside its checks).
+``benchmarks/*.py`` and ``scripts/*.py`` run outside tier-1 (by hand, or as
+later CI steps), so a name moved or deleted in ``src/`` would break them
+silently.  This module imports each file without running it, and resolves
+every ``from X import Y`` in it — the ones inside functions too — whose
+module is in ``repro`` or is one of these files (the benchmarks import
+``print_rows`` from their own ``conftest``).
 """
 
 from __future__ import annotations
@@ -65,4 +65,4 @@ def test_harness_file_imports(sibling_imports):
 
 
 def test_every_harness_file_is_collected():
-    assert {p.name for p in FILES} >= {"bench_service.py", "bench_guard.py", "conftest.py"}
+    assert {p.name for p in FILES} >= {"bench_scalability.py", "scale_check.py", "conftest.py"}

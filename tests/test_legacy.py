@@ -3,21 +3,25 @@
 The parent-shaped fixtures live beside the classes they exercise
 (``test_pairs_as_arrays``, ``test_blocking_columns``, ``test_service_delta``,
 ``test_stage_executions``, ``test_service_wal``).  Here: a current-shape
-state reads exactly as a plain unpickle reads it, and no module but the
-legacy one knows an earlier shape.
+state reads exactly as a plain unpickle reads it, no module but the legacy
+one knows an earlier shape, and a snapshot of a collection that compacted
+itself every N profiles restores.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 from pathlib import Path
 
 import pytest
 
 from repro.core.sparker import SparkER
+from repro.metablocking.index import IncrementalBlockIndex
 from repro.pipeline import Pipeline, PipelineCheckpoint
 from repro.pipeline import legacy
 from repro.service.collection import CollectionConfig, ServiceCollection
+from repro.service.store import CollectionStore
 
 from tests.test_metablocking_incremental import _random_profiles
 from tests.test_service_app import _ingest_payload
@@ -82,3 +86,41 @@ def test_a_stored_stage_whose_params_were_all_retired_loses_them():
         {"stage": "loose_schema", "params": {"threshold": 0.3}},
         {"stage": "token_blocking"},
     ]
+
+
+def test_a_snapshot_with_a_compaction_period_answers_like_a_fresh_twin(tmp_path, monkeypatch):
+    profiles = _random_profiles(60, clean_clean=False, seed=47)
+    source = ServiceCollection(CollectionConfig(name="demo"))
+    twin = ServiceCollection(CollectionConfig(name="demo"))
+    store = CollectionStore(snapshot_dir=str(tmp_path))
+    try:
+        for collection in (source, twin):
+            collection.ingest(_ingest_payload(profiles[:40]))
+        # The index and its config as they pickled while a collection could
+        # compact itself every N appended profiles.
+        index_state = dict(source.index.__getstate__(), compact_every=10, _since_compact=3)
+        monkeypatch.setattr(IncrementalBlockIndex, "__getstate__", lambda self: index_state)
+        state = source.snapshot_state()
+        state["config"] = dict(state["config"], compact_every=10)
+        checkpoint = PipelineCheckpoint(tmp_path / "demo")
+        checkpoint.save(state)
+        monkeypatch.undo()
+        assert b"_since_compact" in checkpoint.state_path.read_bytes()
+
+        assert store.load_snapshots() == ["demo"]
+        restored = store.get("demo")
+        assert type(restored.index) is IncrementalBlockIndex
+        assert restored.config == twin.config
+
+        def answers(collection, probe):
+            return json.dumps([collection.candidates(probe), collection.matches(probe, 30)])
+
+        assert answers(restored, 0) == answers(twin, 0)
+        for collection in (restored, twin):
+            collection.ingest(_ingest_payload(profiles[40:]))
+        for probe in (0, 41):
+            assert answers(restored, probe) == answers(twin, probe)
+    finally:
+        source.close()
+        twin.close()
+        store.close_all()

@@ -24,6 +24,8 @@ from repro.engine.context import EngineContext, canonical_executor
 from repro.exceptions import ConfigurationError, EngineError, PipelineValidationError
 from repro.options import drop_retired_keys
 from repro.pipeline import Pipeline, registered_stages
+from repro.service.collection import CollectionConfig
+from repro.service.store import CollectionStore
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -229,6 +231,22 @@ class TestProvenance:
         with pytest.raises(ConfigurationError, match="fault_policy"):
             drop_retired_keys({"fault_policy": "retries=1"})
 
+    @pytest.mark.parametrize("value", [None, 1, 10, 0, -3, "often"])
+    def test_a_compaction_period_is_dropped_whatever_its_value(self, value):
+        config = CollectionConfig.from_dict({"name": "c", "compact_every": value})
+        assert config == CollectionConfig(name="c")
+        assert "compact_every" not in config.as_dict()
+        # A stored `serve --spec` file: the collection defaults and an explicit entry.
+        spec = {
+            "defaults": {"compact_every": value, "pruning": "cnp"},
+            "collections": [{"name": "explicit", "compact_every": value}],
+        }
+        (entry,) = spec["collections"]
+        assert CollectionConfig.from_dict(entry) == CollectionConfig(name="explicit")
+        store = CollectionStore(defaults=spec["defaults"])
+        assert store.get_or_create("c").config == CollectionConfig(name="c", pruning="cnp")
+        store.close_all()
+
     def test_a_spec_asking_for_the_interpreted_kernel_is_refused(self):
         spec = SparkER.canonical_spec(SparkERConfig.unsupervised_default())
         spec["engine"] = {"kernel_backend": "python"}
@@ -347,10 +365,11 @@ def test_no_function_declares_a_knob_parameter():
 
 
 # Names of the deleted buffer backend, temp-root option, options object,
-# shared-memory transport of the CSR index, the pipeline's engine option and
-# the MinHash / banding LSH of attribute partitioning.
+# shared-memory transport of the CSR index, the pipeline's engine option,
+# the MinHash / banding LSH of attribute partitioning and the incremental
+# index's automatic compaction period.
 REMOVED_NAMES = re.compile(
-    r"memmap|buffer_backend|tmp_dir|csrbuf|EngineOptions"
+    r"memmap|buffer_backend|tmp_dir|csrbuf|EngineOptions|compact_every|_since_compact"
     r"|export_shared|SharedIndexBuffers|sweep_orphaned_segments|shared_memory|sharedmem"
     r"|use_engine|resolve_executor|REPRO_ENGINE_EXECUTOR|engine_metrics|executor_from_args"
     r"|check_engine_section|ENGINE_SECTION_KEYS"

@@ -3,7 +3,7 @@
 :func:`~repro.metablocking.backends.ranked_positions` keeps only the edges at
 or above the ``k``-th largest weight (ties included) and lexsorts that
 subset; the sorted progressive stream ranks growing windows of it.  Both must
-equal the full ``lexsort((canonical_rank, -w))`` order position for position
+equal the full ``(-weight, pair)`` order position for position
 — on tables with heavy weight ties (integer CBS weights) above all, where a
 window cut falls inside a run of equal weights.  Node scheduling's one
 ``lexsort`` must equal its definition, a node-by-node loop.  The service's
@@ -60,7 +60,9 @@ def tied_tables(draw):
 
 
 def _full_ranking(table):
-    return np.lexsort((table.canonical_rank(), -table.w))
+    """Every position, ranked by ``(-weight, pair)`` on the pair tuples."""
+    keys = list(zip((-table.w).tolist(), table.a.tolist(), table.b.tolist()))
+    return np.array(sorted(range(len(table)), key=keys.__getitem__), dtype=np.int64)
 
 
 def _budgets(chunk: int, length: int) -> list[int]:
